@@ -247,7 +247,6 @@ mod tests {
             pe_messages: vec![0],
             pe_max_queue_depth: vec![0],
             network: Default::default(),
-            trace: None,
             obs: Some(ObsReport { pes, counters: CounterSet::new() }),
             lb_rounds: 0,
             migrations: 0,

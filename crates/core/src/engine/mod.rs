@@ -1,13 +1,24 @@
 //! Execution engines.
 //!
-//! Two engines run the same [`crate::node::Node`] logic:
+//! Two engines run the same [`crate::node::Node`] logic, one over virtual
+//! time and one over the wall clock:
 //!
 //! * [`sim`] — deterministic discrete-event simulation over virtual time
 //!   (`mdo-netsim`): the paper's "simulated Grid environment" with swept
 //!   artificial latencies (§5.1).
-//! * [`threaded`] — one OS thread per PE over the `mdo-vmi` transport with
-//!   a real timer-based delay device: our stand-in for the paper's real
-//!   multi-cluster TeraGrid runs ("Real Latency" columns of Tables 1–2).
+//! * [`threaded`] + [`net`] — the wall-clock engine: one OS thread per PE
+//!   over the `mdo-vmi` transport with a real timer-based delay device,
+//!   our stand-in for the paper's real multi-cluster TeraGrid runs ("Real
+//!   Latency" columns of Tables 1–2).  [`threaded`] holds its
+//!   configuration, entry point and PE threads; [`net`] holds its one
+//!   generation loop (launch, watchdog, recovery, report) and the control
+//!   plane that loop speaks when `RunConfig::net` spreads the job over
+//!   one process per cluster.  The in-process run is the one-node case of
+//!   the multi-process run: the only difference is whether a
+//!   [`mdo_vmi::Wire`] (real TCP, `mdo-net`) is bound under the unchanged
+//!   transport stack — the paper's "same runtime, different device
+//!   chain".  `join_plan`, `obs` and `steal` remain single-process
+//!   features.
 //!
 //! [`policy`] is the simulation engine's delivery-order seam: a pluggable
 //! [`policy::DeliveryPolicy`] decides which of several equal-priority

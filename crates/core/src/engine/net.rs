@@ -1,16 +1,20 @@
-//! Multi-process execution: the threaded engine over real TCP.
+//! The wall-clock engine's one generation loop, in one process or many.
 //!
-//! [`run_multi_process`] is what [`super::threaded::ThreadedEngine::run`]
-//! dispatches to when [`RunConfig::net`] is set.  Each OS process hosts
-//! the PEs of exactly one topology cluster ("node" = cluster), so the
-//! process boundary coincides with the WAN boundary: everything that
-//! crosses the mdo-net wire is exactly the traffic the in-process engine
-//! routes through its cross-cluster device chain — delay, CRC and fault
-//! devices run sender-side before the socket, and the reliable layer's
-//! credits, acks and retransmissions ride the same packets they always
-//! did.  That is why a multi-process run is bit-exact with a
-//! single-process one: above the [`Wire`](mdo_vmi::Wire) seam nothing
-//! changed.
+//! [`ThreadedEngine::run`](super::threaded::ThreadedEngine::run),
+//! [`run_multi_process`] and [`run_with_session`] are thin entry points to
+//! the single private loop in this file.  It takes an
+//! `Option<NetSession>`: with a session, each OS process hosts the PEs of
+//! exactly one topology cluster ("node" = cluster) and what crosses the
+//! mdo-net wire is the traffic the in-process run routes through its
+//! cross-cluster device chain — delay, CRC and fault devices run
+//! sender-side before the socket, and the reliable layer's credits, acks
+//! and retransmissions ride the same packets they always did.  (One known
+//! difference: the exit flag is per process, so each remote node's first
+//! PE to see `Exit` relays it once more — a few extra packets, pinned by
+//! `tests/net_transport.rs`.)  Without one, node 0 hosts every PE, the peer set is empty and no
+//! [`Wire`] is bound: every broadcast and gather below iterates over
+//! nothing.  That is why a multi-process run computes bit-exactly what a
+//! single-process one does: above the [`Wire`] seam there is one engine.
 //!
 //! ## Control plane
 //!
@@ -31,25 +35,26 @@
 //! * anything unrecoverable — `Abort{why}`, and every process stands
 //!   down with a structured error instead of hanging.
 //!
-//! ## Unsupported in net mode
+//! ## Single-process-only features
 //!
-//! `join_plan` (elastic expand) and the observability subsystem
-//! (`obs`/`trace`) are single-process features for now: joins would need
-//! a process launcher in the control plane, and obs recordings are too
-//! large to ship casually.  Both are ignored with a warning.
+//! `join_plan` (elastic expand), `obs` recording and `steal` are each one
+//! guarded line of the shared loop and are ignored (with a warning) when
+//! a session is present: joins would need a process launcher in the
+//! control plane, obs recordings are too large to ship casually, and the
+//! stealing PE loop has not been run over the wire.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use mdo_net::{NetEvent, NetMesh, NetSession, TransportError as NetError};
 use mdo_netsim::network::NetworkStats;
 use mdo_netsim::{
-    ClusterId, Dur, FailureCause, FaultModelStats, FaultPlan, PeFailed, Time, Topology, TransportError,
-    UnrecoverableError,
+    ClusterId, Dur, FailureCause, FaultModelStats, FaultPlan, JoinSpec, JoinTrigger, Pe, PeFailed, Time, Topology,
+    TransportError, UnrecoverableError,
 };
-use mdo_obs::{CounterSet, Ctr, ObsConfig};
+use mdo_obs::{CounterSet, Ctr, Event as ObsEvent, ObsReport, PeObs};
 use mdo_vmi::{Aggregator, CrcDevice, FaultDevice, ReliableTransport, Transport, TransportConfig, Wire, WireBinding};
 
 use crate::checkpoint::{assemble_buddy_snapshot, FtPiece, Snapshot};
@@ -59,7 +64,10 @@ use crate::node::{split_program, HostParts, Node, NodeShared};
 use crate::program::{Program, RunConfig, RunReport};
 use crate::wire::{WireReader, WireWriter};
 
-use super::threaded::{elapsed_ns, pe_thread, PeResult, ThreadCtl, ThreadedConfig, PE_ALIVE, PE_CRASHED};
+use super::threaded::{
+    elapsed_ns, pe_thread, pe_thread_stealing, NodeBank, PeResult, ThreadCtl, ThreadedConfig, PE_ALIVE, PE_CRASHED,
+    PE_PANICKED,
+};
 
 // ---------------------------------------------------------------------------
 // Control-plane protocol
@@ -72,17 +80,19 @@ const CTL_PIECES: u8 = 4;
 const CTL_RESTART: u8 = 5;
 const CTL_ABORT: u8 = 6;
 
-/// Why a node ordered (or relayed) an abort.
+/// Why a node ordered (or relayed) an abort.  The structured variants let
+/// node 0 rebuild the same report fields a single-process run sets.
 #[derive(Clone, Debug)]
 enum AbortReason {
-    /// Free-form (deadline, rendezvous trouble, peer death without a plan).
+    /// Free-form (rendezvous trouble, peer death without a plan).
     Other(String),
-    /// A PE failed with no failure plan armed (original numbering) —
-    /// node 0 maps this back to [`UnrecoverableError::NoFailurePlan`] so
-    /// the merged report matches the single-process engine's.
+    /// A PE failed with no failure plan armed (original numbering):
+    /// [`UnrecoverableError::NoFailurePlan`].
     NoFailurePlan(u32),
     /// The reliable layer exhausted retries somewhere.
-    Transport { src: u32, dst: u32, seq: u64, attempts: u32 },
+    Transport(TransportError),
+    /// The run outlived `max_wall`: [`UnrecoverableError::DeadlineExceeded`].
+    Deadline,
 }
 
 impl std::fmt::Display for AbortReason {
@@ -90,17 +100,16 @@ impl std::fmt::Display for AbortReason {
         match self {
             AbortReason::Other(s) => f.write_str(s),
             AbortReason::NoFailurePlan(pe) => write!(f, "PE {pe} failed with no failure plan armed"),
-            AbortReason::Transport { src, dst, attempts, .. } => {
-                write!(f, "delivery {src} -> {dst} failed after {attempts} attempts")
-            }
+            AbortReason::Transport(e) => e.fmt(f),
+            AbortReason::Deadline => UnrecoverableError::DeadlineExceeded.fmt(f),
         }
     }
 }
 
 /// A control-plane message (rides `KIND_CONTROL` records on the mesh).
 enum Ctl {
-    /// A node's share of the final accounting (encoded [`NodeReport`]).
-    Report(NodeReport),
+    /// A node's share of the final accounting.
+    Report(Box<NodeReport>),
     /// Node 0 has merged everything; stand down cleanly.
     Done,
     /// Node 0 orders a shrink-recovery: stop the current generation.
@@ -111,6 +120,14 @@ enum Ctl {
     Restart { snap_round: u32, snapshot: Vec<u8> },
     /// The run cannot continue; every process stands down.
     Abort(AbortReason),
+}
+
+fn put_transport_error(w: &mut WireWriter, e: &TransportError) {
+    w.u32(e.src.0).u32(e.dst.0).u64(e.seq).u32(e.attempts);
+}
+
+fn get_transport_error(r: &mut WireReader<'_>) -> Option<TransportError> {
+    Some(TransportError { src: Pe(r.u32().ok()?), dst: Pe(r.u32().ok()?), seq: r.u64().ok()?, attempts: r.u32().ok()? })
 }
 
 fn encode_ctl(c: &Ctl) -> Vec<u8> {
@@ -148,8 +165,9 @@ fn encode_ctl(c: &Ctl) -> Vec<u8> {
                 AbortReason::NoFailurePlan(pe) => {
                     w.u8(1).u32(*pe);
                 }
-                AbortReason::Transport { src, dst, seq, attempts } => {
-                    w.u8(2).u32(*src).u32(*dst).u64(*seq).u32(*attempts);
+                AbortReason::Transport(e) => put_transport_error(w.u8(2), e),
+                AbortReason::Deadline => {
+                    w.u8(3);
                 }
             }
         }
@@ -160,7 +178,7 @@ fn encode_ctl(c: &Ctl) -> Vec<u8> {
 fn decode_ctl(bytes: &[u8]) -> Option<Ctl> {
     let mut r = WireReader::new(bytes);
     let ctl = match r.u8().ok()? {
-        CTL_REPORT => Ctl::Report(NodeReport::decode(&mut r)?),
+        CTL_REPORT => Ctl::Report(Box::new(NodeReport::decode(&mut r)?)),
         CTL_DONE => Ctl::Done,
         CTL_RECOVER => {
             Ctl::Recover { new_gen: r.u32().ok()?, dead_cur: r.u32_vec().ok()?, dead_nodes: r.u32_vec().ok()? }
@@ -170,7 +188,7 @@ fn decode_ctl(bytes: &[u8]) -> Option<Ctl> {
             let mut pieces = Vec::with_capacity(n.min(1024));
             for _ in 0..n {
                 let epoch = r.u32().ok()?;
-                let owner = mdo_netsim::Pe(r.u32().ok()?);
+                let owner = Pe(r.u32().ok()?);
                 let lb_round = r.u32().ok()?;
                 let n_states = r.usize().ok()?;
                 let mut states = Vec::with_capacity(n_states.min(4096));
@@ -187,12 +205,8 @@ fn decode_ctl(bytes: &[u8]) -> Option<Ctl> {
         CTL_ABORT => Ctl::Abort(match r.u8().ok()? {
             0 => AbortReason::Other(r.str().ok()?.to_string()),
             1 => AbortReason::NoFailurePlan(r.u32().ok()?),
-            2 => AbortReason::Transport {
-                src: r.u32().ok()?,
-                dst: r.u32().ok()?,
-                seq: r.u64().ok()?,
-                attempts: r.u32().ok()?,
-            },
+            2 => AbortReason::Transport(get_transport_error(&mut r)?),
+            3 => AbortReason::Deadline,
             _ => return None,
         }),
         _ => return None,
@@ -204,122 +218,16 @@ fn decode_ctl(bytes: &[u8]) -> Option<Ctl> {
 // Per-node accounting
 // ---------------------------------------------------------------------------
 
-/// Scalar tallies a node accumulates across its generations; the exact
-/// shape that sums (or maxes) cleanly across nodes at merge time.
-#[derive(Clone, Copy, Debug, Default)]
-struct Sums {
-    intra_msgs: u64,
-    intra_bytes: u64,
-    cross_msgs: u64,
-    cross_bytes: u64,
-    dropped: u64,
-    corrupt_rejected: u64,
-    dup_dropped: u64,
-    reordered: u64,
-    retransmits: u64,
-    frames_sent: u64,
-    coalesced: u64,
-    bytes_saved: u64,
-    flush_size: u64,
-    flush_deadline: u64,
-    credit_stalls: u64,
-    credit_wait_ns: u64,
-    sheds: u64,
-    shed_bytes: u64,
-    queue_full: u64,
-    ckpt_bytes: u64,
-    peak_mailbox_bytes: u64,
-}
-
-impl Sums {
-    fn encode(&self, w: &mut WireWriter) {
-        for v in self.as_array() {
-            w.u64(v);
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Option<Sums> {
-        let mut s = Sums::default();
-        let mut vals = [0u64; 21];
-        for v in vals.iter_mut() {
-            *v = r.u64().ok()?;
-        }
-        s.set_array(vals);
-        Some(s)
-    }
-
-    fn as_array(&self) -> [u64; 21] {
-        [
-            self.intra_msgs,
-            self.intra_bytes,
-            self.cross_msgs,
-            self.cross_bytes,
-            self.dropped,
-            self.corrupt_rejected,
-            self.dup_dropped,
-            self.reordered,
-            self.retransmits,
-            self.frames_sent,
-            self.coalesced,
-            self.bytes_saved,
-            self.flush_size,
-            self.flush_deadline,
-            self.credit_stalls,
-            self.credit_wait_ns,
-            self.sheds,
-            self.shed_bytes,
-            self.queue_full,
-            self.ckpt_bytes,
-            self.peak_mailbox_bytes,
-        ]
-    }
-
-    fn set_array(&mut self, v: [u64; 21]) {
-        [
-            self.intra_msgs,
-            self.intra_bytes,
-            self.cross_msgs,
-            self.cross_bytes,
-            self.dropped,
-            self.corrupt_rejected,
-            self.dup_dropped,
-            self.reordered,
-            self.retransmits,
-            self.frames_sent,
-            self.coalesced,
-            self.bytes_saved,
-            self.flush_size,
-            self.flush_deadline,
-            self.credit_stalls,
-            self.credit_wait_ns,
-            self.sheds,
-            self.shed_bytes,
-            self.queue_full,
-            self.ckpt_bytes,
-            self.peak_mailbox_bytes,
-        ] = v;
-    }
-
-    /// Fold another node's tallies in (sums, except the high-water mark).
-    fn merge(&mut self, other: &Sums) {
-        let peak = self.peak_mailbox_bytes.max(other.peak_mailbox_bytes);
-        let mut a = self.as_array();
-        for (x, y) in a.iter_mut().zip(other.as_array()) {
-            *x += y;
-        }
-        self.set_array(a);
-        self.peak_mailbox_bytes = peak;
-    }
-}
-
-/// One node's complete share of the final accounting.
+/// One node's share of the final accounting, as shipped to node 0.
 struct NodeReport {
     node: u32,
     end_ns: u64,
     /// (orig PE, busy ns, messages, max queue depth) for every PE this
     /// node ever hosted.
     entries: Vec<(u32, u64, u64, u64)>,
-    sums: Sums,
+    network: NetworkStats,
+    peak_mailbox_bytes: u64,
+    ctr: CounterSet,
     transport_error: Option<TransportError>,
 }
 
@@ -329,14 +237,17 @@ impl NodeReport {
         for &(pe, busy, msgs, depth) in &self.entries {
             w.u32(pe).u64(busy).u64(msgs).u64(depth);
         }
-        self.sums.encode(w);
+        let n = &self.network;
+        w.u64(n.intra_messages).u64(n.intra_bytes).u64(n.cross_messages).u64(n.cross_bytes);
+        w.u64(self.peak_mailbox_bytes);
+        for (_, v) in self.ctr.iter() {
+            w.u64(v);
+        }
         match &self.transport_error {
             None => {
                 w.u8(0);
             }
-            Some(e) => {
-                w.u8(1).u32(e.src.0).u32(e.dst.0).u64(e.seq).u32(e.attempts);
-            }
+            Some(e) => put_transport_error(w.u8(1), e),
         }
     }
 
@@ -348,124 +259,325 @@ impl NodeReport {
         for _ in 0..n {
             entries.push((r.u32().ok()?, r.u64().ok()?, r.u64().ok()?, r.u64().ok()?));
         }
-        let sums = Sums::decode(r)?;
+        let network = NetworkStats {
+            intra_messages: r.u64().ok()?,
+            intra_bytes: r.u64().ok()?,
+            cross_messages: r.u64().ok()?,
+            cross_bytes: r.u64().ok()?,
+        };
+        let peak_mailbox_bytes = r.u64().ok()?;
+        let mut ctr = CounterSet::new();
+        for c in Ctr::ALL {
+            ctr.add(c, r.u64().ok()?);
+        }
         let transport_error = match r.u8().ok()? {
             0 => None,
-            _ => Some(TransportError {
-                src: mdo_netsim::Pe(r.u32().ok()?),
-                dst: mdo_netsim::Pe(r.u32().ok()?),
-                seq: r.u64().ok()?,
-                attempts: r.u32().ok()?,
-            }),
+            _ => Some(get_transport_error(r)?),
         };
-        Some(NodeReport { node, end_ns, entries, sums, transport_error })
+        Some(NodeReport { node, end_ns, entries, network, peak_mailbox_bytes, ctr, transport_error })
     }
 }
 
 /// A node's cumulative books across its generations (original PE
-/// numbering, like the single-process engine's).
+/// numbering).  Node 0 also folds every remote [`NodeReport`] in here; a
+/// single-process run is a coordinator that merges none.
+#[derive(Default)]
 struct Books {
-    busy_ns: Vec<u64>,
+    busy: Vec<Dur>,
     msgs: Vec<u64>,
-    qdepth: Vec<u64>,
+    qdepth: Vec<usize>,
+    /// Whether obs records; off, `obs` stays empty and is never touched.
+    record_on: bool,
+    /// One accumulated recording per original PE.
+    obs: Vec<PeObs>,
     /// Original PEs this node has hosted in any generation.
     mine: BTreeSet<usize>,
-    sums: Sums,
+    /// Nodes whose final report has been merged.
+    reported: BTreeSet<u32>,
+    network: NetworkStats,
+    /// The transport stack's and the PEs' tallies — everything that sums
+    /// cleanly across nodes.
+    ctr: CounterSet,
+    peak_mailbox_bytes: u64,
+    lb_rounds: u32,
     end_ns: u64,
     transport_error: Option<TransportError>,
 }
 
 impl Books {
-    fn new(orig_n_pes: usize) -> Self {
-        Books {
-            busy_ns: vec![0; orig_n_pes],
-            msgs: vec![0; orig_n_pes],
-            qdepth: vec![0; orig_n_pes],
-            mine: BTreeSet::new(),
-            sums: Sums::default(),
-            end_ns: 0,
-            transport_error: None,
+    fn new(orig_n_pes: usize, record_on: bool) -> Self {
+        let mut books = Books { record_on, ..Books::default() };
+        books.widen(orig_n_pes);
+        books
+    }
+
+    /// Make room for original PE numbers below `n` (a brand-new joiner's
+    /// number lies beyond the boot topology).
+    fn widen(&mut self, n: usize) {
+        if n > self.busy.len() {
+            self.busy.resize(n, Dur::ZERO);
+            self.msgs.resize(n, 0);
+            self.qdepth.resize(n, 0);
+            if self.record_on {
+                self.obs.extend((self.obs.len() as u32..n as u32).map(PeObs::empty));
+            }
         }
     }
 
-    /// Close one generation's books from the local stack and results.
-    #[allow(clippy::too_many_arguments)]
-    fn absorb_generation(
-        &mut self,
-        raw: &Transport,
-        transport: &ReliableTransport,
-        agg: &Aggregator,
-        fault_stats: (u64, u64, u64),
-        results: &[PeResult],
-        orig: &[mdo_netsim::Pe],
-        mesh_drops: u64,
-    ) {
-        let (intra_pkts, intra_bytes) = raw.intra_traffic();
-        let (cross_pkts, cross_bytes) = raw.cross_traffic();
-        self.sums.intra_msgs += intra_pkts;
-        self.sums.intra_bytes += intra_bytes;
-        self.sums.cross_msgs += cross_pkts;
-        self.sums.cross_bytes += cross_bytes;
-        let (dropped, crc_rejected, reordered) = fault_stats;
-        self.sums.dropped += dropped;
-        // Records the net reader could not parse were dropped the same way
-        // a CRC-rejected packet is: counted, recovered by retransmission.
-        self.sums.corrupt_rejected += crc_rejected + mesh_drops;
-        self.sums.dup_dropped += transport.dup_dropped();
-        self.sums.reordered += reordered;
-        self.sums.retransmits += transport.retransmits();
+    fn add_traffic(&mut self, (intra_msgs, intra_bytes): (u64, u64), (cross_msgs, cross_bytes): (u64, u64)) {
+        self.network.intra_messages += intra_msgs;
+        self.network.intra_bytes += intra_bytes;
+        self.network.cross_messages += cross_msgs;
+        self.network.cross_bytes += cross_bytes;
+    }
+
+    /// The run ended when the first exit was announced anywhere.
+    fn note_end(&mut self, end_ns: u64) {
+        if end_ns > 0 && (self.end_ns == 0 || end_ns < self.end_ns) {
+            self.end_ns = end_ns;
+        }
+    }
+
+    /// Close one generation's books from the local stack and the joined PE
+    /// threads.  Returns the AtSync rounds PE 0 completed this generation
+    /// (0 on a node that does not host it).
+    fn absorb_generation(&mut self, stack: &Stack, results: &mut [PeResult], orig: &[Pe], mesh_drops: u64) -> u32 {
+        let Stack { raw, transport, agg, injected } = stack;
+        self.add_traffic(raw.intra_traffic(), raw.cross_traffic());
+        let (dev, crc_rejected) = injected.as_ref().map(|(f, v)| (f.stats(), v.rejected())).unwrap_or_default();
         let ast = agg.stats();
-        self.sums.frames_sent += ast.frames_sent;
-        self.sums.coalesced += ast.envelopes_coalesced;
-        self.sums.bytes_saved += ast.bytes_saved;
-        self.sums.flush_size += ast.flush_by_size;
-        self.sums.flush_deadline += ast.flush_by_deadline;
-        self.sums.credit_stalls += transport.credit_stalls();
-        self.sums.credit_wait_ns += transport.credit_wait_ns();
-        self.sums.sheds += ast.envelopes_shed;
-        self.sums.shed_bytes += ast.shed_bytes;
-        self.sums.queue_full += ast.queue_full;
-        for r in results {
+        for (c, n) in [
+            (Ctr::Drops, dev.dropped),
+            // Records the net reader could not parse were dropped the same
+            // way a CRC-rejected packet is: counted, then retransmitted.
+            (Ctr::CorruptRejected, crc_rejected + mesh_drops),
+            (Ctr::DupDropped, transport.dup_dropped()),
+            (Ctr::Reordered, dev.reordered),
+            (Ctr::Retransmits, transport.retransmits()),
+            (Ctr::FramesSent, ast.frames_sent),
+            (Ctr::EnvelopesCoalesced, ast.envelopes_coalesced),
+            (Ctr::FrameBytesSaved, ast.bytes_saved),
+            (Ctr::FlushBySize, ast.flush_by_size),
+            (Ctr::FlushByDeadline, ast.flush_by_deadline),
+            (Ctr::CreditStalls, transport.credit_stalls()),
+            (Ctr::CreditWaitNs, transport.credit_wait_ns()),
+            (Ctr::EnvelopesShed, ast.envelopes_shed),
+            (Ctr::ShedBytes, ast.shed_bytes),
+            (Ctr::QueueFull, ast.queue_full),
+            (Ctr::MailboxSignals, results.iter().map(|r| raw.mailbox(r.pe).wakeup_signals()).sum()),
+        ] {
+            self.ctr.add(c, n);
+        }
+        for r in results.iter_mut() {
             let o = orig[r.pe.index()].index();
             self.mine.insert(o);
-            self.busy_ns[o] += r.busy.as_nanos();
+            self.busy[o] += r.busy;
             self.msgs[o] += r.messages;
-            let depth = raw.mailbox(r.pe).max_depth().max(agg.pending_max_depth(r.pe)) as u64;
+            // Backlog can sit in the raw mailbox or (aggregating) in the
+            // unframed pending bank; the high-water mark sees both.
+            let depth = raw.mailbox(r.pe).max_depth().max(agg.pending_max_depth(r.pe));
             self.qdepth[o] = self.qdepth[o].max(depth);
             let bytes = raw.mailbox(r.pe).max_bytes() as u64 + agg.pending_max_bytes(r.pe) as u64;
-            self.sums.peak_mailbox_bytes = self.sums.peak_mailbox_bytes.max(bytes);
-            self.sums.ckpt_bytes += r.ft_bytes;
+            self.peak_mailbox_bytes = self.peak_mailbox_bytes.max(bytes);
+            self.ctr.add(Ctr::CheckpointBytes, r.ft_bytes);
+            self.ctr.add(Ctr::Steals, r.steals);
+            if self.record_on {
+                // One mailbox high-water sample per generation (the
+                // threads cannot observe queue depth from outside).
+                r.obs.queue_depth.record(depth as u64);
+                self.obs[o].absorb(std::mem::replace(&mut r.obs, PeObs::empty(r.pe.0)));
+            }
         }
+        let Some(r0) = results.first().filter(|r| r.pe == Pe(0)) else { return 0 };
+        self.lb_rounds += r0.lb_rounds;
+        self.ctr.add(Ctr::ObjectsMigrated, r0.migrations);
+        self.ctr.add(Ctr::RebalanceTriggers, r0.rebalance as u64);
+        self.ctr.add(Ctr::CheckpointsTaken, r0.ft_epochs as u64);
+        r0.lb_rounds
     }
 
     fn to_report(&self, node: u32) -> NodeReport {
+        let entry = |&o: &usize| (o as u32, self.busy[o].as_nanos(), self.msgs[o], self.qdepth[o] as u64);
         NodeReport {
             node,
             end_ns: self.end_ns,
-            entries: self.mine.iter().map(|&o| (o as u32, self.busy_ns[o], self.msgs[o], self.qdepth[o])).collect(),
-            sums: self.sums,
+            entries: self.mine.iter().map(entry).collect(),
+            network: self.network.clone(),
+            peak_mailbox_bytes: self.peak_mailbox_bytes,
+            ctr: self.ctr.clone(),
             transport_error: self.transport_error,
         }
     }
 
     /// Fold a remote node's report into the coordinator's books.
     fn merge_report(&mut self, r: &NodeReport) {
+        self.reported.insert(r.node);
         for &(pe, busy, msgs, depth) in &r.entries {
             let o = pe as usize;
-            if o < self.busy_ns.len() {
-                self.busy_ns[o] += busy;
+            if o < self.busy.len() {
+                self.busy[o] += Dur::from_nanos(busy);
                 self.msgs[o] += msgs;
-                self.qdepth[o] = self.qdepth[o].max(depth);
+                self.qdepth[o] = self.qdepth[o].max(depth as usize);
             }
         }
-        self.sums.merge(&r.sums);
-        // The run ended when the first exit was announced anywhere.
-        if r.end_ns > 0 && (self.end_ns == 0 || r.end_ns < self.end_ns) {
-            self.end_ns = r.end_ns;
+        let n = &r.network;
+        self.add_traffic((n.intra_messages, n.intra_bytes), (n.cross_messages, n.cross_bytes));
+        self.peak_mailbox_bytes = self.peak_mailbox_bytes.max(r.peak_mailbox_bytes);
+        self.ctr.merge(&r.ctr);
+        self.note_end(r.end_ns);
+        self.transport_error = self.transport_error.or(r.transport_error);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// One generation's transport stack and peer set
+// ---------------------------------------------------------------------------
+
+/// `Transport → ReliableTransport → Aggregator` for one generation.
+struct Stack {
+    raw: Arc<Transport>,
+    transport: Arc<ReliableTransport>,
+    agg: Arc<Aggregator>,
+    /// The fault-injection and CRC-verify devices, when a fault plan put
+    /// them in the cross-cluster chain (their tallies close the books).
+    injected: Option<(Arc<FaultDevice>, Arc<CrcDevice>)>,
+}
+
+impl Stack {
+    fn build(cfg: &RunConfig, mut tc: TransportConfig) -> Stack {
+        // With a fault plan the cross-cluster chain becomes
+        // checksum → fault injection → verify → delay: an injected
+        // corruption fails the CRC and is dropped (counted), so it
+        // reaches the reliable layer as a plain loss.  Without a plan
+        // the chain and the wrapper are both zero-overhead passthroughs.
+        let injected = cfg.fault_plan.clone().map(|plan| {
+            let fault = FaultDevice::for_reliable(plan);
+            let verify = CrcDevice::verifier();
+            tc.cross_extra = vec![CrcDevice::appender(), fault.clone(), verify.clone()];
+            (fault, verify)
+        });
+        let raw = Transport::new(tc);
+        let transport = match (&cfg.fault_plan, cfg.flow) {
+            (Some(plan), Some(flow)) => ReliableTransport::with_flow(Arc::clone(&raw), plan.clone(), flow),
+            (Some(plan), None) => ReliableTransport::with_plan(Arc::clone(&raw), plan.clone()),
+            // Credit grants ride acks, so flow control needs the
+            // reliable layer even on a clean network; a generous RTO
+            // keeps the retransmit machinery from firing spuriously.
+            (None, Some(flow)) => ReliableTransport::with_flow(
+                Arc::clone(&raw),
+                FaultPlan::default().with_rto(Dur::from_millis(1000)),
+                flow,
+            ),
+            (None, None) => ReliableTransport::passthrough(Arc::clone(&raw)),
+        };
+        let agg = match (cfg.agg_active(), cfg.flow) {
+            (Some(c), Some(f)) => Aggregator::with_flow(Arc::clone(&transport), c, f),
+            (Some(c), None) => Aggregator::with_policy(Arc::clone(&transport), c),
+            (None, _) => Aggregator::passthrough(Arc::clone(&transport)),
+        };
+        Stack { raw, transport, agg, injected }
+    }
+
+    /// Flush any still-buffered frames, stop retransmissions, then wake
+    /// every thread blocked on a mailbox.
+    fn shutdown(&self) {
+        self.agg.shutdown();
+        self.transport.shutdown();
+        self.raw.shutdown();
+    }
+}
+
+/// This process's view of the other nodes for one generation.  A
+/// single-process run has no mesh and no peers, so every broadcast and
+/// gather degenerates to an empty iteration.  Dropping the link closes
+/// the mesh, whichever way the generation ends.
+struct Link {
+    mesh: Option<Arc<NetMesh>>,
+    me: u32,
+    /// Every other live node.
+    peers: Vec<u32>,
+}
+
+impl Drop for Link {
+    fn drop(&mut self) {
+        if let Some(mesh) = &self.mesh {
+            mesh.shutdown();
         }
-        if self.transport_error.is_none() {
-            self.transport_error = r.transport_error;
+    }
+}
+
+impl Link {
+    fn send(&self, to: u32, ctl: &Ctl) -> Result<(), NetError> {
+        self.mesh.as_ref().map_or(Ok(()), |m| m.send_control(to, &encode_ctl(ctl)))
+    }
+
+    /// Send `make()` to every peer (built only if there is one); every
+    /// peer is tried, the first error is returned.
+    fn broadcast(&self, make: impl FnOnce() -> Ctl) -> Result<(), NetError> {
+        if self.peers.is_empty() {
+            return Ok(());
         }
+        let (ctl, mut first_err) = (make(), Ok(()));
+        for &n in &self.peers {
+            first_err = first_err.and(self.send(n, &ctl));
+        }
+        first_err
+    }
+
+    /// A non-host node gives up: tell the coordinator why (best effort)
+    /// and return the error to stand down with.
+    fn abort_to_host(&self, reason: AbortReason) -> NetError {
+        let err = NetError::Aborted { by: self.me, reason: reason.to_string() };
+        let _ = self.send(0, &Ctl::Abort(reason));
+        err
+    }
+
+    /// Wait up to `wait` for the next mesh event; with no mesh this is the
+    /// plain watchdog tick.
+    fn next_event(&self, wait: Duration) -> Option<NetEvent> {
+        match &self.mesh {
+            Some(mesh) => mesh.next_event(wait),
+            None => {
+                std::thread::sleep(wait);
+                None
+            }
+        }
+    }
+
+    /// Feed control messages to `on` until every node in `awaiting` has
+    /// answered (`on` returns true for the message that counts as that
+    /// node's answer).  An `Abort`, the death of an awaited node or the
+    /// deadline ends the wait with a structured error, which the
+    /// coordinator relays to everyone else first.
+    fn gather(
+        &self,
+        mut awaiting: BTreeSet<u32>,
+        deadline: Instant,
+        what: &str,
+        mut on: impl FnMut(u32, Ctl) -> bool,
+    ) -> Result<(), NetError> {
+        while !awaiting.is_empty() {
+            let err = match self.next_event(deadline.saturating_duration_since(Instant::now())) {
+                Some(NetEvent::Control { from, bytes }) => match decode_ctl(&bytes) {
+                    Some(Ctl::Abort(reason)) => NetError::Aborted { by: from, reason: reason.to_string() },
+                    Some(ctl) => {
+                        if on(from, ctl) {
+                            awaiting.remove(&from);
+                        }
+                        continue;
+                    }
+                    None => continue, // stray/unknown control traffic is ignored
+                },
+                Some(NetEvent::PeerDown { node }) if awaiting.contains(&node) => NetError::PeerClosed { node },
+                Some(NetEvent::PeerDown { .. }) => continue,
+                None => NetError::Timeout { what: format!("{what} from nodes {awaiting:?}") },
+            };
+            if self.me == 0 {
+                let _ = self.broadcast(|| Ctl::Abort(AbortReason::Other(err.to_string())));
+            }
+            return Err(err);
+        }
+        Ok(())
     }
 }
 
@@ -473,51 +585,20 @@ impl Books {
 // The run itself
 // ---------------------------------------------------------------------------
 
-/// Wait up to `deadline` for the next mesh event (50 ms poll slices so a
-/// passed deadline is noticed promptly).
-fn wait_event(mesh: &NetMesh, deadline: Instant) -> Option<NetEvent> {
-    loop {
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        if remaining.is_zero() {
-            return None;
-        }
-        if let Some(ev) = mesh.next_event(remaining.min(Duration::from_millis(50))) {
-            return Some(ev);
-        }
-    }
-}
-
-/// Instantiate this node's local [`Node`]s for the current topology.
-fn build_local(shared: &Arc<NodeShared>, me: u32, host_parts: &mut Option<HostParts>) -> Vec<Node> {
-    shared
-        .topo
-        .pes_in(ClusterId(me as u16))
-        .collect::<Vec<_>>()
-        .into_iter()
-        .map(|pe| {
-            let h = if pe == mdo_netsim::Pe(0) {
-                host_parts.take().unwrap_or_else(HostParts::empty)
-            } else {
-                HostParts::empty()
-            };
-            Node::new(Arc::clone(shared), pe, h)
-        })
-        .collect()
-}
-
-/// Run this process's share of a multi-process job, binding the listen
-/// address named in [`RunConfig::net`].  Every process runs the same
-/// program with the same config; node 0 returns the merged report, the
-/// others a local stub (their accounting went to node 0).
+/// Run `program` on the wall-clock engine.  With [`RunConfig::net`] set
+/// this is one process's share of a multi-process job, binding the listen
+/// address named there: every process runs the same program with the same
+/// config; node 0 returns the merged report, the others a local stub
+/// (their accounting went to node 0).  Unset, it is the one-node case:
+/// the whole job in this process.
 pub fn run_multi_process(
     topo: Topology,
     tcfg: ThreadedConfig,
     cfg: RunConfig,
     program: Program,
 ) -> Result<RunReport, NetError> {
-    let net = cfg.net.clone().ok_or_else(|| NetError::Malformed { what: "RunConfig::net unset".into() })?;
-    let session = NetSession::bind(net)?;
-    run_with_session(topo, tcfg, cfg, program, session)
+    let session = cfg.net.clone().map(NetSession::bind).transpose()?;
+    run_generations(topo, tcfg, cfg, program, session)
 }
 
 /// [`run_multi_process`] over an already-bound [`NetSession`] — the
@@ -530,36 +611,75 @@ pub fn run_with_session(
     program: Program,
     session: NetSession,
 ) -> Result<RunReport, NetError> {
-    let me = session.node();
-    let n_nodes = session.config().num_nodes();
-    let streams = session.config().streams;
-    if n_nodes != topo.num_clusters() {
-        return Err(NetError::Malformed {
-            what: format!("{}-node manifest for a {}-cluster topology", n_nodes, topo.num_clusters()),
-        });
-    }
-    if streams > 1 && cfg.flow.is_none() && cfg.fault_plan.is_none() {
-        // Striped streams reorder packets between each other; only the
-        // reliable layer (armed by flow control or a fault plan) restores
-        // delivery order for the payloads that need it.
-        return Err(NetError::Malformed {
-            what: "streams > 1 requires flow control or a fault plan (the reliable layer re-sequences)".into(),
-        });
-    }
-    if cfg.join_plan.is_some() {
-        eprintln!("mdo-net node {me}: join_plan is not supported in multi-process mode; ignoring");
-    }
-    if cfg.wants_spans() {
-        eprintln!("mdo-net node {me}: obs/trace are not supported in multi-process mode; recording disabled");
-    }
+    run_generations(topo, tcfg, cfg, program, Some(session))
+}
+
+/// Instantiate the [`Node`]s this process hosts for `shared.topo`: one
+/// cluster's PEs under a session, every PE without one.
+fn build_local(shared: &Arc<NodeShared>, node: Option<u32>, host_parts: &mut Option<HostParts>) -> Vec<Node> {
+    let pes: Vec<Pe> = match node {
+        Some(me) => shared.topo.pes_in(ClusterId(me as u16)).collect(),
+        None => shared.topo.pes().collect(),
+    };
+    pes.into_iter()
+        .map(|pe| {
+            let host = if pe == Pe(0) { host_parts.take() } else { None };
+            Node::new(Arc::clone(shared), pe, host.unwrap_or_else(HostParts::empty))
+        })
+        .collect()
+}
+
+/// The generation loop: launch → watch → close the books → end the run
+/// or shrink/expand and go again.
+///
+/// With a [`mdo_netsim::FailurePlan`] armed, every PE thread mails
+/// heartbeats to PE 0 and the watchdog turns a silent PE into failure
+/// suspicion after `suspect_after`; suspected or panicked PEs trigger
+/// buddy-checkpoint recovery over the survivors — the same shrink +
+/// restore protocol as the virtual-time engine, driven by wall-clock
+/// generations of real threads.
+fn run_generations(
+    topo: Topology,
+    tcfg: ThreadedConfig,
+    cfg: RunConfig,
+    program: Program,
+    session: Option<NetSession>,
+) -> Result<RunReport, NetError> {
+    // `None` is the one-node case: this process is node 0 and hosts every
+    // PE.  Joins, obs recording and stealing are single-process features.
+    let my_node = session.as_ref().map(|s| s.node());
+    let (me, single) = (my_node.unwrap_or(0), my_node.is_none());
     let is_host = me == 0;
+    if let Some(s) = &session {
+        let n_nodes = s.config().num_nodes();
+        if n_nodes != topo.num_clusters() {
+            return Err(NetError::Malformed {
+                what: format!("{}-node manifest for a {}-cluster topology", n_nodes, topo.num_clusters()),
+            });
+        }
+        if s.config().streams > 1 && cfg.flow.is_none() && cfg.fault_plan.is_none() {
+            // Striped streams reorder packets between each other; only the
+            // reliable layer (armed by flow control or a fault plan) restores
+            // delivery order for the payloads that need it.
+            return Err(NetError::Malformed {
+                what: "streams > 1 requires flow control or a fault plan (the reliable layer re-sequences)".into(),
+            });
+        }
+        if cfg.join_plan.is_some() || cfg.obs_active() || cfg.steal {
+            eprintln!("mdo-net node {me}: join_plan, obs and steal are single-process features; ignoring them");
+        }
+    }
+    let record_on = single && cfg.obs_active();
+    let steal_on = single && cfg.steal;
+    let obs_cfg = cfg.obs.clone().unwrap_or_default();
+    let failure_plan = cfg.failure_plan.clone();
+    let mut pending_joins = cfg.join_plan.as_ref().filter(|_| single).map(|p| p.joins.clone()).unwrap_or_default();
 
     let orig_n_pes = topo.num_pes();
-    let fault_plan = cfg.fault_plan.clone();
-    let failure_plan = cfg.failure_plan.clone();
-    let agg_cfg = cfg.agg_active();
-    let flow_cfg = cfg.flow;
-    let restart_cfg = cfg.clone();
+    // Original cluster of every original PE: a rejoin without an explicit
+    // cluster goes back where the PE came from.
+    let orig_cluster_of: Vec<ClusterId> = topo.pes().map(|pe| topo.cluster_of(pe)).collect();
+    let mut live: Vec<u32> = (0..if single { 1 } else { topo.num_clusters() as u32 }).collect();
     let (mut shared, host) = split_program(program, topo, cfg);
 
     let decode_rejected = Arc::new(AtomicU64::new(0));
@@ -568,65 +688,46 @@ pub fn run_with_session(
     let t0 = Instant::now();
     let deadline = t0 + tcfg.max_wall;
 
-    let mut orig: Vec<mdo_netsim::Pe> = (0..orig_n_pes as u32).map(mdo_netsim::Pe).collect();
+    // Cross-generation bookkeeping, indexed by ORIGINAL PE number; `orig`
+    // maps the current (post-shrink) numbering back to it.
+    let mut orig: Vec<Pe> = (0..orig_n_pes as u32).map(Pe).collect();
     let mut pending = failure_plan.as_ref().map(|p| p.crashes.clone()).unwrap_or_default();
-    let mut books = Books::new(orig_n_pes);
+    let mut books = Books::new(orig_n_pes, record_on);
+    // The generation loop's own events; the books' tallies join them at
+    // the end, so the report's scalars and the obs counters come from one
+    // registry.
     let mut gctr = CounterSet::new();
-    let mut faults_total = FaultModelStats::default();
     let mut failures: Vec<PeFailed> = Vec::new();
     let mut unrecoverable: Option<UnrecoverableError> = None;
-    let mut lb_rounds_total = 0u32;
-    let mut migrations_total = 0u64;
-    let mut rebalance_total = 0u32;
+    // (epoch + 1) of the newest buddy-checkpoint epoch known complete this
+    // generation; 0 until PE 0 sees a full round of acks.
     let ckpt_done = Arc::new(AtomicU64::new(0));
     gctr.bump(Ctr::Generations);
 
-    let mut live: Vec<u32> = (0..n_nodes as u32).collect();
     let mut mesh_gen: u32 = 0;
-    // Remote reports can arrive any time after a peer finishes; stash them.
-    let mut host_reports: Vec<Option<NodeReport>> = (0..n_nodes).map(|_| None).collect();
     let mut host_parts = Some(host);
-    let mut nodes: Vec<Node> = build_local(&shared, me, &mut host_parts);
-    let mut deadline_hit = false;
+    let mut nodes: Vec<Node> = build_local(&shared, my_node, &mut host_parts);
 
     'generations: loop {
         let gen_topo = shared.topo.clone();
         let n_pes = gen_topo.num_pes();
+        // Checkpoint epochs restart with the generation; pending joins
+        // wait for a fresh complete epoch on the new cluster.
         ckpt_done.store(0, Ordering::Release);
-        let local_pes: Vec<mdo_netsim::Pe> = gen_topo.pes_in(ClusterId(me as u16)).collect();
+        let local_pes: Vec<Pe> = nodes.iter().map(|n| n.pe()).collect();
 
-        let mesh = Arc::new(session.establish(mesh_gen, &gen_topo, &live)?);
-
+        let mesh = session.as_ref().map(|s| s.establish(mesh_gen, &gen_topo, &live)).transpose()?.map(Arc::new);
+        let mut link = Link { mesh, me, peers: live.iter().copied().filter(|&n| n != me).collect() };
         let mut tc = TransportConfig::new(gen_topo.clone(), tcfg.latency.clone());
-        tc.wire = Some(WireBinding::new(Arc::clone(&mesh) as Arc<dyn Wire>, &local_pes, n_pes));
-        let injected = fault_plan.clone().map(|plan| {
-            let fault = FaultDevice::for_reliable(plan);
-            let verify = CrcDevice::verifier();
-            tc.cross_extra = vec![CrcDevice::appender(), fault.clone(), verify.clone()];
-            (fault, verify)
-        });
-        let raw = Transport::new(tc);
-        let transport = match (&fault_plan, flow_cfg) {
-            (Some(plan), Some(flow)) => ReliableTransport::with_flow(Arc::clone(&raw), plan.clone(), flow),
-            (Some(plan), None) => ReliableTransport::with_plan(Arc::clone(&raw), plan.clone()),
-            (None, Some(flow)) => ReliableTransport::with_flow(
-                Arc::clone(&raw),
-                FaultPlan::default().with_rto(Dur::from_millis(1000)),
-                flow,
-            ),
-            (None, None) => ReliableTransport::passthrough(Arc::clone(&raw)),
-        };
-        let agg = match (agg_cfg, flow_cfg) {
-            (Some(c), Some(f)) => Aggregator::with_flow(Arc::clone(&transport), c, f),
-            (Some(c), None) => Aggregator::with_policy(Arc::clone(&transport), c),
-            (None, _) => Aggregator::passthrough(Arc::clone(&transport)),
-        };
-        // Inbound wire packets land straight in the destination PE's raw
-        // mailbox — the exact point where in-process cross-chain traffic
-        // lands, so the reliable layer and aggregator above see identical
-        // bytes.  (A hostile dst is bounds-checked and dropped.)
-        {
-            let raw = Arc::clone(&raw);
+        tc.wire = link.mesh.as_ref().map(|m| WireBinding::new(Arc::clone(m) as Arc<dyn Wire>, &local_pes, n_pes));
+        let stack = Stack::build(&shared.cfg, tc);
+        let (transport, agg) = (&stack.transport, &stack.agg);
+        if let Some(mesh) = &link.mesh {
+            // Inbound wire packets land straight in the destination PE's
+            // raw mailbox — the exact point where in-process cross-chain
+            // traffic lands, so the reliable layer and aggregator above see
+            // identical bytes.  (A hostile dst is bounds-checked and dropped.)
+            let raw = Arc::clone(&stack.raw);
             mesh.start(move |pkt| {
                 if pkt.dst.index() < n_pes {
                     raw.mailbox(pkt.dst).post(pkt);
@@ -638,97 +739,106 @@ pub fn run_with_session(
         let status: Arc<Vec<AtomicU8>> = Arc::new((0..n_pes).map(|_| AtomicU8::new(PE_ALIVE)).collect());
         let gen_start = elapsed_ns(t0);
         let last_heard: Arc<Vec<AtomicU64>> = Arc::new((0..n_pes).map(|_| AtomicU64::new(gen_start)).collect());
-        let orig_map: Arc<Vec<mdo_netsim::Pe>> = Arc::new(orig.clone());
-
-        let mut handles = Vec::with_capacity(local_pes.len());
-        for node in nodes.drain(..) {
-            let pe = node.pe();
-            let ctl = ThreadCtl {
-                agg: Arc::clone(&agg),
-                stop: Arc::clone(&stop),
-                exit_announced: Arc::clone(&exit_announced),
-                end_ns: Arc::clone(&end_ns),
-                decode_rejected: Arc::clone(&decode_rejected),
-                status: Arc::clone(&status),
-                last_heard: Arc::clone(&last_heard),
-                t0,
-                topo: gen_topo.clone(),
-                record_on: false,
-                obs_cfg: ObsConfig::default(),
-                orig_map: Arc::clone(&orig_map),
-                compute_sleep: tcfg.compute_sleep,
-                hb_interval: failure_plan.as_ref().map(|p| p.hb_interval.to_std()),
-                crash: pending.iter().find(|s| s.pe == orig[pe.index()]).map(|s| s.trigger),
-                msgs_before: books.msgs[orig[pe.index()].index()],
-                ckpt_done: Arc::clone(&ckpt_done),
+        let orig_map: Arc<Vec<Pe>> = Arc::new(orig.clone());
+        let mk_ctl = |pe: Pe| ThreadCtl {
+            agg: Arc::clone(agg),
+            stop: Arc::clone(&stop),
+            exit_announced: Arc::clone(&exit_announced),
+            end_ns: Arc::clone(&end_ns),
+            decode_rejected: Arc::clone(&decode_rejected),
+            status: Arc::clone(&status),
+            last_heard: Arc::clone(&last_heard),
+            t0,
+            topo: gen_topo.clone(),
+            record_on,
+            obs_cfg: obs_cfg.clone(),
+            orig_map: Arc::clone(&orig_map),
+            compute_sleep: tcfg.compute_sleep,
+            hb_interval: failure_plan.as_ref().map(|p| p.hb_interval.to_std()),
+            crash: pending.iter().find(|s| s.pe == orig[pe.index()]).map(|s| s.trigger),
+            msgs_before: books.msgs[orig[pe.index()].index()],
+            ckpt_done: Arc::clone(&ckpt_done),
+        };
+        let spawn = |pe: Pe, body: Box<dyn FnOnce() -> PeResult + Send>| {
+            let thread = std::thread::Builder::new().name(format!("mdo-pe{}", pe.0));
+            (pe, thread.spawn(body).expect("spawn PE thread"))
+        };
+        let handles: Vec<_> = if steal_on {
+            // Stealing mode: nodes live in a shared bank of slots so an
+            // idle sibling thread can run a queued App envelope against
+            // another PE's node.
+            let bank: NodeBank = Arc::new(nodes.drain(..).map(|n| Mutex::new(Some(n))).collect());
+            let stealing = |&pe: &Pe| {
+                let (bank, ctl) = (Arc::clone(&bank), mk_ctl(pe));
+                spawn(pe, Box::new(move || pe_thread_stealing(pe, bank, ctl)))
             };
-            handles.push((
-                pe,
-                std::thread::Builder::new()
-                    .name(format!("mdo-n{}pe{}", me, pe.0))
-                    .spawn(move || pe_thread(pe, node, ctl))
-                    .expect("spawn PE thread"),
-            ));
-        }
+            local_pes.iter().map(stealing).collect()
+        } else {
+            let owned = |node: Node| {
+                let (pe, ctl) = (node.pe(), mk_ctl(node.pe()));
+                spawn(pe, Box::new(move || pe_thread(pe, node, ctl)))
+            };
+            nodes.drain(..).map(owned).collect()
+        };
 
         if is_host {
+            // Boot the program (after a recovery the startup closure is
+            // gone, so PE 0 goes straight to the restore-resume broadcast).
             let startup = Envelope {
-                src: mdo_netsim::Pe(0),
-                dst: mdo_netsim::Pe(0),
+                src: Pe(0),
+                dst: Pe(0),
                 priority: SYSTEM_PRIORITY,
                 sent_at_ns: gen_start,
                 body: MsgBody::Startup,
             };
-            agg.send_with(mdo_netsim::Pe(0), mdo_netsim::Pe(0), SYSTEM_PRIORITY, true, |buf| startup.encode_into(buf));
+            agg.send_with(Pe(0), Pe(0), SYSTEM_PRIORITY, true, |buf| startup.encode_into(buf));
         }
 
-        // ---- watchdog -------------------------------------------------
+        // ---- watchdog: the deadline, panic flags, retry exhaustion,
+        // heartbeat suspicion, due joins and the peers' control traffic.
         let suspect_after = failure_plan.as_ref().map(|p| p.suspect_after.as_nanos());
         let mut flagged = vec![false; n_pes];
-        let mut gen_failed: Vec<(mdo_netsim::Pe, FailureCause)> = Vec::new();
+        let mut gen_failed: Vec<(Pe, FailureCause)> = Vec::new();
+        let mut gen_join: Vec<JoinSpec> = Vec::new();
         let mut dead_nodes: Vec<u32> = Vec::new();
-        let mut remote_recover: Option<(u32, Vec<mdo_netsim::Pe>, Vec<u32>)> = None;
+        let mut remote_recover: Option<(u32, Vec<Pe>, Vec<u32>)> = None;
         let mut abort: Option<NetError> = None;
         let mut transport_error: Option<TransportError> = None;
-        loop {
-            if stop.load(Ordering::Acquire) {
-                break;
-            }
+        while !stop.load(Ordering::Acquire) {
             if Instant::now() >= deadline {
-                deadline_hit = true;
-                stop.store(true, Ordering::Release);
-                break;
+                if is_host {
+                    unrecoverable = Some(UnrecoverableError::DeadlineExceeded);
+                } else {
+                    abort = Some(link.abort_to_host(AbortReason::Deadline));
+                }
             }
+            // Only a panic is read off the status byte.  An injected crash
+            // is silent by design: the heartbeat detector below has to
+            // notice it, in one process exactly as across many.
             for &pe in &local_pes {
                 let i = pe.index();
-                if flagged[i] || status[i].load(Ordering::Acquire) == PE_ALIVE {
+                if flagged[i] || status[i].load(Ordering::Acquire) != PE_PANICKED {
                     continue;
                 }
-                // A locally dead PE: a panic, or an injected crash firing.
                 flagged[i] = true;
                 if failure_plan.is_none() {
                     if is_host {
                         unrecoverable = Some(UnrecoverableError::NoFailurePlan { pe: orig[i] });
                     } else {
-                        let reason = AbortReason::NoFailurePlan(orig[i].0);
-                        let _ = mesh.send_control(0, &encode_ctl(&Ctl::Abort(reason.clone())));
-                        abort = Some(NetError::Aborted { by: me, reason: reason.to_string() });
+                        abort = Some(link.abort_to_host(AbortReason::NoFailurePlan(orig[i].0)));
                     }
                 } else if i == 0 {
                     unrecoverable = Some(UnrecoverableError::HostFailed);
                 } else if is_host {
-                    let cause = if status[i].load(Ordering::Acquire) == PE_CRASHED {
-                        FailureCause::Injected
-                    } else {
-                        FailureCause::Panic
-                    };
-                    gen_failed.push((pe, cause));
+                    gen_failed.push((pe, FailureCause::Panic));
                 }
-                // A remote PE dying with a plan armed is node 0's to
+                // A remote PE panicking with a plan armed is node 0's to
                 // detect: its heartbeats stop, suspicion fires there.
             }
             if let Some(err) = transport.error() {
-                if failure_plan.is_some() && err.dst != mdo_netsim::Pe(0) {
+                if failure_plan.is_some() && err.dst != Pe(0) {
+                    // With fault tolerance armed, a peer that exhausts
+                    // retries is failure evidence, not a fatal error.
                     if is_host && !flagged[err.dst.index()] {
                         flagged[err.dst.index()] = true;
                         gen_failed.push((err.dst, FailureCause::Unresponsive));
@@ -736,93 +846,81 @@ pub fn run_with_session(
                 } else if is_host {
                     transport_error = Some(err);
                 } else {
-                    let reason =
-                        AbortReason::Transport { src: err.src.0, dst: err.dst.0, seq: err.seq, attempts: err.attempts };
-                    let _ = mesh.send_control(0, &encode_ctl(&Ctl::Abort(reason.clone())));
-                    abort = Some(NetError::Aborted { by: me, reason: reason.to_string() });
+                    abort = Some(link.abort_to_host(AbortReason::Transport(err)));
                 }
             }
-            if is_host {
-                if let Some(limit) = suspect_after {
-                    let now = elapsed_ns(t0);
-                    for i in 1..n_pes {
-                        if flagged[i] {
-                            continue;
-                        }
-                        if now.saturating_sub(last_heard[i].load(Ordering::Acquire)) > limit {
-                            flagged[i] = true;
-                            let cause = if status[i].load(Ordering::Acquire) == PE_CRASHED {
-                                FailureCause::Injected
-                            } else {
-                                FailureCause::Unresponsive
-                            };
-                            gen_failed.push((mdo_netsim::Pe(i as u32), cause));
-                        }
+            if let Some(limit) = suspect_after.filter(|_| is_host) {
+                let now = elapsed_ns(t0);
+                // PE 0 is exempt: the detector runs next to it, and a
+                // PE 0 failure is unrecoverable anyway (see DESIGN.md).
+                for i in 1..n_pes {
+                    if !flagged[i] && now.saturating_sub(last_heard[i].load(Ordering::Acquire)) > limit {
+                        flagged[i] = true;
+                        let crashed = status[i].load(Ordering::Acquire) == PE_CRASHED;
+                        let cause = if crashed { FailureCause::Injected } else { FailureCause::Unresponsive };
+                        gen_failed.push((Pe(i as u32), cause));
                     }
                 }
             }
-            // Drain mesh events; the first wait doubles as the 2 ms tick.
-            let mut first = true;
-            while let Some(ev) = mesh.next_event(if first { Duration::from_millis(2) } else { Duration::ZERO }) {
-                first = false;
+            // Admit due joiners only at a safe point: no failure in
+            // flight and a complete buddy checkpoint to restart from.
+            // A joiner whose PE is still alive is dropped (nothing to
+            // rejoin).
+            if !pending_joins.is_empty() && gen_failed.is_empty() && ckpt_done.load(Ordering::Acquire) > 0 {
+                pending_joins.retain(|s| {
+                    let fired = match s.trigger {
+                        JoinTrigger::AtTime(at) => t0.elapsed() >= at.to_std(),
+                        JoinTrigger::AfterRecoveries(n) => gctr.get_u32(Ctr::Recoveries) >= n,
+                    };
+                    if fired && !orig.contains(&s.pe) {
+                        gen_join.push(*s);
+                    }
+                    !fired
+                });
+            }
+            // Drain mesh events; the first wait doubles as the 2 ms tick,
+            // skipped once this pass has found a reason to stand down (a
+            // program left running after a join is admitted can exit and
+            // lose it).  The first reason stands: an `Abort` is not
+            // overwritten by the `PeerDown` of its sender closing up.
+            let decided =
+                unrecoverable.is_some() || transport_error.is_some() || !gen_failed.is_empty() || !gen_join.is_empty();
+            let mut wait = if decided { Duration::ZERO } else { Duration::from_millis(2) };
+            while abort.is_none() {
+                let Some(ev) = link.next_event(wait) else { break };
+                wait = Duration::ZERO;
                 match ev {
-                    NetEvent::PeerDown { node } => {
-                        if !live.contains(&node) || dead_nodes.contains(&node) {
-                            continue;
-                        }
-                        if is_host {
-                            if failure_plan.is_some() {
-                                dead_nodes.push(node);
-                                for pe in gen_topo.pes_in(ClusterId(node as u16)) {
-                                    if !flagged[pe.index()] {
-                                        flagged[pe.index()] = true;
-                                        gen_failed.push((pe, FailureCause::Unresponsive));
-                                    }
-                                }
-                            } else {
-                                abort = Some(NetError::PeerClosed { node });
+                    NetEvent::PeerDown { node } if !live.contains(&node) || dead_nodes.contains(&node) => {}
+                    NetEvent::PeerDown { node } if is_host && failure_plan.is_some() => {
+                        dead_nodes.push(node);
+                        for pe in gen_topo.pes_in(ClusterId(node as u16)) {
+                            if !flagged[pe.index()] {
+                                flagged[pe.index()] = true;
+                                gen_failed.push((pe, FailureCause::Unresponsive));
                             }
-                        } else if node == 0 {
-                            // The coordinator is gone; nothing to wait for.
-                            abort = Some(NetError::PeerClosed { node: 0 });
                         }
                     }
+                    // The coordinator cannot lose a node without a plan;
+                    // a participant cannot lose the coordinator.
+                    NetEvent::PeerDown { node } if is_host || node == 0 => abort = Some(NetError::PeerClosed { node }),
+                    NetEvent::PeerDown { .. } => {}
                     NetEvent::Control { from, bytes } => match decode_ctl(&bytes) {
-                        Some(Ctl::Report(r)) if is_host => {
-                            let n = r.node as usize;
-                            if n < host_reports.len() {
-                                host_reports[n] = Some(r);
+                        Some(Ctl::Report(r)) if is_host => books.merge_report(&r),
+                        Some(Ctl::Abort(reason)) if is_host => match reason {
+                            AbortReason::NoFailurePlan(pe) => {
+                                unrecoverable = Some(UnrecoverableError::NoFailurePlan { pe: Pe(pe) })
                             }
-                        }
+                            AbortReason::Deadline => unrecoverable = Some(UnrecoverableError::DeadlineExceeded),
+                            AbortReason::Transport(e) => transport_error = Some(e),
+                            AbortReason::Other(s) => abort = Some(NetError::Aborted { by: from, reason: s }),
+                        },
                         Some(Ctl::Abort(reason)) => {
-                            if is_host {
-                                match reason {
-                                    AbortReason::NoFailurePlan(pe) => {
-                                        unrecoverable =
-                                            Some(UnrecoverableError::NoFailurePlan { pe: mdo_netsim::Pe(pe) });
-                                    }
-                                    AbortReason::Transport { src, dst, seq, attempts } => {
-                                        transport_error = Some(TransportError {
-                                            src: mdo_netsim::Pe(src),
-                                            dst: mdo_netsim::Pe(dst),
-                                            seq,
-                                            attempts,
-                                        });
-                                    }
-                                    AbortReason::Other(s) => {
-                                        abort = Some(NetError::Aborted { by: from, reason: s });
-                                    }
-                                }
-                            } else {
-                                abort = Some(NetError::Aborted { by: from, reason: reason.to_string() });
-                            }
+                            abort = Some(NetError::Aborted { by: from, reason: reason.to_string() })
                         }
-                        Some(Ctl::Recover { new_gen, dead_cur, dead_nodes: dn }) if !is_host => {
-                            remote_recover = Some((new_gen, dead_cur.into_iter().map(mdo_netsim::Pe).collect(), dn));
+                        Some(Ctl::Recover { new_gen, dead_cur, dead_nodes }) if !is_host => {
+                            remote_recover = Some((new_gen, dead_cur.into_iter().map(Pe).collect(), dead_nodes));
                         }
-                        Some(Ctl::Done) if !is_host => {
-                            stop.store(true, Ordering::Release);
-                        }
+                        Some(Ctl::Done) if !is_host => stop.store(true, Ordering::Release),
                         _ => {} // stray/unknown control traffic is ignored
                     },
                 }
@@ -832,357 +930,209 @@ pub fn run_with_session(
                 || abort.is_some()
                 || remote_recover.is_some()
                 || !gen_failed.is_empty()
+                || !gen_join.is_empty()
             {
                 stop.store(true, Ordering::Release);
-                break;
             }
         }
-
-        agg.shutdown();
-        transport.shutdown();
-        raw.shutdown();
+        stack.shutdown();
         let mut results: Vec<PeResult> =
             handles.into_iter().map(|(pe, h)| h.join().unwrap_or_else(|_| PeResult::lost(pe))).collect();
         results.sort_by_key(|r| r.pe);
 
-        // Late-casualty sweep, as in the single-process engine.
+        // A buddy pair dying at the same instant may have only one member
+        // past the suspicion threshold when the watchdog fires; the joined
+        // status flags name every casualty.
         if is_host && failure_plan.is_some() && unrecoverable.is_none() {
             for r in &results {
                 let i = r.pe.index();
-                let died = r.node.is_none() || status[i].load(Ordering::Acquire) != PE_ALIVE;
-                if died && !flagged[i] && i != 0 {
+                let state = status[i].load(Ordering::Acquire);
+                if (r.node.is_none() || state != PE_ALIVE) && !flagged[i] && i != 0 {
                     flagged[i] = true;
-                    let cause = if status[i].load(Ordering::Acquire) == PE_CRASHED {
-                        FailureCause::Injected
-                    } else {
-                        FailureCause::Unresponsive
-                    };
+                    let cause = if state == PE_CRASHED { FailureCause::Injected } else { FailureCause::Unresponsive };
                     gen_failed.push((r.pe, cause));
                 }
             }
         }
 
-        let gen_lb_rounds = results.first().map(|r| r.lb_rounds).unwrap_or(0);
-        let fault_stats = injected
-            .as_ref()
-            .map(|(fault, verify)| {
-                let s = fault.stats();
-                (s.dropped, verify.rejected(), s.reordered)
-            })
-            .unwrap_or_default();
-        books.absorb_generation(&raw, &transport, &agg, fault_stats, &results, &orig, mesh.drops());
-        if is_host {
-            lb_rounds_total += gen_lb_rounds;
-            migrations_total += results.first().map(|r| r.migrations).unwrap_or(0);
-            rebalance_total += results.first().map(|r| r.rebalance).unwrap_or(0);
-            gctr.add(Ctr::CheckpointsTaken, results.first().map(|r| r.ft_epochs).unwrap_or(0) as u64);
-        }
-
-        let exited = exit_announced.load(Ordering::Acquire);
-        if exited && books.end_ns == 0 {
-            books.end_ns = end_ns.load(Ordering::Acquire);
-        }
-        books.transport_error = books.transport_error.take().or(transport_error);
-
-        // ---- disposition ---------------------------------------------
+        // Close this generation's books (original PE numbering).
+        let mesh_drops = link.mesh.as_ref().map_or(0, |m| m.drops());
+        let gen_lb_rounds = books.absorb_generation(&stack, &mut results, &orig, mesh_drops);
+        books.note_end(end_ns.load(Ordering::Acquire));
+        books.transport_error = books.transport_error.or(transport_error);
         if let Some(err) = abort {
-            mesh.shutdown();
             return Err(err);
         }
 
-        if let Some((new_gen, dead_cur, dn)) = remote_recover {
-            // --- recovery, as a participant --------------------------
-            let mut survivors: Vec<Node> =
-                results.into_iter().filter(|r| !dead_cur.contains(&r.pe)).filter_map(|r| r.node).collect();
-            let mut pieces = Vec::new();
-            for node in survivors.iter_mut() {
-                pieces.extend(node.take_ft_pieces());
-            }
-            mesh.send_control(0, &encode_ctl(&Ctl::Pieces(pieces)))?;
-            let snapshot = loop {
-                match wait_event(&mesh, deadline) {
-                    Some(NetEvent::Control { from, bytes }) => match decode_ctl(&bytes) {
-                        Some(Ctl::Restart { snapshot, .. }) => {
-                            break Snapshot::decode(&snapshot)
-                                .map_err(|e| NetError::Malformed { what: format!("restart snapshot: {e:?}") })?;
-                        }
-                        Some(Ctl::Abort(reason)) => {
-                            mesh.shutdown();
-                            return Err(NetError::Aborted { by: from, reason: reason.to_string() });
-                        }
-                        _ => {}
-                    },
-                    Some(NetEvent::PeerDown { node: 0 }) => {
-                        mesh.shutdown();
-                        return Err(NetError::PeerClosed { node: 0 });
-                    }
-                    Some(NetEvent::PeerDown { .. }) => {}
-                    None => {
-                        mesh.shutdown();
-                        return Err(NetError::Timeout { what: "restart snapshot from node 0".into() });
-                    }
-                }
-            };
-            let (new_topo, new_map) = shared.topo.without_pes(&dead_cur);
-            orig = new_map.iter().map(|&cur| orig[cur.index()]).collect();
-            shared = Arc::new(NodeShared {
-                topo: new_topo,
-                arrays: shared.arrays.clone(),
-                cfg: restart_cfg.clone(),
-                restore: Some(Arc::new(snapshot)),
-            });
-            nodes = build_local(&shared, me, &mut host_parts);
-            live.retain(|n| !dn.contains(n));
-            mesh_gen = new_gen;
-            gctr.bump(Ctr::Recoveries);
-            gctr.bump(Ctr::Generations);
-            mesh.shutdown();
-            continue 'generations;
-        }
-
+        // ---- disposition: end the run, or go again over a new topology.
+        let exited = exit_announced.load(Ordering::Acquire);
         let run_over = unrecoverable.is_some()
             || books.transport_error.is_some()
             || exited
-            || deadline_hit
-            || gen_failed.is_empty();
-        if is_host && !run_over {
-            // --- recovery, as the coordinator ------------------------
-            let at = Time::from_nanos(elapsed_ns(t0));
-            for &(cur, cause) in &gen_failed {
-                failures.push(PeFailed { pe: orig[cur.index()], at, cause });
-            }
-            let dead_cur: Vec<mdo_netsim::Pe> = gen_failed.iter().map(|&(c, _)| c).collect();
-            let new_gen = mesh_gen + 1;
-            let new_live: Vec<u32> = live.iter().copied().filter(|n| !dead_nodes.contains(n)).collect();
-            let recover = Ctl::Recover {
-                new_gen,
-                dead_cur: dead_cur.iter().map(|p| p.0).collect(),
-                dead_nodes: dead_nodes.clone(),
-            };
-            for &n in new_live.iter().filter(|&&n| n != me) {
-                mesh.send_control(n, &encode_ctl(&recover))?;
-            }
-            let mut survivors: Vec<Node> =
-                results.into_iter().filter(|r| !dead_cur.contains(&r.pe)).filter_map(|r| r.node).collect();
-            let mut pieces = Vec::new();
-            for node in survivors.iter_mut() {
-                pieces.extend(node.take_ft_pieces());
-            }
-            let mut awaiting: BTreeSet<u32> = new_live.iter().copied().filter(|&n| n != me).collect();
-            while !awaiting.is_empty() {
-                match wait_event(&mesh, deadline) {
-                    Some(NetEvent::Control { from, bytes }) => match decode_ctl(&bytes) {
-                        Some(Ctl::Pieces(p)) => {
-                            pieces.extend(p);
-                            awaiting.remove(&from);
-                        }
-                        Some(Ctl::Report(r)) => {
-                            let n = r.node as usize;
-                            if n < host_reports.len() {
-                                host_reports[n] = Some(r);
-                            }
-                        }
-                        _ => {}
-                    },
-                    Some(NetEvent::PeerDown { node }) if awaiting.contains(&node) => {
-                        broadcast_abort(
-                            &mesh,
-                            &live,
-                            me,
-                            &AbortReason::Other(format!("node {node} died mid-recovery")),
-                        );
-                        mesh.shutdown();
-                        return Err(NetError::PeerClosed { node });
-                    }
-                    Some(NetEvent::PeerDown { .. }) => {}
-                    None => {
-                        broadcast_abort(
-                            &mesh,
-                            &live,
-                            me,
-                            &AbortReason::Other("recovery piece gather timed out".into()),
-                        );
-                        mesh.shutdown();
-                        return Err(NetError::Timeout { what: "buddy pieces from survivors".into() });
-                    }
+            || (gen_failed.is_empty() && gen_join.is_empty());
+        if remote_recover.is_none() && (!is_host || run_over) {
+            let clean = exited && unrecoverable.is_none() && books.transport_error.is_none();
+            if !is_host {
+                if !clean {
+                    // A local transport error or dead PE already messaged
+                    // the coordinator from the watchdog.
+                    return Err(NetError::Aborted { by: me, reason: "run ended abnormally".into() });
                 }
+                link.send(0, &Ctl::Report(Box::new(books.to_report(me))))?;
+                link.gather(BTreeSet::from([0]), deadline, "Done", |_, ctl| matches!(ctl, Ctl::Done))?;
+            } else if clean {
+                // Gather the outstanding reports, then Done.  Reports are
+                // tiny; 15 s is generous and still bounded.
+                let awaiting = link.peers.iter().copied().filter(|n| !books.reported.contains(n)).collect();
+                let limit = deadline.min(Instant::now() + Duration::from_secs(15));
+                link.gather(awaiting, limit, "final report", |_, ctl| match ctl {
+                    Ctl::Report(r) => {
+                        books.merge_report(&r);
+                        true
+                    }
+                    _ => false,
+                })?;
+                let _ = link.broadcast(|| Ctl::Done);
+            } else {
+                // Errorful end: tell everyone to stand down, keep what we have.
+                let reason = match (&unrecoverable, books.transport_error) {
+                    (Some(UnrecoverableError::DeadlineExceeded), _) => AbortReason::Deadline,
+                    (_, Some(e)) => AbortReason::Transport(e),
+                    (u, None) => AbortReason::Other(u.as_ref().map_or_else(|| "aborted".into(), |u| u.to_string())),
+                };
+                let _ = link.broadcast(|| Ctl::Abort(reason));
             }
+            break 'generations;
+        }
+
+        // ---- a new generation.  Everyone restarts from the newest
+        // complete buddy snapshot, over the survivors of a failure
+        // (shrink) or, with nothing dead, over a topology widened by the
+        // due joiners (expand; `ckpt_done` guaranteed a snapshot exists).
+        // Joins racing a failure wait: recover first.
+        let at = Time::from_nanos(elapsed_ns(t0));
+        let (new_gen, dead_cur, dead_nodes) = remote_recover
+            .unwrap_or_else(|| (mesh_gen + 1, gen_failed.iter().map(|&(pe, _)| pe).collect(), dead_nodes));
+        if !dead_cur.is_empty() {
+            pending_joins.append(&mut gen_join);
+        }
+        let mut survivors: Vec<Node> =
+            results.into_iter().filter(|r| !dead_cur.contains(&r.pe)).filter_map(|r| r.node).collect();
+        let mut pieces: Vec<FtPiece> = survivors.iter_mut().flat_map(|n| n.take_ft_pieces()).collect();
+        let snapshot = if is_host {
+            failures.extend(gen_failed.iter().map(|&(cur, cause)| PeFailed { pe: orig[cur.index()], at, cause }));
+            link.peers.retain(|n| !dead_nodes.contains(n));
+            let dead: Vec<u32> = dead_cur.iter().map(|p| p.0).collect();
+            link.broadcast(|| Ctl::Recover { new_gen, dead_cur: dead, dead_nodes: dead_nodes.clone() })?;
+            link.gather(link.peers.iter().copied().collect(), deadline, "buddy pieces", |_, ctl| match ctl {
+                Ctl::Pieces(p) => {
+                    pieces.extend(p);
+                    true
+                }
+                Ctl::Report(r) => {
+                    books.merge_report(&r);
+                    false
+                }
+                _ => false,
+            })?;
             let expected: Vec<(ArrayId, usize)> = shared.arrays.iter().map(|a| (a.id, a.n_elems)).collect();
             let Some((snapshot, snap_round)) = assemble_buddy_snapshot(&expected, &pieces) else {
                 unrecoverable =
                     Some(UnrecoverableError::NoCompleteSnapshot { failed: failures.iter().map(|f| f.pe).collect() });
-                broadcast_abort(&mesh, &live, me, &AbortReason::Other("no complete buddy snapshot".into()));
-                mesh.shutdown();
+                let _ = link.broadcast(|| Ctl::Abort(AbortReason::Other("no complete buddy snapshot".into())));
                 break 'generations;
             };
             gctr.add(Ctr::StepsReplayed, gen_lb_rounds.saturating_sub(snap_round) as u64);
-            let snap_bytes = snapshot.encode();
-            let restart = Ctl::Restart { snap_round, snapshot: snap_bytes };
-            for &n in new_live.iter().filter(|&&n| n != me) {
-                mesh.send_control(n, &encode_ctl(&restart))?;
-            }
-            let hp = survivors.iter_mut().find(|n| n.pe() == mdo_netsim::Pe(0)).expect("PE 0 survives").take_host();
-            host_parts = Some(hp);
+            link.broadcast(|| Ctl::Restart { snap_round, snapshot: snapshot.encode() })?;
+            host_parts = Some(survivors.iter_mut().find(|n| n.pe() == Pe(0)).expect("PE 0 survives").take_host());
             pending.retain(|s| !failures.iter().any(|f| f.pe == s.pe));
+            snapshot
+        } else {
+            link.send(0, &Ctl::Pieces(pieces))?;
+            let mut restart = None;
+            link.gather(BTreeSet::from([0]), deadline, "restart snapshot", |_, ctl| {
+                if let Ctl::Restart { snapshot, .. } = ctl {
+                    restart = Some(snapshot);
+                }
+                restart.is_some()
+            })?;
+            Snapshot::decode(&restart.expect("gather saw the Restart"))
+                .map_err(|e| NetError::Malformed { what: format!("restart snapshot: {e:?}") })?
+        };
+        let new_topo = if dead_cur.is_empty() {
+            let mut joiners: Vec<(ClusterId, Pe)> = gen_join
+                .drain(..)
+                .map(|s| {
+                    let home = || orig_cluster_of.get(s.pe.index()).copied();
+                    (s.cluster.or_else(home).expect("a brand-new PE joining must name an explicit cluster"), s.pe)
+                })
+                .collect();
+            joiners.sort_unstable();
+            gctr.add(Ctr::PesJoined, joiners.len() as u64);
+            books.widen(joiners.iter().map(|&(_, pe)| pe.index() + 1).max().unwrap_or(0));
+            // Joiners land at the end of their cluster's PE range; the
+            // map's `None` slots pair with the per-cluster joiner FIFO.
+            let added: Vec<ClusterId> = joiners.iter().map(|&(c, _)| c).collect();
+            let (new_topo, new_map) = shared.topo.with_pes(&added);
+            let slots = new_map.iter().enumerate().map(|(cur, slot)| match slot {
+                Some(old_cur) => orig[old_cur.index()],
+                None => {
+                    let cid = new_topo.cluster_of(Pe(cur as u32));
+                    joiners.remove(joiners.iter().position(|&(c, _)| c == cid).expect("joiner for slot")).1
+                }
+            });
+            orig = slots.collect();
+            new_topo
+        } else {
             let (new_topo, new_map) = shared.topo.without_pes(&dead_cur);
             orig = new_map.iter().map(|&cur| orig[cur.index()]).collect();
-            shared = Arc::new(NodeShared {
-                topo: new_topo,
-                arrays: shared.arrays.clone(),
-                cfg: restart_cfg.clone(),
-                restore: Some(Arc::new(snapshot)),
-            });
-            nodes = build_local(&shared, me, &mut host_parts);
-            live = new_live;
+            live.retain(|n| !dead_nodes.contains(n));
             mesh_gen = new_gen;
             gctr.bump(Ctr::Recoveries);
-            gctr.bump(Ctr::Generations);
-            mesh.shutdown();
-            continue 'generations;
+            new_topo
+        };
+        shared = Arc::new(NodeShared {
+            topo: new_topo,
+            arrays: shared.arrays.clone(),
+            cfg: shared.cfg.clone(),
+            restore: Some(Arc::new(snapshot)),
+        });
+        nodes = build_local(&shared, my_node, &mut host_parts);
+        gctr.bump(Ctr::Generations);
+        if record_on {
+            // Mark the resume on every PE's stream (original numbering —
+            // `orig` was just remapped to the new generation).
+            for &o in &orig {
+                books.obs[o.index()].events.push(ObsEvent::Recovery { at });
+            }
         }
-
-        // ---- end of run ----------------------------------------------
-        if !is_host {
-            let clean = exited && !deadline_hit && books.transport_error.is_none();
-            if clean {
-                mesh.send_control(0, &encode_ctl(&Ctl::Report(books.to_report(me))))?;
-                loop {
-                    match wait_event(&mesh, deadline) {
-                        Some(NetEvent::Control { from, bytes }) => match decode_ctl(&bytes) {
-                            Some(Ctl::Done) => break,
-                            Some(Ctl::Abort(reason)) => {
-                                mesh.shutdown();
-                                return Err(NetError::Aborted { by: from, reason: reason.to_string() });
-                            }
-                            _ => {}
-                        },
-                        // Events are delivered in stream order, so a Done
-                        // sent before the coordinator closed has already
-                        // been drained; a bare PeerDown(0) means no Done
-                        // is coming.
-                        Some(NetEvent::PeerDown { node: 0 }) => {
-                            mesh.shutdown();
-                            return Err(NetError::PeerClosed { node: 0 });
-                        }
-                        Some(NetEvent::PeerDown { .. }) => {}
-                        None => {
-                            mesh.shutdown();
-                            return Err(NetError::Timeout { what: "Done from node 0".into() });
-                        }
-                    }
-                }
-                mesh.shutdown();
-                break 'generations;
-            }
-            mesh.shutdown();
-            if deadline_hit {
-                return Err(NetError::Timeout { what: format!("run deadline at node {me}") });
-            }
-            // Local transport error or unrecoverable already messaged the
-            // coordinator from the watchdog; stand down with the error.
-            return Err(NetError::Aborted { by: me, reason: "run ended abnormally".into() });
-        }
-
-        // Node 0: gather outstanding reports on a clean end, then Done.
-        let clean = exited && unrecoverable.is_none() && books.transport_error.is_none() && !deadline_hit;
-        if clean {
-            let mut awaiting: BTreeSet<u32> =
-                live.iter().copied().filter(|&n| n != me && host_reports[n as usize].is_none()).collect();
-            // Reports are tiny; 15 s is generous and still bounded.
-            let gather_deadline = Instant::now() + Duration::from_secs(15).min(tcfg.max_wall);
-            while !awaiting.is_empty() {
-                match wait_event(&mesh, gather_deadline.min(deadline)) {
-                    Some(NetEvent::Control { bytes, .. }) => {
-                        if let Some(Ctl::Report(r)) = decode_ctl(&bytes) {
-                            let n = r.node as usize;
-                            awaiting.remove(&r.node);
-                            if n < host_reports.len() {
-                                host_reports[n] = Some(r);
-                            }
-                        }
-                    }
-                    Some(NetEvent::PeerDown { node }) if awaiting.contains(&node) => {
-                        broadcast_abort(
-                            &mesh,
-                            &live,
-                            me,
-                            &AbortReason::Other(format!("node {node} died before reporting")),
-                        );
-                        mesh.shutdown();
-                        return Err(NetError::PeerClosed { node });
-                    }
-                    Some(NetEvent::PeerDown { .. }) => {}
-                    None => {
-                        broadcast_abort(&mesh, &live, me, &AbortReason::Other("final report gather timed out".into()));
-                        mesh.shutdown();
-                        return Err(NetError::Timeout { what: format!("final reports from nodes {awaiting:?}") });
-                    }
-                }
-            }
-            for &n in live.iter().filter(|&&n| n != me) {
-                let _ = mesh.send_control(n, &encode_ctl(&Ctl::Done));
-            }
-        } else {
-            // Errorful end: tell everyone to stand down, keep what we have.
-            let reason = if deadline_hit {
-                AbortReason::Other("run deadline".into())
-            } else if let Some(e) = &books.transport_error {
-                AbortReason::Transport { src: e.src.0, dst: e.dst.0, seq: e.seq, attempts: e.attempts }
-            } else {
-                AbortReason::Other(unrecoverable.as_ref().map(|u| u.to_string()).unwrap_or_else(|| "aborted".into()))
-            };
-            broadcast_abort(&mesh, &live, me, &reason);
-        }
-        mesh.shutdown();
-        break 'generations;
     }
 
     // ---- assemble this process's report ------------------------------
-    if is_host {
-        for r in host_reports.iter().flatten() {
-            books.merge_report(r);
-        }
-    }
-    let end_time = if books.end_ns > 0 { Time::from_nanos(books.end_ns) } else { Time::from_nanos(elapsed_ns(t0)) };
-    faults_total.dropped = books.sums.dropped;
-    faults_total.corrupt_rejected = books.sums.corrupt_rejected + decode_rejected.load(Ordering::Relaxed);
-    faults_total.dup_dropped = books.sums.dup_dropped;
-    faults_total.reordered = books.sums.reordered;
-    faults_total.retransmits = books.sums.retransmits;
-
-    gctr.add(Ctr::ObjectsMigrated, migrations_total);
-    gctr.add(Ctr::RebalanceTriggers, rebalance_total as u64);
-    gctr.add(Ctr::Drops, faults_total.dropped);
-    gctr.add(Ctr::Retransmits, faults_total.retransmits);
-    gctr.add(Ctr::DupDropped, faults_total.dup_dropped);
-    gctr.add(Ctr::CorruptRejected, faults_total.corrupt_rejected);
-    gctr.add(Ctr::Reordered, faults_total.reordered);
+    gctr.merge(&books.ctr);
+    gctr.add(Ctr::CorruptRejected, decode_rejected.load(Ordering::Relaxed));
     gctr.add(Ctr::FailuresDetected, failures.len() as u64);
-    gctr.add(Ctr::FramesSent, books.sums.frames_sent);
-    gctr.add(Ctr::EnvelopesCoalesced, books.sums.coalesced);
-    gctr.add(Ctr::FrameBytesSaved, books.sums.bytes_saved);
-    gctr.add(Ctr::CheckpointBytes, books.sums.ckpt_bytes);
-
+    let ended = if books.end_ns > 0 { books.end_ns } else { elapsed_ns(t0) };
     Ok(RunReport {
-        end_time,
-        pe_busy: books.busy_ns.iter().map(|&ns| Dur::from_nanos(ns)).collect(),
-        pe_messages: books.msgs.clone(),
-        pe_max_queue_depth: books.qdepth.iter().map(|&d| d as usize).collect(),
-        network: NetworkStats {
-            intra_messages: books.sums.intra_msgs,
-            intra_bytes: books.sums.intra_bytes,
-            cross_messages: books.sums.cross_msgs,
-            cross_bytes: books.sums.cross_bytes,
+        end_time: Time::from_nanos(ended),
+        pe_busy: books.busy,
+        pe_messages: books.msgs,
+        pe_max_queue_depth: books.qdepth,
+        network: books.network,
+        obs: record_on.then(|| ObsReport { pes: books.obs, counters: gctr.clone() }),
+        lb_rounds: books.lb_rounds,
+        migrations: gctr.get(Ctr::ObjectsMigrated),
+        faults: FaultModelStats {
+            dropped: gctr.get(Ctr::Drops),
+            corrupt_rejected: gctr.get(Ctr::CorruptRejected),
+            dup_dropped: gctr.get(Ctr::DupDropped),
+            reordered: gctr.get(Ctr::Reordered),
+            retransmits: gctr.get(Ctr::Retransmits),
         },
-        trace: None,
-        obs: None,
-        lb_rounds: lb_rounds_total,
-        migrations: migrations_total,
-        faults: faults_total,
         transport_error: books.transport_error,
         failures_detected: gctr.get_u32(Ctr::FailuresDetected),
         recoveries: gctr.get_u32(Ctr::Recoveries),
-        pes_joined: 0,
+        pes_joined: gctr.get_u32(Ctr::PesJoined),
         generations: gctr.get_u32(Ctr::Generations),
         rebalance_triggers: gctr.get_u32(Ctr::RebalanceTriggers),
         objects_migrated: gctr.get(Ctr::ObjectsMigrated),
@@ -1191,18 +1141,11 @@ pub fn run_with_session(
         checkpoint_bytes: gctr.get(Ctr::CheckpointBytes),
         failures,
         unrecoverable,
-        credit_stalls: books.sums.credit_stalls,
-        credit_wait: Dur::from_nanos(books.sums.credit_wait_ns),
-        queue_full: books.sums.queue_full,
-        sheds: books.sums.sheds,
-        shed_bytes: books.sums.shed_bytes,
-        peak_mailbox_bytes: books.sums.peak_mailbox_bytes,
+        credit_stalls: gctr.get(Ctr::CreditStalls),
+        credit_wait: Dur::from_nanos(gctr.get(Ctr::CreditWaitNs)),
+        queue_full: gctr.get(Ctr::QueueFull),
+        sheds: gctr.get(Ctr::EnvelopesShed),
+        shed_bytes: gctr.get(Ctr::ShedBytes),
+        peak_mailbox_bytes: books.peak_mailbox_bytes,
     })
-}
-
-fn broadcast_abort(mesh: &NetMesh, live: &[u32], me: u32, reason: &AbortReason) {
-    let msg = encode_ctl(&Ctl::Abort(reason.clone()));
-    for &n in live.iter().filter(|&&n| n != me) {
-        let _ = mesh.send_control(n, &msg);
-    }
 }

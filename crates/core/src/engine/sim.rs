@@ -26,7 +26,7 @@ use mdo_netsim::{
 use mdo_vmi::frame::CHUNK_HEADER_LEN;
 use mdo_vmi::reliable::HEADER_LEN;
 
-use mdo_obs::{trace_from, CounterSet, Ctr, ObjTag, ObsReport, PeObs, PeRecorder};
+use mdo_obs::{CounterSet, Ctr, ObjTag, ObsReport, PeObs, PeRecorder};
 
 use crate::checkpoint::assemble_buddy_snapshot;
 use crate::engine::policy::ScheduleChoice;
@@ -330,9 +330,7 @@ impl SimEngine {
         let SimEngine { mut net, cfg, sim_cfg } = self;
         let topo = net.topology().clone();
         let orig_n_pes = topo.num_pes();
-        let trace_on = cfg.trace;
-        let obs_on = cfg.obs_active();
-        let record_on = cfg.wants_spans();
+        let record_on = cfg.obs_active();
         let obs_cfg = cfg.obs.clone().unwrap_or_default();
         let failure_plan = cfg.failure_plan.clone();
         let join_plan = cfg.join_plan.clone();
@@ -947,8 +945,7 @@ impl SimEngine {
         gctr.add(Ctr::FailuresDetected, failures.len() as u64);
 
         let pes_obs: Vec<PeObs> = recs.into_iter().map(PeRecorder::finish).collect();
-        let trace = trace_on.then(|| trace_from(&pes_obs));
-        let obs = obs_on.then(|| ObsReport { pes: pes_obs, counters: gctr.clone() });
+        let obs = record_on.then(|| ObsReport { pes: pes_obs, counters: gctr.clone() });
 
         // The sender-side deferred bank counts toward peak buffering too:
         // under `Block` an open-loop producer's backlog lives there.
@@ -962,7 +959,6 @@ impl SimEngine {
             pe_messages: pe_messages_total,
             pe_max_queue_depth: pe_queue_depth,
             network: net.stats().clone(),
-            trace,
             obs,
             lb_rounds: lb_rounds_total,
             migrations: migrations_total,
@@ -1110,6 +1106,7 @@ mod tests {
         assert_eq!(report.network.intra_messages, 0);
     }
 
+    #[cfg(feature = "obs")]
     #[test]
     fn trace_records_overlap_story() {
         let net = NetworkModel::two_cluster_sweep(2, Dur::from_millis(4));
@@ -1118,9 +1115,9 @@ mod tests {
             Box::new(SelfLoop { remaining: 3, work: Dur::from_millis(1) }) as Box<dyn Chare>
         });
         p.on_startup(move |ctl| ctl.send(arr, ElemId(0), PING, vec![]));
-        let cfg = RunConfig { trace: true, ..RunConfig::default() };
+        let cfg = RunConfig { obs: Some(mdo_obs::ObsConfig::new()), ..RunConfig::default() };
         let report = SimEngine::new(net, cfg).run(p);
-        let trace = report.trace.expect("tracing enabled");
+        let trace = report.obs.expect("obs armed").to_trace();
         assert_eq!(trace.busy(Pe(0)), Dur::from_millis(4));
         assert!(!trace.messages.is_empty());
         let art = trace.ascii_timeline(2, 40);

@@ -1,4 +1,5 @@
-//! The real-time threaded engine.
+//! The real-time threaded engine: its configuration, entry point and PE
+//! threads.
 //!
 //! One OS thread per PE; each thread blocks on its VMI mailbox, decodes
 //! envelopes from real bytes, and runs the same [`Node`] logic as the
@@ -7,27 +8,22 @@
 //! latency — this engine is our equivalent of the paper's *real* TeraGrid
 //! validation runs (the "Real Latency" columns of Tables 1 and 2): same
 //! application, same runtime, real threads, real injected delays, real
-//! elapsed time.
+//! elapsed time.  The generation loop that launches and supervises these
+//! threads is [`super::net`]'s, shared with multi-process runs.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use mdo_netsim::network::NetworkStats;
-use mdo_netsim::{
-    ClusterId, CrashTrigger, Dur, FailureCause, FaultModelStats, FaultPlan, JoinSpec, JoinTrigger, LatencyMatrix, Pe,
-    PeFailed, Time, Topology, TransportError, UnrecoverableError,
-};
-use mdo_vmi::{Aggregator, CrcDevice, FaultDevice, ReliableTransport, Transport, TransportConfig};
+use mdo_netsim::{CrashTrigger, Dur, LatencyMatrix, Pe, Time, Topology};
+use mdo_vmi::Aggregator;
 
-use mdo_obs::{trace_from, CounterSet, Ctr, Event as ObsEvent, ObjTag, ObsConfig, ObsReport, PeObs, PeRecorder};
+use mdo_obs::{ObjTag, ObsConfig, PeObs, PeRecorder};
 
 use crate::chare::{Ctx, CtxSink};
-use crate::checkpoint::assemble_buddy_snapshot;
 use crate::envelope::{Envelope, MsgBody, SYSTEM_PRIORITY};
-use crate::ids::ArrayId;
-use crate::node::{split_program, AppAdmit, AppRun, HandleOutcome, HostParts, Node, NodeHooks, NodeShared};
+use crate::node::{AppAdmit, AppRun, HandleOutcome, Node, NodeHooks};
 use crate::program::{Program, RunConfig, RunReport};
 
 /// Engine-specific configuration.
@@ -36,8 +32,8 @@ pub struct ThreadedConfig {
     /// Latency injected by the delay device (intra typically ~0, cross =
     /// the artificial WAN latency).
     pub latency: LatencyMatrix,
-    /// Wall-clock safety limit: the run is aborted (mailboxes closed) if it
-    /// has not exited by then.
+    /// Wall-clock safety limit: a run that has not exited by then is
+    /// stopped and reports `UnrecoverableError::DeadlineExceeded`.
     pub max_wall: Duration,
     /// Emulate charged compute by sleeping for it: each handler's
     /// [`crate::chare::Ctx::charge`]d cost becomes a real `thread::sleep`.
@@ -196,557 +192,19 @@ impl ThreadedEngine {
         ThreadedEngine { topo, tcfg, cfg }
     }
 
-    /// Run `program` until it exits (or the wall-clock safety limit).
+    /// Run `program` until it exits (or the wall-clock safety limit, which
+    /// ends the run with [`mdo_netsim::UnrecoverableError::DeadlineExceeded`]).
     ///
-    /// With a [`mdo_netsim::FailurePlan`] armed, every PE thread mails
-    /// heartbeats to PE 0 and the watchdog turns a silent PE into failure
-    /// suspicion after `suspect_after`; suspected or panicked PEs trigger
-    /// buddy-checkpoint recovery over the survivors — the same shrink +
-    /// restore protocol as the virtual-time engine, driven by wall-clock
-    /// generations of real threads.
+    /// The generation loop itself — launch, watchdog, recovery, report —
+    /// lives in [`super::net`] and is the same whether [`RunConfig::net`]
+    /// keeps the job in this process or spreads it one process per
+    /// cluster.  Transport-level failures (rendezvous, handshake, a dead
+    /// peer) abort loudly here; callers that want them structured use
+    /// [`super::net::run_multi_process`] directly.
     pub fn run(self, program: Program) -> RunReport {
-        // Multi-process mode: each process runs only its own cluster's PEs
-        // and cross-cluster traffic moves over real TCP.  Transport-level
-        // failures (rendezvous, handshake, a dead peer) abort loudly —
-        // callers that want them structured use
-        // [`super::net::run_multi_process`] directly.
-        if self.cfg.net.is_some() {
-            return match super::net::run_multi_process(self.topo, self.tcfg, self.cfg, program) {
-                Ok(report) => report,
-                Err(e) => panic!("multi-process run failed: {e}"),
-            };
-        }
-        let ThreadedEngine { topo, tcfg, cfg } = self;
-        let orig_n_pes = topo.num_pes();
-        let trace_on = cfg.trace;
-        let obs_on = cfg.obs_active();
-        let record_on = cfg.wants_spans();
-        let obs_cfg = cfg.obs.clone().unwrap_or_default();
-        let fault_plan = cfg.fault_plan.clone();
-        let failure_plan = cfg.failure_plan.clone();
-        let join_plan = cfg.join_plan.clone();
-        let agg_cfg = cfg.agg_active();
-        let flow_cfg = cfg.flow;
-        let steal_on = cfg.steal;
-        let restart_cfg = cfg.clone();
-        // Original cluster of every original PE: a rejoin without an
-        // explicit cluster goes back where the PE came from.
-        let orig_cluster_of: Vec<ClusterId> = topo.pes().map(|pe| topo.cluster_of(pe)).collect();
-        let (mut shared, host) = split_program(program, topo, cfg);
-
-        let decode_rejected = Arc::new(AtomicU64::new(0));
-        let exit_announced = Arc::new(AtomicBool::new(false));
-        let end_ns = Arc::new(AtomicU64::new(0));
-        let t0 = Instant::now();
-        let deadline = t0 + tcfg.max_wall;
-
-        // Cross-generation bookkeeping, indexed by ORIGINAL PE number;
-        // `orig` maps the current (post-shrink) numbering back to it.
-        let mut orig: Vec<Pe> = (0..orig_n_pes as u32).map(Pe).collect();
-        let mut pending = failure_plan.as_ref().map(|p| p.crashes.clone()).unwrap_or_default();
-        let mut pe_busy_total = vec![Dur::ZERO; orig_n_pes];
-        let mut pe_messages_total = vec![0u64; orig_n_pes];
-        let mut pe_queue_depth = vec![0usize; orig_n_pes];
-        let mut network = NetworkStats::default();
-        let mut peak_mailbox_bytes = 0u64;
-        let mut faults_total = FaultModelStats::default();
-        // One accumulated recording per ORIGINAL PE; each generation's
-        // per-thread recordings are absorbed here after the join.
-        let mut obs_total: Vec<PeObs> = (0..orig_n_pes as u32).map(PeObs::empty).collect();
-        // Engine-global counter registry: the run report's scalar fault /
-        // failure tallies are read back from here at the end.
-        let mut gctr = CounterSet::new();
-        let mut lb_rounds_total = 0u32;
-        let mut migrations_total = 0u64;
-        let mut rebalance_total = 0u32;
-        let mut failures: Vec<PeFailed> = Vec::new();
-        let mut unrecoverable: Option<UnrecoverableError> = None;
-        let mut transport_error: Option<TransportError> = None;
-        let mut pending_joins = join_plan.as_ref().map(|p| p.joins.clone()).unwrap_or_default();
-        // (epoch + 1) of the newest buddy-checkpoint epoch known complete
-        // this generation; 0 until PE 0 sees a full round of acks.
-        let ckpt_done = Arc::new(AtomicU64::new(0));
-        gctr.bump(Ctr::Generations);
-
-        let mut host = Some(host);
-        let mut nodes: Vec<Node> = shared
-            .topo
-            .pes()
-            .map(|pe| {
-                let h = if pe == Pe(0) { host.take().expect("host once") } else { HostParts::empty() };
-                Node::new(Arc::clone(&shared), pe, h)
-            })
-            .collect();
-
-        'generations: loop {
-            let gen_topo = shared.topo.clone();
-            let n_pes = gen_topo.num_pes();
-            // Checkpoint epochs restart with the generation; pending joins
-            // wait for a fresh complete epoch on the new cluster.
-            ckpt_done.store(0, Ordering::Release);
-
-            // With a fault plan the cross-cluster chain becomes
-            // checksum → fault injection → verify → delay: an injected
-            // corruption fails the CRC and is dropped (counted), so it
-            // reaches the reliable layer as a plain loss.  Without a plan
-            // the chain and the wrapper are both zero-overhead passthroughs.
-            let mut tc = TransportConfig::new(gen_topo.clone(), tcfg.latency.clone());
-            let injected = fault_plan.clone().map(|plan| {
-                let fault = FaultDevice::for_reliable(plan);
-                let verify = CrcDevice::verifier();
-                tc.cross_extra = vec![CrcDevice::appender(), fault.clone(), verify.clone()];
-                (fault, verify)
-            });
-            let raw = Transport::new(tc);
-            let transport = match (&fault_plan, flow_cfg) {
-                (Some(plan), Some(flow)) => ReliableTransport::with_flow(Arc::clone(&raw), plan.clone(), flow),
-                (Some(plan), None) => ReliableTransport::with_plan(Arc::clone(&raw), plan.clone()),
-                // Credit grants ride acks, so flow control needs the
-                // reliable layer even on a clean network; a generous RTO
-                // keeps the retransmit machinery from firing spuriously.
-                (None, Some(flow)) => ReliableTransport::with_flow(
-                    Arc::clone(&raw),
-                    FaultPlan::default().with_rto(Dur::from_millis(1000)),
-                    flow,
-                ),
-                (None, None) => ReliableTransport::passthrough(Arc::clone(&raw)),
-            };
-            let agg = match (agg_cfg, flow_cfg) {
-                (Some(c), Some(f)) => Aggregator::with_flow(Arc::clone(&transport), c, f),
-                (Some(c), None) => Aggregator::with_policy(Arc::clone(&transport), c),
-                (None, _) => Aggregator::passthrough(Arc::clone(&transport)),
-            };
-            let stop = Arc::new(AtomicBool::new(false));
-            let status: Arc<Vec<AtomicU8>> = Arc::new((0..n_pes).map(|_| AtomicU8::new(PE_ALIVE)).collect());
-            let gen_start = elapsed_ns(t0);
-            let last_heard: Arc<Vec<AtomicU64>> = Arc::new((0..n_pes).map(|_| AtomicU64::new(gen_start)).collect());
-
-            let mut handles = Vec::with_capacity(n_pes);
-            let orig_map: Arc<Vec<Pe>> = Arc::new(orig.clone());
-            let mk_ctl = |pe: Pe| ThreadCtl {
-                agg: Arc::clone(&agg),
-                stop: Arc::clone(&stop),
-                exit_announced: Arc::clone(&exit_announced),
-                end_ns: Arc::clone(&end_ns),
-                decode_rejected: Arc::clone(&decode_rejected),
-                status: Arc::clone(&status),
-                last_heard: Arc::clone(&last_heard),
-                t0,
-                topo: gen_topo.clone(),
-                record_on,
-                obs_cfg: obs_cfg.clone(),
-                orig_map: Arc::clone(&orig_map),
-                compute_sleep: tcfg.compute_sleep,
-                hb_interval: failure_plan.as_ref().map(|p| p.hb_interval.to_std()),
-                crash: pending.iter().find(|s| s.pe == orig[pe.index()]).map(|s| s.trigger),
-                msgs_before: pe_messages_total[orig[pe.index()].index()],
-                ckpt_done: Arc::clone(&ckpt_done),
-            };
-            if steal_on {
-                // Stealing mode: nodes live in a shared bank of slots so an
-                // idle sibling thread can run a queued App envelope against
-                // another PE's node.
-                let bank: NodeBank = Arc::new(nodes.drain(..).map(|n| Mutex::new(Some(n))).collect());
-                for i in 0..n_pes {
-                    let pe = Pe(i as u32);
-                    let ctl = mk_ctl(pe);
-                    let bank = Arc::clone(&bank);
-                    handles.push((
-                        pe,
-                        std::thread::Builder::new()
-                            .name(format!("mdo-pe{}", pe.0))
-                            .spawn(move || pe_thread_stealing(pe, bank, ctl))
-                            .expect("spawn PE thread"),
-                    ));
-                }
-            } else {
-                for node in nodes.drain(..) {
-                    let pe = node.pe();
-                    let ctl = mk_ctl(pe);
-                    handles.push((
-                        pe,
-                        std::thread::Builder::new()
-                            .name(format!("mdo-pe{}", pe.0))
-                            .spawn(move || pe_thread(pe, node, ctl))
-                            .expect("spawn PE thread"),
-                    ));
-                }
-            }
-
-            // Boot the program (after a recovery the startup closure is
-            // gone, so PE 0 goes straight to the restore-resume broadcast).
-            let startup = Envelope {
-                src: Pe(0),
-                dst: Pe(0),
-                priority: SYSTEM_PRIORITY,
-                sent_at_ns: gen_start,
-                body: MsgBody::Startup,
-            };
-            agg.send_with(Pe(0), Pe(0), SYSTEM_PRIORITY, true, |buf| startup.encode_into(buf));
-
-            // Watchdog: wall-clock ceiling, retry exhaustion, panic flags,
-            // and (with a failure plan) heartbeat suspicion.
-            let suspect_after = failure_plan.as_ref().map(|p| p.suspect_after.as_nanos());
-            let mut flagged = vec![false; n_pes];
-            let mut gen_failed: Vec<(Pe, FailureCause)> = Vec::new();
-            let mut gen_join: Vec<JoinSpec> = Vec::new();
-            loop {
-                if stop.load(Ordering::Acquire) {
-                    break;
-                }
-                if Instant::now() >= deadline {
-                    stop.store(true, Ordering::Release);
-                    break;
-                }
-                for i in 0..n_pes {
-                    if flagged[i] || status[i].load(Ordering::Acquire) != PE_PANICKED {
-                        continue;
-                    }
-                    flagged[i] = true;
-                    if failure_plan.is_none() {
-                        unrecoverable = Some(UnrecoverableError::NoFailurePlan { pe: orig[i] });
-                    } else if i == 0 {
-                        unrecoverable = Some(UnrecoverableError::HostFailed);
-                    } else {
-                        gen_failed.push((Pe(i as u32), FailureCause::Panic));
-                    }
-                }
-                if let Some(err) = transport.error() {
-                    if failure_plan.is_some() && err.dst != Pe(0) {
-                        // With fault tolerance armed, a peer that exhausts
-                        // retries is failure evidence, not a fatal error.
-                        if !flagged[err.dst.index()] {
-                            flagged[err.dst.index()] = true;
-                            gen_failed.push((err.dst, FailureCause::Unresponsive));
-                        }
-                    } else {
-                        transport_error = Some(err);
-                        stop.store(true, Ordering::Release);
-                        break;
-                    }
-                }
-                if let Some(limit) = suspect_after {
-                    let now = elapsed_ns(t0);
-                    // PE 0 is exempt: the detector runs next to it, and a
-                    // PE 0 failure is unrecoverable anyway (see DESIGN.md).
-                    for i in 1..n_pes {
-                        if flagged[i] {
-                            continue;
-                        }
-                        if now.saturating_sub(last_heard[i].load(Ordering::Acquire)) > limit {
-                            flagged[i] = true;
-                            let cause = if status[i].load(Ordering::Acquire) == PE_CRASHED {
-                                FailureCause::Injected
-                            } else {
-                                FailureCause::Unresponsive
-                            };
-                            gen_failed.push((Pe(i as u32), cause));
-                        }
-                    }
-                }
-                // Admit due joiners only at a safe point: no failure in
-                // flight and a complete buddy checkpoint to restart from.
-                // A joiner whose PE is still alive is dropped (nothing to
-                // rejoin).
-                if !pending_joins.is_empty() && gen_failed.is_empty() && ckpt_done.load(Ordering::Acquire) > 0 {
-                    let recoveries_so_far = gctr.get(Ctr::Recoveries) as u32;
-                    let mut i = 0;
-                    while i < pending_joins.len() {
-                        let fired = match pending_joins[i].trigger {
-                            JoinTrigger::AtTime(at) => t0.elapsed() >= at.to_std(),
-                            JoinTrigger::AfterRecoveries(n) => recoveries_so_far >= n,
-                        };
-                        if fired {
-                            let spec = pending_joins.remove(i);
-                            if !orig.contains(&spec.pe) {
-                                gen_join.push(spec);
-                            }
-                        } else {
-                            i += 1;
-                        }
-                    }
-                }
-                if unrecoverable.is_some() || !gen_failed.is_empty() || !gen_join.is_empty() {
-                    stop.store(true, Ordering::Release);
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            // Flush any still-buffered frames, stop retransmissions, then
-            // wake every thread and wind down.
-            agg.shutdown();
-            transport.shutdown();
-            raw.shutdown();
-
-            let mut results: Vec<PeResult> =
-                handles.into_iter().map(|(pe, h)| h.join().unwrap_or_else(|_| PeResult::lost(pe))).collect();
-            results.sort_by_key(|r| r.pe);
-
-            // A buddy pair dying at the same instant may have only one
-            // member past the suspicion threshold when the watchdog fires;
-            // the joined status flags name every casualty.
-            if failure_plan.is_some() && unrecoverable.is_none() {
-                for (i, r) in results.iter().enumerate() {
-                    let died = r.node.is_none() || status[i].load(Ordering::Acquire) != PE_ALIVE;
-                    if died && !flagged[i] && i != 0 {
-                        flagged[i] = true;
-                        let cause = if status[i].load(Ordering::Acquire) == PE_CRASHED {
-                            FailureCause::Injected
-                        } else {
-                            FailureCause::Unresponsive
-                        };
-                        gen_failed.push((Pe(i as u32), cause));
-                    }
-                }
-            }
-
-            // Close this generation's books (original PE numbering).
-            let (intra_pkts, intra_bytes) = raw.intra_traffic();
-            let (cross_pkts, cross_bytes) = raw.cross_traffic();
-            network.intra_messages += intra_pkts;
-            network.intra_bytes += intra_bytes;
-            network.cross_messages += cross_pkts;
-            network.cross_bytes += cross_bytes;
-            let (dev_stats, crc_rejected) =
-                injected.map(|(fault, verify)| (fault.stats(), verify.rejected())).unwrap_or_default();
-            faults_total.dropped += dev_stats.dropped;
-            faults_total.corrupt_rejected += crc_rejected;
-            faults_total.dup_dropped += transport.dup_dropped();
-            faults_total.reordered += dev_stats.reordered;
-            faults_total.retransmits += transport.retransmits();
-            let ast = agg.stats();
-            gctr.add(Ctr::FramesSent, ast.frames_sent);
-            gctr.add(Ctr::EnvelopesCoalesced, ast.envelopes_coalesced);
-            gctr.add(Ctr::FrameBytesSaved, ast.bytes_saved);
-            gctr.add(Ctr::FlushBySize, ast.flush_by_size);
-            gctr.add(Ctr::FlushByDeadline, ast.flush_by_deadline);
-            gctr.add(Ctr::CreditStalls, transport.credit_stalls());
-            gctr.add(Ctr::CreditWaitNs, transport.credit_wait_ns());
-            gctr.add(Ctr::EnvelopesShed, ast.envelopes_shed);
-            gctr.add(Ctr::ShedBytes, ast.shed_bytes);
-            gctr.add(Ctr::QueueFull, ast.queue_full);
-            gctr.add(Ctr::MailboxSignals, gen_topo.pes().map(|pe| raw.mailbox(pe).wakeup_signals()).sum::<u64>());
-            for r in &mut results {
-                gctr.add(Ctr::Steals, r.steals);
-                let o = orig[r.pe.index()].index();
-                pe_busy_total[o] += r.busy;
-                pe_messages_total[o] += r.messages;
-                // Backlog can sit in the raw mailbox or (aggregating) in
-                // the unframed pending bank; the high-water mark sees both.
-                let depth = raw.mailbox(r.pe).max_depth().max(agg.pending_max_depth(r.pe));
-                pe_queue_depth[o] = pe_queue_depth[o].max(depth);
-                let bytes = raw.mailbox(r.pe).max_bytes() as u64 + agg.pending_max_bytes(r.pe) as u64;
-                peak_mailbox_bytes = peak_mailbox_bytes.max(bytes);
-                if record_on {
-                    // One mailbox high-water sample per generation: the
-                    // threads cannot observe queue depth from outside.
-                    r.obs.queue_depth.record(depth as u64);
-                    obs_total[o].absorb(std::mem::replace(&mut r.obs, PeObs::empty(r.pe.0)));
-                }
-            }
-            let gen_lb_rounds = results[0].lb_rounds;
-            lb_rounds_total += gen_lb_rounds;
-            migrations_total += results[0].migrations;
-            rebalance_total += results[0].rebalance;
-            gctr.add(Ctr::CheckpointsTaken, results[0].ft_epochs as u64);
-            gctr.add(Ctr::CheckpointBytes, results.iter().map(|r| r.ft_bytes).sum::<u64>());
-
-            let exited = exit_announced.load(Ordering::Acquire);
-            if unrecoverable.is_some()
-                || transport_error.is_some()
-                || exited
-                || (gen_failed.is_empty() && gen_join.is_empty())
-            {
-                break 'generations;
-            }
-
-            if gen_failed.is_empty() {
-                // ---- expand: admit the joiners and restart wide ----------
-                // Everyone (survivors and joiners alike) restarts from the
-                // newest complete buddy snapshot, exactly as across a
-                // shrink; `ckpt_done` guaranteed one exists before the
-                // watchdog stopped the generation.
-                let at = Time::from_nanos(elapsed_ns(t0));
-                let mut joiners: Vec<(ClusterId, Pe)> = gen_join
-                    .drain(..)
-                    .map(|s| {
-                        let cid = s.cluster.unwrap_or_else(|| {
-                            *orig_cluster_of
-                                .get(s.pe.index())
-                                .expect("a brand-new PE joining must name an explicit cluster")
-                        });
-                        (cid, s.pe)
-                    })
-                    .collect();
-                joiners.sort_unstable();
-                let added: Vec<ClusterId> = joiners.iter().map(|&(c, _)| c).collect();
-
-                let mut alive: Vec<Node> = results.into_iter().filter_map(|r| r.node).collect();
-                let mut pieces = Vec::new();
-                for node in alive.iter_mut() {
-                    pieces.extend(node.take_ft_pieces());
-                }
-                let expected: Vec<(ArrayId, usize)> = shared.arrays.iter().map(|a| (a.id, a.n_elems)).collect();
-                let Some((snapshot, snap_round)) = assemble_buddy_snapshot(&expected, &pieces) else {
-                    unrecoverable = Some(UnrecoverableError::NoCompleteSnapshot { failed: Vec::new() });
-                    break 'generations;
-                };
-                gctr.add(Ctr::StepsReplayed, gen_lb_rounds.saturating_sub(snap_round) as u64);
-                let host_parts = alive.iter_mut().find(|n| n.pe() == Pe(0)).expect("PE 0 alive").take_host();
-
-                // Widen the per-original-PE books if a joiner's number lies
-                // beyond the boot topology (a brand-new PE, not a rejoin).
-                let max_orig = joiners.iter().map(|&(_, pe)| pe.index() + 1).max().unwrap_or(0);
-                if max_orig > pe_busy_total.len() {
-                    pe_busy_total.resize(max_orig, Dur::ZERO);
-                    pe_messages_total.resize(max_orig, 0);
-                    pe_queue_depth.resize(max_orig, 0);
-                    for pe in obs_total.len() as u32..max_orig as u32 {
-                        obs_total.push(PeObs::empty(pe));
-                    }
-                }
-
-                // Joiners land at the end of their cluster's PE range; the
-                // map's `None` slots pair with the per-cluster joiner FIFO.
-                let (new_topo, new_map) = shared.topo.with_pes(&added);
-                let mut fifo = joiners.clone();
-                orig = new_map
-                    .iter()
-                    .enumerate()
-                    .map(|(cur, slot)| match slot {
-                        Some(old_cur) => orig[old_cur.index()],
-                        None => {
-                            let cid = new_topo.cluster_of(Pe(cur as u32));
-                            let i = fifo.iter().position(|&(c, _)| c == cid).expect("joiner for slot");
-                            fifo.remove(i).1
-                        }
-                    })
-                    .collect();
-                shared = Arc::new(NodeShared {
-                    topo: new_topo,
-                    arrays: shared.arrays.clone(),
-                    cfg: restart_cfg.clone(),
-                    restore: Some(Arc::new(snapshot)),
-                });
-                let mut host_parts = Some(host_parts);
-                nodes = shared
-                    .topo
-                    .pes()
-                    .map(|pe| {
-                        let h = if pe == Pe(0) { host_parts.take().expect("host once") } else { HostParts::empty() };
-                        Node::new(Arc::clone(&shared), pe, h)
-                    })
-                    .collect();
-                gctr.add(Ctr::PesJoined, joiners.len() as u64);
-                gctr.bump(Ctr::Generations);
-                if record_on {
-                    for &o in &orig {
-                        obs_total[o.index()].events.push(ObsEvent::Recovery { at });
-                    }
-                }
-                continue 'generations;
-            }
-            // Joins racing a failure wait for the next generation: put them
-            // back, recover first.
-            pending_joins.append(&mut gen_join);
-
-            // Recover over the survivors: reassemble the newest complete
-            // buddy snapshot, shrink the topology, and restart from it.
-            let at = Time::from_nanos(elapsed_ns(t0));
-            for &(cur, cause) in &gen_failed {
-                failures.push(PeFailed { pe: orig[cur.index()], at, cause });
-            }
-            let dead_cur: Vec<Pe> = gen_failed.iter().map(|&(c, _)| c).collect();
-            let mut survivors: Vec<Node> =
-                results.into_iter().filter(|r| !dead_cur.contains(&r.pe)).filter_map(|r| r.node).collect();
-            let mut pieces = Vec::new();
-            for node in survivors.iter_mut() {
-                pieces.extend(node.take_ft_pieces());
-            }
-            let expected: Vec<(ArrayId, usize)> = shared.arrays.iter().map(|a| (a.id, a.n_elems)).collect();
-            let Some((snapshot, snap_round)) = assemble_buddy_snapshot(&expected, &pieces) else {
-                unrecoverable =
-                    Some(UnrecoverableError::NoCompleteSnapshot { failed: failures.iter().map(|f| f.pe).collect() });
-                break 'generations;
-            };
-            gctr.add(Ctr::StepsReplayed, gen_lb_rounds.saturating_sub(snap_round) as u64);
-            let host_parts = survivors.iter_mut().find(|n| n.pe() == Pe(0)).expect("PE 0 survives").take_host();
-            pending.retain(|s| !failures.iter().any(|f| f.pe == s.pe));
-            let (new_topo, new_map) = shared.topo.without_pes(&dead_cur);
-            orig = new_map.iter().map(|&cur| orig[cur.index()]).collect();
-            shared = Arc::new(NodeShared {
-                topo: new_topo,
-                arrays: shared.arrays.clone(),
-                cfg: restart_cfg.clone(),
-                restore: Some(Arc::new(snapshot)),
-            });
-            let mut host_parts = Some(host_parts);
-            nodes = shared
-                .topo
-                .pes()
-                .map(|pe| {
-                    let h = if pe == Pe(0) { host_parts.take().expect("host once") } else { HostParts::empty() };
-                    Node::new(Arc::clone(&shared), pe, h)
-                })
-                .collect();
-            gctr.bump(Ctr::Recoveries);
-            gctr.bump(Ctr::Generations);
-            if record_on {
-                // Mark the resume on every surviving PE's stream (original
-                // numbering — `orig` was just remapped to the survivors).
-                for &o in &orig {
-                    obs_total[o.index()].events.push(ObsEvent::Recovery { at });
-                }
-            }
-        }
-
-        let end = end_ns.load(Ordering::Acquire);
-        let end_time = if end > 0 { Time::from_nanos(end) } else { Time::from_nanos(elapsed_ns(t0)) };
-        faults_total.corrupt_rejected += decode_rejected.load(Ordering::Relaxed);
-
-        // Mirror the fault-layer and failure tallies into the registry so
-        // the report's scalars and the obs counters come from one place.
-        gctr.add(Ctr::ObjectsMigrated, migrations_total);
-        gctr.add(Ctr::RebalanceTriggers, rebalance_total as u64);
-        gctr.add(Ctr::Drops, faults_total.dropped);
-        gctr.add(Ctr::Retransmits, faults_total.retransmits);
-        gctr.add(Ctr::DupDropped, faults_total.dup_dropped);
-        gctr.add(Ctr::CorruptRejected, faults_total.corrupt_rejected);
-        gctr.add(Ctr::Reordered, faults_total.reordered);
-        gctr.add(Ctr::FailuresDetected, failures.len() as u64);
-
-        let trace = trace_on.then(|| trace_from(&obs_total));
-        let obs = obs_on.then(|| ObsReport { pes: obs_total, counters: gctr.clone() });
-
-        RunReport {
-            end_time,
-            pe_busy: pe_busy_total,
-            pe_messages: pe_messages_total,
-            pe_max_queue_depth: pe_queue_depth,
-            network,
-            trace,
-            obs,
-            lb_rounds: lb_rounds_total,
-            migrations: migrations_total,
-            faults: faults_total,
-            transport_error,
-            failures_detected: gctr.get_u32(Ctr::FailuresDetected),
-            recoveries: gctr.get_u32(Ctr::Recoveries),
-            pes_joined: gctr.get_u32(Ctr::PesJoined),
-            generations: gctr.get_u32(Ctr::Generations),
-            rebalance_triggers: gctr.get_u32(Ctr::RebalanceTriggers),
-            objects_migrated: gctr.get(Ctr::ObjectsMigrated),
-            steps_replayed: gctr.get_u32(Ctr::StepsReplayed),
-            checkpoints_taken: gctr.get_u32(Ctr::CheckpointsTaken),
-            checkpoint_bytes: gctr.get(Ctr::CheckpointBytes),
-            failures,
-            unrecoverable,
-            credit_stalls: gctr.get(Ctr::CreditStalls),
-            credit_wait: Dur::from_nanos(gctr.get(Ctr::CreditWaitNs)),
-            queue_full: gctr.get(Ctr::QueueFull),
-            sheds: gctr.get(Ctr::EnvelopesShed),
-            shed_bytes: gctr.get(Ctr::ShedBytes),
-            peak_mailbox_bytes,
+        match super::net::run_multi_process(self.topo, self.tcfg, self.cfg, program) {
+            Ok(report) => report,
+            Err(e) => panic!("multi-process run failed: {e}"),
         }
     }
 }
@@ -1490,7 +948,13 @@ mod tests {
         p.on_startup(move |ctl| ctl.send(arr, ElemId(1), PING, vec![]));
         let tcfg = ThreadedConfig { latency, max_wall: Duration::from_millis(200), compute_sleep: false };
         let started = Instant::now();
-        let _report = ThreadedEngine::new(topo, tcfg, RunConfig::default()).run(p);
-        assert!(started.elapsed() < Duration::from_secs(5), "watchdog fired");
+        let report = ThreadedEngine::new(topo, tcfg, RunConfig::default()).run(p);
+        assert!(started.elapsed() < Duration::from_millis(1200), "watchdog fired within max_wall + 1 s");
+        assert_eq!(
+            report.unrecoverable,
+            Some(mdo_netsim::UnrecoverableError::DeadlineExceeded),
+            "never a clean report"
+        );
+        assert!(report.transport_error.is_none());
     }
 }

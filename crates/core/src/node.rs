@@ -66,8 +66,7 @@ pub struct HandleOutcome {
     /// Whether the program requested termination.
     pub exit: bool,
     /// Execution spans (object, charged work) for tracing — populated only
-    /// when tracing or observability is enabled (see
-    /// [`RunConfig::wants_spans`]).
+    /// when observability is armed (see [`RunConfig::obs_active`]).
     pub spans: Vec<(Option<ObjKey>, Dur)>,
     /// Set when this envelope completed a buddy-checkpoint pack on this PE
     /// (engines record it as a checkpoint event).
@@ -753,7 +752,7 @@ impl Node {
         outcome: &mut HandleOutcome,
     ) {
         outcome.charged += sink.charged;
-        if self.shared.cfg.wants_spans() {
+        if self.shared.cfg.obs_active() {
             outcome.spans.push((owner, sink.charged));
         }
         if let Some(key) = owner {

@@ -4,7 +4,7 @@
 //! (with factories and placement), a startup closure, and host callbacks
 //! (reduction clients, a quiescence client).  A [`RunConfig`] holds the
 //! runtime knobs the paper studies — Grid message priority, load-balancing
-//! strategy, tracing.  Engines consume both and return a [`RunReport`].
+//! strategy, observability.  Engines consume both and return a [`RunReport`].
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -24,7 +24,6 @@ use crate::engine::policy::{DeliverySpec, ScheduleSink};
 use crate::envelope::ReduceData;
 use crate::ids::{ArrayId, ElemId};
 use crate::mapping::Mapping;
-use crate::trace::Trace;
 use crate::wire::WireReader;
 
 /// Startup closure type.
@@ -216,7 +215,11 @@ impl std::fmt::Debug for LbChoice {
     }
 }
 
-/// Runtime knobs shared by both engines.
+/// Runtime knobs shared by the simulation engine and the wall-clock
+/// engine — the latter one engine whether it runs in one process or, with
+/// [`RunConfig::net`] set, as one process per cluster over TCP.  Three
+/// features are single-process only and ignored (with a warning) in net
+/// mode: `join_plan`, `obs` and `steal`.
 #[derive(Clone, Debug)]
 pub struct RunConfig {
     /// §6 extension: tag cross-cluster application messages with elevated
@@ -224,8 +227,6 @@ pub struct RunConfig {
     pub grid_prio: bool,
     /// Strategy used when elements call `at_sync` (default Identity).
     pub lb: LbChoice,
-    /// Record an execution trace (costs memory; see [`Trace`]).
-    pub trace: bool,
     /// Run quiescence-detection waves and fire the program's quiescence
     /// client when the application goes quiet.
     pub detect_quiescence: bool,
@@ -301,14 +302,14 @@ pub struct RunConfig {
     /// deterministic and explorable.  `None` (the default) leaves both
     /// engines exactly as they are: unbounded in-flight traffic.
     pub flow: Option<FlowConfig>,
-    /// Multi-process mode: when set, the threaded engine runs only the
-    /// PEs of this process's topology cluster and moves cross-cluster
-    /// traffic over real TCP (mdo-net) instead of in-process mailboxes.
-    /// One process per cluster; node 0 hosts PE 0 and merges the final
-    /// report from every node's control-plane submission.  `None` (the
-    /// default) keeps the whole job in one process, exactly as before.
-    /// Ignored by the simulation engine.  In net mode `join_plan`, `obs`
-    /// and `trace` are unsupported and ignored (see DESIGN.md).
+    /// Multi-process mode, a deployment setting: when set, this process
+    /// hosts only the PEs of its own topology cluster and cross-cluster
+    /// traffic moves over real TCP (mdo-net) instead of in-process
+    /// mailboxes — the same engine over a different wire.  One process per
+    /// cluster; node 0 hosts PE 0 and merges the final report from every
+    /// node's control-plane submission.  `None` (the default) is the
+    /// one-node case: the whole job in one process.  Ignored by the
+    /// simulation engine.
     pub net: Option<mdo_net::NetConfig>,
     /// Grid-topology-aware collectives: when set, broadcasts, reductions
     /// and section multicasts route over a two-level
@@ -330,20 +331,13 @@ pub struct RunConfig {
     /// OS thread changes — so application semantics and cross-engine
     /// digests are unchanged; `Ctr::Steals` counts remapped executions.
     /// System/control traffic and cross-WAN packets are never stolen.
-    /// Ignored by the simulation engine (one virtual thread) and by
-    /// multi-process (`net`) mode.  Default off: the engine's message
+    /// Ignored by the simulation engine (one virtual thread) and in net
+    /// mode.  Default off: the engine's message
     /// loop is byte-identical to the historical one.
     pub steal: bool,
 }
 
 impl RunConfig {
-    /// Whether engines must collect handler execution spans — true when
-    /// either the legacy trace knob or the observability subsystem is on
-    /// (both derive timelines from the same event stream).
-    pub fn wants_spans(&self) -> bool {
-        self.trace || self.obs_active()
-    }
-
     /// Whether the observability subsystem is armed *and* compiled in.
     pub fn obs_active(&self) -> bool {
         cfg!(feature = "obs") && self.obs.is_some()
@@ -372,7 +366,6 @@ impl Default for RunConfig {
         RunConfig {
             grid_prio: false,
             lb: LbChoice::Identity,
-            trace: false,
             detect_quiescence: false,
             checkpoint_at_barrier: false,
             seed: 0,
@@ -409,8 +402,6 @@ pub struct RunReport {
     pub pe_max_queue_depth: Vec<usize>,
     /// Traffic summary (intra vs cross-cluster).
     pub network: NetworkStats,
-    /// Execution trace, if requested.
-    pub trace: Option<Trace>,
     /// Observability data (events, counters, histograms, overlap
     /// analyses), when [`RunConfig::obs`] was armed.
     pub obs: Option<ObsReport>,
@@ -555,7 +546,6 @@ mod tests {
             pe_messages: vec![1, 1],
             pe_max_queue_depth: vec![1, 2],
             network: NetworkStats::default(),
-            trace: None,
             obs: None,
             lb_rounds: 0,
             migrations: 0,

@@ -142,6 +142,9 @@ pub enum UnrecoverableError {
         /// The PE that failed.
         pe: Pe,
     },
+    /// The run outlived the wall-clock engine's `max_wall` safety limit
+    /// and was stopped; a hung job, as far as the engine can tell.
+    DeadlineExceeded,
 }
 
 impl std::fmt::Display for UnrecoverableError {
@@ -153,6 +156,9 @@ impl std::fmt::Display for UnrecoverableError {
             UnrecoverableError::HostFailed => write!(f, "PE 0 (program host) failed; cannot recover"),
             UnrecoverableError::NoFailurePlan { pe } => {
                 write!(f, "PE {} failed but no failure plan was armed; run aborted cleanly", pe.0)
+            }
+            UnrecoverableError::DeadlineExceeded => {
+                write!(f, "the run exceeded its wall-clock deadline and was stopped")
             }
         }
     }
@@ -187,5 +193,6 @@ mod tests {
         assert!(e.to_string().contains("no complete buddy snapshot"));
         assert!(UnrecoverableError::HostFailed.to_string().contains("PE 0"));
         assert!(UnrecoverableError::NoFailurePlan { pe: Pe(3) }.to_string().contains("no failure plan"));
+        assert!(UnrecoverableError::DeadlineExceeded.to_string().contains("deadline"));
     }
 }

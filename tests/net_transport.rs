@@ -13,13 +13,14 @@
 use std::net::SocketAddr;
 use std::sync::{Arc, Mutex};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use gridmdo::apps::leanmd::{self, MdConfig};
 use gridmdo::apps::stencil::{self, seq::SeqStencil, StencilConfig, StencilCost};
 use gridmdo::net::{localhost_rendezvous, HandshakeField, NetSession};
 use gridmdo::prelude::*;
 use gridmdo::runtime::engine::net::run_with_session;
+use gridmdo::runtime::envelope::{Envelope, MsgBody, SYSTEM_PRIORITY};
 use gridmdo::runtime::Program;
 use mdo_net::TransportError as NetError;
 
@@ -157,45 +158,96 @@ fn two_node_leanmd_matches_sim_bit_exactly() {
     let multi = node0.expect("node 0");
     assert_eq!(multi.checksums, sim.checksums, "LeanMD positions bit-exact over TCP");
     assert_eq!(multi.kinetic, sim.kinetic, "LeanMD energies bit-exact over TCP");
+
+    // Report parity: what crosses the wire is exactly what the same job
+    // run in one process routes through its cross-cluster device chain,
+    // and the merged TCP report accounts for it identically.  The one
+    // known difference is the end of the run: the exit flag is per
+    // process, so node 1's first PE to see the Exit envelope relays it
+    // once more to every PE, node 0's two included.
+    let single = leanmd::run_threaded(cfg, topo, latency, RunConfig::default());
+    let (m, s) = (&multi.report, &single.report);
+    let exit = Envelope { src: Pe(2), dst: Pe(0), priority: SYSTEM_PRIORITY, sent_at_ns: 0, body: MsgBody::Exit };
+    assert_eq!(m.network.cross_messages, s.network.cross_messages + 2);
+    assert_eq!(m.network.cross_bytes, s.network.cross_bytes + 2 * exit.encode().len() as u64);
+    assert_eq!((m.lb_rounds, m.migrations, m.generations), (s.lb_rounds, s.migrations, s.generations));
+    // PEs race the final Exit envelope against the stop flag.
+    for (pe, (a, b)) in m.pe_messages.iter().zip(&s.pe_messages).enumerate() {
+        assert!(a.abs_diff(*b) <= 1, "PE {pe} processed {a} envelopes over TCP, {b} in-process");
+    }
 }
 
 #[test]
 fn crash_on_a_remote_node_recovers_over_survivors() {
-    // Kill a PE hosted by node 2 mid-run (injected CrashTrigger — the
-    // thread dies silently, as if the process seized).  Node 0's failure
-    // detector must notice over the wire, run the cross-process recovery
-    // protocol (gather buddy pieces, assemble, restart), shrink onto the
-    // survivors and still finish bit-exact.
+    // Kill a PE mid-run (injected CrashTrigger — the thread dies
+    // silently, as if the process seized): once PE 4, hosted by node 2,
+    // once PE 1, a neighbour of the failure detector on node 0 itself.
+    // Either way node 0 must notice from the missing heartbeats, run the
+    // cross-process recovery protocol (gather buddy pieces, assemble,
+    // restart), shrink onto the survivors and still finish bit-exact.
     let cfg = small_stencil(16, 6, Some(1));
     let topo = Topology::uniform(3, 2);
     let latency = LatencyMatrix::uniform(&topo, Dur::ZERO, Dur::from_micros(200));
-
     let clean = stencil::run_threaded(cfg.clone(), topo.clone(), latency.clone(), RunConfig::default());
-    let n = clean.report.pe_messages[4] / 2;
-    assert!(n > 0, "calibration run must exercise PE 4");
-    let plan =
-        FailurePlan::new().crash_after_messages(Pe(4), n).with_heartbeat(Dur::from_millis(15), Dur::from_millis(150));
-    let run_cfg = RunConfig { failure_plan: Some(plan), ..RunConfig::default() };
 
-    let multi = run_stencil_net(&cfg, &topo, &latency, &run_cfg, 1);
-    assert_eq!(multi.block_sums, clean.block_sums, "recovery over TCP is bit-exact");
-    assert_eq!(multi.report.failures_detected, 1);
-    assert_eq!(multi.report.recoveries, 1);
-    assert_eq!(multi.report.failures[0].pe, Pe(4));
-    assert!(multi.report.unrecoverable.is_none());
-    assert!(multi.report.checkpoints_taken > 0);
+    for victim in [Pe(4), Pe(1)] {
+        let n = clean.report.pe_messages[victim.index()] / 2;
+        assert!(n > 0, "calibration run must exercise {victim}");
+        let plan = FailurePlan::new()
+            .crash_after_messages(victim, n)
+            .with_heartbeat(Dur::from_millis(15), Dur::from_millis(150));
+        let run_cfg = RunConfig { failure_plan: Some(plan), ..RunConfig::default() };
+
+        let multi = run_stencil_net(&cfg, &topo, &latency, &run_cfg, 1);
+        assert_eq!(multi.block_sums, clean.block_sums, "recovery over TCP is bit-exact ({victim} down)");
+        assert_eq!(multi.report.failures_detected, 1);
+        assert_eq!(multi.report.recoveries, 1);
+        assert_eq!(multi.report.generations, 2);
+        assert_eq!(multi.report.failures[0].pe, victim);
+        assert!(multi.report.unrecoverable.is_none());
+        assert!(multi.report.checkpoints_taken > 0);
+    }
 }
 
-/// A do-nothing one-PE-per-cluster program: starts, exits.
-fn trivial_program() -> Program {
+/// A do-nothing one-PE-per-cluster program: starts, then exits or hangs.
+fn trivial_program(exits: bool) -> Program {
     let mut p = Program::new();
     struct Noop;
     impl gridmdo::runtime::Chare for Noop {
         fn receive(&mut self, _entry: EntryId, _payload: &[u8], _ctx: &mut gridmdo::runtime::Ctx<'_>) {}
     }
     let _arr = p.array("noop", 1, Mapping::Block, |_| Box::new(Noop) as Box<dyn gridmdo::runtime::Chare>);
-    p.on_startup(|ctl| ctl.exit());
+    p.on_startup(move |ctl| {
+        if exits {
+            ctl.exit()
+        }
+    });
     p
+}
+
+#[test]
+fn a_hung_job_ends_in_deadline_exceeded_on_every_node() {
+    // Nobody ever calls exit.  `max_wall` must end the run on both nodes
+    // within a second of expiring: node 0 with the structured error in
+    // its report (never a clean-looking one), node 1 told to stand down.
+    let (listeners, addrs) = localhost_rendezvous(2).expect("rendezvous");
+    let topo = Topology::uniform(2, 1);
+    let started = Instant::now();
+    let mut handles = Vec::new();
+    for (node, listener) in listeners.into_iter().enumerate() {
+        let (topo, addrs) = (topo.clone(), addrs.clone());
+        handles.push(thread::spawn(move || {
+            let mut tcfg = ThreadedConfig::new(LatencyMatrix::uniform(&topo, Dur::ZERO, Dur::ZERO));
+            tcfg.max_wall = Duration::from_millis(300);
+            let session = NetSession::with_listener(NetConfig::new(node as u32, addrs), listener).expect("session");
+            run_with_session(topo, tcfg, RunConfig::default(), trivial_program(false), session)
+        }));
+    }
+    let outcomes: Vec<_> = handles.into_iter().map(|h| h.join().expect("node thread must not panic")).collect();
+    assert!(started.elapsed() < Duration::from_millis(1300), "stood down within max_wall + 1 s");
+    let report = outcomes[0].as_ref().expect("node 0 still reports");
+    assert_eq!(report.unrecoverable, Some(UnrecoverableError::DeadlineExceeded));
+    assert!(matches!(outcomes[1], Err(NetError::Aborted { .. })), "node 1: {:?}", outcomes[1].as_ref().err());
 }
 
 #[test]
@@ -221,9 +273,7 @@ fn engine_rejects_a_peer_with_a_different_topology() {
             tcfg.max_wall = Duration::from_secs(10);
             let net = NetConfig::new(node as u32, addrs);
             let session = NetSession::with_listener(net, listener).expect("session");
-            let run_cfg = RunConfig { net: Some(NetConfig::new(node as u32, Vec::new())), ..RunConfig::default() };
-            let _ = run_cfg; // run_with_session carries the session; cfg.net is not re-read
-            match run_with_session(topo.clone(), tcfg, RunConfig::default(), trivial_program(), session) {
+            match run_with_session(topo.clone(), tcfg, RunConfig::default(), trivial_program(true), session) {
                 Ok(_) => panic!("node {node}: a mismatched topology must not produce a report"),
                 Err(e) => errs.lock().expect("errs").push(e),
             }
