@@ -4,7 +4,7 @@
 //! * **Artificial** — the virtual-time simulation engine with the delay
 //!   model set to the paper's measured TeraGrid latency (1.725 ms one-way).
 //! * **Real** — the threaded engine: one OS thread per PE, envelopes as
-//!   real bytes through the VMI transport, a real timer-wheel delay device
+//!   real bytes through the VMI transport, a real delay device
 //!   injecting 1.725 ms, compute emulated by sleeping each handler's
 //!   charged cost (sleeps don't contend for CPU, so P PE threads behave
 //!   like P dedicated processors even on a small host; DESIGN.md).

@@ -3,7 +3,7 @@
 //!
 //! Same methodology as `table1_stencil`: the simulation engine models the
 //! 1.725 ms one-way delay in virtual time; the threaded engine runs one
-//! OS thread per PE with a real timer-based delay device and sleep-
+//! OS thread per PE with a real delay device and sleep-
 //! emulated compute.  Note the paper's Table 2 prints seconds despite its
 //! "ms/step" label (its own text quotes ~8 s/step on one processor);
 //! we print seconds.

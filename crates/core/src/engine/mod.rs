@@ -7,7 +7,7 @@
 //!   (`mdo-netsim`): the paper's "simulated Grid environment" with swept
 //!   artificial latencies (§5.1).
 //! * [`threaded`] + [`net`] — the wall-clock engine: one OS thread per PE
-//!   over the `mdo-vmi` transport with a real timer-based delay device,
+//!   over the `mdo-vmi` transport with a real delay device,
 //!   our stand-in for the paper's real multi-cluster TeraGrid runs ("Real
 //!   Latency" columns of Tables 1–2).  [`threaded`] holds its
 //!   configuration, entry point and PE threads; [`net`] holds its one

@@ -4,12 +4,14 @@
 //! One OS thread per PE; each thread blocks on its VMI mailbox, decodes
 //! envelopes from real bytes, and runs the same [`Node`] logic as the
 //! simulation engine.  Cross-cluster packets pass through a real
-//! [`mdo_vmi::DelayDevice`] that holds them for the configured wall-clock
-//! latency — this engine is our equivalent of the paper's *real* TeraGrid
-//! validation runs (the "Real Latency" columns of Tables 1 and 2): same
-//! application, same runtime, real threads, real injected delays, real
-//! elapsed time.  The generation loop that launches and supervises these
-//! threads is [`super::net`]'s, shared with multi-process runs.
+//! [`mdo_vmi::DelayDevice`] that stamps them with the configured wall-clock
+//! latency, which the destination mailbox enforces — no packet is visible
+//! to its PE before send + latency.  This engine is our equivalent of the
+//! paper's *real* TeraGrid validation runs (the "Real Latency" columns of
+//! Tables 1 and 2): same application, same runtime, real threads, real
+//! injected delays, real elapsed time.  The generation loop that launches
+//! and supervises these threads is [`super::net`]'s, shared with
+//! multi-process runs.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
@@ -344,6 +346,8 @@ pub(super) fn pe_thread(pe: Pe, mut node: Node, ctl: ThreadCtl) -> PeResult {
             ctl.ckpt_done.store(epoch as u64 + 1, Ordering::Release);
         }
         if ctl.compute_sleep && !outcome.charged.is_zero() {
+            // What the handler sent must not wait out the sleep in a cork.
+            ctl.agg.inner().flush_wire(pe);
             std::thread::sleep(outcome.charged.to_std());
         }
         let took = Dur::from_std(started.elapsed());
@@ -376,6 +380,9 @@ pub(super) fn pe_thread(pe: Pe, mut node: Node, ctl: ThreadCtl) -> PeResult {
             break;
         }
     }
+    // This thread polls no more: nothing it corked (the `Exit` broadcast,
+    // a last ack) may stay behind.
+    ctl.agg.inner().flush_wire(pe);
     let messages = node.messages_processed();
     let lb_rounds = node.lb_rounds();
     let migrations = node.migrations();
@@ -636,6 +643,8 @@ pub(super) fn pe_thread_stealing(pe: Pe, bank: NodeBank, ctl: ThreadCtl) -> PeRe
             ctl.ckpt_done.store(epoch as u64 + 1, Ordering::Release);
         }
         if ctl.compute_sleep && !outcome.charged.is_zero() {
+            // What the handler sent must not wait out the sleep in a cork.
+            ctl.agg.inner().flush_wire(pe);
             std::thread::sleep(outcome.charged.to_std());
         }
         let took = Dur::from_std(started.elapsed());
@@ -667,6 +676,7 @@ pub(super) fn pe_thread_stealing(pe: Pe, bank: NodeBank, ctl: ThreadCtl) -> PeRe
             break;
         }
     }
+    ctl.agg.inner().flush_wire(pe);
     let node = bank[pe.index()].lock().unwrap_or_else(|e| e.into_inner()).take();
     let (messages, lb_rounds, migrations, rebalance, ft_epochs, ft_bytes) = node
         .as_ref()

@@ -8,13 +8,24 @@
 //! each socket used bidirectionally with `TCP_NODELAY` set.
 //!
 //! The mesh implements [`Wire`]: outbound packets are framed as data
-//! records and round-robined over the pair's `k` streams.  Inbound,
+//! records and round-robined over the pair's `k` streams.  Every stream
+//! has one cork buffer under its write lock: a record is encoded once,
+//! straight into it, and the buffer leaves in one `write` — at once for
+//! [`Wire::send`] (taking along whatever was corked ahead of it), at the
+//! next [`Wire::flush`] or at [`CORK_MAX_BYTES`] for
+//! [`Wire::send_corked`].  Who corks and when to flush is decided above
+//! the seam (`mdo_vmi::wire`); should a promised flush never come, a
+//! rescue thread writes the abandoned cork within two of its ticks.  A
+//! control record goes through stream 0's buffer too, so it never
+//! overtakes data corked before it.  Inbound,
 //! one reader thread per socket decodes records and posts packets
 //! straight into the destination PE's landing mailbox (the `deliver`
 //! callback given to [`NetMesh::start`]), so the reliable layer and the
 //! aggregator above the seam see exactly the bytes they would have seen
-//! in one process.  Control records (opaque to this crate) and peer-death
-//! evidence surface through the [`NetEvent`] queue.
+//! in one process; a record's remaining hold becomes the packet's `due`
+//! on this node's clock, which that mailbox enforces.  Control records
+//! (opaque to this crate) and peer-death evidence surface through the
+//! [`NetEvent`] queue.
 
 use std::io::{BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -30,9 +41,25 @@ use parking_lot::Mutex;
 use crate::config::NetConfig;
 use crate::error::TransportError;
 use crate::record::{
-    decode_control_body, decode_data_body, read_record, Handshake, RecordError, HANDSHAKE_LEN, KIND_CONTROL, KIND_DATA,
-    RECORD_HEADER_LEN,
+    decode_control_body, decode_data_body, encode_control_record, encode_data_record, read_record, stamp_hold,
+    Handshake, RecordError, HANDSHAKE_LEN, KIND_CONTROL, KIND_DATA, RECORD_HEADER_LEN,
 };
+
+/// A cork buffer is written once it holds this much, flush or no flush.
+/// One loopback or Ethernet `write` of 64 KiB already amortises the system
+/// call and the peer's wake-up over hundreds of small records, bulk
+/// payloads keep streaming while their sender is still producing, and the
+/// memory a stream can pin stays bounded.
+pub const CORK_MAX_BYTES: usize = 64 << 10;
+
+/// How often the rescue thread looks at the cork buffers.  `send_corked`
+/// takes its caller's word that a flush will follow; a cork that sits
+/// through two looks with no write in between has been abandoned (its
+/// sender stopped polling without a last flush) and is written for it, so
+/// a broken promise costs 10–20 ms, never a hang.  Long against every
+/// flush the transport does itself (sub-millisecond), so in a healthy run
+/// the thread only ever looks.
+const CORK_RESCUE_TICK: Duration = Duration::from_millis(10);
 
 /// An asynchronous mesh notification.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -59,10 +86,28 @@ pub enum NetEvent {
 /// reliable layer.
 pub type FaultHook = Box<dyn Fn(u64, &[u8]) -> Option<Vec<u8>> + Send + Sync>;
 
+/// The write half of one stripe stream and its cork buffer.
+struct StreamOut {
+    sock: TcpStream,
+    /// Whole encoded records not yet written.
+    cork: Vec<u8>,
+    /// `(offset in cork, due)` of the records in it whose packet carries an
+    /// injected latency; their hold fields are stamped when the buffer is
+    /// written.
+    holds: Vec<(usize, Instant)>,
+}
+
 struct Pair {
-    /// Write halves, one per stripe stream; whole records are written
-    /// under the per-stream lock so concurrent senders never interleave.
-    writers: Vec<Mutex<TcpStream>>,
+    /// Write halves, one per stripe stream; records are appended and
+    /// written under the per-stream lock so concurrent senders never
+    /// interleave.
+    writers: Vec<Mutex<StreamOut>>,
+    /// Per-stream hint that the cork buffer is non-empty, so a flush with
+    /// nothing corked takes no lock.  Written under the stream lock.
+    corked: Vec<AtomicBool>,
+    /// Per stream: set by the rescue thread when it sees the stream corked,
+    /// cleared by every write.  Still set at its next look: abandoned.
+    unclaimed: Vec<AtomicBool>,
     /// Read halves, drained by [`NetMesh::start`].
     readers: Mutex<Vec<TcpStream>>,
     /// Round-robin stripe cursor.
@@ -74,6 +119,30 @@ struct Pair {
     /// zero, so a `Done` in flight on stream 0 is always delivered before
     /// the striped streams' EOFs turn into a `PeerDown`.
     live_streams: AtomicUsize,
+}
+
+impl Pair {
+    /// Write stream `s`'s cork buffer out (`w` is its locked write half) —
+    /// the data path's only `write`.
+    fn flush(&self, s: usize, w: &mut StreamOut) -> std::io::Result<()> {
+        self.corked[s].store(false, Ordering::Release);
+        self.unclaimed[s].store(false, Ordering::Release);
+        if !w.holds.is_empty() {
+            // What is left of each hold *now*: time spent corked is part
+            // of the injected latency, not on top of it.
+            let now = Instant::now();
+            for (at, due) in w.holds.drain(..) {
+                stamp_hold(&mut w.cork[at..], due.saturating_duration_since(now));
+            }
+        }
+        let res = w.sock.write_all(&w.cork);
+        w.cork.clear();
+        // One outsized record must not pin its buffer for the whole run.
+        if w.cork.capacity() > 4 * CORK_MAX_BYTES {
+            w.cork = Vec::new();
+        }
+        res
+    }
 }
 
 /// One generation's fully-connected, handshaken TCP mesh.
@@ -90,6 +159,9 @@ pub struct NetMesh {
     down: Vec<AtomicBool>,
     reader_handles: Mutex<Vec<JoinHandle<()>>>,
     fault_hook: Mutex<Option<FaultHook>>,
+    /// True while a fault hook is installed; the send path looks at the
+    /// hook's lock only then.
+    fault_hook_set: AtomicBool,
 }
 
 impl std::fmt::Debug for NetMesh {
@@ -219,12 +291,15 @@ impl NetSession {
                     let mut readers = Vec::with_capacity(k);
                     for s in socks {
                         let s = s.expect("established stream");
-                        writers.push(Mutex::new(s.try_clone().map_err(|e| TransportError::io("clone", &e))?));
+                        let sock = s.try_clone().map_err(|e| TransportError::io("clone", &e))?;
+                        writers.push(Mutex::new(StreamOut { sock, cork: Vec::new(), holds: Vec::new() }));
                         readers.push(s);
                     }
                     let k = writers.len();
                     pairs.push(Some(Pair {
                         writers,
+                        corked: (0..k).map(|_| AtomicBool::new(false)).collect(),
+                        unclaimed: (0..k).map(|_| AtomicBool::new(false)).collect(),
                         readers: Mutex::new(readers),
                         rr: AtomicUsize::new(0),
                         stream_down: (0..k).map(|_| AtomicBool::new(false)).collect(),
@@ -247,6 +322,7 @@ impl NetSession {
             down: (0..n_nodes).map(|_| AtomicBool::new(false)).collect(),
             reader_handles: Mutex::new(Vec::new()),
             fault_hook: Mutex::new(None),
+            fault_hook_set: AtomicBool::new(false),
         })
     }
 }
@@ -369,10 +445,14 @@ impl NetMesh {
     /// Spawn the reader threads: every inbound data record is decoded and
     /// handed to `deliver` (which posts it into the destination PE's
     /// landing mailbox); control records and peer-death evidence go to
-    /// the event queue.  Call exactly once per mesh.
+    /// the event queue.  Also spawns the cork rescue thread (see
+    /// [`CORK_RESCUE_TICK`]).  Call exactly once per mesh.
     pub fn start(self: &Arc<Self>, deliver: impl Fn(Packet) + Send + Sync + 'static) {
         let deliver = Arc::new(deliver);
         let mut handles = self.reader_handles.lock();
+        let mesh = Arc::clone(self);
+        let rescue = std::thread::Builder::new().name(format!("mdo-net-cork{}", self.node));
+        handles.push(rescue.spawn(move || mesh.rescue_loop()).expect("spawn cork rescue"));
         for (node, pair) in self.pairs.iter().enumerate() {
             let Some(pair) = pair else { continue };
             for (si, stream) in pair.readers.lock().drain(..).enumerate() {
@@ -395,7 +475,7 @@ impl NetMesh {
                     self.note_down(from_node, si);
                     return;
                 }
-                Ok(Some((KIND_DATA, body))) => match decode_data_body(&body) {
+                Ok(Some((KIND_DATA, body))) => match decode_data_body(body, Instant::now()) {
                     Ok(pkt) => deliver(pkt),
                     Err(e) => {
                         // A malformed body poisons only this record: count
@@ -454,14 +534,17 @@ impl NetMesh {
 
     /// Install (or clear) the outgoing-record fault hook.
     pub fn set_fault_hook(&self, hook: Option<FaultHook>) {
-        *self.fault_hook.lock() = hook;
+        let mut slot = self.fault_hook.lock();
+        self.fault_hook_set.store(hook.is_some(), Ordering::Release);
+        *slot = hook;
     }
 
-    /// Ship one packet to the node hosting `pkt.dst`, round-robining the
-    /// pair's striped streams.  Unknown or already-down destinations drop
-    /// the packet (the reliable layer's retransmit-then-error machinery
-    /// owns that failure).
-    fn send_data(&self, pkt: &Packet) {
+    /// Encode one packet into the cork buffer of a stream to the node
+    /// hosting `pkt.dst` (round-robin over the pair's stripes) and, unless
+    /// `cork` holds it back, write that buffer.  Unknown or already-down
+    /// destinations drop the packet (the reliable layer's
+    /// retransmit-then-error machinery owns that failure).
+    fn send_data(&self, pkt: &Packet, cork: bool) {
         let Some(&to) = self.node_of_pe.get(pkt.dst.index()) else {
             self.drops.fetch_add(1, Ordering::Relaxed);
             return;
@@ -471,25 +554,63 @@ impl NetMesh {
             return;
         };
         let idx = self.data_sent.fetch_add(1, Ordering::Relaxed);
-        let mut body = Vec::with_capacity(12 + pkt.payload.len());
-        body.extend_from_slice(&pkt.src.0.to_le_bytes());
-        body.extend_from_slice(&pkt.dst.0.to_le_bytes());
-        body.extend_from_slice(&pkt.priority.to_le_bytes());
-        body.extend_from_slice(&pkt.payload);
-        if let Some(hook) = &*self.fault_hook.lock() {
-            if let Some(mangled) = hook(idx, &body) {
-                body = mangled;
-            }
-        }
-        let mut frame = Vec::with_capacity(RECORD_HEADER_LEN + body.len());
-        frame.push(KIND_DATA);
-        frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&body);
         let s = pair.rr.fetch_add(1, Ordering::Relaxed) % self.k;
         let mut w = pair.writers[s].lock();
-        if (*w).write_all(&frame).is_err() {
-            drop(w);
+        let at = w.cork.len();
+        encode_data_record(pkt, &mut w.cork);
+        let mangled = self.fault_hook_set.load(Ordering::Acquire) && self.mangle(idx, &mut w.cork, at);
+        if let (Some(due), false) = (pkt.due, mangled) {
+            w.holds.push((at, due));
+        }
+        let wrote = if cork && w.cork.len() < CORK_MAX_BYTES {
+            pair.corked[s].store(true, Ordering::Release);
+            Ok(())
+        } else {
+            pair.flush(s, &mut w)
+        };
+        drop(w);
+        if wrote.is_err() {
             self.note_down(to, s);
+        }
+    }
+
+    /// Let the fault hook replace the body of the record just encoded at
+    /// `buf[at..]`, in place; true if it did.
+    fn mangle(&self, idx: u64, buf: &mut Vec<u8>, at: usize) -> bool {
+        let body_at = at + RECORD_HEADER_LEN;
+        let Some(mangled) = self.fault_hook.lock().as_ref().and_then(|hook| hook(idx, &buf[body_at..])) else {
+            return false;
+        };
+        buf.truncate(body_at);
+        buf.extend_from_slice(&mangled);
+        let len = u32::try_from(mangled.len()).expect("mangled body fits a record");
+        buf[at + 1..body_at].copy_from_slice(&len.to_le_bytes());
+        true
+    }
+
+    /// Write every non-empty cork buffer that `pick` (given the pair and
+    /// the stream index) selects.
+    fn flush_corks(&self, pick: impl Fn(&Pair, usize) -> bool) {
+        for (to, pair) in self.pairs.iter().enumerate() {
+            let Some(pair) = pair else { continue };
+            for s in 0..pair.writers.len() {
+                if !pair.corked[s].load(Ordering::Acquire) || !pick(pair, s) {
+                    continue;
+                }
+                let wrote = pair.flush(s, &mut pair.writers[s].lock());
+                if wrote.is_err() {
+                    self.note_down(to as u32, s);
+                }
+            }
+        }
+    }
+
+    /// Until the mesh closes: every tick, write the corks that were already
+    /// seen corked at the previous tick and not written since.
+    fn rescue_loop(&self) {
+        while !self.closing.load(Ordering::Acquire) {
+            std::thread::park_timeout(CORK_RESCUE_TICK);
+            self.flush_corks(|pair, s| pair.unclaimed[s].swap(true, Ordering::AcqRel));
         }
     }
 
@@ -504,18 +625,15 @@ impl NetMesh {
         let Some(pair) = self.pairs.get(to as usize).and_then(|p| p.as_ref()) else {
             return Err(TransportError::PeerClosed { node: to });
         };
-        let mut frame = Vec::with_capacity(RECORD_HEADER_LEN + 4 + bytes.len());
-        frame.push(KIND_CONTROL);
-        frame.extend_from_slice(&((4 + bytes.len()) as u32).to_le_bytes());
-        frame.extend_from_slice(&self.node.to_le_bytes());
-        frame.extend_from_slice(bytes);
+        // Behind whatever data is corked on stream 0, never ahead of it.
         let mut w = pair.writers[0].lock();
-        if let Err(e) = (*w).write_all(&frame) {
-            drop(w);
+        encode_control_record(self.node, bytes, &mut w.cork);
+        let wrote = pair.flush(0, &mut w);
+        drop(w);
+        wrote.map_err(|e| {
             self.note_down(to, 0);
-            return Err(TransportError::io(format!("control to node {to}"), &e));
-        }
-        Ok(())
+            TransportError::io(format!("control to node {to}"), &e)
+        })
     }
 
     /// Wait up to `timeout` for the next mesh event.
@@ -538,18 +656,19 @@ impl NetMesh {
         self.down.get(node as usize).map(|d| d.load(Ordering::Acquire)).unwrap_or(true)
     }
 
-    /// Close every socket and join the reader threads.  Idempotent.
+    /// Close every socket and join the mesh's threads.  Idempotent.
     pub fn shutdown(&self) {
         if self.closing.swap(true, Ordering::AcqRel) {
             return;
         }
         for pair in self.pairs.iter().flatten() {
             for w in &pair.writers {
-                let _ = w.lock().shutdown(Shutdown::Both);
+                let _ = w.lock().sock.shutdown(Shutdown::Both);
             }
         }
         let mut handles = self.reader_handles.lock();
         for h in handles.drain(..) {
+            h.thread().unpark(); // the rescue thread; a reader ends with its socket
             let _ = h.join();
         }
     }
@@ -557,7 +676,15 @@ impl NetMesh {
 
 impl Wire for NetMesh {
     fn send(&self, pkt: Packet) {
-        self.send_data(&pkt);
+        self.send_data(&pkt, false);
+    }
+
+    fn send_corked(&self, pkt: Packet) {
+        self.send_data(&pkt, true);
+    }
+
+    fn flush(&self) {
+        self.flush_corks(|_, _| true);
     }
 
     fn shutdown(&self) {
@@ -656,6 +783,119 @@ mod tests {
             .collect();
         got.sort_unstable();
         assert_eq!(got, (0..100).collect::<Vec<_>>(), "all 100 packets arrive across 4 streams");
+        for m in &meshes {
+            m.shutdown();
+        }
+    }
+
+    /// Node 0 → node 1 over one stream; node 1's deliveries come out of
+    /// the returned channel as the payload's first four bytes.  Node 0's
+    /// mesh is started — readers and cork rescue — only on request: without
+    /// the rescue a cork stays exactly as long as the test leaves it.
+    fn one_way(start_sender: bool) -> (Vec<Arc<NetMesh>>, mpsc::Receiver<u32>) {
+        let meshes = establish_all(sessions(2, 1), &Topology::two_cluster(2), 0);
+        let (tx, rx) = mpsc::channel();
+        meshes[1].start(move |pkt| tx.send(u32::from_le_bytes(pkt.payload[..4].try_into().unwrap())).unwrap());
+        if start_sender {
+            meshes[0].start(|_| {});
+        }
+        (meshes, rx)
+    }
+
+    fn numbered(i: u32, len: usize) -> Packet {
+        let mut payload = i.to_le_bytes().to_vec();
+        payload.resize(len.max(4), 0);
+        Packet::new(Pe(0), Pe(1), Bytes::from(payload))
+    }
+
+    const NOT_YET: Duration = Duration::from_millis(40);
+    const SOON: Duration = Duration::from_secs(5);
+
+    #[test]
+    fn corked_packets_wait_for_a_flush_or_a_plain_send() {
+        let (meshes, rx) = one_way(false);
+        for i in 0..3 {
+            meshes[0].send_corked(numbered(i, 4));
+        }
+        assert!(rx.recv_timeout(NOT_YET).is_err(), "corked, not written");
+        meshes[0].flush();
+        let got: Vec<u32> = (0..3).map(|_| rx.recv_timeout(SOON).expect("flushed")).collect();
+        assert_eq!(got, vec![0, 1, 2], "one stream keeps order");
+        // A write-through send takes what was corked ahead of it along.
+        meshes[0].send_corked(numbered(3, 4));
+        meshes[0].send(numbered(4, 4));
+        assert_eq!(rx.recv_timeout(SOON), Ok(3));
+        assert_eq!(rx.recv_timeout(SOON), Ok(4), "on the wire when send returns");
+        meshes[0].flush(); // nothing corked: a no-op
+        assert!(rx.recv_timeout(NOT_YET).is_err());
+        for m in &meshes {
+            m.shutdown();
+        }
+    }
+
+    #[test]
+    fn cork_is_written_at_64_kib_without_a_flush() {
+        let (meshes, rx) = one_way(false);
+        // 1 KiB payloads: the 63rd record takes the buffer past 64 KiB.
+        let record = RECORD_HEADER_LEN + crate::record::DATA_BODY_MIN + 1024;
+        let first_write = CORK_MAX_BYTES.div_ceil(record) as u32;
+        for i in 0..first_write + 5 {
+            meshes[0].send_corked(numbered(i, 1024));
+        }
+        for i in 0..first_write {
+            assert_eq!(rx.recv_timeout(SOON), Ok(i), "written when the cork filled");
+        }
+        assert!(rx.recv_timeout(NOT_YET).is_err(), "the tail waits for its flush");
+        meshes[0].flush();
+        for i in first_write..first_write + 5 {
+            assert_eq!(rx.recv_timeout(SOON), Ok(i));
+        }
+        for m in &meshes {
+            m.shutdown();
+        }
+    }
+
+    #[test]
+    fn an_abandoned_cork_is_rescued() {
+        let (meshes, rx) = one_way(true);
+        let corked = Instant::now();
+        meshes[0].send_corked(numbered(9, 4));
+        // No flush, ever: the promise is broken.
+        assert_eq!(rx.recv_timeout(SOON), Ok(9), "written by the rescue thread");
+        assert!(corked.elapsed() < Duration::from_secs(1), "within a couple of ticks, not by luck at the deadline");
+        for m in &meshes {
+            m.shutdown();
+        }
+    }
+
+    #[test]
+    fn control_never_overtakes_data_corked_before_it() {
+        let (meshes, rx) = one_way(false);
+        meshes[0].send_corked(numbered(7, 4));
+        meshes[0].send_control(1, b"after the data").unwrap();
+        // One reader, one stream: by the time the control record surfaces,
+        // the data record ahead of it has been delivered.
+        assert!(matches!(meshes[1].next_event(SOON), Some(NetEvent::Control { from: 0, .. })));
+        assert_eq!(rx.try_recv(), Ok(7));
+        for m in &meshes {
+            m.shutdown();
+        }
+    }
+
+    #[test]
+    fn fault_hook_mangles_one_record_in_place_inside_a_cork() {
+        let (meshes, rx) = one_way(false);
+        meshes[0].set_fault_hook(Some(Box::new(|idx, _body| (idx == 1).then(|| vec![0xEE; 4]))));
+        for i in 0..3 {
+            meshes[0].send_corked(numbered(i, 64));
+        }
+        meshes[0].flush();
+        assert_eq!(rx.recv_timeout(SOON), Ok(0));
+        assert_eq!(rx.recv_timeout(SOON), Ok(2), "the neighbours of the stump are intact");
+        assert_eq!(meshes[1].drops(), 1, "the 4-byte stump was rejected by name and counted");
+        meshes[0].set_fault_hook(None);
+        meshes[0].send(numbered(3, 64));
+        assert_eq!(rx.recv_timeout(SOON), Ok(3));
         for m in &meshes {
             m.shutdown();
         }

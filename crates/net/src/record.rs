@@ -9,14 +9,28 @@
 //!
 //! record (repeated):
 //!   kind u8 | len u32 | body[len]
-//!     kind 0 (data):    src u32 | dst u32 | priority i32 | payload…
+//!     kind 0 (data):    src u32 | dst u32 | priority i32 | hold_ns u64 | payload…
 //!     kind 1 (control): from u32 | opaque bytes…
 //! ```
+//!
+//! | data-body field | bytes | meaning |
+//! |---|---|---|
+//! | `src`, `dst` | 0..4, 4..8 | sending and destination PE |
+//! | `priority` | 8..12 | delivery priority (smaller = more urgent) |
+//! | `hold_ns` | 12..20 | injected latency still to run when the record was written (wire version 2) |
+//! | payload | 20.. | the packet's bytes, opaque |
 //!
 //! Data-record payloads are the exact byte strings the in-process
 //! transport moves — reliable-layer frames ([`mdo_vmi::reliable`]) and
 //! jumbo frames ([`mdo_vmi::frame`]) ride through opaque and unchanged,
-//! which is what keeps multi-process runs bit-exact.
+//! which is what keeps multi-process runs bit-exact.  `hold_ns` is how a
+//! delay device's [`Packet::due`] stamp crosses between two clocks: the
+//! sender writes the *remaining* hold — [`stamp_hold`], at the moment the
+//! record leaves, so time spent corked counts towards the latency instead
+//! of adding to it — and the receiver re-bases it on the record's arrival
+//! (`due = arrival + hold`).  A packet is never visible before
+//! send + latency and no clock synchronisation is needed; what the socket
+//! itself takes comes on top, as a real wide-area link's would.
 //!
 //! Decoding is hostile-input safe: every failure is a structured
 //! [`RecordError`], never a panic, and a malformed *body* poisons only
@@ -25,6 +39,7 @@
 
 use std::fmt;
 use std::io::Read;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use mdo_netsim::Pe;
@@ -35,7 +50,7 @@ use crate::error::{HandshakeField, TransportError};
 /// Protocol magic: the ASCII bytes "MDON".
 pub const MAGIC: [u8; 4] = *b"MDON";
 /// Wire-format version; bumped on any incompatible layout change.
-pub const WIRE_VERSION: u16 = 1;
+pub const WIRE_VERSION: u16 = 2;
 /// Encoded handshake size (fixed, version-independent, so a version
 /// mismatch can still be diagnosed instead of desynchronizing).
 pub const HANDSHAKE_LEN: usize = 26;
@@ -47,8 +62,14 @@ pub const MAX_RECORD_LEN: u32 = 64 << 20;
 pub const KIND_DATA: u8 = 0;
 /// Record kind: an opaque control-plane message.
 pub const KIND_CONTROL: u8 = 1;
-/// Minimum data-record body: src + dst + priority.
-pub const DATA_BODY_MIN: usize = 12;
+/// Minimum data-record body: src + dst + priority + hold.
+pub const DATA_BODY_MIN: usize = 20;
+/// Offset of the hold field within a data-record body.
+pub const DATA_HOLD_AT: usize = 12;
+/// Longest hold a data record may ask for.  The field is outside input: no
+/// injected latency comes near an hour, so anything above is a corrupt or
+/// hostile record and is dropped rather than parked.
+pub const MAX_HOLD: Duration = Duration::from_secs(3600);
 
 /// The per-connection greeting exchanged before any record flows.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -168,6 +189,12 @@ pub enum RecordError {
         /// The actual body length.
         len: usize,
     },
+    /// A data record asking to be held longer than [`MAX_HOLD`] (or past
+    /// the end of the clock).
+    HoldOutOfRange {
+        /// The advertised hold in nanoseconds.
+        nanos: u64,
+    },
     /// The underlying reader failed.
     Io(std::io::ErrorKind),
 }
@@ -181,6 +208,9 @@ impl fmt::Display for RecordError {
             RecordError::UnknownKind(k) => write!(f, "unknown record kind {k:#04x}"),
             RecordError::ShortDataBody { len } => write!(f, "data record body of {len} bytes cannot hold a packet"),
             RecordError::ShortControlBody { len } => write!(f, "control record body of {len} bytes has no sender"),
+            RecordError::HoldOutOfRange { nanos } => {
+                write!(f, "data record hold of {nanos} ns exceeds the one-hour cap")
+            }
             RecordError::Io(kind) => write!(f, "record stream i/o failure: {kind:?}"),
         }
     }
@@ -188,7 +218,9 @@ impl fmt::Display for RecordError {
 
 impl std::error::Error for RecordError {}
 
-/// Append a framed data record carrying `pkt` to `out`.
+/// Append a framed data record carrying `pkt` to `out`, with no hold; a
+/// packet that has a `due` gets its hold from [`stamp_hold`] when the
+/// record is written.
 pub fn encode_data_record(pkt: &Packet, out: &mut Vec<u8>) {
     let body_len = DATA_BODY_MIN + pkt.payload.len();
     out.reserve(RECORD_HEADER_LEN + body_len);
@@ -197,7 +229,16 @@ pub fn encode_data_record(pkt: &Packet, out: &mut Vec<u8>) {
     out.extend_from_slice(&pkt.src.0.to_le_bytes());
     out.extend_from_slice(&pkt.dst.0.to_le_bytes());
     out.extend_from_slice(&pkt.priority.to_le_bytes());
+    out.extend_from_slice(&0u64.to_le_bytes());
     out.extend_from_slice(&pkt.payload);
+}
+
+/// Set the hold of the data record that starts at `record[0]` (as
+/// [`encode_data_record`] wrote it) to `hold`: what is left of the packet's
+/// injected latency now.
+pub fn stamp_hold(record: &mut [u8], hold: Duration) {
+    let nanos = u64::try_from(hold.as_nanos()).unwrap_or(u64::MAX);
+    record[RECORD_HEADER_LEN + DATA_HOLD_AT..RECORD_HEADER_LEN + DATA_BODY_MIN].copy_from_slice(&nanos.to_le_bytes());
 }
 
 /// Append a framed control record from node `from` to `out`.
@@ -232,25 +273,36 @@ pub fn read_record(r: &mut impl Read) -> Result<Option<(u8, Vec<u8>)>, RecordErr
     if kind != KIND_DATA && kind != KIND_CONTROL {
         return Err(RecordError::UnknownKind(kind));
     }
-    let mut body = vec![0u8; len as usize];
-    if let Err(e) = r.read_exact(&mut body) {
-        return Err(match e.kind() {
-            std::io::ErrorKind::UnexpectedEof => RecordError::TruncatedBody { want: len },
-            kind => RecordError::Io(kind),
-        });
+    // Straight into the buffer that becomes the payload: no zero-fill, and
+    // `len` is already bounded by the cap above.
+    let mut body = Vec::with_capacity(len as usize);
+    match r.take(u64::from(len)).read_to_end(&mut body) {
+        Ok(n) if n == len as usize => Ok(Some((kind, body))),
+        Ok(_) => Err(RecordError::TruncatedBody { want: len }),
+        Err(e) => Err(RecordError::Io(e.kind())),
     }
-    Ok(Some((kind, body)))
 }
 
-/// Decode a data-record body into a [`Packet`].
-pub fn decode_data_body(body: &[u8]) -> Result<Packet, RecordError> {
+/// Decode a data-record body, which arrived at `arrival`, into a
+/// [`Packet`].  The payload is a view of `body` past the routing header —
+/// no copy — and a non-zero hold becomes `due = arrival + hold`.
+pub fn decode_data_body(body: Vec<u8>, arrival: Instant) -> Result<Packet, RecordError> {
     if body.len() < DATA_BODY_MIN {
         return Err(RecordError::ShortDataBody { len: body.len() });
     }
     let src = u32::from_le_bytes(body[0..4].try_into().expect("4 bytes"));
     let dst = u32::from_le_bytes(body[4..8].try_into().expect("4 bytes"));
     let priority = i32::from_le_bytes(body[8..12].try_into().expect("4 bytes"));
-    Ok(Packet::with_priority(Pe(src), Pe(dst), priority, Bytes::copy_from_slice(&body[DATA_BODY_MIN..])))
+    let nanos = u64::from_le_bytes(body[DATA_HOLD_AT..DATA_BODY_MIN].try_into().expect("8 bytes"));
+    let hold = Duration::from_nanos(nanos);
+    let due = match nanos {
+        0 => None,
+        _ if hold > MAX_HOLD => return Err(RecordError::HoldOutOfRange { nanos }),
+        _ => Some(arrival.checked_add(hold).ok_or(RecordError::HoldOutOfRange { nanos })?),
+    };
+    let mut pkt = Packet::with_priority(Pe(src), Pe(dst), priority, Bytes::from(body).slice(DATA_BODY_MIN..));
+    pkt.due = due;
+    Ok(pkt)
 }
 
 /// Decode a control-record body into `(from_node, payload)`.
@@ -324,9 +376,39 @@ mod tests {
         encode_data_record(&pkt, &mut buf);
         let (kind, body) = read_record(&mut Cursor::new(&buf)).unwrap().expect("one record");
         assert_eq!(kind, KIND_DATA);
-        let got = decode_data_body(&body).unwrap();
+        let got = decode_data_body(body, Instant::now()).unwrap();
         assert_eq!((got.src, got.dst, got.priority), (Pe(3), Pe(11), -7));
         assert_eq!(&got.payload[..], b"payload bytes");
+        assert!(got.due.is_none(), "no hold, no stamp");
+    }
+
+    #[test]
+    fn hold_rides_the_record_and_is_rebased_on_arrival() {
+        let pkt = Packet::new(Pe(0), Pe(1), Bytes::from_static(b"x"));
+        let mut buf = Vec::new();
+        encode_data_record(&pkt, &mut buf);
+        stamp_hold(&mut buf, Duration::from_millis(20));
+        let (_, body) = read_record(&mut Cursor::new(&buf)).unwrap().expect("one record");
+        let arrival = Instant::now();
+        let got = decode_data_body(body, arrival).unwrap();
+        assert_eq!(got.due, Some(arrival + Duration::from_millis(20)));
+    }
+
+    #[test]
+    fn hostile_hold_is_a_structured_error() {
+        let pkt = Packet::new(Pe(0), Pe(1), Bytes::from_static(b"x"));
+        for hold in [MAX_HOLD + Duration::from_nanos(1), Duration::MAX] {
+            let mut buf = Vec::new();
+            encode_data_record(&pkt, &mut buf);
+            stamp_hold(&mut buf, hold);
+            let (_, body) = read_record(&mut Cursor::new(&buf)).unwrap().expect("one record");
+            assert!(matches!(decode_data_body(body, Instant::now()), Err(RecordError::HoldOutOfRange { .. })));
+        }
+        let mut buf = Vec::new();
+        encode_data_record(&pkt, &mut buf);
+        stamp_hold(&mut buf, MAX_HOLD);
+        let (_, body) = read_record(&mut Cursor::new(&buf)).unwrap().expect("one record");
+        assert!(decode_data_body(body, Instant::now()).is_ok(), "the cap itself is allowed");
     }
 
     #[test]
@@ -355,7 +437,7 @@ mod tests {
         assert!(matches!(read_record(&mut Cursor::new(&oversized)), Err(RecordError::Oversized { .. })));
         let unknown = [0x7fu8, 0, 0, 0, 0];
         assert!(matches!(read_record(&mut Cursor::new(&unknown)), Err(RecordError::UnknownKind(0x7f))));
-        assert!(matches!(decode_data_body(&[0; 5]), Err(RecordError::ShortDataBody { len: 5 })));
+        assert!(matches!(decode_data_body(vec![0; 5], Instant::now()), Err(RecordError::ShortDataBody { len: 5 })));
         assert!(matches!(decode_control_body(&[0; 2]), Err(RecordError::ShortControlBody { len: 2 })));
     }
 }

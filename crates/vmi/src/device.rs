@@ -5,9 +5,8 @@
 //! it, transform it, hold it, split it, or hand it to the next driver.  We
 //! model a chain as a linked list of `Arc<dyn Device>` terminating in a
 //! [`Forwarder`] (typically a mailbox sink).  Devices receive the packet
-//! and an owned handle to "the rest of the chain", so a device like the
-//! delay device can stash that handle and forward the packet later from its
-//! own timer thread.
+//! and an owned handle to "the rest of the chain", so a device may keep
+//! that handle and forward the packet later, from another thread.
 
 use std::sync::Arc;
 

@@ -4,55 +4,27 @@
 //! message by a pre-defined amount of time before passing it to the network
 //! device driver used to communicate over the 'wide area'."*
 //!
-//! Implementation: a background timer thread owns a deadline-ordered heap.
-//! `handle` computes the packet's release deadline from a [`LatencyMatrix`]
-//! (or holds everything for one fixed duration) and parks the packet plus
-//! its downstream [`Forwarder`]; the timer thread forwards each packet when
-//! real wall-clock time reaches its deadline.  Deadlines are computed from
+//! Implementation: the latency is a timestamp the packet carries, not a
+//! thread that holds it.  `handle` looks the pair's latency up in a
+//! [`LatencyMatrix`] (or uses one fixed duration), stamps
+//! [`Packet::due`]` = send instant + latency` and forwards at once.  The
+//! hold itself happens where the packet lands: the destination
+//! [`Mailbox`](crate::mailbox::Mailbox) keeps a not-yet-due packet
+//! invisible to its consumer and bounds the consumer's blocking wait by the
+//! earliest `due`, so "not visible to the destination PE before send + L"
+//! costs no timer thread, no second queue and no extra wake-up.  Across a
+//! [`Wire`](crate::wire::Wire) the stamp travels as the *remaining* hold and
+//! the receiving node re-bases it on its own clock.  The stamp is taken at
 //! the *send* instant, so chain traversal overhead does not inflate the
 //! injected latency.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mdo_netsim::{Dur, LatencyMatrix, Topology};
-use parking_lot::{Condvar, Mutex};
 
 use crate::device::{Device, Forwarder};
 use crate::packet::Packet;
-
-struct Pending {
-    deadline: Instant,
-    seq: u64,
-    pkt: Packet,
-    next: Arc<dyn Forwarder>,
-}
-
-impl PartialEq for Pending {
-    fn eq(&self, other: &Self) -> bool {
-        self.deadline == other.deadline && self.seq == other.seq
-    }
-}
-impl Eq for Pending {}
-impl PartialOrd for Pending {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Pending {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other.deadline.cmp(&self.deadline).then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-struct Shared {
-    heap: Mutex<BinaryHeap<Pending>>,
-    cond: Condvar,
-    shutdown: Mutex<bool>,
-    seq: Mutex<u64>,
-}
 
 /// How the delay for each packet is chosen.
 enum Policy {
@@ -62,109 +34,29 @@ enum Policy {
     Matrix { topo: Topology, matrix: LatencyMatrix },
 }
 
-/// A device that holds packets for a configured latency before forwarding.
+/// A device that stamps each packet with the instant its configured latency
+/// has passed; the landing mailbox enforces the stamp.
 pub struct DelayDevice {
-    shared: Arc<Shared>,
     policy: Policy,
-    timer: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
 impl DelayDevice {
-    fn start(policy: Policy) -> Arc<Self> {
-        let shared = Arc::new(Shared {
-            heap: Mutex::new(BinaryHeap::new()),
-            cond: Condvar::new(),
-            shutdown: Mutex::new(false),
-            seq: Mutex::new(0),
-        });
-        let dev = Arc::new(DelayDevice { shared: Arc::clone(&shared), policy, timer: Mutex::new(None) });
-        let handle = std::thread::Builder::new()
-            .name("vmi-delay-device".into())
-            .spawn(move || timer_loop(shared))
-            .expect("spawn delay device timer thread");
-        *dev.timer.lock() = Some(handle);
-        dev
-    }
-
-    /// A delay device that holds every packet for `delay`.
+    /// A delay device that delays every packet by `delay`.
     pub fn fixed(delay: Duration) -> Arc<Self> {
-        Self::start(Policy::Fixed(delay))
+        Arc::new(DelayDevice { policy: Policy::Fixed(delay) })
     }
 
     /// A delay device that injects the per-pair latency of `matrix` over
     /// `topo` — the exact configuration of the paper's artificial-latency
-    /// experiments.  Zero-latency pairs are forwarded inline without
-    /// touching the timer thread.
+    /// experiments.  Zero-latency pairs are forwarded unstamped.
     pub fn from_matrix(topo: Topology, matrix: LatencyMatrix) -> Arc<Self> {
-        Self::start(Policy::Matrix { topo, matrix })
+        Arc::new(DelayDevice { policy: Policy::Matrix { topo, matrix } })
     }
 
     fn delay_for(&self, pkt: &Packet) -> Duration {
         match &self.policy {
             Policy::Fixed(d) => *d,
             Policy::Matrix { topo, matrix } => matrix.base_latency(topo, pkt.src, pkt.dst).to_std(),
-        }
-    }
-
-    /// Packets currently parked (for diagnostics/tests).
-    pub fn pending(&self) -> usize {
-        self.shared.heap.lock().len()
-    }
-
-    /// Stop the timer thread, forwarding anything still parked immediately.
-    pub fn shutdown(&self) {
-        *self.shared.shutdown.lock() = true;
-        self.shared.cond.notify_all();
-        if let Some(h) = self.timer.lock().take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for DelayDevice {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-fn timer_loop(shared: Arc<Shared>) {
-    loop {
-        let mut heap = shared.heap.lock();
-        if *shared.shutdown.lock() {
-            // Flush: forward everything immediately so no packet is lost.
-            let leftovers: Vec<Pending> = heap.drain().collect();
-            drop(heap);
-            let mut rest: Vec<Pending> = leftovers;
-            rest.sort_by_key(|p| (p.deadline, p.seq));
-            for p in rest {
-                p.next.deliver(p.pkt);
-            }
-            return;
-        }
-        let now = Instant::now();
-        // Forward everything due.
-        let mut due = Vec::new();
-        while let Some(head) = heap.peek() {
-            if head.deadline <= now {
-                due.push(heap.pop().expect("peeked entry exists"));
-            } else {
-                break;
-            }
-        }
-        if !due.is_empty() {
-            drop(heap);
-            for p in due {
-                p.next.deliver(p.pkt);
-            }
-            continue;
-        }
-        match heap.peek().map(|p| p.deadline) {
-            Some(deadline) => {
-                shared.cond.wait_until(&mut heap, deadline);
-            }
-            None => {
-                shared.cond.wait(&mut heap);
-            }
         }
     }
 }
@@ -174,21 +66,12 @@ impl Device for DelayDevice {
         "delay"
     }
 
-    fn handle(&self, pkt: Packet, next: Arc<dyn Forwarder>) {
+    fn handle(&self, mut pkt: Packet, next: Arc<dyn Forwarder>) {
         let delay = self.delay_for(&pkt);
-        if delay.is_zero() {
-            next.deliver(pkt);
-            return;
+        if !delay.is_zero() {
+            pkt.due = Some(Instant::now() + delay);
         }
-        let deadline = Instant::now() + delay;
-        let seq = {
-            let mut s = self.shared.seq.lock();
-            let v = *s;
-            *s += 1;
-            v
-        };
-        self.shared.heap.lock().push(Pending { deadline, seq, pkt, next });
-        self.shared.cond.notify_one();
+        next.deliver(pkt);
     }
 }
 
@@ -201,87 +84,93 @@ pub fn fixed_delay(d: Dur) -> Arc<DelayDevice> {
 mod tests {
     use super::*;
     use crate::device::FnForwarder;
+    use crate::transport::{Transport, TransportConfig};
     use bytes::Bytes;
     use mdo_netsim::Pe;
+    use parking_lot::Mutex;
 
-    type TimedDeliveries = Arc<Mutex<Vec<(u8, Instant)>>>;
-
-    fn sink_with_times() -> (TimedDeliveries, Arc<dyn Forwarder>) {
-        let out = Arc::new(Mutex::new(Vec::new()));
+    fn stamped_by(dev: &DelayDevice, pkt: Packet) -> Packet {
+        let out = Arc::new(Mutex::new(None));
         let out2 = Arc::clone(&out);
-        let sink: Arc<dyn Forwarder> =
-            Arc::new(FnForwarder(move |p: Packet| out2.lock().push((p.payload[0], Instant::now()))));
-        (out, sink)
+        dev.handle(pkt, Arc::new(FnForwarder(move |p: Packet| *out2.lock() = Some(p))));
+        let got = out.lock().take();
+        got.expect("forwarded inline, never parked")
+    }
+
+    /// Two single-PE clusters with `cross` injected one way.
+    fn transport(cross: Duration) -> Arc<Transport> {
+        let topo = Topology::two_cluster(2);
+        let latency = LatencyMatrix::uniform(&topo, Dur::ZERO, Dur::from_std(cross));
+        Transport::new(TransportConfig::new(topo, latency))
     }
 
     #[test]
     fn fixed_delay_holds_packet() {
-        let dev = DelayDevice::fixed(Duration::from_millis(30));
-        let (out, sink) = sink_with_times();
+        let t = transport(Duration::from_millis(30));
         let t0 = Instant::now();
-        dev.handle(Packet::new(Pe(0), Pe(1), Bytes::copy_from_slice(&[7])), sink);
-        // Not delivered immediately.
-        std::thread::sleep(Duration::from_millis(5));
-        assert!(out.lock().is_empty());
-        // Delivered after the deadline.
-        while out.lock().is_empty() && t0.elapsed() < Duration::from_secs(2) {
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        let got = out.lock();
-        assert_eq!(got.len(), 1);
-        assert!(got[0].1.duration_since(t0) >= Duration::from_millis(29));
+        t.send(Packet::new(Pe(0), Pe(1), Bytes::copy_from_slice(&[7])));
+        // In the mailbox at once, but not visible before its time.
+        assert_eq!(t.mailbox(Pe(1)).len(), 1);
+        assert!(t.try_recv(Pe(1)).is_none());
+        assert!(t.recv_timeout(Pe(1), Duration::from_millis(5)).is_none());
+        // Visible after it, to a consumer that blocks with no further post.
+        let got = t.recv_timeout(Pe(1), Duration::from_secs(2)).expect("delivered");
+        assert_eq!(got.payload[0], 7);
+        assert!(t0.elapsed() >= Duration::from_millis(29));
+        t.shutdown();
     }
 
     #[test]
-    fn zero_delay_forwards_inline() {
+    fn zero_delay_forwards_unstamped() {
         let dev = DelayDevice::fixed(Duration::ZERO);
-        let (out, sink) = sink_with_times();
-        dev.handle(Packet::new(Pe(0), Pe(1), Bytes::copy_from_slice(&[1])), sink);
-        assert_eq!(out.lock().len(), 1, "no timer round-trip for zero delay");
+        let got = stamped_by(&dev, Packet::new(Pe(0), Pe(1), Bytes::copy_from_slice(&[1])));
+        assert!(got.due.is_none(), "no hold for zero delay");
+    }
+
+    #[test]
+    fn stamp_is_send_instant_plus_delay() {
+        let dev = DelayDevice::fixed(Duration::from_millis(10));
+        let before = Instant::now();
+        let got = stamped_by(&dev, Packet::new(Pe(0), Pe(1), Bytes::copy_from_slice(&[1])));
+        let due = got.due.expect("stamped");
+        assert!(due >= before + Duration::from_millis(10) && due <= Instant::now() + Duration::from_millis(10));
     }
 
     #[test]
     fn matrix_delays_cross_cluster_only() {
-        let topo = Topology::two_cluster(2);
+        let topo = Topology::uniform(2, 2);
         let matrix = LatencyMatrix::uniform(&topo, Dur::ZERO, Dur::from_millis(40));
-        let dev = DelayDevice::from_matrix(topo, matrix);
-        let (out, sink) = sink_with_times();
+        let t = Transport::new(TransportConfig::new(topo, matrix));
         let t0 = Instant::now();
-        // Intra-PE message: instant.  Cross-cluster: delayed.
-        dev.handle(Packet::new(Pe(0), Pe(0), Bytes::copy_from_slice(&[1])), Arc::clone(&sink));
-        dev.handle(Packet::new(Pe(0), Pe(1), Bytes::copy_from_slice(&[2])), sink);
-        assert_eq!(out.lock().len(), 1);
-        while out.lock().len() < 2 && t0.elapsed() < Duration::from_secs(2) {
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        let got = out.lock();
-        assert_eq!(got.len(), 2);
-        assert_eq!(got[1].0, 2);
-        assert!(got[1].1.duration_since(t0) >= Duration::from_millis(39));
+        // Intra-cluster message: instant.  Cross-cluster: delayed.
+        t.send(Packet::new(Pe(1), Pe(0), Bytes::copy_from_slice(&[1])));
+        t.send(Packet::new(Pe(2), Pe(0), Bytes::copy_from_slice(&[2])));
+        assert_eq!(t.try_recv(Pe(0)).expect("intra is immediate").payload[0], 1);
+        assert!(t.try_recv(Pe(0)).is_none());
+        let got = t.recv_timeout(Pe(0), Duration::from_secs(2)).expect("cross arrives");
+        assert_eq!(got.payload[0], 2);
+        assert!(t0.elapsed() >= Duration::from_millis(39));
+        t.shutdown();
     }
 
     #[test]
     fn ordering_preserved_for_equal_delays() {
-        let dev = DelayDevice::fixed(Duration::from_millis(10));
-        let (out, sink) = sink_with_times();
+        let t = transport(Duration::from_millis(10));
         for i in 0..20u8 {
-            dev.handle(Packet::new(Pe(0), Pe(1), Bytes::copy_from_slice(&[i])), Arc::clone(&sink));
+            t.send(Packet::new(Pe(0), Pe(1), Bytes::copy_from_slice(&[i])));
         }
-        let t0 = Instant::now();
-        while out.lock().len() < 20 && t0.elapsed() < Duration::from_secs(2) {
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        let tags: Vec<u8> = out.lock().iter().map(|&(t, _)| t).collect();
-        assert_eq!(tags, (0..20).collect::<Vec<u8>>(), "FIFO for equal deadlines");
+        let tags: Vec<u8> =
+            (0..20).map(|_| t.recv_timeout(Pe(1), Duration::from_secs(2)).expect("delivered").payload[0]).collect();
+        assert_eq!(tags, (0..20).collect::<Vec<u8>>(), "FIFO for equal delays");
+        t.shutdown();
     }
 
     #[test]
     fn shutdown_flushes_pending() {
-        let dev = DelayDevice::fixed(Duration::from_secs(60));
-        let (out, sink) = sink_with_times();
-        dev.handle(Packet::new(Pe(0), Pe(1), Bytes::copy_from_slice(&[5])), sink);
-        assert_eq!(dev.pending(), 1);
-        dev.shutdown();
-        assert_eq!(out.lock().len(), 1, "pending packet flushed on shutdown");
+        let t = transport(Duration::from_secs(60));
+        t.send(Packet::new(Pe(0), Pe(1), Bytes::copy_from_slice(&[5])));
+        assert!(t.try_recv(Pe(1)).is_none(), "held for a minute");
+        t.shutdown();
+        assert_eq!(t.try_recv(Pe(1)).expect("hold released on shutdown").payload[0], 5);
     }
 }

@@ -1,7 +1,7 @@
 //! Concrete VMI device drivers.
 //!
-//! * [`delay`] — the paper's §5.1 delay device: holds packets for a
-//!   configured per-pair latency on a background timer thread.
+//! * [`delay`] — the paper's §5.1 delay device: stamps each packet with
+//!   its configured per-pair latency, which the landing mailbox enforces.
 //! * [`rle`] — payload compression (§2.2 mentions compressing message data
 //!   in a chain; Cactus-G used WAN compression the same way).
 //! * [`cipher`] — payload encryption ("capabilities such as encrypting…

@@ -14,8 +14,9 @@
 //!
 //! * [`packet`] — the unit a device sees: opaque bytes + routing metadata.
 //! * [`device`] — the [`Device`] trait and [`Chain`] composition.
-//! * [`devices`] — delay (timer-wheel thread), compression (RLE),
-//!   CRC32 integrity, striping/reassembly, and byte-counting devices.
+//! * [`devices`] — delay (a `due` stamp the landing mailbox enforces),
+//!   compression (RLE), CRC32 integrity, striping/reassembly, and
+//!   byte-counting devices.
 //! * [`mailbox`] — per-PE blocking priority mailboxes (the terminal
 //!   "network driver" of every chain).
 //! * [`reliable`] — sequence numbers, cumulative acks and timer-driven
@@ -54,7 +55,7 @@
 //! transport.send(Packet::new(Pe(0), Pe(1), Bytes::from_static(b"over the WAN")));
 //! let pkt = transport.recv_timeout(Pe(1), Duration::from_secs(2)).expect("delivered");
 //! assert_eq!(&pkt.payload[..], b"over the WAN");
-//! assert!(t0.elapsed() >= Duration::from_millis(19), "held by the delay device");
+//! assert!(t0.elapsed() >= Duration::from_millis(19), "not visible before send + latency");
 //! transport.shutdown();
 //! ```
 

@@ -1,10 +1,22 @@
 //! Per-PE blocking priority mailboxes — the terminal "network driver".
 //!
 //! Each PE thread of the threaded engine blocks on its mailbox when idle;
-//! any thread (peer PEs, the delay device's timer thread) may post.  Order
+//! any thread (peer PEs, a wire backend's reader threads) may post.  Order
 //! is by `(priority, arrival sequence)` so equal-priority traffic is FIFO,
 //! matching the Charm++ scheduler queue semantics that the message-driven
 //! model depends on.
+//!
+//! ## The hold lane
+//!
+//! A packet stamped with a future [`Packet::due`] (the delay device's
+//! injected latency) is *in flight*, not queued: it waits in a due-ordered
+//! lane under the merge lock, invisible to every take path and outside the
+//! budget and the high-water marks (only [`Mailbox::len`] counts it).  Each
+//! take path first promotes the packets that have fallen due into the
+//! ordering structure, in `(due, post order)` — arrival sequence numbers
+//! are assigned at promotion, so a promoted packet queues exactly as if it
+//! had been posted at its `due` — and a blocking take sleeps no longer than
+//! the earliest `due`.  [`Mailbox::close`] releases every hold.
 //!
 //! ## The lock-free fast path
 //!
@@ -44,10 +56,10 @@
 
 use std::cell::RefCell;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering as AtOrd};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use mdo_netsim::{FlowConfig, OverloadPolicy};
 use parking_lot::{Condvar, Mutex};
@@ -159,6 +171,10 @@ struct Inner {
     fifo: VecDeque<(u64, Packet)>,
     fifo_priority: Option<i32>,
     next_seq: u64,
+    /// The hold lane: posted, not yet due, keyed by `(due, post order)`
+    /// (see the module docs).
+    held: BTreeMap<(Instant, u64), Packet>,
+    next_held_seq: u64,
     closed: bool,
     posted: u64,
     /// Packets merged out of the fast lanes so far (compare with
@@ -177,10 +193,36 @@ struct Inner {
 }
 
 impl Inner {
+    /// Admit a posted packet: into the hold lane if its `due` is still
+    /// ahead (and the mailbox open), into the ordering structure otherwise.
     fn insert(&mut self, pkt: Packet) {
+        self.posted += 1;
+        match pkt.due {
+            Some(due) if !self.closed && due > Instant::now() => {
+                self.held.insert((due, self.next_held_seq), pkt);
+                self.next_held_seq += 1;
+            }
+            _ => self.enqueue(pkt),
+        }
+    }
+
+    /// Move every held packet due by `now` (all of them if `now` is `None`)
+    /// into the ordering structure, earliest `(due, post order)` first.
+    fn promote(&mut self, now: Option<Instant>) {
+        while self.next_due().is_some_and(|due| now.is_none_or(|now| due <= now)) {
+            let (_, pkt) = self.held.pop_first().expect("a next due exists");
+            self.enqueue(pkt);
+        }
+    }
+
+    /// When the earliest hold is over, if anything is held.
+    fn next_due(&self) -> Option<Instant> {
+        self.held.first_key_value().map(|(&(due, _), _)| due)
+    }
+
+    fn enqueue(&mut self, pkt: Packet) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.posted += 1;
         self.bytes += pkt.payload.len();
         if self.heap.is_empty() && (self.fifo.is_empty() || self.fifo_priority == Some(pkt.priority)) {
             self.fifo_priority = Some(pkt.priority);
@@ -334,6 +376,8 @@ impl Mailbox {
                 fifo: VecDeque::new(),
                 fifo_priority: None,
                 next_seq: 0,
+                held: BTreeMap::new(),
+                next_held_seq: 0,
                 closed: false,
                 posted: 0,
                 drained: 0,
@@ -407,26 +451,26 @@ impl Mailbox {
     /// poster).  Sequence numbers are assigned here, which linearizes the
     /// concurrent posts: per-lane ring order — i.e. per-sender post order —
     /// is preserved, and priority order is restored by `Inner::insert`.
+    /// Holds that have fallen due are promoted in the same pass, so every
+    /// take path and every observer sees them.
     fn drain_locked(&self, inner: &mut Inner) {
-        let Some(f) = &self.fast else { return };
-        if f.posted.load(AtOrd::SeqCst) == inner.drained {
-            return;
-        }
-        let n = f.published.load(AtOrd::Acquire);
-        let mut merged = 0u64;
-        let mut merged_bytes = 0u64;
-        for slot in &f.lanes[..n] {
-            let ring = unsafe { &*slot.load(AtOrd::Acquire) };
-            merged += ring.consume_each(|pkt| {
-                merged_bytes += pkt.payload.len() as u64;
-                inner.insert(pkt);
-            });
-        }
-        if merged > 0 {
+        if let Some(f) = self.fast.as_ref().filter(|f| f.posted.load(AtOrd::SeqCst) != inner.drained) {
+            let n = f.published.load(AtOrd::Acquire);
+            let (mut merged, mut merged_bytes) = (0u64, 0u64);
+            for slot in &f.lanes[..n] {
+                let ring = unsafe { &*slot.load(AtOrd::Acquire) };
+                merged += ring.consume_each(|pkt| {
+                    merged_bytes += pkt.payload.len() as u64;
+                    inner.insert(pkt);
+                });
+            }
             inner.drained += merged;
             inner.drained_bytes += merged_bytes;
-            inner.note_watermarks();
         }
+        if !inner.held.is_empty() {
+            inner.promote(Some(Instant::now()));
+        }
+        inner.note_watermarks();
     }
 
     /// Fast-path poster's wakeup: O(1) signals per burst.  Only the post
@@ -649,14 +693,20 @@ impl Mailbox {
             if !self.register_sleeper(&inner) {
                 continue;
             }
-            self.cond.wait(&mut inner);
+            match inner.next_due() {
+                // A hold needs no post to fall due: sleep no longer than it.
+                Some(due) => {
+                    self.cond.wait_until(&mut inner, due);
+                }
+                None => self.cond.wait(&mut inner),
+            }
             self.clear_sleeper();
         }
     }
 
     /// Take with a timeout; `None` on timeout or close-with-empty-queue.
     pub fn take_timeout(&self, timeout: Duration) -> Option<Packet> {
-        let deadline = std::time::Instant::now() + timeout;
+        let deadline = Instant::now() + timeout;
         let mut inner = self.inner.lock();
         loop {
             self.drain_locked(&mut inner);
@@ -669,9 +719,12 @@ impl Mailbox {
             if !self.register_sleeper(&inner) {
                 continue;
             }
-            let timed_out = self.cond.wait_until(&mut inner, deadline).timed_out();
+            // Sleep no longer than the earliest hold: it needs no post to
+            // fall due.
+            let wake_at = inner.next_due().map_or(deadline, |due| due.min(deadline));
+            let timed_out = self.cond.wait_until(&mut inner, wake_at).timed_out();
             self.clear_sleeper();
-            if timed_out {
+            if timed_out && wake_at == deadline {
                 self.drain_locked(&mut inner);
                 return self.pop_and_signal(&mut inner);
             }
@@ -716,13 +769,16 @@ impl Mailbox {
         n
     }
 
-    /// Close the mailbox, waking all blocked takers and posters.
+    /// Close the mailbox, waking all blocked takers and posters and
+    /// releasing every hold: whatever was posted can be taken at once.
     pub fn close(&self) {
         let mut inner = self.inner.lock();
         inner.closed = true;
         if let Some(f) = &self.fast {
             f.closed.store(true, AtOrd::Release);
         }
+        self.drain_locked(&mut inner);
+        inner.promote(None);
         drop(inner);
         self.cond.notify_all();
         self.space.notify_all();
@@ -739,9 +795,10 @@ impl Mailbox {
     }
 
     /// Packets currently queued (including fast-lane packets not yet
-    /// merged by the consumer).
+    /// merged by the consumer) or held for their `due`.
     pub fn len(&self) -> usize {
-        self.observe().depth()
+        let inner = self.observe();
+        inner.depth() + inner.held.len()
     }
 
     /// True if no packets are queued.

@@ -425,8 +425,7 @@ impl ReliableTransport {
             let pair = send.entry((pkt.src.0, pkt.dst.0)).or_default();
             let seq = pair.next_seq;
             pair.next_seq += 1;
-            let framed =
-                Packet { src: pkt.src, dst: pkt.dst, priority: pkt.priority, payload: encode_data(seq, &pkt.payload) };
+            let framed = Packet::with_priority(pkt.src, pkt.dst, pkt.priority, encode_data(seq, &pkt.payload));
             pair.pending.insert(
                 seq,
                 Pending { pkt: framed.clone(), deadline: Instant::now() + sh.plan.rto.to_std(), retries: 0, counted },
@@ -480,6 +479,11 @@ impl ReliableTransport {
                 if !stalled {
                     flow.stalls.fetch_add(1, Ordering::Relaxed);
                     stalled = true;
+                    // The window re-opens on acks of data this thread may
+                    // still hold corked: write it (off the ledger lock).
+                    drop(pairs);
+                    self.inner.flush_wire(pkt.src);
+                    continue;
                 }
                 flow.space.wait_for(&mut pairs, Duration::from_micros(200));
             }
@@ -576,12 +580,8 @@ impl ReliableTransport {
                             // duplicate leaks straight to the application,
                             // bypassing in-order release.  The `mdo-check`
                             // invariant layer must catch this.
-                            let app = Packet {
-                                src: pkt.src,
-                                dst: pkt.dst,
-                                priority: pkt.priority,
-                                payload: pkt.payload.slice(HEADER_LEN..),
-                            };
+                            let app =
+                                Packet::with_priority(pkt.src, pkt.dst, pkt.priority, pkt.payload.slice(HEADER_LEN..));
                             side.ready.push_back(app);
                         }
                         // Duplicate: re-ack so a sender whose acks were
@@ -590,12 +590,8 @@ impl ReliableTransport {
                     } else {
                         // Zero-copy: the application payload is a sub-view
                         // of the received frame allocation.
-                        let app = Packet {
-                            src: pkt.src,
-                            dst: pkt.dst,
-                            priority: pkt.priority,
-                            payload: pkt.payload.slice(HEADER_LEN..),
-                        };
+                        let app =
+                            Packet::with_priority(pkt.src, pkt.dst, pkt.priority, pkt.payload.slice(HEADER_LEN..));
                         pair.buffer.insert(seq, app);
                         let mut released = Vec::new();
                         while let Some(p) = pair.buffer.remove(&pair.expected) {

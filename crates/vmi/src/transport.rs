@@ -11,12 +11,16 @@
 //! that passes through a [`DelayDevice`] configured from a latency matrix
 //! (plus any extra devices the caller composes, e.g. compression or CRC).
 //! Every send consults the job [`Topology`] to pick the chain — the VMI
-//! affiliation check.
+//! affiliation check.  The delay device only stamps; the landing mailbox
+//! holds, so the receive calls here are where an injected latency is
+//! actually waited out.  With a wire bound they are also where the cork is
+//! written (see [`crate::wire`]): before the polling thread blocks, and on
+//! its way back in once the cork is old.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use mdo_netsim::{LatencyMatrix, Topology};
+use mdo_netsim::{LatencyMatrix, Pe, Topology};
 
 use crate::device::{Chain, Device, Forwarder};
 use crate::devices::counter::CounterDevice;
@@ -58,7 +62,8 @@ pub struct Transport {
     mailboxes: Vec<Arc<Mailbox>>,
     intra_chain: Chain,
     cross_chain: Chain,
-    delay: Arc<DelayDevice>,
+    /// The terminal router when a wire is bound (it owns the cork policy).
+    router: Option<Arc<WireRouter>>,
     intra_counter: Arc<CounterDevice>,
     cross_counter: Arc<CounterDevice>,
 }
@@ -70,8 +75,9 @@ impl Transport {
         let mailboxes: Vec<Arc<Mailbox>> = (0..n).map(|_| Arc::new(Mailbox::new())).collect();
         // The terminal forwarder: every-PE-is-local mailbox bank in a
         // single process, a local/remote router when a wire is bound.
-        let sink: Arc<dyn Forwarder> = match cfg.wire {
-            Some(binding) => Arc::new(WireRouter::new(mailboxes.clone(), binding)),
+        let router = cfg.wire.map(|binding| Arc::new(WireRouter::new(mailboxes.clone(), binding)));
+        let sink: Arc<dyn Forwarder> = match &router {
+            Some(router) => Arc::clone(router) as Arc<dyn Forwarder>,
             None => Arc::new(MailboxSink::new(mailboxes.clone())),
         };
 
@@ -85,10 +91,18 @@ impl Transport {
 
         let mut cross_devices: Vec<Arc<dyn Device>> = vec![cross_counter.clone()];
         cross_devices.extend(cfg.cross_extra);
-        cross_devices.push(delay.clone());
+        cross_devices.push(delay);
         let cross_chain = Chain::new(cross_devices, sink);
 
-        Arc::new(Transport { topo: cfg.topo, mailboxes, intra_chain, cross_chain, delay, intra_counter, cross_counter })
+        Arc::new(Transport {
+            topo: cfg.topo,
+            mailboxes,
+            intra_chain,
+            cross_chain,
+            router,
+            intra_counter,
+            cross_counter,
+        })
     }
 
     /// Route a packet through the appropriate chain.
@@ -101,18 +115,45 @@ impl Transport {
     }
 
     /// Blocking receive for one PE.
-    pub fn recv(&self, pe: mdo_netsim::Pe) -> Option<Packet> {
-        self.mailboxes[pe.index()].take()
+    pub fn recv(&self, pe: Pe) -> Option<Packet> {
+        self.recv_with(pe, Mailbox::take)
     }
 
     /// Receive with timeout.
-    pub fn recv_timeout(&self, pe: mdo_netsim::Pe, timeout: Duration) -> Option<Packet> {
-        self.mailboxes[pe.index()].take_timeout(timeout)
+    pub fn recv_timeout(&self, pe: Pe, timeout: Duration) -> Option<Packet> {
+        self.recv_with(pe, |mb| mb.take_timeout(timeout))
     }
 
     /// Non-blocking receive.
-    pub fn try_recv(&self, pe: mdo_netsim::Pe) -> Option<Packet> {
-        self.mailboxes[pe.index()].try_take()
+    pub fn try_recv(&self, pe: Pe) -> Option<Packet> {
+        self.recv_with(pe, Mailbox::try_take)
+    }
+
+    /// The one receive path.  With a wire bound: take what is ready;
+    /// failing that, write the calling thread's cork — it is about to
+    /// block, or found nothing to do — and only then `take`.
+    fn recv_with(&self, pe: Pe, take: impl FnOnce(&Mailbox) -> Option<Packet>) -> Option<Packet> {
+        let mb = &self.mailboxes[pe.index()];
+        let Some(router) = &self.router else { return take(mb) };
+        router.enter_recv(pe);
+        let pkt = mb.try_take().or_else(|| {
+            router.flush(pe);
+            take(mb)
+        });
+        if pkt.is_some() {
+            router.handler_started(pe);
+        }
+        pkt
+    }
+
+    /// Write whatever the thread polling `pe` has corked on the wire.  For
+    /// a polling thread about to stop polling for a while — a compute
+    /// sleep, a credit stall, its exit; `recv*` does this by itself.  A
+    /// no-op without a wire.
+    pub fn flush_wire(&self, pe: Pe) {
+        if let Some(router) = &self.router {
+            router.flush(pe);
+        }
     }
 
     /// The job topology.
@@ -121,7 +162,7 @@ impl Transport {
     }
 
     /// The per-PE mailbox (for engines that want direct access).
-    pub fn mailbox(&self, pe: mdo_netsim::Pe) -> &Arc<Mailbox> {
+    pub fn mailbox(&self, pe: Pe) -> &Arc<Mailbox> {
         &self.mailboxes[pe.index()]
     }
 
@@ -135,10 +176,9 @@ impl Transport {
         (self.cross_counter.packets(), self.cross_counter.bytes())
     }
 
-    /// Close all mailboxes (wakes blocked PE threads) and stop the delay
-    /// device timer.
+    /// Close all mailboxes: wakes blocked PE threads and releases every
+    /// packet still held for its injected latency.
     pub fn shutdown(&self) {
-        self.delay.shutdown();
         for mb in &self.mailboxes {
             mb.close();
         }
@@ -149,7 +189,7 @@ impl Transport {
 mod tests {
     use super::*;
     use bytes::Bytes;
-    use mdo_netsim::{Dur, Pe};
+    use mdo_netsim::Dur;
     use std::time::Instant;
 
     fn transport(cross_ms: u64) -> Arc<Transport> {
@@ -225,6 +265,51 @@ mod tests {
         std::thread::sleep(Duration::from_millis(20));
         t.shutdown();
         assert!(h.join().unwrap().is_none());
+    }
+
+    #[test]
+    fn only_the_polling_thread_corks_and_it_flushes_before_it_blocks() {
+        use crate::wire::{Wire, WireBinding};
+        use parking_lot::Mutex;
+        #[derive(Default)]
+        struct Recording(Mutex<Vec<&'static str>>);
+        impl Wire for Recording {
+            fn send(&self, _: Packet) {
+                self.0.lock().push("send");
+            }
+            fn send_corked(&self, _: Packet) {
+                self.0.lock().push("cork");
+            }
+            fn flush(&self) {
+                self.0.lock().push("flush");
+            }
+        }
+        // PEs 0 and 1 are here, 2 and 3 across the wire.
+        let topo = Topology::two_cluster(4);
+        let wire = Arc::new(Recording::default());
+        let mut cfg = TransportConfig::new(topo.clone(), LatencyMatrix::uniform(&topo, Dur::ZERO, Dur::ZERO));
+        cfg.wire = Some(WireBinding::new(wire.clone(), &[Pe(0), Pe(1)], 4));
+        let t = Transport::new(cfg);
+        let remote = |src| Packet::new(Pe(src), Pe(2), Bytes::from_static(b"x"));
+        let calls = || std::mem::take(&mut *wire.0.lock());
+
+        t.send(remote(0));
+        assert_eq!(calls(), ["send"], "nobody has polled for PE 0 yet");
+        t.send(Packet::new(Pe(1), Pe(0), Bytes::from_static(b"local")));
+        assert!(t.try_recv(Pe(0)).is_some());
+        assert_eq!(calls(), [""; 0], "a receive that finds a packet touches no wire");
+        t.send(remote(0));
+        t.send(remote(1));
+        assert_eq!(calls(), ["cork", "send"], "corked as the PE this thread polls, written through as any other");
+        let other = Arc::clone(&t);
+        std::thread::spawn(move || other.send(remote(0))).join().unwrap();
+        assert_eq!(calls(), ["send"], "another thread sending for PE 0 may never come back: write through");
+        assert!(t.recv_timeout(Pe(0), Duration::from_millis(1)).is_none());
+        assert_eq!(calls(), ["flush"], "before the poller blocks");
+        t.send(remote(0));
+        t.flush_wire(Pe(0));
+        assert_eq!(calls(), ["cork", "flush"]);
+        t.shutdown();
     }
 
     #[test]

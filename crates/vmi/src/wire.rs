@@ -14,9 +14,31 @@
 //! acks, retransmission, credit grants and jumbo frames ride the wire
 //! unchanged.  Sender-side devices (delay, CRC, fault injection) run
 //! before the wire too: an artificial-latency delay device composes with
-//! a real network exactly as §5.1's delay device composes with Myrinet.
+//! a real network exactly as §5.1's delay device composes with Myrinet —
+//! its [`Packet::due`] stamp crosses the wire as the remaining hold.
+//!
+//! ## Corking
+//!
+//! A wire may batch: [`Wire::send_corked`] only queues a packet and
+//! [`Wire::flush`] writes what is queued, so a burst of sends costs one
+//! write and the peer one wake-up, with and without injected latency.  The
+//! policy — who may cork and when the cork is written — lives here, in
+//! [`WireRouter`], and is by opportunity, never by a deadline of its own:
+//! a packet is corked only when the sending thread is the one that polls
+//! `Transport::recv*` for the packet's source PE, because that is the only
+//! sender certain to come back; the transport flushes for it before it
+//! blocks or finds its queue empty in `recv*` and, on its way back into
+//! `recv*`, once the cork is [`CORK_MAX_AGE`] old.  Every other sender (a
+//! retransmit timer, an aggregation flusher, a work-stealing thief, a
+//! plain test thread) writes through.  A polling thread that stops polling
+//! — for a compute sleep, a credit stall, for good — calls
+//! [`Transport::flush_wire`](crate::transport::Transport::flush_wire)
+//! first; the wire's own bound on how long it holds a cork is only the
+//! net under one that forgets.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use mdo_netsim::Pe;
 
@@ -28,15 +50,29 @@ use crate::packet::Packet;
 /// chains of a multi-process [`Transport`](crate::transport::Transport).
 ///
 /// Implementations must be thread-safe: every PE thread of the process
-/// (plus the delay-device timer thread) may call [`Wire::send`]
-/// concurrently.  Delivery order per `(src, dst)` pair need not be
+/// (plus the reliable layer's retransmit timer and the aggregator's
+/// flusher) may call [`Wire::send`] concurrently.  Delivery order per
+/// `(src, dst)` pair need not be
 /// preserved — the reliable layer above the seam re-sequences — but an
 /// implementation should be lossless while up; losses surface through
 /// the reliable layer's retransmission and, eventually, its structured
 /// delivery error.
 pub trait Wire: Send + Sync {
-    /// Ship a packet whose destination PE lives on another node.
+    /// Ship a packet whose destination PE lives on another node.  The
+    /// packet (and anything corked ahead of it on its stream) is handed to
+    /// the network before this returns.
     fn send(&self, pkt: Packet);
+
+    /// Queue a packet for the next [`Wire::flush`].  The caller promises a
+    /// flush; an implementation may write earlier (it bounds what it holds
+    /// and for how long it trusts the promise) and one that does not batch
+    /// simply sends.
+    fn send_corked(&self, pkt: Packet) {
+        self.send(pkt);
+    }
+
+    /// Hand everything corked to the network.  Cheap when nothing is.
+    fn flush(&self) {}
 
     /// Stop background threads and close connections.  Idempotent.
     fn shutdown(&self) {}
@@ -72,17 +108,91 @@ impl WireBinding {
     }
 }
 
+/// How old a cork may be when its sender re-enters `recv*` before it is
+/// written there rather than when the sender next runs dry.  Measured from
+/// the start of the handler that opened the cork, so a coarse-grain handler
+/// (1 ms of work is coarse) never returns to its queue still sitting on
+/// what it sent, and a busy fine-grain PE that rarely sends remotely cannot
+/// hold a packet for as long as its queue stays non-empty.  Well under any
+/// latency worth injecting, well over the few microseconds a fine-grain
+/// handler takes, so a burst of those still leaves as one write.
+pub const CORK_MAX_AGE: Duration = Duration::from_millis(1);
+
+/// `PeCork::opened_ns` when nothing is corked.
+const NOT_CORKED: u64 = u64::MAX;
+
+/// Cork bookkeeping for one local PE, touched by the thread that polls it.
+struct PeCork {
+    /// Token of the thread that last entered `recv*` for this PE (0 = none).
+    poller: AtomicU64,
+    /// When that thread last left `recv*` with a packet — the start of the
+    /// handler now running — in nanoseconds since the router's epoch.
+    handler_start_ns: AtomicU64,
+    /// `handler_start_ns` of the handler that opened the current cork.
+    opened_ns: AtomicU64,
+}
+
+/// A process-unique, never-zero token for the calling thread (0 if its
+/// thread-locals are already gone, which never matches a poller).
+fn thread_token() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    thread_local! {
+        static TOKEN: u64 = NEXT.fetch_add(1, Ordering::Relaxed);
+    }
+    TOKEN.try_with(|t| *t).unwrap_or(0)
+}
+
 /// Terminal forwarder of a multi-process transport: routes each packet to
-/// its local landing mailbox or out through the [`Wire`].
+/// its local landing mailbox or out through the [`Wire`], and owns the cork
+/// policy (see the module docs).
 pub struct WireRouter {
     boxes: Vec<Arc<Mailbox>>,
     binding: WireBinding,
+    epoch: Instant,
+    corks: Vec<PeCork>,
 }
 
 impl WireRouter {
     /// Router over this process's mailbox bank and its wire binding.
     pub fn new(boxes: Vec<Arc<Mailbox>>, binding: WireBinding) -> Self {
-        WireRouter { boxes, binding }
+        let corks = (0..boxes.len())
+            .map(|_| PeCork {
+                poller: AtomicU64::new(0),
+                handler_start_ns: AtomicU64::new(0),
+                opened_ns: AtomicU64::new(NOT_CORKED),
+            })
+            .collect();
+        WireRouter { boxes, binding, epoch: Instant::now(), corks }
+    }
+
+    fn now_ns(&self) -> u64 {
+        u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(NOT_CORKED - 1)
+    }
+
+    /// The calling thread enters `recv*` for `pe`: it is `pe`'s poller from
+    /// here on, and a cork it left open too long ago is written now.
+    pub(crate) fn enter_recv(&self, pe: Pe) {
+        let c = &self.corks[pe.index()];
+        c.poller.store(thread_token(), Ordering::Relaxed);
+        let opened = c.opened_ns.load(Ordering::Relaxed);
+        if opened != NOT_CORKED && self.now_ns().saturating_sub(opened) >= CORK_MAX_AGE.as_nanos() as u64 {
+            self.flush(pe);
+        }
+    }
+
+    /// The calling thread leaves `recv*` for `pe` with a packet in hand:
+    /// a handler starts.
+    pub(crate) fn handler_started(&self, pe: Pe) {
+        self.corks[pe.index()].handler_start_ns.store(self.now_ns(), Ordering::Relaxed);
+    }
+
+    /// Write whatever is corked — `pe`'s cork and, the wire being one, any
+    /// other's; nothing corked costs a few atomic loads.  `pe`'s mark is
+    /// cleared before the write and set after the append (`deliver`), so a
+    /// packet corked concurrently is either written here or still marked.
+    pub(crate) fn flush(&self, pe: Pe) {
+        self.corks[pe.index()].opened_ns.swap(NOT_CORKED, Ordering::AcqRel);
+        self.binding.wire.flush();
     }
 }
 
@@ -90,8 +200,15 @@ impl Forwarder for WireRouter {
     fn deliver(&self, pkt: Packet) {
         if self.binding.is_local(pkt.dst) {
             self.boxes[pkt.dst.index()].post(pkt);
-        } else {
-            self.binding.wire.send(pkt);
+            return;
+        }
+        let me = thread_token();
+        match self.corks.get(pkt.src.index()) {
+            Some(c) if me != 0 && c.poller.load(Ordering::Relaxed) == me => {
+                self.binding.wire.send_corked(pkt);
+                c.opened_ns.fetch_min(c.handler_start_ns.load(Ordering::Relaxed), Ordering::Release);
+            }
+            _ => self.binding.wire.send(pkt),
         }
     }
 }

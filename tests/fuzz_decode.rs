@@ -11,8 +11,8 @@
 
 use gridmdo::net::record::{
     decode_control_body, decode_data_body, encode_control_record, encode_data_record, read_record, Handshake,
-    RecordError, HANDSHAKE_LEN, KIND_CONTROL as NET_KIND_CONTROL, KIND_DATA as NET_KIND_DATA, MAX_RECORD_LEN,
-    RECORD_HEADER_LEN,
+    RecordError, DATA_BODY_MIN, DATA_HOLD_AT, HANDSHAKE_LEN, KIND_CONTROL as NET_KIND_CONTROL,
+    KIND_DATA as NET_KIND_DATA, MAX_HOLD, MAX_RECORD_LEN, RECORD_HEADER_LEN,
 };
 use gridmdo::netsim::Pe;
 use gridmdo::runtime::checkpoint::{ArraySnapshot, Snapshot};
@@ -24,6 +24,7 @@ use gridmdo::vmi::reliable::{
 };
 use mdo_check::ScheduleFile;
 use proptest::prelude::*;
+use std::time::{Duration, Instant};
 
 proptest! {
     /// Arbitrary bytes into `Envelope::decode`: a structured `WireError`
@@ -383,7 +384,7 @@ proptest! {
         // Whole frame parses back to the same packet.
         let (kind, body) = read_record(&mut &frame[..]).expect("valid frame").expect("one record");
         prop_assert_eq!(kind, NET_KIND_DATA);
-        let back = decode_data_body(&body).expect("valid body");
+        let back = decode_data_body(body, Instant::now()).expect("valid body");
         prop_assert_eq!(back.src, Pe(src));
         prop_assert_eq!(back.dst, Pe(dst));
         prop_assert_eq!(&back.payload[..], &payload[..]);
@@ -410,13 +411,33 @@ proptest! {
 
     /// Arbitrary record bodies into the data/control body decoders: a
     /// packet / control pair or a structured error, never a panic.  Too
-    /// short for the fixed header is rejected by name.
+    /// short for the fixed header is rejected by name; so is a hold field
+    /// (arbitrary bytes nearly always spell one) beyond the one-hour cap,
+    /// whatever the clock reads — and with the field zeroed or in range
+    /// the same bytes decode.
     #[test]
-    fn net_record_bodies_survive_arbitrary_bytes(body in prop::collection::vec(any::<u8>(), 0..128)) {
-        match decode_data_body(&body) {
-            Ok(pkt) => prop_assert_eq!(pkt.payload.len() + 12, body.len()),
+    fn net_record_bodies_survive_arbitrary_bytes(body in prop::collection::vec(any::<u8>(), 0..128),
+                                                 hold_ns in 0..=MAX_HOLD.as_nanos() as u64) {
+        let arrival = Instant::now();
+        let hold_of = |b: &[u8]| u64::from_le_bytes(b[DATA_HOLD_AT..DATA_BODY_MIN].try_into().expect("8 bytes"));
+        match decode_data_body(body.clone(), arrival) {
+            Ok(pkt) => {
+                prop_assert_eq!(pkt.payload.len() + DATA_BODY_MIN, body.len());
+                prop_assert!(hold_of(&body) <= MAX_HOLD.as_nanos() as u64);
+            }
             Err(RecordError::ShortDataBody { len }) => prop_assert_eq!(len, body.len()),
+            Err(RecordError::HoldOutOfRange { nanos }) => {
+                prop_assert_eq!(nanos, hold_of(&body));
+                prop_assert!(Duration::from_nanos(nanos) > MAX_HOLD);
+            }
             Err(other) => prop_assert!(false, "unexpected data-body error {other:?}"),
+        }
+        if body.len() >= DATA_BODY_MIN {
+            let mut held = body.clone();
+            held[DATA_HOLD_AT..DATA_BODY_MIN].copy_from_slice(&hold_ns.to_le_bytes());
+            let pkt = decode_data_body(held, arrival).expect("a hold within the cap decodes");
+            prop_assert_eq!(&pkt.payload[..], &body[DATA_BODY_MIN..]);
+            prop_assert_eq!(pkt.due, (hold_ns > 0).then(|| arrival + Duration::from_nanos(hold_ns)));
         }
         match decode_control_body(&body) {
             Ok((_, bytes)) => prop_assert_eq!(bytes.len() + 4, body.len()),

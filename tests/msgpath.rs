@@ -8,6 +8,10 @@
 //!     once, in per-sender FIFO order, with priority-then-FIFO restored
 //!     by the consumer-side merge — including through the ring-overflow
 //!     slow path.
+//!   * **Hold properties** (proptest): a packet stamped with a `due` (the
+//!     delay device's injected latency) is never handed out early on any
+//!     take path, falls due in `(due, post order)`, needs no post to wake
+//!     a blocked consumer, and is released by `close()`.
 //!   * **Backpressure**: a bounded mailbox under the `Block` policy must
 //!     bound queued memory no matter how fast producers post.
 //!   * **Stealing oracle**: work stealing is a *transient remap* — every
@@ -17,6 +21,7 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use gridmdo::apps::leanmd::{self, MdConfig};
@@ -135,6 +140,152 @@ proptest! {
             prop_assert_eq!(untag(pkt).1, seq);
         }
     }
+}
+
+/// A packet tagged `(sender, seq)` that may not be seen before `due`.
+fn held(sender: u32, seq: u32, prio: i32, due: Option<Instant>) -> Packet {
+    let mut pkt = Packet::with_priority(Pe(sender), Pe(0), prio, tagged(sender, seq));
+    pkt.due = due;
+    pkt
+}
+
+proptest! {
+    /// No take path hands a packet out before its `due`, whatever mix of
+    /// priorities, holds and posting threads: the consumer cycles through
+    /// `take_timeout`, `try_take`, `try_take_if`, `take_many` and `take`
+    /// while 1–3 producers post, and checks the clock on every packet.
+    #[test]
+    fn no_take_path_is_early(posts in prop::collection::vec((-2i32..2, 0u64..5), 1..90), producers in 1u32..4) {
+        let mb = Arc::new(Mailbox::new());
+        let base = Instant::now();
+        let total = posts.len();
+        let threads: Vec<_> = (0..producers)
+            .map(|s| {
+                let (mb, posts) = (Arc::clone(&mb), posts.clone());
+                std::thread::spawn(move || {
+                    let mine = posts.iter().enumerate().filter(|(i, _)| *i as u32 % producers == s);
+                    for (seq, (_, &(prio, slot))) in mine.enumerate() {
+                        // Slot 0 posts unstamped; the rest 0.5 ms apart.
+                        let due = (slot > 0).then(|| base + Duration::from_micros(500 * slot));
+                        mb.post(held(s, seq as u32, prio, due));
+                    }
+                })
+            })
+            .collect();
+        let mut got = Vec::with_capacity(total);
+        let mut buf = Vec::new();
+        let mut path = 0;
+        while got.len() < total {
+            match path % 5 {
+                0 => buf.extend(mb.take_timeout(Duration::from_millis(1))),
+                1 => buf.extend(mb.try_take()),
+                2 => buf.extend(mb.try_take_if(|_| true)),
+                3 => {
+                    mb.take_many(&mut buf, 4);
+                }
+                // Blocks until a packet is there: safe while some are owed.
+                _ => buf.extend(mb.take()),
+            }
+            path += 1;
+            let now = Instant::now();
+            for pkt in buf.drain(..) {
+                prop_assert!(pkt.due.is_none_or(|due| now >= due), "{:?} handed out {:?} early", untag(&pkt),
+                             pkt.due.map(|due| due - now));
+                got.push(untag(&pkt));
+            }
+        }
+        for t in threads {
+            t.join().expect("producer");
+        }
+        prop_assert!(mb.is_empty(), "nothing left behind, held or queued");
+        got.sort_unstable();
+        got.dedup();
+        prop_assert_eq!(got.len(), total);
+    }
+
+    /// What falls due is queued in `(due, post order)` and from there on is
+    /// ordinary traffic: with every post made before the first take and
+    /// every hold over by then, delivery order is the stable sort by
+    /// priority of [unstamped posts in post order, then held posts by
+    /// (due, post order)] — what a timer thread releasing each packet at
+    /// its deadline into the same mailbox produced.
+    #[test]
+    fn holds_fall_due_in_due_then_post_order(posts in prop::collection::vec((-2i32..2, 0u64..4), 1..60)) {
+        let mb = Mailbox::new();
+        let base = Instant::now() + Duration::from_millis(10);
+        for (i, &(prio, slot)) in posts.iter().enumerate() {
+            mb.post(held(1, i as u32, prio, (slot > 0).then(|| base + Duration::from_millis(slot))));
+        }
+        if Instant::now() >= base {
+            return Ok(()); // the host stalled mid-post: which posts were held is no longer known
+        }
+        prop_assert_eq!(mb.len(), posts.len());
+        std::thread::sleep(base + Duration::from_millis(4) - Instant::now());
+        let mut want: Vec<(i32, u64, u32)> =
+            posts.iter().enumerate().map(|(i, &(prio, slot))| (prio, slot, i as u32)).collect();
+        want.sort_by_key(|&(_, slot, i)| (slot, i));
+        want.sort_by_key(|&(prio, _, _)| prio); // stable
+        let mut buf = Vec::new();
+        mb.take_many(&mut buf, usize::MAX);
+        prop_assert_eq!(buf.len(), posts.len());
+        for (pkt, (prio, _, i)) in buf.iter().zip(want) {
+            prop_assert_eq!((pkt.priority, untag(pkt).1), (prio, i));
+        }
+    }
+}
+
+/// A consumer already blocked when a held packet is posted — and one that
+/// blocks afterwards — wakes when the hold is over, with no further post to
+/// nudge it; `take` and `take_timeout` alike.
+#[test]
+fn a_blocked_consumer_wakes_for_a_due_packet_without_another_post() {
+    const HOLD: Duration = Duration::from_millis(25);
+    for blocking_take in [false, true] {
+        let mb = Arc::new(Mailbox::new());
+        let (ready_tx, ready_rx) = std::sync::mpsc::channel();
+        let consumer = {
+            let mb = Arc::clone(&mb);
+            std::thread::spawn(move || {
+                ready_tx.send(()).expect("main waits");
+                let pkt = if blocking_take { mb.take() } else { mb.take_timeout(Duration::from_secs(20)) };
+                (pkt, Instant::now())
+            })
+        };
+        ready_rx.recv().expect("consumer started");
+        let due = Instant::now() + HOLD;
+        mb.post(held(1, 0, 0, Some(due)));
+        let (pkt, at) = consumer.join().expect("consumer");
+        assert_eq!(untag(&pkt.expect("the held packet")), (1, 0));
+        assert!(at >= due, "not before its time");
+        assert!(at < due + Duration::from_secs(10), "woken by the hold, not by the 20 s timeout");
+        // And the same for a consumer that arrives while the hold is running.
+        let due = Instant::now() + HOLD;
+        mb.post(held(1, 1, 0, Some(due)));
+        let pkt = if blocking_take { mb.take() } else { mb.take_timeout(Duration::from_secs(20)) };
+        assert_eq!(untag(&pkt.expect("the held packet")), (1, 1));
+        assert!(Instant::now() >= due);
+    }
+}
+
+/// `len()` counts what is held, a timed-out take does not return it, and
+/// `close()` hands everything out at once, earliest hold first.
+#[test]
+fn close_releases_every_hold() {
+    let mb = Mailbox::new();
+    let far = Instant::now() + Duration::from_secs(3600);
+    mb.post(held(1, 0, 0, Some(far + Duration::from_secs(2))));
+    mb.post(held(1, 1, 0, Some(far)));
+    mb.post(held(1, 2, 0, Some(far)));
+    assert_eq!(mb.len(), 3, "held packets are counted");
+    assert!(!mb.is_empty());
+    assert!(mb.try_take().is_none());
+    assert!(mb.take_timeout(Duration::from_millis(5)).is_none());
+    let mut none = Vec::new();
+    assert_eq!(mb.take_many(&mut none, 8), 0);
+    mb.close();
+    let order: Vec<u32> = std::iter::from_fn(|| mb.take()).map(|pkt| untag(&pkt).1).collect();
+    assert_eq!(order, vec![1, 2, 0], "(due, post order)");
+    assert!(mb.is_empty());
 }
 
 /// Fill far past the per-lane ring capacity with no consumer running: the

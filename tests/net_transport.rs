@@ -9,6 +9,10 @@
 //! `RunConfig::net` path), over real sockets on 127.0.0.1.  Process-level
 //! spawning and kill -9 behaviour are covered by the `mdo-net` launcher
 //! unit tests and the `mdo_launch` CI smoke.
+//!
+//! The last section pins the socket path's contract below the engine,
+//! `Transport` over a real two-node mesh: who corks, when a cork is
+//! written, and that an injected latency rides the record.
 
 use std::net::SocketAddr;
 use std::sync::{Arc, Mutex};
@@ -295,4 +299,190 @@ fn engine_rejects_a_peer_with_a_different_topology() {
         errs.iter().all(|e| matches!(e, NetError::HandshakeMismatch { .. } | NetError::PeerClosed { .. })),
         "both sides fail structurally: {errs:?}"
     );
+}
+
+// ---- the cork and the hold, `Transport` over a real mesh --------------------
+
+use gridmdo::vmi::{Packet, ReliableTransport, Transport, TransportConfig, Wire, WireBinding};
+
+/// Two single-PE nodes in this process — PE 0 on node 0, PE 1 on node 1 —
+/// each a raw `Transport` bound to its end of a real loopback mesh, with
+/// `cross` injected between them.  `one_way` leaves node 0's mesh
+/// unstarted — no readers (node 1 sends it nothing) and no cork rescue
+/// thread, so a cork there stays exactly as long as the transport's own
+/// rules leave it.
+fn meshed_transports(cross: Dur, one_way: bool) -> [(Arc<Transport>, Arc<gridmdo::net::NetMesh>); 2] {
+    let topo = Topology::two_cluster(2);
+    let (listeners, addrs) = localhost_rendezvous(2).expect("rendezvous");
+    let ends: Vec<_> = listeners
+        .into_iter()
+        .enumerate()
+        .map(|(node, listener)| {
+            let (topo, addrs) = (topo.clone(), addrs.clone());
+            thread::spawn(move || {
+                let session = NetSession::with_listener(NetConfig::new(node as u32, addrs), listener).expect("session");
+                let mesh = Arc::new(session.establish(0, &topo, &[0, 1]).expect("establish"));
+                let mut tc = TransportConfig::new(topo.clone(), LatencyMatrix::uniform(&topo, Dur::ZERO, cross));
+                tc.wire = Some(WireBinding::new(Arc::clone(&mesh) as Arc<dyn Wire>, &[Pe(node as u32)], 2));
+                let raw = Transport::new(tc);
+                if node == 1 || !one_way {
+                    let inbox = Arc::clone(&raw);
+                    mesh.start(move |pkt| inbox.mailbox(pkt.dst).post(pkt));
+                }
+                (raw, mesh)
+            })
+        })
+        .collect();
+    let mut ends = ends.into_iter().map(|h| h.join().expect("node set-up"));
+    [ends.next().expect("node 0"), ends.next().expect("node 1")]
+}
+
+fn tag(tag: u8) -> bytes::Bytes {
+    bytes::Bytes::copy_from_slice(&[tag])
+}
+
+const NOT_YET: Duration = Duration::from_millis(40);
+const SOON: Duration = Duration::from_secs(5);
+
+#[test]
+fn a_polling_sender_corks_and_the_cork_is_out_before_it_blocks() {
+    let [(raw0, mesh0), (raw1, mesh1)] = meshed_transports(Dur::ZERO, true);
+    let landed = |n: usize| {
+        let deadline = Instant::now() + SOON;
+        while raw1.mailbox(Pe(1)).len() < n && Instant::now() < deadline {
+            thread::sleep(Duration::from_millis(1));
+        }
+        raw1.mailbox(Pe(1)).len()
+    };
+    // Before its first receive nobody knows this thread will come back:
+    // its sends write through.
+    raw0.send(Packet::new(Pe(0), Pe(1), tag(0)));
+    assert_eq!(landed(1), 1, "a thread that never polled is on the wire when send returns");
+
+    // Once it has polled for PE 0, what it sends as PE 0 is corked ...
+    assert!(raw0.try_recv(Pe(0)).is_none());
+    for t in 1..=3 {
+        raw0.send(Packet::new(Pe(0), Pe(1), tag(t)));
+    }
+    thread::sleep(NOT_YET);
+    assert_eq!(raw1.mailbox(Pe(1)).len(), 1, "corked: the sender has not blocked, run dry or aged");
+    // ... while another thread sending for PE 0 still writes through, and
+    // takes the cork along on its stream.
+    let other = Arc::clone(&raw0);
+    thread::spawn(move || other.send(Packet::new(Pe(0), Pe(1), tag(4)))).join().expect("non-polling sender");
+    assert_eq!(landed(5), 5);
+
+    // ... and is written before the poller blocks.
+    raw0.send(Packet::new(Pe(0), Pe(1), tag(5)));
+    thread::sleep(NOT_YET);
+    assert_eq!(raw1.mailbox(Pe(1)).len(), 5);
+    assert!(raw0.recv_timeout(Pe(0), Duration::from_millis(1)).is_none());
+    assert_eq!(landed(6), 6, "flushed on the way into the blocking wait");
+    let tags: Vec<u8> = std::iter::from_fn(|| raw1.try_recv(Pe(1))).map(|p| p.payload[0]).collect();
+    assert_eq!(tags, (0..=5).collect::<Vec<u8>>(), "one stream, one order");
+    for (raw, mesh) in [(raw0, mesh0), (raw1, mesh1)] {
+        raw.shutdown();
+        mesh.shutdown();
+    }
+}
+
+#[test]
+fn an_old_cork_is_written_on_the_way_back_into_recv() {
+    let [(raw0, mesh0), (raw1, mesh1)] = meshed_transports(Dur::ZERO, true);
+    // Two local packets keep PE 0's queue non-empty, so its poller never
+    // blocks and never runs dry between the two receives.
+    raw0.send(Packet::new(Pe(0), Pe(0), tag(10)));
+    raw0.send(Packet::new(Pe(0), Pe(0), tag(11)));
+    assert_eq!(raw0.try_recv(Pe(0)).expect("first local packet").payload[0], 10);
+    // "Handler" of packet 10: one remote send, then more than a
+    // millisecond of work.
+    raw0.send(Packet::new(Pe(0), Pe(1), tag(1)));
+    thread::sleep(NOT_YET);
+    assert!(raw1.mailbox(Pe(1)).is_empty(), "still corked while the handler runs");
+    assert_eq!(raw0.try_recv(Pe(0)).expect("second local packet").payload[0], 11);
+    let got = raw1.recv_timeout(Pe(1), SOON).expect("the aged cork was written on re-entry");
+    assert_eq!(got.payload[0], 1);
+    for (raw, mesh) in [(raw0, mesh0), (raw1, mesh1)] {
+        raw.shutdown();
+        mesh.shutdown();
+    }
+}
+
+#[test]
+fn injected_latency_rides_the_record_across_the_socket() {
+    const WAN: Duration = Duration::from_millis(20);
+    let [(raw0, mesh0), (raw1, mesh1)] = meshed_transports(Dur::from_std(WAN), false);
+    // Written through and corked alike: the hold is in the record.
+    for (i, poll_first) in [false, true].into_iter().enumerate() {
+        if poll_first {
+            assert!(raw0.try_recv(Pe(0)).is_none());
+        }
+        let sent = Instant::now();
+        raw0.send(Packet::new(Pe(0), Pe(1), tag(i as u8)));
+        raw0.flush_wire(Pe(0));
+        let got = raw1.recv_timeout(Pe(1), SOON).expect("delivered");
+        assert_eq!(got.payload[0], i as u8);
+        assert!(sent.elapsed() >= WAN, "visible {:?} after send, before the injected {WAN:?}", sent.elapsed());
+    }
+    // The other direction, and nothing is held for local traffic.  (This
+    // thread polled PE 1 above, so it corks as PE 1; it waits on the other
+    // node next, not on PE 1, so the flush is its to do.)
+    let sent = Instant::now();
+    raw1.send(Packet::new(Pe(1), Pe(0), tag(9)));
+    raw1.flush_wire(Pe(1));
+    assert!(raw0.recv_timeout(Pe(0), SOON).is_some());
+    assert!(sent.elapsed() >= WAN);
+    raw1.send(Packet::new(Pe(1), Pe(1), tag(8)));
+    assert!(raw1.try_recv(Pe(1)).is_some(), "intra-cluster is immediate");
+    for (raw, mesh) in [(raw0, mesh0), (raw1, mesh1)] {
+        raw.shutdown();
+        mesh.shutdown();
+    }
+}
+
+#[test]
+fn a_credit_stall_with_corked_data_does_not_deadlock() {
+    // A 4 KiB window and 1 KiB packets from a *polling* sender: the window
+    // re-opens only on acks of data the sender itself holds corked, so the
+    // stall has to write the cork.  A stall that did not would sit out its
+    // one-second safety valve every time — minutes for this stream.
+    const PACKETS: u32 = 200;
+    let [(raw0, mesh0), (raw1, mesh1)] = meshed_transports(Dur::ZERO, false);
+    let flow = FlowConfig::default().with_credit_bytes(4 << 10);
+    let plan = FaultPlan::default().with_rto(Dur::from_millis(1000));
+    let rt0 = ReliableTransport::with_flow(Arc::clone(&raw0), plan.clone(), flow);
+    let rt1 = ReliableTransport::with_flow(Arc::clone(&raw1), plan, flow);
+    let receiver = {
+        let rt1 = Arc::clone(&rt1);
+        thread::spawn(move || {
+            let deadline = Instant::now() + Duration::from_secs(60);
+            let mut next = 0u32;
+            while next < PACKETS && Instant::now() < deadline {
+                if let Some(p) = rt1.recv_timeout(Pe(1), Duration::from_millis(20)) {
+                    assert_eq!(u32::from_le_bytes(p.payload[..4].try_into().expect("4 bytes")), next);
+                    next += 1;
+                }
+            }
+            next
+        })
+    };
+    let started = Instant::now();
+    assert!(rt0.try_recv(Pe(0)).is_none(), "the sender polls, so it corks");
+    for i in 0..PACKETS {
+        let mut payload = i.to_le_bytes().to_vec();
+        payload.resize(1 << 10, 0);
+        rt0.send(Packet::new(Pe(0), Pe(1), payload.into()));
+    }
+    // Done sending: block for the remaining acks like a PE thread would.
+    while rt0.recv_timeout(Pe(0), Duration::from_millis(5)).is_some() {}
+    assert_eq!(receiver.join().expect("receiver"), PACKETS, "every packet delivered, in order");
+    assert!(rt0.credit_stalls() > 0, "the window actually closed");
+    assert!(started.elapsed() < Duration::from_secs(10), "stalls were released by acks, not by the safety valve");
+    for rt in [rt0, rt1] {
+        rt.shutdown();
+    }
+    for (raw, mesh) in [(raw0, mesh0), (raw1, mesh1)] {
+        raw.shutdown();
+        mesh.shutdown();
+    }
 }
