@@ -17,14 +17,20 @@
 //!   the multi-process run: the only difference is whether a
 //!   [`mdo_vmi::Wire`] (real TCP, `mdo-net`) is bound under the unchanged
 //!   transport stack — the paper's "same runtime, different device
-//!   chain".  `join_plan`, `obs` and `steal` remain single-process
-//!   features.
+//!   chain".  `join_plan` and `obs` remain single-process features.
+//!
+//! Both engines end a generation and start the next — a shrink over the
+//! survivors of a failure, an expand over due joiners — through one state
+//! machine (`generation.rs`, private to this module), and close their
+//! books and write their report through it; each supplies only its clock,
+//! its transport and its way of stopping and restarting PEs.
 //!
 //! [`policy`] is the simulation engine's delivery-order seam: a pluggable
 //! [`policy::DeliveryPolicy`] decides which of several equal-priority
 //! queued messages a PE dispatches next, turning the deterministic engine
 //! into a systematic schedule explorer (see the `mdo-check` crate).
 
+mod generation;
 pub mod net;
 pub mod policy;
 pub mod sim;

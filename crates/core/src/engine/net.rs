@@ -29,45 +29,41 @@
 //!   a whole peer process going dark) and broadcasts
 //!   `Recover{generation, dead}`; survivors stop, ship their buddy
 //!   checkpoint pieces back, node 0 assembles the newest complete
-//!   snapshot and broadcasts `Restart{snapshot}`; everyone shrinks the
-//!   topology with `without_pes` (deterministic, so no coordination
-//!   needed) and reconnects the mesh at the next generation number;
+//!   snapshot and broadcasts `Restart{snapshot}`; everyone advances its
+//!   `generation::Membership` over the same dead set (deterministic, so no
+//!   coordination needed) and reconnects the mesh at the next generation
+//!   number;
 //! * anything unrecoverable — `Abort{why}`, and every process stands
 //!   down with a structured error instead of hanging.
 //!
 //! ## Single-process-only features
 //!
-//! `join_plan` (elastic expand), `obs` recording and `steal` are each one
-//! guarded line of the shared loop and are ignored (with a warning) when
-//! a session is present: joins would need a process launcher in the
-//! control plane, obs recordings are too large to ship casually, and the
-//! stealing PE loop has not been run over the wire.
+//! `join_plan` (elastic expand) and `obs` recording are each one guarded
+//! line of the shared loop and are ignored (with a warning) when a
+//! session is present: a join needs the joiners named in `Ctl::Recover`
+//! (and a new cluster needs a process launcher besides), and obs
+//! recordings are too large to ship casually.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mdo_net::{NetEvent, NetMesh, NetSession, TransportError as NetError};
 use mdo_netsim::network::NetworkStats;
-use mdo_netsim::{
-    ClusterId, Dur, FailureCause, FaultModelStats, FaultPlan, JoinSpec, JoinTrigger, Pe, PeFailed, Time, Topology,
-    TransportError, UnrecoverableError,
-};
-use mdo_obs::{CounterSet, Ctr, Event as ObsEvent, ObsReport, PeObs};
+use mdo_netsim::{ClusterId, Dur, FailureCause, FaultPlan, Pe, Time, Topology, TransportError, UnrecoverableError};
+use mdo_obs::{CounterSet, Ctr};
 use mdo_vmi::{Aggregator, CrcDevice, FaultDevice, ReliableTransport, Transport, TransportConfig, Wire, WireBinding};
 
-use crate::checkpoint::{assemble_buddy_snapshot, FtPiece, Snapshot};
+use crate::checkpoint::{FtPiece, Snapshot};
 use crate::envelope::{Envelope, MsgBody, SYSTEM_PRIORITY};
 use crate::ids::{ArrayId, ElemId, ObjKey};
-use crate::node::{split_program, HostParts, Node, NodeShared};
+use crate::node::Node;
 use crate::program::{Program, RunConfig, RunReport};
 use crate::wire::{WireReader, WireWriter};
 
-use super::threaded::{
-    elapsed_ns, pe_thread, pe_thread_stealing, NodeBank, PeResult, ThreadCtl, ThreadedConfig, PE_ALIVE, PE_CRASHED,
-    PE_PANICKED,
-};
+use super::generation::{Books, Change, Membership, PeRow};
+use super::threaded::{elapsed_ns, pe_thread, PeResult, ThreadCtl, ThreadedConfig, PE_ALIVE, PE_CRASHED, PE_PANICKED};
 
 // ---------------------------------------------------------------------------
 // Control-plane protocol
@@ -278,59 +274,25 @@ impl NodeReport {
     }
 }
 
-/// A node's cumulative books across its generations (original PE
-/// numbering).  Node 0 also folds every remote [`NodeReport`] in here; a
+/// What the control plane adds to the shared [`Books`]: which original
+/// PEs this node has hosted (its share of a [`NodeReport`]), whose final
+/// reports the coordinator has merged, and when the run ended.  A
 /// single-process run is a coordinator that merges none.
 #[derive(Default)]
-struct Books {
-    busy: Vec<Dur>,
-    msgs: Vec<u64>,
-    qdepth: Vec<usize>,
-    /// Whether obs records; off, `obs` stays empty and is never touched.
-    record_on: bool,
-    /// One accumulated recording per original PE.
-    obs: Vec<PeObs>,
-    /// Original PEs this node has hosted in any generation.
+struct NodeShare {
     mine: BTreeSet<usize>,
-    /// Nodes whose final report has been merged.
     reported: BTreeSet<u32>,
-    network: NetworkStats,
-    /// The transport stack's and the PEs' tallies — everything that sums
-    /// cleanly across nodes.
-    ctr: CounterSet,
-    peak_mailbox_bytes: u64,
-    lb_rounds: u32,
     end_ns: u64,
-    transport_error: Option<TransportError>,
 }
 
-impl Books {
-    fn new(orig_n_pes: usize, record_on: bool) -> Self {
-        let mut books = Books { record_on, ..Books::default() };
-        books.widen(orig_n_pes);
-        books
-    }
+fn add_traffic(n: &mut NetworkStats, (intra_msgs, intra_bytes): (u64, u64), (cross_msgs, cross_bytes): (u64, u64)) {
+    n.intra_messages += intra_msgs;
+    n.intra_bytes += intra_bytes;
+    n.cross_messages += cross_msgs;
+    n.cross_bytes += cross_bytes;
+}
 
-    /// Make room for original PE numbers below `n` (a brand-new joiner's
-    /// number lies beyond the boot topology).
-    fn widen(&mut self, n: usize) {
-        if n > self.busy.len() {
-            self.busy.resize(n, Dur::ZERO);
-            self.msgs.resize(n, 0);
-            self.qdepth.resize(n, 0);
-            if self.record_on {
-                self.obs.extend((self.obs.len() as u32..n as u32).map(PeObs::empty));
-            }
-        }
-    }
-
-    fn add_traffic(&mut self, (intra_msgs, intra_bytes): (u64, u64), (cross_msgs, cross_bytes): (u64, u64)) {
-        self.network.intra_messages += intra_msgs;
-        self.network.intra_bytes += intra_bytes;
-        self.network.cross_messages += cross_msgs;
-        self.network.cross_bytes += cross_bytes;
-    }
-
+impl NodeShare {
     /// The run ended when the first exit was announced anywhere.
     fn note_end(&mut self, end_ns: u64) {
         if end_ns > 0 && (self.end_ns == 0 || end_ns < self.end_ns) {
@@ -339,18 +301,24 @@ impl Books {
     }
 
     /// Close one generation's books from the local stack and the joined PE
-    /// threads.  Returns the AtSync rounds PE 0 completed this generation
-    /// (0 on a node that does not host it).
-    fn absorb_generation(&mut self, stack: &Stack, results: &mut [PeResult], orig: &[Pe], mesh_drops: u64) -> u32 {
+    /// threads (`orig` maps their numbering to the original one).
+    fn close_generation(
+        &mut self,
+        books: &mut Books,
+        stack: &Stack,
+        results: &mut [PeResult],
+        orig: &[Pe],
+        drops: u64,
+    ) {
         let Stack { raw, transport, agg, injected } = stack;
-        self.add_traffic(raw.intra_traffic(), raw.cross_traffic());
+        add_traffic(&mut books.network, raw.intra_traffic(), raw.cross_traffic());
         let (dev, crc_rejected) = injected.as_ref().map(|(f, v)| (f.stats(), v.rejected())).unwrap_or_default();
         let ast = agg.stats();
         for (c, n) in [
             (Ctr::Drops, dev.dropped),
             // Records the net reader could not parse were dropped the same
             // way a CRC-rejected packet is: counted, then retransmitted.
-            (Ctr::CorruptRejected, crc_rejected + mesh_drops),
+            (Ctr::CorruptRejected, crc_rejected + drops),
             (Ctr::DupDropped, transport.dup_dropped()),
             (Ctr::Reordered, dev.reordered),
             (Ctr::Retransmits, transport.retransmits()),
@@ -366,66 +334,67 @@ impl Books {
             (Ctr::QueueFull, ast.queue_full),
             (Ctr::MailboxSignals, results.iter().map(|r| raw.mailbox(r.pe).wakeup_signals()).sum()),
         ] {
-            self.ctr.add(c, n);
+            books.ctr.add(c, n);
         }
-        for r in results.iter_mut() {
-            let o = orig[r.pe.index()].index();
-            self.mine.insert(o);
-            self.busy[o] += r.busy;
-            self.msgs[o] += r.messages;
+        let host = results.first().filter(|r| r.pe == Pe(0)).map(|r| r.host);
+        let rows = results.iter_mut().map(|r| {
+            let o = orig[r.pe.index()];
+            self.mine.insert(o.index());
             // Backlog can sit in the raw mailbox or (aggregating) in the
-            // unframed pending bank; the high-water mark sees both.
-            let depth = raw.mailbox(r.pe).max_depth().max(agg.pending_max_depth(r.pe));
-            self.qdepth[o] = self.qdepth[o].max(depth);
-            let bytes = raw.mailbox(r.pe).max_bytes() as u64 + agg.pending_max_bytes(r.pe) as u64;
-            self.peak_mailbox_bytes = self.peak_mailbox_bytes.max(bytes);
-            self.ctr.add(Ctr::CheckpointBytes, r.ft_bytes);
-            self.ctr.add(Ctr::Steals, r.steals);
-            if self.record_on {
+            // unframed pending bank; the high-water marks see both.
+            let queue_depth = raw.mailbox(r.pe).max_depth().max(agg.pending_max_depth(r.pe));
+            let mut obs = r.obs.take();
+            if let Some(obs) = &mut obs {
                 // One mailbox high-water sample per generation (the
                 // threads cannot observe queue depth from outside).
-                r.obs.queue_depth.record(depth as u64);
-                self.obs[o].absorb(std::mem::replace(&mut r.obs, PeObs::empty(r.pe.0)));
+                obs.queue_depth.record(queue_depth as u64);
             }
-        }
-        let Some(r0) = results.first().filter(|r| r.pe == Pe(0)) else { return 0 };
-        self.lb_rounds += r0.lb_rounds;
-        self.ctr.add(Ctr::ObjectsMigrated, r0.migrations);
-        self.ctr.add(Ctr::RebalanceTriggers, r0.rebalance as u64);
-        self.ctr.add(Ctr::CheckpointsTaken, r0.ft_epochs as u64);
-        r0.lb_rounds
+            PeRow {
+                orig: o,
+                busy: r.busy,
+                messages: r.messages,
+                queue_depth,
+                queue_bytes: raw.mailbox(r.pe).max_bytes() as u64 + agg.pending_max_bytes(r.pe) as u64,
+                ckpt_bytes: r.ft_bytes,
+                obs,
+            }
+        });
+        books.close_generation(rows, host);
     }
 
-    fn to_report(&self, node: u32) -> NodeReport {
-        let entry = |&o: &usize| (o as u32, self.busy[o].as_nanos(), self.msgs[o], self.qdepth[o] as u64);
+    fn to_report(&self, books: &Books, node: u32) -> NodeReport {
+        let entry = |&o: &usize| (o as u32, books.busy[o].as_nanos(), books.msgs[o], books.qdepth[o] as u64);
         NodeReport {
             node,
             end_ns: self.end_ns,
             entries: self.mine.iter().map(entry).collect(),
-            network: self.network.clone(),
-            peak_mailbox_bytes: self.peak_mailbox_bytes,
-            ctr: self.ctr.clone(),
-            transport_error: self.transport_error,
+            network: books.network.clone(),
+            peak_mailbox_bytes: books.peak_mailbox_bytes,
+            ctr: books.ctr.clone(),
+            transport_error: books.transport_error,
         }
     }
 
-    /// Fold a remote node's report into the coordinator's books.
-    fn merge_report(&mut self, r: &NodeReport) {
+    /// Fold a remote node's report into the coordinator's books.  Rows
+    /// naming a PE the job never had are ignored.
+    fn merge_report(&mut self, books: &mut Books, r: &NodeReport) {
         self.reported.insert(r.node);
-        for &(pe, busy, msgs, depth) in &r.entries {
-            let o = pe as usize;
-            if o < self.busy.len() {
-                self.busy[o] += Dur::from_nanos(busy);
-                self.msgs[o] += msgs;
-                self.qdepth[o] = self.qdepth[o].max(depth as usize);
-            }
-        }
+        let width = books.busy.len();
+        let rows = r.entries.iter().filter(|e| (e.0 as usize) < width).map(|&(pe, busy, msgs, depth)| PeRow {
+            orig: Pe(pe),
+            busy: Dur::from_nanos(busy),
+            messages: msgs,
+            queue_depth: depth as usize,
+            queue_bytes: r.peak_mailbox_bytes,
+            ckpt_bytes: 0,
+            obs: None,
+        });
+        books.close_generation(rows, None);
         let n = &r.network;
-        self.add_traffic((n.intra_messages, n.intra_bytes), (n.cross_messages, n.cross_bytes));
-        self.peak_mailbox_bytes = self.peak_mailbox_bytes.max(r.peak_mailbox_bytes);
-        self.ctr.merge(&r.ctr);
+        add_traffic(&mut books.network, (n.intra_messages, n.intra_bytes), (n.cross_messages, n.cross_bytes));
+        books.ctr.merge(&r.ctr);
         self.note_end(r.end_ns);
-        self.transport_error = self.transport_error.or(r.transport_error);
+        books.transport_error = books.transport_error.or(r.transport_error);
     }
 }
 
@@ -470,7 +439,7 @@ impl Stack {
             ),
             (None, None) => ReliableTransport::passthrough(Arc::clone(&raw)),
         };
-        let agg = match (cfg.agg_active(), cfg.flow) {
+        let agg = match (cfg.agg, cfg.flow) {
             (Some(c), Some(f)) => Aggregator::with_flow(Arc::clone(&transport), c, f),
             (Some(c), None) => Aggregator::with_policy(Arc::clone(&transport), c),
             (None, _) => Aggregator::passthrough(Arc::clone(&transport)),
@@ -614,29 +583,14 @@ pub fn run_with_session(
     run_generations(topo, tcfg, cfg, program, Some(session))
 }
 
-/// Instantiate the [`Node`]s this process hosts for `shared.topo`: one
-/// cluster's PEs under a session, every PE without one.
-fn build_local(shared: &Arc<NodeShared>, node: Option<u32>, host_parts: &mut Option<HostParts>) -> Vec<Node> {
-    let pes: Vec<Pe> = match node {
-        Some(me) => shared.topo.pes_in(ClusterId(me as u16)).collect(),
-        None => shared.topo.pes().collect(),
-    };
-    pes.into_iter()
-        .map(|pe| {
-            let host = if pe == Pe(0) { host_parts.take() } else { None };
-            Node::new(Arc::clone(shared), pe, host.unwrap_or_else(HostParts::empty))
-        })
-        .collect()
-}
-
 /// The generation loop: launch → watch → close the books → end the run
 /// or shrink/expand and go again.
 ///
 /// With a [`mdo_netsim::FailurePlan`] armed, every PE thread mails
 /// heartbeats to PE 0 and the watchdog turns a silent PE into failure
 /// suspicion after `suspect_after`; suspected or panicked PEs trigger
-/// buddy-checkpoint recovery over the survivors — the same shrink +
-/// restore protocol as the virtual-time engine, driven by wall-clock
+/// buddy-checkpoint recovery over the survivors — the same [`Membership`]
+/// state machine as the virtual-time engine, driven by wall-clock
 /// generations of real threads.
 fn run_generations(
     topo: Topology,
@@ -646,7 +600,7 @@ fn run_generations(
     session: Option<NetSession>,
 ) -> Result<RunReport, NetError> {
     // `None` is the one-node case: this process is node 0 and hosts every
-    // PE.  Joins, obs recording and stealing are single-process features.
+    // PE.  Joins and obs recording are single-process features.
     let my_node = session.as_ref().map(|s| s.node());
     let (me, single) = (my_node.unwrap_or(0), my_node.is_none());
     let is_host = me == 0;
@@ -665,51 +619,36 @@ fn run_generations(
                 what: "streams > 1 requires flow control or a fault plan (the reliable layer re-sequences)".into(),
             });
         }
-        if cfg.join_plan.is_some() || cfg.obs_active() || cfg.steal {
-            eprintln!("mdo-net node {me}: join_plan, obs and steal are single-process features; ignoring them");
+        let armed = [("join_plan", cfg.join_plan.is_some()), ("obs", cfg.obs.is_some())];
+        match armed.iter().filter(|(_, set)| *set).map(|&(name, _)| name).collect::<Vec<_>>()[..] {
+            [] => {}
+            [one] => eprintln!("mdo-net node {me}: {one} is a single-process feature; ignoring it"),
+            ref all => eprintln!("mdo-net node {me}: {} are single-process features; ignoring them", all.join(" and ")),
         }
     }
-    let record_on = single && cfg.obs_active();
-    let steal_on = single && cfg.steal;
     let obs_cfg = cfg.obs.clone().unwrap_or_default();
     let failure_plan = cfg.failure_plan.clone();
-    let mut pending_joins = cfg.join_plan.as_ref().filter(|_| single).map(|p| p.joins.clone()).unwrap_or_default();
-
-    let orig_n_pes = topo.num_pes();
-    // Original cluster of every original PE: a rejoin without an explicit
-    // cluster goes back where the PE came from.
-    let orig_cluster_of: Vec<ClusterId> = topo.pes().map(|pe| topo.cluster_of(pe)).collect();
+    let my_cluster = my_node.map(|n| ClusterId(n as u16));
     let mut live: Vec<u32> = (0..if single { 1 } else { topo.num_clusters() as u32 }).collect();
-    let (mut shared, host) = split_program(program, topo, cfg);
+    let mut m = Membership::new(program, topo, cfg, single);
+    let record_on = m.books.obs.is_some();
+    let mut share = NodeShare::default();
 
     let decode_rejected = Arc::new(AtomicU64::new(0));
     let exit_announced = Arc::new(AtomicBool::new(false));
     let end_ns = Arc::new(AtomicU64::new(0));
     let t0 = Instant::now();
     let deadline = t0 + tcfg.max_wall;
-
-    // Cross-generation bookkeeping, indexed by ORIGINAL PE number; `orig`
-    // maps the current (post-shrink) numbering back to it.
-    let mut orig: Vec<Pe> = (0..orig_n_pes as u32).map(Pe).collect();
-    let mut pending = failure_plan.as_ref().map(|p| p.crashes.clone()).unwrap_or_default();
-    let mut books = Books::new(orig_n_pes, record_on);
-    // The generation loop's own events; the books' tallies join them at
-    // the end, so the report's scalars and the obs counters come from one
-    // registry.
-    let mut gctr = CounterSet::new();
-    let mut failures: Vec<PeFailed> = Vec::new();
     let mut unrecoverable: Option<UnrecoverableError> = None;
     // (epoch + 1) of the newest buddy-checkpoint epoch known complete this
     // generation; 0 until PE 0 sees a full round of acks.
     let ckpt_done = Arc::new(AtomicU64::new(0));
-    gctr.bump(Ctr::Generations);
 
     let mut mesh_gen: u32 = 0;
-    let mut host_parts = Some(host);
-    let mut nodes: Vec<Node> = build_local(&shared, my_node, &mut host_parts);
+    let mut nodes: Vec<Node> = m.build_nodes(my_cluster);
 
     'generations: loop {
-        let gen_topo = shared.topo.clone();
+        let gen_topo = m.shared().topo.clone();
         let n_pes = gen_topo.num_pes();
         // Checkpoint epochs restart with the generation; pending joins
         // wait for a fresh complete epoch on the new cluster.
@@ -720,7 +659,7 @@ fn run_generations(
         let mut link = Link { mesh, me, peers: live.iter().copied().filter(|&n| n != me).collect() };
         let mut tc = TransportConfig::new(gen_topo.clone(), tcfg.latency.clone());
         tc.wire = link.mesh.as_ref().map(|m| WireBinding::new(Arc::clone(m) as Arc<dyn Wire>, &local_pes, n_pes));
-        let stack = Stack::build(&shared.cfg, tc);
+        let stack = Stack::build(&m.shared().cfg, tc);
         let (transport, agg) = (&stack.transport, &stack.agg);
         if let Some(mesh) = &link.mesh {
             // Inbound wire packets land straight in the destination PE's
@@ -739,47 +678,33 @@ fn run_generations(
         let status: Arc<Vec<AtomicU8>> = Arc::new((0..n_pes).map(|_| AtomicU8::new(PE_ALIVE)).collect());
         let gen_start = elapsed_ns(t0);
         let last_heard: Arc<Vec<AtomicU64>> = Arc::new((0..n_pes).map(|_| AtomicU64::new(gen_start)).collect());
-        let orig_map: Arc<Vec<Pe>> = Arc::new(orig.clone());
-        let mk_ctl = |pe: Pe| ThreadCtl {
-            agg: Arc::clone(agg),
-            stop: Arc::clone(&stop),
-            exit_announced: Arc::clone(&exit_announced),
-            end_ns: Arc::clone(&end_ns),
-            decode_rejected: Arc::clone(&decode_rejected),
-            status: Arc::clone(&status),
-            last_heard: Arc::clone(&last_heard),
-            t0,
-            topo: gen_topo.clone(),
-            record_on,
-            obs_cfg: obs_cfg.clone(),
-            orig_map: Arc::clone(&orig_map),
-            compute_sleep: tcfg.compute_sleep,
-            hb_interval: failure_plan.as_ref().map(|p| p.hb_interval.to_std()),
-            crash: pending.iter().find(|s| s.pe == orig[pe.index()]).map(|s| s.trigger),
-            msgs_before: books.msgs[orig[pe.index()].index()],
-            ckpt_done: Arc::clone(&ckpt_done),
-        };
-        let spawn = |pe: Pe, body: Box<dyn FnOnce() -> PeResult + Send>| {
-            let thread = std::thread::Builder::new().name(format!("mdo-pe{}", pe.0));
-            (pe, thread.spawn(body).expect("spawn PE thread"))
-        };
-        let handles: Vec<_> = if steal_on {
-            // Stealing mode: nodes live in a shared bank of slots so an
-            // idle sibling thread can run a queued App envelope against
-            // another PE's node.
-            let bank: NodeBank = Arc::new(nodes.drain(..).map(|n| Mutex::new(Some(n))).collect());
-            let stealing = |&pe: &Pe| {
-                let (bank, ctl) = (Arc::clone(&bank), mk_ctl(pe));
-                spawn(pe, Box::new(move || pe_thread_stealing(pe, bank, ctl)))
-            };
-            local_pes.iter().map(stealing).collect()
-        } else {
-            let owned = |node: Node| {
-                let (pe, ctl) = (node.pe(), mk_ctl(node.pe()));
-                spawn(pe, Box::new(move || pe_thread(pe, node, ctl)))
-            };
-            nodes.drain(..).map(owned).collect()
-        };
+        let orig_map: Arc<Vec<Pe>> = Arc::new(m.orig().to_vec());
+        let handles: Vec<_> = nodes
+            .drain(..)
+            .map(|node| {
+                let pe = node.pe();
+                let ctl = ThreadCtl {
+                    agg: Arc::clone(agg),
+                    stop: Arc::clone(&stop),
+                    exit_announced: Arc::clone(&exit_announced),
+                    end_ns: Arc::clone(&end_ns),
+                    decode_rejected: Arc::clone(&decode_rejected),
+                    status: Arc::clone(&status),
+                    last_heard: Arc::clone(&last_heard),
+                    t0,
+                    topo: gen_topo.clone(),
+                    record_on,
+                    obs_cfg: obs_cfg.clone(),
+                    orig_map: Arc::clone(&orig_map),
+                    compute_sleep: tcfg.compute_sleep,
+                    hb_interval: failure_plan.as_ref().map(|p| p.hb_interval.to_std()),
+                    crash: m.crash_of(pe),
+                    ckpt_done: Arc::clone(&ckpt_done),
+                };
+                let thread = std::thread::Builder::new().name(format!("mdo-pe{}", pe.0));
+                (pe, thread.spawn(move || pe_thread(pe, node, ctl)).expect("spawn PE thread"))
+            })
+            .collect();
 
         if is_host {
             // Boot the program (after a recovery the startup closure is
@@ -799,7 +724,7 @@ fn run_generations(
         let suspect_after = failure_plan.as_ref().map(|p| p.suspect_after.as_nanos());
         let mut flagged = vec![false; n_pes];
         let mut gen_failed: Vec<(Pe, FailureCause)> = Vec::new();
-        let mut gen_join: Vec<JoinSpec> = Vec::new();
+        let mut gen_join: Vec<(ClusterId, Pe)> = Vec::new();
         let mut dead_nodes: Vec<u32> = Vec::new();
         let mut remote_recover: Option<(u32, Vec<Pe>, Vec<u32>)> = None;
         let mut abort: Option<NetError> = None;
@@ -823,9 +748,9 @@ fn run_generations(
                 flagged[i] = true;
                 if failure_plan.is_none() {
                     if is_host {
-                        unrecoverable = Some(UnrecoverableError::NoFailurePlan { pe: orig[i] });
+                        unrecoverable = Some(UnrecoverableError::NoFailurePlan { pe: orig_map[i] });
                     } else {
-                        abort = Some(link.abort_to_host(AbortReason::NoFailurePlan(orig[i].0)));
+                        abort = Some(link.abort_to_host(AbortReason::NoFailurePlan(orig_map[i].0)));
                     }
                 } else if i == 0 {
                     unrecoverable = Some(UnrecoverableError::HostFailed);
@@ -862,31 +787,21 @@ fn run_generations(
                     }
                 }
             }
-            // Admit due joiners only at a safe point: no failure in
-            // flight and a complete buddy checkpoint to restart from.
-            // A joiner whose PE is still alive is dropped (nothing to
-            // rejoin).
-            if !pending_joins.is_empty() && gen_failed.is_empty() && ckpt_done.load(Ordering::Acquire) > 0 {
-                pending_joins.retain(|s| {
-                    let fired = match s.trigger {
-                        JoinTrigger::AtTime(at) => t0.elapsed() >= at.to_std(),
-                        JoinTrigger::AfterRecoveries(n) => gctr.get_u32(Ctr::Recoveries) >= n,
-                    };
-                    if fired && !orig.contains(&s.pe) {
-                        gen_join.push(*s);
-                    }
-                    !fired
-                });
+            // Admit due joiners only at a safe point: no failure in flight
+            // and a complete buddy checkpoint to restart from.
+            if gen_failed.is_empty() {
+                gen_join = m.due_joins(Time::from_nanos(elapsed_ns(t0)), ckpt_done.load(Ordering::Acquire) > 0);
             }
             // Drain mesh events; the first wait doubles as the 2 ms tick,
             // skipped once this pass has found a reason to stand down (a
             // program left running after a join is admitted can exit and
-            // lose it).  The first reason stands: an `Abort` is not
-            // overwritten by the `PeerDown` of its sender closing up.
+            // lose it).  The first reason stands: neither an `Abort` nor the
+            // structured error one carried is overwritten by the `PeerDown`
+            // of its sender closing up.
             let decided =
                 unrecoverable.is_some() || transport_error.is_some() || !gen_failed.is_empty() || !gen_join.is_empty();
             let mut wait = if decided { Duration::ZERO } else { Duration::from_millis(2) };
-            while abort.is_none() {
+            while abort.is_none() && unrecoverable.is_none() && transport_error.is_none() {
                 let Some(ev) = link.next_event(wait) else { break };
                 wait = Duration::ZERO;
                 match ev {
@@ -905,7 +820,7 @@ fn run_generations(
                     NetEvent::PeerDown { node } if is_host || node == 0 => abort = Some(NetError::PeerClosed { node }),
                     NetEvent::PeerDown { .. } => {}
                     NetEvent::Control { from, bytes } => match decode_ctl(&bytes) {
-                        Some(Ctl::Report(r)) if is_host => books.merge_report(&r),
+                        Some(Ctl::Report(r)) if is_host => share.merge_report(&mut m.books, &r),
                         Some(Ctl::Abort(reason)) if is_host => match reason {
                             AbortReason::NoFailurePlan(pe) => {
                                 unrecoverable = Some(UnrecoverableError::NoFailurePlan { pe: Pe(pe) })
@@ -957,9 +872,9 @@ fn run_generations(
 
         // Close this generation's books (original PE numbering).
         let mesh_drops = link.mesh.as_ref().map_or(0, |m| m.drops());
-        let gen_lb_rounds = books.absorb_generation(&stack, &mut results, &orig, mesh_drops);
-        books.note_end(end_ns.load(Ordering::Acquire));
-        books.transport_error = books.transport_error.or(transport_error);
+        share.close_generation(&mut m.books, &stack, &mut results, &orig_map, mesh_drops);
+        share.note_end(end_ns.load(Ordering::Acquire));
+        m.books.transport_error = m.books.transport_error.or(transport_error);
         if let Some(err) = abort {
             return Err(err);
         }
@@ -967,27 +882,27 @@ fn run_generations(
         // ---- disposition: end the run, or go again over a new topology.
         let exited = exit_announced.load(Ordering::Acquire);
         let run_over = unrecoverable.is_some()
-            || books.transport_error.is_some()
+            || m.books.transport_error.is_some()
             || exited
             || (gen_failed.is_empty() && gen_join.is_empty());
         if remote_recover.is_none() && (!is_host || run_over) {
-            let clean = exited && unrecoverable.is_none() && books.transport_error.is_none();
+            let clean = exited && unrecoverable.is_none() && m.books.transport_error.is_none();
             if !is_host {
                 if !clean {
                     // A local transport error or dead PE already messaged
                     // the coordinator from the watchdog.
                     return Err(NetError::Aborted { by: me, reason: "run ended abnormally".into() });
                 }
-                link.send(0, &Ctl::Report(Box::new(books.to_report(me))))?;
+                link.send(0, &Ctl::Report(Box::new(share.to_report(&m.books, me))))?;
                 link.gather(BTreeSet::from([0]), deadline, "Done", |_, ctl| matches!(ctl, Ctl::Done))?;
             } else if clean {
                 // Gather the outstanding reports, then Done.  Reports are
                 // tiny; 15 s is generous and still bounded.
-                let awaiting = link.peers.iter().copied().filter(|n| !books.reported.contains(n)).collect();
+                let awaiting = link.peers.iter().copied().filter(|n| !share.reported.contains(n)).collect();
                 let limit = deadline.min(Instant::now() + Duration::from_secs(15));
                 link.gather(awaiting, limit, "final report", |_, ctl| match ctl {
                     Ctl::Report(r) => {
-                        books.merge_report(&r);
+                        share.merge_report(&mut m.books, &r);
                         true
                     }
                     _ => false,
@@ -995,7 +910,7 @@ fn run_generations(
                 let _ = link.broadcast(|| Ctl::Done);
             } else {
                 // Errorful end: tell everyone to stand down, keep what we have.
-                let reason = match (&unrecoverable, books.transport_error) {
+                let reason = match (&unrecoverable, m.books.transport_error) {
                     (Some(UnrecoverableError::DeadlineExceeded), _) => AbortReason::Deadline,
                     (_, Some(e)) => AbortReason::Transport(e),
                     (u, None) => AbortReason::Other(u.as_ref().map_or_else(|| "aborted".into(), |u| u.to_string())),
@@ -1013,14 +928,12 @@ fn run_generations(
         let at = Time::from_nanos(elapsed_ns(t0));
         let (new_gen, dead_cur, dead_nodes) = remote_recover
             .unwrap_or_else(|| (mesh_gen + 1, gen_failed.iter().map(|&(pe, _)| pe).collect(), dead_nodes));
-        if !dead_cur.is_empty() {
-            pending_joins.append(&mut gen_join);
-        }
+        let gen_lb_rounds = results.first().filter(|r| r.pe == Pe(0)).map_or(0, |r| r.host.lb_rounds);
         let mut survivors: Vec<Node> =
             results.into_iter().filter(|r| !dead_cur.contains(&r.pe)).filter_map(|r| r.node).collect();
         let mut pieces: Vec<FtPiece> = survivors.iter_mut().flat_map(|n| n.take_ft_pieces()).collect();
         let snapshot = if is_host {
-            failures.extend(gen_failed.iter().map(|&(cur, cause)| PeFailed { pe: orig[cur.index()], at, cause }));
+            m.record_failures(&gen_failed, at);
             link.peers.retain(|n| !dead_nodes.contains(n));
             let dead: Vec<u32> = dead_cur.iter().map(|p| p.0).collect();
             link.broadcast(|| Ctl::Recover { new_gen, dead_cur: dead, dead_nodes: dead_nodes.clone() })?;
@@ -1030,22 +943,21 @@ fn run_generations(
                     true
                 }
                 Ctl::Report(r) => {
-                    books.merge_report(&r);
+                    share.merge_report(&mut m.books, &r);
                     false
                 }
                 _ => false,
             })?;
-            let expected: Vec<(ArrayId, usize)> = shared.arrays.iter().map(|a| (a.id, a.n_elems)).collect();
-            let Some((snapshot, snap_round)) = assemble_buddy_snapshot(&expected, &pieces) else {
-                unrecoverable =
-                    Some(UnrecoverableError::NoCompleteSnapshot { failed: failures.iter().map(|f| f.pe).collect() });
-                let _ = link.broadcast(|| Ctl::Abort(AbortReason::Other("no complete buddy snapshot".into())));
-                break 'generations;
+            let (snapshot, snap_round) = match m.assemble(&pieces, gen_lb_rounds) {
+                Ok(found) => found,
+                Err(e) => {
+                    unrecoverable = Some(e);
+                    let _ = link.broadcast(|| Ctl::Abort(AbortReason::Other("no complete buddy snapshot".into())));
+                    break 'generations;
+                }
             };
-            gctr.add(Ctr::StepsReplayed, gen_lb_rounds.saturating_sub(snap_round) as u64);
             link.broadcast(|| Ctl::Restart { snap_round, snapshot: snapshot.encode() })?;
-            host_parts = Some(survivors.iter_mut().find(|n| n.pe() == Pe(0)).expect("PE 0 survives").take_host());
-            pending.retain(|s| !failures.iter().any(|f| f.pe == s.pe));
+            m.keep_host(survivors.iter_mut().find(|n| n.pe() == Pe(0)).expect("PE 0 survives"));
             snapshot
         } else {
             link.send(0, &Ctl::Pieces(pieces))?;
@@ -1059,93 +971,19 @@ fn run_generations(
             Snapshot::decode(&restart.expect("gather saw the Restart"))
                 .map_err(|e| NetError::Malformed { what: format!("restart snapshot: {e:?}") })?
         };
-        let new_topo = if dead_cur.is_empty() {
-            let mut joiners: Vec<(ClusterId, Pe)> = gen_join
-                .drain(..)
-                .map(|s| {
-                    let home = || orig_cluster_of.get(s.pe.index()).copied();
-                    (s.cluster.or_else(home).expect("a brand-new PE joining must name an explicit cluster"), s.pe)
-                })
-                .collect();
-            joiners.sort_unstable();
-            gctr.add(Ctr::PesJoined, joiners.len() as u64);
-            books.widen(joiners.iter().map(|&(_, pe)| pe.index() + 1).max().unwrap_or(0));
-            // Joiners land at the end of their cluster's PE range; the
-            // map's `None` slots pair with the per-cluster joiner FIFO.
-            let added: Vec<ClusterId> = joiners.iter().map(|&(c, _)| c).collect();
-            let (new_topo, new_map) = shared.topo.with_pes(&added);
-            let slots = new_map.iter().enumerate().map(|(cur, slot)| match slot {
-                Some(old_cur) => orig[old_cur.index()],
-                None => {
-                    let cid = new_topo.cluster_of(Pe(cur as u32));
-                    joiners.remove(joiners.iter().position(|&(c, _)| c == cid).expect("joiner for slot")).1
-                }
-            });
-            orig = slots.collect();
-            new_topo
+        let change = if dead_cur.is_empty() {
+            Change::Expand { joiners: gen_join }
         } else {
-            let (new_topo, new_map) = shared.topo.without_pes(&dead_cur);
-            orig = new_map.iter().map(|&cur| orig[cur.index()]).collect();
             live.retain(|n| !dead_nodes.contains(n));
             mesh_gen = new_gen;
-            gctr.bump(Ctr::Recoveries);
-            new_topo
+            Change::Shrink { dead_cur }
         };
-        shared = Arc::new(NodeShared {
-            topo: new_topo,
-            arrays: shared.arrays.clone(),
-            cfg: shared.cfg.clone(),
-            restore: Some(Arc::new(snapshot)),
-        });
-        nodes = build_local(&shared, my_node, &mut host_parts);
-        gctr.bump(Ctr::Generations);
-        if record_on {
-            // Mark the resume on every PE's stream (original numbering —
-            // `orig` was just remapped to the new generation).
-            for &o in &orig {
-                books.obs[o.index()].events.push(ObsEvent::Recovery { at });
-            }
-        }
+        m.advance(change, snapshot, at);
+        nodes = m.build_nodes(my_cluster);
     }
 
     // ---- assemble this process's report ------------------------------
-    gctr.merge(&books.ctr);
-    gctr.add(Ctr::CorruptRejected, decode_rejected.load(Ordering::Relaxed));
-    gctr.add(Ctr::FailuresDetected, failures.len() as u64);
-    let ended = if books.end_ns > 0 { books.end_ns } else { elapsed_ns(t0) };
-    Ok(RunReport {
-        end_time: Time::from_nanos(ended),
-        pe_busy: books.busy,
-        pe_messages: books.msgs,
-        pe_max_queue_depth: books.qdepth,
-        network: books.network,
-        obs: record_on.then(|| ObsReport { pes: books.obs, counters: gctr.clone() }),
-        lb_rounds: books.lb_rounds,
-        migrations: gctr.get(Ctr::ObjectsMigrated),
-        faults: FaultModelStats {
-            dropped: gctr.get(Ctr::Drops),
-            corrupt_rejected: gctr.get(Ctr::CorruptRejected),
-            dup_dropped: gctr.get(Ctr::DupDropped),
-            reordered: gctr.get(Ctr::Reordered),
-            retransmits: gctr.get(Ctr::Retransmits),
-        },
-        transport_error: books.transport_error,
-        failures_detected: gctr.get_u32(Ctr::FailuresDetected),
-        recoveries: gctr.get_u32(Ctr::Recoveries),
-        pes_joined: gctr.get_u32(Ctr::PesJoined),
-        generations: gctr.get_u32(Ctr::Generations),
-        rebalance_triggers: gctr.get_u32(Ctr::RebalanceTriggers),
-        objects_migrated: gctr.get(Ctr::ObjectsMigrated),
-        steps_replayed: gctr.get_u32(Ctr::StepsReplayed),
-        checkpoints_taken: gctr.get_u32(Ctr::CheckpointsTaken),
-        checkpoint_bytes: gctr.get(Ctr::CheckpointBytes),
-        failures,
-        unrecoverable,
-        credit_stalls: gctr.get(Ctr::CreditStalls),
-        credit_wait: Dur::from_nanos(gctr.get(Ctr::CreditWaitNs)),
-        queue_full: gctr.get(Ctr::QueueFull),
-        sheds: gctr.get(Ctr::EnvelopesShed),
-        shed_bytes: gctr.get(Ctr::ShedBytes),
-        peak_mailbox_bytes: books.peak_mailbox_bytes,
-    })
+    m.books.ctr.add(Ctr::CorruptRejected, decode_rejected.load(Ordering::Relaxed));
+    let ended = if share.end_ns > 0 { share.end_ns } else { elapsed_ns(t0) };
+    Ok(m.into_report(Time::from_nanos(ended), unrecoverable))
 }

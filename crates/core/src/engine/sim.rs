@@ -20,21 +20,22 @@ use std::sync::Arc;
 
 use mdo_netsim::network::{DeliveryOracle, NetworkModel};
 use mdo_netsim::{
-    AggConfig, ClusterId, CrashTrigger, DeliveryPlan, Dur, EventQueue, FailureCause, FaultModel, FaultModelStats,
-    FlowConfig, JoinSpec, JoinTrigger, Pe, PeFailed, Time, TransportError, UnrecoverableError,
+    AggConfig, CrashTrigger, DeliveryPlan, Dur, EventQueue, FailureCause, FaultModel, FlowConfig, Pe, Time,
+    TransportError, UnrecoverableError,
 };
 use mdo_vmi::frame::CHUNK_HEADER_LEN;
 use mdo_vmi::reliable::HEADER_LEN;
 
-use mdo_obs::{CounterSet, Ctr, ObjTag, ObsReport, PeObs, PeRecorder};
+use mdo_obs::{CounterSet, Ctr, ObjTag, PeRecorder};
 
-use crate::checkpoint::assemble_buddy_snapshot;
+use crate::checkpoint::FtPiece;
 use crate::engine::policy::ScheduleChoice;
 use crate::envelope::{Envelope, MsgBody, SYSTEM_PRIORITY};
-use crate::ids::ArrayId;
-use crate::node::{split_program, HostParts, Node, NodeHooks, NodeShared};
+use crate::node::{Node, NodeHooks};
 use crate::program::{Program, RunConfig, RunReport};
 use crate::queue::SchedQueue;
+
+use super::generation::{Change, HostRow, Membership, PeRow};
 
 /// Engine-specific limits.
 #[derive(Clone, Debug, Default)]
@@ -302,6 +303,8 @@ impl NodeHooks for SimHooks {
 struct PeState {
     queue: SchedQueue,
     busy: bool,
+    /// Compute charged to this PE so far in the generation.
+    worked: Dur,
 }
 
 impl SimEngine {
@@ -325,19 +328,13 @@ impl SimEngine {
     /// surviving PEs, the arrays are remapped over a shrunken topology, and
     /// the run resumes from the snapshot.  Detection is exact in virtual
     /// time — the engine *is* the failure detector here, so no heartbeat
-    /// traffic is needed.
+    /// traffic is needed.  Which PEs leave and join, and what the next
+    /// generation looks like, is `generation::Membership`'s to decide, as
+    /// in the wall-clock engine.
     pub fn run(self, program: Program) -> RunReport {
         let SimEngine { mut net, cfg, sim_cfg } = self;
-        let topo = net.topology().clone();
-        let orig_n_pes = topo.num_pes();
-        let record_on = cfg.obs_active();
         let obs_cfg = cfg.obs.clone().unwrap_or_default();
-        let failure_plan = cfg.failure_plan.clone();
-        let join_plan = cfg.join_plan.clone();
-        // Original cluster of every original PE: a rejoin without an
-        // explicit cluster goes back where the PE came from.
-        let orig_cluster_of: Vec<ClusterId> = topo.pes().map(|pe| topo.cluster_of(pe)).collect();
-        let restart_cfg = cfg.clone();
+        let ft_armed = cfg.failure_plan.is_some();
         // The same plan the threaded engine would wire into its device
         // chain, collapsed here into virtual-time delivery decisions.
         let mut faults = cfg.fault_plan.clone().map(FaultModel::new);
@@ -351,74 +348,50 @@ impl SimEngine {
         // Batched-release aggregation model: cross-WAN envelopes accumulate
         // per (src, dst) and enter the network as one frame, mirroring the
         // threaded engine's jumbo frames in virtual time.
-        let agg_cfg = cfg.agg_active();
+        let agg_cfg = cfg.agg;
         let mut agg_bufs: HashMap<(u32, u32), SimAggBuf> = HashMap::new();
         // Virtual-time flow control: the mirror of the threaded stack's
         // credit windows, gated (like fault injection and aggregation) on
         // the cross-WAN links where backpressure matters.
         let mut flow = cfg.flow.map(SimFlow::new);
-        let (mut shared, host) = split_program(program, topo, cfg);
+        let mut m = Membership::new(program, net.topology().clone(), cfg, true);
+        let record_on = m.books.obs.is_some();
 
-        let mut host = Some(host);
-        let mut nodes: Vec<Node> = shared
-            .topo
-            .pes()
-            .map(|pe| {
-                let h = if pe == Pe(0) { host.take().expect("host once") } else { HostParts::empty() };
-                Node::new(Arc::clone(&shared), pe, h)
-            })
-            .collect();
-
-        let mut pes: Vec<PeState> =
-            (0..orig_n_pes).map(|_| PeState { queue: SchedQueue::new(), busy: false }).collect();
+        // One generation's state, in current PE numbering: the nodes, their
+        // queues and charged time, and a recorder each (logging in original
+        // numbers and absolute virtual time, so the streams of successive
+        // generations concatenate).  All of it is rebuilt by `launch` when
+        // the membership changes.
+        let launch = |m: &mut Membership| {
+            let nodes = m.build_nodes(None);
+            let idle = || PeState { queue: SchedQueue::new(), busy: false, worked: Dur::ZERO };
+            let pes: Vec<PeState> = nodes.iter().map(|_| idle()).collect();
+            let recs: Vec<PeRecorder> = m.orig().iter().map(|o| PeRecorder::maybe(record_on, o.0, &obs_cfg)).collect();
+            (Arc::clone(m.shared()), nodes, pes, recs)
+        };
+        let (mut shared, mut nodes, mut pes, mut recs) = launch(&mut m);
         let mut events: EventQueue<Event> = EventQueue::new();
-
-        // One recorder per ORIGINAL PE: events are recorded in original
-        // numbering with absolute virtual times, so the streams of every
-        // shrink-restart generation concatenate naturally.
-        let mut recs: Vec<PeRecorder> =
-            (0..orig_n_pes as u32).map(|pe| PeRecorder::maybe(record_on, pe, &obs_cfg)).collect();
-        // Engine-global counter registry: the run report's scalar fault /
-        // failure tallies are read back from here at the end.
+        // What the two transport mirrors count; joins the books at the end.
         let mut gctr = CounterSet::new();
-
-        // Per-generation busy time (current PE numbering) and the mapping
-        // from current to original PE numbers; both restart after a shrink.
-        let mut pe_busy = vec![Dur::ZERO; orig_n_pes];
-        let mut orig: Vec<Pe> = (0..orig_n_pes as u32).map(Pe).collect();
-
-        // Cross-generation accumulators, in original PE numbering.
-        let mut pe_busy_total = vec![Dur::ZERO; orig_n_pes];
-        let mut pe_messages_total = vec![0u64; orig_n_pes];
-        let mut pe_queue_depth = vec![0usize; orig_n_pes];
-        let mut peak_mailbox: u64 = 0;
-        let mut msgs_done = vec![0u64; orig_n_pes];
-        let mut lb_rounds_total = 0u32;
-        let mut migrations_total = 0u64;
-        let mut failures: Vec<PeFailed> = Vec::new();
         let mut unrecoverable: Option<UnrecoverableError> = None;
-        let mut pending = failure_plan.as_ref().map(|p| p.crashes.clone()).unwrap_or_default();
-        let mut pending_joins = join_plan.as_ref().map(|p| p.joins.clone()).unwrap_or_default();
-        let mut rebalance_total = 0u32;
         // Newest checkpoint epoch known complete cluster-wide *this
         // generation*: the admission gate for pending joins — expanding is
         // only safe when a snapshot exists to redistribute from.
         let mut ckpt_done: Option<u32> = None;
-        gctr.bump(Ctr::Generations);
 
         // Boot: Startup on PE 0 at t=0.
-        events.schedule(
-            Time::ZERO,
+        let startup_at = |at: Time| {
+            let body = MsgBody::Startup;
             Event::Arrive(Envelope {
                 src: Pe(0),
                 dst: Pe(0),
                 priority: SYSTEM_PRIORITY,
-                sent_at_ns: 0,
-                body: MsgBody::Startup,
-            }),
-        );
+                sent_at_ns: at.as_nanos(),
+                body,
+            })
+        };
+        events.schedule(Time::ZERO, startup_at(Time::ZERO));
 
-        let mut exited = false;
         let mut final_time = Time::ZERO;
         'main: while let Some((now, event)) = events.pop() {
             if let Some(limit) = sim_cfg.max_time {
@@ -436,19 +409,8 @@ impl SimEngine {
             // Collecting every crash whose time has come in one batch means
             // a buddy pair failing at the same instant is seen as a double
             // failure, not two single ones.
-            let mut crashed: Vec<(Pe, FailureCause)> = Vec::new();
-            let mut i = 0;
-            while i < pending.len() {
-                let due = matches!(pending[i].trigger, CrashTrigger::AtTime(at) if Time::ZERO + at <= now);
-                if due {
-                    let spec = pending.remove(i);
-                    if let Some(cur) = orig.iter().position(|&o| o == spec.pe) {
-                        crashed.push((Pe(cur as u32), FailureCause::Injected));
-                    }
-                } else {
-                    i += 1;
-                }
-            }
+            let mut crashed: Vec<(Pe, FailureCause)> =
+                m.take_timed_crashes(now).into_iter().map(|pe| (pe, FailureCause::Injected)).collect();
 
             if crashed.is_empty() {
                 if let Event::FlushAgg { src, dst, epoch } = event {
@@ -478,9 +440,9 @@ impl SimEngine {
                     Event::Arrive(env) => {
                         let pe = env.dst;
                         if record_on {
-                            recs[orig[pe.index()].index()].recv(
+                            recs[pe.index()].recv(
                                 now,
-                                orig[env.src.index()].0,
+                                m.orig()[env.src.index()].0,
                                 Time::from_nanos(env.sent_at_ns),
                                 env.wire_size(),
                                 shared.topo.crosses_wan(env.src, pe),
@@ -490,7 +452,7 @@ impl SimEngine {
                         pes[pe.index()].queue.push(env);
                         if record_on {
                             let depth = pes[pe.index()].queue.len();
-                            recs[orig[pe.index()].index()].queue_depth(depth);
+                            recs[pe.index()].queue_depth(depth);
                         }
                         (pe, false)
                     }
@@ -560,8 +522,8 @@ impl SimEngine {
                             // host PE dies) the run ends with a structured
                             // error instead.
                             final_time = now;
-                            if failure_plan.is_none() {
-                                unrecoverable = Some(UnrecoverableError::NoFailurePlan { pe: orig[pe.index()] });
+                            if !ft_armed {
+                                unrecoverable = Some(UnrecoverableError::NoFailurePlan { pe: m.orig()[pe.index()] });
                                 break 'main;
                             }
                             if pe == Pe(0) {
@@ -575,13 +537,9 @@ impl SimEngine {
                     if outcome.ckpt_complete.is_some() {
                         ckpt_done = outcome.ckpt_complete;
                     }
-                    msgs_done[orig[pe.index()].index()] += 1;
-                    if let Some(i) = pending.iter().position(|s| {
-                        s.pe == orig[pe.index()]
-                            && matches!(s.trigger, CrashTrigger::AfterMessages(n)
-                                if msgs_done[orig[pe.index()].index()] >= n)
-                    }) {
-                        pending.remove(i);
+                    if matches!(m.crash_of(pe), Some(CrashTrigger::AfterMessages(n))
+                        if nodes[pe.index()].messages_processed() >= n)
+                    {
                         // The PE dies right after this handler; whatever it
                         // emitted is lost with it.
                         crashed.push((pe, FailureCause::Injected));
@@ -591,9 +549,9 @@ impl SimEngine {
                         let depart = now + after;
                         let crosses = shared.topo.crosses_wan(env.src, env.dst);
                         if record_on {
-                            recs[orig[pe.index()].index()].send(
+                            recs[pe.index()].send(
                                 depart,
-                                orig[env.dst.index()].0,
+                                m.orig()[env.dst.index()].0,
                                 env.wire_size(),
                                 crosses,
                                 env.priority == SYSTEM_PRIORITY,
@@ -642,10 +600,10 @@ impl SimEngine {
                             break 'main;
                         }
                     }
-                    pe_busy[pe.index()] += outcome.charged;
+                    pes[pe.index()].worked += outcome.charged;
                     dispatched += 1;
                     if record_on {
-                        let r = &mut recs[orig[pe.index()].index()];
+                        let r = &mut recs[pe.index()];
                         let mut cursor = now;
                         for (obj, d) in &outcome.spans {
                             r.handler((*obj).map(ObjTag::from), cursor, cursor + *d);
@@ -656,7 +614,6 @@ impl SimEngine {
                         }
                     }
                     if outcome.exit {
-                        exited = true;
                         // The terminating handler's work still takes time.
                         final_time = now + outcome.charged;
                         break 'main;
@@ -674,315 +631,88 @@ impl SimEngine {
                     && !pes[pe.index()].busy
                     && pes[pe.index()].queue.is_empty()
                 {
-                    recs[orig[pe.index()].index()].idle(now);
+                    recs[pe.index()].idle(now);
                 }
             }
 
-            if !crashed.is_empty() {
-                // ---- failure detected: recover or give up ----------------
-                for &(cur, cause) in &crashed {
-                    failures.push(PeFailed { pe: orig[cur.index()], at: now, cause });
-                }
-                // Survivors drain in-flight traffic before recovering.
-                while events.pop().is_some() {}
-                let drained = events.now();
-                final_time = drained;
-
-                // Reassemble the newest complete buddy snapshot from the
-                // pieces the survivors hold.
-                let dead_cur: Vec<Pe> = crashed.iter().map(|&(cur, _)| cur).collect();
-                let mut pieces = Vec::new();
-                for node in nodes.iter_mut() {
-                    if !dead_cur.contains(&node.pe()) {
-                        pieces.extend(node.take_ft_pieces());
-                    }
-                }
-                let expected: Vec<(ArrayId, usize)> = shared.arrays.iter().map(|a| (a.id, a.n_elems)).collect();
-                let Some((snapshot, snap_round)) = assemble_buddy_snapshot(&expected, &pieces) else {
-                    unrecoverable = Some(UnrecoverableError::NoCompleteSnapshot {
-                        failed: failures.iter().map(|f| f.pe).collect(),
-                    });
+            // ---- does the generation end here?  PEs died, or — at a safe
+            // point, with nothing dead — joiners are due (joins racing a
+            // crash wait for the next generation).
+            let joiners = if crashed.is_empty() { m.due_joins(now, ckpt_done.is_some()) } else { Vec::new() };
+            if crashed.is_empty() && joiners.is_empty() {
+                continue;
+            }
+            m.record_failures(&crashed, now);
+            // Survivors drain in-flight traffic; they and any joiners
+            // restart from the newest complete snapshot the survivors hold.
+            while events.pop().is_some() {}
+            let drained = events.now();
+            final_time = drained;
+            let dead_cur: Vec<Pe> = crashed.iter().map(|&(cur, _)| cur).collect();
+            let alive = nodes.iter_mut().filter(|n| !dead_cur.contains(&n.pe()));
+            let pieces: Vec<FtPiece> = alive.flat_map(|n| n.take_ft_pieces()).collect();
+            let snapshot = match m.assemble(&pieces, nodes[0].lb_rounds()) {
+                Ok((snapshot, _)) => snapshot,
+                Err(e) => {
+                    unrecoverable = Some(e);
                     break 'main;
-                };
-                gctr.add(Ctr::StepsReplayed, nodes[0].lb_rounds().saturating_sub(snap_round) as u64);
-
-                // Close this generation's books (current → original PEs).
-                for (i, &o) in orig.iter().enumerate() {
-                    pe_busy_total[o.index()] += pe_busy[i];
-                    pe_messages_total[o.index()] += nodes[i].messages_processed();
-                    pe_queue_depth[o.index()] = pe_queue_depth[o.index()].max(pes[i].queue.max_depth());
-                    peak_mailbox = peak_mailbox.max(pes[i].queue.max_bytes());
                 }
-                lb_rounds_total += nodes[0].lb_rounds();
-                migrations_total += nodes[0].migrations();
-                rebalance_total += nodes[0].rebalance_triggers();
-                gctr.add(Ctr::CheckpointsTaken, nodes[0].ft_epochs() as u64);
-                gctr.add(Ctr::CheckpointBytes, nodes.iter().map(|n| n.ft_bytes_stored()).sum::<u64>());
-
-                // Shrink the topology over the survivors and restart from
-                // the snapshot.  The host closures carry over; the startup
-                // closure is long gone, so the new PE 0 goes straight to
-                // the restore-resume broadcast.
-                let (new_topo, new_map) = shared.topo.without_pes(&dead_cur);
-                orig = new_map.iter().map(|&cur| orig[cur.index()]).collect();
-                net.set_topology(new_topo.clone());
-                let host = nodes[0].take_host();
-                shared = Arc::new(NodeShared {
-                    topo: new_topo,
-                    arrays: shared.arrays.clone(),
-                    cfg: restart_cfg.clone(),
-                    restore: Some(Arc::new(snapshot)),
-                });
-                let mut host = Some(host);
-                nodes = shared
-                    .topo
-                    .pes()
-                    .map(|pe| {
-                        let h = if pe == Pe(0) { host.take().expect("host once") } else { HostParts::empty() };
-                        Node::new(Arc::clone(&shared), pe, h)
-                    })
-                    .collect();
-                pes = (0..shared.topo.num_pes()).map(|_| PeState { queue: SchedQueue::new(), busy: false }).collect();
-                pe_busy = vec![Dur::ZERO; shared.topo.num_pes()];
-                // Buffered (un-flushed) aggregation frames die with the
-                // generation, like every other in-flight event; PE numbering
-                // changes across the shrink anyway.
-                agg_bufs.clear();
-                if let Some(fl) = flow.as_mut() {
-                    fl.reset();
-                }
-                gctr.bump(Ctr::Recoveries);
-                gctr.bump(Ctr::Generations);
-                // Checkpoint epochs restart with the generation; pending
-                // joins wait for a fresh complete epoch on the new cluster.
-                ckpt_done = None;
-                if record_on {
-                    for &o in &orig {
-                        recs[o.index()].recovery(drained);
-                    }
-                }
-                events.schedule(
-                    drained,
-                    Event::Arrive(Envelope {
-                        src: Pe(0),
-                        dst: Pe(0),
-                        priority: SYSTEM_PRIORITY,
-                        sent_at_ns: drained.as_nanos(),
-                        body: MsgBody::Startup,
-                    }),
-                );
-            } else if !pending_joins.is_empty() && ckpt_done.is_some() {
-                // ---- expand: admit due joiners at a safe point -----------
-                // A join is admissible once its trigger has fired AND a
-                // complete buddy checkpoint exists this generation, so the
-                // widened cluster has a snapshot to redistribute from.  A
-                // joiner whose PE is still alive is dropped (nothing to
-                // rejoin); joins racing a crash wait for the next event.
-                let recoveries_so_far = gctr.get(Ctr::Recoveries) as u32;
-                let mut due: Vec<JoinSpec> = Vec::new();
-                let mut i = 0;
-                while i < pending_joins.len() {
-                    let fired = match pending_joins[i].trigger {
-                        JoinTrigger::AtTime(at) => Time::ZERO + at <= now,
-                        JoinTrigger::AfterRecoveries(n) => recoveries_so_far >= n,
-                    };
-                    if fired {
-                        let spec = pending_joins.remove(i);
-                        if !orig.contains(&spec.pe) {
-                            due.push(spec);
-                        }
-                    } else {
-                        i += 1;
-                    }
-                }
-                if !due.is_empty() {
-                    // Deterministic admission order: by (cluster, original
-                    // PE); `with_pes` appends joiners per cluster in the
-                    // order `added` repeats that cluster.
-                    let mut joiners: Vec<(ClusterId, Pe)> = due
-                        .iter()
-                        .map(|s| {
-                            let cid = s.cluster.unwrap_or_else(|| {
-                                *orig_cluster_of
-                                    .get(s.pe.index())
-                                    .expect("a brand-new PE joining must name an explicit cluster")
-                            });
-                            (cid, s.pe)
-                        })
-                        .collect();
-                    joiners.sort_unstable();
-                    let added: Vec<ClusterId> = joiners.iter().map(|&(c, _)| c).collect();
-
-                    // Survivors and joiners alike restart from the newest
-                    // complete snapshot; in-flight traffic is discarded
-                    // exactly as across a shrink.
-                    while events.pop().is_some() {}
-                    let drained = events.now();
-                    final_time = drained;
-
-                    let mut pieces = Vec::new();
-                    for node in nodes.iter_mut() {
-                        pieces.extend(node.take_ft_pieces());
-                    }
-                    let expected: Vec<(ArrayId, usize)> = shared.arrays.iter().map(|a| (a.id, a.n_elems)).collect();
-                    let Some((snapshot, snap_round)) = assemble_buddy_snapshot(&expected, &pieces) else {
-                        unrecoverable = Some(UnrecoverableError::NoCompleteSnapshot { failed: Vec::new() });
-                        break 'main;
-                    };
-                    gctr.add(Ctr::StepsReplayed, nodes[0].lb_rounds().saturating_sub(snap_round) as u64);
-
-                    // Close this generation's books (current → original
-                    // PEs), widening the accumulators if a joiner's original
-                    // number lies beyond the boot topology.
-                    let max_orig = joiners.iter().map(|&(_, pe)| pe.index() + 1).max().unwrap_or(0);
-                    if max_orig > pe_busy_total.len() {
-                        pe_busy_total.resize(max_orig, Dur::ZERO);
-                        pe_messages_total.resize(max_orig, 0);
-                        pe_queue_depth.resize(max_orig, 0);
-                        msgs_done.resize(max_orig, 0);
-                        for pe in recs.len() as u32..max_orig as u32 {
-                            recs.push(PeRecorder::maybe(record_on, pe, &obs_cfg));
-                        }
-                    }
-                    for (i, &o) in orig.iter().enumerate() {
-                        pe_busy_total[o.index()] += pe_busy[i];
-                        pe_messages_total[o.index()] += nodes[i].messages_processed();
-                        pe_queue_depth[o.index()] = pe_queue_depth[o.index()].max(pes[i].queue.max_depth());
-                        peak_mailbox = peak_mailbox.max(pes[i].queue.max_bytes());
-                    }
-                    lb_rounds_total += nodes[0].lb_rounds();
-                    migrations_total += nodes[0].migrations();
-                    rebalance_total += nodes[0].rebalance_triggers();
-                    gctr.add(Ctr::CheckpointsTaken, nodes[0].ft_epochs() as u64);
-                    gctr.add(Ctr::CheckpointBytes, nodes.iter().map(|n| n.ft_bytes_stored()).sum::<u64>());
-
-                    // Widen the topology: joiners land at the end of their
-                    // cluster's PE range, and the `None` slots of the map
-                    // pair with the per-cluster joiner FIFO.
-                    let (new_topo, new_map) = shared.topo.with_pes(&added);
-                    let mut fifo = joiners.clone();
-                    orig = new_map
-                        .iter()
-                        .enumerate()
-                        .map(|(cur, slot)| match slot {
-                            Some(old_cur) => orig[old_cur.index()],
-                            None => {
-                                let cid = new_topo.cluster_of(Pe(cur as u32));
-                                let at = fifo.iter().position(|&(c, _)| c == cid).expect("joiner for slot");
-                                fifo.remove(at).1
-                            }
-                        })
-                        .collect();
-                    net.set_topology(new_topo.clone());
-                    let host = nodes[0].take_host();
-                    shared = Arc::new(NodeShared {
-                        topo: new_topo,
-                        arrays: shared.arrays.clone(),
-                        cfg: restart_cfg.clone(),
-                        restore: Some(Arc::new(snapshot)),
-                    });
-                    let mut host = Some(host);
-                    nodes = shared
-                        .topo
-                        .pes()
-                        .map(|pe| {
-                            let h = if pe == Pe(0) { host.take().expect("host once") } else { HostParts::empty() };
-                            Node::new(Arc::clone(&shared), pe, h)
-                        })
-                        .collect();
-                    pes =
-                        (0..shared.topo.num_pes()).map(|_| PeState { queue: SchedQueue::new(), busy: false }).collect();
-                    pe_busy = vec![Dur::ZERO; shared.topo.num_pes()];
-                    agg_bufs.clear();
-                    if let Some(fl) = flow.as_mut() {
-                        fl.reset();
-                    }
-                    gctr.add(Ctr::PesJoined, joiners.len() as u64);
-                    gctr.bump(Ctr::Generations);
-                    ckpt_done = None;
-                    if record_on {
-                        for &o in &orig {
-                            recs[o.index()].recovery(drained);
-                        }
-                    }
-                    events.schedule(
-                        drained,
-                        Event::Arrive(Envelope {
-                            src: Pe(0),
-                            dst: Pe(0),
-                            priority: SYSTEM_PRIORITY,
-                            sent_at_ns: drained.as_nanos(),
-                            body: MsgBody::Startup,
-                        }),
-                    );
-                }
+            };
+            let rows = generation_rows(m.orig(), &nodes, &pes, std::mem::take(&mut recs));
+            m.books.close_generation(rows, Some(HostRow::of(&nodes[0])));
+            // The host closures carry over; the startup closure is long
+            // gone, so the new PE 0 goes straight to the restore-resume
+            // broadcast.
+            m.keep_host(&mut nodes[0]);
+            let change = if dead_cur.is_empty() { Change::Expand { joiners } } else { Change::Shrink { dead_cur } };
+            m.advance(change, snapshot, drained);
+            (shared, nodes, pes, recs) = launch(&mut m);
+            net.set_topology(shared.topo.clone());
+            // Buffered (un-flushed) aggregation frames and deferred sends
+            // die with the generation, like every other in-flight event; PE
+            // numbering changes anyway.
+            agg_bufs.clear();
+            if let Some(fl) = flow.as_mut() {
+                fl.reset();
             }
+            // Checkpoint epochs restart with the generation; pending joins
+            // wait for a fresh complete epoch on the new cluster.
+            ckpt_done = None;
+            events.schedule(drained, startup_at(drained));
         }
 
-        // Fold the final generation into the accumulators.
-        for (i, &o) in orig.iter().enumerate() {
-            pe_busy_total[o.index()] += pe_busy[i];
-            pe_messages_total[o.index()] += nodes[i].messages_processed();
-            pe_queue_depth[o.index()] = pe_queue_depth[o.index()].max(pes[i].queue.max_depth());
-            peak_mailbox = peak_mailbox.max(pes[i].queue.max_bytes());
-        }
-        lb_rounds_total += nodes[0].lb_rounds();
-        migrations_total += nodes[0].migrations();
-        rebalance_total += nodes[0].rebalance_triggers();
-        gctr.add(Ctr::CheckpointsTaken, nodes[0].ft_epochs() as u64);
-        gctr.add(Ctr::CheckpointBytes, nodes.iter().map(|n| n.ft_bytes_stored()).sum::<u64>());
-        gctr.add(Ctr::ObjectsMigrated, migrations_total);
-        gctr.add(Ctr::RebalanceTriggers, rebalance_total as u64);
-
-        // Mirror the fault-layer and failure tallies into the registry so
-        // the report's scalars and the obs counters come from one place.
-        let fault_stats = faults.map(|fm| *fm.stats()).unwrap_or_else(FaultModelStats::default);
+        // Close the last generation and add what only this engine knows.
+        let rows = generation_rows(m.orig(), &nodes, &pes, recs);
+        m.books.close_generation(rows, Some(HostRow::of(&nodes[0])));
+        let fault_stats = faults.map(|fm| *fm.stats()).unwrap_or_default();
         gctr.add(Ctr::Drops, fault_stats.dropped);
         gctr.add(Ctr::Retransmits, fault_stats.retransmits);
         gctr.add(Ctr::DupDropped, fault_stats.dup_dropped);
         gctr.add(Ctr::CorruptRejected, fault_stats.corrupt_rejected);
         gctr.add(Ctr::Reordered, fault_stats.reordered);
-        gctr.add(Ctr::FailuresDetected, failures.len() as u64);
-
-        let pes_obs: Vec<PeObs> = recs.into_iter().map(PeRecorder::finish).collect();
-        let obs = record_on.then(|| ObsReport { pes: pes_obs, counters: gctr.clone() });
-
+        m.books.ctr.merge(&gctr);
+        m.books.network = net.stats().clone();
+        m.books.transport_error = transport_error;
         // The sender-side deferred bank counts toward peak buffering too:
         // under `Block` an open-loop producer's backlog lives there.
-        peak_mailbox = peak_mailbox.max(flow.as_ref().map_or(0, |f| f.max_waiting));
-
-        let end_time = events.now().max(final_time);
-        let _ = exited;
-        RunReport {
-            end_time,
-            pe_busy: pe_busy_total,
-            pe_messages: pe_messages_total,
-            pe_max_queue_depth: pe_queue_depth,
-            network: net.stats().clone(),
-            obs,
-            lb_rounds: lb_rounds_total,
-            migrations: migrations_total,
-            faults: fault_stats,
-            transport_error,
-            failures_detected: gctr.get_u32(Ctr::FailuresDetected),
-            recoveries: gctr.get_u32(Ctr::Recoveries),
-            pes_joined: gctr.get_u32(Ctr::PesJoined),
-            generations: gctr.get_u32(Ctr::Generations),
-            rebalance_triggers: gctr.get_u32(Ctr::RebalanceTriggers),
-            objects_migrated: gctr.get(Ctr::ObjectsMigrated),
-            steps_replayed: gctr.get_u32(Ctr::StepsReplayed),
-            checkpoints_taken: gctr.get_u32(Ctr::CheckpointsTaken),
-            checkpoint_bytes: gctr.get(Ctr::CheckpointBytes),
-            failures,
-            unrecoverable,
-            credit_stalls: gctr.get(Ctr::CreditStalls),
-            credit_wait: Dur::from_nanos(gctr.get(Ctr::CreditWaitNs)),
-            queue_full: gctr.get(Ctr::QueueFull),
-            sheds: gctr.get(Ctr::EnvelopesShed),
-            shed_bytes: gctr.get(Ctr::ShedBytes),
-            peak_mailbox_bytes: peak_mailbox,
-        }
+        m.books.peak_mailbox_bytes = m.books.peak_mailbox_bytes.max(flow.as_ref().map_or(0, |f| f.max_waiting));
+        m.into_report(events.now().max(final_time), unrecoverable)
     }
+}
+
+/// The rows that close one generation's books (everything in current PE
+/// numbering, `orig` mapping it to the original one).
+fn generation_rows(orig: &[Pe], nodes: &[Node], pes: &[PeState], recs: Vec<PeRecorder>) -> Vec<PeRow> {
+    let row = |(i, rec): (usize, PeRecorder)| PeRow {
+        orig: orig[i],
+        busy: pes[i].worked,
+        messages: nodes[i].messages_processed(),
+        queue_depth: pes[i].queue.max_depth(),
+        queue_bytes: pes[i].queue.max_bytes(),
+        ckpt_bytes: nodes[i].ft_bytes_stored(),
+        obs: rec.is_on().then(|| rec.finish()),
+    };
+    recs.into_iter().enumerate().map(row).collect()
 }
 
 #[cfg(test)]
@@ -1106,7 +836,6 @@ mod tests {
         assert_eq!(report.network.intra_messages, 0);
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn trace_records_overlap_story() {
         let net = NetworkModel::two_cluster_sweep(2, Dur::from_millis(4));
@@ -1390,7 +1119,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(all(feature = "obs", feature = "agg"))]
     fn aggregation_coalesces_bursts_without_changing_delivery() {
         let plain = burst_run(None, None);
         let agg = burst_run(Some(AggConfig::default()), None);
@@ -1517,12 +1245,7 @@ mod tests {
         let report =
             SimEngine::new(net, cfg).with_limits(SimConfig { max_time: None, max_events: Some(100_000) }).run(p);
         assert_eq!(FIRED.load(Ordering::SeqCst), 1, "quiescence fired despite buffered frames");
-        #[cfg(all(feature = "obs", feature = "agg"))]
-        {
-            let counters = &report.obs.expect("obs armed").counters;
-            assert!(counters.get(Ctr::EnvelopesCoalesced) >= 12, "the chain went through the aggregation path");
-        }
-        #[cfg(not(all(feature = "obs", feature = "agg")))]
-        let _ = report;
+        let counters = &report.obs.expect("obs armed").counters;
+        assert!(counters.get(Ctr::EnvelopesCoalesced) >= 12, "the chain went through the aggregation path");
     }
 }

@@ -15,7 +15,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mdo_netsim::{CrashTrigger, Dur, LatencyMatrix, Pe, Time, Topology};
@@ -23,10 +23,11 @@ use mdo_vmi::Aggregator;
 
 use mdo_obs::{ObjTag, ObsConfig, PeObs, PeRecorder};
 
-use crate::chare::{Ctx, CtxSink};
 use crate::envelope::{Envelope, MsgBody, SYSTEM_PRIORITY};
-use crate::node::{AppAdmit, AppRun, HandleOutcome, Node, NodeHooks};
+use crate::node::{HandleOutcome, Node, NodeHooks};
 use crate::program::{Program, RunConfig, RunReport};
+
+use super::generation::HostRow;
 
 /// Engine-specific configuration.
 #[derive(Clone, Debug)]
@@ -112,41 +113,20 @@ pub(super) struct PeResult {
     pub(super) pe: Pe,
     pub(super) busy: Dur,
     pub(super) messages: u64,
-    pub(super) lb_rounds: u32,
-    pub(super) migrations: u64,
-    pub(super) rebalance: u32,
-    pub(super) obs: PeObs,
-    pub(super) ft_epochs: u32,
+    /// Its recording, with obs armed.
+    pub(super) obs: Option<PeObs>,
     pub(super) ft_bytes: u64,
-    /// Envelopes this thread executed for *other* PEs' nodes (work
-    /// stealing; 0 when stealing is off).
-    pub(super) steals: u64,
+    /// The job-wide tallies its node kept (they mean something on PE 0).
+    pub(super) host: HostRow,
     pub(super) node: Option<Node>,
 }
 
 impl PeResult {
     /// Placeholder for a thread that could not be joined.
     pub(super) fn lost(pe: Pe) -> Self {
-        PeResult {
-            pe,
-            busy: Dur::ZERO,
-            messages: 0,
-            lb_rounds: 0,
-            migrations: 0,
-            rebalance: 0,
-            obs: PeObs::empty(pe.0),
-            ft_epochs: 0,
-            ft_bytes: 0,
-            steals: 0,
-            node: None,
-        }
+        PeResult { pe, busy: Dur::ZERO, messages: 0, obs: None, ft_bytes: 0, host: HostRow::default(), node: None }
     }
 }
-
-/// One slot per PE holding its [`Node`] for the current generation; with
-/// work stealing on, any sibling thread may briefly lock a slot to admit
-/// or complete an execution against that node.
-pub(super) type NodeBank = Arc<Vec<Mutex<Option<Node>>>>;
 
 /// Per-PE liveness flags shared with the watchdog.
 pub(super) const PE_ALIVE: u8 = 0;
@@ -172,12 +152,9 @@ pub(super) struct ThreadCtl {
     pub(super) compute_sleep: bool,
     /// Heartbeat cadence; `None` disables liveness traffic (no failure plan).
     pub(super) hb_interval: Option<Duration>,
-    /// This PE's injected crash, already translated to the current
-    /// generation's numbering.
+    /// This PE's injected crash, translated to the current generation: its
+    /// numbering, and what is left of a message count.
     pub(super) crash: Option<CrashTrigger>,
-    /// Envelopes this PE had processed in previous generations (crash
-    /// triggers count across restarts).
-    pub(super) msgs_before: u64,
     /// Set to (epoch + 1) by PE 0 when a buddy-checkpoint epoch completes
     /// cluster-wide; the watchdog admits pending joins only when non-zero,
     /// so the widened cluster always has a snapshot to restart from.
@@ -267,7 +244,7 @@ pub(super) fn pe_thread(pe: Pe, mut node: Node, ctl: ThreadCtl) -> PeResult {
         if let Some(trigger) = ctl.crash {
             let due = match trigger {
                 CrashTrigger::AtTime(at) => ctl.t0.elapsed() >= at.to_std(),
-                CrashTrigger::AfterMessages(n) => ctl.msgs_before + node.messages_processed() >= n,
+                CrashTrigger::AfterMessages(n) => node.messages_processed() >= n,
             };
             if due {
                 ctl.status[pe.index()].store(PE_CRASHED, Ordering::Release);
@@ -383,327 +360,14 @@ pub(super) fn pe_thread(pe: Pe, mut node: Node, ctl: ThreadCtl) -> PeResult {
     // This thread polls no more: nothing it corked (the `Exit` broadcast,
     // a last ack) may stay behind.
     ctl.agg.inner().flush_wire(pe);
-    let messages = node.messages_processed();
-    let lb_rounds = node.lb_rounds();
-    let migrations = node.migrations();
-    let rebalance = node.rebalance_triggers();
-    let ft_epochs = node.ft_epochs();
-    let ft_bytes = node.ft_bytes_stored();
-    let obs = hooks.rec.finish();
     PeResult {
         pe,
         busy,
-        messages,
-        lb_rounds,
-        migrations,
-        rebalance,
-        obs,
-        ft_epochs,
-        ft_bytes,
-        steals: 0,
+        messages: node.messages_processed(),
+        obs: ctl.record_on.then(|| hooks.rec.finish()),
+        ft_bytes: node.ft_bytes_stored(),
+        host: HostRow::of(&node),
         node: (!died).then_some(node),
-    }
-}
-
-/// Bodies that enumerate the whole object table (packing element state or
-/// resuming every element): in stealing mode they must not run while a
-/// chare is checked out, or the missing element would be dropped from the
-/// snapshot / migration batch.
-fn needs_elem_quiescence(body: &MsgBody) -> bool {
-    matches!(
-        body,
-        MsgBody::LbAssign { .. }
-            | MsgBody::CkptCollect
-            | MsgBody::BuddyCollect { .. }
-            | MsgBody::RestoreResume
-            | MsgBody::LbResume
-    )
-}
-
-/// Outcome of executing one envelope against a banked node.
-enum ExecResult {
-    Done(HandleOutcome),
-    /// The home node is gone (its PE died); the envelope is dropped.
-    HomeGone,
-    /// The handler panicked; `home`'s status flag is set and its node
-    /// destroyed (the watchdog recovers or surfaces the error).
-    Panicked,
-}
-
-/// Execute one decoded envelope against `home`'s node in stealing mode.
-///
-/// App envelopes take the checkout path: the target chare is removed from
-/// the home node's table under its slot lock, `Chare::receive` runs with
-/// no lock held (so the home PE keeps dispatching other elements), and
-/// the handler's buffered output is routed on check-in.  Every other body
-/// runs under the slot lock via [`Node::handle`]; the few bodies that
-/// enumerate the object table first wait for in-flight checkouts to land.
-fn execute_on(home: Pe, env: Envelope, bank: &NodeBank, hooks: &mut ThreadHooks, ctl: &ThreadCtl) -> ExecResult {
-    let slot_of = |pe: Pe| bank[pe.index()].lock().unwrap_or_else(|e| e.into_inner());
-    if let MsgBody::App { target, entry, payload } = &env.body {
-        let (target, entry, payload, priority) = (*target, *entry, payload.clone(), env.priority);
-        let admit = {
-            let mut slot = slot_of(home);
-            let Some(node) = slot.as_mut() else { return ExecResult::HomeGone };
-            node.begin_app(target, entry, payload.clone(), priority, hooks)
-        };
-        let AppRun { mut chare, key, shared } = match admit {
-            AppAdmit::Done(outcome) => return ExecResult::Done(outcome),
-            AppAdmit::Run(run) => run,
-        };
-        let mut sink = CtxSink::default();
-        let res = catch_unwind(AssertUnwindSafe(|| {
-            let mut ctx = Ctx { now: hooks.now(), pe: home, topo: &shared.topo, me: Some(key), sink: &mut sink };
-            chare.receive(entry, &payload, &mut ctx);
-        }));
-        let mut slot = slot_of(home);
-        match res {
-            Ok(()) => match slot.as_mut() {
-                Some(node) => ExecResult::Done(node.finish_app(key, chare, sink, hooks)),
-                None => ExecResult::HomeGone,
-            },
-            Err(_) => {
-                ctl.status[home.index()].store(PE_PANICKED, Ordering::Release);
-                *slot = None;
-                ExecResult::Panicked
-            }
-        }
-    } else {
-        let gated = needs_elem_quiescence(&env.body);
-        let mut env = Some(env);
-        loop {
-            {
-                let mut slot = slot_of(home);
-                let Some(node) = slot.as_mut() else { return ExecResult::HomeGone };
-                if !gated || node.app_running() == 0 {
-                    let e = env.take().expect("envelope consumed once");
-                    return match catch_unwind(AssertUnwindSafe(|| node.handle(e, hooks))) {
-                        Ok(outcome) => ExecResult::Done(outcome),
-                        Err(_) => {
-                            ctl.status[home.index()].store(PE_PANICKED, Ordering::Release);
-                            *slot = None;
-                            ExecResult::Panicked
-                        }
-                    };
-                }
-            }
-            // A checkout is in flight; it completes after a bounded
-            // handler execution, so spin politely.
-            std::thread::yield_now();
-        }
-    }
-}
-
-/// The stealing variant of [`pe_thread`]: same lifecycle (sheds
-/// reconciliation, injected crashes, heartbeats, stop-drain, exit
-/// announcement), but the node lives in the shared bank and an empty own
-/// mailbox makes this thread try siblings' queues before blocking.
-pub(super) fn pe_thread_stealing(pe: Pe, bank: NodeBank, ctl: ThreadCtl) -> PeResult {
-    let mut busy = Dur::ZERO;
-    let mut steals = 0u64;
-    let mut hooks = ThreadHooks {
-        t0: ctl.t0,
-        pe,
-        agg: Arc::clone(&ctl.agg),
-        rec: PeRecorder::maybe(ctl.record_on, ctl.orig_map[pe.index()].0, &ctl.obs_cfg),
-        orig: Arc::clone(&ctl.orig_map),
-        topo: ctl.topo.clone(),
-    };
-    let mut died = false;
-    let mut idle_pending = false;
-    let mut last_hb: Option<Instant> = None;
-    let mut sheds_seen = 0u64;
-    // Steal only from same-cluster siblings: stealing is an intra-node
-    // remap, and the mailbox-level filter additionally refuses system and
-    // cross-WAN packets.
-    let victims: Vec<Pe> = ctl.topo.pes().filter(|&v| v != pe && !ctl.topo.crosses_wan(pe, v)).collect();
-    loop {
-        {
-            let mut slot = bank[pe.index()].lock().unwrap_or_else(|e| e.into_inner());
-            let Some(node) = slot.as_mut() else {
-                // A sibling panicked while executing one of our chares:
-                // this PE is dead (its status flag is already set).
-                died = true;
-                break;
-            };
-            if pe == Pe(0) {
-                let shed = ctl.agg.sheds_total();
-                if shed > sheds_seen {
-                    node.note_sheds(shed - sheds_seen);
-                    sheds_seen = shed;
-                }
-            }
-            if let Some(trigger) = ctl.crash {
-                let due = match trigger {
-                    CrashTrigger::AtTime(at) => ctl.t0.elapsed() >= at.to_std(),
-                    CrashTrigger::AfterMessages(n) => ctl.msgs_before + node.messages_processed() >= n,
-                };
-                if due {
-                    ctl.status[pe.index()].store(PE_CRASHED, Ordering::Release);
-                    // The crashed PE's in-memory state is gone — and the
-                    // empty slot stops siblings from executing for a corpse.
-                    *slot = None;
-                    died = true;
-                    break;
-                }
-            }
-        }
-        if let Some(interval) = ctl.hb_interval {
-            if pe == Pe(0) {
-                ctl.last_heard[0].store(elapsed_ns(ctl.t0), Ordering::Release);
-            } else if last_hb.is_none_or(|t| t.elapsed() >= interval) {
-                last_hb = Some(Instant::now());
-                let hb = Envelope {
-                    src: pe,
-                    dst: Pe(0),
-                    priority: SYSTEM_PRIORITY,
-                    sent_at_ns: elapsed_ns(ctl.t0),
-                    body: MsgBody::Heartbeat,
-                };
-                ctl.agg.send_with(pe, Pe(0), SYSTEM_PRIORITY, true, |buf| hb.encode_into(buf));
-            }
-        }
-        if ctl.stop.load(Ordering::Acquire) {
-            // Drain whatever is already queued, then leave.
-            if ctl.agg.try_recv(pe).is_none() {
-                break;
-            }
-        }
-        // Own mailbox first; empty → try same-cluster siblings; nothing
-        // anywhere → a short blocking wait on our own queue.
-        let (pkt, home) = if let Some(p) = ctl.agg.try_recv(pe) {
-            (p, pe)
-        } else {
-            let mut stolen = None;
-            if !ctl.stop.load(Ordering::Acquire) {
-                for &v in &victims {
-                    if ctl.status[v.index()].load(Ordering::Acquire) != PE_ALIVE {
-                        continue;
-                    }
-                    if let Some(p) = ctl.agg.try_steal(v) {
-                        stolen = Some((p, v));
-                        break;
-                    }
-                }
-            }
-            match stolen {
-                Some(s) => {
-                    steals += 1;
-                    s
-                }
-                None => match ctl.agg.recv_timeout(pe, Duration::from_millis(1)) {
-                    Some(p) => (p, pe),
-                    None => {
-                        if idle_pending {
-                            idle_pending = false;
-                            hooks.rec.idle(Time::from_nanos(elapsed_ns(ctl.t0)));
-                        }
-                        continue;
-                    }
-                },
-            }
-        };
-        let env = match Envelope::decode_shared(&pkt.payload) {
-            Ok(env) => env,
-            Err(e) => {
-                ctl.decode_rejected.fetch_add(1, Ordering::Relaxed);
-                eprintln!("mdo-pe{}: dropping undecodable packet from {}: {e:?}", pe.0, pkt.src);
-                continue;
-            }
-        };
-        if ctl.hb_interval.is_some() && pe == Pe(0) && home == pe && matches!(env.body, MsgBody::Heartbeat) {
-            ctl.last_heard[env.src.index()].store(elapsed_ns(ctl.t0), Ordering::Release);
-            continue;
-        }
-        let started = Instant::now();
-        let start_time = Time::from_nanos(elapsed_ns(ctl.t0));
-        let sent_at = Time::from_nanos(env.sent_at_ns);
-        let (src, dst) = (env.src, env.dst);
-        let sys = env.priority == SYSTEM_PRIORITY;
-        let wire_bytes = pkt.payload.len() as u64;
-        // The envelope executes against its HOME node: emissions carry the
-        // home PE as src, its QD and load books are charged — only the OS
-        // thread differs, which is exactly the "transient remap" contract.
-        hooks.pe = home;
-        let result = execute_on(home, env, &bank, &mut hooks, &ctl);
-        hooks.pe = pe;
-        let outcome = match result {
-            ExecResult::Done(outcome) => outcome,
-            ExecResult::HomeGone => continue,
-            ExecResult::Panicked => {
-                if home == pe {
-                    died = true;
-                    break;
-                }
-                // A stolen execution killed its home PE; this thread lives.
-                continue;
-            }
-        };
-        if let Some(epoch) = outcome.ckpt_complete {
-            ctl.ckpt_done.store(epoch as u64 + 1, Ordering::Release);
-        }
-        if ctl.compute_sleep && !outcome.charged.is_zero() {
-            // What the handler sent must not wait out the sleep in a cork.
-            ctl.agg.inner().flush_wire(pe);
-            std::thread::sleep(outcome.charged.to_std());
-        }
-        let took = Dur::from_std(started.elapsed());
-        busy += took;
-        if hooks.rec.is_on() {
-            hooks.rec.recv(
-                start_time,
-                ctl.orig_map[src.index()].0,
-                sent_at,
-                wire_bytes,
-                ctl.topo.crosses_wan(src, dst),
-                sys,
-            );
-            record_spans(&mut hooks.rec, &outcome, start_time, took);
-            if let Some(epoch) = outcome.ckpt_epoch {
-                hooks.rec.checkpoint(start_time, epoch);
-            }
-            idle_pending = true;
-        }
-        if outcome.exit && !ctl.exit_announced.swap(true, Ordering::AcqRel) {
-            ctl.end_ns.store(elapsed_ns(ctl.t0), Ordering::Release);
-            for dst in ctl.topo.pes() {
-                let bye = Envelope { src: pe, dst, priority: SYSTEM_PRIORITY, sent_at_ns: 0, body: MsgBody::Exit };
-                ctl.agg.send_with(pe, dst, SYSTEM_PRIORITY, true, |buf| bye.encode_into(buf));
-            }
-            ctl.stop.store(true, Ordering::Release);
-        }
-        if outcome.exit {
-            break;
-        }
-    }
-    ctl.agg.inner().flush_wire(pe);
-    let node = bank[pe.index()].lock().unwrap_or_else(|e| e.into_inner()).take();
-    let (messages, lb_rounds, migrations, rebalance, ft_epochs, ft_bytes) = node
-        .as_ref()
-        .map(|n| {
-            (
-                n.messages_processed(),
-                n.lb_rounds(),
-                n.migrations(),
-                n.rebalance_triggers(),
-                n.ft_epochs(),
-                n.ft_bytes_stored(),
-            )
-        })
-        .unwrap_or_default();
-    let obs = hooks.rec.finish();
-    PeResult {
-        pe,
-        busy,
-        messages,
-        lb_rounds,
-        migrations,
-        rebalance,
-        obs,
-        ft_epochs,
-        ft_bytes,
-        steals,
-        node: if died { None } else { node },
     }
 }
 

@@ -36,9 +36,7 @@
 //! with an [`ObsConfig`] and the run report carries an
 //! [`ObsReport`] — per-PE event streams, counters, latency/grain
 //! histograms, the overlap-fraction analysis, and Chrome-trace/CSV
-//! exporters.  The `obs` cargo feature (default on) compiles the
-//! recording paths; without it `RunConfig::obs` is inert and only the
-//! legacy trace knob records.
+//! exporters.  Unset (the default), nothing is recorded.
 //!
 //! Both engines execute the *same* application objects; only time differs
 //! (virtual vs wall-clock).
@@ -90,7 +88,6 @@ pub mod envelope;
 pub mod ids;
 pub mod mapping;
 pub mod node;
-mod objtable;
 pub mod program;
 pub mod queue;
 pub mod reduction;

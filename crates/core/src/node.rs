@@ -14,7 +14,7 @@
 //! runtime semantics — run under swept artificial latencies (sim engine)
 //! and under real injected delays (threaded engine).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -26,7 +26,6 @@ use crate::chare::{Chare, Ctx, CtxOut, CtxSink};
 use crate::checkpoint::{CkptAssembly, FtPiece};
 use crate::envelope::{Envelope, LbObjStat, MsgBody, ReduceData, APP_PRIORITY, SYSTEM_PRIORITY};
 use crate::ids::{ArrayId, EntryId, ObjKey};
-use crate::objtable::ObjTable;
 use crate::program::{CheckpointClient, Program, QuiescenceClient, ReductionClient, RunConfig, StartupFn};
 use crate::wire::{WireReader, WireWriter};
 
@@ -66,7 +65,7 @@ pub struct HandleOutcome {
     /// Whether the program requested termination.
     pub exit: bool,
     /// Execution spans (object, charged work) for tracing — populated only
-    /// when observability is armed (see [`RunConfig::obs_active`]).
+    /// when observability is armed ([`RunConfig::obs`]).
     pub spans: Vec<(Option<ObjKey>, Dur)>,
     /// Set when this envelope completed a buddy-checkpoint pack on this PE
     /// (engines record it as a checkpoint event).
@@ -76,24 +75,6 @@ pub struct HandleOutcome {
     /// admission gate for pending joins: a complete epoch guarantees
     /// `assemble_buddy_snapshot` over all live PEs succeeds.
     pub ckpt_complete: Option<u32>,
-}
-
-/// A checked-out application delivery (see [`Node::begin_app`]): run
-/// [`Chare::receive`] against `chare` outside the node lock, then hand
-/// everything back to [`Node::finish_app`].
-pub(crate) struct AppRun {
-    pub(crate) chare: Box<dyn Chare>,
-    pub(crate) key: ObjKey,
-    /// For building the `Ctx` (topology reference) without re-locking.
-    pub(crate) shared: Arc<NodeShared>,
-}
-
-/// Outcome of [`Node::begin_app`].
-pub(crate) enum AppAdmit {
-    /// Target resident: execute outside the lock, then `finish_app`.
-    Run(AppRun),
-    /// Fully handled inline (buffered, forwarded, or the node exited).
-    Done(HandleOutcome),
 }
 
 /// Host-side closures, present only on PE 0's node.
@@ -191,11 +172,10 @@ struct FtState {
 pub struct Node {
     shared: Arc<NodeShared>,
     pe: Pe,
-    elems: ObjTable,
-    /// Elements currently checked out for execution (see
-    /// [`Node::begin_app`]): they are absent from `elems` but still
-    /// resident on this PE, so barrier/packing logic must count them.
-    running: usize,
+    /// The elements resident here.  Ordered, so packing and migration
+    /// enumerate them the same way on every run: snapshots and migration
+    /// batches are byte-identical.
+    elems: BTreeMap<ObjKey, Box<dyn Chare>>,
     arrays: Vec<ArrayLocal>,
     reductions: Vec<crate::reduction::PeReductions>,
     /// Tree-mode child-partial buffers, one per array (unused when
@@ -232,7 +212,7 @@ impl Node {
             (0..n_arrays).map(|_| crate::reduction::PeReductions::new()).collect();
         let mut root: Vec<crate::reduction::RootDelivery> =
             (0..n_arrays).map(|_| crate::reduction::RootDelivery::new()).collect();
-        let elems = ObjTable::new();
+        let mut elems = BTreeMap::new();
         for local in &arrays {
             for elem in local.elems_on(pe) {
                 let key = ObjKey::new(local.spec.id, elem);
@@ -273,7 +253,6 @@ impl Node {
             shared,
             pe,
             elems,
-            running: 0,
             arrays,
             reductions,
             tree_red,
@@ -611,76 +590,6 @@ impl Node {
         outcome
     }
 
-    /// Admit an application envelope for out-of-lock execution — the
-    /// work-stealing entry point.  Called (under the engine's per-node
-    /// lock) by whichever thread dequeued the message, home PE or thief:
-    /// if the target chare is resident it is checked out and returned so
-    /// `Chare::receive` can run with no node lock held; otherwise the
-    /// message is buffered or forwarded exactly as [`Node::handle`]'s App
-    /// arm would — including the case where the chare is *currently
-    /// checked out by another thread*, which parks the message in the
-    /// same raced-ahead buffer migration uses (drained at
-    /// [`Node::finish_app`]).
-    pub(crate) fn begin_app(
-        &mut self,
-        target: ObjKey,
-        entry: EntryId,
-        payload: Bytes,
-        priority: i32,
-        hooks: &mut dyn NodeHooks,
-    ) -> AppAdmit {
-        let outcome = HandleOutcome::default();
-        if self.exited {
-            return AppAdmit::Done(outcome);
-        }
-        self.messages_processed += 1;
-        self.qd.processed += 1;
-        self.qd.active = true;
-        if let Some(chare) = self.elems.remove(&target) {
-            self.running += 1;
-            return AppAdmit::Run(AppRun { chare, key: target, shared: Arc::clone(&self.shared) });
-        }
-        let loc = self.arrays[target.array.0 as usize].location(target.elem);
-        if loc == self.pe {
-            // Assigned here but not in the table: mid-migration, or checked
-            // out by a concurrent execution.  Either way it comes back.
-            self.lb.pending_local.push((target, entry, payload, priority));
-        } else {
-            self.qd.sent += 1;
-            self.emit_env(hooks, loc, priority, MsgBody::App { target, entry, payload }, Dur::ZERO);
-        }
-        AppAdmit::Done(outcome)
-    }
-
-    /// Check a chare back in after an out-of-lock execution and route the
-    /// handler's buffered output.  Must be called (under the engine's
-    /// per-node lock) exactly once per [`AppAdmit::Run`].
-    pub(crate) fn finish_app(
-        &mut self,
-        key: ObjKey,
-        chare: Box<dyn Chare>,
-        sink: crate::chare::CtxSink,
-        hooks: &mut dyn NodeHooks,
-    ) -> HandleOutcome {
-        let mut outcome = HandleOutcome::default();
-        let prev = self.elems.insert(key, chare);
-        debug_assert!(prev.is_none(), "{key:?} resident while checked out");
-        self.running -= 1;
-        self.process_sink(Some(key), sink, hooks, &mut outcome);
-        // Messages that raced against the checkout were parked; re-deliver
-        // them now that the chare is back.
-        self.drain_pending_local(hooks, &mut outcome);
-        if outcome.exit {
-            self.exited = true;
-        }
-        outcome
-    }
-
-    /// Chares currently checked out via [`Node::begin_app`].
-    pub(crate) fn app_running(&self) -> usize {
-        self.running
-    }
-
     /// Deliver an application message, handling elements that migrated
     /// while the message was in flight: forward to the element's current
     /// PE, or — if it is assigned here but its state has not arrived yet —
@@ -694,8 +603,12 @@ impl Node {
         hooks: &mut dyn NodeHooks,
         outcome: &mut HandleOutcome,
     ) {
-        if self.elems.contains(&target) {
-            self.invoke_elem(target, entry, &payload, hooks, outcome);
+        if let Some(chare) = self.elems.get_mut(&target) {
+            let mut sink = CtxSink::default();
+            let mut ctx =
+                Ctx { now: hooks.now(), pe: self.pe, topo: &self.shared.topo, me: Some(target), sink: &mut sink };
+            chare.receive(entry, &payload, &mut ctx);
+            self.process_sink(Some(target), sink, hooks, outcome);
             return;
         }
         let loc = self.arrays[target.array.0 as usize].location(target.elem);
@@ -720,29 +633,6 @@ impl Node {
         }
     }
 
-    /// Run one element's entry handler and route its output.
-    fn invoke_elem(
-        &mut self,
-        key: ObjKey,
-        entry: EntryId,
-        payload: &[u8],
-        hooks: &mut dyn NodeHooks,
-        outcome: &mut HandleOutcome,
-    ) {
-        let mut chare = self
-            .elems
-            .remove(&key)
-            .unwrap_or_else(|| panic!("message for {key:?} but it is not on {:?} (placement desync?)", self.pe));
-        let shared = Arc::clone(&self.shared);
-        let mut sink = CtxSink::default();
-        {
-            let mut ctx = Ctx { now: hooks.now(), pe: self.pe, topo: &shared.topo, me: Some(key), sink: &mut sink };
-            chare.receive(entry, payload, &mut ctx);
-        }
-        self.elems.insert(key, chare);
-        self.process_sink(Some(key), sink, hooks, outcome);
-    }
-
     /// Apply everything a handler buffered.
     fn process_sink(
         &mut self,
@@ -752,7 +642,7 @@ impl Node {
         outcome: &mut HandleOutcome,
     ) {
         outcome.charged += sink.charged;
-        if self.shared.cfg.obs_active() {
+        if self.shared.cfg.obs.is_some() {
             outcome.spans.push((owner, sink.charged));
         }
         if let Some(key) = owner {
@@ -996,11 +886,7 @@ impl Node {
     // ---- load balancing (AtSync barrier) --------------------------------
 
     fn check_sync_progress(&mut self, hooks: &mut dyn NodeHooks) {
-        // `n_local` counts checked-out chares too: a stolen execution in
-        // flight has not called `at_sync` yet, and the barrier must not
-        // fire (and start packing element state) until it lands.
-        let n_local = self.elems.len() + self.running;
-        if self.lb.in_barrier || self.lb.synced.len() < n_local {
+        if self.lb.in_barrier || self.lb.synced.len() < self.elems.len() {
             return;
         }
         assert!(
@@ -1094,11 +980,12 @@ impl Node {
         }
         self.lb.assign_seen = true;
 
-        // Ship departing elements (sorted for deterministic emission order).
+        // Ship departing elements (in key order, so emission order is
+        // deterministic).
         let departing: Vec<ObjKey> = self
             .elems
-            .sorted_keys()
-            .into_iter()
+            .keys()
+            .copied()
             .filter(|k| self.arrays[k.array.0 as usize].location(k.elem) != self.pe)
             .collect();
         for key in departing {
@@ -1186,16 +1073,13 @@ impl Node {
     /// Call `resume_from_sync` on every local element (barrier resume and
     /// checkpoint restore share this).
     fn resume_all_elements(&mut self, hooks: &mut dyn NodeHooks, outcome: &mut HandleOutcome) {
-        let keys = self.elems.sorted_keys();
-        let shared = Arc::clone(&self.shared);
+        let keys: Vec<ObjKey> = self.elems.keys().copied().collect();
         for key in keys {
-            let mut chare = self.elems.remove(&key).expect("local element");
+            let chare = self.elems.get_mut(&key).expect("local element");
             let mut sink = CtxSink::default();
-            {
-                let mut ctx = Ctx { now: hooks.now(), pe: self.pe, topo: &shared.topo, me: Some(key), sink: &mut sink };
-                chare.resume_from_sync(&mut ctx);
-            }
-            self.elems.insert(key, chare);
+            let mut ctx =
+                Ctx { now: hooks.now(), pe: self.pe, topo: &self.shared.topo, me: Some(key), sink: &mut sink };
+            chare.resume_from_sync(&mut ctx);
             self.process_sink(Some(key), sink, hooks, outcome);
         }
     }
@@ -1232,16 +1116,14 @@ impl Node {
     }
 
     /// Pack every local element in the migration byte format (reduction
-    /// cursor + chare state), sorted for determinism.
+    /// cursor + chare state), in key order.
     fn pack_all_local(&self) -> Vec<(ObjKey, Bytes)> {
-        debug_assert_eq!(self.running, 0, "packing with a chare checked out would drop it from the snapshot");
         self.elems
-            .sorted_keys()
-            .into_iter()
-            .map(|key| {
+            .iter()
+            .map(|(&key, chare)| {
                 let mut w = WireWriter::new();
                 w.u32(self.reductions[key.array.0 as usize].peek_elem_seq(key));
-                self.elems.with(&key, |chare| chare.pack(&mut w)).expect("local element");
+                chare.pack(&mut w);
                 (key, Bytes::from(w.finish()))
             })
             .collect()
@@ -1582,6 +1464,29 @@ mod tests {
         assert_eq!(nodes[0].lb_rounds(), 1);
         assert_eq!(nodes[0].local_elems(), 2);
         assert_eq!(nodes[1].local_elems(), 2);
+    }
+
+    #[test]
+    fn packing_enumerates_elements_in_key_order_and_leaves_them_resident() {
+        let mut p = Program::new();
+        for name in ["a", "b"] {
+            p.array_migratable(
+                name,
+                100,
+                Mapping::RoundRobin,
+                |e| Box::new(Mover { value: e.0 as u64, resumed: false }),
+                |_, r| Box::new(Mover { value: r.u64().unwrap(), resumed: r.bool().unwrap() }),
+            );
+        }
+        let nodes = build_nodes(Topology::two_cluster(2), p, RunConfig::default());
+        let packed = nodes[1].pack_all_local();
+        assert_eq!(packed.len(), 100, "the odd elements of both arrays");
+        assert!(packed.windows(2).all(|w| w[0].0 < w[1].0), "sorted by (array, element), no duplicates");
+        let (key, state) = &packed[57];
+        assert_eq!(*key, ObjKey::new(ArrayId(1), crate::ids::ElemId(15)));
+        let mut r = WireReader::new(state);
+        assert_eq!((r.u32().unwrap(), r.u64().unwrap(), r.bool().unwrap()), (0, 15, false), "cursor, then the chare");
+        assert_eq!(nodes[1].local_elems(), 100, "packing reads the elements where they are");
     }
 
     const CHAIN: EntryId = EntryId(4);

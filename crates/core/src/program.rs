@@ -217,9 +217,9 @@ impl std::fmt::Debug for LbChoice {
 
 /// Runtime knobs shared by the simulation engine and the wall-clock
 /// engine — the latter one engine whether it runs in one process or, with
-/// [`RunConfig::net`] set, as one process per cluster over TCP.  Three
+/// [`RunConfig::net`] set, as one process per cluster over TCP.  Two
 /// features are single-process only and ignored (with a warning) in net
-/// mode: `join_plan`, `obs` and `steal`.
+/// mode: `join_plan` and `obs`.
 #[derive(Clone, Debug)]
 pub struct RunConfig {
     /// §6 extension: tag cross-cluster application messages with elevated
@@ -266,9 +266,8 @@ pub struct RunConfig {
     /// Arm the Projections-style observability subsystem: per-PE event
     /// rings, counters and latency/grain/queue-depth histograms, plus the
     /// derived overlap-fraction analyses ([`ObsReport`]).  `None` (the
-    /// default) records nothing and costs nothing; additionally, building
-    /// `mdo-core` with `--no-default-features` compiles the recording
-    /// paths out entirely.
+    /// default) records nothing: every recording call sits behind one
+    /// runtime check of this field.
     pub obs: Option<ObsConfig>,
     /// Which delivery policy the simulation engine's scheduler seam runs:
     /// FIFO (the default, bit-identical to the historical engine),
@@ -287,8 +286,7 @@ pub struct RunConfig {
     /// engine; an equivalent batched-release model in simulation virtual
     /// time).  System-critical envelopes force a flush, so quiescence
     /// detection and barriers never stall.  `None` (the default) sends
-    /// every envelope standalone, exactly as before; building `mdo-core`
-    /// without the `agg` feature compiles the coalescing paths out.
+    /// every envelope standalone, exactly as before.
     pub agg: Option<AggConfig>,
     /// End-to-end backpressure: when set, each cross-cluster (src, dst)
     /// pair is held to the config's credit window and per-PE delivery
@@ -323,35 +321,9 @@ pub struct RunConfig {
     /// keeps the flat binary PE tree, bit-identical to the historical
     /// collectives.
     pub tree_collectives: Option<TreeConfig>,
-    /// Intra-node work stealing: when set, an idle PE thread of the
-    /// threaded engine executes application envelopes queued for sibling
-    /// PEs of the same cluster.  A steal is a *transient remap* — the
-    /// message still runs against its home PE's node (its emissions, QD
-    /// books and load accounting are the home PE's), only the executing
-    /// OS thread changes — so application semantics and cross-engine
-    /// digests are unchanged; `Ctr::Steals` counts remapped executions.
-    /// System/control traffic and cross-WAN packets are never stolen.
-    /// Ignored by the simulation engine (one virtual thread) and in net
-    /// mode.  Default off: the engine's message
-    /// loop is byte-identical to the historical one.
-    pub steal: bool,
 }
 
 impl RunConfig {
-    /// Whether the observability subsystem is armed *and* compiled in.
-    pub fn obs_active(&self) -> bool {
-        cfg!(feature = "obs") && self.obs.is_some()
-    }
-
-    /// Whether message aggregation is armed *and* compiled in.
-    pub fn agg_active(&self) -> Option<AggConfig> {
-        if cfg!(feature = "agg") {
-            self.agg
-        } else {
-            None
-        }
-    }
-
     /// Whether the fault-tolerance machinery (buddy checkpoints at every
     /// AtSync barrier, heartbeats, panic confinement) is armed: a
     /// `failure_plan` *or* a `join_plan` does it — expand needs the same
@@ -380,7 +352,6 @@ impl Default for RunConfig {
             flow: None,
             net: None,
             tree_collectives: None,
-            steal: false,
         }
     }
 }

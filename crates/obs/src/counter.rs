@@ -74,9 +74,6 @@ pub enum Ctr {
     EnvelopesShed,
     /// Payload bytes dropped by the `Shed` overload policy.
     ShedBytes,
-    /// Envelopes executed by a PE other than their destination (intra-node
-    /// work stealing — a transient remap, invisible to application code).
-    Steals,
     /// Condvar/parker signals issued by mailbox producers.  With batched
     /// wakeups a burst of N posts costs O(1) signals, so this stays far
     /// below `msgs_recvd` under load.
@@ -85,7 +82,7 @@ pub enum Ctr {
 
 impl Ctr {
     /// Every counter, in declaration order.
-    pub const ALL: [Ctr; 33] = [
+    pub const ALL: [Ctr; 32] = [
         Ctr::MsgsSent,
         Ctr::MsgsRecvd,
         Ctr::BytesSent,
@@ -117,7 +114,6 @@ impl Ctr {
         Ctr::QueueFull,
         Ctr::EnvelopesShed,
         Ctr::ShedBytes,
-        Ctr::Steals,
         Ctr::MailboxSignals,
     ];
 
@@ -155,7 +151,6 @@ impl Ctr {
             Ctr::QueueFull => "queue_full",
             Ctr::EnvelopesShed => "envelopes_shed",
             Ctr::ShedBytes => "shed_bytes",
-            Ctr::Steals => "steals",
             Ctr::MailboxSignals => "mailbox_signals",
         }
     }

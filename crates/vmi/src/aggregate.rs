@@ -342,23 +342,6 @@ impl Aggregator {
         }
     }
 
-    /// Steal one deliverable packet addressed to `pe` — the intra-node
-    /// work-stealing seam.  Tries the post-reliable, post-unframing
-    /// pending bank first (those packets cleared every protocol layer
-    /// already), then the raw mailbox for intra-cluster traffic (which
-    /// bypasses the reliable machinery by construction).  System-priority
-    /// control packets are never stolen: heartbeats, acks, quiescence and
-    /// checkpoint control always run on their own PE.
-    pub fn try_steal(&self, pe: Pe) -> Option<Packet> {
-        if self.shared.is_some() {
-            if let Some(pkt) = self.pending[pe.index()].try_take_if(|p| p.priority != SHED_EXEMPT_PRIORITY) {
-                self.advertise(pe);
-                return Some(pkt);
-            }
-        }
-        self.rt.try_steal(pe)
-    }
-
     /// Unpack one packet from the reliable layer into the pending bank.
     fn absorb(&self, pe: Pe, pkt: Packet) {
         if frame::is_frame(&pkt.payload) {

@@ -40,8 +40,8 @@
 //! flag loads instead of N condvar notifies ([`Mailbox::wakeup_signals`]
 //! counts the signals actually sent).  At most one thread may *block* in
 //! [`Mailbox::take`]/[`Mailbox::take_timeout`] at a time (the engine's
-//! one-consumer-per-mailbox invariant); non-blocking takers — e.g. work
-//! stealers using [`Mailbox::try_take_if`] — may run concurrently.
+//! one-consumer-per-mailbox invariant); non-blocking takers
+//! ([`Mailbox::try_take`], [`Mailbox::take_many`]) may run concurrently.
 //!
 //! A mailbox can instead be *bounded* ([`Mailbox::bounded`]): when a byte
 //! or envelope budget is exhausted the configured [`OverloadPolicy`]
@@ -251,15 +251,6 @@ impl Inner {
             self.bytes -= p.payload.len();
         }
         pkt
-    }
-
-    /// The packet `pop` would return, if any.
-    fn peek(&self) -> Option<&Packet> {
-        if let Some((_, pkt)) = self.fifo.front() {
-            Some(pkt)
-        } else {
-            self.heap.peek().map(|e| &e.pkt)
-        }
     }
 
     fn depth(&self) -> usize {
@@ -738,19 +729,6 @@ impl Mailbox {
         self.pop_and_signal(&mut inner)
     }
 
-    /// Non-blocking take gated by a predicate on the most urgent packet:
-    /// the packet is removed only if `pred` accepts it.  This is the work-
-    /// stealing seam — a thief inspects another PE's queue head and takes
-    /// it only when stealing is safe for that class of traffic.
-    pub fn try_take_if(&self, pred: impl FnOnce(&Packet) -> bool) -> Option<Packet> {
-        let mut inner = self.inner.lock();
-        self.drain_locked(&mut inner);
-        if !pred(inner.peek()?) {
-            return None;
-        }
-        self.pop_and_signal(&mut inner)
-    }
-
     /// Non-blocking bulk take: up to `max` packets in delivery order under
     /// one lock acquisition and one lane merge.  Returns how many landed
     /// in `out`.
@@ -1201,16 +1179,6 @@ mod tests {
         mb.post(pkt(5, 4));
         let order: Vec<u8> = (0..4).map(|_| mb.take().unwrap().payload[0]).collect();
         assert_eq!(order, vec![3, 1, 2, 4]);
-    }
-
-    #[test]
-    fn try_take_if_respects_predicate() {
-        let mb = Mailbox::new();
-        mb.post(pkt(0, 7));
-        assert!(mb.try_take_if(|p| p.priority == 99).is_none(), "rejected head stays queued");
-        assert_eq!(mb.len(), 1);
-        assert_eq!(mb.try_take_if(|p| p.priority == 0).unwrap().payload[0], 7);
-        assert!(mb.try_take_if(|_| true).is_none(), "empty");
     }
 
     #[test]

@@ -628,20 +628,6 @@ impl ReliableTransport {
         }
     }
 
-    /// Steal the head of `pe`'s raw mailbox if it is intra-cluster
-    /// application traffic.  Intra packets bypass the reliable machinery
-    /// entirely (no sequencing, no acks, no credit — see
-    /// [`ReliableTransport::send`]), so removing one from another thread
-    /// never perturbs a pair's protocol state; cross-WAN frames and
-    /// system-priority control packets are refused, and the would-be
-    /// victim simply finds them at its own next receive.
-    pub fn try_steal(&self, pe: Pe) -> Option<Packet> {
-        let topo = self.inner.topology();
-        self.inner
-            .mailbox(pe)
-            .try_take_if(|pkt| !topo.crosses_wan(pkt.src, pkt.dst) && pkt.priority != SHED_EXEMPT_PRIORITY)
-    }
-
     /// First retry-exhaustion error, if any occurred.
     pub fn error(&self) -> Option<TransportError> {
         self.layer.as_ref().and_then(|l| *l.shared.error.lock())

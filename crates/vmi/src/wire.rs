@@ -29,9 +29,9 @@
 //! sender certain to come back; the transport flushes for it before it
 //! blocks or finds its queue empty in `recv*` and, on its way back into
 //! `recv*`, once the cork is [`CORK_MAX_AGE`] old.  Every other sender (a
-//! retransmit timer, an aggregation flusher, a work-stealing thief, a
-//! plain test thread) writes through.  A polling thread that stops polling
-//! — for a compute sleep, a credit stall, for good — calls
+//! retransmit timer, an aggregation flusher, a plain test thread) writes
+//! through.  A polling thread that stops polling — for a compute sleep, a
+//! credit stall, for good — calls
 //! [`Transport::flush_wire`](crate::transport::Transport::flush_wire)
 //! first; the wire's own bound on how long it holds a cork is only the
 //! net under one that forgets.

@@ -24,10 +24,7 @@ fn main() {
     let net = NetworkModel::two_cluster_sweep(pes, Dur::from_millis(latency));
     let run_cfg = RunConfig { obs: Some(ObsConfig::new()), ..RunConfig::default() };
     let out = stencil::run_sim(cfg, net, run_cfg);
-    let Some(obs) = out.report.obs.as_ref() else {
-        eprintln!("profile: timelines need mdo-core's `obs` feature, and this build has it off");
-        std::process::exit(1);
-    };
+    let obs = out.report.obs.as_ref().expect("obs was armed");
     let trace = obs.to_trace();
 
     println!("stencil: {objects} objects, {pes} PEs, {latency} ms one-way -> {:.3} ms/step\n", out.ms_per_step);

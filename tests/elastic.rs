@@ -158,18 +158,16 @@ fn threaded_stencil_crash_then_rejoin_is_bit_exact() {
     for den_num in [(3u64, 1u64), (3, 2)] {
         let n = clean.report.pe_messages[2] * den_num.1 / den_num.0;
         assert!(n > 0);
+        let plan = FailurePlan::new()
+            .crash_after_messages(Pe(2), n)
+            .with_heartbeat(Dur::from_millis(15), Dur::from_millis(150));
+        let run_cfg = RunConfig {
+            failure_plan: Some(plan),
+            join_plan: Some(JoinPlan::new().rejoin_after_recoveries(Pe(2), 1)),
+            ..RunConfig::default()
+        };
         let elastic = (0..3)
-            .map(|_| {
-                let plan = FailurePlan::new()
-                    .crash_after_messages(Pe(2), n)
-                    .with_heartbeat(Dur::from_millis(15), Dur::from_millis(150));
-                let run_cfg = RunConfig {
-                    failure_plan: Some(plan),
-                    join_plan: Some(JoinPlan::new().rejoin_after_recoveries(Pe(2), 1)),
-                    ..RunConfig::default()
-                };
-                stencil::run_threaded(cfg.clone(), topo.clone(), latency.clone(), run_cfg)
-            })
+            .map(|_| stencil::run_threaded(cfg.clone(), topo.clone(), latency.clone(), run_cfg.clone()))
             .find(|out| out.report.unrecoverable.is_none())
             .expect("a complete buddy epoch precedes the crash in at least one of three attempts");
 
@@ -178,6 +176,16 @@ fn threaded_stencil_crash_then_rejoin_is_bit_exact() {
         assert_eq!(elastic.report.pes_joined, 1);
         assert_eq!(elastic.report.generations, 3);
         assert_eq!(elastic.report.pe_busy.len(), 4, "back to full width");
+
+        // Who leaves and who joins is one state machine's decision on both
+        // engines: the simulator's report of the same plan tells the same
+        // membership history.
+        let sim = stencil::run_sim(cfg.clone(), stencil_net(), run_cfg).report;
+        let history = |r: &gridmdo::runtime::program::RunReport| {
+            let failed: Vec<Pe> = r.failures.iter().map(|f| f.pe).collect();
+            (r.generations, r.recoveries, r.pes_joined, r.pe_messages.len(), failed)
+        };
+        assert_eq!(history(&sim), history(&elastic.report));
     }
 }
 

@@ -1,7 +1,6 @@
 //! The lock-free message path, end to end.
 //!
-//! Three layers of assurance for the ring mailboxes and intra-node work
-//! stealing:
+//! Three layers of assurance for the ring mailboxes:
 //!
 //!   * **Ring properties** (proptest): arbitrary producer counts and
 //!     volumes posting concurrently must deliver every packet exactly
@@ -14,18 +13,12 @@
 //!     a blocked consumer, and is released by `close()`.
 //!   * **Backpressure**: a bounded mailbox under the `Block` policy must
 //!     bound queued memory no matter how fast producers post.
-//!   * **Stealing oracle**: work stealing is a *transient remap* — every
-//!     application digest (stencil block sums, LeanMD checksums) must be
-//!     bit-identical with stealing on vs off vs the simulation engine,
-//!     including under an adversarial WAN and crash → shrink → rejoin.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use gridmdo::apps::leanmd::{self, MdConfig};
-use gridmdo::apps::stencil::{self, StencilConfig, StencilCost};
 use gridmdo::prelude::*;
 use gridmdo::vmi::mailbox::MailboxBudget;
 use gridmdo::vmi::{Mailbox, Packet};
@@ -152,7 +145,7 @@ fn held(sender: u32, seq: u32, prio: i32, due: Option<Instant>) -> Packet {
 proptest! {
     /// No take path hands a packet out before its `due`, whatever mix of
     /// priorities, holds and posting threads: the consumer cycles through
-    /// `take_timeout`, `try_take`, `try_take_if`, `take_many` and `take`
+    /// `take_timeout`, `try_take`, `take_many` and `take`
     /// while 1–3 producers post, and checks the clock on every packet.
     #[test]
     fn no_take_path_is_early(posts in prop::collection::vec((-2i32..2, 0u64..5), 1..90), producers in 1u32..4) {
@@ -176,11 +169,10 @@ proptest! {
         let mut buf = Vec::new();
         let mut path = 0;
         while got.len() < total {
-            match path % 5 {
+            match path % 4 {
                 0 => buf.extend(mb.take_timeout(Duration::from_millis(1))),
                 1 => buf.extend(mb.try_take()),
-                2 => buf.extend(mb.try_take_if(|_| true)),
-                3 => {
+                2 => {
                     mb.take_many(&mut buf, 4);
                 }
                 // Blocks until a packet is there: safe while some are owed.
@@ -342,102 +334,4 @@ fn full_ring_backpressure_bounds_memory() {
     );
     assert!(mb.queue_full() > 0, "the gate actually closed at least once");
     assert_eq!(mb.sheds(), 0, "Block never drops");
-}
-
-// ---- work-stealing bit-exactness oracle -----------------------------------
-
-fn steal_cfg() -> RunConfig {
-    RunConfig { steal: true, ..RunConfig::default() }
-}
-
-fn oracle_stencil(steps: u32) -> StencilConfig {
-    StencilConfig {
-        mesh: 32,
-        objects: 16,
-        steps,
-        compute: true,
-        cost: StencilCost { ns_per_cell: 10.0, msg_overhead: Dur::from_micros(5), cache_effect: false },
-        mapping: Mapping::Block,
-        lb_period: Some(1),
-    }
-}
-
-#[test]
-fn stealing_stencil_digests_match_sim_and_owned_paths() {
-    let cfg = oracle_stencil(6);
-    let sim =
-        stencil::run_sim(cfg.clone(), NetworkModel::two_cluster_sweep(4, Dur::from_millis(1)), RunConfig::default());
-    let topo = Topology::two_cluster(4);
-    let latency = LatencyMatrix::uniform(&topo, Dur::ZERO, Dur::from_micros(300));
-    let owned = stencil::run_threaded(cfg.clone(), topo.clone(), latency.clone(), RunConfig::default());
-    let run_cfg = RunConfig { obs: Some(ObsConfig::new()), ..steal_cfg() };
-    // Retry until at least one steal lands: stealing is opportunistic (an
-    // idle PE raiding a busy sibling), so a lucky schedule may not need
-    // it — an oracle that never observed a steal would prove nothing.
-    let stolen = (0..10)
-        .map(|_| stencil::run_threaded(cfg.clone(), topo.clone(), latency.clone(), run_cfg.clone()))
-        .find(|out| out.report.obs.as_ref().map(|o| o.counters.get(mdo_obs::Ctr::Steals)).unwrap_or(0) > 0)
-        .expect("at least one run steals");
-    assert_eq!(sim.block_sums, owned.block_sums, "sim vs owned threaded");
-    assert_eq!(sim.block_sums, stolen.block_sums, "sim vs stealing threaded");
-}
-
-#[test]
-fn stealing_leanmd_digests_match_sim_and_owned_paths() {
-    let cfg = MdConfig::validation(3, 4, 4);
-    let sim =
-        leanmd::run_sim(cfg.clone(), NetworkModel::two_cluster_sweep(4, Dur::from_millis(1)), RunConfig::default());
-    let topo = Topology::two_cluster(4);
-    let latency = LatencyMatrix::uniform(&topo, Dur::ZERO, Dur::from_micros(300));
-    let owned = leanmd::run_threaded(cfg.clone(), topo.clone(), latency.clone(), RunConfig::default());
-    let stolen = leanmd::run_threaded(cfg, topo, latency, steal_cfg());
-    assert_eq!(sim.checksums, owned.checksums);
-    assert_eq!(sim.checksums, stolen.checksums, "stealing leaves LeanMD state bit-exact");
-    assert_eq!(sim.kinetic, stolen.kinetic);
-}
-
-#[test]
-fn stealing_with_adversarial_wan_is_bit_exact() {
-    let cfg = oracle_stencil(5);
-    let topo = Topology::two_cluster(4);
-    let latency = LatencyMatrix::uniform(&topo, Dur::ZERO, Dur::from_micros(300));
-    let clean = stencil::run_threaded(cfg.clone(), topo.clone(), latency.clone(), RunConfig::default());
-    let plan =
-        FaultPlan::loss(0.08).with_duplicate(0.05).with_reorder(0.05).with_seed(1015).with_rto(Dur::from_millis(15));
-    let run_cfg = RunConfig { fault_plan: Some(plan), ..steal_cfg() };
-    let lossy = stencil::run_threaded(cfg, topo, latency, run_cfg);
-    assert_eq!(clean.block_sums, lossy.block_sums, "stealing + reliable delivery over a lossy WAN");
-}
-
-#[test]
-fn stealing_survives_crash_shrink_rejoin_bit_exact() {
-    let cfg = oracle_stencil(6);
-    let topo = Topology::two_cluster(4);
-    let latency = LatencyMatrix::uniform(&topo, Dur::ZERO, Dur::from_micros(300));
-    let clean = stencil::run_threaded(cfg.clone(), topo.clone(), latency.clone(), RunConfig::default());
-
-    let n = clean.report.pe_messages[2] / 2;
-    assert!(n > 0);
-    // Whether the survivors hold a complete buddy epoch at detection time
-    // is a genuine scheduling race (see tests/elastic.rs); retry it so
-    // this test always proves the stealing rejoin path bit-exact.
-    let elastic = (0..3)
-        .map(|_| {
-            let plan = FailurePlan::new()
-                .crash_after_messages(Pe(2), n)
-                .with_heartbeat(Dur::from_millis(15), Dur::from_millis(150));
-            let run_cfg = RunConfig {
-                failure_plan: Some(plan),
-                join_plan: Some(JoinPlan::new().rejoin_after_recoveries(Pe(2), 1)),
-                ..steal_cfg()
-            };
-            stencil::run_threaded(cfg.clone(), topo.clone(), latency.clone(), run_cfg)
-        })
-        .find(|out| out.report.unrecoverable.is_none())
-        .expect("a complete buddy epoch precedes the crash in at least one of three attempts");
-
-    assert_eq!(elastic.block_sums, clean.block_sums, "steal + crash + shrink + rejoin is bit-exact");
-    assert_eq!(elastic.report.recoveries, 1);
-    assert_eq!(elastic.report.pes_joined, 1);
-    assert_eq!(elastic.report.generations, 3);
 }
