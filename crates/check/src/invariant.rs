@@ -265,7 +265,6 @@ mod tests {
             unrecoverable: None,
             credit_stalls: 0,
             credit_wait: Dur::ZERO,
-            queue_full: 0,
             sheds: 0,
             shed_bytes: 0,
             peak_mailbox_bytes: 0,

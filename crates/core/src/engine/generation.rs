@@ -359,7 +359,6 @@ impl Membership {
             unrecoverable,
             credit_stalls: ctr.get(Ctr::CreditStalls),
             credit_wait: Dur::from_nanos(ctr.get(Ctr::CreditWaitNs)),
-            queue_full: ctr.get(Ctr::QueueFull),
             sheds: ctr.get(Ctr::EnvelopesShed),
             shed_bytes: ctr.get(Ctr::ShedBytes),
             peak_mailbox_bytes: books.peak_mailbox_bytes,

@@ -331,7 +331,6 @@ impl NodeShare {
             (Ctr::CreditWaitNs, transport.credit_wait_ns()),
             (Ctr::EnvelopesShed, ast.envelopes_shed),
             (Ctr::ShedBytes, ast.shed_bytes),
-            (Ctr::QueueFull, ast.queue_full),
             (Ctr::MailboxSignals, results.iter().map(|r| raw.mailbox(r.pe).wakeup_signals()).sum()),
         ] {
             books.ctr.add(c, n);
@@ -439,10 +438,11 @@ impl Stack {
             ),
             (None, None) => ReliableTransport::passthrough(Arc::clone(&raw)),
         };
-        let agg = match (cfg.agg, cfg.flow) {
-            (Some(c), Some(f)) => Aggregator::with_flow(Arc::clone(&transport), c, f),
-            (Some(c), None) => Aggregator::with_policy(Arc::clone(&transport), c),
-            (None, _) => Aggregator::passthrough(Arc::clone(&transport)),
+        // Either way the aggregator learns the flow policy from the
+        // reliable layer it wraps.
+        let agg = match cfg.agg {
+            Some(c) => Aggregator::with_policy(Arc::clone(&transport), c),
+            None => Aggregator::passthrough(Arc::clone(&transport)),
         };
         Stack { raw, transport, agg, injected }
     }

@@ -13,6 +13,12 @@
 //! network model's latency — so a PE with other work in its queue
 //! naturally overlaps that work with in-flight communication, which is the
 //! entire effect under study.
+//!
+//! The WAN seam is `SimWan`: credit flow control and aggregation in
+//! virtual time.  Their rules are not modelled here — the simulator runs
+//! the wall-clock stack's own [`CreditLedger`] and [`PairFill`], and adds
+//! only what is virtual time's: where a deferred envelope waits, and the
+//! event that stands in for the flusher thread's tick.
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -20,11 +26,11 @@ use std::sync::Arc;
 
 use mdo_netsim::network::{DeliveryOracle, NetworkModel};
 use mdo_netsim::{
-    AggConfig, CrashTrigger, DeliveryPlan, Dur, EventQueue, FailureCause, FaultModel, FlowConfig, Pe, Time,
+    AggConfig, CrashTrigger, DeliveryPlan, Dur, EventQueue, FailureCause, FaultModel, FlowConfig, Pe, Time, Topology,
     TransportError, UnrecoverableError,
 };
-use mdo_vmi::frame::CHUNK_HEADER_LEN;
-use mdo_vmi::reliable::HEADER_LEN;
+use mdo_vmi::credit::CreditLedger;
+use mdo_vmi::flush::{FlushCause, PairFill};
 
 use mdo_obs::{CounterSet, Ctr, ObjTag, PeRecorder};
 
@@ -35,7 +41,7 @@ use crate::node::{Node, NodeHooks};
 use crate::program::{Program, RunConfig, RunReport};
 use crate::queue::SchedQueue;
 
-use super::generation::{Change, HostRow, Membership, PeRow};
+use super::generation::{Books, Change, HostRow, Membership, PeRow};
 
 /// Engine-specific limits.
 #[derive(Clone, Debug, Default)]
@@ -57,233 +63,266 @@ pub struct SimEngine {
 enum Event {
     Arrive(Envelope),
     PeDone(Pe),
-    /// Deadline tick for one (src, dst) aggregation buffer; `epoch` guards
-    /// against ticks whose buffer already flushed by size or urgency.
+    /// Deadline tick for one (src, dst) aggregation buffer — the virtual
+    /// flusher thread.  `filling` names the filling that armed it, so a
+    /// tick whose buffer flushed by size or urgency and refilled at the
+    /// same instant does not ship the successor early.
     FlushAgg {
         src: Pe,
         dst: Pe,
-        epoch: u64,
+        filling: u64,
     },
 }
 
-/// One (src, dst) accumulation buffer of the virtual-time aggregation
-/// model — the `SimEngine` mirror of the threaded engine's
-/// [`mdo_vmi::Aggregator`] pair buffers.
+/// One (src, dst) accumulation buffer: the passengers, and the flush
+/// policy's view of them.
 #[derive(Default)]
-struct SimAggBuf {
+struct AggBuf {
     envs: Vec<Envelope>,
-    bytes: u64,
-    epoch: u64,
+    fill: PairFill,
+    /// Fillings opened so far (see [`Event::FlushAgg`]).
+    filling: u64,
 }
 
-/// Virtual-time mirror of the VMI credit window: every cross-WAN app
-/// envelope consumes window bytes when it departs and releases them when
-/// the destination PE *dequeues* it, so the window is receiver-paced —
-/// exactly the role the advertised-headroom grants riding acks play in the
-/// threaded stack.  System traffic bypasses the window, as on the wire.
-struct SimFlow {
-    cfg: FlowConfig,
-    pairs: HashMap<(u32, u32), SimFlowPair>,
-    /// Bytes currently deferred (`Block`) across all pairs, plus its
-    /// high-water mark: the sender-side buffer the report's peak-bytes
-    /// figure must not hide.
+/// The simulator's transport: everything between a handler's `emit` and
+/// the `Arrive` event — the credit gate, the aggregation buffers, the
+/// network and fault models — and the counters it keeps on the way.
+///
+/// Flow control is receiver-paced: every cross-WAN app envelope consumes
+/// window bytes when it departs and releases them when the destination PE
+/// *dequeues* it — the role the advertised-headroom grants riding acks
+/// play on the wire.  System traffic bypasses the window, as on the wire.
+struct SimWan {
+    net: NetworkModel,
+    faults: Option<FaultModel>,
+    agg: Option<AggConfig>,
+    bufs: HashMap<(u32, u32), AggBuf>,
+    flow: Option<FlowConfig>,
+    ledger: CreditLedger,
+    /// Envelopes deferred under `Block`, per pair, with their intended
+    /// departures.
+    waiting: HashMap<(u32, u32), VecDeque<(Envelope, Time)>>,
+    /// Bytes currently deferred across all pairs, plus the high-water
+    /// mark: the sender-side buffer the report's peak-bytes figure must
+    /// not hide.
     waiting_total: u64,
     max_waiting: u64,
+    ctr: CounterSet,
 }
 
-#[derive(Default)]
-struct SimFlowPair {
-    in_flight: u64,
-    /// Envelopes deferred under `Block`, with their intended departures.
-    waiting: VecDeque<(Envelope, Time)>,
-}
-
-impl SimFlow {
-    fn new(cfg: FlowConfig) -> Self {
-        SimFlow { cfg, pairs: HashMap::new(), waiting_total: 0, max_waiting: 0 }
+impl SimWan {
+    fn new(net: NetworkModel, cfg: &RunConfig) -> Self {
+        SimWan {
+            net,
+            // The same plan the threaded engine would wire into its device
+            // chain, collapsed here into virtual-time delivery decisions.
+            faults: cfg.fault_plan.clone().map(FaultModel::new),
+            agg: cfg.agg,
+            bufs: HashMap::new(),
+            flow: cfg.flow,
+            ledger: CreditLedger::new(cfg.flow.map_or(0, |f| f.credit_bytes)),
+            waiting: HashMap::new(),
+            waiting_total: 0,
+            max_waiting: 0,
+            ctr: CounterSet::new(),
+        }
     }
 
-    /// Does this envelope take part in flow control at all?
-    fn credited(env: &Envelope) -> bool {
-        env.priority != SYSTEM_PRIORITY
+    /// The pair an envelope is credited to, if it takes part in flow
+    /// control at all: cross-WAN application traffic with a window armed.
+    fn credited(&self, env: &Envelope) -> Option<(u32, u32)> {
+        let credited =
+            self.flow.is_some() && env.priority != SYSTEM_PRIORITY && self.net.topology().crosses_wan(env.src, env.dst);
+        credited.then_some((env.src.0, env.dst.0))
     }
 
-    /// Whether `size` more bytes fit the pair's window right now.  An
-    /// oversized envelope is admitted once the pair is idle, so a single
-    /// message larger than the window can never deadlock it.
-    fn admits(&self, key: (u32, u32), size: u64) -> bool {
-        let in_flight = self.pairs.get(&key).map_or(0, |p| p.in_flight);
-        in_flight == 0 || self.cfg.credit_bytes.saturating_sub(in_flight) >= size
+    /// A handler emitted `env`, departing at `depart`.  Cross-WAN app
+    /// traffic must fit the pair's window first: `Ok(false)` means the
+    /// `Shed` policy dropped it; under `Block` it may wait here instead of
+    /// leaving now.
+    fn emit(&mut self, env: Envelope, depart: Time, events: &mut EventQueue<Event>) -> Result<bool, TransportError> {
+        if let (Some(key), Some(flow)) = (self.credited(&env), self.flow) {
+            let size = env.wire_size();
+            // Later envelopes queue behind deferred ones: per-pair FIFO.
+            let blocked = self.waiting.get(&key).is_some_and(|q| !q.is_empty()) || !self.ledger.admits(key, size);
+            if blocked && flow.sheds() && env.aggregatable() {
+                // Graceful overload degradation: drop the envelope, keep
+                // the books straight.
+                self.ctr.bump(Ctr::EnvelopesShed);
+                self.ctr.add(Ctr::ShedBytes, size);
+                return Ok(false);
+            }
+            if blocked && !flow.sheds() {
+                self.ctr.bump(Ctr::CreditStalls);
+                self.waiting_total += size;
+                self.max_waiting = self.max_waiting.max(self.waiting_total);
+                self.waiting.entry(key).or_default().push_back((env, depart));
+                return Ok(true);
+            }
+            // Fits — or is urgent traffic under `Shed`, which overruns the
+            // window rather than stall or vanish (never shed, as on the
+            // wire).
+            self.ledger.consume(key, size);
+        }
+        self.ship(env, depart, events).map(|()| true)
     }
 
-    /// True while earlier envelopes of the pair are still deferred: later
-    /// ones must queue behind them to keep per-pair FIFO order.
-    fn has_waiters(&self, key: (u32, u32)) -> bool {
-        self.pairs.get(&key).is_some_and(|p| !p.waiting.is_empty())
-    }
-
-    fn consume(&mut self, key: (u32, u32), size: u64) {
-        self.pairs.entry(key).or_default().in_flight += size;
-    }
-
-    fn defer(&mut self, key: (u32, u32), env: Envelope, depart: Time) {
-        self.waiting_total += env.wire_size();
-        self.max_waiting = self.max_waiting.max(self.waiting_total);
-        self.pairs.entry(key).or_default().waiting.push_back((env, depart));
-    }
-
-    /// Return `size` bytes of credit to the pair and pop every deferred
-    /// envelope the freed window now admits (FIFO), consuming their credit
-    /// on the way out.  Returns the released envelopes with their original
-    /// departure times.
-    fn release(&mut self, key: (u32, u32), size: u64) -> Vec<(Envelope, Time)> {
-        let Some(pair) = self.pairs.get_mut(&key) else { return Vec::new() };
-        pair.in_flight = pair.in_flight.saturating_sub(size);
-        let mut freed = Vec::new();
-        while let Some((front, _)) = pair.waiting.front() {
-            let sz = front.wire_size();
-            if pair.in_flight != 0 && self.cfg.credit_bytes.saturating_sub(pair.in_flight) < sz {
+    /// The destination PE dequeued `env`: its window bytes return, which
+    /// may un-block deferred senders — their envelopes (FIFO, for as long
+    /// as the freed window admits them) depart through the normal send
+    /// path at this instant.
+    fn delivered(&mut self, env: &Envelope, now: Time, events: &mut EventQueue<Event>) -> Result<(), TransportError> {
+        let Some(key) = self.credited(env) else { return Ok(()) };
+        self.ledger.release(key, env.wire_size());
+        while let Some(size) = self.waiting.get(&key).and_then(|q| q.front()).map(|(front, _)| front.wire_size()) {
+            if !self.ledger.admits(key, size) {
                 break;
             }
-            pair.in_flight += sz;
-            self.waiting_total -= sz;
-            freed.push(pair.waiting.pop_front().expect("front just checked"));
+            self.ledger.consume(key, size);
+            self.waiting_total -= size;
+            let (waited, enq) = self.waiting.get_mut(&key).and_then(VecDeque::pop_front).expect("front just checked");
+            let at = now.max(enq);
+            self.ctr.add(Ctr::CreditWaitNs, (at - enq).as_nanos());
+            self.ship(waited, at, events)?;
         }
-        freed
+        Ok(())
     }
 
-    /// Drop all per-pair state: deferred envelopes die with a generation
-    /// exactly like other in-flight traffic, and the windows re-arm fresh
-    /// (the threaded stack's `reset_peer` does the same per survivor).
-    fn reset(&mut self) {
-        self.pairs.clear();
-        self.waiting_total = 0;
-    }
-}
-
-/// The mutable slice of the simulator a frame flush needs: the network
-/// model for delivery times, the fault model for the per-frame draw, the
-/// event queue for arrivals, and the global counters.
-struct FrameSink<'a> {
-    net: &'a mut NetworkModel,
-    faults: &'a mut Option<FaultModel>,
-    events: &'a mut EventQueue<Event>,
-    gctr: &'a mut CounterSet,
-}
-
-/// Ship one buffered jumbo frame into virtual time: a single
-/// delivery-time query and a single fault draw cover the whole frame (the
-/// virtual-time equivalent of one reliable sequence number per frame),
-/// then every passenger arrives together, in send order.
-fn sim_flush_frame(
-    src: Pe,
-    dst: Pe,
-    at: Time,
-    envs: Vec<Envelope>,
-    sink: &mut FrameSink<'_>,
-    cause: Option<Ctr>,
-) -> Result<(), TransportError> {
-    let count = envs.len() as u64;
-    let frame_bytes = 1 + envs.iter().map(|e| CHUNK_HEADER_LEN as u64 + e.wire_size()).sum::<u64>();
-    sink.gctr.bump(Ctr::FramesSent);
-    sink.gctr.add(Ctr::EnvelopesCoalesced, count);
-    // Same accounting as the threaded aggregator: standalone framing each
-    // envelope would have paid, minus the frame's one-time cost.
-    let standalone = count * 2 * HEADER_LEN as u64;
-    let framed = 2 * HEADER_LEN as u64 + 1 + count * CHUNK_HEADER_LEN as u64;
-    sink.gctr.add(Ctr::FrameBytesSaved, standalone.saturating_sub(framed));
-    if let Some(c) = cause {
-        sink.gctr.bump(c);
-    }
-    let mut arrival = sink.net.delivery_time(src, dst, at, frame_bytes);
-    let mut dup = false;
-    if let Some(fm) = sink.faults.as_mut() {
-        match fm.plan_delivery(src, dst, at) {
-            DeliveryPlan::Deliver { extra_delay, duplicate, .. } => {
-                // A dropped frame delays ALL its passengers by the
-                // retransmission — whole-frame recovery, as on the wire.
-                arrival += extra_delay;
-                dup = duplicate && fm.plan().mutate_no_dedup;
-            }
-            DeliveryPlan::Exhausted { attempts, seq } => {
-                return Err(TransportError { src, dst, seq, attempts });
-            }
-        }
-    }
-    let arrival = arrival.max(at);
-    for env in envs {
-        if dup {
-            // Test-only mutation: broken dedup delivers the wire duplicate
-            // of the whole frame to the application.
-            sink.events.schedule(arrival, Event::Arrive(env.clone()));
-        }
-        sink.events.schedule(arrival, Event::Arrive(env));
-    }
-    Ok(())
-}
-
-/// The send-side state a departing envelope flows through: the per-pair
-/// aggregation buffers plus everything a frame flush touches.
-struct SendPath<'a> {
-    sink: FrameSink<'a>,
-    agg_bufs: &'a mut HashMap<(u32, u32), SimAggBuf>,
-    agg_cfg: Option<AggConfig>,
-}
-
-/// Route one departing envelope into virtual time: through the per-pair
-/// aggregation buffer on the coalesced cross-WAN path, directly into the
-/// network model otherwise.  Extracted from the dispatch loop so that
-/// envelopes a credit release un-blocks later travel exactly the same
-/// path.
-fn sim_send(env: Envelope, depart: Time, crosses: bool, path: &mut SendPath<'_>) -> Result<(), TransportError> {
-    if let Some(acfg) = path.agg_cfg.filter(|_| crosses) {
+    /// Route one departing envelope into virtual time: through the
+    /// per-pair aggregation buffer on the coalesced cross-WAN path,
+    /// directly into the network model otherwise.
+    fn ship(&mut self, env: Envelope, depart: Time, events: &mut EventQueue<Event>) -> Result<(), TransportError> {
         let (src, dst) = (env.src, env.dst);
-        let urgent = !env.aggregatable();
-        let buf = path.agg_bufs.entry((src.0, dst.0)).or_default();
-        if buf.envs.is_empty() {
-            // Opening a buffer arms its deadline; the epoch ties the tick
-            // to this filling.
-            buf.epoch += 1;
-            path.sink.events.schedule(depart + acfg.max_delay, Event::FlushAgg { src, dst, epoch: buf.epoch });
+        let crosses = self.net.topology().crosses_wan(src, dst);
+        if let Some(acfg) = self.agg.filter(|_| crosses) {
+            let buf = self.bufs.entry((src.0, dst.0)).or_default();
+            let push = buf.fill.push(&acfg, !env.aggregatable(), env.wire_size() as usize, || depart);
+            if let Some(deadline) = push.arm {
+                // A non-empty buffer always has a live tick pending, which
+                // is what guarantees quiescence detection terminates.
+                buf.filling += 1;
+                events.schedule(deadline, Event::FlushAgg { src, dst, filling: buf.filling });
+            }
+            buf.envs.push(env);
+            return push.flush.map_or(Ok(()), |cause| self.flush(src, dst, depart, cause, events));
         }
-        let body_len = env.wire_size();
-        buf.bytes += body_len;
-        buf.envs.push(env);
-        // Bulk messages ship at once, mirroring the threaded aggregation
-        // layer's eager cutoff.
-        if urgent || body_len >= acfg.eager_bytes as u64 || buf.bytes >= acfg.max_bytes as u64 {
-            buf.epoch += 1;
-            buf.bytes = 0;
-            let envs = std::mem::take(&mut buf.envs);
-            let cause = (!urgent).then_some(Ctr::FlushBySize);
-            sim_flush_frame(src, dst, depart, envs, &mut path.sink, cause)?;
-        }
-        return Ok(());
-    }
-    let mut arrival = path.sink.net.delivery_time(env.src, env.dst, depart, env.wire_size());
-    if crosses {
-        if let Some(fm) = path.sink.faults.as_mut() {
-            match fm.plan_delivery(env.src, env.dst, depart) {
+        let mut arrival = self.net.delivery_time(src, dst, depart, env.wire_size());
+        if let Some(fm) = self.faults.as_mut().filter(|_| crosses) {
+            match fm.plan_delivery(src, dst, depart) {
                 DeliveryPlan::Deliver { extra_delay, duplicate, .. } => {
                     arrival += extra_delay;
                     if duplicate && fm.plan().mutate_no_dedup {
                         // Test-only mutation: with dedup broken, the wire
                         // duplicate reaches the application as a second
                         // arrival.
-                        path.sink.events.schedule(arrival.max(depart), Event::Arrive(env.clone()));
+                        events.schedule(arrival.max(depart), Event::Arrive(env.clone()));
                     }
                 }
                 DeliveryPlan::Exhausted { attempts, seq } => {
                     // The reliable layer gave up on this message: abort
                     // with a structured error instead of simulating on
                     // partial state.
-                    return Err(TransportError { src: env.src, dst: env.dst, seq, attempts });
+                    return Err(TransportError { src, dst, seq, attempts });
                 }
             }
         }
+        events.schedule(arrival.max(depart), Event::Arrive(env));
+        Ok(())
     }
-    path.sink.events.schedule(arrival.max(depart), Event::Arrive(env));
-    Ok(())
+
+    /// The deadline tick of one filling: ship the buffer unless that
+    /// filling already went out by size or urgency.
+    fn tick(
+        &mut self,
+        src: Pe,
+        dst: Pe,
+        filling: u64,
+        now: Time,
+        events: &mut EventQueue<Event>,
+    ) -> Result<(), TransportError> {
+        let due = |(acfg, buf): (AggConfig, &AggBuf)| buf.filling == filling && buf.fill.expired(&acfg, now);
+        if self.agg.zip(self.bufs.get(&(src.0, dst.0))).is_some_and(due) {
+            self.flush(src, dst, now, FlushCause::Deadline, events)?;
+        }
+        Ok(())
+    }
+
+    /// Ship one buffered jumbo frame into virtual time: a single
+    /// delivery-time query and a single fault draw cover the whole frame
+    /// (the virtual-time equivalent of one reliable sequence number per
+    /// frame), then every passenger arrives together, in send order.
+    fn flush(
+        &mut self,
+        src: Pe,
+        dst: Pe,
+        at: Time,
+        cause: FlushCause,
+        events: &mut EventQueue<Event>,
+    ) -> Result<(), TransportError> {
+        let Some(buf) = self.bufs.get_mut(&(src.0, dst.0)) else { return Ok(()) };
+        let Some(tally) = buf.fill.take() else { return Ok(()) };
+        let envs = std::mem::take(&mut buf.envs);
+        self.ctr.bump(Ctr::FramesSent);
+        self.ctr.add(Ctr::EnvelopesCoalesced, tally.envelopes);
+        self.ctr.add(Ctr::FrameBytesSaved, tally.bytes_saved);
+        match cause {
+            FlushCause::Size => self.ctr.bump(Ctr::FlushBySize),
+            FlushCause::Deadline => self.ctr.bump(Ctr::FlushByDeadline),
+            FlushCause::Urgent | FlushCause::Final => {}
+        }
+        let mut arrival = self.net.delivery_time(src, dst, at, tally.wire_bytes);
+        let mut dup = false;
+        if let Some(fm) = self.faults.as_mut() {
+            match fm.plan_delivery(src, dst, at) {
+                DeliveryPlan::Deliver { extra_delay, duplicate, .. } => {
+                    // A dropped frame delays ALL its passengers by the
+                    // retransmission — whole-frame recovery, as on the wire.
+                    arrival += extra_delay;
+                    dup = duplicate && fm.plan().mutate_no_dedup;
+                }
+                DeliveryPlan::Exhausted { attempts, seq } => {
+                    return Err(TransportError { src, dst, seq, attempts });
+                }
+            }
+        }
+        let arrival = arrival.max(at);
+        for env in envs {
+            if dup {
+                // Test-only mutation: broken dedup delivers the wire duplicate
+                // of the whole frame to the application.
+                events.schedule(arrival, Event::Arrive(env.clone()));
+            }
+            events.schedule(arrival, Event::Arrive(env));
+        }
+        Ok(())
+    }
+
+    /// A generation change: buffered (un-flushed) frames and deferred
+    /// sends die with the generation, like every other in-flight event,
+    /// and the windows re-arm fresh (the wall-clock stack's `reset_peer`
+    /// does the same per survivor); PE numbering changes anyway.
+    fn restart(&mut self, topo: Topology) {
+        self.net.set_topology(topo);
+        self.bufs.clear();
+        self.ledger.reset();
+        self.waiting.clear();
+        self.waiting_total = 0;
+    }
+
+    /// Add what only the transport knows to the run's books.
+    fn close(mut self, books: &mut Books) {
+        let fault_stats = self.faults.map(|fm| *fm.stats()).unwrap_or_default();
+        self.ctr.add(Ctr::Drops, fault_stats.dropped);
+        self.ctr.add(Ctr::Retransmits, fault_stats.retransmits);
+        self.ctr.add(Ctr::DupDropped, fault_stats.dup_dropped);
+        self.ctr.add(Ctr::CorruptRejected, fault_stats.corrupt_rejected);
+        self.ctr.add(Ctr::Reordered, fault_stats.reordered);
+        books.ctr.merge(&self.ctr);
+        books.network = self.net.stats().clone();
+        // The sender-side deferred bank counts toward peak buffering too:
+        // under `Block` an open-loop producer's backlog lives there.
+        books.peak_mailbox_bytes = books.peak_mailbox_bytes.max(self.max_waiting);
+    }
 }
 
 struct SimHooks {
@@ -332,12 +371,9 @@ impl SimEngine {
     /// generation looks like, is `generation::Membership`'s to decide, as
     /// in the wall-clock engine.
     pub fn run(self, program: Program) -> RunReport {
-        let SimEngine { mut net, cfg, sim_cfg } = self;
+        let SimEngine { net, cfg, sim_cfg } = self;
         let obs_cfg = cfg.obs.clone().unwrap_or_default();
         let ft_armed = cfg.failure_plan.is_some();
-        // The same plan the threaded engine would wire into its device
-        // chain, collapsed here into virtual-time delivery decisions.
-        let mut faults = cfg.fault_plan.clone().map(FaultModel::new);
         let mut transport_error: Option<TransportError> = None;
         // The delivery-policy seam: which of several equal-priority queued
         // envelopes a PE dispatches next.  FIFO by default; the policy is
@@ -345,16 +381,9 @@ impl SimEngine {
         // points, so the default path costs one `eligible()` call.
         let mut policy = cfg.delivery.build();
         let schedule_sink = cfg.schedule_sink.clone();
-        // Batched-release aggregation model: cross-WAN envelopes accumulate
-        // per (src, dst) and enter the network as one frame, mirroring the
-        // threaded engine's jumbo frames in virtual time.
-        let agg_cfg = cfg.agg;
-        let mut agg_bufs: HashMap<(u32, u32), SimAggBuf> = HashMap::new();
-        // Virtual-time flow control: the mirror of the threaded stack's
-        // credit windows, gated (like fault injection and aggregation) on
-        // the cross-WAN links where backpressure matters.
-        let mut flow = cfg.flow.map(SimFlow::new);
-        let mut m = Membership::new(program, net.topology().clone(), cfg, true);
+        let topo = net.topology().clone();
+        let mut wan = SimWan::new(net, &cfg);
+        let mut m = Membership::new(program, topo, cfg, true);
         let record_on = m.books.obs.is_some();
 
         // One generation's state, in current PE numbering: the nodes, their
@@ -371,8 +400,6 @@ impl SimEngine {
         };
         let (mut shared, mut nodes, mut pes, mut recs) = launch(&mut m);
         let mut events: EventQueue<Event> = EventQueue::new();
-        // What the two transport mirrors count; joins the books at the end.
-        let mut gctr = CounterSet::new();
         let mut unrecoverable: Option<UnrecoverableError> = None;
         // Newest checkpoint epoch known complete cluster-wide *this
         // generation*: the admission gate for pending joins — expanding is
@@ -413,26 +440,11 @@ impl SimEngine {
                 m.take_timed_crashes(now).into_iter().map(|pe| (pe, FailureCause::Injected)).collect();
 
             if crashed.is_empty() {
-                if let Event::FlushAgg { src, dst, epoch } = event {
-                    // Deadline flush: ship the buffer unless it already went
-                    // out (size/urgent flush bumped the epoch).  A non-empty
-                    // buffer always has a live FlushAgg event pending, which
-                    // is what guarantees quiescence detection terminates.
-                    if let Some(buf) = agg_bufs.get_mut(&(src.0, dst.0)) {
-                        if buf.epoch == epoch && !buf.envs.is_empty() {
-                            buf.epoch += 1;
-                            buf.bytes = 0;
-                            let envs = std::mem::take(&mut buf.envs);
-                            let mut sink =
-                                FrameSink { net: &mut net, faults: &mut faults, events: &mut events, gctr: &mut gctr };
-                            if let Err(err) =
-                                sim_flush_frame(src, dst, now, envs, &mut sink, Some(Ctr::FlushByDeadline))
-                            {
-                                transport_error = Some(err);
-                                final_time = now;
-                                break 'main;
-                            }
-                        }
+                if let Event::FlushAgg { src, dst, filling } = event {
+                    if let Err(err) = wan.tick(src, dst, filling, now, &mut events) {
+                        transport_error = Some(err);
+                        final_time = now;
+                        break 'main;
                     }
                     continue;
                 }
@@ -484,33 +496,10 @@ impl SimEngine {
                         pes[pe.index()].queue.pop()
                     };
                     let Some(env) = popped else { break };
-                    // Receiver-paced credit return: dequeuing a credited
-                    // envelope frees its window bytes, which may un-block
-                    // deferred senders — their envelopes then depart
-                    // through the normal send path at this instant.
-                    if let Some(fl) = flow.as_mut() {
-                        if SimFlow::credited(&env) && shared.topo.crosses_wan(env.src, env.dst) {
-                            let key = (env.src.0, env.dst.0);
-                            for (waited, enq) in fl.release(key, env.wire_size()) {
-                                let at = now.max(enq);
-                                gctr.add(Ctr::CreditWaitNs, (at - enq).as_nanos());
-                                let mut path = SendPath {
-                                    sink: FrameSink {
-                                        net: &mut net,
-                                        faults: &mut faults,
-                                        events: &mut events,
-                                        gctr: &mut gctr,
-                                    },
-                                    agg_bufs: &mut agg_bufs,
-                                    agg_cfg,
-                                };
-                                if let Err(err) = sim_send(waited, at, true, &mut path) {
-                                    transport_error = Some(err);
-                                    final_time = now;
-                                    break 'main;
-                                }
-                            }
-                        }
+                    if let Err(err) = wan.delivered(&env, now, &mut events) {
+                        transport_error = Some(err);
+                        final_time = now;
+                        break 'main;
                     }
                     let mut hooks = SimHooks { t: now, out: Vec::new() };
                     let caught = catch_unwind(AssertUnwindSafe(|| nodes[pe.index()].handle(env, &mut hooks)));
@@ -547,57 +536,25 @@ impl SimEngine {
                     }
                     for (env, after) in hooks.out {
                         let depart = now + after;
-                        let crosses = shared.topo.crosses_wan(env.src, env.dst);
                         if record_on {
                             recs[pe.index()].send(
                                 depart,
                                 m.orig()[env.dst.index()].0,
                                 env.wire_size(),
-                                crosses,
+                                shared.topo.crosses_wan(env.src, env.dst),
                                 env.priority == SYSTEM_PRIORITY,
                             );
                         }
-                        // Credit gate: cross-WAN app traffic must fit the
-                        // pair's window before it may depart.
-                        if let Some(fl) = flow.as_mut() {
-                            if crosses && SimFlow::credited(&env) {
-                                let key = (env.src.0, env.dst.0);
-                                let size = env.wire_size();
-                                let blocked = fl.has_waiters(key) || !fl.admits(key, size);
-                                if blocked && fl.cfg.sheds() && env.aggregatable() {
-                                    // Graceful overload degradation: drop
-                                    // the envelope, keep the books straight.
-                                    gctr.bump(Ctr::EnvelopesShed);
-                                    gctr.add(Ctr::ShedBytes, size);
-                                    nodes[0].note_sheds(1);
-                                    continue;
-                                }
-                                if blocked && !fl.cfg.sheds() {
-                                    gctr.bump(Ctr::CreditStalls);
-                                    fl.defer(key, env, depart);
-                                    continue;
-                                }
-                                // Fits — or is urgent traffic under `Shed`,
-                                // which overruns the window rather than
-                                // stall or vanish (never shed, as on the
-                                // wire).
-                                fl.consume(key, size);
+                        match wan.emit(env, depart, &mut events) {
+                            Ok(true) => {}
+                            // A shed envelope was counted as sent but will
+                            // never be delivered: tell quiescence detection.
+                            Ok(false) => nodes[0].note_sheds(1),
+                            Err(err) => {
+                                transport_error = Some(err);
+                                final_time = now;
+                                break 'main;
                             }
-                        }
-                        let mut path = SendPath {
-                            sink: FrameSink {
-                                net: &mut net,
-                                faults: &mut faults,
-                                events: &mut events,
-                                gctr: &mut gctr,
-                            },
-                            agg_bufs: &mut agg_bufs,
-                            agg_cfg,
-                        };
-                        if let Err(err) = sim_send(env, depart, crosses, &mut path) {
-                            transport_error = Some(err);
-                            final_time = now;
-                            break 'main;
                         }
                     }
                     pes[pe.index()].worked += outcome.charged;
@@ -667,14 +624,7 @@ impl SimEngine {
             let change = if dead_cur.is_empty() { Change::Expand { joiners } } else { Change::Shrink { dead_cur } };
             m.advance(change, snapshot, drained);
             (shared, nodes, pes, recs) = launch(&mut m);
-            net.set_topology(shared.topo.clone());
-            // Buffered (un-flushed) aggregation frames and deferred sends
-            // die with the generation, like every other in-flight event; PE
-            // numbering changes anyway.
-            agg_bufs.clear();
-            if let Some(fl) = flow.as_mut() {
-                fl.reset();
-            }
+            wan.restart(shared.topo.clone());
             // Checkpoint epochs restart with the generation; pending joins
             // wait for a fresh complete epoch on the new cluster.
             ckpt_done = None;
@@ -684,18 +634,8 @@ impl SimEngine {
         // Close the last generation and add what only this engine knows.
         let rows = generation_rows(m.orig(), &nodes, &pes, recs);
         m.books.close_generation(rows, Some(HostRow::of(&nodes[0])));
-        let fault_stats = faults.map(|fm| *fm.stats()).unwrap_or_default();
-        gctr.add(Ctr::Drops, fault_stats.dropped);
-        gctr.add(Ctr::Retransmits, fault_stats.retransmits);
-        gctr.add(Ctr::DupDropped, fault_stats.dup_dropped);
-        gctr.add(Ctr::CorruptRejected, fault_stats.corrupt_rejected);
-        gctr.add(Ctr::Reordered, fault_stats.reordered);
-        m.books.ctr.merge(&gctr);
-        m.books.network = net.stats().clone();
+        wan.close(&mut m.books);
         m.books.transport_error = transport_error;
-        // The sender-side deferred bank counts toward peak buffering too:
-        // under `Block` an open-loop producer's backlog lives there.
-        m.books.peak_mailbox_bytes = m.books.peak_mailbox_bytes.max(flow.as_ref().map_or(0, |f| f.max_waiting));
         m.into_report(events.now().max(final_time), unrecoverable)
     }
 }

@@ -421,15 +421,13 @@ pub struct RunReport {
     /// Total time senders spent blocked waiting for credit (virtual for
     /// the sim engine, wall-clock for the threaded engine).
     pub credit_wait: Dur,
-    /// Posts that found a bounded delivery mailbox at its budget.
-    pub queue_full: u64,
     /// Application envelopes dropped by the `Shed` overload policy
     /// (system/control traffic is never shed; always 0 under `Block`).
     pub sheds: u64,
     /// Payload bytes dropped by the `Shed` overload policy.
     pub shed_bytes: u64,
     /// High-water mark, over PEs, of delivery-queue payload bytes — the
-    /// quantity the flow-control mailbox budget bounds.  Reported even
+    /// quantity flow control keeps near its mailbox budget.  Reported even
     /// without flow control, so overload ablations can contrast bounded
     /// against unbounded growth.
     pub peak_mailbox_bytes: u64,
@@ -535,7 +533,6 @@ mod tests {
             unrecoverable: None,
             credit_stalls: 0,
             credit_wait: Dur::ZERO,
-            queue_full: 0,
             sheds: 0,
             shed_bytes: 0,
             peak_mailbox_bytes: 0,

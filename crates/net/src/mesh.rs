@@ -446,7 +446,7 @@ impl NetMesh {
     /// handed to `deliver` (which posts it into the destination PE's
     /// landing mailbox); control records and peer-death evidence go to
     /// the event queue.  Also spawns the cork rescue thread (see
-    /// [`CORK_RESCUE_TICK`]).  Call exactly once per mesh.
+    /// `CORK_RESCUE_TICK`).  Call exactly once per mesh.
     pub fn start(self: &Arc<Self>, deliver: impl Fn(Packet) + Send + Sync + 'static) {
         let deliver = Arc::new(deliver);
         let mut handles = self.reader_handles.lock();

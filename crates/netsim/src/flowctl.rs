@@ -5,11 +5,12 @@
 //! faster than the wide-area drain turns latency masking into unbounded
 //! queue growth.  MPWide's WAN experience (PAPERS.md) is that the wide-area
 //! hop needs explicit sender-side pacing.  [`FlowConfig`] is the
-//! engine-neutral knob: the threaded engine implements it as credit-based
-//! flow control at the VMI seam (credit grants ride on the reliable layer's
+//! engine-neutral knob, and the per-pair credit arithmetic behind it exists
+//! once (`mdo_vmi::credit::CreditLedger`): the wall-clock engine runs the
+//! ledger at the VMI seam (credit grants ride on the reliable layer's
 //! acks; senders stall or shed when the window is exhausted), while
-//! `SimEngine` applies the same per-pair window in virtual time so credit
-//! stalls and sheds are deterministic and explorable by `mdo-check`.
+//! `SimEngine` runs the same ledger in virtual time so credit stalls and
+//! sheds are deterministic and explorable by `mdo-check`.
 //!
 //! System/control traffic (heartbeats, quiescence probes, checkpoint and
 //! load-balancing control) is never shed and never waits for credit — the
@@ -17,15 +18,15 @@
 //! and failure detection stay live even under saturation.
 
 /// What a sender does when the credit window for a (src, dst) pair is
-/// exhausted (or a bounded mailbox is over budget).
+/// exhausted.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OverloadPolicy {
     /// Stall the sender until credits return.  Delivery stays lossless and
     /// application digests are unchanged; overload becomes slowdown.
     Block,
-    /// Drop the least-urgent application envelope (largest numeric
-    /// priority) with structured accounting.  System/control traffic is
-    /// never shed.  Throughput degrades gracefully instead of queues
+    /// Drop sheddable application envelopes at the send site, with
+    /// structured accounting, for as long as the pair's window is shut.
+    /// System/control traffic is never shed.  Throughput degrades gracefully instead of queues
     /// growing without bound — the right trade for open-loop sources that
     /// backpressure cannot reach.
     Shed,
@@ -34,33 +35,28 @@ pub enum OverloadPolicy {
 /// Policy for end-to-end backpressure across the wide-area seam.
 ///
 /// Each cross-cluster (src, dst) pair may have at most `credit_bytes` of
-/// payload in flight (sent but not yet acknowledged by the receiver); each
-/// per-PE delivery mailbox holds at most `mailbox_bytes` payload bytes and
-/// `mailbox_envelopes` envelopes before the overload policy applies.
+/// payload in flight (sent but not yet acknowledged by the receiver); a
+/// receiving PE with more than `mailbox_bytes` of delivered payload queued
+/// advertises no headroom, which shuts its senders' windows.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FlowConfig {
     /// Per-(src, dst) credit window: the maximum unacknowledged payload
     /// bytes in flight across the WAN for one pair.
     pub credit_bytes: u64,
-    /// Per-PE mailbox byte budget (payload bytes queued for delivery).
+    /// Per-PE mailbox byte budget (payload bytes queued for delivery): the
+    /// headroom a receiver advertises on its acks is this minus what is
+    /// queued.
     pub mailbox_bytes: usize,
-    /// Per-PE mailbox envelope budget.
-    pub mailbox_envelopes: usize,
-    /// What happens when a window or budget is exhausted.
+    /// What happens when a window is exhausted.
     pub policy: OverloadPolicy,
 }
 
 impl Default for FlowConfig {
     /// A 64 KiB per-pair window (a few bandwidth-delay products at the
-    /// paper's millisecond latencies), a 256 KiB / 4096-envelope mailbox
-    /// budget, and lossless `Block` semantics.
+    /// paper's millisecond latencies), a 256 KiB mailbox budget, and
+    /// lossless `Block` semantics.
     fn default() -> Self {
-        FlowConfig {
-            credit_bytes: 64 * 1024,
-            mailbox_bytes: 256 * 1024,
-            mailbox_envelopes: 4096,
-            policy: OverloadPolicy::Block,
-        }
+        FlowConfig { credit_bytes: 64 * 1024, mailbox_bytes: 256 * 1024, policy: OverloadPolicy::Block }
     }
 }
 
@@ -74,12 +70,6 @@ impl FlowConfig {
     /// Policy with an explicit per-PE mailbox byte budget.
     pub fn with_mailbox_bytes(mut self, mailbox_bytes: usize) -> Self {
         self.mailbox_bytes = mailbox_bytes;
-        self
-    }
-
-    /// Policy with an explicit per-PE mailbox envelope budget.
-    pub fn with_mailbox_envelopes(mut self, mailbox_envelopes: usize) -> Self {
-        self.mailbox_envelopes = mailbox_envelopes;
         self
     }
 
@@ -104,7 +94,6 @@ mod tests {
         let cfg = FlowConfig::default();
         assert_eq!(cfg.credit_bytes, 64 * 1024);
         assert_eq!(cfg.mailbox_bytes, 256 * 1024);
-        assert_eq!(cfg.mailbox_envelopes, 4096);
         assert_eq!(cfg.policy, OverloadPolicy::Block);
         assert!(!cfg.sheds());
         assert!(
@@ -115,14 +104,10 @@ mod tests {
 
     #[test]
     fn builders_override() {
-        let cfg = FlowConfig::default()
-            .with_credit_bytes(1024)
-            .with_mailbox_bytes(2048)
-            .with_mailbox_envelopes(16)
-            .with_policy(OverloadPolicy::Shed);
+        let cfg =
+            FlowConfig::default().with_credit_bytes(1024).with_mailbox_bytes(2048).with_policy(OverloadPolicy::Shed);
         assert_eq!(cfg.credit_bytes, 1024);
         assert_eq!(cfg.mailbox_bytes, 2048);
-        assert_eq!(cfg.mailbox_envelopes, 16);
         assert!(cfg.sheds());
     }
 }

@@ -67,8 +67,6 @@ pub enum Ctr {
     CreditStalls,
     /// Nanoseconds senders spent blocked waiting for credit to return.
     CreditWaitNs,
-    /// Posts that found a bounded mailbox at its byte/envelope budget.
-    QueueFull,
     /// Application envelopes dropped by the `Shed` overload policy
     /// (system/control traffic is never shed).
     EnvelopesShed,
@@ -82,7 +80,7 @@ pub enum Ctr {
 
 impl Ctr {
     /// Every counter, in declaration order.
-    pub const ALL: [Ctr; 32] = [
+    pub const ALL: [Ctr; 31] = [
         Ctr::MsgsSent,
         Ctr::MsgsRecvd,
         Ctr::BytesSent,
@@ -111,7 +109,6 @@ impl Ctr {
         Ctr::Generations,
         Ctr::CreditStalls,
         Ctr::CreditWaitNs,
-        Ctr::QueueFull,
         Ctr::EnvelopesShed,
         Ctr::ShedBytes,
         Ctr::MailboxSignals,
@@ -148,7 +145,6 @@ impl Ctr {
             Ctr::Generations => "generations",
             Ctr::CreditStalls => "credit_stalls",
             Ctr::CreditWaitNs => "credit_wait_ns",
-            Ctr::QueueFull => "queue_full",
             Ctr::EnvelopesShed => "envelopes_shed",
             Ctr::ShedBytes => "shed_bytes",
             Ctr::MailboxSignals => "mailbox_signals",
@@ -157,15 +153,8 @@ impl Ctr {
 }
 
 /// A fixed set of monotonic counters, one per [`Ctr`].
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CounterSet([u64; Ctr::ALL.len()]);
-
-// Derived `Default` stops at 32-element arrays; spell it out.
-impl Default for CounterSet {
-    fn default() -> Self {
-        CounterSet([0; Ctr::ALL.len()])
-    }
-}
 
 impl CounterSet {
     /// All zeros.

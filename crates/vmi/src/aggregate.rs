@@ -7,7 +7,9 @@
 //! into larger units amortizes it.  MPWide reaches the same conclusion for
 //! WAN paths.  [`Aggregator`] applies that here: envelopes bound for the
 //! same remote PE accumulate in a per-(src, dst) [`FrameBuilder`] and ship
-//! as one jumbo frame, flushed by:
+//! as one jumbo frame.  *When* is [`crate::flush`]'s decision — the policy
+//! the simulator runs too; this layer supplies the bytes, the wall clock
+//! and the tick:
 //!
 //! * **size** — buffered payload reaches [`AggConfig::max_bytes`];
 //! * **deadline** — a background flusher ships any buffer older than
@@ -17,6 +19,11 @@
 //!   control) are appended and the frame flushes immediately, preserving
 //!   per-pair order while never stalling the control plane;
 //! * **shutdown** — [`Aggregator::flush_all`] drains every buffer.
+//!
+//! Aggregating or not, this is also the one place the `Shed` overload
+//! policy drops anything: a sheddable envelope whose pair has no credit
+//! left is dropped in [`Aggregator::send_with`], before it is encoded into
+//! a frame or a packet.
 //!
 //! The layer sits *above* [`ReliableTransport`] deliberately: one frame is
 //! one reliable sequence number, so a lost or corrupted frame costs one
@@ -38,41 +45,30 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::BytesMut;
-use mdo_netsim::{AggConfig, FlowConfig, Pe, TransportError};
+use mdo_netsim::{AggConfig, Dur, FlowConfig, Pe, Time, TransportError};
 use parking_lot::Mutex;
 
-use crate::frame::{self, FrameBuilder, CHUNK_HEADER_LEN};
-use crate::mailbox::{Mailbox, MailboxBudget, SHED_EXEMPT_PRIORITY};
+use crate::flush::{FlushCause, PairFill};
+use crate::frame::{self, FrameBuilder};
+use crate::mailbox::{Mailbox, SHED_EXEMPT_PRIORITY};
 use crate::packet::Packet;
-use crate::reliable::{ReliableTransport, HEADER_LEN};
+use crate::reliable::ReliableTransport;
 use crate::transport::Transport;
 
-/// Why a frame was flushed (kept distinct so the observability layer can
-/// report the size/deadline policy split).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum FlushCause {
-    Size,
-    Deadline,
-    Urgent,
-    Final,
-}
-
-/// One (src, dst) accumulation buffer.
+/// One (src, dst) accumulation buffer: the bytes, and the flush policy's
+/// view of how full and how old they are.
+#[derive(Default)]
 struct PairBuf {
     builder: FrameBuilder,
-    /// When the oldest buffered chunk arrived — the deadline clock.
-    opened: Option<Instant>,
+    fill: PairFill,
 }
 
 /// Counters shared with the flusher thread.
 struct Shared {
     rt: Arc<ReliableTransport>,
     cfg: AggConfig,
-    /// Flow-control policy, when backpressure is active.  `Shed` drops
-    /// sheddable envelopes right here at the send site once the pair's
-    /// credit window is exhausted — envelope granularity, so a jumbo frame
-    /// is never torn.
-    flow: Option<FlowConfig>,
+    /// Zero of the clock the flush policy is driven with.
+    start: Instant,
     /// Accumulation buffers, sharded by source PE so concurrent senders
     /// never contend (each PE thread writes only its own shard).
     pairs: Vec<Mutex<HashMap<u32, PairBuf>>>,
@@ -83,26 +79,22 @@ struct Shared {
     flush_by_deadline: AtomicU64,
     flush_urgent: AtomicU64,
     flush_final: AtomicU64,
-    envelopes_shed: AtomicU64,
-    shed_bytes: AtomicU64,
     stop: AtomicBool,
 }
 
 impl Shared {
+    fn now(&self) -> Time {
+        Time::ZERO + Dur::from_std(self.start.elapsed())
+    }
+
     /// Ship `buf`'s contents as one frame (no-op when empty).
     fn flush_buf(&self, src: Pe, dst: Pe, buf: &mut PairBuf, cause: FlushCause) {
-        let Some((priority, frame, count)) = buf.builder.take() else {
+        let (Some((priority, frame, _)), Some(tally)) = (buf.builder.take(), buf.fill.take()) else {
             return;
         };
-        buf.opened = None;
         self.frames_sent.fetch_add(1, Ordering::Relaxed);
-        self.envelopes_coalesced.fetch_add(u64::from(count), Ordering::Relaxed);
-        // Wire framing each envelope would have paid standalone (a reliable
-        // data header plus its own ack frame) minus what the jumbo frame
-        // pays once (one header + one ack + per-chunk framing).
-        let standalone = u64::from(count) * 2 * HEADER_LEN as u64;
-        let framed = 2 * HEADER_LEN as u64 + 1 + u64::from(count) * CHUNK_HEADER_LEN as u64;
-        self.bytes_saved.fetch_add(standalone.saturating_sub(framed), Ordering::Relaxed);
+        self.envelopes_coalesced.fetch_add(tally.envelopes, Ordering::Relaxed);
+        self.bytes_saved.fetch_add(tally.bytes_saved, Ordering::Relaxed);
         match cause {
             FlushCause::Size => &self.flush_by_size,
             FlushCause::Deadline => &self.flush_by_deadline,
@@ -139,58 +131,47 @@ pub struct AggStats {
     pub flush_urgent: u64,
     /// Frames flushed by shutdown / barrier drains.
     pub flush_final: u64,
-    /// Application envelopes dropped by the `Shed` overload policy — at the
-    /// send site (credit window exhausted) plus at the receiver's bounded
-    /// pending bank.
+    /// Application envelopes dropped by the `Shed` overload policy at the
+    /// send site (the pair's credit window was shut).
     pub envelopes_shed: u64,
     /// Payload bytes dropped by the `Shed` overload policy.
     pub shed_bytes: u64,
-    /// Posts that found a bounded pending bank at its budget.
-    pub queue_full: u64,
 }
 
 /// The aggregation layer.  Built with [`Aggregator::passthrough`] it
 /// delegates straight to the reliable transport (no buffering, no flusher
 /// thread, no receive indirection); built with [`Aggregator::with_policy`]
-/// it coalesces cross-WAN traffic as described in the module docs.
+/// it coalesces cross-WAN traffic as described in the module docs.  Either
+/// way it sheds if the reliable layer it wraps runs the `Shed` policy.
 pub struct Aggregator {
     rt: Arc<ReliableTransport>,
+    /// The reliable layer's flow-control policy, when backpressure is on.
+    flow: Option<FlowConfig>,
     shared: Option<Arc<Shared>>,
     /// Per-PE landing queues for unpacked sub-packets (aggregating mode
-    /// only; empty vec in passthrough).
+    /// only; empty vec in passthrough).  Never bounded locally — the poster
+    /// *is* the consumer thread, so blocking it would self-deadlock;
+    /// instead their occupancy is advertised to senders as receive headroom
+    /// on acks, so they stall (`Block`) or shed (`Shed`) remotely.
     pending: Vec<Arc<Mailbox>>,
+    envelopes_shed: AtomicU64,
+    shed_bytes: AtomicU64,
     flusher: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
 impl Aggregator {
-    /// Aggregation off: a transparent wrapper.
+    /// Aggregation off: a wrapper that adds only the shed site.
     pub fn passthrough(rt: Arc<ReliableTransport>) -> Arc<Self> {
-        Arc::new(Aggregator { rt, shared: None, pending: Vec::new(), flusher: Mutex::new(None) })
+        Arc::new(Self::over(rt, None, Vec::new(), None))
     }
 
     /// Aggregation on, coalescing under `cfg`.
     pub fn with_policy(rt: Arc<ReliableTransport>, cfg: AggConfig) -> Arc<Self> {
-        Self::build(rt, cfg, None)
-    }
-
-    /// Aggregation on, with end-to-end backpressure: under `Shed` the
-    /// per-PE pending bank is bounded (least-urgent application envelopes
-    /// drop with accounting) and sheddable envelopes are dropped at the
-    /// send site once the pair's credit window is exhausted; under `Block`
-    /// the pending bank stays unbounded locally (the poster *is* the
-    /// consumer thread, so blocking it would self-deadlock) and instead its
-    /// occupancy is advertised to senders as receive headroom on acks, so
-    /// they stall remotely.
-    pub fn with_flow(rt: Arc<ReliableTransport>, cfg: AggConfig, flow: FlowConfig) -> Arc<Self> {
-        Self::build(rt, cfg, Some(flow))
-    }
-
-    fn build(rt: Arc<ReliableTransport>, cfg: AggConfig, flow: Option<FlowConfig>) -> Arc<Self> {
         let n = rt.inner().topology().num_pes();
         let shared = Arc::new(Shared {
             rt: Arc::clone(&rt),
             cfg,
-            flow,
+            start: Instant::now(),
             pairs: (0..n).map(|_| Mutex::new(HashMap::new())).collect(),
             frames_sent: AtomicU64::new(0),
             envelopes_coalesced: AtomicU64::new(0),
@@ -199,21 +180,28 @@ impl Aggregator {
             flush_by_deadline: AtomicU64::new(0),
             flush_urgent: AtomicU64::new(0),
             flush_final: AtomicU64::new(0),
-            envelopes_shed: AtomicU64::new(0),
-            shed_bytes: AtomicU64::new(0),
             stop: AtomicBool::new(false),
         });
-        let bank = || match flow {
-            Some(f) if f.sheds() => Arc::new(Mailbox::bounded(MailboxBudget::from_flow(&f))),
-            _ => Arc::new(Mailbox::new()),
-        };
         let flusher = spawn_deadline_flusher(Arc::clone(&shared));
-        Arc::new(Aggregator {
+        let pending = (0..n).map(|_| Arc::new(Mailbox::new())).collect();
+        Arc::new(Self::over(rt, Some(shared), pending, Some(flusher)))
+    }
+
+    fn over(
+        rt: Arc<ReliableTransport>,
+        shared: Option<Arc<Shared>>,
+        pending: Vec<Arc<Mailbox>>,
+        flusher: Option<std::thread::JoinHandle<()>>,
+    ) -> Self {
+        Aggregator {
+            flow: rt.flow_config(),
             rt,
-            shared: Some(shared),
-            pending: (0..n).map(|_| bank()).collect(),
-            flusher: Mutex::new(Some(flusher)),
-        })
+            shared,
+            pending,
+            envelopes_shed: AtomicU64::new(0),
+            shed_bytes: AtomicU64::new(0),
+            flusher: Mutex::new(flusher),
+        }
     }
 
     /// True if coalescing is active.
@@ -244,39 +232,36 @@ impl Aggregator {
     /// appended, preserving per-pair order) flushes immediately.
     pub fn send_with<F: FnOnce(&mut BytesMut)>(&self, src: Pe, dst: Pe, priority: i32, urgent: bool, write: F) {
         let cross = self.inner().topology().crosses_wan(src, dst);
+        if cross
+            && self.flow.is_some_and(|f| f.sheds())
+            && !urgent
+            && priority != SHED_EXEMPT_PRIORITY
+            && self.rt.credit_available(src, dst) == 0
+        {
+            // The pair's window is shut and the policy is to degrade
+            // rather than stall: drop the envelope here, before it joins a
+            // frame (frames are never torn) or takes a sequence number.
+            // The test is "no credit left", not "does not fit": the encoded
+            // size is not known yet, and frames reserve when they flush.
+            // Encode into a scratch buffer only to account the dropped
+            // bytes.
+            let mut scratch = BytesMut::with_capacity(64);
+            write(&mut scratch);
+            self.envelopes_shed.fetch_add(1, Ordering::Relaxed);
+            self.shed_bytes.fetch_add(scratch.len() as u64, Ordering::Relaxed);
+            return;
+        }
         let Some(sh) = self.shared.as_ref().filter(|_| cross) else {
             let mut buf = BytesMut::with_capacity(64);
             write(&mut buf);
             self.rt.send(Packet::with_priority(src, dst, priority, buf.freeze()));
             return;
         };
-        if sh.flow.is_some_and(|f| f.sheds())
-            && !urgent
-            && priority != SHED_EXEMPT_PRIORITY
-            && self.rt.credit_available(src, dst) == 0
-        {
-            // The pair's window is exhausted and the policy is to degrade
-            // rather than stall: drop the envelope here, before it joins a
-            // frame (frames are never torn).  Encode into a scratch buffer
-            // only to account the dropped bytes.
-            let mut scratch = BytesMut::with_capacity(64);
-            write(&mut scratch);
-            sh.envelopes_shed.fetch_add(1, Ordering::Relaxed);
-            sh.shed_bytes.fetch_add(scratch.len() as u64, Ordering::Relaxed);
-            return;
-        }
         let mut shard = sh.pairs[src.index()].lock();
-        let buf = shard.entry(dst.0).or_insert_with(|| PairBuf { builder: FrameBuilder::new(), opened: None });
-        if buf.opened.is_none() {
-            buf.opened = Some(Instant::now());
-        }
+        let buf = shard.entry(dst.0).or_default();
         let body_len = buf.builder.push_with(priority, write);
-        if urgent {
-            sh.flush_buf(src, dst, buf, FlushCause::Urgent);
-        } else if body_len >= sh.cfg.eager_bytes || buf.builder.payload_len() >= sh.cfg.max_bytes {
-            // Bulk messages ship at once — batching them behind a deadline
-            // (or making small ones wait for them) defeats pipelining.
-            sh.flush_buf(src, dst, buf, FlushCause::Size);
+        if let Some(cause) = buf.fill.push(&sh.cfg, urgent, body_len, || sh.now()).flush {
+            sh.flush_buf(src, dst, buf, cause);
         }
     }
 
@@ -365,7 +350,7 @@ impl Aggregator {
     /// `Block` senders this is what turns local queue growth into remote
     /// sender stalls — end-to-end backpressure.
     fn advertise(&self, pe: Pe) {
-        if let Some(flow) = self.shared.as_ref().and_then(|sh| sh.flow.as_ref()) {
+        if let Some(flow) = self.flow {
             let used = self.pending[pe.index()].bytes();
             self.rt.set_advertised_window(pe, flow.mailbox_bytes.saturating_sub(used) as u64);
         }
@@ -388,39 +373,30 @@ impl Aggregator {
         self.pending.get(pe.index()).map_or(0, |mb| mb.max_bytes())
     }
 
-    /// Counter snapshot.  Shed accounting folds both shed sites: the send
-    /// path (credit window exhausted) and the receiver's bounded pending
-    /// bank.
+    /// Counter snapshot.
     pub fn stats(&self) -> AggStats {
-        self.shared.as_ref().map_or_else(AggStats::default, |sh| {
-            let mut st = AggStats {
-                frames_sent: sh.frames_sent.load(Ordering::Relaxed),
-                envelopes_coalesced: sh.envelopes_coalesced.load(Ordering::Relaxed),
-                bytes_saved: sh.bytes_saved.load(Ordering::Relaxed),
-                flush_by_size: sh.flush_by_size.load(Ordering::Relaxed),
-                flush_by_deadline: sh.flush_by_deadline.load(Ordering::Relaxed),
-                flush_urgent: sh.flush_urgent.load(Ordering::Relaxed),
-                flush_final: sh.flush_final.load(Ordering::Relaxed),
-                envelopes_shed: sh.envelopes_shed.load(Ordering::Relaxed),
-                shed_bytes: sh.shed_bytes.load(Ordering::Relaxed),
-                queue_full: 0,
-            };
-            for mb in &self.pending {
-                st.envelopes_shed += mb.sheds();
-                st.shed_bytes += mb.shed_bytes();
-                st.queue_full += mb.queue_full();
-            }
-            st
+        let shed = AggStats {
+            envelopes_shed: self.envelopes_shed.load(Ordering::Relaxed),
+            shed_bytes: self.shed_bytes.load(Ordering::Relaxed),
+            ..AggStats::default()
+        };
+        self.shared.as_ref().map_or(shed, |sh| AggStats {
+            frames_sent: sh.frames_sent.load(Ordering::Relaxed),
+            envelopes_coalesced: sh.envelopes_coalesced.load(Ordering::Relaxed),
+            bytes_saved: sh.bytes_saved.load(Ordering::Relaxed),
+            flush_by_size: sh.flush_by_size.load(Ordering::Relaxed),
+            flush_by_deadline: sh.flush_by_deadline.load(Ordering::Relaxed),
+            flush_urgent: sh.flush_urgent.load(Ordering::Relaxed),
+            flush_final: sh.flush_final.load(Ordering::Relaxed),
+            ..shed
         })
     }
 
-    /// Quick running total of envelopes shed so far, covering both shed
-    /// sites (send-path credit exhaustion and the bounded pending banks).
-    /// Cheap enough — a handful of atomic loads — for the engine to poll
-    /// every scheduling iteration when reconciling quiescence books.
+    /// Running total of envelopes shed so far.  One atomic load: cheap
+    /// enough for the engine to poll every scheduling iteration when
+    /// reconciling quiescence books.
     pub fn sheds_total(&self) -> u64 {
-        let send_side = self.shared.as_ref().map_or(0, |sh| sh.envelopes_shed.load(Ordering::Relaxed));
-        send_side + self.pending.iter().map(|mb| mb.sheds()).sum::<u64>()
+        self.envelopes_shed.load(Ordering::Relaxed)
     }
 
     /// Flush every buffer and stop the deadline flusher (idempotent).
@@ -446,16 +422,14 @@ fn spawn_deadline_flusher(shared: Arc<Shared>) -> std::thread::JoinHandle<()> {
     std::thread::Builder::new()
         .name("mdo-agg-flush".into())
         .spawn(move || {
-            let max_delay = shared.cfg.max_delay.to_std();
-            let tick = (max_delay / 4).max(Duration::from_micros(200));
+            let tick = (shared.cfg.max_delay.to_std() / 4).max(Duration::from_micros(200));
             while !shared.stop.load(Ordering::Acquire) {
                 std::thread::sleep(tick);
-                let now = Instant::now();
+                let now = shared.now();
                 for (src, shard) in shared.pairs.iter().enumerate() {
                     let mut shard = shard.lock();
                     for (&dst, buf) in shard.iter_mut() {
-                        let expired = buf.opened.is_some_and(|t| now.duration_since(t) >= max_delay);
-                        if expired {
+                        if buf.fill.expired(&shared.cfg, now) {
                             shared.flush_buf(Pe(src as u32), Pe(dst), buf, FlushCause::Deadline);
                         }
                     }
@@ -625,8 +599,7 @@ mod tests {
         let latency = LatencyMatrix::uniform(&topo, Dur::ZERO, Dur::ZERO);
         let tcfg = TransportConfig::new(topo, latency);
         let plan = FaultPlan::default().with_rto(Dur::from_millis(200));
-        let rt = ReliableTransport::with_flow(Transport::new(tcfg), plan, flow);
-        Aggregator::with_flow(rt, cfg, flow)
+        Aggregator::with_policy(ReliableTransport::with_flow(Transport::new(tcfg), plan, flow), cfg)
     }
 
     #[test]

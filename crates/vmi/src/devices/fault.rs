@@ -2,7 +2,7 @@
 //!
 //! Sits on the cross-cluster chain and subjects each packet to the
 //! drop/duplicate/reorder/corrupt probabilities of a
-//! [`FaultPlan`](mdo_netsim::FaultPlan), drawing from the plan's dedicated
+//! [`FaultPlan`], drawing from the plan's dedicated
 //! per-PE-pair streams so a given plan harms the same packets regardless of
 //! how traffic from other pairs interleaves — the property that lets the
 //! threaded engine and the virtual-time [`FaultModel`](mdo_netsim::FaultModel)

@@ -10,7 +10,7 @@
 //! There is no count field — the frame is parsed until exhausted, so a
 //! truncated or mangled frame is a structured [`FrameError`], never a
 //! panic.  Chunks carry their own mailbox priority so the receiving side
-//! can rebuild per-message [`Packet`]s without understanding the runtime's
+//! can rebuild per-message [`crate::Packet`]s without understanding the runtime's
 //! envelope encoding.  [`split`] returns zero-copy sub-views into the
 //! frame's single allocation ([`Bytes::slice`]), which the runtime's
 //! borrowing envelope decode then aliases — one allocation per frame, not

@@ -19,11 +19,16 @@
 //!   byte-counting devices.
 //! * [`mailbox`] — per-PE blocking priority mailboxes (the terminal
 //!   "network driver" of every chain).
+//! * [`credit`] — the per-pair credit ledger behind flow control: plain
+//!   data, run by [`reliable`] here and by the simulator in `mdo-core`.
 //! * [`reliable`] — sequence numbers, cumulative acks and timer-driven
 //!   retransmission layered over the unreliable cross-cluster chain when a
 //!   fault plan is active.
 //! * [`frame`] — the jumbo-frame codec packing many messages into one
 //!   wire payload with zero-copy unpacking.
+//! * [`flush`] — the aggregation flush policy (size, deadline, urgency)
+//!   and the frame tally: plain data, run by [`aggregate`] here and by the
+//!   simulator in `mdo-core`.
 //! * [`aggregate`] — TRAM-style per-destination coalescing of cross-WAN
 //!   traffic above the reliable layer (one ack per jumbo frame).
 //! * [`transport`] — routes each packet through the intra-cluster or
@@ -32,7 +37,7 @@
 //! * [`wire`] — the inter-node seam: in a multi-process run the chains
 //!   terminate in a router that posts local destinations to their
 //!   mailbox and ships remote destinations through a pluggable
-//!   [`Wire`](wire::Wire) backend (the TCP implementation lives in
+//!   [`Wire`] backend (the TCP implementation lives in
 //!   `mdo-net`).
 //!
 //! Everything here deals in raw bytes; the message-driven runtime
@@ -62,8 +67,10 @@
 #![warn(missing_docs)]
 
 pub mod aggregate;
+pub mod credit;
 pub mod device;
 pub mod devices;
+pub mod flush;
 pub mod frame;
 pub mod mailbox;
 pub mod packet;

@@ -11,7 +11,7 @@
 //! A packet stamped with a future [`Packet::due`] (the delay device's
 //! injected latency) is *in flight*, not queued: it waits in a due-ordered
 //! lane under the merge lock, invisible to every take path and outside the
-//! budget and the high-water marks (only [`Mailbox::len`] counts it).  Each
+//! high-water marks (only [`Mailbox::len`] counts it).  Each
 //! take path first promotes the packets that have fallen due into the
 //! ordering structure, in `(due, post order)` — arrival sequence numbers
 //! are assigned at promotion, so a promoted packet queues exactly as if it
@@ -20,8 +20,8 @@
 //!
 //! ## The lock-free fast path
 //!
-//! An *unbounded* mailbox routes every post through a per-sender bounded
-//! SPSC ring ([`crate::ring`]): the posting thread claims a private lane
+//! Every post goes through a per-sender bounded SPSC ring
+//! (`crate::ring`): the posting thread claims a private lane
 //! the first time it posts (a thread-local cache remembers the claim), and
 //! from then on a post is one slot write, one release store, and one
 //! sequentially-consistent counter bump — wait-free, no lock, no
@@ -43,16 +43,12 @@
 //! one-consumer-per-mailbox invariant); non-blocking takers
 //! ([`Mailbox::try_take`], [`Mailbox::take_many`]) may run concurrently.
 //!
-//! A mailbox can instead be *bounded* ([`Mailbox::bounded`]): when a byte
-//! or envelope budget is exhausted the configured [`OverloadPolicy`]
-//! applies — `Block` stalls posters until takers make room, `Shed` drops
-//! the least-urgent application packet with structured accounting.
-//! Budgeted mailboxes keep the locked path for every post (admission needs
-//! the authoritative queue state), so Block/Shed semantics are unchanged
-//! bit for bit.  Packets at [`SHED_EXEMPT_PRIORITY`] (runtime-internal
-//! control traffic: acks, heartbeats, quiescence and checkpoint control)
-//! are always admitted immediately and never shed, so collective progress
-//! stays live even when the application side of the queue is saturated.
+//! A mailbox has no budget of its own and never refuses a post: memory
+//! is bounded upstream, by the per-pair credit window and the headroom a
+//! receiver advertises on its acks ([`crate::reliable`]).  Packets at
+//! [`SHED_EXEMPT_PRIORITY`] (runtime-internal control traffic: acks,
+//! heartbeats, quiescence and checkpoint control) are the ones that window
+//! never holds back and the `Shed` policy never drops.
 
 use std::cell::RefCell;
 use std::cmp::Ordering;
@@ -61,7 +57,6 @@ use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use mdo_netsim::{FlowConfig, OverloadPolicy};
 use parking_lot::{Condvar, Mutex};
 
 use crate::device::Forwarder;
@@ -94,7 +89,7 @@ thread_local! {
         const { RefCell::new(LaneCache { last_id: 0, last_lane: SLOW_LANE, entries: Vec::new() }) };
 }
 
-/// The wait-free side of an unbounded mailbox.
+/// The wait-free side of a mailbox.
 struct FastLanes {
     /// Process-unique mailbox identity for the thread-local lane cache.
     id: u64,
@@ -114,27 +109,9 @@ struct FastLanes {
     signals: AtomicU64,
 }
 
-/// Packets at this priority (the runtime's system priority) bypass budget
-/// checks and are never shed.
+/// Packets at this priority (the runtime's system priority) neither
+/// consume nor wait for credit and are never shed.
 pub const SHED_EXEMPT_PRIORITY: i32 = i32::MIN;
-
-/// Byte + envelope budget and overload behavior for a bounded mailbox.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MailboxBudget {
-    /// Queued payload bytes before the policy applies.
-    pub max_bytes: usize,
-    /// Queued packets before the policy applies.
-    pub max_envelopes: usize,
-    /// What a poster does when the budget is exhausted.
-    pub policy: OverloadPolicy,
-}
-
-impl MailboxBudget {
-    /// The mailbox budget described by an engine-level flow-control config.
-    pub fn from_flow(cfg: &FlowConfig) -> Self {
-        MailboxBudget { max_bytes: cfg.mailbox_bytes, max_envelopes: cfg.mailbox_envelopes, policy: cfg.policy }
-    }
-}
 
 struct Entry {
     priority: i32,
@@ -186,10 +163,6 @@ struct Inner {
     /// Queued payload bytes (sum of `payload.len()` over queued packets).
     bytes: usize,
     max_bytes: usize,
-    budget: Option<MailboxBudget>,
-    queue_full: u64,
-    sheds: u64,
-    shed_bytes: u64,
 }
 
 impl Inner {
@@ -256,80 +229,14 @@ impl Inner {
     fn depth(&self) -> usize {
         self.heap.len() + self.fifo.len()
     }
-
-    /// True if admitting one more packet would exceed the budget (exempt
-    /// packets are admitted regardless).
-    fn at_budget(&self) -> bool {
-        match &self.budget {
-            Some(b) => self.bytes >= b.max_bytes || self.depth() >= b.max_envelopes,
-            None => false,
-        }
-    }
-
-    /// Shed-policy admission: either queue `pkt` (possibly evicting the
-    /// least-urgent queued application packet) or drop it.  The packet that
-    /// loses is the one with the numerically largest `(priority, seq)` —
-    /// the least urgent, newest on ties — among sheddable candidates
-    /// including `pkt` itself.  Exempt-priority packets are never shed.
-    fn insert_or_shed(&mut self, pkt: Packet) {
-        if pkt.priority == SHED_EXEMPT_PRIORITY {
-            self.insert(pkt);
-            return;
-        }
-        // Least-urgent queued sheddable entry, if any.
-        let worst_heap =
-            self.heap.iter().filter(|e| e.priority != SHED_EXEMPT_PRIORITY).map(|e| (e.priority, e.seq)).max();
-        let worst_fifo = match (self.fifo_priority, self.fifo.back()) {
-            (Some(p), Some((seq, _))) if p != SHED_EXEMPT_PRIORITY => Some((p, *seq)),
-            _ => None,
-        };
-        let worst = worst_heap.max(worst_fifo);
-        match worst {
-            // The incoming packet is at least as un-urgent as anything
-            // queued (or nothing queued is sheddable): drop it.
-            Some((p, _)) if pkt.priority < p => {
-                let evicted = self.remove(worst.expect("checked above"));
-                self.sheds += 1;
-                self.shed_bytes += evicted.payload.len() as u64;
-                self.insert(pkt);
-            }
-            _ => {
-                self.sheds += 1;
-                self.shed_bytes += pkt.payload.len() as u64;
-            }
-        }
-    }
-
-    /// Remove the queued entry with this exact `(priority, seq)`.
-    fn remove(&mut self, key: (i32, u64)) -> Packet {
-        if self.fifo_priority == Some(key.0) {
-            if let Some(pos) = self.fifo.iter().position(|(seq, _)| *seq == key.1) {
-                let (_, pkt) = self.fifo.remove(pos).expect("position just found");
-                if self.fifo.is_empty() {
-                    self.fifo_priority = None;
-                }
-                self.bytes -= pkt.payload.len();
-                return pkt;
-            }
-        }
-        let mut entries = std::mem::take(&mut self.heap).into_vec();
-        let pos = entries.iter().position(|e| (e.priority, e.seq) == key).expect("evictee is queued");
-        let entry = entries.swap_remove(pos);
-        self.heap = BinaryHeap::from(entries);
-        self.bytes -= entry.pkt.payload.len();
-        entry.pkt
-    }
 }
 
 /// A blocking priority queue of packets for one PE.
 pub struct Mailbox {
     inner: Mutex<Inner>,
     cond: Condvar,
-    /// Posters blocked by a `Block`-policy budget wait here; takers signal.
-    space: Condvar,
-    /// Per-sender wait-free lanes; present iff the mailbox is unbounded
-    /// (budget admission needs the locked path's authoritative state).
-    fast: Option<FastLanes>,
+    /// Per-sender wait-free lanes.
+    fast: FastLanes,
 }
 
 impl Default for Mailbox {
@@ -339,18 +246,9 @@ impl Default for Mailbox {
 }
 
 impl Mailbox {
-    /// An empty, open, unbounded mailbox.
+    /// An empty, open mailbox.
     pub fn new() -> Self {
-        Self::with_budget(None)
-    }
-
-    /// An empty, open mailbox with a byte + envelope budget.
-    pub fn bounded(budget: MailboxBudget) -> Self {
-        Self::with_budget(Some(budget))
-    }
-
-    fn with_budget(budget: Option<MailboxBudget>) -> Self {
-        let fast = budget.is_none().then(|| FastLanes {
+        let fast = FastLanes {
             id: NEXT_MAILBOX_ID.fetch_add(1, AtOrd::Relaxed),
             closed: AtomicBool::new(false),
             lanes: std::array::from_fn(|_| AtomicPtr::new(std::ptr::null_mut())),
@@ -360,7 +258,7 @@ impl Mailbox {
             bytes_posted: AtomicU64::new(0),
             sleeping: AtomicBool::new(false),
             signals: AtomicU64::new(0),
-        });
+        };
         Mailbox {
             inner: Mutex::new(Inner {
                 heap: BinaryHeap::new(),
@@ -376,18 +274,13 @@ impl Mailbox {
                 max_depth: 0,
                 bytes: 0,
                 max_bytes: 0,
-                budget,
-                queue_full: 0,
-                sheds: 0,
-                shed_bytes: 0,
             }),
             cond: Condvar::new(),
-            space: Condvar::new(),
             fast,
         }
     }
 
-    // ---- fast-lane machinery (unbounded mailboxes only) -----------------
+    // ---- fast-lane machinery ---------------------------------------------
 
     /// This thread's lane ring for this mailbox, claiming one on first use.
     /// `None` means the locked path: lanes exhausted, or TLS unavailable
@@ -445,7 +338,8 @@ impl Mailbox {
     /// Holds that have fallen due are promoted in the same pass, so every
     /// take path and every observer sees them.
     fn drain_locked(&self, inner: &mut Inner) {
-        if let Some(f) = self.fast.as_ref().filter(|f| f.posted.load(AtOrd::SeqCst) != inner.drained) {
+        let f = &self.fast;
+        if f.posted.load(AtOrd::SeqCst) != inner.drained {
             let n = f.published.load(AtOrd::Acquire);
             let (mut merged, mut merged_bytes) = (0u64, 0u64);
             for slot in &f.lanes[..n] {
@@ -496,140 +390,83 @@ impl Mailbox {
         self.cond.notify_one();
     }
 
-    /// Wait (Block policy) until the mailbox is under budget, the packet is
-    /// exempt, or the mailbox closes.  Returns false if the mailbox closed.
-    /// The budget is a high-water admission gate: once under it, a post (or
-    /// a whole batch) is admitted even if it overshoots, which guarantees
-    /// progress for packets larger than the remaining headroom.
-    fn wait_for_space(&self, inner: &mut parking_lot::MutexGuard<'_, Inner>, priority: i32) -> bool {
-        if priority == SHED_EXEMPT_PRIORITY {
-            return !inner.closed;
-        }
-        let mut noted_full = false;
-        loop {
-            if inner.closed {
-                return false;
-            }
-            if !inner.at_budget() {
-                return true;
-            }
-            if !noted_full {
-                inner.queue_full += 1;
-                noted_full = true;
-            }
-            match inner.budget.as_ref().map(|b| b.policy) {
-                Some(OverloadPolicy::Block) => self.space.wait(inner),
-                // Shed never blocks; the caller sheds instead.
-                _ => return true,
-            }
-        }
-    }
-
-    /// True if this post should go through the shedding path.
-    fn should_shed(inner: &Inner) -> bool {
-        matches!(inner.budget, Some(MailboxBudget { policy: OverloadPolicy::Shed, .. })) && inner.at_budget()
-    }
-
     /// Post a packet. Posting to a closed mailbox silently drops (shutdown
-    /// races with in-flight delayed packets are benign).  On an unbounded
-    /// mailbox this is wait-free: one ring-slot write, one release store,
-    /// one counter bump (see the module docs).  On a bounded mailbox at
-    /// budget this blocks (`Block`) or sheds the least-urgent application
-    /// packet (`Shed`).
+    /// races with in-flight delayed packets are benign).  Wait-free: one
+    /// ring-slot write, one release store, one counter bump (see the module
+    /// docs).
     pub fn post(&self, pkt: Packet) {
-        if let Some(f) = &self.fast {
-            if f.closed.load(AtOrd::Acquire) {
-                return;
-            }
-            let Some(ring) = self.lane(f) else {
-                return self.post_overflow(pkt);
-            };
-            let bytes = pkt.payload.len() as u64;
-            match ring.produce(pkt) {
-                Ok(()) => {
-                    f.bytes_posted.fetch_add(bytes, AtOrd::Relaxed);
-                    f.posted.fetch_add(1, AtOrd::SeqCst);
-                    self.wake_consumer(f);
-                }
-                Err(pkt) => self.post_overflow(pkt),
-            }
+        let f = &self.fast;
+        if f.closed.load(AtOrd::Acquire) {
             return;
         }
-        let mut inner = self.inner.lock();
-        if !self.wait_for_space(&mut inner, pkt.priority) {
-            return;
+        let Some(ring) = self.lane(f) else {
+            return self.post_overflow(pkt);
+        };
+        let bytes = pkt.payload.len() as u64;
+        match ring.produce(pkt) {
+            Ok(()) => {
+                f.bytes_posted.fetch_add(bytes, AtOrd::Relaxed);
+                f.posted.fetch_add(1, AtOrd::SeqCst);
+                self.wake_consumer(f);
+            }
+            Err(pkt) => self.post_overflow(pkt),
         }
-        if Self::should_shed(&inner) {
-            inner.insert_or_shed(pkt);
-        } else {
-            inner.insert(pkt);
-        }
-        inner.note_watermarks();
-        drop(inner);
-        self.cond.notify_one();
     }
 
     /// Post a batch — how a whole unpacked jumbo frame lands in the
     /// destination mailbox.  On the fast path the batch is staged into the
     /// sender's lane and published with a *single* tail store (one ring
     /// reservation), one counter bump and at most one wakeup.  On the
-    /// locked path (bounded mailboxes, overflow) it is one lock
+    /// locked path (overflow) it is one lock
     /// acquisition; `max_depth` and the byte watermark see the full batch
     /// at once, exactly as `post` called in a loop would, but are updated
     /// once, not per-envelope.
     pub fn post_many<I: IntoIterator<Item = Packet>>(&self, pkts: I) {
-        if let Some(f) = &self.fast {
-            if f.closed.load(AtOrd::Acquire) {
-                return;
-            }
-            let Some(ring) = self.lane(f) else {
-                return self.post_many_locked(pkts);
-            };
-            let mut writer = ring.batch();
-            let mut bytes = 0u64;
-            let mut overflow: Option<Packet> = None;
-            let mut rest = pkts.into_iter();
-            for pkt in rest.by_ref() {
-                let len = pkt.payload.len() as u64;
-                match writer.push(pkt) {
-                    Ok(()) => bytes += len,
-                    Err(pkt) => {
-                        overflow = Some(pkt);
-                        break;
-                    }
-                }
-            }
-            let staged = writer.staged();
-            writer.commit();
-            if staged > 0 {
-                f.bytes_posted.fetch_add(bytes, AtOrd::Relaxed);
-                f.posted.fetch_add(staged, AtOrd::SeqCst);
-                self.wake_consumer(f);
-            }
-            // Ring filled mid-batch: publish what fit, then finish through
-            // the merge lock (which drains the rings first, preserving
-            // order).
-            if let Some(pkt) = overflow {
-                self.post_many_locked(std::iter::once(pkt).chain(rest));
-            }
+        let f = &self.fast;
+        if f.closed.load(AtOrd::Acquire) {
             return;
         }
-        self.post_many_locked(pkts)
+        let Some(ring) = self.lane(f) else {
+            return self.post_many_locked(pkts);
+        };
+        let mut writer = ring.batch();
+        let mut bytes = 0u64;
+        let mut overflow: Option<Packet> = None;
+        let mut rest = pkts.into_iter();
+        for pkt in rest.by_ref() {
+            let len = pkt.payload.len() as u64;
+            match writer.push(pkt) {
+                Ok(()) => bytes += len,
+                Err(pkt) => {
+                    overflow = Some(pkt);
+                    break;
+                }
+            }
+        }
+        let staged = writer.staged();
+        writer.commit();
+        if staged > 0 {
+            f.bytes_posted.fetch_add(bytes, AtOrd::Relaxed);
+            f.posted.fetch_add(staged, AtOrd::SeqCst);
+            self.wake_consumer(f);
+        }
+        // Ring filled mid-batch: publish what fit, then finish through
+        // the merge lock (which drains the rings first, preserving
+        // order).
+        if let Some(pkt) = overflow {
+            self.post_many_locked(std::iter::once(pkt).chain(rest));
+        }
     }
 
     fn post_many_locked<I: IntoIterator<Item = Packet>>(&self, pkts: I) {
         let mut inner = self.inner.lock();
+        if inner.closed {
+            return;
+        }
         self.drain_locked(&mut inner);
         let mut any = false;
         for pkt in pkts {
-            if !self.wait_for_space(&mut inner, pkt.priority) {
-                return;
-            }
-            if Self::should_shed(&inner) {
-                inner.insert_or_shed(pkt);
-            } else {
-                inner.insert(pkt);
-            }
+            inner.insert(pkt);
             any = true;
         }
         if any {
@@ -641,20 +478,12 @@ impl Mailbox {
         }
     }
 
-    fn pop_and_signal(&self, inner: &mut Inner) -> Option<Packet> {
-        let pkt = inner.pop();
-        if pkt.is_some() {
-            self.space.notify_all();
-        }
-        pkt
-    }
-
     /// Announce intent to sleep (under the merge lock), then re-check the
     /// fast lanes — the Dekker handshake with [`Mailbox::wake_consumer`].
     /// Returns false if new fast-path traffic arrived and the caller
     /// should merge instead of sleeping.
     fn register_sleeper(&self, inner: &Inner) -> bool {
-        let Some(f) = &self.fast else { return true };
+        let f = &self.fast;
         f.sleeping.store(true, AtOrd::SeqCst);
         if f.posted.load(AtOrd::SeqCst) != inner.drained {
             f.sleeping.store(false, AtOrd::SeqCst);
@@ -664,9 +493,7 @@ impl Mailbox {
     }
 
     fn clear_sleeper(&self) {
-        if let Some(f) = &self.fast {
-            f.sleeping.store(false, AtOrd::SeqCst);
-        }
+        self.fast.sleeping.store(false, AtOrd::SeqCst);
     }
 
     /// Take the most urgent packet, blocking until one arrives or the
@@ -675,7 +502,7 @@ impl Mailbox {
         let mut inner = self.inner.lock();
         loop {
             self.drain_locked(&mut inner);
-            if let Some(pkt) = self.pop_and_signal(&mut inner) {
+            if let Some(pkt) = inner.pop() {
                 return Some(pkt);
             }
             if inner.closed {
@@ -701,7 +528,7 @@ impl Mailbox {
         let mut inner = self.inner.lock();
         loop {
             self.drain_locked(&mut inner);
-            if let Some(pkt) = self.pop_and_signal(&mut inner) {
+            if let Some(pkt) = inner.pop() {
                 return Some(pkt);
             }
             if inner.closed {
@@ -717,7 +544,7 @@ impl Mailbox {
             self.clear_sleeper();
             if timed_out && wake_at == deadline {
                 self.drain_locked(&mut inner);
-                return self.pop_and_signal(&mut inner);
+                return inner.pop();
             }
         }
     }
@@ -726,7 +553,7 @@ impl Mailbox {
     pub fn try_take(&self) -> Option<Packet> {
         let mut inner = self.inner.lock();
         self.drain_locked(&mut inner);
-        self.pop_and_signal(&mut inner)
+        inner.pop()
     }
 
     /// Non-blocking bulk take: up to `max` packets in delivery order under
@@ -741,25 +568,19 @@ impl Mailbox {
             out.push(pkt);
             n += 1;
         }
-        if n > 0 {
-            self.space.notify_all();
-        }
         n
     }
 
-    /// Close the mailbox, waking all blocked takers and posters and
+    /// Close the mailbox, waking all blocked takers and
     /// releasing every hold: whatever was posted can be taken at once.
     pub fn close(&self) {
         let mut inner = self.inner.lock();
         inner.closed = true;
-        if let Some(f) = &self.fast {
-            f.closed.store(true, AtOrd::Release);
-        }
+        self.fast.closed.store(true, AtOrd::Release);
         self.drain_locked(&mut inner);
         inner.promote(None);
         drop(inner);
         self.cond.notify_all();
-        self.space.notify_all();
     }
 
     /// Lock and merge the fast lanes, so observers see authoritative
@@ -804,50 +625,22 @@ impl Mailbox {
         self.inner.lock().max_bytes
     }
 
-    /// Payload bytes of headroom before the budget gate closes (the
-    /// receiver-side quantity a credit grant advertises).  Unbounded
-    /// mailboxes report `u64::MAX`.
-    pub fn free_bytes(&self) -> u64 {
-        let inner = self.inner.lock();
-        match &inner.budget {
-            Some(b) => b.max_bytes.saturating_sub(inner.bytes) as u64,
-            None => u64::MAX,
-        }
-    }
-
-    /// Posts that found the mailbox at its budget.
-    pub fn queue_full(&self) -> u64 {
-        self.inner.lock().queue_full
-    }
-
-    /// Application packets dropped by the `Shed` policy.
-    pub fn sheds(&self) -> u64 {
-        self.inner.lock().sheds
-    }
-
-    /// Payload bytes dropped by the `Shed` policy.
-    pub fn shed_bytes(&self) -> u64 {
-        self.inner.lock().shed_bytes
-    }
-
     /// Condvar signals actually sent by fast-path posters.  With batched
     /// wakeups this stays O(idle transitions), not O(posts): compare with
     /// [`Mailbox::total_posted`] to see the amortization.
     pub fn wakeup_signals(&self) -> u64 {
-        self.fast.as_ref().map_or(0, |f| f.signals.load(AtOrd::Relaxed))
+        self.fast.signals.load(AtOrd::Relaxed)
     }
 }
 
 impl Drop for Mailbox {
     fn drop(&mut self) {
-        if let Some(f) = &self.fast {
-            let n = f.published.load(AtOrd::Acquire);
-            for slot in &f.lanes[..n] {
-                let ptr = slot.swap(std::ptr::null_mut(), AtOrd::AcqRel);
-                if !ptr.is_null() {
-                    // Ring packets still in flight are dropped with it.
-                    drop(unsafe { Box::from_raw(ptr) });
-                }
+        let n = self.fast.published.load(AtOrd::Acquire);
+        for slot in &self.fast.lanes[..n] {
+            let ptr = slot.swap(std::ptr::null_mut(), AtOrd::AcqRel);
+            if !ptr.is_null() {
+                // Ring packets still in flight are dropped with it.
+                drop(unsafe { Box::from_raw(ptr) });
             }
         }
     }
@@ -1018,101 +811,6 @@ mod tests {
         mb.try_take();
         assert_eq!(mb.bytes(), 50);
         assert_eq!(mb.max_bytes(), 150, "watermark survives drains");
-        assert_eq!(mb.free_bytes(), u64::MAX, "unbounded mailbox has unlimited headroom");
-    }
-
-    fn small_budget(policy: OverloadPolicy) -> MailboxBudget {
-        MailboxBudget { max_bytes: 100, max_envelopes: 4, policy }
-    }
-
-    #[test]
-    fn block_policy_stalls_poster_until_taker_makes_room() {
-        let mb = Arc::new(Mailbox::bounded(small_budget(OverloadPolicy::Block)));
-        mb.post(sized_pkt(0, 1, 60));
-        mb.post(sized_pkt(0, 2, 60)); // over 100 bytes now; next post must wait
-        let mb2 = Arc::clone(&mb);
-        let poster = std::thread::spawn(move || {
-            mb2.post(sized_pkt(0, 3, 10));
-        });
-        std::thread::sleep(Duration::from_millis(30));
-        assert_eq!(mb.len(), 2, "third post is blocked at the budget");
-        assert_eq!(mb.queue_full(), 1);
-        assert_eq!(mb.try_take().unwrap().payload[0], 1);
-        poster.join().unwrap();
-        assert_eq!(mb.len(), 2);
-        assert_eq!(mb.sheds(), 0, "Block never drops");
-    }
-
-    #[test]
-    fn block_policy_admits_exempt_traffic_over_budget() {
-        let mb = Mailbox::bounded(small_budget(OverloadPolicy::Block));
-        mb.post(sized_pkt(0, 1, 200)); // way over budget
-        mb.post(sized_pkt(SHED_EXEMPT_PRIORITY, 2, 10)); // must not block
-        assert_eq!(mb.len(), 2);
-        assert_eq!(mb.take().unwrap().payload[0], 2, "control traffic still overtakes");
-    }
-
-    #[test]
-    fn close_wakes_blocked_poster() {
-        let mb = Arc::new(Mailbox::bounded(small_budget(OverloadPolicy::Block)));
-        mb.post(sized_pkt(0, 1, 200));
-        let mb2 = Arc::clone(&mb);
-        let poster = std::thread::spawn(move || mb2.post(sized_pkt(0, 2, 10)));
-        std::thread::sleep(Duration::from_millis(20));
-        mb.close();
-        poster.join().unwrap();
-        assert_eq!(mb.len(), 1, "the blocked post was dropped on close");
-    }
-
-    #[test]
-    fn shed_policy_drops_least_urgent_application_packet() {
-        let mb = Mailbox::bounded(MailboxBudget { max_bytes: 1000, max_envelopes: 3, policy: OverloadPolicy::Shed });
-        mb.post(pkt(5, 1));
-        mb.post(pkt(1, 2));
-        mb.post(pkt(3, 3));
-        // At the envelope budget: a *less* urgent packet sheds itself...
-        mb.post(pkt(9, 4));
-        assert_eq!(mb.sheds(), 1);
-        assert_eq!(mb.len(), 3);
-        // ...while a *more* urgent packet evicts the least-urgent one (5).
-        mb.post(pkt(0, 5));
-        assert_eq!(mb.sheds(), 2);
-        assert_eq!(mb.len(), 3);
-        let order: Vec<u8> = (0..3).map(|_| mb.take().unwrap().payload[0]).collect();
-        assert_eq!(order, vec![5, 2, 3], "packet 1 (priority 5) was evicted, packet 4 was refused");
-        assert!(mb.shed_bytes() >= 2);
-        assert_eq!(mb.queue_full(), 2);
-    }
-
-    #[test]
-    fn shed_policy_never_sheds_exempt_packets() {
-        let mb = Mailbox::bounded(MailboxBudget { max_bytes: 1000, max_envelopes: 2, policy: OverloadPolicy::Shed });
-        mb.post(pkt(SHED_EXEMPT_PRIORITY, 1));
-        mb.post(pkt(SHED_EXEMPT_PRIORITY, 2));
-        // Over budget with only exempt packets queued: the app packet sheds
-        // itself rather than evicting control traffic.
-        mb.post(pkt(-100, 3));
-        assert_eq!(mb.sheds(), 1);
-        assert_eq!(mb.len(), 2);
-        // Exempt traffic is admitted over budget, never shed.
-        mb.post(pkt(SHED_EXEMPT_PRIORITY, 4));
-        assert_eq!(mb.len(), 3);
-        assert_eq!(mb.sheds(), 1);
-        let tags: Vec<u8> = (0..3).map(|_| mb.take().unwrap().payload[0]).collect();
-        assert_eq!(tags, vec![1, 2, 4]);
-    }
-
-    #[test]
-    fn shed_eviction_reaches_into_the_fifo_lane() {
-        let mb = Mailbox::bounded(MailboxBudget { max_bytes: 1000, max_envelopes: 2, policy: OverloadPolicy::Shed });
-        // Two equal-priority packets ride the FIFO lane.
-        mb.post(pkt(7, 1));
-        mb.post(pkt(7, 2));
-        // A more urgent packet evicts the newest lane occupant.
-        mb.post(pkt(2, 3));
-        assert_eq!(mb.sheds(), 1);
-        let order: Vec<u8> = (0..2).map(|_| mb.take().unwrap().payload[0]).collect();
-        assert_eq!(order, vec![3, 1], "the newest equal-priority packet (2) was shed");
     }
 
     #[test]
@@ -1206,15 +904,5 @@ mod tests {
             let pkt = mb.take().unwrap();
             assert_eq!(u32::from_le_bytes(pkt.payload[..4].try_into().unwrap()), i);
         }
-    }
-
-    #[test]
-    fn free_bytes_reflects_budget_headroom() {
-        let mb = Mailbox::bounded(MailboxBudget { max_bytes: 100, max_envelopes: 64, policy: OverloadPolicy::Block });
-        assert_eq!(mb.free_bytes(), 100);
-        mb.post(sized_pkt(0, 1, 30));
-        assert_eq!(mb.free_bytes(), 70);
-        mb.post(sized_pkt(SHED_EXEMPT_PRIORITY, 2, 200));
-        assert_eq!(mb.free_bytes(), 0, "saturating: exempt overshoot cannot go negative");
     }
 }

@@ -9,7 +9,7 @@
 //!   a retransmit queue, and a background timer resends them with
 //!   exponential backoff until a cumulative ack arrives or the retry
 //!   ceiling is hit (then a structured
-//!   [`TransportError`](mdo_netsim::TransportError) is surfaced — never a
+//!   [`TransportError`] is surfaced — never a
 //!   panic);
 //! * **receiver** — acknowledges every data frame with the pair's
 //!   cumulative ack (so lost acks are repaired by any later ack),
@@ -25,16 +25,21 @@
 //!
 //! With a [`FlowConfig`] active the layer also enforces end-to-end
 //! backpressure: each (src, dst) pair may have at most `credit_bytes` of
-//! unacknowledged payload in flight.  Credit grants ride on the acks the
-//! receiver already sends (a [`CreditGrant`] extension carrying the pair
-//! generation and the receiver's advertised headroom), so flow control
+//! unacknowledged payload in flight.  The balances and every rule about
+//! them live in [`crate::credit`]'s [`CreditLedger`] — the same ledger the
+//! simulator runs; this layer owns what is the wall clock's: the lock and
+//! condvar around the ledger, the stall and its counters, the headroom
+//! receivers advertise, and the ack codec.  Credit grants ride on the acks
+//! the receiver already sends (a [`CreditGrant`] extension carrying the
+//! pair generation and the receiver's advertised headroom), so flow control
 //! costs zero extra frames.  A sender that exhausts its window either
 //! stalls (`Block` — while stalled it keeps draining its own inbox, so two
 //! mutually-saturated peers still exchange the acks that unblock them) or
 //! admits over the window (`Shed` — the shedding itself happens at
-//! envelope granularity in the aggregation layer and at the receiver's
-//! bounded mailbox, never here, so a frame is never torn).  Control
-//! traffic at [`SHED_EXEMPT_PRIORITY`](crate::mailbox::SHED_EXEMPT_PRIORITY)
+//! envelope granularity one layer up, in
+//! [`Aggregator::send_with`](crate::aggregate::Aggregator::send_with),
+//! never here, so a frame is never torn).  Control
+//! traffic at [`SHED_EXEMPT_PRIORITY`]
 //! neither consumes credit nor waits for it.  [`ReliableTransport::reset_peer`]
 //! bumps the pair generation and re-arms a fresh window, so grants from a
 //! previous life of a crashed/rejoined PE are recognizably stale.
@@ -51,9 +56,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use mdo_netsim::{Dur, FaultPlan, FlowConfig, OverloadPolicy, Pe, SplitMix64, TransportError};
+use mdo_netsim::{Dur, FaultPlan, FlowConfig, Pe, SplitMix64, TransportError};
 use parking_lot::{Condvar, Mutex};
 
+pub use crate::credit::{apply_grant, CreditGrant, CreditLedger, CreditState, GrantOutcome};
 use crate::mailbox::SHED_EXEMPT_PRIORITY;
 use crate::packet::Packet;
 use crate::transport::Transport;
@@ -90,18 +96,6 @@ pub fn encode_ack(cum: u64) -> Bytes {
 /// Bytes of the credit-grant extension an ack may carry after its header:
 /// `[gen: u32 LE, grant: u64 LE]`.
 pub const CREDIT_EXT_LEN: usize = 4 + 8;
-
-/// A credit grant riding on a cumulative ack: "generation `gen` of this
-/// pair may have up to `grant` unacknowledged payload bytes in flight".
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CreditGrant {
-    /// The pair generation the grant belongs to (stale generations are
-    /// rejected — a grant from a peer's previous life must not open the
-    /// window of its successor).
-    pub gen: u32,
-    /// Advertised window in payload bytes.
-    pub grant: u64,
-}
 
 /// A malformed credit extension (wrong length).  Hostile or corrupted
 /// grants become this structured error, never a panic.
@@ -143,53 +137,6 @@ pub fn decode_credit_ext(ext: &[u8]) -> Result<Option<CreditGrant>, CreditError>
     let gen = u32::from_le_bytes(ext[..4].try_into().expect("4-byte field"));
     let grant = u64::from_le_bytes(ext[4..].try_into().expect("8-byte field"));
     Ok(Some(CreditGrant { gen, grant }))
-}
-
-/// Sender-side credit balance of one (src, dst) pair.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CreditState {
-    /// Current pair generation (bumped by [`ReliableTransport::reset_peer`]).
-    pub gen: u32,
-    /// Latest grant from the receiver, clamped to the configured window.
-    pub granted: u64,
-    /// Unacknowledged payload bytes in flight.
-    pub in_flight: u64,
-}
-
-impl CreditState {
-    /// A fresh pair: a full window, nothing in flight.
-    pub fn fresh(window: u64) -> Self {
-        CreditState { gen: 0, granted: window, in_flight: 0 }
-    }
-
-    /// Payload bytes this pair may still put in flight.  Saturating — a
-    /// hostile grant can shrink the window below what is already in
-    /// flight, but the balance never goes negative.
-    pub fn available(&self, window: u64) -> u64 {
-        self.granted.min(window).saturating_sub(self.in_flight)
-    }
-}
-
-/// What applying a received grant did to the pair state.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum GrantOutcome {
-    /// The grant matched the current generation and was applied (clamped
-    /// to the configured window, so an overflowing grant cannot open the
-    /// window wider than configured).
-    Applied,
-    /// The grant named a different generation and was ignored.
-    StaleGeneration,
-}
-
-/// Apply a decoded grant to a pair's sender-side state.  Total: every
-/// input produces either an applied (clamped) grant or a structured
-/// rejection — never a panic, never a negative balance.
-pub fn apply_grant(state: &mut CreditState, grant: CreditGrant, window: u64) -> GrantOutcome {
-    if grant.gen != state.gen {
-        return GrantOutcome::StaleGeneration;
-    }
-    state.granted = grant.grant.min(window);
-    GrantOutcome::Applied
 }
 
 /// Parse a frame: `(kind, seq-or-cum, payload)`.  `None` for anything too
@@ -238,10 +185,11 @@ struct Pending {
     counted: bool,
 }
 
-/// Shared credit-accounting state when a [`FlowConfig`] is active.
+/// The wall-clock side of flow control when a [`FlowConfig`] is active:
+/// the ledger behind the lock its senders stall on.
 struct FlowCtl {
     cfg: FlowConfig,
-    pairs: Mutex<HashMap<(u32, u32), CreditState>>,
+    ledger: Mutex<CreditLedger>,
     /// Blocked senders wait here; ack absorption signals.
     space: Condvar,
     /// Per-PE receiver headroom advertised on outgoing acks (set by the
@@ -262,7 +210,7 @@ impl FlowCtl {
     fn new(cfg: FlowConfig, n: usize) -> Self {
         FlowCtl {
             cfg,
-            pairs: Mutex::new(HashMap::new()),
+            ledger: Mutex::new(CreditLedger::new(cfg.credit_bytes)),
             space: Condvar::new(),
             advertised: (0..n).map(|_| AtomicU64::new(u64::MAX)).collect(),
             stalls: AtomicU64::new(0),
@@ -275,7 +223,7 @@ impl FlowCtl {
     /// The grant to put on an ack for traffic flowing `sender -> receiver`.
     fn grant_for(&self, sender: u32, receiver: Pe) -> CreditGrant {
         let headroom = self.advertised[receiver.index()].load(Ordering::Relaxed);
-        let gen = self.pairs.lock().get(&(sender, receiver.0)).map_or(0, |s| s.gen);
+        let gen = self.ledger.lock().state((sender, receiver.0)).map_or(0, |s| s.gen);
         CreditGrant { gen, grant: self.cfg.credit_bytes.min(headroom) }
     }
 
@@ -291,19 +239,11 @@ impl FlowCtl {
             }
         };
         {
-            let mut pairs = self.pairs.lock();
-            let Some(st) = pairs.get_mut(&key) else {
-                if grant.is_some() {
-                    // A grant for a pair we never sent on: unknown pair.
-                    self.rejected_grants.fetch_add(1, Ordering::Relaxed);
-                }
-                return;
-            };
-            st.in_flight = st.in_flight.saturating_sub(release);
-            if let Some(g) = grant {
-                if apply_grant(st, g, self.cfg.credit_bytes) != GrantOutcome::Applied {
-                    self.rejected_grants.fetch_add(1, Ordering::Relaxed);
-                }
+            let mut ledger = self.ledger.lock();
+            ledger.release(key, release);
+            // Stale generation, or a pair we never sent on.
+            if grant.is_some_and(|g| ledger.grant(key, g) != Some(GrantOutcome::Applied)) {
+                self.rejected_grants.fetch_add(1, Ordering::Relaxed);
             }
         }
         self.space.notify_all();
@@ -454,23 +394,18 @@ impl ReliableTransport {
             return false;
         }
         let bytes = pkt.payload.len() as u64;
-        let window = flow.cfg.credit_bytes;
         let key = (pkt.src.0, pkt.dst.0);
         let start = Instant::now();
         let mut stalled = false;
         loop {
             {
-                let mut pairs = flow.pairs.lock();
-                let st = pairs.entry(key).or_insert_with(|| CreditState::fresh(window));
-                // `in_flight == 0` admits packets larger than the whole
-                // window: progress beats strictness.
-                let admit = st.available(window) >= bytes
-                    || st.in_flight == 0
-                    || flow.cfg.policy == OverloadPolicy::Shed
+                let mut ledger = flow.ledger.lock();
+                let admit = ledger.admits(key, bytes)
+                    || flow.cfg.sheds()
                     || sh.stop.load(Ordering::Acquire)
                     || start.elapsed() >= flow.max_wait;
                 if admit {
-                    st.in_flight += bytes;
+                    ledger.consume(key, bytes);
                     if stalled {
                         flow.wait_ns.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
                     }
@@ -481,11 +416,11 @@ impl ReliableTransport {
                     stalled = true;
                     // The window re-opens on acks of data this thread may
                     // still hold corked: write it (off the ledger lock).
-                    drop(pairs);
+                    drop(ledger);
                     self.inner.flush_wire(pkt.src);
                     continue;
                 }
-                flow.space.wait_for(&mut pairs, Duration::from_micros(200));
+                flow.space.wait_for(&mut ledger, Duration::from_micros(200));
             }
             // Off-lock: keep our own receive side moving while we stall.
             while let Some(raw) = self.inner.try_recv(pkt.src) {
@@ -494,9 +429,7 @@ impl ReliableTransport {
             if sh.error.lock().is_some() {
                 // A dead pair cannot return credit; let the failure
                 // machinery see the traffic instead of wedging here.
-                let mut pairs = flow.pairs.lock();
-                let st = pairs.entry(key).or_insert_with(|| CreditState::fresh(window));
-                st.in_flight += bytes;
+                flow.ledger.lock().consume(key, bytes);
                 flow.wait_ns.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
                 return true;
             }
@@ -652,19 +585,23 @@ impl ReliableTransport {
         self.flow().is_some()
     }
 
+    /// The flow-control policy this layer runs, if any — what the
+    /// aggregation layer above it sheds and advertises by.
+    pub fn flow_config(&self) -> Option<FlowConfig> {
+        self.flow().map(|f| f.cfg)
+    }
+
     /// Payload bytes the pair may still put in flight (`u64::MAX` without
     /// flow control).  The aggregation layer's `Shed` policy consults this
-    /// before buffering an envelope.
+    /// before accepting an envelope.
     pub fn credit_available(&self, src: Pe, dst: Pe) -> u64 {
-        let Some(flow) = self.flow() else { return u64::MAX };
-        let window = flow.cfg.credit_bytes;
-        flow.pairs.lock().get(&(src.0, dst.0)).map_or(window, |st| st.available(window))
+        self.flow().map_or(u64::MAX, |f| f.ledger.lock().available((src.0, dst.0)))
     }
 
     /// Snapshot of the pair's sender-side credit balance, if flow control
     /// is active and the pair has sent.
     pub fn credit_state(&self, src: Pe, dst: Pe) -> Option<CreditState> {
-        self.flow().and_then(|f| f.pairs.lock().get(&(src.0, dst.0)).copied())
+        self.flow().and_then(|f| f.ledger.lock().state((src.0, dst.0)))
     }
 
     /// Advertise `pe`'s receive-side headroom (payload bytes) — carried as
@@ -709,20 +646,8 @@ impl ReliableTransport {
             send.retain(|&(src, dst), _| src != pe.0 && dst != pe.0);
         }
         if let Some(flow) = &layer.shared.flow {
-            // Credits reset with the sequence state: the rejoined PE's
-            // pairs restart at a fresh full window in a new generation, so
-            // grants from its previous life are recognizably stale and
-            // in-flight bytes that will never be acked are forgotten.
-            {
-                let mut pairs = flow.pairs.lock();
-                for (&(src, dst), st) in pairs.iter_mut() {
-                    if src == pe.0 || dst == pe.0 {
-                        st.gen = st.gen.wrapping_add(1);
-                        st.granted = flow.cfg.credit_bytes;
-                        st.in_flight = 0;
-                    }
-                }
-            }
+            // Credits reset with the sequence state.
+            flow.ledger.lock().reset_peer(pe.0);
             flow.advertised[pe.index()].store(u64::MAX, Ordering::Relaxed);
             flow.space.notify_all();
         }

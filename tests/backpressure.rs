@@ -1,12 +1,12 @@
-//! End-to-end backpressure: credit-based flow control, bounded mailboxes
-//! and graceful overload degradation, on both engines.
+//! End-to-end backpressure: credit-based flow control and graceful
+//! overload degradation, on both engines.
 //!
 //! The contract under test, in the paper's terms: a message-driven
 //! runtime masks WAN latency by keeping many messages in flight, but an
 //! *open-loop* sender on a fast cluster can bury a receiver across the
 //! slow link.  Credit-based flow control turns remote queue growth into
-//! local sender stalls (`Block`) or accounted drops of the least urgent
-//! application traffic (`Shed`) — never unbounded memory, never lost
+//! local sender stalls (`Block`) or accounted drops of application
+//! traffic at the send site (`Shed`) — never unbounded memory, never lost
 //! system messages, and under `Block` never *any* loss, so application
 //! results stay bit-exact with flow control off.
 
@@ -24,11 +24,12 @@ const FLOOD_MSGS: u32 = 256;
 const FLOOD_PAYLOAD: usize = 2048;
 const FLOOD_BYTES: u64 = FLOOD_MSGS as u64 * FLOOD_PAYLOAD as u64;
 
-/// Element 0 (cluster A) dumps the whole flood in one handler — an
-/// open-loop sender with no application-level pacing.  Element 1
-/// (cluster B) is the slow drain: every receipt charges compute.  The
-/// program goes quiet once everything still alive has been delivered.
+/// A sender (cluster A) dumps its whole flood in one handler — an
+/// open-loop sender with no application-level pacing.  The sink (cluster
+/// B) is the slow drain: every receipt charges compute.  The program goes
+/// quiet once everything still alive has been delivered.
 struct Flood {
+    sink: ElemId,
     received: Arc<AtomicU64>,
 }
 
@@ -37,7 +38,7 @@ impl Chare for Flood {
         match entry {
             KICK => {
                 for _ in 0..FLOOD_MSGS {
-                    ctx.send(ctx.me().array, ElemId(1), DATA, vec![0u8; FLOOD_PAYLOAD]);
+                    ctx.send(ctx.me().array, self.sink, DATA, vec![0u8; FLOOD_PAYLOAD]);
                 }
             }
             DATA => {
@@ -51,14 +52,21 @@ impl Chare for Flood {
 
 /// Build the flood program; returns (program, delivery tally, fire tally).
 fn flood_program() -> (Program, Arc<AtomicU64>, Arc<AtomicU64>) {
+    fan_in_program(1)
+}
+
+/// The flood from `senders` elements at once, one per PE of cluster A of
+/// `Topology::two_cluster(2 * senders)`, into one sink on cluster B's
+/// first PE.
+fn fan_in_program(senders: u32) -> (Program, Arc<AtomicU64>, Arc<AtomicU64>) {
     let received = Arc::new(AtomicU64::new(0));
     let fired = Arc::new(AtomicU64::new(0));
     let mut p = Program::new();
     let received_f = Arc::clone(&received);
-    let arr = p.array("flood", 2, Mapping::Block, move |_| {
-        Box::new(Flood { received: Arc::clone(&received_f) }) as Box<dyn Chare>
+    let arr = p.array("flood", 2 * senders as usize, Mapping::Block, move |_| {
+        Box::new(Flood { sink: ElemId(senders), received: Arc::clone(&received_f) }) as Box<dyn Chare>
     });
-    p.on_startup(move |ctl| ctl.send(arr, ElemId(0), KICK, vec![]));
+    p.on_startup(move |ctl| (0..senders).for_each(|s| ctl.send(arr, ElemId(s), KICK, vec![])));
     let fired_c = Arc::clone(&fired);
     p.on_quiescence(move |ctl| {
         fired_c.fetch_add(1, Ordering::SeqCst);
@@ -149,20 +157,13 @@ fn sim_shed_flow_bounds_memory_and_accounts_every_drop() {
     assert!(violations.is_empty(), "{violations:?}");
 }
 
-#[test]
-fn threaded_shed_flow_terminates_and_accounts_every_drop() {
-    let (program, received, fired) = flood_program();
-    let flow = FlowConfig::default()
-        .with_credit_bytes(4 * 1024)
-        .with_mailbox_bytes(16 * 1024)
-        .with_policy(OverloadPolicy::Shed);
-    let run_cfg = RunConfig {
-        detect_quiescence: true,
-        agg: Some(AggConfig::default()),
-        flow: Some(flow),
-        ..RunConfig::default()
-    };
-    let topo = Topology::two_cluster(2);
+/// One threaded `Shed` run of the flood from `senders` senders; returns the
+/// report and the delivery tally after checking what every such run owes.
+fn threaded_shed_run(senders: u32, agg: Option<AggConfig>, flow: FlowConfig) -> (RunReport, u64) {
+    let (program, received, fired) = fan_in_program(senders);
+    let flow = flow.with_policy(OverloadPolicy::Shed);
+    let run_cfg = RunConfig { detect_quiescence: true, agg, flow: Some(flow), ..RunConfig::default() };
+    let topo = Topology::two_cluster(2 * senders);
     let latency = LatencyMatrix::uniform(&topo, Dur::ZERO, Dur::from_millis(2));
     let tcfg = ThreadedConfig::new(latency).with_compute_sleep();
     let report = ThreadedEngine::new(topo, tcfg, run_cfg).run(program);
@@ -170,12 +171,39 @@ fn threaded_shed_flow_terminates_and_accounts_every_drop() {
     assert_eq!(fired.load(Ordering::SeqCst), 1, "quiescence fired exactly once despite drops");
     assert!(report.unrecoverable.is_none());
     assert!(report.transport_error.is_none());
+    let received = received.load(Ordering::SeqCst);
     assert_eq!(
-        received.load(Ordering::SeqCst) + report.sheds,
-        u64::from(FLOOD_MSGS),
+        received + report.sheds,
+        u64::from(senders * FLOOD_MSGS),
         "every envelope was delivered exactly once or shed with accounting"
     );
-    assert!(report.peak_mailbox_bytes < FLOOD_BYTES / 4, "bounded mailboxes under saturation");
+    (report, received)
+}
+
+#[test]
+fn threaded_shed_flow_terminates_and_accounts_every_drop() {
+    // `Shed` means the same thing with and without aggregation.
+    for agg in [Some(AggConfig::default()), None] {
+        let flow = FlowConfig::default().with_credit_bytes(4 * 1024).with_mailbox_bytes(16 * 1024);
+        let (report, _) = threaded_shed_run(1, agg, flow);
+        assert!(report.peak_mailbox_bytes < FLOOD_BYTES / 4, "bounded mailboxes under saturation (agg: {agg:?})");
+    }
+}
+
+#[test]
+fn threaded_shed_fan_in_is_bounded_by_the_advertised_headroom() {
+    // Four windows' worth of senders converge on one sleeping PE.  No
+    // queue on the way refuses anything: what bounds the receiver is the
+    // headroom it advertises on its acks (`mailbox_bytes` minus what it
+    // holds), which shuts the senders' windows, which makes them shed.
+    let (report, received) = threaded_shed_run(4, Some(AggConfig::default()), flood_flow());
+    assert!(report.sheds > 0 && received > 0, "overloaded, not starved: {received} delivered, {} shed", report.sheds);
+    assert!(
+        report.peak_mailbox_bytes < 4 * FLOOD_BYTES / 8,
+        "peak {} of a {} byte flood",
+        report.peak_mailbox_bytes,
+        4 * FLOOD_BYTES
+    );
 }
 
 // ---- quiescence under saturation survives adversarial delivery orders -----

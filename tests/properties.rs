@@ -336,30 +336,34 @@ proptest! {
         window in 1u64..100_000,
         ops in prop::collection::vec((0u8..5, any::<u32>(), 1u64..200_000), 0..300))
     {
-        use gridmdo::vmi::reliable::{apply_grant, CreditGrant, CreditState, GrantOutcome};
-        let mut state = CreditState::fresh(window);
+        use gridmdo::vmi::credit::{CreditGrant, CreditLedger, CreditState, GrantOutcome};
+        const PAIR: (u32, u32) = (0, 1);
+        let mut ledger = CreditLedger::new(window);
+        ledger.consume(PAIR, 0); // enter the books: grants to a pair that never sent are refused
         let mut outstanding: u64 = 0; // bytes the model knows are unacked this generation
         for (op, gen_jitter, amount) in ops {
+            let before = ledger.state(PAIR).expect("the pair has sent");
             match op {
                 // A send consumes no more than the available balance.
                 0 => {
-                    let take = amount.min(state.available(window));
-                    state.in_flight += take;
+                    let take = amount.min(ledger.available(PAIR));
+                    prop_assert!(ledger.admits(PAIR, take));
+                    ledger.consume(PAIR, take);
                     outstanding += take;
                 }
                 // An ack releases in-flight bytes; a duplicated ack may
                 // claim more than is outstanding and must saturate.
                 1 => {
-                    let claimed = amount;
-                    state.in_flight = state.in_flight.saturating_sub(claimed.min(outstanding));
-                    outstanding -= claimed.min(outstanding);
+                    ledger.release(PAIR, amount);
+                    outstanding -= amount.min(outstanding);
                 }
                 // A receiver grant for the current generation applies
                 // (clamped); jittered generations are ignored outright.
                 2 | 3 => {
-                    let gen = state.gen.wrapping_add(gen_jitter % 3).wrapping_sub(1);
-                    let before = state;
-                    match apply_grant(&mut state, CreditGrant { gen, grant: amount }, window) {
+                    let gen = before.gen.wrapping_add(gen_jitter % 3).wrapping_sub(1);
+                    let outcome = ledger.grant(PAIR, CreditGrant { gen, grant: amount }).expect("the pair has sent");
+                    let state = ledger.state(PAIR).expect("the pair has sent");
+                    match outcome {
                         GrantOutcome::Applied => {
                             prop_assert_eq!(gen, before.gen);
                             prop_assert!(state.granted <= window);
@@ -371,12 +375,13 @@ proptest! {
                 // generation — full window, clean ledger, and every
                 // grant or balance of the old life is dead.
                 _ => {
-                    let next_gen = state.gen.wrapping_add(gen_jitter | 1);
-                    state = CreditState::fresh(window);
-                    state.gen = next_gen;
+                    ledger.reset_peer(if gen_jitter % 2 == 0 { PAIR.0 } else { PAIR.1 });
+                    let reopened = CreditState { gen: before.gen.wrapping_add(1), ..CreditState::fresh(window) };
+                    prop_assert_eq!(ledger.state(PAIR), Some(reopened));
                     outstanding = 0;
                 }
             }
+            let state = ledger.state(PAIR).expect("the pair has sent");
             prop_assert!(state.available(window) <= window, "balance within the window");
             prop_assert!(state.granted <= window, "grants are clamped");
             prop_assert_eq!(state.in_flight, outstanding);
