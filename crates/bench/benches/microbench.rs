@@ -18,9 +18,7 @@ use mdo_core::queue::SchedQueue;
 use mdo_core::reduction::combine;
 use mdo_netsim::network::NetworkModel;
 use mdo_netsim::{Dur, EventQueue, Pe, Time};
-use mdo_vmi::devices::cipher;
 use mdo_vmi::devices::crc::crc32;
-use mdo_vmi::devices::rle;
 
 fn app_envelope(payload_len: usize) -> Envelope {
     Envelope {
@@ -89,13 +87,9 @@ fn bench_queues(c: &mut Criterion) {
 
 fn bench_codecs(c: &mut Criterion) {
     let mut g = c.benchmark_group("vmi_devices");
-    let compressible = vec![0u8; 4096];
     let random: Vec<u8> = (0..4096u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8).collect();
     g.throughput(Throughput::Bytes(4096));
-    g.bench_function("rle_compress_zeros_4k", |b| b.iter(|| rle::compress(black_box(&compressible))));
-    g.bench_function("rle_compress_random_4k", |b| b.iter(|| rle::compress(black_box(&random))));
     g.bench_function("crc32_4k", |b| b.iter(|| crc32(black_box(&random))));
-    g.bench_function("cipher_seal_4k", |b| b.iter(|| cipher::seal(7, 9, black_box(&random))));
     g.finish();
 }
 

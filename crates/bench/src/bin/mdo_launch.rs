@@ -3,7 +3,7 @@
 //!
 //! The same binary is both the **parent** (launcher) and the **children**
 //! (node processes): [`launch`] re-execs `current_exe()` with the node
-//! id, rendezvous manifest and stripe count in the environment, and a
+//! id and rendezvous manifest in the environment, and a
 //! child detects that via [`NetConfig::from_env`].  The parent first
 //! computes two reference digests — the virtual-time `SimEngine` and the
 //! single-process `ThreadedEngine` — then launches the fleet and
@@ -12,12 +12,13 @@
 //!
 //! ```text
 //! mdo_launch [--app stencil|leanmd] [--nodes N] [--pes-per-node M]
-//!            [--steps S] [--streams K] [--no-agg] [--no-flow]
+//!            [--steps S] [--no-agg] [--no-flow]
 //!            [--kill-node I --kill-after-ms T] [--log-dir DIR]
 //! ```
 //!
 //! Exit codes: 0 success (digests bit-identical, or the armed kill
-//! surfaced as a structured `NodeExited`), 1 launch/run failure,
+//! surfaced as a structured `NodeExited`), 1 launch/run failure or a
+//! command line it does not understand (nothing is launched),
 //! 2 digest mismatch.  Per-node stdout/stderr land under `--log-dir`
 //! (default `results/launch_logs`) for CI artifact upload.
 
@@ -33,27 +34,55 @@ use mdo_netsim::network::NetworkModel;
 use mdo_netsim::{AggConfig, Dur, FlowConfig, LatencyMatrix, Topology};
 use std::time::Duration;
 
+const USAGE: &str = "usage: mdo_launch [--app stencil|leanmd] [--nodes N] [--pes-per-node M] [--steps S] \
+                     [--no-agg] [--no-flow] [--kill-node I --kill-after-ms T] [--log-dir DIR]";
+/// Every flag there is: those followed by a value, and those that stand alone.
+const VALUE_FLAGS: [&str; 7] =
+    ["--app", "--nodes", "--pes-per-node", "--steps", "--kill-node", "--kill-after-ms", "--log-dir"];
+const SWITCHES: [&str; 2] = ["--no-agg", "--no-flow"];
+
+/// The value of `flag` parsed as a `T`, `None` when the flag is absent.  A
+/// value that does not parse is an error, never the default: a run that
+/// ignores what it was asked checks nothing.
+fn parsed<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Option<T>, String> {
+    arg_value(args, flag).map(|v| v.parse().map_err(|_| format!("{flag}: cannot parse {v:?}"))).transpose()
+}
+
 struct Job {
     app: String,
     nodes: usize,
     ppn: u32,
     steps: u32,
-    streams: usize,
     agg: bool,
     flow: bool,
+    kill: Option<KillPlan>,
+    log_dir: String,
 }
 
 impl Job {
-    fn from_args(args: &[String]) -> Job {
-        Job {
+    /// Strict: an argument that is no flag of ours, a flag without its
+    /// value and a value that does not parse are each an error.  Parent and
+    /// children run this on the same argv, so only a parent ever rejects.
+    fn from_args(args: &[String]) -> Result<Job, String> {
+        let mut rest = args.iter().skip(1);
+        while let Some(arg) = rest.next() {
+            if VALUE_FLAGS.contains(&arg.as_str()) {
+                rest.next().ok_or_else(|| format!("{arg} needs a value"))?;
+            } else if !SWITCHES.contains(&arg.as_str()) {
+                return Err(format!("unknown argument {arg:?}"));
+            }
+        }
+        let kill_after = Duration::from_millis(parsed(args, "--kill-after-ms")?.unwrap_or(250));
+        Ok(Job {
             app: arg_value(args, "--app").unwrap_or_else(|| "stencil".into()),
-            nodes: arg_value(args, "--nodes").and_then(|v| v.parse().ok()).unwrap_or(4),
-            ppn: arg_value(args, "--pes-per-node").and_then(|v| v.parse().ok()).unwrap_or(2),
-            steps: arg_value(args, "--steps").and_then(|v| v.parse().ok()).unwrap_or(5),
-            streams: arg_value(args, "--streams").and_then(|v| v.parse().ok()).unwrap_or(1),
+            nodes: parsed(args, "--nodes")?.unwrap_or(4),
+            ppn: parsed(args, "--pes-per-node")?.unwrap_or(2),
+            steps: parsed(args, "--steps")?.unwrap_or(5),
             agg: !arg_flag(args, "--no-agg"),
             flow: !arg_flag(args, "--no-flow"),
-        }
+            kill: parsed(args, "--kill-node")?.map(|node| KillPlan { node, after: kill_after }),
+            log_dir: arg_value(args, "--log-dir").unwrap_or_else(|| "results/launch_logs".into()),
+        })
     }
 
     fn topology(&self) -> Topology {
@@ -103,7 +132,7 @@ fn run_child(job: &Job, net: NetConfig) -> i32 {
     let latency = job.latency(&topo);
     let node = net.node;
     let mut run_cfg = job.run_cfg();
-    run_cfg.net = Some(net.with_streams(job.streams));
+    run_cfg.net = Some(net);
     let tcfg = ThreadedConfig::new(latency);
     match job.app.as_str() {
         "stencil" => {
@@ -182,7 +211,10 @@ fn write_logs(dir: &str, outcome: &mdo_net::LaunchOutcome) {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let job = Job::from_args(&args);
+    let job = Job::from_args(&args).unwrap_or_else(|e| {
+        eprintln!("mdo_launch: {e}\n{USAGE}");
+        std::process::exit(1);
+    });
 
     // Child mode: the launcher put our node id and the manifest in the
     // environment.
@@ -196,22 +228,15 @@ fn main() {
     }
 
     // Parent mode.
-    let log_dir = arg_value(&args, "--log-dir").unwrap_or_else(|| "results/launch_logs".into());
-    let kill_node: Option<u32> = arg_value(&args, "--kill-node").and_then(|v| v.parse().ok());
-    let kill_after = arg_value(&args, "--kill-after-ms").and_then(|v| v.parse().ok()).unwrap_or(250u64);
-
     println!(
-        "== mdo_launch: {} on {} nodes x {} PEs (k={}, agg={}, flow={}) ==",
-        job.app, job.nodes, job.ppn, job.streams, job.agg, job.flow
+        "== mdo_launch: {} on {} nodes x {} PEs (agg={}, flow={}) ==",
+        job.app, job.nodes, job.ppn, job.agg, job.flow
     );
 
     let exe = std::env::current_exe().expect("current_exe");
     let child_args: Vec<String> = args.iter().skip(1).cloned().collect();
     let mut spec = LaunchSpec::new(exe, child_args, job.nodes);
-    spec.streams = job.streams;
-    if let Some(node) = kill_node {
-        spec.kill = Some(KillPlan { node, after: Duration::from_millis(kill_after) });
-    }
+    spec.kill = job.kill;
 
     let outcome = match launch(&spec) {
         Ok(o) => o,
@@ -220,7 +245,8 @@ fn main() {
             std::process::exit(1);
         }
     };
-    write_logs(&log_dir, &outcome);
+    let log_dir = &job.log_dir;
+    write_logs(log_dir, &outcome);
 
     if let Some(kill) = spec.kill {
         // A deliberate kill -9: success means the fleet came down

@@ -50,7 +50,6 @@ fn main() {
         ("ablation_failures", "ablation_failures.txt", vec![], vec!["--steps", "20"]),
         ("ablation_elastic", "ablation_elastic.txt", vec![], vec!["--steps", "6"]),
         ("ablation_overload", "ablation_overload.txt", vec![], vec!["--ticks", "20"]),
-        ("ablation_transport", "ablation_transport.txt", vec![], vec!["--quick"]),
         ("ablation_collectives", "ablation_collectives.txt", vec![], vec!["--quick"]),
     ];
 
@@ -71,12 +70,6 @@ fn main() {
         let overload_json = out_dir.join("BENCH_overload.json");
         if bin == "ablation_overload" {
             extra.extend(["--out", overload_json.to_str().expect("utf-8 out dir")]);
-        }
-        let transport_json = out_dir.join("BENCH_transport.json");
-        if bin == "ablation_transport" {
-            // The real-transport ablation writes its JSON next to the
-            // text outputs.
-            extra.extend(["--out", transport_json.to_str().expect("utf-8 out dir")]);
         }
         let collectives_json = out_dir.join("BENCH_collectives.json");
         if bin == "ablation_collectives" {

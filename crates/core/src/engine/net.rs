@@ -611,14 +611,6 @@ fn run_generations(
                 what: format!("{}-node manifest for a {}-cluster topology", n_nodes, topo.num_clusters()),
             });
         }
-        if s.config().streams > 1 && cfg.flow.is_none() && cfg.fault_plan.is_none() {
-            // Striped streams reorder packets between each other; only the
-            // reliable layer (armed by flow control or a fault plan) restores
-            // delivery order for the payloads that need it.
-            return Err(NetError::Malformed {
-                what: "streams > 1 requires flow control or a fault plan (the reliable layer re-sequences)".into(),
-            });
-        }
         let armed = [("join_plan", cfg.join_plan.is_some()), ("obs", cfg.obs.is_some())];
         match armed.iter().filter(|(_, set)| *set).map(|&(name, _)| name).collect::<Vec<_>>()[..] {
             [] => {}

@@ -290,7 +290,7 @@ pub struct RunConfig {
     pub agg: Option<AggConfig>,
     /// End-to-end backpressure: when set, each cross-cluster (src, dst)
     /// pair is held to the config's credit window and per-PE delivery
-    /// mailboxes to its byte/envelope budget, with the configured
+    /// mailboxes to its byte budget, with the configured
     /// [`OverloadPolicy`](mdo_netsim::OverloadPolicy) (`Block` stalls
     /// senders losslessly; `Shed` drops the least-urgent application
     /// envelopes with accounting — system/control traffic is never shed).

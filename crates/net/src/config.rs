@@ -1,14 +1,12 @@
 //! Multi-process run configuration and the rendezvous manifest.
 //!
-//! A node process learns who it is and where everyone listens from three
+//! A node process learns who it is and where everyone listens from two
 //! environment variables set by the launcher (or passed explicitly):
 //!
 //! * `MDO_NET_NODE` — this process's node id (0-based; node 0 hosts PE 0
 //!   and merges the final report),
 //! * `MDO_NET_MANIFEST` — comma-separated `host:port` listen addresses,
-//!   indexed by node id,
-//! * `MDO_NET_STREAMS` — stripe count `k` per node pair (optional,
-//!   default 1).
+//!   indexed by node id.
 //!
 //! One node hosts the PEs of one [`Topology`](mdo_netsim::Topology)
 //! cluster, so `manifest.len() == topo.num_clusters()` and the process
@@ -24,8 +22,6 @@ use crate::error::TransportError;
 pub const ENV_NODE: &str = "MDO_NET_NODE";
 /// Environment variable carrying the rendezvous manifest.
 pub const ENV_MANIFEST: &str = "MDO_NET_MANIFEST";
-/// Environment variable carrying the stripe count.
-pub const ENV_STREAMS: &str = "MDO_NET_STREAMS";
 
 /// Configuration of one node process in a multi-process run.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -34,25 +30,15 @@ pub struct NetConfig {
     pub node: u32,
     /// Listen address of every node, indexed by node id.
     pub manifest: Vec<SocketAddr>,
-    /// Streams per directed node pair (MPWide-style striping); 1 = no
-    /// striping.  Values > 1 need the reliable layer active (flow control
-    /// or a fault plan) to re-sequence inter-stream reordering.
-    pub streams: usize,
     /// Total budget for the connect + handshake rendezvous.
     pub connect_timeout: Duration,
 }
 
 impl NetConfig {
-    /// Config for `node` with the given manifest and defaults (k = 1,
-    /// 10 s rendezvous budget).
+    /// Config for `node` with the given manifest and the default 10 s
+    /// rendezvous budget.
     pub fn new(node: u32, manifest: Vec<SocketAddr>) -> Self {
-        NetConfig { node, manifest, streams: 1, connect_timeout: Duration::from_secs(10) }
-    }
-
-    /// Set the stripe count.
-    pub fn with_streams(mut self, k: usize) -> Self {
-        self.streams = k.max(1);
-        self
+        NetConfig { node, manifest, connect_timeout: Duration::from_secs(10) }
     }
 
     /// Number of nodes in the manifest.
@@ -77,12 +63,8 @@ impl NetConfig {
     }
 
     /// The `(key, value)` environment a launcher sets for node `node`.
-    pub fn env_for(node: u32, manifest: &[SocketAddr], streams: usize) -> Vec<(String, String)> {
-        vec![
-            (ENV_NODE.into(), node.to_string()),
-            (ENV_MANIFEST.into(), Self::manifest_string(manifest)),
-            (ENV_STREAMS.into(), streams.max(1).to_string()),
-        ]
+    pub fn env_for(node: u32, manifest: &[SocketAddr]) -> Vec<(String, String)> {
+        vec![(ENV_NODE.into(), node.to_string()), (ENV_MANIFEST.into(), Self::manifest_string(manifest))]
     }
 
     /// Read the launcher-provided configuration from the environment.
@@ -102,11 +84,7 @@ impl NetConfig {
                 what: format!("{ENV_NODE}={node} out of range for a {}-node manifest", manifest.len()),
             });
         }
-        let streams = match std::env::var(ENV_STREAMS) {
-            Ok(s) => s.parse().map_err(|_| TransportError::Malformed { what: format!("{ENV_STREAMS}={s:?}") })?,
-            Err(_) => 1,
-        };
-        Ok(Some(NetConfig::new(node, manifest).with_streams(streams)))
+        Ok(Some(NetConfig::new(node, manifest)))
     }
 }
 
@@ -125,9 +103,8 @@ mod tests {
     #[test]
     fn env_for_names_every_variable() {
         let manifest: Vec<SocketAddr> = vec!["127.0.0.1:4000".parse().unwrap()];
-        let env = NetConfig::env_for(0, &manifest, 4);
+        let env = NetConfig::env_for(0, &manifest);
         assert!(env.iter().any(|(k, v)| k == ENV_NODE && v == "0"));
         assert!(env.iter().any(|(k, v)| k == ENV_MANIFEST && v == "127.0.0.1:4000"));
-        assert!(env.iter().any(|(k, v)| k == ENV_STREAMS && v == "4"));
     }
 }

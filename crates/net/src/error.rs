@@ -22,8 +22,6 @@ pub enum HandshakeField {
     TopologyDigest,
     /// The peer's node id.
     Node,
-    /// The stripe count `k`.
-    Streams,
 }
 
 impl fmt::Display for HandshakeField {
@@ -34,7 +32,6 @@ impl fmt::Display for HandshakeField {
             HandshakeField::Generation => "generation",
             HandshakeField::TopologyDigest => "topology digest",
             HandshakeField::Node => "node id",
-            HandshakeField::Streams => "stream count",
         };
         f.write_str(s)
     }
@@ -44,8 +41,8 @@ impl fmt::Display for HandshakeField {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TransportError {
     /// A peer's handshake disagreed on a protocol invariant: wrong magic,
-    /// wire version, generation, topology digest, node id or stripe
-    /// count.  The connection is refused; traffic never flows.
+    /// wire version, generation, topology digest or node id.  The
+    /// connection is refused; traffic never flows.
     HandshakeMismatch {
         /// Peer node id if it got far enough to tell us, else `u32::MAX`.
         peer: u32,

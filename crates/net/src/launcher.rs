@@ -40,8 +40,6 @@ pub struct LaunchSpec {
     pub args: Vec<String>,
     /// Number of node processes.
     pub nodes: usize,
-    /// Stripe count `k` handed to each node via the environment.
-    pub streams: usize,
     /// Extra environment variables for every node.
     pub env: Vec<(String, String)>,
     /// Optional deliberate kill.
@@ -56,13 +54,12 @@ pub struct LaunchSpec {
 
 impl LaunchSpec {
     /// A spec with conventional supervision defaults (60 s watchdog,
-    /// 10 s straggler grace, no striping, no kill).
+    /// 10 s straggler grace, no kill).
     pub fn new(program: PathBuf, args: Vec<String>, nodes: usize) -> Self {
         LaunchSpec {
             program,
             args,
             nodes,
-            streams: 1,
             env: Vec::new(),
             kill: None,
             timeout: Duration::from_secs(60),
@@ -179,7 +176,7 @@ pub fn launch(spec: &LaunchSpec) -> Result<LaunchOutcome, TransportError> {
     for node in 0..spec.nodes as u32 {
         let mut cmd = Command::new(&spec.program);
         cmd.args(&spec.args).stdin(Stdio::null()).stdout(Stdio::piped()).stderr(Stdio::piped());
-        for (k, v) in NetConfig::env_for(node, &manifest, spec.streams) {
+        for (k, v) in NetConfig::env_for(node, &manifest) {
             cmd.env(k, v);
         }
         for (k, v) in &spec.env {

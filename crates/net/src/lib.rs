@@ -5,10 +5,10 @@
 //! byte of it moved between threads of one process.  This crate plugs a
 //! real inter-process transport in at the [`Wire`](mdo_vmi::Wire) seam:
 //! each topology **cluster becomes one OS process** ("node"), connected
-//! to its peers by length-prefixed framed TCP streams with optional
-//! k-stream striping (MPWide-style), `TCP_NODELAY`, and a versioned
-//! handshake that refuses peers who disagree about the wire format, the
-//! run generation, or the [`Topology`](mdo_netsim::Topology) itself.
+//! to each peer by one length-prefixed framed TCP stream with
+//! `TCP_NODELAY` and a versioned handshake that refuses peers who
+//! disagree about the wire format, the run generation, or the
+//! [`Topology`](mdo_netsim::Topology) itself.
 //!
 //! Because the process boundary coincides with the WAN boundary of the
 //! modeled grid, the wire carries exactly the traffic the paper's
@@ -20,7 +20,7 @@
 //! Layers:
 //! * [`record`] — the byte protocol: handshakes and `[kind][len][body]`
 //!   records (std-only, no I/O in the encoders, fuzzable decoders);
-//! * [`config`] — node id / manifest / stripe-count configuration and its
+//! * [`config`] — node id / manifest configuration and its
 //!   environment-variable encoding;
 //! * [`mesh`] — [`NetSession`] (a node's listener) and [`NetMesh`] (one
 //!   generation's connected, handshaken mesh implementing `Wire`);
@@ -39,7 +39,7 @@ pub mod launcher;
 pub mod mesh;
 pub mod record;
 
-pub use config::{NetConfig, ENV_MANIFEST, ENV_NODE, ENV_STREAMS};
+pub use config::{NetConfig, ENV_MANIFEST, ENV_NODE};
 pub use error::{HandshakeField, TransportError};
 pub use launcher::{launch, KillPlan, LaunchOutcome, LaunchSpec, NodeStatus};
 pub use mesh::{localhost_rendezvous, NetEvent, NetMesh, NetSession};

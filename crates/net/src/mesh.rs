@@ -1,24 +1,26 @@
-//! The live TCP mesh: per-pair striped connections between node processes.
+//! The live TCP mesh: one connection per pair of node processes.
 //!
 //! One [`NetSession`] per process holds the listening socket named in the
 //! manifest; [`NetSession::establish`] builds a [`NetMesh`] for one run
 //! generation — the full set of pairwise connections, handshaken and
 //! validated.  Rendezvous is deterministic: for every pair the higher
-//! node id dials the lower, `k` sockets per pair (MPWide-style striping),
-//! each socket used bidirectionally with `TCP_NODELAY` set.
+//! node id dials the lower, one socket per pair, used bidirectionally
+//! with `TCP_NODELAY` set.  One socket is also what keeps a pair's
+//! records in the order they were written, which [`Wire`] requires.
 //!
 //! The mesh implements [`Wire`]: outbound packets are framed as data
-//! records and round-robined over the pair's `k` streams.  Every stream
-//! has one cork buffer under its write lock: a record is encoded once,
-//! straight into it, and the buffer leaves in one `write` — at once for
+//! records on the pair's stream.  The stream has one cork buffer under
+//! its write lock: a record is encoded once, straight into it, and the
+//! buffer leaves in one `write` — at once for
 //! [`Wire::send`] (taking along whatever was corked ahead of it), at the
 //! next [`Wire::flush`] or at [`CORK_MAX_BYTES`] for
 //! [`Wire::send_corked`].  Who corks and when to flush is decided above
 //! the seam (`mdo_vmi::wire`); should a promised flush never come, a
 //! rescue thread writes the abandoned cork within two of its ticks.  A
-//! control record goes through stream 0's buffer too, so it never
-//! overtakes data corked before it.  Inbound,
-//! one reader thread per socket decodes records and posts packets
+//! control record goes through the same buffer, so it never overtakes
+//! data corked before it — and, written before a close, it is read before
+//! the EOF that reports the peer down.  Inbound, one reader thread per
+//! peer decodes records and posts packets
 //! straight into the destination PE's landing mailbox (the `deliver`
 //! callback given to [`NetMesh::start`]), so the reliable layer and the
 //! aggregator above the seam see exactly the bytes they would have seen
@@ -29,7 +31,7 @@
 
 use std::io::{BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -49,7 +51,7 @@ use crate::record::{
 /// One loopback or Ethernet `write` of 64 KiB already amortises the system
 /// call and the peer's wake-up over hundreds of small records, bulk
 /// payloads keep streaming while their sender is still producing, and the
-/// memory a stream can pin stays bounded.
+/// memory a pair can pin stays bounded.
 pub const CORK_MAX_BYTES: usize = 64 << 10;
 
 /// How often the rescue thread looks at the cork buffers.  `send_corked`
@@ -71,7 +73,7 @@ pub enum NetEvent {
         /// Opaque payload.
         bytes: Vec<u8>,
     },
-    /// A peer's sockets closed or broke while the mesh was up — evidence
+    /// A peer's socket closed or broke while the mesh was up — evidence
     /// of node death (or of a peer finishing without the control-plane
     /// goodbye).  Emitted at most once per peer per mesh.
     PeerDown {
@@ -86,7 +88,7 @@ pub enum NetEvent {
 /// reliable layer.
 pub type FaultHook = Box<dyn Fn(u64, &[u8]) -> Option<Vec<u8>> + Send + Sync>;
 
-/// The write half of one stripe stream and its cork buffer.
+/// The write half of a pair's socket and its cork buffer.
 struct StreamOut {
     sock: TcpStream,
     /// Whole encoded records not yet written.
@@ -98,35 +100,25 @@ struct StreamOut {
 }
 
 struct Pair {
-    /// Write halves, one per stripe stream; records are appended and
-    /// written under the per-stream lock so concurrent senders never
-    /// interleave.
-    writers: Vec<Mutex<StreamOut>>,
-    /// Per-stream hint that the cork buffer is non-empty, so a flush with
-    /// nothing corked takes no lock.  Written under the stream lock.
-    corked: Vec<AtomicBool>,
-    /// Per stream: set by the rescue thread when it sees the stream corked,
-    /// cleared by every write.  Still set at its next look: abandoned.
-    unclaimed: Vec<AtomicBool>,
-    /// Read halves, drained by [`NetMesh::start`].
-    readers: Mutex<Vec<TcpStream>>,
-    /// Round-robin stripe cursor.
-    rr: AtomicUsize,
-    /// Per-stream death flags (a stream is noted down at most once, by
-    /// whichever of its reader or writer hits the broken socket first).
-    stream_down: Vec<AtomicBool>,
-    /// Streams still up; the peer is declared down only when this hits
-    /// zero, so a `Done` in flight on stream 0 is always delivered before
-    /// the striped streams' EOFs turn into a `PeerDown`.
-    live_streams: AtomicUsize,
+    /// Records are appended and written under this lock, so concurrent
+    /// senders never interleave.
+    out: Mutex<StreamOut>,
+    /// Hint that the cork buffer is non-empty, so a flush with nothing
+    /// corked takes no lock.  Written under the `out` lock.
+    corked: AtomicBool,
+    /// Set by the rescue thread when it sees the pair corked, cleared by
+    /// every write.  Still set at its next look: abandoned.
+    unclaimed: AtomicBool,
+    /// The read half, until [`NetMesh::start`] hands it to the reader.
+    reader: Mutex<Option<TcpStream>>,
 }
 
 impl Pair {
-    /// Write stream `s`'s cork buffer out (`w` is its locked write half) —
-    /// the data path's only `write`.
-    fn flush(&self, s: usize, w: &mut StreamOut) -> std::io::Result<()> {
-        self.corked[s].store(false, Ordering::Release);
-        self.unclaimed[s].store(false, Ordering::Release);
+    /// Write the cork buffer out (`w` is the locked write half) — the data
+    /// path's only `write`.
+    fn flush(&self, w: &mut StreamOut) -> std::io::Result<()> {
+        self.corked.store(false, Ordering::Release);
+        self.unclaimed.store(false, Ordering::Release);
         if !w.holds.is_empty() {
             // What is left of each hold *now*: time spent corked is part
             // of the injected latency, not on top of it.
@@ -148,7 +140,6 @@ impl Pair {
 /// One generation's fully-connected, handshaken TCP mesh.
 pub struct NetMesh {
     node: u32,
-    k: usize,
     node_of_pe: Vec<u32>,
     pairs: Vec<Option<Pair>>,
     events_tx: mpsc::Sender<NetEvent>,
@@ -168,7 +159,6 @@ impl std::fmt::Debug for NetMesh {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NetMesh")
             .field("node", &self.node)
-            .field("k", &self.k)
             .field("peers", &self.pairs.iter().filter(|p| p.is_some()).count())
             .finish_non_exhaustive()
     }
@@ -215,38 +205,29 @@ impl NetSession {
 
     /// Build the generation-`generation` mesh over the `live` node set:
     /// dial every live node with a lower id, accept from every live node
-    /// with a higher id, `k` sockets per pair, and validate every
-    /// handshake (version, node, generation, topology digest, stripe
-    /// count).  Bounded by the config's `connect_timeout`; failures are
-    /// structured, never a hang.
+    /// with a higher id, one socket per pair, and validate every
+    /// handshake (version, node, generation, topology digest).  Bounded by
+    /// the config's `connect_timeout`; failures are structured, never a
+    /// hang.
     pub fn establish(&self, generation: u32, topo: &Topology, live: &[u32]) -> Result<NetMesh, TransportError> {
         let me = self.cfg.node;
-        let k = self.cfg.streams.max(1);
-        let k16 = u16::try_from(k).map_err(|_| TransportError::Malformed { what: format!("stream count {k}") })?;
-        let digest = topo.digest();
+        let ours = Handshake { node: me, generation, digest: topo.digest() };
         let deadline = Instant::now() + self.cfg.connect_timeout;
         let n_nodes = self.cfg.manifest.len();
-        let mut streams: Vec<Option<Vec<Option<TcpStream>>>> = (0..n_nodes).map(|_| None).collect();
-        for &j in live.iter().filter(|&&j| j != me) {
-            let slot = streams
-                .get_mut(j as usize)
-                .ok_or_else(|| TransportError::Malformed { what: format!("live node {j} not in manifest") })?;
-            *slot = Some((0..k).map(|_| None).collect());
+        if let Some(j) = live.iter().find(|&&j| j as usize >= n_nodes) {
+            return Err(TransportError::Malformed { what: format!("live node {j} not in manifest") });
         }
+        let mut socks: Vec<Option<TcpStream>> = (0..n_nodes).map(|_| None).collect();
 
         // Dial lower-numbered peers; their accept loops answer.
         for &j in live.iter().filter(|&&j| j < me) {
-            let addr = self.cfg.manifest[j as usize];
-            for s in 0..k {
-                let stream = dial(addr, deadline)?;
-                let hs = Handshake { node: me, generation, stream: s as u16, k: k16, digest };
-                handshake_dial(&stream, &hs, j, deadline)?;
-                streams[j as usize].as_mut().expect("live peer").insert_checked(s, stream, j)?;
-            }
+            let stream = dial(self.cfg.manifest[j as usize], deadline)?;
+            handshake_dial(&stream, &ours, j, deadline)?;
+            socks[j as usize] = Some(stream);
         }
 
         // Accept from higher-numbered peers; the handshake tells us who.
-        let expected = live.iter().filter(|&&j| j > me).count() * k;
+        let expected = live.iter().filter(|&&j| j > me).count();
         let mut accepted = 0;
         while accepted < expected {
             let stream = match self.listener.accept() {
@@ -263,8 +244,8 @@ impl NetSession {
                 Err(e) => return Err(TransportError::io("accept", &e)),
             };
             stream.set_nonblocking(false).map_err(|e| TransportError::io("accepted blocking", &e))?;
-            let peer = handshake_accept(&stream, me, generation, k16, digest, deadline)?;
-            if peer.node as u64 <= me as u64 || !live.contains(&peer.node) {
+            let peer = handshake_accept(&stream, &ours, deadline)?;
+            if peer.node <= me || !live.contains(&peer.node) {
                 return Err(TransportError::HandshakeMismatch {
                     peer: peer.node,
                     field: crate::error::HandshakeField::Node,
@@ -272,46 +253,38 @@ impl NetSession {
                     got: peer.node as u64,
                 });
             }
-            let slot = streams
-                .get_mut(peer.node as usize)
-                .and_then(|s| s.as_mut())
-                .ok_or(TransportError::PeerClosed { node: peer.node })?;
-            slot.insert_checked(peer.stream as usize, stream, peer.node)?;
+            // The node id is the peer's word: a second claim to a connected
+            // node is refused, never allowed to replace the socket.
+            match &mut socks[peer.node as usize] {
+                slot @ None => *slot = Some(stream),
+                Some(_) => {
+                    let what = format!("second connection claiming node {}", peer.node);
+                    return Err(TransportError::Malformed { what });
+                }
+            }
             accepted += 1;
         }
 
         // Assemble pairs: split each socket into a locked write half and
         // a reader-owned half.
         let mut pairs: Vec<Option<Pair>> = Vec::with_capacity(n_nodes);
-        for per_node in streams {
-            match per_node {
-                None => pairs.push(None),
-                Some(socks) => {
-                    let mut writers = Vec::with_capacity(k);
-                    let mut readers = Vec::with_capacity(k);
-                    for s in socks {
-                        let s = s.expect("established stream");
-                        let sock = s.try_clone().map_err(|e| TransportError::io("clone", &e))?;
-                        writers.push(Mutex::new(StreamOut { sock, cork: Vec::new(), holds: Vec::new() }));
-                        readers.push(s);
-                    }
-                    let k = writers.len();
-                    pairs.push(Some(Pair {
-                        writers,
-                        corked: (0..k).map(|_| AtomicBool::new(false)).collect(),
-                        unclaimed: (0..k).map(|_| AtomicBool::new(false)).collect(),
-                        readers: Mutex::new(readers),
-                        rr: AtomicUsize::new(0),
-                        stream_down: (0..k).map(|_| AtomicBool::new(false)).collect(),
-                        live_streams: AtomicUsize::new(k),
-                    }));
+        for sock in socks {
+            pairs.push(match sock {
+                None => None,
+                Some(reader) => {
+                    let sock = reader.try_clone().map_err(|e| TransportError::io("clone", &e))?;
+                    Some(Pair {
+                        out: Mutex::new(StreamOut { sock, cork: Vec::new(), holds: Vec::new() }),
+                        corked: AtomicBool::new(false),
+                        unclaimed: AtomicBool::new(false),
+                        reader: Mutex::new(Some(reader)),
+                    })
                 }
-            }
+            });
         }
         let (events_tx, events_rx) = mpsc::channel();
         Ok(NetMesh {
             node: me,
-            k,
             node_of_pe: topo.pes().map(|pe| topo.cluster_of(pe).index() as u32).collect(),
             pairs,
             events_tx,
@@ -324,23 +297,6 @@ impl NetSession {
             fault_hook: Mutex::new(None),
             fault_hook_set: AtomicBool::new(false),
         })
-    }
-}
-
-/// Slot-insertion helper with duplicate/out-of-range checks.
-trait InsertChecked {
-    fn insert_checked(&mut self, idx: usize, stream: TcpStream, peer: u32) -> Result<(), TransportError>;
-}
-
-impl InsertChecked for Vec<Option<TcpStream>> {
-    fn insert_checked(&mut self, idx: usize, stream: TcpStream, peer: u32) -> Result<(), TransportError> {
-        match self.get_mut(idx) {
-            Some(slot @ None) => {
-                *slot = Some(stream);
-                Ok(())
-            }
-            _ => Err(TransportError::Malformed { what: format!("duplicate stream {idx} from node {peer}") }),
-        }
     }
 }
 
@@ -398,35 +354,19 @@ fn handshake_dial(
     prep(stream, deadline)?;
     (&*stream).write_all(&ours.encode()).map_err(|e| TransportError::io("send handshake", &e))?;
     let peer = read_handshake(stream)?;
-    peer.check(Some(expect_node), ours.generation, ours.digest, ours.k)?;
-    if peer.stream != ours.stream {
-        return Err(TransportError::HandshakeMismatch {
-            peer: peer.node,
-            field: crate::error::HandshakeField::Streams,
-            expected: ours.stream as u64,
-            got: peer.stream as u64,
-        });
-    }
+    peer.check(Some(expect_node), ours.generation, ours.digest)?;
     stream.set_read_timeout(None).map_err(|e| TransportError::io("clear timeout", &e))?;
     Ok(())
 }
 
-/// Accept-side handshake: read the caller's greeting, reply with ours
-/// (echoing its stream index), then validate.  Replying before validating
-/// lets a mismatched peer diagnose the same disagreement symmetrically.
-fn handshake_accept(
-    stream: &TcpStream,
-    me: u32,
-    generation: u32,
-    k: u16,
-    digest: u64,
-    deadline: Instant,
-) -> Result<Handshake, TransportError> {
+/// Accept-side handshake: read the caller's greeting, reply with ours,
+/// then validate.  Replying before validating lets a mismatched peer
+/// diagnose the same disagreement symmetrically.
+fn handshake_accept(stream: &TcpStream, ours: &Handshake, deadline: Instant) -> Result<Handshake, TransportError> {
     prep(stream, deadline)?;
     let peer = read_handshake(stream)?;
-    let reply = Handshake { node: me, generation, stream: peer.stream, k, digest };
-    (&*stream).write_all(&reply.encode()).map_err(|e| TransportError::io("send handshake", &e))?;
-    peer.check(None, generation, digest, k)?;
+    (&*stream).write_all(&ours.encode()).map_err(|e| TransportError::io("send handshake", &e))?;
+    peer.check(None, ours.generation, ours.digest)?;
     stream.set_read_timeout(None).map_err(|e| TransportError::io("clear timeout", &e))?;
     Ok(peer)
 }
@@ -442,9 +382,9 @@ impl NetMesh {
         self.node_of_pe.get(pe.index()).copied()
     }
 
-    /// Spawn the reader threads: every inbound data record is decoded and
-    /// handed to `deliver` (which posts it into the destination PE's
-    /// landing mailbox); control records and peer-death evidence go to
+    /// Spawn one reader thread per peer: every inbound data record is
+    /// decoded and handed to `deliver` (which posts it into the destination
+    /// PE's landing mailbox); control records and peer-death evidence go to
     /// the event queue.  Also spawns the cork rescue thread (see
     /// `CORK_RESCUE_TICK`).  Call exactly once per mesh.
     pub fn start(self: &Arc<Self>, deliver: impl Fn(Packet) + Send + Sync + 'static) {
@@ -454,25 +394,22 @@ impl NetMesh {
         let rescue = std::thread::Builder::new().name(format!("mdo-net-cork{}", self.node));
         handles.push(rescue.spawn(move || mesh.rescue_loop()).expect("spawn cork rescue"));
         for (node, pair) in self.pairs.iter().enumerate() {
-            let Some(pair) = pair else { continue };
-            for (si, stream) in pair.readers.lock().drain(..).enumerate() {
-                let mesh = Arc::clone(self);
-                let deliver = Arc::clone(&deliver);
-                let handle = std::thread::Builder::new()
-                    .name(format!("mdo-net-r{}-{}s{}", self.node, node, si))
-                    .spawn(move || mesh.reader_loop(node as u32, si, stream, &*deliver))
-                    .expect("spawn net reader");
-                handles.push(handle);
-            }
+            let Some(stream) = pair.as_ref().and_then(|p| p.reader.lock().take()) else { continue };
+            let mesh = Arc::clone(self);
+            let deliver = Arc::clone(&deliver);
+            let reader = std::thread::Builder::new().name(format!("mdo-net-r{}-{}", self.node, node));
+            handles.push(
+                reader.spawn(move || mesh.reader_loop(node as u32, stream, &*deliver)).expect("spawn net reader"),
+            );
         }
     }
 
-    fn reader_loop(&self, from_node: u32, si: usize, stream: TcpStream, deliver: &(dyn Fn(Packet) + Send + Sync)) {
+    fn reader_loop(&self, from_node: u32, stream: TcpStream, deliver: &(dyn Fn(Packet) + Send + Sync)) {
         let mut br = BufReader::with_capacity(64 << 10, stream);
         loop {
             match read_record(&mut br) {
                 Ok(None) => {
-                    self.note_down(from_node, si);
+                    self.note_down(from_node);
                     return;
                 }
                 Ok(Some((KIND_DATA, body))) => match decode_data_body(body, Instant::now()) {
@@ -505,29 +442,19 @@ impl NetMesh {
                     if !self.closing.load(Ordering::Acquire) && !matches!(e, RecordError::Io(_)) {
                         self.drops.fetch_add(1, Ordering::Relaxed);
                     }
-                    self.note_down(from_node, si);
+                    self.note_down(from_node);
                     return;
                 }
             }
         }
     }
 
-    /// Note that one stream of the pair to `node` broke.  Only when every
-    /// stream of the pair is down is the peer itself declared down — EOFs
-    /// race control records across striped streams, and a record already
-    /// written (e.g. the coordinator's final `Done`) must win that race.
-    fn note_down(&self, node: u32, stream: usize) {
-        if self.closing.load(Ordering::Acquire) {
-            return;
-        }
-        let Some(pair) = self.pairs.get(node as usize).and_then(|p| p.as_ref()) else { return };
-        let Some(flag) = pair.stream_down.get(stream) else { return };
-        if flag.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        if pair.live_streams.fetch_sub(1, Ordering::AcqRel) == 1
-            && !self.down[node as usize].swap(true, Ordering::AcqRel)
-        {
+    /// Note that the socket to `node` broke or closed: the peer is down,
+    /// reported once, by whichever of its reader or a writer sees it first.
+    /// A record the peer wrote before closing was read before the EOF —
+    /// one socket, TCP's own ordering — so a final `Done` always wins.
+    fn note_down(&self, node: u32) {
+        if !self.closing.load(Ordering::Acquire) && !self.down[node as usize].swap(true, Ordering::AcqRel) {
             let _ = self.events_tx.send(NetEvent::PeerDown { node });
         }
     }
@@ -539,11 +466,10 @@ impl NetMesh {
         *slot = hook;
     }
 
-    /// Encode one packet into the cork buffer of a stream to the node
-    /// hosting `pkt.dst` (round-robin over the pair's stripes) and, unless
-    /// `cork` holds it back, write that buffer.  Unknown or already-down
-    /// destinations drop the packet (the reliable layer's
-    /// retransmit-then-error machinery owns that failure).
+    /// Encode one packet into the cork buffer of the stream to the node
+    /// hosting `pkt.dst` and, unless `cork` holds it back, write that
+    /// buffer.  Unknown or already-down destinations drop the packet (the
+    /// reliable layer's retransmit-then-error machinery owns that failure).
     fn send_data(&self, pkt: &Packet, cork: bool) {
         let Some(&to) = self.node_of_pe.get(pkt.dst.index()) else {
             self.drops.fetch_add(1, Ordering::Relaxed);
@@ -554,8 +480,7 @@ impl NetMesh {
             return;
         };
         let idx = self.data_sent.fetch_add(1, Ordering::Relaxed);
-        let s = pair.rr.fetch_add(1, Ordering::Relaxed) % self.k;
-        let mut w = pair.writers[s].lock();
+        let mut w = pair.out.lock();
         let at = w.cork.len();
         encode_data_record(pkt, &mut w.cork);
         let mangled = self.fault_hook_set.load(Ordering::Acquire) && self.mangle(idx, &mut w.cork, at);
@@ -563,14 +488,14 @@ impl NetMesh {
             w.holds.push((at, due));
         }
         let wrote = if cork && w.cork.len() < CORK_MAX_BYTES {
-            pair.corked[s].store(true, Ordering::Release);
+            pair.corked.store(true, Ordering::Release);
             Ok(())
         } else {
-            pair.flush(s, &mut w)
+            pair.flush(&mut w)
         };
         drop(w);
         if wrote.is_err() {
-            self.note_down(to, s);
+            self.note_down(to);
         }
     }
 
@@ -588,19 +513,16 @@ impl NetMesh {
         true
     }
 
-    /// Write every non-empty cork buffer that `pick` (given the pair and
-    /// the stream index) selects.
-    fn flush_corks(&self, pick: impl Fn(&Pair, usize) -> bool) {
+    /// Write every non-empty cork buffer that `pick` selects.
+    fn flush_corks(&self, pick: impl Fn(&Pair) -> bool) {
         for (to, pair) in self.pairs.iter().enumerate() {
             let Some(pair) = pair else { continue };
-            for s in 0..pair.writers.len() {
-                if !pair.corked[s].load(Ordering::Acquire) || !pick(pair, s) {
-                    continue;
-                }
-                let wrote = pair.flush(s, &mut pair.writers[s].lock());
-                if wrote.is_err() {
-                    self.note_down(to as u32, s);
-                }
+            if !pair.corked.load(Ordering::Acquire) || !pick(pair) {
+                continue;
+            }
+            let wrote = pair.flush(&mut pair.out.lock());
+            if wrote.is_err() {
+                self.note_down(to as u32);
             }
         }
     }
@@ -610,13 +532,13 @@ impl NetMesh {
     fn rescue_loop(&self) {
         while !self.closing.load(Ordering::Acquire) {
             std::thread::park_timeout(CORK_RESCUE_TICK);
-            self.flush_corks(|pair, s| pair.unclaimed[s].swap(true, Ordering::AcqRel));
+            self.flush_corks(|pair| pair.unclaimed.swap(true, Ordering::AcqRel));
         }
     }
 
-    /// Send an opaque control-plane message to `to` (stream 0 of the
-    /// pair; a message to this node itself loops back through the event
-    /// queue, so control broadcasts are uniform).
+    /// Send an opaque control-plane message to `to` (a message to this
+    /// node itself loops back through the event queue, so control
+    /// broadcasts are uniform).
     pub fn send_control(&self, to: u32, bytes: &[u8]) -> Result<(), TransportError> {
         if to == self.node {
             let _ = self.events_tx.send(NetEvent::Control { from: self.node, bytes: bytes.to_vec() });
@@ -625,13 +547,13 @@ impl NetMesh {
         let Some(pair) = self.pairs.get(to as usize).and_then(|p| p.as_ref()) else {
             return Err(TransportError::PeerClosed { node: to });
         };
-        // Behind whatever data is corked on stream 0, never ahead of it.
-        let mut w = pair.writers[0].lock();
+        // Behind whatever data is corked, never ahead of it.
+        let mut w = pair.out.lock();
         encode_control_record(self.node, bytes, &mut w.cork);
-        let wrote = pair.flush(0, &mut w);
+        let wrote = pair.flush(&mut w);
         drop(w);
         wrote.map_err(|e| {
-            self.note_down(to, 0);
+            self.note_down(to);
             TransportError::io(format!("control to node {to}"), &e)
         })
     }
@@ -662,9 +584,7 @@ impl NetMesh {
             return;
         }
         for pair in self.pairs.iter().flatten() {
-            for w in &pair.writers {
-                let _ = w.lock().sock.shutdown(Shutdown::Both);
-            }
+            let _ = pair.out.lock().sock.shutdown(Shutdown::Both);
         }
         let mut handles = self.reader_handles.lock();
         for h in handles.drain(..) {
@@ -684,7 +604,7 @@ impl Wire for NetMesh {
     }
 
     fn flush(&self) {
-        self.flush_corks(|_, _| true);
+        self.flush_corks(|_| true);
     }
 
     fn shutdown(&self) {
@@ -720,15 +640,12 @@ mod tests {
     use mdo_netsim::Pe;
 
     /// Sessions for an n-node localhost mesh, pre-bound (no port race).
-    fn sessions(n: usize, streams: usize) -> Vec<NetSession> {
+    fn sessions(n: usize) -> Vec<NetSession> {
         let (listeners, manifest) = localhost_rendezvous(n).unwrap();
         listeners
             .into_iter()
             .enumerate()
-            .map(|(i, l)| {
-                let cfg = NetConfig::new(i as u32, manifest.clone()).with_streams(streams);
-                NetSession::with_listener(cfg, l).unwrap()
-            })
+            .map(|(i, l)| NetSession::with_listener(NetConfig::new(i as u32, manifest.clone()), l).unwrap())
             .collect()
     }
 
@@ -748,7 +665,7 @@ mod tests {
     #[test]
     fn two_node_mesh_moves_packets_both_ways() {
         let topo = Topology::two_cluster(4); // PEs 0,1 on node 0; 2,3 on node 1
-        let meshes = establish_all(sessions(2, 1), &topo, 0);
+        let meshes = establish_all(sessions(2), &topo, 0);
         let (rx0_tx, rx0) = mpsc::channel();
         let (rx1_tx, rx1) = mpsc::channel();
         meshes[0].start(move |pkt| rx0_tx.send(pkt).unwrap());
@@ -765,35 +682,12 @@ mod tests {
         }
     }
 
-    #[test]
-    fn striped_mesh_delivers_everything() {
-        let topo = Topology::two_cluster(2);
-        let meshes = establish_all(sessions(2, 4), &topo, 0);
-        let (tx, rx) = mpsc::channel();
-        meshes[1].start(move |pkt| tx.send(pkt).unwrap());
-        meshes[0].start(|_| {});
-        for i in 0..100u32 {
-            meshes[0].send(Packet::new(Pe(0), Pe(1), Bytes::from(i.to_le_bytes().to_vec())));
-        }
-        let mut got: Vec<u32> = (0..100)
-            .map(|_| {
-                let pkt = rx.recv_timeout(Duration::from_secs(5)).expect("striped packet");
-                u32::from_le_bytes(pkt.payload[..4].try_into().unwrap())
-            })
-            .collect();
-        got.sort_unstable();
-        assert_eq!(got, (0..100).collect::<Vec<_>>(), "all 100 packets arrive across 4 streams");
-        for m in &meshes {
-            m.shutdown();
-        }
-    }
-
-    /// Node 0 → node 1 over one stream; node 1's deliveries come out of
+    /// Node 0 → node 1; node 1's deliveries come out of
     /// the returned channel as the payload's first four bytes.  Node 0's
     /// mesh is started — readers and cork rescue — only on request: without
     /// the rescue a cork stays exactly as long as the test leaves it.
     fn one_way(start_sender: bool) -> (Vec<Arc<NetMesh>>, mpsc::Receiver<u32>) {
-        let meshes = establish_all(sessions(2, 1), &Topology::two_cluster(2), 0);
+        let meshes = establish_all(sessions(2), &Topology::two_cluster(2), 0);
         let (tx, rx) = mpsc::channel();
         meshes[1].start(move |pkt| tx.send(u32::from_le_bytes(pkt.payload[..4].try_into().unwrap())).unwrap());
         if start_sender {
@@ -904,7 +798,7 @@ mod tests {
     #[test]
     fn control_plane_and_peer_down() {
         let topo = Topology::two_cluster(2);
-        let meshes = establish_all(sessions(2, 1), &topo, 3);
+        let meshes = establish_all(sessions(2), &topo, 3);
         meshes[0].start(|_| {});
         meshes[1].start(|_| {});
         meshes[1].send_control(0, b"report").unwrap();
@@ -970,21 +864,79 @@ mod tests {
         };
         let session = NetSession::with_listener(cfg, listeners.into_iter().next().unwrap()).unwrap();
         let topo = Topology::two_cluster(2);
-        // A "node 1" speaking wire version 99 dials node 0 directly.
+        // A "node 1" speaking another wire version dials node 0 directly:
+        // some future one, and version 2 with its 26-byte greeting.
         let addr = manifest[0];
+        for (version, greeting_len) in [(99u16, HANDSHAKE_LEN), (2, 26)] {
+            let rogue = std::thread::spawn(move || {
+                let s = TcpStream::connect(addr).unwrap();
+                let mut buf = Handshake { node: 1, generation: 0, digest: 0 }.encode().to_vec();
+                buf[4..6].copy_from_slice(&version.to_le_bytes());
+                buf.resize(greeting_len, 0);
+                (&s).write_all(&buf).unwrap();
+                let mut reply = [0u8; HANDSHAKE_LEN];
+                let _ = (&s).read_exact(&mut reply); // node 0 closes on us
+            });
+            let err = session.establish(0, &topo, &[0, 1]).expect_err("version mismatch must fail");
+            rogue.join().unwrap();
+            match err {
+                TransportError::HandshakeMismatch { field: crate::error::HandshakeField::Version, got, .. }
+                    if got == version as u64 => {}
+                other => panic!("expected version {version} mismatch, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_control_record_written_before_close_arrives_before_peer_down() {
+        let meshes = establish_all(sessions(2), &Topology::two_cluster(2), 0);
+        let (tx, rx) = mpsc::channel();
+        meshes[0].start(move |pkt| tx.send(pkt).unwrap());
+        // Node 1 finishes the way a node process does: last data corked, the
+        // goodbye, the sockets closed — with nothing in between.
+        meshes[1].send_corked(Packet::new(Pe(1), Pe(0), Bytes::from_static(b"last")));
+        meshes[1].send_control(0, b"done").unwrap();
+        meshes[1].shutdown();
+        match meshes[0].next_event(SOON) {
+            Some(NetEvent::Control { from: 1, bytes }) => assert_eq!(bytes, b"done"),
+            other => panic!("the goodbye comes first, got {other:?}"),
+        }
+        assert_eq!(&rx.try_recv().expect("data ahead of the control record is already delivered").payload[..], b"last");
+        assert_eq!(meshes[0].next_event(SOON), Some(NetEvent::PeerDown { node: 1 }));
+        assert!(meshes[0].is_down(1));
+        assert_eq!(meshes[0].next_event(NOT_YET), None, "exactly one PeerDown");
+        meshes[0].shutdown();
+    }
+
+    #[test]
+    fn a_second_connection_claiming_a_connected_node_is_refused() {
+        let (listeners, manifest) = localhost_rendezvous(3).unwrap();
+        let mut cfg = NetConfig::new(0, manifest.clone());
+        cfg.connect_timeout = Duration::from_secs(5);
+        let session = NetSession::with_listener(cfg, listeners.into_iter().next().unwrap()).unwrap();
+        let topo = Topology::uniform(3, 1);
+        let (addr, digest) = (manifest[0], topo.digest());
+        // Node 0 waits for nodes 1 and 2; both connections say "node 1".
+        let (release, hold) = mpsc::channel::<()>();
         let rogue = std::thread::spawn(move || {
-            let s = TcpStream::connect(addr).unwrap();
-            let mut buf = Handshake { node: 1, generation: 0, stream: 0, k: 1, digest: 0 }.encode();
-            buf[4..6].copy_from_slice(&99u16.to_le_bytes());
-            (&s).write_all(&buf).unwrap();
-            let mut reply = [0u8; HANDSHAKE_LEN];
-            let _ = (&s).read_exact(&mut reply); // node 0 closes on us
+            let greet = || {
+                let s = TcpStream::connect(addr).unwrap();
+                (&s).write_all(&Handshake { node: 1, generation: 0, digest }.encode()).unwrap();
+                let mut reply = [0u8; HANDSHAKE_LEN];
+                (&s).read_exact(&mut reply).expect("node 0 replies before it validates");
+                s
+            };
+            let _both = (greet(), greet());
+            let _ = hold.recv(); // both sockets stay open until node 0 has decided
         });
-        let err = session.establish(0, &topo, &[0, 1]).expect_err("version mismatch must fail");
+        let started = Instant::now();
+        let res = session.establish(0, &topo, &[0, 1, 2]);
+        assert!(started.elapsed() < Duration::from_secs(5), "refused at the second greeting, not at the deadline");
+        drop(release);
         rogue.join().unwrap();
-        match err {
-            TransportError::HandshakeMismatch { field: crate::error::HandshakeField::Version, got: 99, .. } => {}
-            other => panic!("expected version mismatch, got {other:?}"),
+        match res {
+            Err(TransportError::Malformed { .. } | TransportError::HandshakeMismatch { .. }) => {}
+            other => panic!("expected a structured refusal, got {other:?}"),
         }
     }
 }

@@ -3,9 +3,9 @@
 //! Everything a TCP stream carries is length-prefixed and little-endian:
 //!
 //! ```text
-//! handshake (once, both directions, 26 bytes fixed):
+//! handshake (once, both directions, 22 bytes fixed):
 //!   magic "MDON" | version u16 | node u32 | generation u32
-//!   | stream u16 | k u16 | topology digest u64
+//!   | topology digest u64
 //!
 //! record (repeated):
 //!   kind u8 | len u32 | body[len]
@@ -17,7 +17,7 @@
 //! |---|---|---|
 //! | `src`, `dst` | 0..4, 4..8 | sending and destination PE |
 //! | `priority` | 8..12 | delivery priority (smaller = more urgent) |
-//! | `hold_ns` | 12..20 | injected latency still to run when the record was written (wire version 2) |
+//! | `hold_ns` | 12..20 | injected latency still to run when the record was written (since wire version 2) |
 //! | payload | 20.. | the packet's bytes, opaque |
 //!
 //! Data-record payloads are the exact byte strings the in-process
@@ -49,11 +49,12 @@ use crate::error::{HandshakeField, TransportError};
 
 /// Protocol magic: the ASCII bytes "MDON".
 pub const MAGIC: [u8; 4] = *b"MDON";
-/// Wire-format version; bumped on any incompatible layout change.
-pub const WIRE_VERSION: u16 = 2;
+/// Wire-format version; bumped on any incompatible layout change (3 is
+/// the 22-byte handshake of one socket per pair; records are as in 2).
+pub const WIRE_VERSION: u16 = 3;
 /// Encoded handshake size (fixed, version-independent, so a version
 /// mismatch can still be diagnosed instead of desynchronizing).
-pub const HANDSHAKE_LEN: usize = 26;
+pub const HANDSHAKE_LEN: usize = 22;
 /// Record header size: kind byte + u32 length.
 pub const RECORD_HEADER_LEN: usize = 5;
 /// Hard ceiling on a record body; larger lengths are hostile framing.
@@ -78,10 +79,6 @@ pub struct Handshake {
     pub node: u32,
     /// Sender's run generation (bumped across shrink recoveries).
     pub generation: u32,
-    /// Which of the pair's `k` striped streams this connection is.
-    pub stream: u16,
-    /// Sender's stripe count for this pair.
-    pub k: u16,
     /// Sender's [`mdo_netsim::Topology::digest`].
     pub digest: u64,
 }
@@ -94,9 +91,7 @@ impl Handshake {
         out[4..6].copy_from_slice(&WIRE_VERSION.to_le_bytes());
         out[6..10].copy_from_slice(&self.node.to_le_bytes());
         out[10..14].copy_from_slice(&self.generation.to_le_bytes());
-        out[14..16].copy_from_slice(&self.stream.to_le_bytes());
-        out[16..18].copy_from_slice(&self.k.to_le_bytes());
-        out[18..26].copy_from_slice(&self.digest.to_le_bytes());
+        out[14..22].copy_from_slice(&self.digest.to_le_bytes());
         out
     }
 
@@ -125,16 +120,14 @@ impl Handshake {
         Ok(Handshake {
             node,
             generation: u32::from_le_bytes([buf[10], buf[11], buf[12], buf[13]]),
-            stream: u16::from_le_bytes([buf[14], buf[15]]),
-            k: u16::from_le_bytes([buf[16], buf[17]]),
-            digest: u64::from_le_bytes(buf[18..26].try_into().expect("8 bytes")),
+            digest: u64::from_le_bytes(buf[14..22].try_into().expect("8 bytes")),
         })
     }
 
     /// Validate a decoded peer handshake against this side's expectations.
     /// `expect_node == None` accepts any node id (the accept path learns
     /// the peer from the handshake; the dial path knows who it called).
-    pub fn check(&self, expect_node: Option<u32>, generation: u32, digest: u64, k: u16) -> Result<(), TransportError> {
+    pub fn check(&self, expect_node: Option<u32>, generation: u32, digest: u64) -> Result<(), TransportError> {
         let mismatch = |field, expected: u64, got: u64| {
             Err(TransportError::HandshakeMismatch { peer: self.node, field, expected, got })
         };
@@ -148,12 +141,6 @@ impl Handshake {
         }
         if self.digest != digest {
             return mismatch(HandshakeField::TopologyDigest, digest, self.digest);
-        }
-        if self.k != k {
-            return mismatch(HandshakeField::Streams, k as u64, self.k as u64);
-        }
-        if self.stream >= k {
-            return mismatch(HandshakeField::Streams, k as u64, self.stream as u64);
         }
         Ok(())
     }
@@ -321,21 +308,21 @@ mod tests {
 
     #[test]
     fn handshake_roundtrips() {
-        let hs = Handshake { node: 3, generation: 7, stream: 1, k: 4, digest: 0xdead_beef_cafe_f00d };
+        let hs = Handshake { node: 3, generation: 7, digest: 0xdead_beef_cafe_f00d };
         let decoded = Handshake::decode(&hs.encode()).expect("own encoding decodes");
         assert_eq!(decoded, hs);
-        assert!(decoded.check(Some(3), 7, 0xdead_beef_cafe_f00d, 4).is_ok());
+        assert!(decoded.check(Some(3), 7, 0xdead_beef_cafe_f00d).is_ok());
     }
 
     #[test]
     fn handshake_rejects_bad_magic_and_version() {
-        let mut buf = Handshake { node: 0, generation: 0, stream: 0, k: 1, digest: 0 }.encode();
+        let mut buf = Handshake { node: 0, generation: 0, digest: 0 }.encode();
         buf[0] = b'X';
         match Handshake::decode(&buf) {
             Err(TransportError::HandshakeMismatch { field: HandshakeField::Magic, .. }) => {}
             other => panic!("expected magic mismatch, got {other:?}"),
         }
-        let mut buf = Handshake { node: 9, generation: 0, stream: 0, k: 1, digest: 0 }.encode();
+        let mut buf = Handshake { node: 9, generation: 0, digest: 0 }.encode();
         buf[4..6].copy_from_slice(&99u16.to_le_bytes());
         match Handshake::decode(&buf) {
             Err(TransportError::HandshakeMismatch { peer: 9, field: HandshakeField::Version, got: 99, .. }) => {}
@@ -345,27 +332,18 @@ mod tests {
 
     #[test]
     fn handshake_check_catches_each_field() {
-        let hs = Handshake { node: 2, generation: 1, stream: 0, k: 2, digest: 42 };
+        let hs = Handshake { node: 2, generation: 1, digest: 42 };
         assert!(matches!(
-            hs.check(Some(1), 1, 42, 2),
+            hs.check(Some(1), 1, 42),
             Err(TransportError::HandshakeMismatch { field: HandshakeField::Node, .. })
         ));
         assert!(matches!(
-            hs.check(None, 2, 42, 2),
+            hs.check(None, 2, 42),
             Err(TransportError::HandshakeMismatch { field: HandshakeField::Generation, .. })
         ));
         assert!(matches!(
-            hs.check(None, 1, 43, 2),
+            hs.check(None, 1, 43),
             Err(TransportError::HandshakeMismatch { field: HandshakeField::TopologyDigest, .. })
-        ));
-        assert!(matches!(
-            hs.check(None, 1, 42, 4),
-            Err(TransportError::HandshakeMismatch { field: HandshakeField::Streams, .. })
-        ));
-        let oob = Handshake { stream: 5, ..hs };
-        assert!(matches!(
-            oob.check(None, 1, 42, 2),
-            Err(TransportError::HandshakeMismatch { field: HandshakeField::Streams, .. })
         ));
     }
 

@@ -5,9 +5,11 @@
 //! *send chains* and *receive chains* of dynamically-composed device
 //! drivers.  The paper exploits this to build its simulated Grid: a **delay
 //! device** sits between two network drivers and holds cross-cluster
-//! messages for a configured latency before passing them on (§5.1), and the
-//! layer can also stripe data across interconnects, compress payloads, or
-//! verify integrity (§2.2).
+//! messages for a configured latency before passing them on (§5.1).  §2.2
+//! lists more a chain *can* do — stripe data across interconnects, compress
+//! or encrypt payloads, verify integrity; no experiment of the paper uses
+//! them, so only the devices a run can reach are built here, and the
+//! [`Device`] seam admits the rest.
 //!
 //! This crate rebuilds that layer for the *threaded* execution engine,
 //! where each PE is an OS thread and the "network" is shared memory:
@@ -15,8 +17,7 @@
 //! * [`packet`] — the unit a device sees: opaque bytes + routing metadata.
 //! * [`device`] — the [`Device`] trait and [`Chain`] composition.
 //! * [`devices`] — delay (a `due` stamp the landing mailbox enforces),
-//!   compression (RLE), CRC32 integrity, striping/reassembly, and
-//!   byte-counting devices.
+//!   CRC32 integrity, fault injection and byte counting.
 //! * [`mailbox`] — per-PE blocking priority mailboxes (the terminal
 //!   "network driver" of every chain).
 //! * [`credit`] — the per-pair credit ledger behind flow control: plain
@@ -81,13 +82,10 @@ pub mod wire;
 
 pub use aggregate::{AggStats, Aggregator};
 pub use device::{Chain, Device, Forwarder};
-pub use devices::cipher::CipherDevice;
 pub use devices::counter::CounterDevice;
 pub use devices::crc::CrcDevice;
 pub use devices::delay::DelayDevice;
 pub use devices::fault::{FaultDevice, FaultDeviceStats};
-pub use devices::rle::RleDevice;
-pub use devices::stripe::{ReassembleDevice, StripeDevice};
 pub use frame::{FrameBuilder, FrameError, FRAME_TAG};
 pub use mailbox::Mailbox;
 pub use packet::Packet;

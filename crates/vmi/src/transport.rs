@@ -9,7 +9,7 @@
 //! [`Transport`] owns one mailbox per PE and two chains: an intra-cluster
 //! chain (direct to the mailbox sink by default) and a cross-cluster chain
 //! that passes through a [`DelayDevice`] configured from a latency matrix
-//! (plus any extra devices the caller composes, e.g. compression or CRC).
+//! (plus any extra devices the caller composes, e.g. CRC and fault injection).
 //! Every send consults the job [`Topology`] to pick the chain — the VMI
 //! affiliation check.  The delay device only stamps; the landing mailbox
 //! holds, so the receive calls here are where an injected latency is
@@ -37,10 +37,8 @@ pub struct TransportConfig {
     /// and the artificial WAN latency across clusters).
     pub latency: LatencyMatrix,
     /// Extra devices prepended to the cross-cluster chain *before* the
-    /// delay device (e.g. compression).
+    /// delay device (e.g. CRC append, fault injection, CRC verify).
     pub cross_extra: Vec<Arc<dyn Device>>,
-    /// Extra devices on the intra-cluster chain.
-    pub intra_extra: Vec<Arc<dyn Device>>,
     /// Optional inter-node backend for multi-process runs: packets whose
     /// destination PE is not local to this process leave through the
     /// bound [`Wire`](crate::wire::Wire) instead of a mailbox.  `None`
@@ -52,7 +50,7 @@ pub struct TransportConfig {
 impl TransportConfig {
     /// Plain configuration: no extra devices, single-process.
     pub fn new(topo: Topology, latency: LatencyMatrix) -> Self {
-        TransportConfig { topo, latency, cross_extra: Vec::new(), intra_extra: Vec::new(), wire: None }
+        TransportConfig { topo, latency, cross_extra: Vec::new(), wire: None }
     }
 }
 
@@ -85,9 +83,7 @@ impl Transport {
         let cross_counter = CounterDevice::new("cross");
         let delay = DelayDevice::from_matrix(cfg.topo.clone(), cfg.latency);
 
-        let mut intra_devices: Vec<Arc<dyn Device>> = vec![intra_counter.clone()];
-        intra_devices.extend(cfg.intra_extra);
-        let intra_chain = Chain::new(intra_devices, sink.clone());
+        let intra_chain = Chain::new(vec![intra_counter.clone()], sink.clone());
 
         let mut cross_devices: Vec<Arc<dyn Device>> = vec![cross_counter.clone()];
         cross_devices.extend(cfg.cross_extra);
@@ -232,32 +228,6 @@ mod tests {
     }
 
     #[test]
-    fn striping_across_the_wan_chain() {
-        use crate::devices::stripe::{ReassembleDevice, StripeDevice};
-        // §2.2: "data may be striped across multiple interconnects".  The
-        // extra devices sit ahead of the delay device on the cross chain:
-        // the packet is fragmented, reassembled, and the whole then rides
-        // the simulated WAN — exercising multi-packet composition through
-        // the real transport.
-        let topo = Topology::two_cluster(2);
-        let latency = LatencyMatrix::uniform(&topo, Dur::ZERO, Dur::from_millis(10));
-        let mut cfg = TransportConfig::new(topo, latency);
-        cfg.cross_extra = vec![StripeDevice::new(4), ReassembleDevice::new()];
-        let t = Transport::new(cfg);
-        let payload = Bytes::from((0u16..1000).flat_map(|x| x.to_le_bytes()).collect::<Vec<u8>>());
-        let t0 = Instant::now();
-        t.send(Packet::with_priority(Pe(0), Pe(1), -2, payload.clone()));
-        let got = t.recv_timeout(Pe(1), Duration::from_secs(2)).expect("reassembled");
-        assert_eq!(got.payload, payload);
-        assert_eq!(got.priority, -2);
-        assert!(t0.elapsed() >= Duration::from_millis(9), "the WAN delay still applies");
-        // Four fragments were counted on the cross chain (counter sits
-        // before the stripe device, so it sees the single logical packet).
-        assert_eq!(t.cross_traffic().0, 1);
-        t.shutdown();
-    }
-
-    #[test]
     fn shutdown_wakes_receivers() {
         let t = transport(10);
         let t2 = Arc::clone(&t);
@@ -315,13 +285,11 @@ mod tests {
     #[test]
     fn extra_devices_compose() {
         use crate::devices::crc::CrcDevice;
-        use crate::devices::rle::RleDevice;
         let topo = Topology::two_cluster(2);
         let latency = LatencyMatrix::uniform(&topo, Dur::ZERO, Dur::from_millis(5));
         let mut cfg = TransportConfig::new(topo, latency);
-        // Compress + checksum on the WAN, transparently undone before delivery.
-        cfg.cross_extra =
-            vec![RleDevice::compressor(), CrcDevice::appender(), CrcDevice::verifier(), RleDevice::decompressor()];
+        // Checksum on the WAN, transparently undone before delivery.
+        cfg.cross_extra = vec![CrcDevice::appender(), CrcDevice::verifier()];
         let t = Transport::new(cfg);
         let payload = Bytes::from(vec![9u8; 4096]);
         t.send(Packet::new(Pe(0), Pe(1), payload.clone()));

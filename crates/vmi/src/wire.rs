@@ -52,11 +52,13 @@ use crate::packet::Packet;
 /// Implementations must be thread-safe: every PE thread of the process
 /// (plus the reliable layer's retransmit timer and the aggregator's
 /// flusher) may call [`Wire::send`] concurrently.  Delivery order per
-/// `(src, dst)` pair need not be
-/// preserved — the reliable layer above the seam re-sequences — but an
-/// implementation should be lossless while up; losses surface through
-/// the reliable layer's retransmission and, eventually, its structured
-/// delivery error.
+/// `(src, dst)` pair **must** be preserved: the default stack runs the
+/// reliable layer as a passthrough, and the aggregator's frames assume the
+/// order they were sent in.  Reordering is tolerated only beneath an armed
+/// reliable layer (flow control or a fault plan), which re-sequences — that
+/// is how the fault device gets away with it.  An implementation should
+/// also be lossless while up; losses surface through the reliable layer's
+/// retransmission and, eventually, its structured delivery error.
 pub trait Wire: Send + Sync {
     /// Ship a packet whose destination PE lives on another node.  The
     /// packet (and anything corked ahead of it on its stream) is handed to

@@ -463,7 +463,7 @@ proptest! {
     fn net_handshake_survives_arbitrary_bytes(
         raw in prop::collection::vec(any::<u8>(), HANDSHAKE_LEN..HANDSHAKE_LEN + 1),
         node in any::<u32>(), generation in any::<u32>(), digest in any::<u64>(),
-        stream in 0u16..4, wrong_digest in any::<u64>())
+        wrong_digest in any::<u64>())
     {
         let buf: [u8; HANDSHAKE_LEN] = raw.try_into().expect("sized vec");
         if let Ok(h) = Handshake::decode(&buf) {
@@ -471,11 +471,11 @@ proptest! {
             prop_assert_eq!(Handshake::decode(&h.encode()).expect("round trip").digest, h.digest);
         }
 
-        let good = Handshake { node, generation, stream, k: 4, digest };
+        let good = Handshake { node, generation, digest };
         let decoded = Handshake::decode(&good.encode()).expect("valid handshake");
-        prop_assert!(decoded.check(Some(node), generation, digest, 4).is_ok());
+        prop_assert!(decoded.check(Some(node), generation, digest).is_ok());
         if wrong_digest != digest {
-            let err = decoded.check(Some(node), generation, wrong_digest, 4).expect_err("digest must mismatch");
+            let err = decoded.check(Some(node), generation, wrong_digest).expect_err("digest must mismatch");
             prop_assert!(
                 matches!(err, gridmdo::net::TransportError::HandshakeMismatch { field: gridmdo::net::HandshakeField::TopologyDigest, .. }),
                 "wrong field: {err}"

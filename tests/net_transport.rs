@@ -62,7 +62,6 @@ fn run_stencil_net(
     topo: &Topology,
     latency: &LatencyMatrix,
     run_cfg: &RunConfig,
-    streams: usize,
 ) -> stencil::StencilOutcome {
     let nodes = topo.num_clusters();
     let manifest = reserve_manifest(nodes);
@@ -72,7 +71,7 @@ fn run_stencil_net(
         let topo = topo.clone();
         let latency = latency.clone();
         let mut run_cfg = run_cfg.clone();
-        run_cfg.net = Some(NetConfig::new(node, manifest.clone()).with_streams(streams));
+        run_cfg.net = Some(NetConfig::new(node, manifest.clone()));
         let h = thread::Builder::new()
             .name(format!("node{node}"))
             .spawn(move || stencil::run_threaded_with(cfg, topo, ThreadedConfig::new(latency), run_cfg))
@@ -107,7 +106,7 @@ fn four_node_stencil_is_bit_exact_with_agg_and_flow() {
         stencil::run_sim(cfg.clone(), net, run_cfg.clone())
     };
     let single = stencil::run_threaded(cfg.clone(), topo.clone(), latency.clone(), run_cfg.clone());
-    let multi = run_stencil_net(&cfg, &topo, &latency, &run_cfg, 1);
+    let multi = run_stencil_net(&cfg, &topo, &latency, &run_cfg);
 
     assert_eq!(sim.block_sums, seq, "sim matches the sequential oracle");
     assert_eq!(single.block_sums, seq, "single-process threaded matches");
@@ -116,20 +115,6 @@ fn four_node_stencil_is_bit_exact_with_agg_and_flow() {
     assert!(multi.report.unrecoverable.is_none());
     // Every PE's work shows up in the merged report, not just node 0's.
     assert!(multi.report.pe_messages.iter().all(|&m| m > 0), "merged per-PE counts: {:?}", multi.report.pe_messages);
-}
-
-#[test]
-fn striped_streams_with_flow_control_stay_bit_exact() {
-    // k=4 striped sockets reorder packets between streams; the reliable
-    // layer (armed by flow control) re-sequences, so results hold.
-    let cfg = small_stencil(16, 4, None);
-    let topo = Topology::two_cluster(4);
-    let latency = LatencyMatrix::uniform(&topo, Dur::ZERO, Dur::from_micros(200));
-    let run_cfg =
-        RunConfig { agg: Some(AggConfig::default()), flow: Some(FlowConfig::default()), ..RunConfig::default() };
-    let seq = seq_reference(&cfg);
-    let multi = run_stencil_net(&cfg, &topo, &latency, &run_cfg, 4);
-    assert_eq!(multi.block_sums, seq, "striped run is bit-exact");
 }
 
 #[test]
@@ -202,7 +187,7 @@ fn crash_on_a_remote_node_recovers_over_survivors() {
             .with_heartbeat(Dur::from_millis(15), Dur::from_millis(150));
         let run_cfg = RunConfig { failure_plan: Some(plan), ..RunConfig::default() };
 
-        let multi = run_stencil_net(&cfg, &topo, &latency, &run_cfg, 1);
+        let multi = run_stencil_net(&cfg, &topo, &latency, &run_cfg);
         assert_eq!(multi.block_sums, clean.block_sums, "recovery over TCP is bit-exact ({victim} down)");
         assert_eq!(multi.report.failures_detected, 1);
         assert_eq!(multi.report.recoveries, 1);

@@ -10,9 +10,7 @@ use gridmdo::runtime::ids::{ArrayId, ElemId, EntryId, ObjKey};
 use gridmdo::runtime::mapping::Mapping;
 use gridmdo::runtime::queue::SchedQueue;
 use gridmdo::runtime::wire::{WireReader, WireWriter};
-use gridmdo::vmi::devices::cipher;
 use gridmdo::vmi::devices::crc::crc32;
-use gridmdo::vmi::devices::rle;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
@@ -102,13 +100,6 @@ proptest! {
         }
     }
 
-    /// RLE compression is lossless on arbitrary byte strings.
-    #[test]
-    fn rle_roundtrip(data in prop::collection::vec(any::<u8>(), 0..2048)) {
-        let compressed = rle::compress(&data);
-        prop_assert_eq!(rle::decompress(&compressed).unwrap(), data);
-    }
-
     /// Checkpoint snapshots round-trip through their byte encoding.
     #[test]
     fn snapshot_roundtrip(arrays in prop::collection::vec(
@@ -128,15 +119,6 @@ proptest! {
         };
         let back = Snapshot::decode(&snap.encode()).unwrap();
         prop_assert_eq!(back, snap);
-    }
-
-    /// The stream cipher is self-inverse under the right key for any
-    /// payload, and scrambles under a different key for non-trivial ones.
-    #[test]
-    fn cipher_roundtrip(key in any::<u64>(), nonce in any::<u64>(),
-                        data in prop::collection::vec(any::<u8>(), 0..512)) {
-        let sealed = cipher::seal(key, nonce, &data);
-        prop_assert_eq!(cipher::open(key, &sealed).unwrap(), data);
     }
 
     /// CRC32 detects any single-byte corruption.
