@@ -21,6 +21,7 @@ use mdo_core::envelope::ReduceData;
 use mdo_core::ids::{ElemId, EntryId};
 use mdo_core::prelude::{WireReader, WireWriter};
 use mdo_core::program::{Program, RunConfig, RunReport};
+use mdo_core::wire::f64_array_len;
 use mdo_core::{Mapping, SimEngine};
 use mdo_netsim::network::NetworkModel;
 use mdo_netsim::{Time, Xoshiro256};
@@ -272,14 +273,14 @@ impl Partition {
     fn send_boundaries(&self, ctx: &mut Ctx<'_>) {
         let arr = ctx.me().array;
         for (&peer, edges) in &self.layout.send_lists[self.me as usize] {
-            let mut w = WireWriter::new();
+            let mut w = WireWriter::with_capacity(4 + 4 + f64_array_len(edges.len()));
             w.u32(self.step).u32(self.me);
-            let vals: Vec<f64> = if self.cfg.compute {
-                edges.iter().map(|&(v, _)| self.values[self.local_index(v)]).collect()
+            if self.cfg.compute {
+                let vals: Vec<f64> = edges.iter().map(|&(v, _)| self.values[self.local_index(v)]).collect();
+                w.f64_slice(&vals);
             } else {
-                vec![0.0; edges.len()]
-            };
-            w.f64_slice(&vals);
+                w.f64_zeros(edges.len());
+            }
             ctx.send(arr, ElemId(peer), BOUNDARY, w.finish());
         }
     }

@@ -21,6 +21,7 @@ use mdo_core::envelope::ReduceData;
 use mdo_core::ids::{ElemId, EntryId};
 use mdo_core::prelude::{WireReader, WireWriter};
 use mdo_core::program::{Program, RunConfig, RunReport};
+use mdo_core::wire::f64_array_len;
 use mdo_core::{Mapping, SimEngine};
 use mdo_netsim::network::NetworkModel;
 use mdo_netsim::Time;
@@ -240,9 +241,6 @@ impl Block3d {
     /// z-minor within the face for x-faces, and analogous for others).
     fn face(&self, d: usize) -> Vec<f64> {
         let b = self.cfg.block();
-        if !self.cfg.compute {
-            return vec![0.0; b * b];
-        }
         let w = b + 2;
         let idx = |x: usize, y: usize, z: usize| (x * w + y) * w + z;
         let mut out = Vec::with_capacity(b * b);
@@ -318,9 +316,15 @@ impl Block3d {
         for d in 0..6 {
             if let Some(n) = self.neighbor(d) {
                 let opp = d ^ 1; // DIRS pairs: (0,1), (2,3), (4,5)
-                let mut w = WireWriter::new();
+                let len = self.cfg.block() * self.cfg.block();
+                let mut w = WireWriter::with_capacity(1 + 4 + f64_array_len(len));
                 w.u8(opp as u8).u32(self.step);
-                w.f64_slice(&self.face(d));
+                if self.cfg.compute {
+                    w.f64_slice(&self.face(d));
+                } else {
+                    // Cost-model mode: a zero face of the real size.
+                    w.f64_zeros(len);
+                }
                 ctx.send(me.array, n, FACE, w.finish());
             }
         }

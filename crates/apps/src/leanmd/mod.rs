@@ -22,11 +22,13 @@ pub mod seq;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
+use bytes::Bytes;
 use mdo_core::chare::{Chare, Ctx};
 use mdo_core::envelope::ReduceData;
 use mdo_core::ids::{ArrayId, ElemId, EntryId};
 use mdo_core::prelude::{WireReader, WireWriter};
 use mdo_core::program::{Program, RunConfig, RunReport};
+use mdo_core::wire::f64_array_len;
 use mdo_core::{Mapping, SimEngine, ThreadedConfig, ThreadedEngine};
 use mdo_netsim::network::NetworkModel;
 use mdo_netsim::{Dur, LatencyMatrix, Time, Topology};
@@ -41,6 +43,52 @@ const START: EntryId = EntryId(1);
 const FORCES: EntryId = EntryId(2);
 /// Entry on pairs: coordinates from one member cell.
 const COORDS: EntryId = EntryId(3);
+
+/// The `(step, sender cell)` header of a coordinate message.
+const COORDS_HEADER_LEN: usize = 8;
+
+/// Exact length of a coordinate message for `n` atoms: header, `3n`
+/// positions, `n` charges.
+const fn coords_len(n: usize) -> usize {
+    COORDS_HEADER_LEN + f64_array_len(3 * n) + f64_array_len(n)
+}
+
+/// Exact length of a force message for `n` atoms: step, pair index,
+/// energy, `3n` force components.
+const fn forces_len(n: usize) -> usize {
+    4 + 4 + 8 + f64_array_len(3 * n)
+}
+
+/// One cell's coordinate message.  It is identical for every pair (the
+/// pair derives which slot the sender is from the cell id), so one buffer
+/// goes out either as 27 point-to-point sends or as one section multicast.
+/// `atoms` is `None` in cost-model mode: zeros of the real payload's size,
+/// so the bandwidth/contention model sees realistic traffic.
+fn coords_payload(step: u32, cell: u32, n: usize, atoms: Option<&CellAtoms>) -> Vec<u8> {
+    let mut w = WireWriter::with_capacity(coords_len(n));
+    w.u32(step).u32(cell);
+    match atoms {
+        Some(atoms) => w.f64_triples(&atoms.pos).f64_slice(&atoms.q),
+        None => w.f64_zeros(3 * n).f64_zeros(n),
+    };
+    w.finish()
+}
+
+/// One pair's force message to one of its cells.
+///
+/// Held back: this is still the parent's call sequence — a flattened copy,
+/// then `f64_slice` — over a zero-filled temporary in cost-model mode,
+/// where [`coords_payload`] uses `f64_triples` / `f64_zeros`.  Doing the
+/// same here takes `leanmd_tcp`'s zero-latency step from 39 to 27 ms while
+/// its WAN step stays on the 16 ms latency floor, which the benchmark's
+/// `wan_lan_skew` gate reads as a ×1.37 regression (EXPERIMENTS.md A18);
+/// it waits for the re-base of that workload (ROADMAP, first open item).
+fn forces_payload(step: u32, pair: u32, energy: f64, forces: &[[f64; 3]]) -> Vec<u8> {
+    let mut w = WireWriter::with_capacity(forces_len(forces.len()));
+    let flat: Vec<f64> = forces.iter().flat_map(|f| f.iter().copied()).collect();
+    w.u32(step).u32(pair).f64(energy).f64_slice(&flat);
+    w.finish()
+}
 
 /// Compute-cost model, calibrated in EXPERIMENTS.md so a single-PE step
 /// lands near the paper's "about 8 second\[s\]".
@@ -182,32 +230,16 @@ struct Cell {
 }
 
 impl Cell {
-    /// The coordinate payload is identical for every pair (the pair
-    /// derives which slot we are from our cell id), so it can go out
-    /// either as 27 point-to-point sends or as one section multicast.
-    fn coords_payload(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        w.u32(self.step).u32(self.id);
-        if self.cfg.compute {
-            let flat: Vec<f64> = self.atoms.pos.iter().flat_map(|p| p.iter().copied()).collect();
-            w.f64_slice(&flat).f64_slice(&self.atoms.q);
-        } else {
-            // Cost-model mode: same wire size as the real payload, so
-            // the bandwidth/contention model sees realistic traffic.
-            let n = self.cfg.atoms_per_cell;
-            w.f64_slice(&vec![0.0; 3 * n]).f64_slice(&vec![0.0; n]);
-        }
-        w.finish()
-    }
-
     fn multicast_coords(&self, ctx: &mut Ctx<'_>) {
-        let payload = self.coords_payload();
+        let atoms = self.cfg.compute.then_some(&self.atoms);
+        // One buffer, however many pairs read it.
+        let coords = Bytes::from(coords_payload(self.step, self.id, self.cfg.atoms_per_cell, atoms));
         if self.cfg.use_multicast {
             let section: Vec<ElemId> = self.memberships.iter().map(|&(pair_idx, _)| ElemId(pair_idx)).collect();
-            ctx.multicast(self.pairs_array, &section, COORDS, payload);
+            ctx.multicast(self.pairs_array, &section, COORDS, coords);
         } else {
             for &(pair_idx, _) in self.memberships.iter() {
-                ctx.send(self.pairs_array, ElemId(pair_idx), COORDS, payload.clone());
+                ctx.send(self.pairs_array, ElemId(pair_idx), COORDS, coords.clone());
             }
         }
     }
@@ -278,9 +310,7 @@ impl Chare for Cell {
                 let energy = r.f64().expect("energy");
                 assert_eq!(step, self.step, "cell {} cannot receive out-of-step forces", self.id);
                 self.energy_acc += energy;
-                let flat = r.f64_vec().expect("forces");
-                let forces: Vec<[f64; 3]> = flat.chunks_exact(3).map(|c| [c[0], c[1], c[2]]).collect();
-                let prev = self.got.insert(pair_idx, forces);
+                let prev = self.got.insert(pair_idx, r.f64_triples().expect("forces"));
                 assert!(prev.is_none(), "duplicate forces from pair {pair_idx}");
                 if self.got.len() == self.memberships.len() {
                     self.finish_step(ctx);
@@ -293,11 +323,7 @@ impl Chare for Cell {
     fn pack(&self, w: &mut WireWriter) {
         assert!(self.got.is_empty(), "cells migrate only at step boundaries");
         w.u32(self.step).f64(self.energy_acc).bool(self.done);
-        let flat: Vec<f64> = self.atoms.pos.iter().flat_map(|p| p.iter().copied()).collect();
-        w.f64_slice(&flat);
-        let flat: Vec<f64> = self.atoms.vel.iter().flat_map(|p| p.iter().copied()).collect();
-        w.f64_slice(&flat);
-        w.f64_slice(&self.atoms.q);
+        w.f64_triples(&self.atoms.pos).f64_triples(&self.atoms.vel).f64_slice(&self.atoms.q);
     }
 
     fn resume_from_sync(&mut self, ctx: &mut Ctx<'_>) {
@@ -310,16 +336,21 @@ impl Chare for Cell {
 
 // ---- cell-pair chare ------------------------------------------------------
 
-/// One cell's buffered coordinate payload: (positions, charges).
-type CellCoords = (Vec<[f64; 3]>, Vec<f64>);
-
 struct Pair {
     cfg: MdConfig,
     pair: CellPair,
     cells_array: ArrayId,
-    /// step → per-slot buffered (positions, charges).
-    buffer: BTreeMap<u32, [Option<CellCoords>; 2]>,
+    /// step → per-slot coordinate message, held as it arrived (the buffer
+    /// the cell wrote, shared with the cell's other 26 pairs) and parsed
+    /// only by the kernels.
+    buffer: BTreeMap<u32, [Option<Bytes>; 2]>,
     computed: u32,
+}
+
+/// Positions and charges out of a buffered coordinate message.
+fn parse_coords(msg: &Bytes) -> (Vec<[f64; 3]>, Vec<f64>) {
+    let mut r = WireReader::new(&msg[COORDS_HEADER_LEN..]);
+    (r.f64_triples().expect("positions"), r.f64_vec().expect("charges"))
 }
 
 impl Pair {
@@ -337,35 +368,30 @@ impl Pair {
                 + self.cfg.cost.msg_overhead * msgs,
         );
         let (fa, fb, energy) = if !self.cfg.compute {
-            // Same wire size as real force messages (see multicast_coords).
+            // Nobody reads the coordinates; the forces are zeros of the
+            // real size (see coords_payload; temporaries: forces_payload).
             (vec![[0.0; 3]; n], vec![[0.0; 3]; n], 0.0)
         } else if is_self {
-            let (pos, q) = slots[0].as_ref().expect("self-pair slot 0");
-            let (f, e) = forces_within(pos, q, &self.cfg.params);
+            let (pos, q) = parse_coords(slots[0].as_ref().expect("self-pair slot 0"));
+            let (f, e) = forces_within(&pos, &q, &self.cfg.params);
             (f, Vec::new(), e)
         } else {
-            let (pos_a, q_a) = slots[0].as_ref().expect("slot 0");
-            let (pos_b, q_b) = slots[1].as_ref().expect("slot 1");
+            let (pos_a, q_a) = parse_coords(slots[0].as_ref().expect("slot 0"));
+            let (pos_b, q_b) = parse_coords(slots[1].as_ref().expect("slot 1"));
             let shift = [
                 self.pair.shift[0] as f64 * self.cfg.cell_width,
                 self.pair.shift[1] as f64 * self.cfg.cell_width,
                 self.pair.shift[2] as f64 * self.cfg.cell_width,
             ];
-            forces_between(pos_a, q_a, pos_b, q_b, shift, &self.cfg.params)
+            forces_between(&pos_a, &q_a, &pos_b, &q_b, shift, &self.cfg.params)
         };
         self.computed += 1;
         let me = ctx.my_elem().0;
         // Forces (and the pair's energy, counted once) to cell a…
-        let mut w = WireWriter::new();
-        let flat: Vec<f64> = fa.iter().flat_map(|f| f.iter().copied()).collect();
-        w.u32(step).u32(me).f64(energy).f64_slice(&flat);
-        ctx.send(self.cells_array, ElemId(self.pair.a), FORCES, w.finish());
+        ctx.send(self.cells_array, ElemId(self.pair.a), FORCES, forces_payload(step, me, energy, &fa));
         // …and to cell b for a distinct pair.
         if !is_self {
-            let mut w = WireWriter::new();
-            let flat: Vec<f64> = fb.iter().flat_map(|f| f.iter().copied()).collect();
-            w.u32(step).u32(me).f64(0.0).f64_slice(&flat);
-            ctx.send(self.cells_array, ElemId(self.pair.b), FORCES, w.finish());
+            ctx.send(self.cells_array, ElemId(self.pair.b), FORCES, forces_payload(step, me, 0.0, &fb));
         }
         // Pairs participate in the load-balancing barrier after finishing
         // the step preceding it.
@@ -389,13 +415,14 @@ impl Chare for Pair {
         } else {
             panic!("cell {sender} sent coords to pair ({}, {})", self.pair.a, self.pair.b)
         };
-        let flat = r.f64_vec().expect("positions");
-        let q = r.f64_vec().expect("charges");
-        let pos: Vec<[f64; 3]> = flat.chunks_exact(3).map(|c| [c[0], c[1], c[2]]).collect();
+        // Checked on receipt, so a short message fails here and not at
+        // whichever later message completes the step.
+        assert_eq!(payload.len(), coords_len(self.cfg.atoms_per_cell), "coords from cell {sender}: wrong length");
         let is_self = self.is_self();
         let entry_slots = self.buffer.entry(step).or_default();
         assert!(entry_slots[slot].is_none(), "duplicate coords for slot {slot} step {step}");
-        entry_slots[slot] = Some((pos, q));
+        // Keep the message itself: a reference count, not a parsed copy.
+        entry_slots[slot] = Some(ctx.payload().clone());
         let complete =
             if is_self { entry_slots[0].is_some() } else { entry_slots[0].is_some() && entry_slots[1].is_some() };
         if complete {
@@ -456,12 +483,9 @@ fn build_program_inner(cfg: MdConfig, shared: Arc<Shared>, restored: bool) -> Pr
             cell.step = r.u32().expect("step");
             cell.energy_acc = r.f64().expect("energy");
             cell.done = r.bool().expect("done");
-            let pos = r.f64_vec().expect("pos");
-            let vel = r.f64_vec().expect("vel");
-            let q = r.f64_vec().expect("q");
-            cell.atoms.pos = pos.chunks_exact(3).map(|c| [c[0], c[1], c[2]]).collect();
-            cell.atoms.vel = vel.chunks_exact(3).map(|c| [c[0], c[1], c[2]]).collect();
-            cell.atoms.q = q;
+            cell.atoms.pos = r.f64_triples().expect("pos");
+            cell.atoms.vel = r.f64_triples().expect("vel");
+            cell.atoms.q = r.f64_vec().expect("q");
             Box::new(cell) as Box<dyn Chare>
         },
     );
@@ -808,6 +832,80 @@ mod tests {
             Some(snapshot),
         );
         assert_eq!(restored.checksums, full.checksums);
+    }
+
+    /// The payload writers as they were before they wrote at their final
+    /// size (growable writer, flattened copies, zero-filled temporaries),
+    /// kept here only as the reference the bytes are compared against.
+    fn old_coords_payload(step: u32, cell: u32, n: usize, atoms: Option<&CellAtoms>) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        w.u32(step).u32(cell);
+        match atoms {
+            Some(atoms) => {
+                let flat: Vec<f64> = atoms.pos.iter().flat_map(|p| p.iter().copied()).collect();
+                w.f64_slice(&flat).f64_slice(&atoms.q);
+            }
+            None => {
+                w.f64_slice(&vec![0.0; 3 * n]).f64_slice(&vec![0.0; n]);
+            }
+        }
+        w.finish()
+    }
+
+    fn old_forces_payload(step: u32, pair: u32, energy: f64, forces: &[[f64; 3]]) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        let flat: Vec<f64> = forces.iter().flat_map(|f| f.iter().copied()).collect();
+        w.u32(step).u32(pair).f64(energy).f64_slice(&flat);
+        w.finish()
+    }
+
+    #[test]
+    fn payloads_are_the_old_bytes_in_one_exact_allocation() {
+        let n = 140;
+        let atoms = CellAtoms::init(CellGrid::paper(), 17, n, 1.0, 42);
+        for atoms in [Some(&atoms), None] {
+            let coords = coords_payload(3, 17, n, atoms);
+            assert_eq!(coords, old_coords_payload(3, 17, n, atoms));
+            assert_eq!((coords.len(), coords.capacity()), (coords_len(n), coords_len(n)));
+        }
+        for forces in [&atoms.vel, &vec![[0.0; 3]; n]] {
+            let msg = forces_payload(3, 99, -1.25, forces);
+            assert_eq!(msg, old_forces_payload(3, 99, -1.25, forces));
+            assert_eq!((msg.len(), msg.capacity()), (forces_len(n), forces_len(n)));
+        }
+        // What a pair reads back out of the message it kept.
+        let msg = Bytes::from(coords_payload(3, 17, n, Some(&atoms)));
+        assert_eq!(parse_coords(&msg), (atoms.pos.clone(), atoms.q.clone()));
+    }
+
+    /// One coordinate message to a pair that needs two, so the pair only
+    /// buffers it: whole, the run drains quietly; eight bytes short, the
+    /// pair refuses it on receipt (a handler panic ends a run without a
+    /// failure plan in `NoFailurePlan`).  In cost-model mode nothing parses
+    /// the body later, so the length check is the only guard there is.
+    #[test]
+    fn truncated_coords_panic_the_pair_on_receipt() {
+        use mdo_netsim::{Pe, UnrecoverableError};
+        let run = |cut: usize| {
+            let cfg = MdConfig::paper(1);
+            let pairs = cfg.grid.pairs();
+            let (idx, pair) = pairs.iter().enumerate().find(|(_, p)| p.a != p.b).expect("a distinct pair");
+            let (idx, pair, n) = (ElemId(idx as u32), *pair, cfg.atoms_per_cell);
+            let mut p = Program::new();
+            let arr = p.array("md-pairs", pairs.len(), Mapping::Block, move |elem| {
+                let pair = pairs[elem.index()];
+                Box::new(Pair { cfg: cfg.clone(), pair, cells_array: ArrayId(9), buffer: BTreeMap::new(), computed: 0 })
+                    as Box<dyn Chare>
+            });
+            p.on_startup(move |ctl| {
+                let mut coords = coords_payload(0, pair.a, n, None);
+                coords.truncate(coords_len(n) - cut);
+                ctl.send(arr, idx, COORDS, coords);
+            });
+            SimEngine::new(NetworkModel::two_cluster_sweep(2, Dur::ZERO), RunConfig::default()).run(p).unrecoverable
+        };
+        assert_eq!(run(0), None);
+        assert_eq!(run(8), Some(UnrecoverableError::NoFailurePlan { pe: Pe(0) }));
     }
 
     #[test]

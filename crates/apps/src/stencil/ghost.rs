@@ -20,6 +20,7 @@ use mdo_core::envelope::ReduceData;
 use mdo_core::ids::{ElemId, EntryId};
 use mdo_core::prelude::{WireReader, WireWriter};
 use mdo_core::program::{Program, RunConfig};
+use mdo_core::wire::f64_array_len;
 use mdo_core::{Mapping, SimEngine};
 use mdo_netsim::network::NetworkModel;
 use mdo_netsim::Time;
@@ -132,18 +133,19 @@ impl GhostBlock {
         (0..8).filter(|&d| self.neighbor(d).is_some()).count()
     }
 
+    /// Values in the strip facing direction `d`.
+    fn strip_len(&self, d: usize) -> usize {
+        let (b, g) = (self.cfg.block(), self.cfg.layers);
+        let (dr, dc) = DIRS[d];
+        (if dr == 0 { b } else { g }) * (if dc == 0 { b } else { g })
+    }
+
     /// My interior strip adjacent to direction `d`: the data the neighbour
-    /// needs as its halo.  Row-major within the strip.
+    /// needs as its halo.  Row-major within the strip.  Real-kernel mode
+    /// only.
     fn strip(&self, d: usize) -> Vec<f64> {
         let b = self.cfg.block();
         let g = self.cfg.layers;
-        if !self.cfg.compute {
-            // Match the real strip's wire size (see the plain stencil).
-            let (dr, dc) = DIRS[d];
-            let rows = if dr == 0 { b } else { g };
-            let cols = if dc == 0 { b } else { g };
-            return vec![0.0; rows * cols];
-        }
         let w = b + 2 * g;
         let (dr, dc) = DIRS[d];
         let rows = if dr == 0 {
@@ -217,9 +219,15 @@ impl GhostBlock {
                     7 => 4,
                     _ => unreachable!(),
                 };
-                let mut w = WireWriter::new();
+                let len = self.strip_len(d);
+                let mut w = WireWriter::with_capacity(1 + 4 + f64_array_len(len));
                 w.u8(opp as u8).u32(self.round);
-                w.f64_slice(&self.strip(d));
+                if self.cfg.compute {
+                    w.f64_slice(&self.strip(d));
+                } else {
+                    // Match the real strip's wire size (see the plain stencil).
+                    w.f64_zeros(len);
+                }
                 ctx.send(me.array, n, HALO, w.finish());
             }
         }

@@ -28,6 +28,7 @@ use mdo_core::envelope::ReduceData;
 use mdo_core::ids::{ArrayId, ElemId, EntryId};
 use mdo_core::prelude::{WireReader, WireWriter};
 use mdo_core::program::{Program, RunConfig, RunReport};
+use mdo_core::wire::f64_array_len;
 use mdo_core::{Mapping, SimEngine, ThreadedConfig, ThreadedEngine};
 use mdo_netsim::network::NetworkModel;
 use mdo_netsim::{Dur, LatencyMatrix, Time, Topology};
@@ -42,6 +43,19 @@ const UP: u8 = 0;
 const DOWN: u8 = 1;
 const LEFT: u8 = 2;
 const RIGHT: u8 = 3;
+
+/// One ghost message: the receiver's slot, the step, and `b` edge values.
+/// `edge` is `None` in cost-model mode: a zero edge of the real size, so
+/// wire sizes (and thus the bandwidth model) match the computing runs.
+fn ghost_payload(slot: u8, step: u32, b: usize, edge: Option<&[f64]>) -> Vec<u8> {
+    let mut w = WireWriter::with_capacity(1 + 4 + f64_array_len(b));
+    w.u8(slot).u32(step);
+    match edge {
+        Some(edge) => w.f64_slice(edge),
+        None => w.f64_zeros(b),
+    };
+    w.finish()
+}
 
 /// Compute-cost model for the simulation engine, calibrated in
 /// EXPERIMENTS.md against the paper's Itanium-2 numbers.
@@ -241,14 +255,9 @@ impl Block {
     }
 
     /// My edge cells facing `slot` (what the neighbour in that direction
-    /// needs as its ghost row/column).
+    /// needs as its ghost row/column).  Real-kernel mode only.
     fn edge(&self, slot: u8) -> Vec<f64> {
         let b = self.cfg.block();
-        if !self.cfg.compute {
-            // Cost-model mode: a zero edge of the real size, so wire sizes
-            // (and thus the bandwidth model) match the computing runs.
-            return vec![0.0; b];
-        }
         let w = b + 2;
         match slot {
             UP => (1..=b).map(|c| self.grid[w + c]).collect(),
@@ -274,10 +283,9 @@ impl Block {
         let me = ctx.me();
         for slot in 0..4u8 {
             if let Some(n) = self.neighbor(slot) {
-                let mut w = WireWriter::new();
-                w.u8(Self::opposite(slot)).u32(self.step);
-                w.f64_slice(&self.edge(slot));
-                ctx.send(me.array, n, GHOST, w.finish());
+                let edge = self.cfg.compute.then(|| self.edge(slot));
+                let ghost = ghost_payload(Self::opposite(slot), self.step, self.cfg.block(), edge.as_deref());
+                ctx.send(me.array, n, GHOST, ghost);
             }
         }
     }
@@ -537,6 +545,23 @@ pub fn run_threaded_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The ghost message is the bytes it always was — growable writer,
+    /// zero-filled temporary in cost-model mode (the old sequence, kept
+    /// here only as the reference) — in one allocation of its exact size.
+    #[test]
+    fn ghost_payload_is_the_old_bytes_in_one_exact_allocation() {
+        let b = 64;
+        let edge: Vec<f64> = (0..b).map(|i| i as f64 * 0.5 - 3.0).collect();
+        for edge in [Some(&edge[..]), None] {
+            let mut old = WireWriter::new();
+            old.u8(DOWN).u32(11);
+            old.f64_slice(&edge.map_or_else(|| vec![0.0; b], <[f64]>::to_vec));
+            let new = ghost_payload(DOWN, 11, b, edge);
+            assert_eq!(new, old.finish());
+            assert_eq!(new.capacity(), new.len());
+        }
+    }
 
     fn small(objects: usize, steps: u32, mesh: usize) -> StencilConfig {
         StencilConfig {

@@ -78,14 +78,25 @@ pub struct Ctx<'a> {
     pub(crate) topo: &'a Topology,
     /// `None` inside host callbacks, `Some` inside element handlers.
     pub(crate) me: Option<ObjKey>,
+    /// The message being delivered ([`NO_PAYLOAD`] where there is none).
+    pub(crate) payload: &'a Bytes,
     pub(crate) sink: &'a mut CtxSink,
 }
+
+/// What [`Ctx::payload`] returns outside a message delivery: host
+/// callbacks and [`Chare::resume_from_sync`].
+pub(crate) static NO_PAYLOAD: Bytes = Bytes::new();
 
 /// Host callbacks (program startup, reduction clients, quiescence clients)
 /// receive the same context type; the element-only operations panic there.
 pub type HostCtl<'a> = Ctx<'a>;
 
 impl<'a> Ctx<'a> {
+    /// The context of a host callback: no element, no message.
+    pub(crate) fn host(now: Time, pe: Pe, topo: &'a Topology, sink: &'a mut CtxSink) -> Self {
+        Ctx { now, pe, topo, me: None, payload: &NO_PAYLOAD, sink }
+    }
+
     /// Current time: virtual under the simulation engine, wall-clock since
     /// start under the threaded engine.
     pub fn now(&self) -> Time {
@@ -122,49 +133,64 @@ impl<'a> Ctx<'a> {
         self.me().elem
     }
 
+    /// The message being delivered to this handler: the same bytes as
+    /// `receive`'s `payload` argument, as the refcounted buffer they live
+    /// in.  Clone it (a reference count, no copy) to keep the message past
+    /// the handler's return, or to forward it; every recipient of one
+    /// fan-out on this PE sees the same allocation.  Empty in host
+    /// callbacks and in [`Chare::resume_from_sync`].
+    pub fn payload(&self) -> &Bytes {
+        self.payload
+    }
+
     /// Send `payload` to `elem` of `array`, triggering `entry` there.
     /// Asynchronous: the message leaves after this handler completes.
-    pub fn send(&mut self, array: ArrayId, elem: ElemId, entry: EntryId, payload: Vec<u8>) {
-        let at_charge = self.sink.charged;
-        self.sink.out.push(CtxOut::Send {
-            target: ObjKey::new(array, elem),
-            entry,
-            payload: Bytes::from(payload),
-            priority: None,
-            at_charge,
-        });
+    ///
+    /// A `Vec<u8>` becomes the message's buffer without a copy.  To send
+    /// the same bytes to several elements, convert once (`Bytes::from`, or
+    /// [`WireWriter::finish_bytes`]) and pass clones: the recipients share
+    /// that one allocation, as [`Ctx::multicast`]'s do.
+    pub fn send(&mut self, array: ArrayId, elem: ElemId, entry: EntryId, payload: impl Into<Bytes>) {
+        self.push_send(array, elem, entry, payload.into(), None);
     }
 
     /// Like [`Ctx::send`] with an explicit priority (smaller = more urgent).
-    pub fn send_prio(&mut self, array: ArrayId, elem: ElemId, entry: EntryId, payload: Vec<u8>, priority: i32) {
-        let at_charge = self.sink.charged;
-        self.sink.out.push(CtxOut::Send {
-            target: ObjKey::new(array, elem),
-            entry,
-            payload: Bytes::from(payload),
-            priority: Some(priority),
-            at_charge,
-        });
+    pub fn send_prio(
+        &mut self,
+        array: ArrayId,
+        elem: ElemId,
+        entry: EntryId,
+        payload: impl Into<Bytes>,
+        priority: i32,
+    ) {
+        self.push_send(array, elem, entry, payload.into(), Some(priority));
     }
 
-    /// Trigger `entry` with `payload` on **every** element of `array`
-    /// (delivered via the PE spanning tree).
-    pub fn broadcast(&mut self, array: ArrayId, entry: EntryId, payload: Vec<u8>) {
+    fn push_send(&mut self, array: ArrayId, elem: ElemId, entry: EntryId, payload: Bytes, priority: Option<i32>) {
         let at_charge = self.sink.charged;
-        self.sink.out.push(CtxOut::Broadcast { array, entry, payload: Bytes::from(payload), at_charge });
+        self.sink.out.push(CtxOut::Send { target: ObjKey::new(array, elem), entry, payload, priority, at_charge });
+    }
+
+    /// Trigger `entry` with one shared `payload` on **every** element of
+    /// `array` (delivered via the PE spanning tree).
+    pub fn broadcast(&mut self, array: ArrayId, entry: EntryId, payload: impl Into<Bytes>) {
+        let at_charge = self.sink.charged;
+        self.sink.out.push(CtxOut::Broadcast { array, entry, payload: payload.into(), at_charge });
     }
 
     /// Section multicast: trigger `entry` with one shared `payload` on the
     /// listed elements of `array`.  The runtime groups destinations by PE
     /// so the payload crosses the network once per PE rather than once per
     /// element — the optimized multicast LeanMD's coordinate fan-out wants.
-    pub fn multicast(&mut self, array: ArrayId, elems: &[ElemId], entry: EntryId, payload: Vec<u8>) {
+    /// (Sharing the buffer is not what sets it apart: clones of one `Bytes`
+    /// passed to [`Ctx::send`] share theirs too.  The grouping is.)
+    pub fn multicast(&mut self, array: ArrayId, elems: &[ElemId], entry: EntryId, payload: impl Into<Bytes>) {
         let at_charge = self.sink.charged;
         self.sink.out.push(CtxOut::Multicast {
             array,
             elems: elems.to_vec(),
             entry,
-            payload: Bytes::from(payload),
+            payload: payload.into(),
             at_charge,
         });
     }
@@ -241,6 +267,12 @@ impl<'a> Ctx<'a> {
 /// moves objects between them.
 pub trait Chare: Send {
     /// Handle one message.  Runs to completion; communicate only via `ctx`.
+    ///
+    /// `payload` is a view of [`Ctx::payload`], the refcounted buffer the
+    /// message arrived in, and is gone when the handler returns.  A handler
+    /// that must hold a message until another arrives keeps
+    /// `ctx.payload().clone()` — a reference count — rather than parsing
+    /// the slice into a copy of its own.
     fn receive(&mut self, entry: EntryId, payload: &[u8], ctx: &mut Ctx<'_>);
 
     /// Serialize this object's state for migration (Charm++ "PUP").
@@ -270,7 +302,7 @@ mod tests {
     }
 
     fn mk_ctx<'a>(topo: &'a Topology, sink: &'a mut CtxSink, me: Option<ObjKey>) -> Ctx<'a> {
-        Ctx { now: Time::from_nanos(5), pe: Pe(1), topo, me, sink }
+        Ctx { now: Time::from_nanos(5), pe: Pe(1), topo, me, payload: &NO_PAYLOAD, sink }
     }
 
     #[test]

@@ -113,6 +113,7 @@ pub mod prelude {
     pub use crate::mapping::Mapping;
     pub use crate::program::{Program, RunConfig, RunReport};
     pub use crate::wire::{WireReader, WireWriter};
+    pub use bytes::Bytes;
     pub use mdo_netsim::{
         AggConfig, ClusterId, CrashSpec, CrashTrigger, Dur, FailureCause, FailurePlan, JoinPlan, JoinSpec, JoinTrigger,
         Pe, PeFailed, SpanTree, Time, Topology, TreeConfig, UnrecoverableError,

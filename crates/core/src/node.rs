@@ -22,7 +22,7 @@ use mdo_netsim::{Dur, Pe, SpanTree, Time, Topology};
 
 use crate::array::{petree, ArrayLocal, ArraySpec};
 use crate::balancer::{run_strategy, LbInput, ObjMeasurement, Strategy};
-use crate::chare::{Chare, Ctx, CtxOut, CtxSink};
+use crate::chare::{Chare, Ctx, CtxOut, CtxSink, NO_PAYLOAD};
 use crate::checkpoint::{CkptAssembly, FtPiece};
 use crate::envelope::{Envelope, LbObjStat, MsgBody, ReduceData, APP_PRIORITY, SYSTEM_PRIORITY};
 use crate::ids::{ArrayId, EntryId, ObjKey};
@@ -479,8 +479,7 @@ impl Node {
                     let shared = Arc::clone(&self.shared);
                     let mut sink = CtxSink::default();
                     if let Some(client) = self.host.checkpoint_client.as_mut() {
-                        let mut ctx =
-                            Ctx { now: hooks.now(), pe: self.pe, topo: &shared.topo, me: None, sink: &mut sink };
+                        let mut ctx = Ctx::host(hooks.now(), self.pe, &shared.topo, &mut sink);
                         client(&snapshot, &mut ctx);
                     }
                     self.process_sink(None, sink, hooks, &mut outcome);
@@ -516,8 +515,7 @@ impl Node {
                     let shared = Arc::clone(&self.shared);
                     let mut sink = CtxSink::default();
                     {
-                        let mut ctx =
-                            Ctx { now: hooks.now(), pe: self.pe, topo: &shared.topo, me: None, sink: &mut sink };
+                        let mut ctx = Ctx::host(hooks.now(), self.pe, &shared.topo, &mut sink);
                         startup(&mut ctx);
                     }
                     self.process_sink(None, sink, hooks, &mut outcome);
@@ -605,8 +603,14 @@ impl Node {
     ) {
         if let Some(chare) = self.elems.get_mut(&target) {
             let mut sink = CtxSink::default();
-            let mut ctx =
-                Ctx { now: hooks.now(), pe: self.pe, topo: &self.shared.topo, me: Some(target), sink: &mut sink };
+            let mut ctx = Ctx {
+                now: hooks.now(),
+                pe: self.pe,
+                topo: &self.shared.topo,
+                me: Some(target),
+                payload: &payload,
+                sink: &mut sink,
+            };
             chare.receive(entry, &payload, &mut ctx);
             self.process_sink(Some(target), sink, hooks, outcome);
             return;
@@ -877,7 +881,7 @@ impl Node {
         let shared = Arc::clone(&self.shared);
         let mut sink = CtxSink::default();
         if let Some(client) = self.host.reduction_clients.get_mut(&array) {
-            let mut ctx = Ctx { now: hooks.now(), pe: self.pe, topo: &shared.topo, me: None, sink: &mut sink };
+            let mut ctx = Ctx::host(hooks.now(), self.pe, &shared.topo, &mut sink);
             client(seq, &data, &mut ctx);
         }
         self.process_sink(None, sink, hooks, outcome);
@@ -1077,8 +1081,14 @@ impl Node {
         for key in keys {
             let chare = self.elems.get_mut(&key).expect("local element");
             let mut sink = CtxSink::default();
-            let mut ctx =
-                Ctx { now: hooks.now(), pe: self.pe, topo: &self.shared.topo, me: Some(key), sink: &mut sink };
+            let mut ctx = Ctx {
+                now: hooks.now(),
+                pe: self.pe,
+                topo: &self.shared.topo,
+                me: Some(key),
+                payload: &NO_PAYLOAD,
+                sink: &mut sink,
+            };
             chare.resume_from_sync(&mut ctx);
             self.process_sink(Some(key), sink, hooks, outcome);
         }
@@ -1172,7 +1182,7 @@ impl Node {
             let shared = Arc::clone(&self.shared);
             let mut sink = CtxSink::default();
             if let Some(client) = self.host.quiescence_client.as_mut() {
-                let mut ctx = Ctx { now: hooks.now(), pe: self.pe, topo: &shared.topo, me: None, sink: &mut sink };
+                let mut ctx = Ctx::host(hooks.now(), self.pe, &shared.topo, &mut sink);
                 client(&mut ctx);
             } else {
                 // No client: quiescence simply ends the run.
@@ -1865,5 +1875,44 @@ mod tests {
         assert_eq!(fwd.priority, -3, "priority preserved across forwarding");
         assert!(matches!(&fwd.body, MsgBody::App { target, .. }
             if *target == ObjKey::new(ArrayId(0), crate::ids::ElemId(1))));
+    }
+
+    /// A forwarded message arrives as the buffer it left in: the handler's
+    /// slice is a view of `Ctx::payload()`, and that is the sender's
+    /// allocation (in one address space), not a copy made on the way.
+    #[test]
+    fn forwarded_message_is_delivered_as_the_buffer_it_was_sent_in() {
+        static SEEN_AT: AtomicU64 = AtomicU64::new(0);
+        struct Keeper;
+        impl Chare for Keeper {
+            fn receive(&mut self, _e: EntryId, payload: &[u8], ctx: &mut Ctx<'_>) {
+                assert_eq!(payload, b"kept");
+                assert_eq!(ctx.payload().as_ptr(), payload.as_ptr(), "the slice is a view of Ctx::payload()");
+                assert_eq!(ctx.payload().len(), payload.len());
+                SEEN_AT.store(payload.as_ptr() as u64, Ordering::SeqCst);
+            }
+        }
+        let mut p = Program::new();
+        let _ = p.array("a", 2, Mapping::Block, |_| Box::new(Keeper) as Box<dyn Chare>);
+        let mut nodes = build_nodes(Topology::two_cluster(2), p, RunConfig::default());
+        let mut hooks = FifoHooks { out: Vec::new() };
+        let sent = Bytes::from(b"kept".to_vec());
+        // Stale destination: element 1 lives on PE 1, the message goes to PE 0.
+        let stale = Envelope {
+            src: Pe(1),
+            dst: Pe(0),
+            priority: 0,
+            sent_at_ns: 0,
+            body: MsgBody::App {
+                target: ObjKey::new(ArrayId(0), crate::ids::ElemId(1)),
+                entry: BUMP,
+                payload: sent.clone(),
+            },
+        };
+        nodes[0].handle(stale, &mut hooks);
+        let fwd = hooks.out.pop().expect("forwarded");
+        assert_eq!(fwd.dst, Pe(1));
+        nodes[1].handle(fwd, &mut hooks);
+        assert_eq!(SEEN_AT.load(Ordering::SeqCst), sent.as_ptr() as u64);
     }
 }

@@ -6,6 +6,15 @@
 //! that message contents and PUP'd state are observable byte strings, which
 //! the tests exploit heavily.  (We use this instead of `serde` so the
 //! runtime has zero codegen magic; see DESIGN.md.)
+//!
+//! **Allocation rule.**  A payload is written once, at its final size:
+//! every array method ([`WireWriter::bytes`], [`WireWriter::f64_slice`],
+//! [`WireWriter::f64_triples`], [`WireWriter::f64_zeros`],
+//! [`WireWriter::u32_slice`]) reserves its whole extent before it writes a
+//! byte, and a writer whose payload is larger than a cache line starts from
+//! [`WireWriter::with_capacity`] with the exact length ([`f64_array_len`]
+//! gives an array's) — so the buffer the handler fills is the buffer every
+//! recipient reads (DESIGN.md, "Payload ownership").
 
 use bytes::Bytes;
 
@@ -21,7 +30,9 @@ impl WireWriter {
         WireWriter::default()
     }
 
-    /// A writer with pre-reserved capacity.
+    /// A writer with pre-reserved capacity.  Given the payload's exact
+    /// length (see [`f64_array_len`]), the buffer is allocated once and
+    /// [`WireWriter::finish`] hands back a vector with no slack.
     pub fn with_capacity(cap: usize) -> Self {
         WireWriter { buf: Vec::with_capacity(cap) }
     }
@@ -52,6 +63,19 @@ impl WireWriter {
     /// True if nothing written.
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
+    }
+
+    /// Bytes the buffer can hold without reallocating.
+    pub fn capacity(&self) -> usize {
+        self.buf.capacity()
+    }
+
+    /// Write a `u32` element count and reserve the `elem_size`-byte
+    /// elements that follow it, so the array lands in one allocation.
+    fn reserve_counted(&mut self, n: usize, elem_size: usize) {
+        let count = u32::try_from(n).expect("slice too large for wire format");
+        self.buf.reserve(4 + n * elem_size);
+        self.u32(count);
     }
 
     /// Append a `u8`.
@@ -108,7 +132,7 @@ impl WireWriter {
 
     /// Append raw bytes with a `u32` length prefix.
     pub fn bytes(&mut self, v: &[u8]) -> &mut Self {
-        self.u32(u32::try_from(v.len()).expect("buffer too large for wire format"));
+        self.reserve_counted(v.len(), 1);
         self.buf.extend_from_slice(v);
         self
     }
@@ -120,21 +144,49 @@ impl WireWriter {
 
     /// Append a slice of `f64` with a `u32` count prefix.
     pub fn f64_slice(&mut self, v: &[f64]) -> &mut Self {
-        self.u32(u32::try_from(v.len()).expect("slice too large for wire format"));
+        self.reserve_counted(v.len(), 8);
         for &x in v {
             self.buf.extend_from_slice(&x.to_le_bytes());
         }
         self
     }
 
+    /// Append a slice of `[x, y, z]` triples, byte for byte what
+    /// [`WireWriter::f64_slice`] writes for the flattened `3 · len` values
+    /// (the count prefix is the number of `f64`s, not of triples), without
+    /// the flattened copy.
+    pub fn f64_triples(&mut self, v: &[[f64; 3]]) -> &mut Self {
+        self.reserve_counted(v.len() * 3, 8);
+        for &x in v.iter().flatten() {
+            self.buf.extend_from_slice(&x.to_le_bytes());
+        }
+        self
+    }
+
+    /// Append `n` zero `f64`s, byte for byte `f64_slice(&vec![0.0; n])`
+    /// without the vector: what a cost-model payload of the real size is.
+    pub fn f64_zeros(&mut self, n: usize) -> &mut Self {
+        self.reserve_counted(n, 8);
+        self.buf.resize(self.buf.len() + n * 8, 0);
+        self
+    }
+
     /// Append a slice of `u32` with a `u32` count prefix.
     pub fn u32_slice(&mut self, v: &[u32]) -> &mut Self {
-        self.u32(u32::try_from(v.len()).expect("slice too large for wire format"));
+        self.reserve_counted(v.len(), 4);
         for &x in v {
             self.buf.extend_from_slice(&x.to_le_bytes());
         }
         self
     }
+}
+
+/// Encoded length of a count-prefixed array of `n` `f64`s — what
+/// [`WireWriter::f64_slice`], [`WireWriter::f64_zeros`] and (for `n / 3`
+/// triples) [`WireWriter::f64_triples`] append.  For sizing
+/// [`WireWriter::with_capacity`] exactly.
+pub const fn f64_array_len(n: usize) -> usize {
+    4 + 8 * n
 }
 
 /// Deserialization error: ran out of bytes or malformed content.
@@ -262,6 +314,21 @@ impl<'a> WireReader<'a> {
         Ok(raw.chunks_exact(8).map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes"))).collect())
     }
 
+    /// Read a count-prefixed `f64` array as `[x, y, z]` triples, in one
+    /// allocation (the inverse of [`WireWriter::f64_triples`]; also reads
+    /// what `f64_slice` wrote for a flattened array).  Same hostile-input
+    /// rules as [`WireReader::f64_vec`] — the body must be present before
+    /// anything is allocated for it — and the count must be a multiple of 3.
+    pub fn f64_triples(&mut self) -> Result<Vec<[f64; 3]>, WireError> {
+        let n = self.u32()? as usize;
+        if !n.is_multiple_of(3) {
+            return Err(WireError { context: "f64 triples count" });
+        }
+        let raw = self.take(n.checked_mul(8).ok_or(WireError { context: "f64 triples size" })?, "f64 triples body")?;
+        let f = |c: &[u8]| f64::from_le_bytes(c.try_into().expect("8 bytes"));
+        Ok(raw.chunks_exact(24).map(|t| [f(&t[..8]), f(&t[8..16]), f(&t[16..])]).collect())
+    }
+
     /// Read a count-prefixed `u32` vector.
     pub fn u32_vec(&mut self) -> Result<Vec<u32>, WireError> {
         let n = self.u32()? as usize;
@@ -330,6 +397,64 @@ mod tests {
         let buf = w.finish();
         let mut r = WireReader::new(&buf);
         assert!(r.f64_vec().is_err());
+    }
+
+    #[test]
+    fn triples_and_zeros_are_f64_slice_byte_for_byte() {
+        let triples = [[1.0, -2.5, f64::MIN_POSITIVE], [0.0, -0.0, f64::INFINITY]];
+        let flat: Vec<f64> = triples.iter().flatten().copied().collect();
+        let (mut old, mut new) = (WireWriter::new(), WireWriter::new());
+        old.f64_slice(&flat).f64_slice(&[0.0; 7]);
+        new.f64_triples(&triples).f64_zeros(7);
+        let buf = new.finish();
+        assert_eq!(buf, old.finish());
+        let mut r = WireReader::new(&buf);
+        let back = r.f64_triples().unwrap();
+        assert_eq!(back.len(), 2);
+        for (got, want) in back.iter().flatten().zip(&flat) {
+            assert_eq!(got.to_bits(), want.to_bits());
+        }
+        assert_eq!(r.f64_vec().unwrap(), vec![0.0; 7]);
+        assert!(r.is_done());
+    }
+
+    #[test]
+    fn array_methods_reserve_once() {
+        // One growth step from empty to the array's exact extent; the old
+        // element-at-a-time append ended in the next power of two.
+        let fill: [fn(&mut WireWriter) -> &mut WireWriter; 5] = [
+            |w| w.bytes(&[7; 100]),
+            |w| w.f64_slice(&[1.5; 423]),
+            |w| w.f64_triples(&[[1.5; 3]; 141]),
+            |w| w.f64_zeros(423),
+            |w| w.u32_slice(&[9; 33]),
+        ];
+        for f in fill {
+            let mut w = WireWriter::new();
+            f(&mut w);
+            assert_eq!(w.capacity(), w.len());
+        }
+        assert_eq!(f64_array_len(423), 4 + 8 * 423);
+        let mut w = WireWriter::with_capacity(f64_array_len(423));
+        let before = w.capacity();
+        w.f64_zeros(423);
+        assert_eq!((w.capacity(), w.len()), (before, before));
+    }
+
+    #[test]
+    fn triples_reader_rejects_lying_and_ragged_counts() {
+        // Claims u32::MAX f64s (a multiple of three; a 32 GiB body) and
+        // provides 16 bytes: refused before anything is allocated for it.
+        let mut w = WireWriter::new();
+        w.u32(u32::MAX).u64(0).u64(0);
+        let buf = w.finish();
+        assert_eq!(WireReader::new(&buf).f64_triples().unwrap_err().context, "f64 triples body");
+        // Four values are not triples, though `f64_vec` reads them.
+        let mut w = WireWriter::new();
+        w.f64_slice(&[1.0; 4]);
+        let buf = w.finish();
+        assert_eq!(WireReader::new(&buf).f64_triples().unwrap_err().context, "f64 triples count");
+        assert_eq!(WireReader::new(&buf).f64_vec().unwrap().len(), 4);
     }
 
     #[test]

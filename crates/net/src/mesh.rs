@@ -229,6 +229,7 @@ impl NetSession {
         // Accept from higher-numbered peers; the handshake tells us who.
         let expected = live.iter().filter(|&&j| j > me).count();
         let mut accepted = 0;
+        let mut nap = ACCEPT_POLL_FIRST;
         while accepted < expected {
             let stream = match self.listener.accept() {
                 Ok((s, _)) => s,
@@ -238,7 +239,7 @@ impl NetSession {
                             what: format!("{} of {} inbound connections at node {me}", expected - accepted, expected),
                         });
                     }
-                    std::thread::sleep(Duration::from_millis(5));
+                    back_off(&mut nap, ACCEPT_POLL_CAP);
                     continue;
                 }
                 Err(e) => return Err(TransportError::io("accept", &e)),
@@ -263,6 +264,7 @@ impl NetSession {
                 }
             }
             accepted += 1;
+            nap = ACCEPT_POLL_FIRST;
         }
 
         // Assemble pairs: split each socket into a locked write half and
@@ -300,7 +302,24 @@ impl NetSession {
     }
 }
 
+/// First and longest nap of the accept loop's poll of its non-blocking
+/// listener.  Peers of one job start within microseconds of each other, so
+/// a fixed 5 ms nap *was* the time to establish a mesh; the cap keeps an
+/// idle wait as cheap as it was.
+const ACCEPT_POLL_FIRST: Duration = Duration::from_micros(50);
+const ACCEPT_POLL_CAP: Duration = Duration::from_millis(5);
+/// The same for a dial that was refused because the peer has not bound yet.
+const DIAL_RETRY_FIRST: Duration = Duration::from_millis(1);
+const DIAL_RETRY_CAP: Duration = Duration::from_millis(25);
+
+/// Sleep `nap`, then double it up to `cap`.
+fn back_off(nap: &mut Duration, cap: Duration) {
+    std::thread::sleep(*nap);
+    *nap = (*nap * 2).min(cap);
+}
+
 fn dial(addr: SocketAddr, deadline: Instant) -> Result<TcpStream, TransportError> {
+    let mut nap = DIAL_RETRY_FIRST;
     loop {
         let remaining = deadline.saturating_duration_since(Instant::now());
         if remaining.is_zero() {
@@ -317,7 +336,7 @@ fn dial(addr: SocketAddr, deadline: Instant) -> Result<TcpStream, TransportError
                         | std::io::ErrorKind::TimedOut
                 ) =>
             {
-                std::thread::sleep(Duration::from_millis(25));
+                back_off(&mut nap, DIAL_RETRY_CAP);
             }
             Err(e) => return Err(TransportError::io(format!("connect to {addr}"), &e)),
         }

@@ -4,10 +4,11 @@
 //! and (in the differential harness) replayed schedule files — all of
 //! which can hand them garbage.  The contract is uniform: a structured
 //! error (`WireError`, `None`, `Err(String)`), never a panic, never an
-//! attacker-controlled allocation.  Four byte surfaces are fuzzed here:
-//! `Envelope::decode`, the VMI reliable-frame parser, the mdo-net
-//! length-prefixed record reader (the bytes a TCP peer actually controls),
-//! and the `schedule.json` reader used by `mdo-check --replay`.
+//! attacker-controlled allocation.  Five byte surfaces are fuzzed here:
+//! `Envelope::decode`, the payload codec's count-prefixed array readers,
+//! the VMI reliable-frame parser, the mdo-net length-prefixed record
+//! reader (the bytes a TCP peer actually controls), and the
+//! `schedule.json` reader used by `mdo-check --replay`.
 
 use gridmdo::net::record::{
     decode_control_body, decode_data_body, encode_control_record, encode_data_record, read_record, Handshake,
@@ -18,6 +19,7 @@ use gridmdo::netsim::Pe;
 use gridmdo::runtime::checkpoint::{ArraySnapshot, Snapshot};
 use gridmdo::runtime::envelope::{Envelope, MsgBody};
 use gridmdo::runtime::ids::{ArrayId, ElemId, EntryId, ObjKey};
+use gridmdo::runtime::wire::WireReader;
 use gridmdo::vmi::reliable::{
     apply_grant, decode_credit_ext, decode_frame, encode_ack, encode_ack_credit, encode_data, is_control_frame,
     CreditGrant, CreditState, GrantOutcome, CREDIT_EXT_LEN, HEADER_LEN, KIND_ACK, KIND_DATA,
@@ -71,6 +73,36 @@ proptest! {
         let truncated = &good[..cut.index(good.len() + 1)];
         if truncated.len() < good.len() {
             prop_assert!(Envelope::decode(truncated).is_err(), "truncation must be rejected");
+        }
+    }
+
+    /// Arbitrary bytes into the payload codec's array readers (what an
+    /// application handler points at a message body): a `WireError`, or
+    /// values that account for exactly the bytes consumed — never a panic,
+    /// and never more values than the input has bytes for, whatever the
+    /// count prefix claims.
+    #[test]
+    fn wire_array_readers_survive_arbitrary_bytes(buf in prop::collection::vec(any::<u8>(), 0..256),
+                                                   claim in any::<u32>()) {
+        // Once as drawn, once behind a count prefix that is free to lie.
+        let mut lying = claim.to_le_bytes().to_vec();
+        lying.extend_from_slice(&buf);
+        for input in [&buf, &lying] {
+            let mut r = WireReader::new(input);
+            if let Ok(v) = r.f64_triples() {
+                prop_assert_eq!(r.pos(), 4 + 24 * v.len());
+            }
+            let mut r = WireReader::new(input);
+            if let Ok(v) = r.f64_vec() {
+                prop_assert_eq!(r.pos(), 4 + 8 * v.len());
+            }
+            let mut r = WireReader::new(input);
+            if let Ok(v) = r.u32_vec() {
+                prop_assert_eq!(r.pos(), 4 + 4 * v.len());
+            }
+        }
+        if claim as usize * 8 > buf.len() {
+            prop_assert!(WireReader::new(&lying).f64_triples().is_err(), "a count past the input is refused");
         }
     }
 

@@ -239,6 +239,64 @@ fn a_hung_job_ends_in_deadline_exceeded_on_every_node() {
     assert!(matches!(outcomes[1], Err(NetError::Aborted { .. })), "node 1: {:?}", outcomes[1].as_ref().err());
 }
 
+/// A message that crossed the socket is delivered as the record body it
+/// arrived in: `Ctx::payload()` is what the handler's slice views, whether
+/// the message came over TCP (element 1, on node 1) or stayed on its PE.
+#[test]
+fn a_message_decoded_from_a_tcp_record_is_ctx_payload() {
+    use gridmdo::runtime::{Chare, Ctx};
+    const ECHO: EntryId = EntryId(1);
+    fn body() -> Vec<u8> {
+        (0..3380u32).map(|i| i as u8).collect()
+    }
+    struct Echo;
+    impl Chare for Echo {
+        fn receive(&mut self, _entry: EntryId, payload: &[u8], ctx: &mut Ctx<'_>) {
+            assert_eq!(payload, &body()[..], "element {:?}", ctx.my_elem());
+            assert_eq!(ctx.payload().as_ptr(), payload.as_ptr());
+            assert_eq!(ctx.payload().len(), payload.len());
+            // Kept past the handler, the message is still all there.
+            let kept = ctx.payload().clone();
+            ctx.contribute_gather(kept.to_vec());
+        }
+    }
+    let program = || {
+        let mut p = Program::new();
+        let arr = p.array("echo", 2, Mapping::Block, |_| Box::new(Echo) as Box<dyn Chare>);
+        p.on_startup(move |ctl| {
+            let shared = bytes::Bytes::from(body());
+            ctl.send(arr, ElemId(0), ECHO, shared.clone());
+            ctl.send(arr, ElemId(1), ECHO, shared);
+        });
+        p.on_reduction(arr, |_seq, data, ctl| {
+            match data {
+                gridmdo::runtime::envelope::ReduceData::Gathered(rows) => {
+                    assert_eq!(rows.len(), 2);
+                    assert!(rows.iter().all(|(_, bytes)| bytes[..] == body()[..]));
+                }
+                other => panic!("wrong reduction data {other:?}"),
+            }
+            ctl.exit();
+        });
+        p
+    };
+    let (listeners, addrs) = localhost_rendezvous(2).expect("rendezvous");
+    let topo = Topology::uniform(2, 1);
+    let mut handles = Vec::new();
+    for (node, listener) in listeners.into_iter().enumerate() {
+        let (topo, addrs) = (topo.clone(), addrs.clone());
+        handles.push(thread::spawn(move || {
+            let tcfg = ThreadedConfig::new(LatencyMatrix::uniform(&topo, Dur::ZERO, Dur::ZERO));
+            let session = NetSession::with_listener(NetConfig::new(node as u32, addrs), listener).expect("session");
+            run_with_session(topo, tcfg, RunConfig::default(), program(), session)
+        }));
+    }
+    let outcomes: Vec<_> = handles.into_iter().map(|h| h.join().expect("a handler assertion failed")).collect();
+    let report = outcomes[0].as_ref().expect("node 0 reports");
+    assert!(report.unrecoverable.is_none() && report.transport_error.is_none());
+    assert!(report.network.cross_messages >= 1, "element 1's message crossed the socket");
+}
+
 #[test]
 fn engine_rejects_a_peer_with_a_different_topology() {
     // Node 0 and node 1 disagree about the job's shape (different cluster

@@ -70,6 +70,30 @@ proptest! {
         prop_assert!(r.is_done());
     }
 
+    /// `f64_triples` and `f64_zeros` write what `f64_slice` writes for the
+    /// flattened array and for a zero vector, byte for byte, and the triple
+    /// reader gives the values back bit for bit.
+    #[test]
+    fn wire_triples_and_zeros_match_f64_slice(vals in prop::collection::vec(any::<f64>(), 0..96),
+                                              zeros in 0usize..200) {
+        let triples: Vec<[f64; 3]> = vals.chunks_exact(3).map(|c| [c[0], c[1], c[2]]).collect();
+        let flat = &vals[..triples.len() * 3];
+        let mut old = WireWriter::new();
+        old.f64_slice(flat).f64_slice(&vec![0.0; zeros]);
+        let mut new = WireWriter::new();
+        new.f64_triples(&triples).f64_zeros(zeros);
+        let buf = new.finish();
+        prop_assert_eq!(&buf, &old.finish());
+        let mut r = WireReader::new(&buf);
+        let back = r.f64_triples().unwrap();
+        prop_assert_eq!(back.len(), triples.len());
+        for (x, y) in back.iter().flatten().zip(flat) {
+            prop_assert_eq!(x.to_bits(), y.to_bits());
+        }
+        prop_assert_eq!(r.f64_vec().unwrap(), vec![0.0; zeros]);
+        prop_assert!(r.is_done());
+    }
+
     /// Envelope encode/decode is the identity on arbitrary app messages.
     #[test]
     fn envelope_roundtrip(src in 0u32..64, dst in 0u32..64, prio in any::<i32>(),
