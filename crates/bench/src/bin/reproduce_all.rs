@@ -43,7 +43,7 @@ fn main() {
         ("ablation_bsp", "ablation_bsp.txt", vec![], vec!["--steps", "4"]),
         ("ablation_ghost", "ablation_ghost.txt", vec![], vec!["--steps", "8"]),
         ("ablation_lb", "ablation_lb.txt", vec![], vec![]),
-        ("ablation_priority", "ablation_priority.txt", vec![], vec!["--steps", "4"]),
+        ("ablation_priority", "ablation_priority.txt", vec![], vec!["--steps", "4", "--skip-real"]),
         ("ablation_ampi", "ablation_ampi.txt", vec![], vec!["--steps", "4"]),
         ("ablation_md_lb", "ablation_md_lb.txt", vec![], vec!["--steps", "4"]),
         ("ablation_multicast", "ablation_multicast.txt", vec![], vec!["--steps", "2"]),

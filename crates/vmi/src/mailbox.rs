@@ -27,13 +27,28 @@
 //! sequentially-consistent counter bump — wait-free, no lock, no
 //! allocation.  [`Mailbox::post_many`] stages a whole batch in its lane and
 //! publishes it with a single tail store.  The consumer merges all lanes
-//! into the ordering structure (FIFO lane + priority heap) under the merge
-//! mutex *only when it looks for a packet*, assigning arrival sequence
-//! numbers at merge time — a valid linearization of the concurrent posts
-//! that preserves exact priority-then-FIFO order and per-sender FIFO.
+//! into the ordering structure (FIFO lane + per-priority class deques)
+//! under the merge mutex *only when it looks for a packet*; merge order is
+//! arrival order — a valid linearization of the concurrent posts that
+//! preserves exact priority-then-FIFO order and per-sender FIFO.
 //! Overflow (a full ring, more than [`MAX_LANES`] posting threads, posts
 //! from a thread whose TLS is tearing down) falls back to inserting under
 //! the merge mutex, so nothing ever spins or blocks on ring space.
+//!
+//! ## Lanes sized by traffic
+//!
+//! A lane starts at `LANE_START` = 16 slots (under 1 KiB) and doubles each
+//! time its producer finds it full, up to `LANE_CAP` = 1,024 (56 KiB): a
+//! lane that carries a step's bursts reaches the cap within seven
+//! overflows and stays there, one that carries a handful of ghosts a step
+//! or a single START never leaves 16.  Growth lives inside the overflow
+//! path.  The producer that found its ring full takes the merge lock and
+//! merges every lane, so at that instant it is the lane's only producer
+//! (lanes are per thread) *and*, by the lock, its only consumer, and the
+//! ring is empty: it publishes an empty ring of twice the capacity in its
+//! slot, frees the old one, and inserts under the lock as overflow always
+//! did.  No other thread can hold a reference to the old ring — consumers
+//! load the slot only with the lock held, and the owner is here.
 //!
 //! Wakeups are batched with a Dekker-style sleeping flag: a burst of N
 //! posts finds the consumer awake after the first signal and performs N-1
@@ -51,10 +66,9 @@
 //! never holds back and the `Shed` policy never drops.
 
 use std::cell::RefCell;
-use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering as AtOrd};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
@@ -67,8 +81,12 @@ use crate::ring::SpscRing;
 /// mailbox; later threads fall back to the (still correct) locked path.
 pub const MAX_LANES: usize = 32;
 
-/// Slots per lane ring.  A full lane overflows to the locked path instead
-/// of blocking, so this only bounds fast-path memory, not correctness.
+/// Slots a lane ring starts with; it doubles on overflow (module docs).
+const LANE_START: usize = 16;
+
+/// Slots a lane ring grows to.  A full lane overflows to the locked path
+/// instead of blocking, so this only bounds fast-path memory, not
+/// correctness.
 const LANE_CAP: usize = 1024;
 
 /// Thread-local lane marker: this thread posts to this mailbox via the
@@ -78,76 +96,90 @@ const SLOW_LANE: u32 = u32::MAX;
 
 static NEXT_MAILBOX_ID: AtomicU64 = AtomicU64::new(1);
 
+/// Entries a thread's lane cache holds before it first looks for dead ones.
+const LANE_CACHE_PRUNE: usize = 64;
+
+/// The lanes this thread has claimed, by mailbox id.  An entry must live as
+/// long as its mailbox — a thread that forgot a claim would claim a second
+/// lane and its packets could overtake each other across the two — so the
+/// cache is bounded by dropping the entries of mailboxes that are gone.
 struct LaneCache {
     last_id: u64,
     last_lane: u32,
-    entries: Vec<(u64, u32)>,
+    /// `(mailbox id, lane, the mailbox's `FastLanes::alive`)`.
+    entries: Vec<(u64, u32, Weak<()>)>,
+    /// Prune when `entries` reaches this: twice what the last prune kept,
+    /// so a thread that outlives its mailboxes holds at most twice as many
+    /// entries as there were live ones, at amortised constant cost a claim.
+    prune_at: usize,
+}
+
+impl LaneCache {
+    fn remember(&mut self, f: &FastLanes, lane: u32) {
+        if self.entries.len() >= self.prune_at {
+            self.entries.retain(|(_, _, alive)| alive.strong_count() > 0);
+            self.prune_at = (2 * self.entries.len()).max(LANE_CACHE_PRUNE);
+        }
+        self.entries.push((f.id, lane, Arc::downgrade(&f.alive)));
+    }
 }
 
 thread_local! {
-    static LANE_CACHE: RefCell<LaneCache> =
-        const { RefCell::new(LaneCache { last_id: 0, last_lane: SLOW_LANE, entries: Vec::new() }) };
+    static LANE_CACHE: RefCell<LaneCache> = const {
+        RefCell::new(LaneCache { last_id: 0, last_lane: SLOW_LANE, entries: Vec::new(), prune_at: LANE_CACHE_PRUNE })
+    };
 }
 
 /// The wait-free side of a mailbox.
+///
+/// `repr(C)`, here and on [`Mailbox`]: the field order *is* the layout.  The
+/// counters every post writes (`posted`, `bytes_posted`, `sleeping`) sit at
+/// the far end from the merge lock and the queue behind it, which the
+/// consumer writes; when the compiler chose, adding one field put them on
+/// the lock's cache line and a single poster ran at a third of its speed
+/// (`msgpath`, one sender posting singly: 6 → 2.4 M envelopes a second).
+/// The assertion below [`Mailbox`] holds the distance.
+#[repr(C)]
 struct FastLanes {
-    /// Process-unique mailbox identity for the thread-local lane cache.
-    id: u64,
-    /// Mirror of `Inner::closed` readable without the lock.
-    closed: AtomicBool,
     /// Lazily-allocated per-sender rings; slots `0..published` are live.
     lanes: [AtomicPtr<SpscRing>; MAX_LANES],
+    /// Process-unique mailbox identity for the thread-local lane cache.
+    id: u64,
     next_lane: AtomicUsize,
     published: AtomicUsize,
     /// Packets ever published to any lane (compare with `Inner::drained`).
     posted: AtomicU64,
     /// Payload bytes ever published to any lane.
     bytes_posted: AtomicU64,
-    /// True while the consumer is (about to be) blocked in `cond.wait`.
-    sleeping: AtomicBool,
     /// Condvar notifies actually sent by fast-path posters.
     signals: AtomicU64,
+    /// Mirror of `Inner::closed` readable without the lock.
+    closed: AtomicBool,
+    /// True while the consumer is (about to be) blocked in `cond.wait`.
+    sleeping: AtomicBool,
+    /// Dropped with the mailbox: how a lane cache tells its dead entries.
+    alive: Arc<()>,
 }
 
 /// Packets at this priority (the runtime's system priority) neither
 /// consume nor wait for credit and are never shed.
 pub const SHED_EXEMPT_PRIORITY: i32 = i32::MIN;
 
-struct Entry {
-    priority: i32,
-    seq: u64,
-    pkt: Packet,
-}
-
-impl PartialEq for Entry {
-    fn eq(&self, other: &Self) -> bool {
-        self.priority == other.priority && self.seq == other.seq
-    }
-}
-impl Eq for Entry {}
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Max-heap: invert so smallest (priority, seq) pops first.
-        other.priority.cmp(&self.priority).then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
 struct Inner {
-    heap: BinaryHeap<Entry>,
+    /// Mixed priorities: one FIFO per priority class, most urgent (smallest)
+    /// class first — the shape of `mdo_core`'s `SchedQueue`.  No class is
+    /// kept empty.
+    classes: BTreeMap<i32, VecDeque<Packet>>,
     /// Fast FIFO lane for the common all-equal-priority case: as long as
     /// every queued packet shares one priority, posting and taking are
-    /// deque operations with zero heap-comparison churn.  The first
-    /// mixed-priority post migrates the lane into the heap (sequence
-    /// numbers come along, so global `(priority, seq)` order is preserved).
-    /// Invariant: the heap and the lane are never both non-empty.
-    fifo: VecDeque<(u64, Packet)>,
+    /// deque operations with no map lookup.  The first mixed-priority post
+    /// moves the lane, whole, into `classes` as its class; when a single
+    /// class is left it moves back.
+    /// Invariant: `classes` and the lane are never both non-empty.
+    fifo: VecDeque<Packet>,
     fifo_priority: Option<i32>,
-    next_seq: u64,
+    /// Packets in `classes` and the lane together.
+    depth: usize,
     /// The hold lane: posted, not yet due, keyed by `(due, post order)`
     /// (see the module docs).
     held: BTreeMap<(Instant, u64), Packet>,
@@ -194,19 +226,16 @@ impl Inner {
     }
 
     fn enqueue(&mut self, pkt: Packet) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
         self.bytes += pkt.payload.len();
-        if self.heap.is_empty() && (self.fifo.is_empty() || self.fifo_priority == Some(pkt.priority)) {
+        self.depth += 1;
+        if self.classes.is_empty() && (self.fifo.is_empty() || self.fifo_priority == Some(pkt.priority)) {
             self.fifo_priority = Some(pkt.priority);
-            self.fifo.push_back((seq, pkt));
+            self.fifo.push_back(pkt);
         } else {
             if let Some(priority) = self.fifo_priority.take() {
-                for (seq, pkt) in self.fifo.drain(..) {
-                    self.heap.push(Entry { priority, seq, pkt });
-                }
+                self.classes.insert(priority, std::mem::take(&mut self.fifo));
             }
-            self.heap.push(Entry { priority: pkt.priority, seq, pkt });
+            self.classes.entry(pkt.priority).or_default().push_back(pkt);
         }
     }
 
@@ -214,30 +243,52 @@ impl Inner {
     /// inserts of the batch landed — not per-envelope, so a `post_many` of
     /// a whole unpacked jumbo frame costs one watermark update.
     fn note_watermarks(&mut self) {
-        self.max_depth = self.max_depth.max(self.depth());
+        self.max_depth = self.max_depth.max(self.depth);
         self.max_bytes = self.max_bytes.max(self.bytes);
     }
 
     fn pop(&mut self) -> Option<Packet> {
-        let pkt = if let Some((_, pkt)) = self.fifo.pop_front() { Some(pkt) } else { self.heap.pop().map(|e| e.pkt) };
-        if let Some(p) = &pkt {
-            self.bytes -= p.payload.len();
-        }
-        pkt
-    }
-
-    fn depth(&self) -> usize {
-        self.heap.len() + self.fifo.len()
+        let pkt = match self.fifo.pop_front() {
+            Some(pkt) => pkt,
+            None => {
+                let mut class = self.classes.first_entry()?;
+                let pkt = class.get_mut().pop_front().expect("no class is kept empty");
+                if class.get().is_empty() {
+                    class.remove();
+                    if self.classes.len() == 1 {
+                        // One priority again: back to the lane.
+                        let (priority, class) = self.classes.pop_first().expect("one class is left");
+                        (self.fifo_priority, self.fifo) = (Some(priority), class);
+                    }
+                }
+                pkt
+            }
+        };
+        self.bytes -= pkt.payload.len();
+        self.depth -= 1;
+        Some(pkt)
     }
 }
 
 /// A blocking priority queue of packets for one PE.
+#[repr(C)]
 pub struct Mailbox {
     inner: Mutex<Inner>,
-    cond: Condvar,
     /// Per-sender wait-free lanes.
     fast: FastLanes,
+    cond: Condvar,
 }
+
+// Whatever is added to either struct, the first counter a post writes stays
+// a cache line or more past the end of the lock and the queue it guards (see
+// `FastLanes`); the lane table between them is written once a claim or swap.
+const _: () = {
+    let lock_end = std::mem::offset_of!(Mailbox, inner) + std::mem::size_of::<Mutex<Inner>>();
+    let post_side = std::mem::offset_of!(Mailbox, fast) + std::mem::offset_of!(FastLanes, posted);
+    assert!(std::mem::offset_of!(FastLanes, posted) < std::mem::offset_of!(FastLanes, bytes_posted));
+    assert!(std::mem::offset_of!(FastLanes, posted) < std::mem::offset_of!(FastLanes, sleeping));
+    assert!(post_side >= lock_end + 64, "post counters share a cache line with the merge lock");
+};
 
 impl Default for Mailbox {
     fn default() -> Self {
@@ -249,22 +300,23 @@ impl Mailbox {
     /// An empty, open mailbox.
     pub fn new() -> Self {
         let fast = FastLanes {
-            id: NEXT_MAILBOX_ID.fetch_add(1, AtOrd::Relaxed),
-            closed: AtomicBool::new(false),
             lanes: std::array::from_fn(|_| AtomicPtr::new(std::ptr::null_mut())),
+            id: NEXT_MAILBOX_ID.fetch_add(1, AtOrd::Relaxed),
             next_lane: AtomicUsize::new(0),
             published: AtomicUsize::new(0),
             posted: AtomicU64::new(0),
             bytes_posted: AtomicU64::new(0),
-            sleeping: AtomicBool::new(false),
             signals: AtomicU64::new(0),
+            closed: AtomicBool::new(false),
+            sleeping: AtomicBool::new(false),
+            alive: Arc::new(()),
         };
         Mailbox {
             inner: Mutex::new(Inner {
-                heap: BinaryHeap::new(),
+                classes: BTreeMap::new(),
                 fifo: VecDeque::new(),
                 fifo_priority: None,
-                next_seq: 0,
+                depth: 0,
                 held: BTreeMap::new(),
                 next_held_seq: 0,
                 closed: false,
@@ -275,28 +327,29 @@ impl Mailbox {
                 bytes: 0,
                 max_bytes: 0,
             }),
-            cond: Condvar::new(),
             fast,
+            cond: Condvar::new(),
         }
     }
 
     // ---- fast-lane machinery ---------------------------------------------
 
-    /// This thread's lane ring for this mailbox, claiming one on first use.
-    /// `None` means the locked path: lanes exhausted, or TLS unavailable
-    /// (a destructor posting during thread teardown).
-    fn lane(&self, f: &FastLanes) -> Option<&SpscRing> {
+    /// This thread's lane for this mailbox — the slot that holds its ring —
+    /// claiming one on first use.  `None` means the locked path: lanes
+    /// exhausted, or TLS unavailable (a destructor posting during thread
+    /// teardown).
+    fn lane<'a>(&self, f: &'a FastLanes) -> Option<&'a AtomicPtr<SpscRing>> {
         let lane = LANE_CACHE
             .try_with(|c| {
                 let mut c = c.borrow_mut();
                 if c.last_id == f.id {
                     return c.last_lane;
                 }
-                let l = match c.entries.iter().find(|&&(id, _)| id == f.id) {
-                    Some(&(_, l)) => l,
+                let l = match c.entries.iter().find(|&&(id, _, _)| id == f.id) {
+                    Some(&(_, l, _)) => l,
                     None => {
                         let l = Self::claim_lane(f);
-                        c.entries.push((f.id, l));
+                        c.remember(f, l);
                         l
                     }
                 };
@@ -305,12 +358,16 @@ impl Mailbox {
                 l
             })
             .ok()?;
-        if lane == SLOW_LANE {
-            return None;
-        }
-        let ptr = f.lanes[lane as usize].load(AtOrd::Acquire);
+        (lane != SLOW_LANE).then(|| &f.lanes[lane as usize])
+    }
+
+    /// The ring in the calling thread's own lane.  Only that thread ever
+    /// stores to the slot after the claim, so the reference stays good until
+    /// the thread itself swaps the ring in [`Mailbox::grow_lane`].
+    fn own_ring(slot: &AtomicPtr<SpscRing>) -> &SpscRing {
+        let ptr = slot.load(AtOrd::Acquire);
         debug_assert!(!ptr.is_null());
-        Some(unsafe { &*ptr })
+        unsafe { &*ptr }
     }
 
     /// Allocate a fresh ring for the calling thread.  Rings are published
@@ -321,7 +378,7 @@ impl Mailbox {
         if idx >= MAX_LANES {
             return SLOW_LANE;
         }
-        let ring = Box::into_raw(Box::new(SpscRing::with_capacity(LANE_CAP)));
+        let ring = Box::into_raw(Box::new(SpscRing::with_capacity(LANE_START)));
         f.lanes[idx].store(ring, AtOrd::Release);
         while f.published.compare_exchange(idx, idx + 1, AtOrd::AcqRel, AtOrd::Relaxed).is_err() {
             std::hint::spin_loop();
@@ -332,25 +389,30 @@ impl Mailbox {
     /// Merge every published lane into the ordering structure.  Callers
     /// hold the merge lock, which serializes all consumers; any thread may
     /// play consumer (the owner taking, an accessor, an overflowing
-    /// poster).  Sequence numbers are assigned here, which linearizes the
+    /// poster).  Merge order is arrival order, which linearizes the
     /// concurrent posts: per-lane ring order — i.e. per-sender post order —
     /// is preserved, and priority order is restored by `Inner::insert`.
-    /// Holds that have fallen due are promoted in the same pass, so every
-    /// take path and every observer sees them.
-    fn drain_locked(&self, inner: &mut Inner) {
+    fn merge_lanes(&self, inner: &mut Inner) {
         let f = &self.fast;
-        if f.posted.load(AtOrd::SeqCst) != inner.drained {
-            let n = f.published.load(AtOrd::Acquire);
-            let (mut merged, mut merged_bytes) = (0u64, 0u64);
-            for slot in &f.lanes[..n] {
-                let ring = unsafe { &*slot.load(AtOrd::Acquire) };
-                merged += ring.consume_each(|pkt| {
-                    merged_bytes += pkt.payload.len() as u64;
-                    inner.insert(pkt);
-                });
-            }
-            inner.drained += merged;
-            inner.drained_bytes += merged_bytes;
+        let n = f.published.load(AtOrd::Acquire);
+        let (mut merged, mut merged_bytes) = (0u64, 0u64);
+        for slot in &f.lanes[..n] {
+            let ring = unsafe { &*slot.load(AtOrd::Acquire) };
+            merged += ring.consume_each(|pkt| {
+                merged_bytes += pkt.payload.len() as u64;
+                inner.insert(pkt);
+            });
+        }
+        inner.drained += merged;
+        inner.drained_bytes += merged_bytes;
+    }
+
+    /// [`Mailbox::merge_lanes`] if the counters say a lane has something,
+    /// under the same lock.  Holds that have fallen due are promoted in the
+    /// same pass, so every take path and every observer sees them.
+    fn drain_locked(&self, inner: &mut Inner) {
+        if self.fast.posted.load(AtOrd::SeqCst) != inner.drained {
+            self.merge_lanes(inner);
         }
         if !inner.held.is_empty() {
             inner.promote(Some(Instant::now()));
@@ -374,16 +436,45 @@ impl Mailbox {
         }
     }
 
-    /// Overflow path: merge the rings ourselves (freeing lane space as a
-    /// side effect), then insert under the lock.  Keeps per-sender FIFO:
-    /// our earlier ring-resident packets get their sequence numbers in the
-    /// drain, before this packet's.
-    fn post_overflow(&self, pkt: Packet) {
+    /// Empty the calling thread's full lane and replace its ring with one of
+    /// twice the capacity, up to [`LANE_CAP`].  The caller holds the merge
+    /// lock, which keeps every consumer out, and is the lane's one producer:
+    /// once merged, nobody else holds a reference to the old ring and it is
+    /// empty (module docs).  The merge is unconditional because `posted` can
+    /// equal `drained` for an instant with this thread's packets still in
+    /// their ring — another sender's batch merged before it was counted —
+    /// and both the swap and per-sender FIFO need them out first.
+    fn grow_lane(&self, slot: &AtomicPtr<SpscRing>, inner: &mut Inner) {
+        self.merge_lanes(inner);
+        let cap = Self::own_ring(slot).capacity();
+        if cap < LANE_CAP {
+            let grown = Box::into_raw(Box::new(SpscRing::with_capacity(2 * cap)));
+            let old = unsafe { Box::from_raw(slot.swap(grown, AtOrd::AcqRel)) };
+            debug_assert_eq!(old.len(), 0, "a lane is swapped only when merged empty");
+        }
+    }
+
+    /// What both overflow paths do before they insert: take the merge lock,
+    /// grow `full` (the caller's own lane, if that is what overflowed) and
+    /// merge the rings — ours first of all, so per-sender FIFO holds: our
+    /// earlier ring-resident packets are queued before the ones about to be
+    /// inserted.  `None` if the mailbox is closed.
+    fn lock_merged(&self, full: Option<&AtomicPtr<SpscRing>>) -> Option<parking_lot::MutexGuard<'_, Inner>> {
         let mut inner = self.inner.lock();
         if inner.closed {
-            return;
+            return None;
+        }
+        if let Some(slot) = full {
+            self.grow_lane(slot, &mut inner);
         }
         self.drain_locked(&mut inner);
+        Some(inner)
+    }
+
+    /// Overflow path: merge the rings ourselves (freeing lane space as a
+    /// side effect), then insert under the lock.
+    fn post_overflow(&self, pkt: Packet, full: Option<&AtomicPtr<SpscRing>>) {
+        let Some(mut inner) = self.lock_merged(full) else { return };
         inner.insert(pkt);
         inner.note_watermarks();
         drop(inner);
@@ -399,17 +490,17 @@ impl Mailbox {
         if f.closed.load(AtOrd::Acquire) {
             return;
         }
-        let Some(ring) = self.lane(f) else {
-            return self.post_overflow(pkt);
+        let Some(slot) = self.lane(f) else {
+            return self.post_overflow(pkt, None);
         };
         let bytes = pkt.payload.len() as u64;
-        match ring.produce(pkt) {
+        match Self::own_ring(slot).produce(pkt) {
             Ok(()) => {
                 f.bytes_posted.fetch_add(bytes, AtOrd::Relaxed);
                 f.posted.fetch_add(1, AtOrd::SeqCst);
                 self.wake_consumer(f);
             }
-            Err(pkt) => self.post_overflow(pkt),
+            Err(pkt) => self.post_overflow(pkt, Some(slot)),
         }
     }
 
@@ -426,10 +517,10 @@ impl Mailbox {
         if f.closed.load(AtOrd::Acquire) {
             return;
         }
-        let Some(ring) = self.lane(f) else {
-            return self.post_many_locked(pkts);
+        let Some(slot) = self.lane(f) else {
+            return self.post_many_locked(pkts, None);
         };
-        let mut writer = ring.batch();
+        let mut writer = Self::own_ring(slot).batch();
         let mut bytes = 0u64;
         let mut overflow: Option<Packet> = None;
         let mut rest = pkts.into_iter();
@@ -452,18 +543,14 @@ impl Mailbox {
         }
         // Ring filled mid-batch: publish what fit, then finish through
         // the merge lock (which drains the rings first, preserving
-        // order).
+        // order, and grows ours).
         if let Some(pkt) = overflow {
-            self.post_many_locked(std::iter::once(pkt).chain(rest));
+            self.post_many_locked(std::iter::once(pkt).chain(rest), Some(slot));
         }
     }
 
-    fn post_many_locked<I: IntoIterator<Item = Packet>>(&self, pkts: I) {
-        let mut inner = self.inner.lock();
-        if inner.closed {
-            return;
-        }
-        self.drain_locked(&mut inner);
+    fn post_many_locked<I: IntoIterator<Item = Packet>>(&self, pkts: I, full: Option<&AtomicPtr<SpscRing>>) {
+        let Some(mut inner) = self.lock_merged(full) else { return };
         let mut any = false;
         for pkt in pkts {
             inner.insert(pkt);
@@ -597,7 +684,7 @@ impl Mailbox {
     /// merged by the consumer) or held for their `due`.
     pub fn len(&self) -> usize {
         let inner = self.observe();
-        inner.depth() + inner.held.len()
+        inner.depth + inner.held.len()
     }
 
     /// True if no packets are queued.
@@ -751,7 +838,7 @@ mod tests {
         mb.post(pkt(4, 1));
         mb.post(pkt(4, 2));
         mb.post(pkt(4, 3));
-        // A different priority forces migration into the heap mid-stream.
+        // A different priority moves the lane into the class deques mid-stream.
         mb.post(pkt(-1, 4));
         mb.post(pkt(4, 5));
         let order: Vec<u8> = (0..5).map(|_| mb.take().unwrap().payload[0]).collect();
@@ -864,6 +951,82 @@ mod tests {
             let pkt = mb.take().unwrap();
             assert_eq!(u32::from_le_bytes(pkt.payload[..4].try_into().unwrap()), i);
         }
+    }
+
+    /// The ring in this thread's lane of `mb`, which is lane 0 in a test
+    /// that posts from one thread.
+    fn lane0(mb: &Mailbox) -> &SpscRing {
+        Mailbox::own_ring(&mb.fast.lanes[0])
+    }
+
+    #[test]
+    fn a_lane_doubles_from_16_slots_to_the_cap_and_is_empty_at_every_swap() {
+        let mb = Mailbox::new();
+        let mut caps = Vec::new();
+        for i in 0..3 * LANE_CAP as u32 {
+            mb.post(Packet::new(Pe(0), Pe(0), Bytes::from(i.to_le_bytes().to_vec())));
+            let ring = lane0(&mb);
+            if caps.last() != Some(&ring.capacity()) {
+                caps.push(ring.capacity());
+                if caps.len() > 1 {
+                    // Just swapped: everything posted so far was merged out of
+                    // the old ring before it was freed, the post that overflowed
+                    // went in under the lock, and the new ring starts empty.
+                    assert_eq!(ring.len(), 0);
+                    assert_eq!(mb.inner.lock().depth, i as usize + 1);
+                }
+            }
+        }
+        assert_eq!(caps, vec![16, 32, 64, 128, 256, 512, 1024], "doubles, and stops at the cap");
+        assert_eq!(mb.fast.next_lane.load(AtOrd::Relaxed), 1, "one lane throughout");
+        for i in 0..3 * LANE_CAP as u32 {
+            let pkt = mb.take().unwrap();
+            assert_eq!(u32::from_le_bytes(pkt.payload[..4].try_into().unwrap()), i);
+        }
+    }
+
+    #[test]
+    fn post_many_overflowing_mid_batch_grows_the_lane_once_a_batch() {
+        let mb = Mailbox::new();
+        let batch = |from: u32, n: u32| {
+            (from..from + n).map(|i| Packet::new(Pe(0), Pe(0), Bytes::from(i.to_le_bytes().to_vec())))
+        };
+        mb.post_many(batch(0, 100));
+        assert_eq!((lane0(&mb).capacity(), lane0(&mb).len()), (32, 0), "16 fit, 84 went in under the lock");
+        mb.post_many(batch(100, 20));
+        assert_eq!((lane0(&mb).capacity(), lane0(&mb).len()), (32, 20), "a batch that fits grows nothing");
+        mb.post_many(batch(120, 13));
+        assert_eq!((lane0(&mb).capacity(), lane0(&mb).len()), (64, 0));
+        for i in 0..133u32 {
+            assert_eq!(u32::from_le_bytes(mb.take().unwrap().payload[..4].try_into().unwrap()), i);
+        }
+    }
+
+    #[test]
+    fn a_threads_lane_cache_forgets_the_mailboxes_that_are_gone() {
+        let cached = || LANE_CACHE.with(|c| c.borrow().entries.len());
+        let kept = Mailbox::new();
+        kept.post(pkt(0, 0));
+        for round in 0..10_000u32 {
+            let short_lived = Mailbox::new();
+            short_lived.post(pkt(0, 1));
+            assert!(short_lived.take().is_some());
+            if round % 100 == 0 {
+                kept.post(pkt(0, 2));
+            }
+        }
+        assert!(cached() <= LANE_CACHE_PRUNE, "{} entries after 10,000 mailboxes came and went", cached());
+        // The live one was never forgotten: a second claim would have taken a
+        // second lane.
+        assert_eq!(kept.fast.next_lane.load(AtOrd::Relaxed), 1);
+        assert_eq!(kept.len(), 101);
+        // Many live mailboxes are all remembered, however many there are.
+        let live: Vec<Mailbox> = (0..3 * LANE_CACHE_PRUNE).map(|_| Mailbox::new()).collect();
+        for _ in 0..2 {
+            live.iter().for_each(|mb| mb.post(pkt(0, 3)));
+        }
+        assert!(live.iter().all(|mb| mb.fast.next_lane.load(AtOrd::Relaxed) == 1));
+        assert!(cached() > 3 * LANE_CACHE_PRUNE);
     }
 
     #[test]

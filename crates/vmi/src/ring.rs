@@ -1,6 +1,11 @@
 //! Bounded single-producer/single-consumer packet rings — the wait-free
 //! lanes under [`crate::mailbox::Mailbox`].
 //!
+//! A ring never resizes.  A lane grows by *replacement*: the mailbox starts
+//! every lane on a 16-slot ring and, when the producer finds it full, swaps
+//! in an empty one of twice the [`SpscRing::capacity`] under the merge lock
+//! (see the mailbox module docs for why that instant has no other reader).
+//!
 //! Each ring is owned by exactly one producer thread (lane assignment is
 //! done by the mailbox via a thread-local cache) and drained by whichever
 //! thread currently plays consumer *while holding the mailbox merge lock*,
@@ -50,6 +55,18 @@ impl SpscRing {
             mask: cap - 1,
             slots,
         }
+    }
+
+    /// Slots in the ring (the requested capacity rounded up to a power of
+    /// two).
+    pub(crate) fn capacity(&self) -> usize {
+        self.mask + 1
+    }
+
+    /// Packets published and not yet consumed.  Exact only for a caller
+    /// that is, at that instant, both the producer and the consumer.
+    pub(crate) fn len(&self) -> usize {
+        self.tail.0.load(Ordering::Acquire).wrapping_sub(self.head.0.load(Ordering::Acquire))
     }
 
     /// Publish one packet (producer side).  Wait-free: either the slot

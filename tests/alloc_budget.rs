@@ -4,19 +4,56 @@
 //! Counters are per thread (`cargo test` runs each test on its own): a
 //! test reads only what its own thread allocated, which is the whole of a
 //! `SimEngine` run and exactly the calling side of the aggregated send.
+//! The one exception is the packet-slot census, which has to see the PE
+//! threads of a wall-clock run: it counts on every thread, so the tests of
+//! this file take [`alone`] and run one at a time.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicIsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use gridmdo::apps::leanmd::{self, MdConfig};
+use gridmdo::apps::stencil::{self, StencilConfig};
 use gridmdo::netsim::network::NetworkModel;
 use gridmdo::netsim::{AggConfig, FaultPlan};
 use gridmdo::prelude::*;
 use gridmdo::runtime::envelope::{Envelope, MsgBody};
 use gridmdo::runtime::wire::{WireReader, WireWriter};
-use gridmdo::vmi::{Aggregator, ReliableTransport, Transport, TransportConfig};
+use gridmdo::vmi::{Aggregator, Mailbox, Packet, ReliableTransport, Transport, TransportConfig};
 
 struct Counting;
+
+/// Bytes live, on all threads together, in packet-slot arrays: blocks the
+/// size of 16, 32, 64, … [`Packet`]s, which is what a mailbox lane's ring
+/// and a mailbox's queues are made of (the first ring size and up; nothing
+/// else in a run is both that size and that shape often enough to matter).
+static SLOT_BYTES: AtomicIsize = AtomicIsize::new(0);
+/// High-water mark of `SLOT_BYTES` since it was last reset.
+static SLOT_PEAK: AtomicIsize = AtomicIsize::new(0);
+
+fn slot_bytes(size: usize, align: usize) -> isize {
+    let slot = std::mem::size_of::<Packet>();
+    let is_slots = align == std::mem::align_of::<Packet>() && size.is_multiple_of(slot);
+    if is_slots && size / slot >= 16 && (size / slot).is_power_of_two() {
+        size as isize
+    } else {
+        0
+    }
+}
+
+fn slots_moved(by: isize) {
+    if by != 0 {
+        let now = SLOT_BYTES.fetch_add(by, Ordering::Relaxed) + by;
+        SLOT_PEAK.fetch_max(now, Ordering::Relaxed);
+    }
+}
+
+/// One test of this file at a time (module docs).
+fn alone() -> MutexGuard<'static, ()> {
+    static ALONE: Mutex<()> = Mutex::new(());
+    ALONE.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 thread_local! {
     /// Allocations (and reallocations) made by this thread.
@@ -48,17 +85,20 @@ fn moved(by: isize) {
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         grew(layout.size());
+        slots_moved(slot_bytes(layout.size(), layout.align()));
         // SAFETY: the caller's contract, passed on.
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         moved(-(layout.size() as isize));
+        slots_moved(-slot_bytes(layout.size(), layout.align()));
         // SAFETY: the caller's contract, passed on.
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         grew(new_size);
         moved(-(layout.size() as isize));
+        slots_moved(slot_bytes(new_size, layout.align()) - slot_bytes(layout.size(), layout.align()));
         // SAFETY: the caller's contract, passed on.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -89,6 +129,10 @@ impl Census {
     fn largest(&self) -> usize {
         LARGEST.with(Cell::get)
     }
+    /// Bytes this thread holds now that it did not at `begin`.
+    fn live_bytes(&self) -> isize {
+        LIVE.with(Cell::get) - self.live
+    }
 }
 
 /// LeanMD at the paper's size on the simulator (`sim_sweep`'s second half,
@@ -113,6 +157,7 @@ impl Census {
 /// integrates, 19.6 MB over 216 cells.
 #[test]
 fn leanmd_on_the_simulator_stays_inside_its_heap_budget() {
+    let _alone = alone();
     const PEAK_BUDGET: usize = 27_466_000;
     const ALLOCS_PER_ENVELOPE_BUDGET: f64 = 8.99;
     // Two clusters of 16 PEs, 16 ms apart: `uniform(2, 16)`.
@@ -139,6 +184,7 @@ fn leanmd_on_the_simulator_stays_inside_its_heap_budget() {
 /// subtracted for the caller.
 #[test]
 fn aggregated_send_path_allocates_nothing_per_envelope() {
+    let _alone = alone();
     let topo = Topology::two_cluster(2);
     let latency = LatencyMatrix::uniform(&topo, Dur::ZERO, Dur::from_millis(1));
     let transport = Transport::new(TransportConfig::new(topo, latency));
@@ -179,6 +225,7 @@ fn aggregated_send_path_allocates_nothing_per_envelope() {
 /// there before anything is allocated for it.
 #[test]
 fn a_lying_count_is_refused_without_allocating_for_it() {
+    let _alone = alone();
     let mut w = WireWriter::new();
     w.u32(u32::MAX).u64(0); // "4 billion f64s follow"; eight bytes do
     let buf = w.finish();
@@ -187,4 +234,78 @@ fn a_lying_count_is_refused_without_allocating_for_it() {
     assert!(WireReader::new(&buf).f64_vec().is_err());
     assert!(WireReader::new(&buf).u32_vec().is_err());
     assert_eq!((census.allocs(), census.largest()), (0, 0));
+}
+
+/// A lane's memory follows its traffic.  One post costs a mailbox a
+/// 16-slot ring, not a 1,024-slot one; 3,000 posts with no take carry the
+/// lane through every doubling to the cap, each swapped-out ring freed on
+/// the spot; and dropping the mailbox with packets in the grown ring and in
+/// the queue behind it gives every byte back, payloads included.
+#[test]
+fn a_lane_costs_what_its_traffic_needs_and_drop_gives_it_all_back() {
+    let _alone = alone();
+    let slot = std::mem::size_of::<Packet>();
+    let packet = |n: u32| Packet::new(Pe(0), Pe(0), vec![0xCD; 24 + n as usize % 8].into());
+    let before = SLOT_BYTES.load(Ordering::Relaxed);
+    let census = Census::begin();
+    let mb = Mailbox::new();
+    mb.post(packet(0));
+    assert_eq!(census.largest(), 16 * slot, "a lane starts at 16 slots");
+    assert!(census.live_bytes() < 2048, "a cold lane and its one packet: {} B", census.live_bytes());
+    for n in 1..3_000 {
+        mb.post(packet(n));
+    }
+    // Of the seven rings only the last lives, 961 packets in it.  The queue
+    // behind the lane holds the 2,039 that were merged out at an overflow, in
+    // as many slots as std's `VecDeque` grew to for them: 2,048 today, and
+    // none that the census sees if that ever stops being a power of two.
+    let live = (SLOT_BYTES.load(Ordering::Relaxed) - before) as usize;
+    let ring = 1024 * slot;
+    assert!(live >= ring, "the lane's last ring: {live} B of packet slots live");
+    assert!(live - ring <= 4096 * slot, "a queue of 2,039 packets: {} slots beside the ring", (live - ring) / slot);
+    assert_eq!(mb.len(), 3_000);
+    drop(mb);
+    assert_eq!(SLOT_BYTES.load(Ordering::Relaxed), before);
+    // What is left is this thread's lane-cache entry for the mailbox, which
+    // goes the next time the cache prunes.
+    assert!(census.live_bytes() <= 128, "rings, queue and 3,000 payloads freed: {} B left", census.live_bytes());
+}
+
+/// What the lanes of a wall-clock run pin: `stencil_mask`'s job at its short
+/// length, 256 objects on two clusters of four PE threads with 32 ms between
+/// them.  40 `(posting thread, mailbox)` pairs exchange packets; eight of
+/// them (each PE to itself, 96 ghosts a step) grow to 128 slots, the other
+/// 32 (a neighbour's 16 ghosts a step, the host's START) never leave 16.
+///
+/// High-water mark of the bytes in packet-slot arrays, all threads:
+///
+/// | | reading |
+/// |---|---|
+/// | parent `7eb3cf1` | 2,300,032 B in three runs of three (40 rings of 1,024 slots are 2,293,760 of it) |
+/// | this change | 120,064–127,232 B over ten runs |
+///
+/// How deep the queues get depends on the host's schedule, which nothing the
+/// other budgets of this file measure does, so this one is not 10 % above a
+/// reading but above what any schedule can reach.  An object is never more
+/// than a step ahead of its neighbours, so at most two steps of ghosts are
+/// on their way to a PE: 256 packets, 192 of them its own.  At the worst
+/// that is a lane of 256 slots, four of 32, the host's 16 and a queue of 256
+/// behind them — 37 KB a PE, 294 KB for the eight, were every peak to fall
+/// at one instant.  The budget is 1 MiB: under half of what the parent pins
+/// before it has queued a packet.
+#[test]
+fn the_lanes_of_a_wall_clock_stencil_run_stay_inside_their_budget() {
+    const SLOT_BYTES_BUDGET: isize = 1024 * 1024;
+    let _alone = alone();
+    let topo = Topology::uniform(2, 4);
+    let latency = LatencyMatrix::uniform(&topo, Dur::ZERO, Dur::from_millis(32));
+    let tcfg = ThreadedConfig::new(latency).with_compute_sleep();
+    let before = SLOT_BYTES.load(Ordering::Relaxed);
+    SLOT_PEAK.store(before, Ordering::Relaxed);
+    let out = stencil::run_threaded_with(StencilConfig::paper(256, 6), topo, tcfg, RunConfig::default());
+    let peak = SLOT_PEAK.load(Ordering::Relaxed) - before;
+    println!("packet-slot bytes at their peak: {peak} B ({:.1} ms a step)", out.ms_per_step);
+    assert!(peak > 0, "the run posted through lanes");
+    assert!(peak <= SLOT_BYTES_BUDGET, "{peak} B of packet slots is over the budget of {SLOT_BYTES_BUDGET} B");
+    assert_eq!(SLOT_BYTES.load(Ordering::Relaxed), before, "all of it freed with the run");
 }

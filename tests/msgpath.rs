@@ -6,13 +6,15 @@
 //!     volumes posting concurrently must deliver every packet exactly
 //!     once, in per-sender FIFO order, with priority-then-FIFO restored
 //!     by the consumer-side merge — including through the ring-overflow
-//!     slow path.
+//!     slow path, where a lane swaps its ring for one of twice the size
+//!     (16 slots to 1,024) while a consumer takes concurrently.
 //!   * **Hold properties** (proptest): a packet stamped with a `due` (the
 //!     delay device's injected latency) is never handed out early on any
 //!     take path, falls due in `(due, post order)`, needs no post to wake
 //!     a blocked consumer, and is released by `close()`.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -113,12 +115,19 @@ proptest! {
     /// Priority-then-FIFO is exactly preserved by the consumer-side merge:
     /// with all posts completed before the first take, delivery order is
     /// the stable sort of post order by priority — bit-for-bit what the
-    /// old single-mutex mailbox produced.
+    /// old single-mutex mailbox produced.  Up to 2,600 posts with no take,
+    /// singly or in batches that overflow mid-batch, carry the one lane
+    /// through every swap from 16 slots to 1,024 and past the cap.
     #[test]
-    fn merge_restores_priority_then_fifo(prios in prop::collection::vec(-3i32..3, 1..200)) {
+    fn merge_restores_priority_then_fifo(prios in prop::collection::vec(-3i32..3, 1..2600), batch in 1usize..700) {
         let mb = Mailbox::new();
-        for (i, &p) in prios.iter().enumerate() {
-            mb.post(Packet::with_priority(Pe(1), Pe(0), p, tagged(1, i as u32)));
+        let pkt = |i: usize| Packet::with_priority(Pe(1), Pe(0), prios[i], tagged(1, i as u32));
+        for from in (0..prios.len()).step_by(batch) {
+            if batch == 1 {
+                mb.post(pkt(from));
+            } else {
+                mb.post_many((from..prios.len().min(from + batch)).map(pkt));
+            }
         }
         let mut want: Vec<(i32, u32)> = prios.iter().enumerate().map(|(i, &p)| (p, i as u32)).collect();
         want.sort_by_key(|&(p, _)| p); // stable: FIFO within a priority
@@ -128,6 +137,97 @@ proptest! {
         for (pkt, (p, seq)) in buf.iter().zip(want) {
             prop_assert_eq!(pkt.priority, p);
             prop_assert_eq!(untag(pkt).1, seq);
+        }
+    }
+}
+
+/// How far a producer of [`lanes_grow_under_a_concurrent_consumer`] may run
+/// ahead of the consumer: past twice the lane cap, so a lane can fill at
+/// its final size and overflow there too.
+const LEAD: u32 = 2_600;
+
+proptest! {
+    /// Every swap of a growing lane, with the consumer at work: 1–4 producers
+    /// post mixed-priority traffic, singly or in batches that overflow
+    /// mid-batch, while the consumer takes eight packets at a time.  Before
+    /// each round of takes the consumer stays away until every producer is a
+    /// set distance ahead — 17, 33, … 1,025, then 2,049 — which is more than
+    /// that producer's ring holds, so each lane has overflowed and swapped at
+    /// every size by the end, some while the consumer waited and the rest
+    /// while it took.  Nothing is lost or duplicated, each sender's packets
+    /// of one priority arrive in the order posted, and every batch taken
+    /// under one lock comes out most urgent first.
+    #[test]
+    fn lanes_grow_under_a_concurrent_consumer(producers in 1u32..5,
+                                              batch in 1u32..48,
+                                              prios in prop::collection::vec(-1i32..2, 1..8)) {
+        const PER: u32 = 6_000;
+        let mb = Mailbox::new();
+        let posted: Vec<AtomicU32> = (0..producers).map(|_| AtomicU32::new(0)).collect();
+        let taken: Vec<AtomicU32> = (0..producers).map(|_| AtomicU32::new(0)).collect();
+        // Set when the consumer is through, so that producers held back by a
+        // consumer that failed an assertion leave and the scope can join them.
+        let stop = AtomicBool::new(false);
+        let produce = |s: u32| {
+            let pkt = |q: u32| Packet::with_priority(Pe(s), Pe(0), prios[q as usize % prios.len()], tagged(s, q));
+            let mut seq = 0;
+            while seq < PER {
+                while seq - taken[s as usize].load(Ordering::Acquire) > LEAD {
+                    if stop.load(Ordering::Relaxed) {
+                        return;
+                    }
+                    std::thread::yield_now();
+                }
+                let n = batch.min(PER - seq);
+                if n == 1 {
+                    mb.post(pkt(seq));
+                } else {
+                    mb.post_many((seq..seq + n).map(pkt));
+                }
+                seq += n;
+                posted[s as usize].store(seq, Ordering::Release);
+            }
+        };
+        let ahead = |s: usize, by: u32| {
+            posted[s].load(Ordering::Acquire) >= PER.min(taken[s].load(Ordering::Relaxed) + by)
+        };
+        let consume = || {
+            let mut last: HashMap<(u32, i32), u32> = HashMap::new();
+            let mut buf = Vec::new();
+            let mut total = 0;
+            for by in (4..=11).map(|k| (1 << k) + 1).cycle() {
+                if total == producers * PER {
+                    break;
+                }
+                while !(0..producers as usize).all(|s| ahead(s, by)) {
+                    std::thread::yield_now();
+                }
+                while mb.take_many(&mut buf, 8) > 0 {
+                    prop_assert!(buf.windows(2).all(|w| w[0].priority <= w[1].priority), "most urgent first within a take");
+                    for pkt in buf.drain(..) {
+                        let (sender, seq) = untag(&pkt);
+                        if let Some(before) = last.insert((sender, pkt.priority), seq) {
+                            prop_assert!(before < seq, "sender {} priority {}: {} after {}", sender, pkt.priority, seq, before);
+                        }
+                        taken[sender as usize].fetch_add(1, Ordering::Release);
+                        total += 1;
+                    }
+                }
+            }
+            Ok(())
+        };
+        std::thread::scope(|scope| {
+            for s in 0..producers {
+                let produce = &produce;
+                scope.spawn(move || produce(s));
+            }
+            let consumed = consume();
+            stop.store(true, Ordering::Relaxed);
+            consumed
+        })?;
+        prop_assert!(mb.is_empty(), "nothing left behind");
+        for taken in &taken {
+            prop_assert_eq!(taken.load(Ordering::Relaxed), PER);
         }
     }
 }
