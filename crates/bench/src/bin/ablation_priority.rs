@@ -26,33 +26,14 @@
 use mdo_apps::leanmd::{self, MdConfig};
 use mdo_apps::stencil::{self, StencilConfig};
 use mdo_bench::table::{ms, Table};
-use mdo_bench::{arg_flag, arg_value};
+use mdo_bench::{arg_flag, arg_value, over_tcp};
 use mdo_core::engine::threaded::ThreadedConfig;
 use mdo_core::program::RunConfig;
-use mdo_net::{localhost_rendezvous, NetConfig};
 use mdo_netsim::network::NetworkModel;
 use mdo_netsim::{Dur, LatencyMatrix, Topology};
 
 /// Runs a side behind each wall-clock cell.
 const REPS: usize = 7;
-
-/// Run `job` as one node thread per cluster of `topo` over fresh loopback
-/// ports, as `mdo_launch` runs one process per node; node 0's result.
-fn over_tcp(topo: &Topology, cfg: &RunConfig, job: impl Fn(RunConfig) -> f64 + Sync) -> f64 {
-    let (listeners, manifest) = localhost_rendezvous(topo.num_clusters()).expect("reserve loopback ports");
-    drop(listeners);
-    std::thread::scope(|s| {
-        let nodes: Vec<_> = (0..topo.num_clusters() as u32)
-            .map(|node| {
-                let cfg = RunConfig { net: Some(NetConfig::new(node, manifest.clone())), ..cfg.clone() };
-                let job = &job;
-                s.spawn(move || job(cfg))
-            })
-            .collect();
-        // The scope joins the other nodes (and passes a panic of theirs on).
-        nodes.into_iter().next().expect("node 0").join().expect("node 0")
-    })
-}
 
 /// `(fastest, median)` of `REPS` runs a side, the two sides alternating so
 /// that neither always runs on the warmer host.

@@ -11,8 +11,9 @@
 pub mod paper;
 pub mod table;
 
-use mdo_core::program::RunReport;
-use mdo_netsim::{Dur, Time};
+use mdo_core::program::{RunConfig, RunReport};
+use mdo_net::{localhost_rendezvous, NetConfig};
+use mdo_netsim::{Dur, Time, Topology};
 
 /// The paper's measured one-way NCSA↔ANL latency (§5.1): 1.725 ms ICMP.
 pub const TERAGRID_ONE_WAY: Dur = Dur::from_micros(1725);
@@ -47,6 +48,24 @@ pub fn arg_value(args: &[String], flag: &str) -> Option<String> {
 /// True if `flag` appears among the arguments.
 pub fn arg_flag(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
+}
+
+/// Run `job` as one node thread per cluster of `topo` over fresh loopback
+/// ports, as `mdo_launch` runs one process per node; node 0's result.
+pub fn over_tcp<T: Send>(topo: &Topology, cfg: &RunConfig, job: impl Fn(RunConfig) -> T + Sync) -> T {
+    let (listeners, manifest) = localhost_rendezvous(topo.num_clusters()).expect("reserve loopback ports");
+    drop(listeners);
+    std::thread::scope(|s| {
+        let nodes: Vec<_> = (0..topo.num_clusters() as u32)
+            .map(|node| {
+                let cfg = RunConfig { net: Some(NetConfig::new(node, manifest.clone())), ..cfg.clone() };
+                let job = &job;
+                s.spawn(move || job(cfg))
+            })
+            .collect();
+        // The scope joins the other nodes (and passes a panic of theirs on).
+        nodes.into_iter().next().expect("node 0").join().expect("node 0")
+    })
 }
 
 /// Mean PE utilization of a run: total busy time over `P × makespan`.

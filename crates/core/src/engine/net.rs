@@ -312,6 +312,11 @@ impl NodeShare {
     ) {
         let Stack { raw, transport, agg, injected } = stack;
         add_traffic(&mut books.network, raw.intra_traffic(), raw.cross_traffic());
+        // What each PE delivered to itself never reached the transport's
+        // counter; it is intra-cluster traffic all the same.
+        for r in results.iter() {
+            add_traffic(&mut books.network, r.local_traffic, (0, 0));
+        }
         let (dev, crc_rejected) = injected.as_ref().map(|(f, v)| (f.stats(), v.rejected())).unwrap_or_default();
         let ast = agg.stats();
         for (c, n) in [
@@ -339,9 +344,10 @@ impl NodeShare {
         let rows = results.iter_mut().map(|r| {
             let o = orig[r.pe.index()];
             self.mine.insert(o.index());
-            // Backlog can sit in the raw mailbox or (aggregating) in the
-            // unframed pending bank; the high-water marks see both.
-            let queue_depth = raw.mailbox(r.pe).max_depth().max(agg.pending_max_depth(r.pe));
+            // Backlog from other PEs can sit in the raw mailbox or
+            // (aggregating) in the unframed pending bank, the PE's own in
+            // its local queue; the high-water marks see all three.
+            let queue_depth = raw.mailbox(r.pe).max_depth().max(agg.pending_max_depth(r.pe)) + r.local_depth;
             let mut obs = r.obs.take();
             if let Some(obs) = &mut obs {
                 // One mailbox high-water sample per generation (the
@@ -353,7 +359,7 @@ impl NodeShare {
                 busy: r.busy,
                 messages: r.messages,
                 queue_depth,
-                queue_bytes: raw.mailbox(r.pe).max_bytes() as u64 + agg.pending_max_bytes(r.pe) as u64,
+                queue_bytes: raw.mailbox(r.pe).max_bytes() as u64 + agg.pending_max_bytes(r.pe) as u64 + r.local_bytes,
                 ckpt_bytes: r.ft_bytes,
                 obs,
             }

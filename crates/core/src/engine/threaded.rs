@@ -3,7 +3,9 @@
 //!
 //! One OS thread per PE; each thread blocks on its VMI mailbox, decodes
 //! envelopes from real bytes, and runs the same [`Node`] logic as the
-//! simulation engine.  Cross-cluster packets pass through a real
+//! simulation engine.  What a PE addresses to itself never becomes bytes:
+//! it waits in the PE's own scheduler queue, served when the mailbox has
+//! nothing ready.  Cross-cluster packets pass through a real
 //! [`mdo_vmi::DelayDevice`] that stamps them with the configured wall-clock
 //! latency, which the destination mailbox enforces — no packet is visible
 //! to its PE before send + latency.  This engine is our equivalent of the
@@ -26,6 +28,7 @@ use mdo_obs::{ObjTag, ObsConfig, PeObs, PeRecorder};
 use crate::envelope::{Envelope, MsgBody, SYSTEM_PRIORITY};
 use crate::node::{HandleOutcome, Node, NodeHooks};
 use crate::program::{Program, RunConfig, RunReport};
+use crate::queue::SchedQueue;
 
 use super::generation::HostRow;
 
@@ -76,6 +79,14 @@ struct ThreadHooks {
     rec: PeRecorder,
     orig: Arc<Vec<Pe>>,
     topo: Topology,
+    /// The PE's own queue: application envelopes it addressed to itself
+    /// wait here as they are — never encoded, payload shared with every
+    /// other recipient — and are served when nothing as urgent from
+    /// another PE is ready (DESIGN.md "Same-PE delivery").
+    local: SchedQueue,
+    /// (envelopes, wire-size bytes) that took the local queue: intra-cluster
+    /// traffic the transport's counter never saw.
+    local_traffic: (u64, u64),
 }
 
 impl NodeHooks for ThreadHooks {
@@ -93,12 +104,19 @@ impl NodeHooks for ThreadHooks {
                 env.priority == SYSTEM_PRIORITY,
             );
         }
+        // Only point-to-point app data may wait in a buffer; system and
+        // collective control traffic flushes the pair immediately so QD,
+        // barriers and exit never wait out a deadline.
+        let urgent = !env.aggregatable();
+        if env.dst == self.pe && !urgent {
+            self.local_traffic.0 += 1;
+            self.local_traffic.1 += env.wire_size();
+            self.local.push(env);
+            return;
+        }
         // Encode straight into the aggregator's buffer — the warm frame
         // buffer on the coalesced cross-WAN path, a standalone payload
-        // otherwise.  Only point-to-point app data may wait in a buffer;
-        // system and collective control traffic flushes the pair
-        // immediately so QD, barriers and exit never wait out a deadline.
-        let urgent = !env.aggregatable();
+        // otherwise.
         self.agg.send_with(env.src, env.dst, env.priority, urgent, |buf| env.encode_into(buf));
     }
 }
@@ -116,6 +134,11 @@ pub(super) struct PeResult {
     /// Its recording, with obs armed.
     pub(super) obs: Option<PeObs>,
     pub(super) ft_bytes: u64,
+    /// (envelopes, bytes) it delivered to itself through its own queue, and
+    /// that queue's depth and byte high-water marks.
+    pub(super) local_traffic: (u64, u64),
+    pub(super) local_depth: usize,
+    pub(super) local_bytes: u64,
     /// The job-wide tallies its node kept (they mean something on PE 0).
     pub(super) host: HostRow,
     pub(super) node: Option<Node>,
@@ -124,7 +147,18 @@ pub(super) struct PeResult {
 impl PeResult {
     /// Placeholder for a thread that could not be joined.
     pub(super) fn lost(pe: Pe) -> Self {
-        PeResult { pe, busy: Dur::ZERO, messages: 0, obs: None, ft_bytes: 0, host: HostRow::default(), node: None }
+        PeResult {
+            pe,
+            busy: Dur::ZERO,
+            messages: 0,
+            obs: None,
+            ft_bytes: 0,
+            local_traffic: (0, 0),
+            local_depth: 0,
+            local_bytes: 0,
+            host: HostRow::default(),
+            node: None,
+        }
     }
 }
 
@@ -223,11 +257,15 @@ pub(super) fn pe_thread(pe: Pe, mut node: Node, ctl: ThreadCtl) -> PeResult {
         rec: PeRecorder::maybe(ctl.record_on, ctl.orig_map[pe.index()].0, &ctl.obs_cfg),
         orig: Arc::clone(&ctl.orig_map),
         topo: ctl.topo.clone(),
+        local: SchedQueue::new(),
+        local_traffic: (0, 0),
     };
     let mut died = false;
     let mut idle_pending = false;
     let mut last_hb: Option<Instant> = None;
     let mut sheds_seen = 0u64;
+    // A packet taken from the mailbox that a more urgent self-send overtook.
+    let mut held = None;
     loop {
         // Quiescence reconciliation: a shed envelope was counted as sent
         // at its origin but will never be delivered; PE 0 folds the delta
@@ -275,27 +313,48 @@ pub(super) fn pe_thread(pe: Pe, mut node: Node, ctl: ThreadCtl) -> PeResult {
                 break;
             }
         }
-        let Some(pkt) = ctl.agg.recv_timeout(pe, Duration::from_millis(20)) else {
-            // The mailbox ran dry after real work: a busy→idle transition.
-            if idle_pending {
-                idle_pending = false;
-                hooks.rec.idle(Time::from_nanos(elapsed_ns(ctl.t0)));
-            }
-            continue;
-        };
-        // Borrowing decode: the envelope's payload fields alias the packet
-        // (and, for coalesced traffic, the whole frame's) allocation.
-        let env = match Envelope::decode_shared(&pkt.payload) {
-            Ok(env) => env,
-            Err(e) => {
-                // A packet that survived the transport but does not parse
-                // is rejected and counted, never fatal: with fault
-                // injection the sender's retransmission carries an intact
-                // copy, and without it one bad packet must not take down
-                // the whole PE.
-                ctl.decode_rejected.fetch_add(1, Ordering::Relaxed);
-                eprintln!("mdo-pe{}: dropping undecodable packet from {}: {e:?}", pe.0, pkt.src);
+        // The mailbox first, without writing the cork: what another PE sent
+        // may have crossed the wide area and unlocks cross-cluster sends.
+        // Then the PE's own queue; only with both empty does the thread
+        // block, and the blocking receive flushes before it sleeps.
+        let mut pkt = held.take().or_else(|| ctl.agg.try_recv(pe));
+        // First on a tie, that is: an explicit priority orders a self-send
+        // against other PEs' traffic as the simulator's one queue does, and
+        // the packet waits in hand while the more urgent envelope runs.
+        if pkt.as_ref().is_some_and(|p| hooks.local.front_priority().is_some_and(|own| own < p.priority)) {
+            held = pkt.take();
+        }
+        if pkt.is_none() && hooks.local.is_empty() {
+            pkt = ctl.agg.recv_timeout(pe, Duration::from_millis(20));
+            if pkt.is_none() {
+                // Both ran dry after real work: a busy→idle transition.
+                if idle_pending {
+                    idle_pending = false;
+                    hooks.rec.idle(Time::from_nanos(elapsed_ns(ctl.t0)));
+                }
                 continue;
+            }
+        }
+        let (env, wire_bytes) = match pkt {
+            // Borrowing decode: the envelope's payload fields alias the packet
+            // (and, for coalesced traffic, the whole frame's) allocation.
+            Some(pkt) => match Envelope::decode_shared(&pkt.payload) {
+                Ok(env) => (env, pkt.payload.len() as u64),
+                Err(e) => {
+                    // A packet that survived the transport but does not parse
+                    // is rejected and counted, never fatal: with fault
+                    // injection the sender's retransmission carries an intact
+                    // copy, and without it one bad packet must not take down
+                    // the whole PE.
+                    ctl.decode_rejected.fetch_add(1, Ordering::Relaxed);
+                    eprintln!("mdo-pe{}: dropping undecodable packet from {}: {e:?}", pe.0, pkt.src);
+                    continue;
+                }
+            },
+            None => {
+                let env = hooks.local.pop().expect("nothing taken from the mailbox, so the own queue is not empty");
+                let bytes = env.wire_size();
+                (env, bytes)
             }
         };
         if ctl.hb_interval.is_some() && pe == Pe(0) && matches!(env.body, MsgBody::Heartbeat) {
@@ -307,7 +366,6 @@ pub(super) fn pe_thread(pe: Pe, mut node: Node, ctl: ThreadCtl) -> PeResult {
         let sent_at = Time::from_nanos(env.sent_at_ns);
         let (src, dst) = (env.src, env.dst);
         let sys = env.priority == SYSTEM_PRIORITY;
-        let wire_bytes = pkt.payload.len() as u64;
         // Panic isolation: a handler that panics takes down its PE, not
         // the process — the watchdog sees the flag and either recovers
         // (failure plan armed) or surfaces a structured error.
@@ -366,6 +424,9 @@ pub(super) fn pe_thread(pe: Pe, mut node: Node, ctl: ThreadCtl) -> PeResult {
         messages: node.messages_processed(),
         obs: ctl.record_on.then(|| hooks.rec.finish()),
         ft_bytes: node.ft_bytes_stored(),
+        local_traffic: hooks.local_traffic,
+        local_depth: hooks.local.max_depth(),
+        local_bytes: hooks.local.max_bytes(),
         host: HostRow::of(&node),
         node: (!died).then_some(node),
     }
@@ -380,6 +441,7 @@ mod tests {
     use crate::mapping::Mapping;
     use crate::program::LbChoice;
     use crate::wire::{WireReader, WireWriter};
+    use bytes::Bytes;
     use std::sync::atomic::AtomicU64;
     use std::sync::Mutex;
 
@@ -517,6 +579,161 @@ mod tests {
         });
         let report = ThreadedEngine::new(topo, ThreadedConfig::new(latency), RunConfig::default()).run(p);
         assert!(report.end_time > Time::ZERO);
+    }
+
+    /// A message an object sends to a neighbour on its own PE arrives as the
+    /// buffer it was sent in — never encoded, never copied — just as a
+    /// forwarded one does in `node.rs`; one that crosses to another PE of
+    /// the same process is a view of its encoded packet, not that buffer.
+    #[test]
+    fn a_self_addressed_payload_is_delivered_as_the_buffer_it_was_sent_in() {
+        const RELAY: EntryId = EntryId(2);
+        static SENT_AT: AtomicU64 = AtomicU64::new(0);
+        static SAME_PE_SAW: AtomicU64 = AtomicU64::new(0);
+        static OTHER_PE_SAW: AtomicU64 = AtomicU64::new(0);
+        struct Relay;
+        impl Chare for Relay {
+            fn receive(&mut self, entry: EntryId, payload: &[u8], ctx: &mut Ctx<'_>) {
+                match (entry, ctx.my_elem().0) {
+                    (PING, _) => {
+                        let kept = Bytes::from(b"kept".to_vec());
+                        SENT_AT.store(kept.as_ptr() as u64, Ordering::SeqCst);
+                        // Elements 0 and 1 share PE 0; element 2 is on PE 1.
+                        ctx.multicast(ctx.me().array, &[ElemId(1), ElemId(2)], RELAY, kept);
+                    }
+                    (_, 1) => {
+                        assert_eq!(payload, b"kept");
+                        SAME_PE_SAW.store(payload.as_ptr() as u64, Ordering::SeqCst);
+                    }
+                    _ => {
+                        assert_eq!(payload, b"kept");
+                        OTHER_PE_SAW.store(payload.as_ptr() as u64, Ordering::SeqCst);
+                        ctx.exit();
+                    }
+                }
+            }
+        }
+        let topo = Topology::two_cluster(2);
+        let latency = LatencyMatrix::uniform(&topo, Dur::ZERO, Dur::from_millis(2));
+        let mut p = Program::new();
+        let arr = p.array("relay", 4, Mapping::Block, |_| Box::new(Relay) as Box<dyn Chare>);
+        p.on_startup(move |ctl| ctl.send(arr, ElemId(0), PING, vec![]));
+        ThreadedEngine::new(topo, ThreadedConfig::new(latency), RunConfig::default()).run(p);
+        let sent = SENT_AT.load(Ordering::SeqCst);
+        assert_eq!(SAME_PE_SAW.load(Ordering::SeqCst), sent, "the PE's own queue holds the envelope itself");
+        assert_ne!(OTHER_PE_SAW.load(Ordering::SeqCst), sent, "across PEs the bytes are a packet's");
+    }
+
+    /// Mailbox first, then the PE's own queue in priority order: with a
+    /// thousand default-priority self-sends queued on PE 1 (50 ms of work),
+    /// an explicit `send_prio` self-send queued after them runs before any
+    /// of them, and both a packet from another PE (PE 0's answer to a PING)
+    /// and system-priority traffic (the load-balancing barrier's
+    /// `LbAssign` / `LbResume` from PE 0) are served as they arrive, not
+    /// after the backlog.
+    #[test]
+    fn mailbox_traffic_and_priorities_overtake_queued_self_sends() {
+        const WORK: EntryId = EntryId(2);
+        const URGENT: EntryId = EntryId(3);
+        const PONG: EntryId = EntryId(4);
+        const BACKLOG: u32 = 1000;
+        static WORKED: AtomicU64 = AtomicU64::new(0);
+        static AT_URGENT: AtomicU64 = AtomicU64::new(u64::MAX);
+        static AT_PONG: AtomicU64 = AtomicU64::new(u64::MAX);
+        static AT_RESUME: AtomicU64 = AtomicU64::new(u64::MAX);
+        struct Busy;
+        impl Chare for Busy {
+            fn receive(&mut self, entry: EntryId, _p: &[u8], ctx: &mut Ctx<'_>) {
+                let (arr, me) = (ctx.me().array, ctx.my_elem());
+                match entry {
+                    // The broadcast that starts everyone.  Element 2 (PE 1)
+                    // floods itself; the rest only join the barrier.
+                    PING if me == ElemId(2) => {
+                        for _ in 0..BACKLOG {
+                            ctx.send(arr, me, WORK, vec![]);
+                        }
+                        ctx.send_prio(arr, me, URGENT, vec![], -1);
+                        ctx.send(arr, ElemId(0), PONG, vec![]);
+                        ctx.at_sync();
+                    }
+                    PING => ctx.at_sync(),
+                    WORK => {
+                        let spin = Instant::now();
+                        while spin.elapsed() < Duration::from_micros(50) {
+                            std::hint::spin_loop();
+                        }
+                        if WORKED.fetch_add(1, Ordering::SeqCst) + 1 == u64::from(BACKLOG) {
+                            ctx.exit();
+                        }
+                    }
+                    URGENT => AT_URGENT.store(WORKED.load(Ordering::SeqCst), Ordering::SeqCst),
+                    // PE 0 bounces it back; on PE 1 it is the packet from another PE.
+                    PONG if me == ElemId(0) => ctx.send(arr, ElemId(2), PONG, vec![]),
+                    PONG => AT_PONG.store(WORKED.load(Ordering::SeqCst), Ordering::SeqCst),
+                    _ => unreachable!("no such entry"),
+                }
+            }
+            fn resume_from_sync(&mut self, ctx: &mut Ctx<'_>) {
+                if ctx.my_elem() == ElemId(2) {
+                    AT_RESUME.store(WORKED.load(Ordering::SeqCst), Ordering::SeqCst);
+                }
+            }
+        }
+        let topo = Topology::two_cluster(2);
+        let latency = LatencyMatrix::uniform(&topo, Dur::ZERO, Dur::ZERO);
+        let mut p = Program::new();
+        let arr = p.array("busy", 4, Mapping::Block, |_| Box::new(Busy) as Box<dyn Chare>);
+        p.on_startup(move |ctl| ctl.broadcast(arr, PING, vec![]));
+        let report = ThreadedEngine::new(topo, ThreadedConfig::new(latency), RunConfig::default()).run(p);
+        assert_eq!(WORKED.load(Ordering::SeqCst), u64::from(BACKLOG));
+        assert_eq!(AT_URGENT.load(Ordering::SeqCst), 0, "priority −1 before every priority-0 self-send");
+        let (pong, resume) = (AT_PONG.load(Ordering::SeqCst), AT_RESUME.load(Ordering::SeqCst));
+        assert!(pong < u64::from(BACKLOG) / 2, "the packet from PE 0 waited out {pong} of {BACKLOG} self-sends");
+        assert!(resume < u64::from(BACKLOG) / 2, "the barrier waited out {resume} of {BACKLOG} self-sends");
+        // Half the backlog moved out of the mailbox; the depth the report
+        // shows did not halve with it.
+        assert!(report.pe_max_queue_depth[1] > BACKLOG as usize, "{:?}", report.pe_max_queue_depth);
+    }
+
+    /// An explicit priority orders a self-send against another PE's traffic
+    /// too, as on the simulator: PE 1 spins until PE 0's default-priority
+    /// packet is in its mailbox, then sends itself one at priority −1 and one
+    /// at the default.  −1 runs before the packet; the packet, on the tie,
+    /// before the default self-send.
+    #[test]
+    fn an_urgent_self_send_overtakes_a_default_priority_packet_from_another_pe() {
+        const URGENT: EntryId = EntryId(2);
+        const PLAIN: EntryId = EntryId(3);
+        const OTHER: EntryId = EntryId(4);
+        static ORDER: Mutex<Vec<EntryId>> = Mutex::new(Vec::new());
+        struct Chooser;
+        impl Chare for Chooser {
+            fn receive(&mut self, entry: EntryId, _p: &[u8], ctx: &mut Ctx<'_>) {
+                let (arr, me) = (ctx.me().array, ctx.my_elem());
+                match entry {
+                    PING if me == ElemId(0) => ctx.send(arr, ElemId(1), OTHER, vec![]),
+                    PING => {
+                        std::thread::sleep(Duration::from_millis(100));
+                        ctx.send(arr, me, PLAIN, vec![]);
+                        ctx.send_prio(arr, me, URGENT, vec![], -1);
+                    }
+                    _ => {
+                        let mut order = ORDER.lock().unwrap();
+                        order.push(entry);
+                        if order.len() == 3 {
+                            ctx.exit();
+                        }
+                    }
+                }
+            }
+        }
+        let topo = Topology::two_cluster(2);
+        let latency = LatencyMatrix::uniform(&topo, Dur::ZERO, Dur::ZERO);
+        let mut p = Program::new();
+        let arr = p.array("chooser", 2, Mapping::Block, |_| Box::new(Chooser) as Box<dyn Chare>);
+        p.on_startup(move |ctl| ctl.broadcast(arr, PING, vec![]));
+        ThreadedEngine::new(topo, ThreadedConfig::new(latency), RunConfig::default()).run(p);
+        assert_eq!(*ORDER.lock().unwrap(), vec![URGENT, OTHER, PLAIN]);
     }
 
     #[test]

@@ -59,6 +59,11 @@ impl SchedQueue {
         self.pop_nth(0)
     }
 
+    /// The priority of the front (most urgent) class; `None` iff empty.
+    pub fn front_priority(&self) -> Option<i32> {
+        self.classes.keys().next().copied()
+    }
+
     /// How many envelopes are tied at the front priority class — the
     /// choices a delivery policy may legally pick among without violating
     /// priority order.  Zero iff the queue is empty.
@@ -176,14 +181,16 @@ mod tests {
     #[test]
     fn eligible_counts_front_class_only() {
         let mut q = SchedQueue::new();
-        assert_eq!(q.eligible(), 0);
+        assert_eq!((q.eligible(), q.front_priority()), (0, None));
         q.push(env(0, 1));
         q.push(env(0, 2));
         q.push(env(5, 3));
         assert_eq!(q.eligible(), 2, "only the priority-0 pair is dispatchable");
+        assert_eq!(q.front_priority(), Some(0));
         q.pop();
         q.pop();
         assert_eq!(q.eligible(), 1, "the priority-5 straggler became the front class");
+        assert_eq!(q.front_priority(), Some(5));
     }
 
     #[test]

@@ -22,6 +22,9 @@ pub enum HandshakeField {
     TopologyDigest,
     /// The peer's node id.
     Node,
+    /// The clock exchange: timestamps no two running clocks could have
+    /// read, or an estimate that contradicts what this side saw.
+    Clock,
 }
 
 impl fmt::Display for HandshakeField {
@@ -32,6 +35,7 @@ impl fmt::Display for HandshakeField {
             HandshakeField::Generation => "generation",
             HandshakeField::TopologyDigest => "topology digest",
             HandshakeField::Node => "node id",
+            HandshakeField::Clock => "clock estimate",
         };
         f.write_str(s)
     }
@@ -41,7 +45,7 @@ impl fmt::Display for HandshakeField {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TransportError {
     /// A peer's handshake disagreed on a protocol invariant: wrong magic,
-    /// wire version, generation, topology digest or node id.  The
+    /// wire version, generation, topology digest, node id or clock.  The
     /// connection is refused; traffic never flows.
     HandshakeMismatch {
         /// Peer node id if it got far enough to tell us, else `u32::MAX`.

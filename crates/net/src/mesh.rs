@@ -24,8 +24,9 @@
 //! straight into the destination PE's landing mailbox (the `deliver`
 //! callback given to [`NetMesh::start`]), so the reliable layer and the
 //! aggregator above the seam see exactly the bytes they would have seen
-//! in one process; a record's remaining hold becomes the packet's `due`
-//! on this node's clock, which that mailbox enforces.  Control records
+//! in one process; a record's `due` was written on this node's clock (the
+//! handshake measured how far apart the two run) and that mailbox
+//! enforces it.  Control records
 //! (opaque to this crate) and peer-death evidence surface through the
 //! [`NetEvent`] queue.
 
@@ -41,10 +42,12 @@ use mdo_vmi::{Packet, Wire};
 use parking_lot::Mutex;
 
 use crate::config::NetConfig;
+use crate::error::HandshakeField;
 use crate::error::TransportError;
 use crate::record::{
-    decode_control_body, decode_data_body, encode_control_record, encode_data_record, read_record, stamp_hold,
-    Handshake, RecordError, HANDSHAKE_LEN, KIND_CONTROL, KIND_DATA, RECORD_HEADER_LEN,
+    decode_control_body, decode_data_body, encode_control_record, encode_data_record, read_record, unwords, words,
+    Clock, ClockEstimate, Handshake, RecordError, CLOCK_PINGS, CLOCK_PING_LEN, CLOCK_PONG_LEN, HANDSHAKE_LEN,
+    KIND_CONTROL, KIND_DATA, RECORD_HEADER_LEN,
 };
 
 /// A cork buffer is written once it holds this much, flush or no flush.
@@ -93,13 +96,12 @@ struct StreamOut {
     sock: TcpStream,
     /// Whole encoded records not yet written.
     cork: Vec<u8>,
-    /// `(offset in cork, due)` of the records in it whose packet carries an
-    /// injected latency; their hold fields are stamped when the buffer is
-    /// written.
-    holds: Vec<(usize, Instant)>,
 }
 
 struct Pair {
+    /// The peer's clock against this node's, as the handshake measured it:
+    /// what puts a packet's `due` on the clock that will enforce it.
+    clock: ClockEstimate,
     /// Records are appended and written under this lock, so concurrent
     /// senders never interleave.
     out: Mutex<StreamOut>,
@@ -119,14 +121,6 @@ impl Pair {
     fn flush(&self, w: &mut StreamOut) -> std::io::Result<()> {
         self.corked.store(false, Ordering::Release);
         self.unclaimed.store(false, Ordering::Release);
-        if !w.holds.is_empty() {
-            // What is left of each hold *now*: time spent corked is part
-            // of the injected latency, not on top of it.
-            let now = Instant::now();
-            for (at, due) in w.holds.drain(..) {
-                stamp_hold(&mut w.cork[at..], due.saturating_duration_since(now));
-            }
-        }
         let res = w.sock.write_all(&w.cork);
         w.cork.clear();
         // One outsized record must not pin its buffer for the whole run.
@@ -140,6 +134,7 @@ impl Pair {
 /// One generation's fully-connected, handshaken TCP mesh.
 pub struct NetMesh {
     node: u32,
+    clock: Clock,
     node_of_pe: Vec<u32>,
     pairs: Vec<Option<Pair>>,
     events_tx: mpsc::Sender<NetEvent>,
@@ -168,6 +163,8 @@ impl std::fmt::Debug for NetMesh {
 pub struct NetSession {
     cfg: NetConfig,
     listener: TcpListener,
+    /// This node's clock for every mesh the session establishes.
+    clock: Clock,
 }
 
 impl NetSession {
@@ -185,7 +182,7 @@ impl NetSession {
     /// build the manifest from the real addresses).
     pub fn with_listener(cfg: NetConfig, listener: TcpListener) -> Result<Self, TransportError> {
         listener.set_nonblocking(true).map_err(|e| TransportError::io("listener nonblocking", &e))?;
-        Ok(NetSession { cfg, listener })
+        Ok(NetSession { cfg, listener, clock: Clock::start() })
     }
 
     /// The bound listen address.
@@ -206,9 +203,9 @@ impl NetSession {
     /// Build the generation-`generation` mesh over the `live` node set:
     /// dial every live node with a lower id, accept from every live node
     /// with a higher id, one socket per pair, and validate every
-    /// handshake (version, node, generation, topology digest).  Bounded by
-    /// the config's `connect_timeout`; failures are structured, never a
-    /// hang.
+    /// handshake (version, node, generation, topology digest), which also
+    /// measures the peer's clock against this session's.  Bounded by the
+    /// config's `connect_timeout`; failures are structured, never a hang.
     pub fn establish(&self, generation: u32, topo: &Topology, live: &[u32]) -> Result<NetMesh, TransportError> {
         let me = self.cfg.node;
         let ours = Handshake { node: me, generation, digest: topo.digest() };
@@ -217,13 +214,13 @@ impl NetSession {
         if let Some(j) = live.iter().find(|&&j| j as usize >= n_nodes) {
             return Err(TransportError::Malformed { what: format!("live node {j} not in manifest") });
         }
-        let mut socks: Vec<Option<TcpStream>> = (0..n_nodes).map(|_| None).collect();
+        let mut socks: Vec<Option<(TcpStream, ClockEstimate)>> = (0..n_nodes).map(|_| None).collect();
 
         // Dial lower-numbered peers; their accept loops answer.
         for &j in live.iter().filter(|&&j| j < me) {
             let stream = dial(self.cfg.manifest[j as usize], deadline)?;
-            handshake_dial(&stream, &ours, j, deadline)?;
-            socks[j as usize] = Some(stream);
+            let clock = handshake_dial(&stream, &ours, &self.clock, j, deadline)?;
+            socks[j as usize] = Some((stream, clock));
         }
 
         // Accept from higher-numbered peers; the handshake tells us who.
@@ -245,11 +242,11 @@ impl NetSession {
                 Err(e) => return Err(TransportError::io("accept", &e)),
             };
             stream.set_nonblocking(false).map_err(|e| TransportError::io("accepted blocking", &e))?;
-            let peer = handshake_accept(&stream, &ours, deadline)?;
+            let (peer, clock) = handshake_accept(&stream, &ours, &self.clock, deadline)?;
             if peer.node <= me || !live.contains(&peer.node) {
                 return Err(TransportError::HandshakeMismatch {
                     peer: peer.node,
-                    field: crate::error::HandshakeField::Node,
+                    field: HandshakeField::Node,
                     expected: me as u64 + 1,
                     got: peer.node as u64,
                 });
@@ -257,7 +254,7 @@ impl NetSession {
             // The node id is the peer's word: a second claim to a connected
             // node is refused, never allowed to replace the socket.
             match &mut socks[peer.node as usize] {
-                slot @ None => *slot = Some(stream),
+                slot @ None => *slot = Some((stream, clock)),
                 Some(_) => {
                     let what = format!("second connection claiming node {}", peer.node);
                     return Err(TransportError::Malformed { what });
@@ -273,10 +270,11 @@ impl NetSession {
         for sock in socks {
             pairs.push(match sock {
                 None => None,
-                Some(reader) => {
+                Some((reader, clock)) => {
                     let sock = reader.try_clone().map_err(|e| TransportError::io("clone", &e))?;
                     Some(Pair {
-                        out: Mutex::new(StreamOut { sock, cork: Vec::new(), holds: Vec::new() }),
+                        clock,
+                        out: Mutex::new(StreamOut { sock, cork: Vec::new() }),
                         corked: AtomicBool::new(false),
                         unclaimed: AtomicBool::new(false),
                         reader: Mutex::new(Some(reader)),
@@ -287,6 +285,7 @@ impl NetSession {
         let (events_tx, events_rx) = mpsc::channel();
         Ok(NetMesh {
             node: me,
+            clock: self.clock,
             node_of_pe: topo.pes().map(|pe| topo.cluster_of(pe).index() as u32).collect(),
             pairs,
             events_tx,
@@ -349,51 +348,101 @@ fn prep(stream: &TcpStream, deadline: Instant) -> Result<(), TransportError> {
     stream.set_read_timeout(Some(remaining)).map_err(|e| TransportError::io("read timeout", &e))
 }
 
-fn read_handshake(stream: &TcpStream) -> Result<Handshake, TransportError> {
-    let mut buf = [0u8; HANDSHAKE_LEN];
-    (&mut (&*stream))
-        .read_exact(&mut buf)
-        .map_err(|e| match e.kind() {
-            std::io::ErrorKind::UnexpectedEof => TransportError::PeerClosed { node: u32::MAX },
-            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => {
-                TransportError::Timeout { what: "peer handshake".into() }
-            }
-            _ => TransportError::io("read handshake", &e),
-        })
-        .and_then(|()| Handshake::decode(&buf))
+/// Read exactly `N` handshake bytes, with the failures named.
+fn read_fixed<const N: usize>(stream: &TcpStream) -> Result<[u8; N], TransportError> {
+    let mut buf = [0u8; N];
+    (&mut (&*stream)).read_exact(&mut buf).map_err(|e| match e.kind() {
+        std::io::ErrorKind::UnexpectedEof => TransportError::PeerClosed { node: u32::MAX },
+        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => {
+            TransportError::Timeout { what: "peer handshake".into() }
+        }
+        _ => TransportError::io("read handshake", &e),
+    })?;
+    Ok(buf)
 }
 
-/// Dial-side handshake: send ours, read the reply, validate fully.
+fn write_fixed(stream: &TcpStream, bytes: &[u8]) -> Result<(), TransportError> {
+    (&*stream).write_all(bytes).map_err(|e| TransportError::io("send handshake", &e))
+}
+
+fn clock_mismatch(peer: u32, expected: u64, got: u64) -> TransportError {
+    TransportError::HandshakeMismatch { peer, field: HandshakeField::Clock, expected, got }
+}
+
+/// Dial-side handshake: send ours, read the reply, validate fully; then
+/// time [`CLOCK_PINGS`] ping-pongs, keep the estimate of the one with the
+/// smallest round trip and tell the acceptor, so both ends translate by
+/// the same measurement.
 fn handshake_dial(
     stream: &TcpStream,
     ours: &Handshake,
+    clock: &Clock,
     expect_node: u32,
     deadline: Instant,
-) -> Result<(), TransportError> {
+) -> Result<ClockEstimate, TransportError> {
     prep(stream, deadline)?;
-    (&*stream).write_all(&ours.encode()).map_err(|e| TransportError::io("send handshake", &e))?;
-    let peer = read_handshake(stream)?;
+    write_fixed(stream, &ours.encode())?;
+    let peer = Handshake::decode(&read_fixed::<HANDSHAKE_LEN>(stream)?)?;
     peer.check(Some(expect_node), ours.generation, ours.digest)?;
+    let mut best: Option<ClockEstimate> = None;
+    for _ in 0..CLOCK_PINGS {
+        let t1 = clock.now_ns();
+        write_fixed(stream, &t1.to_le_bytes())?;
+        let (t2, t3) = unwords(&read_fixed(stream)?);
+        let sample =
+            ClockEstimate::from_sample(t1, t2, t3, clock.now_ns()).ok_or_else(|| clock_mismatch(peer.node, t2, t3))?;
+        if best.is_none_or(|b| sample.rtt_ns < b.rtt_ns) {
+            best = Some(sample);
+        }
+    }
+    let best = best.expect("at least one ping");
+    write_fixed(stream, &best.encode())?;
     stream.set_read_timeout(None).map_err(|e| TransportError::io("clear timeout", &e))?;
-    Ok(())
+    Ok(best)
 }
 
 /// Accept-side handshake: read the caller's greeting, reply with ours,
 /// then validate.  Replying before validating lets a mismatched peer
-/// diagnose the same disagreement symmetrically.
-fn handshake_accept(stream: &TcpStream, ours: &Handshake, deadline: Instant) -> Result<Handshake, TransportError> {
+/// diagnose the same disagreement symmetrically.  Then answer the dialer's
+/// pings and take its estimate, mirrored — once it agrees with what this
+/// side saw of the exchange ([`ClockEstimate::check`]).
+fn handshake_accept(
+    stream: &TcpStream,
+    ours: &Handshake,
+    clock: &Clock,
+    deadline: Instant,
+) -> Result<(Handshake, ClockEstimate), TransportError> {
     prep(stream, deadline)?;
-    let peer = read_handshake(stream)?;
-    (&*stream).write_all(&ours.encode()).map_err(|e| TransportError::io("send handshake", &e))?;
+    let peer = Handshake::decode(&read_fixed::<HANDSHAKE_LEN>(stream)?)?;
+    // The dialer pings only once it has this reply: every transit of the
+    // clock exchange lies between here and its last read.
+    let started = clock.now_ns();
+    write_fixed(stream, &ours.encode())?;
     peer.check(None, ours.generation, ours.digest)?;
+    let mut seen_ahead = i128::MAX;
+    for _ in 0..CLOCK_PINGS {
+        let t1 = u64::from_le_bytes(read_fixed::<CLOCK_PING_LEN>(stream)?);
+        let t2 = clock.now_ns();
+        seen_ahead = seen_ahead.min(i128::from(t2) - i128::from(t1));
+        write_fixed(stream, &words(t2, clock.now_ns()))?;
+    }
+    let theirs = ClockEstimate::decode(&read_fixed::<CLOCK_PONG_LEN>(stream)?);
+    theirs.check(peer.node, seen_ahead, clock.now_ns() - started)?;
+    let mine = theirs.mirrored().ok_or_else(|| clock_mismatch(peer.node, seen_ahead as u64, theirs.ahead_ns as u64))?;
     stream.set_read_timeout(None).map_err(|e| TransportError::io("clear timeout", &e))?;
-    Ok(peer)
+    Ok((peer, mine))
 }
 
 impl NetMesh {
     /// This process's node id.
     pub fn node(&self) -> u32 {
         self.node
+    }
+
+    /// What the handshake measured of `node`'s clock against this one's
+    /// (`None` for this node itself or one it has no connection to).
+    pub fn clock_of(&self, node: u32) -> Option<ClockEstimate> {
+        self.pairs.get(node as usize)?.as_ref().map(|p| p.clock)
     }
 
     /// Which node hosts a PE (by the cluster = node mapping).
@@ -431,7 +480,7 @@ impl NetMesh {
                     self.note_down(from_node);
                     return;
                 }
-                Ok(Some((KIND_DATA, body))) => match decode_data_body(body, Instant::now()) {
+                Ok(Some((KIND_DATA, body))) => match decode_data_body(body, &self.clock, Instant::now()) {
                     Ok(pkt) => deliver(pkt),
                     Err(e) => {
                         // A malformed body poisons only this record: count
@@ -501,10 +550,13 @@ impl NetMesh {
         let idx = self.data_sent.fetch_add(1, Ordering::Relaxed);
         let mut w = pair.out.lock();
         let at = w.cork.len();
-        encode_data_record(pkt, &mut w.cork);
-        let mangled = self.fault_hook_set.load(Ordering::Acquire) && self.mangle(idx, &mut w.cork, at);
-        if let (Some(due), false) = (pkt.due, mangled) {
-            w.holds.push((at, due));
+        // `due` as the peer's clock counts it, fixed here: whatever the
+        // record waits in the cork, the socket and the peer's reader is
+        // part of the injected latency, not on top of it.
+        let due_ns = pkt.due.map_or(0, |due| pair.clock.on_peer_clock(self.clock.ns_at(due)));
+        encode_data_record(pkt, due_ns, &mut w.cork);
+        if self.fault_hook_set.load(Ordering::Acquire) {
+            self.mangle(idx, &mut w.cork, at);
         }
         let wrote = if cork && w.cork.len() < CORK_MAX_BYTES {
             pair.corked.store(true, Ordering::Release);
@@ -519,17 +571,16 @@ impl NetMesh {
     }
 
     /// Let the fault hook replace the body of the record just encoded at
-    /// `buf[at..]`, in place; true if it did.
-    fn mangle(&self, idx: u64, buf: &mut Vec<u8>, at: usize) -> bool {
+    /// `buf[at..]`, in place.
+    fn mangle(&self, idx: u64, buf: &mut Vec<u8>, at: usize) {
         let body_at = at + RECORD_HEADER_LEN;
         let Some(mangled) = self.fault_hook.lock().as_ref().and_then(|hook| hook(idx, &buf[body_at..])) else {
-            return false;
+            return;
         };
         buf.truncate(body_at);
         buf.extend_from_slice(&mangled);
         let len = u32::try_from(mangled.len()).expect("mangled body fits a record");
         buf[at + 1..body_at].copy_from_slice(&len.to_le_bytes());
-        true
     }
 
     /// Write every non-empty cork buffer that `pick` selects.
@@ -814,6 +865,130 @@ mod tests {
         }
     }
 
+    /// 200 packets at 20 ms from node 0 to node 1, whose clocks start 25 ms
+    /// apart (further than the latency: a lost sign or a skipped translation
+    /// would read as that).  Every fourth waits 5 ms in the cork first.
+    /// `due` is the sender's `send + L` — never earlier, and later by no more
+    /// than the round trip the estimate rests on; what the cork, the socket
+    /// and the reader took is inside the 20 ms, so delivery follows `due` by a
+    /// mailbox wake-up and nothing else.
+    #[test]
+    fn a_packet_is_due_at_send_plus_latency_whatever_the_cork_and_the_socket_took() {
+        const L: Duration = Duration::from_millis(20);
+        const PACKETS: u32 = 200;
+        let (listeners, manifest) = localhost_rendezvous(2).unwrap();
+        let mut sessions = Vec::new();
+        for (i, l) in listeners.into_iter().enumerate() {
+            sessions.push(NetSession::with_listener(NetConfig::new(i as u32, manifest.clone()), l).unwrap());
+            std::thread::sleep(Duration::from_millis(25));
+        }
+        let meshes = establish_all(sessions, &Topology::two_cluster(2), 0);
+        let est = meshes[0].clock_of(1).expect("a clock estimate per peer");
+        assert!((-40_000_000..=-25_000_000).contains(&est.ahead_ns), "node 1 bound 25 ms later: {est:?}");
+        assert!(est.rtt_ns < 5_000_000, "a loopback round trip: {est:?}");
+        assert_eq!(meshes[1].clock_of(0), est.mirrored(), "both ends translate by one measurement");
+        assert_eq!(meshes[0].clock_of(0), None);
+
+        let landing = Arc::new(mdo_vmi::Mailbox::new());
+        let post = Arc::clone(&landing);
+        meshes[1].start(move |pkt| post.post(pkt));
+        let receiver = std::thread::spawn(move || {
+            (0..PACKETS).map(|_| (landing.take().expect("delivered"), Instant::now())).collect::<Vec<_>>()
+        });
+        let mut sent = Vec::new();
+        for i in 0..PACKETS {
+            let mut pkt = numbered(i, 64);
+            let now = Instant::now();
+            pkt.due = Some(now + L);
+            sent.push(now);
+            if i % 4 == 0 {
+                meshes[0].send_corked(pkt);
+                std::thread::sleep(Duration::from_millis(5));
+                meshes[0].flush();
+            } else {
+                meshes[0].send(pkt);
+            }
+        }
+        let mut late_by = Vec::new();
+        for (i, (pkt, delivered)) in receiver.join().expect("receiver").into_iter().enumerate() {
+            assert_eq!(pkt.payload[..4], (i as u32).to_le_bytes(), "same latency, one stream: send order");
+            let (due, earliest) = (pkt.due.expect("held"), sent[i] + L);
+            assert!(due >= earliest, "packet {i} due {:?} before send + L", earliest - due);
+            let slack = Duration::from_nanos(est.rtt_ns) + Duration::from_micros(1);
+            assert!(due <= earliest + slack, "packet {i} due {:?} after send + L, rtt {est:?}", due - earliest);
+            assert!(delivered >= earliest, "packet {i} visible before send + L");
+            late_by.push(delivered - earliest);
+        }
+        late_by.sort();
+        let median = late_by[late_by.len() / 2];
+        assert!(median <= Duration::from_millis(1), "delivered {median:?} (median) after send + L: {late_by:?}");
+        for m in &meshes {
+            m.shutdown();
+        }
+    }
+
+    /// A peer whose clock fields are garbage is refused by name, from either
+    /// end of the socket: an acceptor whose pong is stamped before the ping
+    /// arrived, and a dialer whose closing estimate contradicts what the
+    /// acceptor saw of the exchange.
+    #[test]
+    fn a_garbage_clock_field_is_a_handshake_mismatch() {
+        let (listeners, manifest) = localhost_rendezvous(2).unwrap();
+        let mut it = listeners.into_iter();
+        let mk = |i: u32, l: TcpListener| {
+            let mut cfg = NetConfig::new(i, manifest.clone());
+            cfg.connect_timeout = Duration::from_secs(5);
+            NetSession::with_listener(cfg, l).unwrap()
+        };
+        let topo = Topology::two_cluster(2);
+        let digest = topo.digest();
+        let expect_clock_mismatch = |res: Result<NetMesh, TransportError>, peer: u32| match res {
+            Err(TransportError::HandshakeMismatch { peer: p, field: HandshakeField::Clock, .. }) => assert_eq!(p, peer),
+            other => panic!("expected a clock mismatch from node {peer}, got {other:?}"),
+        };
+
+        // Node 0 accepts a "node 1" that pings honestly and then claims to
+        // be three hours ahead.
+        let s0 = mk(0, it.next().unwrap());
+        let addr = manifest[0];
+        let rogue = std::thread::spawn(move || {
+            let s = TcpStream::connect(addr).unwrap();
+            s.set_nodelay(true).unwrap();
+            (&s).write_all(&Handshake { node: 1, generation: 0, digest }.encode()).unwrap();
+            read_fixed::<HANDSHAKE_LEN>(&s).expect("node 0 greets back");
+            for t1 in 0..CLOCK_PINGS as u64 {
+                (&s).write_all(&t1.to_le_bytes()).unwrap();
+                read_fixed::<CLOCK_PONG_LEN>(&s).expect("a pong per ping");
+            }
+            let lie = ClockEstimate { ahead_ns: 3 * 3_600_000_000_000, rtt_ns: 10 };
+            (&s).write_all(&lie.encode()).unwrap();
+            let _ = read_fixed::<1>(&s); // node 0 closes on us
+        });
+        let started = Instant::now();
+        expect_clock_mismatch(s0.establish(0, &topo, &[0, 1]), 1);
+        rogue.join().unwrap();
+
+        // Node 1 dials a "node 0" whose first pong says it answered before
+        // it was asked.
+        let rogue_listener = it.next().unwrap();
+        let (rogue_addr, mut cfg) = (rogue_listener.local_addr().unwrap(), NetConfig::new(1, manifest.clone()));
+        cfg.manifest[0] = rogue_addr;
+        cfg.connect_timeout = Duration::from_secs(5);
+        let s1 = NetSession::with_listener(cfg, TcpListener::bind(("127.0.0.1", 0)).unwrap()).unwrap();
+        let rogue = std::thread::spawn(move || {
+            let (s, _) = rogue_listener.accept().unwrap();
+            s.set_nodelay(true).unwrap();
+            read_fixed::<HANDSHAKE_LEN>(&s).expect("node 1 greets");
+            (&s).write_all(&Handshake { node: 0, generation: 0, digest }.encode()).unwrap();
+            read_fixed::<CLOCK_PING_LEN>(&s).expect("a ping");
+            (&s).write_all(&words(500, 400)).unwrap();
+            let _ = read_fixed::<1>(&s); // node 1 closes on us
+        });
+        expect_clock_mismatch(s1.establish(0, &topo, &[0, 1]), 0);
+        rogue.join().unwrap();
+        assert!(started.elapsed() < Duration::from_secs(5), "refused on the spot, not at a deadline");
+    }
+
     #[test]
     fn control_plane_and_peer_down() {
         let topo = Topology::two_cluster(2);
@@ -940,9 +1115,8 @@ mod tests {
         let rogue = std::thread::spawn(move || {
             let greet = || {
                 let s = TcpStream::connect(addr).unwrap();
-                (&s).write_all(&Handshake { node: 1, generation: 0, digest }.encode()).unwrap();
-                let mut reply = [0u8; HANDSHAKE_LEN];
-                (&s).read_exact(&mut reply).expect("node 0 replies before it validates");
+                let (ours, deadline) = (Handshake { node: 1, generation: 0, digest }, Instant::now() + SOON);
+                handshake_dial(&s, &ours, &Clock::start(), 0, deadline).expect("node 0 answers before it decides");
                 s
             };
             let _both = (greet(), greet());

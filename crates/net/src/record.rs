@@ -3,9 +3,13 @@
 //! Everything a TCP stream carries is length-prefixed and little-endian:
 //!
 //! ```text
-//! handshake (once, both directions, 22 bytes fixed):
+//! greeting (once, both directions, 22 bytes fixed):
 //!   magic "MDON" | version u16 | node u32 | generation u32
 //!   | topology digest u64
+//!
+//! clock exchange (after the greetings, CLOCK_PINGS times, then once):
+//!   dialer:   t1 u64                 acceptor: t2 u64 | t3 u64
+//!   dialer:   ahead_ns i64 | rtt_ns u64
 //!
 //! record (repeated):
 //!   kind u8 | len u32 | body[len]
@@ -17,20 +21,30 @@
 //! |---|---|---|
 //! | `src`, `dst` | 0..4, 4..8 | sending and destination PE |
 //! | `priority` | 8..12 | delivery priority (smaller = more urgent) |
-//! | `hold_ns` | 12..20 | injected latency still to run when the record was written (since wire version 2) |
+//! | `hold_ns` | 12..20 | when the injected latency is over, on the *receiver's* [`Clock`]; 0 = no hold (since wire version 4; versions 2 and 3 carried the hold still to run) |
 //! | payload | 20.. | the packet's bytes, opaque |
 //!
 //! Data-record payloads are the exact byte strings the in-process
 //! transport moves — reliable-layer frames ([`mdo_vmi::reliable`]) and
 //! jumbo frames ([`mdo_vmi::frame`]) ride through opaque and unchanged,
 //! which is what keeps multi-process runs bit-exact.  `hold_ns` is how a
-//! delay device's [`Packet::due`] stamp crosses between two clocks: the
-//! sender writes the *remaining* hold — [`stamp_hold`], at the moment the
-//! record leaves, so time spent corked counts towards the latency instead
-//! of adding to it — and the receiver re-bases it on the record's arrival
-//! (`due = arrival + hold`).  A packet is never visible before
-//! send + latency and no clock synchronisation is needed; what the socket
-//! itself takes comes on top, as a real wide-area link's would.
+//! delay device's [`Packet::due`] stamp crosses between two clocks: every
+//! node counts nanoseconds since an epoch of its own ([`Clock`]), the
+//! handshake estimates how far the peer's count is ahead
+//! ([`ClockEstimate`]: a few ping-pongs, NTP's four timestamps, the sample
+//! with the smallest round trip), and the sender writes `due` translated to
+//! the receiver's count, which the receiver takes as it stands.  The
+//! injected latency therefore means send + latency on both engines: time
+//! in the cork, in the socket and in the reader's run queue is part of it,
+//! not on top of it.  The estimate is off by at most half the sample's
+//! round trip, and the translation adds that half, so where both nodes
+//! count one monotonic clock — threads or processes of one host, which is
+//! every test and benchmark — a packet is never visible before send +
+//! latency and at most one loopback round trip (tens of microseconds)
+//! after.  The offset is sampled once per mesh and never refreshed: between
+//! separate hosts the bound is half the round trip *plus the drift of the
+//! two oscillators since the handshake* (tens of ppm: 1–2 ms over half a
+//! minute), early or late.
 //!
 //! Decoding is hostile-input safe: every failure is a structured
 //! [`RecordError`], never a panic, and a malformed *body* poisons only
@@ -49,9 +63,10 @@ use crate::error::{HandshakeField, TransportError};
 
 /// Protocol magic: the ASCII bytes "MDON".
 pub const MAGIC: [u8; 4] = *b"MDON";
-/// Wire-format version; bumped on any incompatible layout change (3 is
-/// the 22-byte handshake of one socket per pair; records are as in 2).
-pub const WIRE_VERSION: u16 = 3;
+/// Wire-format version; bumped on any incompatible layout change (4 is
+/// the clock exchange after the greeting and `hold_ns` as a `due` on the
+/// receiver's clock; the 22-byte greeting is as in 3).
+pub const WIRE_VERSION: u16 = 4;
 /// Encoded handshake size (fixed, version-independent, so a version
 /// mismatch can still be diagnosed instead of desynchronizing).
 pub const HANDSHAKE_LEN: usize = 22;
@@ -67,10 +82,127 @@ pub const KIND_CONTROL: u8 = 1;
 pub const DATA_BODY_MIN: usize = 20;
 /// Offset of the hold field within a data-record body.
 pub const DATA_HOLD_AT: usize = 12;
-/// Longest hold a data record may ask for.  The field is outside input: no
-/// injected latency comes near an hour, so anything above is a corrupt or
-/// hostile record and is dropped rather than parked.
+/// Furthest past its arrival a data record may ask to be held.  The field is
+/// outside input: no injected latency comes near an hour, so anything above
+/// is a corrupt or hostile record and is dropped rather than parked.
 pub const MAX_HOLD: Duration = Duration::from_secs(3600);
+/// Ping-pongs of the handshake's clock exchange.  The estimate keeps the one
+/// with the smallest round trip, so more only ever tighten it; eight take
+/// well under a millisecond on loopback.
+pub const CLOCK_PINGS: usize = 8;
+/// Encoded size of a ping: `t1`.
+pub const CLOCK_PING_LEN: usize = 8;
+/// Encoded size of a pong (`t2 | t3`) and of the dialer's closing estimate
+/// (`ahead_ns | rtt_ns`).
+pub const CLOCK_PONG_LEN: usize = 16;
+
+/// A node's clock: nanoseconds since the epoch its session took when it
+/// bound.  Two nodes' counts differ by whatever separates their epochs,
+/// which is what a [`ClockEstimate`] measures.
+#[derive(Clone, Copy, Debug)]
+pub struct Clock {
+    epoch: Instant,
+}
+
+impl Clock {
+    /// A clock whose epoch is now.
+    pub fn start() -> Clock {
+        Clock { epoch: Instant::now() }
+    }
+
+    /// `t` on this clock (0 for an instant before the epoch).
+    pub fn ns_at(&self, t: Instant) -> u64 {
+        u64::try_from(t.saturating_duration_since(self.epoch).as_nanos()).unwrap_or(u64::MAX)
+    }
+
+    /// The current reading.
+    pub fn now_ns(&self) -> u64 {
+        self.ns_at(Instant::now())
+    }
+}
+
+/// What a handshake learned about the peer's [`Clock`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ClockEstimate {
+    /// The peer's reading minus this node's at the same instant.
+    pub ahead_ns: i64,
+    /// Round trip of the sample the estimate was taken from; `ahead_ns` is
+    /// off by at most half of it.
+    pub rtt_ns: u64,
+}
+
+impl ClockEstimate {
+    /// NTP's estimate from one ping-pong: the ping left at `t1` and the pong
+    /// came back at `t4` on this clock, the peer read `t2` and `t3` on its
+    /// own in between.  `None` if the four cannot be readings of two running
+    /// clocks (a pong stamped before its ping arrived, a peer that held the
+    /// ping longer than the round trip took).
+    pub fn from_sample(t1: u64, t2: u64, t3: u64, t4: u64) -> Option<ClockEstimate> {
+        let rtt_ns = t4.checked_sub(t1)?.checked_sub(t3.checked_sub(t2)?)?;
+        let twice = (i128::from(t2) - i128::from(t1)) + (i128::from(t3) - i128::from(t4));
+        Some(ClockEstimate { ahead_ns: i64::try_from(twice / 2).ok()?, rtt_ns })
+    }
+
+    /// The same measurement as the peer should use it.
+    pub fn mirrored(self) -> Option<ClockEstimate> {
+        Some(ClockEstimate { ahead_ns: self.ahead_ns.checked_neg()?, rtt_ns: self.rtt_ns })
+    }
+
+    /// Encode to the fixed wire layout.
+    pub fn encode(&self) -> [u8; CLOCK_PONG_LEN] {
+        words(self.ahead_ns as u64, self.rtt_ns)
+    }
+
+    /// Decode the dialer's closing message.
+    pub fn decode(buf: &[u8; CLOCK_PONG_LEN]) -> ClockEstimate {
+        let (ahead, rtt_ns) = unwords(buf);
+        ClockEstimate { ahead_ns: ahead as i64, rtt_ns }
+    }
+
+    /// Validate the estimate node `peer` sent against what this side saw of
+    /// the same exchange: `seen_ahead_ns` is the smallest "my reading when a
+    /// ping arrived, minus the `t1` in it" (the true value plus that ping's
+    /// transit), and the whole exchange took `span_ns` here, which bounds
+    /// every transit in it.  An honest estimate is therefore within
+    /// `span_ns` of `seen_ahead_ns` and reports a round trip no longer than
+    /// the exchange; anything else is a garbage field.
+    pub fn check(&self, peer: u32, seen_ahead_ns: i128, span_ns: u64) -> Result<(), TransportError> {
+        let off_by = (i128::from(self.ahead_ns) - seen_ahead_ns).unsigned_abs();
+        if off_by > u128::from(span_ns) || self.rtt_ns > span_ns {
+            return Err(TransportError::HandshakeMismatch {
+                peer,
+                field: HandshakeField::Clock,
+                expected: seen_ahead_ns as u64,
+                got: self.ahead_ns as u64,
+            });
+        }
+        Ok(())
+    }
+
+    /// `ns` on this node's clock as the peer's clock will read at that
+    /// instant — half a round trip later than the estimate says, so that its
+    /// error can only delay a packet, never show it early (the estimate's
+    /// own error; drift since the handshake is not in it).  Never 0, which
+    /// on the wire means "no hold".
+    pub fn on_peer_clock(&self, ns: u64) -> u64 {
+        let there = i128::from(ns) + i128::from(self.ahead_ns) + i128::from(self.rtt_ns.div_ceil(2));
+        u64::try_from(there.max(1)).unwrap_or(u64::MAX)
+    }
+}
+
+/// Two little-endian words: the layout of a pong and of an estimate.
+pub(crate) fn words(a: u64, b: u64) -> [u8; CLOCK_PONG_LEN] {
+    let mut out = [0u8; CLOCK_PONG_LEN];
+    out[..8].copy_from_slice(&a.to_le_bytes());
+    out[8..].copy_from_slice(&b.to_le_bytes());
+    out
+}
+
+/// Inverse of [`words`].
+pub(crate) fn unwords(buf: &[u8; CLOCK_PONG_LEN]) -> (u64, u64) {
+    let word = |at: usize| u64::from_le_bytes(buf[at..at + 8].try_into().expect("8 bytes"));
+    (word(0), word(8))
+}
 
 /// The per-connection greeting exchanged before any record flows.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -176,10 +308,9 @@ pub enum RecordError {
         /// The actual body length.
         len: usize,
     },
-    /// A data record asking to be held longer than [`MAX_HOLD`] (or past
-    /// the end of the clock).
+    /// A data record due further than [`MAX_HOLD`] past its arrival.
     HoldOutOfRange {
-        /// The advertised hold in nanoseconds.
+        /// How long it asked to be held, in nanoseconds.
         nanos: u64,
     },
     /// The underlying reader failed.
@@ -205,10 +336,10 @@ impl fmt::Display for RecordError {
 
 impl std::error::Error for RecordError {}
 
-/// Append a framed data record carrying `pkt` to `out`, with no hold; a
-/// packet that has a `due` gets its hold from [`stamp_hold`] when the
-/// record is written.
-pub fn encode_data_record(pkt: &Packet, out: &mut Vec<u8>) {
+/// Append a framed data record carrying `pkt` to `out`.  `due_ns` is the
+/// packet's `due` on the *receiver's* clock
+/// ([`ClockEstimate::on_peer_clock`]), 0 for a packet with none.
+pub fn encode_data_record(pkt: &Packet, due_ns: u64, out: &mut Vec<u8>) {
     let body_len = DATA_BODY_MIN + pkt.payload.len();
     out.reserve(RECORD_HEADER_LEN + body_len);
     out.push(KIND_DATA);
@@ -216,16 +347,8 @@ pub fn encode_data_record(pkt: &Packet, out: &mut Vec<u8>) {
     out.extend_from_slice(&pkt.src.0.to_le_bytes());
     out.extend_from_slice(&pkt.dst.0.to_le_bytes());
     out.extend_from_slice(&pkt.priority.to_le_bytes());
-    out.extend_from_slice(&0u64.to_le_bytes());
+    out.extend_from_slice(&due_ns.to_le_bytes());
     out.extend_from_slice(&pkt.payload);
-}
-
-/// Set the hold of the data record that starts at `record[0]` (as
-/// [`encode_data_record`] wrote it) to `hold`: what is left of the packet's
-/// injected latency now.
-pub fn stamp_hold(record: &mut [u8], hold: Duration) {
-    let nanos = u64::try_from(hold.as_nanos()).unwrap_or(u64::MAX);
-    record[RECORD_HEADER_LEN + DATA_HOLD_AT..RECORD_HEADER_LEN + DATA_BODY_MIN].copy_from_slice(&nanos.to_le_bytes());
 }
 
 /// Append a framed control record from node `from` to `out`.
@@ -272,20 +395,20 @@ pub fn read_record(r: &mut impl Read) -> Result<Option<(u8, Vec<u8>)>, RecordErr
 
 /// Decode a data-record body, which arrived at `arrival`, into a
 /// [`Packet`].  The payload is a view of `body` past the routing header —
-/// no copy — and a non-zero hold becomes `due = arrival + hold`.
-pub fn decode_data_body(body: Vec<u8>, arrival: Instant) -> Result<Packet, RecordError> {
+/// no copy — and a non-zero `hold_ns` is the packet's `due` as `clock`
+/// counts: taken as it stands, or `arrival` if that has already passed.
+pub fn decode_data_body(body: Vec<u8>, clock: &Clock, arrival: Instant) -> Result<Packet, RecordError> {
     if body.len() < DATA_BODY_MIN {
         return Err(RecordError::ShortDataBody { len: body.len() });
     }
     let src = u32::from_le_bytes(body[0..4].try_into().expect("4 bytes"));
     let dst = u32::from_le_bytes(body[4..8].try_into().expect("4 bytes"));
     let priority = i32::from_le_bytes(body[8..12].try_into().expect("4 bytes"));
-    let nanos = u64::from_le_bytes(body[DATA_HOLD_AT..DATA_BODY_MIN].try_into().expect("8 bytes"));
-    let hold = Duration::from_nanos(nanos);
-    let due = match nanos {
-        0 => None,
-        _ if hold > MAX_HOLD => return Err(RecordError::HoldOutOfRange { nanos }),
-        _ => Some(arrival.checked_add(hold).ok_or(RecordError::HoldOutOfRange { nanos })?),
+    let due_ns = u64::from_le_bytes(body[DATA_HOLD_AT..DATA_BODY_MIN].try_into().expect("8 bytes"));
+    let due = match due_ns.saturating_sub(clock.ns_at(arrival)) {
+        _ if due_ns == 0 => None,
+        nanos if Duration::from_nanos(nanos) > MAX_HOLD => return Err(RecordError::HoldOutOfRange { nanos }),
+        nanos => Some(arrival + Duration::from_nanos(nanos)),
     };
     let mut pkt = Packet::with_priority(Pe(src), Pe(dst), priority, Bytes::from(body).slice(DATA_BODY_MIN..));
     pkt.due = due;
@@ -351,42 +474,105 @@ mod tests {
     fn data_record_roundtrips() {
         let pkt = Packet::with_priority(Pe(3), Pe(11), -7, Bytes::from_static(b"payload bytes"));
         let mut buf = Vec::new();
-        encode_data_record(&pkt, &mut buf);
+        encode_data_record(&pkt, 0, &mut buf);
         let (kind, body) = read_record(&mut Cursor::new(&buf)).unwrap().expect("one record");
         assert_eq!(kind, KIND_DATA);
-        let got = decode_data_body(body, Instant::now()).unwrap();
+        let got = decode_data_body(body, &Clock::start(), Instant::now()).unwrap();
         assert_eq!((got.src, got.dst, got.priority), (Pe(3), Pe(11), -7));
         assert_eq!(&got.payload[..], b"payload bytes");
         assert!(got.due.is_none(), "no hold, no stamp");
     }
 
+    /// The one data record of `buf`, decoded on `clock` as arriving at `arrival`.
+    fn decoded(buf: &[u8], clock: &Clock, arrival: Instant) -> Result<Packet, RecordError> {
+        let (_, body) = read_record(&mut Cursor::new(buf)).unwrap().expect("one record");
+        decode_data_body(body, clock, arrival)
+    }
+
     #[test]
-    fn hold_rides_the_record_and_is_rebased_on_arrival() {
+    fn due_rides_the_record_on_the_receivers_clock_and_is_taken_as_it_stands() {
         let pkt = Packet::new(Pe(0), Pe(1), Bytes::from_static(b"x"));
+        // The receiver's clock started 3 s ago; the sender says "due at 3.020 s
+        // on your clock".  However long the record took to get here, that is
+        // when it is due: nothing is added at arrival.
+        let clock = Clock::start();
+        let due = clock.epoch + Duration::from_millis(3020);
         let mut buf = Vec::new();
-        encode_data_record(&pkt, &mut buf);
-        stamp_hold(&mut buf, Duration::from_millis(20));
-        let (_, body) = read_record(&mut Cursor::new(&buf)).unwrap().expect("one record");
-        let arrival = Instant::now();
-        let got = decode_data_body(body, arrival).unwrap();
-        assert_eq!(got.due, Some(arrival + Duration::from_millis(20)));
+        encode_data_record(&pkt, clock.ns_at(due), &mut buf);
+        for transit_ms in [0, 5, 19] {
+            let arrival = clock.epoch + Duration::from_millis(3000 + transit_ms);
+            assert_eq!(decoded(&buf, &clock, arrival).unwrap().due, Some(due), "after {transit_ms} ms in transit");
+        }
+        // A `due` that has passed is deliverable at once: the arrival itself.
+        let late = due + Duration::from_millis(4);
+        assert_eq!(decoded(&buf, &clock, late).unwrap().due, Some(late));
     }
 
     #[test]
     fn hostile_hold_is_a_structured_error() {
         let pkt = Packet::new(Pe(0), Pe(1), Bytes::from_static(b"x"));
-        for hold in [MAX_HOLD + Duration::from_nanos(1), Duration::MAX] {
+        let clock = Clock::start();
+        let arrival = clock.epoch + Duration::from_secs(10);
+        let at = |past_arrival: Duration| {
             let mut buf = Vec::new();
-            encode_data_record(&pkt, &mut buf);
-            stamp_hold(&mut buf, hold);
-            let (_, body) = read_record(&mut Cursor::new(&buf)).unwrap().expect("one record");
-            assert!(matches!(decode_data_body(body, Instant::now()), Err(RecordError::HoldOutOfRange { .. })));
+            let due_ns =
+                clock.ns_at(arrival).saturating_add(u64::try_from(past_arrival.as_nanos()).unwrap_or(u64::MAX));
+            encode_data_record(&pkt, due_ns, &mut buf);
+            decoded(&buf, &clock, arrival)
+        };
+        for hold in [MAX_HOLD + Duration::from_nanos(1), Duration::MAX] {
+            assert!(matches!(at(hold), Err(RecordError::HoldOutOfRange { .. })));
         }
-        let mut buf = Vec::new();
-        encode_data_record(&pkt, &mut buf);
-        stamp_hold(&mut buf, MAX_HOLD);
-        let (_, body) = read_record(&mut Cursor::new(&buf)).unwrap().expect("one record");
-        assert!(decode_data_body(body, Instant::now()).is_ok(), "the cap itself is allowed");
+        assert_eq!(at(MAX_HOLD).expect("the cap itself is allowed").due, Some(arrival + MAX_HOLD));
+    }
+
+    #[test]
+    fn clock_estimate_is_ntps_and_errs_late() {
+        // The peer's clock reads 1,000,000 more than ours; 30 out, 10 on the
+        // peer, 50 back.  NTP splits the 80 of transit evenly, so it is off
+        // by (30 − 50) / 2 — within half the round trip, as it must be.
+        let (ahead, t1) = (1_000_000u64, 500u64);
+        let est = ClockEstimate::from_sample(t1, t1 + 30 + ahead, t1 + 40 + ahead, t1 + 90).expect("a valid sample");
+        assert_eq!(est, ClockEstimate { ahead_ns: 1_000_000 - 10, rtt_ns: 80 });
+        assert_eq!(ClockEstimate::decode(&est.encode()), est);
+        assert_eq!(est.mirrored(), Some(ClockEstimate { ahead_ns: -(1_000_000 - 10), rtt_ns: 80 }));
+        // Translating adds the half round trip: never before the true reading.
+        assert_eq!(est.on_peer_clock(7_000), 7_000 + 1_000_000 - 10 + 40);
+        assert!(est.on_peer_clock(7_000) >= 7_000 + ahead);
+        // A peer behind us, and an instant before its epoch: clamped to the
+        // earliest value that still means "held".
+        let behind = ClockEstimate { ahead_ns: -9_000, rtt_ns: 0 };
+        assert_eq!(behind.on_peer_clock(10_000), 1_000);
+        assert_eq!(behind.on_peer_clock(5_000), 1);
+        // Four numbers that no two running clocks read.
+        assert_eq!(ClockEstimate::from_sample(100, 50, 40, 200), None, "pong stamped before the ping arrived");
+        assert_eq!(ClockEstimate::from_sample(100, 0, 500, 200), None, "held longer than the round trip");
+        assert_eq!(ClockEstimate::from_sample(200, 0, 0, 100), None, "back before it left");
+        assert_eq!(
+            ClockEstimate::from_sample(0, u64::MAX, u64::MAX, 0).map(|e| e.ahead_ns),
+            None,
+            "ahead by more than i64"
+        );
+    }
+
+    #[test]
+    fn a_garbage_clock_estimate_is_a_handshake_mismatch() {
+        // This side saw pings arrive reading at least 5,000 ahead of their
+        // `t1`, in an exchange that took 400 here.
+        let (seen, span) = (5_000i128, 400u64);
+        assert!(ClockEstimate { ahead_ns: 4_900, rtt_ns: 120 }.check(1, seen, span).is_ok());
+        for garbage in [
+            ClockEstimate { ahead_ns: 5_401, rtt_ns: 120 },
+            ClockEstimate { ahead_ns: 4_599, rtt_ns: 120 },
+            ClockEstimate { ahead_ns: i64::MIN, rtt_ns: 0 },
+            ClockEstimate { ahead_ns: i64::MAX, rtt_ns: u64::MAX },
+            ClockEstimate { ahead_ns: 4_900, rtt_ns: 401 },
+        ] {
+            match garbage.check(1, seen, span) {
+                Err(TransportError::HandshakeMismatch { peer: 1, field: HandshakeField::Clock, .. }) => {}
+                other => panic!("{garbage:?}: expected a clock mismatch, got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -403,7 +589,7 @@ mod tests {
         assert_eq!(read_record(&mut Cursor::new(&[])).unwrap(), None);
         let pkt = Packet::new(Pe(0), Pe(1), Bytes::from_static(b"x"));
         let mut buf = Vec::new();
-        encode_data_record(&pkt, &mut buf);
+        encode_data_record(&pkt, 0, &mut buf);
         assert!(matches!(read_record(&mut Cursor::new(&buf[..3])), Err(RecordError::TruncatedHeader { got: 3 })));
         assert!(matches!(read_record(&mut Cursor::new(&buf[..buf.len() - 1])), Err(RecordError::TruncatedBody { .. })));
     }
@@ -415,7 +601,8 @@ mod tests {
         assert!(matches!(read_record(&mut Cursor::new(&oversized)), Err(RecordError::Oversized { .. })));
         let unknown = [0x7fu8, 0, 0, 0, 0];
         assert!(matches!(read_record(&mut Cursor::new(&unknown)), Err(RecordError::UnknownKind(0x7f))));
-        assert!(matches!(decode_data_body(vec![0; 5], Instant::now()), Err(RecordError::ShortDataBody { len: 5 })));
+        let short = decode_data_body(vec![0; 5], &Clock::start(), Instant::now());
+        assert!(matches!(short, Err(RecordError::ShortDataBody { len: 5 })));
         assert!(matches!(decode_control_body(&[0; 2]), Err(RecordError::ShortControlBody { len: 2 })));
     }
 }

@@ -13,8 +13,8 @@
 //! invisible to its consumer and bounds the consumer's blocking wait by the
 //! earliest `due`, so "not visible to the destination PE before send + L"
 //! costs no timer thread, no second queue and no extra wake-up.  Across a
-//! [`Wire`](crate::wire::Wire) the stamp travels as the *remaining* hold and
-//! the receiving node re-bases it on its own clock.  The stamp is taken at
+//! [`Wire`](crate::wire::Wire) the stamp travels translated to the receiving
+//! node's clock, so it means send + L there too.  The stamp is taken at
 //! the *send* instant, so chain traversal overhead does not inflate the
 //! injected latency.
 

@@ -426,6 +426,8 @@ impl ReliableTransport {
             while let Some(raw) = self.inner.try_recv(pkt.src) {
                 self.absorb(layer, pkt.src, raw);
             }
+            // The acks absorbing those sent are corked, and this thread sleeps next.
+            self.inner.flush_wire(pkt.src);
             if sh.error.lock().is_some() {
                 // A dead pair cannot return credit; let the failure
                 // machinery see the traffic instead of wedging here.

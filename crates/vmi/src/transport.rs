@@ -13,9 +13,9 @@
 //! Every send consults the job [`Topology`] to pick the chain — the VMI
 //! affiliation check.  The delay device only stamps; the landing mailbox
 //! holds, so the receive calls here are where an injected latency is
-//! actually waited out.  With a wire bound they are also where the cork is
-//! written (see [`crate::wire`]): before the polling thread blocks, and on
-//! its way back in once the cork is old.
+//! actually waited out.  With a wire bound the blocking ones are also where
+//! the cork is written (see [`crate::wire`]): before the polling thread
+//! sleeps, and — any of them — on its way back in once the cork is old.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -112,30 +112,42 @@ impl Transport {
 
     /// Blocking receive for one PE.
     pub fn recv(&self, pe: Pe) -> Option<Packet> {
-        self.recv_with(pe, Mailbox::take)
+        self.recv_blocking(pe, Mailbox::take)
     }
 
     /// Receive with timeout.
     pub fn recv_timeout(&self, pe: Pe, timeout: Duration) -> Option<Packet> {
-        self.recv_with(pe, |mb| mb.take_timeout(timeout))
+        self.recv_blocking(pe, |mb| mb.take_timeout(timeout))
     }
 
-    /// Non-blocking receive.
+    /// Non-blocking receive.  A miss does not write the cork: the caller is
+    /// not about to sleep — it has other work, or it will say so with a
+    /// blocking receive (or [`Transport::flush_wire`]) next.
     pub fn try_recv(&self, pe: Pe) -> Option<Packet> {
         self.recv_with(pe, Mailbox::try_take)
     }
 
-    /// The one receive path.  With a wire bound: take what is ready;
+    /// A receive that may sleep.  With a wire bound: take what is ready;
     /// failing that, write the calling thread's cork — it is about to
-    /// block, or found nothing to do — and only then `take`.
+    /// block — and only then `wait`.
+    fn recv_blocking(&self, pe: Pe, wait: impl FnOnce(&Mailbox) -> Option<Packet>) -> Option<Packet> {
+        self.recv_with(pe, |mb| match &self.router {
+            None => wait(mb),
+            Some(router) => mb.try_take().or_else(|| {
+                router.flush(pe);
+                wait(mb)
+            }),
+        })
+    }
+
+    /// The one receive path: the calling thread is `pe`'s poller from here
+    /// on (a cork it left open too long ago is written now), and a packet in
+    /// hand starts a handler.
     fn recv_with(&self, pe: Pe, take: impl FnOnce(&Mailbox) -> Option<Packet>) -> Option<Packet> {
         let mb = &self.mailboxes[pe.index()];
         let Some(router) = &self.router else { return take(mb) };
         router.enter_recv(pe);
-        let pkt = mb.try_take().or_else(|| {
-            router.flush(pe);
-            take(mb)
-        });
+        let pkt = take(mb);
         if pkt.is_some() {
             router.handler_started(pe);
         }

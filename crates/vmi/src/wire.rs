@@ -15,7 +15,8 @@
 //! unchanged.  Sender-side devices (delay, CRC, fault injection) run
 //! before the wire too: an artificial-latency delay device composes with
 //! a real network exactly as §5.1's delay device composes with Myrinet —
-//! its [`Packet::due`] stamp crosses the wire as the remaining hold.
+//! its [`Packet::due`] stamp crosses the wire as a `due` on the receiving
+//! node's clock.
 //!
 //! ## Corking
 //!
@@ -27,10 +28,11 @@
 //! a packet is corked only when the sending thread is the one that polls
 //! `Transport::recv*` for the packet's source PE, because that is the only
 //! sender certain to come back; the transport flushes for it before it
-//! blocks or finds its queue empty in `recv*` and, on its way back into
-//! `recv*`, once the cork is [`CORK_MAX_AGE`] old.  Every other sender (a
-//! retransmit timer, an aggregation flusher, a plain test thread) writes
-//! through.  A polling thread that stops polling — for a compute sleep, a
+//! blocks in `recv*` (a non-blocking `try_recv` that finds nothing does
+//! not: its caller has other work, a PE's own queue for one) and, on its
+//! way back into any `recv*`, once the cork is [`CORK_MAX_AGE`] old.  Every
+//! other sender (a retransmit timer, an aggregation flusher, a plain test
+//! thread) writes through.  A polling thread that stops polling — for a compute sleep, a
 //! credit stall, for good — calls
 //! [`Transport::flush_wire`](crate::transport::Transport::flush_wire)
 //! first; the wire's own bound on how long it holds a cork is only the

@@ -4,13 +4,14 @@
 //! Counters are per thread (`cargo test` runs each test on its own): a
 //! test reads only what its own thread allocated, which is the whole of a
 //! `SimEngine` run and exactly the calling side of the aggregated send.
-//! The one exception is the packet-slot census, which has to see the PE
-//! threads of a wall-clock run: it counts on every thread, so the tests of
-//! this file take [`alone`] and run one at a time.
+//! The exceptions have to see the PE threads of a wall-clock run — the
+//! packet-slot census and the whole-process live bytes and allocation
+//! count — so they count on every thread, and the tests of this file take
+//! [`alone`] and run one at a time.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicIsize, Ordering};
+use std::sync::atomic::{AtomicIsize, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use gridmdo::apps::leanmd::{self, MdConfig};
@@ -31,6 +32,12 @@ struct Counting;
 static SLOT_BYTES: AtomicIsize = AtomicIsize::new(0);
 /// High-water mark of `SLOT_BYTES` since it was last reset.
 static SLOT_PEAK: AtomicIsize = AtomicIsize::new(0);
+
+/// Bytes live on all threads together, their high-water mark since it was
+/// last reset, and allocations made, for the wall-clock runs.
+static ALL_LIVE: AtomicIsize = AtomicIsize::new(0);
+static ALL_PEAK: AtomicIsize = AtomicIsize::new(0);
+static ALL_ALLOCS: AtomicU64 = AtomicU64::new(0);
 
 fn slot_bytes(size: usize, align: usize) -> isize {
     let slot = std::mem::size_of::<Packet>();
@@ -67,6 +74,7 @@ thread_local! {
 }
 
 fn grew(by: usize) {
+    ALL_ALLOCS.fetch_add(1, Ordering::Relaxed);
     // `try_with`: the allocator also runs while a thread is torn down.
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
     let _ = LARGEST.try_with(|l| l.set(l.get().max(by)));
@@ -74,6 +82,8 @@ fn grew(by: usize) {
 }
 
 fn moved(by: isize) {
+    let now = ALL_LIVE.fetch_add(by, Ordering::Relaxed) + by;
+    ALL_PEAK.fetch_max(now, Ordering::Relaxed);
     let _ = LIVE.try_with(|live| {
         live.set(live.get() + by);
         let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
@@ -167,6 +177,50 @@ fn leanmd_on_the_simulator_stays_inside_its_heap_budget() {
     let (peak, allocs) = (census.peak_bytes(), census.allocs());
     let envelopes: u64 = out.report.pe_messages.iter().sum();
     assert!(envelopes > 11_664, "one step of LeanMD: {envelopes} envelopes");
+    let per_envelope = allocs as f64 / envelopes as f64;
+    println!("live-heap peak {peak} B, {allocs} allocations / {envelopes} envelopes = {per_envelope:.3}");
+    assert!(peak <= PEAK_BUDGET, "live-heap peak {peak} B is over the budget of {PEAK_BUDGET} B");
+    assert!(
+        per_envelope <= ALLOCS_PER_ENVELOPE_BUDGET,
+        "{per_envelope:.3} allocations per envelope is over the budget of {ALLOCS_PER_ENVELOPE_BUDGET}"
+    );
+}
+
+/// The same application on the wall-clock engine, where a cell and most of
+/// the pairs it feeds share a PE: two steps of `leanmd_tcp`'s job, both PE
+/// threads in this process, no latency injected.  All threads counted.
+///
+/// | | live-heap peak (three runs) | allocations per envelope |
+/// |---|---|---|
+/// | parent `d5fe858` | 30,676,235–31,022,195 B | 10.079 (235,180 / 23,333) |
+/// | this change | 25,092,183–25,129,491 B | 7.601 (177,351 / 23,333) |
+///
+/// The budgets are the change's readings plus 10 %; the parent fails both.
+/// What moved: an envelope a PE addresses to itself (five in six of them
+/// here) waits in that PE's own queue as it is, its payload the buffer the
+/// 27 recipients share; it was encoded into a 4.5 KB block of its own for
+/// each recipient.  Two steps, because one step's peak is its force phase
+/// on both sides (24.0–25.1 MB against 28.8–29.3): a cell holds its 27
+/// decoded force arrays until it integrates, which is the floor the
+/// simulator's budget above names, and only from the second step on do a
+/// step's coordinate copies overlap the forces of the one before.  That
+/// floor is also why the live heap moves by 5.6 MB where the resident set of
+/// `leanmd_tcp` moves by 20 MiB: the encoded copies were freed before the
+/// force phase peaked, but malloc had already asked the kernel for them.
+#[test]
+fn leanmd_on_the_wall_clock_engine_stays_inside_its_heap_budget() {
+    let _alone = alone();
+    const PEAK_BUDGET: isize = 27_640_000;
+    const ALLOCS_PER_ENVELOPE_BUDGET: f64 = 8.36;
+    let topo = Topology::uniform(2, 1);
+    let latency = LatencyMatrix::uniform(&topo, Dur::ZERO, Dur::ZERO);
+    let (live, allocs) = (ALL_LIVE.load(Ordering::Relaxed), ALL_ALLOCS.load(Ordering::Relaxed));
+    ALL_PEAK.store(live, Ordering::Relaxed);
+    let out = leanmd::run_threaded(MdConfig::paper(2), topo, latency, RunConfig::default());
+    let peak = ALL_PEAK.load(Ordering::Relaxed) - live;
+    let allocs = ALL_ALLOCS.load(Ordering::Relaxed) - allocs;
+    let envelopes: u64 = out.report.pe_messages.iter().sum();
+    assert!(envelopes > 2 * 11_664, "two steps of LeanMD: {envelopes} envelopes");
     let per_envelope = allocs as f64 / envelopes as f64;
     println!("live-heap peak {peak} B, {allocs} allocations / {envelopes} envelopes = {per_envelope:.3}");
     assert!(peak <= PEAK_BUDGET, "live-heap peak {peak} B is over the budget of {PEAK_BUDGET} B");
@@ -273,39 +327,54 @@ fn a_lane_costs_what_its_traffic_needs_and_drop_gives_it_all_back() {
 
 /// What the lanes of a wall-clock run pin: `stencil_mask`'s job at its short
 /// length, 256 objects on two clusters of four PE threads with 32 ms between
-/// them.  40 `(posting thread, mailbox)` pairs exchange packets; eight of
-/// them (each PE to itself, 96 ghosts a step) grow to 128 slots, the other
-/// 32 (a neighbour's 16 ghosts a step, the host's START) never leave 16.
+/// them.  Since a PE keeps what it addresses to itself in its own queue (96
+/// ghosts a step, the traffic that used to grow eight lanes to 128 slots),
+/// 32 `(posting thread, mailbox)` pairs exchange packets — a neighbour's 16
+/// ghosts a step, the host's START — and none of them leaves 16 slots.
 ///
-/// High-water mark of the bytes in packet-slot arrays, all threads:
+/// High-water mark of the bytes in packet-slot arrays, all threads, and
+/// allocations per envelope:
 ///
-/// | | reading |
-/// |---|---|
-/// | parent `7eb3cf1` | 2,300,032 B in three runs of three (40 rings of 1,024 slots are 2,293,760 of it) |
-/// | this change | 120,064–127,232 B over ten runs |
+/// | | slot bytes | allocations per envelope |
+/// |---|---|---|
+/// | `7eb3cf1` | 2,300,032 B in three runs of three (40 rings of 1,024 slots are 2,293,760 of it) | |
+/// | parent `d5fe858` | 122,752–129,024 B over three runs | 6.87 |
+/// | this change | 56,448–58,240 B over three runs | 4.59 |
 ///
 /// How deep the queues get depends on the host's schedule, which nothing the
-/// other budgets of this file measure does, so this one is not 10 % above a
-/// reading but above what any schedule can reach.  An object is never more
-/// than a step ahead of its neighbours, so at most two steps of ghosts are
-/// on their way to a PE: 256 packets, 192 of them its own.  At the worst
-/// that is a lane of 256 slots, four of 32, the host's 16 and a queue of 256
-/// behind them — 37 KB a PE, 294 KB for the eight, were every peak to fall
-/// at one instant.  The budget is 1 MiB: under half of what the parent pins
-/// before it has queued a packet.
+/// other budgets of this file measure does, so the slot budget is not 10 %
+/// above a reading but above what any schedule can reach.  An object is never
+/// more than a step ahead of its neighbours, so at most two steps of ghosts
+/// are on their way to a PE: 256 packets, 64 of them from other PEs.  At the
+/// worst that is four lanes of 32 slots, the host's 16 and a queue of 64
+/// behind them — under 12 KB a PE.  The budget stays 1 MiB: under half of
+/// what `7eb3cf1` pinned before it had queued a packet.  The allocation
+/// budget is the reading plus 10 %; the parent fails it (an envelope that
+/// stays on its PE is no longer encoded, framed or decoded).
 #[test]
 fn the_lanes_of_a_wall_clock_stencil_run_stay_inside_their_budget() {
     const SLOT_BYTES_BUDGET: isize = 1024 * 1024;
+    const ALLOCS_PER_ENVELOPE_BUDGET: f64 = 5.05;
     let _alone = alone();
     let topo = Topology::uniform(2, 4);
     let latency = LatencyMatrix::uniform(&topo, Dur::ZERO, Dur::from_millis(32));
     let tcfg = ThreadedConfig::new(latency).with_compute_sleep();
     let before = SLOT_BYTES.load(Ordering::Relaxed);
     SLOT_PEAK.store(before, Ordering::Relaxed);
+    let allocs = ALL_ALLOCS.load(Ordering::Relaxed);
     let out = stencil::run_threaded_with(StencilConfig::paper(256, 6), topo, tcfg, RunConfig::default());
     let peak = SLOT_PEAK.load(Ordering::Relaxed) - before;
-    println!("packet-slot bytes at their peak: {peak} B ({:.1} ms a step)", out.ms_per_step);
+    let per_envelope =
+        (ALL_ALLOCS.load(Ordering::Relaxed) - allocs) as f64 / out.report.pe_messages.iter().sum::<u64>() as f64;
+    println!(
+        "packet-slot bytes at their peak: {peak} B, {per_envelope:.2} allocations per envelope ({:.1} ms a step)",
+        out.ms_per_step
+    );
     assert!(peak > 0, "the run posted through lanes");
     assert!(peak <= SLOT_BYTES_BUDGET, "{peak} B of packet slots is over the budget of {SLOT_BYTES_BUDGET} B");
+    assert!(
+        per_envelope <= ALLOCS_PER_ENVELOPE_BUDGET,
+        "{per_envelope:.2} allocations per envelope is over the budget of {ALLOCS_PER_ENVELOPE_BUDGET}"
+    );
     assert_eq!(SLOT_BYTES.load(Ordering::Relaxed), before, "all of it freed with the run");
 }

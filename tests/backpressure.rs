@@ -19,6 +19,7 @@ use std::sync::Arc;
 
 const KICK: EntryId = EntryId(40);
 const DATA: EntryId = EntryId(41);
+const ECHO: EntryId = EntryId(42);
 
 const FLOOD_MSGS: u32 = 256;
 const FLOOD_PAYLOAD: usize = 2048;
@@ -31,6 +32,9 @@ const FLOOD_BYTES: u64 = FLOOD_MSGS as u64 * FLOOD_PAYLOAD as u64;
 struct Flood {
     sink: ElemId,
     received: Arc<AtomicU64>,
+    /// With a tally here, the sink answers every receipt with a message to
+    /// itself and counts those as they are served.
+    echoed: Option<Arc<AtomicU64>>,
 }
 
 impl Chare for Flood {
@@ -44,6 +48,12 @@ impl Chare for Flood {
             DATA => {
                 self.received.fetch_add(1, Ordering::SeqCst);
                 ctx.charge(Dur::from_micros(100));
+                if self.echoed.is_some() {
+                    ctx.send(ctx.me().array, self.sink, ECHO, vec![]);
+                }
+            }
+            ECHO => {
+                self.echoed.as_ref().expect("only an echoing sink echoes").fetch_add(1, Ordering::SeqCst);
             }
             _ => unreachable!(),
         }
@@ -59,12 +69,18 @@ fn flood_program() -> (Program, Arc<AtomicU64>, Arc<AtomicU64>) {
 /// `Topology::two_cluster(2 * senders)`, into one sink on cluster B's
 /// first PE.
 fn fan_in_program(senders: u32) -> (Program, Arc<AtomicU64>, Arc<AtomicU64>) {
+    fan_in_program_echoing(senders, None)
+}
+
+/// [`fan_in_program`] whose sink also talks to itself (`Flood::echoed`).
+fn fan_in_program_echoing(senders: u32, echoed: Option<Arc<AtomicU64>>) -> (Program, Arc<AtomicU64>, Arc<AtomicU64>) {
     let received = Arc::new(AtomicU64::new(0));
     let fired = Arc::new(AtomicU64::new(0));
     let mut p = Program::new();
     let received_f = Arc::clone(&received);
     let arr = p.array("flood", 2 * senders as usize, Mapping::Block, move |_| {
-        Box::new(Flood { sink: ElemId(senders), received: Arc::clone(&received_f) }) as Box<dyn Chare>
+        Box::new(Flood { sink: ElemId(senders), received: Arc::clone(&received_f), echoed: echoed.clone() })
+            as Box<dyn Chare>
     });
     p.on_startup(move |ctl| (0..senders).for_each(|s| ctl.send(arr, ElemId(s), KICK, vec![])));
     let fired_c = Arc::clone(&fired);
@@ -160,7 +176,12 @@ fn sim_shed_flow_bounds_memory_and_accounts_every_drop() {
 /// One threaded `Shed` run of the flood from `senders` senders; returns the
 /// report and the delivery tally after checking what every such run owes.
 fn threaded_shed_run(senders: u32, agg: Option<AggConfig>, flow: FlowConfig) -> (RunReport, u64) {
-    let (program, received, fired) = fan_in_program(senders);
+    // The sink answers every receipt with a message to itself.  Those wait
+    // in its own queue, which is served only when nothing from another PE
+    // is ready — and are all served, flood or no flood: a shut window is
+    // what ends each burst, so the mailbox runs dry between bursts.
+    let echoed = Arc::new(AtomicU64::new(0));
+    let (program, received, fired) = fan_in_program_echoing(senders, Some(Arc::clone(&echoed)));
     let flow = flow.with_policy(OverloadPolicy::Shed);
     let run_cfg = RunConfig { detect_quiescence: true, agg, flow: Some(flow), ..RunConfig::default() };
     let topo = Topology::two_cluster(2 * senders);
@@ -177,6 +198,7 @@ fn threaded_shed_run(senders: u32, agg: Option<AggConfig>, flow: FlowConfig) -> 
         u64::from(senders * FLOOD_MSGS),
         "every envelope was delivered exactly once or shed with accounting"
     );
+    assert_eq!(echoed.load(Ordering::SeqCst), received, "the flooded PE's own queue was drained, not starved");
     (report, received)
 }
 

@@ -313,13 +313,22 @@ fn leanmd_single_crash_recovers_bit_exact_on_both_engines() {
     let latency = LatencyMatrix::uniform(&topo, Dur::ZERO, Dur::from_micros(300));
     let clean_thr = leanmd::run_threaded(cfg.clone(), topo.clone(), latency.clone(), RunConfig::default());
     assert_eq!(clean_thr.checksums, clean_sim.checksums, "both engines agree before any failure");
-    let n = clean_thr.report.pe_messages[2] / 2;
-    let plan =
-        FailurePlan::new().crash_after_messages(Pe(2), n).with_heartbeat(Dur::from_millis(15), Dur::from_millis(150));
-    let run_cfg = RunConfig { failure_plan: Some(plan), ..RunConfig::default() };
-    let crashed_thr = leanmd::run_threaded(cfg, topo, latency, run_cfg);
-    assert_eq!(crashed_thr.checksums, clean_sim.checksums, "threaded recovery is bit-exact");
-    assert_eq!(crashed_thr.report.failures_detected, 1);
-    assert_eq!(crashed_thr.report.recoveries, 1);
-    assert!(crashed_thr.report.unrecoverable.is_none());
+    // Three progress points rather than one (all past the first buddy
+    // checkpoint, at a third of the run): most of what a LeanMD PE
+    // handles it sent itself (a cell's coordinates fan out to the pairs next
+    // door), so these land with envelopes still waiting in the crashed PE's
+    // own queue.  They die with it — never encoded, never on any wire — and
+    // the survivors recompute them from the snapshot.
+    for (num, den) in [(1, 2), (3, 5), (3, 4)] {
+        let n = clean_thr.report.pe_messages[2] * num / den;
+        let plan = FailurePlan::new()
+            .crash_after_messages(Pe(2), n)
+            .with_heartbeat(Dur::from_millis(15), Dur::from_millis(150));
+        let run_cfg = RunConfig { failure_plan: Some(plan), ..RunConfig::default() };
+        let crashed_thr = leanmd::run_threaded(cfg.clone(), topo.clone(), latency.clone(), run_cfg);
+        assert_eq!(crashed_thr.checksums, clean_sim.checksums, "threaded recovery is bit-exact ({num}/{den})");
+        assert_eq!(crashed_thr.report.failures_detected, 1);
+        assert_eq!(crashed_thr.report.recoveries, 1);
+        assert!(crashed_thr.report.unrecoverable.is_none());
+    }
 }

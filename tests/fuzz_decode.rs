@@ -11,9 +11,9 @@
 //! `schedule.json` reader used by `mdo-check --replay`.
 
 use gridmdo::net::record::{
-    decode_control_body, decode_data_body, encode_control_record, encode_data_record, read_record, Handshake,
-    RecordError, DATA_BODY_MIN, DATA_HOLD_AT, HANDSHAKE_LEN, KIND_CONTROL as NET_KIND_CONTROL,
-    KIND_DATA as NET_KIND_DATA, MAX_HOLD, MAX_RECORD_LEN, RECORD_HEADER_LEN,
+    decode_control_body, decode_data_body, encode_control_record, encode_data_record, read_record, Clock,
+    ClockEstimate, Handshake, RecordError, DATA_BODY_MIN, DATA_HOLD_AT, HANDSHAKE_LEN,
+    KIND_CONTROL as NET_KIND_CONTROL, KIND_DATA as NET_KIND_DATA, MAX_HOLD, MAX_RECORD_LEN, RECORD_HEADER_LEN,
 };
 use gridmdo::netsim::Pe;
 use gridmdo::runtime::checkpoint::{ArraySnapshot, Snapshot};
@@ -411,12 +411,12 @@ proptest! {
     {
         let pkt = gridmdo::vmi::Packet::with_priority(Pe(src), Pe(dst), prio, payload.clone().into());
         let mut frame = Vec::new();
-        encode_data_record(&pkt, &mut frame);
+        encode_data_record(&pkt, 0, &mut frame);
 
         // Whole frame parses back to the same packet.
         let (kind, body) = read_record(&mut &frame[..]).expect("valid frame").expect("one record");
         prop_assert_eq!(kind, NET_KIND_DATA);
-        let back = decode_data_body(body, Instant::now()).expect("valid body");
+        let back = decode_data_body(body, &Clock::start(), Instant::now()).expect("valid body");
         prop_assert_eq!(back.src, Pe(src));
         prop_assert_eq!(back.dst, Pe(dst));
         prop_assert_eq!(&back.payload[..], &payload[..]);
@@ -443,33 +443,48 @@ proptest! {
 
     /// Arbitrary record bodies into the data/control body decoders: a
     /// packet / control pair or a structured error, never a panic.  Too
-    /// short for the fixed header is rejected by name; so is a hold field
-    /// (arbitrary bytes nearly always spell one) beyond the one-hour cap,
-    /// whatever the clock reads — and with the field zeroed or in range
-    /// the same bytes decode.
+    /// short for the fixed header is rejected by name; so is a `due`
+    /// (arbitrary bytes nearly always spell one) more than the one-hour cap
+    /// past the arrival, whatever the receiver's clock reads then — and
+    /// with the field zeroed, in range or already passed the same bytes
+    /// decode: to no hold, to that very `due`, to the arrival.
     #[test]
     fn net_record_bodies_survive_arbitrary_bytes(body in prop::collection::vec(any::<u8>(), 0..128),
-                                                 hold_ns in 0..=MAX_HOLD.as_nanos() as u64) {
-        let arrival = Instant::now();
-        let hold_of = |b: &[u8]| u64::from_le_bytes(b[DATA_HOLD_AT..DATA_BODY_MIN].try_into().expect("8 bytes"));
-        match decode_data_body(body.clone(), arrival) {
+                                                 uptime_ns in 0..864_000_000_000_000u64,
+                                                 hold_ns in 0..=MAX_HOLD.as_nanos() as u64,
+                                                 late_ns in any::<u64>()) {
+        let clock = Clock::start();
+        let arrival = Instant::now() + Duration::from_nanos(uptime_ns);
+        let now_ns = clock.ns_at(arrival);
+        let due_of = |b: &[u8]| u64::from_le_bytes(b[DATA_HOLD_AT..DATA_BODY_MIN].try_into().expect("8 bytes"));
+        match decode_data_body(body.clone(), &clock, arrival) {
             Ok(pkt) => {
                 prop_assert_eq!(pkt.payload.len() + DATA_BODY_MIN, body.len());
-                prop_assert!(hold_of(&body) <= MAX_HOLD.as_nanos() as u64);
+                let ahead = due_of(&body).saturating_sub(now_ns);
+                prop_assert!(ahead <= MAX_HOLD.as_nanos() as u64);
+                prop_assert_eq!(pkt.due, (due_of(&body) > 0).then(|| arrival + Duration::from_nanos(ahead)));
             }
             Err(RecordError::ShortDataBody { len }) => prop_assert_eq!(len, body.len()),
             Err(RecordError::HoldOutOfRange { nanos }) => {
-                prop_assert_eq!(nanos, hold_of(&body));
+                prop_assert_eq!(nanos, due_of(&body) - now_ns);
                 prop_assert!(Duration::from_nanos(nanos) > MAX_HOLD);
             }
             Err(other) => prop_assert!(false, "unexpected data-body error {other:?}"),
         }
         if body.len() >= DATA_BODY_MIN {
-            let mut held = body.clone();
-            held[DATA_HOLD_AT..DATA_BODY_MIN].copy_from_slice(&hold_ns.to_le_bytes());
-            let pkt = decode_data_body(held, arrival).expect("a hold within the cap decodes");
+            let with_due = |due_ns: u64| {
+                let mut held = body.clone();
+                held[DATA_HOLD_AT..DATA_BODY_MIN].copy_from_slice(&due_ns.to_le_bytes());
+                decode_data_body(held, &clock, arrival)
+            };
+            let pkt = with_due(now_ns + hold_ns).expect("a due within the cap decodes");
             prop_assert_eq!(&pkt.payload[..], &body[DATA_BODY_MIN..]);
-            prop_assert_eq!(pkt.due, (hold_ns > 0).then(|| arrival + Duration::from_nanos(hold_ns)));
+            prop_assert_eq!(pkt.due, (now_ns + hold_ns > 0).then(|| arrival + Duration::from_nanos(hold_ns)));
+            let passed = now_ns.saturating_sub(late_ns).max(1);
+            prop_assert_eq!(with_due(passed).expect("a due in the past decodes").due, Some(arrival));
+            prop_assert!(with_due(0).expect("no hold decodes").due.is_none());
+            let far = with_due(now_ns + MAX_HOLD.as_nanos() as u64 + 1 + late_ns % (1 << 40));
+            prop_assert!(matches!(far, Err(RecordError::HoldOutOfRange { .. })), "past the cap is refused");
         }
         match decode_control_body(&body) {
             Ok((_, bytes)) => prop_assert_eq!(bytes.len() + 4, body.len()),
@@ -495,8 +510,32 @@ proptest! {
     fn net_handshake_survives_arbitrary_bytes(
         raw in prop::collection::vec(any::<u8>(), HANDSHAKE_LEN..HANDSHAKE_LEN + 1),
         node in any::<u32>(), generation in any::<u32>(), digest in any::<u64>(),
-        wrong_digest in any::<u64>())
+        wrong_digest in any::<u64>(),
+        stamps in (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
+        told in (any::<i64>(), any::<u64>()), seen in any::<i64>(), span in any::<u64>())
     {
+        // The clock exchange: four arbitrary timestamps are an estimate or
+        // `None`, and an arbitrary closing message passes the acceptor's
+        // check only if it agrees with what the acceptor saw.
+        if let Some(est) = ClockEstimate::from_sample(stamps.0, stamps.1, stamps.2, stamps.3) {
+            prop_assert!(est.rtt_ns <= stamps.3 - stamps.0);
+            prop_assert!(est.on_peer_clock(stamps.0) >= 1);
+        }
+        let told = ClockEstimate { ahead_ns: told.0, rtt_ns: told.1 };
+        prop_assert_eq!(ClockEstimate::decode(&told.encode()), told);
+        let agreeing = ClockEstimate { ahead_ns: seen, rtt_ns: span };
+        prop_assert!(agreeing.check(node, i128::from(seen), span).is_ok());
+        match told.check(node, i128::from(seen), span) {
+            Ok(()) => {
+                prop_assert!((i128::from(told.ahead_ns) - i128::from(seen)).unsigned_abs() <= u128::from(span));
+                prop_assert!(told.rtt_ns <= span);
+            }
+            Err(gridmdo::net::TransportError::HandshakeMismatch { peer, field, .. }) => {
+                prop_assert_eq!((peer, field), (node, gridmdo::net::HandshakeField::Clock));
+            }
+            Err(other) => prop_assert!(false, "unexpected clock verdict {other}"),
+        }
+
         let buf: [u8; HANDSHAKE_LEN] = raw.try_into().expect("sized vec");
         if let Ok(h) = Handshake::decode(&buf) {
             // Anything accepted must round-trip.
