@@ -216,20 +216,51 @@ struct Shared {
 // ---- cell chare ----------------------------------------------------------
 
 struct Cell {
-    cfg: MdConfig,
+    cfg: Arc<MdConfig>,
     id: u32,
     atoms: CellAtoms,
-    /// (pair index, slot) memberships in pair order.
+    /// (pair index, slot) memberships in ascending pair order: the order
+    /// the forces are summed in, here and in `SeqMd::step`.
     memberships: Arc<Vec<(u32, u8)>>,
     pairs_array: ArrayId,
     step: u32,
-    /// Forces received for the current step, by pair index.
-    got: BTreeMap<u32, Vec<[f64; 3]>>,
+    /// This step's force on each atom (empty in cost-model mode, where the
+    /// cell has no atoms), summed from 0.0 in membership order.
+    force: Vec<[f64; 3]>,
+    /// How many memberships `force` and `energy_acc` hold: the index of the
+    /// next force message to fold.
+    next: usize,
+    /// Force messages that arrived ahead of `next`, by membership index,
+    /// held as received until the ones before them are folded.
+    ahead: BTreeMap<usize, Bytes>,
     energy_acc: f64,
     done: bool,
 }
 
 impl Cell {
+    /// Cell `id` at step 0: its initial atoms in real mode, none in
+    /// cost-model mode.
+    fn new(cfg: Arc<MdConfig>, id: u32, memberships: Arc<Vec<(u32, u8)>>, pairs_array: ArrayId) -> Cell {
+        let atoms = if cfg.compute {
+            CellAtoms::init(cfg.grid, id, cfg.atoms_per_cell, cfg.cell_width, cfg.seed)
+        } else {
+            CellAtoms::default()
+        };
+        Cell {
+            cfg,
+            id,
+            force: vec![[0.0; 3]; atoms.pos.len()],
+            atoms,
+            memberships,
+            pairs_array,
+            step: 0,
+            next: 0,
+            ahead: BTreeMap::new(),
+            energy_acc: 0.0,
+            done: false,
+        }
+    }
+
     fn multicast_coords(&self, ctx: &mut Ctx<'_>) {
         let atoms = self.cfg.compute.then_some(&self.atoms);
         // One buffer, however many pairs read it.
@@ -244,29 +275,32 @@ impl Cell {
         }
     }
 
-    fn integrate(&mut self) {
-        let n = self.atoms.pos.len();
-        if self.cfg.compute {
-            let mut force = vec![[0.0f64; 3]; n];
-            for &(pair_idx, _) in self.memberships.iter() {
-                let f = self.got.get(&pair_idx).expect("force for every membership");
-                for (acc, add) in force.iter_mut().zip(f.iter()) {
-                    acc[0] += add[0];
-                    acc[1] += add[1];
-                    acc[2] += add[2];
-                }
-            }
-            // Must stay operation-for-operation identical to SeqMd::step.
-            for ((vel, pos), f) in self.atoms.vel.iter_mut().zip(self.atoms.pos.iter_mut()).zip(&force) {
-                vel[0] += f[0] * self.cfg.dt;
-                vel[1] += f[1] * self.cfg.dt;
-                vel[2] += f[2] * self.cfg.dt;
-                pos[0] += vel[0] * self.cfg.dt;
-                pos[1] += vel[1] * self.cfg.dt;
-                pos[2] += vel[2] * self.cfg.dt;
-            }
+    /// Add one force message to the step's sums, straight from its bytes:
+    /// its energy to `energy_acc`, its triples to `force`.  Called once per
+    /// membership, in membership order, so the sums are `SeqMd::step`'s.
+    fn fold(&mut self, msg: &[u8]) {
+        let f = |b: &[u8]| f64::from_le_bytes(b.try_into().expect("8 bytes"));
+        self.energy_acc += f(&msg[8..16]);
+        for (acc, add) in self.force.iter_mut().zip(msg[forces_len(0)..].chunks_exact(24)) {
+            acc[0] += f(&add[..8]);
+            acc[1] += f(&add[8..16]);
+            acc[2] += f(&add[16..]);
         }
-        self.got.clear();
+        self.next += 1;
+    }
+
+    fn integrate(&mut self) {
+        // Must stay operation-for-operation identical to SeqMd::step.
+        for ((vel, pos), f) in self.atoms.vel.iter_mut().zip(self.atoms.pos.iter_mut()).zip(&self.force) {
+            vel[0] += f[0] * self.cfg.dt;
+            vel[1] += f[1] * self.cfg.dt;
+            vel[2] += f[2] * self.cfg.dt;
+            pos[0] += vel[0] * self.cfg.dt;
+            pos[1] += vel[1] * self.cfg.dt;
+            pos[2] += vel[2] * self.cfg.dt;
+        }
+        self.force.fill([0.0; 3]);
+        self.next = 0;
     }
 
     fn finish_step(&mut self, ctx: &mut Ctx<'_>) {
@@ -307,12 +341,29 @@ impl Chare for Cell {
                 let mut r = WireReader::new(payload);
                 let step = r.u32().expect("step");
                 let pair_idx = r.u32().expect("pair idx");
-                let energy = r.f64().expect("energy");
                 assert_eq!(step, self.step, "cell {} cannot receive out-of-step forces", self.id);
-                self.energy_acc += energy;
-                let prev = self.got.insert(pair_idx, r.f64_triples().expect("forces"));
-                assert!(prev.is_none(), "duplicate forces from pair {pair_idx}");
-                if self.got.len() == self.memberships.len() {
+                // Checked on receipt, as a pair checks coordinates: a message
+                // held ahead is read only when its turn comes.
+                assert_eq!(
+                    payload.len(),
+                    forces_len(self.cfg.atoms_per_cell),
+                    "forces from pair {pair_idx}: wrong length"
+                );
+                let slot = self
+                    .memberships
+                    .binary_search_by_key(&pair_idx, |&(pair, _)| pair)
+                    .unwrap_or_else(|_| panic!("pair {pair_idx} sent forces to cell {}", self.id));
+                assert!(slot >= self.next && !self.ahead.contains_key(&slot), "duplicate forces from pair {pair_idx}");
+                if slot > self.next {
+                    // Keep the message itself, not a decoded copy.
+                    self.ahead.insert(slot, ctx.payload().clone());
+                    return;
+                }
+                self.fold(payload);
+                while let Some(msg) = self.ahead.remove(&self.next) {
+                    self.fold(&msg);
+                }
+                if self.next == self.memberships.len() {
                     self.finish_step(ctx);
                 }
             }
@@ -321,7 +372,7 @@ impl Chare for Cell {
     }
 
     fn pack(&self, w: &mut WireWriter) {
-        assert!(self.got.is_empty(), "cells migrate only at step boundaries");
+        assert!(self.next == 0 && self.ahead.is_empty(), "cells migrate only at step boundaries");
         w.u32(self.step).f64(self.energy_acc).bool(self.done);
         w.f64_triples(&self.atoms.pos).f64_triples(&self.atoms.vel).f64_slice(&self.atoms.q);
     }
@@ -337,13 +388,15 @@ impl Chare for Cell {
 // ---- cell-pair chare ------------------------------------------------------
 
 struct Pair {
-    cfg: MdConfig,
+    cfg: Arc<MdConfig>,
     pair: CellPair,
     cells_array: ArrayId,
-    /// step → per-slot coordinate message, held as it arrived (the buffer
-    /// the cell wrote, shared with the cell's other 26 pairs) and parsed
-    /// only by the kernels.
-    buffer: BTreeMap<u32, [Option<Bytes>; 2]>,
+    /// The pending step and its per-slot coordinate messages, held as they
+    /// arrived (the buffer the cell wrote, shared with the cell's other 26
+    /// pairs) and parsed only by the kernels.  One step is all that can be
+    /// pending: a cell sends step s + 1 only after this pair's forces for
+    /// step s, which needed both of step s's coordinates.
+    buffer: Option<(u32, [Option<Bytes>; 2])>,
     computed: u32,
 }
 
@@ -359,7 +412,7 @@ impl Pair {
     }
 
     fn compute(&mut self, step: u32, ctx: &mut Ctx<'_>) {
-        let slots = self.buffer.remove(&step).expect("complete step");
+        let (_, slots) = self.buffer.take().expect("complete step");
         let n = self.cfg.atoms_per_cell;
         let is_self = self.is_self();
         let msgs = if is_self { 1 } else { 2 };
@@ -396,7 +449,6 @@ impl Pair {
         // Pairs participate in the load-balancing barrier after finishing
         // the step preceding it.
         if self.cfg.lb_period.is_some_and(|p| (step + 1).is_multiple_of(p)) && step + 1 < self.cfg.steps {
-            assert!(self.buffer.is_empty(), "pair buffer must drain before a barrier");
             ctx.at_sync();
         }
     }
@@ -419,19 +471,18 @@ impl Chare for Pair {
         // whichever later message completes the step.
         assert_eq!(payload.len(), coords_len(self.cfg.atoms_per_cell), "coords from cell {sender}: wrong length");
         let is_self = self.is_self();
-        let entry_slots = self.buffer.entry(step).or_default();
-        assert!(entry_slots[slot].is_none(), "duplicate coords for slot {slot} step {step}");
+        let (pending, slots) = self.buffer.get_or_insert((step, [None, None]));
+        assert_eq!(*pending, step, "coords for step {step} while step {pending} is pending");
+        assert!(slots[slot].is_none(), "duplicate coords for slot {slot} step {step}");
         // Keep the message itself: a reference count, not a parsed copy.
-        entry_slots[slot] = Some(ctx.payload().clone());
-        let complete =
-            if is_self { entry_slots[0].is_some() } else { entry_slots[0].is_some() && entry_slots[1].is_some() };
-        if complete {
+        slots[slot] = Some(ctx.payload().clone());
+        if slots[0].is_some() && (is_self || slots[1].is_some()) {
             self.compute(step, ctx);
         }
     }
 
     fn pack(&self, w: &mut WireWriter) {
-        assert!(self.buffer.is_empty(), "pairs migrate only when drained");
+        assert!(self.buffer.is_none(), "pairs migrate only when drained");
         w.u32(self.computed);
     }
 }
@@ -439,6 +490,8 @@ impl Chare for Pair {
 // ---- program assembly ------------------------------------------------------
 
 fn build_program_inner(cfg: MdConfig, shared: Arc<Shared>, restored: bool) -> Program {
+    // One configuration, shared by every cell and pair.
+    let cfg = Arc::new(cfg);
     let grid = cfg.grid;
     let pairs = Arc::new(grid.pairs());
     /// Shared per-cell membership lists: cell -> [(pair index, slot)].
@@ -452,26 +505,10 @@ fn build_program_inner(cfg: MdConfig, shared: Arc<Shared>, restored: bool) -> Pr
     let cells_arr = ArrayId(0);
     let pairs_arr = ArrayId(1);
 
-    let cfg_c = cfg.clone();
+    let cfg_c = Arc::clone(&cfg);
     let pairs_of_c = Arc::clone(&pairs_of);
-    let mk_cell = move |elem: ElemId| -> Cell {
-        let atoms = if cfg_c.compute {
-            CellAtoms::init(cfg_c.grid, elem.0, cfg_c.atoms_per_cell, cfg_c.cell_width, cfg_c.seed)
-        } else {
-            CellAtoms::default()
-        };
-        Cell {
-            cfg: cfg_c.clone(),
-            id: elem.0,
-            atoms,
-            memberships: Arc::clone(&pairs_of_c[elem.index()]),
-            pairs_array: pairs_arr,
-            step: 0,
-            got: BTreeMap::new(),
-            energy_acc: 0.0,
-            done: false,
-        }
-    };
+    let mk_cell =
+        move |elem: ElemId| Cell::new(Arc::clone(&cfg_c), elem.0, Arc::clone(&pairs_of_c[elem.index()]), pairs_arr);
     let mk_cell_f = mk_cell.clone();
     let got = p.array_migratable(
         "md-cells",
@@ -491,13 +528,13 @@ fn build_program_inner(cfg: MdConfig, shared: Arc<Shared>, restored: bool) -> Pr
     );
     assert_eq!(got, cells_arr);
 
-    let cfg_p = cfg.clone();
+    let cfg_p = Arc::clone(&cfg);
     let pairs_f = Arc::clone(&pairs);
     let mk_pair = move |elem: ElemId| Pair {
-        cfg: cfg_p.clone(),
+        cfg: Arc::clone(&cfg_p),
         pair: pairs_f[elem.index()],
         cells_array: cells_arr,
-        buffer: BTreeMap::new(),
+        buffer: None,
         computed: 0,
     };
     let mk_pair_f = mk_pair.clone();
@@ -887,15 +924,15 @@ mod tests {
     fn truncated_coords_panic_the_pair_on_receipt() {
         use mdo_netsim::{Pe, UnrecoverableError};
         let run = |cut: usize| {
-            let cfg = MdConfig::paper(1);
+            let cfg = Arc::new(MdConfig::paper(1));
             let pairs = cfg.grid.pairs();
             let (idx, pair) = pairs.iter().enumerate().find(|(_, p)| p.a != p.b).expect("a distinct pair");
             let (idx, pair, n) = (ElemId(idx as u32), *pair, cfg.atoms_per_cell);
             let mut p = Program::new();
             let arr = p.array("md-pairs", pairs.len(), Mapping::Block, move |elem| {
                 let pair = pairs[elem.index()];
-                Box::new(Pair { cfg: cfg.clone(), pair, cells_array: ArrayId(9), buffer: BTreeMap::new(), computed: 0 })
-                    as Box<dyn Chare>
+                let cfg = Arc::clone(&cfg);
+                Box::new(Pair { cfg, pair, cells_array: ArrayId(9), buffer: None, computed: 0 }) as Box<dyn Chare>
             });
             p.on_startup(move |ctl| {
                 let mut coords = coords_payload(0, pair.a, n, None);
@@ -906,6 +943,183 @@ mod tests {
         };
         assert_eq!(run(0), None);
         assert_eq!(run(8), Some(UnrecoverableError::NoFailurePlan { pe: Pe(0) }));
+    }
+
+    /// What a [`Probe`] saw of its cell.
+    #[derive(Default)]
+    struct FoldLog {
+        /// At each step end: the cursor, the messages held ahead, the atoms.
+        ends: Vec<(usize, usize, CellAtoms)>,
+        /// The most messages held ahead at any one time.
+        peak_ahead: usize,
+    }
+
+    /// A real cell, watched between messages.
+    struct Probe(Cell, Arc<Mutex<FoldLog>>);
+
+    impl Chare for Probe {
+        fn receive(&mut self, entry: EntryId, payload: &[u8], ctx: &mut Ctx<'_>) {
+            let step = self.0.step;
+            self.0.receive(entry, payload, ctx);
+            let mut log = self.1.lock().expect("fold log");
+            log.peak_ahead = log.peak_ahead.max(self.0.ahead.len());
+            if self.0.step != step {
+                log.ends.push((self.0.next, self.0.ahead.len(), self.0.atoms.clone()));
+            }
+        }
+    }
+
+    /// Pairs that take the cell's coordinates and do nothing.
+    struct Sink;
+
+    impl Chare for Sink {
+        fn receive(&mut self, _: EntryId, _: &[u8], _: &mut Ctx<'_>) {}
+    }
+
+    /// Cell 0 of `cfg`'s grid alone, fed `msgs` from the host in the order
+    /// given; its pairs are sinks.  The run's report, the cell's gathered
+    /// row if it finished, and what the probe saw.
+    fn inject_forces(cfg: &MdConfig, msgs: Vec<Vec<u8>>) -> (RunReport, Option<CellRow>, FoldLog) {
+        let cfg = Arc::new(cfg.clone());
+        let pairs = cfg.grid.pairs();
+        let memberships = Arc::new(CellGrid::pairs_of_cells(&pairs, cfg.grid.n_cells()).swap_remove(0));
+        let log = Arc::new(Mutex::new(FoldLog::default()));
+        let row = Arc::new(Mutex::new(None));
+        let mut p = Program::new();
+        let probe_log = Arc::clone(&log);
+        let cells = p.array("md-cells", 1, Mapping::Block, move |elem| {
+            let cell = Cell::new(Arc::clone(&cfg), elem.0, Arc::clone(&memberships), ArrayId(1));
+            Box::new(Probe(cell, Arc::clone(&probe_log))) as Box<dyn Chare>
+        });
+        p.array("md-pairs", pairs.len(), Mapping::Block, |_| Box::new(Sink) as Box<dyn Chare>);
+        p.on_startup(move |ctl| {
+            for msg in msgs {
+                ctl.send(cells, ElemId(0), FORCES, msg);
+            }
+        });
+        let row_out = Arc::clone(&row);
+        p.on_reduction(cells, move |_seq, data, ctl| {
+            if let ReduceData::Gathered(rows) = data {
+                let mut r = WireReader::new(&rows[0].1);
+                let got = (r.f64().expect("checksum"), r.f64().expect("kinetic"), r.f64().expect("potential"));
+                *row_out.lock().expect("row") = Some(got);
+            }
+            ctl.exit();
+        });
+        let report = SimEngine::new(NetworkModel::two_cluster_sweep(2, Dur::ZERO), RunConfig::default()).run(p);
+        let row = row.lock().expect("row").take();
+        (report, row, Arc::into_inner(log).expect("run over").into_inner().expect("fold log"))
+    }
+
+    /// Cell 0's force messages for every step of `cfg`, each step's in
+    /// membership order, computed by the kernels from the sequential
+    /// reference's positions — and the reference's cell 0 after each step.
+    fn cell0_forces(cfg: &MdConfig) -> (Vec<Vec<Vec<u8>>>, Vec<CellAtoms>) {
+        let mut md = seq::SeqMd::new(cfg.grid, cfg.atoms_per_cell, cfg.cell_width, cfg.dt, cfg.params, cfg.seed);
+        let (mut msgs, mut after) = (Vec::new(), Vec::new());
+        for step in 0..cfg.steps {
+            let step_msgs = md.pairs_of[0].iter().map(|&(pair_idx, slot)| {
+                let p = md.pairs[pair_idx as usize];
+                let (a, b) = (&md.cells[p.a as usize], &md.cells[p.b as usize]);
+                let (f, e) = if p.a == p.b {
+                    forces_within(&a.pos, &a.q, &cfg.params)
+                } else {
+                    let shift = p.shift.map(|s| s as f64 * cfg.cell_width);
+                    let (fa, fb, e) = forces_between(&a.pos, &a.q, &b.pos, &b.q, shift, &cfg.params);
+                    // A pair's energy goes to its cell a only.
+                    if slot == 0 {
+                        (fa, e)
+                    } else {
+                        (fb, 0.0)
+                    }
+                };
+                forces_payload(step, pair_idx, e, &f)
+            });
+            msgs.push(step_msgs.collect());
+            md.step();
+            after.push(md.cells[0].clone());
+        }
+        (msgs, after)
+    }
+
+    fn atom_bits(atoms: &CellAtoms) -> Vec<u64> {
+        atoms.pos.iter().chain(&atoms.vel).flatten().map(|x| x.to_bits()).collect()
+    }
+
+    /// The cell folds each force message as its turn comes, whatever order
+    /// they arrive in: membership order, reversed, and three shuffles give
+    /// the same bits — the sequential reference's positions and velocities
+    /// at every step, and the same potential — and nothing is left held
+    /// when a step ends.
+    #[test]
+    fn a_cell_folds_its_forces_to_the_same_bits_in_any_arrival_order() {
+        // 27 atoms a cell: dense enough that an atom has three or more pairs
+        // with forces inside the cutoff, so summing in arrival order would
+        // round differently (at 4 or 8 atoms only the potential would show).
+        let cfg = MdConfig::validation(3, 27, 3);
+        let (msgs, reference) = cell0_forces(&cfg);
+        let members = msgs[0].len();
+        let energy = |m: &[u8]| f64::from_le_bytes(m[8..16].try_into().expect("8 bytes"));
+        let potential = msgs[msgs.len() - 1].iter().fold(0.0, |acc, m| acc + energy(m));
+        let in_order: Vec<usize> = (0..members).collect();
+        let shuffled = |seed| {
+            let mut order = in_order.clone();
+            mdo_netsim::Xoshiro256::new(seed).shuffle(&mut order);
+            order
+        };
+        let orders = [
+            ("membership", in_order.clone()),
+            ("reversed", in_order.iter().rev().copied().collect()),
+            ("shuffle 1", shuffled(1)),
+            ("shuffle 2", shuffled(2)),
+            ("shuffle 3", shuffled(3)),
+        ];
+        for (name, order) in orders {
+            let sent = msgs.iter().flat_map(|step_msgs| order.iter().map(|&i| step_msgs[i].clone())).collect();
+            let (report, row, log) = inject_forces(&cfg, sent);
+            assert_eq!(report.unrecoverable, None, "{name}");
+            let (checksum, kinetic, pot) = row.expect("the cell finished");
+            let last = &reference[reference.len() - 1];
+            assert_eq!(checksum.to_bits(), last.pos_checksum().to_bits(), "{name}: positions");
+            assert_eq!(kinetic.to_bits(), last.kinetic().to_bits(), "{name}: kinetic");
+            assert_eq!(pot.to_bits(), potential.to_bits(), "{name}: potential, summed in membership order");
+            assert_eq!(log.ends.len(), reference.len(), "{name}: one end per step");
+            for (step, ((next, ahead, atoms), want)) in log.ends.iter().zip(&reference).enumerate() {
+                assert_eq!((*next, *ahead), (0, 0), "{name}: step {step} ended with messages held");
+                assert_eq!(atom_bits(atoms), atom_bits(want), "{name}: step {step} atoms");
+            }
+            match name {
+                "membership" => assert_eq!(log.peak_ahead, 0, "in order, nothing waits"),
+                "reversed" => assert_eq!(log.peak_ahead, members - 1, "reversed, all but the first wait"),
+                _ => assert!(log.peak_ahead > 0, "{name} held something ahead"),
+            }
+        }
+    }
+
+    /// A duplicate force message, whether its first copy was folded or is
+    /// still held ahead, and one eight bytes short, whether its turn has
+    /// come or not, each panic the cell on receipt (`NoFailurePlan`).  In
+    /// cost-model mode, where nothing reads the body, the length check is
+    /// the only guard there is.
+    #[test]
+    fn a_duplicate_or_short_force_message_panics_the_cell_on_receipt() {
+        use mdo_netsim::{Pe, UnrecoverableError};
+        let cfg = MdConfig::paper(1);
+        let pairs = cfg.grid.pairs();
+        let members = CellGrid::pairs_of_cells(&pairs, cfg.grid.n_cells()).swap_remove(0);
+        let msg = |slot: usize| forces_payload(0, members[slot].0, 0.0, &vec![[0.0; 3]; cfg.atoms_per_cell]);
+        let short = |slot: usize| {
+            let mut m = msg(slot);
+            m.truncate(m.len() - 8);
+            m
+        };
+        let panicked = Some(UnrecoverableError::NoFailurePlan { pe: Pe(0) });
+        let run = |msgs: Vec<Vec<u8>>| inject_forces(&cfg, msgs).0.unrecoverable;
+        assert_eq!(run(vec![msg(0), msg(5)]), None, "whole and distinct, the run drains quietly");
+        assert_eq!(run(vec![msg(0), msg(0)]), panicked, "a duplicate of a folded message");
+        assert_eq!(run(vec![msg(5), msg(5)]), panicked, "a duplicate of a held message");
+        assert_eq!(run(vec![short(0)]), panicked, "a short message in turn");
+        assert_eq!(run(vec![short(5)]), panicked, "a short message ahead of its turn");
     }
 
     #[test]

@@ -6,17 +6,19 @@
 //! printed, largest class first.  The method of EXPERIMENTS.md A18 / A19 /
 //! A20, which used to be a hand-patched scratch copy.
 //!
-//! The jobs are the two wall-clock workloads of the benchmark spine whose
-//! heap a per-message change moves, run through the public `run_*` entry
-//! points exactly as `perf/src/jobs.rs` shapes them: `leanmd_tcp` (LeanMD
-//! at the paper's size, two single-PE nodes, a loopback TCP socket and
-//! 16 ms between them) and `stencil_mask` (256 objects on 2 × 4 PE threads,
-//! sleep-emulated compute, 32 ms).
+//! The jobs are workloads of the benchmark spine, run through the public
+//! `run_*` entry points exactly as `perf/src/jobs.rs` shapes them:
+//! `leanmd_tcp` (LeanMD at the paper's size, two single-PE nodes, a
+//! loopback TCP socket and 16 ms between them), `stencil_mask` (256 objects
+//! on 2 × 4 PE threads, sleep-emulated compute, 32 ms) and `sim_sweep` (the
+//! simulator: the stencil at 1,024 objects on 2 × 32 PEs, 8 ms apart, then
+//! LeanMD at the paper's size on 2 × 16 PEs, 16 ms apart — one census per
+//! half, each from the heap as the half found it).
 //!
 //! Step counts and the injected latency are constants per job, so a census
 //! is always of the workload it is quoted against.
 //!
-//! Usage: `heap_census [--job leanmd_tcp|stencil_mask] [--seed N]`
+//! Usage: `heap_census [--job leanmd_tcp|stencil_mask|sim_sweep] [--seed N]`
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
@@ -26,7 +28,9 @@ use mdo_apps::stencil::{self, StencilConfig};
 use mdo_bench::{arg_value, over_tcp};
 use mdo_core::engine::threaded::ThreadedConfig;
 use mdo_core::program::RunConfig;
-use mdo_netsim::{Dur, LatencyMatrix, Topology};
+use mdo_netsim::latency::DEFAULT_INTRA_LATENCY;
+use mdo_netsim::network::NetworkModel;
+use mdo_netsim::{Dur, LatencyMatrix, Topology, WanContention};
 
 /// Size classes of 8 bytes up to this block size; anything larger is one
 /// class of its own, kept as a count and a byte total.
@@ -73,10 +77,17 @@ fn moved(size: usize, by: i64) {
         NOW.big_bytes.fetch_add(by * size as i64, Ordering::Relaxed);
     }
     let live = NOW.live.fetch_add(by * size as i64, Ordering::Relaxed) + by * size as i64;
-    // One thread copies at a time; another that passes the mark meanwhile
-    // is caught by the next allocation.  The copy is not atomic against
-    // concurrent allocation — it is a census, not a ledger.
-    if live >= AT_PEAK.live.load(Ordering::Relaxed) + SNAPSHOT_STEP && !COPYING.swap(true, Ordering::Acquire) {
+    if live >= AT_PEAK.live.load(Ordering::Relaxed) + SNAPSHOT_STEP {
+        snapshot(live);
+    }
+}
+
+/// Copy `NOW`, whose live total is `live`, into `AT_PEAK`.  One thread
+/// copies at a time; another that passes the mark meanwhile is caught by
+/// the next allocation.  The copy is not atomic against concurrent
+/// allocation — it is a census, not a ledger.
+fn snapshot(live: i64) {
+    if !COPYING.swap(true, Ordering::Acquire) {
         for (to, from) in AT_PEAK.blocks.iter().zip(&NOW.blocks) {
             to.store(from.load(Ordering::Relaxed), Ordering::Relaxed);
         }
@@ -84,6 +95,13 @@ fn moved(size: usize, by: i64) {
         AT_PEAK.live.store(live, Ordering::Relaxed);
         COPYING.store(false, Ordering::Release);
     }
+}
+
+/// Start a census: the peak so far is forgotten and the heap as it is now
+/// is the table to beat.  Returns the allocations made before it.
+fn begin() -> u64 {
+    snapshot(NOW.live.load(Ordering::Relaxed));
+    ALLOCS.load(Ordering::Relaxed)
 }
 
 struct Census;
@@ -118,12 +136,20 @@ fn mib(bytes: i64) -> f64 {
     bytes as f64 / (1 << 20) as f64
 }
 
+/// The simulator's network as `perf/src/jobs.rs` builds it for `sim_sweep`.
+fn sim_net(topo: Topology, wan: Dur, seed: u64) -> NetworkModel {
+    let lat = LatencyMatrix::uniform(&topo, DEFAULT_INTRA_LATENCY, wan);
+    let contention = WanContention::disabled(&topo);
+    NetworkModel::new(topo, lat, contention, seed)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let job = arg_value(&args, "--job").unwrap_or_else(|| "leanmd_tcp".into());
     let seed: u64 = arg_value(&args, "--seed").map_or(1, |v| v.parse().expect("--seed takes a number"));
     let cfg = RunConfig { seed, ..RunConfig::default() };
-    let (steps, ms_per_step, envelopes) = match job.as_str() {
+    let allocs = begin();
+    match job.as_str() {
         "leanmd_tcp" => {
             let (steps, wan) = (4, Dur::from_millis(16));
             let topo = Topology::uniform(2, 1);
@@ -131,18 +157,40 @@ fn main() {
                 let tcfg = ThreadedConfig::new(LatencyMatrix::uniform(&topo, Dur::ZERO, wan));
                 leanmd::run_threaded_with(MdConfig { seed, ..MdConfig::paper(steps) }, topo.clone(), tcfg, cfg)
             });
-            (steps, out.ms_per_step, out.report.pe_messages.iter().sum::<u64>())
+            let envelopes = out.report.pe_messages.iter().sum();
+            print_census(&format!("{job}: {steps} steps at {:.2} ms", out.ms_per_step), envelopes, seed, allocs);
         }
         "stencil_mask" => {
             let (steps, wan) = (12, Dur::from_millis(32));
             let topo = Topology::uniform(2, 4);
             let tcfg = ThreadedConfig::new(LatencyMatrix::uniform(&topo, Dur::ZERO, wan)).with_compute_sleep();
             let out = stencil::run_threaded_with(StencilConfig::paper(256, steps), topo, tcfg, cfg);
-            (steps, out.ms_per_step, out.report.pe_messages.iter().sum::<u64>())
+            let envelopes = out.report.pe_messages.iter().sum();
+            print_census(&format!("{job}: {steps} steps at {:.2} ms", out.ms_per_step), envelopes, seed, allocs);
         }
-        other => panic!("unknown --job {other}: leanmd_tcp or stencil_mask"),
-    };
-    let allocs = ALLOCS.load(Ordering::Relaxed);
+        "sim_sweep" => {
+            let steps = 10;
+            let net = sim_net(Topology::uniform(2, 32), Dur::from_millis(8), seed);
+            // Kept, as the benchmark keeps it, until the LeanMD half is over.
+            let st = stencil::run_sim(StencilConfig::paper(1024, steps), net, cfg.clone());
+            let envelopes = st.report.pe_messages.iter().sum();
+            let what = format!("{job}, stencil half: {steps} steps at {:.2} simulated ms", st.ms_per_step);
+            print_census(&what, envelopes, seed, allocs);
+            println!();
+            let (steps, allocs) = (1, begin());
+            let net = sim_net(Topology::uniform(2, 16), Dur::from_millis(16), seed);
+            let md = leanmd::run_sim(MdConfig { seed, ..MdConfig::paper(steps) }, net, cfg);
+            let envelopes = md.report.pe_messages.iter().sum();
+            let what = format!("{job}, LeanMD half: {steps} step at {:.2} simulated ms", md.ms_per_step);
+            print_census(&what, envelopes, seed, allocs);
+        }
+        other => panic!("unknown --job {other}: leanmd_tcp, stencil_mask or sim_sweep"),
+    }
+}
+
+/// Print the census since [`begin`] returned `allocs_before`, under `what`.
+fn print_census(what: &str, envelopes: u64, seed: u64, allocs_before: u64) {
+    let allocs = ALLOCS.load(Ordering::Relaxed) - allocs_before;
     let peak = AT_PEAK.live.load(Ordering::Relaxed);
     let mut rows: Vec<(i64, usize, i64)> = (1..CLASSES)
         .map(|class| (AT_PEAK.blocks[class].load(Ordering::Relaxed), class * 8))
@@ -150,7 +198,7 @@ fn main() {
         .map(|(blocks, size)| (blocks * size as i64, size, blocks))
         .collect();
     rows.sort_unstable_by_key(|&(bytes, ..)| std::cmp::Reverse(bytes));
-    println!("{job}: {steps} steps at {ms_per_step:.2} ms, {envelopes} envelopes, seed {seed}");
+    println!("{what}, {envelopes} envelopes, seed {seed}");
     println!(
         "{allocs} allocations ({:.2} per envelope), live heap at its peak {:.2} MiB:",
         allocs as f64 / envelopes.max(1) as f64,

@@ -650,7 +650,7 @@ fn generation_rows(orig: &[Pe], nodes: &[Node], pes: &[PeState], recs: Vec<PeRec
         queue_depth: pes[i].queue.max_depth(),
         queue_bytes: pes[i].queue.max_bytes(),
         ckpt_bytes: nodes[i].ft_bytes_stored(),
-        obs: rec.is_on().then(|| rec.finish()),
+        obs: rec.finish(),
     };
     recs.into_iter().enumerate().map(row).collect()
 }

@@ -422,7 +422,7 @@ pub(super) fn pe_thread(pe: Pe, mut node: Node, ctl: ThreadCtl) -> PeResult {
         pe,
         busy,
         messages: node.messages_processed(),
-        obs: ctl.record_on.then(|| hooks.rec.finish()),
+        obs: hooks.rec.finish(),
         ft_bytes: node.ft_bytes_stored(),
         local_traffic: hooks.local_traffic,
         local_depth: hooks.local.max_depth(),

@@ -133,7 +133,7 @@ mod tests {
         r1.handler(None, t(6), t(7));
         r1.checkpoint(t(7), 1);
         r1.recovery(t(8));
-        let doc = chrome_trace(&[r0.finish(), r1.finish()]);
+        let doc = chrome_trace(&[r0.finish().unwrap(), r1.finish().unwrap()]);
         let v = parse(&doc).expect("exported trace parses as JSON");
         let events = v.get("traceEvents").expect("traceEvents").as_arr().expect("array");
         assert!(events.len() >= 8, "metadata + spans + flow pair + instants");
@@ -160,7 +160,7 @@ mod tests {
     fn timestamps_are_microseconds() {
         let mut r = PeRecorder::new(0, &ObsConfig::default());
         r.handler(None, t(1), t(3));
-        let doc = chrome_trace(&[r.finish()]);
+        let doc = chrome_trace(&[r.finish().unwrap()]);
         let v = parse(&doc).unwrap();
         let span = v
             .get("traceEvents")

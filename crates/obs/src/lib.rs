@@ -5,9 +5,9 @@
 //! per-PE [`PeRecorder`]s — an append-only event ring ([`Event`]), a set of
 //! monotonic counters ([`CounterSet`]), and log-bucketed HDR-style
 //! histograms ([`LogHistogram`]) for message latency, handler grain size
-//! and queue depth.  Recording is off unless an [`ObsConfig`] is armed (or
-//! the legacy trace knob is on); a disabled recorder is a branch-on-bool
-//! no-op.
+//! and queue depth.  Recording is off unless an [`ObsConfig`] is armed; a
+//! disabled recorder holds no recording, so each of its methods is one
+//! branch and it allocates nothing.
 //!
 //! On top of the raw events sit the derived analyses the paper's argument
 //! needs ([`analysis`]): per-PE utilization timelines, the **overlap
@@ -68,25 +68,25 @@ impl ObsConfig {
 
 /// The live per-PE recording side: engines call these in their hot paths.
 ///
-/// Every method first checks one bool; when the recorder is disabled
-/// (`maybe(false, ..)`) nothing else runs and nothing is allocated — the
+/// A disabled recorder (`maybe(false, ..)`) holds no recording at all:
+/// every method returns at its first branch and nothing is allocated — the
 /// zero-cost passthrough the `RunConfig::obs = None` contract promises.
 #[derive(Debug)]
 pub struct PeRecorder {
-    on: bool,
-    data: PeObs,
+    /// The recording; `None` when disabled.
+    data: Option<PeObs>,
     cap: usize,
 }
 
 impl PeRecorder {
     /// An enabled recorder for (original-numbered) PE `pe`.
     pub fn new(pe: u32, cfg: &ObsConfig) -> Self {
-        PeRecorder { on: true, data: PeObs::empty(pe), cap: cfg.ring_capacity.max(1) }
+        PeRecorder { data: Some(PeObs::empty(pe)), cap: cfg.ring_capacity.max(1) }
     }
 
-    /// A recorder that records nothing.
+    /// A recorder that records nothing and allocates nothing.
     pub fn disabled() -> Self {
-        PeRecorder { on: false, data: PeObs::empty(0), cap: 0 }
+        PeRecorder { data: None, cap: 0 }
     }
 
     /// Enabled or disabled by `on`.
@@ -101,101 +101,88 @@ impl PeRecorder {
     /// Whether events are being recorded.
     #[inline]
     pub fn is_on(&self) -> bool {
-        self.on
+        self.data.is_some()
     }
 
     #[inline]
-    fn push(&mut self, ev: Event) {
-        if self.data.events.len() < self.cap {
-            self.data.events.push(ev);
+    fn push(data: &mut PeObs, cap: usize, ev: Event) {
+        if data.events.len() < cap {
+            data.events.push(ev);
         } else {
-            self.data.dropped += 1;
+            data.dropped += 1;
         }
     }
 
     /// Record one handler execution span.
     #[inline]
     pub fn handler(&mut self, obj: Option<ObjTag>, start: Time, end: Time) {
-        if !self.on {
-            return;
-        }
-        self.data.counters.bump(Ctr::Handlers);
-        self.data.grain.record((end - start).as_nanos());
-        self.push(Event::Handler { obj, start, end });
+        let Some(data) = &mut self.data else { return };
+        data.counters.bump(Ctr::Handlers);
+        data.grain.record((end - start).as_nanos());
+        Self::push(data, self.cap, Event::Handler { obj, start, end });
     }
 
     /// Record a message departure.
     #[inline]
     pub fn send(&mut self, at: Time, dst: u32, bytes: u64, cross: bool, sys: bool) {
-        if !self.on {
-            return;
-        }
-        self.data.counters.bump(Ctr::MsgsSent);
-        self.data.counters.add(Ctr::BytesSent, bytes);
+        let Some(data) = &mut self.data else { return };
+        data.counters.bump(Ctr::MsgsSent);
+        data.counters.add(Ctr::BytesSent, bytes);
         if cross {
-            self.data.counters.bump(Ctr::WanMsgsSent);
+            data.counters.bump(Ctr::WanMsgsSent);
         }
-        self.push(Event::Send { at, dst, bytes, cross, sys });
+        Self::push(data, self.cap, Event::Send { at, dst, bytes, cross, sys });
     }
 
     /// Record a message delivery (also feeds the latency histograms).
     #[inline]
     pub fn recv(&mut self, at: Time, src: u32, sent: Time, bytes: u64, cross: bool, sys: bool) {
-        if !self.on {
-            return;
-        }
-        self.data.counters.bump(Ctr::MsgsRecvd);
+        let Some(data) = &mut self.data else { return };
+        data.counters.bump(Ctr::MsgsRecvd);
         if cross {
-            self.data.counters.bump(Ctr::WanMsgsRecvd);
+            data.counters.bump(Ctr::WanMsgsRecvd);
         }
         let lat = if at >= sent { (at - sent).as_nanos() } else { 0 };
         if cross {
-            self.data.msg_latency_cross.record(lat);
+            data.msg_latency_cross.record(lat);
         } else {
-            self.data.msg_latency_intra.record(lat);
+            data.msg_latency_intra.record(lat);
         }
-        self.push(Event::Recv { at, src, sent, bytes, cross, sys });
+        Self::push(data, self.cap, Event::Recv { at, src, sent, bytes, cross, sys });
     }
 
     /// Record a scheduler busy→idle transition.
     #[inline]
     pub fn idle(&mut self, at: Time) {
-        if !self.on {
-            return;
-        }
-        self.data.counters.bump(Ctr::IdleTransitions);
-        self.push(Event::Idle { at });
+        let Some(data) = &mut self.data else { return };
+        data.counters.bump(Ctr::IdleTransitions);
+        Self::push(data, self.cap, Event::Idle { at });
     }
 
     /// Record a completed buddy-checkpoint epoch.
     #[inline]
     pub fn checkpoint(&mut self, at: Time, epoch: u32) {
-        if !self.on {
-            return;
-        }
-        self.push(Event::Checkpoint { at, epoch });
+        let Some(data) = &mut self.data else { return };
+        Self::push(data, self.cap, Event::Checkpoint { at, epoch });
     }
 
     /// Record a shrink-restart resume.
     #[inline]
     pub fn recovery(&mut self, at: Time) {
-        if !self.on {
-            return;
-        }
-        self.push(Event::Recovery { at });
+        let Some(data) = &mut self.data else { return };
+        Self::push(data, self.cap, Event::Recovery { at });
     }
 
     /// Sample the scheduler queue depth (histogram only, no event).
     #[inline]
     pub fn queue_depth(&mut self, depth: usize) {
-        if !self.on {
-            return;
-        }
-        self.data.queue_depth.record(depth as u64);
+        let Some(data) = &mut self.data else { return };
+        data.queue_depth.record(depth as u64);
     }
 
-    /// Finish recording and hand the data over.
-    pub fn finish(self) -> PeObs {
+    /// Finish recording and hand the data over: `None` from a disabled
+    /// recorder.
+    pub fn finish(self) -> Option<PeObs> {
         self.data
     }
 }
@@ -378,10 +365,9 @@ mod tests {
         r.recv(t(1), 1, t(0), 10, true, false);
         r.idle(t(2));
         r.queue_depth(5);
-        let obs = r.finish();
-        assert!(obs.events.is_empty());
-        assert_eq!(obs.counters, CounterSet::new());
-        assert!(obs.queue_depth.is_empty());
+        r.checkpoint(t(3), 1);
+        r.recovery(t(4));
+        assert!(r.finish().is_none());
     }
 
     #[test]
@@ -391,7 +377,7 @@ mod tests {
         for i in 0..5 {
             r.idle(t(i));
         }
-        let obs = r.finish();
+        let obs = r.finish().unwrap();
         assert_eq!(obs.events.len(), 3);
         assert_eq!(obs.dropped, 2);
         // Counters and histograms keep counting past the ring limit.
@@ -406,7 +392,7 @@ mod tests {
         r.handler(None, t(10), t(12));
         r.send(t(12), 1, 70, true, true);
         r.queue_depth(4);
-        let obs = r.finish();
+        let obs = r.finish().unwrap();
         assert_eq!(obs.msg_latency_cross.count(), 1);
         assert_eq!(obs.msg_latency_cross.max(), Dur::from_millis(8).as_nanos());
         assert_eq!(obs.msg_latency_intra.count(), 1);
@@ -423,11 +409,11 @@ mod tests {
         let mut a = PeObs::empty(2);
         let mut r = PeRecorder::new(2, &ObsConfig::default());
         r.idle(t(1));
-        a.absorb(r.finish());
+        a.absorb(r.finish().unwrap());
         let mut r = PeRecorder::new(2, &ObsConfig::default());
         r.recovery(t(5));
         r.idle(t(6));
-        a.absorb(r.finish());
+        a.absorb(r.finish().unwrap());
         assert_eq!(a.events.len(), 3);
         assert_eq!(a.counters.get(Ctr::IdleTransitions), 2);
     }
@@ -442,7 +428,7 @@ mod tests {
         // 10 ms outstanding, fully masked.
         r1.handler(None, t(0), t(10));
         r1.recv(t(10), 0, t(0), 8, true, false);
-        let report = ObsReport { pes: vec![r0.finish(), r1.finish()], counters: CounterSet::new() };
+        let report = ObsReport { pes: vec![r0.finish().unwrap(), r1.finish().unwrap()], counters: CounterSet::new() };
         let total = report.overlap();
         assert_eq!(total.outstanding, Dur::from_millis(26));
         assert_eq!(total.masked, Dur::from_millis(18));

@@ -356,7 +356,7 @@ mod tests {
         r0.send(t(2), 1, 64, true, false);
         r1.recv(t(6), 0, t(2), 64, true, false);
         r1.handler(None, t(6), t(7));
-        let pes = vec![r0.finish(), r1.finish()];
+        let pes = vec![r0.finish().unwrap(), r1.finish().unwrap()];
         let tr = trace_from(&pes);
         assert_eq!(tr.segments.len(), 2);
         assert_eq!(tr.messages.len(), 1);

@@ -75,7 +75,8 @@ status=0
 
 # The per-PR table of EXPERIMENTS.md: gated metrics and the two step times,
 # medians with quartiles (the exclusive method, as perf/src/stats.rs and the
-# pipeline compute them), and how many pairs the change won.
+# pipeline compute them), how many pairs the change won, and whether the two
+# sides are separated: every run of the change below every run of the parent.
 python3 - "$AB_DIR/parent.jsonl" "$AB_DIR/change.jsonl" BENCHMARK.json <<'EOF'
 import json, statistics, sys
 
@@ -102,8 +103,8 @@ gated = {m["name"]: m for m in decl["end_to_end"]}
 names = list(gated) + ["step_ms", "step_ms_lan"]
 print()
 print("| workload | metric | parent median [q1, q3] | change median [q1, q3] | change / parent "
-      "| pairs won by change | spread (IQR/median) parent, change | verdict (bound) |")
-print("|---|---|---|---|---|---|---|---|")
+      "| pairs won by change | separated | spread (IQR/median) parent, change | verdict (bound) |")
+print("|---|---|---|---|---|---|---|---|---|")
 for w in [x["name"] for x in decl["workloads"]]:
     if w not in parent or w not in change:
         continue
@@ -117,13 +118,14 @@ for w in [x["name"] for x in decl["workloads"]]:
         ties = sum(y == x for x, y in zip(a, b))
         pairs = min(len(a), len(b))
         sa, sb = (a3 - a1) / ma, (b3 - b1) / mb
+        separated = max(b) < min(a)
         if name in gated:
             bound = gated[name]["bound"]
             if a == b:
                 verdict = "identical"
             elif mb > ma * (1 + bound):
                 verdict = "PAST BOUND"
-            elif max(sa, sb) > bound and not max(b) < min(a):
+            elif max(sa, sb) > bound and not separated:
                 verdict = "UNRESOLVED"
             else:
                 verdict = "ok"
@@ -132,7 +134,8 @@ for w in [x["name"] for x in decl["workloads"]]:
             verdict = "per-layer, not gated"
         tie_note = f", {ties} ties" if ties else ""
         print(f"| `{w}` | `{name}` | {fmt(ma)} [{fmt(a1)}, {fmt(a3)}] | {fmt(mb)} [{fmt(b1)}, {fmt(b3)}] "
-              f"| {mb / ma:.3f} | {won}/{pairs}{tie_note} | {100 * sa:.1f} %, {100 * sb:.1f} % | {verdict} |")
+              f"| {mb / ma:.3f} | {won}/{pairs}{tie_note} | {'yes' if separated else 'no'} "
+              f"| {100 * sa:.1f} %, {100 * sb:.1f} % | {verdict} |")
 failed = sum(r["failed"] for by in (parent, change) for rs in by.values() for r in rs)
 reps = sum(r["attempted"] for by in (parent, change) for rs in by.values() for r in rs)
 wrong = sum(not r["correct"] for by in (parent, change) for rs in by.values() for r in rs)

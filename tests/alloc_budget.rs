@@ -18,6 +18,7 @@ use gridmdo::apps::leanmd::{self, MdConfig};
 use gridmdo::apps::stencil::{self, StencilConfig};
 use gridmdo::netsim::network::NetworkModel;
 use gridmdo::netsim::{AggConfig, FaultPlan};
+use gridmdo::obs::PeRecorder;
 use gridmdo::prelude::*;
 use gridmdo::runtime::envelope::{Envelope, MsgBody};
 use gridmdo::runtime::wire::{WireReader, WireWriter};
@@ -153,23 +154,25 @@ impl Census {
 ///
 /// | | live-heap peak | allocations per envelope |
 /// |---|---|---|
-/// | parent `72b68c4` | 31,918,018 B | 15.834 (185,697 / 11,728) |
-/// | this change | 24,969,226 B | 8.172 (95,841 / 11,728) |
+/// | `72b68c4` | 31,918,018 B | 15.834 (185,697 / 11,728) |
+/// | parent `3b0a3d8` | 24,969,226 B | 8.172 (95,841 / 11,728) |
+/// | this change | 17,969,674 B | 7.389 (86,662 / 11,728) |
 ///
 /// The budgets are the change's readings plus 10 %; the parent fails both.
-/// What moved: a coordinate message is one buffer shared by its 27
-/// recipients and kept, unparsed, by the pairs that wait on it (it was 27
-/// clones, each parsed into a private copy), and every payload is written
-/// once at its final size (it was grown through ten doublings into a
-/// 4,096-byte block for 3,380 bytes).  What is left is mostly the force
-/// path: `forces_payload` still flattens a temporary (held back, see its
-/// doc comment), and a cell holds its 27 decoded force arrays until it
-/// integrates, 19.6 MB over 216 cells.
+/// What moved: a cell folds each force message into one running sum as its
+/// turn in membership order comes, holding only those that arrive ahead of
+/// it, as received (it decoded every one into a 3,360-byte array and held
+/// all 27 until it integrated); a pair holds its one pending step inline
+/// (it was a map); cells and pairs share one configuration; and the 32
+/// disabled recorders allocate nothing (they held four histograms each).
+/// What is left is mostly the force messages themselves, 4,182 of them live
+/// at the peak (`heap_census --job sim_sweep`): in the simulator's queues,
+/// and held by cells whose earlier memberships have not answered yet.
 #[test]
 fn leanmd_on_the_simulator_stays_inside_its_heap_budget() {
     let _alone = alone();
-    const PEAK_BUDGET: usize = 27_466_000;
-    const ALLOCS_PER_ENVELOPE_BUDGET: f64 = 8.99;
+    const PEAK_BUDGET: usize = 19_767_000;
+    const ALLOCS_PER_ENVELOPE_BUDGET: f64 = 8.13;
     // Two clusters of 16 PEs, 16 ms apart: `uniform(2, 16)`.
     let net = NetworkModel::two_cluster_sweep(32, Dur::from_millis(16));
     let census = Census::begin();
@@ -192,26 +195,25 @@ fn leanmd_on_the_simulator_stays_inside_its_heap_budget() {
 ///
 /// | | live-heap peak (three runs) | allocations per envelope |
 /// |---|---|---|
-/// | parent `d5fe858` | 30,676,235–31,022,195 B | 10.079 (235,180 / 23,333) |
-/// | this change | 25,092,183–25,129,491 B | 7.601 (177,351 / 23,333) |
+/// | `d5fe858` | 30,676,235–31,022,195 B | 10.079 (235,180 / 23,333) |
+/// | parent `3b0a3d8` | 22,595,987–25,046,643 B | 7.600–7.601 (177,353 / 23,333) |
+/// | this change | 18,677,015–19,520,043 B | 6.901–6.902 (161,042 / 23,333) |
 ///
 /// The budgets are the change's readings plus 10 %; the parent fails both.
-/// What moved: an envelope a PE addresses to itself (five in six of them
-/// here) waits in that PE's own queue as it is, its payload the buffer the
-/// 27 recipients share; it was encoded into a 4.5 KB block of its own for
-/// each recipient.  Two steps, because one step's peak is its force phase
-/// on both sides (24.0–25.1 MB against 28.8–29.3): a cell holds its 27
-/// decoded force arrays until it integrates, which is the floor the
-/// simulator's budget above names, and only from the second step on do a
-/// step's coordinate copies overlap the forces of the one before.  That
-/// floor is also why the live heap moves by 5.6 MB where the resident set of
-/// `leanmd_tcp` moves by 20 MiB: the encoded copies were freed before the
-/// force phase peaked, but malloc had already asked the kernel for them.
+/// What moved in `3b0a3d8`: an envelope a PE addresses to itself (five in
+/// six of them here) waits in that PE's own queue as it is, its payload the
+/// buffer the 27 recipients share; it was encoded into a 4.5 KB block of
+/// its own for each recipient.  What moved here: the force phase, the peak
+/// of every step — a cell folds each force message into its sum as its turn
+/// comes and holds only the ones that arrive early, as received, where it
+/// held 27 decoded arrays until it integrated (the simulator's budget
+/// above).  Two steps, because only from the second step on do a step's
+/// coordinates overlap the forces of the one before.
 #[test]
 fn leanmd_on_the_wall_clock_engine_stays_inside_its_heap_budget() {
     let _alone = alone();
-    const PEAK_BUDGET: isize = 27_640_000;
-    const ALLOCS_PER_ENVELOPE_BUDGET: f64 = 8.36;
+    const PEAK_BUDGET: isize = 21_473_000;
+    const ALLOCS_PER_ENVELOPE_BUDGET: f64 = 7.59;
     let topo = Topology::uniform(2, 1);
     let latency = LatencyMatrix::uniform(&topo, Dur::ZERO, Dur::ZERO);
     let (live, allocs) = (ALL_LIVE.load(Ordering::Relaxed), ALL_ALLOCS.load(Ordering::Relaxed));
@@ -228,6 +230,49 @@ fn leanmd_on_the_wall_clock_engine_stays_inside_its_heap_budget() {
         per_envelope <= ALLOCS_PER_ENVELOPE_BUDGET,
         "{per_envelope:.3} allocations per envelope is over the budget of {ALLOCS_PER_ENVELOPE_BUDGET}"
     );
+}
+
+/// The stencil half of `sim_sweep` with observation off: 1,024 objects on
+/// two clusters of 32 PEs, 8 ms apart (`uniform(2, 32)`), ten steps.
+///
+/// | | live-heap peak |
+/// |---|---|
+/// | parent `3b0a3d8` | 8,037,298 B |
+/// | this change | 4,105,138 B |
+///
+/// The budget is the change's reading plus 10 %; the parent fails it.
+/// What moved: 64 disabled recorders held four 15,360-byte histograms
+/// each, 3.75 MiB that recorded nothing.
+#[test]
+fn an_obs_off_stencil_on_the_simulator_stays_inside_its_heap_budget() {
+    let _alone = alone();
+    const PEAK_BUDGET: usize = 4_516_000;
+    let net = NetworkModel::two_cluster_sweep(64, Dur::from_millis(8));
+    let census = Census::begin();
+    let out = stencil::run_sim(StencilConfig::paper(1024, 10), net, RunConfig::default());
+    let peak = census.peak_bytes();
+    assert!(out.report.obs.is_none());
+    println!("live-heap peak {peak} B");
+    assert!(peak <= PEAK_BUDGET, "live-heap peak {peak} B is over the budget of {PEAK_BUDGET} B");
+}
+
+/// A disabled recorder — every PE's when `RunConfig::obs` is `None` — is
+/// built, fed and finished without one allocation.
+#[test]
+fn a_disabled_recorder_allocates_nothing() {
+    let _alone = alone();
+    let t = |ms| Time::ZERO + Dur::from_millis(ms);
+    let census = Census::begin();
+    let mut rec = PeRecorder::maybe(false, 3, &ObsConfig::new());
+    rec.send(t(0), 1, 4_096, true, false);
+    rec.recv(t(2), 1, t(0), 4_096, true, false);
+    rec.handler(None, t(2), t(3));
+    rec.queue_depth(7);
+    rec.idle(t(3));
+    rec.checkpoint(t(4), 1);
+    rec.recovery(t(5));
+    assert!(rec.finish().is_none());
+    assert_eq!((census.allocs(), census.peak_bytes()), (0, 0));
 }
 
 /// The aggregated send path in its steady state — frame buffer warm, no

@@ -79,6 +79,36 @@ fn leanmd_results_identical_across_engines() {
     assert_eq!(sim.kinetic, threaded.kinetic);
 }
 
+/// A cell sums its pairs' energies in membership order, not in the order
+/// they arrive, so the potential is one bit pattern on every engine and
+/// under every schedule, as the positions are.
+#[test]
+fn leanmd_potential_is_bit_identical_across_engines_and_schedules() {
+    // Eight atoms a cell: enough terms for arrival order to show in the
+    // rounding (FIFO and `Random { seed: 5 }` summed in arrival order
+    // differ here).
+    let cfg = MdConfig::validation(3, 8, 4);
+    let sim = |delivery: DeliverySpec| {
+        let net = NetworkModel::two_cluster_sweep(4, Dur::from_millis(2));
+        leanmd::run_sim(cfg.clone(), net, RunConfig { delivery, ..RunConfig::default() }).potential
+    };
+    let fifo = sim(DeliverySpec::Fifo);
+    assert_ne!(fifo, 0.0, "real kernels ran");
+    let horizon = 4_000;
+    for spec in [
+        DeliverySpec::Random { seed: 5 },
+        DeliverySpec::Random { seed: 6 },
+        DeliverySpec::Pct { seed: 7, depth: 3, horizon },
+        DeliverySpec::Pct { seed: 8, depth: 5, horizon },
+    ] {
+        assert_eq!(sim(spec.clone()).to_bits(), fifo.to_bits(), "{spec:?}");
+    }
+    let topo = Topology::two_cluster(4);
+    let latency = LatencyMatrix::uniform(&topo, Dur::ZERO, Dur::from_millis(2));
+    let threaded = leanmd::run_threaded(cfg, topo, latency, RunConfig::default());
+    assert_eq!(threaded.potential.to_bits(), fifo.to_bits(), "threaded engine");
+}
+
 #[test]
 fn engines_count_the_same_application_traffic() {
     // Message counts are a structural property; the engines must agree on

@@ -84,7 +84,7 @@ fn synthetic_two_pe_timeline_has_exact_overlap_fraction() {
     let mut r1 = PeRecorder::new(1, &cfg);
     r1.handler(None, t(2), t(12));
     r1.recv(t(10), 0, t(4), 64, true, false);
-    let pes = vec![r0.finish(), r1.finish()];
+    let pes = vec![r0.finish().unwrap(), r1.finish().unwrap()];
 
     let o0 = overlap_of(&pes[0].events);
     assert_eq!(o0.outstanding, Dur::from_millis(16));
