@@ -1,9 +1,10 @@
 //! Sequential LeanMD reference.
 //!
 //! Runs the *same* cell/cell-pair decomposition as the parallel code, in a
-//! single loop, with identical per-cell force-accumulation order (pairs in
-//! global pair-index order) and the identical integrator — so parallel
-//! trajectories must match **bit-for-bit** under any placement, latency,
+//! single loop, with the identical per-cell force and energy sums (the
+//! fixed pairwise [`TreeSum`] over a cell's memberships, which the parallel
+//! cell uses too) and the identical integrator — so parallel trajectories
+//! and potentials must match **bit-for-bit** under any placement, latency,
 //! or engine.
 
 use mdo_netsim::Xoshiro256;
@@ -74,13 +75,91 @@ impl CellAtoms {
     }
 }
 
+/// The fixed pairwise tree a LeanMD cell sums its `k` force contributions
+/// by, leaf `i` being its `i`-th membership: in [`SeqMd::step`] and, as the
+/// force messages arrive, in the parallel cell.
+///
+/// Node (l, j) covers the leaves [j·2^l, (j+1)·2^l) ∩ [0, k).  Its value is
+/// its two children's added; a node whose second child's range is empty
+/// takes its first child's value unchanged.  Leaves may come in any order:
+/// each walks up, adding itself to every complete sibling subtree on the
+/// way, and stops at the first sibling that is still incomplete, held there
+/// until that sibling completes.  The association is the tree's whatever the
+/// arrival order, and IEEE addition commutes, so which operand `combine`
+/// accumulates into cannot change a bit.
+///
+/// At most ⌈k/2⌉ subtrees are held at once: a held leaf's sibling leaf is
+/// missing, and every other held subtree spans at least two leaves, but for
+/// the one (at most) that holds leaf k − 1.
+#[derive(Debug)]
+pub struct TreeSum<T> {
+    k: usize,
+    /// Complete subtrees whose sibling is not: (first leaf, level, value).
+    held: Vec<(usize, u32, T)>,
+}
+
+impl<T> TreeSum<T> {
+    /// An empty tree over `k ≥ 1` leaves, with room for all it can hold.
+    pub fn new(k: usize) -> Self {
+        assert!(k > 0, "a tree over no leaves");
+        TreeSum { k, held: Vec::with_capacity(k.div_ceil(2)) }
+    }
+
+    /// Subtrees held now, waiting for their siblings.
+    pub fn held(&self) -> usize {
+        self.held.len()
+    }
+
+    /// True if `leaf` has been added since the tree last completed.
+    pub fn has(&self, leaf: usize) -> bool {
+        self.held.iter().any(|&(first, level, _)| (first..first + (1 << level)).contains(&leaf))
+    }
+
+    /// Add `leaf`'s `value`, which must not be in yet; `combine(held,
+    /// arriving)` adds two sibling subtrees' values.  Returns the root's
+    /// value when `leaf` was the last one out, leaving the tree empty.
+    pub fn add(&mut self, leaf: usize, value: T, mut combine: impl FnMut(T, T) -> T) -> Option<T> {
+        assert!(leaf < self.k, "leaf {leaf} of a tree over {}", self.k);
+        debug_assert!(!self.has(leaf), "leaf {leaf} added twice");
+        let (mut value, mut level, mut node) = (value, 0, leaf);
+        while 1 << level < self.k {
+            let sibling = (node ^ 1) << level;
+            if sibling < self.k {
+                match self.held.iter().position(|&(first, l, _)| (first, l) == (sibling, level)) {
+                    Some(at) => value = combine(self.held.swap_remove(at).2, value),
+                    None => {
+                        self.held.push((node << level, level, value));
+                        return None;
+                    }
+                }
+            }
+            level += 1;
+            node >>= 1;
+        }
+        Some(value)
+    }
+}
+
+/// A cell's share of one pair's step: energy and forces on its atoms.
+type Contribution = (f64, Vec<[f64; 3]>);
+
+fn add_contributions((energy, mut forces): Contribution, (e, f): Contribution) -> Contribution {
+    for (acc, add) in forces.iter_mut().zip(&f) {
+        acc[0] += add[0];
+        acc[1] += add[1];
+        acc[2] += add[2];
+    }
+    (energy + e, forces)
+}
+
 /// The sequential simulation.
 pub struct SeqMd {
     /// The cell grid.
     pub grid: CellGrid,
     /// All cell pairs, in global order.
     pub pairs: Vec<CellPair>,
-    /// Per-cell pair membership (pair index, slot), in pair order.
+    /// Per-cell pair membership (pair index, slot), in pair order: a
+    /// membership's index is its leaf in the cell's [`TreeSum`].
     pub pairs_of: Vec<Vec<(u32, u8)>>,
     /// Per-cell atom state.
     pub cells: Vec<CellAtoms>,
@@ -90,7 +169,10 @@ pub struct SeqMd {
     pub cell_width: f64,
     /// Integration step.
     pub dt: f64,
-    /// Potential energy of the last completed step.
+    /// Potential energy of the last completed step: each cell's pair
+    /// energies (a pair's counted once, on its cell a) summed by the cell's
+    /// tree, then summed over cells in cell order — the parallel run's
+    /// `potential`, bit for bit.
     pub last_potential: f64,
 }
 
@@ -104,18 +186,16 @@ impl SeqMd {
     }
 
     /// One time step: all pair forces, then per-cell integration with the
-    /// canonical accumulation order.
+    /// canonical sums.
     pub fn step(&mut self) {
-        // One (forces-on-a, forces-on-b) entry per pair, in pair order.
-        type PairForces = (Vec<[f64; 3]>, Vec<[f64; 3]>);
+        // One (forces-on-a, forces-on-b, energy) entry per pair, in pair order.
+        type PairForces = (Vec<[f64; 3]>, Vec<[f64; 3]>, f64);
         let mut pair_forces: Vec<PairForces> = Vec::with_capacity(self.pairs.len());
-        let mut potential = 0.0;
         for p in &self.pairs {
             if p.a == p.b {
                 let cell = &self.cells[p.a as usize];
                 let (f, e) = forces_within(&cell.pos, &cell.q, &self.params);
-                potential += e;
-                pair_forces.push((f, Vec::new()));
+                pair_forces.push((f, Vec::new(), e));
             } else {
                 let (ca, cb) = (&self.cells[p.a as usize], &self.cells[p.b as usize]);
                 let shift = [
@@ -123,26 +203,23 @@ impl SeqMd {
                     p.shift[1] as f64 * self.cell_width,
                     p.shift[2] as f64 * self.cell_width,
                 ];
-                let (fa, fb, e) = forces_between(&ca.pos, &ca.q, &cb.pos, &cb.q, shift, &self.params);
-                potential += e;
-                pair_forces.push((fa, fb));
+                pair_forces.push(forces_between(&ca.pos, &ca.q, &cb.pos, &cb.q, shift, &self.params));
             }
         }
-        self.last_potential = potential;
-        // Integrate each cell, accumulating its pair forces in pair order.
+        // Integrate each cell, its pairs' contributions summed by its tree.
+        let mut potentials = Vec::with_capacity(self.cells.len());
         for (cell_id, memberships) in self.pairs_of.iter().enumerate() {
-            let cell = &mut self.cells[cell_id];
-            let n = cell.pos.len();
-            let mut force = vec![[0.0f64; 3]; n];
-            for &(pair_idx, slot) in memberships {
-                let (fa, fb) = &pair_forces[pair_idx as usize];
-                let f = if slot == 0 { fa } else { fb };
-                for (acc, add) in force.iter_mut().zip(f.iter()) {
-                    acc[0] += add[0];
-                    acc[1] += add[1];
-                    acc[2] += add[2];
-                }
+            let mut tree = TreeSum::new(memberships.len());
+            let mut sum = None;
+            for (leaf, &(pair_idx, slot)) in memberships.iter().enumerate() {
+                let (fa, fb, e) = &mut pair_forces[pair_idx as usize];
+                // Each pair's forces go to one cell each: move them there.
+                let contribution = if slot == 0 { (*e, std::mem::take(fa)) } else { (0.0, std::mem::take(fb)) };
+                sum = tree.add(leaf, contribution, add_contributions);
             }
+            let (energy, force) = sum.expect("every membership added");
+            potentials.push(energy);
+            let cell = &mut self.cells[cell_id];
             // Semi-implicit Euler (unit masses): kick, then drift.
             for ((vel, pos), f) in cell.vel.iter_mut().zip(cell.pos.iter_mut()).zip(&force) {
                 vel[0] += f[0] * self.dt;
@@ -153,6 +230,8 @@ impl SeqMd {
                 pos[2] += vel[2] * self.dt;
             }
         }
+        // As the parallel run's outcome sums its gathered rows.
+        self.last_potential = potentials.iter().sum();
     }
 
     /// Run `k` steps.

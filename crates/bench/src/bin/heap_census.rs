@@ -10,15 +10,17 @@
 //! `run_*` entry points exactly as `perf/src/jobs.rs` shapes them:
 //! `leanmd_tcp` (LeanMD at the paper's size, two single-PE nodes, a
 //! loopback TCP socket and 16 ms between them), `stencil_mask` (256 objects
-//! on 2 × 4 PE threads, sleep-emulated compute, 32 ms) and `sim_sweep` (the
-//! simulator: the stencil at 1,024 objects on 2 × 32 PEs, 8 ms apart, then
-//! LeanMD at the paper's size on 2 × 16 PEs, 16 ms apart — one census per
-//! half, each from the heap as the half found it).
+//! on 2 × 4 PE threads, sleep-emulated compute, 32 ms), `stencil_cross_tcp`
+//! (the stencil at 1,024 objects placed round-robin on two single-PE nodes,
+//! a loopback TCP socket and 4 ms between them, handlers that do nothing)
+//! and `sim_sweep` (the simulator: the stencil at 1,024 objects on 2 × 32
+//! PEs, 8 ms apart, then LeanMD at the paper's size on 2 × 16 PEs, 16 ms
+//! apart — one census per half, each from the heap as the half found it).
 //!
 //! Step counts and the injected latency are constants per job, so a census
 //! is always of the workload it is quoted against.
 //!
-//! Usage: `heap_census [--job leanmd_tcp|stencil_mask|sim_sweep] [--seed N]`
+//! Usage: `heap_census [--job leanmd_tcp|stencil_mask|stencil_cross_tcp|sim_sweep] [--seed N]`
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
@@ -28,6 +30,7 @@ use mdo_apps::stencil::{self, StencilConfig};
 use mdo_bench::{arg_value, over_tcp};
 use mdo_core::engine::threaded::ThreadedConfig;
 use mdo_core::program::RunConfig;
+use mdo_core::Mapping;
 use mdo_netsim::latency::DEFAULT_INTRA_LATENCY;
 use mdo_netsim::network::NetworkModel;
 use mdo_netsim::{Dur, LatencyMatrix, Topology, WanContention};
@@ -168,6 +171,17 @@ fn main() {
             let envelopes = out.report.pe_messages.iter().sum();
             print_census(&format!("{job}: {steps} steps at {:.2} ms", out.ms_per_step), envelopes, seed, allocs);
         }
+        "stencil_cross_tcp" => {
+            let (steps, wan) = (12, Dur::from_millis(4));
+            let topo = Topology::uniform(2, 1);
+            let out = over_tcp(&topo, &cfg, |cfg| {
+                let job = StencilConfig { mapping: Mapping::RoundRobin, ..StencilConfig::paper(1024, steps) };
+                let tcfg = ThreadedConfig::new(LatencyMatrix::uniform(&topo, Dur::ZERO, wan));
+                stencil::run_threaded_with(job, topo.clone(), tcfg, cfg)
+            });
+            let envelopes = out.report.pe_messages.iter().sum();
+            print_census(&format!("{job}: {steps} steps at {:.2} ms", out.ms_per_step), envelopes, seed, allocs);
+        }
         "sim_sweep" => {
             let steps = 10;
             let net = sim_net(Topology::uniform(2, 32), Dur::from_millis(8), seed);
@@ -184,7 +198,7 @@ fn main() {
             let what = format!("{job}, LeanMD half: {steps} step at {:.2} simulated ms", md.ms_per_step);
             print_census(&what, envelopes, seed, allocs);
         }
-        other => panic!("unknown --job {other}: leanmd_tcp, stencil_mask or sim_sweep"),
+        other => panic!("unknown --job {other}: leanmd_tcp, stencil_mask, stencil_cross_tcp or sim_sweep"),
     }
 }
 

@@ -83,6 +83,18 @@ impl Bytes {
     pub fn to_vec(&self) -> Vec<u8> {
         self.as_slice().to_vec()
     }
+
+    /// The view, writable — only while no other handle (a clone, a slice)
+    /// shares the buffer, as [`Arc::get_mut`].  Writes reach this view's
+    /// window and nothing else of the allocation.  (The shim's own
+    /// addition; the published crate has no counterpart.)
+    pub fn get_mut(&mut self) -> Option<&mut [u8]> {
+        let (start, end) = (self.start, self.end);
+        match &mut self.data {
+            Some(d) => Arc::get_mut(d).map(|v| &mut v[start..end]),
+            None => Some(&mut []),
+        }
+    }
 }
 
 impl From<Vec<u8>> for Bytes {
@@ -364,6 +376,25 @@ mod tests {
         assert_eq!(Bytes::new(), Bytes::from(Vec::new()));
         assert_eq!(Bytes::from_static(b"abc"), Bytes::copy_from_slice(b"abc"));
         assert_eq!(Bytes::from_static(b"abc"), *b"abc".to_vec());
+    }
+
+    #[test]
+    fn a_buffer_is_writable_only_while_no_other_handle_shares_it() {
+        let mut b = Bytes::from(vec![1, 2, 3, 4, 5]).slice(1..4);
+        b.get_mut().expect("unique once the parent view is gone").copy_from_slice(&[7, 8, 9]);
+        assert_eq!(&b[..], &[7, 8, 9]);
+        let Some(d) = &b.data else { panic!("allocated") };
+        assert_eq!(d.as_slice(), &[1, 7, 8, 9, 5], "the write stayed inside the view's window");
+
+        let clone = b.clone();
+        assert!(b.get_mut().is_none(), "a live clone shares it");
+        drop(clone);
+        let part = b.slice(1..);
+        assert!(b.get_mut().is_none(), "a live slice shares it");
+        drop(part);
+        b.get_mut().expect("writable again")[0] = 6;
+        assert_eq!(&b[..], &[6, 8, 9]);
+        assert_eq!(Bytes::new().get_mut(), Some(&mut [][..]), "an empty view has nothing to share");
     }
 
     #[test]

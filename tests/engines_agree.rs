@@ -79,9 +79,9 @@ fn leanmd_results_identical_across_engines() {
     assert_eq!(sim.kinetic, threaded.kinetic);
 }
 
-/// A cell sums its pairs' energies in membership order, not in the order
-/// they arrive, so the potential is one bit pattern on every engine and
-/// under every schedule, as the positions are.
+/// A cell sums its pairs' energies by a fixed pairwise tree over its
+/// memberships, not in the order they arrive, so the potential is one bit
+/// pattern on every engine and under every schedule, as the positions are.
 #[test]
 fn leanmd_potential_is_bit_identical_across_engines_and_schedules() {
     // Eight atoms a cell: enough terms for arrival order to show in the
