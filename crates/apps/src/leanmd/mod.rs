@@ -23,7 +23,7 @@ use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
 use mdo_core::chare::{Chare, Ctx};
-use mdo_core::envelope::ReduceData;
+use mdo_core::envelope::{ReduceData, APP_PRIORITY};
 use mdo_core::ids::{ArrayId, ElemId, EntryId};
 use mdo_core::prelude::{WireReader, WireWriter};
 use mdo_core::program::{Program, RunConfig, RunReport};
@@ -42,6 +42,15 @@ const START: EntryId = EntryId(1);
 const FORCES: EntryId = EntryId(2);
 /// Entry on pairs: coordinates from one member cell.
 const COORDS: EntryId = EntryId(3);
+
+/// Force messages go one class ahead of coordinates, which keep the
+/// default: a force message is what completes a cell's step and releases
+/// its next fan-out, so a PE folds it into the cell on arrival rather than
+/// after the step's queued coordinates — and the cell's tree, not the
+/// queue, bounds how many wait (DESIGN.md §4).  The tree makes the
+/// sum independent of arrival order, so the bits do not move.  Being
+/// explicit, it is not raised by `RunConfig::grid_prio`.
+const FORCES_PRIORITY: i32 = APP_PRIORITY - 1;
 
 /// The `(step, sender cell)` header of a coordinate message.
 const COORDS_HEADER_LEN: usize = 8;
@@ -456,10 +465,11 @@ impl Pair {
         self.computed += 1;
         let me = ctx.my_elem().0;
         // Forces (and the pair's energy, counted once) to cell a…
-        ctx.send(self.cells_array, ElemId(self.pair.a), FORCES, forces_payload(step, me, energy, &fa));
+        let (cells, a, b) = (self.cells_array, ElemId(self.pair.a), ElemId(self.pair.b));
+        ctx.send_prio(cells, a, FORCES, forces_payload(step, me, energy, &fa), FORCES_PRIORITY);
         // …and to cell b for a distinct pair.
         if !is_self {
-            ctx.send(self.cells_array, ElemId(self.pair.b), FORCES, forces_payload(step, me, 0.0, &fb));
+            ctx.send_prio(cells, b, FORCES, forces_payload(step, me, 0.0, &fb), FORCES_PRIORITY);
         }
         // Pairs participate in the load-balancing barrier after finishing
         // the step preceding it.

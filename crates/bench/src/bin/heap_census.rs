@@ -3,8 +3,9 @@
 //! A counting `#[global_allocator]` keeps the number of live blocks per
 //! 8-byte size class and copies that table every time the live bytes pass
 //! their previous peak by [`SNAPSHOT_STEP`]; at exit the last copy is
-//! printed, largest class first.  The method of EXPERIMENTS.md A18 / A19 /
-//! A20, which used to be a hand-patched scratch copy.
+//! printed, largest class first, beside the run's scheduler-queue
+//! high-water marks — so what waits in queues can be told from what the
+//! objects hold.  The method of EXPERIMENTS.md A18 / A19 / A20.
 //!
 //! The jobs are workloads of the benchmark spine, run through the public
 //! `run_*` entry points exactly as `perf/src/jobs.rs` shapes them:
@@ -29,7 +30,7 @@ use mdo_apps::leanmd::{self, MdConfig};
 use mdo_apps::stencil::{self, StencilConfig};
 use mdo_bench::{arg_value, over_tcp};
 use mdo_core::engine::threaded::ThreadedConfig;
-use mdo_core::program::RunConfig;
+use mdo_core::program::{RunConfig, RunReport};
 use mdo_core::Mapping;
 use mdo_netsim::latency::DEFAULT_INTRA_LATENCY;
 use mdo_netsim::network::NetworkModel;
@@ -160,16 +161,14 @@ fn main() {
                 let tcfg = ThreadedConfig::new(LatencyMatrix::uniform(&topo, Dur::ZERO, wan));
                 leanmd::run_threaded_with(MdConfig { seed, ..MdConfig::paper(steps) }, topo.clone(), tcfg, cfg)
             });
-            let envelopes = out.report.pe_messages.iter().sum();
-            print_census(&format!("{job}: {steps} steps at {:.2} ms", out.ms_per_step), envelopes, seed, allocs);
+            print_census(&format!("{job}: {steps} steps at {:.2} ms", out.ms_per_step), &out.report, seed, allocs);
         }
         "stencil_mask" => {
             let (steps, wan) = (12, Dur::from_millis(32));
             let topo = Topology::uniform(2, 4);
             let tcfg = ThreadedConfig::new(LatencyMatrix::uniform(&topo, Dur::ZERO, wan)).with_compute_sleep();
             let out = stencil::run_threaded_with(StencilConfig::paper(256, steps), topo, tcfg, cfg);
-            let envelopes = out.report.pe_messages.iter().sum();
-            print_census(&format!("{job}: {steps} steps at {:.2} ms", out.ms_per_step), envelopes, seed, allocs);
+            print_census(&format!("{job}: {steps} steps at {:.2} ms", out.ms_per_step), &out.report, seed, allocs);
         }
         "stencil_cross_tcp" => {
             let (steps, wan) = (12, Dur::from_millis(4));
@@ -179,31 +178,33 @@ fn main() {
                 let tcfg = ThreadedConfig::new(LatencyMatrix::uniform(&topo, Dur::ZERO, wan));
                 stencil::run_threaded_with(job, topo.clone(), tcfg, cfg)
             });
-            let envelopes = out.report.pe_messages.iter().sum();
-            print_census(&format!("{job}: {steps} steps at {:.2} ms", out.ms_per_step), envelopes, seed, allocs);
+            print_census(&format!("{job}: {steps} steps at {:.2} ms", out.ms_per_step), &out.report, seed, allocs);
         }
         "sim_sweep" => {
             let steps = 10;
             let net = sim_net(Topology::uniform(2, 32), Dur::from_millis(8), seed);
             // Kept, as the benchmark keeps it, until the LeanMD half is over.
             let st = stencil::run_sim(StencilConfig::paper(1024, steps), net, cfg.clone());
-            let envelopes = st.report.pe_messages.iter().sum();
             let what = format!("{job}, stencil half: {steps} steps at {:.2} simulated ms", st.ms_per_step);
-            print_census(&what, envelopes, seed, allocs);
+            print_census(&what, &st.report, seed, allocs);
             println!();
             let (steps, allocs) = (1, begin());
             let net = sim_net(Topology::uniform(2, 16), Dur::from_millis(16), seed);
             let md = leanmd::run_sim(MdConfig { seed, ..MdConfig::paper(steps) }, net, cfg);
-            let envelopes = md.report.pe_messages.iter().sum();
             let what = format!("{job}, LeanMD half: {steps} step at {:.2} simulated ms", md.ms_per_step);
-            print_census(&what, envelopes, seed, allocs);
+            print_census(&what, &md.report, seed, allocs);
         }
         other => panic!("unknown --job {other}: leanmd_tcp, stencil_mask, stencil_cross_tcp or sim_sweep"),
     }
 }
 
-/// Print the census since [`begin`] returned `allocs_before`, under `what`.
-fn print_census(what: &str, envelopes: u64, seed: u64, allocs_before: u64) {
+/// Print the census since [`begin`] returned `allocs_before`, under `what`,
+/// with the scheduler queues' high-water marks from `report`: each PE's
+/// depth (on the wall-clock engine its mailbox's and its own queue's marks
+/// added) and the fullest PE's bytes.  The marks of different PEs need not
+/// fall at the heap's peak, so their sum bounds what was queued at it.
+fn print_census(what: &str, report: &RunReport, seed: u64, allocs_before: u64) {
+    let envelopes: u64 = report.pe_messages.iter().sum();
     let allocs = ALLOCS.load(Ordering::Relaxed) - allocs_before;
     let peak = AT_PEAK.live.load(Ordering::Relaxed);
     let mut rows: Vec<(i64, usize, i64)> = (1..CLASSES)
@@ -217,6 +218,13 @@ fn print_census(what: &str, envelopes: u64, seed: u64, allocs_before: u64) {
         "{allocs} allocations ({:.2} per envelope), live heap at its peak {:.2} MiB:",
         allocs as f64 / envelopes.max(1) as f64,
         mib(peak)
+    );
+    let depths = &report.pe_max_queue_depth;
+    println!(
+        "scheduler queues at their high-water marks: {} envelopes over {} PEs {depths:?}, the fullest {:.2} MiB",
+        depths.iter().sum::<usize>(),
+        depths.len(),
+        mib(report.peak_mailbox_bytes as i64)
     );
     println!("{:>8} x {:>7} B = {:>7} MiB", "blocks", "class", "");
     for &(bytes, size, blocks) in rows.iter().take(TOP) {

@@ -26,7 +26,11 @@ use crate::envelope::Envelope;
 ///
 /// Internally a map from priority class to the FIFO of envelopes waiting
 /// in that class (insertion order preserved via arrival sequence numbers,
-/// though the `VecDeque` order alone carries it).
+/// though the `VecDeque` order alone carries it).  A class that drains
+/// keeps its entry and its deque, so a class that empties and refills —
+/// LeanMD's forces, every step — allocates nothing once warm; the map
+/// holds one entry per priority ever queued, and the queries skip the
+/// empty ones.
 #[derive(Default)]
 pub struct SchedQueue {
     classes: BTreeMap<i32, VecDeque<(u64, Envelope)>>,
@@ -61,14 +65,14 @@ impl SchedQueue {
 
     /// The priority of the front (most urgent) class; `None` iff empty.
     pub fn front_priority(&self) -> Option<i32> {
-        self.classes.keys().next().copied()
+        self.classes.iter().find(|(_, class)| !class.is_empty()).map(|(&prio, _)| prio)
     }
 
     /// How many envelopes are tied at the front priority class — the
     /// choices a delivery policy may legally pick among without violating
     /// priority order.  Zero iff the queue is empty.
     pub fn eligible(&self) -> usize {
-        self.classes.values().next().map_or(0, VecDeque::len)
+        self.classes.values().find(|class| !class.is_empty()).map_or(0, VecDeque::len)
     }
 
     /// Dequeue the `n`-th envelope of the front priority class.  `n` must
@@ -84,11 +88,8 @@ impl SchedQueue {
     /// so engines that only ever call [`SchedQueue::pop`] observe exact
     /// FIFO, unchanged.
     pub fn pop_nth(&mut self, n: usize) -> Option<Envelope> {
-        let (&prio, class) = self.classes.iter_mut().next()?;
+        let class = self.classes.values_mut().find(|class| !class.is_empty())?;
         let (_, env) = if n == 0 { class.pop_front() } else { class.swap_remove_back(n) }?;
-        if class.is_empty() {
-            self.classes.remove(&prio);
-        }
         self.len -= 1;
         self.bytes -= env.wire_size();
         Some(env)
@@ -191,6 +192,9 @@ mod tests {
         q.pop();
         assert_eq!(q.eligible(), 1, "the priority-5 straggler became the front class");
         assert_eq!(q.front_priority(), Some(5));
+        q.push(env(0, 4));
+        assert_eq!((q.front_priority(), q.eligible()), (Some(0), 1), "the drained class refilled is the front again");
+        assert_eq!(q.pop().unwrap().sent_at_ns, 4);
     }
 
     #[test]

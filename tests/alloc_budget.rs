@@ -21,6 +21,7 @@ use gridmdo::netsim::{AggConfig, FaultPlan};
 use gridmdo::obs::PeRecorder;
 use gridmdo::prelude::*;
 use gridmdo::runtime::envelope::{Envelope, MsgBody};
+use gridmdo::runtime::queue::SchedQueue;
 use gridmdo::runtime::wire::{WireReader, WireWriter};
 use gridmdo::vmi::{Aggregator, Mailbox, Packet, ReliableTransport, Transport, TransportConfig};
 
@@ -156,8 +157,9 @@ impl Census {
 /// |---|---|---|
 /// | `72b68c4` | 31,918,018 B | 15.834 (185,697 / 11,728) |
 /// | `3b0a3d8` | 24,969,226 B | 8.172 (95,841 / 11,728) |
-/// | parent `ed157e8` | 17,969,674 B | 7.389 (86,662 / 11,728) |
-/// | this change | 16,034,010 B | 7.344 (86,136 / 11,728) |
+/// | `ed157e8` | 17,969,674 B | 7.389 (86,662 / 11,728) |
+/// | parent `0d5fd36` | 16,034,010 B | 7.344 (86,136 / 11,728) |
+/// | this change | 8,258,790 B | 7.197 (84,403 / 11,728) |
 ///
 /// The budgets are the change's readings plus 10 %; the parent fails the
 /// peak's (its allocations per envelope were not to rise, and fell).  What
@@ -165,17 +167,19 @@ impl Census {
 /// 3,360-byte array and holding all 27 until it integrated; a pair holds
 /// its one pending step inline (it was a map); cells and pairs share one
 /// configuration; and the 32 disabled recorders allocate nothing.  What
-/// moved here: a cell adds an early force message into its sibling
+/// moved in `0d5fd36`: a cell adds an early force message into its sibling
 /// subtree's buffer, in place, as soon as that subtree of its fixed
-/// pairwise tree is complete, where it held every message after the first
-/// one missing in membership order.  Of the 3,606 force messages live at
-/// the peak (4,182 in the parent; `heap_census --job sim_sweep`), 621 are
-/// held by cells; the rest wait in the simulator's queues.
+/// pairwise tree is complete.  That left 3,606 force messages live at the
+/// peak, 621 held by cells and the rest queued behind the step's
+/// coordinates.  What moved here: force messages go one priority class
+/// ahead of coordinates, so a PE folds each into its cell's tree on
+/// arrival, and 1,379 are live at the peak; a drained class keeps its
+/// deque, so the force class refilling costs nothing.
 #[test]
 fn leanmd_on_the_simulator_stays_inside_its_heap_budget() {
     let _alone = alone();
-    const PEAK_BUDGET: usize = 17_638_000;
-    const ALLOCS_PER_ENVELOPE_BUDGET: f64 = 8.08;
+    const PEAK_BUDGET: usize = 9_085_000;
+    const ALLOCS_PER_ENVELOPE_BUDGET: f64 = 7.92;
     // Two clusters of 16 PEs, 16 ms apart: `uniform(2, 16)`.
     let net = NetworkModel::two_cluster_sweep(32, Dur::from_millis(16));
     let census = Census::begin();
@@ -200,30 +204,31 @@ fn leanmd_on_the_simulator_stays_inside_its_heap_budget() {
 /// |---|---|---|
 /// | `d5fe858` | 30,676,235–31,022,195 B (three runs) | 10.079 (235,180 / 23,333) |
 /// | `3b0a3d8` | 22,595,987–25,046,643 B (three runs) | 7.600–7.601 (177,353 / 23,333) |
-/// | parent `ed157e8` | 17,882,363–20,771,283 B (twelve runs) | 6.902–6.903 (161,061 / 23,332) |
-/// | this change | 17,674,407–19,773,831 B (seventeen runs) | 6.891–6.892 (160,800 / 23,333) |
+/// | `ed157e8` | 17,882,363–20,771,283 B (twelve runs) | 6.902–6.903 (161,061 / 23,332) |
+/// | parent `0d5fd36` | 17,674,407–19,788,043 B (23 runs) | 6.891–6.892 (160,800–160,815 / 23,333) |
+/// | this change | 7,456,439–8,242,367 B (nine runs) | 6.897–6.902 (160,926–161,041 / 23,333) |
 ///
 /// What moved in `3b0a3d8`: an envelope a PE addresses to itself (five in
 /// six of them here) waits in that PE's own queue as it is, its payload the
 /// buffer the 27 recipients share; it was encoded into a 4.5 KB block of
 /// its own for each recipient.  What moved in `ed157e8`: the force phase,
 /// the peak of every step — a cell stopped holding 27 decoded arrays until
-/// it integrated.  What moved here: a cell holds at most ⌈27/2⌉ force
-/// messages (four if they come in membership order, five if reversed), where
-/// it held every one after the first missing in membership order (the
-/// simulator's budget above).  At
-/// zero latency few cells wait for long, and the peak is made of the
-/// queues, whose depth follows the host's schedule: the two sides' readings
-/// overlap, so the peak budget stays where `ed157e8` put it (the change's
-/// highest reading plus 8.6 %), which the parent's runs pass too.  The
-/// allocation budget is the reading plus 10 %.  Two steps, because only
-/// from the second step on do a step's coordinates overlap the forces of
-/// the one before.
+/// it integrated.  What moved in `0d5fd36`: a cell holds at most ⌈27/2⌉
+/// force messages (four if they come in membership order, five if
+/// reversed), where it held every one after the first missing in membership
+/// order; at zero latency few cells wait for long, so the peak was the
+/// queues, whose depth follows the host's schedule.  What moved here: force
+/// messages go one priority class ahead of coordinates, in the PE's own
+/// queue and in its mailbox, so they no longer wait behind a step's
+/// coordinate fan-out.  The budgets are the change's highest readings plus
+/// 10 %; the parent fails the peak's.  Two steps, because only from the
+/// second step on do a step's coordinates overlap the forces of the one
+/// before.
 #[test]
 fn leanmd_on_the_wall_clock_engine_stays_inside_its_heap_budget() {
     let _alone = alone();
-    const PEAK_BUDGET: isize = 21_473_000;
-    const ALLOCS_PER_ENVELOPE_BUDGET: f64 = 7.58;
+    const PEAK_BUDGET: isize = 9_067_000;
+    const ALLOCS_PER_ENVELOPE_BUDGET: f64 = 7.59;
     let topo = Topology::uniform(2, 1);
     let latency = LatencyMatrix::uniform(&topo, Dur::ZERO, Dur::ZERO);
     let (live, allocs) = (ALL_LIVE.load(Ordering::Relaxed), ALL_ALLOCS.load(Ordering::Relaxed));
@@ -247,12 +252,15 @@ fn leanmd_on_the_wall_clock_engine_stays_inside_its_heap_budget() {
 ///
 /// | | live-heap peak |
 /// |---|---|
-/// | parent `3b0a3d8` | 8,037,298 B |
-/// | this change | 4,105,138 B |
+/// | `3b0a3d8` | 8,037,298 B |
+/// | `c805177`, parent `0d5fd36` | 4,105,138 B |
+/// | this change | 4,130,866 B |
 ///
-/// The budget is the change's reading plus 10 %; the parent fails it.
-/// What moved: 64 disabled recorders held four 15,360-byte histograms
-/// each, 3.75 MiB that recorded nothing.
+/// The budget is the reading of `c805177` plus 10 %; `3b0a3d8` fails it.
+/// What moved in `c805177`: 64 disabled recorders held four 15,360-byte
+/// histograms each, 3.75 MiB that recorded nothing.  What moved here: a
+/// drained scheduler-queue class keeps its deque (the test below), 25 KB
+/// over 64 PEs.
 #[test]
 fn an_obs_off_stencil_on_the_simulator_stays_inside_its_heap_budget() {
     let _alone = alone();
@@ -264,6 +272,31 @@ fn an_obs_off_stencil_on_the_simulator_stays_inside_its_heap_budget() {
     assert!(out.report.obs.is_none());
     println!("live-heap peak {peak} B");
     assert!(peak <= PEAK_BUDGET, "live-heap peak {peak} B is over the budget of {PEAK_BUDGET} B");
+}
+
+/// A warm scheduler queue whose priority classes drain and refill — a
+/// LeanMD PE's force class, every step — allocates nothing: a drained
+/// class keeps its map entry and its deque.  (Before, each drain freed
+/// both and each refill made them again.)
+#[test]
+fn a_warm_scheduler_queue_allocates_nothing_as_its_classes_drain_and_refill() {
+    let _alone = alone();
+    let env = |priority| Envelope { src: Pe(0), dst: Pe(0), priority, sent_at_ns: 0, body: MsgBody::Exit };
+    let round = |q: &mut SchedQueue| {
+        for priority in [0, -1, 0, -1, 0] {
+            q.push(env(priority));
+            q.push(env(priority));
+            q.pop();
+        }
+        while q.pop().is_some() {}
+    };
+    let mut q = SchedQueue::new();
+    round(&mut q);
+    let census = Census::begin();
+    for _ in 0..1_000 {
+        round(&mut q);
+    }
+    assert_eq!(census.allocs(), 0, "1,000 rounds of pushes and pops over two classes allocated");
 }
 
 /// A disabled recorder — every PE's when `RunConfig::obs` is `None` — is
