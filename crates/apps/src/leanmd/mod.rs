@@ -34,7 +34,7 @@ use mdo_netsim::{Dur, LatencyMatrix, Time, Topology};
 
 use geometry::{CellGrid, CellPair};
 use kernels::{forces_between, forces_within, interaction_count, ForceParams};
-use seq::{CellAtoms, TreeSum};
+use seq::{CellAtoms, ForceSum};
 
 /// Entry on cells: begin stepping.
 const START: EntryId = EntryId(1);
@@ -46,10 +46,9 @@ const COORDS: EntryId = EntryId(3);
 /// Force messages go one class ahead of coordinates, which keep the
 /// default: a force message is what completes a cell's step and releases
 /// its next fan-out, so a PE folds it into the cell on arrival rather than
-/// after the step's queued coordinates — and the cell's tree, not the
-/// queue, bounds how many wait (DESIGN.md §4).  The tree makes the
-/// sum independent of arrival order, so the bits do not move.  Being
-/// explicit, it is not raised by `RunConfig::grid_prio`.
+/// after the step's queued coordinates, and lets it go (DESIGN.md §4).
+/// The cell's fixed-point sum is independent of arrival order, so the bits
+/// do not move.  Being explicit, it is not raised by `RunConfig::grid_prio`.
 const FORCES_PRIORITY: i32 = APP_PRIORITY - 1;
 
 /// The `(step, sender cell)` header of a coordinate message.
@@ -228,17 +227,14 @@ struct Cell {
     id: u32,
     atoms: CellAtoms,
     /// (pair index, slot) memberships in ascending pair order; a
-    /// membership's index is its force message's leaf in `forces`.
+    /// membership's index is its force message's term in `forces`.
     memberships: Arc<Vec<(u32, u8)>>,
     pairs_array: ArrayId,
     step: u32,
-    /// This step's force messages, summed as they arrive by the fixed
-    /// pairwise tree over membership indices that `SeqMd::step` sums by: a
-    /// message whose sibling subtree is incomplete is held as received, and
-    /// each add is written into one of the two buffers it adds
-    /// (`add_forces`).  Cost-model mode holds the same buffers and skips
-    /// only the force arithmetic: its cell has no atoms.
-    forces: TreeSum<Bytes>,
+    /// This step's force messages, each added as it arrives into the
+    /// fixed-point sum `SeqMd::step` sums by, and let go.  A cost-model
+    /// cell has no atoms, so its sum holds only the energy.
+    forces: ForceSum,
     /// This cell's share of the last completed step's potential: the energy
     /// of its `forces` sum.
     potential: f64,
@@ -257,8 +253,8 @@ impl Cell {
         Cell {
             cfg,
             id,
+            forces: ForceSum::new(1 + 3 * atoms.pos.len(), memberships.len()),
             atoms,
-            forces: TreeSum::new(memberships.len()),
             memberships,
             pairs_array,
             step: 0,
@@ -281,28 +277,22 @@ impl Cell {
         }
     }
 
-    /// Add membership `slot`'s force message into the step's tree; the
-    /// step's sum once every membership has answered.
-    fn add(&mut self, slot: usize, msg: Bytes) -> Option<Bytes> {
-        assert!(!self.forces.has(slot), "duplicate forces from pair {}", self.memberships[slot].0);
-        let atoms = self.atoms.pos.len();
-        self.forces.add(slot, msg, |held, arrived| add_forces(held, arrived, atoms))
-    }
-
-    /// Take the step's summed force message: its energy is this cell's
-    /// potential, its triples kick the atoms.
-    fn integrate(&mut self, sum: &[u8]) {
-        self.potential = f64_at(&sum[8..]);
-        // Must stay operation-for-operation identical to SeqMd::step.
-        let forces = sum[forces_len(0)..].chunks_exact(24).map(|f| [f64_at(f), f64_at(&f[8..]), f64_at(&f[16..])]);
-        for ((vel, pos), f) in self.atoms.vel.iter_mut().zip(self.atoms.pos.iter_mut()).zip(forces) {
-            vel[0] += f[0] * self.cfg.dt;
-            vel[1] += f[1] * self.cfg.dt;
-            vel[2] += f[2] * self.cfg.dt;
-            pos[0] += vel[0] * self.cfg.dt;
-            pos[1] += vel[1] * self.cfg.dt;
-            pos[2] += vel[2] * self.cfg.dt;
-        }
+    /// Check a force message's step and length and add it into the step's
+    /// sum (which refuses a membership's second answer) straight from the
+    /// borrowed bytes, keeping nothing of it.  True once every membership
+    /// has answered.
+    fn fold(&mut self, payload: &[u8]) -> bool {
+        let mut r = WireReader::new(payload);
+        let step = r.u32().expect("step");
+        let pair_idx = r.u32().expect("pair idx");
+        assert_eq!(step, self.step, "cell {} cannot receive out-of-step forces", self.id);
+        assert_eq!(payload.len(), forces_len(self.cfg.atoms_per_cell), "forces from pair {pair_idx}: wrong length");
+        let term = self
+            .memberships
+            .binary_search_by_key(&pair_idx, |&(pair, _)| pair)
+            .unwrap_or_else(|_| panic!("pair {pair_idx} sent forces to cell {}", self.id));
+        let forces = payload[forces_len(0)..].chunks_exact(8).map(f64_at);
+        self.forces.add(term, std::iter::once(f64_at(&payload[8..])).chain(forces))
     }
 
     fn finish_step(&mut self, ctx: &mut Ctx<'_>) {
@@ -338,57 +328,13 @@ fn f64_at(b: &[u8]) -> f64 {
     f64::from_le_bytes(b[..8].try_into().expect("8 bytes"))
 }
 
-/// Two sibling subtrees' summed force messages added — the energy and the
-/// first `atoms` triples — into one of the two buffers: one no other handle
-/// shares.  A held message is unique once its own handler has returned (the
-/// message being delivered never is, the engine holds it), so this writes
-/// in place and allocates nothing; where both are shared, as messages cut
-/// from one aggregated frame can be, one is copied first.  IEEE addition
-/// commutes, so the choice cannot change a bit.
-fn add_forces(mut a: Bytes, mut b: Bytes, atoms: usize) -> Bytes {
-    if a.get_mut().is_none() {
-        std::mem::swap(&mut a, &mut b);
-    }
-    if a.get_mut().is_none() {
-        a = Bytes::from(a.to_vec());
-    }
-    let acc = a.get_mut().expect("a copy shares nothing");
-    add_f64s(&mut acc[8..16], &b[8..16]);
-    let forces = forces_len(0)..forces_len(0) + 24 * atoms;
-    add_f64s(&mut acc[forces.clone()], &b[forces]);
-    a
-}
-
-/// `acc += add`, f64 by f64.
-fn add_f64s(acc: &mut [u8], add: &[u8]) {
-    for (acc, add) in acc.chunks_exact_mut(8).zip(add.chunks_exact(8)) {
-        acc.copy_from_slice(&(f64_at(acc) + f64_at(add)).to_le_bytes());
-    }
-}
-
 impl Chare for Cell {
     fn receive(&mut self, entry: EntryId, payload: &[u8], ctx: &mut Ctx<'_>) {
         match entry {
             START => self.multicast_coords(ctx),
             FORCES => {
-                let mut r = WireReader::new(payload);
-                let step = r.u32().expect("step");
-                let pair_idx = r.u32().expect("pair idx");
-                assert_eq!(step, self.step, "cell {} cannot receive out-of-step forces", self.id);
-                // Checked on receipt, as a pair checks coordinates: a held
-                // message is read only when its sibling subtree completes.
-                assert_eq!(
-                    payload.len(),
-                    forces_len(self.cfg.atoms_per_cell),
-                    "forces from pair {pair_idx}: wrong length"
-                );
-                let slot = self
-                    .memberships
-                    .binary_search_by_key(&pair_idx, |&(pair, _)| pair)
-                    .unwrap_or_else(|_| panic!("pair {pair_idx} sent forces to cell {}", self.id));
-                // The message itself goes into the tree, not a decoded copy.
-                if let Some(sum) = self.add(slot, ctx.payload().clone()) {
-                    self.integrate(&sum);
+                if self.fold(payload) {
+                    self.potential = self.atoms.integrate(&mut self.forces, self.cfg.dt);
                     self.finish_step(ctx);
                 }
             }
@@ -397,7 +343,7 @@ impl Chare for Cell {
     }
 
     fn pack(&self, w: &mut WireWriter) {
-        assert_eq!(self.forces.held(), 0, "cells migrate only at step boundaries");
+        assert_eq!(self.forces.added(), 0, "cells migrate only at step boundaries");
         w.u32(self.step).f64(self.potential).bool(self.done);
         w.f64_triples(&self.atoms.pos).f64_triples(&self.atoms.vel).f64_slice(&self.atoms.q);
     }
@@ -961,26 +907,19 @@ mod tests {
         assert_eq!(run(8), Some(UnrecoverableError::NoFailurePlan { pe: Pe(0) }));
     }
 
-    /// What a [`Probe`] saw of its cell.
-    #[derive(Default)]
-    struct FoldLog {
-        /// At each step end: the messages held, the atoms.
-        ends: Vec<(usize, CellAtoms)>,
-        /// The most messages held at any one time.
-        peak_held: usize,
-    }
+    /// What a [`Probe`] saw of its cell at each step end: the terms its sum
+    /// still counted, and the atoms.
+    type StepEnds = Vec<(usize, CellAtoms)>;
 
     /// A real cell, watched between messages.
-    struct Probe(Cell, Arc<Mutex<FoldLog>>);
+    struct Probe(Cell, Arc<Mutex<StepEnds>>);
 
     impl Chare for Probe {
         fn receive(&mut self, entry: EntryId, payload: &[u8], ctx: &mut Ctx<'_>) {
             let step = self.0.step;
             self.0.receive(entry, payload, ctx);
-            let mut log = self.1.lock().expect("fold log");
-            log.peak_held = log.peak_held.max(self.0.forces.held());
             if self.0.step != step {
-                log.ends.push((self.0.forces.held(), self.0.atoms.clone()));
+                self.1.lock().expect("step ends").push((self.0.forces.added(), self.0.atoms.clone()));
             }
         }
     }
@@ -995,11 +934,11 @@ mod tests {
     /// Cell 0 of `cfg`'s grid alone, fed `msgs` from the host in the order
     /// given; its pairs are sinks.  The run's report, the cell's gathered
     /// row if it finished, and what the probe saw.
-    fn inject_forces(cfg: &MdConfig, msgs: Vec<Vec<u8>>) -> (RunReport, Option<CellRow>, FoldLog) {
+    fn inject_forces(cfg: &MdConfig, msgs: Vec<Vec<u8>>) -> (RunReport, Option<CellRow>, StepEnds) {
         let cfg = Arc::new(cfg.clone());
         let pairs = cfg.grid.pairs();
         let memberships = Arc::new(CellGrid::pairs_of_cells(&pairs, cfg.grid.n_cells()).swap_remove(0));
-        let log = Arc::new(Mutex::new(FoldLog::default()));
+        let log = Arc::new(Mutex::new(StepEnds::new()));
         let row = Arc::new(Mutex::new(None));
         let mut p = Program::new();
         let probe_log = Arc::clone(&log);
@@ -1024,7 +963,7 @@ mod tests {
         });
         let report = SimEngine::new(NetworkModel::two_cluster_sweep(2, Dur::ZERO), RunConfig::default()).run(p);
         let row = row.lock().expect("row").take();
-        (report, row, Arc::into_inner(log).expect("run over").into_inner().expect("fold log"))
+        (report, row, Arc::into_inner(log).expect("run over").into_inner().expect("step ends"))
     }
 
     /// Cell 0's force messages for every step of `cfg`, each step's in
@@ -1062,24 +1001,6 @@ mod tests {
         atoms.pos.iter().chain(&atoms.vel).flatten().map(|x| x.to_bits()).collect()
     }
 
-    /// The pairwise tree sum of `v` written top down, the obvious way: the
-    /// reference the incremental [`TreeSum`] is checked against.
-    fn tree_reference(v: &[f64]) -> f64 {
-        fn node(v: &[f64], first: usize, level: u32) -> f64 {
-            if level == 0 {
-                return v[first];
-            }
-            let second = first + (1 << (level - 1));
-            let sum = node(v, first, level - 1);
-            if second < v.len() {
-                sum + node(v, second, level - 1)
-            } else {
-                sum
-            }
-        }
-        node(v, 0, v.len().next_power_of_two().trailing_zeros())
-    }
-
     /// `k` memberships arriving in order, reversed, evens then odds, and in
     /// `shuffles` seeded shuffles.
     fn arrival_orders(k: usize, shuffles: u64) -> Vec<(String, Vec<usize>)> {
@@ -1097,84 +1018,69 @@ mod tests {
         orders
     }
 
-    /// For 1 to 64 memberships, a cell's tree sums its force messages — the
-    /// energy and every force component — to the bits of the top-down
-    /// reference whatever order they arrive in, over values that include
-    /// −0.0, subnormals and magnitudes 2^120 apart.  Never more than ⌈k/2⌉
-    /// subtrees wait, nothing is held once the sum is out, and each add is
-    /// written into a buffer of the messages added; with every message
-    /// shared elsewhere, an add copies instead and no message is written.
+    /// For 1 to 63 memberships, a cell sums its force messages — the energy
+    /// and every force component — to the same bits whatever order they
+    /// arrive in, over values that include ±0.0, subnormals and magnitudes
+    /// from 2^-70 to 2^56, and what it sums to is the values' sum, but for
+    /// truncation and rounding.  It keeps no message: each is read from one
+    /// buffer that is overwritten as soon as the cell returns (a cell that
+    /// kept any of it could not come to the same bits), and after every
+    /// receipt the sum has counted one term more.
     #[test]
-    fn a_cells_tree_sums_its_forces_to_the_reference_bits_in_any_arrival_order() {
+    fn a_cells_sum_of_its_forces_is_the_same_bits_in_any_arrival_order_and_keeps_no_message() {
         let n = 2;
         let cfg = Arc::new(MdConfig::validation(3, n, 1));
-        let mut rng = mdo_netsim::Xoshiro256::new(2605);
+        let mut rng = mdo_netsim::Xoshiro256::new(2805);
         let mut value = || {
             let sign = if rng.next_u64() & 1 == 0 { 1.0 } else { -1.0 };
             match rng.next_below(4) {
-                0 => -0.0,
+                0 => sign * 0.0,
                 1 => sign * f64::from_bits(rng.next_below(1 << 52)),
-                _ => sign * rng.next_f64() * 2f64.powi(rng.next_below(121) as i32 - 60),
+                _ => sign * (1.0 + rng.next_f64()) * 2f64.powi(rng.next_below(126) as i32 - 70),
             }
         };
-        for k in 1..=64 {
-            // Leaf by leaf: the energy, then 3n force components.
+        for k in 1..=63 {
+            // Term by term: the energy, then 3n force components.
             let values: Vec<Vec<f64>> = (0..k).map(|_| (0..1 + 3 * n).map(|_| value()).collect()).collect();
             let msgs: Vec<Vec<u8>> = (0..k)
-                .map(|leaf| {
-                    let triples: Vec<[f64; 3]> = values[leaf][1..].chunks(3).map(|t| [t[0], t[1], t[2]]).collect();
-                    forces_payload(0, leaf as u32, values[leaf][0], &triples)
+                .map(|term| {
+                    let triples: Vec<[f64; 3]> = values[term][1..].chunks(3).map(|t| [t[0], t[1], t[2]]).collect();
+                    forces_payload(0, term as u32, values[term][0], &triples)
                 })
                 .collect();
-            let want: Vec<u64> = (0..1 + 3 * n)
-                .map(|i| tree_reference(&values.iter().map(|v| v[i]).collect::<Vec<_>>()).to_bits())
-                .collect();
             let memberships = Arc::new((0..k as u32).map(|pair| (pair, 0)).collect());
+            let mut want: Option<Vec<u64>> = None;
             for (name, order) in arrival_orders(k, 4) {
-                for shared in [false, true] {
-                    let mut cell = Cell::new(Arc::clone(&cfg), 0, Arc::clone(&memberships), ArrayId(1));
-                    let (mut sum, mut peak, mut buffers, mut kept) = (None, 0, Vec::new(), Vec::new());
-                    for &leaf in &order {
-                        assert!(sum.is_none(), "k {k} {name}: the sum came out early");
-                        let msg = Bytes::from(msgs[leaf].clone());
-                        buffers.push(msg.as_ptr());
-                        if shared {
-                            kept.push((leaf, msg.clone()));
-                        }
-                        sum = cell.add(leaf, msg);
-                        peak = peak.max(cell.forces.held());
-                    }
-                    let sum = sum.unwrap_or_else(|| panic!("k {k} {name}: no sum"));
-                    let got: Vec<u64> = std::iter::once(&sum[8..])
-                        .chain(sum[forces_len(0)..].chunks_exact(8))
-                        .map(|b| f64_at(b).to_bits())
-                        .collect();
-                    assert_eq!(got, want, "k {k} {name} (shared {shared}): bits");
-                    assert_eq!(cell.forces.held(), 0, "k {k} {name}: held after the sum");
-                    assert!(peak <= k.div_ceil(2), "k {k} {name}: {peak} held");
-                    if shared {
-                        assert!(
-                            kept.iter().all(|(leaf, m)| *m == msgs[*leaf]),
-                            "k {k} {name}: a shared message written"
-                        );
-                    } else {
-                        assert!(buffers.contains(&sum.as_ptr()), "k {k} {name}: the sum is in a buffer of its own");
-                    }
-                    match (k, name.as_str()) {
-                        (27, "in order") => assert!(peak <= 4, "in order, {peak} held"),
-                        (27, "reversed") => assert!(peak <= 5, "reversed, {peak} held"),
-                        _ => {}
-                    }
+                let mut cell = Cell::new(Arc::clone(&cfg), 0, Arc::clone(&memberships), ArrayId(1));
+                let mut buffer = vec![0; forces_len(n)];
+                for (i, &term) in order.iter().enumerate() {
+                    buffer.copy_from_slice(&msgs[term]);
+                    let done = cell.fold(&buffer);
+                    buffer.fill(0xFF);
+                    assert_eq!(done, i + 1 == k, "k {k} {name}: done after {} terms", i + 1);
+                    assert_eq!(cell.forces.added(), i + 1, "k {k} {name}: terms counted");
                 }
+                let got: Vec<u64> = cell.forces.take().map(f64::to_bits).collect();
+                assert_eq!(cell.forces.added(), 0, "k {k} {name}: a term counted after the sum");
+                match &want {
+                    None => want = Some(got),
+                    Some(want) => assert_eq!(&got, want, "k {k} {name}: bits"),
+                }
+            }
+            for (part, got) in want.expect("an order").into_iter().enumerate() {
+                let (sum, magnitude) = values.iter().fold((0.0, 0.0), |(s, m), v| (s + v[part], m + v[part].abs()));
+                let bound = k as f64 * (magnitude * 2f64.powi(-52) + 2f64.powi(-63));
+                let got = f64::from_bits(got);
+                assert!((got - sum).abs() <= bound, "k {k} part {part}: {got} is not the sum {sum}");
             }
         }
     }
 
-    /// The cell sums its force messages by its tree whatever order they
-    /// arrive in: in order, reversed, evens then odds, and three shuffles
-    /// give the same bits — the sequential reference's positions and
-    /// velocities at every step, and the tree's potential — and nothing is
-    /// left held when a step ends.
+    /// The cell sums its force messages whatever order they arrive in: in
+    /// order, reversed, evens then odds, and three shuffles give the same
+    /// bits — the sequential reference's positions and velocities at every
+    /// step, and its sum of the energies as the potential — and no term is
+    /// left counted when a step ends.
     #[test]
     fn a_cell_sums_its_forces_to_the_same_bits_in_any_arrival_order() {
         // 27 atoms a cell: dense enough that an atom has three or more pairs
@@ -1183,36 +1089,33 @@ mod tests {
         let cfg = MdConfig::validation(3, 27, 3);
         let (msgs, reference) = cell0_forces(&cfg);
         let members = msgs[0].len();
-        let energies: Vec<f64> = msgs[msgs.len() - 1].iter().map(|m| f64_at(&m[8..])).collect();
-        let potential = tree_reference(&energies);
+        let mut energies = ForceSum::new(1, members);
+        for (term, msg) in msgs[msgs.len() - 1].iter().enumerate() {
+            energies.add(term, [f64_at(&msg[8..])]);
+        }
+        let potential = energies.take().next().expect("the energy");
         for (name, order) in arrival_orders(members, 3) {
             let sent = msgs.iter().flat_map(|step_msgs| order.iter().map(|&i| step_msgs[i].clone())).collect();
-            let (report, row, log) = inject_forces(&cfg, sent);
+            let (report, row, ends) = inject_forces(&cfg, sent);
             assert_eq!(report.unrecoverable, None, "{name}");
             let (checksum, kinetic, pot) = row.expect("the cell finished");
             let last = &reference[reference.len() - 1];
             assert_eq!(checksum.to_bits(), last.pos_checksum().to_bits(), "{name}: positions");
             assert_eq!(kinetic.to_bits(), last.kinetic().to_bits(), "{name}: kinetic");
-            assert_eq!(pot.to_bits(), potential.to_bits(), "{name}: potential, summed by the tree");
-            assert_eq!(log.ends.len(), reference.len(), "{name}: one end per step");
-            for (step, ((held, atoms), want)) in log.ends.iter().zip(&reference).enumerate() {
-                assert_eq!(*held, 0, "{name}: step {step} ended with messages held");
+            assert_eq!(pot.to_bits(), potential.to_bits(), "{name}: potential");
+            assert_eq!(ends.len(), reference.len(), "{name}: one end per step");
+            for (step, ((added, atoms), want)) in ends.iter().zip(&reference).enumerate() {
+                assert_eq!(*added, 0, "{name}: step {step} ended with terms counted");
                 assert_eq!(atom_bits(atoms), atom_bits(want), "{name}: step {step} atoms");
             }
-            let bound = match name.as_str() {
-                "in order" => 4,
-                "reversed" => 5,
-                _ => members.div_ceil(2),
-            };
-            assert!(log.peak_held <= bound, "{name}: {} held, more than {bound}", log.peak_held);
         }
     }
 
-    /// A duplicate force message, whether its first copy is held as it came
-    /// or already added into a subtree's sum, and one eight bytes short,
-    /// whether it would be held or added, each panic the cell on receipt
-    /// (`NoFailurePlan`).  In cost-model mode, where nothing reads the body,
-    /// the length check is the only guard there is.
+    /// A duplicate force message, whether it follows its first copy at once
+    /// or after another membership's, and one eight bytes short, whether it
+    /// comes first or not, each panic the cell on receipt (`NoFailurePlan`).
+    /// In cost-model mode, where nothing reads the forces, the length check
+    /// is the only guard there is.
     #[test]
     fn a_duplicate_or_short_force_message_panics_the_cell_on_receipt() {
         use mdo_netsim::{Pe, UnrecoverableError};
@@ -1228,10 +1131,36 @@ mod tests {
         let panicked = Some(UnrecoverableError::NoFailurePlan { pe: Pe(0) });
         let run = |msgs: Vec<Vec<u8>>| inject_forces(&cfg, msgs).0.unrecoverable;
         assert_eq!(run(vec![msg(0), msg(1), msg(5)]), None, "whole and distinct, the run drains quietly");
-        assert_eq!(run(vec![msg(5), msg(5)]), panicked, "a duplicate of a held message");
-        assert_eq!(run(vec![msg(0), msg(1), msg(0)]), panicked, "a duplicate of a message already added");
-        assert_eq!(run(vec![short(5)]), panicked, "a short message that would be held");
-        assert_eq!(run(vec![msg(1), short(0)]), panicked, "a short message that would be added");
+        assert_eq!(run(vec![msg(5), msg(5)]), panicked, "a duplicate at once");
+        assert_eq!(run(vec![msg(0), msg(1), msg(0)]), panicked, "a duplicate after another membership");
+        assert_eq!(run(vec![short(5)]), panicked, "a short message first");
+        assert_eq!(run(vec![msg(1), short(0)]), panicked, "a short message after another");
+    }
+
+    /// A force component that is NaN or infinite, or of magnitude 2^57 or
+    /// more, panics the cell on receipt (`NoFailurePlan`): the fixed-point
+    /// sum has no room for it.  The largest magnitude below 2^57 is taken.
+    /// A cost-model cell sums only the energy, and the guard covers that.
+    #[test]
+    fn a_nan_or_out_of_range_force_panics_the_cell_on_receipt() {
+        use mdo_netsim::{Pe, UnrecoverableError};
+        let first_pair = |cfg: &MdConfig| CellGrid::pairs_of_cells(&cfg.grid.pairs(), cfg.grid.n_cells())[0][0].0;
+        let panicked = Some(UnrecoverableError::NoFailurePlan { pe: Pe(0) });
+        let run = |cfg: &MdConfig, msg| inject_forces(cfg, vec![msg]).0.unrecoverable;
+
+        let real = MdConfig::validation(3, 2, 1);
+        let force = |x: f64| forces_payload(0, first_pair(&real), 0.0, &[[0.0, x, 0.0], [0.0; 3]]);
+        let below = 2f64.powi(57).next_down();
+        assert_eq!(run(&real, force(below)), None, "{below} is in range");
+        assert_eq!(run(&real, force(-below)), None, "{} is in range", -below);
+        for x in [f64::NAN, f64::INFINITY, 2f64.powi(57), -2f64.powi(57)] {
+            assert_eq!(run(&real, force(x)), panicked, "a force component {x}");
+        }
+
+        let model = MdConfig::paper(1);
+        let energy = |e: f64| forces_payload(0, first_pair(&model), e, &vec![[0.0; 3]; model.atoms_per_cell]);
+        assert_eq!(run(&model, energy(-1.5)), None, "a finite energy");
+        assert_eq!(run(&model, energy(f64::NAN)), panicked, "a NaN energy in cost-model mode");
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //!
 //! Runs the *same* cell/cell-pair decomposition as the parallel code, in a
 //! single loop, with the identical per-cell force and energy sums (the
-//! fixed pairwise [`TreeSum`] over a cell's memberships, which the parallel
-//! cell uses too) and the identical integrator — so parallel trajectories
-//! and potentials must match **bit-for-bit** under any placement, latency,
-//! or engine.
+//! fixed-point [`ForceSum`], whose result no arrival order can change, and
+//! which the parallel cell uses too) and the identical integrator
+//! ([`CellAtoms::integrate`]) — so parallel trajectories and potentials
+//! must match **bit-for-bit** under any placement, latency, or engine.
 
 use mdo_netsim::Xoshiro256;
 
@@ -73,83 +73,80 @@ impl CellAtoms {
         }
         m
     }
-}
 
-/// The fixed pairwise tree a LeanMD cell sums its `k` force contributions
-/// by, leaf `i` being its `i`-th membership: in [`SeqMd::step`] and, as the
-/// force messages arrive, in the parallel cell.
-///
-/// Node (l, j) covers the leaves [j·2^l, (j+1)·2^l) ∩ [0, k).  Its value is
-/// its two children's added; a node whose second child's range is empty
-/// takes its first child's value unchanged.  Leaves may come in any order:
-/// each walks up, adding itself to every complete sibling subtree on the
-/// way, and stops at the first sibling that is still incomplete, held there
-/// until that sibling completes.  The association is the tree's whatever the
-/// arrival order, and IEEE addition commutes, so which operand `combine`
-/// accumulates into cannot change a bit.
-///
-/// At most ⌈k/2⌉ subtrees are held at once: a held leaf's sibling leaf is
-/// missing, and every other held subtree spans at least two leaves, but for
-/// the one (at most) that holds leaf k − 1.
-#[derive(Debug)]
-pub struct TreeSum<T> {
-    k: usize,
-    /// Complete subtrees whose sibling is not: (first leaf, level, value).
-    held: Vec<(usize, u32, T)>,
-}
-
-impl<T> TreeSum<T> {
-    /// An empty tree over `k ≥ 1` leaves, with room for all it can hold.
-    pub fn new(k: usize) -> Self {
-        assert!(k > 0, "a tree over no leaves");
-        TreeSum { k, held: Vec::with_capacity(k.div_ceil(2)) }
-    }
-
-    /// Subtrees held now, waiting for their siblings.
-    pub fn held(&self) -> usize {
-        self.held.len()
-    }
-
-    /// True if `leaf` has been added since the tree last completed.
-    pub fn has(&self, leaf: usize) -> bool {
-        self.held.iter().any(|&(first, level, _)| (first..first + (1 << level)).contains(&leaf))
-    }
-
-    /// Add `leaf`'s `value`, which must not be in yet; `combine(held,
-    /// arriving)` adds two sibling subtrees' values.  Returns the root's
-    /// value when `leaf` was the last one out, leaving the tree empty.
-    pub fn add(&mut self, leaf: usize, value: T, mut combine: impl FnMut(T, T) -> T) -> Option<T> {
-        assert!(leaf < self.k, "leaf {leaf} of a tree over {}", self.k);
-        debug_assert!(!self.has(leaf), "leaf {leaf} added twice");
-        let (mut value, mut level, mut node) = (value, 0, leaf);
-        while 1 << level < self.k {
-            let sibling = (node ^ 1) << level;
-            if sibling < self.k {
-                match self.held.iter().position(|&(first, l, _)| (first, l) == (sibling, level)) {
-                    Some(at) => value = combine(self.held.swap_remove(at).2, value),
-                    None => {
-                        self.held.push((node << level, level, value));
-                        return None;
-                    }
-                }
+    /// Take the step's summed forces — the energy, then a triple per atom —
+    /// and integrate: semi-implicit Euler (unit masses), kick, then drift.
+    /// Returns the energy.
+    pub fn integrate(&mut self, sum: &mut ForceSum, dt: f64) -> f64 {
+        let mut parts = sum.take();
+        let energy = parts.next().expect("the energy");
+        for (vel, pos) in self.vel.iter_mut().zip(self.pos.iter_mut()) {
+            for d in 0..3 {
+                vel[d] += parts.next().expect("a force per atom") * dt;
+                pos[d] += vel[d] * dt;
             }
-            level += 1;
-            node >>= 1;
         }
-        Some(value)
+        energy
     }
 }
 
-/// A cell's share of one pair's step: energy and forces on its atoms.
-type Contribution = (f64, Vec<[f64; 3]>);
+/// Fraction bits of a [`ForceSum`] part.
+const FRACTION_BITS: i32 = 64;
+/// A term's magnitude must stay below 2^`RANGE_BITS`, so that each is under
+/// 2^(57 + 64) = 2^121 in fixed point and [`MAX_TERMS`] of them fit an `i128`.
+const RANGE_BITS: i32 = 57;
+/// The most terms a [`ForceSum`] admits: 63 × 2^121 < 2^127.
+const MAX_TERMS: usize = (i128::MAX >> (RANGE_BITS + FRACTION_BITS)) as usize;
 
-fn add_contributions((energy, mut forces): Contribution, (e, f): Contribution) -> Contribution {
-    for (acc, add) in forces.iter_mut().zip(&f) {
-        acc[0] += add[0];
-        acc[1] += add[1];
-        acc[2] += add[2];
+/// The sum a LeanMD cell adds its force contributions by, one term per
+/// membership: in [`SeqMd::step`] in membership order and, as the force
+/// messages arrive, in the parallel cell.
+///
+/// Each part — the energy, then every force component — is an `i128` with
+/// 64 fraction bits.  A term's value goes through a range guard (finite,
+/// |x| < 2^57: it panics otherwise) and is truncated into fixed point; the
+/// parts are added as integers and turned back into `f64`s only when the
+/// last term is in.  Integer addition is associative, so the result is the
+/// same bits in any arrival order, and nothing has to wait for anything.
+#[derive(Debug)]
+pub struct ForceSum {
+    terms: usize,
+    /// One bit per term added since the sum was last taken.
+    seen: u64,
+    parts: Vec<i128>,
+}
+
+impl ForceSum {
+    /// An empty sum of `parts` values over `terms` terms.
+    pub fn new(parts: usize, terms: usize) -> Self {
+        assert!(terms <= MAX_TERMS, "{terms} terms could overflow a fixed-point sum; it admits {MAX_TERMS}");
+        ForceSum { terms, seen: 0, parts: vec![0; parts] }
     }
-    (energy + e, forces)
+
+    /// Terms added since the sum was last taken.
+    pub fn added(&self) -> usize {
+        self.seen.count_ones() as usize
+    }
+
+    /// Add `term`'s values, one into each part (values past the last part
+    /// are not read); a term added twice before the sum is taken panics.
+    /// True once every term is in.
+    pub fn add(&mut self, term: usize, values: impl IntoIterator<Item = f64>) -> bool {
+        assert!(term < self.terms && self.seen & 1 << term == 0, "term {term} of {} added twice", self.terms);
+        self.seen |= 1 << term;
+        for (part, x) in self.parts.iter_mut().zip(values) {
+            assert!(x.abs() < 2f64.powi(RANGE_BITS), "force sum term {x}: not finite, or |x| ≥ 2^{RANGE_BITS}");
+            *part += (x * 2f64.powi(FRACTION_BITS)) as i128;
+        }
+        self.added() == self.terms
+    }
+
+    /// The sums, part by part, each taken out as it is read: the sum is
+    /// empty for the next round once every part has been.
+    pub fn take(&mut self) -> impl Iterator<Item = f64> + '_ {
+        self.seen = 0;
+        self.parts.iter_mut().map(|part| std::mem::take(part) as f64 / 2f64.powi(FRACTION_BITS))
+    }
 }
 
 /// The sequential simulation.
@@ -159,7 +156,7 @@ pub struct SeqMd {
     /// All cell pairs, in global order.
     pub pairs: Vec<CellPair>,
     /// Per-cell pair membership (pair index, slot), in pair order: a
-    /// membership's index is its leaf in the cell's [`TreeSum`].
+    /// membership's index is its term in the cell's [`ForceSum`].
     pub pairs_of: Vec<Vec<(u32, u8)>>,
     /// Per-cell atom state.
     pub cells: Vec<CellAtoms>,
@@ -171,7 +168,7 @@ pub struct SeqMd {
     pub dt: f64,
     /// Potential energy of the last completed step: each cell's pair
     /// energies (a pair's counted once, on its cell a) summed by the cell's
-    /// tree, then summed over cells in cell order — the parallel run's
+    /// [`ForceSum`], then summed over cells in cell order — the parallel run's
     /// `potential`, bit for bit.
     pub last_potential: f64,
 }
@@ -206,29 +203,16 @@ impl SeqMd {
                 pair_forces.push(forces_between(&ca.pos, &ca.q, &cb.pos, &cb.q, shift, &self.params));
             }
         }
-        // Integrate each cell, its pairs' contributions summed by its tree.
+        // Integrate each cell, its pairs' contributions summed by its ForceSum.
         let mut potentials = Vec::with_capacity(self.cells.len());
-        for (cell_id, memberships) in self.pairs_of.iter().enumerate() {
-            let mut tree = TreeSum::new(memberships.len());
-            let mut sum = None;
-            for (leaf, &(pair_idx, slot)) in memberships.iter().enumerate() {
-                let (fa, fb, e) = &mut pair_forces[pair_idx as usize];
-                // Each pair's forces go to one cell each: move them there.
-                let contribution = if slot == 0 { (*e, std::mem::take(fa)) } else { (0.0, std::mem::take(fb)) };
-                sum = tree.add(leaf, contribution, add_contributions);
+        for (cell, memberships) in self.cells.iter_mut().zip(&self.pairs_of) {
+            let mut sum = ForceSum::new(1 + 3 * cell.pos.len(), memberships.len());
+            for (term, &(pair_idx, slot)) in memberships.iter().enumerate() {
+                let (fa, fb, e) = &pair_forces[pair_idx as usize];
+                let (energy, forces) = if slot == 0 { (*e, fa) } else { (0.0, fb) };
+                sum.add(term, std::iter::once(energy).chain(forces.iter().flatten().copied()));
             }
-            let (energy, force) = sum.expect("every membership added");
-            potentials.push(energy);
-            let cell = &mut self.cells[cell_id];
-            // Semi-implicit Euler (unit masses): kick, then drift.
-            for ((vel, pos), f) in cell.vel.iter_mut().zip(cell.pos.iter_mut()).zip(&force) {
-                vel[0] += f[0] * self.dt;
-                vel[1] += f[1] * self.dt;
-                vel[2] += f[2] * self.dt;
-                pos[0] += vel[0] * self.dt;
-                pos[1] += vel[1] * self.dt;
-                pos[2] += vel[2] * self.dt;
-            }
+            potentials.push(cell.integrate(&mut sum, self.dt));
         }
         // As the parallel run's outcome sums its gathered rows.
         self.last_potential = potentials.iter().sum();

@@ -7,6 +7,14 @@
 //! high-water marks — so what waits in queues can be told from what the
 //! objects hold.  The method of EXPERIMENTS.md A18 / A19 / A20.
 //!
+//! Every block also carries, in a header of its own (16 bytes, or the
+//! block's alignment if larger, not counted in the table), the thread that
+//! allocated it, so a second table gives each thread its allocations, the
+//! live peak of the blocks it allocated (whoever frees them), and how many
+//! of its blocks another thread freed: what a buffer pool per thread could
+//! and could not take back (EXPERIMENTS.md A24).  A thread is named as it
+//! was at its first allocation.
+//!
 //! The jobs are workloads of the benchmark spine, run through the public
 //! `run_*` entry points exactly as `perf/src/jobs.rs` shapes them:
 //! `leanmd_tcp` (LeanMD at the paper's size, two single-PE nodes, a
@@ -24,7 +32,9 @@
 //! Usage: `heap_census [--job leanmd_tcp|stencil_mask|stencil_cross_tcp|sim_sweep] [--seed N]`
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::cell::Cell;
+use std::io::Read;
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 
 use mdo_apps::leanmd::{self, MdConfig};
 use mdo_apps::stencil::{self, StencilConfig};
@@ -101,35 +111,161 @@ fn snapshot(live: i64) {
     }
 }
 
+/// Threads told apart, in the order of their first allocations; the last
+/// row is shared by any after it.
+const THREADS: usize = 64;
+
+/// What one thread allocated.
+struct ThreadRow {
+    allocs: AtomicU64,
+    /// Bytes live in the blocks this thread allocated, whoever frees them.
+    live: AtomicI64,
+    /// High-water mark of `live`.
+    peak: AtomicI64,
+    /// Blocks this thread allocated that another thread freed.
+    freed_elsewhere: AtomicU64,
+    /// `/proc/thread-self/comm` at the thread's first allocation.
+    name: [AtomicU8; 16],
+}
+
+static ROWS: [ThreadRow; THREADS] = [const {
+    ThreadRow {
+        allocs: AtomicU64::new(0),
+        live: AtomicI64::new(0),
+        peak: AtomicI64::new(0),
+        freed_elsewhere: AtomicU64::new(0),
+        name: [const { AtomicU8::new(0) }; 16],
+    }
+}; THREADS];
+static THREADS_SEEN: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// This thread's row in [`ROWS`], once it has allocated.
+    static ROW: Cell<usize> = const { Cell::new(usize::MAX) };
+}
+
+/// This thread's row, claimed and named at its first allocation.  The row
+/// is set before the name is read, so an allocation made while reading it
+/// (there is none: the path is short and the buffer is on the stack) would
+/// find it and not recurse.
+fn my_row() -> usize {
+    ROW.try_with(|row| {
+        if row.get() == usize::MAX {
+            let claimed = THREADS_SEEN.fetch_add(1, Ordering::Relaxed);
+            row.set(claimed.min(THREADS - 1));
+            if claimed < THREADS - 1 {
+                let mut name = [0; 16];
+                let read = std::fs::File::open("/proc/thread-self/comm").and_then(|mut f| f.read(&mut name));
+                for (to, &from) in ROWS[claimed].name.iter().zip(&name[..read.unwrap_or(0)]) {
+                    to.store(if from == b'\n' { 0 } else { from }, Ordering::Relaxed);
+                }
+            }
+        }
+        row.get()
+    })
+    .unwrap_or(THREADS - 1)
+}
+
+/// `size` bytes allocated by this thread, tagged with its row.
+fn thread_allocated(size: usize) -> u64 {
+    let row = my_row();
+    let t = &ROWS[row];
+    t.allocs.fetch_add(1, Ordering::Relaxed);
+    let live = t.live.fetch_add(size as i64, Ordering::Relaxed) + size as i64;
+    t.peak.fetch_max(live, Ordering::Relaxed);
+    row as u64
+}
+
+/// `size` bytes that thread row `owner` allocated, freed by this thread.
+fn thread_freed(owner: u64, size: usize) {
+    let t = &ROWS[owner as usize];
+    t.live.fetch_sub(size as i64, Ordering::Relaxed);
+    if owner as usize != my_row() {
+        t.freed_elsewhere.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 /// Start a census: the peak so far is forgotten and the heap as it is now
-/// is the table to beat.  Returns the allocations made before it.
+/// is the table to beat, for the whole heap and for every thread.  Returns
+/// the allocations made before it.
 fn begin() -> u64 {
     snapshot(NOW.live.load(Ordering::Relaxed));
+    for t in &ROWS {
+        t.peak.store(t.live.load(Ordering::Relaxed), Ordering::Relaxed);
+        t.allocs.store(0, Ordering::Relaxed);
+        t.freed_elsewhere.store(0, Ordering::Relaxed);
+    }
     ALLOCS.load(Ordering::Relaxed)
+}
+
+/// The header of a block of `size` bytes aligned to `align` — 16 bytes, or
+/// the alignment if larger, ending in the allocating thread's row — and the
+/// layout of block and header together; `None` if that is too large.
+fn with_header(size: usize, align: usize) -> Option<(usize, Layout)> {
+    let header = align.max(16);
+    Some((header, Layout::from_size_align(size.checked_add(header)?, header).ok()?))
 }
 
 struct Census;
 
-// SAFETY: every call is forwarded unchanged to `System`; the tables are
-// static atomics and never touch the memory being managed.
+// SAFETY: every call is forwarded to `System` with the header added to the
+// layout and the returned pointer moved past it (by a multiple of the
+// block's alignment); the header is written only inside the block `System`
+// returned, and the tables are static atomics.  Nothing here can panic: an
+// allocator must not unwind.
 unsafe impl GlobalAlloc for Census {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let Some((header, outer)) = with_header(layout.size(), layout.align()) else {
+            return std::ptr::null_mut();
+        };
+        // SAFETY: `outer` is non-zero in size: it includes the header.
+        let base = unsafe { System.alloc(outer) };
+        if base.is_null() {
+            return base;
+        }
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         moved(layout.size(), 1);
-        // SAFETY: the caller's contract, passed on.
-        unsafe { System.alloc(layout) }
+        let row = thread_allocated(layout.size());
+        // SAFETY: `header` ≥ 16 bytes lie in the block, and `base + header
+        // − 8` is 8-aligned because `base` and `header` are 16-aligned.
+        unsafe {
+            base.add(header - 8).cast::<u64>().write(row);
+            base.add(header)
+        }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // `alloc` or `realloc` made this block with this very header.
+        let Some((header, outer)) = with_header(layout.size(), layout.align()) else { return };
         moved(layout.size(), -1);
-        // SAFETY: the caller's contract, passed on.
-        unsafe { System.dealloc(ptr, layout) }
+        // SAFETY: `ptr` came from `alloc`/`realloc` with this layout, so the
+        // header precedes it.
+        unsafe {
+            thread_freed(ptr.sub(8).cast::<u64>().read(), layout.size());
+            System.dealloc(ptr.sub(header), outer);
+        }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        moved(layout.size(), -1);
-        moved(new_size, 1);
-        // SAFETY: the caller's contract, passed on.
-        unsafe { System.realloc(ptr, layout, new_size) }
+        let (Some((header, outer)), Some((_, grown))) =
+            (with_header(layout.size(), layout.align()), with_header(new_size, layout.align()))
+        else {
+            return std::ptr::null_mut();
+        };
+        // SAFETY: as in `dealloc`; `grown` is a valid size at `outer`'s
+        // alignment, and `System.realloc` keeps the header, a prefix of the
+        // block, and that alignment.
+        unsafe {
+            let owner = ptr.sub(8).cast::<u64>().read();
+            let base = System.realloc(ptr.sub(header), outer, grown.size());
+            if base.is_null() {
+                return base;
+            }
+            ALLOCS.fetch_add(1, Ordering::Relaxed);
+            moved(layout.size(), -1);
+            moved(new_size, 1);
+            thread_freed(owner, layout.size());
+            base.add(header - 8).cast::<u64>().write(thread_allocated(new_size));
+            base.add(header)
+        }
     }
 }
 
@@ -240,4 +376,26 @@ fn print_census(what: &str, report: &RunReport, seed: u64, allocs_before: u64) {
         mib(rest),
         rows.len().saturating_sub(TOP)
     );
+    print_threads(peak);
+}
+
+/// Each thread that allocated since [`begin`]: its allocations, the live
+/// peak of the blocks it allocated, and how many of them another thread
+/// freed; then the per-thread peaks' sum against the heap's `peak`.
+fn print_threads(peak: i64) {
+    println!("{:>2} {:<16} {:>9} {:>9} {:>18}", "#", "thread", "allocs", "peak MiB", "freed elsewhere");
+    let mut peaks = 0;
+    for (row, t) in ROWS.iter().enumerate().take(THREADS_SEEN.load(Ordering::Relaxed).min(THREADS)) {
+        let allocs = t.allocs.load(Ordering::Relaxed);
+        if allocs == 0 {
+            continue;
+        }
+        let name: Vec<u8> = t.name.iter().map(|b| b.load(Ordering::Relaxed)).take_while(|&b| b != 0).collect();
+        let name = if row == THREADS - 1 { "(the rest)".into() } else { String::from_utf8_lossy(&name).into_owned() };
+        let (thread_peak, elsewhere) = (t.peak.load(Ordering::Relaxed), t.freed_elsewhere.load(Ordering::Relaxed));
+        peaks += thread_peak;
+        let share = 100.0 * elsewhere as f64 / allocs as f64;
+        println!("{row:>2} {name:<16} {allocs:>9} {:>9.2} {elsewhere:>9} ({share:>5.1} %)", mib(thread_peak));
+    }
+    println!("per-thread peaks sum to {:.2} MiB against a heap peak of {:.2} MiB", mib(peaks), mib(peak));
 }

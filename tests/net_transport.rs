@@ -147,7 +147,7 @@ fn two_node_leanmd_matches_sim_bit_exactly() {
     let multi = node0.expect("node 0");
     assert_eq!(multi.checksums, sim.checksums, "LeanMD positions bit-exact over TCP");
     assert_eq!(multi.kinetic, sim.kinetic, "LeanMD energies bit-exact over TCP");
-    assert_eq!(multi.potential.to_bits(), sim.potential.to_bits(), "potential summed by each cell's tree");
+    assert_eq!(multi.potential.to_bits(), sim.potential.to_bits(), "potential summed by each cell's fixed-point sum");
 
     // Report parity: what crosses the wire is exactly what the same job
     // run in one process routes through its cross-cluster device chain,
