@@ -618,6 +618,7 @@ pub fn run_threaded_full(
 mod tests {
     use super::*;
     use mdo_core::program::LbChoice;
+    use mdo_core::Ctr;
 
     fn reference(cfg: &MdConfig) -> seq::SeqMd {
         let mut md = seq::SeqMd::new(cfg.grid, cfg.atoms_per_cell, cfg.cell_width, cfg.dt, cfg.params, cfg.seed);
@@ -671,7 +672,7 @@ mod tests {
         let net = NetworkModel::two_cluster_sweep(4, Dur::from_millis(3));
         let run_cfg = RunConfig { lb: LbChoice::GridComm, ..RunConfig::default() };
         let out = run_sim(cfg.clone(), net, run_cfg);
-        assert!(out.report.lb_rounds >= 1, "a barrier actually ran");
+        assert!(out.report.counters.get(Ctr::LbRounds) >= 1, "a barrier actually ran");
         assert_matches_reference(&out, &cfg);
     }
 
@@ -706,7 +707,7 @@ mod tests {
         let run_cfg = RunConfig { agg: Some(AggConfig::default()), fault_plan: Some(plan), ..RunConfig::default() };
         let net = NetworkModel::two_cluster_sweep(4, Dur::from_millis(2));
         let out = run_sim(cfg.clone(), net, run_cfg);
-        assert!(out.report.faults.dropped > 0, "frames were actually lost: {:?}", out.report.faults);
+        assert!(out.report.counters.get(Ctr::Drops) > 0, "frames were actually lost: {:?}", out.report.counters);
         assert_matches_reference(&out, &cfg);
     }
 
@@ -761,7 +762,7 @@ mod tests {
         let net = NetworkModel::two_cluster_sweep(4, Dur::from_millis(2));
         let run_cfg = RunConfig { lb: LbChoice::GridComm, ..RunConfig::default() };
         let out = run_sim(cfg.clone(), net, run_cfg);
-        assert!(out.report.lb_rounds >= 1);
+        assert!(out.report.counters.get(Ctr::LbRounds) >= 1);
         assert_matches_reference(&out, &cfg);
     }
 

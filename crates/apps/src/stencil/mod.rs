@@ -545,6 +545,7 @@ pub fn run_threaded_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mdo_core::Ctr;
 
     /// The ghost message is the bytes it always was — growable writer,
     /// zero-filled temporary in cost-model mode (the old sequence, kept
@@ -664,7 +665,7 @@ mod tests {
         let plain = run_sim(cfg.clone(), net(), RunConfig::default());
         let run_cfg = RunConfig { agg, fault_plan: Some(plan.clone()), ..RunConfig::default() };
         let sim = run_sim(cfg.clone(), net(), run_cfg);
-        assert!(sim.report.faults.dropped > 0, "frames were actually lost: {:?}", sim.report.faults);
+        assert!(sim.report.counters.get(Ctr::Drops) > 0, "frames were actually lost: {:?}", sim.report.counters);
         assert_eq!(plain.block_sums, sim.block_sums, "whole-frame retransmit delivers the same physics");
         let topo = Topology::two_cluster(4);
         let latency = LatencyMatrix::uniform(&topo, Dur::ZERO, Dur::from_micros(200));
@@ -681,8 +682,8 @@ mod tests {
         let net = NetworkModel::two_cluster_sweep(4, Dur::from_millis(2));
         let run_cfg = RunConfig { lb: LbChoice::Rotate, ..RunConfig::default() };
         let out = run_sim(cfg.clone(), net, run_cfg);
-        assert_eq!(out.report.lb_rounds, 2, "two barriers ran");
-        assert!(out.report.migrations > 0, "RotateLB moved blocks");
+        assert_eq!(out.report.counters.get(Ctr::LbRounds), 2, "two barriers ran");
+        assert!(out.report.counters.get(Ctr::ObjectsMigrated) > 0, "RotateLB moved blocks");
         let mut reference = seq::SeqStencil::new(32);
         reference.run(9);
         assert_eq!(out.block_sums, reference.block_sums(4), "migration is invisible to the math");

@@ -196,6 +196,7 @@ pub fn run_synthetic(cfg: SyntheticConfig, net: NetworkModel, run_cfg: RunConfig
 mod tests {
     use super::*;
     use mdo_core::program::LbChoice;
+    use mdo_core::Ctr;
     use mdo_netsim::Time;
 
     fn base(shape: LoadShape, lb: Option<u32>) -> SyntheticConfig {
@@ -215,7 +216,7 @@ mod tests {
     fn completes_without_lb() {
         let net = NetworkModel::two_cluster_sweep(4, Dur::from_millis(1));
         let report = run_synthetic(base(LoadShape::Uniform, None), net, RunConfig::default());
-        assert_eq!(report.lb_rounds, 0);
+        assert_eq!(report.counters.get(Ctr::LbRounds), 0);
         assert!(report.end_time > Time::ZERO);
     }
 
@@ -225,8 +226,8 @@ mod tests {
         let cfg = base(LoadShape::HotSpots { every: 8 }, Some(4));
         let run_cfg = RunConfig { lb: LbChoice::Greedy, ..RunConfig::default() };
         let report = run_synthetic(cfg, net, run_cfg);
-        assert_eq!(report.lb_rounds, 1);
-        assert!(report.migrations > 0, "skewed load causes migration");
+        assert_eq!(report.counters.get(Ctr::LbRounds), 1);
+        assert!(report.counters.get(Ctr::ObjectsMigrated) > 0, "skewed load causes migration");
     }
 
     #[test]
@@ -251,7 +252,7 @@ mod tests {
         let cfg = base(LoadShape::Random { seed: 3 }, Some(4));
         let run_cfg = RunConfig { lb: LbChoice::GridComm, ..RunConfig::default() };
         let report = run_synthetic(cfg, net, run_cfg);
-        assert_eq!(report.lb_rounds, 1);
+        assert_eq!(report.counters.get(Ctr::LbRounds), 1);
         // Completion is itself the check: placement desync would panic.
     }
 
@@ -279,7 +280,7 @@ mod tests {
         let net = NetworkModel::two_cluster_sweep(4, Dur::from_millis(2));
         let run_cfg = RunConfig { lb: LbChoice::GridComm, ..RunConfig::default() };
         let report = run_synthetic(cfg, net, run_cfg);
-        assert_eq!(report.lb_rounds, 1);
+        assert_eq!(report.counters.get(Ctr::LbRounds), 1);
     }
 
     #[test]

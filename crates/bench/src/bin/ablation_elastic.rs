@@ -25,7 +25,7 @@ use mdo_bench::{arg_flag, arg_value};
 use mdo_core::balancer::FeedbackConfig;
 use mdo_core::prelude::{ClusterId, JoinPlan, Pe};
 use mdo_core::program::{LbChoice, RunConfig, RunReport};
-use mdo_core::Mapping;
+use mdo_core::{Ctr, Mapping};
 use mdo_netsim::network::NetworkModel;
 use mdo_netsim::{Dur, FailurePlan};
 
@@ -83,7 +83,7 @@ fn main() {
         },
     );
     assert_eq!(elastic.block_sums, clean.block_sums, "rejoin is bit-exact");
-    assert_eq!(elastic.report.pes_joined, 1);
+    assert_eq!(elastic.report.counters.get(Ctr::PesJoined), 1);
 
     let expand = stencil::run_sim(
         cfg.clone(),
@@ -110,9 +110,9 @@ fn main() {
             name.to_string(),
             ms(out.total.as_millis_f64()),
             format!("{:.2}x", out.total.as_millis_f64() / clean.total.as_millis_f64()),
-            out.report.recoveries.to_string(),
-            out.report.pes_joined.to_string(),
-            out.report.generations.to_string(),
+            out.report.counters.get(Ctr::Recoveries).to_string(),
+            out.report.counters.get(Ctr::PesJoined).to_string(),
+            out.report.counters.get(Ctr::Generations).to_string(),
             format!("{:.3}", imbalance(&out.report, pes)),
         ]);
     }
@@ -160,8 +160,8 @@ fn main() {
         "feedback + GreedyLB".to_string(),
         ms(fb.end_time.as_millis_f64()),
         format!("{imb_after:.3}"),
-        fb.rebalance_triggers.to_string(),
-        fb.migrations.to_string(),
+        fb.counters.get(Ctr::RebalanceTriggers).to_string(),
+        fb.counters.get(Ctr::ObjectsMigrated).to_string(),
     ]);
     println!("{}", if csv { table.render_csv() } else { table.render() });
 
@@ -178,10 +178,10 @@ fn main() {
         shrunk.total.as_millis_f64(),
         elastic.total.as_millis_f64(),
         expand.total.as_millis_f64(),
-        elastic.report.steps_replayed,
-        elastic.report.checkpoints_taken,
-        fb.rebalance_triggers,
-        fb.migrations,
+        elastic.report.counters.get(Ctr::StepsReplayed),
+        elastic.report.counters.get(Ctr::CheckpointsTaken),
+        fb.counters.get(Ctr::RebalanceTriggers),
+        fb.counters.get(Ctr::ObjectsMigrated),
     );
     if let Some(dir) = std::path::Path::new(&out_path).parent() {
         std::fs::create_dir_all(dir).expect("create results directory");

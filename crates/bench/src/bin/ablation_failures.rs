@@ -24,6 +24,7 @@ use mdo_apps::stencil::{self, StencilConfig};
 use mdo_bench::table::{ms, Table};
 use mdo_bench::{arg_flag, arg_value};
 use mdo_core::program::RunConfig;
+use mdo_core::Ctr;
 use mdo_netsim::network::NetworkModel;
 use mdo_netsim::{Dur, FailurePlan, Pe};
 
@@ -71,7 +72,8 @@ fn main() {
         let outcome = match &crashed.report.unrecoverable {
             None => format!(
                 "recovered ({} failure, {} recovery)",
-                crashed.report.failures_detected, crashed.report.recoveries
+                crashed.report.failures.len(),
+                crashed.report.counters.get(Ctr::Recoveries)
             ),
             Some(err) => format!("{err}"),
         };
@@ -79,15 +81,15 @@ fn main() {
             if k == 0 { "off".into() } else { k.to_string() },
             ms(armed.ms_per_step),
             format!("{overhead:.2}"),
-            format!("{:.2}", crashed.report.checkpoint_bytes as f64 / 1e6),
+            format!("{:.2}", crashed.report.counters.get(Ctr::CheckpointBytes) as f64 / 1e6),
             format!("{recovery_ms:.1}"),
             // The report counts AtSync rounds; a round is K steps.
-            (crashed.report.steps_replayed * k).to_string(),
+            (crashed.report.counters.get(Ctr::StepsReplayed) * u64::from(k)).to_string(),
             outcome,
         ]);
         if k > 0 {
             assert!(crashed.report.unrecoverable.is_none(), "K={k}: the crash must be survivable");
-            assert_eq!(crashed.report.recoveries, 1, "K={k}: exactly one recovery");
+            assert_eq!(crashed.report.counters.get(Ctr::Recoveries), 1, "K={k}: exactly one recovery");
         } else {
             assert!(crashed.report.unrecoverable.is_some(), "K=0: no checkpoints means no recovery");
         }

@@ -18,6 +18,7 @@ use mdo_apps::stencil::{self, seq::SeqStencil, StencilConfig};
 use mdo_bench::table::{ms, Table};
 use mdo_bench::{arg_flag, arg_value};
 use mdo_core::program::RunConfig;
+use mdo_core::Ctr;
 use mdo_netsim::network::NetworkModel;
 use mdo_netsim::{Dur, FaultPlan};
 
@@ -63,14 +64,14 @@ fn main() {
         if let Some(err) = &out.report.transport_error {
             println!("loss {pct}%: transport gave up: {err}");
         }
-        let f = out.report.faults;
+        let f = |c| out.report.counters.get(c).to_string();
         table.row(vec![
             pct.to_string(),
             ms(out.ms_per_step),
-            f.dropped.to_string(),
-            f.retransmits.to_string(),
-            f.dup_dropped.to_string(),
-            f.reordered.to_string(),
+            f(Ctr::Drops),
+            f(Ctr::Retransmits),
+            f(Ctr::DupDropped),
+            f(Ctr::Reordered),
             if exact { "yes".to_string() } else { "NO".to_string() },
         ]);
         assert!(exact, "loss {pct}%: field diverged from the sequential reference");

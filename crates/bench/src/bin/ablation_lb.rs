@@ -14,6 +14,7 @@ use mdo_apps::workloads::{run_synthetic, LoadShape, SyntheticConfig};
 use mdo_bench::table::{ms, Table};
 use mdo_bench::{arg_flag, arg_value};
 use mdo_core::program::{LbChoice, RunConfig};
+use mdo_core::Ctr;
 use mdo_netsim::network::NetworkModel;
 use mdo_netsim::Dur;
 
@@ -60,8 +61,8 @@ fn main() {
             name.to_string(),
             ms(makespan),
             format!("{:.2}x", makespan / base),
-            report.lb_rounds.to_string(),
-            report.migrations.to_string(),
+            report.counters.get(Ctr::LbRounds).to_string(),
+            report.counters.get(Ctr::ObjectsMigrated).to_string(),
             report.network.cross_messages.to_string(),
         ]);
     }
@@ -97,7 +98,7 @@ fn main() {
             name.to_string(),
             ms(makespan),
             format!("{:.2}x", makespan / base),
-            report.migrations.to_string(),
+            report.counters.get(Ctr::ObjectsMigrated).to_string(),
             report.network.cross_messages.to_string(),
         ]);
     }

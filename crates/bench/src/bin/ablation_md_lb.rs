@@ -84,7 +84,7 @@ fn main() {
             name.to_string(),
             ms(out.s_per_step),
             format!("{:.2}x", out.s_per_step / balanced.s_per_step),
-            out.report.migrations.to_string(),
+            out.report.counters.get(Ctr::ObjectsMigrated).to_string(),
             out.report.network.cross_messages.to_string(),
         ]);
     }

@@ -24,7 +24,7 @@
 use mdo_bench::table::{ms, Table};
 use mdo_bench::{arg_flag, arg_value};
 use mdo_core::prelude::{Chare, Ctx, ElemId, EntryId, Mapping, Program, RunConfig, RunReport};
-use mdo_core::SimEngine;
+use mdo_core::{Ctr, SimEngine};
 use mdo_netsim::network::NetworkModel;
 use mdo_netsim::{Dur, FlowConfig, OverloadPolicy};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -148,22 +148,24 @@ fn main() {
             let makespan_s = out.report.end_time.as_secs_f64();
             let goodput = out.delivered as f64 / makespan_s;
             let r = &out.report;
+            let (sheds, stalls) = (r.counters.get(Ctr::EnvelopesShed), r.counters.get(Ctr::CreditStalls));
+            let wait_ms = Dur::from_nanos(r.counters.get(Ctr::CreditWaitNs)).as_secs_f64() * 1e3;
 
             // The books always balance: delivered + shed = sent.
-            assert_eq!(out.delivered + r.sheds, out.sent, "{policy} @ {q}/4x: accounted");
+            assert_eq!(out.delivered + sheds, out.sent, "{policy} @ {q}/4x: accounted");
             match policy {
                 "off" => {
-                    assert_eq!(r.sheds, 0);
+                    assert_eq!(sheds, 0);
                     if q == 32 {
                         off_peak_at_8x = r.peak_mailbox_bytes;
                     }
                 }
                 "block" => {
-                    assert_eq!(r.sheds, 0, "Block never sheds");
+                    assert_eq!(sheds, 0, "Block never sheds");
                     assert_eq!(out.delivered, out.sent, "Block is lossless at any rate");
                 }
                 _ => {
-                    assert_eq!(r.credit_stalls, 0, "Shed never stalls");
+                    assert_eq!(stalls, 0, "Shed never stalls");
                     // Graceful degradation: the delivered fraction only
                     // falls as the overcommit grows.
                     assert!(
@@ -180,12 +182,12 @@ fn main() {
                 policy.to_string(),
                 out.sent.to_string(),
                 out.delivered.to_string(),
-                r.sheds.to_string(),
+                sheds.to_string(),
                 ms(out.report.end_time.as_secs_f64() * 1e3),
                 format!("{goodput:.0}"),
                 r.peak_mailbox_bytes.to_string(),
-                r.credit_stalls.to_string(),
-                format!("{:.2}", r.credit_wait.as_secs_f64() * 1e3),
+                stalls.to_string(),
+                format!("{wait_ms:.2}"),
             ]);
             rows_json.push(format!(
                 "    {{\"rate_multiple\": {:.2}, \"policy\": \"{policy}\", \"sent\": {}, \"delivered\": {}, \
@@ -194,12 +196,12 @@ fn main() {
                 q as f64 / 4.0,
                 out.sent,
                 out.delivered,
-                r.sheds,
-                r.shed_bytes,
+                sheds,
+                r.counters.get(Ctr::ShedBytes),
                 makespan_s * 1e3,
                 r.peak_mailbox_bytes,
-                r.credit_stalls,
-                r.credit_wait.as_secs_f64() * 1e3,
+                stalls,
+                wait_ms,
             ));
         }
     }

@@ -49,7 +49,7 @@ use mdo_apps::stencil::{self, StencilConfig, StencilCost};
 use mdo_bench::{arg_flag, arg_value};
 use mdo_core::prelude::Mapping;
 use mdo_core::program::RunConfig;
-use mdo_core::ThreadedConfig;
+use mdo_core::{Ctr, ThreadedConfig};
 use mdo_net::{launch, KillPlan, LaunchSpec, NetConfig, NetSession, TransportError};
 use mdo_netsim::bandwidth::WanContention;
 use mdo_netsim::network::NetworkModel;
@@ -181,7 +181,8 @@ fn run_child(job: &Job, net: NetConfig) -> i32 {
             }
             if node == 0 {
                 println!("DIGEST {}", digest(&out.block_sums));
-                println!("REPORT cross={} recoveries={}", out.report.network.cross_messages, out.report.recoveries);
+                let recoveries = out.report.counters.get(Ctr::Recoveries);
+                println!("REPORT cross={} recoveries={recoveries}", out.report.network.cross_messages);
                 println!("STEP_MS {}", out.ms_per_step);
             }
             eprintln!("node {node}: stencil done, {} steps", job.steps);
@@ -197,7 +198,8 @@ fn run_child(job: &Job, net: NetConfig) -> i32 {
                 let mut all = out.checksums.clone();
                 all.push(out.kinetic);
                 println!("DIGEST {}", digest(&all));
-                println!("REPORT cross={} recoveries={}", out.report.network.cross_messages, out.report.recoveries);
+                let recoveries = out.report.counters.get(Ctr::Recoveries);
+                println!("REPORT cross={} recoveries={recoveries}", out.report.network.cross_messages);
                 println!("STEP_MS {}", out.ms_per_step);
             }
             eprintln!("node {node}: leanmd done, {} steps", job.md_cfg().steps);

@@ -362,7 +362,7 @@ fn fine_grain_sweep(quick: bool) -> Vec<SweepRow> {
         let cfg = || stencil::StencilConfig::paper(objs, steps);
         let off = stencil::run_sim(cfg(), wan(), mask_cfg(None));
         let on = stencil::run_sim(cfg(), wan(), mask_cfg(Some(AggConfig::default())));
-        let ctr = |c: mdo_obs::Ctr| on.report.obs.as_ref().map(|o| o.counters.get(c)).unwrap_or(0);
+        let ctr = |c| on.report.counters.get(c);
         rows.push(SweepRow {
             objects: objs,
             per_pe: objs / pes as usize,

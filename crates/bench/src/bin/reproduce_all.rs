@@ -1,12 +1,6 @@
 //! One-shot reproduction: run every table, figure, and ablation and write
 //! the outputs under `results/`.
 //!
-//! Besides the per-experiment text files, a machine-readable
-//! `BENCH_summary.json` is written with each experiment's wall time and a
-//! canonical observability run (8-PE stencil) summarised as overlap
-//! fraction, utilization and the full counter set — so CI and scripts can
-//! track the reproduction without parsing tables.
-//!
 //! Usage: `reproduce_all [--out DIR] [--quick]`
 //!
 //! `--quick` trims step counts and skips the threaded-engine columns, for
@@ -17,12 +11,7 @@ use std::path::PathBuf;
 use std::process::Command;
 use std::time::Instant;
 
-use mdo_apps::stencil::{self, StencilConfig};
-use mdo_bench::{arg_flag, arg_value, mean_utilization, overlap_fraction};
-use mdo_core::program::RunConfig;
-use mdo_core::ObsConfig;
-use mdo_netsim::network::NetworkModel;
-use mdo_netsim::Dur;
+use mdo_bench::{arg_flag, arg_value};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -53,7 +42,6 @@ fn main() {
         ("ablation_collectives", "ablation_collectives.txt", vec![], vec!["--quick"]),
     ];
 
-    let mut job_rows = Vec::new();
     for (bin, out_file, full_args, quick_args) in jobs {
         let exe = exe_dir.join(bin);
         assert!(exe.exists(), "{} not built; run `cargo build --release -p mdo-bench` first", exe.display());
@@ -83,37 +71,7 @@ fn main() {
         std::fs::write(out_dir.join(out_file), &output.stdout).expect("write output");
         let lines = String::from_utf8_lossy(&output.stdout).lines().count();
         println!("ok ({lines} lines, {wall_s:.2} s)");
-        job_rows.push(format!(
-            "    {{\"name\": \"{bin}\", \"output\": \"{out_file}\", \"wall_s\": {wall_s:.3}, \"lines\": {lines}}}"
-        ));
     }
 
-    // Canonical observability run: the 8-PE stencil the acceptance checks
-    // track, summarised with exact counters rather than parsed tables.
-    let steps = if quick { 4 } else { 10 };
-    let run_cfg = RunConfig { obs: Some(ObsConfig::new()), ..RunConfig::default() };
-    let out = stencil::run_sim(
-        StencilConfig::paper(64, steps),
-        NetworkModel::two_cluster_sweep(8, Dur::from_millis(16)),
-        run_cfg,
-    );
-    let obs = out.report.obs.as_ref().expect("observability armed");
-    let counters: Vec<String> =
-        obs.merged_counters().iter().map(|(c, v)| format!("      \"{}\": {v}", c.name())).collect();
-    let summary = format!(
-        "{{\n  \"schema\": 1,\n  \"quick\": {quick},\n  \"experiments\": [\n{}\n  ],\n  \
-         \"canonical_stencil_8pe_16ms\": {{\n    \"steps\": {steps},\n    \"ms_per_step\": {:.3},\n    \
-         \"utilization\": {:.4},\n    \"overlap_fraction\": {:.4},\n    \"events\": {},\n    \
-         \"counters\": {{\n{}\n    }}\n  }}\n}}\n",
-        job_rows.join(",\n"),
-        out.ms_per_step,
-        mean_utilization(&out.report),
-        overlap_fraction(&out.report),
-        obs.total_events(),
-        counters.join(",\n"),
-    );
-    let summary_path = out_dir.join("BENCH_summary.json");
-    std::fs::write(&summary_path, summary).expect("write BENCH_summary.json");
-    println!("\nwrote {}", summary_path.display());
     println!("all experiments reproduced under {}/", out_dir.display());
 }

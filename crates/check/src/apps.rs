@@ -243,7 +243,7 @@ fn digest_md(out: &leanmd::MdOutcome) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mdo_core::DeliverySpec;
+    use mdo_core::{Ctr, DeliverySpec};
 
     #[test]
     fn stencil_mini_produces_a_nonempty_stable_digest() {
@@ -286,9 +286,10 @@ mod tests {
         let app = CheckApp::stencil_elastic();
         let a = app.run_sim(RunConfig::default());
         // The crash and the rejoin both happened...
-        assert_eq!(a.report.recoveries, 1, "shrink recovery ran");
-        assert_eq!(a.report.pes_joined, 1, "the crashed PE rejoined");
-        assert_eq!(a.report.generations, 3, "boot, shrunk, rejoined");
+        let c = |k| a.report.counters.get(k);
+        assert_eq!(c(Ctr::Recoveries), 1, "shrink recovery ran");
+        assert_eq!(c(Ctr::PesJoined), 1, "the crashed PE rejoined");
+        assert_eq!(c(Ctr::Generations), 3, "boot, shrunk, rejoined");
         // ...and neither leaked into the physics: same bits as the
         // undisturbed mini stencil (same mesh/steps under its own config).
         let b = app.run_sim(RunConfig::default());

@@ -12,7 +12,7 @@
 use std::collections::BTreeMap;
 
 use mdo_core::program::RunReport;
-use mdo_obs::Event;
+use mdo_obs::{Ctr, Event};
 
 /// A broken invariant, with enough context to debug it.
 #[derive(Clone, Debug, PartialEq)]
@@ -100,7 +100,7 @@ pub struct Expectation {
     pub quiescent_exit: bool,
     /// The run executes under [`mdo_netsim::OverloadPolicy::Shed`]: the
     /// runtime may deliberately drop overflow application envelopes, so
-    /// the message-balance checks tolerate exactly `report.sheds` of
+    /// the message-balance checks tolerate exactly `Ctr::EnvelopesShed` of
     /// sent-but-undelivered traffic.  Without the flag any shed is a
     /// violation — Block and flow-off runs promise lossless delivery.
     pub sheds_allowed: bool,
@@ -113,9 +113,10 @@ pub struct Expectation {
 /// without event streams only the structured-error checks run.
 pub fn check_report(report: &RunReport, expect: &Expectation) -> Vec<Violation> {
     let mut out = Vec::new();
+    let sheds = report.counters.get(Ctr::EnvelopesShed);
 
-    if !expect.sheds_allowed && report.sheds > 0 {
-        out.push(Violation::UnexpectedShed { sheds: report.sheds });
+    if !expect.sheds_allowed && sheds > 0 {
+        out.push(Violation::UnexpectedShed { sheds });
     }
     if let Some(err) = &report.transport_error {
         out.push(Violation::Transport(err.to_string()));
@@ -154,12 +155,12 @@ pub fn check_report(report: &RunReport, expect: &Expectation) -> Vec<Violation> 
     }
     if expect.quiescent_exit && report.failures.is_empty() {
         // A shed envelope was recorded at its send site but never arrives;
-        // the runtime accounted for it (`report.sheds`), so exactly that
+        // the runtime accounted for it (`Ctr::EnvelopesShed`), so exactly that
         // many sent-minus-received envelopes are legal at a quiescent exit.
         let total_sent: u64 = sent.values().sum();
         let total_recvd: u64 = recvd.values().sum();
-        if total_sent > total_recvd + report.sheds {
-            out.push(Violation::QuiescenceUnsound { in_flight: total_sent - total_recvd - report.sheds });
+        if total_sent > total_recvd + sheds {
+            out.push(Violation::QuiescenceUnsound { in_flight: total_sent - total_recvd - sheds });
         }
     }
 
@@ -190,7 +191,7 @@ pub fn check_report(report: &RunReport, expect: &Expectation) -> Vec<Violation> 
         }
         per_pe.push(segments.concat());
     }
-    if report.recoveries == 0 && report.pes_joined == 0 && report.failures.is_empty() {
+    if report.counters.get(Ctr::Generations) <= 1 && report.failures.is_empty() {
         let max_len = per_pe.iter().map(Vec::len).max().unwrap_or(0);
         let min_len = per_pe.iter().map(Vec::len).min().unwrap_or(0);
         if max_len - min_len > 1 {
@@ -248,26 +249,11 @@ mod tests {
             pe_max_queue_depth: vec![0],
             network: Default::default(),
             obs: Some(ObsReport { pes, counters: CounterSet::new() }),
-            lb_rounds: 0,
-            migrations: 0,
-            faults: Default::default(),
             transport_error: None,
-            failures_detected: 0,
-            recoveries: 0,
-            pes_joined: 0,
-            generations: 1,
-            rebalance_triggers: 0,
-            objects_migrated: 0,
-            steps_replayed: 0,
-            checkpoints_taken: 0,
-            checkpoint_bytes: 0,
             failures: Vec::new(),
             unrecoverable: None,
-            credit_stalls: 0,
-            credit_wait: Dur::ZERO,
-            sheds: 0,
-            shed_bytes: 0,
             peak_mailbox_bytes: 0,
+            counters: CounterSet::new(),
         }
     }
 
@@ -320,7 +306,7 @@ mod tests {
     #[test]
     fn sheds_without_permission_are_a_violation() {
         let mut report = report_with(vec![]);
-        report.sheds = 3;
+        report.counters.add(Ctr::EnvelopesShed, 3);
         let v = check_report(&report, &Expectation::default());
         assert_eq!(v, vec![Violation::UnexpectedShed { sheds: 3 }]);
         assert!(v[0].to_string().contains("lossless"));
@@ -331,13 +317,13 @@ mod tests {
     fn shed_traffic_balances_at_quiescent_exit() {
         // Two sends, one delivery, one accounted shed: the books balance.
         let mut report = report_with(vec![pe_obs(0, vec![send(1, 1), send(2, 1)]), pe_obs(1, vec![recv(5, 0)])]);
-        report.sheds = 1;
+        report.counters.add(Ctr::EnvelopesShed, 1);
         let expect = Expectation { quiescent_exit: true, sheds_allowed: true };
         assert!(check_report(&report, &expect).is_empty());
         // A second undelivered envelope is NOT covered by the shed count.
         let mut worse =
             report_with(vec![pe_obs(0, vec![send(1, 1), send(2, 1), send(3, 1)]), pe_obs(1, vec![recv(5, 0)])]);
-        worse.sheds = 1;
+        worse.counters.add(Ctr::EnvelopesShed, 1);
         assert_eq!(check_report(&worse, &expect), vec![Violation::QuiescenceUnsound { in_flight: 1 }]);
     }
 

@@ -17,8 +17,8 @@ use std::sync::Arc;
 
 use mdo_netsim::network::NetworkStats;
 use mdo_netsim::{
-    ClusterId, CrashSpec, CrashTrigger, Dur, FailureCause, FaultModelStats, JoinSpec, JoinTrigger, Pe, PeFailed, Time,
-    Topology, TransportError, UnrecoverableError,
+    ClusterId, CrashSpec, CrashTrigger, Dur, FailureCause, JoinSpec, JoinTrigger, Pe, PeFailed, Time, Topology,
+    TransportError, UnrecoverableError,
 };
 use mdo_obs::{CounterSet, Ctr, Event, ObsReport, PeObs};
 
@@ -75,7 +75,6 @@ pub(super) struct Books {
     /// multi-process run, across nodes.
     pub(super) ctr: CounterSet,
     pub(super) peak_mailbox_bytes: u64,
-    pub(super) lb_rounds: u32,
     pub(super) transport_error: Option<TransportError>,
 }
 
@@ -114,7 +113,7 @@ impl Books {
             }
         }
         if let Some(h) = host {
-            self.lb_rounds += h.lb_rounds;
+            self.ctr.add(Ctr::LbRounds, h.lb_rounds as u64);
             self.ctr.add(Ctr::ObjectsMigrated, h.migrations);
             self.ctr.add(Ctr::RebalanceTriggers, h.rebalance as u64);
             self.ctr.add(Ctr::CheckpointsTaken, h.ft_epochs as u64);
@@ -143,8 +142,9 @@ pub(super) struct Membership {
     /// Joins not yet admitted, each with the cluster it lands in.
     pending_joins: Vec<(ClusterId, JoinSpec)>,
     failures: Vec<PeFailed>,
-    /// `Generations`, `Recoveries`, `PesJoined`, `StepsReplayed`.
-    ctr: CounterSet,
+    /// `Generations`, `Recoveries`, `PesJoined`, `StepsReplayed`: this
+    /// process's own, never shipped between nodes.
+    counters: CounterSet,
     pub(super) books: Books,
 }
 
@@ -164,13 +164,22 @@ impl Membership {
                 (s.cluster.or_else(home).expect("a brand-new PE joining must name an explicit cluster"), *s)
             })
             .collect();
-        let mut ctr = CounterSet::new();
-        ctr.bump(Ctr::Generations);
+        let mut counters = CounterSet::new();
+        counters.bump(Ctr::Generations);
         let books = Books::new(topo.num_pes(), single && cfg.obs.is_some());
         let orig = topo.pes().collect();
         let pending_crashes = cfg.failure_plan.as_ref().map(|p| p.crashes.clone()).unwrap_or_default();
         let (shared, host) = split_program(program, topo, cfg);
-        Membership { shared, host: Some(host), orig, pending_crashes, pending_joins, failures: Vec::new(), ctr, books }
+        Membership {
+            shared,
+            host: Some(host),
+            orig,
+            pending_crashes,
+            pending_joins,
+            failures: Vec::new(),
+            counters,
+            books,
+        }
     }
 
     /// The current generation's shared node context.
@@ -246,10 +255,10 @@ impl Membership {
         if !ckpt_done || self.pending_joins.is_empty() {
             return Vec::new();
         }
-        let recoveries = self.ctr.get_u32(Ctr::Recoveries);
+        let recoveries = self.counters.get(Ctr::Recoveries);
         let fired = |s: &JoinSpec| match s.trigger {
             JoinTrigger::AtTime(at) => Time::ZERO + at <= now,
-            JoinTrigger::AfterRecoveries(n) => recoveries >= n,
+            JoinTrigger::AfterRecoveries(n) => recoveries >= n as u64,
         };
         self.pending_joins.retain(|(_, s)| !(fired(s) && self.orig.contains(&s.pe)));
         self.pending_joins.iter().filter(|(_, s)| fired(s)).map(|&(c, s)| (c, s.pe)).collect()
@@ -270,7 +279,7 @@ impl Membership {
                 failed: self.failures.iter().map(|f| f.pe).collect(),
             });
         };
-        self.ctr.add(Ctr::StepsReplayed, lb_rounds.saturating_sub(round) as u64);
+        self.counters.add(Ctr::StepsReplayed, lb_rounds.saturating_sub(round) as u64);
         Ok((snapshot, round))
     }
 
@@ -285,12 +294,12 @@ impl Membership {
                 self.pending_crashes.retain(|s| !dead.contains(&s.pe));
                 let (topo, map) = self.shared.topo.without_pes(&dead_cur);
                 self.orig = map.iter().map(|cur| self.orig[cur.index()]).collect();
-                self.ctr.bump(Ctr::Recoveries);
+                self.counters.bump(Ctr::Recoveries);
                 topo
             }
             Change::Expand { mut joiners } => {
                 self.pending_joins.retain(|(_, s)| !joiners.iter().any(|&(_, pe)| pe == s.pe));
-                self.ctr.add(Ctr::PesJoined, joiners.len() as u64);
+                self.counters.add(Ctr::PesJoined, joiners.len() as u64);
                 self.books.widen(joiners.iter().map(|&(_, pe)| pe.index() + 1).max().unwrap_or(0));
                 // Joiners land at the end of their cluster's PE range, in
                 // (cluster, original PE) order: the map's `None` slots pair
@@ -309,7 +318,7 @@ impl Membership {
                 topo
             }
         };
-        self.ctr.bump(Ctr::Generations);
+        self.counters.bump(Ctr::Generations);
         if let Some(obs) = &mut self.books.obs {
             // Mark the resume on the stream of every PE of the new generation.
             for o in &self.orig {
@@ -326,42 +335,20 @@ impl Membership {
 
     /// The run's report, from its closed books.
     pub(super) fn into_report(self, end_time: Time, unrecoverable: Option<UnrecoverableError>) -> RunReport {
-        let Membership { books, mut ctr, failures, .. } = self;
-        ctr.merge(&books.ctr);
-        ctr.add(Ctr::FailuresDetected, failures.len() as u64);
+        let Membership { books, mut counters, failures, .. } = self;
+        counters.merge(&books.ctr);
         RunReport {
             end_time,
             pe_busy: books.busy,
             pe_messages: books.msgs,
             pe_max_queue_depth: books.qdepth,
             network: books.network,
-            obs: books.obs.map(|pes| ObsReport { pes, counters: ctr.clone() }),
-            lb_rounds: books.lb_rounds,
-            migrations: ctr.get(Ctr::ObjectsMigrated),
-            faults: FaultModelStats {
-                dropped: ctr.get(Ctr::Drops),
-                corrupt_rejected: ctr.get(Ctr::CorruptRejected),
-                dup_dropped: ctr.get(Ctr::DupDropped),
-                reordered: ctr.get(Ctr::Reordered),
-                retransmits: ctr.get(Ctr::Retransmits),
-            },
+            obs: books.obs.map(|pes| ObsReport { pes, counters: counters.clone() }),
             transport_error: books.transport_error,
-            failures_detected: ctr.get_u32(Ctr::FailuresDetected),
-            recoveries: ctr.get_u32(Ctr::Recoveries),
-            pes_joined: ctr.get_u32(Ctr::PesJoined),
-            generations: ctr.get_u32(Ctr::Generations),
-            rebalance_triggers: ctr.get_u32(Ctr::RebalanceTriggers),
-            objects_migrated: ctr.get(Ctr::ObjectsMigrated),
-            steps_replayed: ctr.get_u32(Ctr::StepsReplayed),
-            checkpoints_taken: ctr.get_u32(Ctr::CheckpointsTaken),
-            checkpoint_bytes: ctr.get(Ctr::CheckpointBytes),
             failures,
             unrecoverable,
-            credit_stalls: ctr.get(Ctr::CreditStalls),
-            credit_wait: Dur::from_nanos(ctr.get(Ctr::CreditWaitNs)),
-            sheds: ctr.get(Ctr::EnvelopesShed),
-            shed_bytes: ctr.get(Ctr::ShedBytes),
             peak_mailbox_bytes: books.peak_mailbox_bytes,
+            counters,
         }
     }
 }
@@ -417,7 +404,7 @@ mod tests {
             /// Current → original numbering after the last step.
             orig: &'static [u32],
             /// The report's (generations, recoveries, pes_joined).
-            counts: (u32, u32, u32),
+            counts: (u64, u64, u64),
             /// How many original PEs the report covers.
             width: usize,
         }
@@ -463,7 +450,8 @@ mod tests {
             assert_eq!(m.orig(), pes(orig), "{what}");
             assert_eq!(m.shared().topo.num_pes(), orig.len(), "{what}");
             let report = m.into_report(Time::ZERO, None);
-            assert_eq!((report.generations, report.recoveries, report.pes_joined), counts, "{what}");
+            let c = |k| report.counters.get(k);
+            assert_eq!((c(Ctr::Generations), c(Ctr::Recoveries), c(Ctr::PesJoined)), counts, "{what}");
             assert_eq!((report.pe_busy.len(), report.pe_messages.len()), (width, width), "{what}");
         }
     }
@@ -571,8 +559,7 @@ mod tests {
         let none = m.assemble(&pieces[2..], 7);
         assert_eq!(none, Err(UnrecoverableError::NoCompleteSnapshot { failed: pes(&[1, 2]) }), "original numbers");
         let report = m.into_report(at_ms(9), none.err());
-        assert_eq!(report.steps_replayed, 3, "rounds 5 to 7 run again");
-        assert_eq!(report.failures_detected, 2);
+        assert_eq!(report.counters.get(Ctr::StepsReplayed), 3, "rounds 5 to 7 run again");
         assert_eq!(
             report.failures.iter().map(|f| (f.pe, f.at)).collect::<Vec<_>>(),
             [(Pe(1), at_ms(3)), (Pe(2), at_ms(7))]

@@ -985,3 +985,42 @@ fn run_generations(
     let ended = if share.end_ns > 0 { share.end_ns } else { elapsed_ns(t0) };
     Ok(m.into_report(Time::from_nanos(ended), unrecoverable))
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A node report in which every counter, and every other field, holds
+    /// a value of its own.
+    fn report() -> Ctl {
+        let mut ctr = CounterSet::new();
+        for (i, c) in Ctr::ALL.into_iter().enumerate() {
+            ctr.add(c, 1_000 + i as u64);
+        }
+        Ctl::Report(Box::new(NodeReport {
+            node: 3,
+            end_ns: 123_456,
+            entries: vec![(0, 1, 2, 3), (5, 6, 7, 8)],
+            network: NetworkStats { intra_messages: 11, intra_bytes: 12, cross_messages: 13, cross_bytes: 14 },
+            peak_mailbox_bytes: 15,
+            ctr,
+            transport_error: Some(TransportError { src: Pe(1), dst: Pe(2), seq: 16, attempts: 17 }),
+        }))
+    }
+
+    #[test]
+    fn a_node_report_round_trips() {
+        let bytes = encode_ctl(&report());
+        let back = decode_ctl(&bytes).expect("a whole record decodes");
+        assert!(matches!(back, Ctl::Report(_)));
+        assert_eq!(encode_ctl(&back), bytes);
+    }
+
+    #[test]
+    fn every_strict_prefix_of_a_node_report_is_refused() {
+        let bytes = encode_ctl(&report());
+        for n in 0..bytes.len() {
+            assert!(decode_ctl(&bytes[..n]).is_none(), "a {n}-byte prefix of {} decoded", bytes.len());
+        }
+    }
+}

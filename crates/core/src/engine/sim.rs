@@ -930,10 +930,11 @@ mod tests {
         let faulty = run(Some(plan));
         assert_eq!(clean.pe_messages, faulty.pe_messages, "identical application traffic");
         assert!(faulty.transport_error.is_none());
-        assert!(faulty.faults.dropped > 0, "losses occurred: {:?}", faulty.faults);
-        assert!(faulty.faults.retransmits > 0);
+        assert!(faulty.counters.get(Ctr::Drops) > 0, "losses occurred: {:?}", faulty.counters);
+        assert!(faulty.counters.get(Ctr::Retransmits) > 0);
         assert!(faulty.end_time > clean.end_time, "recovery time shows up in the makespan");
-        assert_eq!(clean.faults, mdo_netsim::FaultModelStats::default());
+        let faults = [Ctr::Drops, Ctr::CorruptRejected, Ctr::DupDropped, Ctr::Reordered, Ctr::Retransmits];
+        assert!(faults.iter().all(|&c| clean.counters.get(c) == 0), "{:?}", clean.counters);
     }
 
     #[test]
@@ -1054,7 +1055,7 @@ mod tests {
         });
         // The startup "ack" kicks off round 1.
         p.on_startup(move |ctl| ctl.send(arr, ElemId(0), ROUND_ACK, vec![]));
-        let cfg = RunConfig { agg, fault_plan: plan, obs: Some(mdo_obs::ObsConfig::new()), ..RunConfig::default() };
+        let cfg = RunConfig { agg, fault_plan: plan, ..RunConfig::default() };
         SimEngine::new(net, cfg).run(p)
     }
 
@@ -1063,7 +1064,7 @@ mod tests {
         let plain = burst_run(None, None);
         let agg = burst_run(Some(AggConfig::default()), None);
         assert_eq!(plain.pe_messages, agg.pe_messages, "same application traffic either way");
-        let ctr = |r: &RunReport, c: Ctr| r.obs.as_ref().expect("obs armed").counters.get(c);
+        let ctr = |r: &RunReport, c| r.counters.get(c);
         assert_eq!(ctr(&plain, Ctr::FramesSent), 0, "no frames without an aggregation policy");
         let frames = ctr(&agg, Ctr::FramesSent);
         let coalesced = ctr(&agg, Ctr::EnvelopesCoalesced);
@@ -1083,8 +1084,8 @@ mod tests {
         // is still delivered exactly once (duplicates would inflate counts).
         assert_eq!(clean.pe_messages, faulty.pe_messages, "exactly-once through whole-frame retransmit");
         assert!(faulty.transport_error.is_none());
-        assert!(faulty.faults.dropped > 0, "losses actually occurred: {:?}", faulty.faults);
-        assert!(faulty.faults.retransmits > 0, "dropped frames were retransmitted");
+        assert!(faulty.counters.get(Ctr::Drops) > 0, "losses actually occurred: {:?}", faulty.counters);
+        assert!(faulty.counters.get(Ctr::Retransmits) > 0, "dropped frames were retransmitted");
         assert!(faulty.end_time > clean.end_time, "recovery time shows up in the makespan");
     }
 
@@ -1119,9 +1120,9 @@ mod tests {
         let plain = flow_burst_run(None, false);
         let gated = flow_burst_run(Some(FlowConfig::default().with_credit_bytes(64)), false);
         assert_eq!(plain.pe_messages, gated.pe_messages, "Block only re-times traffic, it never loses or duplicates");
-        assert!(gated.credit_stalls > 0, "a 16-envelope burst cannot fit a 64-byte window");
-        assert!(gated.credit_wait > Dur::ZERO, "deferred envelopes waited for credit");
-        assert_eq!(gated.sheds, 0, "Block never drops");
+        assert!(gated.counters.get(Ctr::CreditStalls) > 0, "a 16-envelope burst cannot fit a 64-byte window");
+        assert!(gated.counters.get(Ctr::CreditWaitNs) > 0, "deferred envelopes waited for credit");
+        assert_eq!(gated.counters.get(Ctr::EnvelopesShed), 0, "Block never drops");
         assert!(gated.end_time >= plain.end_time, "stalls can only stretch the makespan");
         assert!(gated.transport_error.is_none());
     }
@@ -1133,17 +1134,17 @@ mod tests {
         let b = flow_burst_run(flow, false);
         assert_eq!(a.end_time, b.end_time);
         assert_eq!(a.pe_messages, b.pe_messages);
-        assert_eq!(a.credit_stalls, b.credit_stalls);
-        assert_eq!(a.credit_wait, b.credit_wait);
+        assert_eq!(a.counters, b.counters);
     }
 
     #[test]
     fn shed_flow_drops_overflow_and_quiescence_still_terminates() {
         let flow = FlowConfig::default().with_credit_bytes(64).with_policy(OverloadPolicy::Shed);
         let report = flow_burst_run(Some(flow), true);
-        assert!(report.sheds > 0, "overflow past the window was shed");
-        assert!(report.shed_bytes >= report.sheds * 24, "byte accounting follows wire sizes");
-        assert_eq!(report.credit_stalls, 0, "Shed never stalls the sender");
+        let (sheds, shed_bytes) = (report.counters.get(Ctr::EnvelopesShed), report.counters.get(Ctr::ShedBytes));
+        assert!(sheds > 0, "overflow past the window was shed");
+        assert!(shed_bytes >= sheds * 24, "byte accounting follows wire sizes");
+        assert_eq!(report.counters.get(Ctr::CreditStalls), 0, "Shed never stalls the sender");
         assert!(report.unrecoverable.is_none());
         assert!(report.transport_error.is_none());
     }
@@ -1176,16 +1177,10 @@ mod tests {
             ctl.exit();
         });
         let agg = AggConfig::default().with_max_bytes(1 << 20).with_max_delay(Dur::from_millis(4));
-        let cfg = RunConfig {
-            agg: Some(agg),
-            detect_quiescence: true,
-            obs: Some(mdo_obs::ObsConfig::new()),
-            ..RunConfig::default()
-        };
+        let cfg = RunConfig { agg: Some(agg), detect_quiescence: true, ..RunConfig::default() };
         let report =
             SimEngine::new(net, cfg).with_limits(SimConfig { max_time: None, max_events: Some(100_000) }).run(p);
         assert_eq!(FIRED.load(Ordering::SeqCst), 1, "quiescence fired despite buffered frames");
-        let counters = &report.obs.expect("obs armed").counters;
-        assert!(counters.get(Ctr::EnvelopesCoalesced) >= 12, "the chain went through the aggregation path");
+        assert!(report.counters.get(Ctr::EnvelopesCoalesced) >= 12, "the chain went through the aggregation path");
     }
 }

@@ -442,6 +442,7 @@ mod tests {
     use crate::program::LbChoice;
     use crate::wire::{WireReader, WireWriter};
     use bytes::Bytes;
+    use mdo_obs::Ctr;
     use std::sync::atomic::AtomicU64;
     use std::sync::Mutex;
 
@@ -552,8 +553,8 @@ mod tests {
         let cfg = RunConfig { lb: LbChoice::Rotate, ..RunConfig::default() };
         let report = ThreadedEngine::new(topo, ThreadedConfig::new(latency), cfg).run(p);
         assert_eq!(SUM.load(Ordering::SeqCst), (10..18).sum::<u64>());
-        assert_eq!(report.migrations, 8);
-        assert_eq!(report.lb_rounds, 1);
+        assert_eq!(report.counters.get(Ctr::ObjectsMigrated), 8);
+        assert_eq!(report.counters.get(Ctr::LbRounds), 1);
     }
 
     #[test]
@@ -771,12 +772,9 @@ mod tests {
         let report = ThreadedEngine::new(topo, ThreadedConfig::new(latency), cfg).run(p);
         assert_eq!(*SUM.lock().unwrap(), (1..=16).sum::<i32>() as f64);
         assert!(report.transport_error.is_none());
-        assert!(
-            report.faults.dropped + report.faults.corrupt_rejected > 0,
-            "the plan injected faults: {:?}",
-            report.faults
-        );
-        assert!(report.faults.retransmits > 0, "recovery ran: {:?}", report.faults);
+        let c = &report.counters;
+        assert!(c.get(Ctr::Drops) + c.get(Ctr::CorruptRejected) > 0, "the plan injected faults: {c:?}");
+        assert!(c.get(Ctr::Retransmits) > 0, "recovery ran: {c:?}");
     }
 
     #[test]

@@ -101,7 +101,7 @@ pub use engine::threaded::{ThreadedConfig, ThreadedEngine};
 pub use envelope::{Envelope, MsgBody};
 pub use ids::{ArrayId, ElemId, EntryId, ObjKey};
 pub use mapping::Mapping;
-pub use mdo_obs::{ObsConfig, ObsReport};
+pub use mdo_obs::{CounterSet, Ctr, ObsConfig, ObsReport};
 pub use program::{Program, RunConfig, RunReport};
 
 /// Commonly used items, re-exported for applications.
@@ -118,7 +118,7 @@ pub mod prelude {
         AggConfig, ClusterId, CrashSpec, CrashTrigger, Dur, FailureCause, FailurePlan, JoinPlan, JoinSpec, JoinTrigger,
         Pe, PeFailed, SpanTree, Time, Topology, TreeConfig, UnrecoverableError,
     };
-    pub use mdo_obs::{ObsConfig, ObsReport};
+    pub use mdo_obs::{CounterSet, Ctr, ObsConfig, ObsReport};
 }
 
 pub use mdo_netsim::{AggConfig, ClusterId, Dur, Pe, Time, Topology};

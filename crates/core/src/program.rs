@@ -11,10 +11,10 @@ use std::sync::Arc;
 
 use mdo_netsim::network::NetworkStats;
 use mdo_netsim::{
-    AggConfig, Dur, FailurePlan, FaultModelStats, FaultPlan, FlowConfig, JoinPlan, PeFailed, Time, TransportError,
-    TreeConfig, UnrecoverableError,
+    AggConfig, Dur, FailurePlan, FaultPlan, FlowConfig, JoinPlan, PeFailed, Time, TransportError, TreeConfig,
+    UnrecoverableError,
 };
-use mdo_obs::{ObsConfig, ObsReport};
+use mdo_obs::{CounterSet, ObsConfig, ObsReport};
 
 use crate::array::ArraySpec;
 use crate::balancer::{GreedyLB, GridCommLB, RefineLB, RotateLB, Strategy};
@@ -356,7 +356,8 @@ impl Default for RunConfig {
     }
 }
 
-/// What an engine reports after a run.
+/// What an engine reports after a run: per-PE books, traffic, the
+/// run's structured errors, and its [`CounterSet`].
 #[derive(Debug)]
 pub struct RunReport {
     /// Time at which the run ended (virtual for the sim engine, wall-clock
@@ -376,61 +377,26 @@ pub struct RunReport {
     /// Observability data (events, counters, histograms, overlap
     /// analyses), when [`RunConfig::obs`] was armed.
     pub obs: Option<ObsReport>,
-    /// Completed load-balancing barriers.
-    pub lb_rounds: u32,
-    /// Objects that changed PE across all barriers.
-    pub migrations: u64,
-    /// What the fault injection did to cross-cluster traffic (all zero when
-    /// [`RunConfig::fault_plan`] is `None`).
-    pub faults: FaultModelStats,
     /// Set when the reliable delivery layer exhausted its retransmission
     /// budget for some message and the run was aborted; results are
     /// incomplete in that case.
     pub transport_error: Option<TransportError>,
-    /// Number of PE failures detected (injected, panics, timeouts).
-    pub failures_detected: u32,
-    /// Number of successful shrink-restart recoveries.
-    pub recoveries: u32,
-    /// PEs admitted by expand/rejoin.
-    pub pes_joined: u32,
-    /// Topology generations the run went through: 1 for an undisturbed
-    /// run, +1 per shrink-recovery and per expand.
-    pub generations: u32,
-    /// Times the continuous feedback balancer decided to rebalance
-    /// (0 unless [`RunConfig::feedback`] was set).
-    pub rebalance_triggers: u32,
-    /// Objects moved by load balancing across the whole run — the same
-    /// tally as `migrations`, routed through the mdo-obs counter registry
-    /// so report and observability exports cannot drift.
-    pub objects_migrated: u64,
-    /// AtSync rounds of work re-executed across all recoveries (rounds
-    /// completed after the restored snapshot was taken).
-    pub steps_replayed: u32,
-    /// Buddy-checkpoint epochs completed.
-    pub checkpoints_taken: u32,
-    /// Total packed element bytes shipped to buddies.
-    pub checkpoint_bytes: u64,
-    /// Every failure detected, in detection order (original PE numbering).
+    /// Every failure detected (injected, panics, timeouts), in detection
+    /// order (original PE numbering).
     pub failures: Vec<PeFailed>,
     /// Set when a failure could not be recovered from; the run ended
     /// early (but cleanly) and results are incomplete.
     pub unrecoverable: Option<UnrecoverableError>,
-    /// Times a sender found its cross-WAN credit window exhausted and had
-    /// to stall (0 unless [`RunConfig::flow`] was set).
-    pub credit_stalls: u64,
-    /// Total time senders spent blocked waiting for credit (virtual for
-    /// the sim engine, wall-clock for the threaded engine).
-    pub credit_wait: Dur,
-    /// Application envelopes dropped by the `Shed` overload policy
-    /// (system/control traffic is never shed; always 0 under `Block`).
-    pub sheds: u64,
-    /// Payload bytes dropped by the `Shed` overload policy.
-    pub shed_bytes: u64,
     /// High-water mark, over PEs, of delivery-queue payload bytes — the
     /// quantity flow control keeps near its mailbox budget.  Reported even
     /// without flow control, so overload ablations can contrast bounded
     /// against unbounded growth.
     pub peak_mailbox_bytes: u64,
+    /// Every run-wide tally — faults and retransmissions, recoveries,
+    /// migrations, checkpoints, credit stalls, sheds — one per
+    /// [`Ctr`](mdo_obs::Ctr), summed across generations and nodes: read
+    /// one as `report.counters.get(Ctr::Recoveries)`.
+    pub counters: CounterSet,
 }
 
 impl RunReport {
@@ -516,26 +482,11 @@ mod tests {
             pe_max_queue_depth: vec![1, 2],
             network: NetworkStats::default(),
             obs: None,
-            lb_rounds: 0,
-            migrations: 0,
-            faults: FaultModelStats::default(),
             transport_error: None,
-            failures_detected: 0,
-            recoveries: 0,
-            pes_joined: 0,
-            generations: 1,
-            rebalance_triggers: 0,
-            objects_migrated: 0,
-            steps_replayed: 0,
-            checkpoints_taken: 0,
-            checkpoint_bytes: 0,
             failures: Vec::new(),
             unrecoverable: None,
-            credit_stalls: 0,
-            credit_wait: Dur::ZERO,
-            sheds: 0,
-            shed_bytes: 0,
             peak_mailbox_bytes: 0,
+            counters: CounterSet::new(),
         };
         assert!((report.mean_utilization() - 0.75).abs() < 1e-12);
     }

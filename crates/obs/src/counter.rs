@@ -1,9 +1,9 @@
 //! Named monotonic counters behind one registry.
 //!
-//! Both engines keep a [`CounterSet`] and bump it at the same places they
-//! update their run-report tallies — the report fields are *read back
-//! from* the registry at the end of the run, so the two can never drift
-//! apart.
+//! Both engines keep a [`CounterSet`] and bump it where the runtime does
+//! the thing counted; the report carries the set, so a tally has one name
+//! and one home, and node reports, merged reports and observability
+//! exports share one schema.
 
 /// Everything the runtime counts.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -33,15 +33,16 @@ pub enum Ctr {
     CorruptRejected,
     /// Packets delivered out of order by fault injection.
     Reordered,
-    /// PE failures detected.
-    FailuresDetected,
+    /// Completed load-balancing barriers, summed across generations.
+    LbRounds,
     /// Successful shrink-restart recoveries.
     Recoveries,
-    /// AtSync rounds re-executed across recoveries.
+    /// AtSync rounds of work re-executed across all recoveries (rounds
+    /// completed after the restored snapshot was taken).
     StepsReplayed,
     /// Buddy-checkpoint epochs completed.
     CheckpointsTaken,
-    /// Packed element bytes shipped to buddies.
+    /// Total packed element bytes shipped to buddies.
     CheckpointBytes,
     /// Jumbo frames shipped by the aggregation layer.
     FramesSent,
@@ -55,20 +56,24 @@ pub enum Ctr {
     FlushByDeadline,
     /// PEs admitted by expand/rejoin.
     PesJoined,
-    /// Times the continuous feedback balancer decided to rebalance.
+    /// Times the continuous feedback balancer decided to rebalance (0
+    /// unless `RunConfig::feedback` was set).
     RebalanceTriggers,
     /// Objects moved by load balancing (AtSync strategies and the
     /// feedback balancer alike).
     ObjectsMigrated,
-    /// Topology generations the run went through (1 + shrinks + expands).
+    /// Topology generations the run went through: 1 for an undisturbed
+    /// run, +1 per shrink-recovery and per expand.
     Generations,
     /// Times a sender found its cross-WAN credit window exhausted and had
-    /// to stall (Block) or divert (Shed).
+    /// to stall (Block) or divert (Shed); 0 unless `RunConfig::flow` was
+    /// set.
     CreditStalls,
-    /// Nanoseconds senders spent blocked waiting for credit to return.
+    /// Nanoseconds senders spent blocked waiting for credit to return
+    /// (virtual time on the simulator, wall-clock on the threaded engine).
     CreditWaitNs,
     /// Application envelopes dropped by the `Shed` overload policy
-    /// (system/control traffic is never shed).
+    /// (system/control traffic is never shed; always 0 under `Block`).
     EnvelopesShed,
     /// Payload bytes dropped by the `Shed` overload policy.
     ShedBytes,
@@ -93,7 +98,7 @@ impl Ctr {
         Ctr::DupDropped,
         Ctr::CorruptRejected,
         Ctr::Reordered,
-        Ctr::FailuresDetected,
+        Ctr::LbRounds,
         Ctr::Recoveries,
         Ctr::StepsReplayed,
         Ctr::CheckpointsTaken,
@@ -129,7 +134,7 @@ impl Ctr {
             Ctr::DupDropped => "dup_dropped",
             Ctr::CorruptRejected => "corrupt_rejected",
             Ctr::Reordered => "reordered",
-            Ctr::FailuresDetected => "failures_detected",
+            Ctr::LbRounds => "lb_rounds",
             Ctr::Recoveries => "recoveries",
             Ctr::StepsReplayed => "steps_replayed",
             Ctr::CheckpointsTaken => "checkpoints_taken",
@@ -153,7 +158,7 @@ impl Ctr {
 }
 
 /// A fixed set of monotonic counters, one per [`Ctr`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Default, PartialEq, Eq)]
 pub struct CounterSet([u64; Ctr::ALL.len()]);
 
 impl CounterSet {
@@ -177,11 +182,6 @@ impl CounterSet {
         self.0[c as usize]
     }
 
-    /// Current value of `c`, narrowed to `u32` (saturating).
-    pub fn get_u32(&self, c: Ctr) -> u32 {
-        u32::try_from(self.0[c as usize]).unwrap_or(u32::MAX)
-    }
-
     /// Fold `other` into `self`.
     pub fn merge(&mut self, other: &CounterSet) {
         for (a, b) in self.0.iter_mut().zip(other.0.iter()) {
@@ -192,6 +192,17 @@ impl CounterSet {
     /// Iterate `(counter, value)` in declaration order.
     pub fn iter(&self) -> impl Iterator<Item = (Ctr, u64)> + '_ {
         Ctr::ALL.iter().map(move |&c| (c, self.get(c)))
+    }
+}
+
+/// The non-zero counters by name, e.g. `{drops: 12, retransmits: 12}`.
+impl std::fmt::Debug for CounterSet {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("{")?;
+        for (i, (c, v)) in self.iter().filter(|&(_, v)| v != 0).enumerate() {
+            write!(f, "{}{}: {v}", if i == 0 { "" } else { ", " }, c.name())?;
+        }
+        f.write_str("}")
     }
 }
 
@@ -220,6 +231,15 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.get(Ctr::MsgsSent), 7);
         assert_eq!(a.get(Ctr::Recoveries), 1);
+    }
+
+    #[test]
+    fn debug_names_the_non_zero_counters() {
+        let mut c = CounterSet::new();
+        assert_eq!(format!("{c:?}"), "{}");
+        c.add(Ctr::Retransmits, 12);
+        c.add(Ctr::Drops, 12);
+        assert_eq!(format!("{c:?}"), "{drops: 12, retransmits: 12}");
     }
 
     #[test]

@@ -59,11 +59,15 @@ fn main() {
         let rc = RunConfig { fault_plan: Some(plan.clone()), ..RunConfig::default() };
         stencil::run_sim(cfg.clone(), net, rc)
     };
-    let f = sim.report.faults;
+    let f = |c| sim.report.counters.get(c);
     println!("SimEngine      {:>8.3} ms/step   bit-exact: {}", sim.ms_per_step, bit_exact(&sim.block_sums));
     println!(
         "  wire: {} dropped, {} corrupt-rejected, {} dup-dropped, {} reordered; recovery: {} retransmits",
-        f.dropped, f.corrupt_rejected, f.dup_dropped, f.reordered, f.retransmits
+        f(Ctr::Drops),
+        f(Ctr::CorruptRejected),
+        f(Ctr::DupDropped),
+        f(Ctr::Reordered),
+        f(Ctr::Retransmits)
     );
 
     // Threaded engine: real packets through the VMI chain
@@ -74,11 +78,14 @@ fn main() {
         let rc = RunConfig { fault_plan: Some(plan), ..RunConfig::default() };
         stencil::run_threaded(cfg.clone(), topo, latency, rc)
     };
-    let f = threaded.report.faults;
+    let f = |c| threaded.report.counters.get(c);
     println!("ThreadedEngine {:>8.3} ms/step   bit-exact: {}", threaded.ms_per_step, bit_exact(&threaded.block_sums));
     println!(
         "  wire: {} dropped, {} corrupt-rejected, {} dup-dropped; recovery: {} retransmits",
-        f.dropped, f.corrupt_rejected, f.dup_dropped, f.retransmits
+        f(Ctr::Drops),
+        f(Ctr::CorruptRejected),
+        f(Ctr::DupDropped),
+        f(Ctr::Retransmits)
     );
     assert!(bit_exact(&sim.block_sums) && bit_exact(&threaded.block_sums), "faults must never change the answer");
 

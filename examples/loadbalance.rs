@@ -46,8 +46,8 @@ fn main() {
     let report = run_synthetic(cfg, net, run_cfg);
 
     println!("  makespan        : {:.1} ms", report.end_time.as_millis_f64());
-    println!("  LB barriers run : {}", report.lb_rounds);
-    println!("  objects migrated: {}", report.migrations);
+    println!("  LB barriers run : {}", report.counters.get(Ctr::LbRounds));
+    println!("  objects migrated: {}", report.counters.get(Ctr::ObjectsMigrated));
     println!("  cross-WAN msgs  : {}", report.network.cross_messages);
     println!("  utilization     : {:.1}%", 100.0 * report.mean_utilization());
     println!("\nTry the other strategies and compare makespans:");

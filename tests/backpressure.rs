@@ -123,7 +123,7 @@ fn threaded_block_flow_bounds_mailboxes_under_open_loop_flood() {
 
     assert_eq!(open_received, u64::from(FLOOD_MSGS), "baseline delivers everything");
     assert_eq!(gated_received, u64::from(FLOOD_MSGS), "Block is lossless");
-    assert_eq!(gated.sheds, 0, "Block never sheds");
+    assert_eq!(gated.counters.get(Ctr::EnvelopesShed), 0, "Block never sheds");
     assert!(
         open.peak_mailbox_bytes > FLOOD_BYTES / 2,
         "without flow control the flood piles up at the receiver: peak {} of {FLOOD_BYTES} flood bytes",
@@ -157,10 +157,11 @@ fn sim_shed_flow_bounds_memory_and_accounts_every_drop() {
 
     let flow = FlowConfig::default().with_credit_bytes(4 * 1024).with_policy(OverloadPolicy::Shed);
     let (shed, shed_received) = run(Some(flow));
-    assert!(shed.sheds > 0, "the starved window shed overflow");
-    assert_eq!(shed_received + shed.sheds, u64::from(FLOOD_MSGS), "every envelope delivered or accounted shed");
-    assert!(shed.shed_bytes >= shed.sheds * FLOOD_PAYLOAD as u64, "shed bytes cover the dropped payloads");
-    assert_eq!(shed.credit_stalls, 0, "Shed degrades instead of stalling");
+    let sheds = shed.counters.get(Ctr::EnvelopesShed);
+    assert!(sheds > 0, "the starved window shed overflow");
+    assert_eq!(shed_received + sheds, u64::from(FLOOD_MSGS), "every envelope delivered or accounted shed");
+    assert!(shed.counters.get(Ctr::ShedBytes) >= sheds * FLOOD_PAYLOAD as u64, "shed bytes cover the dropped payloads");
+    assert_eq!(shed.counters.get(Ctr::CreditStalls), 0, "Shed degrades instead of stalling");
     assert!(
         shed.peak_mailbox_bytes < open.peak_mailbox_bytes / 4,
         "graceful degradation bounds memory: {} vs open-loop {}",
@@ -194,7 +195,7 @@ fn threaded_shed_run(senders: u32, agg: Option<AggConfig>, flow: FlowConfig) -> 
     assert!(report.transport_error.is_none());
     let received = received.load(Ordering::SeqCst);
     assert_eq!(
-        received + report.sheds,
+        received + report.counters.get(Ctr::EnvelopesShed),
         u64::from(senders * FLOOD_MSGS),
         "every envelope was delivered exactly once or shed with accounting"
     );
@@ -219,7 +220,8 @@ fn threaded_shed_fan_in_is_bounded_by_the_advertised_headroom() {
     // headroom it advertises on its acks (`mailbox_bytes` minus what it
     // holds), which shuts the senders' windows, which makes them shed.
     let (report, received) = threaded_shed_run(4, Some(AggConfig::default()), flood_flow());
-    assert!(report.sheds > 0 && received > 0, "overloaded, not starved: {received} delivered, {} shed", report.sheds);
+    let sheds = report.counters.get(Ctr::EnvelopesShed);
+    assert!(sheds > 0 && received > 0, "overloaded, not starved: {received} delivered, {sheds} shed");
     assert!(
         report.peak_mailbox_bytes < 4 * FLOOD_BYTES / 8,
         "peak {} of a {} byte flood",
@@ -253,7 +255,7 @@ fn sim_quiescence_under_saturation_survives_exploration_policies() {
         let report = SimEngine::new(net, run_cfg).run(program);
         assert_eq!(fired.load(Ordering::SeqCst), 1, "{spec:?}: quiescence fired exactly once");
         assert_eq!(
-            received.load(Ordering::SeqCst) + report.sheds,
+            received.load(Ordering::SeqCst) + report.counters.get(Ctr::EnvelopesShed),
             u64::from(FLOOD_MSGS),
             "{spec:?}: delivered + shed covers the flood"
         );
@@ -288,15 +290,15 @@ fn stencil_results_bit_exact_with_block_flow_on_both_engines() {
     let plain = stencil::run_sim(cfg.clone(), net(), RunConfig::default());
     let gated = stencil::run_sim(cfg.clone(), net(), RunConfig { flow: Some(flow), ..RunConfig::default() });
     assert_eq!(plain.block_sums, gated.block_sums, "sim: Block flow is bit-exact");
-    assert!(gated.report.credit_stalls > 0, "the tiny window actually stalled senders");
-    assert!(gated.report.credit_wait > Dur::ZERO, "stall time was accounted");
-    assert_eq!(gated.report.sheds, 0);
+    assert!(gated.report.counters.get(Ctr::CreditStalls) > 0, "the tiny window actually stalled senders");
+    assert!(gated.report.counters.get(Ctr::CreditWaitNs) > 0, "stall time was accounted");
+    assert_eq!(gated.report.counters.get(Ctr::EnvelopesShed), 0);
 
     let topo = Topology::two_cluster(4);
     let latency = LatencyMatrix::uniform(&topo, Dur::ZERO, Dur::from_millis(1));
     let threaded = stencil::run_threaded(cfg, topo, latency, RunConfig { flow: Some(flow), ..RunConfig::default() });
     assert_eq!(plain.block_sums, threaded.block_sums, "threaded: Block flow is bit-exact");
-    assert_eq!(threaded.report.sheds, 0);
+    assert_eq!(threaded.report.counters.get(Ctr::EnvelopesShed), 0);
 }
 
 #[test]
@@ -342,9 +344,9 @@ fn sim_block_flow_survives_crash_shrink_rejoin_bit_exactly() {
     let elastic = stencil::run_sim(cfg, net(), run_cfg);
 
     assert_eq!(elastic.block_sums, clean.block_sums, "crash + shrink + rejoin under Block flow: bit-exact");
-    assert_eq!(elastic.report.recoveries, 1);
-    assert_eq!(elastic.report.pes_joined, 1);
-    assert_eq!(elastic.report.generations, 3, "full -> shrunk -> re-expanded");
-    assert!(elastic.report.credit_stalls > 0, "flow control was actually engaged");
+    assert_eq!(elastic.report.counters.get(Ctr::Recoveries), 1);
+    assert_eq!(elastic.report.counters.get(Ctr::PesJoined), 1);
+    assert_eq!(elastic.report.counters.get(Ctr::Generations), 3, "full -> shrunk -> re-expanded");
+    assert!(elastic.report.counters.get(Ctr::CreditStalls) > 0, "flow control was actually engaged");
     assert!(elastic.report.unrecoverable.is_none());
 }

@@ -87,13 +87,13 @@ fn sim_single_crash_recovers_bit_exact() {
     let crashed = stencil::run_sim(cfg, stencil_net(), run_cfg);
 
     assert_eq!(crashed.block_sums, clean.block_sums, "recovery is bit-exact");
-    assert_eq!(crashed.report.failures_detected, 1);
-    assert_eq!(crashed.report.recoveries, 1);
+    assert_eq!(crashed.report.failures.len(), 1);
+    assert_eq!(crashed.report.counters.get(Ctr::Recoveries), 1);
     assert!(crashed.report.unrecoverable.is_none());
     assert_eq!(crashed.report.failures[0].pe, Pe(2));
     assert_eq!(crashed.report.failures[0].cause, FailureCause::Injected);
-    assert!(crashed.report.checkpoints_taken > 0, "buddy epochs were recorded");
-    assert!(crashed.report.checkpoint_bytes > 0);
+    assert!(crashed.report.counters.get(Ctr::CheckpointsTaken) > 0, "buddy epochs were recorded");
+    assert!(crashed.report.counters.get(Ctr::CheckpointBytes) > 0);
     assert!(crashed.total > clean.total, "recovery replays work, so the run takes longer");
 }
 
@@ -112,9 +112,9 @@ fn sim_crash_at_every_step_is_bit_exact() {
         let run_cfg = RunConfig { failure_plan: Some(plan), ..RunConfig::default() };
         let crashed = stencil::run_sim(cfg.clone(), stencil_net(), run_cfg);
         assert_eq!(crashed.block_sums, clean.block_sums, "crash at step {step}: bit-exact");
-        assert_eq!(crashed.report.failures_detected, 1, "crash at step {step}");
-        assert_eq!(crashed.report.recoveries, 1, "crash at step {step}");
-        total_replayed += crashed.report.steps_replayed;
+        assert_eq!(crashed.report.failures.len(), 1, "crash at step {step}");
+        assert_eq!(crashed.report.counters.get(Ctr::Recoveries), 1, "crash at step {step}");
+        total_replayed += crashed.report.counters.get(Ctr::StepsReplayed);
     }
     // A crash landing exactly on a checkpoint boundary replays nothing,
     // but across the sweep some crashes must land mid-step.
@@ -139,8 +139,8 @@ fn threaded_single_crash_recovers_bit_exact() {
     let crashed = stencil::run_threaded(cfg, topo, latency, run_cfg);
 
     assert_eq!(crashed.block_sums, clean.block_sums, "threaded recovery is bit-exact");
-    assert_eq!(crashed.report.failures_detected, 1);
-    assert_eq!(crashed.report.recoveries, 1);
+    assert_eq!(crashed.report.failures.len(), 1);
+    assert_eq!(crashed.report.counters.get(Ctr::Recoveries), 1);
     assert!(crashed.report.unrecoverable.is_none());
     assert_eq!(crashed.report.failures[0].pe, Pe(2));
 }
@@ -156,7 +156,7 @@ fn migration_then_crash_recovers_bit_exact() {
     let cfg = small_stencil(6);
     let lb_cfg = RunConfig { lb: LbChoice::Rotate, ..RunConfig::default() };
     let clean = stencil::run_sim(cfg.clone(), stencil_net(), lb_cfg.clone());
-    assert!(clean.report.migrations > 0, "RotateLB must actually migrate objects");
+    assert!(clean.report.counters.get(Ctr::ObjectsMigrated) > 0, "RotateLB must actually migrate objects");
 
     // Crash PE 2 at 70 % of the makespan: several AtSync rounds (and thus
     // several migrations) have happened, and more follow after recovery.
@@ -166,11 +166,11 @@ fn migration_then_crash_recovers_bit_exact() {
     let crashed = stencil::run_sim(cfg, stencil_net(), run_cfg);
 
     assert_eq!(crashed.block_sums, clean.block_sums, "recovery after migration is bit-exact");
-    assert_eq!(crashed.report.failures_detected, 1);
-    assert_eq!(crashed.report.recoveries, 1);
+    assert_eq!(crashed.report.failures.len(), 1);
+    assert_eq!(crashed.report.counters.get(Ctr::Recoveries), 1);
     assert!(crashed.report.unrecoverable.is_none());
-    assert!(crashed.report.migrations > 0, "migrations happened in the crashed run too");
-    assert!(crashed.report.checkpoints_taken > 0);
+    assert!(crashed.report.counters.get(Ctr::ObjectsMigrated) > 0, "migrations happened in the crashed run too");
+    assert!(crashed.report.counters.get(Ctr::CheckpointsTaken) > 0);
 }
 
 #[test]
@@ -184,8 +184,8 @@ fn double_failure_of_a_buddy_pair_is_a_structured_error() {
     let run_cfg = RunConfig { failure_plan: Some(plan), ..RunConfig::default() };
     let crashed = stencil::run_sim(cfg, stencil_net(), run_cfg);
 
-    assert_eq!(crashed.report.failures_detected, 2);
-    assert_eq!(crashed.report.recoveries, 0);
+    assert_eq!(crashed.report.failures.len(), 2);
+    assert_eq!(crashed.report.counters.get(Ctr::Recoveries), 0);
     match crashed.report.unrecoverable {
         Some(UnrecoverableError::NoCompleteSnapshot { ref failed }) => {
             assert_eq!(failed.as_slice(), &[Pe(1), Pe(2)]);
@@ -208,14 +208,14 @@ fn sim_second_crash_after_recovery_shrinks_deeper_bit_exact() {
     let run_cfg = RunConfig { failure_plan: Some(plan), ..RunConfig::default() };
     let crashed = stencil::run_sim(cfg, stencil_net(), run_cfg);
 
-    assert_eq!(crashed.report.failures_detected, 2);
-    assert_eq!(crashed.report.recoveries, 2, "both crashes recovered separately");
+    assert_eq!(crashed.report.failures.len(), 2);
+    assert_eq!(crashed.report.counters.get(Ctr::Recoveries), 2, "both crashes recovered separately");
     assert!(crashed.report.unrecoverable.is_none());
     assert_eq!(crashed.block_sums, clean.block_sums, "double shrink is bit-exact");
     // Accumulators stay keyed by ORIGINAL numbering: dead PEs keep their
     // slots so per-PE attributions never shift across generations.
     assert_eq!(crashed.report.pe_busy.len(), 4);
-    assert_eq!(crashed.report.generations, 3, "full → 3 survivors → 2 survivors");
+    assert_eq!(crashed.report.counters.get(Ctr::Generations), 3, "full → 3 survivors → 2 survivors");
 }
 
 #[test]
@@ -235,14 +235,18 @@ fn sim_crash_during_recovery_window_never_hangs() {
         let run_cfg = RunConfig { failure_plan: Some(plan), ..RunConfig::default() };
         let crashed = stencil::run_sim(cfg.clone(), stencil_net(), run_cfg);
 
-        assert_eq!(crashed.report.failures_detected, 2, "gap {gap_us}us");
+        assert_eq!(crashed.report.failures.len(), 2, "gap {gap_us}us");
         match crashed.report.unrecoverable {
             None => {
                 // Crashes landing close enough to batch into one detection
                 // window recover in a single deeper shrink (recoveries = 1);
                 // an intervening event splits them into two recoveries.
-                assert!(crashed.report.recoveries >= 1, "gap {gap_us}us");
-                assert_eq!(crashed.report.generations, 1 + crashed.report.recoveries, "gap {gap_us}us");
+                assert!(crashed.report.counters.get(Ctr::Recoveries) >= 1, "gap {gap_us}us");
+                assert_eq!(
+                    crashed.report.counters.get(Ctr::Generations),
+                    1 + crashed.report.counters.get(Ctr::Recoveries),
+                    "gap {gap_us}us"
+                );
                 assert_eq!(crashed.block_sums, clean.block_sums, "gap {gap_us}us: recovery claims imply bit-exactness");
             }
             Some(UnrecoverableError::NoCompleteSnapshot { .. }) => {
@@ -273,13 +277,13 @@ fn threaded_staggered_double_crash_never_hangs() {
     let run_cfg = RunConfig { failure_plan: Some(plan), ..RunConfig::default() };
     let crashed = stencil::run_threaded(cfg, topo, latency, run_cfg);
 
-    assert_eq!(crashed.report.failures_detected, 2);
+    assert_eq!(crashed.report.failures.len(), 2);
     match crashed.report.unrecoverable {
         None => {
             // Heartbeat timing decides whether the crashes are detected
             // together (one deeper shrink) or one generation apart.
-            assert!(crashed.report.recoveries >= 1);
-            assert_eq!(crashed.report.generations, 1 + crashed.report.recoveries);
+            assert!(crashed.report.counters.get(Ctr::Recoveries) >= 1);
+            assert_eq!(crashed.report.counters.get(Ctr::Generations), 1 + crashed.report.counters.get(Ctr::Recoveries));
             assert_eq!(crashed.block_sums, clean.block_sums, "double recovery is bit-exact");
             assert_eq!(crashed.report.pe_busy.len(), 4, "reports stay keyed by original numbering");
         }
@@ -304,8 +308,8 @@ fn leanmd_single_crash_recovers_bit_exact_on_both_engines() {
     let crashed_sim = leanmd::run_sim(cfg.clone(), net(), run_cfg);
     assert_eq!(crashed_sim.checksums, clean_sim.checksums, "sim recovery is bit-exact");
     assert_eq!(crashed_sim.kinetic, clean_sim.kinetic);
-    assert_eq!(crashed_sim.report.failures_detected, 1);
-    assert_eq!(crashed_sim.report.recoveries, 1);
+    assert_eq!(crashed_sim.report.failures.len(), 1);
+    assert_eq!(crashed_sim.report.counters.get(Ctr::Recoveries), 1);
     assert!(crashed_sim.report.unrecoverable.is_none());
 
     // Threaded engine: heartbeat detection of a progress-point crash.
@@ -327,8 +331,8 @@ fn leanmd_single_crash_recovers_bit_exact_on_both_engines() {
         let run_cfg = RunConfig { failure_plan: Some(plan), ..RunConfig::default() };
         let crashed_thr = leanmd::run_threaded(cfg.clone(), topo.clone(), latency.clone(), run_cfg);
         assert_eq!(crashed_thr.checksums, clean_sim.checksums, "threaded recovery is bit-exact ({num}/{den})");
-        assert_eq!(crashed_thr.report.failures_detected, 1);
-        assert_eq!(crashed_thr.report.recoveries, 1);
+        assert_eq!(crashed_thr.report.failures.len(), 1);
+        assert_eq!(crashed_thr.report.counters.get(Ctr::Recoveries), 1);
         assert!(crashed_thr.report.unrecoverable.is_none());
     }
 }

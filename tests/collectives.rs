@@ -282,8 +282,8 @@ fn tree_reductions_survive_loss_and_reorder_on_both_engines() {
         stencil::run_sim(cfg.clone(), net, rc)
     };
     assert_eq!(sim.block_sums, want, "sim: tree collectives bit-exact under loss+reorder");
-    assert!(sim.report.faults.dropped > 0, "faults actually occurred: {:?}", sim.report.faults);
-    assert!(sim.report.faults.retransmits > 0, "and were recovered from");
+    assert!(sim.report.counters.get(Ctr::Drops) > 0, "faults actually occurred: {:?}", sim.report.counters);
+    assert!(sim.report.counters.get(Ctr::Retransmits) > 0, "and were recovered from");
 
     let threaded = {
         let topo = Topology::two_cluster(4);
@@ -292,7 +292,7 @@ fn tree_reductions_survive_loss_and_reorder_on_both_engines() {
         stencil::run_threaded(cfg, topo, latency, rc)
     };
     assert_eq!(threaded.block_sums, want, "threaded: tree collectives bit-exact under loss+reorder");
-    assert!(threaded.report.faults.retransmits > 0);
+    assert!(threaded.report.counters.get(Ctr::Retransmits) > 0);
 }
 
 #[test]
@@ -317,9 +317,9 @@ fn gateway_crash_and_rejoin_rebuilds_the_tree_bit_exact() {
         };
         let elastic = stencil::run_sim(cfg.clone(), net(), rc);
         assert_eq!(elastic.block_sums, clean.block_sums, "gateway crash+rejoin at {k}/{steps}: bit-exact");
-        assert_eq!(elastic.report.recoveries, 1, "crash at {k}/{steps}");
-        assert_eq!(elastic.report.pes_joined, 1, "rejoin at {k}/{steps}");
-        assert_eq!(elastic.report.generations, 3, "full → shrunk → re-expanded");
+        assert_eq!(elastic.report.counters.get(Ctr::Recoveries), 1, "crash at {k}/{steps}");
+        assert_eq!(elastic.report.counters.get(Ctr::PesJoined), 1, "rejoin at {k}/{steps}");
+        assert_eq!(elastic.report.counters.get(Ctr::Generations), 3, "full → shrunk → re-expanded");
         assert!(elastic.report.unrecoverable.is_none());
     }
 }

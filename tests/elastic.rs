@@ -43,7 +43,13 @@ fn frac_of(total: Dur, num: u32, den: u32) -> Dur {
 
 /// max/mean PE busy-time ratio — the imbalance figure the feedback
 /// balancer thresholds on.
-fn imbalance(report: &gridmdo::runtime::program::RunReport) -> f64 {
+/// A run's (recoveries, PEs joined, generations).
+fn membership(report: &RunReport) -> (u64, u64, u64) {
+    let c = |k| report.counters.get(k);
+    (c(Ctr::Recoveries), c(Ctr::PesJoined), c(Ctr::Generations))
+}
+
+fn imbalance(report: &RunReport) -> f64 {
     let busy: Vec<f64> = report.pe_busy.iter().map(|d| d.as_secs_f64()).collect();
     let mean = busy.iter().sum::<f64>() / busy.len() as f64;
     let max = busy.iter().cloned().fold(0.0, f64::max);
@@ -74,9 +80,7 @@ fn sim_stencil_rejoin_at_every_step_is_bit_exact() {
         let elastic = stencil::run_sim(cfg.clone(), stencil_net(), run_cfg);
 
         assert_eq!(elastic.block_sums, clean.block_sums, "crash+rejoin at {k}/{steps}: bit-exact");
-        assert_eq!(elastic.report.recoveries, 1, "crash at {k}/{steps}");
-        assert_eq!(elastic.report.pes_joined, 1, "rejoin at {k}/{steps}");
-        assert_eq!(elastic.report.generations, 3, "full → shrunk → re-expanded");
+        assert_eq!(membership(&elastic.report), (1, 1, 3), "crash + rejoin at {k}/{steps}: full → shrunk → full");
         assert_eq!(elastic.report.pe_busy.len(), 4, "back to full width");
         assert!(elastic.report.unrecoverable.is_none());
         assert_eq!(elastic.report.failures[0].pe, Pe(1));
@@ -102,9 +106,7 @@ fn sim_rejoin_at_a_wall_clock_time_is_bit_exact() {
     let elastic = stencil::run_sim(cfg, stencil_net(), run_cfg);
 
     assert_eq!(elastic.block_sums, clean.block_sums, "AtTime rejoin is bit-exact");
-    assert_eq!(elastic.report.recoveries, 1);
-    assert_eq!(elastic.report.pes_joined, 1);
-    assert_eq!(elastic.report.generations, 3);
+    assert_eq!(membership(&elastic.report), (1, 1, 3));
 }
 
 #[test]
@@ -130,9 +132,7 @@ fn sim_leanmd_crash_then_rejoin_sweep_is_bit_exact() {
 
         assert_eq!(elastic.checksums, clean.checksums, "crash+rejoin at {num}/{den}: bit-exact");
         assert_eq!(elastic.kinetic, clean.kinetic, "crash+rejoin at {num}/{den}");
-        assert_eq!(elastic.report.recoveries, 1, "at {num}/{den}");
-        assert_eq!(elastic.report.pes_joined, 1, "at {num}/{den}");
-        assert_eq!(elastic.report.generations, 3, "at {num}/{den}");
+        assert_eq!(membership(&elastic.report), (1, 1, 3), "crash + rejoin at {num}/{den}");
         assert!(elastic.report.unrecoverable.is_none());
     }
 }
@@ -172,18 +172,16 @@ fn threaded_stencil_crash_then_rejoin_is_bit_exact() {
             .expect("a complete buddy epoch precedes the crash in at least one of three attempts");
 
         assert_eq!(elastic.block_sums, clean.block_sums, "threaded crash+rejoin is bit-exact");
-        assert_eq!(elastic.report.recoveries, 1);
-        assert_eq!(elastic.report.pes_joined, 1);
-        assert_eq!(elastic.report.generations, 3);
+        assert_eq!(membership(&elastic.report), (1, 1, 3));
         assert_eq!(elastic.report.pe_busy.len(), 4, "back to full width");
 
         // Who leaves and who joins is one state machine's decision on both
         // engines: the simulator's report of the same plan tells the same
         // membership history.
         let sim = stencil::run_sim(cfg.clone(), stencil_net(), run_cfg).report;
-        let history = |r: &gridmdo::runtime::program::RunReport| {
+        let history = |r: &RunReport| {
             let failed: Vec<Pe> = r.failures.iter().map(|f| f.pe).collect();
-            (r.generations, r.recoveries, r.pes_joined, r.pe_messages.len(), failed)
+            (membership(r), r.pe_messages.len(), failed)
         };
         assert_eq!(history(&sim), history(&elastic.report));
     }
@@ -217,9 +215,7 @@ fn threaded_leanmd_crash_then_rejoin_is_bit_exact() {
 
     assert_eq!(elastic.checksums, clean.checksums, "threaded LeanMD crash+rejoin is bit-exact");
     assert_eq!(elastic.kinetic, clean.kinetic);
-    assert_eq!(elastic.report.recoveries, 1);
-    assert_eq!(elastic.report.pes_joined, 1);
-    assert_eq!(elastic.report.generations, 3);
+    assert_eq!(membership(&elastic.report), (1, 1, 3));
 }
 
 // ---- pure expand: a brand-new PE joins a healthy run ----------------------
@@ -239,9 +235,7 @@ fn sim_pure_expand_adds_a_brand_new_pe_bit_exact() {
     let wide = stencil::run_sim(cfg, stencil_net(), run_cfg);
 
     assert_eq!(wide.block_sums, clean.block_sums, "expand is bit-exact");
-    assert_eq!(wide.report.recoveries, 0);
-    assert_eq!(wide.report.pes_joined, 1);
-    assert_eq!(wide.report.generations, 2, "full → widened");
+    assert_eq!(membership(&wide.report), (0, 1, 2), "full → widened");
     assert_eq!(wide.report.pe_busy.len(), 5, "report covers the widened PE set");
     assert!(wide.report.pe_messages[4] > 0, "the new PE actually hosts work");
     assert!(wide.report.unrecoverable.is_none());
@@ -263,9 +257,7 @@ fn threaded_pure_expand_adds_a_brand_new_pe_bit_exact() {
     let wide = stencil::run_threaded(cfg, topo, latency, run_cfg);
 
     assert_eq!(wide.block_sums, clean.block_sums, "threaded expand is bit-exact");
-    assert_eq!(wide.report.recoveries, 0);
-    assert_eq!(wide.report.pes_joined, 1);
-    assert_eq!(wide.report.generations, 2);
+    assert_eq!(membership(&wide.report), (0, 1, 2));
     assert_eq!(wide.report.pe_busy.len(), 5);
     assert!(wide.report.unrecoverable.is_none());
 }
@@ -297,8 +289,8 @@ fn feedback_balancer_reduces_imbalance_without_app_changes() {
     };
     let balanced = run_synthetic(cfg, net(), fb_cfg);
 
-    assert!(balanced.rebalance_triggers > 0, "the skew trips the imbalance threshold");
-    assert!(balanced.migrations > 0, "triggered rounds actually move objects");
+    assert!(balanced.counters.get(Ctr::RebalanceTriggers) > 0, "the skew trips the imbalance threshold");
+    assert!(balanced.counters.get(Ctr::ObjectsMigrated) > 0, "triggered rounds actually move objects");
     let (before, after) = (imbalance(&unbalanced), imbalance(&balanced));
     assert!(after < before, "feedback balancing reduces max/mean busy ratio: {after:.3} < {before:.3}");
 }
@@ -321,7 +313,7 @@ fn feedback_balancer_stays_quiet_on_a_balanced_load() {
     let run_cfg = RunConfig { lb: LbChoice::Greedy, feedback: Some(FeedbackConfig::new()), ..RunConfig::default() };
     let report = run_synthetic(cfg, net, run_cfg);
 
-    assert_eq!(report.rebalance_triggers, 0, "no threshold crossing on uniform load");
-    assert_eq!(report.migrations, 0, "quiet barriers migrate nothing");
-    assert!(report.lb_rounds > 0, "the barriers did run");
+    assert_eq!(report.counters.get(Ctr::RebalanceTriggers), 0, "no threshold crossing on uniform load");
+    assert_eq!(report.counters.get(Ctr::ObjectsMigrated), 0, "quiet barriers migrate nothing");
+    assert!(report.counters.get(Ctr::LbRounds) > 0, "the barriers did run");
 }

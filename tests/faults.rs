@@ -177,8 +177,8 @@ fn sim_stencil_bit_exact_under_faults() {
     assert_bit_exact(&clean.block_sums, &want, "fault-free sim");
     assert_bit_exact(&faulty.block_sums, &want, "faulty sim");
     assert!(faulty.report.transport_error.is_none());
-    assert!(faulty.report.faults.dropped > 0, "faults occurred: {:?}", faulty.report.faults);
-    assert!(faulty.report.faults.retransmits > 0, "and were recovered from");
+    assert!(faulty.report.counters.get(Ctr::Drops) > 0, "faults occurred: {:?}", faulty.report.counters);
+    assert!(faulty.report.counters.get(Ctr::Retransmits) > 0, "and were recovered from");
     assert!(faulty.total > clean.total, "recovery shows in the makespan: {} !> {}", faulty.total, clean.total);
 }
 
@@ -202,9 +202,9 @@ fn threaded_stencil_bit_exact_under_faults() {
 
     assert_bit_exact(&out.block_sums, &want, "faulty threaded");
     assert!(out.report.transport_error.is_none());
-    let f = out.report.faults;
-    assert!(f.dropped + f.corrupt_rejected > 0, "the wire misbehaved: {f:?}");
-    assert!(f.retransmits > 0, "the reliable layer retransmitted: {f:?}");
+    let f = &out.report.counters;
+    assert!(f.get(Ctr::Drops) + f.get(Ctr::CorruptRejected) > 0, "the wire misbehaved: {f:?}");
+    assert!(f.get(Ctr::Retransmits) > 0, "the reliable layer retransmitted: {f:?}");
 }
 
 /// Both engines, same fault scenario, one truth: the field is the
@@ -266,6 +266,10 @@ fn leanmd_bit_exact_under_faults() {
     assert_eq!(clean.kinetic.to_bits(), threaded.kinetic.to_bits());
     assert!(sim.report.transport_error.is_none());
     assert!(threaded.report.transport_error.is_none());
-    assert!(sim.report.faults.retransmits > 0, "sim recovered from losses: {:?}", sim.report.faults);
-    assert!(threaded.report.faults.retransmits > 0, "threaded recovered from losses: {:?}", threaded.report.faults);
+    assert!(sim.report.counters.get(Ctr::Retransmits) > 0, "sim recovered from losses: {:?}", sim.report.counters);
+    assert!(
+        threaded.report.counters.get(Ctr::Retransmits) > 0,
+        "threaded recovered from losses: {:?}",
+        threaded.report.counters
+    );
 }

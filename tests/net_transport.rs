@@ -160,7 +160,10 @@ fn two_node_leanmd_matches_sim_bit_exactly() {
     let exit = Envelope { src: Pe(2), dst: Pe(0), priority: SYSTEM_PRIORITY, sent_at_ns: 0, body: MsgBody::Exit };
     assert_eq!(m.network.cross_messages, s.network.cross_messages + 2);
     assert_eq!(m.network.cross_bytes, s.network.cross_bytes + 2 * exit.encode().len() as u64);
-    assert_eq!((m.lb_rounds, m.migrations, m.generations), (s.lb_rounds, s.migrations, s.generations));
+    // Every counter agrees but the mailbox wakeups: those count signals,
+    // so they follow thread timing.
+    let differ: Vec<_> = m.counters.iter().zip(s.counters.iter()).filter(|(a, b)| a != b).collect();
+    assert!(differ.iter().all(|((c, _), _)| *c == Ctr::MailboxSignals), "TCP vs in-process: {differ:?}");
     // PEs race the final Exit envelope against the stop flag.
     for (pe, (a, b)) in m.pe_messages.iter().zip(&s.pe_messages).enumerate() {
         assert!(a.abs_diff(*b) <= 1, "PE {pe} processed {a} envelopes over TCP, {b} in-process");
@@ -190,12 +193,12 @@ fn crash_on_a_remote_node_recovers_over_survivors() {
 
         let multi = run_stencil_net(&cfg, &topo, &latency, &run_cfg);
         assert_eq!(multi.block_sums, clean.block_sums, "recovery over TCP is bit-exact ({victim} down)");
-        assert_eq!(multi.report.failures_detected, 1);
-        assert_eq!(multi.report.recoveries, 1);
-        assert_eq!(multi.report.generations, 2);
+        assert_eq!(multi.report.failures.len(), 1);
+        assert_eq!(multi.report.counters.get(Ctr::Recoveries), 1);
+        assert_eq!(multi.report.counters.get(Ctr::Generations), 2);
         assert_eq!(multi.report.failures[0].pe, victim);
         assert!(multi.report.unrecoverable.is_none());
-        assert!(multi.report.checkpoints_taken > 0);
+        assert!(multi.report.counters.get(Ctr::CheckpointsTaken) > 0);
     }
 }
 

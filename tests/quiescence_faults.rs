@@ -85,7 +85,7 @@ fn sim_quiescence_fires_once_under_drop_and_reorder() {
     assert_eq!(received.load(Ordering::SeqCst), u64::from(HOPS) + 1, "every hop delivered exactly once");
     assert!(report.unrecoverable.is_none());
     assert!(report.transport_error.is_none());
-    assert!(report.faults.dropped > 0, "the plan actually dropped packets");
+    assert!(report.counters.get(Ctr::Drops) > 0, "the plan actually dropped packets");
 
     // The mdo-check oracle: with a quiescent exit, no application message
     // may have been sent but undelivered, and none delivered twice.
@@ -131,6 +131,6 @@ fn threaded_quiescence_fires_once_under_drop_and_reorder() {
     assert_eq!(received.load(Ordering::SeqCst), u64::from(HOPS) + 1, "every hop delivered exactly once");
     assert!(report.unrecoverable.is_none());
     assert!(report.transport_error.is_none());
-    assert!(report.faults.dropped > 0, "the plan actually dropped packets");
-    assert!(report.faults.retransmits > 0, "the reliable layer repaired the drops");
+    assert!(report.counters.get(Ctr::Drops) > 0, "the plan actually dropped packets");
+    assert!(report.counters.get(Ctr::Retransmits) > 0, "the reliable layer repaired the drops");
 }
