@@ -1,10 +1,11 @@
 //! Ablation A14: topology-aware collective trees.
 //!
-//! `RunConfig::tree_collectives` reroutes broadcasts, multicasts and
-//! reductions over a two-level spanning tree — one gateway PE per
-//! cluster, partial-combine at the gateway, then a single wide-area hop
-//! to the root.  This ablation measures exactly what the tree buys: the
-//! number of wide-area messages per collective round.
+//! `RunConfig::tree_collectives` selects the shape of the spanning tree
+//! that broadcasts, multicasts and reductions run over: the flat binary
+//! PE heap (`None`) or a two-level tree — one gateway PE per cluster,
+//! partial-combine at the gateway, then a single wide-area hop to the
+//! root.  This ablation measures exactly what the two-level shape buys:
+//! the number of wide-area messages per collective round.
 //!
 //! The microbenchmark is a pure broadcast→reduce pulse (every element
 //! contributes one f64 per round, the host re-broadcasts on each
@@ -20,14 +21,15 @@
 //! `wan_msgs_sent` flat vs tree on the same run, with the outputs
 //! checked bit-exact across modes.
 //!
-//! Results land in `results/BENCH_collectives.json`.
+//! Every count is exact in the simulator: the full-mode output is
+//! committed as `results/ablation_collectives.txt`.
 //!
-//! Usage: `ablation_collectives [--quick] [--out FILE] [--csv]`
+//! Usage: `ablation_collectives [--quick] [--csv]`
 
 use mdo_apps::leanmd::{self, MdConfig};
 use mdo_apps::stencil::{self, StencilConfig, StencilCost};
+use mdo_bench::arg_flag;
 use mdo_bench::table::Table;
-use mdo_bench::{arg_flag, arg_value};
 use mdo_core::envelope::ReduceOp;
 use mdo_core::prelude::*;
 use mdo_core::{Chare, Ctx, SimEngine};
@@ -90,7 +92,6 @@ fn wan_per_round(topo: &Topology, elems: usize, rounds: u32, tree: Option<TreeCo
 
 struct MicroRow {
     layout: String,
-    clusters: u32,
     pes: u32,
     elems: usize,
     flat: f64,
@@ -150,7 +151,6 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = arg_flag(&args, "--quick");
     let csv = arg_flag(&args, "--csv");
-    let out_path = arg_value(&args, "--out").unwrap_or_else(|| "results/BENCH_collectives.json".into());
 
     let rounds: u32 = if quick { 8 } else { 32 };
     println!("== A14: collective-tree ablation ({} mode) ==\n", if quick { "quick" } else { "full" });
@@ -171,15 +171,7 @@ fn main() {
             "tree per-round WAN traffic must respect the gateway bound: {tree} !<= {bound} ({clusters} clusters)"
         );
         assert!(tree < flat, "trees must beat flat collectives: {tree} !< {flat} ({clusters}x{per})");
-        micro.push(MicroRow {
-            layout: format!("{clusters} x {per}"),
-            clusters,
-            pes: clusters * per,
-            elems,
-            flat,
-            tree,
-            bound,
-        });
+        micro.push(MicroRow { layout: format!("{clusters} x {per}"), pes: clusters * per, elems, flat, tree, bound });
     }
 
     let mut table = Table::new(vec!["layout", "PEs", "objects", "flat WAN/round", "tree WAN/round", "tree bound"]);
@@ -210,35 +202,4 @@ fn main() {
     }
     println!("{}", if csv { app_table.render_csv() } else { app_table.render() });
     println!("(identical application output in both modes — asserted bit-exact)\n");
-
-    // ---- JSON --------------------------------------------------------------
-    let micro_json: Vec<String> = micro
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{ \"layout\": \"{}\", \"clusters\": {}, \"pes\": {}, \"objects\": {}, \
-                 \"flat_wan_per_round\": {:.2}, \"tree_wan_per_round\": {:.2}, \"tree_bound\": {} }}",
-                r.layout, r.clusters, r.pes, r.elems, r.flat, r.tree, r.bound
-            )
-        })
-        .collect();
-    let app_json: Vec<String> = apps
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{ \"app\": \"{}\", \"flat_wan_msgs\": {}, \"tree_wan_msgs\": {} }}",
-                r.app, r.flat_wan, r.tree_wan
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"schema\": 1,\n  \"quick\": {quick},\n  \"rounds\": {rounds},\n  \"per_round\": [\n{}\n  ],\n  \"applications\": [\n{}\n  ]\n}}\n",
-        micro_json.join(",\n"),
-        app_json.join(",\n")
-    );
-    if let Some(dir) = std::path::Path::new(&out_path).parent() {
-        std::fs::create_dir_all(dir).expect("create results directory");
-    }
-    std::fs::write(&out_path, &json).expect("write results json");
-    println!("wrote {out_path}");
 }

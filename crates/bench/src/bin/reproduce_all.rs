@@ -59,10 +59,6 @@ fn main() {
         if bin == "ablation_overload" {
             extra.extend(["--out", overload_json.to_str().expect("utf-8 out dir")]);
         }
-        let collectives_json = out_dir.join("BENCH_collectives.json");
-        if bin == "ablation_collectives" {
-            extra.extend(["--out", collectives_json.to_str().expect("utf-8 out dir")]);
-        }
         print!("running {bin:<22} -> {} ... ", out_dir.join(out_file).display());
         let started = Instant::now();
         let output = Command::new(&exe).args(extra.iter()).output().expect("spawn bench binary");

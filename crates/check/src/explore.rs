@@ -57,10 +57,10 @@ pub struct ExploreConfig {
     /// comparison is skipped and the balance invariants tolerate exactly
     /// the reported shed count.
     pub flow: Option<FlowConfig>,
-    /// Topology-aware collective trees applied to every run.  Gateway
-    /// forwarding re-times broadcasts, multicasts and reduction fold-ins,
-    /// and reductions combine in tree order — yet every state digest must
-    /// still match the flat FIFO reference bit for bit.
+    /// The collective tree shape applied to every run (`None`: the binary
+    /// PE heap).  The two-level tree's gateway forwarding re-times
+    /// broadcasts, multicasts and reduction fold-ins — yet every state
+    /// digest must still match the heap's FIFO reference bit for bit.
     pub tree: Option<TreeConfig>,
 }
 

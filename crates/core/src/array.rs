@@ -90,75 +90,6 @@ impl ArrayLocal {
     }
 }
 
-/// The PE reduction/broadcast spanning tree: a binary tree rooted at PE 0.
-pub mod petree {
-    use mdo_netsim::Pe;
-
-    /// Parent of `pe` in the tree (None for the root).
-    pub fn parent(pe: Pe) -> Option<Pe> {
-        if pe.0 == 0 {
-            None
-        } else {
-            Some(Pe((pe.0 - 1) / 2))
-        }
-    }
-
-    /// Children of `pe` among `n` PEs.
-    pub fn children(pe: Pe, n: usize) -> impl Iterator<Item = Pe> {
-        let base = pe.0 as u64 * 2;
-        (1..=2u64).map(move |k| base + k).filter(move |&c| (c as usize) < n).map(|c| Pe(c as u32))
-    }
-
-    /// All PEs in the subtree rooted at `pe` (including `pe`).
-    pub fn subtree(pe: Pe, n: usize) -> Vec<Pe> {
-        let mut out = Vec::new();
-        let mut stack = vec![pe];
-        while let Some(p) = stack.pop() {
-            out.push(p);
-            stack.extend(children(p, n));
-        }
-        out
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        #[test]
-        fn parent_child_consistency() {
-            let n = 13;
-            for pe in 1..n as u32 {
-                let p = parent(Pe(pe)).unwrap();
-                assert!(children(p, n).any(|c| c == Pe(pe)), "pe{pe} is a child of its parent");
-            }
-            assert_eq!(parent(Pe(0)), None);
-        }
-
-        #[test]
-        fn subtree_partitions_all_pes() {
-            let n = 13;
-            let all = subtree(Pe(0), n);
-            assert_eq!(all.len(), n);
-            let mut sorted: Vec<u32> = all.iter().map(|p| p.0).collect();
-            sorted.sort_unstable();
-            assert_eq!(sorted, (0..n as u32).collect::<Vec<_>>());
-        }
-
-        #[test]
-        fn leaf_has_no_children() {
-            assert_eq!(children(Pe(6), 13).count(), 0);
-            assert_eq!(children(Pe(5), 13).count(), 2);
-            assert_eq!(children(Pe(6), 14).count(), 1);
-        }
-
-        #[test]
-        fn single_pe_tree() {
-            assert_eq!(subtree(Pe(0), 1), vec![Pe(0)]);
-            assert_eq!(children(Pe(0), 1).count(), 0);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

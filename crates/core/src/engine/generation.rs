@@ -325,12 +325,12 @@ impl Membership {
                 obs[o.index()].events.push(Event::Recovery { at });
             }
         }
-        self.shared = Arc::new(NodeShared {
+        self.shared = Arc::new(NodeShared::new(
             topo,
-            arrays: self.shared.arrays.clone(),
-            cfg: self.shared.cfg.clone(),
-            restore: Some(Arc::new(snapshot)),
-        });
+            self.shared.arrays.clone(),
+            self.shared.cfg.clone(),
+            Some(Arc::new(snapshot)),
+        ));
     }
 
     /// The run's report, from its closed books.

@@ -20,7 +20,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use mdo_netsim::{Dur, Pe, SpanTree, Time, Topology};
 
-use crate::array::{petree, ArrayLocal, ArraySpec};
+use crate::array::{ArrayLocal, ArraySpec};
 use crate::balancer::{run_strategy, LbInput, ObjMeasurement, Strategy};
 use crate::chare::{Chare, Ctx, CtxOut, CtxSink, NO_PAYLOAD};
 use crate::checkpoint::{CkptAssembly, FtPiece};
@@ -44,6 +44,24 @@ pub struct NodeShared {
     pub cfg: RunConfig,
     /// Checkpoint to restore element state from (None = fresh start).
     pub restore: Option<Arc<crate::checkpoint::Snapshot>>,
+    /// The collective tree over `topo`, in the shape
+    /// [`RunConfig::tree_collectives`] selects.  Built once per
+    /// generation: a shrink or expand builds a new `NodeShared` over the
+    /// new topology, so every PE of every engine sees the same tree.
+    pub tree: SpanTree,
+}
+
+impl NodeShared {
+    /// The shared context of one generation, with its collective tree.
+    pub fn new(
+        topo: Topology,
+        arrays: Vec<Arc<ArraySpec>>,
+        cfg: RunConfig,
+        restore: Option<Arc<crate::checkpoint::Snapshot>>,
+    ) -> Self {
+        let tree = SpanTree::new(&topo, cfg.tree_collectives);
+        NodeShared { topo, arrays, cfg, restore, tree }
+    }
 }
 
 /// What an engine must provide while a node processes one envelope.
@@ -107,7 +125,7 @@ impl HostParts {
 pub fn split_program(mut p: Program, topo: Topology, cfg: RunConfig) -> (Arc<NodeShared>, HostParts) {
     let host = HostParts::from_program(&mut p);
     let restore = p.restore.take();
-    let shared = Arc::new(NodeShared { topo, arrays: std::mem::take(&mut p.arrays), cfg, restore });
+    let shared = Arc::new(NodeShared::new(topo, std::mem::take(&mut p.arrays), cfg, restore));
     (shared, host)
 }
 
@@ -177,17 +195,13 @@ pub struct Node {
     /// batches are byte-identical.
     elems: BTreeMap<ObjKey, Box<dyn Chare>>,
     arrays: Vec<ArrayLocal>,
+    /// Local contributions, one fold per array, until every local
+    /// element of a reduction has contributed.
     reductions: Vec<crate::reduction::PeReductions>,
-    /// Tree-mode child-partial buffers, one per array (unused when
-    /// `tree` is `None`: the flat path folds children on arrival).
+    /// The local partial plus one partial per tree child, one buffer per
+    /// array, joined in fixed tree order.
     tree_red: Vec<crate::reduction::TreeReductions>,
     root: Vec<crate::reduction::RootDelivery>,
-    /// The topology-aware collective tree, when
-    /// [`RunConfig::tree_collectives`] is armed.  Derived from
-    /// `shared.topo` at construction, so every shrink/expand generation —
-    /// which builds fresh nodes over the new topology — rebuilds it
-    /// consistently on every engine.
-    tree: Option<SpanTree>,
     host: HostParts,
     strategy: Arc<dyn Strategy>,
     lb: LbState,
@@ -247,7 +261,6 @@ impl Node {
             }
         }
         let strategy = shared.cfg.lb.strategy();
-        let tree = shared.cfg.tree_collectives.map(|tc| SpanTree::build(&shared.topo, tc));
         let tree_red = (0..n_arrays).map(|_| crate::reduction::TreeReductions::new()).collect();
         Node {
             shared,
@@ -257,7 +270,6 @@ impl Node {
             reductions,
             tree_red,
             root,
-            tree,
             host,
             strategy,
             lb: LbState::default(),
@@ -363,7 +375,8 @@ impl Node {
                 self.qd.active = true;
                 // Forward down the PE tree first so propagation overlaps
                 // with local delivery.
-                for child in self.bcast_children() {
+                let shared = Arc::clone(&self.shared);
+                for &child in shared.tree.children(self.pe) {
                     self.qd.sent += 1;
                     self.emit_env(
                         hooks,
@@ -385,45 +398,33 @@ impl Node {
             MsgBody::Multi { array, elems, entry, payload } => {
                 self.qd.processed += 1;
                 self.qd.active = true;
-                if self.tree.is_some() {
-                    // Tree multicast: a gateway receives one Multi for its
-                    // whole cluster and re-splits it by current element
-                    // location — locals are delivered, remote groups are
-                    // re-emitted as Multis (still one wire message per
-                    // destination, and still one WAN hop per cluster if a
-                    // migration moved elements across the wide area).
-                    let (locals, remote) = self.split_by_location(array, elems);
-                    for (dst, group) in remote {
-                        self.qd.sent += 1;
-                        self.emit_env(
-                            hooks,
-                            dst,
-                            priority,
-                            MsgBody::Multi { array, elems: group, entry, payload: payload.clone() },
-                            Dur::ZERO,
-                        );
-                    }
-                    for elem in locals {
-                        let key = ObjKey::new(array, elem);
-                        self.deliver_app(key, entry, payload.clone(), priority, hooks, &mut outcome);
-                    }
-                } else {
-                    for elem in elems {
-                        let key = ObjKey::new(array, elem);
-                        self.deliver_app(key, entry, payload.clone(), priority, hooks, &mut outcome);
-                    }
+                // Re-split by current element location: locals are
+                // delivered, the rest re-emitted as one Multi per next hop
+                // (a gateway receives one Multi for its whole cluster; an
+                // element that migrated while the Multi was in flight
+                // follows it to its new PE).
+                let (locals, remote) = self.split_by_location(array, elems);
+                for (dst, group) in remote {
+                    self.qd.sent += 1;
+                    self.emit_env(
+                        hooks,
+                        dst,
+                        priority,
+                        MsgBody::Multi { array, elems: group, entry, payload: payload.clone() },
+                        Dur::ZERO,
+                    );
+                }
+                for elem in locals {
+                    let key = ObjKey::new(array, elem);
+                    self.deliver_app(key, entry, payload.clone(), priority, hooks, &mut outcome);
                 }
             }
             MsgBody::ReduceUp { array, seq, op, count, data } => {
-                if self.tree.is_some() {
-                    // Tree mode: buffer the child's complete partial keyed
-                    // by its PE so the combine order is fixed by the tree,
-                    // not by delivery order.
-                    let partial = crate::reduction::Partial { op, count, data };
-                    self.tree_red[array.0 as usize].offer_child(seq, src.0, partial);
-                } else {
-                    self.reductions[array.0 as usize].fold(seq, op, count, data);
-                }
+                // Buffer the child's complete partial keyed by its PE, so
+                // the combine order is fixed by the tree, not by delivery
+                // order.
+                let partial = crate::reduction::Partial { op, count, data };
+                self.tree_red[array.0 as usize].offer_child(seq, src.0, partial);
                 self.flush_reductions(array, hooks, &mut outcome);
             }
             MsgBody::AtSyncReady { stats } => {
@@ -674,25 +675,17 @@ impl Node {
                     self.emit_env(hooks, Pe(0), APP_PRIORITY, MsgBody::Broadcast { array, entry, payload }, at_charge);
                 }
                 CtxOut::Multicast { array, elems, entry, payload, at_charge } => {
-                    // Group destinations by next hop.  Flat: the current
-                    // hosting PE — the payload crosses the wire once per
-                    // PE, so a section spanning a remote cluster pays one
-                    // WAN copy per remote PE.  Tree: remote-cluster
-                    // elements collapse into one group per cluster,
+                    // Group destinations by the tree's next hop.  The heap
+                    // has no gateways: the hop is the hosting PE, so a
+                    // section spanning a remote cluster pays one WAN copy
+                    // per remote PE.  The two-level tree collapses
+                    // remote-cluster elements into one group per cluster,
                     // addressed to its gateway — one WAN copy per cluster,
                     // re-split locally on arrival.
-                    let mut by_pe: std::collections::BTreeMap<Pe, Vec<crate::ids::ElemId>> =
-                        std::collections::BTreeMap::new();
+                    let mut by_pe: BTreeMap<Pe, Vec<crate::ids::ElemId>> = BTreeMap::new();
                     let local = &self.arrays[array.0 as usize];
-                    let topo = &self.shared.topo;
                     for elem in elems {
-                        let loc = local.location(elem);
-                        let hop = match &self.tree {
-                            Some(tree) if topo.crosses_wan(self.pe, loc) => {
-                                tree.gateway(topo.cluster_of(loc)).expect("a hosting cluster is non-empty")
-                            }
-                            _ => loc,
-                        };
+                        let hop = self.shared.tree.next_hop(&self.shared.topo, self.pe, local.location(elem));
                         by_pe.entry(hop).or_default().push(elem);
                     }
                     for (dst, group) in by_pe {
@@ -741,42 +734,25 @@ impl Node {
 
     // ---- collective topology --------------------------------------------
 
-    /// Children this PE forwards broadcasts to: the topology-aware
-    /// spanning tree when `tree_collectives` is on, the flat binary PE
-    /// heap otherwise.
-    fn bcast_children(&self) -> Vec<Pe> {
-        match &self.tree {
-            Some(tree) => tree.children(self.pe).to_vec(),
-            None => petree::children(self.pe, self.num_pes()).collect(),
-        }
-    }
-
-    /// Split a multicast element list by current location (tree mode):
-    /// elements hosted here are delivered locally; same-cluster elements
-    /// go straight to their PE; elements in other clusters collapse into
-    /// one group per cluster, addressed to that cluster's gateway.
+    /// Split a multicast element list by current location: elements
+    /// hosted here are delivered locally, the rest grouped by the tree's
+    /// next hop (their own PE, or their cluster's gateway across the WAN
+    /// in the two-level shape).
     fn split_by_location(
         &self,
         array: ArrayId,
-        elems: Vec<crate::ids::ElemId>,
-    ) -> (Vec<crate::ids::ElemId>, Vec<(Pe, Vec<crate::ids::ElemId>)>) {
-        let tree = self.tree.as_ref().expect("split_by_location requires tree collectives");
-        let topo = &self.shared.topo;
+        mut elems: Vec<crate::ids::ElemId>,
+    ) -> (Vec<crate::ids::ElemId>, BTreeMap<Pe, Vec<crate::ids::ElemId>>) {
         let local = &self.arrays[array.0 as usize];
-        let mut locals = Vec::new();
-        let mut remote: std::collections::BTreeMap<Pe, Vec<crate::ids::ElemId>> = std::collections::BTreeMap::new();
-        for elem in elems {
+        let mut remote: BTreeMap<Pe, Vec<crate::ids::ElemId>> = BTreeMap::new();
+        elems.retain(|&elem| {
             let loc = local.location(elem);
-            if loc == self.pe {
-                locals.push(elem);
-            } else if topo.crosses_wan(self.pe, loc) {
-                let gw = tree.gateway(topo.cluster_of(loc)).expect("a hosting cluster is non-empty");
-                remote.entry(gw).or_default().push(elem);
-            } else {
-                remote.entry(loc).or_default().push(elem);
+            if loc != self.pe {
+                remote.entry(self.shared.tree.next_hop(&self.shared.topo, self.pe, loc)).or_default().push(elem);
             }
-        }
-        (locals, remote.into_iter().collect())
+            loc == self.pe
+        });
+        (elems, remote)
     }
 
     // ---- reductions -----------------------------------------------------
@@ -784,16 +760,13 @@ impl Node {
     /// Elements of `array` hosted in this PE's spanning-tree subtree.
     fn subtree_expected(&self, array: ArrayId) -> u64 {
         let local = &self.arrays[array.0 as usize];
-        match &self.tree {
-            Some(tree) => tree.subtree(self.pe).into_iter().map(|pe| local.count_on(pe) as u64).sum(),
-            None => petree::subtree(self.pe, self.num_pes()).into_iter().map(|pe| local.count_on(pe) as u64).sum(),
-        }
+        self.shared.tree.subtree(self.pe).into_iter().map(|pe| local.count_on(pe) as u64).sum()
     }
 
     /// Tree children expected to send a `ReduceUp` for `array`: those
     /// whose subtree hosts at least one element.
     fn red_children(&self, array: ArrayId) -> Vec<u32> {
-        let tree = self.tree.as_ref().expect("red_children requires tree collectives");
+        let tree = &self.shared.tree;
         let local = &self.arrays[array.0 as usize];
         tree.children(self.pe)
             .iter()
@@ -802,27 +775,12 @@ impl Node {
             .collect()
     }
 
-    fn flush_reductions(&mut self, array: ArrayId, hooks: &mut dyn NodeHooks, outcome: &mut HandleOutcome) {
-        if self.tree.is_some() {
-            self.flush_reductions_tree(array, hooks, outcome);
-            return;
-        }
-        let expected = self.subtree_expected(array);
-        if expected == 0 {
-            return;
-        }
-        let complete = self.reductions[array.0 as usize].take_complete(expected);
-        for (seq, partial) in complete {
-            self.forward_or_deliver(array, seq, partial, hooks, outcome);
-        }
-    }
-
-    /// Tree-mode flush: local contributions complete against the local
-    /// element count only, then join the per-child partials in the fixed
-    /// tree order (local first, children ascending by PE) before one
-    /// `ReduceUp` to the tree parent — partial-combine at the gateway
+    /// Local contributions complete against the local element count only,
+    /// then join the per-child partials in the fixed tree order (local
+    /// first, children ascending by PE) before one `ReduceUp` to the tree
+    /// parent — in the two-level shape, partial-combine at the gateway
     /// ahead of the single wide-area hop.
-    fn flush_reductions_tree(&mut self, array: ArrayId, hooks: &mut dyn NodeHooks, outcome: &mut HandleOutcome) {
+    fn flush_reductions(&mut self, array: ArrayId, hooks: &mut dyn NodeHooks, outcome: &mut HandleOutcome) {
         let total = self.subtree_expected(array);
         if total == 0 {
             return;
@@ -841,7 +799,7 @@ impl Node {
     }
 
     /// A subtree-complete partial either reaches the host client (root)
-    /// or folds one hop up the active PE tree.
+    /// or folds one hop up the tree.
     fn forward_or_deliver(
         &mut self,
         array: ArrayId,
@@ -856,10 +814,7 @@ impl Node {
                 self.deliver_reduction(array, s, p.data, hooks, outcome);
             }
         } else {
-            let parent = match &self.tree {
-                Some(tree) => tree.parent(self.pe).expect("non-root PE has a tree parent"),
-                None => petree::parent(self.pe).expect("non-root PE has a parent"),
-            };
+            let parent = self.shared.tree.parent(self.pe).expect("non-root PE has a tree parent");
             self.emit_env(
                 hooks,
                 parent,

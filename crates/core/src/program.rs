@@ -309,17 +309,18 @@ pub struct RunConfig {
     /// one-node case: the whole job in one process.  Ignored by the
     /// simulation engine.
     pub net: Option<mdo_net::NetConfig>,
-    /// Grid-topology-aware collectives: when set, broadcasts, reductions
-    /// and section multicasts route over a two-level
-    /// [`SpanTree`](mdo_netsim::SpanTree) — one gateway PE per cluster,
+    /// The shape of the [`SpanTree`](mdo_netsim::SpanTree) that every
+    /// broadcast, reduction and section multicast runs over; the
+    /// algorithm, and the fixed order in which reductions combine child
+    /// partials, are the same for both.  `None` (the default) is the
+    /// cluster-blind binary PE heap, with no gateways.  `Some` is the
+    /// Grid-topology-aware two-level tree — one gateway PE per cluster,
     /// so each collective crosses the wide area once per remote cluster
     /// instead of once per remote PE, with intra-cluster fan-in/fan-out
     /// under the config's branching factor and reduction partial-combine
-    /// at the gateway (folded in fixed tree order).  Trees are a pure
-    /// function of the topology, so shrink/expand generation changes
-    /// rebuild them consistently on every engine.  `None` (the default)
-    /// keeps the flat binary PE tree, bit-identical to the historical
-    /// collectives.
+    /// at the gateway.  Either shape is a pure function of the topology,
+    /// so shrink/expand generation changes rebuild it consistently on
+    /// every engine.
     pub tree_collectives: Option<TreeConfig>,
 }
 

@@ -1,11 +1,14 @@
 //! Reduction combining machinery.
 //!
-//! Reductions run over the binary PE tree of [`crate::array::petree`]:
-//! each element contributes exactly once per reduction; a PE folds local
-//! contributions and child partials together; when a PE's partial covers
-//! its whole subtree it flows to the parent; the root (PE 0) delivers
-//! results to the host client **in sequence order**, regardless of the
-//! order in which racing reductions complete.
+//! Reductions run over the run's collective
+//! [`SpanTree`](mdo_netsim::SpanTree), in whichever shape it has: each
+//! element contributes exactly once per reduction; a PE first folds its
+//! local contributions ([`PeReductions`]), then joins that partial with
+//! one complete partial per tree child in fixed tree order
+//! ([`TreeReductions`]); the joined partial, covering the PE's whole
+//! subtree, flows to the parent; the root (PE 0) delivers results to the
+//! host client **in sequence order**, regardless of the order in which
+//! racing reductions complete.
 //!
 //! This module is pure bookkeeping (no I/O), so it is testable in
 //! isolation; `node.rs` wires it to the message fabric.
@@ -137,26 +140,22 @@ impl PeReductions {
         let seq_ref = self.elem_seq.entry(from).or_insert(0);
         let seq = *seq_ref;
         *seq_ref += 1;
-        self.fold(seq, op, 1, lift(from, data));
-        seq
-    }
-
-    /// Fold a child PE's partial into ours.
-    pub fn fold(&mut self, seq: u32, op: ReduceOp, count: u64, data: ReduceData) {
+        let data = lift(from, data);
         match self.pending.get_mut(&seq) {
             Some(p) => {
                 assert_eq!(p.op, op, "reduction {seq}: conflicting operators");
                 combine(op, &mut p.data, data);
-                p.count += count;
+                p.count += 1;
             }
             None => {
-                self.pending.insert(seq, Partial { op, count, data });
+                self.pending.insert(seq, Partial { op, count: 1, data });
             }
         }
+        seq
     }
 
     /// Remove and return every reduction whose partial now covers
-    /// `expected` contributions (the element count of this PE's subtree).
+    /// `expected` contributions (the element count on this PE).
     pub fn take_complete(&mut self, expected: u64) -> Vec<(u32, Partial)> {
         let done: Vec<u32> = self.pending.iter().filter(|(_, p)| p.count >= expected).map(|(&s, _)| s).collect();
         done.into_iter()
@@ -169,16 +168,16 @@ impl PeReductions {
     }
 }
 
-/// Tree-mode reduction state for one PE and one array: the locally-folded
-/// partial plus buffered child partials, combined in **fixed order** —
-/// local contributions first, then children ascending by PE — once every
+/// Reduction state for one PE and one array: the locally-folded partial
+/// plus buffered child partials, combined in **fixed order** — local
+/// contributions first, then children ascending by PE — once every
 /// expected piece is present.
 ///
-/// The flat path folds child partials in arrival order, which is fine for
-/// the exact operators but lets the delivery schedule pick the float
-/// combine order.  Under a [`SpanTree`](mdo_netsim::SpanTree) the combine
-/// order is a function of the tree alone, so a reduction's bit pattern
-/// cannot depend on which child's wide-area hop lands first.
+/// Folding child partials in arrival order would be fine for the exact
+/// operators but would let the delivery schedule pick the float combine
+/// order.  Here the combine order is a function of the tree alone, so a
+/// reduction's bit pattern cannot depend on which child's hop lands
+/// first.
 #[derive(Default, Debug)]
 struct TreePending {
     local: Option<Partial>,
@@ -186,7 +185,7 @@ struct TreePending {
     children: BTreeMap<u32, Partial>,
 }
 
-/// Per-PE, per-array buffer of tree-mode reductions in flight.
+/// Per-PE, per-array buffer of reductions in flight.
 #[derive(Default, Debug)]
 pub struct TreeReductions {
     pending: BTreeMap<u32, TreePending>,
@@ -198,8 +197,8 @@ impl TreeReductions {
         TreeReductions::default()
     }
 
-    /// True if no tree reduction is buffered here (required at LB
-    /// barriers, exactly like [`PeReductions::is_quiescent`]).
+    /// True if no reduction is buffered here (required at LB barriers,
+    /// exactly like [`PeReductions::is_quiescent`]).
     pub fn is_quiescent(&self) -> bool {
         self.pending.is_empty()
     }
@@ -371,17 +370,6 @@ mod tests {
         assert_eq!(p.count, 2);
         assert_eq!(p.data, ReduceData::F64(vec![4.0]));
         assert!(!r.is_quiescent(), "seq 1 still pending");
-    }
-
-    #[test]
-    fn fold_child_partials() {
-        let mut r = PeReductions::new();
-        r.contribute(key(0), ReduceOp::SumU64, ContribData::U64(vec![5]));
-        r.fold(0, ReduceOp::SumU64, 3, ReduceData::U64(vec![10]));
-        let done = r.take_complete(4);
-        assert_eq!(done.len(), 1);
-        assert_eq!(done[0].1.data, ReduceData::U64(vec![15]));
-        assert!(r.is_quiescent());
     }
 
     #[test]

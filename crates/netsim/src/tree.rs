@@ -1,27 +1,29 @@
-//! Topology-aware spanning trees for collective operations.
+//! Spanning trees for collective operations.
 //!
-//! The flat collectives treat all PEs as peers, so a broadcast or a
-//! reduction crosses the wide-area link once per remote PE — exactly the
-//! cost MPICH-G2's multi-level collectives were built to avoid.  A
-//! [`SpanTree`] is the Grid-aware alternative: a **two-level** spanning
-//! tree over a [`Topology`] in which
+//! Every broadcast, section multicast and reduction runs over one
+//! [`SpanTree`] rooted at PE 0, in one of two shapes:
 //!
-//! * every non-empty cluster designates one **gateway** PE (its
-//!   lowest-numbered PE),
-//! * the root (PE 0, which is its own cluster's gateway) parents every
-//!   other gateway directly — so the wide area is crossed **exactly once
-//!   per remote cluster** in each direction, and
-//! * within a cluster the remaining PEs hang under the gateway as a
-//!   k-ary tree with a configurable branching factor — fan-out happens
-//!   over cheap local links.
+//! * the **binary heap** ([`SpanTree::heap`]), cluster-blind: PE p hangs
+//!   under PE (p − 1) / 2 over the dense PE numbering, and there are no
+//!   gateways, so a multicast addresses each element's own PE.  A
+//!   collective crosses the wide area once per remote PE on its path;
+//! * the **two-level** tree ([`SpanTree::build`]), the Grid-aware shape of
+//!   MPICH-G2's multi-level collectives, in which
+//!   - every non-empty cluster designates one **gateway** PE (its
+//!     lowest-numbered PE),
+//!   - the root (PE 0, which is its own cluster's gateway) parents every
+//!     other gateway directly — so the wide area is crossed **exactly
+//!     once per remote cluster** in each direction, and
+//!   - within a cluster the remaining PEs hang under the gateway as a
+//!     k-ary heap with a configurable branching factor — fan-out happens
+//!     over cheap local links.
 //!
-//! The tree is a pure function of `(Topology, TreeConfig)`, so every PE
-//! of a job — across processes, across engines — derives the same tree
-//! independently, and a shrink/expand generation change rebuilds it
-//! consistently by construction (each generation builds its nodes from
-//! the new topology).  Reductions fold upward along the same edges a
-//! broadcast fans out along, with partial-combine at the gateway before
-//! the single wide-area hop.
+//! Either shape is a pure function of the topology (and, for the
+//! two-level tree, its [`TreeConfig`]), so every PE of a job — across
+//! processes, across engines — derives the same tree independently, and a
+//! shrink/expand generation change rebuilds it consistently by
+//! construction.  Reductions fold upward along the same edges a broadcast
+//! fans out along, with partial-combine at each interior PE.
 
 use crate::topology::{ClusterId, Pe, Topology};
 
@@ -58,25 +60,50 @@ impl Default for TreeConfig {
     }
 }
 
-/// A two-level spanning tree over every PE of a topology, rooted at PE 0.
+/// A spanning tree over every PE of a topology, rooted at PE 0.
 #[derive(Clone, Debug)]
 pub struct SpanTree {
-    cfg: TreeConfig,
     /// parent[pe] — `None` only for the root.
     parent: Vec<Option<Pe>>,
     /// children[pe], ascending by PE number.
     children: Vec<Vec<Pe>>,
-    /// gateway[cluster] — `None` for a cluster emptied by a shrink.
+    /// gateway[cluster] — `None` for a cluster emptied by a shrink.  Empty
+    /// for the heap shape, which has no gateways.
     gateways: Vec<Option<Pe>>,
 }
 
+/// Hang `members[i]` under `members[(i − 1) / branch]`: a k-ary heap over
+/// the given PEs, rooted at the first.
+fn hang_heap(parent: &mut [Option<Pe>], members: &[Pe], branch: usize) {
+    for (i, &pe) in members.iter().enumerate().skip(1) {
+        parent[pe.index()] = Some(members[(i - 1) / branch]);
+    }
+}
+
 impl SpanTree {
-    /// Build the tree for `topo`.  Deterministic: every caller handed the
-    /// same topology and config derives the same tree.
+    /// The tree a run's `tree_collectives` setting selects: the binary
+    /// heap for `None`, the two-level tree for `Some`.
+    pub fn new(topo: &Topology, cfg: Option<TreeConfig>) -> SpanTree {
+        match cfg {
+            Some(cfg) => SpanTree::build(topo, cfg),
+            None => SpanTree::heap(topo.num_pes()),
+        }
+    }
+
+    /// The cluster-blind binary heap over `n` PEs: PE p hangs under PE
+    /// (p − 1) / 2, and there are no gateways.
+    pub fn heap(n: usize) -> SpanTree {
+        let pes: Vec<Pe> = (0..n as u32).map(Pe).collect();
+        let mut parent = vec![None; n];
+        hang_heap(&mut parent, &pes, 2);
+        SpanTree::from_parents(parent, Vec::new())
+    }
+
+    /// Build the two-level tree for `topo`.  Deterministic: every caller
+    /// handed the same topology and config derives the same tree.
     pub fn build(topo: &Topology, cfg: TreeConfig) -> SpanTree {
         assert!(cfg.branch >= 1, "branching factor must be at least 1");
-        let n = topo.num_pes();
-        let mut parent: Vec<Option<Pe>> = vec![None; n];
+        let mut parent: Vec<Option<Pe>> = vec![None; topo.num_pes()];
         let mut gateways: Vec<Option<Pe>> = vec![None; topo.num_clusters()];
         for c in topo.clusters() {
             let members: Vec<Pe> = topo.pes_in(c).collect();
@@ -84,29 +111,24 @@ impl SpanTree {
                 continue; // cluster emptied by a shrink: no gateway, no PEs
             };
             gateways[c.index()] = Some(gw);
-            // Local k-ary heap under the gateway: the PE at cluster
-            // position i hangs under position (i-1)/branch.
-            for (i, &pe) in members.iter().enumerate().skip(1) {
-                parent[pe.index()] = Some(members[(i - 1) / cfg.branch as usize]);
-            }
+            hang_heap(&mut parent, &members, cfg.branch as usize);
             // The wide-area star: every remote gateway hangs off PE 0.
             if gw != Pe(0) {
                 parent[gw.index()] = Some(Pe(0));
             }
         }
         assert!(parent[0].is_none(), "PE 0 must be the root (dense numbering makes it the first gateway)");
-        let mut children: Vec<Vec<Pe>> = vec![Vec::new(); n];
-        for pe in topo.pes() {
-            if let Some(p) = parent[pe.index()] {
-                children[p.index()].push(pe); // ascending: pes() is ordered
-            }
-        }
-        SpanTree { cfg, parent, children, gateways }
+        SpanTree::from_parents(parent, gateways)
     }
 
-    /// The configuration the tree was built with.
-    pub fn config(&self) -> TreeConfig {
-        self.cfg
+    fn from_parents(parent: Vec<Option<Pe>>, gateways: Vec<Option<Pe>>) -> SpanTree {
+        let mut children: Vec<Vec<Pe>> = vec![Vec::new(); parent.len()];
+        for (pe, p) in parent.iter().enumerate() {
+            if let Some(p) = p {
+                children[p.index()].push(Pe(pe as u32)); // ascending: PEs visited in order
+            }
+        }
+        SpanTree { parent, children, gateways }
     }
 
     /// The root PE (always PE 0, where the host client lives).
@@ -130,14 +152,24 @@ impl SpanTree {
     }
 
     /// The gateway PE of a cluster (`None` for a cluster emptied by a
-    /// shrink).
+    /// shrink, and for every cluster of the heap shape).
     pub fn gateway(&self, c: ClusterId) -> Option<Pe> {
-        self.gateways[c.index()]
+        self.gateways.get(c.index()).copied().flatten()
     }
 
     /// Whether `pe` is some cluster's gateway.
     pub fn is_gateway(&self, pe: Pe) -> bool {
         self.gateways.contains(&Some(pe))
+    }
+
+    /// The PE a multicast leaving `from` addresses for an element hosted
+    /// on `to`: the gateway of `to`'s cluster when the hop crosses the
+    /// wide area and the shape has gateways, `to` itself otherwise.
+    pub fn next_hop(&self, topo: &Topology, from: Pe, to: Pe) -> Pe {
+        match self.gateways.get(topo.cluster_of(to).index()) {
+            Some(gw) if topo.crosses_wan(from, to) => gw.expect("a hosting cluster is non-empty"),
+            _ => to,
+        }
     }
 
     /// Every PE in the subtree rooted at `pe`, including `pe` itself.
@@ -156,11 +188,27 @@ impl SpanTree {
 mod tests {
     use super::*;
 
-    fn validate(topo: &Topology, tree: &SpanTree) {
-        // Spans every PE exactly once.
-        let mut seen: Vec<u32> = tree.subtree(Pe(0)).iter().map(|p| p.0).collect();
+    /// Checks every shape passes: spans each of the `n` PEs exactly once
+    /// from PE 0, children ascending, and parent/child edges agreeing.
+    fn validate_spans(n: usize, tree: &SpanTree) {
+        assert_eq!(tree.num_pes(), n);
+        let mut seen: Vec<u32> = tree.subtree(tree.root()).iter().map(|p| p.0).collect();
         seen.sort_unstable();
-        assert_eq!(seen, (0..topo.num_pes() as u32).collect::<Vec<_>>());
+        assert_eq!(seen, (0..n as u32).collect::<Vec<_>>());
+        assert_eq!(tree.parent(tree.root()), None);
+        for pe in (0..n as u32).map(Pe) {
+            let kids = tree.children(pe);
+            assert!(kids.windows(2).all(|w| w[0] < w[1]), "{pe:?}'s children ascend: {kids:?}");
+            for &child in kids {
+                assert_eq!(tree.parent(child), Some(pe));
+            }
+        }
+    }
+
+    /// The two-level shape on top of the spanning checks: one gateway per
+    /// non-empty cluster, fan-out within `branch`, WAN edges root→gateway.
+    fn validate(topo: &Topology, tree: &SpanTree, branch: u32) {
+        validate_spans(topo.num_pes(), tree);
         // Exactly one gateway per non-empty cluster; none for empty ones.
         for c in topo.clusters() {
             match tree.gateway(c) {
@@ -175,7 +223,7 @@ mod tests {
         // intra-cluster fan-out respects the branching factor.
         for pe in topo.pes() {
             let intra = tree.children(pe).iter().filter(|&&c| !topo.crosses_wan(pe, c)).count();
-            assert!(intra <= tree.config().branch as usize, "{pe:?} has {intra} local children");
+            assert!(intra <= branch as usize, "{pe:?} has {intra} local children");
             for &child in tree.children(pe) {
                 if topo.crosses_wan(pe, child) {
                     assert_eq!(pe, Pe(0), "only the root sends across the WAN");
@@ -185,11 +233,56 @@ mod tests {
         }
     }
 
+    /// The heap shape: spanning, PE p under (p − 1) / 2, no gateways.
+    fn validate_heap(topo: &Topology, tree: &SpanTree) {
+        validate_spans(topo.num_pes(), tree);
+        for p in 1..topo.num_pes() as u32 {
+            assert_eq!(tree.parent(Pe(p)), Some(Pe((p - 1) / 2)), "pe{p} hangs under (p-1)/2");
+        }
+        for pe in topo.pes() {
+            assert!(!tree.is_gateway(pe), "the heap has no gateways");
+            for to in topo.pes() {
+                assert_eq!(tree.next_hop(topo, pe, to), to, "a heap multicast addresses the element's own PE");
+            }
+        }
+    }
+
+    #[test]
+    fn heap_shape_is_the_binary_pe_heap() {
+        // Two uneven clusters: the heap ignores them, WAN hops included.
+        for n in [1u32, 2, 13, 64] {
+            let topo = if n == 1 {
+                Topology::single(1)
+            } else {
+                Topology::new(vec![
+                    crate::topology::ClusterSpec { name: "a".into(), pes: n / 2 },
+                    crate::topology::ClusterSpec { name: "b".into(), pes: n - n / 2 },
+                ])
+            };
+            let tree = SpanTree::new(&topo, None);
+            validate_heap(&topo, &tree);
+            assert_eq!(tree.num_pes(), n as usize);
+        }
+        let tree = SpanTree::heap(13);
+        assert_eq!(tree.children(Pe(5)), &[Pe(11), Pe(12)]);
+        assert!(tree.children(Pe(6)).is_empty(), "a leaf of 13");
+        assert_eq!(SpanTree::heap(14).children(Pe(6)), &[Pe(13)]);
+    }
+
+    #[test]
+    fn heap_shape_is_rebuilt_over_the_shrunk_numbering() {
+        let topo = Topology::uniform(3, 5);
+        let (shrunk, _) = topo.without_pes(&[Pe(0), Pe(6), Pe(7), Pe(14)]);
+        validate_heap(&shrunk, &SpanTree::new(&shrunk, None));
+        let (grown, _) = shrunk.with_pes(&[ClusterId(1), ClusterId(1)]);
+        validate_heap(&grown, &SpanTree::new(&grown, None));
+    }
+
     #[test]
     fn two_cluster_tree_crosses_wan_once() {
         let topo = Topology::two_cluster(8);
         let tree = SpanTree::build(&topo, TreeConfig::default());
-        validate(&topo, &tree);
+        validate(&topo, &tree, 4);
         assert_eq!(tree.gateway(ClusterId(0)), Some(Pe(0)));
         assert_eq!(tree.gateway(ClusterId(1)), Some(Pe(4)));
         assert_eq!(tree.parent(Pe(4)), Some(Pe(0)));
@@ -209,12 +302,12 @@ mod tests {
     fn branching_factor_shapes_the_local_tree() {
         let topo = Topology::single(7);
         let tree = SpanTree::build(&topo, TreeConfig::new(2));
-        validate(&topo, &tree);
+        validate(&topo, &tree, 2);
         assert_eq!(tree.children(Pe(0)), &[Pe(1), Pe(2)]);
         assert_eq!(tree.children(Pe(1)), &[Pe(3), Pe(4)]);
         assert_eq!(tree.children(Pe(2)), &[Pe(5), Pe(6)]);
         let chain = SpanTree::build(&topo, TreeConfig::new(1));
-        validate(&topo, &chain);
+        validate(&topo, &chain, 1);
         for pe in 1..7 {
             assert_eq!(chain.parent(Pe(pe)), Some(Pe(pe - 1)), "branch=1 degenerates to a chain");
         }
@@ -228,7 +321,7 @@ mod tests {
             crate::topology::ClusterSpec { name: "c".into(), pes: 2 },
         ]);
         let tree = SpanTree::build(&topo, TreeConfig::default());
-        validate(&topo, &tree);
+        validate(&topo, &tree, 4);
         assert_eq!(tree.children(Pe(0)), &[Pe(1), Pe(6)], "root's children are the two remote gateways");
         assert!(tree.is_gateway(Pe(0)) && tree.is_gateway(Pe(1)) && tree.is_gateway(Pe(6)));
     }
@@ -238,7 +331,7 @@ mod tests {
         let topo = Topology::two_cluster(4);
         let (shrunk, _) = topo.without_pes(&[Pe(2), Pe(3)]);
         let tree = SpanTree::build(&shrunk, TreeConfig::default());
-        validate(&shrunk, &tree);
+        validate(&shrunk, &tree, 4);
         assert_eq!(tree.gateway(ClusterId(1)), None, "emptied cluster has no gateway");
         assert_eq!(tree.children(Pe(0)), &[Pe(1)]);
     }
@@ -247,16 +340,16 @@ mod tests {
     fn rebuild_after_shrink_then_expand_is_valid() {
         let topo = Topology::uniform(3, 3);
         let (s, _) = topo.without_pes(&[Pe(0), Pe(4)]);
-        validate(&s, &SpanTree::build(&s, TreeConfig::new(2)));
+        validate(&s, &SpanTree::build(&s, TreeConfig::new(2)), 2);
         let (w, _) = s.with_pes(&[ClusterId(0), ClusterId(2)]);
-        validate(&w, &SpanTree::build(&w, TreeConfig::new(2)));
+        validate(&w, &SpanTree::build(&w, TreeConfig::new(2)), 2);
     }
 
     #[test]
     fn single_pe_is_just_a_root() {
         let topo = Topology::single(1);
         let tree = SpanTree::build(&topo, TreeConfig::default());
-        validate(&topo, &tree);
+        validate(&topo, &tree, 4);
         assert_eq!(tree.parent(Pe(0)), None);
         assert!(tree.children(Pe(0)).is_empty());
         assert_eq!(tree.subtree(Pe(0)), vec![Pe(0)]);

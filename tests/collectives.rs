@@ -1,15 +1,18 @@
 //! Topology-aware collective trees: the cross-engine bit-exactness
 //! oracle.
 //!
-//! `RunConfig::tree_collectives` reroutes broadcasts, section multicasts
-//! and reductions over a two-level spanning tree (one gateway PE per
+//! `RunConfig::tree_collectives` reshapes the spanning tree broadcasts,
+//! section multicasts and reductions run over, from the binary PE heap
+//! ("flat", the default) to a two-level tree (one gateway PE per
 //! cluster, partial-combine at the gateway before the single wide-area
 //! hop) — the MPICH-G2-style optimization the paper's §2 contrasts
-//! against.  The contract under test: the trees are a pure *routing*
-//! change.  Application state must be bit-identical with trees on vs
+//! against.  The contract under test: the shape is a pure *routing*
+//! choice.  Application state must be bit-identical with trees on vs
 //! off, on the virtual-time simulation engine, the threaded engine and
 //! a real multi-process TCP run — while the number of wide-area messages
-//! drops to one per remote cluster per collective phase.
+//! drops to one per remote cluster per collective phase.  In either
+//! shape a reduction joins child partials in fixed tree order, so even
+//! a non-exact f64 sum has one bit pattern on every schedule.
 
 use std::net::SocketAddr;
 use std::sync::{Arc, Mutex};
@@ -215,28 +218,47 @@ fn trees_cut_wan_traffic_on_both_engines() {
 
 const KICK: EntryId = EntryId(70);
 
-/// Each element contributes one exactly-representable f64 pair; the tree
-/// combines partials gateway-by-gateway in tree order, the flat path in
-/// PE-heap order — for dyadic rationals both are exact, so the delivered
-/// sums must be bit-identical.
+/// What element `idx` contributes to the one SumF64 reduction.
+type Input = fn(u64) -> [f64; 2];
+
+/// An exactly-representable pair: the two-level tree combines partials
+/// gateway-by-gateway, the heap in PE-heap order — for dyadic rationals
+/// both are exact, so the delivered sums must be bit-identical.
+fn dyadic(idx: u64) -> [f64; 2] {
+    let x = idx as f64 * 0.5;
+    [x, 1.0 + x * 0.25]
+}
+
+/// A pair whose f64 sum depends on the combine order: reciprocals, and
+/// tenths-scale steps beside 1e16s (whose spacing is 2).
+fn non_dyadic(idx: u64) -> [f64; 2] {
+    let big = if idx.is_multiple_of(3) { 1e16 } else { 0.0 };
+    [1.0 / (idx + 1) as f64, big + 0.3 * idx as f64]
+}
+
 struct Summer {
     idx: u64,
+    input: Input,
 }
 
 impl Chare for Summer {
     fn receive(&mut self, entry: EntryId, _p: &[u8], ctx: &mut Ctx<'_>) {
         assert_eq!(entry, KICK);
-        let x = self.idx as f64 * 0.5;
-        ctx.contribute_f64(ReduceOp::SumF64, &[x, 1.0 + x * 0.25]);
+        if self.idx == 0 {
+            // Keep the root busy, so its children's partials queue up and
+            // a delivery schedule picks which one it takes first.
+            ctx.charge(Dur::from_millis(10));
+        }
+        ctx.contribute_f64(ReduceOp::SumF64, &(self.input)(self.idx));
     }
 }
 
-fn sum_program(elems: usize) -> (gridmdo::runtime::Program, Arc<Mutex<Vec<f64>>>) {
+fn sum_program(elems: usize, input: Input) -> (gridmdo::runtime::Program, Arc<Mutex<Vec<f64>>>) {
     let got = Arc::new(Mutex::new(Vec::new()));
     let got_c = Arc::clone(&got);
     let mut p = gridmdo::runtime::Program::new();
-    let arr = p.array("summers", elems, Mapping::Block, |elem| {
-        Box::new(Summer { idx: elem.index() as u64 }) as Box<dyn Chare>
+    let arr = p.array("summers", elems, Mapping::Block, move |elem| {
+        Box::new(Summer { idx: elem.index() as u64, input }) as Box<dyn Chare>
     });
     p.on_startup(move |ctl| ctl.broadcast(arr, KICK, vec![]));
     p.on_reduction(arr, move |_seq, data, ctl| {
@@ -251,7 +273,7 @@ fn sum_program(elems: usize) -> (gridmdo::runtime::Program, Arc<Mutex<Vec<f64>>>
 #[test]
 fn f64_sum_reduction_digest_is_identical_trees_on_vs_off() {
     let run = |tree: Option<TreeConfig>| {
-        let (program, got) = sum_program(24);
+        let (program, got) = sum_program(24, dyadic);
         let net = NetworkModel::two_cluster_sweep(6, Dur::from_millis(1));
         let rc = RunConfig { tree_collectives: tree, ..RunConfig::default() };
         let report = SimEngine::new(net, rc).run(program);
@@ -263,6 +285,45 @@ fn f64_sum_reduction_digest_is_identical_trees_on_vs_off() {
     let flat = run(None);
     let tree = run(Some(TreeConfig::new(2)));
     assert_eq!(flat, tree, "f64 digest bit-identical: flat {flat:?} vs tree {tree:?}");
+}
+
+/// The delivered sum's bits, once the run has ended.
+fn sum_bits(report: &RunReport, got: &Mutex<Vec<f64>>) -> Vec<u64> {
+    assert!(report.unrecoverable.is_none());
+    let values = got.lock().expect("sum lock").clone();
+    assert_eq!(values.len(), 2, "the reduction delivered");
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+#[test]
+fn non_dyadic_f64_sum_is_identical_across_schedules_and_engines() {
+    // The input really is order-sensitive: two element orders, two sums.
+    let fold = |order: &mut dyn Iterator<Item = u64>| {
+        order.map(non_dyadic).fold([0.0f64; 2], |acc, x| [acc[0] + x[0], acc[1] + x[1]]).map(f64::to_bits)
+    };
+    assert_ne!(fold(&mut (0..24)), fold(&mut (0..24).rev()), "the sum depends on its combine order");
+
+    // On the default heap every PE joins its child partials in tree
+    // order, so no delivery schedule reaches the bits.  (Folded in
+    // arrival order, these schedules deliver two different sums.)
+    let sim = |delivery: DeliverySpec| {
+        let (program, got) = sum_program(24, non_dyadic);
+        let net = NetworkModel::two_cluster_sweep(6, Dur::from_millis(1));
+        let report = SimEngine::new(net, RunConfig { delivery, ..RunConfig::default() }).run(program);
+        sum_bits(&report, &got)
+    };
+    let want = sim(DeliverySpec::Fifo);
+    for seed in 1..=8 {
+        assert_eq!(sim(DeliverySpec::Random { seed }), want, "sim schedule seed {seed}");
+    }
+    let topo = Topology::two_cluster(6);
+    let latency = LatencyMatrix::uniform(&topo, Dur::ZERO, Dur::from_micros(300));
+    for run in 0..3 {
+        let (program, got) = sum_program(24, non_dyadic);
+        let report =
+            ThreadedEngine::new(topo.clone(), ThreadedConfig::new(latency.clone()), RunConfig::default()).run(program);
+        assert_eq!(sum_bits(&report, &got), want, "threaded run {run}");
+    }
 }
 
 // ---- faults and elasticity ------------------------------------------------
