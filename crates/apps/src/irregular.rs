@@ -16,6 +16,7 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
+use bytes::Bytes;
 use mdo_core::chare::{Chare, Ctx};
 use mdo_core::envelope::ReduceData;
 use mdo_core::ids::{ElemId, EntryId};
@@ -26,10 +27,15 @@ use mdo_core::{Mapping, SimEngine};
 use mdo_netsim::network::NetworkModel;
 use mdo_netsim::{Time, Xoshiro256};
 
+use crate::halo;
 use crate::stencil::StencilCost;
 
 const START: EntryId = EntryId(1);
+/// Entry: a neighbour's boundary values (payload: step u32, sender u32,
+/// values in the sender's canonical edge order).
 const BOUNDARY: EntryId = EntryId(2);
+/// Bytes of a boundary message before its values: the step and the sender.
+const BOUNDARY_HEADER: usize = 4 + 4;
 
 /// An undirected irregular graph with per-vertex initial values.
 #[derive(Clone, Debug)]
@@ -235,8 +241,12 @@ struct Partition {
     /// Latest known values of remote neighbour vertices.
     remote: BTreeMap<u32, f64>,
     step: u32,
-    got: BTreeMap<u32, Vec<f64>>,
-    ahead: BTreeMap<u32, Vec<f64>>,
+    /// Boundary messages received for the current step, by sender, kept as
+    /// delivered and read in place by the step (see [`halo`]; empty in
+    /// cost-model mode).
+    got: BTreeMap<u32, Bytes>,
+    /// Boundary messages that arrived one step early.
+    ahead: BTreeMap<u32, Bytes>,
     started: bool,
     done: bool,
 }
@@ -273,7 +283,7 @@ impl Partition {
     fn send_boundaries(&self, ctx: &mut Ctx<'_>) {
         let arr = ctx.me().array;
         for (&peer, edges) in &self.layout.send_lists[self.me as usize] {
-            let mut w = WireWriter::with_capacity(4 + 4 + f64_array_len(edges.len()));
+            let mut w = WireWriter::with_capacity(BOUNDARY_HEADER + f64_array_len(edges.len()));
             w.u32(self.step).u32(self.me);
             if self.cfg.compute {
                 let vals: Vec<f64> = edges.iter().map(|&(v, _)| self.values[self.local_index(v)]).collect();
@@ -289,15 +299,14 @@ impl Partition {
     fn compute_step(&mut self) {
         if self.cfg.compute {
             let me = self.me as usize;
-            for (&peer, vals) in &self.got {
+            for (&peer, msg) in &self.got {
                 // The peer sent its endpoints of the peer→me edges, which
                 // from our side is send_lists[me][peer] with roles swapped:
                 // canonical order is the same edge set sorted from the
                 // *sender's* perspective, so reconstruct from the peer's
                 // list shape: edges (their v, our u) sorted by (v, u).
                 let their_edges = &self.layout.send_lists[peer as usize][&self.me];
-                assert_eq!(their_edges.len(), vals.len(), "boundary vector size");
-                for (&(their_v, _our_u), &val) in their_edges.iter().zip(vals.iter()) {
+                for (&(their_v, _our_u), val) in their_edges.iter().zip(halo::values(msg, BOUNDARY_HEADER)) {
                     self.remote.insert(their_v, val);
                 }
             }
@@ -353,13 +362,16 @@ impl Chare for Partition {
                 let mut r = WireReader::new(payload);
                 let step = r.u32().expect("step");
                 let peer = r.u32().expect("peer");
-                let vals = r.f64_vec().expect("boundary values");
+                let edges = self.layout.send_lists.get(peer as usize).and_then(|lists| lists.get(&self.me));
+                let edges = edges.unwrap_or_else(|| panic!("boundary from {peer}, which is not a neighbour"));
+                halo::check(payload, BOUNDARY_HEADER, edges.len(), format_args!("boundary from {peer} step {step}"));
+                let msg = halo::keep(ctx, self.cfg.compute);
                 if step == self.step {
-                    let prev = self.got.insert(peer, vals);
+                    let prev = self.got.insert(peer, msg);
                     assert!(prev.is_none(), "duplicate boundary from {peer}");
                     self.advance_while_ready(ctx);
                 } else if step == self.step + 1 {
-                    let prev = self.ahead.insert(peer, vals);
+                    let prev = self.ahead.insert(peer, msg);
                     assert!(prev.is_none(), "partition {peer} ran two steps ahead");
                 } else {
                     panic!("boundary for step {step} while at {}", self.step);
@@ -461,6 +473,24 @@ mod tests {
             // sides, so equality is exact.
             assert_eq!(got, want, "partition {i} checksum");
         }
+    }
+
+    /// A boundary vector one value short fails where it arrives, in
+    /// cost-model mode too, where no step reads its values.
+    #[test]
+    #[should_panic(expected = "wrong length")]
+    fn a_short_boundary_fails_on_receipt_in_cost_model_mode() {
+        let c = IrregularConfig { compute: false, ..cfg(8, 4, 5) };
+        let layout = Arc::new(Layout::new(IrregularMesh::jittered_grid(c.side, c.seed), c.parts));
+        let (&peer, _) = layout.send_lists[0].iter().next().expect("partition 0 has a neighbour");
+        let len = layout.send_lists[peer as usize][&0].len();
+        let mut p = Program::new();
+        p.array("irregular", c.parts, Mapping::Block, move |elem| {
+            Box::new(Partition::new(c.clone(), Arc::clone(&layout), elem.0)) as Box<dyn Chare>
+        });
+        let mut w = WireWriter::new();
+        w.u32(0).u32(peer).f64_zeros(len - 1);
+        crate::halo::deliver(p, ElemId(0), BOUNDARY, w.finish());
     }
 
     #[test]

@@ -26,10 +26,14 @@ use mdo_core::{Mapping, SimEngine};
 use mdo_netsim::network::NetworkModel;
 use mdo_netsim::Time;
 
+use crate::halo;
 use crate::stencil::StencilCost;
 
 const START: EntryId = EntryId(1);
+/// Entry: a neighbour's face (payload: slot u8, step u32, values).
 const FACE: EntryId = EntryId(2);
+/// Bytes of a face message before its values: the slot and the step.
+const FACE_HEADER: usize = 1 + 4;
 
 /// The six face directions: ±x, ±y, ±z.
 const DIRS: [(i8, i8, i8); 6] = [(-1, 0, 0), (1, 0, 0), (0, -1, 0), (0, 1, 0), (0, 0, -1), (0, 0, 1)];
@@ -180,10 +184,11 @@ struct Block3d {
     grid: Vec<f64>,
     next: Vec<f64>,
     step: u32,
-    got: [Option<Vec<f64>>; 6],
-    got_count: usize,
-    ahead: [Option<Vec<f64>>; 6],
-    ahead_count: usize,
+    /// Faces received for the current step, kept as delivered and read in
+    /// place by the step (see [`halo`]; empty in cost-model mode).
+    got: halo::Slots<6>,
+    /// Faces that arrived one step early.
+    ahead: halo::Slots<6>,
     started: bool,
     done: bool,
 }
@@ -216,10 +221,8 @@ impl Block3d {
             grid,
             next,
             step: 0,
-            got: Default::default(),
-            got_count: 0,
-            ahead: Default::default(),
-            ahead_count: 0,
+            got: halo::Slots::default(),
+            ahead: halo::Slots::default(),
             started: false,
             done: false,
         }
@@ -274,21 +277,20 @@ impl Block3d {
     }
 
     /// Install a received face into my ghost shell (from direction `d`).
-    fn fill(&mut self, d: usize, data: &[f64]) {
+    fn fill(&mut self, d: usize, msg: &[u8]) {
         let b = self.cfg.block();
         if !self.cfg.compute {
             return;
         }
-        assert_eq!(data.len(), b * b, "face size");
         let w = b + 2;
         let idx = |x: usize, y: usize, z: usize| (x * w + y) * w + z;
-        let mut it = data.iter();
+        let mut it = halo::values(msg, FACE_HEADER);
         match d {
             0 | 1 => {
                 let x = if d == 0 { 0 } else { b + 1 };
                 for y in 1..=b {
                     for z in 1..=b {
-                        self.grid[idx(x, y, z)] = *it.next().expect("sized");
+                        self.grid[idx(x, y, z)] = it.next().expect("sized on receipt");
                     }
                 }
             }
@@ -296,7 +298,7 @@ impl Block3d {
                 let y = if d == 2 { 0 } else { b + 1 };
                 for x in 1..=b {
                     for z in 1..=b {
-                        self.grid[idx(x, y, z)] = *it.next().expect("sized");
+                        self.grid[idx(x, y, z)] = it.next().expect("sized on receipt");
                     }
                 }
             }
@@ -304,7 +306,7 @@ impl Block3d {
                 let z = if d == 4 { 0 } else { b + 1 };
                 for x in 1..=b {
                     for y in 1..=b {
-                        self.grid[idx(x, y, z)] = *it.next().expect("sized");
+                        self.grid[idx(x, y, z)] = it.next().expect("sized on receipt");
                     }
                 }
             }
@@ -317,7 +319,7 @@ impl Block3d {
             if let Some(n) = self.neighbor(d) {
                 let opp = d ^ 1; // DIRS pairs: (0,1), (2,3), (4,5)
                 let len = self.cfg.block() * self.cfg.block();
-                let mut w = WireWriter::with_capacity(1 + 4 + f64_array_len(len));
+                let mut w = WireWriter::with_capacity(FACE_HEADER + f64_array_len(len));
                 w.u8(opp as u8).u32(self.step);
                 if self.cfg.compute {
                     w.f64_slice(&self.face(d));
@@ -372,13 +374,9 @@ impl Block3d {
     }
 
     fn advance_while_ready(&mut self, ctx: &mut Ctx<'_>) {
-        while self.started && !self.done && self.got_count == self.n_neighbors() {
-            for d in 0..6 {
-                if let Some(data) = self.got[d].take() {
-                    self.fill(d, &data);
-                }
-            }
-            self.got_count = 0;
+        while self.started && !self.done && self.got.len() == self.n_neighbors() {
+            let mut got = std::mem::take(&mut self.got);
+            got.drain(|d, msg| self.fill(d, &msg));
             let b = self.cfg.block();
             ctx.charge(self.cfg.cost.step_cost(b * b * b, self.n_neighbors()));
             self.compute_step();
@@ -392,8 +390,6 @@ impl Block3d {
             }
             self.send_faces(ctx);
             self.got = std::mem::take(&mut self.ahead);
-            self.got_count = self.ahead_count;
-            self.ahead_count = 0;
         }
     }
 }
@@ -411,16 +407,17 @@ impl Chare for Block3d {
                 let mut r = WireReader::new(payload);
                 let slot = r.u8().expect("slot") as usize;
                 let step = r.u32().expect("step");
-                let data = r.f64_vec().expect("face");
+                assert!(slot < 6 && self.neighbor(slot).is_some(), "face for slot {slot}, which has no neighbour");
+                let b = self.cfg.block();
+                halo::check(payload, FACE_HEADER, b * b, format_args!("face for slot {slot} step {step}"));
+                let msg = halo::keep(ctx, self.cfg.compute);
                 if step == self.step {
-                    assert!(self.got[slot].is_none(), "duplicate face");
-                    self.got[slot] = Some(data);
-                    self.got_count += 1;
+                    let fresh = self.got.put(slot, msg);
+                    assert!(fresh, "duplicate face");
                     self.advance_while_ready(ctx);
                 } else if step == self.step + 1 {
-                    assert!(self.ahead[slot].is_none(), "neighbour two steps ahead");
-                    self.ahead[slot] = Some(data);
-                    self.ahead_count += 1;
+                    let fresh = self.ahead.put(slot, msg);
+                    assert!(fresh, "neighbour two steps ahead");
                 } else {
                     panic!("face for step {step} while at {}", self.step);
                 }
@@ -481,6 +478,22 @@ mod tests {
         for (i, (got, want)) in out.block_sums.iter().zip(&expect).enumerate() {
             assert_eq!(got, want, "block {i}: 3-D parallel field identical to sequential");
         }
+    }
+
+    /// A face one value short fails where it arrives, in cost-model mode
+    /// too, where no step reads its values.
+    #[test]
+    #[should_panic(expected = "face for slot 1 step 0: wrong length")]
+    fn a_short_face_fails_on_receipt_in_cost_model_mode() {
+        let c = Jacobi3dConfig { compute: false, ..cfg(8, 2, 4) };
+        let b = c.block();
+        let mut p = Program::new();
+        p.array("jacobi3d", c.objects(), Mapping::Block, move |elem| {
+            Box::new(Block3d::new(c.clone(), elem)) as Box<dyn Chare>
+        });
+        let mut w = WireWriter::new();
+        w.u8(1).u32(0).f64_zeros(b * b - 1);
+        crate::halo::deliver(p, ElemId(0), FACE, w.finish());
     }
 
     #[test]

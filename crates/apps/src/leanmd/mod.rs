@@ -363,7 +363,8 @@ struct Pair {
     cells_array: ArrayId,
     /// The pending step and its per-slot coordinate messages, held as they
     /// arrived (the buffer the cell wrote, shared with the cell's other 26
-    /// pairs) and parsed only by the kernels.  One step is all that can be
+    /// pairs) and parsed only by the kernels; empty in cost-model mode,
+    /// where the kernels do not run.  One step is all that can be
     /// pending: a cell sends step s + 1 only after this pair's forces for
     /// step s, which needed both of step s's coordinates.
     buffer: Option<(u32, [Option<Bytes>; 2])>,
@@ -446,7 +447,9 @@ impl Chare for Pair {
         assert_eq!(*pending, step, "coords for step {step} while step {pending} is pending");
         assert!(slots[slot].is_none(), "duplicate coords for slot {slot} step {step}");
         // Keep the message itself: a reference count, not a parsed copy.
-        slots[slot] = Some(ctx.payload().clone());
+        // In cost-model mode the kernels read no coordinate, so an empty
+        // buffer records the arrival and the message goes.
+        slots[slot] = Some(if self.cfg.compute { ctx.payload().clone() } else { Bytes::new() });
         if slots[0].is_some() && (is_self || slots[1].is_some()) {
             self.compute(step, ctx);
         }

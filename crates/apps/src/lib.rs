@@ -38,6 +38,7 @@
 
 #![warn(missing_docs)]
 
+mod halo;
 pub mod irregular;
 pub mod jacobi3d;
 pub mod leanmd;

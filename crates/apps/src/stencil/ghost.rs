@@ -27,9 +27,13 @@ use mdo_netsim::Time;
 
 use super::seq;
 use super::{StencilCost, StencilOutcome};
+use crate::halo;
 
 const START: EntryId = EntryId(1);
+/// Entry: a neighbour's strip (payload: slot u8, round u32, values).
 const HALO: EntryId = EntryId(2);
+/// Bytes of a halo message before its values: the slot and the round.
+const HALO_HEADER: usize = 1 + 4;
 
 /// The eight neighbour directions (row delta, col delta).
 const DIRS: [(i8, i8); 8] = [(-1, 0), (1, 0), (0, -1), (0, 1), (-1, -1), (-1, 1), (1, -1), (1, 1)];
@@ -81,10 +85,12 @@ struct GhostBlock {
     step: u32,
     /// Current exchange round (step / layers).
     round: u32,
-    got: [Option<Vec<f64>>; 8],
-    got_count: usize,
-    ahead: [Option<Vec<f64>>; 8],
-    ahead_count: usize,
+    /// Halos received for the current round, kept as delivered and read
+    /// in place when the round starts (see [`halo`]; empty in cost-model
+    /// mode).
+    got: halo::Slots<8>,
+    /// Halos that arrived one round early.
+    ahead: halo::Slots<8>,
     /// Set by START; see the plain stencil's `started` field.
     started: bool,
     done: bool,
@@ -113,10 +119,8 @@ impl GhostBlock {
             next,
             step: 0,
             round: 0,
-            got: Default::default(),
-            ahead: Default::default(),
-            ahead_count: 0,
-            got_count: 0,
+            got: halo::Slots::default(),
+            ahead: halo::Slots::default(),
             started: false,
             done: false,
         }
@@ -171,8 +175,8 @@ impl GhostBlock {
         out
     }
 
-    /// Fill my halo region for a message that came from direction `d`.
-    fn fill(&mut self, d: usize, data: &[f64]) {
+    /// Fill my halo region from the message that came from direction `d`.
+    fn fill(&mut self, d: usize, msg: &[u8]) {
         if !self.cfg.compute {
             return;
         }
@@ -194,11 +198,10 @@ impl GhostBlock {
         } else {
             g + b..w
         };
-        assert_eq!(data.len(), rows.len() * cols.len(), "halo strip size");
-        let mut it = data.iter();
+        let mut it = halo::values(msg, HALO_HEADER);
         for r in rows {
             for c in cols.clone() {
-                self.grid[r * w + c] = *it.next().expect("sized above");
+                self.grid[r * w + c] = it.next().expect("sized on receipt");
             }
         }
     }
@@ -220,7 +223,7 @@ impl GhostBlock {
                     _ => unreachable!(),
                 };
                 let len = self.strip_len(d);
-                let mut w = WireWriter::with_capacity(1 + 4 + f64_array_len(len));
+                let mut w = WireWriter::with_capacity(HALO_HEADER + f64_array_len(len));
                 w.u8(opp as u8).u32(self.round);
                 if self.cfg.compute {
                     w.f64_slice(&self.strip(d));
@@ -292,13 +295,9 @@ impl GhostBlock {
     }
 
     fn advance_while_ready(&mut self, ctx: &mut Ctx<'_>) {
-        while self.started && !self.done && self.got_count == self.n_neighbors() {
-            for d in 0..8 {
-                if let Some(data) = self.got[d].take() {
-                    self.fill(d, &data);
-                }
-            }
-            self.got_count = 0;
+        while self.started && !self.done && self.got.len() == self.n_neighbors() {
+            let mut got = std::mem::take(&mut self.got);
+            got.drain(|d, msg| self.fill(d, &msg));
             self.compute_rounds(ctx);
             if self.step >= self.cfg.steps {
                 self.done = true;
@@ -309,8 +308,6 @@ impl GhostBlock {
             }
             self.send_halos(ctx);
             self.got = std::mem::take(&mut self.ahead);
-            self.got_count = self.ahead_count;
-            self.ahead_count = 0;
         }
     }
 }
@@ -328,16 +325,21 @@ impl Chare for GhostBlock {
                 let mut r = WireReader::new(payload);
                 let slot = r.u8().expect("slot") as usize;
                 let round = r.u32().expect("round");
-                let data = r.f64_vec().expect("strip");
+                assert!(slot < 8 && self.neighbor(slot).is_some(), "halo for slot {slot}, which has no neighbour");
+                halo::check(
+                    payload,
+                    HALO_HEADER,
+                    self.strip_len(slot),
+                    format_args!("halo for slot {slot} round {round}"),
+                );
+                let msg = halo::keep(ctx, self.cfg.compute);
                 if round == self.round {
-                    assert!(self.got[slot].is_none(), "duplicate halo");
-                    self.got[slot] = Some(data);
-                    self.got_count += 1;
+                    let fresh = self.got.put(slot, msg);
+                    assert!(fresh, "duplicate halo");
                     self.advance_while_ready(ctx);
                 } else if round == self.round + 1 {
-                    assert!(self.ahead[slot].is_none(), "neighbour two rounds ahead");
-                    self.ahead[slot] = Some(data);
-                    self.ahead_count += 1;
+                    let fresh = self.ahead.put(slot, msg);
+                    assert!(fresh, "neighbour two rounds ahead");
                 } else {
                     panic!("halo for round {round} while at {}", self.round);
                 }
@@ -399,6 +401,22 @@ mod tests {
         for (i, (got, want)) in out.block_sums.iter().zip(&expect).enumerate() {
             assert_eq!(got, want, "block {i}: ghost-zone result identical to plain Jacobi");
         }
+    }
+
+    /// A strip one value short fails where it arrives, in cost-model mode
+    /// too, where no round reads its values.
+    #[test]
+    #[should_panic(expected = "halo for slot 1 round 0: wrong length")]
+    fn a_short_halo_fails_on_receipt_in_cost_model_mode() {
+        let c = GhostConfig { compute: false, ..cfg(4, 2, 4, 16) };
+        let len = GhostBlock::new(c.clone(), ElemId(0)).strip_len(1);
+        let mut p = Program::new();
+        p.array("blocks", c.objects, Mapping::Block, move |elem| {
+            Box::new(GhostBlock::new(c.clone(), elem)) as Box<dyn Chare>
+        });
+        let mut w = WireWriter::new();
+        w.u8(1).u32(0).f64_zeros(len - 1);
+        crate::halo::deliver(p, ElemId(0), HALO, w.finish());
     }
 
     #[test]

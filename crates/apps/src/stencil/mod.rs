@@ -33,10 +33,14 @@ use mdo_core::{Mapping, SimEngine, ThreadedConfig, ThreadedEngine};
 use mdo_netsim::network::NetworkModel;
 use mdo_netsim::{Dur, LatencyMatrix, Time, Topology};
 
+use crate::halo;
+
 /// Entry: begin stepping (broadcast at startup).
 const START: EntryId = EntryId(1);
 /// Entry: a neighbour's edge vector (payload: slot u8, step u32, cells).
 const GHOST: EntryId = EntryId(2);
+/// Bytes of a ghost message before its cells: the slot and the step.
+const GHOST_HEADER: usize = 1 + 4;
 
 /// Ghost slots, named from the receiver's perspective.
 const UP: u8 = 0;
@@ -48,7 +52,7 @@ const RIGHT: u8 = 3;
 /// `edge` is `None` in cost-model mode: a zero edge of the real size, so
 /// wire sizes (and thus the bandwidth model) match the computing runs.
 fn ghost_payload(slot: u8, step: u32, b: usize, edge: Option<&[f64]>) -> Vec<u8> {
-    let mut w = WireWriter::with_capacity(1 + 4 + f64_array_len(b));
+    let mut w = WireWriter::with_capacity(GHOST_HEADER + f64_array_len(b));
     w.u8(slot).u32(step);
     match edge {
         Some(edge) => w.f64_slice(edge),
@@ -186,12 +190,11 @@ struct Block {
     grid: Vec<f64>,
     next: Vec<f64>,
     step: u32,
-    /// Ghosts received for the current step (edge data when computing).
-    got: [Option<Vec<f64>>; 4],
-    got_count: usize,
+    /// Ghosts received for the current step, kept as delivered and read in
+    /// place by the step (see [`halo`]; empty in cost-model mode).
+    got: halo::Slots<4>,
     /// Ghosts that arrived one step early.
-    ahead: [Option<Vec<f64>>; 4],
-    ahead_count: usize,
+    ahead: halo::Slots<4>,
     /// Set by START; ghosts may arrive first (the startup broadcast races
     /// neighbours' edges), but a block must not begin stepping — and thus
     /// re-tag its outgoing edges — before it has sent its step-0 edges.
@@ -225,10 +228,8 @@ impl Block {
             grid,
             next,
             step: 0,
-            got: [None, None, None, None],
-            got_count: 0,
-            ahead: [None, None, None, None],
-            ahead_count: 0,
+            got: halo::Slots::default(),
+            ahead: halo::Slots::default(),
             started: false,
             in_sync: false,
             done: false,
@@ -295,18 +296,17 @@ impl Block {
         let b = self.cfg.block();
         if self.cfg.compute {
             let w = b + 2;
-            for slot in 0..4u8 {
-                if let Some(edge) = self.got[slot as usize].take() {
-                    assert_eq!(edge.len(), b, "ghost edge length");
-                    match slot {
-                        UP => edge.iter().enumerate().for_each(|(c, &v)| self.grid[c + 1] = v),
-                        DOWN => edge.iter().enumerate().for_each(|(c, &v)| self.grid[(b + 1) * w + c + 1] = v),
-                        LEFT => edge.iter().enumerate().for_each(|(r, &v)| self.grid[(r + 1) * w] = v),
-                        RIGHT => edge.iter().enumerate().for_each(|(r, &v)| self.grid[(r + 1) * w + b + 1] = v),
-                        _ => unreachable!(),
-                    }
+            let grid = &mut self.grid;
+            self.got.drain(|slot, msg| {
+                let edge = halo::values(&msg, GHOST_HEADER).enumerate();
+                match slot as u8 {
+                    UP => edge.for_each(|(c, v)| grid[c + 1] = v),
+                    DOWN => edge.for_each(|(c, v)| grid[(b + 1) * w + c + 1] = v),
+                    LEFT => edge.for_each(|(r, v)| grid[(r + 1) * w] = v),
+                    RIGHT => edge.for_each(|(r, v)| grid[(r + 1) * w + b + 1] = v),
+                    _ => unreachable!(),
                 }
-            }
+            });
             for r in 1..=b {
                 for c in 1..=b {
                     self.next[r * w + c] = seq::update(
@@ -320,11 +320,8 @@ impl Block {
             }
             std::mem::swap(&mut self.grid, &mut self.next);
         } else {
-            for g in &mut self.got {
-                *g = None;
-            }
+            self.got.drain(|_, _| ());
         }
-        self.got_count = 0;
     }
 
     /// Sum of my interior cells, rows then columns (matches
@@ -346,7 +343,7 @@ impl Block {
 
     /// Step as long as the current step's ghosts are all here.
     fn advance_while_ready(&mut self, ctx: &mut Ctx<'_>) {
-        while self.started && !self.in_sync && !self.done && self.got_count == self.n_neighbors() {
+        while self.started && !self.in_sync && !self.done && self.got.len() == self.n_neighbors() {
             let b = self.cfg.block();
             let msgs = self.n_neighbors();
             ctx.charge(self.cfg.cost.step_cost(b * b, msgs));
@@ -363,7 +360,7 @@ impl Block {
                 // Pause BEFORE sending this step's edges: every neighbour
                 // pauses at the same step, so nothing is in flight and the
                 // ghost buffers below are empty — safe to migrate.
-                debug_assert_eq!(self.ahead_count, 0);
+                debug_assert!(self.ahead.is_empty());
                 self.in_sync = true;
                 ctx.at_sync();
                 return;
@@ -371,8 +368,6 @@ impl Block {
             self.send_edges(ctx);
             // Pull in any ghosts that arrived early for the new step.
             self.got = std::mem::take(&mut self.ahead);
-            self.got_count = self.ahead_count;
-            self.ahead_count = 0;
         }
     }
 }
@@ -388,17 +383,17 @@ impl Chare for Block {
             }
             GHOST => {
                 let mut r = WireReader::new(payload);
-                let slot = r.u8().expect("slot") as usize;
+                let slot = r.u8().expect("slot");
                 let step = r.u32().expect("step");
-                let edge = r.f64_vec().expect("edge");
+                assert!(slot < 4 && self.neighbor(slot).is_some(), "ghost for slot {slot}, which has no neighbour");
+                halo::check(payload, GHOST_HEADER, self.cfg.block(), format_args!("ghost for slot {slot} step {step}"));
+                let (slot, msg) = (slot as usize, halo::keep(ctx, self.cfg.compute));
                 if step == self.step {
-                    assert!(self.got[slot].is_none(), "duplicate ghost for slot {slot}");
-                    self.got[slot] = Some(edge);
-                    self.got_count += 1;
+                    let fresh = self.got.put(slot, msg);
+                    assert!(fresh, "duplicate ghost for slot {slot}");
                 } else if step == self.step + 1 {
-                    assert!(self.ahead[slot].is_none(), "neighbour ran two steps ahead");
-                    self.ahead[slot] = Some(edge);
-                    self.ahead_count += 1;
+                    let fresh = self.ahead.put(slot, msg);
+                    assert!(fresh, "neighbour ran two steps ahead");
                 } else {
                     panic!("ghost for step {step} while at step {}", self.step);
                 }
@@ -410,7 +405,7 @@ impl Chare for Block {
 
     fn pack(&self, w: &mut WireWriter) {
         assert!(
-            self.got.iter().all(Option::is_none) && self.ahead_count == 0,
+            self.got.is_empty() && self.ahead.is_empty(),
             "blocks migrate only at step-aligned barriers (buffers drained)"
         );
         w.u32(self.step).bool(self.started).bool(self.done).bool(self.cfg.compute);
@@ -587,6 +582,20 @@ mod tests {
         for (i, (got, want)) in out.block_sums.iter().zip(&expect).enumerate() {
             assert_eq!(got, want, "block {i}: parallel must be bit-identical to sequential");
         }
+    }
+
+    /// A ghost one cell short fails where it arrives, in cost-model mode
+    /// too, where no step reads its cells.
+    #[test]
+    #[should_panic(expected = "ghost for slot 1 step 0: wrong length")]
+    fn a_short_ghost_fails_on_receipt_in_cost_model_mode() {
+        let cfg = StencilConfig { compute: false, ..small(4, 2, 16) };
+        let b = cfg.block();
+        let mut p = Program::new();
+        p.array("blocks", cfg.objects, Mapping::Block, move |elem| {
+            Box::new(Block::new(cfg.clone(), elem)) as Box<dyn Chare>
+        });
+        crate::halo::deliver(p, ElemId(0), GHOST, ghost_payload(DOWN, 0, b - 1, None));
     }
 
     #[test]

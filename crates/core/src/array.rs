@@ -1,11 +1,13 @@
 //! Chare-array metadata: the global array specification and the per-PE
-//! replicated location table.
+//! view of the object→PE placement.
 //!
 //! Objects move only at load-balancing barriers (Charm++ "AtSync" mode), so
-//! every PE can hold a complete, always-consistent copy of the object→PE
+//! every PE can hold a complete, always-consistent view of the object→PE
 //! placement: it is seeded from the initial [`Mapping`] and replaced
 //! wholesale when PE 0 broadcasts a new assignment.  Message routing is
-//! therefore a single vector lookup, with no forwarding races.
+//! therefore a single vector lookup, with no forwarding races.  The seed
+//! is one [`Placement`] per array per generation, which every PE's view
+//! shares until a barrier changes it there (copy on write).
 
 use std::sync::Arc;
 
@@ -43,50 +45,105 @@ impl std::fmt::Debug for ArraySpec {
     }
 }
 
-/// Per-PE view of one array: spec + replicated location table.
-pub struct ArrayLocal {
-    /// The shared spec.
-    pub spec: Arc<ArraySpec>,
-    /// location[elem] = PE currently hosting it (replicated everywhere).
+/// One array's object→PE table with each PE's element count beside it, so
+/// that "how many elements does this PE host" is a lookup, not a scan.
+#[derive(Clone, Debug)]
+pub struct Placement {
+    /// location[elem] = PE hosting it.
     location: Vec<Pe>,
+    /// counts[pe] = elements on `pe` (PEs past the end host none).
+    counts: Vec<u32>,
 }
 
-impl ArrayLocal {
-    /// Build the initial view from the spec's mapping.
-    pub fn new(spec: Arc<ArraySpec>, topo: &Topology) -> Self {
-        let location = spec.mapping.place_all(spec.n_elems, topo);
-        ArrayLocal { spec, location }
+impl Placement {
+    fn new(location: Vec<Pe>) -> Self {
+        let mut placement = Placement { location: Vec::new(), counts: Vec::new() };
+        for &pe in &location {
+            placement.add(pe);
+        }
+        placement.location = location;
+        placement
     }
 
-    /// Where an element currently lives.
-    pub fn location(&self, elem: ElemId) -> Pe {
-        self.location[elem.index()]
+    /// The initial placement of `spec`'s elements over `topo`.
+    pub fn initial(spec: &ArraySpec, topo: &Topology) -> Self {
+        Placement::new(spec.mapping.place_all(spec.n_elems, topo))
     }
 
-    /// The full placement.
+    /// The full table.
     pub fn locations(&self) -> &[Pe] {
         &self.location
     }
 
+    /// Number of elements on `pe`.
+    pub fn count_on(&self, pe: Pe) -> usize {
+        self.counts.get(pe.index()).map_or(0, |&n| n as usize)
+    }
+
+    fn relocate(&mut self, elem: ElemId, to: Pe) {
+        let from = std::mem::replace(&mut self.location[elem.index()], to);
+        self.counts[from.index()] -= 1;
+        self.add(to);
+    }
+
+    fn add(&mut self, pe: Pe) {
+        if pe.index() >= self.counts.len() {
+            self.counts.resize(pe.index() + 1, 0);
+        }
+        self.counts[pe.index()] += 1;
+    }
+}
+
+/// Per-PE view of one array: spec + the placement, shared with every other
+/// PE's view until this one changes it.
+pub struct ArrayLocal {
+    /// The shared spec.
+    pub spec: Arc<ArraySpec>,
+    placement: Arc<Placement>,
+}
+
+impl ArrayLocal {
+    /// A view over `placement` (one per array per generation, shared by
+    /// every PE's view).
+    pub fn new(spec: Arc<ArraySpec>, placement: Arc<Placement>) -> Self {
+        assert_eq!(placement.location.len(), spec.n_elems, "placement must cover every element");
+        ArrayLocal { spec, placement }
+    }
+
+    /// Where an element currently lives.
+    pub fn location(&self, elem: ElemId) -> Pe {
+        self.placement.location[elem.index()]
+    }
+
+    /// The full placement.
+    pub fn locations(&self) -> &[Pe] {
+        &self.placement.location
+    }
+
+    /// The placement this view reads (shared until this view changes it).
+    pub fn placement(&self) -> &Arc<Placement> {
+        &self.placement
+    }
+
     /// Elements currently placed on `pe`.
     pub fn elems_on(&self, pe: Pe) -> impl Iterator<Item = ElemId> + '_ {
-        self.location.iter().enumerate().filter(move |&(_, &p)| p == pe).map(|(i, _)| ElemId(i as u32))
+        self.locations().iter().enumerate().filter(move |&(_, &p)| p == pe).map(|(i, _)| ElemId(i as u32))
     }
 
     /// Number of elements on `pe`.
     pub fn count_on(&self, pe: Pe) -> usize {
-        self.location.iter().filter(|&&p| p == pe).count()
+        self.placement.count_on(pe)
     }
 
     /// Replace the placement (at a load-balancing barrier).
     pub fn set_locations(&mut self, new: Vec<Pe>) {
         assert_eq!(new.len(), self.spec.n_elems, "placement must cover every element");
-        self.location = new;
+        self.placement = Arc::new(Placement::new(new));
     }
 
     /// Move one element in the table.
     pub fn relocate(&mut self, elem: ElemId, to: Pe) {
-        self.location[elem.index()] = to;
+        Arc::make_mut(&mut self.placement).relocate(elem, to);
     }
 }
 
@@ -112,10 +169,15 @@ mod tests {
         })
     }
 
+    fn view(spec: Arc<ArraySpec>, topo: &Topology) -> ArrayLocal {
+        let placement = Arc::new(Placement::initial(&spec, topo));
+        ArrayLocal::new(spec, placement)
+    }
+
     #[test]
     fn initial_locations_follow_mapping() {
         let topo = Topology::two_cluster(4);
-        let local = ArrayLocal::new(spec(8, Mapping::Block), &topo);
+        let local = view(spec(8, Mapping::Block), &topo);
         assert_eq!(local.location(ElemId(0)), Pe(0));
         assert_eq!(local.location(ElemId(7)), Pe(3));
         assert_eq!(local.count_on(Pe(2)), 2);
@@ -125,7 +187,7 @@ mod tests {
     #[test]
     fn relocation_updates_table() {
         let topo = Topology::two_cluster(2);
-        let mut local = ArrayLocal::new(spec(4, Mapping::Block), &topo);
+        let mut local = view(spec(4, Mapping::Block), &topo);
         local.relocate(ElemId(0), Pe(1));
         assert_eq!(local.location(ElemId(0)), Pe(1));
         assert_eq!(local.count_on(Pe(0)), 1);
@@ -138,7 +200,7 @@ mod tests {
     #[should_panic(expected = "cover every element")]
     fn set_locations_must_be_complete() {
         let topo = Topology::two_cluster(2);
-        let mut local = ArrayLocal::new(spec(4, Mapping::Block), &topo);
+        let mut local = view(spec(4, Mapping::Block), &topo);
         local.set_locations(vec![Pe(0)]);
     }
 }

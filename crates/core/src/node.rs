@@ -20,7 +20,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use mdo_netsim::{Dur, Pe, SpanTree, Time, Topology};
 
-use crate::array::{ArrayLocal, ArraySpec};
+use crate::array::{ArrayLocal, ArraySpec, Placement};
 use crate::balancer::{run_strategy, LbInput, ObjMeasurement, Strategy};
 use crate::chare::{Chare, Ctx, CtxOut, CtxSink, NO_PAYLOAD};
 use crate::checkpoint::{CkptAssembly, FtPiece};
@@ -49,6 +49,10 @@ pub struct NodeShared {
     /// generation: a shrink or expand builds a new `NodeShared` over the
     /// new topology, so every PE of every engine sees the same tree.
     pub tree: SpanTree,
+    /// Each array's initial placement over `topo`, indexed by `ArrayId`:
+    /// one table per array per generation, which every PE's view shares
+    /// until a barrier changes it there.
+    pub placements: Vec<Arc<Placement>>,
 }
 
 impl NodeShared {
@@ -60,7 +64,8 @@ impl NodeShared {
         restore: Option<Arc<crate::checkpoint::Snapshot>>,
     ) -> Self {
         let tree = SpanTree::new(&topo, cfg.tree_collectives);
-        NodeShared { topo, arrays, cfg, restore, tree }
+        let placements = arrays.iter().map(|spec| Arc::new(Placement::initial(spec, &topo))).collect();
+        NodeShared { topo, arrays, cfg, restore, tree, placements }
     }
 }
 
@@ -170,6 +175,42 @@ struct LbState {
     rebalance_triggers: u32,
 }
 
+/// One local object's load and sends since the last barrier.
+#[derive(Clone, Debug, Default)]
+struct ObjStats {
+    /// Compute charged by its handlers, ns.
+    load_ns: u64,
+    /// Messages sent per destination object, sorted by key: the order its
+    /// `LbObjStat` reports them in.
+    comm: Vec<(ObjKey, u64)>,
+}
+
+impl ObjStats {
+    /// Add what one handler run charged and sent (a multicast counts once
+    /// per element).
+    fn record(&mut self, sink: &CtxSink) {
+        self.load_ns += sink.charged.as_nanos();
+        for out in &sink.out {
+            match out {
+                CtxOut::Send { target, .. } => self.sent_to(*target),
+                CtxOut::Multicast { array, elems, .. } => {
+                    for &elem in elems {
+                        self.sent_to(ObjKey::new(*array, elem));
+                    }
+                }
+                CtxOut::Broadcast { .. } | CtxOut::Contribute { .. } => {}
+            }
+        }
+    }
+
+    fn sent_to(&mut self, to: ObjKey) {
+        match self.comm.binary_search_by_key(&to, |&(k, _)| k) {
+            Ok(i) => self.comm[i].1 += 1,
+            Err(i) => self.comm.insert(i, (to, 1)),
+        }
+    }
+}
+
 /// Per-PE fault-tolerance state: buddy-checkpoint pieces held for
 /// ourselves and for the PE whose buddy we are, plus PE-0 coordination.
 #[derive(Default)]
@@ -207,8 +248,9 @@ pub struct Node {
     lb: LbState,
     qd: QdLocal,
     qd_root: QdRoot,
-    obj_load: HashMap<ObjKey, u64>,
-    obj_comm: HashMap<ObjKey, HashMap<ObjKey, u64>>,
+    /// What each local object did since the last barrier, for its
+    /// `AtSyncReady` report.
+    obj_stats: HashMap<ObjKey, ObjStats>,
     ckpt: CkptAssembly,
     ft: FtState,
     messages_processed: u64,
@@ -219,8 +261,12 @@ impl Node {
     /// Build the node for `pe`, constructing its initial local elements.
     /// `host` should be [`HostParts::empty`] except on PE 0.
     pub fn new(shared: Arc<NodeShared>, pe: Pe, host: HostParts) -> Self {
-        let arrays: Vec<ArrayLocal> =
-            shared.arrays.iter().map(|s| ArrayLocal::new(Arc::clone(s), &shared.topo)).collect();
+        let arrays: Vec<ArrayLocal> = shared
+            .arrays
+            .iter()
+            .zip(&shared.placements)
+            .map(|(spec, placement)| ArrayLocal::new(Arc::clone(spec), Arc::clone(placement)))
+            .collect();
         let n_arrays = arrays.len();
         let mut reductions: Vec<crate::reduction::PeReductions> =
             (0..n_arrays).map(|_| crate::reduction::PeReductions::new()).collect();
@@ -275,8 +321,7 @@ impl Node {
             lb: LbState::default(),
             qd: QdLocal::default(),
             qd_root: QdRoot::default(),
-            obj_load: HashMap::new(),
-            obj_comm: HashMap::new(),
+            obj_stats: HashMap::new(),
             ckpt: CkptAssembly::default(),
             ft: FtState::default(),
             messages_processed: 0,
@@ -651,7 +696,7 @@ impl Node {
             outcome.spans.push((owner, sink.charged));
         }
         if let Some(key) = owner {
-            *self.obj_load.entry(key).or_insert(0) += sink.charged.as_nanos();
+            self.obj_stats.entry(key).or_default().record(&sink);
         }
         for out in sink.out {
             match out {
@@ -665,9 +710,6 @@ impl Node {
                         }
                     });
                     self.qd.sent += 1;
-                    if let Some(from) = owner {
-                        *self.obj_comm.entry(from).or_default().entry(target).or_insert(0) += 1;
-                    }
                     self.emit_env(hooks, dst, prio, MsgBody::App { target, entry, payload }, at_charge);
                 }
                 CtxOut::Broadcast { array, entry, payload, at_charge } => {
@@ -695,12 +737,6 @@ impl Node {
                             APP_PRIORITY
                         };
                         self.qd.sent += 1;
-                        if let Some(from) = owner {
-                            for &elem in &group {
-                                *self.obj_comm.entry(from).or_default().entry(ObjKey::new(array, elem)).or_insert(0) +=
-                                    1;
-                            }
-                        }
                         self.emit_env(
                             hooks,
                             dst,
@@ -858,16 +894,8 @@ impl Node {
         let stats: Vec<LbObjStat> = synced
             .into_iter()
             .map(|key| {
-                let comm = self
-                    .obj_comm
-                    .get(&key)
-                    .map(|m| {
-                        let mut v: Vec<(ObjKey, u64)> = m.iter().map(|(&k, &n)| (k, n)).collect();
-                        v.sort_by_key(|&(k, _)| k);
-                        v
-                    })
-                    .unwrap_or_default();
-                LbObjStat { key, load_ns: self.obj_load.get(&key).copied().unwrap_or(0), comm }
+                let ObjStats { load_ns, comm } = self.obj_stats.get(&key).cloned().unwrap_or_default();
+                LbObjStat { key, load_ns, comm }
             })
             .collect();
         self.emit_env(hooks, Pe(0), SYSTEM_PRIORITY, MsgBody::AtSyncReady { stats }, Dur::ZERO);
@@ -932,8 +960,9 @@ impl Node {
         hooks: &mut dyn NodeHooks,
         outcome: &mut HandleOutcome,
     ) {
-        // Snapshot old placement, apply the new one.
-        let old: Vec<Vec<Pe>> = self.arrays.iter().map(|a| a.locations().to_vec()).collect();
+        // Keep the old placement (shared, so relocating copies it), apply
+        // the new one.
+        let old: Vec<Arc<Placement>> = self.arrays.iter().map(|a| Arc::clone(a.placement())).collect();
         for &(key, pe) in assignments {
             self.arrays[key.array.0 as usize].relocate(key.elem, pe);
         }
@@ -955,8 +984,7 @@ impl Node {
             chare.pack(&mut w);
             let dst = self.arrays[key.array.0 as usize].location(key.elem);
             self.lb.synced.remove(&key);
-            self.obj_load.remove(&key);
-            self.obj_comm.remove(&key);
+            self.obj_stats.remove(&key);
             self.emit_env(
                 hooks,
                 dst,
@@ -970,7 +998,7 @@ impl Node {
         let mut expect = 0usize;
         for (ai, local) in self.arrays.iter().enumerate() {
             for (ei, &new_pe) in local.locations().iter().enumerate() {
-                if new_pe == self.pe && old[ai][ei] != self.pe {
+                if new_pe == self.pe && old[ai].locations()[ei] != self.pe {
                     expect += 1;
                 }
             }
@@ -1021,8 +1049,7 @@ impl Node {
         self.lb.incoming = 0;
         self.lb.expect_incoming = 0;
         self.lb.synced.clear();
-        self.obj_load.clear();
-        self.obj_comm.clear();
+        self.obj_stats.clear();
         if self.pe == Pe(0) {
             self.lb.rounds += 1;
         }

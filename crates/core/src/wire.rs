@@ -309,9 +309,16 @@ impl<'a> WireReader<'a> {
 
     /// Read a count-prefixed `f64` vector.
     pub fn f64_vec(&mut self) -> Result<Vec<f64>, WireError> {
+        Ok(self.f64_iter()?.collect())
+    }
+
+    /// Read a count-prefixed `f64` array in place: the values of
+    /// [`WireReader::f64_vec`], decoded as they are iterated, with nothing
+    /// allocated.  The whole body must be present.
+    pub fn f64_iter(&mut self) -> Result<impl ExactSizeIterator<Item = f64> + 'a, WireError> {
         let n = self.u32()? as usize;
         let raw = self.take(n.checked_mul(8).ok_or(WireError { context: "f64 vec size" })?, "f64 vec body")?;
-        Ok(raw.chunks_exact(8).map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes"))).collect())
+        Ok(raw.chunks_exact(8).map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes"))))
     }
 
     /// Read a count-prefixed `f64` array as `[x, y, z]` triples, in one

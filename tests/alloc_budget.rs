@@ -159,8 +159,10 @@ impl Census {
 /// | `3b0a3d8` | 24,969,226 B | 8.172 (95,841 / 11,728) |
 /// | `ed157e8` | 17,969,674 B | 7.389 (86,662 / 11,728) |
 /// | `0d5fd36` | 16,034,010 B | 7.344 (86,136 / 11,728) |
-/// | parent `0892b64` | 8,258,790 B | 7.197 (84,403 / 11,728) |
-/// | this change | 4,107,018 B | 7.197 (84,403 / 11,728) |
+/// | `0892b64` | 8,258,790 B | 7.197 (84,403 / 11,728) |
+/// | `74129b4` | 4,107,018 B | 7.197 (84,403 / 11,728) |
+/// | parent `17859a5` | 4,105,810 B | 7.283 (85,415 / 11,728) |
+/// | this change | 2,918,570 B | 7.262 (85,172 / 11,728) |
 ///
 /// The budgets are the change's readings plus 10 %; the parent fails the
 /// peak's (its allocations per envelope were not to rise, and did not).  What
@@ -177,11 +179,15 @@ impl Census {
 /// arrival, and 1,379 are live at the peak; a drained class keeps its
 /// deque, so the force class refilling costs nothing.  What moved here: a
 /// cell adds each force message into a fixed-point sum and keeps none, so
-/// only the 197 in flight or queued are live at the peak.
+/// only the 197 in flight or queued are live at the peak.  What moved here:
+/// a cost-model pair keeps an empty buffer for each coordinate message it
+/// will never parse, so a cell's 4.5 KB message goes once its last pair
+/// has seen it, not when that pair computes; and the 32 PEs share one
+/// placement table per array.
 #[test]
 fn leanmd_on_the_simulator_stays_inside_its_heap_budget() {
     let _alone = alone();
-    const PEAK_BUDGET: usize = 4_518_000;
+    const PEAK_BUDGET: usize = 3_211_000;
     const ALLOCS_PER_ENVELOPE_BUDGET: f64 = 7.92;
     // Two clusters of 16 PEs, 16 ms apart: `uniform(2, 16)`.
     let net = NetworkModel::two_cluster_sweep(32, Dur::from_millis(16));
@@ -261,18 +267,25 @@ fn leanmd_on_the_wall_clock_engine_stays_inside_its_heap_budget() {
 /// | | live-heap peak |
 /// |---|---|
 /// | `3b0a3d8` | 8,037,298 B |
-/// | `c805177`, parent `0d5fd36` | 4,105,138 B |
-/// | this change | 4,130,866 B |
+/// | `c805177`, `0d5fd36` | 4,105,138 B |
+/// | `0892b64` | 4,130,866 B |
+/// | parent `17859a5` | 4,128,378 B |
+/// | this change | 3,522,513 B |
 ///
-/// The budget is the reading of `c805177` plus 10 %; `3b0a3d8` fails it.
+/// The budget is this change's reading plus 10 %; the parent fails it.
 /// What moved in `c805177`: 64 disabled recorders held four 15,360-byte
-/// histograms each, 3.75 MiB that recorded nothing.  What moved here: a
-/// drained scheduler-queue class keeps its deque (the test below), 25 KB
-/// over 64 PEs.
+/// histograms each, 3.75 MiB that recorded nothing.  What moved in
+/// `0892b64`: a drained scheduler-queue class keeps its deque (the test
+/// below), 25 KB over 64 PEs.  What moved here: a cost-model block keeps an
+/// arriving ghost as an empty buffer, not as a parsed 512-byte vector of
+/// zeros; the 64 PEs share one 4 KB placement table; and each block's load
+/// and send counts are one record with a short sorted vector, not a map of
+/// maps.  The peak is now the ghost messages themselves, 3,438 of them in
+/// flight or queued.
 #[test]
 fn an_obs_off_stencil_on_the_simulator_stays_inside_its_heap_budget() {
     let _alone = alone();
-    const PEAK_BUDGET: usize = 4_516_000;
+    const PEAK_BUDGET: usize = 3_875_000;
     let net = NetworkModel::two_cluster_sweep(64, Dur::from_millis(8));
     let census = Census::begin();
     let out = stencil::run_sim(StencilConfig::paper(1024, 10), net, RunConfig::default());
@@ -280,6 +293,45 @@ fn an_obs_off_stencil_on_the_simulator_stays_inside_its_heap_budget() {
     assert!(out.report.obs.is_none());
     println!("live-heap peak {peak} B");
     assert!(peak <= PEAK_BUDGET, "live-heap peak {peak} B is over the budget of {PEAK_BUDGET} B");
+}
+
+/// `stencil_cross_tcp`'s job on the wall-clock engine in one process: 1,024
+/// blocks placed round-robin on two PE threads, no latency injected, six
+/// steps.  Handlers do nothing but keep and send ghosts, so what a PE holds
+/// per ghost is most of the heap.  All threads counted.
+///
+/// | | live-heap peak | allocations per envelope |
+/// |---|---|---|
+/// | parent `17859a5` | 3,277,958–3,481,299 B (six runs) | 5.245–5.246 (124,903–124,912 / 23,813) |
+/// | this change | 2,605,588–3,280,425 B (19 runs) | 4.207–4.208 (100,176–100,191 / 23,812–23,813) |
+///
+/// The budgets are the change's highest readings plus 10 %.  The parent
+/// fails the allocation budget; it passes the peak's, which follows how
+/// deep the host lets the two queues get.  What moved here: a cost-model
+/// block keeps an arriving ghost as an empty buffer, not as a parsed
+/// 512-byte vector of zeros, and the two PEs share one placement table.
+#[test]
+fn a_stencil_on_the_wall_clock_engine_stays_inside_its_heap_budget() {
+    let _alone = alone();
+    const PEAK_BUDGET: isize = 3_609_000;
+    const ALLOCS_PER_ENVELOPE_BUDGET: f64 = 4.63;
+    let topo = Topology::uniform(2, 1);
+    let latency = LatencyMatrix::uniform(&topo, Dur::ZERO, Dur::ZERO);
+    let job = StencilConfig { mapping: Mapping::RoundRobin, ..StencilConfig::paper(1024, 6) };
+    let (live, allocs) = (ALL_LIVE.load(Ordering::Relaxed), ALL_ALLOCS.load(Ordering::Relaxed));
+    ALL_PEAK.store(live, Ordering::Relaxed);
+    let out = stencil::run_threaded(job, topo, latency, RunConfig::default());
+    let peak = ALL_PEAK.load(Ordering::Relaxed) - live;
+    let allocs = ALL_ALLOCS.load(Ordering::Relaxed) - allocs;
+    let envelopes: u64 = out.report.pe_messages.iter().sum();
+    assert!(envelopes > 6 * 3_968, "six steps of the stencil: {envelopes} envelopes");
+    let per_envelope = allocs as f64 / envelopes as f64;
+    println!("live-heap peak {peak} B, {allocs} allocations / {envelopes} envelopes = {per_envelope:.3}");
+    assert!(peak <= PEAK_BUDGET, "live-heap peak {peak} B is over the budget of {PEAK_BUDGET} B");
+    assert!(
+        per_envelope <= ALLOCS_PER_ENVELOPE_BUDGET,
+        "{per_envelope:.3} allocations per envelope is over the budget of {ALLOCS_PER_ENVELOPE_BUDGET}"
+    );
 }
 
 /// A warm scheduler queue whose priority classes drain and refill — a

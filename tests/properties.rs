@@ -1,9 +1,13 @@
 //! Property-based tests (proptest) on cross-crate invariants.
 
+use std::sync::Arc;
+
 use gridmdo::apps::leanmd::geometry::CellGrid;
 use gridmdo::apps::stencil::seq::SeqStencil;
 use gridmdo::netsim::topology::ClusterSpec;
 use gridmdo::netsim::{ClusterId, Dur, EventQueue, LatencyMatrix, Pe, SpanTree, Time, Topology, TreeConfig};
+use gridmdo::runtime::array::{ArrayLocal, ArraySpec, Placement};
+use gridmdo::runtime::chare::{Chare, Ctx};
 use gridmdo::runtime::checkpoint::{ArraySnapshot, Snapshot};
 use gridmdo::runtime::envelope::{Envelope, MsgBody, ReduceData, ReduceOp};
 use gridmdo::runtime::ids::{ArrayId, ElemId, EntryId, ObjKey};
@@ -13,6 +17,13 @@ use gridmdo::runtime::wire::{WireReader, WireWriter};
 use gridmdo::vmi::devices::crc::crc32;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
+
+/// An element that does nothing, for placement tables.
+struct Idle;
+
+impl Chare for Idle {
+    fn receive(&mut self, _entry: EntryId, _payload: &[u8], _ctx: &mut Ctx<'_>) {}
+}
 
 /// Structural validity of a collective spanning tree: spans every PE
 /// exactly once, children ascending.  The heap shape (`cfg` `None`) hangs
@@ -73,7 +84,9 @@ proptest! {
         let buf = w.finish();
         let mut r = WireReader::new(&buf);
         prop_assert_eq!(r.bytes().unwrap(), &u8s[..]);
+        let in_place: Vec<u64> = WireReader::new(&buf[4 + u8s.len()..]).f64_iter().unwrap().map(f64::to_bits).collect();
         let got = r.f64_vec().unwrap();
+        prop_assert_eq!(in_place, got.iter().map(|x| x.to_bits()).collect::<Vec<_>>());
         prop_assert_eq!(got.len(), f64s.len());
         for (x, y) in got.iter().zip(&f64s) {
             prop_assert_eq!(x.to_bits(), y.to_bits());
@@ -407,6 +420,45 @@ proptest! {
             prop_assert!(state.available(window) <= window, "balance within the window");
             prop_assert!(state.granted <= window, "grants are clamped");
             prop_assert_eq!(state.in_flight, outstanding);
+        }
+    }
+
+    /// A placement's per-PE counts stay what a scan of its table reads
+    /// through any run of moves and wholesale replacements.  Two PEs' views
+    /// start on one shared table, and the view that changes copies it: the
+    /// other keeps the initial table and its counts.
+    #[test]
+    fn placement_counts_follow_moves_and_views_stay_independent(
+        n in 1usize..64,
+        pes in 1u32..9,
+        ops in prop::collection::vec((any::<u32>(), any::<u32>(), 0u8..8), 0..48),
+    ) {
+        let topo = Topology::single(pes);
+        let spec = Arc::new(ArraySpec {
+            id: ArrayId(0),
+            name: "placement".into(),
+            n_elems: n,
+            factory: Arc::new(|_| Box::new(Idle) as Box<dyn Chare>),
+            unpacker: None,
+            mapping: Mapping::RoundRobin,
+        });
+        let shared = Arc::new(Placement::initial(&spec, &topo));
+        let mut mover = ArrayLocal::new(Arc::clone(&spec), Arc::clone(&shared));
+        let other = ArrayLocal::new(Arc::clone(&spec), Arc::clone(&shared));
+        prop_assert!(Arc::ptr_eq(mover.placement(), other.placement()), "one table until a view changes it");
+        let initial = shared.locations().to_vec();
+        let scan = |locations: &[Pe], pe: Pe| locations.iter().filter(|&&p| p == pe).count();
+        for (a, b, op) in ops {
+            if op == 0 {
+                mover.set_locations((0..n as u32).map(|i| Pe(i.wrapping_mul(a).wrapping_add(b) % pes)).collect());
+            } else {
+                mover.relocate(ElemId(a % n as u32), Pe(b % pes));
+            }
+            for pe in (0..=pes).map(Pe) {
+                prop_assert!(mover.count_on(pe) == scan(mover.locations(), pe), "{:?} after a change", pe);
+                prop_assert!(other.count_on(pe) == scan(&initial, pe), "{:?} in the untouched view", pe);
+            }
+            prop_assert_eq!(other.locations(), &initial[..]);
         }
     }
 }
