@@ -108,6 +108,12 @@ const MAX_TERMS: usize = (i128::MAX >> (RANGE_BITS + FRACTION_BITS)) as usize;
 /// parts are added as integers and turned back into `f64`s only when the
 /// last term is in.  Integer addition is associative, so the result is the
 /// same bits in any arrival order, and nothing has to wait for anything.
+///
+/// It is not a user of the runtime's exact `SumF64` accumulator
+/// (`mdo_core::reduction::ExactSum`), which covers the whole f64 range
+/// and rounds correctly: a part here is a 16-byte `i128` against that
+/// accumulator's 272 bytes of limbs, a cell holds 1 + 3 × atoms parts, and
+/// `peak_rss_mib` is gated on the `leanmd_tcp` and `sim_sweep` workloads.
 #[derive(Debug)]
 pub struct ForceSum {
     terms: usize,

@@ -15,7 +15,7 @@ use mdo_core::envelope::{Envelope, MsgBody, ReduceData, ReduceOp};
 use mdo_core::ids::{ArrayId, ElemId, EntryId, ObjKey};
 use mdo_core::program::RunConfig;
 use mdo_core::queue::SchedQueue;
-use mdo_core::reduction::combine;
+use mdo_core::reduction::{combine, ExactSum};
 use mdo_netsim::network::NetworkModel;
 use mdo_netsim::{Dur, EventQueue, Pe, Time};
 use mdo_vmi::devices::crc::crc32;
@@ -129,7 +129,7 @@ fn bench_kernels(c: &mut Criterion) {
 
     g.bench_function("reduction_combine_sum64", |b| {
         b.iter_batched(
-            || (ReduceData::F64(vec![1.0; 64]), ReduceData::F64(vec![2.0; 64])),
+            || (ReduceData::Exact(vec![ExactSum::new(1.0); 64]), ReduceData::Exact(vec![ExactSum::new(2.0); 64])),
             |(mut acc, other)| combine(ReduceOp::SumF64, &mut acc, other),
             BatchSize::SmallInput,
         )

@@ -13,20 +13,10 @@
 use bytes::Bytes;
 use mdo_netsim::{ClusterId, Dur, Pe, Time, Topology};
 
-use crate::envelope::ReduceOp;
+use crate::envelope::{ReduceData, ReduceOp};
 use crate::ids::{ArrayId, ElemId, EntryId, ObjKey};
+use crate::reduction::ExactSum;
 use crate::wire::{WireReader, WireWriter};
-
-/// A contribution's payload, before tree combination.
-#[derive(Clone, Debug, PartialEq)]
-pub enum ContribData {
-    /// For the f64 operators (sum/min/max, element-wise).
-    F64(Vec<f64>),
-    /// For `SumU64`.
-    U64(Vec<u64>),
-    /// For `Gather`: this element's raw bytes.
-    Raw(Vec<u8>),
-}
 
 /// Buffered runtime actions produced by a handler.
 #[derive(Debug)]
@@ -56,8 +46,7 @@ pub(crate) enum CtxOut {
     Contribute {
         from: ObjKey,
         op: ReduceOp,
-        data: ContribData,
-        at_charge: Dur,
+        data: ReduceData,
     },
 }
 
@@ -195,37 +184,33 @@ impl<'a> Ctx<'a> {
         });
     }
 
+    fn contribute(&mut self, op: ReduceOp, data: ReduceData) {
+        let from = self.me();
+        self.sink.out.push(CtxOut::Contribute { from, op, data });
+    }
+
     /// Contribute an f64 vector to this array's current reduction.
     /// Every element must contribute exactly once per reduction, with the
     /// same operator and vector length.  Panics in host callbacks.
     pub fn contribute_f64(&mut self, op: ReduceOp, data: &[f64]) {
-        assert!(
-            matches!(op, ReduceOp::SumF64 | ReduceOp::MinF64 | ReduceOp::MaxF64),
-            "contribute_f64 requires an f64 operator"
-        );
-        let from = self.me();
-        let at_charge = self.sink.charged;
-        self.sink.out.push(CtxOut::Contribute { from, op, data: ContribData::F64(data.to_vec()), at_charge });
+        let data = match op {
+            ReduceOp::SumF64 => ReduceData::Exact(data.iter().map(|&x| ExactSum::new(x)).collect()),
+            ReduceOp::MinF64 | ReduceOp::MaxF64 => ReduceData::F64(data.to_vec()),
+            _ => panic!("contribute_f64 requires an f64 operator"),
+        };
+        self.contribute(op, data);
     }
 
     /// Contribute a u64 vector to a `SumU64` reduction.
     pub fn contribute_u64_sum(&mut self, data: &[u64]) {
-        let from = self.me();
-        let at_charge = self.sink.charged;
-        self.sink.out.push(CtxOut::Contribute {
-            from,
-            op: ReduceOp::SumU64,
-            data: ContribData::U64(data.to_vec()),
-            at_charge,
-        });
+        self.contribute(ReduceOp::SumU64, ReduceData::U64(data.to_vec()));
     }
 
     /// Contribute raw bytes to a `Gather` reduction (delivered to the
     /// client sorted by element index).
     pub fn contribute_gather(&mut self, data: Vec<u8>) {
-        let from = self.me();
-        let at_charge = self.sink.charged;
-        self.sink.out.push(CtxOut::Contribute { from, op: ReduceOp::Gather, data: ContribData::Raw(data), at_charge });
+        let elem = self.my_elem().0;
+        self.contribute(ReduceOp::Gather, ReduceData::Gathered(vec![(elem, data)]));
     }
 
     /// Charge `work` of compute time to this handler.  Under the simulation
@@ -347,12 +332,21 @@ mod tests {
         let me = ObjKey::new(ArrayId(2), ElemId(7));
         let mut ctx = mk_ctx(&topo, &mut sink, Some(me));
         ctx.contribute_f64(ReduceOp::SumF64, &[1.0]);
+        ctx.contribute_f64(ReduceOp::MaxF64, &[1.5]);
         ctx.contribute_u64_sum(&[2]);
         ctx.contribute_gather(vec![3]);
-        assert_eq!(sink.out.len(), 3);
-        for o in &sink.out {
+        // Each leaves in tree-combinable form: a sum as exact partials, a
+        // gather keyed by its element.
+        let want = [
+            ReduceData::Exact(vec![ExactSum::new(1.0)]),
+            ReduceData::F64(vec![1.5]),
+            ReduceData::U64(vec![2]),
+            ReduceData::Gathered(vec![(7, vec![3])]),
+        ];
+        assert_eq!(sink.out.len(), want.len());
+        for (o, want) in sink.out.iter().zip(&want) {
             match o {
-                CtxOut::Contribute { from, .. } => assert_eq!(*from, me),
+                CtxOut::Contribute { from, data, .. } => assert_eq!((*from, data), (me, want)),
                 other => panic!("unexpected: {other:?}"),
             }
         }

@@ -11,6 +11,7 @@ use bytes::{Bytes, BytesMut};
 use mdo_netsim::Pe;
 
 use crate::ids::{ArrayId, ElemId, EntryId, ObjKey};
+use crate::reduction::ExactSum;
 use crate::wire::{WireError, WireReader, WireWriter};
 
 /// Leading byte of every serialized envelope.  The byte-oriented transport
@@ -22,9 +23,10 @@ pub const WIRE_TAG: u8 = 0xE5;
 /// Reduction operators supported by [`MsgBody::ReduceUp`].
 ///
 /// `SumF64`/`MinF64`/`MaxF64` combine equal-length `f64` vectors
-/// element-wise; `SumU64` likewise for `u64`; `Gather` collects each
-/// element's raw bytes, delivered sorted by element index (deterministic
-/// regardless of arrival order).
+/// element-wise (`SumF64` exactly, rounded once at the root); `SumU64`
+/// likewise for `u64`; `Gather` collects each element's raw bytes,
+/// delivered sorted by element index.  Every result is independent of
+/// arrival order.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ReduceOp {
     /// Element-wise sum of f64 vectors.
@@ -65,8 +67,10 @@ impl ReduceOp {
 /// Partially-combined reduction data moving up the PE tree.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ReduceData {
-    /// For the f64 operators.
+    /// For `MinF64` and `MaxF64`, and a delivered `SumF64` result.
     F64(Vec<f64>),
+    /// A `SumF64` partial, exact until the root rounds it.
+    Exact(Vec<ExactSum>),
     /// For `SumU64`.
     U64(Vec<u64>),
     /// For `Gather`: (element index, bytes) pairs, kept sorted by element.
@@ -254,6 +258,7 @@ impl Envelope {
             MsgBody::ReduceUp { data, .. } => {
                 18 + match data {
                     ReduceData::F64(v) => v.len() as u64 * 8,
+                    ReduceData::Exact(v) => v.iter().map(ExactSum::wire_len).sum(),
                     ReduceData::U64(v) => v.len() as u64 * 8,
                     ReduceData::Gathered(g) => g.iter().map(|(_, b)| 8 + b.len() as u64).sum(),
                 }
@@ -404,6 +409,12 @@ fn encode_reduce_data(w: &mut WireWriter, d: &ReduceData) {
                 w.u32(*elem).bytes(bytes);
             }
         }
+        ReduceData::Exact(v) => {
+            w.u8(3).u32(v.len() as u32);
+            for s in v {
+                s.encode(w);
+            }
+        }
     }
 }
 
@@ -427,6 +438,14 @@ fn decode_reduce_data(r: &mut WireReader) -> Result<ReduceData, WireError> {
                 g.push((elem, bytes));
             }
             ReduceData::Gathered(g)
+        }
+        3 => {
+            // Each sum is at least its three header bytes.
+            let n = r.u32()? as usize;
+            if n > r.remaining() / 3 {
+                return Err(WireError { context: "ExactSum count" });
+            }
+            ReduceData::Exact((0..n).map(|_| ExactSum::decode(r)).collect::<Result<_, _>>()?)
         }
         _ => return Err(WireError { context: "ReduceData tag" }),
     })
@@ -677,6 +696,7 @@ mod tests {
             ReduceData::F64(vec![1.5, -2.5]),
             ReduceData::U64(vec![10, 20, 30]),
             ReduceData::Gathered(vec![(0, b"a".to_vec()), (3, b"bc".to_vec())]),
+            ReduceData::Exact(exact_sums()),
         ] {
             match roundtrip(MsgBody::ReduceUp {
                 array: ArrayId(0),
@@ -693,6 +713,61 @@ mod tests {
                 other => panic!("wrong body: {other:?}"),
             }
         }
+    }
+
+    /// Exact sums of every shape the codec distinguishes: zero, −0, tiny,
+    /// huge, negative, and the NaN and infinity flags.
+    fn exact_sums() -> Vec<ExactSum> {
+        let mut mixed = ExactSum::new(f64::MAX);
+        mixed.add(-1e-300);
+        mixed.add(f64::NEG_INFINITY);
+        let mut nan = ExactSum::new(f64::NAN);
+        nan.add(f64::INFINITY);
+        [0.0, -0.0, 5e-324, -2.5, f64::MAX, -f64::MAX, 1e16]
+            .into_iter()
+            .map(ExactSum::new)
+            .chain([mixed, nan])
+            .collect()
+    }
+
+    fn exact_reduce_up(sums: Vec<ExactSum>) -> Envelope {
+        let body = MsgBody::ReduceUp {
+            array: ArrayId(0),
+            seq: 1,
+            op: ReduceOp::SumF64,
+            count: 2,
+            data: ReduceData::Exact(sums),
+        };
+        Envelope { src: Pe(1), dst: Pe(0), priority: 0, sent_at_ns: 0, body }
+    }
+
+    #[test]
+    fn exact_sum_wire_size_tracks_its_encoding() {
+        let small = exact_reduce_up(vec![ExactSum::new(1.0)]);
+        let all = exact_reduce_up(exact_sums());
+        let grown = all.encode().len() - small.encode().len();
+        assert_eq!(all.wire_size() - small.wire_size(), grown as u64);
+        assert!(small.encode().len() < 64, "a one-term sum sends one limb, not 34");
+    }
+
+    #[test]
+    fn exact_sum_decode_rejects_bad_flags_and_limb_ranges() {
+        // Header 21 bytes, ReduceUp fields 18, data tag and count 5: the
+        // sum's flags, lo and hi follow at 44, 45 and 46.
+        let good = exact_reduce_up(vec![ExactSum::new(-1.0)]).encode();
+        assert!(Envelope::decode(&good).is_ok());
+        let patched = |at: usize, v: u8| {
+            let mut b = good.clone();
+            b[at] = v;
+            Envelope::decode(&b).map(|_| ()).map_err(|e| e.context)
+        };
+        assert_eq!(patched(44, 0x20), Err("ExactSum flags"), "unknown flag bit");
+        assert_eq!(patched(44, 0x80), Err("ExactSum flags"), "unknown flag bit");
+        assert_eq!(patched(46, 35), Err("ExactSum limb range"), "range past 34 limbs");
+        assert_eq!(patched(45, 18), Err("ExactSum limb range"), "range that ends before it starts");
+        let mut huge = good.clone();
+        huge[40..44].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(Envelope::decode(&huge).map(|_| ()).map_err(|e| e.context), Err("ExactSum count"));
     }
 
     #[test]

@@ -27,6 +27,7 @@ use crate::checkpoint::{CkptAssembly, FtPiece};
 use crate::envelope::{Envelope, LbObjStat, MsgBody, ReduceData, APP_PRIORITY, SYSTEM_PRIORITY};
 use crate::ids::{ArrayId, EntryId, ObjKey};
 use crate::program::{CheckpointClient, Program, QuiescenceClient, ReductionClient, RunConfig, StartupFn};
+use crate::reduction::{self, Partial, PeReductions};
 use crate::wire::{WireReader, WireWriter};
 
 /// Priority given to cross-cluster application messages when the §6
@@ -236,13 +237,9 @@ pub struct Node {
     /// batches are byte-identical.
     elems: BTreeMap<ObjKey, Box<dyn Chare>>,
     arrays: Vec<ArrayLocal>,
-    /// Local contributions, one fold per array, until every local
-    /// element of a reduction has contributed.
-    reductions: Vec<crate::reduction::PeReductions>,
-    /// The local partial plus one partial per tree child, one buffer per
-    /// array, joined in fixed tree order.
-    tree_red: Vec<crate::reduction::TreeReductions>,
-    root: Vec<crate::reduction::RootDelivery>,
+    /// One fold per array of local contributions and child partials,
+    /// until a reduction covers this PE's subtree.
+    reductions: Vec<PeReductions>,
     host: HostParts,
     strategy: Arc<dyn Strategy>,
     lb: LbState,
@@ -268,10 +265,7 @@ impl Node {
             .map(|(spec, placement)| ArrayLocal::new(Arc::clone(spec), Arc::clone(placement)))
             .collect();
         let n_arrays = arrays.len();
-        let mut reductions: Vec<crate::reduction::PeReductions> =
-            (0..n_arrays).map(|_| crate::reduction::PeReductions::new()).collect();
-        let mut root: Vec<crate::reduction::RootDelivery> =
-            (0..n_arrays).map(|_| crate::reduction::RootDelivery::new()).collect();
+        let mut reductions: Vec<PeReductions> = (0..n_arrays).map(|_| PeReductions::default()).collect();
         let mut elems = BTreeMap::new();
         for local in &arrays {
             for elem in local.elems_on(pe) {
@@ -302,20 +296,17 @@ impl Node {
         if pe == Pe(0) {
             if let Some(snapshot) = shared.restore.as_deref() {
                 for a in &snapshot.arrays {
-                    root[a.array.0 as usize].set_next(a.red_next);
+                    reductions[a.array.0 as usize].set_next_delivery(a.red_next);
                 }
             }
         }
         let strategy = shared.cfg.lb.strategy();
-        let tree_red = (0..n_arrays).map(|_| crate::reduction::TreeReductions::new()).collect();
         Node {
             shared,
             pe,
             elems,
             arrays,
             reductions,
-            tree_red,
-            root,
             host,
             strategy,
             lb: LbState::default(),
@@ -465,12 +456,10 @@ impl Node {
                 }
             }
             MsgBody::ReduceUp { array, seq, op, count, data } => {
-                // Buffer the child's complete partial keyed by its PE, so
-                // the combine order is fixed by the tree, not by delivery
-                // order.
-                let partial = crate::reduction::Partial { op, count, data };
-                self.tree_red[array.0 as usize].offer_child(seq, src.0, partial);
-                self.flush_reductions(array, hooks, &mut outcome);
+                let (child, me) = (src.0, self.pe.0);
+                let is_child = self.shared.tree.children(self.pe).contains(&src);
+                assert!(is_child, "reduction {seq}: partial from pe{child}, which is not a tree child of pe{me}");
+                self.fold_reduction(array, seq, Partial { op, count, data }, hooks, &mut outcome);
             }
             MsgBody::AtSyncReady { stats } => {
                 assert_eq!(self.pe, Pe(0), "AtSyncReady must go to PE 0");
@@ -519,7 +508,7 @@ impl Node {
                         .arrays
                         .iter()
                         .enumerate()
-                        .map(|(i, a)| (a.spec.id, a.spec.n_elems, self.root[i].next_seq()))
+                        .map(|(i, a)| (a.spec.id, a.spec.n_elems, self.reductions[i].next_delivery()))
                         .collect();
                     let snapshot = self.ckpt.finish(&expected);
                     let shared = Arc::clone(&self.shared);
@@ -588,7 +577,7 @@ impl Node {
                 let states = self.pack_all_local();
                 self.ft.bytes_stored += states.iter().map(|(_, s)| s.len() as u64).sum::<u64>();
                 let red_next: Vec<u32> = if self.pe == Pe(0) {
-                    (0..self.arrays.len()).map(|i| self.root[i].next_seq()).collect()
+                    self.reductions.iter().map(PeReductions::next_delivery).collect()
                 } else {
                     Vec::new()
                 };
@@ -746,10 +735,9 @@ impl Node {
                         );
                     }
                 }
-                CtxOut::Contribute { from, op, data, at_charge } => {
-                    let _ = at_charge;
-                    self.reductions[from.array.0 as usize].contribute(from, op, data);
-                    self.flush_reductions(from.array, hooks, outcome);
+                CtxOut::Contribute { from, op, data } => {
+                    let seq = self.reductions[from.array.0 as usize].next_seq(from);
+                    self.fold_reduction(from.array, seq, Partial { op, count: 1, data }, hooks, outcome);
                 }
             }
         }
@@ -799,57 +787,29 @@ impl Node {
         self.shared.tree.subtree(self.pe).into_iter().map(|pe| local.count_on(pe) as u64).sum()
     }
 
-    /// Tree children expected to send a `ReduceUp` for `array`: those
-    /// whose subtree hosts at least one element.
-    fn red_children(&self, array: ArrayId) -> Vec<u32> {
-        let tree = &self.shared.tree;
-        let local = &self.arrays[array.0 as usize];
-        tree.children(self.pe)
-            .iter()
-            .filter(|&&c| tree.subtree(c).into_iter().any(|pe| local.count_on(pe) > 0))
-            .map(|&c| c.0)
-            .collect()
-    }
-
-    /// Local contributions complete against the local element count only,
-    /// then join the per-child partials in the fixed tree order (local
-    /// first, children ascending by PE) before one `ReduceUp` to the tree
-    /// parent — in the two-level shape, partial-combine at the gateway
-    /// ahead of the single wide-area hop.
-    fn flush_reductions(&mut self, array: ArrayId, hooks: &mut dyn NodeHooks, outcome: &mut HandleOutcome) {
-        let total = self.subtree_expected(array);
-        if total == 0 {
-            return;
-        }
-        let local_expected = self.arrays[array.0 as usize].count_on(self.pe) as u64;
-        if local_expected > 0 {
-            for (seq, partial) in self.reductions[array.0 as usize].take_complete(local_expected) {
-                self.tree_red[array.0 as usize].offer_local(seq, partial);
-            }
-        }
-        let expected_children = self.red_children(array);
-        let complete = self.tree_red[array.0 as usize].take_complete(local_expected > 0, &expected_children, total);
-        for (seq, partial) in complete {
-            self.forward_or_deliver(array, seq, partial, hooks, outcome);
-        }
-    }
-
-    /// A subtree-complete partial either reaches the host client (root)
-    /// or folds one hop up the tree.
-    fn forward_or_deliver(
+    /// Fold one piece of reduction `seq` — a local contribution or a tree
+    /// child's partial — on arrival.  Once the partial covers this PE's
+    /// subtree it either reaches the host client (root) or goes one hop
+    /// up the tree: in the two-level shape, a gateway combines its
+    /// cluster ahead of the single wide-area hop.
+    fn fold_reduction(
         &mut self,
         array: ArrayId,
         seq: u32,
-        partial: crate::reduction::Partial,
+        piece: Partial,
         hooks: &mut dyn NodeHooks,
         outcome: &mut HandleOutcome,
     ) {
+        let total = self.subtree_expected(array);
+        if !self.reductions[array.0 as usize].fold(seq, piece, total) {
+            return;
+        }
         if self.pe == Pe(0) {
-            let deliverable = self.root[array.0 as usize].push(seq, partial);
-            for (s, p) in deliverable {
-                self.deliver_reduction(array, s, p.data, hooks, outcome);
+            while let Some((s, p)) = self.reductions[array.0 as usize].take_next(total) {
+                self.deliver_reduction(array, s, reduction::finish(p.data), hooks, outcome);
             }
         } else {
+            let partial = self.reductions[array.0 as usize].take(seq);
             let parent = self.shared.tree.parent(self.pe).expect("non-root PE has a tree parent");
             self.emit_env(
                 hooks,
@@ -885,7 +845,7 @@ impl Node {
             return;
         }
         assert!(
-            self.reductions.iter().all(|r| r.is_quiescent()) && self.tree_red.iter().all(|t| t.is_quiescent()),
+            self.reductions.iter().all(|r| r.is_quiescent()),
             "reductions must not be in flight at an AtSync barrier"
         );
         self.lb.in_barrier = true;
@@ -1693,6 +1653,25 @@ mod tests {
         );
         assert!(!outcome.exit);
         assert!(hooks.out.is_empty(), "stale reply triggers nothing");
+    }
+
+    #[test]
+    #[should_panic(expected = "reduction 0: partial from pe3, which is not a tree child of pe0")]
+    fn reduce_up_from_a_pe_that_is_not_a_tree_child_panics() {
+        // On the four-PE heap, PE 0's children are PEs 1 and 2.
+        let mut p = Program::new();
+        let _ = p.array("c", 4, Mapping::Block, |_| Box::new(Counter { count: 0 }) as Box<dyn Chare>);
+        let (shared, host) = split_program(p, Topology::two_cluster(4), RunConfig::default());
+        let mut node = Node::new(shared, Pe(0), host);
+        let body = MsgBody::ReduceUp {
+            array: ArrayId(0),
+            seq: 0,
+            op: ReduceOp::SumU64,
+            count: 1,
+            data: ReduceData::U64(vec![1]),
+        };
+        let env = Envelope { src: Pe(3), dst: Pe(0), priority: SYSTEM_PRIORITY, sent_at_ns: 0, body };
+        node.handle(env, &mut FifoHooks { out: Vec::new() });
     }
 
     const MSEND: EntryId = EntryId(7);

@@ -311,8 +311,8 @@ pub struct RunConfig {
     pub net: Option<mdo_net::NetConfig>,
     /// The shape of the [`SpanTree`](mdo_netsim::SpanTree) that every
     /// broadcast, reduction and section multicast runs over; the
-    /// algorithm, and the fixed order in which reductions combine child
-    /// partials, are the same for both.  `None` (the default) is the
+    /// algorithm is the same for both, and since every reduction operator
+    /// is exact (a `SumF64` rounds once, at the root), so is every result.  `None` (the default) is the
     /// cluster-blind binary PE heap, with no gateways.  `Some` is the
     /// Grid-topology-aware two-level tree — one gateway PE per cluster,
     /// so each collective crosses the wide area once per remote cluster

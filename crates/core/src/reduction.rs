@@ -2,70 +2,212 @@
 //!
 //! Reductions run over the run's collective
 //! [`SpanTree`](mdo_netsim::SpanTree), in whichever shape it has: each
-//! element contributes exactly once per reduction; a PE first folds its
-//! local contributions ([`PeReductions`]), then joins that partial with
-//! one complete partial per tree child in fixed tree order
-//! ([`TreeReductions`]); the joined partial, covering the PE's whole
-//! subtree, flows to the parent; the root (PE 0) delivers results to the
-//! host client **in sequence order**, regardless of the order in which
-//! racing reductions complete.
+//! element contributes exactly once per reduction; a PE folds each local
+//! contribution and each tree child's partial **as it arrives**
+//! ([`PeReductions::fold`]); once the partial covers the PE's whole
+//! subtree it flows to the parent; the root (PE 0) delivers results to
+//! the host client **in sequence order**, regardless of the order in
+//! which racing reductions complete.
+//!
+//! Folding on arrival is safe because every operator is exact: `SumF64`
+//! partials are [`ExactSum`]s, rounded once at the root, and `MinF64`,
+//! `MaxF64`, `SumU64` and `Gather` never round.  So no arrival order,
+//! tree shape or PE count can reach a result's bits.
 //!
 //! This module is pure bookkeeping (no I/O), so it is testable in
 //! isolation; `node.rs` wires it to the message fabric.
 
+use std::cmp::Ordering;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 
-use crate::chare::ContribData;
 use crate::envelope::{ReduceData, ReduceOp};
 use crate::ids::ObjKey;
+use crate::wire::{WireError, WireReader, WireWriter};
 
-/// Element-wise combine of two partials under `op`.
+/// 64-bit limbs of an [`ExactSum`]: 2,176 bits.  Every finite `f64` is an
+/// integer multiple of 2^-1074 below 2^2098, which leaves a sign bit and
+/// 2^63 terms of headroom above `f64::MAX`.
+const LIMBS: usize = 34;
+
+/// An exact `SumF64` partial: a two's-complement fixed-point integer in
+/// units of 2^-1074, the least subnormal.  Every finite term adds with
+/// no rounding, so any grouping and order of the same terms gives the
+/// same bits; NaN and infinite terms are kept as flags.
+/// [`ExactSum::round`] rounds once, to nearest with ties to even.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct ExactSum {
+    limbs: [u64; LIMBS],
+    flags: u8,
+}
+
+impl ExactSum {
+    const NAN: u8 = 1;
+    const POS_INF: u8 = 2;
+    const NEG_INF: u8 = 4;
+    /// Some term was not −0.0: an all-−0.0 sum is −0.0, as in IEEE
+    /// addition, and any other exact zero is +0.0.
+    const NOT_NEG_ZERO: u8 = 8;
+    /// Wire only: the limbs above the sent range are all ones.
+    const NEGATIVE: u8 = 16;
+
+    /// The sum of the one term `x`.
+    pub fn new(x: f64) -> Self {
+        let mut s = ExactSum { limbs: [0; LIMBS], flags: 0 };
+        s.add(x);
+        s
+    }
+
+    /// Add the term `x`, exactly.
+    pub fn add(&mut self, x: f64) {
+        let bits = x.to_bits();
+        let (exp, frac) = ((bits >> 52) & 0x7ff, bits & ((1 << 52) - 1));
+        self.flags |= match exp {
+            0x7ff if frac != 0 => Self::NAN,
+            0x7ff if x > 0.0 => Self::POS_INF,
+            0x7ff => Self::NEG_INF,
+            _ if x == 0.0 && x.is_sign_negative() => return,
+            _ => Self::NOT_NEG_ZERO,
+        };
+        if exp < 0x7ff {
+            // |x| = mant · 2^(shift − 1074).
+            let (mant, shift) = if exp == 0 { (frac, 0) } else { (frac | 1 << 52, exp - 1) };
+            let wide = u128::from(mant) << (shift % 64);
+            self.add_words((shift / 64) as usize, &[wide as u64, (wide >> 64) as u64], x < 0.0);
+        }
+    }
+
+    /// Add another partial, exactly.
+    pub fn merge(&mut self, other: &ExactSum) {
+        self.add_words(0, &other.limbs, false);
+        self.flags |= other.flags;
+    }
+
+    /// Add (or, with `sub`, subtract) `words` placed `at` limbs up, running
+    /// the carry to the top limb: two's-complement arithmetic.
+    fn add_words(&mut self, at: usize, words: &[u64], sub: bool) {
+        let mut carry = false;
+        for (k, limb) in self.limbs[at..].iter_mut().enumerate() {
+            if k >= words.len() && !carry {
+                break;
+            }
+            let w = words.get(k).copied().unwrap_or(0);
+            let (v, c1) = if sub { limb.overflowing_sub(w) } else { limb.overflowing_add(w) };
+            let (v, c2) = if sub { v.overflowing_sub(u64::from(carry)) } else { v.overflowing_add(u64::from(carry)) };
+            *limb = v;
+            carry = c1 || c2;
+        }
+    }
+
+    /// The sum rounded once to the nearest `f64`, ties to even.
+    pub fn round(&self) -> f64 {
+        match self.flags & (Self::NAN | Self::POS_INF | Self::NEG_INF) {
+            0 => {}
+            Self::POS_INF => return f64::INFINITY,
+            Self::NEG_INF => return f64::NEG_INFINITY,
+            _ => return f64::NAN,
+        }
+        let negative = self.limbs[LIMBS - 1] >> 63 == 1;
+        let mut abs = ExactSum { limbs: [0; LIMBS], flags: 0 };
+        abs.add_words(0, &self.limbs, negative);
+        let mag = abs.limbs;
+        let Some(top) = mag.iter().rposition(|&l| l != 0) else {
+            return if self.flags & Self::NOT_NEG_ZERO != 0 { 0.0 } else { -0.0 };
+        };
+        // Keep the top 53 bits q of the magnitude and the shift s below
+        // them.  The f64 bit pattern is (s << 52) + q: below 2^53 units
+        // (s = 0) that is a subnormal or the least normal binade as is, and
+        // a round-up carry out of q moves into the exponent by itself.
+        let s = (64 * top + 64 - mag[top].leading_zeros() as usize).saturating_sub(53);
+        let window = u128::from(mag[s / 64]) | u128::from(mag.get(s / 64 + 1).copied().unwrap_or(0)) << 64;
+        let q = (window >> (s % 64)) as u64;
+        let (h, hoff) = (s.saturating_sub(1) / 64, s.saturating_sub(1) % 64);
+        let half = s > 0 && mag[h] >> hoff & 1 == 1;
+        let sticky = mag[h] & ((1 << hoff) - 1) != 0 || mag[..h].iter().any(|&l| l != 0);
+        let bits = (((s as u64) << 52) + q + u64::from(half && (sticky || q & 1 == 1))).min(f64::INFINITY.to_bits());
+        f64::from_bits(bits | u64::from(negative) << 63)
+    }
+
+    /// Whether the sum is negative, and the range of limbs that are not
+    /// zero below it or sign extension above it.
+    fn span(&self) -> (bool, usize, usize) {
+        let negative = self.limbs[LIMBS - 1] >> 63 == 1;
+        let ext = if negative { u64::MAX } else { 0 };
+        let hi = self.limbs.iter().rposition(|&l| l != ext).map_or(0, |k| k + 1);
+        let lo = self.limbs[..hi].iter().position(|&l| l != 0).unwrap_or(hi);
+        (negative, lo, hi)
+    }
+
+    /// Serialize: the flags, then that limb range only.
+    pub(crate) fn encode(&self, w: &mut WireWriter) {
+        let (negative, lo, hi) = self.span();
+        w.u8(self.flags | if negative { Self::NEGATIVE } else { 0 }).u8(lo as u8).u8(hi as u8);
+        for &limb in &self.limbs[lo..hi] {
+            w.u64(limb);
+        }
+    }
+
+    /// Deserialize what [`ExactSum::encode`] wrote, rejecting unknown flag
+    /// bits and a limb range past the accumulator.
+    pub(crate) fn decode(r: &mut WireReader) -> Result<Self, WireError> {
+        let (flags, lo, hi) = (r.u8()?, r.u8()? as usize, r.u8()? as usize);
+        if flags >= Self::NEGATIVE << 1 {
+            return Err(WireError { context: "ExactSum flags" });
+        }
+        if lo > hi || hi > LIMBS {
+            return Err(WireError { context: "ExactSum limb range" });
+        }
+        let mut limbs = [if flags & Self::NEGATIVE != 0 { u64::MAX } else { 0 }; LIMBS];
+        limbs[..lo].fill(0);
+        for limb in &mut limbs[lo..hi] {
+            *limb = r.u64()?;
+        }
+        Ok(ExactSum { limbs, flags: flags & !Self::NEGATIVE })
+    }
+
+    /// Bytes [`ExactSum::encode`] writes.
+    pub(crate) fn wire_len(&self) -> u64 {
+        let (_, lo, hi) = self.span();
+        3 + 8 * (hi - lo) as u64
+    }
+}
+
+/// The lesser (`want` = `Less`) or greater of two values, independent of
+/// argument order: −0 orders below +0, a NaN yields to a number, and two
+/// NaNs give the canonical NaN.
+fn pick(x: f64, y: f64, want: Ordering) -> f64 {
+    match (x.is_nan(), y.is_nan()) {
+        (true, true) => f64::NAN,
+        (true, false) => y,
+        (false, true) => x,
+        (false, false) if y.total_cmp(&x) == want => y,
+        (false, false) => x,
+    }
+}
+
+/// Combine `b` into `a` element-wise with `f`.
+fn zip_into<T>(op: ReduceOp, a: &mut [T], b: Vec<T>, f: impl Fn(&mut T, T)) {
+    assert_eq!(a.len(), b.len(), "{op:?} contributions must agree on length");
+    for (x, y) in a.iter_mut().zip(b) {
+        f(x, y);
+    }
+}
+
+/// Element-wise combine of two partials under `op`.  Every arm is exact,
+/// so the result does not depend on which side is `acc`.
 pub fn combine(op: ReduceOp, acc: &mut ReduceData, other: ReduceData) {
     match (op, acc, other) {
-        (ReduceOp::SumF64, ReduceData::F64(a), ReduceData::F64(b)) => {
-            assert_eq!(a.len(), b.len(), "SumF64 contributions must agree on length");
-            for (x, y) in a.iter_mut().zip(b) {
-                *x += y;
-            }
+        (ReduceOp::SumF64, ReduceData::Exact(a), ReduceData::Exact(b)) => zip_into(op, a, b, |x, y| x.merge(&y)),
+        (ReduceOp::MinF64 | ReduceOp::MaxF64, ReduceData::F64(a), ReduceData::F64(b)) => {
+            let want = if op == ReduceOp::MinF64 { Ordering::Less } else { Ordering::Greater };
+            zip_into(op, a, b, |x, y| *x = pick(*x, y, want))
         }
-        (ReduceOp::MinF64, ReduceData::F64(a), ReduceData::F64(b)) => {
-            assert_eq!(a.len(), b.len(), "MinF64 contributions must agree on length");
-            for (x, y) in a.iter_mut().zip(b) {
-                *x = x.min(y);
-            }
-        }
-        (ReduceOp::MaxF64, ReduceData::F64(a), ReduceData::F64(b)) => {
-            assert_eq!(a.len(), b.len(), "MaxF64 contributions must agree on length");
-            for (x, y) in a.iter_mut().zip(b) {
-                *x = x.max(y);
-            }
-        }
-        (ReduceOp::SumU64, ReduceData::U64(a), ReduceData::U64(b)) => {
-            assert_eq!(a.len(), b.len(), "SumU64 contributions must agree on length");
-            for (x, y) in a.iter_mut().zip(b) {
-                *x += y;
-            }
-        }
-        (ReduceOp::Gather, ReduceData::Gathered(a), ReduceData::Gathered(b)) => {
-            // Merge keeping sorted-by-element order (both sides sorted).
-            let mut merged = Vec::with_capacity(a.len() + b.len());
-            let mut ai = std::mem::take(a).into_iter().peekable();
-            let mut bi = b.into_iter().peekable();
-            loop {
-                match (ai.peek(), bi.peek()) {
-                    (Some(x), Some(y)) => {
-                        if x.0 <= y.0 {
-                            merged.push(ai.next().expect("peeked"));
-                        } else {
-                            merged.push(bi.next().expect("peeked"));
-                        }
-                    }
-                    (Some(_), None) => merged.push(ai.next().expect("peeked")),
-                    (None, Some(_)) => merged.push(bi.next().expect("peeked")),
-                    (None, None) => break,
-                }
-            }
-            *a = merged;
+        (ReduceOp::SumU64, ReduceData::U64(a), ReduceData::U64(b)) => zip_into(op, a, b, |x, y| *x += y),
+        (ReduceOp::Gather, ReduceData::Gathered(a), ReduceData::Gathered(mut b)) => {
+            // Both sides are sorted by element: the stable sort merges the
+            // two runs in one pass.
+            a.append(&mut b);
+            a.sort_by_key(|&(elem, _)| elem);
         }
         (op, acc, other) => {
             panic!("reduction data mismatch: op {op:?} with acc {acc:?} and contribution {other:?}")
@@ -73,19 +215,19 @@ pub fn combine(op: ReduceOp, acc: &mut ReduceData, other: ReduceData) {
     }
 }
 
-/// Lift an element contribution into tree-combinable form.
-pub fn lift(from: ObjKey, data: ContribData) -> ReduceData {
+/// What the host client receives for a complete reduction: exact sums
+/// rounded once, everything else as combined.
+pub fn finish(data: ReduceData) -> ReduceData {
     match data {
-        ContribData::F64(v) => ReduceData::F64(v),
-        ContribData::U64(v) => ReduceData::U64(v),
-        ContribData::Raw(bytes) => ReduceData::Gathered(vec![(from.elem.0, bytes)]),
+        ReduceData::Exact(v) => ReduceData::F64(v.iter().map(ExactSum::round).collect()),
+        other => other,
     }
 }
 
 /// A partially-combined reduction on one PE.
 #[derive(Debug)]
 pub struct Partial {
-    /// The operator (fixed by the first contribution folded in).
+    /// The operator (fixed by the first piece folded in).
     pub op: ReduceOp,
     /// Contributions covered so far.
     pub count: u64,
@@ -93,21 +235,20 @@ pub struct Partial {
     pub data: ReduceData,
 }
 
-/// Per-PE, per-array reduction state.
+/// Per-PE, per-array reduction state: one partial per reduction in
+/// flight, folding local contributions and child partials alike.
 #[derive(Default, Debug)]
 pub struct PeReductions {
-    /// seq → partial, for reductions still accumulating here.
+    /// seq → partial, for reductions still accumulating here and, at the
+    /// root, complete ones waiting for an earlier seq to be delivered.
     pending: BTreeMap<u32, Partial>,
     /// Next reduction sequence number for each local element.
     elem_seq: HashMap<ObjKey, u32>,
+    /// The next seq the root delivers.
+    delivered: u32,
 }
 
 impl PeReductions {
-    /// Fresh state.
-    pub fn new() -> Self {
-        PeReductions::default()
-    }
-
     /// True if no reduction is in flight on this PE (required at LB
     /// barriers, where element placement — and thus expected counts —
     /// changes).
@@ -134,166 +275,58 @@ impl PeReductions {
         }
     }
 
-    /// Record a local element's contribution; returns the reduction seq it
-    /// joined.
-    pub fn contribute(&mut self, from: ObjKey, op: ReduceOp, data: ContribData) -> u32 {
-        let seq_ref = self.elem_seq.entry(from).or_insert(0);
-        let seq = *seq_ref;
-        *seq_ref += 1;
-        let data = lift(from, data);
-        match self.pending.get_mut(&seq) {
-            Some(p) => {
-                assert_eq!(p.op, op, "reduction {seq}: conflicting operators");
-                combine(op, &mut p.data, data);
-                p.count += 1;
+    /// Take the reduction seq a local element's next contribution joins.
+    pub fn next_seq(&mut self, from: ObjKey) -> u32 {
+        let cursor = self.elem_seq.entry(from).or_insert(0);
+        *cursor += 1;
+        *cursor - 1
+    }
+
+    /// The next sequence number the root will deliver.
+    pub fn next_delivery(&self) -> u32 {
+        self.delivered
+    }
+
+    /// Resume the root's numbering from a checkpointed cursor (only valid
+    /// on fresh state).
+    pub fn set_next_delivery(&mut self, next: u32) {
+        assert!(self.is_quiescent(), "cannot reseat reductions in flight");
+        self.delivered = next;
+    }
+
+    /// Fold one piece of reduction `seq` — a local contribution or a tree
+    /// child's partial — into this PE's partial.  True once it covers
+    /// `total` contributions, the element count of this PE's subtree:
+    /// [`PeReductions::take`] then removes it, or, at the root,
+    /// [`PeReductions::take_next`] in sequence order.
+    pub fn fold(&mut self, seq: u32, piece: Partial, total: u64) -> bool {
+        assert!(seq >= self.delivered, "reduction {seq} completed twice");
+        let p = match self.pending.entry(seq) {
+            Entry::Vacant(slot) => slot.insert(piece),
+            Entry::Occupied(slot) => {
+                let p = slot.into_mut();
+                assert_eq!(p.op, piece.op, "reduction {seq}: conflicting operators");
+                combine(p.op, &mut p.data, piece.data);
+                p.count += piece.count;
+                p
             }
-            None => {
-                self.pending.insert(seq, Partial { op, count: 1, data });
-            }
-        }
-        seq
+        };
+        assert!(p.count <= total, "reduction {seq}: {} contributions pass the subtree's {total}", p.count);
+        p.count == total
     }
 
-    /// Remove and return every reduction whose partial now covers
-    /// `expected` contributions (the element count on this PE).
-    pub fn take_complete(&mut self, expected: u64) -> Vec<(u32, Partial)> {
-        let done: Vec<u32> = self.pending.iter().filter(|(_, p)| p.count >= expected).map(|(&s, _)| s).collect();
-        done.into_iter()
-            .map(|s| {
-                let p = self.pending.remove(&s).expect("key just observed");
-                assert_eq!(p.count, expected, "reduction {s} over-contributed");
-                (s, p)
-            })
-            .collect()
-    }
-}
-
-/// Reduction state for one PE and one array: the locally-folded partial
-/// plus buffered child partials, combined in **fixed order** — local
-/// contributions first, then children ascending by PE — once every
-/// expected piece is present.
-///
-/// Folding child partials in arrival order would be fine for the exact
-/// operators but would let the delivery schedule pick the float combine
-/// order.  Here the combine order is a function of the tree alone, so a
-/// reduction's bit pattern cannot depend on which child's hop lands
-/// first.
-#[derive(Default, Debug)]
-struct TreePending {
-    local: Option<Partial>,
-    /// child PE number → that subtree's complete partial.
-    children: BTreeMap<u32, Partial>,
-}
-
-/// Per-PE, per-array buffer of reductions in flight.
-#[derive(Default, Debug)]
-pub struct TreeReductions {
-    pending: BTreeMap<u32, TreePending>,
-}
-
-impl TreeReductions {
-    /// Fresh state.
-    pub fn new() -> Self {
-        TreeReductions::default()
+    /// Remove reduction `seq`'s partial.
+    pub fn take(&mut self, seq: u32) -> Partial {
+        self.pending.remove(&seq).expect("a folded reduction")
     }
 
-    /// True if no reduction is buffered here (required at LB barriers,
-    /// exactly like [`PeReductions::is_quiescent`]).
-    pub fn is_quiescent(&self) -> bool {
-        self.pending.is_empty()
-    }
-
-    /// Buffer this PE's locally-complete partial for `seq`.
-    pub fn offer_local(&mut self, seq: u32, partial: Partial) {
-        let slot = self.pending.entry(seq).or_default();
-        assert!(slot.local.is_none(), "reduction {seq}: local partial offered twice");
-        slot.local = Some(partial);
-    }
-
-    /// Buffer a child subtree's complete partial for `seq`.
-    pub fn offer_child(&mut self, seq: u32, child: u32, partial: Partial) {
-        let prev = self.pending.entry(seq).or_default().children.insert(child, partial);
-        assert!(prev.is_none(), "reduction {seq}: child pe{child} reported twice");
-    }
-
-    /// Remove and return every reduction for which the local partial (when
-    /// `need_local`) and all `expected_children` are present, combined in
-    /// fixed order (local, then children ascending by PE).  Each result is
-    /// checked against `total`, the subtree's element count.
-    pub fn take_complete(&mut self, need_local: bool, expected_children: &[u32], total: u64) -> Vec<(u32, Partial)> {
-        let ready: Vec<u32> = self
-            .pending
-            .iter()
-            .filter(|(_, tp)| {
-                (!need_local || tp.local.is_some()) && expected_children.iter().all(|c| tp.children.contains_key(c))
-            })
-            .map(|(&s, _)| s)
-            .collect();
-        ready
-            .into_iter()
-            .map(|seq| {
-                let tp = self.pending.remove(&seq).expect("key just observed");
-                for child in tp.children.keys() {
-                    assert!(
-                        expected_children.contains(child),
-                        "reduction {seq}: partial from pe{child}, which is not an expected child"
-                    );
-                }
-                let mut pieces = tp.local.into_iter().chain(tp.children.into_values());
-                let mut acc = pieces.next().expect("a complete reduction has at least one piece");
-                for p in pieces {
-                    assert_eq!(acc.op, p.op, "reduction {seq}: conflicting operators");
-                    combine(acc.op, &mut acc.data, p.data);
-                    acc.count += p.count;
-                }
-                assert_eq!(acc.count, total, "reduction {seq}: subtree count mismatch");
-                (seq, acc)
-            })
-            .collect()
-    }
-}
-
-/// Root-side in-order delivery buffer.
-#[derive(Default, Debug)]
-pub struct RootDelivery {
-    next: u32,
-    ready: BTreeMap<u32, Partial>,
-}
-
-impl RootDelivery {
-    /// Fresh buffer starting at seq 0.
-    pub fn new() -> Self {
-        RootDelivery::default()
-    }
-
-    /// The next sequence number that will be delivered.
-    pub fn next_seq(&self) -> u32 {
-        self.next
-    }
-
-    /// Resume numbering from a checkpointed cursor (only valid on a fresh
-    /// buffer).
-    pub fn set_next(&mut self, next: u32) {
-        assert!(self.ready.is_empty(), "cannot reseat a non-empty delivery buffer");
-        self.next = next;
-    }
-
-    /// Offer a finished reduction; returns all now-deliverable results in
-    /// sequence order.
-    pub fn push(&mut self, seq: u32, partial: Partial) -> Vec<(u32, Partial)> {
-        let prev = self.ready.insert(seq, partial);
-        assert!(prev.is_none(), "reduction {seq} completed twice");
-        let mut out = Vec::new();
-        while let Some(p) = self.ready.remove(&self.next) {
-            out.push((self.next, p));
-            self.next += 1;
-        }
-        out
-    }
-
-    /// True if nothing is buffered out of order.
-    pub fn is_empty(&self) -> bool {
-        self.ready.is_empty()
+    /// At the root: remove the next reduction in sequence, if it covers
+    /// `total` contributions.
+    pub fn take_next(&mut self, total: u64) -> Option<(u32, Partial)> {
+        let seq = self.delivered;
+        self.pending.get(&seq).filter(|p| p.count == total)?;
+        self.delivered += 1;
+        Some((seq, self.take(seq)))
     }
 }
 
@@ -306,11 +339,30 @@ mod tests {
         ObjKey::new(ArrayId(1), ElemId(e))
     }
 
+    fn exact(v: &[f64]) -> ReduceData {
+        ReduceData::Exact(v.iter().map(|&x| ExactSum::new(x)).collect())
+    }
+
+    /// The correctly rounded sum of `terms`, folded left to right.
+    fn exact_sum(terms: &[f64]) -> f64 {
+        let mut s = ExactSum::new(terms[0]);
+        terms[1..].iter().for_each(|&x| s.add(x));
+        s.round()
+    }
+
+    fn sum_partial(v: f64) -> Partial {
+        Partial { op: ReduceOp::SumF64, count: 1, data: exact(&[v]) }
+    }
+
+    fn u64_partial(count: u64) -> Partial {
+        Partial { op: ReduceOp::SumU64, count, data: ReduceData::U64(vec![count]) }
+    }
+
     #[test]
     fn sum_min_max_combine() {
-        let mut a = ReduceData::F64(vec![1.0, 5.0]);
-        combine(ReduceOp::SumF64, &mut a, ReduceData::F64(vec![2.0, -1.0]));
-        assert_eq!(a, ReduceData::F64(vec![3.0, 4.0]));
+        let mut a = exact(&[1.0, 5.0]);
+        combine(ReduceOp::SumF64, &mut a, exact(&[2.0, -1.0]));
+        assert_eq!(finish(a), ReduceData::F64(vec![3.0, 4.0]));
 
         let mut b = ReduceData::F64(vec![1.0, 5.0]);
         combine(ReduceOp::MinF64, &mut b, ReduceData::F64(vec![2.0, -1.0]));
@@ -323,6 +375,194 @@ mod tests {
         let mut d = ReduceData::U64(vec![7]);
         combine(ReduceOp::SumU64, &mut d, ReduceData::U64(vec![8]));
         assert_eq!(d, ReduceData::U64(vec![15]));
+    }
+
+    #[test]
+    fn min_max_are_independent_of_argument_order() {
+        let nan = f64::from_bits(f64::NAN.to_bits() | 1); // not the canonical NaN
+        for (x, y, min, max) in [
+            (0.0, -0.0, -0.0, 0.0),
+            (1.0, nan, 1.0, 1.0),
+            (-0.0, nan, -0.0, -0.0),
+            (nan, -nan, f64::NAN, f64::NAN),
+            (f64::NEG_INFINITY, 3.0, f64::NEG_INFINITY, 3.0),
+        ] {
+            for (a, b) in [(x, y), (y, x)] {
+                for (op, want) in [(ReduceOp::MinF64, min), (ReduceOp::MaxF64, max)] {
+                    let mut acc = ReduceData::F64(vec![a]);
+                    combine(op, &mut acc, ReduceData::F64(vec![b]));
+                    let ReduceData::F64(got) = acc else { unreachable!() };
+                    assert_eq!(got[0].to_bits(), want.to_bits(), "{op:?}({a:?}, {b:?})");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn exact_sum_rounds_once_to_nearest_even() {
+        let max = f64::MAX;
+        for (terms, want) in [
+            (&[1e16, 1.0, -1e16][..], 1.0),
+            (&[0.1; 10][..], 1.0),
+            (&[max, max, -max][..], max),
+            (&[max, max][..], f64::INFINITY),
+            (&[-max, -max][..], f64::NEG_INFINITY),
+            (&[5e-324, 5e-324][..], f64::from_bits(2)),
+            (&[-0.0, -0.0][..], -0.0),
+            (&[-0.0, 0.0][..], 0.0),
+            (&[2.5, -2.5][..], 0.0),
+            // Ties and near-ties from CPython's `math.fsum` tests.
+            (&[2f64.powi(53), -0.5, -2f64.powi(-54)][..], f64::from_bits(0x433f_ffff_ffff_ffff)),
+            (&[2f64.powi(53), 1.0, 2f64.powi(-100)][..], f64::from_bits(0x4340_0000_0000_0001)),
+            (&[2f64.powi(53) + 10.0, 1.0, 2f64.powi(-100)][..], f64::from_bits(0x4340_0000_0000_0006)),
+            (&[2f64.powi(53) - 4.0, 0.5, 2f64.powi(-54)][..], f64::from_bits(0x433f_ffff_ffff_fffd)),
+            (&[1e-16, 1.0, 1e16][..], f64::from_bits(0x4341_c379_37e0_8001)),
+        ] {
+            assert_eq!(exact_sum(terms).to_bits(), want.to_bits(), "{terms:?}");
+        }
+        assert!(exact_sum(&[f64::INFINITY, f64::NEG_INFINITY]).is_nan());
+        assert!(exact_sum(&[1.0, f64::NAN, f64::INFINITY]).is_nan());
+        assert_eq!(exact_sum(&[1.0, f64::INFINITY, -max]), f64::INFINITY);
+        let harmonic: Vec<f64> = (1..=1000).map(|n| 1.0 / f64::from(n)).collect();
+        assert_eq!(exact_sum(&harmonic).to_bits(), 0x401d_f11f_45f4_e61a);
+        let alternating: Vec<f64> = (1..=1000).map(|n| if n % 2 == 0 { 1.0 } else { -1.0 } / f64::from(n)).collect();
+        assert_eq!(exact_sum(&alternating).to_bits(), 0xbfe6_2a2a_f1bd_3624);
+    }
+
+    #[test]
+    fn exact_sum_bits_are_independent_of_order_and_grouping() {
+        // Mixed scales: subnormals, tenths, 1e16s, 1e300s, and ±MAX pairs
+        // that let a running sum pass MAX and come back.
+        let mut rng = mdo_netsim::Xoshiro256::new(33);
+        let mut terms: Vec<f64> = (0..200)
+            .map(|i| {
+                let x = rng.next_f64() - 0.5;
+                match i % 5 {
+                    0 => x * 1e-310,
+                    1 => x,
+                    2 => x * 1e16,
+                    3 => x * 1e300,
+                    _ if i % 10 == 4 => f64::MAX,
+                    _ => -f64::MAX,
+                }
+            })
+            .collect();
+        let want = exact_sum(&terms);
+        assert!(want.is_finite());
+        for round in 0..6 {
+            for i in (1..terms.len()).rev() {
+                terms.swap(i, (rng.next_u64() % (i as u64 + 1)) as usize);
+            }
+            // Fold `round + 1` interleaved groups, then merge the groups.
+            let groups = round + 1;
+            let mut parts: Vec<ExactSum> = terms[..groups].iter().map(|&x| ExactSum::new(x)).collect();
+            for (i, &x) in terms.iter().enumerate().skip(groups) {
+                parts[i % groups].add(x);
+            }
+            let mut acc = parts.pop().expect("a group");
+            parts.iter().for_each(|p| acc.merge(p));
+            assert_eq!(acc.round().to_bits(), want.to_bits(), "round {round}");
+        }
+    }
+
+    #[test]
+    fn exact_sum_codec_roundtrips_and_sends_only_its_span() {
+        for x in [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, f64::MAX, -f64::MAX, 1e-300, f64::NAN, f64::NEG_INFINITY] {
+            let s = ExactSum::new(x);
+            let mut w = WireWriter::new();
+            s.encode(&mut w);
+            assert_eq!(w.len() as u64, s.wire_len());
+            assert!(w.len() <= 3 + 2 * 8, "{x:?}: one term spans at most two limbs");
+            let bytes = w.finish();
+            let mut r = WireReader::new(&bytes);
+            assert_eq!(ExactSum::decode(&mut r), Ok(s), "{x:?}");
+            assert!(r.is_done());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "agree on length")]
+    fn length_mismatch_panics() {
+        let mut a = exact(&[1.0]);
+        combine(ReduceOp::SumF64, &mut a, exact(&[1.0, 2.0]));
+    }
+
+    #[test]
+    #[should_panic(expected = "data mismatch")]
+    fn kind_mismatch_panics() {
+        let mut a = exact(&[1.0]);
+        combine(ReduceOp::SumF64, &mut a, ReduceData::U64(vec![1]));
+    }
+
+    #[test]
+    #[should_panic(expected = "reduction 4: conflicting operators")]
+    fn conflicting_operators_panic() {
+        let mut r = PeReductions::default();
+        r.fold(4, u64_partial(1), 3);
+        r.fold(4, sum_partial(1.0), 3);
+    }
+
+    #[test]
+    fn next_seq_increases_per_element() {
+        let mut r = PeReductions::default();
+        assert_eq!(r.next_seq(key(0)), 0);
+        assert_eq!(r.next_seq(key(0)), 1);
+        assert_eq!(r.next_seq(key(1)), 0);
+    }
+
+    #[test]
+    fn fold_completes_on_the_subtree_total() {
+        // Local pieces and child partials fold alike; the reduction is done
+        // when its count reaches the subtree's element count, and not before.
+        let mut r = PeReductions::default();
+        assert!(!r.fold(0, u64_partial(1), 6));
+        assert!(!r.fold(1, u64_partial(1), 6), "seq 1 runs alongside");
+        assert!(!r.fold(0, u64_partial(3), 6), "child subtree of 3");
+        assert!(r.fold(0, u64_partial(2), 6), "6 of 6");
+        let done = r.take(0);
+        assert_eq!((done.count, done.data), (6, ReduceData::U64(vec![6])));
+        assert!(!r.is_quiescent(), "seq 1 still pending");
+        // A PE with no local elements completes on children alone.
+        let mut r = PeReductions::default();
+        assert!(r.fold(4, u64_partial(5), 5));
+    }
+
+    #[test]
+    fn fold_result_is_independent_of_arrival_order() {
+        // Every arrival order of the same pieces gives identical bits, for
+        // the gather and for a sum no f64 order folds exactly.
+        let gather = |who: u32| {
+            let g = match who {
+                0 => vec![(7, b"g".to_vec())],
+                1 => vec![(0, b"a".to_vec()), (3, b"d".to_vec())],
+                _ => vec![(5, b"f".to_vec())],
+            };
+            Partial { op: ReduceOp::Gather, count: g.len() as u64, data: ReduceData::Gathered(g) }
+        };
+        let sum = |who: u32| sum_partial([0.1, 1e16, -1e16][who as usize]);
+        let orders = [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]];
+        for piece in [&gather as &dyn Fn(u32) -> Partial, &sum] {
+            let run = |order: &[u32]| {
+                let mut r = PeReductions::default();
+                let total: u64 = (0..3).map(|w| piece(w).count).sum();
+                let done: Vec<bool> = order.iter().map(|&w| r.fold(0, piece(w), total)).collect();
+                assert_eq!(done, [false, false, true]);
+                format!("{:?}", finish(r.take(0).data))
+            };
+            for order in &orders[1..] {
+                assert_eq!(run(order), run(&orders[0]));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "reduction 0: 4 contributions pass the subtree's 3")]
+    fn fold_duplicate_child_partial_panics() {
+        // Child subtrees of 1 and 2: the first reporting twice passes the
+        // total before the second has reported.
+        let mut r = PeReductions::default();
+        r.fold(0, u64_partial(2), 3);
+        r.fold(0, u64_partial(2), 3);
     }
 
     #[test]
@@ -343,174 +583,63 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "agree on length")]
-    fn length_mismatch_panics() {
-        let mut a = ReduceData::F64(vec![1.0]);
-        combine(ReduceOp::SumF64, &mut a, ReduceData::F64(vec![1.0, 2.0]));
-    }
-
-    #[test]
-    #[should_panic(expected = "data mismatch")]
-    fn kind_mismatch_panics() {
-        let mut a = ReduceData::F64(vec![1.0]);
-        combine(ReduceOp::SumF64, &mut a, ReduceData::U64(vec![1]));
-    }
-
-    #[test]
-    fn contribute_assigns_increasing_seq_per_element() {
-        let mut r = PeReductions::new();
-        assert_eq!(r.contribute(key(0), ReduceOp::SumF64, ContribData::F64(vec![1.0])), 0);
-        assert_eq!(r.contribute(key(0), ReduceOp::SumF64, ContribData::F64(vec![2.0])), 1);
-        assert_eq!(r.contribute(key(1), ReduceOp::SumF64, ContribData::F64(vec![3.0])), 0);
-        // seq 0 now has both elements' contributions.
-        let done = r.take_complete(2);
-        assert_eq!(done.len(), 1);
-        let (seq, p) = &done[0];
-        assert_eq!(*seq, 0);
-        assert_eq!(p.count, 2);
-        assert_eq!(p.data, ReduceData::F64(vec![4.0]));
-        assert!(!r.is_quiescent(), "seq 1 still pending");
-    }
-
-    #[test]
-    fn take_complete_respects_expected() {
-        let mut r = PeReductions::new();
-        r.contribute(key(0), ReduceOp::SumF64, ContribData::F64(vec![1.0]));
-        assert!(r.take_complete(2).is_empty(), "not complete with 1 of 2");
-        r.contribute(key(1), ReduceOp::SumF64, ContribData::F64(vec![1.0]));
-        assert_eq!(r.take_complete(2).len(), 1);
-    }
-
-    #[test]
     fn peek_does_not_consume() {
-        let mut r = PeReductions::new();
-        r.contribute(key(0), ReduceOp::SumF64, ContribData::F64(vec![1.0]));
+        let mut r = PeReductions::default();
+        r.next_seq(key(0));
         assert_eq!(r.peek_elem_seq(key(0)), 1);
         assert_eq!(r.peek_elem_seq(key(0)), 1, "idempotent");
         assert_eq!(r.peek_elem_seq(key(9)), 0, "unknown elements are at 0");
     }
 
     #[test]
-    fn root_delivery_cursor_roundtrip() {
-        let mut root = RootDelivery::new();
-        assert_eq!(root.next_seq(), 0);
-        root.set_next(5);
-        let p = Partial { op: ReduceOp::SumF64, count: 1, data: ReduceData::F64(vec![1.0]) };
-        let out = root.push(5, p);
-        assert_eq!(out.len(), 1);
-        assert_eq!(root.next_seq(), 6);
+    fn seq_cursor_migration() {
+        let mut src = PeReductions::default();
+        src.next_seq(key(0));
+        let cursor = src.export_elem_seq(key(0));
+        assert_eq!(cursor, 1);
+        let mut dst = PeReductions::default();
+        dst.import_elem_seq(key(0), cursor);
+        assert_eq!(dst.next_seq(key(0)), 1);
     }
 
     #[test]
-    fn seq_cursor_migration() {
-        let mut src = PeReductions::new();
-        src.contribute(key(0), ReduceOp::SumF64, ContribData::F64(vec![1.0]));
-        src.take_complete(1);
-        let cursor = src.export_elem_seq(key(0));
-        assert_eq!(cursor, 1);
-        let mut dst = PeReductions::new();
-        dst.import_elem_seq(key(0), cursor);
-        assert_eq!(dst.contribute(key(0), ReduceOp::SumF64, ContribData::F64(vec![2.0])), 1);
+    fn root_delivery_cursor_roundtrip() {
+        let mut root = PeReductions::default();
+        assert_eq!(root.next_delivery(), 0);
+        root.set_next_delivery(5);
+        assert!(root.fold(5, sum_partial(1.0), 1));
+        assert_eq!(root.take_next(1).map(|(s, _)| s), Some(5));
+        assert_eq!(root.next_delivery(), 6);
     }
 
     #[test]
     fn root_delivery_orders_results() {
-        let mut root = RootDelivery::new();
-        let p = |v: f64| Partial { op: ReduceOp::SumF64, count: 1, data: ReduceData::F64(vec![v]) };
-        assert!(root.push(1, p(1.0)).is_empty(), "seq 1 waits for seq 0");
-        assert!(root.push(2, p(2.0)).is_empty());
-        let out = root.push(0, p(0.0));
-        let seqs: Vec<u32> = out.iter().map(|(s, _)| *s).collect();
+        let mut root = PeReductions::default();
+        assert!(root.fold(1, sum_partial(1.0), 1));
+        assert!(root.fold(2, sum_partial(2.0), 1));
+        assert!(root.take_next(1).is_none(), "seq 1 waits for seq 0");
+        assert!(!root.fold(0, sum_partial(0.0), 2) && root.take_next(2).is_none(), "seq 0 is not complete");
+        assert!(root.fold(0, sum_partial(0.0), 2));
+        let seqs: Vec<u32> =
+            std::iter::from_fn(|| root.take_next(2).or_else(|| root.take_next(1))).map(|(s, _)| s).collect();
         assert_eq!(seqs, vec![0, 1, 2]);
-        assert!(root.is_empty());
-        let out = root.push(3, p(3.0));
-        assert_eq!(out.len(), 1);
+        assert!(root.is_quiescent());
     }
 
     #[test]
-    #[should_panic(expected = "completed twice")]
+    #[should_panic(expected = "reduction 0: 2 contributions pass the subtree's 1")]
     fn double_completion_panics() {
-        let mut root = RootDelivery::new();
-        let p = || Partial { op: ReduceOp::SumF64, count: 1, data: ReduceData::F64(vec![0.0]) };
-        root.push(1, p());
-        root.push(1, p());
+        let mut root = PeReductions::default();
+        root.fold(0, sum_partial(0.0), 1);
+        root.fold(0, sum_partial(0.0), 1);
     }
 
     #[test]
-    fn tree_combine_order_is_fixed_regardless_of_arrival() {
-        // Same pieces, two arrival orders: identical bits out, because the
-        // combine order is (local, child 1, child 4), not arrival order.
-        let local = || Partial { op: ReduceOp::Gather, count: 1, data: ReduceData::Gathered(vec![(7, b"g".to_vec())]) };
-        let c1 = || Partial {
-            op: ReduceOp::Gather,
-            count: 2,
-            data: ReduceData::Gathered(vec![(0, b"a".to_vec()), (3, b"d".to_vec())]),
-        };
-        let c4 = || Partial { op: ReduceOp::Gather, count: 1, data: ReduceData::Gathered(vec![(5, b"f".to_vec())]) };
-        let run = |order: &[u32]| {
-            let mut t = TreeReductions::new();
-            for &who in order {
-                match who {
-                    0 => t.offer_local(0, local()),
-                    1 => t.offer_child(0, 1, c1()),
-                    4 => t.offer_child(0, 4, c4()),
-                    _ => unreachable!(),
-                }
-            }
-            let done = t.take_complete(true, &[1, 4], 4);
-            assert!(t.is_quiescent());
-            format!("{:?}", done)
-        };
-        assert_eq!(run(&[0, 1, 4]), run(&[4, 1, 0]));
-        assert_eq!(run(&[1, 4, 0]), run(&[0, 4, 1]));
-    }
-
-    #[test]
-    fn tree_take_complete_waits_for_every_piece() {
-        let p = |n: u64| Partial { op: ReduceOp::SumU64, count: n, data: ReduceData::U64(vec![n]) };
-        let mut t = TreeReductions::new();
-        t.offer_local(0, p(2));
-        assert!(t.take_complete(true, &[3], 5).is_empty(), "child 3 still missing");
-        t.offer_child(0, 3, p(3));
-        let done = t.take_complete(true, &[3], 5);
-        assert_eq!(done.len(), 1);
-        assert_eq!(done[0].1.data, ReduceData::U64(vec![5]));
-        // A PE with no local elements completes on children alone.
-        let mut t = TreeReductions::new();
-        t.offer_child(4, 2, p(5));
-        assert_eq!(t.take_complete(false, &[2], 5).len(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "reported twice")]
-    fn tree_duplicate_child_partial_panics() {
-        let p = || Partial { op: ReduceOp::SumU64, count: 1, data: ReduceData::U64(vec![1]) };
-        let mut t = TreeReductions::new();
-        t.offer_child(0, 2, p());
-        t.offer_child(0, 2, p());
-    }
-
-    #[test]
-    #[should_panic(expected = "not an expected child")]
-    fn tree_unexpected_child_partial_panics() {
-        let p = || Partial { op: ReduceOp::SumU64, count: 1, data: ReduceData::U64(vec![1]) };
-        let mut t = TreeReductions::new();
-        t.offer_child(0, 9, p());
-        let _ = t.take_complete(false, &[], 1);
-    }
-
-    #[test]
-    fn gather_via_contribute_orders_by_element() {
-        let mut r = PeReductions::new();
-        r.contribute(key(5), ReduceOp::Gather, ContribData::Raw(b"five".to_vec()));
-        r.contribute(key(2), ReduceOp::Gather, ContribData::Raw(b"two".to_vec()));
-        let done = r.take_complete(2);
-        match &done[0].1.data {
-            ReduceData::Gathered(g) => {
-                assert_eq!(g[0], (2, b"two".to_vec()));
-                assert_eq!(g[1], (5, b"five".to_vec()));
-            }
-            other => panic!("wrong kind {other:?}"),
-        }
+    #[should_panic(expected = "reduction 0 completed twice")]
+    fn completion_after_delivery_panics() {
+        let mut root = PeReductions::default();
+        root.fold(0, sum_partial(0.0), 1);
+        assert!(root.take_next(1).is_some());
+        root.fold(0, sum_partial(0.0), 1);
     }
 }

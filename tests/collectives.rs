@@ -10,9 +10,10 @@
 //! choice.  Application state must be bit-identical with trees on vs
 //! off, on the virtual-time simulation engine, the threaded engine and
 //! a real multi-process TCP run — while the number of wide-area messages
-//! drops to one per remote cluster per collective phase.  In either
-//! shape a reduction joins child partials in fixed tree order, so even
-//! a non-exact f64 sum has one bit pattern on every schedule.
+//! drops to one per remote cluster per collective phase.  A `SumF64`
+//! partial is exact and rounded once at the root, so even a sum no f64
+//! order folds exactly has one bit pattern on every schedule, shape, PE
+//! count and engine.
 
 use std::net::SocketAddr;
 use std::sync::{Arc, Mutex};
@@ -24,6 +25,8 @@ use gridmdo::net::localhost_rendezvous;
 use gridmdo::obs::Ctr;
 use gridmdo::prelude::*;
 use gridmdo::runtime::envelope::{ReduceData, ReduceOp};
+use gridmdo::runtime::reduction::ExactSum;
+use gridmdo::runtime::wire::WireWriter;
 use gridmdo::runtime::{Chare, Ctx, SimEngine};
 use mdo_check::{explore, CheckApp, ExploreConfig};
 
@@ -147,26 +150,17 @@ fn reserve_manifest(nodes: usize) -> Vec<SocketAddr> {
     addrs
 }
 
-#[test]
-fn two_node_tcp_stencil_trees_on_is_bit_exact() {
-    // Two node-threads over real sockets, one per cluster: tree Multi
-    // re-splits and gateway reductions cross an actual TCP wire.
-    let cfg = small_stencil(16, 5, None);
-    let topo = Topology::two_cluster(4);
-    let latency = LatencyMatrix::uniform(&topo, Dur::ZERO, Dur::from_micros(300));
-    let want = seq_reference(&cfg);
-
+/// Run `run` as two node-threads over real sockets, one per cluster of a
+/// two-cluster topology, each with `base` plus its place in the manifest;
+/// returns node 0's result.
+fn two_node_tcp<T: Send + 'static>(base: RunConfig, run: impl Fn(RunConfig) -> T + Clone + Send + 'static) -> T {
     let manifest = reserve_manifest(2);
     let mut handles = Vec::new();
     for node in (0..2u32).rev() {
-        let cfg = cfg.clone();
-        let topo = topo.clone();
-        let latency = latency.clone();
-        let run_cfg = RunConfig { net: Some(NetConfig::new(node, manifest.clone())), ..trees_on() };
-        let h = thread::Builder::new()
-            .name(format!("node{node}"))
-            .spawn(move || stencil::run_threaded_with(cfg, topo, ThreadedConfig::new(latency), run_cfg))
-            .expect("spawn node thread");
+        let run = run.clone();
+        let run_cfg = RunConfig { net: Some(NetConfig::new(node, manifest.clone())), ..base.clone() };
+        let h =
+            thread::Builder::new().name(format!("node{node}")).spawn(move || run(run_cfg)).expect("spawn node thread");
         handles.push((node, h));
     }
     let mut node0 = None;
@@ -176,7 +170,21 @@ fn two_node_tcp_stencil_trees_on_is_bit_exact() {
             node0 = Some(out);
         }
     }
-    let multi = node0.expect("node 0 outcome");
+    node0.expect("node 0 outcome")
+}
+
+#[test]
+fn two_node_tcp_stencil_trees_on_is_bit_exact() {
+    // Two node-threads over real sockets, one per cluster: tree Multi
+    // re-splits and gateway reductions cross an actual TCP wire.
+    let cfg = small_stencil(16, 5, None);
+    let topo = Topology::two_cluster(4);
+    let latency = LatencyMatrix::uniform(&topo, Dur::ZERO, Dur::from_micros(300));
+    let want = seq_reference(&cfg);
+
+    let multi = two_node_tcp(trees_on(), move |rc| {
+        stencil::run_threaded_with(cfg.clone(), topo.clone(), ThreadedConfig::new(latency.clone()), rc)
+    });
     assert_eq!(multi.block_sums, want, "multi-process TCP run with trees on is bit-exact");
     assert!(multi.report.network.cross_messages > 0, "traffic actually crossed the wire");
     assert!(multi.report.unrecoverable.is_none());
@@ -236,14 +244,17 @@ fn non_dyadic(idx: u64) -> [f64; 2] {
     [1.0 / (idx + 1) as f64, big + 0.3 * idx as f64]
 }
 
+/// Contributes `input(idx)` to one SumF64 reduction: on KICK, or with
+/// `sync` after one AtSync round (which is a buddy checkpoint when a
+/// failure plan is armed).
 struct Summer {
     idx: u64,
     input: Input,
+    sync: bool,
 }
 
-impl Chare for Summer {
-    fn receive(&mut self, entry: EntryId, _p: &[u8], ctx: &mut Ctx<'_>) {
-        assert_eq!(entry, KICK);
+impl Summer {
+    fn contribute(&self, ctx: &mut Ctx<'_>) {
         if self.idx == 0 {
             // Keep the root busy, so its children's partials queue up and
             // a delivery schedule picks which one it takes first.
@@ -253,13 +264,37 @@ impl Chare for Summer {
     }
 }
 
-fn sum_program(elems: usize, input: Input) -> (gridmdo::runtime::Program, Arc<Mutex<Vec<f64>>>) {
+impl Chare for Summer {
+    fn receive(&mut self, entry: EntryId, _p: &[u8], ctx: &mut Ctx<'_>) {
+        assert_eq!(entry, KICK);
+        if self.sync {
+            ctx.at_sync();
+        } else {
+            self.contribute(ctx);
+        }
+    }
+
+    fn pack(&self, w: &mut WireWriter) {
+        w.u64(self.idx);
+    }
+
+    fn resume_from_sync(&mut self, ctx: &mut Ctx<'_>) {
+        self.contribute(ctx);
+    }
+}
+
+fn sum_program(elems: usize, input: Input, sync: bool) -> (gridmdo::runtime::Program, Arc<Mutex<Vec<f64>>>) {
     let got = Arc::new(Mutex::new(Vec::new()));
     let got_c = Arc::clone(&got);
     let mut p = gridmdo::runtime::Program::new();
-    let arr = p.array("summers", elems, Mapping::Block, move |elem| {
-        Box::new(Summer { idx: elem.index() as u64, input }) as Box<dyn Chare>
-    });
+    let summer = move |idx: u64| Box::new(Summer { idx, input, sync }) as Box<dyn Chare>;
+    let arr = p.array_migratable(
+        "summers",
+        elems,
+        Mapping::Block,
+        move |elem| summer(elem.index() as u64),
+        move |_, r| summer(r.u64().expect("packed idx")),
+    );
     p.on_startup(move |ctl| ctl.broadcast(arr, KICK, vec![]));
     p.on_reduction(arr, move |_seq, data, ctl| {
         if let ReduceData::F64(values) = data {
@@ -273,7 +308,7 @@ fn sum_program(elems: usize, input: Input) -> (gridmdo::runtime::Program, Arc<Mu
 #[test]
 fn f64_sum_reduction_digest_is_identical_trees_on_vs_off() {
     let run = |tree: Option<TreeConfig>| {
-        let (program, got) = sum_program(24, dyadic);
+        let (program, got) = sum_program(24, dyadic, false);
         let net = NetworkModel::two_cluster_sweep(6, Dur::from_millis(1));
         let rc = RunConfig { tree_collectives: tree, ..RunConfig::default() };
         let report = SimEngine::new(net, rc).run(program);
@@ -297,33 +332,74 @@ fn sum_bits(report: &RunReport, got: &Mutex<Vec<f64>>) -> Vec<u64> {
 
 #[test]
 fn non_dyadic_f64_sum_is_identical_across_schedules_and_engines() {
+    const ELEMS: u64 = 48;
     // The input really is order-sensitive: two element orders, two sums.
     let fold = |order: &mut dyn Iterator<Item = u64>| {
         order.map(non_dyadic).fold([0.0f64; 2], |acc, x| [acc[0] + x[0], acc[1] + x[1]]).map(f64::to_bits)
     };
-    assert_ne!(fold(&mut (0..24)), fold(&mut (0..24).rev()), "the sum depends on its combine order");
+    assert_ne!(fold(&mut (0..ELEMS)), fold(&mut (0..ELEMS).rev()), "the sum depends on its combine order");
+    // The one answer: the inputs' exact sum, rounded once.
+    let want: Vec<u64> = (0..2)
+        .map(|k| {
+            let mut sum = ExactSum::new(non_dyadic(0)[k]);
+            (1..ELEMS).for_each(|i| sum.add(non_dyadic(i)[k]));
+            sum.round().to_bits()
+        })
+        .collect();
+    let shapes = [None, Some(TreeConfig::default())];
+    let run_cfg = |tree: Option<TreeConfig>| RunConfig { tree_collectives: tree, ..RunConfig::default() };
 
-    // On the default heap every PE joins its child partials in tree
-    // order, so no delivery schedule reaches the bits.  (Folded in
-    // arrival order, these schedules deliver two different sums.)
-    let sim = |delivery: DeliverySpec| {
-        let (program, got) = sum_program(24, non_dyadic);
-        let net = NetworkModel::two_cluster_sweep(6, Dur::from_millis(1));
-        let report = SimEngine::new(net, RunConfig { delivery, ..RunConfig::default() }).run(program);
-        sum_bits(&report, &got)
+    // Every PE folds its elements' contributions and its children's
+    // partials in arrival order, three or more elements to a PE; no
+    // schedule, tree shape or PE count reaches the bits.
+    let sim = |pes: u32, sync: bool, rc: RunConfig| {
+        let (program, got) = sum_program(ELEMS as usize, non_dyadic, sync);
+        let report = SimEngine::new(NetworkModel::two_cluster_sweep(pes, Dur::from_millis(1)), rc).run(program);
+        (sum_bits(&report, &got), report)
     };
-    let want = sim(DeliverySpec::Fifo);
-    for seed in 1..=8 {
-        assert_eq!(sim(DeliverySpec::Random { seed }), want, "sim schedule seed {seed}");
+    for per_cluster in [1, 2, 4, 8] {
+        for tree in shapes {
+            for delivery in [DeliverySpec::Fifo, DeliverySpec::Random { seed: 1 }, DeliverySpec::Random { seed: 2 }] {
+                let label = format!("sim, {per_cluster} PEs a cluster, {tree:?}, {delivery:?}");
+                let rc = RunConfig { delivery, ..run_cfg(tree) };
+                assert_eq!(sim(2 * per_cluster, false, rc).0, want, "{label}");
+            }
+        }
     }
-    let topo = Topology::two_cluster(6);
+
+    let topo = Topology::two_cluster(8);
     let latency = LatencyMatrix::uniform(&topo, Dur::ZERO, Dur::from_micros(300));
-    for run in 0..3 {
-        let (program, got) = sum_program(24, non_dyadic);
-        let report =
-            ThreadedEngine::new(topo.clone(), ThreadedConfig::new(latency.clone()), RunConfig::default()).run(program);
-        assert_eq!(sum_bits(&report, &got), want, "threaded run {run}");
+    for tree in shapes {
+        for run in 0..2 {
+            let (program, got) = sum_program(ELEMS as usize, non_dyadic, false);
+            let report =
+                ThreadedEngine::new(topo.clone(), ThreadedConfig::new(latency.clone()), run_cfg(tree)).run(program);
+            assert_eq!(sum_bits(&report, &got), want, "threaded run {run}, {tree:?}");
+        }
     }
+
+    let topo = Topology::two_cluster(4);
+    for tree in shapes {
+        let (topo, latency) = (topo.clone(), latency.clone());
+        let (report, got) = two_node_tcp(run_cfg(tree), move |rc| {
+            let (program, got) = sum_program(ELEMS as usize, non_dyadic, false);
+            (ThreadedEngine::new(topo.clone(), ThreadedConfig::new(latency.clone()), rc).run(program), got)
+        });
+        assert_eq!(sum_bits(&report, &got), want, "two-node TCP, {tree:?}");
+    }
+
+    // Crash a PE after the AtSync round's checkpoint: the run shrinks to
+    // seven PEs and a new tree, and every element contributes again.
+    let synced = RunConfig { lb: LbChoice::Greedy, ..RunConfig::default() };
+    let (clean, report) = sim(8, true, synced.clone());
+    assert_eq!(clean, want, "sim with an AtSync round");
+    // The AtSync round ends about 4 ms in; the root then holds the sum
+    // for 10 ms, so 7/20 of the run lands between checkpoint and delivery.
+    let at = Dur::from_nanos(report.end_time.as_nanos() * 7 / 20);
+    let crash = RunConfig { failure_plan: Some(FailurePlan::new().crash_at(Pe(5), at)), ..synced };
+    let (shrunk, report) = sim(8, true, crash);
+    assert_eq!(report.counters.get(Ctr::Recoveries), 1, "the crash landed before the sum was delivered");
+    assert_eq!(shrunk, want, "sim after crash -> shrink");
 }
 
 // ---- faults and elasticity ------------------------------------------------

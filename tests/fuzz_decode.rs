@@ -307,6 +307,7 @@ proptest! {
         cut in any::<proptest::sample::Index>())
     {
         use gridmdo::runtime::envelope::{ReduceData, ReduceOp};
+        use gridmdo::runtime::reduction::ExactSum;
         let multi = Envelope {
             src: Pe(0),
             dst: Pe(1),
@@ -332,7 +333,19 @@ proptest! {
                 data: ReduceData::F64(values.clone()),
             },
         };
-        for env in [multi, reduce] {
+        // The exact partial a SumF64 reduction sends: flags, then a limb
+        // range, read from the wire.
+        let exact = Envelope {
+            body: MsgBody::ReduceUp {
+                array: ArrayId(array),
+                seq,
+                op: ReduceOp::SumF64,
+                count,
+                data: ReduceData::Exact(values.iter().map(|&v| ExactSum::new(v)).collect()),
+            },
+            ..reduce.clone()
+        };
+        for env in [multi, reduce, exact] {
             let good = env.encode();
             let back = Envelope::decode(&good).expect("valid collective envelope decodes");
             prop_assert_eq!(back.encode(), good.clone());

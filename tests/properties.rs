@@ -293,19 +293,19 @@ proptest! {
     }
 
     /// Reduction combine is commutative in its outcome for sum over
-    /// permuted contribution orders (f64 sum is not associative in
-    /// general, but the tree combines values in a fixed structure; here we
-    /// check the exactly-representable integer case).
+    /// permuted contribution orders: a `SumF64` partial is exact, so the
+    /// partials themselves are equal, not only their rounded sums.
     #[test]
     fn reduction_sum_order_independent_on_integers(vals in prop::collection::vec(-1000i32..1000, 1..50)) {
-        use gridmdo::runtime::reduction::combine;
-        let mut forward = ReduceData::F64(vec![0.0]);
+        use gridmdo::runtime::reduction::{combine, ExactSum};
+        let exact = |v: f64| ReduceData::Exact(vec![ExactSum::new(v)]);
+        let mut forward = exact(0.0);
         for &v in &vals {
-            combine(ReduceOp::SumF64, &mut forward, ReduceData::F64(vec![v as f64]));
+            combine(ReduceOp::SumF64, &mut forward, exact(v as f64));
         }
-        let mut backward = ReduceData::F64(vec![0.0]);
+        let mut backward = exact(0.0);
         for &v in vals.iter().rev() {
-            combine(ReduceOp::SumF64, &mut backward, ReduceData::F64(vec![v as f64]));
+            combine(ReduceOp::SumF64, &mut backward, exact(v as f64));
         }
         prop_assert_eq!(forward, backward);
     }
