@@ -463,7 +463,7 @@ impl Chare for Pair {
 
 // ---- program assembly ------------------------------------------------------
 
-fn build_program_inner(cfg: MdConfig, shared: Arc<Shared>, restored: bool) -> Program {
+fn build_program(cfg: MdConfig, shared: Arc<Shared>) -> Program {
     // One configuration, shared by every cell and pair.
     let cfg = Arc::new(cfg);
     let grid = cfg.grid;
@@ -525,10 +525,7 @@ fn build_program_inner(cfg: MdConfig, shared: Arc<Shared>, restored: bool) -> Pr
     );
     assert_eq!(got, pairs_arr);
 
-    if !restored {
-        // Restored runs wake their cells through resume_from_sync instead.
-        p.on_startup(move |ctl| ctl.broadcast(cells_arr, START, vec![]));
-    }
+    p.on_startup(move |ctl| ctl.broadcast(cells_arr, START, vec![]));
     p.on_reduction(cells_arr, move |_seq, data, ctl| {
         if let ReduceData::Gathered(rows) = data {
             let mut out = shared.rows.lock().expect("rows lock");
@@ -563,9 +560,9 @@ pub fn run_sim(cfg: MdConfig, net: NetworkModel, run_cfg: RunConfig) -> MdOutcom
 }
 
 /// Full-control simulation run: optionally collect barrier checkpoints
-/// into `ckpt_sink` (requires `run_cfg.checkpoint_at_barrier` and
-/// `cfg.lb_period`), and/or restore the cells and pairs from `restore`
-/// (possibly onto a different PE count — shrink/expand).
+/// into `ckpt_sink` (requires `cfg.lb_period`), and/or restore the cells
+/// and pairs from `restore` (possibly onto a different PE count —
+/// shrink/expand), which resumes the run rather than starting it.
 pub fn run_sim_full(
     cfg: MdConfig,
     net: NetworkModel,
@@ -574,7 +571,7 @@ pub fn run_sim_full(
     restore: Option<mdo_core::checkpoint::Snapshot>,
 ) -> MdOutcome {
     let shared = Arc::new(Shared { rows: Mutex::new(Vec::new()) });
-    let mut program = build_program_inner(cfg.clone(), Arc::clone(&shared), restore.is_some());
+    let mut program = build_program(cfg.clone(), Arc::clone(&shared));
     if let Some(sink) = ckpt_sink {
         program.on_checkpoint(move |snap, _ctl| {
             sink.lock().expect("ckpt sink").push(snap.clone());
@@ -609,7 +606,7 @@ pub fn run_threaded_full(
     restore: Option<mdo_core::checkpoint::Snapshot>,
 ) -> MdOutcome {
     let shared = Arc::new(Shared { rows: Mutex::new(Vec::new()) });
-    let mut program = build_program_inner(cfg.clone(), Arc::clone(&shared), restore.is_some());
+    let mut program = build_program(cfg.clone(), Arc::clone(&shared));
     if let Some(snapshot) = restore {
         program.restore_from(snapshot);
     }
@@ -780,8 +777,7 @@ mod tests {
         // Checkpointed run: same 6 steps, snapshot taken at the step-3
         // barrier while the run continues.
         let sink = Arc::new(Mutex::new(Vec::new()));
-        let run_cfg = RunConfig { checkpoint_at_barrier: true, ..RunConfig::default() };
-        let ckpt_out = run_sim_full(cfg.clone(), net(), run_cfg, Some(Arc::clone(&sink)), None);
+        let ckpt_out = run_sim_full(cfg.clone(), net(), RunConfig::default(), Some(Arc::clone(&sink)), None);
         assert_eq!(ckpt_out.checksums, full.checksums, "checkpointing is transparent");
         let snaps = sink.lock().expect("sink");
         assert_eq!(snaps.len(), 1, "one barrier, one snapshot");
@@ -816,11 +812,10 @@ mod tests {
         let mut cfg = MdConfig::validation(3, 3, 4);
         cfg.lb_period = Some(2);
         let sink = Arc::new(Mutex::new(Vec::new()));
-        let run_cfg = RunConfig { checkpoint_at_barrier: true, ..RunConfig::default() };
         let full = run_sim_full(
             cfg.clone(),
             NetworkModel::two_cluster_sweep(4, Dur::from_millis(1)),
-            run_cfg,
+            RunConfig::default(),
             Some(Arc::clone(&sink)),
             None,
         );

@@ -446,10 +446,6 @@ impl Block {
 /// Build the runtime program for a stencil run.  `shared` receives the
 /// gathered block sums and finish time.
 fn build_program(cfg: StencilConfig, shared: Arc<Shared>) -> Program {
-    build_program_inner(cfg, shared, false)
-}
-
-fn build_program_inner(cfg: StencilConfig, shared: Arc<Shared>, restored: bool) -> Program {
     let mut p = Program::new();
     let cfg_f = cfg.clone();
     let cfg_u = cfg.clone();
@@ -460,10 +456,7 @@ fn build_program_inner(cfg: StencilConfig, shared: Arc<Shared>, restored: bool) 
         move |elem| Box::new(Block::new(cfg_f.clone(), elem)) as Box<dyn Chare>,
         move |elem, r| Box::new(Block::unpack(cfg_u.clone(), elem, r)) as Box<dyn Chare>,
     );
-    if !restored {
-        // Restored blocks wake through resume_from_sync instead.
-        p.on_startup(move |ctl| ctl.broadcast(arr, START, vec![]));
-    }
+    p.on_startup(move |ctl| ctl.broadcast(arr, START, vec![]));
     p.on_reduction(arr, move |_seq, data, ctl| {
         if let ReduceData::Gathered(rows) = data {
             let mut sums = shared.sums.lock().expect("sums lock");
@@ -494,9 +487,9 @@ pub fn run_sim(cfg: StencilConfig, net: NetworkModel, run_cfg: RunConfig) -> Ste
 }
 
 /// Full-control simulation run: optionally collect barrier checkpoints
-/// into `ckpt_sink` (requires `run_cfg.checkpoint_at_barrier` and
-/// `cfg.lb_period`), and/or restore the blocks from `restore` (possibly
-/// onto a different PE count).
+/// into `ckpt_sink` (requires `cfg.lb_period`), and/or restore the blocks
+/// from `restore` (possibly onto a different PE count), which resumes the
+/// run rather than starting it.
 pub fn run_sim_full(
     cfg: StencilConfig,
     net: NetworkModel,
@@ -505,7 +498,7 @@ pub fn run_sim_full(
     restore: Option<mdo_core::checkpoint::Snapshot>,
 ) -> StencilOutcome {
     let shared = Arc::new(Shared { sums: Mutex::new(Vec::new()), finish: Mutex::new(Time::ZERO) });
-    let mut program = build_program_inner(cfg.clone(), Arc::clone(&shared), restore.is_some());
+    let mut program = build_program(cfg.clone(), Arc::clone(&shared));
     if let Some(sink) = ckpt_sink {
         program.on_checkpoint(move |snap, _ctl| {
             sink.lock().expect("ckpt sink").push(snap.clone());
@@ -706,8 +699,7 @@ mod tests {
         let full = run_sim(cfg.clone(), net(), RunConfig::default());
 
         let sink = Arc::new(Mutex::new(Vec::new()));
-        let run_cfg = RunConfig { checkpoint_at_barrier: true, ..RunConfig::default() };
-        let ckpt_run = run_sim_full(cfg.clone(), net(), run_cfg, Some(Arc::clone(&sink)), None);
+        let ckpt_run = run_sim_full(cfg.clone(), net(), RunConfig::default(), Some(Arc::clone(&sink)), None);
         assert_eq!(ckpt_run.block_sums, full.block_sums);
         let snapshot = sink.lock().expect("sink")[0].clone();
         assert_eq!(snapshot.total_elems(), 16);

@@ -91,7 +91,7 @@ fn run(ticks: u32, per_tick: u32, flow: Option<FlowConfig>) -> Outcome {
     });
     p.on_startup(move |ctl| ctl.send(arr, ElemId(0), TICK, vec![]));
     p.on_quiescence(|ctl| ctl.exit());
-    let run_cfg = RunConfig { detect_quiescence: true, flow, ..RunConfig::default() };
+    let run_cfg = RunConfig { flow, ..RunConfig::default() };
     let net = NetworkModel::two_cluster_sweep(2, Dur::from_millis(2));
     let report = SimEngine::new(net, run_cfg).run(p);
     assert!(report.unrecoverable.is_none());

@@ -4,16 +4,18 @@
 //! capabilities such as automatic checkpointing, fault tolerance, and the
 //! ability to shrink and expand the set of processors used by a parallel
 //! job."*  Because every migratable chare can already pack and unpack its
-//! state, a checkpoint is just "pack everyone": the host requests a
-//! checkpoint at a quiescent point, every PE packs its local elements and
-//! ships the bytes to PE 0, and PE 0 assembles a [`Snapshot`].
+//! state, a checkpoint is just "pack everyone": a program that registers
+//! a checkpoint client gets one at every AtSync barrier (a quiescent
+//! point), where every PE packs its local elements and ships the bytes to
+//! PE 0, and PE 0 assembles a [`Snapshot`].
 //!
 //! A snapshot restores onto **any** topology: element placement is
 //! recomputed by each array's initial mapping over the new PE count, so
 //! a job checkpointed on 8 PEs can restart on 2 (shrink) or 32 (expand).
 //! On restore the runtime calls [`crate::chare::Chare::resume_from_sync`]
 //! on every element — the same hook used after load-balancing barriers —
-//! so applications restart their iteration loops with no extra code.
+//! instead of running the program's startup closure, so applications
+//! restart their iteration loops with no extra code.
 //!
 //! Like migration, checkpointing requires a quiescent application (no
 //! in-flight application messages, no reductions mid-tree); take

@@ -624,7 +624,6 @@ fn run_generations(
             ref all => eprintln!("mdo-net node {me}: {} are single-process features; ignoring them", all.join(" and ")),
         }
     }
-    let obs_cfg = cfg.obs.clone().unwrap_or_default();
     let failure_plan = cfg.failure_plan.clone();
     let my_cluster = my_node.map(|n| ClusterId(n as u16));
     let mut live: Vec<u32> = (0..if single { 1 } else { topo.num_clusters() as u32 }).collect();
@@ -692,7 +691,6 @@ fn run_generations(
                     t0,
                     topo: gen_topo.clone(),
                     record_on,
-                    obs_cfg: obs_cfg.clone(),
                     orig_map: Arc::clone(&orig_map),
                     compute_sleep: tcfg.compute_sleep,
                     hb_interval: failure_plan.as_ref().map(|p| p.hb_interval.to_std()),
@@ -705,8 +703,8 @@ fn run_generations(
             .collect();
 
         if is_host {
-            // Boot the program (after a recovery the startup closure is
-            // gone, so PE 0 goes straight to the restore-resume broadcast).
+            // Boot the program (a recovered generation is restored, so PE 0
+            // resumes it instead of starting it).
             let startup = Envelope {
                 src: Pe(0),
                 dst: Pe(0),

@@ -372,7 +372,6 @@ impl SimEngine {
     /// in the wall-clock engine.
     pub fn run(self, program: Program) -> RunReport {
         let SimEngine { net, cfg, sim_cfg } = self;
-        let obs_cfg = cfg.obs.clone().unwrap_or_default();
         let ft_armed = cfg.failure_plan.is_some();
         let mut transport_error: Option<TransportError> = None;
         // The delivery-policy seam: which of several equal-priority queued
@@ -395,7 +394,7 @@ impl SimEngine {
             let nodes = m.build_nodes(None);
             let idle = || PeState { queue: SchedQueue::new(), busy: false, worked: Dur::ZERO };
             let pes: Vec<PeState> = nodes.iter().map(|_| idle()).collect();
-            let recs: Vec<PeRecorder> = m.orig().iter().map(|o| PeRecorder::maybe(record_on, o.0, &obs_cfg)).collect();
+            let recs: Vec<PeRecorder> = m.orig().iter().map(|o| PeRecorder::maybe(record_on, o.0)).collect();
             (Arc::clone(m.shared()), nodes, pes, recs)
         };
         let (mut shared, mut nodes, mut pes, mut recs) = launch(&mut m);
@@ -617,9 +616,8 @@ impl SimEngine {
             };
             let rows = generation_rows(m.orig(), &nodes, &pes, std::mem::take(&mut recs));
             m.books.close_generation(rows, Some(HostRow::of(&nodes[0])));
-            // The host closures carry over; the startup closure is long
-            // gone, so the new PE 0 goes straight to the restore-resume
-            // broadcast.
+            // The host closures carry over; the new generation is
+            // restored, so its PE 0 resumes instead of starting.
             m.keep_host(&mut nodes[0]);
             let change = if dead_cur.is_empty() { Change::Expand { joiners } } else { Change::Shrink { dead_cur } };
             m.advance(change, snapshot, drained);
@@ -1106,7 +1104,7 @@ mod tests {
                 ctl.exit();
             });
         }
-        let cfg = RunConfig { flow, detect_quiescence: quiesce, ..RunConfig::default() };
+        let cfg = RunConfig { flow, ..RunConfig::default() };
         let report =
             SimEngine::new(net, cfg).with_limits(SimConfig { max_time: None, max_events: Some(200_000) }).run(p);
         if quiesce {
@@ -1150,6 +1148,27 @@ mod tests {
     }
 
     #[test]
+    fn a_registered_quiescence_client_fires_exactly_once() {
+        static FIRED: AtomicU64 = AtomicU64::new(0);
+        FIRED.store(0, Ordering::SeqCst);
+        // Element 1 waits for one HIT more than element 0's burst, so it
+        // never acks: the run goes quiet after one round instead of exiting.
+        let net = NetworkModel::two_cluster_sweep(2, Dur::from_millis(2));
+        let mut p = Program::new();
+        let arr = p.array("burst", 2, Mapping::Block, |elem| {
+            Box::new(Burst { burst: 16 + elem.0, rounds_left: 4, got: 0 }) as Box<dyn Chare>
+        });
+        p.on_startup(move |ctl| ctl.send(arr, ElemId(0), ROUND_ACK, vec![]));
+        p.on_quiescence(|ctl| {
+            FIRED.fetch_add(1, Ordering::SeqCst);
+            ctl.exit();
+        });
+        let report = SimEngine::new(net, RunConfig::default()).run(p);
+        assert_eq!(FIRED.load(Ordering::SeqCst), 1, "registering the client is what runs detection");
+        assert!(report.unrecoverable.is_none());
+    }
+
+    #[test]
     fn quiescence_terminates_with_deadline_flushed_buffers() {
         static FIRED: AtomicU64 = AtomicU64::new(0);
         FIRED.store(0, Ordering::SeqCst);
@@ -1177,7 +1196,7 @@ mod tests {
             ctl.exit();
         });
         let agg = AggConfig::default().with_max_bytes(1 << 20).with_max_delay(Dur::from_millis(4));
-        let cfg = RunConfig { agg: Some(agg), detect_quiescence: true, ..RunConfig::default() };
+        let cfg = RunConfig { agg: Some(agg), ..RunConfig::default() };
         let report =
             SimEngine::new(net, cfg).with_limits(SimConfig { max_time: None, max_events: Some(100_000) }).run(p);
         assert_eq!(FIRED.load(Ordering::SeqCst), 1, "quiescence fired despite buffered frames");

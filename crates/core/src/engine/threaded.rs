@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 use mdo_netsim::{CrashTrigger, Dur, LatencyMatrix, Pe, Time, Topology};
 use mdo_vmi::Aggregator;
 
-use mdo_obs::{ObjTag, ObsConfig, PeObs, PeRecorder};
+use mdo_obs::{ObjTag, PeObs, PeRecorder};
 
 use crate::envelope::{Envelope, MsgBody, SYSTEM_PRIORITY};
 use crate::node::{HandleOutcome, Node, NodeHooks};
@@ -179,7 +179,6 @@ pub(super) struct ThreadCtl {
     pub(super) t0: Instant,
     pub(super) topo: Topology,
     pub(super) record_on: bool,
-    pub(super) obs_cfg: ObsConfig,
     /// Current → original PE numbering for this generation; recorders log
     /// in original numbers so generations concatenate.
     pub(super) orig_map: Arc<Vec<Pe>>,
@@ -254,7 +253,7 @@ pub(super) fn pe_thread(pe: Pe, mut node: Node, ctl: ThreadCtl) -> PeResult {
         t0: ctl.t0,
         pe,
         agg: Arc::clone(&ctl.agg),
-        rec: PeRecorder::maybe(ctl.record_on, ctl.orig_map[pe.index()].0, &ctl.obs_cfg),
+        rec: PeRecorder::maybe(ctl.record_on, ctl.orig_map[pe.index()].0),
         orig: Arc::clone(&ctl.orig_map),
         topo: ctl.topo.clone(),
         local: SchedQueue::new(),

@@ -186,7 +186,8 @@ pub enum MsgBody {
     /// Restored run: every element gets `resume_from_sync` (like a
     /// barrier resume, without touching load-balancer state).
     RestoreResume,
-    /// Engine control: run the program's startup closure (delivered to PE 0).
+    /// Engine control: start the program — run its startup closure, or
+    /// resume it if it is restored (delivered to PE 0).
     Startup,
     /// Engine control: stop the run.
     Exit,

@@ -377,8 +377,8 @@ impl Node {
     }
 
     /// Extract the host closures so a recovered generation of nodes can
-    /// reuse them (the startup closure was already consumed, so the new
-    /// PE 0 goes straight to the restore-resume path).
+    /// reuse them (that generation is restored, so its PE 0 resumes
+    /// rather than starts).
     pub(crate) fn take_host(&mut self) -> HostParts {
         std::mem::replace(&mut self.host, HostParts::empty())
     }
@@ -485,7 +485,7 @@ impl Node {
                 self.lb.arrived_pes += 1;
                 if self.lb.arrived_pes == self.num_pes() {
                     self.lb.arrived_pes = 0;
-                    if self.shared.cfg.checkpoint_at_barrier {
+                    if self.host.checkpoint_client.is_some() {
                         // Everyone is quiescent here: snapshot before resuming.
                         self.ckpt.begin();
                         for pe in self.topo().pes().collect::<Vec<_>>() {
@@ -546,7 +546,10 @@ impl Node {
             }
             MsgBody::Startup => {
                 assert_eq!(self.pe, Pe(0), "Startup must go to PE 0");
-                if let Some(startup) = self.host.startup.take() {
+                // A restored program — from `restore_from` or a recovered
+                // generation — resumes; it does not start.
+                let restored = self.shared.restore.is_some();
+                if let Some(startup) = self.host.startup.take().filter(|_| !restored) {
                     let shared = Arc::clone(&self.shared);
                     let mut sink = CtxSink::default();
                     {
@@ -555,11 +558,11 @@ impl Node {
                     }
                     self.process_sink(None, sink, hooks, &mut outcome);
                 }
-                if self.shared.cfg.detect_quiescence {
+                if self.host.quiescence_client.is_some() {
                     self.start_qd_wave(hooks);
                 }
-                if self.shared.restore.is_some() {
-                    // Restored run: wake every element via resume_from_sync.
+                if restored {
+                    // Wake every element via resume_from_sync.
                     for pe in self.topo().pes().collect::<Vec<_>>() {
                         self.emit_env(hooks, pe, SYSTEM_PRIORITY, MsgBody::RestoreResume, Dur::ZERO);
                     }
@@ -1126,9 +1129,6 @@ impl Node {
             if let Some(client) = self.host.quiescence_client.as_mut() {
                 let mut ctx = Ctx::host(hooks.now(), self.pe, &shared.topo, &mut sink);
                 client(&mut ctx);
-            } else {
-                // No client: quiescence simply ends the run.
-                sink.exit = true;
             }
             self.process_sink(None, sink, hooks, outcome);
         } else {
@@ -1168,6 +1168,11 @@ mod tests {
     /// Deliver messages FIFO until the system drains; returns whether any
     /// node requested exit.
     fn run_to_completion(nodes: &mut [Node]) -> bool {
+        run_watching(nodes, |_| {})
+    }
+
+    /// [`run_to_completion`], showing `watch` every envelope it delivers.
+    fn run_watching(nodes: &mut [Node], mut watch: impl FnMut(&Envelope)) -> bool {
         let mut queue: VecDeque<Envelope> = VecDeque::new();
         let mut hooks = FifoHooks { out: Vec::new() };
         // Kick off with Startup on PE 0.
@@ -1183,6 +1188,7 @@ mod tests {
         while let Some(env) = queue.pop_front() {
             steps += 1;
             assert!(steps < 1_000_000, "runaway message storm");
+            watch(&env);
             let outcome = nodes[env.dst.index()].handle(env, &mut hooks);
             exited |= outcome.exit;
             queue.extend(hooks.out.drain(..));
@@ -1477,8 +1483,7 @@ mod tests {
             FIRED.fetch_add(1, Ordering::SeqCst);
             ctl.exit();
         });
-        let cfg = RunConfig { detect_quiescence: true, ..RunConfig::default() };
-        let mut nodes = build_nodes(topo, p, cfg);
+        let mut nodes = build_nodes(topo, p, RunConfig::default());
         assert!(run_to_completion(&mut nodes));
         assert_eq!(FIRED.load(Ordering::SeqCst), 1, "quiescence client fired exactly once");
     }
@@ -1536,14 +1541,40 @@ mod tests {
     }
 
     #[test]
+    fn a_program_without_clients_sends_no_probe_and_no_checkpoint() {
+        // Quiescence detection and barrier checkpoints run because a client
+        // is registered; with neither, two barriers add no traffic for them.
+        let topo = Topology::two_cluster(4);
+        let mut p = Program::new();
+        let arr = p.array_migratable(
+            "twosync",
+            6,
+            Mapping::Block,
+            |_| Box::new(TwoSync { rounds: 0 }),
+            |_, r| Box::new(TwoSync { rounds: r.u32().unwrap() }),
+        );
+        p.on_startup(move |ctl| ctl.broadcast(arr, SYNC_TWICE, vec![]));
+        p.on_reduction(arr, |_s, _d, ctl| ctl.exit());
+        let mut nodes = build_nodes(topo, p, RunConfig::default());
+        let (mut probes, mut collects) = (0, 0);
+        assert!(run_watching(&mut nodes, |env| match env.body {
+            MsgBody::QdProbe { .. } => probes += 1,
+            MsgBody::CkptCollect => collects += 1,
+            _ => {}
+        }));
+        assert_eq!(nodes[0].lb_rounds(), 2, "both barriers completed");
+        assert_eq!((probes, collects), (0, 0), "no client, no traffic");
+    }
+
+    #[test]
     fn checkpoint_rides_the_barrier_and_reductions_continue() {
         // Elements contribute a reduction BEFORE the barrier; the snapshot
         // must carry the root's reduction cursor so post-restore reductions
         // keep their numbering.
         static SEQS: Mutex<Vec<u32>> = Mutex::new(Vec::new());
         SEQS.lock().unwrap().clear();
-        static SNAP: Mutex<Option<crate::checkpoint::Snapshot>> = Mutex::new(None);
-        *SNAP.lock().unwrap() = None;
+        static SNAPS: Mutex<Vec<crate::checkpoint::Snapshot>> = Mutex::new(Vec::new());
+        SNAPS.lock().unwrap().clear();
 
         struct RedThenSync {
             phase: u32,
@@ -1591,17 +1622,49 @@ mod tests {
                 _ => unreachable!(),
             }
         });
-        p.on_checkpoint(|snap, _ctl| {
-            *SNAP.lock().unwrap() = Some(snap.clone());
-        });
-        let cfg = RunConfig { checkpoint_at_barrier: true, ..RunConfig::default() };
-        let mut nodes = build_nodes(topo, p, cfg);
+        // Registering the client is what takes the barrier's checkpoint.
+        p.on_checkpoint(|snap, _ctl| SNAPS.lock().unwrap().push(snap.clone()));
+        let mut nodes = build_nodes(topo, p, RunConfig::default());
         assert!(run_to_completion(&mut nodes));
         assert_eq!(*SEQS.lock().unwrap(), vec![0, 1], "reductions 0 and 1 both delivered");
-        let snap = SNAP.lock().unwrap().clone().expect("snapshot taken");
+        let snaps = SNAPS.lock().unwrap();
+        assert_eq!(snaps.len(), 1, "one barrier, one snapshot");
+        let snap = &snaps[0];
         assert_eq!(snap.total_elems(), 4);
         // The cursor recorded: reduction 0 had completed before the barrier.
         assert_eq!(snap.arrays[0].red_next, 1);
+    }
+
+    #[test]
+    fn a_restored_program_resumes_without_starting() {
+        static STARTED: AtomicU64 = AtomicU64::new(0);
+        static RESUMED: AtomicU64 = AtomicU64::new(0);
+        STARTED.store(0, Ordering::SeqCst);
+        RESUMED.store(0, Ordering::SeqCst);
+        struct Resumer;
+        impl Chare for Resumer {
+            fn receive(&mut self, _e: EntryId, _p: &[u8], _ctx: &mut Ctx<'_>) {
+                STARTED.fetch_add(1, Ordering::SeqCst);
+            }
+            fn resume_from_sync(&mut self, ctx: &mut Ctx<'_>) {
+                RESUMED.fetch_add(1, Ordering::SeqCst);
+                ctx.contribute_u64_sum(&[1]);
+            }
+        }
+        let mut p = Program::new();
+        let arr = p.array_migratable("resumer", 4, Mapping::Block, |_| Box::new(Resumer), |_, _| Box::new(Resumer));
+        // The program registers its startup as any fresh run does.
+        p.on_startup(move |ctl| ctl.broadcast(arr, EntryId(1), vec![]));
+        p.on_reduction(arr, |_s, _d, ctl| ctl.exit());
+        // Each element's state is its reduction cursor alone.
+        let elems = vec![vec![0; 4]; 4];
+        p.restore_from(crate::checkpoint::Snapshot {
+            arrays: vec![crate::checkpoint::ArraySnapshot { array: arr, red_next: 0, elems }],
+        });
+        let mut nodes = build_nodes(Topology::two_cluster(2), p, RunConfig::default());
+        assert!(run_to_completion(&mut nodes));
+        assert_eq!(STARTED.load(Ordering::SeqCst), 0, "the startup broadcast never ran");
+        assert_eq!(RESUMED.load(Ordering::SeqCst), 4, "every element resumed");
     }
 
     #[test]
@@ -1628,8 +1691,8 @@ mod tests {
         let topo = Topology::two_cluster(2);
         let mut p = Program::new();
         let _ = p.array("c", 2, Mapping::Block, |_| Box::new(Counter { count: 0 }) as Box<dyn Chare>);
-        let cfg = RunConfig { detect_quiescence: true, ..RunConfig::default() };
-        let (shared, host) = split_program(p, topo, cfg);
+        p.on_quiescence(|ctl| ctl.exit());
+        let (shared, host) = split_program(p, topo, RunConfig::default());
         let mut node = Node::new(Arc::clone(&shared), Pe(0), host);
         let mut hooks = FifoHooks { out: Vec::new() };
         // Startup launches probe wave 0 (2 probes out).

@@ -105,7 +105,9 @@ impl Program {
         id
     }
 
-    /// Register the startup closure, run once on PE 0 before anything else.
+    /// Register the startup closure, run once on PE 0 before anything else
+    /// — unless the program is restored ([`Program::restore_from`]), which
+    /// resumes instead.
     pub fn on_startup<F>(&mut self, f: F)
     where
         F: FnOnce(&mut HostCtl<'_>) + Send + 'static,
@@ -124,8 +126,9 @@ impl Program {
         assert!(prev.is_none(), "reduction client for {array:?} registered twice");
     }
 
-    /// Register the client called when quiescence is detected (requires
-    /// [`RunConfig::detect_quiescence`]).
+    /// Register the client called when quiescence is detected.  Registering
+    /// one is what runs quiescence detection: a program without a client
+    /// sends no probe.
     pub fn on_quiescence<F>(&mut self, f: F)
     where
         F: FnMut(&mut HostCtl<'_>) + Send + 'static,
@@ -135,7 +138,8 @@ impl Program {
     }
 
     /// Register the client called (on PE 0) each time a barrier-integrated
-    /// checkpoint completes (requires [`RunConfig::checkpoint_at_barrier`]).
+    /// checkpoint completes.  Registering one is what takes a checkpoint at
+    /// every AtSync barrier (the application is provably quiescent there).
     /// The client typically saves the snapshot and either exits or lets
     /// the run continue.
     pub fn on_checkpoint<F>(&mut self, f: F)
@@ -149,8 +153,10 @@ impl Program {
     /// Restore element state from a checkpoint instead of running the
     /// array factories.  Element placement is recomputed by each array's
     /// mapping over the (possibly different — shrink/expand) topology, and
-    /// every element receives `resume_from_sync` at startup.  All arrays
-    /// must be migratable, and the snapshot must cover every element.
+    /// a restored program resumes rather than starts: the startup closure
+    /// does not run, and every element receives `resume_from_sync` instead.
+    /// All arrays must be migratable, and the snapshot must cover every
+    /// element.
     pub fn restore_from(&mut self, snapshot: Snapshot) {
         assert!(self.restore.is_none(), "restore snapshot set twice");
         self.restore = Some(Arc::new(snapshot));
@@ -227,13 +233,6 @@ pub struct RunConfig {
     pub grid_prio: bool,
     /// Strategy used when elements call `at_sync` (default Identity).
     pub lb: LbChoice,
-    /// Run quiescence-detection waves and fire the program's quiescence
-    /// client when the application goes quiet.
-    pub detect_quiescence: bool,
-    /// Take a checkpoint at every AtSync barrier (the application is
-    /// provably quiescent there) and deliver it to the program's
-    /// checkpoint client.
-    pub checkpoint_at_barrier: bool,
     /// Seed for any runtime randomness (network jitter, tie-breaking).
     pub seed: u64,
     /// Unreliable-WAN fault injection: when set, cross-cluster traffic is
@@ -339,8 +338,6 @@ impl Default for RunConfig {
         RunConfig {
             grid_prio: false,
             lb: LbChoice::Identity,
-            detect_quiescence: false,
-            checkpoint_at_barrier: false,
             seed: 0,
             fault_plan: None,
             failure_plan: None,

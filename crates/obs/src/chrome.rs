@@ -115,7 +115,7 @@ mod tests {
     use super::*;
     use crate::event::ObjTag;
     use crate::json::{parse, Json};
-    use crate::{ObsConfig, PeRecorder};
+    use crate::PeRecorder;
     use mdo_netsim::Dur;
 
     fn t(ms: u64) -> Time {
@@ -124,8 +124,8 @@ mod tests {
 
     #[test]
     fn export_is_valid_trace_event_json() {
-        let mut r0 = PeRecorder::new(0, &ObsConfig::default());
-        let mut r1 = PeRecorder::new(1, &ObsConfig::default());
+        let mut r0 = PeRecorder::new(0);
+        let mut r1 = PeRecorder::new(1);
         r0.handler(Some(ObjTag { array: 0, elem: 3 }), t(0), t(2));
         r0.send(t(2), 1, 64, true, false);
         r0.idle(t(2));
@@ -158,7 +158,7 @@ mod tests {
 
     #[test]
     fn timestamps_are_microseconds() {
-        let mut r = PeRecorder::new(0, &ObsConfig::default());
+        let mut r = PeRecorder::new(0);
         r.handler(None, t(1), t(3));
         let doc = chrome_trace(&[r.finish().unwrap()]);
         let v = parse(&doc).unwrap();

@@ -39,30 +39,19 @@ pub use timeline::{trace_from, MsgArrow, Segment, Trace};
 
 use mdo_netsim::{Pe, Time};
 
-/// Observability knobs, armed via the engines' run configuration.
-#[derive(Clone, Debug)]
-pub struct ObsConfig {
-    /// Per-PE event-ring capacity; events past it are counted as dropped,
-    /// never reallocated (bounds memory on long runs).
-    pub ring_capacity: usize,
-}
+/// Per-PE event-ring capacity: events past it are counted as dropped,
+/// never reallocated (bounds memory on long runs).
+pub const RING_CAPACITY: usize = 1 << 20;
 
-impl Default for ObsConfig {
-    fn default() -> Self {
-        ObsConfig { ring_capacity: 1 << 20 }
-    }
-}
+/// Arms observability via the engines' run configuration.  It has no
+/// knobs: the ring's capacity is [`RING_CAPACITY`].
+#[derive(Clone, Debug, Default)]
+pub struct ObsConfig;
 
 impl ObsConfig {
-    /// Default knobs.
+    /// The observability configuration.
     pub fn new() -> Self {
-        ObsConfig::default()
-    }
-
-    /// Override the per-PE event-ring capacity.
-    pub fn with_ring_capacity(mut self, cap: usize) -> Self {
-        self.ring_capacity = cap;
-        self
+        ObsConfig
     }
 }
 
@@ -75,13 +64,14 @@ impl ObsConfig {
 pub struct PeRecorder {
     /// The recording; `None` when disabled.
     data: Option<PeObs>,
+    /// Event-ring capacity: [`RING_CAPACITY`], smaller only in tests.
     cap: usize,
 }
 
 impl PeRecorder {
     /// An enabled recorder for (original-numbered) PE `pe`.
-    pub fn new(pe: u32, cfg: &ObsConfig) -> Self {
-        PeRecorder { data: Some(PeObs::empty(pe)), cap: cfg.ring_capacity.max(1) }
+    pub fn new(pe: u32) -> Self {
+        PeRecorder { data: Some(PeObs::empty(pe)), cap: RING_CAPACITY }
     }
 
     /// A recorder that records nothing and allocates nothing.
@@ -90,9 +80,9 @@ impl PeRecorder {
     }
 
     /// Enabled or disabled by `on`.
-    pub fn maybe(on: bool, pe: u32, cfg: &ObsConfig) -> Self {
+    pub fn maybe(on: bool, pe: u32) -> Self {
         if on {
-            PeRecorder::new(pe, cfg)
+            PeRecorder::new(pe)
         } else {
             PeRecorder::disabled()
         }
@@ -372,8 +362,7 @@ mod tests {
 
     #[test]
     fn ring_capacity_bounds_events_and_counts_drops() {
-        let cfg = ObsConfig::new().with_ring_capacity(3);
-        let mut r = PeRecorder::new(0, &cfg);
+        let mut r = PeRecorder { cap: 3, ..PeRecorder::new(0) };
         for i in 0..5 {
             r.idle(t(i));
         }
@@ -386,7 +375,7 @@ mod tests {
 
     #[test]
     fn recorder_feeds_histograms_and_counters() {
-        let mut r = PeRecorder::new(0, &ObsConfig::default());
+        let mut r = PeRecorder::new(0);
         r.recv(t(10), 1, t(2), 100, true, false);
         r.recv(t(3), 1, t(2), 50, false, false);
         r.handler(None, t(10), t(12));
@@ -407,10 +396,10 @@ mod tests {
     #[test]
     fn absorb_concatenates_generations() {
         let mut a = PeObs::empty(2);
-        let mut r = PeRecorder::new(2, &ObsConfig::default());
+        let mut r = PeRecorder::new(2);
         r.idle(t(1));
         a.absorb(r.finish().unwrap());
-        let mut r = PeRecorder::new(2, &ObsConfig::default());
+        let mut r = PeRecorder::new(2);
         r.recovery(t(5));
         r.idle(t(6));
         a.absorb(r.finish().unwrap());
@@ -420,11 +409,11 @@ mod tests {
 
     #[test]
     fn report_aggregates_overlap() {
-        let mut r0 = PeRecorder::new(0, &ObsConfig::default());
+        let mut r0 = PeRecorder::new(0);
         // 16 ms outstanding, 8 ms masked.
         r0.handler(None, t(0), t(8));
         r0.recv(t(16), 1, t(0), 8, true, false);
-        let mut r1 = PeRecorder::new(1, &ObsConfig::default());
+        let mut r1 = PeRecorder::new(1);
         // 10 ms outstanding, fully masked.
         r1.handler(None, t(0), t(10));
         r1.recv(t(10), 0, t(0), 8, true, false);

@@ -349,9 +349,9 @@ mod tests {
 
     #[test]
     fn trace_derives_from_event_stream() {
-        use crate::{ObsConfig, PeRecorder};
-        let mut r0 = PeRecorder::new(0, &ObsConfig::default());
-        let mut r1 = PeRecorder::new(1, &ObsConfig::default());
+        use crate::PeRecorder;
+        let mut r0 = PeRecorder::new(0);
+        let mut r1 = PeRecorder::new(1);
         r0.handler(Some(ObjTag { array: 0, elem: 0 }), t(0), t(2));
         r0.send(t(2), 1, 64, true, false);
         r1.recv(t(6), 0, t(2), 64, true, false);

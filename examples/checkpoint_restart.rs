@@ -30,11 +30,10 @@ fn main() {
     // Run again, snapshotting at the step-4 barrier; pretend we crash
     // afterwards (we simply stop caring about this run's result).
     let sink: Arc<Mutex<Vec<Snapshot>>> = Arc::new(Mutex::new(Vec::new()));
-    let run_cfg = RunConfig { checkpoint_at_barrier: true, ..RunConfig::default() };
     let _crashed = leanmd::run_sim_full(
         cfg.clone(),
         NetworkModel::two_cluster_sweep(4, Dur::from_millis(2)),
-        run_cfg,
+        RunConfig::default(),
         Some(Arc::clone(&sink)),
         None,
     );

@@ -366,7 +366,7 @@ fn a_disabled_recorder_allocates_nothing() {
     let _alone = alone();
     let t = |ms| Time::ZERO + Dur::from_millis(ms);
     let census = Census::begin();
-    let mut rec = PeRecorder::maybe(false, 3, &ObsConfig::new());
+    let mut rec = PeRecorder::maybe(false, 3);
     rec.send(t(0), 1, 4_096, true, false);
     rec.recv(t(2), 1, t(0), 4_096, true, false);
     rec.handler(None, t(2), t(3));

@@ -106,8 +106,7 @@ fn threaded_block_flow_bounds_mailboxes_under_open_loop_flood() {
     // sender stalls against the advertised window instead.
     let run = |flow: Option<FlowConfig>| {
         let (program, received, fired) = flood_program();
-        let run_cfg =
-            RunConfig { detect_quiescence: true, agg: Some(AggConfig::default()), flow, ..RunConfig::default() };
+        let run_cfg = RunConfig { agg: Some(AggConfig::default()), flow, ..RunConfig::default() };
         let topo = Topology::two_cluster(2);
         let latency = LatencyMatrix::uniform(&topo, Dur::ZERO, Dur::from_millis(2));
         let tcfg = ThreadedConfig::new(latency).with_compute_sleep();
@@ -143,7 +142,7 @@ fn threaded_block_flow_bounds_mailboxes_under_open_loop_flood() {
 fn sim_shed_flow_bounds_memory_and_accounts_every_drop() {
     let run = |flow: Option<FlowConfig>| {
         let (program, received, fired) = flood_program();
-        let run_cfg = RunConfig { detect_quiescence: true, flow, obs: Some(ObsConfig::new()), ..RunConfig::default() };
+        let run_cfg = RunConfig { flow, obs: Some(ObsConfig::new()), ..RunConfig::default() };
         let net = NetworkModel::two_cluster_sweep(2, Dur::from_millis(2));
         let report = SimEngine::new(net, run_cfg).run(program);
         assert_eq!(fired.load(Ordering::SeqCst), 1, "quiescence fired exactly once");
@@ -184,7 +183,7 @@ fn threaded_shed_run(senders: u32, agg: Option<AggConfig>, flow: FlowConfig) -> 
     let echoed = Arc::new(AtomicU64::new(0));
     let (program, received, fired) = fan_in_program_echoing(senders, Some(Arc::clone(&echoed)));
     let flow = flow.with_policy(OverloadPolicy::Shed);
-    let run_cfg = RunConfig { detect_quiescence: true, agg, flow: Some(flow), ..RunConfig::default() };
+    let run_cfg = RunConfig { agg, flow: Some(flow), ..RunConfig::default() };
     let topo = Topology::two_cluster(2 * senders);
     let latency = LatencyMatrix::uniform(&topo, Dur::ZERO, Dur::from_millis(2));
     let tcfg = ThreadedConfig::new(latency).with_compute_sleep();
@@ -244,13 +243,8 @@ fn sim_quiescence_under_saturation_survives_exploration_policies() {
     for spec in specs {
         let (program, received, fired) = flood_program();
         let flow = FlowConfig::default().with_credit_bytes(4 * 1024).with_policy(OverloadPolicy::Shed);
-        let run_cfg = RunConfig {
-            detect_quiescence: true,
-            flow: Some(flow),
-            delivery: spec.clone(),
-            obs: Some(ObsConfig::new()),
-            ..RunConfig::default()
-        };
+        let run_cfg =
+            RunConfig { flow: Some(flow), delivery: spec.clone(), obs: Some(ObsConfig::new()), ..RunConfig::default() };
         let net = NetworkModel::two_cluster_sweep(2, Dur::from_millis(2));
         let report = SimEngine::new(net, run_cfg).run(program);
         assert_eq!(fired.load(Ordering::SeqCst), 1, "{spec:?}: quiescence fired exactly once");

@@ -29,11 +29,10 @@ fn sim_checkpoint_restores_under_threaded_engine() {
 
     // Checkpoint at the step-3 barrier under the simulation engine.
     let sink: Arc<Mutex<Vec<Snapshot>>> = Arc::new(Mutex::new(Vec::new()));
-    let run_cfg = RunConfig { checkpoint_at_barrier: true, ..RunConfig::default() };
     let _ = leanmd::run_sim_full(
         cfg.clone(),
         NetworkModel::two_cluster_sweep(4, Dur::from_millis(2)),
-        run_cfg,
+        RunConfig::default(),
         Some(Arc::clone(&sink)),
         None,
     );

@@ -76,12 +76,11 @@ proptest! {
 /// is busy 2–12 ms with a reply outstanding 4–10 ms (fully masked).
 #[test]
 fn synthetic_two_pe_timeline_has_exact_overlap_fraction() {
-    let cfg = ObsConfig::new();
-    let mut r0 = PeRecorder::new(0, &cfg);
+    let mut r0 = PeRecorder::new(0);
     r0.handler(None, t(0), t(8));
     r0.recv(t(16), 1, t(0), 64, true, false);
     r0.idle(t(16));
-    let mut r1 = PeRecorder::new(1, &cfg);
+    let mut r1 = PeRecorder::new(1);
     r1.handler(None, t(2), t(12));
     r1.recv(t(10), 0, t(4), 64, true, false);
     let pes = vec![r0.finish().unwrap(), r1.finish().unwrap()];

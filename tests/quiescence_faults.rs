@@ -72,12 +72,7 @@ fn rough_weather() -> FaultPlan {
 #[test]
 fn sim_quiescence_fires_once_under_drop_and_reorder() {
     let (program, received, fired) = chain_program();
-    let run_cfg = RunConfig {
-        detect_quiescence: true,
-        fault_plan: Some(rough_weather()),
-        obs: Some(ObsConfig::new()),
-        ..RunConfig::default()
-    };
+    let run_cfg = RunConfig { fault_plan: Some(rough_weather()), obs: Some(ObsConfig::new()), ..RunConfig::default() };
     let net = NetworkModel::two_cluster_sweep(4, Dur::from_millis(2));
     let report = SimEngine::new(net, run_cfg).run(program);
 
@@ -100,7 +95,6 @@ fn sim_quiescence_is_sound_under_exploration_plus_faults() {
     for seed in [3, 4] {
         let (program, received, fired) = chain_program();
         let run_cfg = RunConfig {
-            detect_quiescence: true,
             fault_plan: Some(rough_weather()),
             delivery: DeliverySpec::Random { seed },
             obs: Some(ObsConfig::new()),
@@ -118,11 +112,7 @@ fn sim_quiescence_is_sound_under_exploration_plus_faults() {
 #[test]
 fn threaded_quiescence_fires_once_under_drop_and_reorder() {
     let (program, received, fired) = chain_program();
-    let run_cfg = RunConfig {
-        detect_quiescence: true,
-        fault_plan: Some(rough_weather().with_rto(Dur::from_millis(5))),
-        ..RunConfig::default()
-    };
+    let run_cfg = RunConfig { fault_plan: Some(rough_weather().with_rto(Dur::from_millis(5))), ..RunConfig::default() };
     let topo = Topology::two_cluster(4);
     let latency = LatencyMatrix::uniform(&topo, Dur::ZERO, Dur::from_micros(300));
     let report = ThreadedEngine::new(topo, ThreadedConfig::new(latency), run_cfg).run(program);
