@@ -1,15 +1,25 @@
-//! MPI collectives built from point-to-point messages.
+//! MPI collectives.
 //!
-//! Tags below zero are reserved here.  Each collective call site consumes
-//! one *collective sequence number* per rank (all ranks must call
-//! collectives in the same order, as MPI requires); the sequence number
-//! and the algorithm round are folded into the reserved tag so that
-//! overlapping collectives cannot cross-match.
+//! `barrier`, `gather`, `reduce_f64` and `allreduce_f64` are a reduction
+//! over the rank array (a barrier contributes an empty `SumF64`), so they
+//! share the runtime's spanning tree, its per-PE combining and its exact
+//! sums: an MPI sum is rounded once, whatever the arrival order.  `bcast`
+//! is the root's section multicast to every rank: its cluster-mates get
+//! the data over the LAN, and each other cluster after one WAN hop (one
+//! copy per remote PE, or per remote cluster with `tree_collectives`).
+//! Every rank awaits each result, the ones that return `None` and a
+//! `bcast`'s root included.  `sendrecv`, `scatter`, `alltoall` and
+//! `scan_f64` have no runtime counterpart and stay point-to-point.
 //!
-//! Algorithms are chosen for clarity at the scales of the paper's
-//! experiments (≤ 64 PEs, ≤ thousands of ranks): dissemination barrier
-//! (log₂ n rounds), gather-to-root + linear fan-out for `bcast`,
-//! `allreduce` and `gather`.
+//! Tags below zero are reserved here.  Each collective call consumes one
+//! *collective sequence number* per rank (all ranks must call collectives
+//! in the same order, as MPI requires); the sequence number and the
+//! algorithm round are folded into the reserved tag so that overlapping
+//! collectives cannot cross-match.  A reduction's result takes round 1 of
+//! the reduction's own number, which no point-to-point collective uses.
+
+use mdo_core::envelope::ReduceOp;
+use mdo_core::prelude::WireReader;
 
 use crate::rank::Rank;
 use crate::AmpiOp;
@@ -21,6 +31,12 @@ fn ctag(seq: u32, round: u32) -> i32 {
     -1 - (packed as i32)
 }
 
+/// The reserved tag the result of the rank array's reduction `seq` is
+/// filed under.
+pub(crate) fn result_tag(seq: u32) -> i32 {
+    ctag(seq, 1)
+}
+
 /// Allocate the rank's next collective sequence number (all ranks call
 /// collectives in the same order, so equal numbers identify the same
 /// collective instance).
@@ -28,109 +44,69 @@ fn next_seq(rank: &Rank) -> u32 {
     rank.bump_collective_seq()
 }
 
+/// A collective a rank has entered, for its chare to hand to the runtime.
+#[derive(Debug)]
+pub(crate) enum Collective {
+    /// Contribute an f64 vector to the rank array's next reduction.
+    Reduce(ReduceOp, Vec<f64>),
+    /// Contribute bytes to the rank array's next reduction, a gather.
+    Gather(Vec<u8>),
+    /// Multicast a rank message `(tag, data)` to every rank, the sender
+    /// included.
+    Bcast(i32, Vec<u8>),
+}
+
+/// The runtime's operator for an MPI one.
+fn reduce_op(op: AmpiOp) -> ReduceOp {
+    match op {
+        AmpiOp::Sum => ReduceOp::SumF64,
+        AmpiOp::Min => ReduceOp::MinF64,
+        AmpiOp::Max => ReduceOp::MaxF64,
+    }
+}
+
 impl Rank {
-    /// Dissemination barrier: completes when every rank has entered.
+    /// Enter the rank array's next reduction and await its result.
+    async fn reduction(&self, c: Collective) -> Vec<u8> {
+        let tag = {
+            let mut s = self.shared.lock();
+            s.collectives.push(c);
+            let seq = s.reductions;
+            s.reductions = seq.wrapping_add(1);
+            result_tag(seq)
+        };
+        self.recv(None, Some(tag)).await.data
+    }
+
+    /// Barrier: completes when every rank has entered.
     pub async fn barrier(&self) {
-        let n = self.size();
-        if n <= 1 {
-            return;
-        }
-        let seq = next_seq(self);
-        let me = self.rank();
-        let mut k = 0u32;
-        let mut dist = 1u32;
-        while dist < n {
-            let to = (me + dist) % n;
-            let from = (me + n - dist) % n;
-            self.send_internal(to, ctag(seq, k), Vec::new());
-            let _ = self.recv(Some(from), Some(ctag(seq, k))).await;
-            dist *= 2;
-            k += 1;
-        }
+        self.reduction(Collective::Reduce(ReduceOp::SumF64, Vec::new())).await;
     }
 
     /// Broadcast `data` from `root`; every rank returns the root's bytes.
     pub async fn bcast(&self, root: u32, data: Vec<u8>) -> Vec<u8> {
-        let n = self.size();
-        if n <= 1 {
-            return data;
+        let tag = ctag(next_seq(self), 0);
+        if self.rank() == root {
+            self.shared.lock().collectives.push(Collective::Bcast(tag, data));
         }
-        let seq = next_seq(self);
-        let me = self.rank();
-        if me == root {
-            for r in 0..n {
-                if r != root {
-                    self.send_internal(r, ctag(seq, 0), data.clone());
-                }
-            }
-            data
-        } else {
-            self.recv(Some(root), Some(ctag(seq, 0))).await.data
-        }
+        self.recv(Some(root), Some(tag)).await.data
     }
 
     /// Gather every rank's bytes at `root`; returns `Some(vec-by-rank)` on
     /// the root and `None` elsewhere.
     pub async fn gather(&self, root: u32, data: Vec<u8>) -> Option<Vec<Vec<u8>>> {
-        let n = self.size();
-        let seq = next_seq(self);
-        let me = self.rank();
-        if me == root {
-            let mut out: Vec<Vec<u8>> = vec![Vec::new(); n as usize];
-            out[me as usize] = data;
-            for _ in 0..n - 1 {
-                let m = self.recv(None, Some(ctag(seq, 0))).await;
-                out[m.src as usize] = m.data;
-            }
-            Some(out)
-        } else {
-            self.send_internal(root, ctag(seq, 0), data);
-            None
-        }
+        let rows = self.reduction(Collective::Gather(data)).await;
+        (self.rank() == root).then(|| {
+            let mut r = WireReader::new(&rows);
+            (0..self.size()).map(|_| r.bytes().expect("gathered row").to_vec()).collect()
+        })
     }
 
     /// All-reduce over f64 vectors: every rank contributes `vals` and every
     /// rank returns the element-wise combination.
     pub async fn allreduce_f64(&self, vals: &[f64], op: AmpiOp) -> Vec<f64> {
-        let n = self.size();
-        if n <= 1 {
-            return vals.to_vec();
-        }
-        let seq = next_seq(self);
-        let me = self.rank();
-        let encode = |v: &[f64]| {
-            let mut out = Vec::with_capacity(v.len() * 8);
-            for x in v {
-                out.extend_from_slice(&x.to_le_bytes());
-            }
-            out
-        };
-        let decode = |b: &[u8]| -> Vec<f64> {
-            b.chunks_exact(8).map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes"))).collect()
-        };
-        if me == 0 {
-            let mut acc = vals.to_vec();
-            for _ in 1..n {
-                let m = self.recv(None, Some(ctag(seq, 0))).await;
-                let other = decode(&m.data);
-                assert_eq!(other.len(), acc.len(), "allreduce length mismatch");
-                for (a, b) in acc.iter_mut().zip(other) {
-                    match op {
-                        AmpiOp::Sum => *a += b,
-                        AmpiOp::Min => *a = a.min(b),
-                        AmpiOp::Max => *a = a.max(b),
-                    }
-                }
-            }
-            let bytes = encode(&acc);
-            for r in 1..n {
-                self.send_internal(r, ctag(seq, 1), bytes.clone());
-            }
-            acc
-        } else {
-            self.send_internal(0, ctag(seq, 0), encode(vals));
-            decode(&self.recv(Some(0), Some(ctag(seq, 1))).await.data)
-        }
+        let result = self.reduction(Collective::Reduce(reduce_op(op), vals.to_vec())).await;
+        WireReader::new(&result).f64_vec().expect("reduced values")
     }
 
     /// Combined blocking send + receive (MPI_Sendrecv): ships `data` to
@@ -167,36 +143,8 @@ impl Rank {
     /// Reduce to root over f64 vectors: every rank contributes, only the
     /// root returns `Some(combined)` (MPI_Reduce).
     pub async fn reduce_f64(&self, root: u32, vals: &[f64], op: AmpiOp) -> Option<Vec<f64>> {
-        let n = self.size();
-        let seq = next_seq(self);
-        let me = self.rank();
-        let encode = |v: &[f64]| {
-            let mut out = Vec::with_capacity(v.len() * 8);
-            for x in v {
-                out.extend_from_slice(&x.to_le_bytes());
-            }
-            out
-        };
-        if me == root {
-            let mut acc = vals.to_vec();
-            for _ in 1..n {
-                let m = self.recv(None, Some(ctag(seq, 0))).await;
-                let other: Vec<f64> =
-                    m.data.chunks_exact(8).map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes"))).collect();
-                assert_eq!(other.len(), acc.len(), "reduce length mismatch");
-                for (a, b) in acc.iter_mut().zip(other) {
-                    match op {
-                        AmpiOp::Sum => *a += b,
-                        AmpiOp::Min => *a = a.min(b),
-                        AmpiOp::Max => *a = a.max(b),
-                    }
-                }
-            }
-            Some(acc)
-        } else {
-            self.send_internal(root, ctag(seq, 0), encode(vals));
-            None
-        }
+        let result = self.allreduce_f64(vals, op).await;
+        (self.rank() == root).then_some(result)
     }
 
     /// All-to-all: rank `i` sends `rows[j]` to rank `j` and returns the

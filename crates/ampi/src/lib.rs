@@ -15,8 +15,10 @@
 //! no change to the (MPI-style) application logic.
 //!
 //! * [`rank`] — the [`Rank`] handle: `send`, awaitable `recv`, `charge`.
-//! * [`collectives`] — `barrier`, `bcast`, `allreduce`, `gather`,
-//!   `sendrecv`, built from point-to-point messages with reserved tags.
+//! * [`collectives`] — `barrier`, `bcast`, `gather`, `reduce` and
+//!   `allreduce` on the runtime's reductions and multicast; `sendrecv`,
+//!   `scatter`, `alltoall` and `scan` from point-to-point messages with
+//!   reserved tags.
 //! * [`world`] — gluing ranks onto a chare array and running them under
 //!   either engine.
 //!

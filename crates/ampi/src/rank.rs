@@ -4,7 +4,8 @@
 //! its operations funnel through a shared mailbox/outbox cell that the
 //! owning chare drains after each poll:
 //!
-//! * `send` is eager and non-blocking (buffered into the outbox);
+//! * `send` is eager and non-blocking (buffered into the outbox), and a
+//!   collective the rank enters is buffered alongside it;
 //! * `recv` is an `await` on [`RecvFuture`], which scans the unexpected-
 //!   message queue for a `(source, tag)` match and suspends otherwise;
 //! * `charge` accumulates virtual compute cost exactly like
@@ -22,6 +23,8 @@ use std::task::{Context, Poll};
 
 use mdo_netsim::{Dur, Time};
 use parking_lot::Mutex;
+
+use crate::collectives::Collective;
 
 /// A received message.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -41,8 +44,9 @@ pub(crate) struct RankShared {
     pub n_ranks: u32,
     /// Unexpected-message queue, in arrival order.
     pub inbox: Vec<Msg>,
-    /// Messages the rank has issued since the last drain: (dst, tag, data).
-    pub outbox: Vec<(u32, i32, Vec<u8>)>,
+    /// Messages the rank has issued since the last drain: (dst, tag, data,
+    /// `charges` when it was issued).
+    pub outbox: Vec<(u32, i32, Vec<u8>, Dur)>,
     /// Compute cost accumulated since the last drain.
     pub charges: Dur,
     /// Wall/virtual nanoseconds at the last poll (set by the chare).
@@ -52,6 +56,11 @@ pub(crate) struct RankShared {
     /// Collective-call counter (all ranks call collectives in the same
     /// order, so equal counters identify the same collective).
     pub collective_seq: u32,
+    /// Collectives the rank has entered since the last drain.
+    pub collectives: Vec<Collective>,
+    /// Reductions the rank has entered: its next contribution joins the
+    /// rank array's reduction of this number.
+    pub reductions: u32,
 }
 
 /// The capability handle held inside a rank's async body.
@@ -97,7 +106,8 @@ impl Rank {
     pub(crate) fn send_internal(&self, dst: u32, tag: i32, data: Vec<u8>) {
         let mut s = self.shared.lock();
         assert!(dst < s.n_ranks, "send to rank {dst} out of range (size {})", s.n_ranks);
-        s.outbox.push((dst, tag, data));
+        let at = s.charges;
+        s.outbox.push((dst, tag, data, at));
     }
 
     /// Await a message matching `src` and `tag` (None = wildcard, i.e.
@@ -186,7 +196,7 @@ mod tests {
         rank.send(0, 0, vec![]);
         let s = rank.shared.lock();
         assert_eq!(s.outbox.len(), 2);
-        assert_eq!(s.outbox[0], (3, 7, vec![1, 2]));
+        assert_eq!(s.outbox[0], (3, 7, vec![1, 2], Dur::ZERO));
     }
 
     #[test]

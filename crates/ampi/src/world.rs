@@ -2,9 +2,13 @@
 //!
 //! Each rank's async body lives inside a `RankChare`.  The chare polls the
 //! future whenever a message for the rank arrives (plus once at kick-off),
-//! then drains the rank's outbox into real runtime sends and its charges
-//! into [`mdo_core::chare::Ctx::charge`].  When every rank's future
-//! completes, a runtime reduction fires and the program exits.
+//! then drains the rank's outbox into real runtime sends, its charges
+//! into [`mdo_core::chare::Ctx::charge`] (interleaved with the sends, so a
+//! message leaves where the rank's compute issued it) and the collective
+//! it entered into a runtime contribution or multicast.  The array's one
+//! reduction client exits on the job-end `SumU64`, which every rank
+//! contributes when its future completes, and broadcasts any other result
+//! to every rank under the reduction's `result_tag`.
 
 use std::future::Future;
 use std::pin::Pin;
@@ -12,28 +16,30 @@ use std::sync::Arc;
 use std::task::{Context, Poll};
 
 use mdo_core::chare::{Chare, Ctx};
+use mdo_core::envelope::ReduceData;
 use mdo_core::ids::{ElemId, EntryId};
 use mdo_core::prelude::{WireReader, WireWriter};
 use mdo_core::program::{Program, RunConfig, RunReport};
 use mdo_core::{Mapping, SimEngine, ThreadedConfig, ThreadedEngine};
 use mdo_netsim::network::NetworkModel;
-use mdo_netsim::{LatencyMatrix, Topology};
+use mdo_netsim::{Dur, LatencyMatrix, Topology};
 
+use crate::collectives::{result_tag, Collective};
 use crate::rank::{noop_waker, Msg, Rank};
 
 /// A rank body: given its [`Rank`] handle, produce the rank's task.
 pub type RankBody = Arc<dyn Fn(Rank) -> Pin<Box<dyn Future<Output = ()> + Send>> + Send + Sync>;
 
-/// Entry: kick-off (first poll).
+/// Entry: poll the rank (the kick-off, and a rank's message to itself).
 const KICK: EntryId = EntryId(1);
 /// Entry: rank-to-rank message (payload: src u32, tag i32, bytes).
 const MSG: EntryId = EntryId(2);
 
 struct RankChare {
     rank: Rank,
+    /// The rank's task; `None` once it has returned.  A future runs
+    /// nothing until polled, so it is made with the chare.
     future: Option<Pin<Box<dyn Future<Output = ()> + Send>>>,
-    body: RankBody,
-    started: bool,
 }
 
 impl RankChare {
@@ -44,33 +50,59 @@ impl RankChare {
             s.now_ns = ctx.now().as_nanos();
             s.my_cluster = ctx.my_cluster().0;
         }
-        if !self.started {
-            self.started = true;
-            self.future = Some((self.body)(self.rank.clone()));
-        }
         if let Some(fut) = self.future.as_mut() {
             let waker = noop_waker();
             let mut cx = Context::from_waker(&waker);
             if let Poll::Ready(()) = fut.as_mut().poll(&mut cx) {
                 self.future = None;
-                // Termination reduction: one contribution per rank.
+                // The job-end reduction: one contribution per rank, and
+                // the only SumU64 the rank array runs.
                 ctx.contribute_u64_sum(&[1]);
             }
         }
-        // Drain buffered effects into the runtime.
-        let (outbox, charges) = {
+        // Drain buffered effects into the runtime.  A rank awaits each
+        // collective it enters, so a collective follows all of the poll's
+        // compute; but the runtime sends a contribution from its handler's
+        // start.  So after a charge the collective stays buffered, and the
+        // rank kicks itself from where the compute ends.
+        let (outbox, charges, collectives) = {
             let mut s = self.rank.shared.lock();
-            (std::mem::take(&mut s.outbox), std::mem::take(&mut s.charges))
+            let charges = std::mem::take(&mut s.charges);
+            let collectives = if charges.is_zero() { std::mem::take(&mut s.collectives) } else { Vec::new() };
+            (std::mem::take(&mut s.outbox), charges, collectives)
         };
-        ctx.charge(charges);
         let me = ctx.me();
         let my_rank = ctx.my_elem().0;
-        for (dst, tag, data) in outbox {
-            let mut w = WireWriter::with_capacity(10 + data.len());
-            w.u32(my_rank).i32(tag).bytes(&data);
-            ctx.send(me.array, ElemId(dst), MSG, w.finish());
+        // A message leaves at the point of the rank's compute it was sent
+        // from.
+        let mut charged = Dur::ZERO;
+        for (dst, tag, data, at) in outbox {
+            ctx.charge(at - charged);
+            charged = at;
+            ctx.send(me.array, ElemId(dst), MSG, rank_msg(my_rank, tag, &data));
+        }
+        ctx.charge(charges - charged);
+        if !charges.is_zero() && !self.rank.shared.lock().collectives.is_empty() {
+            ctx.send(me.array, me.elem, KICK, Vec::new());
+        }
+        for c in collectives {
+            match c {
+                Collective::Reduce(op, vals) => ctx.contribute_f64(op, &vals),
+                Collective::Gather(data) => ctx.contribute_gather(data),
+                Collective::Bcast(tag, data) => {
+                    let all: Vec<ElemId> = (0..self.rank.size()).map(ElemId).collect();
+                    ctx.multicast(me.array, &all, MSG, rank_msg(my_rank, tag, &data));
+                }
+            }
         }
     }
+}
+
+/// A [`MSG`] payload.
+fn rank_msg(src: u32, tag: i32, data: &[u8]) -> Vec<u8> {
+    let mut w = WireWriter::with_capacity(12 + data.len());
+    w.u32(src).i32(tag).bytes(data);
+    w.finish()
 }
 
 impl Chare for RankChare {
@@ -96,17 +128,21 @@ impl Chare for RankChare {
 pub fn build_ampi_program(n_ranks: u32, mapping: Mapping, body: RankBody) -> Program {
     assert!(n_ranks > 0);
     let mut p = Program::new();
-    let body_for_factory = Arc::clone(&body);
     let arr = p.array("ampi-ranks", n_ranks as usize, mapping, move |elem| {
-        Box::new(RankChare {
-            rank: Rank::new(elem.0, n_ranks),
-            future: None,
-            body: Arc::clone(&body_for_factory),
-            started: false,
-        }) as Box<dyn Chare>
+        let rank = Rank::new(elem.0, n_ranks);
+        Box::new(RankChare { future: Some(body(rank.clone())), rank }) as Box<dyn Chare>
     });
     p.on_startup(move |ctl| ctl.broadcast(arr, KICK, vec![]));
-    p.on_reduction(arr, |_seq, _data, ctl| ctl.exit());
+    p.on_reduction(arr, move |seq, data, ctl| {
+        let mut w = WireWriter::new();
+        match data {
+            ReduceData::U64(_) => return ctl.exit(),
+            ReduceData::F64(vals) => w.f64_slice(vals),
+            ReduceData::Gathered(rows) => rows.iter().fold(&mut w, |w, (_, row)| w.bytes(row)),
+            ReduceData::Exact(_) => unreachable!("a client receives a sum rounded"),
+        };
+        ctl.broadcast(arr, MSG, rank_msg(0, result_tag(seq), &w.finish()));
+    });
     p
 }
 
@@ -241,6 +277,28 @@ mod tests {
         });
         let report = run_sim(1, Mapping::Block, sweep_net(2, 0), RunConfig::default(), body);
         assert!(report.pe_busy[0] >= Dur::from_millis(7));
+    }
+
+    #[test]
+    fn a_collective_entered_after_compute_waits_for_it() {
+        // Rank 1, kicked 1 ms away from PE 0, computes 10 ms and enters a
+        // barrier rank 0 is already waiting in.  Its contribution reaches
+        // the root at 1 + 10 + 1 ms, and the result takes another 1 ms back.
+        static LEFT_US: std::sync::Mutex<Vec<(u32, u64)>> = std::sync::Mutex::new(Vec::new());
+        LEFT_US.lock().unwrap().clear();
+        let body: RankBody = Arc::new(|rank| {
+            Box::pin(async move {
+                if rank.rank() == 1 {
+                    rank.charge(Dur::from_millis(10));
+                }
+                rank.barrier().await;
+                LEFT_US.lock().unwrap().push((rank.rank(), rank.now().as_nanos() / 1000));
+            })
+        });
+        run_sim(2, Mapping::Block, sweep_net(2, 1), RunConfig::default(), body);
+        let mut left = LEFT_US.lock().unwrap().clone();
+        left.sort();
+        assert_eq!(left, vec![(0, 12_000), (1, 13_000)]);
     }
 
     #[test]

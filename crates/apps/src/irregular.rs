@@ -95,11 +95,6 @@ impl IrregularMesh {
         self.adj.len()
     }
 
-    /// Total undirected edges.
-    pub fn n_edges(&self) -> usize {
-        self.adj.iter().map(Vec::len).sum::<usize>() / 2
-    }
-
     /// Partition vertices into `parts` contiguous chunks of a BFS order
     /// (a cheap locality-preserving partitioner); returns vertex→part.
     pub fn partition(&self, parts: usize) -> Vec<u32> {

@@ -43,13 +43,6 @@ pub struct LbInput<'a> {
     pub objs: &'a [ObjMeasurement],
 }
 
-impl LbInput<'_> {
-    /// Current cluster of an object.
-    pub fn cluster_of_obj(&self, m: &ObjMeasurement) -> ClusterId {
-        self.topo.cluster_of(m.current_pe)
-    }
-}
-
 /// A load-balancing strategy.
 pub trait Strategy: Send + Sync {
     /// Strategy name for reports.
@@ -254,10 +247,9 @@ impl Strategy for GridCommLB {
 /// Thresholds for the continuous obs-driven feedback balancer.
 ///
 /// At every AtSync barrier the runtime condenses its measurements — the
-/// same per-object load the mdo-obs handler-grain histograms record, and
-/// the communication edges the utilization timelines derive WAN exposure
-/// from — into a [`FeedbackDecision`].  The configured strategy runs only
-/// when a threshold is exceeded; otherwise the barrier keeps the current
+/// same per-object load the mdo-obs handler-grain histograms record —
+/// into a [`FeedbackDecision`].  The configured strategy runs only when
+/// the imbalance threshold is exceeded; otherwise the barrier keeps the current
 /// placement at no migration cost.  This turns balancing from an
 /// every-barrier ritual into a feedback loop that reacts to measured
 /// imbalance, without any application barriers beyond the existing step
@@ -267,20 +259,16 @@ pub struct FeedbackConfig {
     /// Rebalance when max/mean PE load exceeds this ratio (e.g. 1.25 =
     /// tolerate 25% imbalance).  Must be ≥ 1.
     pub max_mean_ratio: f64,
-    /// Rebalance when the fraction of total load carried by objects with
-    /// cross-cluster communication edges exceeds this, in [0, 1].  1.0
-    /// (the default) never triggers on WAN exposure alone.
-    pub wan_exposure: f64,
 }
 
 impl Default for FeedbackConfig {
     fn default() -> Self {
-        FeedbackConfig { max_mean_ratio: 1.25, wan_exposure: 1.0 }
+        FeedbackConfig { max_mean_ratio: 1.25 }
     }
 }
 
 impl FeedbackConfig {
-    /// Default thresholds (25% imbalance, WAN trigger off).
+    /// The default threshold: 25% imbalance.
     pub fn new() -> Self {
         FeedbackConfig::default()
     }
@@ -291,54 +279,35 @@ impl FeedbackConfig {
         self.max_mean_ratio = ratio;
         self
     }
-
-    /// Override the WAN-exposure threshold.
-    pub fn with_wan_exposure(mut self, frac: f64) -> Self {
-        assert!((0.0..=1.0).contains(&frac), "WAN exposure is a fraction");
-        self.wan_exposure = frac;
-        self
-    }
 }
 
 /// What the feedback balancer measured and decided at one barrier.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FeedbackDecision {
-    /// Whether a threshold was exceeded and the strategy should run.
+    /// Whether the threshold was exceeded and the strategy should run.
     pub rebalance: bool,
     /// Measured max/mean PE load ratio (1.0 = perfectly balanced; 0 when
     /// no load was measured).
     pub max_mean_ratio: f64,
-    /// Measured fraction of total load on objects with cross-cluster
-    /// communication edges.
-    pub wan_exposed: f64,
 }
 
 /// Condense one barrier's measurements into a [`FeedbackDecision`] against
-/// `cfg`'s thresholds.  Pure: same measurements, same decision — so the
+/// `cfg`'s threshold.  Pure: same measurements, same decision — so the
 /// feedback loop is deterministic and engine-independent (both engines
 /// feed it the same virtual/measured loads).
 pub fn should_rebalance(input: &LbInput<'_>, cfg: &FeedbackConfig) -> FeedbackDecision {
     let n_pes = input.topo.num_pes();
     let mut pe_load = vec![0u64; n_pes];
-    let cluster_of: HashMap<ObjKey, ClusterId> =
-        input.objs.iter().map(|m| (m.key, input.topo.cluster_of(m.current_pe))).collect();
-    let mut wan_load = 0u64;
     for m in input.objs {
         pe_load[m.current_pe.index()] += m.load_ns;
-        let home = input.topo.cluster_of(m.current_pe);
-        if m.comm.iter().any(|(peer, _)| cluster_of.get(peer).is_some_and(|&c| c != home)) {
-            wan_load += m.load_ns;
-        }
     }
     let total: u64 = pe_load.iter().sum();
     if total == 0 {
-        return FeedbackDecision { rebalance: false, max_mean_ratio: 0.0, wan_exposed: 0.0 };
+        return FeedbackDecision { rebalance: false, max_mean_ratio: 0.0 };
     }
     let mean = total as f64 / n_pes as f64;
     let max_mean_ratio = *pe_load.iter().max().expect("PEs exist") as f64 / mean;
-    let wan_exposed = wan_load as f64 / total as f64;
-    let rebalance = max_mean_ratio > cfg.max_mean_ratio || wan_exposed > cfg.wan_exposure;
-    FeedbackDecision { rebalance, max_mean_ratio, wan_exposed }
+    FeedbackDecision { rebalance: max_mean_ratio > cfg.max_mean_ratio, max_mean_ratio }
 }
 
 /// Test strategy: rotate every migratable object to the next PE.  Useless
@@ -508,7 +477,6 @@ mod tests {
         let d = should_rebalance(&LbInput { topo: &topo, objs: &objs }, &FeedbackConfig::new());
         assert!(!d.rebalance, "{d:?}");
         assert!((d.max_mean_ratio - 1.0).abs() < 1e-12);
-        assert_eq!(d.wan_exposed, 0.0);
     }
 
     #[test]
@@ -520,22 +488,6 @@ mod tests {
         let d = should_rebalance(&LbInput { topo: &topo, objs: &objs }, &cfg);
         assert!(d.rebalance, "{d:?}");
         assert!(d.max_mean_ratio > 2.9);
-    }
-
-    #[test]
-    fn feedback_triggers_on_wan_exposure() {
-        let topo = Topology::two_cluster(4);
-        // Balanced load, but half of it talks across the WAN.
-        let mut objs: Vec<_> = (0..8).map(|e| obj(e, e % 4, 100)).collect();
-        for e in 0..4usize {
-            objs[e].comm = vec![(key(e as u32 + 4), 10)];
-            objs[e].current_pe = Pe(e as u32 % 2);
-            objs[e + 4].current_pe = Pe(2 + (e as u32 % 2));
-        }
-        let cfg = FeedbackConfig::new().with_wan_exposure(0.25);
-        let d = should_rebalance(&LbInput { topo: &topo, objs: &objs }, &cfg);
-        assert!(d.rebalance, "{d:?}");
-        assert!((d.wan_exposed - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -890,7 +890,7 @@ impl Node {
             })
             .collect();
         // The continuous feedback loop: when configured, run the strategy
-        // only if measured imbalance or WAN exposure crosses a threshold;
+        // only if measured imbalance crosses the threshold;
         // a quiet barrier keeps the current placement at zero migration
         // cost (the identity placement still flows through LbAssign so
         // barrier release stays uniform).

@@ -257,8 +257,8 @@ pub struct RunConfig {
     pub join_plan: Option<JoinPlan>,
     /// Continuous obs-driven load balancing: when set, AtSync barriers
     /// consult [`FeedbackConfig`](crate::balancer::FeedbackConfig) —
-    /// the configured strategy runs only when measured imbalance or
-    /// WAN exposure exceeds its thresholds, and the barrier is otherwise
+    /// the configured strategy runs only when measured imbalance
+    /// exceeds its threshold, and the barrier is otherwise
     /// a cheap no-op placement.  `None` (the default) runs the strategy
     /// unconditionally at every barrier, exactly as before.
     pub feedback: Option<crate::balancer::FeedbackConfig>,

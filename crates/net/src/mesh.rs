@@ -445,11 +445,6 @@ impl NetMesh {
         self.pairs.get(node as usize)?.as_ref().map(|p| p.clock)
     }
 
-    /// Which node hosts a PE (by the cluster = node mapping).
-    pub fn node_of(&self, pe: mdo_netsim::Pe) -> Option<u32> {
-        self.node_of_pe.get(pe.index()).copied()
-    }
-
     /// Spawn one reader thread per peer: every inbound data record is
     /// decoded and handed to `deliver` (which posts it into the destination
     /// PE's landing mailbox); control records and peer-death evidence go to

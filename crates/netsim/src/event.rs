@@ -132,12 +132,6 @@ impl<E> EventQueue<E> {
     pub fn is_empty(&mut self) -> bool {
         self.peek_time().is_none()
     }
-
-    /// Number of entries currently held (including not-yet-pruned cancelled
-    /// entries); an upper bound on live events.
-    pub fn len_bound(&self) -> usize {
-        self.heap.len()
-    }
 }
 
 #[cfg(test)]

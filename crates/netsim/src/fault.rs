@@ -160,15 +160,6 @@ impl FaultPlan {
         self
     }
 
-    /// True if the plan injects no faults at all.
-    pub fn is_quiet(&self) -> bool {
-        self.drop == 0.0
-            && self.duplicate == 0.0
-            && self.reorder == 0.0
-            && self.corrupt == 0.0
-            && self.link_down.is_empty()
-    }
-
     /// True if `at` (measured from run start) falls inside a scheduled
     /// link-down window.
     pub fn link_is_down(&self, at: Dur) -> bool {

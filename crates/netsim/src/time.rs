@@ -119,11 +119,6 @@ impl Dur {
         self.0 as f64 / 1e6
     }
 
-    /// This span in float microseconds (for reporting only).
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1e3
-    }
-
     /// True if the span is zero.
     pub const fn is_zero(self) -> bool {
         self.0 == 0

@@ -43,13 +43,6 @@ impl TreeConfig {
         assert!(branch >= 1, "branching factor must be at least 1");
         TreeConfig { branch }
     }
-
-    /// Builder form of [`TreeConfig::new`].
-    pub fn with_branch(mut self, branch: u32) -> Self {
-        assert!(branch >= 1, "branching factor must be at least 1");
-        self.branch = branch;
-        self
-    }
 }
 
 impl Default for TreeConfig {

@@ -8,8 +8,6 @@
 //! operation associative and commutative — per-PE histograms recorded
 //! independently can be combined in any order.
 
-use mdo_netsim::Dur;
-
 /// Linear sub-buckets per power of two: 2^5 = 32.
 const SUB_BITS: u32 = 5;
 /// Values below this are bucketed exactly (one bucket per value).
@@ -97,11 +95,6 @@ impl LogHistogram {
         self.max = self.max.max(v);
     }
 
-    /// Record one duration, in nanoseconds.
-    pub fn record_dur(&mut self, d: Dur) {
-        self.record(d.as_nanos());
-    }
-
     /// Fold `other` into `self` (bucket-wise addition).
     pub fn merge(&mut self, other: &LogHistogram) {
         for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
@@ -163,12 +156,6 @@ impl LogHistogram {
             }
         }
         self.max
-    }
-
-    /// [`LogHistogram::quantile`] as a duration (for nanosecond-valued
-    /// histograms).
-    pub fn quantile_dur(&self, q: f64) -> Dur {
-        Dur::from_nanos(self.quantile(q))
     }
 
     /// Compact one-line summary: `count mean p50 p99 max`.

@@ -356,11 +356,6 @@ impl Aggregator {
         }
     }
 
-    /// Sub-packets currently waiting in `pe`'s pending bank.
-    pub fn pending_len(&self, pe: Pe) -> usize {
-        self.pending.get(pe.index()).map_or(0, |mb| mb.len())
-    }
-
     /// High-water mark of `pe`'s pending bank (merged into the engine's
     /// queue-depth stat so aggregation doesn't hide backlog).
     pub fn pending_max_depth(&self, pe: Pe) -> usize {

@@ -21,7 +21,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use mdo_netsim::{Dur, LatencyMatrix, Topology};
+use mdo_netsim::{LatencyMatrix, Topology};
 
 use crate::device::{Device, Forwarder};
 use crate::packet::Packet;
@@ -75,18 +75,13 @@ impl Device for DelayDevice {
     }
 }
 
-/// Convenience: a [`Dur`]-based fixed delay device.
-pub fn fixed_delay(d: Dur) -> Arc<DelayDevice> {
-    DelayDevice::fixed(d.to_std())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::device::FnForwarder;
     use crate::transport::{Transport, TransportConfig};
     use bytes::Bytes;
-    use mdo_netsim::Pe;
+    use mdo_netsim::{Dur, Pe};
     use parking_lot::Mutex;
 
     fn stamped_by(dev: &DelayDevice, pkt: Packet) -> Packet {

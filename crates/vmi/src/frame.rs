@@ -113,11 +113,6 @@ impl FrameBuilder {
         self.buf.len() - 1 - self.count as usize * CHUNK_HEADER_LEN
     }
 
-    /// Total frame bytes as they would go on the wire.
-    pub fn frame_len(&self) -> usize {
-        self.buf.len()
-    }
-
     /// The most urgent priority among buffered chunks (the frame travels
     /// at the urgency of its most urgent passenger).
     pub fn min_priority(&self) -> i32 {

@@ -402,6 +402,102 @@ fn non_dyadic_f64_sum_is_identical_across_schedules_and_engines() {
     assert_eq!(shrunk, want, "sim after crash -> shrink");
 }
 
+// ---- AMPI's collectives on the runtime's path ------------------------------
+
+/// Rank `r` contributes `AMPI_INPUT[r % 8]`: beside the 1e16s, whose
+/// spacing is 2, the small terms round away in most orders.
+const AMPI_INPUT: [f64; 8] = [1e16, 1.0, -1e16, 1.0, 0.1, 0.2, 0.3, 0.7];
+
+/// The bits of every rank's `allreduce_f64` and of the root's
+/// `reduce_f64`, both `Sum` over `AMPI_INPUT`.
+fn ampi_sum_bits(ranks: u32, run: impl FnOnce(RankBody) -> RunReport) -> Vec<u64> {
+    let got = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::clone(&got);
+    let body: RankBody = Arc::new(move |rank| {
+        let sink = Arc::clone(&sink);
+        Box::pin(async move {
+            let mine = [AMPI_INPUT[rank.rank() as usize % AMPI_INPUT.len()]];
+            let all = rank.allreduce_f64(&mine, AmpiOp::Sum).await;
+            let root = rank.reduce_f64(0, &mine, AmpiOp::Sum).await;
+            sink.lock().expect("sum lock").extend(all.iter().chain(root.iter().flatten()).map(|v| v.to_bits()));
+        })
+    });
+    assert!(run(body).unrecoverable.is_none());
+    let bits = got.lock().expect("sum lock").clone();
+    assert_eq!(bits.len(), ranks as usize + 1, "every rank's allreduce and the root's reduce");
+    bits
+}
+
+#[test]
+fn ampi_f64_sums_are_exact_on_every_schedule_and_engine() {
+    // The inputs' exact sums, rounded once (what Python's math.fsum
+    // returns): 0x1.a666666666666p+1 and 0x1.a666666666666p+3.
+    for (ranks, sum) in [(8u32, 3.3f64), (32, 13.2)] {
+        let want = vec![sum.to_bits(); ranks as usize + 1];
+        for delivery in [DeliverySpec::Fifo, DeliverySpec::Random { seed: 1 }, DeliverySpec::Random { seed: 2 }] {
+            let net = NetworkModel::two_cluster_sweep(8, Dur::from_millis(1));
+            let rc = RunConfig { delivery: delivery.clone(), ..RunConfig::default() };
+            let bits = ampi_sum_bits(ranks, |body| gridmdo::ampi::run_sim(ranks, Mapping::Block, net, rc, body));
+            assert_eq!(bits, want, "sim, {ranks} ranks, {delivery:?}");
+        }
+        let topo = Topology::two_cluster(8);
+        let latency = LatencyMatrix::uniform(&topo, Dur::ZERO, Dur::from_micros(300));
+        let bits = ampi_sum_bits(ranks, |body| {
+            gridmdo::ampi::run_threaded(ranks, Mapping::Block, topo, latency, RunConfig::default(), body)
+        });
+        assert_eq!(bits, want, "threaded, {ranks} ranks");
+    }
+}
+
+#[test]
+fn an_ampi_allreduce_crosses_the_wan_once_each_way_with_trees() {
+    // 32 ranks on two clusters of four PEs: the contributions combine per
+    // PE and per cluster before the one wide-area hop up, and the result
+    // crosses once on its way down.
+    let cross = |allreduce: bool| {
+        let body: RankBody = Arc::new(move |rank| {
+            Box::pin(async move {
+                if allreduce {
+                    rank.allreduce_f64(&[1.0], AmpiOp::Sum).await;
+                }
+            })
+        });
+        let net = NetworkModel::two_cluster_sweep(8, Dur::from_millis(1));
+        gridmdo::ampi::run_sim(32, Mapping::Block, net, trees_on(), body).network.cross_messages
+    };
+    assert_eq!(cross(true), cross(false) + 2, "one allreduce: one WAN message each way");
+}
+
+#[test]
+fn an_ampi_bcast_from_a_remote_root_reaches_its_cluster_over_the_lan() {
+    // 16 ranks on two clusters of four PEs, 10 ms apart; the root, rank 12,
+    // is kicked off in cluster 1 at 10 ms.  Its cluster-mates get the data
+    // without crossing the WAN, cluster 0 after one crossing, and the
+    // two-level tree sends the WAN one copy.
+    let run = |bcast: bool| {
+        let got = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&got);
+        let body: RankBody = Arc::new(move |rank| {
+            let sink = Arc::clone(&sink);
+            Box::pin(async move {
+                if bcast {
+                    assert_eq!(rank.bcast(12, vec![7; 64]).await, vec![7; 64]);
+                    sink.lock().expect("arrivals lock").push((rank.rank(), rank.now().as_nanos() / 1_000_000));
+                }
+            })
+        });
+        let net = NetworkModel::two_cluster_sweep(8, Dur::from_millis(10));
+        let cross = gridmdo::ampi::run_sim(16, Mapping::Block, net, trees_on(), body).network.cross_messages;
+        let mut arrived_ms = got.lock().expect("arrivals lock").clone();
+        arrived_ms.sort();
+        (cross, arrived_ms)
+    };
+    let (cross, arrived_ms) = run(true);
+    let want: Vec<(u32, u64)> = (0..16).map(|r| (r, if r < 8 { 20 } else { 10 })).collect();
+    assert_eq!(arrived_ms, want, "(rank, ms) at which each rank returns from bcast");
+    assert_eq!(cross, run(false).0 + 1, "one bcast: one WAN message");
+}
+
 // ---- faults and elasticity ------------------------------------------------
 
 #[test]
