@@ -5,7 +5,8 @@
 //! then drains the rank's outbox into real runtime sends, its charges
 //! into [`mdo_core::chare::Ctx::charge`] (interleaved with the sends, so a
 //! message leaves where the rank's compute issued it) and the collective
-//! it entered into a runtime contribution or multicast.  The array's one
+//! it entered into a runtime contribution or multicast, which leaves from
+//! the end of that compute as every effect does.  The array's one
 //! reduction client exits on the job-end `SumU64`, which every rank
 //! contributes when its future completes, and broadcasts any other result
 //! to every rank under the reduction's `result_tag`.
@@ -30,7 +31,7 @@ use crate::rank::{noop_waker, Msg, Rank};
 /// A rank body: given its [`Rank`] handle, produce the rank's task.
 pub type RankBody = Arc<dyn Fn(Rank) -> Pin<Box<dyn Future<Output = ()> + Send>> + Send + Sync>;
 
-/// Entry: poll the rank (the kick-off, and a rank's message to itself).
+/// Entry: poll the rank (the start-up kick-off).
 const KICK: EntryId = EntryId(1);
 /// Entry: rank-to-rank message (payload: src u32, tag i32, bytes).
 const MSG: EntryId = EntryId(2);
@@ -62,14 +63,10 @@ impl RankChare {
         }
         // Drain buffered effects into the runtime.  A rank awaits each
         // collective it enters, so a collective follows all of the poll's
-        // compute; but the runtime sends a contribution from its handler's
-        // start.  So after a charge the collective stays buffered, and the
-        // rank kicks itself from where the compute ends.
+        // compute, and leaves from where that compute ends.
         let (outbox, charges, collectives) = {
             let mut s = self.rank.shared.lock();
-            let charges = std::mem::take(&mut s.charges);
-            let collectives = if charges.is_zero() { std::mem::take(&mut s.collectives) } else { Vec::new() };
-            (std::mem::take(&mut s.outbox), charges, collectives)
+            (std::mem::take(&mut s.outbox), std::mem::take(&mut s.charges), std::mem::take(&mut s.collectives))
         };
         let me = ctx.me();
         let my_rank = ctx.my_elem().0;
@@ -82,9 +79,6 @@ impl RankChare {
             ctx.send(me.array, ElemId(dst), MSG, rank_msg(my_rank, tag, &data));
         }
         ctx.charge(charges - charged);
-        if !charges.is_zero() && !self.rank.shared.lock().collectives.is_empty() {
-            ctx.send(me.array, me.elem, KICK, Vec::new());
-        }
         for c in collectives {
             match c {
                 Collective::Reduce(op, vals) => ctx.contribute_f64(op, &vals),

@@ -18,7 +18,8 @@ use crate::ids::{ArrayId, ElemId, EntryId, ObjKey};
 use crate::reduction::ExactSum;
 use crate::wire::{WireReader, WireWriter};
 
-/// Buffered runtime actions produced by a handler.
+/// One effect a handler issued.  The sink pairs it with the compute charged
+/// before it: its charge point, where in the handler it leaves from.
 #[derive(Debug)]
 pub(crate) enum CtxOut {
     Send {
@@ -26,37 +27,41 @@ pub(crate) enum CtxOut {
         entry: EntryId,
         payload: Bytes,
         priority: Option<i32>,
-        /// Compute time charged before this send was issued (lets the
-        /// simulation engine stamp the send mid-handler).
-        at_charge: Dur,
     },
     Broadcast {
         array: ArrayId,
         entry: EntryId,
         payload: Bytes,
-        at_charge: Dur,
     },
     Multicast {
         array: ArrayId,
         elems: Vec<ElemId>,
         entry: EntryId,
         payload: Bytes,
-        at_charge: Dur,
     },
     Contribute {
         from: ObjKey,
         op: ReduceOp,
         data: ReduceData,
     },
+    /// The issuing element entered the load-balancing barrier.
+    AtSync,
 }
 
 /// Shared state a handler writes into (owned by the node, lent to Ctx).
 #[derive(Default, Debug)]
 pub(crate) struct CtxSink {
-    pub out: Vec<CtxOut>,
+    /// Every effect in issue order, each at its charge point.
+    pub out: Vec<(Dur, CtxOut)>,
     pub charged: Dur,
     pub exit: bool,
-    pub at_sync: bool,
+}
+
+impl CtxSink {
+    /// The one place an effect is stamped with its charge point.
+    fn push(&mut self, out: CtxOut) {
+        self.out.push((self.charged, out));
+    }
 }
 
 /// The context handed to a chare handler (or, as [`HostCtl`], to host
@@ -133,7 +138,7 @@ impl<'a> Ctx<'a> {
     }
 
     /// Send `payload` to `elem` of `array`, triggering `entry` there.
-    /// Asynchronous: the message leaves after this handler completes.
+    /// Asynchronous: it leaves once this handler returns, at its charge point.
     ///
     /// A `Vec<u8>` becomes the message's buffer without a copy.  To send
     /// the same bytes to several elements, convert once (`Bytes::from`, or
@@ -156,15 +161,13 @@ impl<'a> Ctx<'a> {
     }
 
     fn push_send(&mut self, array: ArrayId, elem: ElemId, entry: EntryId, payload: Bytes, priority: Option<i32>) {
-        let at_charge = self.sink.charged;
-        self.sink.out.push(CtxOut::Send { target: ObjKey::new(array, elem), entry, payload, priority, at_charge });
+        self.sink.push(CtxOut::Send { target: ObjKey::new(array, elem), entry, payload, priority });
     }
 
     /// Trigger `entry` with one shared `payload` on **every** element of
     /// `array` (delivered via the PE spanning tree).
     pub fn broadcast(&mut self, array: ArrayId, entry: EntryId, payload: impl Into<Bytes>) {
-        let at_charge = self.sink.charged;
-        self.sink.out.push(CtxOut::Broadcast { array, entry, payload: payload.into(), at_charge });
+        self.sink.push(CtxOut::Broadcast { array, entry, payload: payload.into() });
     }
 
     /// Section multicast: trigger `entry` with one shared `payload` on the
@@ -174,19 +177,12 @@ impl<'a> Ctx<'a> {
     /// (Sharing the buffer is not what sets it apart: clones of one `Bytes`
     /// passed to [`Ctx::send`] share theirs too.  The grouping is.)
     pub fn multicast(&mut self, array: ArrayId, elems: &[ElemId], entry: EntryId, payload: impl Into<Bytes>) {
-        let at_charge = self.sink.charged;
-        self.sink.out.push(CtxOut::Multicast {
-            array,
-            elems: elems.to_vec(),
-            entry,
-            payload: payload.into(),
-            at_charge,
-        });
+        self.sink.push(CtxOut::Multicast { array, elems: elems.to_vec(), entry, payload: payload.into() });
     }
 
     fn contribute(&mut self, op: ReduceOp, data: ReduceData) {
         let from = self.me();
-        self.sink.out.push(CtxOut::Contribute { from, op, data });
+        self.sink.push(CtxOut::Contribute { from, op, data });
     }
 
     /// Contribute an f64 vector to this array's current reduction.
@@ -235,7 +231,7 @@ impl<'a> Ctx<'a> {
     /// Sync at step boundaries, as both bundled applications do.
     pub fn at_sync(&mut self) {
         assert!(self.me.is_some(), "at_sync called outside an element handler");
-        self.sink.at_sync = true;
+        self.sink.push(CtxOut::AtSync);
     }
 
     /// Ask the engine to stop the run (after in-flight handler actions are
@@ -315,14 +311,15 @@ mod tests {
         ctx.charge(Dur::from_micros(3));
         ctx.at_sync();
         ctx.exit();
-        assert_eq!(sink.out.len(), 3);
+        assert_eq!(sink.out.len(), 4);
         assert_eq!(sink.charged, Dur::from_micros(3));
-        assert!(sink.at_sync);
         assert!(sink.exit);
         match &sink.out[1] {
-            CtxOut::Send { priority, .. } => assert_eq!(*priority, Some(-7)),
+            (at, CtxOut::Send { priority, .. }) => assert_eq!((*at, *priority), (Dur::ZERO, Some(-7))),
             other => panic!("unexpected: {other:?}"),
         }
+        // Each effect is stamped with the compute charged before it.
+        assert!(matches!(sink.out[3], (at, CtxOut::AtSync) if at == Dur::from_micros(3)));
     }
 
     #[test]
@@ -346,7 +343,7 @@ mod tests {
         assert_eq!(sink.out.len(), want.len());
         for (o, want) in sink.out.iter().zip(&want) {
             match o {
-                CtxOut::Contribute { from, data, .. } => assert_eq!((*from, data), (me, want)),
+                (_, CtxOut::Contribute { from, data, .. }) => assert_eq!((*from, data), (me, want)),
                 other => panic!("unexpected: {other:?}"),
             }
         }

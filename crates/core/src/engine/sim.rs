@@ -8,9 +8,10 @@
 //! Scheduling semantics (paper §4): each PE has a message queue; when idle
 //! it dequeues the most urgent envelope and runs the handler **to
 //! completion**, charging the handler's [`crate::chare::Ctx::charge`]d
-//! compute cost to the PE's clock.  Messages the handler sends depart at
-//! the charge-offset at which they were issued and arrive after the
-//! network model's latency — so a PE with other work in its queue
+//! compute cost to the PE's clock.  Everything the handler issues — a
+//! send, broadcast, multicast, contribution or AtSync — departs at the
+//! charge-offset at which it was issued and arrives after the network
+//! model's latency — so a PE with other work in its queue
 //! naturally overlaps that work with in-flight communication, which is the
 //! entire effect under study.
 //!
@@ -906,6 +907,95 @@ mod tests {
         assert!(masked < idle + 1.5, "16 ms of churn hidden inside the 16 ms RTT: {masked} vs {idle}");
         // Sanity: the naive (blocking) expectation would be ~32 ms.
         assert!(masked < 20.0);
+    }
+
+    /// Everything a handler issues leaves at its charge point.  Element 1,
+    /// one WAN hop from PE 0, charges 10 ms and then issues one effect.
+    /// The side that receives it on PE 0 runs 10 ms after that handler
+    /// started, plus the hops the effect takes: one, or three for an
+    /// AtSync (the report goes up, the placement down, the arrival up).
+    #[test]
+    fn every_effect_leaves_at_its_charge_point() {
+        const GO: EntryId = EntryId(30);
+        const HIT: EntryId = EntryId(31);
+        const WORK: Dur = Dur::from_millis(10);
+        const HOP: Dur = Dur::from_millis(1);
+
+        #[derive(Clone, Copy, Debug)]
+        enum Effect {
+            Send,
+            Broadcast,
+            Multicast,
+            Contribute,
+            AtSync,
+        }
+        /// When element 1's GO ran, then when PE 0 received its effect.
+        type Log = Arc<Mutex<Vec<Time>>>;
+
+        struct Issuer {
+            effect: Effect,
+            log: Log,
+        }
+        impl Issuer {
+            fn received(&self, ctx: &mut Ctx<'_>) {
+                self.log.lock().unwrap().push(ctx.now());
+                ctx.exit();
+            }
+        }
+        impl Chare for Issuer {
+            fn receive(&mut self, entry: EntryId, _p: &[u8], ctx: &mut Ctx<'_>) {
+                let (arr, elem) = (ctx.me().array, ctx.my_elem());
+                match (entry, elem.0, self.effect) {
+                    (GO, 1, effect) => {
+                        self.log.lock().unwrap().push(ctx.now());
+                        ctx.charge(WORK);
+                        match effect {
+                            Effect::Send => ctx.send(arr, ElemId(0), HIT, vec![]),
+                            Effect::Broadcast => ctx.broadcast(arr, HIT, vec![]),
+                            Effect::Multicast => ctx.multicast(arr, &[ElemId(0)], HIT, vec![]),
+                            Effect::Contribute => ctx.contribute_u64_sum(&[1]),
+                            Effect::AtSync => ctx.at_sync(),
+                        }
+                    }
+                    // Element 0 joins the collectives at once.
+                    (GO, _, Effect::Contribute) => ctx.contribute_u64_sum(&[1]),
+                    (GO, _, Effect::AtSync) => ctx.at_sync(),
+                    (HIT, 0, _) => self.received(ctx),
+                    _ => {}
+                }
+            }
+            fn resume_from_sync(&mut self, ctx: &mut Ctx<'_>) {
+                if ctx.my_elem() == ElemId(0) {
+                    self.received(ctx);
+                }
+            }
+        }
+
+        let rows = [
+            (Effect::Send, 1),
+            (Effect::Broadcast, 1),
+            (Effect::Multicast, 1),
+            (Effect::Contribute, 1),
+            (Effect::AtSync, 3),
+        ];
+        for (effect, hops) in rows {
+            let log: Log = Arc::default();
+            let mut p = Program::new();
+            let (elems, client_log) = (Arc::clone(&log), Arc::clone(&log));
+            let arr = p.array("issuers", 2, Mapping::Block, move |_| {
+                Box::new(Issuer { effect, log: Arc::clone(&elems) }) as Box<dyn Chare>
+            });
+            p.on_startup(move |ctl| ctl.broadcast(arr, GO, vec![]));
+            p.on_reduction(arr, move |_s, _d, ctl| {
+                client_log.lock().unwrap().push(ctl.now());
+                ctl.exit();
+            });
+            let net = NetworkModel::two_cluster_sweep(2, HOP);
+            SimEngine::new(net, RunConfig::default()).run(p);
+            let log = log.lock().unwrap();
+            let [started, received] = log[..] else { panic!("{effect:?}: log {log:?}") };
+            assert_eq!(received, started + WORK + HOP * hops, "{effect:?} left before its charge point");
+        }
     }
 
     #[test]

@@ -191,7 +191,7 @@ impl ObjStats {
     /// per element).
     fn record(&mut self, sink: &CtxSink) {
         self.load_ns += sink.charged.as_nanos();
-        for out in &sink.out {
+        for (_, out) in &sink.out {
             match out {
                 CtxOut::Send { target, .. } => self.sent_to(*target),
                 CtxOut::Multicast { array, elems, .. } => {
@@ -199,7 +199,7 @@ impl ObjStats {
                         self.sent_to(ObjKey::new(*array, elem));
                     }
                 }
-                CtxOut::Broadcast { .. } | CtxOut::Contribute { .. } => {}
+                CtxOut::Broadcast { .. } | CtxOut::Contribute { .. } | CtxOut::AtSync => {}
             }
         }
     }
@@ -459,7 +459,8 @@ impl Node {
                 let (child, me) = (src.0, self.pe.0);
                 let is_child = self.shared.tree.children(self.pe).contains(&src);
                 assert!(is_child, "reduction {seq}: partial from pe{child}, which is not a tree child of pe{me}");
-                self.fold_reduction(array, seq, Partial { op, count, data }, hooks, &mut outcome);
+                // The fold charges nothing: the partial goes on at once.
+                self.fold_reduction(array, seq, Partial { op, count, data }, Dur::ZERO, hooks, &mut outcome);
             }
             MsgBody::AtSyncReady { stats } => {
                 assert_eq!(self.pe, Pe(0), "AtSyncReady must go to PE 0");
@@ -675,7 +676,7 @@ impl Node {
         }
     }
 
-    /// Apply everything a handler buffered.
+    /// Apply everything a handler buffered, each effect at its charge point.
     fn process_sink(
         &mut self,
         owner: Option<ObjKey>,
@@ -690,9 +691,9 @@ impl Node {
         if let Some(key) = owner {
             self.obj_stats.entry(key).or_default().record(&sink);
         }
-        for out in sink.out {
+        for (at, out) in sink.out {
             match out {
-                CtxOut::Send { target, entry, payload, priority, at_charge } => {
+                CtxOut::Send { target, entry, payload, priority } => {
                     let dst = self.arrays[target.array.0 as usize].location(target.elem);
                     let prio = priority.unwrap_or_else(|| {
                         if self.shared.cfg.grid_prio && self.topo().crosses_wan(self.pe, dst) {
@@ -702,13 +703,13 @@ impl Node {
                         }
                     });
                     self.qd.sent += 1;
-                    self.emit_env(hooks, dst, prio, MsgBody::App { target, entry, payload }, at_charge);
+                    self.emit_env(hooks, dst, prio, MsgBody::App { target, entry, payload }, at);
                 }
-                CtxOut::Broadcast { array, entry, payload, at_charge } => {
+                CtxOut::Broadcast { array, entry, payload } => {
                     self.qd.sent += 1;
-                    self.emit_env(hooks, Pe(0), APP_PRIORITY, MsgBody::Broadcast { array, entry, payload }, at_charge);
+                    self.emit_env(hooks, Pe(0), APP_PRIORITY, MsgBody::Broadcast { array, entry, payload }, at);
                 }
-                CtxOut::Multicast { array, elems, entry, payload, at_charge } => {
+                CtxOut::Multicast { array, elems, entry, payload } => {
                     // Group destinations by the tree's next hop.  The heap
                     // has no gateways: the hop is the hosting PE, so a
                     // section spanning a remote cluster pays one WAN copy
@@ -734,23 +735,22 @@ impl Node {
                             dst,
                             prio,
                             MsgBody::Multi { array, elems: group, entry, payload: payload.clone() },
-                            at_charge,
+                            at,
                         );
                     }
                 }
                 CtxOut::Contribute { from, op, data } => {
                     let seq = self.reductions[from.array.0 as usize].next_seq(from);
-                    self.fold_reduction(from.array, seq, Partial { op, count: 1, data }, hooks, outcome);
+                    self.fold_reduction(from.array, seq, Partial { op, count: 1, data }, at, hooks, outcome);
+                }
+                CtxOut::AtSync => {
+                    self.lb.synced.insert(owner.expect("at_sync only valid in element handlers"));
+                    self.check_sync_progress(at, hooks);
                 }
             }
         }
         if sink.exit {
             outcome.exit = true;
-        }
-        if sink.at_sync {
-            let key = owner.expect("at_sync only valid in element handlers");
-            self.lb.synced.insert(key);
-            self.check_sync_progress(hooks);
         }
     }
 
@@ -794,12 +794,14 @@ impl Node {
     /// child's partial — on arrival.  Once the partial covers this PE's
     /// subtree it either reaches the host client (root) or goes one hop
     /// up the tree: in the two-level shape, a gateway combines its
-    /// cluster ahead of the single wide-area hop.
+    /// cluster ahead of the single wide-area hop.  Either leaves at `at`,
+    /// the charge point the piece was issued from.
     fn fold_reduction(
         &mut self,
         array: ArrayId,
         seq: u32,
         piece: Partial,
+        at: Dur,
         hooks: &mut dyn NodeHooks,
         outcome: &mut HandleOutcome,
     ) {
@@ -809,7 +811,7 @@ impl Node {
         }
         if self.pe == Pe(0) {
             while let Some((s, p)) = self.reductions[array.0 as usize].take_next(total) {
-                self.deliver_reduction(array, s, reduction::finish(p.data), hooks, outcome);
+                self.deliver_reduction(array, s, reduction::finish(p.data), at, hooks, outcome);
             }
         } else {
             let partial = self.reductions[array.0 as usize].take(seq);
@@ -819,31 +821,36 @@ impl Node {
                 parent,
                 SYSTEM_PRIORITY,
                 MsgBody::ReduceUp { array, seq, op: partial.op, count: partial.count, data: partial.data },
-                Dur::ZERO,
+                at,
             );
         }
     }
 
+    /// Run `array`'s client `at` into the handler that finished the reduction,
+    /// its effects shifted with it; the PE is charged nothing for the shift.
     fn deliver_reduction(
         &mut self,
         array: ArrayId,
         seq: u32,
         data: ReduceData,
+        at: Dur,
         hooks: &mut dyn NodeHooks,
         outcome: &mut HandleOutcome,
     ) {
         let shared = Arc::clone(&self.shared);
         let mut sink = CtxSink::default();
         if let Some(client) = self.host.reduction_clients.get_mut(&array) {
-            let mut ctx = Ctx::host(hooks.now(), self.pe, &shared.topo, &mut sink);
+            let mut ctx = Ctx::host(hooks.now() + at, self.pe, &shared.topo, &mut sink);
             client(seq, &data, &mut ctx);
         }
+        sink.out.iter_mut().for_each(|(t, _)| *t += at);
         self.process_sink(None, sink, hooks, outcome);
     }
 
     // ---- load balancing (AtSync barrier) --------------------------------
 
-    fn check_sync_progress(&mut self, hooks: &mut dyn NodeHooks) {
+    /// Report this PE's loads to PE 0, from `at`, once every local element synced.
+    fn check_sync_progress(&mut self, at: Dur, hooks: &mut dyn NodeHooks) {
         if self.lb.in_barrier || self.lb.synced.len() < self.elems.len() {
             return;
         }
@@ -861,7 +868,7 @@ impl Node {
                 LbObjStat { key, load_ns, comm }
             })
             .collect();
-        self.emit_env(hooks, Pe(0), SYSTEM_PRIORITY, MsgBody::AtSyncReady { stats }, Dur::ZERO);
+        self.emit_env(hooks, Pe(0), SYSTEM_PRIORITY, MsgBody::AtSyncReady { stats }, at);
     }
 
     /// PEs expected to report at a barrier: those hosting at least one

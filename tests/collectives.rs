@@ -244,17 +244,21 @@ fn non_dyadic(idx: u64) -> [f64; 2] {
     [1.0 / (idx + 1) as f64, big + 0.3 * idx as f64]
 }
 
-/// Contributes `input(idx)` to one SumF64 reduction: on KICK, or with
-/// `sync` after one AtSync round (which is a buddy checkpoint when a
-/// failure plan is armed).
+/// Contributes `input(idx)` to one SumF64 reduction after `syncs` AtSync
+/// rounds (each a buddy checkpoint when a failure plan is armed): on KICK,
+/// or on resuming from the last round.
 struct Summer {
     idx: u64,
     input: Input,
-    sync: bool,
+    syncs: u32,
 }
 
 impl Summer {
-    fn contribute(&self, ctx: &mut Ctx<'_>) {
+    fn sync_or_contribute(&mut self, ctx: &mut Ctx<'_>) {
+        if self.syncs > 0 {
+            self.syncs -= 1;
+            return ctx.at_sync();
+        }
         if self.idx == 0 {
             // Keep the root busy, so its children's partials queue up and
             // a delivery schedule picks which one it takes first.
@@ -267,33 +271,29 @@ impl Summer {
 impl Chare for Summer {
     fn receive(&mut self, entry: EntryId, _p: &[u8], ctx: &mut Ctx<'_>) {
         assert_eq!(entry, KICK);
-        if self.sync {
-            ctx.at_sync();
-        } else {
-            self.contribute(ctx);
-        }
+        self.sync_or_contribute(ctx);
     }
 
     fn pack(&self, w: &mut WireWriter) {
-        w.u64(self.idx);
+        w.u64(self.idx).u32(self.syncs);
     }
 
     fn resume_from_sync(&mut self, ctx: &mut Ctx<'_>) {
-        self.contribute(ctx);
+        self.sync_or_contribute(ctx);
     }
 }
 
-fn sum_program(elems: usize, input: Input, sync: bool) -> (gridmdo::runtime::Program, Arc<Mutex<Vec<f64>>>) {
+fn sum_program(elems: usize, input: Input, syncs: u32) -> (gridmdo::runtime::Program, Arc<Mutex<Vec<f64>>>) {
     let got = Arc::new(Mutex::new(Vec::new()));
     let got_c = Arc::clone(&got);
     let mut p = gridmdo::runtime::Program::new();
-    let summer = move |idx: u64| Box::new(Summer { idx, input, sync }) as Box<dyn Chare>;
+    let summer = move |idx: u64, syncs: u32| Box::new(Summer { idx, input, syncs }) as Box<dyn Chare>;
     let arr = p.array_migratable(
         "summers",
         elems,
         Mapping::Block,
-        move |elem| summer(elem.index() as u64),
-        move |_, r| summer(r.u64().expect("packed idx")),
+        move |elem| summer(elem.index() as u64, syncs),
+        move |_, r| summer(r.u64().expect("packed idx"), r.u32().expect("packed syncs")),
     );
     p.on_startup(move |ctl| ctl.broadcast(arr, KICK, vec![]));
     p.on_reduction(arr, move |_seq, data, ctl| {
@@ -308,7 +308,7 @@ fn sum_program(elems: usize, input: Input, sync: bool) -> (gridmdo::runtime::Pro
 #[test]
 fn f64_sum_reduction_digest_is_identical_trees_on_vs_off() {
     let run = |tree: Option<TreeConfig>| {
-        let (program, got) = sum_program(24, dyadic, false);
+        let (program, got) = sum_program(24, dyadic, 0);
         let net = NetworkModel::two_cluster_sweep(6, Dur::from_millis(1));
         let rc = RunConfig { tree_collectives: tree, ..RunConfig::default() };
         let report = SimEngine::new(net, rc).run(program);
@@ -352,8 +352,8 @@ fn non_dyadic_f64_sum_is_identical_across_schedules_and_engines() {
     // Every PE folds its elements' contributions and its children's
     // partials in arrival order, three or more elements to a PE; no
     // schedule, tree shape or PE count reaches the bits.
-    let sim = |pes: u32, sync: bool, rc: RunConfig| {
-        let (program, got) = sum_program(ELEMS as usize, non_dyadic, sync);
+    let sim = |pes: u32, syncs: u32, rc: RunConfig| {
+        let (program, got) = sum_program(ELEMS as usize, non_dyadic, syncs);
         let report = SimEngine::new(NetworkModel::two_cluster_sweep(pes, Dur::from_millis(1)), rc).run(program);
         (sum_bits(&report, &got), report)
     };
@@ -362,7 +362,7 @@ fn non_dyadic_f64_sum_is_identical_across_schedules_and_engines() {
             for delivery in [DeliverySpec::Fifo, DeliverySpec::Random { seed: 1 }, DeliverySpec::Random { seed: 2 }] {
                 let label = format!("sim, {per_cluster} PEs a cluster, {tree:?}, {delivery:?}");
                 let rc = RunConfig { delivery, ..run_cfg(tree) };
-                assert_eq!(sim(2 * per_cluster, false, rc).0, want, "{label}");
+                assert_eq!(sim(2 * per_cluster, 0, rc).0, want, "{label}");
             }
         }
     }
@@ -371,7 +371,7 @@ fn non_dyadic_f64_sum_is_identical_across_schedules_and_engines() {
     let latency = LatencyMatrix::uniform(&topo, Dur::ZERO, Dur::from_micros(300));
     for tree in shapes {
         for run in 0..2 {
-            let (program, got) = sum_program(ELEMS as usize, non_dyadic, false);
+            let (program, got) = sum_program(ELEMS as usize, non_dyadic, 0);
             let report =
                 ThreadedEngine::new(topo.clone(), ThreadedConfig::new(latency.clone()), run_cfg(tree)).run(program);
             assert_eq!(sum_bits(&report, &got), want, "threaded run {run}, {tree:?}");
@@ -382,7 +382,7 @@ fn non_dyadic_f64_sum_is_identical_across_schedules_and_engines() {
     for tree in shapes {
         let (topo, latency) = (topo.clone(), latency.clone());
         let (report, got) = two_node_tcp(run_cfg(tree), move |rc| {
-            let (program, got) = sum_program(ELEMS as usize, non_dyadic, false);
+            let (program, got) = sum_program(ELEMS as usize, non_dyadic, 0);
             (ThreadedEngine::new(topo.clone(), ThreadedConfig::new(latency.clone()), rc).run(program), got)
         });
         assert_eq!(sum_bits(&report, &got), want, "two-node TCP, {tree:?}");
@@ -391,15 +391,23 @@ fn non_dyadic_f64_sum_is_identical_across_schedules_and_engines() {
     // Crash a PE after the AtSync round's checkpoint: the run shrinks to
     // seven PEs and a new tree, and every element contributes again.
     let synced = RunConfig { lb: LbChoice::Greedy, ..RunConfig::default() };
-    let (clean, report) = sim(8, true, synced.clone());
+    let (clean, report) = sim(8, 1, synced.clone());
     assert_eq!(clean, want, "sim with an AtSync round");
     // The AtSync round ends about 4 ms in; the root then holds the sum
     // for 10 ms, so 7/20 of the run lands between checkpoint and delivery.
     let at = Dur::from_nanos(report.end_time.as_nanos() * 7 / 20);
     let crash = RunConfig { failure_plan: Some(FailurePlan::new().crash_at(Pe(5), at)), ..synced };
-    let (shrunk, report) = sim(8, true, crash);
+    let (shrunk, report) = sim(8, 1, crash.clone());
     assert_eq!(report.counters.get(Ctr::Recoveries), 1, "the crash landed before the sum was delivered");
     assert_eq!(shrunk, want, "sim after crash -> shrink");
+
+    // With a second AtSync round the same crash falls between the two
+    // checkpoints; the shrunk run reaches the second one, where PE 5
+    // rejoins, and the sum is taken on eight PEs again.
+    let rejoin = RunConfig { join_plan: Some(JoinPlan::new().rejoin_after_recoveries(Pe(5), 1)), ..crash };
+    let (rejoined, report) = sim(8, 2, rejoin);
+    assert_eq!(report.counters.get(Ctr::Generations), 3, "full -> shrunk -> re-expanded");
+    assert_eq!(rejoined, want, "sim after crash -> shrink -> rejoin");
 }
 
 // ---- AMPI's collectives on the runtime's path ------------------------------

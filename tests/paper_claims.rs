@@ -47,6 +47,35 @@ fn stencil_virtualization_extends_the_flat_region() {
     assert!(hi_slowdown < 1.35, "high virtualization still near-flat at 4 ms: {hi_slowdown:.2}x");
 }
 
+/// The stencil's steady step on 2 PEs: a 20-step run less a 10-step
+/// one, over the 10 extra steps, so the start and the final gather (each
+/// an exposed crossing) cancel.
+fn stencil_steady_step(objects: usize, latency_ms: u64) -> Dur {
+    let total = |steps: u32| {
+        let net = NetworkModel::two_cluster_sweep(2, Dur::from_millis(latency_ms));
+        stencil::run_sim(StencilConfig::paper(objects, steps), net, RunConfig::default()).total
+    };
+    (total(20) - total(10)) / 10
+}
+
+/// §5.2 in the steady state: at 16 ms both 4 and 64 objects on 2 PEs
+/// step exactly as fast as at zero latency (large-grain flatness), and
+/// past the knee, at 64 and 128 ms, 64 objects slow down less than 4
+/// ("the flat region is longer").
+#[test]
+fn cost_model_latency_flatness_with_virtualization() {
+    let (low_0, high_0) = (stencil_steady_step(4, 0), stencil_steady_step(64, 0));
+    for (objects, t0) in [(4, low_0), (64, high_0)] {
+        let t16 = stencil_steady_step(objects, 16);
+        assert_eq!(t16, t0, "{objects} objects: 16 ms fully masked ({t0:?} -> {t16:?})");
+    }
+    for lat in [64, 128] {
+        let low = stencil_steady_step(4, lat).as_millis_f64() / low_0.as_millis_f64();
+        let high = stencil_steady_step(64, lat).as_millis_f64() / high_0.as_millis_f64();
+        assert!(high < low, "{lat} ms: 64 objects slow down less than 4 ({high:.3}x vs {low:.3}x)");
+    }
+}
+
 /// §5.3 Figure 4: on 2 processors even 256 ms barely moves LeanMD's
 /// ~4 s step ("latency makes almost no impact"); contrast the naive
 /// expectation of +0.5 s per step.
