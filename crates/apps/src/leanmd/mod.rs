@@ -27,6 +27,7 @@ use mdo_core::envelope::{ReduceData, APP_PRIORITY};
 use mdo_core::ids::{ArrayId, ElemId, EntryId};
 use mdo_core::prelude::{WireReader, WireWriter};
 use mdo_core::program::{Program, RunConfig, RunReport};
+use mdo_core::reduction::ExactSum;
 use mdo_core::wire::f64_array_len;
 use mdo_core::{Mapping, SimEngine, ThreadedConfig, ThreadedEngine};
 use mdo_netsim::network::NetworkModel;
@@ -34,7 +35,7 @@ use mdo_netsim::{Dur, LatencyMatrix, Time, Topology};
 
 use geometry::{CellGrid, CellPair};
 use kernels::{forces_between, forces_within, interaction_count, ForceParams};
-use seq::{CellAtoms, ForceSum};
+use seq::CellAtoms;
 
 /// Entry on cells: begin stepping.
 const START: EntryId = EntryId(1);
@@ -47,7 +48,7 @@ const COORDS: EntryId = EntryId(3);
 /// default: a force message is what completes a cell's step and releases
 /// its next fan-out, so a PE folds it into the cell on arrival rather than
 /// after the step's queued coordinates, and lets it go (DESIGN.md §4).
-/// The cell's fixed-point sum is independent of arrival order, so the bits
+/// The cell's exact sums are independent of arrival order, so the bits
 /// do not move.  Being explicit, it is not raised by `RunConfig::grid_prio`.
 const FORCES_PRIORITY: i32 = APP_PRIORITY - 1;
 
@@ -227,24 +228,28 @@ struct Cell {
     id: u32,
     atoms: CellAtoms,
     /// (pair index, slot) memberships in ascending pair order; a
-    /// membership's index is its force message's term in `forces`.
+    /// membership's index is its bit in `seen`.
     memberships: Arc<Vec<(u32, u8)>>,
     pairs_array: ArrayId,
     step: u32,
-    /// This step's force messages, each added as it arrives into the
-    /// fixed-point sum `SeqMd::step` sums by, and let go.  A cost-model
-    /// cell has no atoms, so its sum holds only the energy.
-    forces: ForceSum,
+    /// This step's sums, one a part — the energy, then every force
+    /// component — as `SeqMd::step` sums them: each force message is added
+    /// as it arrives and let go.  A cost-model cell has no atoms, so it
+    /// sums only the energy.
+    forces: Vec<ExactSum>,
+    /// The memberships whose forces are in `forces`.
+    seen: u64,
     /// This cell's share of the last completed step's potential: the energy
-    /// of its `forces` sum.
+    /// of its `forces` sums.
     potential: f64,
     done: bool,
 }
 
 impl Cell {
     /// Cell `id` at step 0: its initial atoms in real mode, none in
-    /// cost-model mode.
+    /// cost-model mode.  At most 64 memberships, one a bit of `seen`.
     fn new(cfg: Arc<MdConfig>, id: u32, memberships: Arc<Vec<(u32, u8)>>, pairs_array: ArrayId) -> Cell {
+        assert!(memberships.len() <= 64, "cell {id}: {} memberships, past 64", memberships.len());
         let atoms = if cfg.compute {
             CellAtoms::init(cfg.grid, id, cfg.atoms_per_cell, cfg.cell_width, cfg.seed)
         } else {
@@ -253,7 +258,8 @@ impl Cell {
         Cell {
             cfg,
             id,
-            forces: ForceSum::new(1 + 3 * atoms.pos.len(), memberships.len()),
+            forces: vec![ExactSum::default(); 1 + 3 * atoms.pos.len()],
+            seen: 0,
             atoms,
             memberships,
             pairs_array,
@@ -277,8 +283,8 @@ impl Cell {
         }
     }
 
-    /// Check a force message's step and length and add it into the step's
-    /// sum (which refuses a membership's second answer) straight from the
+    /// Check a force message's step, length and membership, which must not
+    /// have answered yet, and add it into the step's sums straight from the
     /// borrowed bytes, keeping nothing of it.  True once every membership
     /// has answered.
     fn fold(&mut self, payload: &[u8]) -> bool {
@@ -291,8 +297,12 @@ impl Cell {
             .memberships
             .binary_search_by_key(&pair_idx, |&(pair, _)| pair)
             .unwrap_or_else(|_| panic!("pair {pair_idx} sent forces to cell {}", self.id));
+        assert!(self.seen & 1 << term == 0, "pair {pair_idx} sent cell {} forces twice", self.id);
+        self.seen |= 1 << term;
         let forces = payload[forces_len(0)..].chunks_exact(8).map(f64_at);
-        self.forces.add(term, std::iter::once(f64_at(&payload[8..])).chain(forces))
+        let values = std::iter::once(f64_at(&payload[8..])).chain(forces);
+        self.forces.iter_mut().zip(values).for_each(|(sum, x)| sum.add(x));
+        self.seen.count_ones() as usize == self.memberships.len()
     }
 
     fn finish_step(&mut self, ctx: &mut Ctx<'_>) {
@@ -334,6 +344,7 @@ impl Chare for Cell {
             START => self.multicast_coords(ctx),
             FORCES => {
                 if self.fold(payload) {
+                    self.seen = 0;
                     self.potential = self.atoms.integrate(&mut self.forces, self.cfg.dt);
                     self.finish_step(ctx);
                 }
@@ -343,7 +354,7 @@ impl Chare for Cell {
     }
 
     fn pack(&self, w: &mut WireWriter) {
-        assert_eq!(self.forces.added(), 0, "cells migrate only at step boundaries");
+        assert_eq!(self.seen, 0, "cells migrate only at step boundaries");
         w.u32(self.step).f64(self.potential).bool(self.done);
         w.f64_triples(&self.atoms.pos).f64_triples(&self.atoms.vel).f64_slice(&self.atoms.q);
     }
@@ -918,7 +929,7 @@ mod tests {
             let step = self.0.step;
             self.0.receive(entry, payload, ctx);
             if self.0.step != step {
-                self.1.lock().expect("step ends").push((self.0.forces.added(), self.0.atoms.clone()));
+                self.1.lock().expect("step ends").push((self.0.seen.count_ones() as usize, self.0.atoms.clone()));
             }
         }
     }
@@ -1017,14 +1028,14 @@ mod tests {
         orders
     }
 
-    /// For 1 to 63 memberships, a cell sums its force messages — the energy
-    /// and every force component — to the same bits whatever order they
-    /// arrive in, over values that include ±0.0, subnormals and magnitudes
-    /// from 2^-70 to 2^56, and what it sums to is the values' sum, but for
-    /// truncation and rounding.  It keeps no message: each is read from one
-    /// buffer that is overwritten as soon as the cell returns (a cell that
-    /// kept any of it could not come to the same bits), and after every
-    /// receipt the sum has counted one term more.
+    /// For 1 to 64 memberships (the most a cell has bits for), a cell sums
+    /// its force messages — the energy and every force component — to the
+    /// same bits whatever order they arrive in, over values from all of the
+    /// f64 range, ±0.0 and subnormals included, and those bits are the
+    /// values' exact sum rounded once.  It keeps no message: each is read
+    /// from one buffer that is overwritten as soon as the cell returns (a
+    /// cell that kept any of it could not come to the same bits), and after
+    /// every receipt one membership more has answered.
     #[test]
     fn a_cells_sum_of_its_forces_is_the_same_bits_in_any_arrival_order_and_keeps_no_message() {
         let n = 2;
@@ -1035,10 +1046,10 @@ mod tests {
             match rng.next_below(4) {
                 0 => sign * 0.0,
                 1 => sign * f64::from_bits(rng.next_below(1 << 52)),
-                _ => sign * (1.0 + rng.next_f64()) * 2f64.powi(rng.next_below(126) as i32 - 70),
+                _ => sign * f64::from_bits(rng.next_below(0x7ff << 52)),
             }
         };
-        for k in 1..=63 {
+        for k in 1..=64 {
             // Term by term: the energy, then 3n force components.
             let values: Vec<Vec<f64>> = (0..k).map(|_| (0..1 + 3 * n).map(|_| value()).collect()).collect();
             let msgs: Vec<Vec<u8>> = (0..k)
@@ -1047,8 +1058,14 @@ mod tests {
                     forces_payload(0, term as u32, values[term][0], &triples)
                 })
                 .collect();
+            let want: Vec<u64> = (0..1 + 3 * n)
+                .map(|part| {
+                    let mut sum = ExactSum::default();
+                    values.iter().for_each(|v| sum.add(v[part]));
+                    sum.round().to_bits()
+                })
+                .collect();
             let memberships = Arc::new((0..k as u32).map(|pair| (pair, 0)).collect());
-            let mut want: Option<Vec<u64>> = None;
             for (name, order) in arrival_orders(k, 4) {
                 let mut cell = Cell::new(Arc::clone(&cfg), 0, Arc::clone(&memberships), ArrayId(1));
                 let mut buffer = vec![0; forces_len(n)];
@@ -1057,20 +1074,10 @@ mod tests {
                     let done = cell.fold(&buffer);
                     buffer.fill(0xFF);
                     assert_eq!(done, i + 1 == k, "k {k} {name}: done after {} terms", i + 1);
-                    assert_eq!(cell.forces.added(), i + 1, "k {k} {name}: terms counted");
+                    assert_eq!(cell.seen.count_ones() as usize, i + 1, "k {k} {name}: terms counted");
                 }
-                let got: Vec<u64> = cell.forces.take().map(f64::to_bits).collect();
-                assert_eq!(cell.forces.added(), 0, "k {k} {name}: a term counted after the sum");
-                match &want {
-                    None => want = Some(got),
-                    Some(want) => assert_eq!(&got, want, "k {k} {name}: bits"),
-                }
-            }
-            for (part, got) in want.expect("an order").into_iter().enumerate() {
-                let (sum, magnitude) = values.iter().fold((0.0, 0.0), |(s, m), v| (s + v[part], m + v[part].abs()));
-                let bound = k as f64 * (magnitude * 2f64.powi(-52) + 2f64.powi(-63));
-                let got = f64::from_bits(got);
-                assert!((got - sum).abs() <= bound, "k {k} part {part}: {got} is not the sum {sum}");
+                let got: Vec<u64> = cell.forces.iter_mut().map(|sum| sum.take().to_bits()).collect();
+                assert_eq!(got, want, "k {k} {name}: bits");
             }
         }
     }
@@ -1088,11 +1095,11 @@ mod tests {
         let cfg = MdConfig::validation(3, 27, 3);
         let (msgs, reference) = cell0_forces(&cfg);
         let members = msgs[0].len();
-        let mut energies = ForceSum::new(1, members);
-        for (term, msg) in msgs[msgs.len() - 1].iter().enumerate() {
-            energies.add(term, [f64_at(&msg[8..])]);
+        let mut energies = ExactSum::default();
+        for msg in &msgs[msgs.len() - 1] {
+            energies.add(f64_at(&msg[8..]));
         }
-        let potential = energies.take().next().expect("the energy");
+        let potential = energies.round();
         for (name, order) in arrival_orders(members, 3) {
             let sent = msgs.iter().flat_map(|step_msgs| order.iter().map(|&i| step_msgs[i].clone())).collect();
             let (report, row, ends) = inject_forces(&cfg, sent);
@@ -1136,30 +1143,62 @@ mod tests {
         assert_eq!(run(vec![msg(1), short(0)]), panicked, "a short message after another");
     }
 
-    /// A force component that is NaN or infinite, or of magnitude 2^57 or
-    /// more, panics the cell on receipt (`NoFailurePlan`): the fixed-point
-    /// sum has no room for it.  The largest magnitude below 2^57 is taken.
-    /// A cost-model cell sums only the energy, and the guard covers that.
+    /// A real cell sums each part exactly, whatever the terms' sizes: per
+    /// part a big term, a small one, the big one's negation, then the small
+    /// one again, over ±2^60 and ±2^1000 and subnormals, sum to 25 small
+    /// ones (an f64 sum in arrival order gets 24), and the cell integrates
+    /// with those.  A NaN or infinite component is no error: it reaches the
+    /// atoms and the potential, as IEEE addition would carry it.  A
+    /// cost-model cell, which sums only the energy, takes a NaN one too.
     #[test]
-    fn a_nan_or_out_of_range_force_panics_the_cell_on_receipt() {
-        use mdo_netsim::{Pe, UnrecoverableError};
-        let first_pair = |cfg: &MdConfig| CellGrid::pairs_of_cells(&cfg.grid.pairs(), cfg.grid.n_cells())[0][0].0;
-        let panicked = Some(UnrecoverableError::NoFailurePlan { pe: Pe(0) });
-        let run = |cfg: &MdConfig, msg| inject_forces(cfg, vec![msg]).0.unrecoverable;
+    fn a_cell_sums_forces_of_any_size_exactly_and_carries_nan_and_infinity_into_its_state() {
+        let cfg = MdConfig::validation(3, 2, 1);
+        let members = CellGrid::pairs_of_cells(&cfg.grid.pairs(), cfg.grid.n_cells()).swap_remove(0);
+        let k = members.len();
+        let bits = |x: &f64| if x.is_nan() { f64::NAN.to_bits() } else { x.to_bits() };
+        // Cell 0 fed `terms` — the energy, then the two atoms' force
+        // components, each membership by membership — integrates `sums`.
+        let check = |terms: [Vec<f64>; 7], sums: [f64; 7]| {
+            let msgs = members.iter().enumerate().map(|(m, &(pair, _))| {
+                let f: Vec<f64> = terms[1..].iter().map(|part| part[m]).collect();
+                forces_payload(0, pair, terms[0][m], &[[f[0], f[1], f[2]], [f[3], f[4], f[5]]])
+            });
+            let (report, row, ends) = inject_forces(&cfg, msgs.collect());
+            assert_eq!(report.unrecoverable, None, "sums {sums:?}");
+            let mut want = CellAtoms::init(cfg.grid, 0, 2, cfg.cell_width, cfg.seed);
+            let (vel, pos) = (want.vel.iter_mut().flatten(), want.pos.iter_mut().flatten());
+            for ((v, p), f) in vel.zip(pos).zip(&sums[1..]) {
+                *v += f * cfg.dt;
+                *p += *v * cfg.dt;
+            }
+            let flat = |atoms: &CellAtoms| atoms.pos.iter().chain(&atoms.vel).flatten().map(bits).collect::<Vec<_>>();
+            assert_eq!(flat(&ends[0].1), flat(&want), "sums {sums:?}: atoms");
+            assert_eq!(bits(&row.expect("the cell finished").2), bits(&sums[0]), "sums {sums:?}: potential");
+        };
 
-        let real = MdConfig::validation(3, 2, 1);
-        let force = |x: f64| forces_payload(0, first_pair(&real), 0.0, &[[0.0, x, 0.0], [0.0; 3]]);
-        let below = 2f64.powi(57).next_down();
-        assert_eq!(run(&real, force(below)), None, "{below} is in range");
-        assert_eq!(run(&real, force(-below)), None, "{} is in range", -below);
-        for x in [f64::NAN, f64::INFINITY, 2f64.powi(57), -2f64.powi(57)] {
-            assert_eq!(run(&real, force(x)), panicked, "a force component {x}");
-        }
+        // Per part: (big, small).
+        let (sub, e60, e1000) = (f64::from_bits(1), 2f64.powi(60), 2f64.powi(1000));
+        let parts = [
+            (e60, 0.5),
+            (e1000, sub),
+            (-e60, 3.0),
+            (-e1000, -sub),
+            (e60, -0.25),
+            (e1000, f64::MIN_POSITIVE),
+            (-e1000, 1.0),
+        ];
+        let cancel =
+            |(big, small): (f64, f64)| (0..k).map(|m| [big, small, -big].get(m).copied().unwrap_or(small)).collect();
+        check(parts.map(cancel), parts.map(|(_, small)| (k - 2) as f64 * small));
+
+        let (inf, nan) = (f64::INFINITY, f64::NAN);
+        let at = |terms: &[f64]| (0..k).map(|m| terms.get(m).copied().unwrap_or(0.0)).collect();
+        let terms = [at(&[inf]), at(&[1.0, nan]), at(&[inf, 2.0]), at(&[-inf]), at(&[inf, -inf]), at(&[]), at(&[-1.0])];
+        check(terms, [inf, nan, inf, -inf, nan, 0.0, -1.0]);
 
         let model = MdConfig::paper(1);
-        let energy = |e: f64| forces_payload(0, first_pair(&model), e, &vec![[0.0; 3]; model.atoms_per_cell]);
-        assert_eq!(run(&model, energy(-1.5)), None, "a finite energy");
-        assert_eq!(run(&model, energy(f64::NAN)), panicked, "a NaN energy in cost-model mode");
+        let msg = forces_payload(0, members[0].0, nan, &vec![[0.0; 3]; model.atoms_per_cell]);
+        assert_eq!(inject_forces(&model, vec![msg]).0.unrecoverable, None, "a NaN energy in cost-model mode");
     }
 
     #[test]

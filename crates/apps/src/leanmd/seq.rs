@@ -1,12 +1,14 @@
 //! Sequential LeanMD reference.
 //!
 //! Runs the *same* cell/cell-pair decomposition as the parallel code, in a
-//! single loop, with the identical per-cell force and energy sums (the
-//! fixed-point [`ForceSum`], whose result no arrival order can change, and
-//! which the parallel cell uses too) and the identical integrator
-//! ([`CellAtoms::integrate`]) — so parallel trajectories and potentials
-//! must match **bit-for-bit** under any placement, latency, or engine.
+//! single loop, with the identical per-cell force and energy sums (one
+//! [`ExactSum`] a part, which adds every term exactly and rounds once, so
+//! no arrival order can change its result, and which the parallel cell
+//! uses too) and the identical integrator ([`CellAtoms::integrate`]) — so
+//! parallel trajectories and potentials must match **bit-for-bit** under
+//! any placement, latency, or engine.
 
+use mdo_core::reduction::ExactSum;
 use mdo_netsim::Xoshiro256;
 
 use super::geometry::{CellGrid, CellPair};
@@ -74,11 +76,11 @@ impl CellAtoms {
         m
     }
 
-    /// Take the step's summed forces — the energy, then a triple per atom —
-    /// and integrate: semi-implicit Euler (unit masses), kick, then drift.
-    /// Returns the energy.
-    pub fn integrate(&mut self, sum: &mut ForceSum, dt: f64) -> f64 {
-        let mut parts = sum.take();
+    /// Take the step's sums — the energy, then a triple per atom — each
+    /// rounded once and left empty, and integrate: semi-implicit Euler
+    /// (unit masses), kick, then drift.  Returns the energy.
+    pub fn integrate(&mut self, sums: &mut [ExactSum], dt: f64) -> f64 {
+        let mut parts = sums.iter_mut().map(ExactSum::take);
         let energy = parts.next().expect("the energy");
         for (vel, pos) in self.vel.iter_mut().zip(self.pos.iter_mut()) {
             for d in 0..3 {
@@ -90,79 +92,13 @@ impl CellAtoms {
     }
 }
 
-/// Fraction bits of a [`ForceSum`] part.
-const FRACTION_BITS: i32 = 64;
-/// A term's magnitude must stay below 2^`RANGE_BITS`, so that each is under
-/// 2^(57 + 64) = 2^121 in fixed point and [`MAX_TERMS`] of them fit an `i128`.
-const RANGE_BITS: i32 = 57;
-/// The most terms a [`ForceSum`] admits: 63 × 2^121 < 2^127.
-const MAX_TERMS: usize = (i128::MAX >> (RANGE_BITS + FRACTION_BITS)) as usize;
-
-/// The sum a LeanMD cell adds its force contributions by, one term per
-/// membership: in [`SeqMd::step`] in membership order and, as the force
-/// messages arrive, in the parallel cell.
-///
-/// Each part — the energy, then every force component — is an `i128` with
-/// 64 fraction bits.  A term's value goes through a range guard (finite,
-/// |x| < 2^57: it panics otherwise) and is truncated into fixed point; the
-/// parts are added as integers and turned back into `f64`s only when the
-/// last term is in.  Integer addition is associative, so the result is the
-/// same bits in any arrival order, and nothing has to wait for anything.
-///
-/// It is not a user of the runtime's exact `SumF64` accumulator
-/// (`mdo_core::reduction::ExactSum`), which covers the whole f64 range
-/// and rounds correctly: a part here is a 16-byte `i128` against that
-/// accumulator's 272 bytes of limbs, a cell holds 1 + 3 × atoms parts, and
-/// `peak_rss_mib` is gated on the `leanmd_tcp` and `sim_sweep` workloads.
-#[derive(Debug)]
-pub struct ForceSum {
-    terms: usize,
-    /// One bit per term added since the sum was last taken.
-    seen: u64,
-    parts: Vec<i128>,
-}
-
-impl ForceSum {
-    /// An empty sum of `parts` values over `terms` terms.
-    pub fn new(parts: usize, terms: usize) -> Self {
-        assert!(terms <= MAX_TERMS, "{terms} terms could overflow a fixed-point sum; it admits {MAX_TERMS}");
-        ForceSum { terms, seen: 0, parts: vec![0; parts] }
-    }
-
-    /// Terms added since the sum was last taken.
-    pub fn added(&self) -> usize {
-        self.seen.count_ones() as usize
-    }
-
-    /// Add `term`'s values, one into each part (values past the last part
-    /// are not read); a term added twice before the sum is taken panics.
-    /// True once every term is in.
-    pub fn add(&mut self, term: usize, values: impl IntoIterator<Item = f64>) -> bool {
-        assert!(term < self.terms && self.seen & 1 << term == 0, "term {term} of {} added twice", self.terms);
-        self.seen |= 1 << term;
-        for (part, x) in self.parts.iter_mut().zip(values) {
-            assert!(x.abs() < 2f64.powi(RANGE_BITS), "force sum term {x}: not finite, or |x| ≥ 2^{RANGE_BITS}");
-            *part += (x * 2f64.powi(FRACTION_BITS)) as i128;
-        }
-        self.added() == self.terms
-    }
-
-    /// The sums, part by part, each taken out as it is read: the sum is
-    /// empty for the next round once every part has been.
-    pub fn take(&mut self) -> impl Iterator<Item = f64> + '_ {
-        self.seen = 0;
-        self.parts.iter_mut().map(|part| std::mem::take(part) as f64 / 2f64.powi(FRACTION_BITS))
-    }
-}
-
 /// The sequential simulation.
 pub struct SeqMd {
     /// The cell grid.
     pub grid: CellGrid,
     /// All cell pairs, in global order.
     pub pairs: Vec<CellPair>,
-    /// Per-cell pair membership (pair index, slot), in pair order: a
-    /// membership's index is its term in the cell's [`ForceSum`].
+    /// Per-cell pair membership (pair index, slot), in pair order.
     pub pairs_of: Vec<Vec<(u32, u8)>>,
     /// Per-cell atom state.
     pub cells: Vec<CellAtoms>,
@@ -173,9 +109,9 @@ pub struct SeqMd {
     /// Integration step.
     pub dt: f64,
     /// Potential energy of the last completed step: each cell's pair
-    /// energies (a pair's counted once, on its cell a) summed by the cell's
-    /// [`ForceSum`], then summed over cells in cell order — the parallel run's
-    /// `potential`, bit for bit.
+    /// energies (a pair's counted once, on its cell a) summed exactly and
+    /// rounded once, then summed over cells in cell order — the parallel
+    /// run's `potential`, bit for bit.
     pub last_potential: f64,
 }
 
@@ -209,16 +145,18 @@ impl SeqMd {
                 pair_forces.push(forces_between(&ca.pos, &ca.q, &cb.pos, &cb.q, shift, &self.params));
             }
         }
-        // Integrate each cell, its pairs' contributions summed by its ForceSum.
+        // Integrate each cell, its pairs' contributions summed exactly, part
+        // by part.
         let mut potentials = Vec::with_capacity(self.cells.len());
         for (cell, memberships) in self.cells.iter_mut().zip(&self.pairs_of) {
-            let mut sum = ForceSum::new(1 + 3 * cell.pos.len(), memberships.len());
-            for (term, &(pair_idx, slot)) in memberships.iter().enumerate() {
+            let mut sums = vec![ExactSum::default(); 1 + 3 * cell.pos.len()];
+            for &(pair_idx, slot) in memberships {
                 let (fa, fb, e) = &pair_forces[pair_idx as usize];
                 let (energy, forces) = if slot == 0 { (*e, fa) } else { (0.0, fb) };
-                sum.add(term, std::iter::once(energy).chain(forces.iter().flatten().copied()));
+                let values = std::iter::once(energy).chain(forces.iter().flatten().copied());
+                sums.iter_mut().zip(values).for_each(|(sum, x)| sum.add(x));
             }
-            potentials.push(cell.integrate(&mut sum, self.dt));
+            potentials.push(cell.integrate(&mut sums, self.dt));
         }
         // As the parallel run's outcome sums its gathered rows.
         self.last_potential = potentials.iter().sum();

@@ -25,19 +25,28 @@ use crate::envelope::{ReduceData, ReduceOp};
 use crate::ids::ObjKey;
 use crate::wire::{WireError, WireReader, WireWriter};
 
-/// 64-bit limbs of an [`ExactSum`]: 2,176 bits.  Every finite `f64` is an
-/// integer multiple of 2^-1074 below 2^2098, which leaves a sign bit and
-/// 2^63 terms of headroom above `f64::MAX`.
+/// 64-bit limbs an [`ExactSum`] ranges over: 2,176 bits.  Every finite
+/// `f64` is an integer multiple of 2^-1074 below 2^2098, which leaves a
+/// sign bit and 2^63 terms of headroom above `f64::MAX`.  A sum stores only
+/// the limbs of its span.
 const LIMBS: usize = 34;
 
-/// An exact `SumF64` partial: a two's-complement fixed-point integer in
-/// units of 2^-1074, the least subnormal.  Every finite term adds with
-/// no rounding, so any grouping and order of the same terms gives the
-/// same bits; NaN and infinite terms are kept as flags.
+/// An exact `SumF64` partial: a two's-complement fixed-point integer of
+/// 34 limbs in units of 2^-1074, the least subnormal.  Every finite
+/// term adds with no rounding, so any grouping and order of the same terms
+/// gives the same bits; NaN and infinite terms are kept as flags.
 /// [`ExactSum::round`] rounds once, to nearest with ties to even.
-#[derive(Clone, PartialEq, Eq, Debug)]
+///
+/// Only the span is stored: the limbs that are neither zero below it nor
+/// sign extension above it, so a sum of like-sized terms holds a limb or
+/// three.  The span is always the shortest, so two sums are `==` exactly
+/// when their values and flags are.  The empty sum (`default`) rounds to
+/// −0.0, the identity of `f64` addition.
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct ExactSum {
-    limbs: [u64; LIMBS],
+    /// Limbs `lo..lo + limbs.len()`.
+    limbs: Vec<u64>,
+    lo: u8,
     flags: u8,
 }
 
@@ -48,12 +57,12 @@ impl ExactSum {
     /// Some term was not −0.0: an all-−0.0 sum is −0.0, as in IEEE
     /// addition, and any other exact zero is +0.0.
     const NOT_NEG_ZERO: u8 = 8;
-    /// Wire only: the limbs above the sent range are all ones.
+    /// The sum is negative: the limbs above the span are all ones.
     const NEGATIVE: u8 = 16;
 
     /// The sum of the one term `x`.
     pub fn new(x: f64) -> Self {
-        let mut s = ExactSum { limbs: [0; LIMBS], flags: 0 };
+        let mut s = ExactSum::default();
         s.add(x);
         s
     }
@@ -69,34 +78,73 @@ impl ExactSum {
             _ if x == 0.0 && x.is_sign_negative() => return,
             _ => Self::NOT_NEG_ZERO,
         };
-        if exp < 0x7ff {
+        if exp < 0x7ff && x != 0.0 {
             // |x| = mant · 2^(shift − 1074).
             let (mant, shift) = if exp == 0 { (frac, 0) } else { (frac | 1 << 52, exp - 1) };
             let wide = u128::from(mant) << (shift % 64);
-            self.add_words((shift / 64) as usize, &[wide as u64, (wide >> 64) as u64], x < 0.0);
+            self.add_words((shift / 64) as usize, &[wide as u64, (wide >> 64) as u64], 0, x < 0.0);
         }
     }
 
     /// Add another partial, exactly.
     pub fn merge(&mut self, other: &ExactSum) {
-        self.add_words(0, &other.limbs, false);
-        self.flags |= other.flags;
+        self.add_words(other.lo.into(), &other.limbs, other.ext(), false);
+        self.flags |= other.flags & !Self::NEGATIVE;
     }
 
-    /// Add (or, with `sub`, subtract) `words` placed `at` limbs up, running
-    /// the carry to the top limb: two's-complement arithmetic.
-    fn add_words(&mut self, at: usize, words: &[u64], sub: bool) {
+    /// The sum rounded once, leaving the empty sum (and its storage) for
+    /// the next.
+    pub fn take(&mut self) -> f64 {
+        let x = self.round();
+        self.limbs.clear();
+        (self.lo, self.flags) = (0, 0);
+        x
+    }
+
+    /// A limb above the span: all ones if the sum is negative, else zero.
+    fn ext(&self) -> u64 {
+        u64::from(self.flags & Self::NEGATIVE != 0).wrapping_neg()
+    }
+
+    /// Add (or, with `sub`, subtract) the two's-complement integer whose
+    /// limbs from `at` on are `words`, with zeros below them and `ext` above.
+    fn add_words(&mut self, at: usize, words: &[u64], ext: u64, sub: bool) {
+        if words.is_empty() && ext == 0 {
+            return;
+        }
+        if self.limbs.is_empty() && self.ext() == 0 {
+            self.lo = at as u8;
+        }
+        let (lo, hi) = (usize::from(self.lo), usize::from(self.lo) + self.limbs.len());
+        // Neither side has a nonzero limb below `start`, and from limb
+        // `top - 1` on both are sign extension, so the result is too (or
+        // `top` is the full width, which wraps).
+        let (start, top) = (lo.min(at), (hi.max(at + words.len()) + 1).min(LIMBS));
+        self.limbs.splice(..0, std::iter::repeat_n(0, lo - start));
+        self.limbs.resize(top - start, self.ext());
+        self.lo = start as u8;
         let mut carry = false;
-        for (k, limb) in self.limbs[at..].iter_mut().enumerate() {
-            if k >= words.len() && !carry {
-                break;
-            }
-            let w = words.get(k).copied().unwrap_or(0);
+        for (k, limb) in self.limbs.iter_mut().enumerate().skip(at - start) {
+            let w = words.get(k + start - at).copied().unwrap_or(ext);
             let (v, c1) = if sub { limb.overflowing_sub(w) } else { limb.overflowing_add(w) };
             let (v, c2) = if sub { v.overflowing_sub(u64::from(carry)) } else { v.overflowing_add(u64::from(carry)) };
             *limb = v;
             carry = c1 || c2;
         }
+        self.settle();
+    }
+
+    /// Take the sign from the top stored limb and trim the limbs to the
+    /// span.
+    fn settle(&mut self) {
+        let negative = self.limbs.last().is_some_and(|&l| l >> 63 == 1);
+        self.flags = self.flags & !Self::NEGATIVE | if negative { Self::NEGATIVE } else { 0 };
+        while self.limbs.last() == Some(&self.ext()) {
+            self.limbs.pop();
+        }
+        let zeros = self.limbs.iter().take_while(|&&l| l == 0).count();
+        self.limbs.drain(..zeros);
+        self.lo = if self.limbs.is_empty() && !negative { 0 } else { self.lo + zeros as u8 };
     }
 
     /// The sum rounded once to the nearest `f64`, ties to even.
@@ -107,10 +155,11 @@ impl ExactSum {
             Self::NEG_INF => return f64::NEG_INFINITY,
             _ => return f64::NAN,
         }
-        let negative = self.limbs[LIMBS - 1] >> 63 == 1;
-        let mut abs = ExactSum { limbs: [0; LIMBS], flags: 0 };
-        abs.add_words(0, &self.limbs, negative);
-        let mag = abs.limbs;
+        let negative = self.flags & Self::NEGATIVE != 0;
+        let mut abs = ExactSum::default();
+        abs.add_words(self.lo.into(), &self.limbs, self.ext(), negative);
+        let mut mag = [0; LIMBS];
+        mag[usize::from(abs.lo)..][..abs.limbs.len()].copy_from_slice(&abs.limbs);
         let Some(top) = mag.iter().rposition(|&l| l != 0) else {
             return if self.flags & Self::NOT_NEG_ZERO != 0 { 0.0 } else { -0.0 };
         };
@@ -128,21 +177,10 @@ impl ExactSum {
         f64::from_bits(bits | u64::from(negative) << 63)
     }
 
-    /// Whether the sum is negative, and the range of limbs that are not
-    /// zero below it or sign extension above it.
-    fn span(&self) -> (bool, usize, usize) {
-        let negative = self.limbs[LIMBS - 1] >> 63 == 1;
-        let ext = if negative { u64::MAX } else { 0 };
-        let hi = self.limbs.iter().rposition(|&l| l != ext).map_or(0, |k| k + 1);
-        let lo = self.limbs[..hi].iter().position(|&l| l != 0).unwrap_or(hi);
-        (negative, lo, hi)
-    }
-
-    /// Serialize: the flags, then that limb range only.
+    /// Serialize: the flags, then the span.
     pub(crate) fn encode(&self, w: &mut WireWriter) {
-        let (negative, lo, hi) = self.span();
-        w.u8(self.flags | if negative { Self::NEGATIVE } else { 0 }).u8(lo as u8).u8(hi as u8);
-        for &limb in &self.limbs[lo..hi] {
+        w.u8(self.flags).u8(self.lo).u8(self.lo + self.limbs.len() as u8);
+        for &limb in &self.limbs {
             w.u64(limb);
         }
     }
@@ -150,25 +188,28 @@ impl ExactSum {
     /// Deserialize what [`ExactSum::encode`] wrote, rejecting unknown flag
     /// bits and a limb range past the accumulator.
     pub(crate) fn decode(r: &mut WireReader) -> Result<Self, WireError> {
-        let (flags, lo, hi) = (r.u8()?, r.u8()? as usize, r.u8()? as usize);
+        let (flags, lo, hi) = (r.u8()?, r.u8()?, r.u8()?);
         if flags >= Self::NEGATIVE << 1 {
             return Err(WireError { context: "ExactSum flags" });
         }
-        if lo > hi || hi > LIMBS {
+        if lo > hi || usize::from(hi) > LIMBS {
             return Err(WireError { context: "ExactSum limb range" });
         }
-        let mut limbs = [if flags & Self::NEGATIVE != 0 { u64::MAX } else { 0 }; LIMBS];
-        limbs[..lo].fill(0);
-        for limb in &mut limbs[lo..hi] {
-            *limb = r.u64()?;
+        let mut s = ExactSum { limbs: Vec::with_capacity(usize::from(hi - lo) + 1), lo, flags };
+        for _ in lo..hi {
+            s.limbs.push(r.u64()?);
         }
-        Ok(ExactSum { limbs, flags: flags & !Self::NEGATIVE })
+        // What lies above the span, unless the span reaches the top.
+        if usize::from(hi) < LIMBS {
+            s.limbs.push(s.ext());
+        }
+        s.settle();
+        Ok(s)
     }
 
     /// Bytes [`ExactSum::encode`] writes.
     pub(crate) fn wire_len(&self) -> u64 {
-        let (_, lo, hi) = self.span();
-        3 + 8 * (hi - lo) as u64
+        3 + 8 * self.limbs.len() as u64
     }
 }
 
@@ -478,6 +519,99 @@ mod tests {
             assert_eq!(ExactSum::decode(&mut r), Ok(s), "{x:?}");
             assert!(r.is_done());
         }
+    }
+
+    /// The limbs a sum stores, from which limb up.
+    fn span(s: &ExactSum) -> (u8, &[u64]) {
+        (s.lo, &s.limbs)
+    }
+
+    #[test]
+    fn exact_sum_span_grows_upward_on_a_carry() {
+        // 2^78 − 2^25 fills the top 53 bits of limb 17 (units 2^1088 up).
+        let mut s = ExactSum::new(2f64.powi(78) - 2f64.powi(25));
+        assert_eq!(span(&s), (17, &[((1 << 53) - 1) << 11][..]));
+        s.add(1.0);
+        assert_eq!(span(&s), (16, &[1 << 50, ((1 << 53) - 1) << 11][..]));
+        s.add(2f64.powi(25));
+        assert_eq!(span(&s), (16, &[1 << 50, 0, 1][..]), "the carry runs into limb 18");
+        assert_eq!(s.round(), 2f64.powi(78));
+        s.add(-1.0);
+        assert_eq!(s, ExactSum::new(2f64.powi(78)));
+    }
+
+    #[test]
+    fn exact_sum_span_reaches_down_to_the_least_subnormal() {
+        let least = f64::from_bits(1);
+        let mut s = ExactSum::new(1.0);
+        s.add(least);
+        assert_eq!((s.lo, s.limbs.len(), s.limbs[0], s.limbs[16]), (0, 17, 1, 1 << 50));
+        assert_eq!(s.round(), 1.0, "1 + 2^-1074 rounds to 1");
+        s.add(-1.0);
+        assert_eq!(span(&s), (0, &[1][..]), "the span shrinks from the top");
+        assert_eq!(s.round(), least);
+        s.add(-least);
+        assert_eq!((span(&s), s.round().to_bits()), ((0, &[][..]), 0.0f64.to_bits()));
+    }
+
+    #[test]
+    fn exact_sum_crosses_zero_and_changes_sign() {
+        let mut s = ExactSum::new(1.0);
+        s.add(-3.0);
+        // −2 is −2^1075 units: zeros up to limb 16, ones from bit 51 on.
+        assert_eq!(span(&s), (16, &[u64::MAX << 51][..]));
+        assert_eq!(s.round(), -2.0);
+        let mut back = s.clone();
+        back.add(2.0);
+        assert_eq!(back, ExactSum::new(0.0), "an exact zero is the empty span");
+        s.add(2.5);
+        assert_eq!(s, ExactSum::new(0.5), "equal sums are equal values");
+        s.add(-1e300);
+        s.merge(&ExactSum::new(1e300));
+        assert_eq!(s, ExactSum::new(0.5), "from 1e300 below zero, back again");
+        // Minus a power of two whole limbs up: an empty span, all ones above.
+        let mut power = ExactSum::new(-2f64.powi(78));
+        assert_eq!((span(&power), power.round()), ((18, &[][..]), -2f64.powi(78)));
+        power.add(-1.0);
+        assert_eq!(power.round(), -2f64.powi(78) - 1.0);
+    }
+
+    #[test]
+    fn exact_sum_of_negative_zeros_stays_negative_zero() {
+        assert_eq!(ExactSum::default().round().to_bits(), (-0.0f64).to_bits(), "the empty sum");
+        let mut s = ExactSum::new(-0.0);
+        s.add(-0.0);
+        s.merge(&ExactSum::new(-0.0));
+        assert_eq!(s, ExactSum::default());
+        assert_eq!(s.round().to_bits(), (-0.0f64).to_bits());
+        s.add(0.0);
+        assert_eq!(s.round().to_bits(), 0.0f64.to_bits());
+        let mut cancelled = ExactSum::new(-1.0);
+        cancelled.add(1.0);
+        assert_eq!(cancelled.take().to_bits(), 0.0f64.to_bits(), "a cancelled sum is +0");
+        assert_eq!(cancelled.round().to_bits(), (-0.0f64).to_bits(), "taken, it is empty");
+    }
+
+    #[test]
+    fn exact_sum_is_at_most_32_bytes() {
+        assert!(std::mem::size_of::<ExactSum>() <= 32, "{} bytes", std::mem::size_of::<ExactSum>());
+    }
+
+    #[test]
+    fn exact_sum_decode_trims_a_wire_span_to_the_sum() {
+        // Flags NOT_NEG_ZERO, limbs 2..5 = [0, 7, 0]: the sum of limb 3 alone.
+        let mut w = WireWriter::new();
+        w.u8(ExactSum::NOT_NEG_ZERO).u8(2).u8(5).u64(0).u64(7).u64(0);
+        let bytes = w.finish();
+        let s = ExactSum::decode(&mut WireReader::new(&bytes)).expect("a valid span");
+        assert_eq!(span(&s), (3, &[7][..]));
+        // NEGATIVE with limbs 1..2 = [u64::MAX]: the ones continue above, so
+        // the sum is −2^64 units, an empty span from limb 1.
+        let mut w = WireWriter::new();
+        w.u8(ExactSum::NEGATIVE | ExactSum::NOT_NEG_ZERO).u8(1).u8(2).u64(u64::MAX);
+        let bytes = w.finish();
+        let s = ExactSum::decode(&mut WireReader::new(&bytes)).expect("a valid span");
+        assert_eq!((span(&s), s.round()), ((1, &[][..]), -f64::from_bits(1) * 2f64.powi(64)));
     }
 
     #[test]
