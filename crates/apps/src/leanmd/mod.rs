@@ -567,17 +567,18 @@ fn outcome(cfg: &MdConfig, shared: Arc<Shared>, report: RunReport) -> MdOutcome 
 
 /// Run under the simulation engine.
 pub fn run_sim(cfg: MdConfig, net: NetworkModel, run_cfg: RunConfig) -> MdOutcome {
-    run_sim_full(cfg, net, run_cfg, None, None)
+    run_sim_full(cfg, SimEngine::new(net, run_cfg), None, None)
 }
 
-/// Full-control simulation run: optionally collect barrier checkpoints
-/// into `ckpt_sink` (requires `cfg.lb_period`), and/or restore the cells
-/// and pairs from `restore` (possibly onto a different PE count —
-/// shrink/expand), which resumes the run rather than starting it.
+/// Full-control simulation run on `engine` (which carries the network,
+/// the [`RunConfig`] and the simulator's own settings, such as a delivery
+/// policy): optionally collect barrier checkpoints into `ckpt_sink`
+/// (requires `cfg.lb_period`), and/or restore the cells and pairs from
+/// `restore` (possibly onto a different PE count — shrink/expand), which
+/// resumes the run rather than starting it.
 pub fn run_sim_full(
     cfg: MdConfig,
-    net: NetworkModel,
-    run_cfg: RunConfig,
+    engine: SimEngine,
     ckpt_sink: Option<Arc<Mutex<Vec<mdo_core::checkpoint::Snapshot>>>>,
     restore: Option<mdo_core::checkpoint::Snapshot>,
 ) -> MdOutcome {
@@ -591,7 +592,7 @@ pub fn run_sim_full(
     if let Some(snapshot) = restore {
         program.restore_from(snapshot);
     }
-    let report = SimEngine::new(net, run_cfg).run(program);
+    let report = engine.run(program);
     outcome(&cfg, shared, report)
 }
 
@@ -788,7 +789,8 @@ mod tests {
         // Checkpointed run: same 6 steps, snapshot taken at the step-3
         // barrier while the run continues.
         let sink = Arc::new(Mutex::new(Vec::new()));
-        let ckpt_out = run_sim_full(cfg.clone(), net(), RunConfig::default(), Some(Arc::clone(&sink)), None);
+        let ckpt_out =
+            run_sim_full(cfg.clone(), SimEngine::new(net(), RunConfig::default()), Some(Arc::clone(&sink)), None);
         assert_eq!(ckpt_out.checksums, full.checksums, "checkpointing is transparent");
         let snaps = sink.lock().expect("sink");
         assert_eq!(snaps.len(), 1, "one barrier, one snapshot");
@@ -799,8 +801,7 @@ mod tests {
         // and run the remaining steps: final state must match bit-for-bit.
         let restored = run_sim_full(
             cfg.clone(),
-            NetworkModel::two_cluster_sweep(2, Dur::from_millis(5)),
-            RunConfig::default(),
+            SimEngine::new(NetworkModel::two_cluster_sweep(2, Dur::from_millis(5)), RunConfig::default()),
             None,
             Some(snapshot.clone()),
         );
@@ -810,8 +811,7 @@ mod tests {
         // And expand 4->8.
         let expanded = run_sim_full(
             cfg,
-            NetworkModel::two_cluster_sweep(8, Dur::from_millis(1)),
-            RunConfig::default(),
+            SimEngine::new(NetworkModel::two_cluster_sweep(8, Dur::from_millis(1)), RunConfig::default()),
             None,
             Some(snapshot),
         );
@@ -825,8 +825,7 @@ mod tests {
         let sink = Arc::new(Mutex::new(Vec::new()));
         let full = run_sim_full(
             cfg.clone(),
-            NetworkModel::two_cluster_sweep(4, Dur::from_millis(1)),
-            RunConfig::default(),
+            SimEngine::new(NetworkModel::two_cluster_sweep(4, Dur::from_millis(1)), RunConfig::default()),
             Some(Arc::clone(&sink)),
             None,
         );
@@ -835,8 +834,7 @@ mod tests {
         let snapshot = mdo_core::checkpoint::Snapshot::decode(&snapshot.encode()).expect("decode");
         let restored = run_sim_full(
             cfg,
-            NetworkModel::two_cluster_sweep(2, Dur::from_millis(1)),
-            RunConfig::default(),
+            SimEngine::new(NetworkModel::two_cluster_sweep(2, Dur::from_millis(1)), RunConfig::default()),
             None,
             Some(snapshot),
         );

@@ -483,17 +483,18 @@ fn outcome(cfg: &StencilConfig, shared: Arc<Shared>, report: RunReport) -> Stenc
 
 /// Run under the simulation engine (artificial latency sweeps).
 pub fn run_sim(cfg: StencilConfig, net: NetworkModel, run_cfg: RunConfig) -> StencilOutcome {
-    run_sim_full(cfg, net, run_cfg, None, None)
+    run_sim_full(cfg, SimEngine::new(net, run_cfg), None, None)
 }
 
-/// Full-control simulation run: optionally collect barrier checkpoints
-/// into `ckpt_sink` (requires `cfg.lb_period`), and/or restore the blocks
-/// from `restore` (possibly onto a different PE count), which resumes the
-/// run rather than starting it.
+/// Full-control simulation run on `engine` (which carries the network,
+/// the [`RunConfig`] and the simulator's own settings, such as a delivery
+/// policy): optionally collect barrier checkpoints into `ckpt_sink`
+/// (requires `cfg.lb_period`), and/or restore the blocks from `restore`
+/// (possibly onto a different PE count), which resumes the run rather
+/// than starting it.
 pub fn run_sim_full(
     cfg: StencilConfig,
-    net: NetworkModel,
-    run_cfg: RunConfig,
+    engine: SimEngine,
     ckpt_sink: Option<Arc<Mutex<Vec<mdo_core::checkpoint::Snapshot>>>>,
     restore: Option<mdo_core::checkpoint::Snapshot>,
 ) -> StencilOutcome {
@@ -507,7 +508,7 @@ pub fn run_sim_full(
     if let Some(snapshot) = restore {
         program.restore_from(snapshot);
     }
-    let report = SimEngine::new(net, run_cfg).run(program);
+    let report = engine.run(program);
     outcome(&cfg, shared, report)
 }
 
@@ -677,15 +678,15 @@ mod tests {
         let full = run_sim(cfg.clone(), net(), RunConfig::default());
 
         let sink = Arc::new(Mutex::new(Vec::new()));
-        let ckpt_run = run_sim_full(cfg.clone(), net(), RunConfig::default(), Some(Arc::clone(&sink)), None);
+        let ckpt_run =
+            run_sim_full(cfg.clone(), SimEngine::new(net(), RunConfig::default()), Some(Arc::clone(&sink)), None);
         assert_eq!(ckpt_run.block_sums, full.block_sums);
         let snapshot = sink.lock().expect("sink")[0].clone();
         assert_eq!(snapshot.total_elems(), 16);
 
         let restored = run_sim_full(
             cfg,
-            NetworkModel::two_cluster_sweep(2, Dur::from_millis(6)),
-            RunConfig::default(),
+            SimEngine::new(NetworkModel::two_cluster_sweep(2, Dur::from_millis(6)), RunConfig::default()),
             None,
             Some(snapshot),
         );

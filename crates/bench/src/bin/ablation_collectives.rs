@@ -2,7 +2,7 @@
 //!
 //! `RunConfig::tree_collectives` selects the shape of the spanning tree
 //! that broadcasts, multicasts and reductions run over: the flat binary
-//! PE heap (`None`) or a two-level tree — one gateway PE per cluster,
+//! PE heap (`false`) or a two-level tree — one gateway PE per cluster,
 //! partial-combine at the gateway, then a single wide-area hop to the
 //! root.  This ablation measures exactly what the two-level shape buys:
 //! the number of wide-area messages per collective round.
@@ -72,7 +72,7 @@ fn pulse_program(elems: usize, rounds: u32) -> Program {
 }
 
 /// Total `wan_msgs_sent` for one pulse run of `rounds` rounds.
-fn pulse_wan(topo: &Topology, elems: usize, rounds: u32, tree: Option<TreeConfig>) -> u64 {
+fn pulse_wan(topo: &Topology, elems: usize, rounds: u32, tree: bool) -> u64 {
     let latency = LatencyMatrix::uniform(topo, Dur::ZERO, Dur::from_millis(1));
     let net = NetworkModel::new(topo.clone(), latency, WanContention::disabled(topo), 0);
     let rc = RunConfig { tree_collectives: tree, obs: Some(ObsConfig::new()), ..RunConfig::default() };
@@ -83,7 +83,7 @@ fn pulse_wan(topo: &Topology, elems: usize, rounds: u32, tree: Option<TreeConfig
 
 /// Steady-state wide-area messages per broadcast→reduce round, isolated
 /// by differencing an R-round and a 2R-round run.
-fn wan_per_round(topo: &Topology, elems: usize, rounds: u32, tree: Option<TreeConfig>) -> f64 {
+fn wan_per_round(topo: &Topology, elems: usize, rounds: u32, tree: bool) -> f64 {
     let lo = pulse_wan(topo, elems, rounds, tree);
     let hi = pulse_wan(topo, elems, 2 * rounds, tree);
     assert!(hi >= lo, "more rounds cannot send fewer WAN messages");
@@ -116,7 +116,7 @@ fn stencil_row(quick: bool) -> AppRow {
         lb_period: None,
     };
     let topo = Topology::uniform(4, 2);
-    let run = |tree: Option<TreeConfig>| {
+    let run = |tree: bool| {
         let latency = LatencyMatrix::uniform(&topo, Dur::ZERO, Dur::from_millis(1));
         let net = NetworkModel::new(topo.clone(), latency, WanContention::disabled(&topo), 0);
         let rc = RunConfig { tree_collectives: tree, obs: Some(ObsConfig::new()), ..RunConfig::default() };
@@ -125,8 +125,8 @@ fn stencil_row(quick: bool) -> AppRow {
     };
     // Bit-exactness is the oracle suite's job; here we only insist the
     // two modes computed the same field while we compare their traffic.
-    let (flat_sums, flat_wan) = run(None);
-    let (tree_sums, tree_wan) = run(Some(TreeConfig::default()));
+    let (flat_sums, flat_wan) = run(false);
+    let (tree_sums, tree_wan) = run(true);
     assert_eq!(flat_sums, tree_sums, "stencil stays bit-exact while traffic changes");
     AppRow { app: "stencil 32x32 / 16 obj", flat_wan, tree_wan }
 }
@@ -134,15 +134,15 @@ fn stencil_row(quick: bool) -> AppRow {
 fn leanmd_row(quick: bool) -> AppRow {
     let cfg = MdConfig::validation(3, 4, if quick { 3 } else { 4 });
     let topo = Topology::uniform(4, 2);
-    let run = |tree: Option<TreeConfig>| {
+    let run = |tree: bool| {
         let latency = LatencyMatrix::uniform(&topo, Dur::ZERO, Dur::from_millis(1));
         let net = NetworkModel::new(topo.clone(), latency, WanContention::disabled(&topo), 0);
         let rc = RunConfig { tree_collectives: tree, obs: Some(ObsConfig::new()), ..RunConfig::default() };
         let out = leanmd::run_sim(cfg.clone(), net, rc);
         (out.checksums, out.report.obs.expect("obs armed").merged_counters().get(Ctr::WanMsgsSent))
     };
-    let (flat_sums, flat_wan) = run(None);
-    let (tree_sums, tree_wan) = run(Some(TreeConfig::default()));
+    let (flat_sums, flat_wan) = run(false);
+    let (tree_sums, tree_wan) = run(true);
     assert_eq!(flat_sums, tree_sums, "LeanMD stays bit-exact while traffic changes");
     AppRow { app: "leanmd 3^3 cells", flat_wan, tree_wan }
 }
@@ -161,8 +161,8 @@ fn main() {
     for &(clusters, per) in layouts {
         let topo = Topology::uniform(clusters as u16, per);
         let elems = (clusters * per * 4) as usize;
-        let flat = wan_per_round(&topo, elems, rounds, None);
-        let tree = wan_per_round(&topo, elems, rounds, Some(TreeConfig::default()));
+        let flat = wan_per_round(&topo, elems, rounds, false);
+        let tree = wan_per_round(&topo, elems, rounds, true);
         // One WAN hop down per remote gateway (broadcast) plus one up
         // (combined partial): the two-level tree's whole point.
         let bound = 2 * u64::from(clusters - 1);

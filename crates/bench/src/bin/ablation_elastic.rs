@@ -22,8 +22,7 @@ use mdo_apps::stencil::{self, StencilConfig, StencilCost};
 use mdo_apps::workloads::{run_synthetic, LoadShape, SyntheticConfig};
 use mdo_bench::table::{ms, Table};
 use mdo_bench::{arg_flag, arg_value};
-use mdo_core::balancer::FeedbackConfig;
-use mdo_core::prelude::{ClusterId, JoinPlan, Pe};
+use mdo_core::prelude::{ClusterId, Pe};
 use mdo_core::program::{LbChoice, RunConfig, RunReport};
 use mdo_core::{Ctr, Mapping};
 use mdo_netsim::network::NetworkModel;
@@ -77,8 +76,7 @@ fn main() {
         cfg.clone(),
         net(),
         RunConfig {
-            failure_plan: Some(FailurePlan::new().crash_at(Pe(1), crash_at)),
-            join_plan: Some(JoinPlan::new().rejoin_after_recoveries(Pe(1), 1)),
+            failure_plan: Some(FailurePlan::new().crash_at(Pe(1), crash_at).rejoin_after_recoveries(Pe(1), 1)),
             ..RunConfig::default()
         },
     );
@@ -88,7 +86,10 @@ fn main() {
     let expand = stencil::run_sim(
         cfg.clone(),
         net(),
-        RunConfig { join_plan: Some(JoinPlan::new().join_at(Pe(4), ClusterId(0), crash_at)), ..RunConfig::default() },
+        RunConfig {
+            failure_plan: Some(FailurePlan::new().join_at(Pe(4), ClusterId(0), crash_at)),
+            ..RunConfig::default()
+        },
     );
     assert_eq!(expand.block_sums, clean.block_sums, "expand is bit-exact");
 
@@ -135,15 +136,7 @@ fn main() {
     };
     let syn_net = || NetworkModel::two_cluster_sweep(4, Dur::from_micros(100));
     let unbalanced = run_synthetic(syn.clone(), syn_net(), RunConfig::default());
-    let fb = run_synthetic(
-        syn,
-        syn_net(),
-        RunConfig {
-            lb: LbChoice::Greedy,
-            feedback: Some(FeedbackConfig::new().with_max_mean_ratio(1.1)),
-            ..RunConfig::default()
-        },
-    );
+    let fb = run_synthetic(syn, syn_net(), RunConfig { lb: LbChoice::Greedy, feedback: true, ..RunConfig::default() });
     let imb_before = imbalance(&unbalanced, 4);
     let imb_after = imbalance(&fb, 4);
     assert!(imb_after < imb_before, "the feedback balancer must reduce imbalance");

@@ -11,26 +11,33 @@ use std::sync::Arc;
 use mdo_check::{check_report, explore, CheckApp, ExploreConfig};
 use mdo_core::prelude::{DeliverySpec, ScheduleSink};
 use mdo_core::program::RunConfig;
+use mdo_core::SimConfig;
 use mdo_obs::ObsConfig;
 
-fn policy_cfg(delivery: DeliverySpec) -> RunConfig {
-    RunConfig { delivery, obs: Some(ObsConfig::new()), ..RunConfig::default() }
+fn obs_cfg() -> RunConfig {
+    RunConfig { obs: Some(ObsConfig::new()), ..RunConfig::default() }
+}
+
+fn policy(delivery: DeliverySpec) -> SimConfig {
+    SimConfig { delivery, ..SimConfig::default() }
 }
 
 fn bench_one_schedule(c: &mut Criterion) {
     let app = CheckApp::stencil_mini();
     let mut g = c.benchmark_group("one_schedule");
-    g.bench_function("fifo", |b| b.iter(|| app.run_sim(policy_cfg(DeliverySpec::Fifo))));
-    g.bench_function("random", |b| b.iter(|| app.run_sim(policy_cfg(DeliverySpec::Random { seed: 7 }))));
+    g.bench_function("fifo", |b| b.iter(|| app.run_sim(obs_cfg(), policy(DeliverySpec::Fifo))));
+    g.bench_function("random", |b| b.iter(|| app.run_sim(obs_cfg(), policy(DeliverySpec::Random { seed: 7 }))));
     g.bench_function("pct_d3", |b| {
-        b.iter(|| app.run_sim(policy_cfg(DeliverySpec::Pct { seed: 7, depth: 3, horizon: 104 })))
+        b.iter(|| app.run_sim(obs_cfg(), policy(DeliverySpec::Pct { seed: 7, depth: 3, horizon: 104 })))
     });
     // Replay pays for the recorded-trace lookup on every contested dispatch.
     let sink: ScheduleSink = Default::default();
-    let cfg = RunConfig { schedule_sink: Some(sink.clone()), ..policy_cfg(DeliverySpec::Random { seed: 7 }) };
-    let _ = app.run_sim(cfg);
+    let _ = app.run_sim(
+        obs_cfg(),
+        SimConfig { schedule_sink: Some(sink.clone()), ..policy(DeliverySpec::Random { seed: 7 }) },
+    );
     let trace = Arc::new(sink.lock().expect("trace").clone());
-    g.bench_function("replay", |b| b.iter(|| app.run_sim(policy_cfg(DeliverySpec::Replay(Arc::clone(&trace))))));
+    g.bench_function("replay", |b| b.iter(|| app.run_sim(obs_cfg(), policy(DeliverySpec::Replay(Arc::clone(&trace))))));
     g.finish();
 }
 
@@ -105,7 +112,7 @@ fn bench_contested_dispatch(c: &mut Criterion) {
 
 fn bench_invariants(c: &mut Criterion) {
     let app = CheckApp::stencil_mini();
-    let run = app.run_sim(policy_cfg(DeliverySpec::Fifo));
+    let run = app.run_sim(obs_cfg(), policy(DeliverySpec::Fifo));
     let expect = app.expectation;
     c.bench_function("invariant_layer", |b| b.iter(|| check_report(black_box(&run.report), black_box(&expect))));
 }

@@ -2,12 +2,12 @@
 //! applications packaged for the explorer.
 //!
 //! Each adapter runs an application under a caller-supplied [`RunConfig`]
-//! (the explorer injects the delivery policy, schedule sink and
-//! observability there) and condenses the final application state into a
-//! digest of exact bit patterns.  Bit patterns, not values: the whole
-//! point is that delivery order must not perturb results even in the last
-//! ulp, and `f64` comparison through `==` would already hide NaN and
-//! signed-zero drift.
+//! (the explorer arms observability there) and, on the simulator, a
+//! [`SimConfig`] (the explorer's delivery policy and schedule sink), and
+//! condenses the final application state into a digest of exact bit
+//! patterns.  Bit patterns, not values: the whole point is that delivery
+//! order must not perturb results even in the last ulp, and `f64`
+//! comparison through `==` would already hide NaN and signed-zero drift.
 
 use std::sync::{Arc, Mutex};
 
@@ -15,7 +15,7 @@ use mdo_apps::leanmd::{self, MdConfig};
 use mdo_apps::stencil::{self, StencilConfig, StencilCost};
 use mdo_core::prelude::{Chare, Ctx, Program};
 use mdo_core::program::{RunConfig, RunReport};
-use mdo_core::{EntryId, Mapping, SimEngine};
+use mdo_core::{EntryId, Mapping, SimConfig, SimEngine};
 use mdo_netsim::{Dur, LatencyMatrix, NetworkModel, Topology};
 
 use crate::invariant::Expectation;
@@ -30,8 +30,13 @@ pub struct AppRun {
     pub report: RunReport,
 }
 
-/// A runner closure: application + engine, parameterized by [`RunConfig`].
+/// A runner closure: application + wall-clock engine, parameterized by
+/// [`RunConfig`].
 pub type Runner = Arc<dyn Fn(RunConfig) -> AppRun + Send + Sync>;
+
+/// A simulator runner closure: application + [`SimEngine`], parameterized
+/// by [`RunConfig`] and the simulator's own [`SimConfig`].
+pub type SimRunner = Arc<dyn Fn(RunConfig, SimConfig) -> AppRun + Send + Sync>;
 
 /// An application configuration under test.
 #[derive(Clone)]
@@ -40,13 +45,13 @@ pub struct CheckApp {
     pub name: String,
     /// What the invariant layer may assume about this app's runs.
     pub expectation: Expectation,
-    sim: Runner,
+    sim: SimRunner,
     threaded: Option<Runner>,
 }
 
 impl CheckApp {
     /// An app with only a simulation-engine runner.
-    pub fn new(name: impl Into<String>, expectation: Expectation, sim: Runner) -> Self {
+    pub fn new(name: impl Into<String>, expectation: Expectation, sim: SimRunner) -> Self {
         CheckApp { name: name.into(), expectation, sim, threaded: None }
     }
 
@@ -57,14 +62,14 @@ impl CheckApp {
     }
 
     /// Execute one simulation run.
-    pub fn run_sim(&self, cfg: RunConfig) -> AppRun {
-        (self.sim)(cfg)
+    pub fn run_sim(&self, cfg: RunConfig, sim: SimConfig) -> AppRun {
+        (self.sim)(cfg, sim)
     }
 
-    /// Execute one threaded run, if a runner is attached.  The threaded
-    /// engine ignores the delivery policy — its schedules come from real
-    /// thread interleaving, which is exactly what makes it a useful
-    /// independent oracle.
+    /// Execute one threaded run, if a runner is attached.  It takes no
+    /// delivery policy — its schedules come from real thread
+    /// interleaving, which is exactly what makes it a useful independent
+    /// oracle.
     pub fn run_threaded(&self, cfg: RunConfig) -> Option<AppRun> {
         self.threaded.as_ref().map(|t| t(cfg))
     }
@@ -90,8 +95,9 @@ impl CheckApp {
                 lb_period: None,
             }
         }
-        let sim: Runner = Arc::new(|run_cfg| {
-            let out = stencil::run_sim(cfg(), NetworkModel::two_cluster_sweep(4, Dur::from_millis(1)), run_cfg);
+        let sim: SimRunner = Arc::new(|run_cfg, sim| {
+            let net = NetworkModel::two_cluster_sweep(4, Dur::from_millis(1));
+            let out = stencil::run_sim_full(cfg(), SimEngine::new(net, run_cfg).with_config(sim), None, None);
             AppRun { digest: digest_f64s(out.block_sums.iter().copied()), report: out.report }
         });
         let threaded: Runner = Arc::new(|run_cfg| {
@@ -109,7 +115,7 @@ impl CheckApp {
     /// explored delivery schedule.  The digest must stay bit-identical to
     /// the reference schedule across all of it.
     pub fn stencil_elastic() -> CheckApp {
-        use mdo_netsim::{FailurePlan, JoinPlan, Pe};
+        use mdo_netsim::{FailurePlan, Pe};
         fn cfg() -> StencilConfig {
             StencilConfig {
                 mesh: 32,
@@ -125,14 +131,15 @@ impl CheckApp {
         }
         fn elastic(run_cfg: RunConfig) -> RunConfig {
             RunConfig {
-                failure_plan: Some(FailurePlan::new().crash_after_messages(Pe(2), 40)),
-                join_plan: Some(JoinPlan::new().rejoin_after_recoveries(Pe(2), 1)),
+                failure_plan: Some(
+                    FailurePlan::new().crash_after_messages(Pe(2), 40).rejoin_after_recoveries(Pe(2), 1),
+                ),
                 ..run_cfg
             }
         }
-        let sim: Runner = Arc::new(|run_cfg| {
-            let net = NetworkModel::two_cluster_sweep(4, Dur::from_millis(1));
-            let out = stencil::run_sim(cfg(), net, elastic(run_cfg));
+        let sim: SimRunner = Arc::new(|run_cfg, sim| {
+            let engine = SimEngine::new(NetworkModel::two_cluster_sweep(4, Dur::from_millis(1)), elastic(run_cfg));
+            let out = stencil::run_sim_full(cfg(), engine.with_config(sim), None, None);
             AppRun { digest: digest_f64s(out.block_sums.iter().copied()), report: out.report }
         });
         CheckApp::new("stencil-elastic", Expectation::default(), sim)
@@ -145,8 +152,9 @@ impl CheckApp {
         fn cfg() -> MdConfig {
             MdConfig::validation(3, 3, 3)
         }
-        let sim: Runner = Arc::new(|run_cfg| {
-            let out = leanmd::run_sim(cfg(), NetworkModel::two_cluster_sweep(4, Dur::from_millis(1)), run_cfg);
+        let sim: SimRunner = Arc::new(|run_cfg, sim| {
+            let net = NetworkModel::two_cluster_sweep(4, Dur::from_millis(1));
+            let out = leanmd::run_sim_full(cfg(), SimEngine::new(net, run_cfg).with_config(sim), None, None);
             AppRun { digest: digest_md(&out), report: out.report }
         });
         let threaded: Runner = Arc::new(|run_cfg| {
@@ -167,7 +175,7 @@ impl CheckApp {
     /// instead of an unterminated quiescence wave (a duplicate leaves
     /// global sent < processed forever, so QD can never balance).
     pub fn probe() -> CheckApp {
-        let sim: Runner = Arc::new(|run_cfg| {
+        let sim: SimRunner = Arc::new(|run_cfg, sim| {
             let counts: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(vec![0; PROBE_ELEMS]));
             let mut program = Program::new();
             let counts_f = Arc::clone(&counts);
@@ -176,7 +184,7 @@ impl CheckApp {
             });
             program.on_startup(move |ctl| ctl.broadcast(arr, PROBE_START, vec![]));
             let net = NetworkModel::two_cluster_sweep(4, Dur::from_millis(1));
-            let report = SimEngine::new(net, run_cfg).run(program);
+            let report = SimEngine::new(net, run_cfg).with_config(sim).run(program);
             let digest = counts.lock().expect("probe counts").clone();
             AppRun { digest, report }
         });
@@ -248,8 +256,8 @@ mod tests {
     #[test]
     fn stencil_mini_produces_a_nonempty_stable_digest() {
         let app = CheckApp::stencil_mini();
-        let a = app.run_sim(RunConfig::default());
-        let b = app.run_sim(RunConfig::default());
+        let a = app.run_sim(RunConfig::default(), SimConfig::default());
+        let b = app.run_sim(RunConfig::default(), SimConfig::default());
         assert!(!a.digest.is_empty());
         assert_eq!(a.digest, b.digest, "identical configs, identical bits");
     }
@@ -258,8 +266,8 @@ mod tests {
     fn stencil_mini_has_contested_dispatches_to_explore() {
         let app = CheckApp::stencil_mini();
         let sink: mdo_core::ScheduleSink = Default::default();
-        let cfg = RunConfig { schedule_sink: Some(sink.clone()), ..RunConfig::default() };
-        let _ = app.run_sim(cfg);
+        let _ =
+            app.run_sim(RunConfig::default(), SimConfig { schedule_sink: Some(sink.clone()), ..SimConfig::default() });
         let trace = sink.lock().unwrap();
         assert!(trace.choices.len() > 10, "only {} contested dispatches — too few to explore", trace.choices.len());
     }
@@ -267,8 +275,11 @@ mod tests {
     #[test]
     fn random_delivery_does_not_change_the_stencil_digest() {
         let app = CheckApp::stencil_mini();
-        let fifo = app.run_sim(RunConfig::default());
-        let random = app.run_sim(RunConfig { delivery: DeliverySpec::Random { seed: 99 }, ..RunConfig::default() });
+        let fifo = app.run_sim(RunConfig::default(), SimConfig::default());
+        let random = app.run_sim(
+            RunConfig::default(),
+            SimConfig { delivery: DeliverySpec::Random { seed: 99 }, ..SimConfig::default() },
+        );
         assert_eq!(fifo.digest, random.digest, "delivery order leaked into application state");
     }
 
@@ -284,7 +295,7 @@ mod tests {
     #[test]
     fn stencil_elastic_goes_through_the_full_cycle_bit_exact() {
         let app = CheckApp::stencil_elastic();
-        let a = app.run_sim(RunConfig::default());
+        let a = app.run_sim(RunConfig::default(), SimConfig::default());
         // The crash and the rejoin both happened...
         let c = |k| a.report.counters.get(k);
         assert_eq!(c(Ctr::Recoveries), 1, "shrink recovery ran");
@@ -292,14 +303,14 @@ mod tests {
         assert_eq!(c(Ctr::Generations), 3, "boot, shrunk, rejoined");
         // ...and neither leaked into the physics: same bits as the
         // undisturbed mini stencil (same mesh/steps under its own config).
-        let b = app.run_sim(RunConfig::default());
+        let b = app.run_sim(RunConfig::default(), SimConfig::default());
         assert_eq!(a.digest, b.digest, "elastic runs are deterministic");
     }
 
     #[test]
     fn probe_counts_every_ping_exactly_once() {
         let app = CheckApp::probe();
-        let run = app.run_sim(RunConfig::default());
+        let run = app.run_sim(RunConfig::default(), SimConfig::default());
         // Each element receives 2 initial pings; each ping forwards
         // PROBE_HOPS more times; traffic is a permutation, so the totals
         // are uniform: (1 + HOPS) * 2 pings per element.

@@ -19,8 +19,8 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use mdo_core::program::RunConfig;
-use mdo_core::{DeliverySpec, ObsConfig, ScheduleSink, ScheduleTrace};
-use mdo_netsim::{AggConfig, FaultPlan, FlowConfig, SplitMix64, TreeConfig};
+use mdo_core::{DeliverySpec, ObsConfig, ScheduleSink, ScheduleTrace, SimConfig};
+use mdo_netsim::SplitMix64;
 
 use crate::apps::CheckApp;
 use crate::invariant::{check_digest, check_report, Expectation, Violation};
@@ -42,26 +42,21 @@ pub struct ExploreConfig {
     pub differential_every: usize,
     /// Max replay runs the shrinker may spend per failing schedule.
     pub shrink_budget: usize,
-    /// Fault plan applied to every run (exploration composes with WAN
-    /// fault injection; the hidden mutation knobs ride in here too).
-    pub fault_plan: Option<FaultPlan>,
-    /// Aggregation policy applied to every run (exploration composes
-    /// with the batched-release model: cross-WAN envelopes buffer and
-    /// release as whole frames, which is itself a schedule perturbation
-    /// the invariants must survive).
-    pub agg: Option<AggConfig>,
-    /// Flow-control policy applied to every run.  Backpressure is one
-    /// more schedule perturbation: under `Block` credit stalls re-time
-    /// traffic without losing it (digests must stay bit-exact); under
-    /// `Shed` overflow envelopes vanish deliberately, so the digest
-    /// comparison is skipped and the balance invariants tolerate exactly
-    /// the reported shed count.
-    pub flow: Option<FlowConfig>,
-    /// The collective tree shape applied to every run (`None`: the binary
-    /// PE heap).  The two-level tree's gateway forwarding re-times
-    /// broadcasts, multicasts and reduction fold-ins — yet every state
-    /// digest must still match the heap's FIFO reference bit for bit.
-    pub tree: Option<TreeConfig>,
+    /// The runtime configuration every run starts from; the explorer
+    /// only arms `obs` on it.  Exploration composes with each knob there:
+    /// - a WAN fault plan (the hidden mutation knobs ride in here too);
+    /// - aggregation: cross-WAN envelopes buffer and release as whole
+    ///   frames, itself a schedule perturbation the invariants must
+    ///   survive;
+    /// - flow control: under `Block` credit stalls re-time traffic without
+    ///   losing it (digests must stay bit-exact); under `Shed` overflow
+    ///   envelopes vanish deliberately, so the digest comparison is
+    ///   skipped and the balance invariants tolerate exactly the reported
+    ///   shed count;
+    /// - the two-level collective tree: its gateway forwarding re-times
+    ///   broadcasts, multicasts and reduction fold-ins, yet every state
+    ///   digest must still match the FIFO reference bit for bit.
+    pub run: RunConfig,
 }
 
 impl Default for ExploreConfig {
@@ -72,10 +67,7 @@ impl Default for ExploreConfig {
             pct_depth: 3,
             differential_every: 0,
             shrink_budget: 200,
-            fault_plan: None,
-            agg: None,
-            flow: None,
-            tree: None,
+            run: RunConfig::default(),
         }
     }
 }
@@ -179,24 +171,22 @@ fn trace_hash(trace: &ScheduleTrace) -> u64 {
     h
 }
 
-fn run_cfg(cfg: &ExploreConfig, delivery: DeliverySpec, sink: Option<ScheduleSink>) -> RunConfig {
-    RunConfig {
-        fault_plan: cfg.fault_plan.clone(),
-        delivery,
-        schedule_sink: sink,
-        obs: Some(ObsConfig::new()),
-        agg: cfg.agg,
-        flow: cfg.flow,
-        tree_collectives: cfg.tree,
-        ..RunConfig::default()
-    }
+/// Every run's [`RunConfig`]: the session's, with observability armed.
+fn run_cfg(cfg: &ExploreConfig) -> RunConfig {
+    RunConfig { obs: Some(ObsConfig::new()), ..cfg.run.clone() }
+}
+
+/// The simulator's settings for one run: a delivery policy and,
+/// optionally, where to record its contested choices.
+fn sim_cfg(delivery: DeliverySpec, schedule_sink: Option<ScheduleSink>) -> SimConfig {
+    SimConfig { delivery, schedule_sink, ..SimConfig::default() }
 }
 
 /// True when the configured flow policy deliberately drops overflow —
 /// the one regime where state digests are legitimately schedule-dependent
 /// (which envelopes overflow depends on delivery order).
 fn shedding(cfg: &ExploreConfig) -> bool {
-    cfg.flow.is_some_and(|f| f.sheds())
+    cfg.run.flow.is_some_and(|f| f.sheds())
 }
 
 /// The app's expectation, widened for the session's flow policy.
@@ -210,7 +200,7 @@ fn expectation(app: &CheckApp, cfg: &ExploreConfig) -> Expectation {
 pub fn explore(app: &CheckApp, cfg: &ExploreConfig) -> ExploreReport {
     // Reference: FIFO, recorded.  Its trace length is the PCT horizon.
     let ref_sink: ScheduleSink = Default::default();
-    let reference = app.run_sim(run_cfg(cfg, DeliverySpec::Fifo, Some(ref_sink.clone())));
+    let reference = app.run_sim(run_cfg(cfg), sim_cfg(DeliverySpec::Fifo, Some(ref_sink.clone())));
     let ref_trace = ref_sink.lock().map(|t| t.clone()).unwrap_or_default();
     let horizon = ref_trace.choices.len() as u64;
     let expect = expectation(app, cfg);
@@ -242,7 +232,7 @@ pub fn explore(app: &CheckApp, cfg: &ExploreConfig) -> ExploreReport {
             ("pct", DeliverySpec::Pct { seed, depth: cfg.pct_depth, horizon })
         };
         let sink: ScheduleSink = Default::default();
-        let run = app.run_sim(run_cfg(cfg, spec, Some(sink.clone())));
+        let run = app.run_sim(run_cfg(cfg), sim_cfg(spec, Some(sink.clone())));
         let trace = sink.lock().map(|t| t.clone()).unwrap_or_default();
 
         let mut violations = check_report(&run.report, &expect);
@@ -274,7 +264,7 @@ pub fn explore(app: &CheckApp, cfg: &ExploreConfig) -> ExploreReport {
         // and an app that needs every message starves on a wall clock until
         // the watchdog, where the simulator's event queue simply drains.
         if cfg.differential_every > 0 && index % cfg.differential_every == 0 && app.has_threaded() && !shedding(cfg) {
-            if let Some(thr) = app.run_threaded(run_cfg(cfg, DeliverySpec::Fifo, None)) {
+            if let Some(thr) = app.run_threaded(run_cfg(cfg)) {
                 report.differential_runs += 1;
                 if let Some(v) = check_digest(&report.reference_digest, &thr.digest) {
                     report.differential_violations.push((index, v));
@@ -294,7 +284,7 @@ pub fn replay_violations(
     trace: &ScheduleTrace,
 ) -> Vec<Violation> {
     let spec = DeliverySpec::Replay(Arc::new(trace.clone()));
-    let run = app.run_sim(run_cfg(cfg, spec, None));
+    let run = app.run_sim(run_cfg(cfg), sim_cfg(spec, None));
     let mut violations = check_report(&run.report, &expectation(app, cfg));
     if !shedding(cfg) {
         violations.extend(check_digest(reference_digest, &run.digest));
@@ -318,13 +308,19 @@ fn shrink_failure(
 mod tests {
     use super::*;
     use mdo_core::ScheduleChoice;
+    use mdo_netsim::{AggConfig, FaultPlan, FlowConfig};
+
+    /// A session of `schedules` runs over `run`.
+    fn session(schedules: usize, run: RunConfig) -> ExploreConfig {
+        ExploreConfig { schedules, run, ..ExploreConfig::default() }
+    }
 
     #[test]
     fn exploration_passes_with_aggregated_release() {
         // The batched-release model is a schedule perturbation of its own:
         // envelopes wait in buffers and land in bulk.  Exactly-once,
         // quiescence soundness and digest stability must all survive it.
-        let cfg = ExploreConfig { schedules: 4, agg: Some(AggConfig::default()), ..ExploreConfig::default() };
+        let cfg = session(4, RunConfig { agg: Some(AggConfig::default()), ..RunConfig::default() });
         let report = explore(&CheckApp::probe(), &cfg);
         assert!(report.horizon > 0, "the reference run had contested dispatches");
         assert!(report.passed(), "aggregated exploration failed: {:?}", report.failing);
@@ -333,19 +329,15 @@ mod tests {
     #[test]
     fn exploration_passes_with_aggregation_and_faults() {
         let plan = FaultPlan::loss(0.2).with_seed(5).with_rto(mdo_netsim::Dur::from_millis(4));
-        let cfg = ExploreConfig {
-            schedules: 4,
-            agg: Some(AggConfig::default()),
-            fault_plan: Some(plan),
-            ..ExploreConfig::default()
-        };
+        let cfg =
+            session(4, RunConfig { agg: Some(AggConfig::default()), fault_plan: Some(plan), ..RunConfig::default() });
         let report = explore(&CheckApp::probe(), &cfg);
         assert!(report.passed(), "aggregation + faults exploration failed: {:?}", report.failing);
     }
 
     #[test]
     fn aggregated_digests_stay_bit_exact_across_schedules() {
-        let cfg = ExploreConfig { schedules: 2, agg: Some(AggConfig::default()), ..ExploreConfig::default() };
+        let cfg = session(2, RunConfig { agg: Some(AggConfig::default()), ..RunConfig::default() });
         let report = explore(&CheckApp::stencil_mini(), &cfg);
         assert!(report.passed(), "aggregated stencil exploration failed: {:?}", report.failing);
     }
@@ -356,7 +348,7 @@ mod tests {
         // reorder it beyond what the schedule explorer already does, so
         // every schedule must still reproduce the reference digest.
         let flow = FlowConfig::default().with_credit_bytes(256);
-        let cfg = ExploreConfig { schedules: 4, flow: Some(flow), ..ExploreConfig::default() };
+        let cfg = session(4, RunConfig { flow: Some(flow), ..RunConfig::default() });
         let report = explore(&CheckApp::probe(), &cfg);
         assert!(report.passed(), "Block-flow exploration failed: {:?}", report.failing);
     }
@@ -368,7 +360,7 @@ mod tests {
         // balance invariants absorb the reported shed count and digest
         // comparison is off, so quiescence and exactly-once still hold.
         let flow = FlowConfig::default().with_credit_bytes(64).with_policy(OverloadPolicy::Shed);
-        let cfg = ExploreConfig { schedules: 4, flow: Some(flow), ..ExploreConfig::default() };
+        let cfg = session(4, RunConfig { flow: Some(flow), ..RunConfig::default() });
         let report = explore(&CheckApp::probe(), &cfg);
         assert!(report.passed(), "Shed-flow exploration failed: {:?}", report.failing);
     }
@@ -376,13 +368,15 @@ mod tests {
     #[test]
     fn block_flow_composes_with_aggregation_and_faults() {
         let plan = FaultPlan::loss(0.2).with_seed(5).with_rto(mdo_netsim::Dur::from_millis(4));
-        let cfg = ExploreConfig {
-            schedules: 2,
-            agg: Some(AggConfig::default()),
-            fault_plan: Some(plan),
-            flow: Some(FlowConfig::default().with_credit_bytes(512)),
-            ..ExploreConfig::default()
-        };
+        let cfg = session(
+            2,
+            RunConfig {
+                agg: Some(AggConfig::default()),
+                fault_plan: Some(plan),
+                flow: Some(FlowConfig::default().with_credit_bytes(512)),
+                ..RunConfig::default()
+            },
+        );
         let report = explore(&CheckApp::probe(), &cfg);
         assert!(report.passed(), "flow + agg + faults exploration failed: {:?}", report.failing);
     }
@@ -392,7 +386,7 @@ mod tests {
         // Gateway forwarding re-times every collective, and tree
         // reductions combine partials in tree order rather than arrival
         // order — the state digests must not notice.
-        let cfg = ExploreConfig { schedules: 4, tree: Some(TreeConfig::default()), ..ExploreConfig::default() };
+        let cfg = session(4, RunConfig { tree_collectives: true, ..RunConfig::default() });
         let report = explore(&CheckApp::stencil_mini(), &cfg);
         assert!(report.horizon > 0, "the reference run had contested dispatches");
         assert!(report.passed(), "tree-collectives exploration failed: {:?}", report.failing);
@@ -401,13 +395,15 @@ mod tests {
     #[test]
     fn tree_collectives_compose_with_faults_and_aggregation() {
         let plan = FaultPlan::loss(0.2).with_seed(5).with_rto(mdo_netsim::Dur::from_millis(4));
-        let cfg = ExploreConfig {
-            schedules: 4,
-            tree: Some(TreeConfig::new(2)),
-            agg: Some(AggConfig::default()),
-            fault_plan: Some(plan),
-            ..ExploreConfig::default()
-        };
+        let cfg = session(
+            4,
+            RunConfig {
+                tree_collectives: true,
+                agg: Some(AggConfig::default()),
+                fault_plan: Some(plan),
+                ..RunConfig::default()
+            },
+        );
         let report = explore(&CheckApp::probe(), &cfg);
         assert!(report.passed(), "tree + agg + faults exploration failed: {:?}", report.failing);
     }

@@ -35,7 +35,7 @@ pub mod invariant;
 pub mod schedule;
 pub mod shrink;
 
-pub use apps::{digest_f64s, AppRun, CheckApp, Runner};
+pub use apps::{digest_f64s, AppRun, CheckApp, Runner, SimRunner};
 pub use explore::{explore, replay_violations, ExploreConfig, ExploreReport, FailingSchedule, ScheduleOutcome};
 pub use invariant::{check_digest, check_report, Expectation, Violation};
 pub use schedule::ScheduleFile;

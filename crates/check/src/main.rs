@@ -1,14 +1,18 @@
 //! The `mdo_check` binary: CI-facing schedule exploration.
 //!
 //! ```text
-//! mdo_check [--app stencil-mini|leanmd-mini] [--schedules N] [--seed S]
-//!           [--pct-depth D] [--differential-every N] [--shrink-budget N]
-//!           [--agg] [--flow | --flow-shed] [--credit-bytes N]
-//!           [--tree] [--tree-branch K]
+//! mdo_check [--app stencil-mini|stencil-elastic|leanmd-mini|probe]
+//!           [--schedules N] [--seed S] [--pct-depth D]
+//!           [--differential-every N] [--shrink-budget N]
+//!           [--agg] [--flow | --flow-shed] [--credit-bytes N] [--tree]
 //!           [--out DIR] [--replay FILE]
 //! ```
 //!
-//! Without `--app`, both mini configs are explored.  Failing schedules
+//! Without `--app`, both mini configs are explored.  `--flow` (lossless
+//! `Block`) and `--flow-shed` pick the flow-control policy and
+//! `--credit-bytes` its window, in any order; either arms flow control
+//! with the default 64 KiB window.  `--tree` routes every collective over
+//! the two-level tree.  Failing schedules
 //! are shrunk and written to `--out` (default `target/mdo-check`) as
 //! `schedule-<app>-<index>.json`; the process exits non-zero if anything
 //! failed.  `--replay FILE` re-executes one `schedule.json` instead of
@@ -18,6 +22,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use mdo_check::{explore, replay_violations, CheckApp, ExploreConfig, ScheduleFile};
+use mdo_netsim::{AggConfig, OverloadPolicy};
 
 struct Args {
     apps: Vec<CheckApp>,
@@ -26,14 +31,13 @@ struct Args {
     replay: Option<PathBuf>,
 }
 
-fn parse_args() -> Result<Args, String> {
+fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         apps: vec![CheckApp::stencil_mini(), CheckApp::leanmd_mini()],
         cfg: ExploreConfig { differential_every: 25, ..ExploreConfig::default() },
         out: PathBuf::from("target/mdo-check"),
         replay: None,
     };
-    let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let mut value = || it.next().ok_or(format!("{flag} needs a value"));
         match flag.as_str() {
@@ -48,20 +52,16 @@ fn parse_args() -> Result<Args, String> {
                 args.cfg.differential_every = value()?.parse().map_err(|e| format!("{flag}: {e}"))?
             }
             "--shrink-budget" => args.cfg.shrink_budget = value()?.parse().map_err(|e| format!("{flag}: {e}"))?,
-            "--agg" => args.cfg.agg = Some(mdo_netsim::AggConfig::default()),
-            "--flow" => args.cfg.flow = Some(mdo_netsim::FlowConfig::default()),
-            "--flow-shed" => {
-                args.cfg.flow = Some(mdo_netsim::FlowConfig::default().with_policy(mdo_netsim::OverloadPolicy::Shed))
+            "--agg" => args.cfg.run.agg = Some(AggConfig::default()),
+            "--flow" | "--flow-shed" => {
+                let policy = if flag == "--flow" { OverloadPolicy::Block } else { OverloadPolicy::Shed };
+                args.cfg.run.flow = Some(args.cfg.run.flow.unwrap_or_default().with_policy(policy));
             }
             "--credit-bytes" => {
                 let window = value()?.parse().map_err(|e| format!("{flag}: {e}"))?;
-                args.cfg.flow = Some(args.cfg.flow.unwrap_or_default().with_credit_bytes(window));
+                args.cfg.run.flow = Some(args.cfg.run.flow.unwrap_or_default().with_credit_bytes(window));
             }
-            "--tree" => args.cfg.tree = Some(mdo_netsim::TreeConfig::default()),
-            "--tree-branch" => {
-                let branch = value()?.parse().map_err(|e| format!("{flag}: {e}"))?;
-                args.cfg.tree = Some(mdo_netsim::TreeConfig::new(branch));
-            }
+            "--tree" => args.cfg.run.tree_collectives = true,
             "--out" => args.out = PathBuf::from(value()?),
             "--replay" => args.replay = Some(PathBuf::from(value()?)),
             other => return Err(format!("unknown flag {other:?}")),
@@ -91,7 +91,7 @@ fn replay_one(path: &PathBuf, cfg: &ExploreConfig) -> Result<bool, String> {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
+    let args = match parse_args(std::env::args().skip(1)) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("mdo_check: {e}");
@@ -162,5 +162,30 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mdo_netsim::FlowConfig;
+
+    fn explore_cfg(flags: &[&str]) -> ExploreConfig {
+        parse_args(flags.iter().map(|f| f.to_string())).expect("flags parse").cfg
+    }
+
+    #[test]
+    fn flow_flags_set_the_same_config_in_either_order() {
+        for (policy_flag, policy) in [("--flow", OverloadPolicy::Block), ("--flow-shed", OverloadPolicy::Shed)] {
+            let window_first = explore_cfg(&["--credit-bytes", "4096", policy_flag]);
+            let policy_first = explore_cfg(&[policy_flag, "--credit-bytes", "4096"]);
+            assert_eq!(format!("{window_first:?}"), format!("{policy_first:?}"), "{policy_flag}");
+            let want = FlowConfig::default().with_credit_bytes(4096).with_policy(policy);
+            assert_eq!(window_first.run.flow, Some(want), "{policy_flag}");
+        }
+        assert_eq!(
+            explore_cfg(&["--flow-shed"]).run.flow,
+            Some(FlowConfig::default().with_policy(OverloadPolicy::Shed))
+        );
     }
 }

@@ -244,7 +244,8 @@ impl Strategy for GridCommLB {
     }
 }
 
-/// Thresholds for the continuous obs-driven feedback balancer.
+/// The continuous obs-driven feedback balancer's threshold: rebalance
+/// when the max/mean PE load exceeds it (1.1 = tolerate 10% imbalance).
 ///
 /// At every AtSync barrier the runtime condenses its measurements — the
 /// same per-object load the mdo-obs handler-grain histograms record —
@@ -254,32 +255,7 @@ impl Strategy for GridCommLB {
 /// every-barrier ritual into a feedback loop that reacts to measured
 /// imbalance, without any application barriers beyond the existing step
 /// alignment.
-#[derive(Clone, Copy, Debug)]
-pub struct FeedbackConfig {
-    /// Rebalance when max/mean PE load exceeds this ratio (e.g. 1.25 =
-    /// tolerate 25% imbalance).  Must be ≥ 1.
-    pub max_mean_ratio: f64,
-}
-
-impl Default for FeedbackConfig {
-    fn default() -> Self {
-        FeedbackConfig { max_mean_ratio: 1.25 }
-    }
-}
-
-impl FeedbackConfig {
-    /// The default threshold: 25% imbalance.
-    pub fn new() -> Self {
-        FeedbackConfig::default()
-    }
-
-    /// Override the imbalance threshold.
-    pub fn with_max_mean_ratio(mut self, ratio: f64) -> Self {
-        assert!(ratio >= 1.0, "max/mean ratio below 1 would always trigger");
-        self.max_mean_ratio = ratio;
-        self
-    }
-}
+pub const FEEDBACK_MAX_MEAN_RATIO: f64 = 1.1;
 
 /// What the feedback balancer measured and decided at one barrier.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -292,10 +268,10 @@ pub struct FeedbackDecision {
 }
 
 /// Condense one barrier's measurements into a [`FeedbackDecision`] against
-/// `cfg`'s threshold.  Pure: same measurements, same decision — so the
-/// feedback loop is deterministic and engine-independent (both engines
-/// feed it the same virtual/measured loads).
-pub fn should_rebalance(input: &LbInput<'_>, cfg: &FeedbackConfig) -> FeedbackDecision {
+/// [`FEEDBACK_MAX_MEAN_RATIO`].  Pure: same measurements, same decision —
+/// so the feedback loop is deterministic and engine-independent (both
+/// engines feed it the same virtual/measured loads).
+pub fn should_rebalance(input: &LbInput<'_>) -> FeedbackDecision {
     let n_pes = input.topo.num_pes();
     let mut pe_load = vec![0u64; n_pes];
     for m in input.objs {
@@ -307,7 +283,7 @@ pub fn should_rebalance(input: &LbInput<'_>, cfg: &FeedbackConfig) -> FeedbackDe
     }
     let mean = total as f64 / n_pes as f64;
     let max_mean_ratio = *pe_load.iter().max().expect("PEs exist") as f64 / mean;
-    FeedbackDecision { rebalance: max_mean_ratio > cfg.max_mean_ratio, max_mean_ratio }
+    FeedbackDecision { rebalance: max_mean_ratio > FEEDBACK_MAX_MEAN_RATIO, max_mean_ratio }
 }
 
 /// Test strategy: rotate every migratable object to the next PE.  Useless
@@ -474,7 +450,7 @@ mod tests {
     fn feedback_stays_quiet_when_balanced() {
         let topo = Topology::two_cluster(4);
         let objs: Vec<_> = (0..8).map(|e| obj(e, e % 4, 100)).collect();
-        let d = should_rebalance(&LbInput { topo: &topo, objs: &objs }, &FeedbackConfig::new());
+        let d = should_rebalance(&LbInput { topo: &topo, objs: &objs });
         assert!(!d.rebalance, "{d:?}");
         assert!((d.max_mean_ratio - 1.0).abs() < 1e-12);
     }
@@ -484,8 +460,7 @@ mod tests {
         let topo = Topology::two_cluster(4);
         // 6 of 8 objects piled on PE 0: max/mean = 600/200 = 3.
         let objs: Vec<_> = (0..8).map(|e| obj(e, if e < 6 { 0 } else { e % 4 }, 100)).collect();
-        let cfg = FeedbackConfig::new().with_max_mean_ratio(1.5);
-        let d = should_rebalance(&LbInput { topo: &topo, objs: &objs }, &cfg);
+        let d = should_rebalance(&LbInput { topo: &topo, objs: &objs });
         assert!(d.rebalance, "{d:?}");
         assert!(d.max_mean_ratio > 2.9);
     }
@@ -494,7 +469,7 @@ mod tests {
     fn feedback_with_no_load_is_quiet() {
         let topo = Topology::two_cluster(2);
         let objs: Vec<_> = (0..4).map(|e| obj(e, e % 2, 0)).collect();
-        let d = should_rebalance(&LbInput { topo: &topo, objs: &objs }, &FeedbackConfig::new());
+        let d = should_rebalance(&LbInput { topo: &topo, objs: &objs });
         assert!(!d.rebalance);
         assert_eq!(d.max_mean_ratio, 0.0);
     }

@@ -150,14 +150,17 @@ pub(super) struct Membership {
 
 impl Membership {
     /// The first generation of `program` over `topo`.  `single` says the
-    /// whole job is in this process: only then are the join plan and obs
-    /// recording honoured.
+    /// whole job is in this process: only then are the failure plan's
+    /// joins and obs recording honoured.
     ///
     /// A rejoin that names no cluster goes back to the cluster its PE
     /// booted in; a brand-new PE has no such home and must name one.
     pub(super) fn new(program: Program, topo: Topology, cfg: RunConfig, single: bool) -> Self {
-        let joins = cfg.join_plan.as_ref().filter(|_| single).map_or(&[][..], |p| &p.joins);
-        let pending_joins = joins
+        let plan = cfg.failure_plan.as_ref();
+        let pending_crashes = plan.map(|p| p.crashes.clone()).unwrap_or_default();
+        let pending_joins = plan
+            .filter(|_| single)
+            .map_or(&[][..], |p| &p.joins)
             .iter()
             .map(|s| {
                 let home = || (s.pe.index() < topo.num_pes()).then(|| topo.cluster_of(s.pe));
@@ -168,7 +171,6 @@ impl Membership {
         counters.bump(Ctr::Generations);
         let books = Books::new(topo.num_pes(), single && cfg.obs.is_some());
         let orig = topo.pes().collect();
-        let pending_crashes = cfg.failure_plan.as_ref().map(|p| p.crashes.clone()).unwrap_or_default();
         let (shared, host) = split_program(program, topo, cfg);
         Membership {
             shared,
@@ -360,7 +362,7 @@ mod tests {
     use crate::ids::{ElemId, EntryId, ObjKey};
     use crate::mapping::Mapping;
     use bytes::Bytes;
-    use mdo_netsim::{FailurePlan, JoinPlan};
+    use mdo_netsim::FailurePlan;
 
     struct Idle;
     impl Chare for Idle {
@@ -458,8 +460,8 @@ mod tests {
 
     #[test]
     fn a_joiner_lands_in_the_cluster_it_names_or_the_one_it_booted_in() {
-        let plan = JoinPlan::new().rejoin_at(Pe(3), Dur::ZERO).join_at(Pe(4), ClusterId(0), Dur::ZERO);
-        let mut m = membership(RunConfig { join_plan: Some(plan), ..RunConfig::default() });
+        let plan = FailurePlan::new().rejoin_at(Pe(3), Dur::ZERO).join_at(Pe(4), ClusterId(0), Dur::ZERO);
+        let mut m = membership(RunConfig { failure_plan: Some(plan), ..RunConfig::default() });
         shrink(&mut m, &[3]);
         assert_eq!(m.due_joins(Time::ZERO, true), vec![(ClusterId(1), Pe(3)), (ClusterId(0), Pe(4))]);
         expand(&mut m, &[(1, 3), (0, 4)]);
@@ -471,17 +473,18 @@ mod tests {
     #[test]
     #[should_panic(expected = "must name an explicit cluster")]
     fn a_brand_new_pe_that_names_no_cluster_is_refused() {
-        membership(RunConfig { join_plan: Some(JoinPlan::new().rejoin_at(Pe(4), Dur::ZERO)), ..RunConfig::default() });
+        let plan = FailurePlan::new().rejoin_at(Pe(4), Dur::ZERO);
+        membership(RunConfig { failure_plan: Some(plan), ..RunConfig::default() });
     }
 
     #[test]
     fn joins_wait_for_their_trigger_a_snapshot_and_the_end_of_a_failure() {
-        let plan = JoinPlan::new().rejoin_after_recoveries(Pe(1), 1).rejoin_at(Pe(3), Dur::from_millis(5)).join_at(
+        let plan = FailurePlan::new().rejoin_after_recoveries(Pe(1), 1).rejoin_at(Pe(3), Dur::from_millis(5)).join_at(
             Pe(4),
             ClusterId(1),
             Dur::from_millis(1),
         );
-        let mut m = membership(RunConfig { join_plan: Some(plan), ..RunConfig::default() });
+        let mut m = membership(RunConfig { failure_plan: Some(plan), ..RunConfig::default() });
         let new_pe = (ClusterId(1), Pe(4));
         assert_eq!(m.due_joins(at_ms(0), true), vec![], "nothing has fired");
         assert_eq!(m.due_joins(at_ms(2), false), vec![], "fired, but no complete epoch to restart from");
@@ -502,8 +505,8 @@ mod tests {
 
     #[test]
     fn after_recoveries_fires_on_the_nth_recovery_and_not_before() {
-        let plan = JoinPlan::new().rejoin_after_recoveries(Pe(1), 2);
-        let mut m = membership(RunConfig { join_plan: Some(plan), ..RunConfig::default() });
+        let plan = FailurePlan::new().rejoin_after_recoveries(Pe(1), 2);
+        let mut m = membership(RunConfig { failure_plan: Some(plan), ..RunConfig::default() });
         shrink(&mut m, &[1]);
         assert_eq!(m.due_joins(at_ms(1), true), vec![], "one recovery");
         shrink(&mut m, &[2]);

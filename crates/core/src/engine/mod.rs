@@ -17,7 +17,8 @@
 //!   the multi-process run: the only difference is whether a
 //!   [`mdo_vmi::Wire`] (real TCP, `mdo-net`) is bound under the unchanged
 //!   transport stack — the paper's "same runtime, different device
-//!   chain".  `join_plan` and `obs` remain single-process features.
+//!   chain".  The failure plan's joins and `obs` remain single-process
+//!   features.
 //!
 //! Both engines end a generation and start the next — a shrink over the
 //! survivors of a failure, an expand over due joiners — through one state
@@ -28,7 +29,9 @@
 //! [`policy`] is the simulation engine's delivery-order seam: a pluggable
 //! [`policy::DeliveryPolicy`] decides which of several equal-priority
 //! queued messages a PE dispatches next, turning the deterministic engine
-//! into a systematic schedule explorer (see the `mdo-check` crate).
+//! into a systematic schedule explorer (see the `mdo-check` crate).  It is
+//! set on the simulator's own [`sim::SimConfig`], not on the
+//! [`RunConfig`](crate::program::RunConfig) both engines read.
 
 mod generation;
 pub mod net;

@@ -38,8 +38,8 @@
 //!
 //! ## Single-process-only features
 //!
-//! `join_plan` (elastic expand) and `obs` recording are each one guarded
-//! line of the shared loop and are ignored (with a warning) when a
+//! The failure plan's joins (elastic expand) and `obs` recording are each
+//! one guarded line of the shared loop and are ignored (with a warning) when a
 //! session is present: a join needs the joiners named in `Ctl::Recover`
 //! (and a new cluster needs a process launcher besides), and obs
 //! recordings are too large to ship casually.
@@ -617,7 +617,8 @@ fn run_generations(
                 what: format!("{}-node manifest for a {}-cluster topology", n_nodes, topo.num_clusters()),
             });
         }
-        let armed = [("join_plan", cfg.join_plan.is_some()), ("obs", cfg.obs.is_some())];
+        let joins = cfg.failure_plan.as_ref().is_some_and(|p| !p.joins.is_empty());
+        let armed = [("joining", joins), ("obs", cfg.obs.is_some())];
         match armed.iter().filter(|(_, set)| *set).map(|&(name, _)| name).collect::<Vec<_>>()[..] {
             [] => {}
             [one] => eprintln!("mdo-net node {me}: {one} is a single-process feature; ignoring it"),

@@ -12,8 +12,8 @@
 //! [`FifoPolicy`] reproduces the engine's historical behavior exactly.
 //!
 //! Policies are described by a [`DeliverySpec`] (plain data, so
-//! [`crate::program::RunConfig`] stays `Clone + Debug`) and materialized
-//! per run.  The engine records every consulted choice into an optional
+//! [`SimConfig`](crate::engine::sim::SimConfig) stays `Clone + Debug`) and
+//! materialized per run.  The engine records every consulted choice into an optional
 //! [`ScheduleSink`]; the recorded [`ScheduleTrace`] can be replayed with
 //! [`DeliverySpec::Replay`] — clamped to what is actually eligible, so a
 //! trace stays a valid (if no longer bit-identical) schedule even after
@@ -170,7 +170,7 @@ impl DeliveryPolicy for TracePolicy {
 }
 
 /// Plain-data description of a delivery policy, carried by
-/// [`crate::program::RunConfig::delivery`].
+/// [`SimConfig::delivery`](crate::engine::sim::SimConfig::delivery).
 #[derive(Clone, Debug, Default)]
 pub enum DeliverySpec {
     /// FIFO within priorities — the classic engine behavior.

@@ -20,6 +20,12 @@
 //! the wall-clock stack's own [`CreditLedger`] and [`PairFill`], and adds
 //! only what is virtual time's: where a deferred envelope waits, and the
 //! event that stands in for the flusher thread's tick.
+//!
+//! What only this engine reads is its own [`SimConfig`]: the run's limits
+//! and the delivery-order seam ([`DeliverySpec`], with an optional
+//! [`ScheduleSink`] recording every contested choice).  The wall-clock
+//! engine has nothing to read there — its schedules come from real
+//! thread interleaving.
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -36,7 +42,7 @@ use mdo_vmi::flush::{FlushCause, PairFill};
 use mdo_obs::{CounterSet, Ctr, ObjTag, PeRecorder};
 
 use crate::checkpoint::FtPiece;
-use crate::engine::policy::ScheduleChoice;
+use crate::engine::policy::{DeliverySpec, ScheduleChoice, ScheduleSink};
 use crate::envelope::{Envelope, MsgBody, SYSTEM_PRIORITY};
 use crate::node::{Node, NodeHooks};
 use crate::program::{Program, RunConfig, RunReport};
@@ -44,7 +50,8 @@ use crate::queue::SchedQueue;
 
 use super::generation::{Books, Change, HostRow, Membership, PeRow};
 
-/// Engine-specific limits.
+/// What only the simulation engine reads: its limits and its
+/// delivery-order seam.
 #[derive(Clone, Debug, Default)]
 pub struct SimConfig {
     /// Abort the run if virtual time passes this point (None = unlimited).
@@ -52,6 +59,15 @@ pub struct SimConfig {
     /// Abort after this many events (None = unlimited); a backstop against
     /// runaway programs.
     pub max_events: Option<u64>,
+    /// Which delivery policy the scheduler seam runs: FIFO (the default,
+    /// bit-identical to the historical engine), seeded-random or
+    /// PCT-style exploration, or replay of a recorded schedule trace.
+    pub delivery: DeliverySpec,
+    /// When set, every contested scheduling decision (≥ 2 equal-priority
+    /// envelopes queued) is recorded into this shared trace, which
+    /// [`DeliverySpec::Replay`] can play back.  `None` (the default)
+    /// records nothing.
+    pub schedule_sink: Option<ScheduleSink>,
 }
 
 /// The discrete-event engine.
@@ -348,13 +364,14 @@ struct PeState {
 }
 
 impl SimEngine {
-    /// An engine over `net` with default limits.
+    /// An engine over `net` with the default [`SimConfig`]: no limits,
+    /// FIFO delivery, nothing recorded.
     pub fn new(net: NetworkModel, cfg: RunConfig) -> Self {
         SimEngine { net, cfg, sim_cfg: SimConfig::default() }
     }
 
-    /// Override engine limits.
-    pub fn with_limits(mut self, sim_cfg: SimConfig) -> Self {
+    /// Override the engine's own settings: limits and delivery policy.
+    pub fn with_config(mut self, sim_cfg: SimConfig) -> Self {
         self.sim_cfg = sim_cfg;
         self
     }
@@ -379,8 +396,8 @@ impl SimEngine {
         // envelopes a PE dispatches next.  FIFO by default; the policy is
         // consulted (and the decision recorded) only at genuine choice
         // points, so the default path costs one `eligible()` call.
-        let mut policy = cfg.delivery.build();
-        let schedule_sink = cfg.schedule_sink.clone();
+        let SimConfig { max_time, max_events, delivery, schedule_sink } = sim_cfg;
+        let mut policy = delivery.build();
         let topo = net.topology().clone();
         let mut wan = SimWan::new(net, &cfg);
         let mut m = Membership::new(program, topo, cfg, true);
@@ -421,12 +438,12 @@ impl SimEngine {
 
         let mut final_time = Time::ZERO;
         'main: while let Some((now, event)) = events.pop() {
-            if let Some(limit) = sim_cfg.max_time {
+            if let Some(limit) = max_time {
                 if now > Time::ZERO + limit {
                     break;
                 }
             }
-            if let Some(limit) = sim_cfg.max_events {
+            if let Some(limit) = max_events {
                 if events.events_processed() > limit {
                     break;
                 }
@@ -807,7 +824,7 @@ mod tests {
         let arr = p.array("fv", 1, Mapping::Block, |_| Box::new(Forever) as Box<dyn Chare>);
         p.on_startup(move |ctl| ctl.send(arr, ElemId(0), PING, vec![]));
         let report = SimEngine::new(net, RunConfig::default())
-            .with_limits(SimConfig { max_time: None, max_events: Some(5_000) })
+            .with_config(SimConfig { max_events: Some(5_000), ..SimConfig::default() })
             .run(p);
         assert!(report.pe_messages[0] <= 5_002);
     }
@@ -826,7 +843,7 @@ mod tests {
         let arr = p.array("fv", 1, Mapping::Block, |_| Box::new(Forever) as Box<dyn Chare>);
         p.on_startup(move |ctl| ctl.send(arr, ElemId(0), PING, vec![]));
         let report = SimEngine::new(net, RunConfig::default())
-            .with_limits(SimConfig { max_time: Some(Dur::from_millis(50)), max_events: None })
+            .with_config(SimConfig { max_time: Some(Dur::from_millis(50)), ..SimConfig::default() })
             .run(p);
         assert!(report.end_time <= Time::ZERO + Dur::from_millis(52));
     }
@@ -1195,8 +1212,9 @@ mod tests {
             });
         }
         let cfg = RunConfig { flow, ..RunConfig::default() };
-        let report =
-            SimEngine::new(net, cfg).with_limits(SimConfig { max_time: None, max_events: Some(200_000) }).run(p);
+        let report = SimEngine::new(net, cfg)
+            .with_config(SimConfig { max_events: Some(200_000), ..SimConfig::default() })
+            .run(p);
         if quiesce {
             assert_eq!(FIRED.load(Ordering::SeqCst), 1, "quiescence fired exactly once despite shed traffic");
         }
@@ -1287,8 +1305,9 @@ mod tests {
         });
         let agg = AggConfig::default().with_max_bytes(1 << 20).with_max_delay(Dur::from_millis(4));
         let cfg = RunConfig { agg: Some(agg), ..RunConfig::default() };
-        let report =
-            SimEngine::new(net, cfg).with_limits(SimConfig { max_time: None, max_events: Some(100_000) }).run(p);
+        let report = SimEngine::new(net, cfg)
+            .with_config(SimConfig { max_events: Some(100_000), ..SimConfig::default() })
+            .run(p);
         assert_eq!(FIRED.load(Ordering::SeqCst), 1, "quiescence fired despite buffered frames");
         assert!(report.counters.get(Ctr::EnvelopesCoalesced) >= 12, "the chain went through the aggregation path");
     }

@@ -73,6 +73,14 @@ mod tests {
     }
 
     #[test]
+    fn obj_key_converts_to_tag_with_same_rendering() {
+        let key = ObjKey::new(ArrayId(1), ElemId(2));
+        let tag: mdo_obs::ObjTag = key.into();
+        assert_eq!(tag, mdo_obs::ObjTag { array: 1, elem: 2 });
+        assert_eq!(format!("{tag}"), format!("{key}"));
+    }
+
+    #[test]
     fn ordering_is_array_then_elem() {
         let a = ObjKey::new(ArrayId(1), ElemId(9));
         let b = ObjKey::new(ArrayId(2), ElemId(0));

@@ -29,14 +29,13 @@
 //! * [`engine::threaded`] — the real-time engine over `mdo-vmi` (one OS
 //!   thread per PE, a real delay device injecting real latencies — our
 //!   stand-in for the paper's real multi-cluster validation runs).
-//! * [`trace`] — execution timelines (Figure 2 reproductions), derived
-//!   from the `mdo-obs` event stream both engines record into.
 //!
 //! Observability lives in the `mdo-obs` crate: arm [`RunConfig::obs`]
 //! with an [`ObsConfig`] and the run report carries an
 //! [`ObsReport`] — per-PE event streams, counters, latency/grain
-//! histograms, the overlap-fraction analysis, and Chrome-trace/CSV
-//! exporters.  Unset (the default), nothing is recorded.
+//! histograms, the overlap-fraction analysis, Chrome-trace/CSV
+//! exporters, and the execution timelines of Figure 2
+//! (`mdo_obs::trace_from`).  Unset (the default), nothing is recorded.
 //!
 //! Both engines execute the *same* application objects; only time differs
 //! (virtual vs wall-clock).
@@ -91,7 +90,6 @@ pub mod node;
 pub mod program;
 pub mod queue;
 pub mod reduction;
-pub mod trace;
 pub mod wire;
 
 pub use chare::{Chare, Ctx, HostCtl};
@@ -106,17 +104,18 @@ pub use program::{Program, RunConfig, RunReport};
 
 /// Commonly used items, re-exported for applications.
 pub mod prelude {
-    pub use crate::balancer::{FeedbackConfig, FeedbackDecision};
+    pub use crate::balancer::FeedbackDecision;
     pub use crate::chare::{Chare, Ctx, HostCtl};
     pub use crate::engine::policy::{DeliverySpec, ScheduleChoice, ScheduleSink, ScheduleTrace};
+    pub use crate::engine::sim::SimConfig;
     pub use crate::ids::{ArrayId, ElemId, EntryId, ObjKey};
     pub use crate::mapping::Mapping;
     pub use crate::program::{Program, RunConfig, RunReport};
     pub use crate::wire::{WireReader, WireWriter};
     pub use bytes::Bytes;
     pub use mdo_netsim::{
-        AggConfig, ClusterId, CrashSpec, CrashTrigger, Dur, FailureCause, FailurePlan, JoinPlan, JoinSpec, JoinTrigger,
-        Pe, PeFailed, SpanTree, Time, Topology, TreeConfig, UnrecoverableError,
+        AggConfig, ClusterId, CrashSpec, CrashTrigger, Dur, FailureCause, FailurePlan, JoinSpec, JoinTrigger, Pe,
+        PeFailed, SpanTree, Time, Topology, UnrecoverableError,
     };
     pub use mdo_obs::{CounterSet, Ctr, ObsConfig, ObsReport};
 }

@@ -901,15 +901,12 @@ impl Node {
         // a quiet barrier keeps the current placement at zero migration
         // cost (the identity placement still flows through LbAssign so
         // barrier release stays uniform).
-        let run_full = match &self.shared.cfg.feedback {
-            Some(fb) => {
-                let decision = crate::balancer::should_rebalance(&LbInput { topo: self.topo(), objs: &objs }, fb);
-                if decision.rebalance {
-                    self.lb.rebalance_triggers += 1;
-                }
-                decision.rebalance
-            }
-            None => true,
+        let run_full = if self.shared.cfg.feedback {
+            let decision = crate::balancer::should_rebalance(&LbInput { topo: self.topo(), objs: &objs });
+            self.lb.rebalance_triggers += u32::from(decision.rebalance);
+            decision.rebalance
+        } else {
+            true
         };
         let placement = if run_full {
             run_strategy(self.strategy.as_ref(), &LbInput { topo: self.topo(), objs: &objs })
@@ -1046,14 +1043,14 @@ impl Node {
         }
     }
 
-    /// Complete a barrier from PE 0: when a failure or join plan is armed,
-    /// run a buddy-checkpoint round first (the barrier is the only point
+    /// Complete a barrier from PE 0: when a failure plan is armed, run a
+    /// buddy-checkpoint round first (the barrier is the only point
     /// where every element is quiescent, so packing here is race-free);
     /// the LbResume broadcast then follows the final BuddyAck.  Without
     /// fault tolerance, resume immediately — byte-identical to the old
     /// path.
     fn release_barrier(&mut self, hooks: &mut dyn NodeHooks) {
-        if self.shared.cfg.ft_armed() {
+        if self.shared.cfg.failure_plan.is_some() {
             let epoch = self.ft.epoch;
             self.ft.epoch += 1;
             self.ft.acks = 0;

@@ -11,8 +11,7 @@ use std::sync::Arc;
 
 use mdo_netsim::network::NetworkStats;
 use mdo_netsim::{
-    AggConfig, Dur, FailurePlan, FaultPlan, FlowConfig, JoinPlan, PeFailed, Time, TransportError, TreeConfig,
-    UnrecoverableError,
+    AggConfig, Dur, FailurePlan, FaultPlan, FlowConfig, PeFailed, Time, TransportError, UnrecoverableError,
 };
 use mdo_obs::{CounterSet, ObsConfig, ObsReport};
 
@@ -20,7 +19,6 @@ use crate::array::ArraySpec;
 use crate::balancer::{GreedyLB, GridCommLB, RefineLB, RotateLB, Strategy};
 use crate::chare::{Chare, ElemUnpacker, HostCtl};
 use crate::checkpoint::Snapshot;
-use crate::engine::policy::{DeliverySpec, ScheduleSink};
 use crate::envelope::ReduceData;
 use crate::ids::{ArrayId, ElemId};
 use crate::mapping::Mapping;
@@ -169,9 +167,10 @@ impl Program {
 }
 
 /// Which load-balancing strategy AtSync barriers run.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub enum LbChoice {
     /// Keep the current placement (barrier semantics only).
+    #[default]
     Identity,
     /// Classic greedy (cluster-oblivious).
     Greedy,
@@ -225,8 +224,10 @@ impl std::fmt::Debug for LbChoice {
 /// engine — the latter one engine whether it runs in one process or, with
 /// [`RunConfig::net`] set, as one process per cluster over TCP.  Two
 /// features are single-process only and ignored (with a warning) in net
-/// mode: `join_plan` and `obs`.
-#[derive(Clone, Debug)]
+/// mode: the failure plan's joins and `obs`.  What only the simulator
+/// reads — its delivery policy and schedule recording — is the
+/// simulator's own [`SimConfig`](crate::engine::sim::SimConfig).
+#[derive(Clone, Debug, Default)]
 pub struct RunConfig {
     /// §6 extension: tag cross-cluster application messages with elevated
     /// priority so receivers process them before local traffic.
@@ -241,44 +242,29 @@ pub struct RunConfig {
     /// equivalent virtual-time fault model (simulation engine).  `None`
     /// leaves both engines exactly as they are without fault injection.
     pub fault_plan: Option<FaultPlan>,
-    /// PE-failure tolerance: when set, the engines arm the failure
-    /// detector, take buddy checkpoints at every AtSync barrier, inject
-    /// the plan's crashes, and automatically shrink-restart from the
-    /// newest complete buddy snapshot on failure.  `None` (the default)
-    /// leaves the runtime exactly as it was: a dying PE ends the run.
-    pub failure_plan: Option<FailurePlan>,
-    /// PE elasticity: when set, the engines admit the plan's joins — new
-    /// or crashed-then-restarted PEs — at the next completed buddy
-    /// checkpoint epoch, widening the topology with
+    /// PE-failure tolerance and elasticity: when set, the engines arm the
+    /// failure detector, take buddy checkpoints at every AtSync barrier,
+    /// inject the plan's crashes, and automatically shrink-restart from
+    /// the newest complete buddy snapshot on failure.  They also admit
+    /// the plan's joins — new or crashed-then-restarted PEs — at the next
+    /// completed checkpoint epoch, widening the topology with
     /// [`Topology::with_pes`](mdo_netsim::Topology::with_pes) and
     /// redistributing object state from the newest complete snapshot.
-    /// Setting a plan (even an empty one) arms the buddy-checkpoint
-    /// machinery exactly as a `failure_plan` does.
-    pub join_plan: Option<JoinPlan>,
+    /// `None` (the default) leaves the runtime exactly as it was: a dying
+    /// PE ends the run.
+    pub failure_plan: Option<FailurePlan>,
     /// Continuous obs-driven load balancing: when set, AtSync barriers
-    /// consult [`FeedbackConfig`](crate::balancer::FeedbackConfig) —
-    /// the configured strategy runs only when measured imbalance
-    /// exceeds its threshold, and the barrier is otherwise
-    /// a cheap no-op placement.  `None` (the default) runs the strategy
-    /// unconditionally at every barrier, exactly as before.
-    pub feedback: Option<crate::balancer::FeedbackConfig>,
+    /// run the configured strategy only when the measured max/mean PE
+    /// load exceeds [`FEEDBACK_MAX_MEAN_RATIO`](crate::balancer::FEEDBACK_MAX_MEAN_RATIO),
+    /// and are otherwise a cheap no-op placement.  Unset (the default),
+    /// the strategy runs unconditionally at every barrier.
+    pub feedback: bool,
     /// Arm the Projections-style observability subsystem: per-PE event
     /// rings, counters and latency/grain/queue-depth histograms, plus the
     /// derived overlap-fraction analyses ([`ObsReport`]).  `None` (the
     /// default) records nothing: every recording call sits behind one
     /// runtime check of this field.
     pub obs: Option<ObsConfig>,
-    /// Which delivery policy the simulation engine's scheduler seam runs:
-    /// FIFO (the default, bit-identical to the historical engine),
-    /// seeded-random or PCT-style exploration, or replay of a recorded
-    /// schedule trace.  The threaded engine ignores this — its schedules
-    /// come from real thread interleaving.
-    pub delivery: DeliverySpec,
-    /// When set, the simulation engine records every contested scheduling
-    /// decision (≥ 2 equal-priority envelopes queued) into this shared
-    /// trace, which [`DeliverySpec::Replay`] can play back.  `None` (the
-    /// default) records nothing.
-    pub schedule_sink: Option<ScheduleSink>,
     /// TRAM-style cross-cluster message aggregation: when set, envelopes
     /// bound for the same remote PE coalesce into jumbo frames flushed by
     /// size or deadline (real frames over the VMI chain in the threaded
@@ -311,47 +297,16 @@ pub struct RunConfig {
     /// The shape of the [`SpanTree`](mdo_netsim::SpanTree) that every
     /// broadcast, reduction and section multicast runs over; the
     /// algorithm is the same for both, and since every reduction operator
-    /// is exact (a `SumF64` rounds once, at the root), so is every result.  `None` (the default) is the
-    /// cluster-blind binary PE heap, with no gateways.  `Some` is the
-    /// Grid-topology-aware two-level tree — one gateway PE per cluster,
-    /// so each collective crosses the wide area once per remote cluster
-    /// instead of once per remote PE, with intra-cluster fan-in/fan-out
-    /// under the config's branching factor and reduction partial-combine
-    /// at the gateway.  Either shape is a pure function of the topology,
-    /// so shrink/expand generation changes rebuild it consistently on
-    /// every engine.
-    pub tree_collectives: Option<TreeConfig>,
-}
-
-impl RunConfig {
-    /// Whether the fault-tolerance machinery (buddy checkpoints at every
-    /// AtSync barrier, heartbeats, panic confinement) is armed: a
-    /// `failure_plan` *or* a `join_plan` does it — expand needs the same
-    /// snapshots shrink does.
-    pub fn ft_armed(&self) -> bool {
-        self.failure_plan.is_some() || self.join_plan.is_some()
-    }
-}
-
-impl Default for RunConfig {
-    fn default() -> Self {
-        RunConfig {
-            grid_prio: false,
-            lb: LbChoice::Identity,
-            seed: 0,
-            fault_plan: None,
-            failure_plan: None,
-            join_plan: None,
-            feedback: None,
-            obs: None,
-            delivery: DeliverySpec::Fifo,
-            schedule_sink: None,
-            agg: None,
-            flow: None,
-            net: None,
-            tree_collectives: None,
-        }
-    }
+    /// is exact (a `SumF64` rounds once, at the root), so is every result.
+    /// Unset (the default) is the cluster-blind binary PE heap, with no
+    /// gateways.  Set is the Grid-topology-aware two-level tree — one
+    /// gateway PE per cluster, so each collective crosses the wide area
+    /// once per remote cluster instead of once per remote PE, with
+    /// intra-cluster fan-in/fan-out of [`SpanTree::BRANCH`](mdo_netsim::SpanTree::BRANCH)
+    /// and reduction partial-combine at the gateway.  Either shape is a
+    /// pure function of the topology, so shrink/expand generation changes
+    /// rebuild it consistently on every engine.
+    pub tree_collectives: bool,
 }
 
 /// What an engine reports after a run: per-PE books, traffic, the

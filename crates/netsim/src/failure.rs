@@ -4,17 +4,18 @@
 //! The paper's §2.1 positions migratability as the foundation for fault
 //! tolerance ("checkpointing, fault tolerance, and the ability to shrink
 //! and expand the set of processors").  This module supplies the *plan*
-//! side of that story: which PEs die, when, and how failures are
-//! reported.  The detection and recovery machinery lives in `mdo-core`'s
-//! engines; nothing here knows about chares or messages.
+//! side of that story: which PEs die, which join, when, and how failures
+//! are reported.  The detection and recovery machinery lives in
+//! `mdo-core`'s engines; nothing here knows about chares or messages.
 //!
 //! A [`FailurePlan`] is deterministic by construction — crashes fire at
 //! exact virtual times (simulation engine) or wall-clock/progress points
-//! (threaded engine), so a failure-injected run is reproducible and can
-//! be asserted bit-exact against a failure-free run.
+//! (threaded engine), and joins at a time or after a number of
+//! recoveries — so a failure-injected or elastic run is reproducible and
+//! can be asserted bit-exact against an undisturbed run.
 
 use crate::time::{Dur, Time};
-use crate::topology::Pe;
+use crate::topology::{ClusterId, Pe};
 
 /// When an injected crash fires.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -37,17 +38,53 @@ pub struct CrashSpec {
     pub trigger: CrashTrigger,
 }
 
-/// A deterministic schedule of PE failures plus the failure-detector
-/// tuning used by the threaded engine.
+/// When an injected join becomes available.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum JoinTrigger {
+    /// Join at this offset from the start of the run.  The simulation
+    /// engine interprets it as exact virtual time; the threaded engine as
+    /// wall-clock time since launch.  The join is *admitted* at the first
+    /// completed checkpoint epoch at or after this point.
+    AtTime(Dur),
+    /// Join once this many shrink-recoveries have completed — the natural
+    /// trigger for a crashed-then-restarted PE rejoining, identical in
+    /// meaning on both engines.
+    AfterRecoveries(u32),
+}
+
+/// One injected PE join: the expand half of "shrink and expand the set of
+/// processors".  The engines admit a joiner at the next completed buddy
+/// checkpoint epoch, widening the topology with
+/// [`Topology::with_pes`](crate::topology::Topology::with_pes) and
+/// replaying the newest complete snapshot onto the wider PE set.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct JoinSpec {
+    /// The joining PE, numbered in the run's *original* topology.  A PE
+    /// number below the original PE count is a rejoin (the PE returns to
+    /// its original cluster); a number at or above it is a brand-new PE
+    /// and must carry an explicit `cluster`.
+    pub pe: Pe,
+    /// The cluster the PE joins.  `None` means "its original cluster"
+    /// (rejoins only).
+    pub cluster: Option<ClusterId>,
+    /// When the PE becomes available.
+    pub trigger: JoinTrigger,
+}
+
+/// A deterministic schedule of PE crashes and joins plus the
+/// failure-detector tuning used by the threaded engine.
 ///
 /// Setting a `FailurePlan` on a run (even an empty one) also arms the
 /// *tolerance* machinery: buddy checkpoints are taken at every AtSync
-/// barrier, heartbeats flow in the threaded engine, and a panicking chare
-/// handler marks its PE failed instead of aborting the job.
+/// barrier (a join, too, restarts from the newest complete snapshot),
+/// heartbeats flow in the threaded engine, and a panicking chare handler
+/// marks its PE failed instead of aborting the job.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FailurePlan {
     /// The crashes to inject, in no particular order.
     pub crashes: Vec<CrashSpec>,
+    /// The joins to inject, in no particular order.
+    pub joins: Vec<JoinSpec>,
     /// Heartbeat period in the threaded engine (ignored in virtual time,
     /// where failures are detected exactly).
     pub hb_interval: Dur,
@@ -59,12 +96,18 @@ pub struct FailurePlan {
 
 impl Default for FailurePlan {
     fn default() -> Self {
-        FailurePlan { crashes: Vec::new(), hb_interval: Dur::from_millis(25), suspect_after: Dur::from_millis(250) }
+        FailurePlan {
+            crashes: Vec::new(),
+            joins: Vec::new(),
+            hb_interval: Dur::from_millis(25),
+            suspect_after: Dur::from_millis(250),
+        }
     }
 }
 
 impl FailurePlan {
-    /// An empty plan: no injected crashes, but tolerance machinery armed.
+    /// An empty plan: no injected crashes or joins, but tolerance machinery
+    /// armed.
     pub fn new() -> Self {
         FailurePlan::default()
     }
@@ -85,6 +128,28 @@ impl FailurePlan {
     pub fn crash_after_messages(mut self, pe: Pe, n: u64) -> Self {
         assert!(pe.0 != 0, "PE 0 hosts the program driver and cannot be crash-injected");
         self.crashes.push(CrashSpec { pe, trigger: CrashTrigger::AfterMessages(n) });
+        self
+    }
+
+    /// A crashed PE (original numbering) rejoins its original cluster at
+    /// virtual/wall-clock offset `at`.
+    pub fn rejoin_at(mut self, pe: Pe, at: Dur) -> Self {
+        self.joins.push(JoinSpec { pe, cluster: None, trigger: JoinTrigger::AtTime(at) });
+        self
+    }
+
+    /// A crashed PE (original numbering) rejoins its original cluster
+    /// once `n` shrink-recoveries have completed.
+    pub fn rejoin_after_recoveries(mut self, pe: Pe, n: u32) -> Self {
+        self.joins.push(JoinSpec { pe, cluster: None, trigger: JoinTrigger::AfterRecoveries(n) });
+        self
+    }
+
+    /// A brand-new PE joins `cluster` at virtual/wall-clock offset `at`.
+    /// `pe` names the slot in original numbering and must lie at or above
+    /// the original PE count (engines assert this at run start).
+    pub fn join_at(mut self, pe: Pe, cluster: ClusterId, at: Dur) -> Self {
+        self.joins.push(JoinSpec { pe, cluster: Some(cluster), trigger: JoinTrigger::AtTime(at) });
         self
     }
 
@@ -179,6 +244,31 @@ mod tests {
         assert_eq!(plan.crashes[1], CrashSpec { pe: Pe(3), trigger: CrashTrigger::AfterMessages(100) });
         assert_eq!(plan.hb_interval, Dur::from_millis(5));
         assert_eq!(plan.suspect_after, Dur::from_millis(60));
+    }
+
+    #[test]
+    fn builders_accumulate_joins() {
+        let plan = FailurePlan::new().rejoin_at(Pe(2), Dur::from_millis(10)).rejoin_after_recoveries(Pe(3), 1).join_at(
+            Pe(8),
+            ClusterId(1),
+            Dur::from_millis(20),
+        );
+        assert_eq!(plan.joins.len(), 3);
+        assert_eq!(
+            plan.joins[0],
+            JoinSpec { pe: Pe(2), cluster: None, trigger: JoinTrigger::AtTime(Dur::from_millis(10)) }
+        );
+        assert_eq!(plan.joins[1], JoinSpec { pe: Pe(3), cluster: None, trigger: JoinTrigger::AfterRecoveries(1) });
+        assert_eq!(
+            plan.joins[2],
+            JoinSpec { pe: Pe(8), cluster: Some(ClusterId(1)), trigger: JoinTrigger::AtTime(Dur::from_millis(20)) }
+        );
+    }
+
+    #[test]
+    fn empty_plan_is_default() {
+        assert_eq!(FailurePlan::new(), FailurePlan::default());
+        assert!(FailurePlan::new().crashes.is_empty() && FailurePlan::new().joins.is_empty());
     }
 
     #[test]

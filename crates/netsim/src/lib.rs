@@ -52,7 +52,6 @@ pub mod event;
 pub mod failure;
 pub mod fault;
 pub mod flowctl;
-pub mod join;
 pub mod latency;
 pub mod network;
 pub mod rng;
@@ -64,14 +63,15 @@ pub mod tree;
 pub use agg::AggConfig;
 pub use bandwidth::{LinkModel, WanContention};
 pub use event::{EventId, EventQueue};
-pub use failure::{CrashSpec, CrashTrigger, FailureCause, FailurePlan, PeFailed, UnrecoverableError};
+pub use failure::{
+    CrashSpec, CrashTrigger, FailureCause, FailurePlan, JoinSpec, JoinTrigger, PeFailed, UnrecoverableError,
+};
 pub use fault::{DeliveryPlan, FaultModel, FaultModelStats, FaultPlan, TransportError};
 pub use flowctl::{FlowConfig, OverloadPolicy};
-pub use join::{JoinPlan, JoinSpec, JoinTrigger};
 pub use latency::{LatencyMatrix, LatencyMatrixBuilder};
 pub use network::{DeliveryOracle, NetworkModel, NetworkStats};
 pub use rng::{SplitMix64, Xoshiro256};
 pub use stats::{Counter, Histogram, TimeSeries};
 pub use time::{Dur, Time};
 pub use topology::{ClusterId, Pe, Topology};
-pub use tree::{SpanTree, TreeConfig};
+pub use tree::SpanTree;

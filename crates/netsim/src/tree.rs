@@ -15,43 +15,17 @@
 //!     other gateway directly — so the wide area is crossed **exactly
 //!     once per remote cluster** in each direction, and
 //!   - within a cluster the remaining PEs hang under the gateway as a
-//!     k-ary heap with a configurable branching factor — fan-out happens
-//!     over cheap local links.
+//!     k-ary heap of fan-out [`SpanTree::BRANCH`] — fan-out happens over
+//!     cheap local links.
 //!
-//! Either shape is a pure function of the topology (and, for the
-//! two-level tree, its [`TreeConfig`]), so every PE of a job — across
-//! processes, across engines — derives the same tree independently, and a
+//! Either shape is a pure function of the topology, so every PE of a
+//! job — across processes, across engines — derives the same tree
+//! independently, and a
 //! shrink/expand generation change rebuilds it consistently by
 //! construction.  Reductions fold upward along the same edges a broadcast
 //! fans out along, with partial-combine at each interior PE.
 
 use crate::topology::{ClusterId, Pe, Topology};
-
-/// Shape knobs for topology-aware collective trees.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TreeConfig {
-    /// Maximum intra-cluster fan-out per PE (the k of the local k-ary
-    /// tree).  Cross-cluster edges (root → gateway) are budgeted
-    /// separately: the wide-area link is the resource being economized,
-    /// not the root's local NIC.
-    pub branch: u32,
-}
-
-impl TreeConfig {
-    /// A tree with the given intra-cluster branching factor (≥ 1).
-    pub fn new(branch: u32) -> Self {
-        assert!(branch >= 1, "branching factor must be at least 1");
-        TreeConfig { branch }
-    }
-}
-
-impl Default for TreeConfig {
-    fn default() -> Self {
-        // Fan-out 4 keeps intra-cluster depth shallow without serializing
-        // a gateway behind a long child list.
-        TreeConfig { branch: 4 }
-    }
-}
 
 /// A spanning tree over every PE of a topology, rooted at PE 0.
 #[derive(Clone, Debug)]
@@ -74,12 +48,20 @@ fn hang_heap(parent: &mut [Option<Pe>], members: &[Pe], branch: usize) {
 }
 
 impl SpanTree {
-    /// The tree a run's `tree_collectives` setting selects: the binary
-    /// heap for `None`, the two-level tree for `Some`.
-    pub fn new(topo: &Topology, cfg: Option<TreeConfig>) -> SpanTree {
-        match cfg {
-            Some(cfg) => SpanTree::build(topo, cfg),
-            None => SpanTree::heap(topo.num_pes()),
+    /// The two-level tree's intra-cluster fan-out per PE (the k of the
+    /// local k-ary heap).  Four keeps a cluster's depth shallow without
+    /// serializing a gateway behind a long child list; cross-cluster
+    /// edges (root → gateway) are not counted against it: the wide-area
+    /// link is the resource being economized, not the root's local NIC.
+    pub const BRANCH: usize = 4;
+
+    /// The tree a run's `tree_collectives` setting selects: the two-level
+    /// tree when `two_level`, the binary heap otherwise.
+    pub fn new(topo: &Topology, two_level: bool) -> SpanTree {
+        if two_level {
+            SpanTree::build(topo)
+        } else {
+            SpanTree::heap(topo.num_pes())
         }
     }
 
@@ -93,9 +75,8 @@ impl SpanTree {
     }
 
     /// Build the two-level tree for `topo`.  Deterministic: every caller
-    /// handed the same topology and config derives the same tree.
-    pub fn build(topo: &Topology, cfg: TreeConfig) -> SpanTree {
-        assert!(cfg.branch >= 1, "branching factor must be at least 1");
+    /// handed the same topology derives the same tree.
+    pub fn build(topo: &Topology) -> SpanTree {
         let mut parent: Vec<Option<Pe>> = vec![None; topo.num_pes()];
         let mut gateways: Vec<Option<Pe>> = vec![None; topo.num_clusters()];
         for c in topo.clusters() {
@@ -104,7 +85,7 @@ impl SpanTree {
                 continue; // cluster emptied by a shrink: no gateway, no PEs
             };
             gateways[c.index()] = Some(gw);
-            hang_heap(&mut parent, &members, cfg.branch as usize);
+            hang_heap(&mut parent, &members, SpanTree::BRANCH);
             // The wide-area star: every remote gateway hangs off PE 0.
             if gw != Pe(0) {
                 parent[gw.index()] = Some(Pe(0));
@@ -199,8 +180,8 @@ mod tests {
     }
 
     /// The two-level shape on top of the spanning checks: one gateway per
-    /// non-empty cluster, fan-out within `branch`, WAN edges root→gateway.
-    fn validate(topo: &Topology, tree: &SpanTree, branch: u32) {
+    /// non-empty cluster, fan-out within `BRANCH`, WAN edges root→gateway.
+    fn validate(topo: &Topology, tree: &SpanTree) {
         validate_spans(topo.num_pes(), tree);
         // Exactly one gateway per non-empty cluster; none for empty ones.
         for c in topo.clusters() {
@@ -216,7 +197,7 @@ mod tests {
         // intra-cluster fan-out respects the branching factor.
         for pe in topo.pes() {
             let intra = tree.children(pe).iter().filter(|&&c| !topo.crosses_wan(pe, c)).count();
-            assert!(intra <= branch as usize, "{pe:?} has {intra} local children");
+            assert!(intra <= SpanTree::BRANCH, "{pe:?} has {intra} local children");
             for &child in tree.children(pe) {
                 if topo.crosses_wan(pe, child) {
                     assert_eq!(pe, Pe(0), "only the root sends across the WAN");
@@ -252,7 +233,7 @@ mod tests {
                     crate::topology::ClusterSpec { name: "b".into(), pes: n - n / 2 },
                 ])
             };
-            let tree = SpanTree::new(&topo, None);
+            let tree = SpanTree::new(&topo, false);
             validate_heap(&topo, &tree);
             assert_eq!(tree.num_pes(), n as usize);
         }
@@ -266,16 +247,16 @@ mod tests {
     fn heap_shape_is_rebuilt_over_the_shrunk_numbering() {
         let topo = Topology::uniform(3, 5);
         let (shrunk, _) = topo.without_pes(&[Pe(0), Pe(6), Pe(7), Pe(14)]);
-        validate_heap(&shrunk, &SpanTree::new(&shrunk, None));
+        validate_heap(&shrunk, &SpanTree::new(&shrunk, false));
         let (grown, _) = shrunk.with_pes(&[ClusterId(1), ClusterId(1)]);
-        validate_heap(&grown, &SpanTree::new(&grown, None));
+        validate_heap(&grown, &SpanTree::new(&grown, false));
     }
 
     #[test]
     fn two_cluster_tree_crosses_wan_once() {
         let topo = Topology::two_cluster(8);
-        let tree = SpanTree::build(&topo, TreeConfig::default());
-        validate(&topo, &tree, 4);
+        let tree = SpanTree::build(&topo);
+        validate(&topo, &tree);
         assert_eq!(tree.gateway(ClusterId(0)), Some(Pe(0)));
         assert_eq!(tree.gateway(ClusterId(1)), Some(Pe(4)));
         assert_eq!(tree.parent(Pe(4)), Some(Pe(0)));
@@ -293,17 +274,29 @@ mod tests {
 
     #[test]
     fn branching_factor_shapes_the_local_tree() {
-        let topo = Topology::single(7);
-        let tree = SpanTree::build(&topo, TreeConfig::new(2));
-        validate(&topo, &tree, 2);
+        // The k-ary routine both shapes share, at fan-outs 2 and 1.
+        let pes: Vec<Pe> = (0..7).map(Pe).collect();
+        let heap = |branch| {
+            let mut parent = vec![None; pes.len()];
+            hang_heap(&mut parent, &pes, branch);
+            SpanTree::from_parents(parent, Vec::new())
+        };
+        let tree = heap(2);
+        validate_spans(7, &tree);
         assert_eq!(tree.children(Pe(0)), &[Pe(1), Pe(2)]);
         assert_eq!(tree.children(Pe(1)), &[Pe(3), Pe(4)]);
         assert_eq!(tree.children(Pe(2)), &[Pe(5), Pe(6)]);
-        let chain = SpanTree::build(&topo, TreeConfig::new(1));
-        validate(&topo, &chain, 1);
+        let chain = heap(1);
+        validate_spans(7, &chain);
         for pe in 1..7 {
             assert_eq!(chain.parent(Pe(pe)), Some(Pe(pe - 1)), "branch=1 degenerates to a chain");
         }
+        // The two-level tree hangs a cluster under its gateway at fan-out 4.
+        let topo = Topology::single(7);
+        let tree = SpanTree::build(&topo);
+        validate(&topo, &tree);
+        assert_eq!(tree.children(Pe(0)), &[Pe(1), Pe(2), Pe(3), Pe(4)]);
+        assert_eq!(tree.children(Pe(1)), &[Pe(5), Pe(6)]);
     }
 
     #[test]
@@ -313,8 +306,8 @@ mod tests {
             crate::topology::ClusterSpec { name: "b".into(), pes: 5 },
             crate::topology::ClusterSpec { name: "c".into(), pes: 2 },
         ]);
-        let tree = SpanTree::build(&topo, TreeConfig::default());
-        validate(&topo, &tree, 4);
+        let tree = SpanTree::build(&topo);
+        validate(&topo, &tree);
         assert_eq!(tree.children(Pe(0)), &[Pe(1), Pe(6)], "root's children are the two remote gateways");
         assert!(tree.is_gateway(Pe(0)) && tree.is_gateway(Pe(1)) && tree.is_gateway(Pe(6)));
     }
@@ -323,8 +316,8 @@ mod tests {
     fn survives_shrink_that_empties_a_cluster() {
         let topo = Topology::two_cluster(4);
         let (shrunk, _) = topo.without_pes(&[Pe(2), Pe(3)]);
-        let tree = SpanTree::build(&shrunk, TreeConfig::default());
-        validate(&shrunk, &tree, 4);
+        let tree = SpanTree::build(&shrunk);
+        validate(&shrunk, &tree);
         assert_eq!(tree.gateway(ClusterId(1)), None, "emptied cluster has no gateway");
         assert_eq!(tree.children(Pe(0)), &[Pe(1)]);
     }
@@ -333,24 +326,18 @@ mod tests {
     fn rebuild_after_shrink_then_expand_is_valid() {
         let topo = Topology::uniform(3, 3);
         let (s, _) = topo.without_pes(&[Pe(0), Pe(4)]);
-        validate(&s, &SpanTree::build(&s, TreeConfig::new(2)), 2);
+        validate(&s, &SpanTree::build(&s));
         let (w, _) = s.with_pes(&[ClusterId(0), ClusterId(2)]);
-        validate(&w, &SpanTree::build(&w, TreeConfig::new(2)), 2);
+        validate(&w, &SpanTree::build(&w));
     }
 
     #[test]
     fn single_pe_is_just_a_root() {
         let topo = Topology::single(1);
-        let tree = SpanTree::build(&topo, TreeConfig::default());
-        validate(&topo, &tree, 4);
+        let tree = SpanTree::build(&topo);
+        validate(&topo, &tree);
         assert_eq!(tree.parent(Pe(0)), None);
         assert!(tree.children(Pe(0)).is_empty());
         assert_eq!(tree.subtree(Pe(0)), vec![Pe(0)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 1")]
-    fn zero_branch_rejected() {
-        TreeConfig::new(0);
     }
 }

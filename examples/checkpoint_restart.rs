@@ -32,8 +32,7 @@ fn main() {
     let sink: Arc<Mutex<Vec<Snapshot>>> = Arc::new(Mutex::new(Vec::new()));
     let _crashed = leanmd::run_sim_full(
         cfg.clone(),
-        NetworkModel::two_cluster_sweep(4, Dur::from_millis(2)),
-        RunConfig::default(),
+        SimEngine::new(NetworkModel::two_cluster_sweep(4, Dur::from_millis(2)), RunConfig::default()),
         Some(Arc::clone(&sink)),
         None,
     );
@@ -55,8 +54,7 @@ fn main() {
     restored_cfg.lb_period = None; // no more barriers needed
     let restored = leanmd::run_sim_full(
         restored_cfg,
-        NetworkModel::two_cluster_sweep(2, Dur::from_millis(8)),
-        RunConfig::default(),
+        SimEngine::new(NetworkModel::two_cluster_sweep(2, Dur::from_millis(8)), RunConfig::default()),
         None,
         Some(reloaded),
     );

@@ -37,7 +37,7 @@ pub mod prelude {
     pub use mdo_netsim::network::NetworkModel;
     pub use mdo_netsim::{
         CrashTrigger, Dur, FailureCause, FailurePlan, FaultPlan, FlowConfig, LatencyMatrix, OverloadPolicy, Pe,
-        PeFailed, SpanTree, Time, Topology, TransportError, TreeConfig, UnrecoverableError,
+        PeFailed, SpanTree, Time, Topology, TransportError, UnrecoverableError,
     };
     pub use mdo_obs::{ObsConfig, ObsReport};
 }

@@ -243,10 +243,10 @@ fn sim_quiescence_under_saturation_survives_exploration_policies() {
     for spec in specs {
         let (program, received, fired) = flood_program();
         let flow = FlowConfig::default().with_credit_bytes(4 * 1024).with_policy(OverloadPolicy::Shed);
-        let run_cfg =
-            RunConfig { flow: Some(flow), delivery: spec.clone(), obs: Some(ObsConfig::new()), ..RunConfig::default() };
+        let run_cfg = RunConfig { flow: Some(flow), obs: Some(ObsConfig::new()), ..RunConfig::default() };
         let net = NetworkModel::two_cluster_sweep(2, Dur::from_millis(2));
-        let report = SimEngine::new(net, run_cfg).run(program);
+        let sim_cfg = SimConfig { delivery: spec.clone(), ..SimConfig::default() };
+        let report = SimEngine::new(net, run_cfg).with_config(sim_cfg).run(program);
         assert_eq!(fired.load(Ordering::SeqCst), 1, "{spec:?}: quiescence fired exactly once");
         assert_eq!(
             received.load(Ordering::SeqCst) + report.counters.get(Ctr::EnvelopesShed),
@@ -331,8 +331,7 @@ fn sim_block_flow_survives_crash_shrink_rejoin_bit_exactly() {
     let crash_at = Dur::from_nanos(clean.total.as_nanos() / 2);
     let run_cfg = RunConfig {
         flow: Some(flow),
-        failure_plan: Some(FailurePlan::new().crash_at(Pe(1), crash_at)),
-        join_plan: Some(JoinPlan::new().rejoin_after_recoveries(Pe(1), 1)),
+        failure_plan: Some(FailurePlan::new().crash_at(Pe(1), crash_at).rejoin_after_recoveries(Pe(1), 1)),
         ..RunConfig::default()
     };
     let elastic = stencil::run_sim(cfg, net(), run_cfg);

@@ -31,8 +31,7 @@ fn sim_checkpoint_restores_under_threaded_engine() {
     let sink: Arc<Mutex<Vec<Snapshot>>> = Arc::new(Mutex::new(Vec::new()));
     let _ = leanmd::run_sim_full(
         cfg.clone(),
-        NetworkModel::two_cluster_sweep(4, Dur::from_millis(2)),
-        RunConfig::default(),
+        SimEngine::new(NetworkModel::two_cluster_sweep(4, Dur::from_millis(2)), RunConfig::default()),
         Some(Arc::clone(&sink)),
         None,
     );

@@ -49,7 +49,7 @@ fn seq_reference(cfg: &StencilConfig) -> Vec<f64> {
 }
 
 fn trees_on() -> RunConfig {
-    RunConfig { tree_collectives: Some(TreeConfig::default()), ..RunConfig::default() }
+    RunConfig { tree_collectives: true, ..RunConfig::default() }
 }
 
 // ---- bit-exactness, simulation engine -------------------------------------
@@ -70,16 +70,16 @@ fn sim_stencil_trees_on_matches_flat_and_sequential() {
 }
 
 #[test]
-fn sim_stencil_trees_are_bit_exact_across_branching_factors() {
-    // The branching factor reshapes every intra-cluster subtree (k=1 is a
-    // chain); none of it may reach the application state.
+fn sim_stencil_trees_are_bit_exact_across_subtree_depths() {
+    // The cluster's size sets the depth of its fan-out-4 subtree under
+    // the gateway: one level at 2 PEs, two at 8, three at 32.  None of it
+    // may reach the application state.
     let cfg = small_stencil(16, 4, None);
     let want = seq_reference(&cfg);
-    for branch in [1, 2, 3, 8] {
-        let rc = RunConfig { tree_collectives: Some(TreeConfig::new(branch)), ..RunConfig::default() };
-        let net = NetworkModel::two_cluster_sweep(4, Dur::from_millis(1));
-        let out = stencil::run_sim(cfg.clone(), net, rc);
-        assert_eq!(out.block_sums, want, "branch={branch} is bit-exact");
+    for per_cluster in [2, 8, 32] {
+        let net = NetworkModel::two_cluster_sweep(2 * per_cluster, Dur::from_millis(1));
+        let out = stencil::run_sim(cfg.clone(), net, trees_on());
+        assert_eq!(out.block_sums, want, "{per_cluster} PEs a cluster is bit-exact");
     }
 }
 
@@ -202,15 +202,15 @@ fn trees_cut_wan_traffic_on_both_engines() {
     let topo = Topology::uniform(4, 2);
     let latency = LatencyMatrix::uniform(&topo, Dur::ZERO, Dur::from_millis(1));
 
-    let sim_wan = |tree: Option<TreeConfig>| {
+    let sim_wan = |tree: bool| {
         let contention = gridmdo::netsim::bandwidth::WanContention::disabled(&topo);
         let net = NetworkModel::new(topo.clone(), latency.clone(), contention, 0);
         let rc = RunConfig { tree_collectives: tree, obs: Some(ObsConfig::new()), ..RunConfig::default() };
         let out = stencil::run_sim(cfg.clone(), net, rc);
         (out.report.obs.expect("obs armed").merged_counters().get(Ctr::WanMsgsSent), out.block_sums)
     };
-    let (flat_wan, flat_sums) = sim_wan(None);
-    let (tree_wan, tree_sums) = sim_wan(Some(TreeConfig::default()));
+    let (flat_wan, flat_sums) = sim_wan(false);
+    let (tree_wan, tree_sums) = sim_wan(true);
     assert_eq!(tree_sums, flat_sums, "sim results stay bit-exact while traffic changes");
     assert!(tree_wan < flat_wan, "trees must cut sim wide-area traffic: {tree_wan} !< {flat_wan} wan_msgs_sent");
 
@@ -307,7 +307,7 @@ fn sum_program(elems: usize, input: Input, syncs: u32) -> (gridmdo::runtime::Pro
 
 #[test]
 fn f64_sum_reduction_digest_is_identical_trees_on_vs_off() {
-    let run = |tree: Option<TreeConfig>| {
+    let run = |tree: bool| {
         let (program, got) = sum_program(24, dyadic, 0);
         let net = NetworkModel::two_cluster_sweep(6, Dur::from_millis(1));
         let rc = RunConfig { tree_collectives: tree, ..RunConfig::default() };
@@ -317,8 +317,8 @@ fn f64_sum_reduction_digest_is_identical_trees_on_vs_off() {
         assert_eq!(values.len(), 2, "the reduction delivered");
         values.iter().map(|v| v.to_bits()).collect::<Vec<u64>>()
     };
-    let flat = run(None);
-    let tree = run(Some(TreeConfig::new(2)));
+    let flat = run(false);
+    let tree = run(true);
     assert_eq!(flat, tree, "f64 digest bit-identical: flat {flat:?} vs tree {tree:?}");
 }
 
@@ -346,23 +346,24 @@ fn non_dyadic_f64_sum_is_identical_across_schedules_and_engines() {
             sum.round().to_bits()
         })
         .collect();
-    let shapes = [None, Some(TreeConfig::default())];
-    let run_cfg = |tree: Option<TreeConfig>| RunConfig { tree_collectives: tree, ..RunConfig::default() };
+    let shapes = [false, true];
+    let run_cfg = |tree: bool| RunConfig { tree_collectives: tree, ..RunConfig::default() };
 
     // Every PE folds its elements' contributions and its children's
     // partials in arrival order, three or more elements to a PE; no
     // schedule, tree shape or PE count reaches the bits.
-    let sim = |pes: u32, syncs: u32, rc: RunConfig| {
+    let sim = |pes: u32, syncs: u32, rc: RunConfig, sim_cfg: SimConfig| {
         let (program, got) = sum_program(ELEMS as usize, non_dyadic, syncs);
-        let report = SimEngine::new(NetworkModel::two_cluster_sweep(pes, Dur::from_millis(1)), rc).run(program);
+        let net = NetworkModel::two_cluster_sweep(pes, Dur::from_millis(1));
+        let report = SimEngine::new(net, rc).with_config(sim_cfg).run(program);
         (sum_bits(&report, &got), report)
     };
     for per_cluster in [1, 2, 4, 8] {
         for tree in shapes {
             for delivery in [DeliverySpec::Fifo, DeliverySpec::Random { seed: 1 }, DeliverySpec::Random { seed: 2 }] {
-                let label = format!("sim, {per_cluster} PEs a cluster, {tree:?}, {delivery:?}");
-                let rc = RunConfig { delivery, ..run_cfg(tree) };
-                assert_eq!(sim(2 * per_cluster, 0, rc).0, want, "{label}");
+                let label = format!("sim, {per_cluster} PEs a cluster, trees {tree}, {delivery:?}");
+                let sim_cfg = SimConfig { delivery, ..SimConfig::default() };
+                assert_eq!(sim(2 * per_cluster, 0, run_cfg(tree), sim_cfg).0, want, "{label}");
             }
         }
     }
@@ -374,7 +375,7 @@ fn non_dyadic_f64_sum_is_identical_across_schedules_and_engines() {
             let (program, got) = sum_program(ELEMS as usize, non_dyadic, 0);
             let report =
                 ThreadedEngine::new(topo.clone(), ThreadedConfig::new(latency.clone()), run_cfg(tree)).run(program);
-            assert_eq!(sum_bits(&report, &got), want, "threaded run {run}, {tree:?}");
+            assert_eq!(sum_bits(&report, &got), want, "threaded run {run}, trees {tree}");
         }
     }
 
@@ -385,27 +386,28 @@ fn non_dyadic_f64_sum_is_identical_across_schedules_and_engines() {
             let (program, got) = sum_program(ELEMS as usize, non_dyadic, 0);
             (ThreadedEngine::new(topo.clone(), ThreadedConfig::new(latency.clone()), rc).run(program), got)
         });
-        assert_eq!(sum_bits(&report, &got), want, "two-node TCP, {tree:?}");
+        assert_eq!(sum_bits(&report, &got), want, "two-node TCP, trees {tree}");
     }
 
     // Crash a PE after the AtSync round's checkpoint: the run shrinks to
     // seven PEs and a new tree, and every element contributes again.
     let synced = RunConfig { lb: LbChoice::Greedy, ..RunConfig::default() };
-    let (clean, report) = sim(8, 1, synced.clone());
+    let (clean, report) = sim(8, 1, synced.clone(), SimConfig::default());
     assert_eq!(clean, want, "sim with an AtSync round");
     // The AtSync round ends about 4 ms in; the root then holds the sum
     // for 10 ms, so 7/20 of the run lands between checkpoint and delivery.
     let at = Dur::from_nanos(report.end_time.as_nanos() * 7 / 20);
-    let crash = RunConfig { failure_plan: Some(FailurePlan::new().crash_at(Pe(5), at)), ..synced };
-    let (shrunk, report) = sim(8, 1, crash.clone());
+    let plan = FailurePlan::new().crash_at(Pe(5), at);
+    let crash = RunConfig { failure_plan: Some(plan.clone()), ..synced };
+    let (shrunk, report) = sim(8, 1, crash.clone(), SimConfig::default());
     assert_eq!(report.counters.get(Ctr::Recoveries), 1, "the crash landed before the sum was delivered");
     assert_eq!(shrunk, want, "sim after crash -> shrink");
 
     // With a second AtSync round the same crash falls between the two
     // checkpoints; the shrunk run reaches the second one, where PE 5
     // rejoins, and the sum is taken on eight PEs again.
-    let rejoin = RunConfig { join_plan: Some(JoinPlan::new().rejoin_after_recoveries(Pe(5), 1)), ..crash };
-    let (rejoined, report) = sim(8, 2, rejoin);
+    let rejoin = RunConfig { failure_plan: Some(plan.rejoin_after_recoveries(Pe(5), 1)), ..crash };
+    let (rejoined, report) = sim(8, 2, rejoin, SimConfig::default());
     assert_eq!(report.counters.get(Ctr::Generations), 3, "full -> shrunk -> re-expanded");
     assert_eq!(rejoined, want, "sim after crash -> shrink -> rejoin");
 }
@@ -444,8 +446,9 @@ fn ampi_f64_sums_are_exact_on_every_schedule_and_engine() {
         let want = vec![sum.to_bits(); ranks as usize + 1];
         for delivery in [DeliverySpec::Fifo, DeliverySpec::Random { seed: 1 }, DeliverySpec::Random { seed: 2 }] {
             let net = NetworkModel::two_cluster_sweep(8, Dur::from_millis(1));
-            let rc = RunConfig { delivery: delivery.clone(), ..RunConfig::default() };
-            let bits = ampi_sum_bits(ranks, |body| gridmdo::ampi::run_sim(ranks, Mapping::Block, net, rc, body));
+            let engine = SimEngine::new(net, RunConfig::default())
+                .with_config(SimConfig { delivery: delivery.clone(), ..SimConfig::default() });
+            let bits = ampi_sum_bits(ranks, |body| engine.run(build_ampi_program(ranks, Mapping::Block, body)));
             assert_eq!(bits, want, "sim, {ranks} ranks, {delivery:?}");
         }
         let topo = Topology::two_cluster(8);
@@ -552,8 +555,7 @@ fn gateway_crash_and_rejoin_rebuilds_the_tree_bit_exact() {
     for k in 1..=4u32 {
         let at = Dur::from_nanos(clean.total.as_nanos() * u64::from(2 * k + 1) / u64::from(2 * steps));
         let rc = RunConfig {
-            failure_plan: Some(FailurePlan::new().crash_at(Pe(2), at)),
-            join_plan: Some(JoinPlan::new().rejoin_after_recoveries(Pe(2), 1)),
+            failure_plan: Some(FailurePlan::new().crash_at(Pe(2), at).rejoin_after_recoveries(Pe(2), 1)),
             ..trees_on()
         };
         let elastic = stencil::run_sim(cfg.clone(), net(), rc);
@@ -573,12 +575,7 @@ fn mdo_check_exploration_stays_green_with_trees_on() {
     // on — with every collective routed over the trees.  (CI runs the
     // full 200-schedule session; this is the in-tree smoke.)
     for app in [CheckApp::stencil_mini(), CheckApp::leanmd_mini()] {
-        let cfg = ExploreConfig {
-            schedules: 8,
-            differential_every: 4,
-            tree: Some(TreeConfig::default()),
-            ..ExploreConfig::default()
-        };
+        let cfg = ExploreConfig { schedules: 8, differential_every: 4, run: trees_on(), ..ExploreConfig::default() };
         let report = explore(&app, &cfg);
         assert!(report.horizon > 0, "{}: contested dispatches exist", report.app);
         assert!(report.passed(), "{}: tree exploration failed: {:?}", report.app, report.failing);

@@ -74,8 +74,8 @@ fn stencil_with_policy(delivery: DeliverySpec) -> (stencil::StencilOutcome, Sche
     let cfg = StencilConfig::paper(64, 6);
     let net = NetworkModel::two_cluster_sweep(8, Dur::from_millis(7));
     let sink: ScheduleSink = Default::default();
-    let run_cfg = RunConfig { delivery, schedule_sink: Some(sink.clone()), ..RunConfig::default() };
-    let out = stencil::run_sim(cfg, net, run_cfg);
+    let sim_cfg = SimConfig { delivery, schedule_sink: Some(sink.clone()), ..SimConfig::default() };
+    let out = stencil::run_sim_full(cfg, SimEngine::new(net, RunConfig::default()).with_config(sim_cfg), None, None);
     let trace = sink.lock().expect("schedule sink").clone();
     (out, trace)
 }
@@ -110,8 +110,8 @@ fn delivery_policy_seeds_change_the_schedule_not_the_results() {
     let md = |seed| {
         let cfg = MdConfig::validation(3, 4, 5);
         let net = NetworkModel::two_cluster_sweep(4, Dur::from_millis(3));
-        let run_cfg = RunConfig { delivery: DeliverySpec::Random { seed }, ..RunConfig::default() };
-        leanmd::run_sim(cfg, net, run_cfg)
+        let sim_cfg = SimConfig { delivery: DeliverySpec::Random { seed }, ..SimConfig::default() };
+        leanmd::run_sim_full(cfg, SimEngine::new(net, RunConfig::default()).with_config(sim_cfg), None, None)
     };
     let x = md(11);
     let y = md(12);

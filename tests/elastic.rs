@@ -73,8 +73,7 @@ fn sim_stencil_rejoin_at_every_step_is_bit_exact() {
     for k in 1..=4u32 {
         let at = frac_of(clean.total, 2 * k + 1, 2 * steps);
         let run_cfg = RunConfig {
-            failure_plan: Some(FailurePlan::new().crash_at(Pe(1), at)),
-            join_plan: Some(JoinPlan::new().rejoin_after_recoveries(Pe(1), 1)),
+            failure_plan: Some(FailurePlan::new().crash_at(Pe(1), at).rejoin_after_recoveries(Pe(1), 1)),
             ..RunConfig::default()
         };
         let elastic = stencil::run_sim(cfg.clone(), stencil_net(), run_cfg);
@@ -99,8 +98,7 @@ fn sim_rejoin_at_a_wall_clock_time_is_bit_exact() {
     let crash_at = frac_of(clean.total, 1, 2);
     let rejoin_at = frac_of(clean.total, 9, 10);
     let run_cfg = RunConfig {
-        failure_plan: Some(FailurePlan::new().crash_at(Pe(1), crash_at)),
-        join_plan: Some(JoinPlan::new().rejoin_at(Pe(1), rejoin_at)),
+        failure_plan: Some(FailurePlan::new().crash_at(Pe(1), crash_at).rejoin_at(Pe(1), rejoin_at)),
         ..RunConfig::default()
     };
     let elastic = stencil::run_sim(cfg, stencil_net(), run_cfg);
@@ -124,8 +122,7 @@ fn sim_leanmd_crash_then_rejoin_sweep_is_bit_exact() {
     for (num, den) in [(5u32, 12u32), (6, 12), (7, 12)] {
         let at = frac_of(clean.total, num, den);
         let run_cfg = RunConfig {
-            failure_plan: Some(FailurePlan::new().crash_at(Pe(2), at)),
-            join_plan: Some(JoinPlan::new().rejoin_after_recoveries(Pe(2), 1)),
+            failure_plan: Some(FailurePlan::new().crash_at(Pe(2), at).rejoin_after_recoveries(Pe(2), 1)),
             ..RunConfig::default()
         };
         let elastic = leanmd::run_sim(cfg.clone(), net(), run_cfg);
@@ -161,11 +158,7 @@ fn threaded_stencil_crash_then_rejoin_is_bit_exact() {
         let plan = FailurePlan::new()
             .crash_after_messages(Pe(2), n)
             .with_heartbeat(Dur::from_millis(15), Dur::from_millis(150));
-        let run_cfg = RunConfig {
-            failure_plan: Some(plan),
-            join_plan: Some(JoinPlan::new().rejoin_after_recoveries(Pe(2), 1)),
-            ..RunConfig::default()
-        };
+        let run_cfg = RunConfig { failure_plan: Some(plan.rejoin_after_recoveries(Pe(2), 1)), ..RunConfig::default() };
         let elastic = (0..3)
             .map(|_| stencil::run_threaded(cfg.clone(), topo.clone(), latency.clone(), run_cfg.clone()))
             .find(|out| out.report.unrecoverable.is_none())
@@ -203,11 +196,8 @@ fn threaded_leanmd_crash_then_rejoin_is_bit_exact() {
             let plan = FailurePlan::new()
                 .crash_after_messages(Pe(2), n)
                 .with_heartbeat(Dur::from_millis(15), Dur::from_millis(150));
-            let run_cfg = RunConfig {
-                failure_plan: Some(plan),
-                join_plan: Some(JoinPlan::new().rejoin_after_recoveries(Pe(2), 1)),
-                ..RunConfig::default()
-            };
+            let run_cfg =
+                RunConfig { failure_plan: Some(plan.rejoin_after_recoveries(Pe(2), 1)), ..RunConfig::default() };
             leanmd::run_threaded(cfg.clone(), topo.clone(), latency.clone(), run_cfg)
         })
         .find(|out| out.report.unrecoverable.is_none())
@@ -223,15 +213,15 @@ fn threaded_leanmd_crash_then_rejoin_is_bit_exact() {
 #[test]
 fn sim_pure_expand_adds_a_brand_new_pe_bit_exact() {
     // No failure at all: PE 4 (beyond the original 0..4 range) joins
-    // cluster A halfway through.  The join plan alone arms the buddy
-    // checkpoint machinery; the topology widens to 5 PEs, everyone
+    // cluster A halfway through.  A failure plan holding only the join
+    // arms the buddy checkpoint machinery; the topology widens to 5 PEs, everyone
     // restarts from the newest epoch, and the digest is untouched.
     let cfg = small_stencil(6);
     let clean = stencil::run_sim(cfg.clone(), stencil_net(), RunConfig::default());
 
     let at = frac_of(clean.total, 1, 2);
     let run_cfg =
-        RunConfig { join_plan: Some(JoinPlan::new().join_at(Pe(4), ClusterId(0), at)), ..RunConfig::default() };
+        RunConfig { failure_plan: Some(FailurePlan::new().join_at(Pe(4), ClusterId(0), at)), ..RunConfig::default() };
     let wide = stencil::run_sim(cfg, stencil_net(), run_cfg);
 
     assert_eq!(wide.block_sums, clean.block_sums, "expand is bit-exact");
@@ -251,7 +241,7 @@ fn threaded_pure_expand_adds_a_brand_new_pe_bit_exact() {
     // The trigger time is already past when the first buddy epoch
     // completes, so the join is admitted at the first checkpoint.
     let run_cfg = RunConfig {
-        join_plan: Some(JoinPlan::new().join_at(Pe(4), ClusterId(0), Dur::from_millis(1))),
+        failure_plan: Some(FailurePlan::new().join_at(Pe(4), ClusterId(0), Dur::from_millis(1))),
         ..RunConfig::default()
     };
     let wide = stencil::run_threaded(cfg, topo, latency, run_cfg);
@@ -282,11 +272,7 @@ fn feedback_balancer_reduces_imbalance_without_app_changes() {
     let net = || NetworkModel::two_cluster_sweep(4, Dur::from_micros(100));
 
     let unbalanced = run_synthetic(cfg.clone(), net(), RunConfig::default());
-    let fb_cfg = RunConfig {
-        lb: LbChoice::Greedy,
-        feedback: Some(FeedbackConfig::new().with_max_mean_ratio(1.1)),
-        ..RunConfig::default()
-    };
+    let fb_cfg = RunConfig { lb: LbChoice::Greedy, feedback: true, ..RunConfig::default() };
     let balanced = run_synthetic(cfg, net(), fb_cfg);
 
     assert!(balanced.counters.get(Ctr::RebalanceTriggers) > 0, "the skew trips the imbalance threshold");
@@ -310,7 +296,7 @@ fn feedback_balancer_stays_quiet_on_a_balanced_load() {
         lb_period: Some(2),
     };
     let net = NetworkModel::two_cluster_sweep(4, Dur::from_micros(100));
-    let run_cfg = RunConfig { lb: LbChoice::Greedy, feedback: Some(FeedbackConfig::new()), ..RunConfig::default() };
+    let run_cfg = RunConfig { lb: LbChoice::Greedy, feedback: true, ..RunConfig::default() };
     let report = run_synthetic(cfg, net, run_cfg);
 
     assert_eq!(report.counters.get(Ctr::RebalanceTriggers), 0, "no threshold crossing on uniform load");

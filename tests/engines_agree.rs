@@ -90,7 +90,9 @@ fn leanmd_potential_is_bit_identical_across_engines_and_schedules() {
     let cfg = MdConfig::validation(3, 8, 4);
     let sim = |delivery: DeliverySpec| {
         let net = NetworkModel::two_cluster_sweep(4, Dur::from_millis(2));
-        leanmd::run_sim(cfg.clone(), net, RunConfig { delivery, ..RunConfig::default() }).potential
+        let engine =
+            SimEngine::new(net, RunConfig::default()).with_config(SimConfig { delivery, ..SimConfig::default() });
+        leanmd::run_sim_full(cfg.clone(), engine, None, None).potential
     };
     let fifo = sim(DeliverySpec::Fifo);
     assert_ne!(fifo, 0.0, "real kernels ran");

@@ -5,7 +5,7 @@ use std::sync::Arc;
 use gridmdo::apps::leanmd::geometry::CellGrid;
 use gridmdo::apps::stencil::seq::SeqStencil;
 use gridmdo::netsim::topology::ClusterSpec;
-use gridmdo::netsim::{ClusterId, Dur, EventQueue, LatencyMatrix, Pe, SpanTree, Time, Topology, TreeConfig};
+use gridmdo::netsim::{ClusterId, Dur, EventQueue, LatencyMatrix, Pe, SpanTree, Time, Topology};
 use gridmdo::runtime::array::{ArrayLocal, ArraySpec, Placement};
 use gridmdo::runtime::chare::{Chare, Ctx};
 use gridmdo::runtime::checkpoint::{ArraySnapshot, Snapshot};
@@ -26,19 +26,19 @@ impl Chare for Idle {
 }
 
 /// Structural validity of a collective spanning tree: spans every PE
-/// exactly once, children ascending.  The heap shape (`cfg` `None`) hangs
-/// PE p under (p − 1) / 2 and has no gateways.  The two-level shape has
-/// one gateway (the first PE) per non-empty cluster, intra-cluster
-/// fan-out within the branching factor, and WAN edges only from the root
-/// to remote gateways.
-fn check_span_tree(topo: &Topology, tree: &SpanTree, cfg: Option<TreeConfig>) -> Result<(), TestCaseError> {
+/// exactly once, children ascending.  The heap shape (`two_level` false)
+/// hangs PE p under (p − 1) / 2 and has no gateways.  The two-level shape
+/// has one gateway (the first PE) per non-empty cluster, intra-cluster
+/// fan-out within `SpanTree::BRANCH`, and WAN edges only from the root to
+/// remote gateways.
+fn check_span_tree(topo: &Topology, tree: &SpanTree, two_level: bool) -> Result<(), TestCaseError> {
     let mut seen: Vec<u32> = tree.subtree(Pe(0)).iter().map(|p| p.0).collect();
     seen.sort_unstable();
     prop_assert_eq!(&seen, &(0..topo.num_pes() as u32).collect::<Vec<_>>());
     for pe in topo.pes() {
         prop_assert!(tree.children(pe).windows(2).all(|w| w[0] < w[1]), "{:?}'s children ascend", pe);
     }
-    let Some(cfg) = cfg else {
+    if !two_level {
         for p in 1..topo.num_pes() as u32 {
             prop_assert_eq!(tree.parent(Pe(p)), Some(Pe((p - 1) / 2)));
         }
@@ -46,7 +46,7 @@ fn check_span_tree(topo: &Topology, tree: &SpanTree, cfg: Option<TreeConfig>) ->
             prop_assert!(tree.gateway(c).is_none(), "the heap has no gateways");
         }
         return Ok(());
-    };
+    }
     for c in topo.clusters() {
         match tree.gateway(c) {
             Some(gw) => {
@@ -60,7 +60,7 @@ fn check_span_tree(topo: &Topology, tree: &SpanTree, cfg: Option<TreeConfig>) ->
     }
     for pe in topo.pes() {
         let intra = tree.children(pe).iter().filter(|&&ch| !topo.crosses_wan(pe, ch)).count();
-        prop_assert!(intra <= cfg.branch as usize, "{:?} exceeds the branching factor: {}", pe, intra);
+        prop_assert!(intra <= SpanTree::BRANCH, "{:?} exceeds the branching factor: {}", pe, intra);
         for &child in tree.children(pe) {
             if topo.crosses_wan(pe, child) {
                 prop_assert!(pe == Pe(0), "only the root crosses the WAN, not {:?}", pe);
@@ -312,20 +312,18 @@ proptest! {
 
     /// Collective spanning trees over arbitrary topology shapes — 1..8
     /// clusters, uneven sizes, degenerate one-PE clusters — are valid for
-    /// the heap shape and every branching factor: the tree spans every PE
-    /// exactly once; the heap is the binary PE heap; in the two-level
-    /// shape each non-empty cluster has exactly its first PE as gateway,
-    /// intra-cluster fan-out respects the branching factor, and the wide
-    /// area is crossed only on root -> gateway edges (once per remote
-    /// cluster).
+    /// either shape: the tree spans every PE exactly once; the heap is the
+    /// binary PE heap; in the two-level shape each non-empty cluster has
+    /// exactly its first PE as gateway, intra-cluster fan-out respects the
+    /// branching factor, and the wide area is crossed only on root ->
+    /// gateway edges (once per remote cluster).
     #[test]
     fn span_tree_is_valid_on_arbitrary_topologies(sizes in prop::collection::vec(1u32..6, 1..8),
-                                                  branch in 0u32..5) {
+                                                  two_level in any::<bool>()) {
         let topo = Topology::new(
             sizes.iter().enumerate().map(|(i, &pes)| ClusterSpec { name: format!("c{i}"), pes }).collect(),
         );
-        let cfg = (branch > 0).then(|| TreeConfig::new(branch)); // 0: the heap
-        check_span_tree(&topo, &SpanTree::new(&topo, cfg), cfg)?;
+        check_span_tree(&topo, &SpanTree::new(&topo, two_level), two_level)?;
     }
 
     /// Either shape stays valid when rebuilt after any shrink/expand history:
@@ -335,14 +333,13 @@ proptest! {
     #[test]
     fn span_tree_survives_arbitrary_shrink_expand_sequences(
         sizes in prop::collection::vec(1u32..5, 2..6),
-        branch in 0u32..5,
+        two_level in any::<bool>(),
         ops in prop::collection::vec((any::<bool>(), any::<prop::sample::Index>()), 0..8))
     {
         let mut topo = Topology::new(
             sizes.iter().enumerate().map(|(i, &pes)| ClusterSpec { name: format!("c{i}"), pes }).collect(),
         );
-        let cfg = (branch > 0).then(|| TreeConfig::new(branch)); // 0: the heap
-        check_span_tree(&topo, &SpanTree::new(&topo, cfg), cfg)?;
+        check_span_tree(&topo, &SpanTree::new(&topo, two_level), two_level)?;
         for (shrink, which) in ops {
             if shrink {
                 if topo.num_pes() > 1 {
@@ -353,7 +350,7 @@ proptest! {
                 let c = ClusterId(which.index(topo.num_clusters()) as u16);
                 topo = topo.with_pes(&[c]).0;
             }
-            check_span_tree(&topo, &SpanTree::new(&topo, cfg), cfg)?;
+            check_span_tree(&topo, &SpanTree::new(&topo, two_level), two_level)?;
         }
     }
 

@@ -94,14 +94,11 @@ fn sim_quiescence_is_sound_under_exploration_plus_faults() {
     // still fire exactly once at a genuinely quiet point.
     for seed in [3, 4] {
         let (program, received, fired) = chain_program();
-        let run_cfg = RunConfig {
-            fault_plan: Some(rough_weather()),
-            delivery: DeliverySpec::Random { seed },
-            obs: Some(ObsConfig::new()),
-            ..RunConfig::default()
-        };
+        let run_cfg =
+            RunConfig { fault_plan: Some(rough_weather()), obs: Some(ObsConfig::new()), ..RunConfig::default() };
         let net = NetworkModel::two_cluster_sweep(4, Dur::from_millis(2));
-        let report = SimEngine::new(net, run_cfg).run(program);
+        let sim_cfg = SimConfig { delivery: DeliverySpec::Random { seed }, ..SimConfig::default() };
+        let report = SimEngine::new(net, run_cfg).with_config(sim_cfg).run(program);
         assert_eq!(fired.load(Ordering::SeqCst), 1, "seed {seed}: fired once");
         assert_eq!(received.load(Ordering::SeqCst), u64::from(HOPS) + 1, "seed {seed}: exactly-once");
         let violations = check_report(&report, &Expectation { quiescent_exit: true, ..Expectation::default() });

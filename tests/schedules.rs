@@ -76,7 +76,7 @@ fn broken_dedup_mutation_is_caught_shrunk_and_replayable() {
     // as an app crash.
     let plan = FaultPlan::default().with_duplicate(0.10).with_seed(9).with_mutation_no_dedup();
     let app = CheckApp::probe();
-    let cfg = ExploreConfig { fault_plan: Some(plan), ..quick(42, 3) };
+    let cfg = ExploreConfig { run: RunConfig { fault_plan: Some(plan), ..RunConfig::default() }, ..quick(42, 3) };
     let report = explore(&app, &cfg);
 
     assert!(!report.passed(), "the mutation must be caught");
@@ -113,7 +113,7 @@ fn clean_fault_injection_passes_exploration() {
     // harness does not cry wolf under honest WAN weather.
     let plan = FaultPlan::default().with_drop(0.05).with_reorder(0.10).with_seed(3);
     let app = CheckApp::stencil_mini();
-    let cfg = ExploreConfig { fault_plan: Some(plan), ..quick(8, 6) };
+    let cfg = ExploreConfig { run: RunConfig { fault_plan: Some(plan), ..RunConfig::default() }, ..quick(8, 6) };
     let report = explore(&app, &cfg);
     assert!(
         report.passed(),
