@@ -22,9 +22,9 @@
 //!    WAN-overlap fraction, to show coalescing does not hurt the paper's
 //!    latency-masking results.
 //!
-//! Results land in `results/BENCH_msgpath.json`.
+//! The report goes to stdout; nothing is written.
 //!
-//! Usage: `msgpath [--quick] [--out PATH]`
+//! Usage: `msgpath [--quick]`
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -32,7 +32,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mdo_apps::{leanmd, stencil};
-use mdo_bench::{arg_flag, arg_value, overlap_fraction};
+use mdo_bench::{arg_flag, overlap_fraction};
 use mdo_core::envelope::MsgBody;
 use mdo_core::prelude::*;
 use mdo_core::Envelope;
@@ -378,7 +378,6 @@ fn fine_grain_sweep(quick: bool) -> Vec<SweepRow> {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = arg_flag(&args, "--quick");
-    let out_path = arg_value(&args, "--out").unwrap_or_else(|| "results/BENCH_msgpath.json".to_string());
     let senders: u32 = 4;
     let n: u64 = if quick { 512 } else { 4096 };
 
@@ -428,60 +427,6 @@ fn main() {
             r.objects, r.per_pe, r.ms_per_step_off, r.ms_per_step_on, r.coalesced_on, r.frames_on
         );
     }
-
-    let intra_json: Vec<String> = intra
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"senders\": {}, \"env_per_s_batched\": {:.0}, \"env_per_s_single\": {:.0}}}",
-                r.senders, r.env_per_s_batched, r.env_per_s_single
-            )
-        })
-        .collect();
-    let mask_json: Vec<String> = mask
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"app\": \"{}\", \"latency_ms\": {}, \"ms_per_step_off\": {:.3}, \"ms_per_step_on\": {:.3}, \
-                 \"overlap_off\": {:.4}, \"overlap_on\": {:.4}}}",
-                r.app, r.lat_ms, r.ms_per_step_off, r.ms_per_step_on, r.overlap_off, r.overlap_on
-            )
-        })
-        .collect();
-    let sweep_json: Vec<String> = sweep
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"objects\": {}, \"objects_per_pe\": {}, \"ms_per_step_off\": {:.3}, \
-                 \"ms_per_step_on\": {:.3}, \"frames_on\": {}, \"envelopes_coalesced_on\": {}}}",
-                r.objects, r.per_pe, r.ms_per_step_off, r.ms_per_step_on, r.frames_on, r.coalesced_on
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"schema\": 2,\n  \"quick\": {quick},\n  \"payload_bytes\": {PAYLOAD},\n  \"senders\": {senders},\n  \
-         \"envelopes_per_sender\": {n},\n  \"wan_one_way_ms\": 1,\n  \"agg_off\": {{\"env_per_s\": {:.0}, \
-         \"wall_s\": {:.4}}},\n  \"agg_on\": {{\"env_per_s\": {:.0}, \"wall_s\": {:.4}, \"frames\": {}, \
-         \"envelopes_per_frame\": {:.1}, \"header_bytes_saved\": {}}},\n  \"speedup\": {speedup:.3},\n  \
-         \"send_path_allocs_per_envelope\": {{\"agg_off\": {alloc_off:.3}, \"agg_on\": {alloc_on:.3}}},\n  \
-         \"intra_node_total_envelopes\": {intra_total},\n  \"env_per_s_by_senders\": [\n{}\n  ],\n  \
-         \"masking_guard\": [\n{}\n  ],\n  \"fine_grain_sweep\": [\n{}\n  ]\n}}\n",
-        off.env_per_s,
-        off.wall_s,
-        on.env_per_s,
-        on.wall_s,
-        on.frames,
-        on.envelopes as f64 / on.frames.max(1) as f64,
-        on.bytes_saved,
-        intra_json.join(",\n"),
-        mask_json.join(",\n"),
-        sweep_json.join(",\n"),
-    );
-    if let Some(dir) = std::path::Path::new(&out_path).parent() {
-        std::fs::create_dir_all(dir).expect("create results dir");
-    }
-    std::fs::write(&out_path, &json).expect("write results json");
-    println!("\nwrote {out_path}");
 
     // Acceptance thresholds for the full run; `--quick` is a smoke test
     // (tiny bursts on shared CI runners make wall-clock ratios noisy).

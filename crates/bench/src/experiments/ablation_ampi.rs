@@ -8,27 +8,27 @@
 //! count.  With one rank per PE every cross-cluster receive stalls the
 //! processor; with many, the AMPI layer schedules another suspended rank
 //! and the latency disappears from the critical path.
-//!
-//! Usage: `ablation_ampi [--pes N] [--steps N] [--csv]`
 
 use mdo_apps::stencil::ampi2d::{self, Ampi2dConfig};
 use mdo_apps::stencil::StencilCost;
-use mdo_bench::table::{ms, Table};
-use mdo_bench::{arg_flag, arg_value, FIG3_LATENCIES_MS};
 use mdo_core::program::RunConfig;
 use mdo_netsim::network::NetworkModel;
 use mdo_netsim::Dur;
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let pes: u32 = arg_value(&args, "--pes").map(|s| s.parse().expect("--pes N")).unwrap_or(4);
-    let steps: u32 = arg_value(&args, "--steps").map(|s| s.parse().expect("--steps N")).unwrap_or(10);
-    let csv = arg_flag(&args, "--csv");
-    // Rank grids must be perfect squares; per-PE counts 1x, 4x, 16x, 64x.
-    let rank_counts: Vec<u32> = [1u32, 4, 16, 64].iter().map(|m| m * pes).collect();
+use crate::table::{ms, Table};
+use crate::FIG3_LATENCIES_MS;
 
-    println!("Ablation A6: AMPI rank virtualization (identical MPI-style stencil code)");
-    println!("2048x2048 mesh, {pes} PEs across two clusters, {steps} steps\n");
+const PES: u32 = 4;
+const STEPS: u32 = 10;
+
+/// ms/step at 1, 4, 16 and 64 ranks per PE across the latency sweep.
+pub fn generate() -> Vec<String> {
+    // Rank grids must be perfect squares; per-PE counts 1x, 4x, 16x, 64x.
+    let rank_counts: Vec<u32> = [1u32, 4, 16, 64].iter().map(|m| m * PES).collect();
+
+    let mut out = String::new();
+    outln!(out, "Ablation A6: AMPI rank virtualization (identical MPI-style stencil code)");
+    outln!(out, "2048x2048 mesh, {PES} PEs across two clusters, {STEPS} steps\n");
 
     let mut header = vec!["latency_ms".to_string()];
     header.extend(rank_counts.iter().map(|r| format!("{r} ranks (ms/step)")));
@@ -37,13 +37,13 @@ fn main() {
     for &lat in FIG3_LATENCIES_MS.iter() {
         let mut cells = vec![lat.to_string()];
         for &ranks in &rank_counts {
-            let cfg = Ampi2dConfig { mesh: 2048, ranks, steps, compute: false, cost: StencilCost::default() };
-            let net = NetworkModel::two_cluster_sweep(pes, Dur::from_millis(lat));
-            let out = ampi2d::run_sim(cfg, net, RunConfig::default());
-            cells.push(ms(out.ms_per_step));
+            let cfg = Ampi2dConfig { mesh: 2048, ranks, steps: STEPS, compute: false, cost: StencilCost::default() };
+            let net = NetworkModel::two_cluster_sweep(PES, Dur::from_millis(lat));
+            cells.push(ms(ampi2d::run_sim(cfg, net, RunConfig::default()).ms_per_step));
         }
         table.row(cells);
     }
-    println!("{}", if csv { table.render_csv() } else { table.render() });
-    println!("(same source for every column; only the number of ranks changes)");
+    outln!(out, "{}", table.render());
+    outln!(out, "(same source for every column; only the number of ranks changes)");
+    vec![out]
 }

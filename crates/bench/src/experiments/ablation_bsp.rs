@@ -7,38 +7,37 @@
 //! against the BSP AMPI stencil (one rank per PE, blocking halo exchange
 //! plus per-step all-reduce) across the latency sweep and reports the
 //! slowdown each suffers relative to its own zero-latency time.
-//!
-//! Usage: `ablation_bsp [--pes N] [--steps N] [--csv]`
 
 use mdo_apps::stencil::bsp::{self, BspConfig};
 use mdo_apps::stencil::{self, StencilConfig, StencilCost};
-use mdo_bench::table::{ms, ratio, Table};
-use mdo_bench::{arg_flag, arg_value, FIG3_LATENCIES_MS};
 use mdo_core::program::RunConfig;
 use mdo_netsim::network::NetworkModel;
 use mdo_netsim::Dur;
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let pes: u32 = arg_value(&args, "--pes").map(|s| s.parse().expect("--pes N")).unwrap_or(8);
-    let steps: u32 = arg_value(&args, "--steps").map(|s| s.parse().expect("--steps N")).unwrap_or(10);
-    let csv = arg_flag(&args, "--csv");
-    let objects = 256usize;
+use crate::table::{ms, ratio, Table};
+use crate::FIG3_LATENCIES_MS;
 
-    println!("Ablation A2: message-driven ({objects} objects) vs bulk-synchronous");
-    println!("(1 rank/PE) five-point stencil on {pes} PEs, 2048x2048, {steps} steps\n");
+const PES: u32 = 8;
+const STEPS: u32 = 10;
+const OBJECTS: usize = 256;
+
+/// Both variants' ms/step and slowdown across the latency sweep.
+pub fn generate() -> Vec<String> {
+    let mut out = String::new();
+    outln!(out, "Ablation A2: message-driven ({OBJECTS} objects) vs bulk-synchronous");
+    outln!(out, "(1 rank/PE) five-point stencil on {PES} PEs, 2048x2048, {STEPS} steps\n");
 
     let mut table =
         Table::new(vec!["latency_ms", "msg-driven ms/step", "BSP ms/step", "msg-driven slowdown", "BSP slowdown"]);
 
     let md_run = |lat: u64| {
-        let cfg = StencilConfig::paper(objects, steps);
-        let net = NetworkModel::two_cluster_sweep(pes, Dur::from_millis(lat));
+        let cfg = StencilConfig::paper(OBJECTS, STEPS);
+        let net = NetworkModel::two_cluster_sweep(PES, Dur::from_millis(lat));
         stencil::run_sim(cfg, net, RunConfig::default()).ms_per_step
     };
     let bsp_run = |lat: u64| {
-        let cfg = BspConfig { mesh: 2048, ranks: pes, steps, compute: false, cost: StencilCost::default() };
-        let net = NetworkModel::two_cluster_sweep(pes, Dur::from_millis(lat));
+        let cfg = BspConfig { mesh: 2048, ranks: PES, steps: STEPS, compute: false, cost: StencilCost::default() };
+        let net = NetworkModel::two_cluster_sweep(PES, Dur::from_millis(lat));
         bsp::run_sim(cfg, net, RunConfig::default()).ms_per_step
     };
 
@@ -49,6 +48,7 @@ fn main() {
         let bs = bsp_run(lat);
         table.row(vec![lat.to_string(), ms(md), ms(bs), ratio(md / md0), ratio(bs / bsp0)]);
     }
-    println!("{}", if csv { table.render_csv() } else { table.render() });
-    println!("(slowdowns are relative to each variant's own zero-latency step time)");
+    outln!(out, "{}", table.render());
+    outln!(out, "(slowdowns are relative to each variant's own zero-latency step time)");
+    vec![out]
 }

@@ -21,22 +21,20 @@
 //! `wan_msgs_sent` flat vs tree on the same run, with the outputs
 //! checked bit-exact across modes.
 //!
-//! Every count is exact in the simulator: the full-mode output is
-//! committed as `results/ablation_collectives.txt`.
-//!
-//! Usage: `ablation_collectives [--quick] [--csv]`
+//! Every count is exact in the simulator.
 
 use mdo_apps::leanmd::{self, MdConfig};
 use mdo_apps::stencil::{self, StencilConfig, StencilCost};
-use mdo_bench::arg_flag;
-use mdo_bench::table::Table;
 use mdo_core::envelope::ReduceOp;
 use mdo_core::prelude::*;
 use mdo_core::{Chare, Ctx, SimEngine};
 use mdo_netsim::bandwidth::WanContention;
 use mdo_netsim::network::NetworkModel;
 use mdo_netsim::LatencyMatrix;
-use mdo_obs::{Ctr, ObsConfig};
+use mdo_obs::Ctr;
+
+use crate::recorded;
+use crate::table::Table;
 
 const KICK: EntryId = EntryId(91);
 
@@ -71,14 +69,24 @@ fn pulse_program(elems: usize, rounds: u32) -> Program {
     p
 }
 
-/// Total `wan_msgs_sent` for one pulse run of `rounds` rounds.
-fn pulse_wan(topo: &Topology, elems: usize, rounds: u32, tree: bool) -> u64 {
+/// A 1 ms WAN between the clusters of `topo`, and a recorded run over
+/// the tree shape `tree` selects.
+fn setup(topo: &Topology, tree: bool) -> (NetworkModel, RunConfig) {
     let latency = LatencyMatrix::uniform(topo, Dur::ZERO, Dur::from_millis(1));
     let net = NetworkModel::new(topo.clone(), latency, WanContention::disabled(topo), 0);
-    let rc = RunConfig { tree_collectives: tree, obs: Some(ObsConfig::new()), ..RunConfig::default() };
+    (net, RunConfig { tree_collectives: tree, ..recorded() })
+}
+
+fn wan_msgs(report: RunReport) -> u64 {
+    report.obs.expect("obs armed").merged_counters().get(Ctr::WanMsgsSent)
+}
+
+/// Total `wan_msgs_sent` for one pulse run of `rounds` rounds.
+fn pulse_wan(topo: &Topology, elems: usize, rounds: u32, tree: bool) -> u64 {
+    let (net, rc) = setup(topo, tree);
     let report = SimEngine::new(net, rc).run(pulse_program(elems, rounds));
     assert!(report.unrecoverable.is_none(), "pulse run completed");
-    report.obs.expect("obs armed").merged_counters().get(Ctr::WanMsgsSent)
+    wan_msgs(report)
 }
 
 /// Steady-state wide-area messages per broadcast→reduce round, isolated
@@ -90,75 +98,50 @@ fn wan_per_round(topo: &Topology, elems: usize, rounds: u32, tree: bool) -> f64 
     (hi - lo) as f64 / f64::from(rounds)
 }
 
-struct MicroRow {
-    layout: String,
-    pes: u32,
-    elems: usize,
-    flat: f64,
-    tree: f64,
-    bound: u64,
-}
-
-struct AppRow {
-    app: &'static str,
-    flat_wan: u64,
-    tree_wan: u64,
-}
-
-fn stencil_row(quick: bool) -> AppRow {
+/// Flat and tree `wan_msgs_sent` of the stencil, same field asserted.
+fn stencil_wan() -> (u64, u64) {
     let cfg = StencilConfig {
         mesh: 32,
         objects: 16,
-        steps: if quick { 4 } else { 8 },
+        steps: 8,
         compute: true,
         cost: StencilCost { ns_per_cell: 10.0, msg_overhead: Dur::from_micros(5), cache_effect: false },
         mapping: Mapping::Block,
         lb_period: None,
     };
-    let topo = Topology::uniform(4, 2);
     let run = |tree: bool| {
-        let latency = LatencyMatrix::uniform(&topo, Dur::ZERO, Dur::from_millis(1));
-        let net = NetworkModel::new(topo.clone(), latency, WanContention::disabled(&topo), 0);
-        let rc = RunConfig { tree_collectives: tree, obs: Some(ObsConfig::new()), ..RunConfig::default() };
-        let out = stencil::run_sim(cfg.clone(), net, rc);
-        (out.block_sums, out.report.obs.expect("obs armed").merged_counters().get(Ctr::WanMsgsSent))
+        let (net, rc) = setup(&Topology::uniform(4, 2), tree);
+        let run = stencil::run_sim(cfg.clone(), net, rc);
+        (run.block_sums, wan_msgs(run.report))
     };
     // Bit-exactness is the oracle suite's job; here we only insist the
     // two modes computed the same field while we compare their traffic.
-    let (flat_sums, flat_wan) = run(false);
-    let (tree_sums, tree_wan) = run(true);
+    let ((flat_sums, flat_wan), (tree_sums, tree_wan)) = (run(false), run(true));
     assert_eq!(flat_sums, tree_sums, "stencil stays bit-exact while traffic changes");
-    AppRow { app: "stencil 32x32 / 16 obj", flat_wan, tree_wan }
+    (flat_wan, tree_wan)
 }
 
-fn leanmd_row(quick: bool) -> AppRow {
-    let cfg = MdConfig::validation(3, 4, if quick { 3 } else { 4 });
-    let topo = Topology::uniform(4, 2);
+/// Flat and tree `wan_msgs_sent` of LeanMD, same physics asserted.
+fn leanmd_wan() -> (u64, u64) {
     let run = |tree: bool| {
-        let latency = LatencyMatrix::uniform(&topo, Dur::ZERO, Dur::from_millis(1));
-        let net = NetworkModel::new(topo.clone(), latency, WanContention::disabled(&topo), 0);
-        let rc = RunConfig { tree_collectives: tree, obs: Some(ObsConfig::new()), ..RunConfig::default() };
-        let out = leanmd::run_sim(cfg.clone(), net, rc);
-        (out.checksums, out.report.obs.expect("obs armed").merged_counters().get(Ctr::WanMsgsSent))
+        let (net, rc) = setup(&Topology::uniform(4, 2), tree);
+        let run = leanmd::run_sim(MdConfig::validation(3, 4, 4), net, rc);
+        (run.checksums, wan_msgs(run.report))
     };
-    let (flat_sums, flat_wan) = run(false);
-    let (tree_sums, tree_wan) = run(true);
+    let ((flat_sums, flat_wan), (tree_sums, tree_wan)) = (run(false), run(true));
     assert_eq!(flat_sums, tree_sums, "LeanMD stays bit-exact while traffic changes");
-    AppRow { app: "leanmd 3^3 cells", flat_wan, tree_wan }
+    (flat_wan, tree_wan)
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = arg_flag(&args, "--quick");
-    let csv = arg_flag(&args, "--csv");
-
-    let rounds: u32 = if quick { 8 } else { 32 };
-    println!("== A14: collective-tree ablation ({} mode) ==\n", if quick { "quick" } else { "full" });
+/// WAN messages per collective round, and per application run, flat vs tree.
+pub fn generate() -> Vec<String> {
+    let rounds: u32 = 32;
+    let mut out = String::new();
+    outln!(out, "== A14: collective-tree ablation (full mode) ==\n");
 
     // ---- microbenchmark: WAN messages per broadcast→reduce round ----------
-    let layouts: &[(u32, u32)] = if quick { &[(2, 4), (4, 4)] } else { &[(2, 4), (4, 4), (8, 2), (4, 8)] };
-    let mut micro = Vec::new();
-    for &(clusters, per) in layouts {
+    let mut table = Table::new(vec!["layout", "PEs", "objects", "flat WAN/round", "tree WAN/round", "tree bound"]);
+    for (clusters, per) in [(2u32, 4u32), (4, 4), (8, 2), (4, 8)] {
         let topo = Topology::uniform(clusters as u16, per);
         let elems = (clusters * per * 4) as usize;
         let flat = wan_per_round(&topo, elems, rounds, false);
@@ -171,35 +154,30 @@ fn main() {
             "tree per-round WAN traffic must respect the gateway bound: {tree} !<= {bound} ({clusters} clusters)"
         );
         assert!(tree < flat, "trees must beat flat collectives: {tree} !< {flat} ({clusters}x{per})");
-        micro.push(MicroRow { layout: format!("{clusters} x {per}"), pes: clusters * per, elems, flat, tree, bound });
-    }
-
-    let mut table = Table::new(vec!["layout", "PEs", "objects", "flat WAN/round", "tree WAN/round", "tree bound"]);
-    for r in &micro {
         table.row(vec![
-            r.layout.clone(),
-            format!("{}", r.pes),
-            format!("{}", r.elems),
-            format!("{:.1}", r.flat),
-            format!("{:.1}", r.tree),
-            format!("<= {}", r.bound),
+            format!("{clusters} x {per}"),
+            format!("{}", clusters * per),
+            format!("{elems}"),
+            format!("{flat:.1}"),
+            format!("{tree:.1}"),
+            format!("<= {bound}"),
         ]);
     }
-    println!("{}", if csv { table.render_csv() } else { table.render() });
-    println!("(per-round cost isolated by differencing {rounds}- and {}-round runs)\n", 2 * rounds);
+    outln!(out, "{}", table.render());
+    outln!(out, "(per-round cost isolated by differencing {rounds}- and {}-round runs)\n", 2 * rounds);
 
     // ---- applications: total wide-area traffic, flat vs tree --------------
-    let apps = vec![stencil_row(quick), leanmd_row(quick)];
-    let mut app_table = Table::new(vec!["application (4 clusters x 2 PEs)", "flat wan_msgs", "tree wan_msgs", "ratio"]);
-    for r in &apps {
-        assert!(r.tree_wan < r.flat_wan, "{}: trees must cut total WAN traffic", r.app);
-        app_table.row(vec![
-            r.app.into(),
-            format!("{}", r.flat_wan),
-            format!("{}", r.tree_wan),
-            format!("{:.2}x", r.flat_wan as f64 / r.tree_wan as f64),
+    let mut table = Table::new(vec!["application (4 clusters x 2 PEs)", "flat wan_msgs", "tree wan_msgs", "ratio"]);
+    for (app, (flat_wan, tree_wan)) in [("stencil 32x32 / 16 obj", stencil_wan()), ("leanmd 3^3 cells", leanmd_wan())] {
+        assert!(tree_wan < flat_wan, "{app}: trees must cut total WAN traffic");
+        table.row(vec![
+            app.to_string(),
+            format!("{flat_wan}"),
+            format!("{tree_wan}"),
+            format!("{:.2}x", flat_wan as f64 / tree_wan as f64),
         ]);
     }
-    println!("{}", if csv { app_table.render_csv() } else { app_table.render() });
-    println!("(identical application output in both modes — asserted bit-exact)\n");
+    outln!(out, "{}", table.render());
+    outln!(out, "(identical application output in both modes — asserted bit-exact)\n");
+    vec![out]
 }

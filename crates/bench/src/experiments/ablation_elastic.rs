@@ -14,19 +14,19 @@
 //!  3. Does the obs-driven feedback balancer pull a skewed run back
 //!     toward balance without any application change?
 //!
-//! Results land in `results/BENCH_elastic.json`.
-//!
-//! Usage: `ablation_elastic [--steps N] [--out FILE] [--csv]`
+//! The numbers also land in `BENCH_elastic.json`.
 
 use mdo_apps::stencil::{self, StencilConfig, StencilCost};
 use mdo_apps::workloads::{run_synthetic, LoadShape, SyntheticConfig};
-use mdo_bench::table::{ms, Table};
-use mdo_bench::{arg_flag, arg_value};
 use mdo_core::prelude::{ClusterId, Pe};
 use mdo_core::program::{LbChoice, RunConfig, RunReport};
 use mdo_core::{Ctr, Mapping};
 use mdo_netsim::network::NetworkModel;
 use mdo_netsim::{Dur, FailurePlan};
+
+use crate::table::{ms, Table};
+
+const STEPS: u32 = 10;
 
 fn stencil_cfg(steps: u32) -> StencilConfig {
     StencilConfig {
@@ -51,17 +51,14 @@ fn imbalance(report: &RunReport, pes: usize) -> f64 {
     busy.iter().cloned().fold(0.0, f64::max) / mean
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let steps: u32 = arg_value(&args, "--steps").map(|s| s.parse().expect("--steps N")).unwrap_or(10);
-    let out_path = arg_value(&args, "--out").unwrap_or_else(|| "results/BENCH_elastic.json".to_string());
-    let csv = arg_flag(&args, "--csv");
-
-    println!("Ablation A11: elastic runtime (shrink / rejoin / expand / feedback balancing)");
-    println!("(48x48 stencil, 16 objects, {steps} steps, 4 PEs across 2 clusters, 1 ms WAN)\n");
+/// The report and `BENCH_elastic.json`.
+pub fn generate() -> Vec<String> {
+    let mut out = String::new();
+    outln!(out, "Ablation A11: elastic runtime (shrink / rejoin / expand / feedback balancing)");
+    outln!(out, "(48x48 stencil, 16 objects, {STEPS} steps, 4 PEs across 2 clusters, 1 ms WAN)\n");
 
     // ---- 1+2: crash, shrink, rejoin, expand -------------------------------
-    let cfg = stencil_cfg(steps);
+    let cfg = stencil_cfg(STEPS);
     let clean = stencil::run_sim(cfg.clone(), net(), RunConfig::default());
     let crash_at = Dur::from_nanos(clean.total.as_nanos() / 2);
 
@@ -117,13 +114,13 @@ fn main() {
             format!("{:.3}", imbalance(&out.report, pes)),
         ]);
     }
-    println!("{}", if csv { table.render_csv() } else { table.render() });
-    println!("recovery latency (crash cost over clean):      {}", ms(recovery_ms));
-    println!("re-expand latency (rejoin cost over shrunk):   {}", ms(reexpand_ms));
-    println!("post-rejoin imbalance {rejoin_imb:.3} vs shrunk {shrunk_imb:.3} (dead PE's slot stays frozen)\n");
+    outln!(out, "{}", table.render());
+    outln!(out, "recovery latency (crash cost over clean):      {}", ms(recovery_ms));
+    outln!(out, "re-expand latency (rejoin cost over shrunk):   {}", ms(reexpand_ms));
+    outln!(out, "post-rejoin imbalance {rejoin_imb:.3} vs shrunk {shrunk_imb:.3} (dead PE's slot stays frozen)\n");
 
     // ---- 3: continuous feedback balancing ---------------------------------
-    println!("Feedback balancer on a hot-spot synthetic load (flipping RunConfig only):\n");
+    outln!(out, "Feedback balancer on a hot-spot synthetic load (flipping RunConfig only):\n");
     let syn = SyntheticConfig {
         objects: 32,
         rounds: 16,
@@ -156,10 +153,10 @@ fn main() {
         fb.counters.get(Ctr::RebalanceTriggers).to_string(),
         fb.counters.get(Ctr::ObjectsMigrated).to_string(),
     ]);
-    println!("{}", if csv { table.render_csv() } else { table.render() });
+    outln!(out, "{}", table.render());
 
     let json = format!(
-        "{{\n  \"schema\": 1,\n  \"steps\": {steps},\n  \"elastic_stencil_4pe_1ms\": {{\n    \
+        "{{\n  \"schema\": 1,\n  \"steps\": {STEPS},\n  \"elastic_stencil_4pe_1ms\": {{\n    \
          \"clean_ms\": {:.3},\n    \"shrunk_ms\": {:.3},\n    \"rejoin_ms\": {:.3},\n    \
          \"expand_ms\": {:.3},\n    \"recovery_latency_ms\": {recovery_ms:.3},\n    \
          \"reexpand_latency_ms\": {reexpand_ms:.3},\n    \"expand_overhead_ms\": {expand_overhead_ms:.3},\n    \
@@ -176,9 +173,5 @@ fn main() {
         fb.counters.get(Ctr::RebalanceTriggers),
         fb.counters.get(Ctr::ObjectsMigrated),
     );
-    if let Some(dir) = std::path::Path::new(&out_path).parent() {
-        std::fs::create_dir_all(dir).expect("create results directory");
-    }
-    std::fs::write(&out_path, &json).expect("write results json");
-    println!("\nwrote {out_path}");
+    vec![out, json]
 }

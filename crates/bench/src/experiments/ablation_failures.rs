@@ -17,45 +17,41 @@
 //! K = 0 keeps checkpointing off: the same crash is then unrecoverable
 //! and the run ends early with a structured error — the "why pay the
 //! overhead" row.
-//!
-//! Usage: `ablation_failures [--steps N] [--objects K] [--csv]`
 
 use mdo_apps::stencil::{self, StencilConfig};
-use mdo_bench::table::{ms, Table};
-use mdo_bench::{arg_flag, arg_value};
 use mdo_core::program::RunConfig;
 use mdo_core::Ctr;
 use mdo_netsim::network::NetworkModel;
 use mdo_netsim::{Dur, FailurePlan, Pe};
 
+use crate::table::{ms, Table};
+
 const PROCESSORS: u32 = 8;
 const LATENCY_MS: u64 = 8;
 const PERIODS: [u32; 4] = [0, 10, 50, 100];
+const STEPS: u32 = 200;
+const OBJECTS: usize = 64;
 
 fn run(cfg: &StencilConfig, plan: Option<FailurePlan>) -> stencil::StencilOutcome {
     let net = NetworkModel::two_cluster_sweep(PROCESSORS, Dur::from_millis(LATENCY_MS));
     stencil::run_sim(cfg.clone(), net, RunConfig { failure_plan: plan, ..RunConfig::default() })
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let steps: u32 = arg_value(&args, "--steps").map(|s| s.parse().expect("--steps N")).unwrap_or(200);
-    let objects: usize = arg_value(&args, "--objects").map(|s| s.parse().expect("--objects K")).unwrap_or(64);
-    let csv = arg_flag(&args, "--csv");
-
-    println!("Ablation: PE failure tolerance (buddy checkpoints + shrink-restart)");
-    println!(
-        "(2048x2048 stencil, {objects} objects on {PROCESSORS} processors, \
-         {LATENCY_MS} ms one-way latency, {steps} steps;"
+/// Checkpoint overhead, recovery latency and replayed steps per period.
+pub fn generate() -> Vec<String> {
+    let mut out = String::new();
+    outln!(out, "Ablation: PE failure tolerance (buddy checkpoints + shrink-restart)");
+    outln!(
+        out,
+        "(2048x2048 stencil, {OBJECTS} objects on {PROCESSORS} processors, \
+         {LATENCY_MS} ms one-way latency, {STEPS} steps;"
     );
-    println!(" checkpoint every K steps, one crash of PE 2 at 60% of the failure-free makespan)\n");
+    outln!(out, " checkpoint every K steps, one crash of PE 2 at 60% of the failure-free makespan)\n");
 
     let mut table =
         Table::new(vec!["K", "ms/step", "ckpt_overhead_%", "ckpt_MB", "recovery_ms", "steps_replayed", "outcome"]);
-    // A period no shorter than the run would never checkpoint before the
-    // crash; skip those rows (matters for --steps below 100).
-    for &k in PERIODS.iter().filter(|&&k| k == 0 || k < steps) {
-        let mut cfg = StencilConfig::paper(objects, steps);
+    for &k in PERIODS.iter() {
+        let mut cfg = StencilConfig::paper(OBJECTS, STEPS);
         cfg.lb_period = (k > 0).then_some(k);
 
         // Same barrier schedule without fault tolerance: the overhead
@@ -94,8 +90,9 @@ fn main() {
             assert!(crashed.report.unrecoverable.is_some(), "K=0: no checkpoints means no recovery");
         }
     }
-    println!("{}", if csv { table.render_csv() } else { table.render() });
-    println!("Denser checkpoints cost more steady-state overhead but replay fewer steps");
-    println!("after a crash; with checkpointing off the same crash kills the job (cleanly,");
-    println!("with a structured error) — the paper's §2.1 fault-tolerance claim, priced.");
+    outln!(out, "{}", table.render());
+    outln!(out, "Denser checkpoints cost more steady-state overhead but replay fewer steps");
+    outln!(out, "after a crash; with checkpointing off the same crash kills the job (cleanly,");
+    outln!(out, "with a structured error) — the paper's §2.1 fault-tolerance claim, priced.");
+    vec![out]
 }

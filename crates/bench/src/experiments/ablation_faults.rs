@@ -11,35 +11,34 @@
 //! * the fault counters — what the wire actually did;
 //! * a bit-exactness verdict against the sequential reference — the
 //!   reliable layer must make every run produce *the* answer.
-//!
-//! Usage: `ablation_faults [--steps N] [--objects K] [--csv]`
 
 use mdo_apps::stencil::{self, seq::SeqStencil, StencilConfig};
-use mdo_bench::table::{ms, Table};
-use mdo_bench::{arg_flag, arg_value};
 use mdo_core::program::RunConfig;
 use mdo_core::Ctr;
 use mdo_netsim::network::NetworkModel;
 use mdo_netsim::{Dur, FaultPlan};
 
+use crate::table::{ms, Table};
+
 const PROCESSORS: u32 = 8;
 const LATENCY_MS: u64 = 8;
 const LOSS_PCT: [u32; 4] = [0, 1, 5, 10];
+const STEPS: u32 = 10;
+const OBJECTS: usize = 64;
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let steps: u32 = arg_value(&args, "--steps").map(|s| s.parse().expect("--steps N")).unwrap_or(10);
-    let objects: usize = arg_value(&args, "--objects").map(|s| s.parse().expect("--objects K")).unwrap_or(64);
-    let csv = arg_flag(&args, "--csv");
-
-    println!("Ablation: fault injection on the WAN link");
-    println!(
-        "(2048x2048 stencil, {objects} objects on {PROCESSORS} processors, \
-         {LATENCY_MS} ms one-way latency, {steps} steps;"
+/// ms/step, the wire's fault counters and the bit-exactness verdict per
+/// loss rate.
+pub fn generate() -> Vec<String> {
+    let mut out = String::new();
+    outln!(out, "Ablation: fault injection on the WAN link");
+    outln!(
+        out,
+        "(2048x2048 stencil, {OBJECTS} objects on {PROCESSORS} processors, \
+         {LATENCY_MS} ms one-way latency, {STEPS} steps;"
     );
-    println!(" loss swept, +2% duplication and +2% reordering whenever faults are on)\n");
+    outln!(out, " loss swept, +2% duplication and +2% reordering whenever faults are on)\n");
 
-    let mut cfg = StencilConfig::paper(objects, steps);
+    let mut cfg = StencilConfig::paper(OBJECTS, STEPS);
     cfg.compute = true; // real field values, so bit-exactness is checkable
 
     let mut reference = SeqStencil::new(cfg.mesh);
@@ -57,17 +56,17 @@ fn main() {
                 .with_rto(Dur::from_millis(2 * LATENCY_MS))
         });
         let net = NetworkModel::two_cluster_sweep(PROCESSORS, Dur::from_millis(LATENCY_MS));
-        let out = stencil::run_sim(cfg.clone(), net, RunConfig { fault_plan: plan, ..RunConfig::default() });
+        let run = stencil::run_sim(cfg.clone(), net, RunConfig { fault_plan: plan, ..RunConfig::default() });
 
-        let got: Vec<u64> = out.block_sums.iter().map(|v| v.to_bits()).collect();
+        let got: Vec<u64> = run.block_sums.iter().map(|v| v.to_bits()).collect();
         let exact = got == want;
-        if let Some(err) = &out.report.transport_error {
-            println!("loss {pct}%: transport gave up: {err}");
+        if let Some(err) = &run.report.transport_error {
+            outln!(out, "loss {pct}%: transport gave up: {err}");
         }
-        let f = |c| out.report.counters.get(c).to_string();
+        let f = |c| run.report.counters.get(c).to_string();
         table.row(vec![
             pct.to_string(),
-            ms(out.ms_per_step),
+            ms(run.ms_per_step),
             f(Ctr::Drops),
             f(Ctr::Retransmits),
             f(Ctr::DupDropped),
@@ -76,8 +75,9 @@ fn main() {
         ]);
         assert!(exact, "loss {pct}%: field diverged from the sequential reference");
     }
-    println!("{}", if csv { table.render_csv() } else { table.render() });
-    println!("Every row bit-identical to the sequential reference: the reliable layer");
-    println!("turns an unreliable WAN back into the paper's assumed lossless one, and");
-    println!("message-driven overlap keeps the slowdown far below the raw retransmit cost.");
+    outln!(out, "{}", table.render());
+    outln!(out, "Every row bit-identical to the sequential reference: the reliable layer");
+    outln!(out, "turns an unreliable WAN back into the paper's assumed lossless one, and");
+    outln!(out, "message-driven overlap keeps the slowdown far below the raw retransmit cost.");
+    vec![out]
 }

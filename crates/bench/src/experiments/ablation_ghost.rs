@@ -7,52 +7,53 @@
 //! message-driven stencil at a high degree of virtualization, and (b) the
 //! ghost-zone variant at one object per PE with g ∈ {1, 2, 4, 8}, across
 //! the latency sweep.
-//!
-//! Usage: `ablation_ghost [--pes N] [--steps N] [--csv]`
 
 use mdo_apps::stencil::ghost::{self, GhostConfig};
 use mdo_apps::stencil::{self, StencilConfig, StencilCost};
-use mdo_bench::table::{ms, Table};
-use mdo_bench::{arg_flag, arg_value, FIG3_LATENCIES_MS};
 use mdo_core::program::RunConfig;
 use mdo_netsim::network::NetworkModel;
 use mdo_netsim::Dur;
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let pes: u32 = arg_value(&args, "--pes").map(|s| s.parse().expect("--pes N")).unwrap_or(16);
-    let steps: u32 = arg_value(&args, "--steps").map(|s| s.parse().expect("--steps N")).unwrap_or(16);
-    let csv = arg_flag(&args, "--csv");
+use crate::table::{ms, Table};
+use crate::FIG3_LATENCIES_MS;
+
+const PES: u32 = 16;
+const STEPS: u32 = 16;
+
+/// ms/step of the virtualized stencil and of g ghost layers across the
+/// latency sweep.
+pub fn generate() -> Vec<String> {
     let layers = [1usize, 2, 4, 8];
     let virt_objects = 256usize;
 
-    println!("Ablation A3: ghost-zone expansion (g layers, {pes} objects = 1/PE)");
-    println!("vs message-driven virtualization ({virt_objects} objects) on {pes} PEs\n");
+    let mut out = String::new();
+    outln!(out, "Ablation A3: ghost-zone expansion (g layers, {PES} objects = 1/PE)");
+    outln!(out, "vs message-driven virtualization ({virt_objects} objects) on {PES} PEs\n");
 
     let mut header = vec!["latency_ms".to_string(), format!("virt={virt_objects} (ms/step)")];
     header.extend(layers.iter().map(|g| format!("ghost g={g} (ms/step)")));
     let mut table = Table::new(header);
 
     for &lat in FIG3_LATENCIES_MS.iter() {
-        let net = || NetworkModel::two_cluster_sweep(pes, Dur::from_millis(lat));
+        let net = || NetworkModel::two_cluster_sweep(PES, Dur::from_millis(lat));
         let mut cells = vec![lat.to_string()];
-        let virt = stencil::run_sim(StencilConfig::paper(virt_objects, steps), net(), RunConfig::default());
+        let virt = stencil::run_sim(StencilConfig::paper(virt_objects, STEPS), net(), RunConfig::default());
         cells.push(ms(virt.ms_per_step));
         for &g in layers.iter() {
             let cfg = GhostConfig {
                 mesh: 2048,
-                objects: pes as usize,
+                objects: PES as usize,
                 layers: g,
-                steps,
+                steps: STEPS,
                 compute: false,
                 cost: StencilCost::default(),
             };
-            let out = ghost::run_sim(cfg, net(), RunConfig::default());
-            cells.push(ms(out.ms_per_step));
+            cells.push(ms(ghost::run_sim(cfg, net(), RunConfig::default()).ms_per_step));
         }
         table.row(cells);
     }
-    println!("{}", if csv { table.render_csv() } else { table.render() });
-    println!("(ghost zones trade redundant halo computation for message frequency;");
-    println!(" virtualization gets flat curves without touching the algorithm)");
+    outln!(out, "{}", table.render());
+    outln!(out, "(ghost zones trade redundant halo computation for message frequency;");
+    outln!(out, " virtualization gets flat curves without touching the algorithm)");
+    vec![out]
 }

@@ -10,17 +10,15 @@
 //! barrier tests the conjecture directly — including that the Grid-aware
 //! balancer recovers the loss *without* migrating anything across the
 //! wide area.
-//!
-//! Usage: `ablation_md_lb [--pes N] [--steps N] [--csv]`
 
 use std::sync::Arc;
 
 use mdo_apps::leanmd::{self, MdConfig};
-use mdo_bench::table::{ms, Table};
-use mdo_bench::{arg_flag, arg_value};
 use mdo_core::prelude::*;
 use mdo_core::program::{LbChoice, RunConfig};
 use mdo_netsim::network::NetworkModel;
+
+use crate::table::{ms, Table};
 
 fn skewed_pair_mapping() -> Mapping {
     // 3 of every 4 pairs go to the first half of the PEs; the rest spread
@@ -38,15 +36,15 @@ fn skewed_pair_mapping() -> Mapping {
     }))
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let pes: u32 = arg_value(&args, "--pes").map(|s| s.parse().expect("--pes N")).unwrap_or(64);
-    let steps: u32 = arg_value(&args, "--steps").map(|s| s.parse().expect("--steps N")).unwrap_or(8);
-    let csv = arg_flag(&args, "--csv");
+/// s/step, migrations and cross-cluster messages of each strategy.
+pub fn generate() -> Vec<String> {
+    let pes = 64u32;
+    let steps = 8u32;
     let lat = Dur::from_millis(4);
 
-    println!("Ablation A7 (§5.3 conjecture): LeanMD on {pes} PEs with a skewed initial");
-    println!("pair placement, {steps} steps, 4 ms one-way WAN latency, LB after step 2\n");
+    let mut out = String::new();
+    outln!(out, "Ablation A7 (§5.3 conjecture): LeanMD on {pes} PEs with a skewed initial");
+    outln!(out, "pair placement, {steps} steps, 4 ms one-way WAN latency, LB after step 2\n");
 
     let mut table = Table::new(vec!["configuration", "s/step", "vs balanced", "migrations", "cross msgs"]);
 
@@ -79,16 +77,17 @@ fn main() {
         ("skewed + RefineLB", Some(LbChoice::Refine)),
         ("skewed + GridCommLB", Some(LbChoice::GridComm)),
     ] {
-        let out = skewed_run(lb);
+        let run = skewed_run(lb);
         table.row(vec![
             name.to_string(),
-            ms(out.s_per_step),
-            format!("{:.2}x", out.s_per_step / balanced.s_per_step),
-            out.report.counters.get(Ctr::ObjectsMigrated).to_string(),
-            out.report.network.cross_messages.to_string(),
+            ms(run.s_per_step),
+            format!("{:.2}x", run.s_per_step / balanced.s_per_step),
+            run.report.counters.get(Ctr::ObjectsMigrated).to_string(),
+            run.report.network.cross_messages.to_string(),
         ]);
     }
-    println!("{}", if csv { table.render_csv() } else { table.render() });
-    println!("(the conjecture holds if the balanced strategies land near 1.00x;");
-    println!(" GridCommLB must do so without cross-cluster migration)");
+    outln!(out, "{}", table.render());
+    outln!(out, "(the conjecture holds if the balanced strategies land near 1.00x;");
+    outln!(out, " GridCommLB must do so without cross-cluster migration)");
+    vec![out]
 }

@@ -7,28 +7,26 @@
 //! 27 point-to-point messages per cell per step; the runtime's section
 //! multicast sends one wire message per *destination PE* carrying the
 //! shared payload.  This ablation measures both at paper scale.
-//!
-//! Usage: `ablation_multicast [--steps N] [--csv]`
 
 use mdo_apps::leanmd::{self, MdConfig};
-use mdo_bench::table::{ms, Table};
-use mdo_bench::{arg_flag, arg_value};
 use mdo_core::program::RunConfig;
 use mdo_netsim::network::NetworkModel;
 use mdo_netsim::Dur;
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let steps: u32 = arg_value(&args, "--steps").map(|s| s.parse().expect("--steps N")).unwrap_or(3);
-    let csv = arg_flag(&args, "--csv");
+use crate::table::{ms, Table};
 
-    println!("Ablation A8: LeanMD coordinate fan-out, per-pair sends vs section");
-    println!("multicast ({steps} steps, 4 ms one-way WAN latency)\n");
+const STEPS: u32 = 3;
+
+/// s/step, messages and bytes of both fan-outs at 8 to 64 PEs.
+pub fn generate() -> Vec<String> {
+    let mut out = String::new();
+    outln!(out, "Ablation A8: LeanMD coordinate fan-out, per-pair sends vs section");
+    outln!(out, "multicast ({STEPS} steps, 4 ms one-way WAN latency)\n");
 
     let mut table = Table::new(vec!["P", "p2p s/step", "mcast s/step", "p2p msgs", "mcast msgs", "p2p MB", "mcast MB"]);
     for &p in &[8u32, 16, 32, 64] {
         let run = |multicast: bool| {
-            let mut cfg = MdConfig::paper(steps);
+            let mut cfg = MdConfig::paper(STEPS);
             cfg.use_multicast = multicast;
             let net = NetworkModel::two_cluster_sweep(p, Dur::from_millis(4));
             leanmd::run_sim(cfg, net, RunConfig::default())
@@ -46,6 +44,7 @@ fn main() {
             format!("{:.1}", mb(&mc)),
         ]);
     }
-    println!("{}", if csv { table.render_csv() } else { table.render() });
-    println!("(physics is bit-identical either way; the tests assert it)");
+    outln!(out, "{}", table.render());
+    outln!(out, "(physics is bit-identical either way; the tests assert it)");
+    vec![out]
 }

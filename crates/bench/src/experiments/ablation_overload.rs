@@ -17,12 +17,8 @@
 //!     fraction degrades monotonically with the overcommit, and peak
 //!     queue memory stays near the credit window — graceful degradation.
 //!
-//! Results land in `results/BENCH_overload.json`.
-//!
-//! Usage: `ablation_overload [--ticks N] [--out FILE] [--csv]`
+//! The numbers also land in `BENCH_overload.json`.
 
-use mdo_bench::table::{ms, Table};
-use mdo_bench::{arg_flag, arg_value};
 use mdo_core::prelude::{Chare, Ctx, ElemId, EntryId, Mapping, Program, RunConfig, RunReport};
 use mdo_core::{Ctr, SimEngine};
 use mdo_netsim::network::NetworkModel;
@@ -30,9 +26,12 @@ use mdo_netsim::{Dur, FlowConfig, OverloadPolicy};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use crate::table::{ms, Table};
+
 const TICK: EntryId = EntryId(50);
 const DATA: EntryId = EntryId(51);
 
+const TICKS: u32 = 50;
 const PAYLOAD: usize = 1024;
 const TICK_PERIOD: Dur = Dur::from_micros(1000);
 const DRAIN_COST: Dur = Dur::from_micros(100);
@@ -104,15 +103,13 @@ fn policies() -> [(&'static str, Option<FlowConfig>); 3] {
     [("off", None), ("block", Some(base)), ("shed", Some(base.with_policy(OverloadPolicy::Shed)))]
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let ticks: u32 = arg_value(&args, "--ticks").map(|s| s.parse().expect("--ticks N")).unwrap_or(50);
-    let out_path = arg_value(&args, "--out").unwrap_or_else(|| "results/BENCH_overload.json".to_string());
-    let csv = arg_flag(&args, "--csv");
-
-    println!("Ablation A12: open-loop overload vs flow-control policy");
-    println!(
-        "(driver ticks every {} us for {ticks} ticks, {PAYLOAD} B payloads, consumer drains one per {} us \
+/// The report and `BENCH_overload.json`.
+pub fn generate() -> Vec<String> {
+    let mut out = String::new();
+    outln!(out, "Ablation A12: open-loop overload vs flow-control policy");
+    outln!(
+        out,
+        "(driver ticks every {} us for {TICKS} ticks, {PAYLOAD} B payloads, consumer drains one per {} us \
          -> capacity {CAPACITY_PER_S}/s, credit window {WINDOW} B, 2 PEs across 2 clusters, 2 ms WAN)\n",
         TICK_PERIOD.as_nanos() / 1_000,
         DRAIN_COST.as_nanos() / 1_000
@@ -143,16 +140,16 @@ fn main() {
     for &q in &rate_quarters {
         let per_tick = per_tick_at(q);
         for (policy, flow) in policies() {
-            let out = run(ticks, per_tick, flow);
-            let frac = out.delivered as f64 / out.sent as f64;
-            let makespan_s = out.report.end_time.as_secs_f64();
-            let goodput = out.delivered as f64 / makespan_s;
-            let r = &out.report;
+            let outcome = run(TICKS, per_tick, flow);
+            let frac = outcome.delivered as f64 / outcome.sent as f64;
+            let makespan_s = outcome.report.end_time.as_secs_f64();
+            let goodput = outcome.delivered as f64 / makespan_s;
+            let r = &outcome.report;
             let (sheds, stalls) = (r.counters.get(Ctr::EnvelopesShed), r.counters.get(Ctr::CreditStalls));
             let wait_ms = Dur::from_nanos(r.counters.get(Ctr::CreditWaitNs)).as_secs_f64() * 1e3;
 
             // The books always balance: delivered + shed = sent.
-            assert_eq!(out.delivered + sheds, out.sent, "{policy} @ {q}/4x: accounted");
+            assert_eq!(outcome.delivered + sheds, outcome.sent, "{policy} @ {q}/4x: accounted");
             match policy {
                 "off" => {
                     assert_eq!(sheds, 0);
@@ -162,7 +159,7 @@ fn main() {
                 }
                 "block" => {
                     assert_eq!(sheds, 0, "Block never sheds");
-                    assert_eq!(out.delivered, out.sent, "Block is lossless at any rate");
+                    assert_eq!(outcome.delivered, outcome.sent, "Block is lossless at any rate");
                 }
                 _ => {
                     assert_eq!(stalls, 0, "Shed never stalls");
@@ -180,10 +177,10 @@ fn main() {
             table.row(vec![
                 format!("{:.2}x", q as f64 / 4.0),
                 policy.to_string(),
-                out.sent.to_string(),
-                out.delivered.to_string(),
+                outcome.sent.to_string(),
+                outcome.delivered.to_string(),
                 sheds.to_string(),
-                ms(out.report.end_time.as_secs_f64() * 1e3),
+                ms(outcome.report.end_time.as_secs_f64() * 1e3),
                 format!("{goodput:.0}"),
                 r.peak_mailbox_bytes.to_string(),
                 stalls.to_string(),
@@ -194,8 +191,8 @@ fn main() {
                  \"sheds\": {}, \"shed_bytes\": {}, \"makespan_ms\": {:.3}, \"goodput_per_s\": {goodput:.1}, \
                  \"peak_mailbox_bytes\": {}, \"credit_stalls\": {}, \"credit_wait_ms\": {:.3}}}",
                 q as f64 / 4.0,
-                out.sent,
-                out.delivered,
+                outcome.sent,
+                outcome.delivered,
                 sheds,
                 r.counters.get(Ctr::ShedBytes),
                 makespan_s * 1e3,
@@ -217,20 +214,16 @@ fn main() {
         "without flow control the 8x backlog ({off_peak_at_8x} B) dwarfs Shed's bound ({shed_peak_max} B)"
     );
 
-    println!("{}", if csv { table.render_csv() } else { table.render() });
-    println!("Shed peak queue at any rate: {shed_peak_max} B (window {WINDOW} B)");
-    println!("uncontrolled peak queue at 8x: {off_peak_at_8x} B\n");
+    outln!(out, "{}", table.render());
+    outln!(out, "Shed peak queue at any rate: {shed_peak_max} B (window {WINDOW} B)");
+    outln!(out, "uncontrolled peak queue at 8x: {off_peak_at_8x} B");
 
     let json = format!(
-        "{{\n  \"schema\": 1,\n  \"ticks\": {ticks},\n  \"payload_bytes\": {PAYLOAD},\n  \
+        "{{\n  \"schema\": 1,\n  \"ticks\": {TICKS},\n  \"payload_bytes\": {PAYLOAD},\n  \
          \"capacity_per_s\": {CAPACITY_PER_S},\n  \"credit_window_bytes\": {WINDOW},\n  \
          \"shed_peak_mailbox_bytes\": {shed_peak_max},\n  \"uncontrolled_peak_mailbox_bytes_8x\": {off_peak_at_8x},\n  \
          \"sweep\": [\n{}\n  ]\n}}\n",
         rows_json.join(",\n")
     );
-    if let Some(dir) = std::path::Path::new(&out_path).parent() {
-        std::fs::create_dir_all(dir).expect("create results directory");
-    }
-    std::fs::write(&out_path, &json).expect("write results json");
-    println!("wrote {out_path}");
+    vec![out, json]
 }

@@ -19,18 +19,21 @@
 //! step is the cost model and the wall-clock step is what the runtime
 //! itself spends, so it is the deltas that compare, not the milliseconds.
 //! Each wall-clock cell is the fastest of `REPS` runs, FIFO and
-//! prioritized alternating, with the median beside it.
-//!
-//! Usage: `ablation_priority [--pes N] [--steps N] [--skip-real] [--csv]`
+//! prioritized alternating, with the median beside it.  That table is the
+//! one part of the report that is not exact.
 
 use mdo_apps::leanmd::{self, MdConfig};
 use mdo_apps::stencil::{self, StencilConfig};
-use mdo_bench::table::{ms, Table};
-use mdo_bench::{arg_flag, arg_value, over_tcp};
 use mdo_core::engine::threaded::ThreadedConfig;
 use mdo_core::program::RunConfig;
 use mdo_netsim::network::NetworkModel;
 use mdo_netsim::{Dur, LatencyMatrix, Topology};
+
+use crate::over_tcp;
+use crate::table::{ms, Table};
+
+/// The first line of the wall-clock table, below which nothing is exact.
+pub const WALL_CLOCK_HEADING: &str = "Wall clock beside the simulator";
 
 /// Runs a side behind each wall-clock cell.
 const REPS: usize = 7;
@@ -55,7 +58,7 @@ fn delta(fifo: f64, prio: f64) -> String {
 }
 
 /// The wall-clock engine beside the simulator, job by job (module docs).
-fn wall_clock_table() -> Table {
+pub fn wall_clock() -> String {
     let mut table = Table::new(vec![
         "job",
         "latency_ms",
@@ -112,19 +115,21 @@ fn wall_clock_table() -> Table {
             row(&format!("LeanMD paper({steps}), 2 nodes x 1 PE, TCP"), lat, &sim, &wall);
         }
     }
-    table
+    format!(
+        "{WALL_CLOCK_HEADING}, ms/step; wall-clock cells are the fastest of {REPS} (median)\n\n{}\n",
+        table.render()
+    )
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let pes: u32 = arg_value(&args, "--pes").map(|s| s.parse().expect("--pes N")).unwrap_or(8);
-    let steps: u32 = arg_value(&args, "--steps").map(|s| s.parse().expect("--steps N")).unwrap_or(10);
-    let skip_real = arg_flag(&args, "--skip-real");
-    let csv = arg_flag(&args, "--csv");
+/// The simulator's FIFO and prioritized runs of both apps across latencies.
+pub fn generate() -> Vec<String> {
+    let pes = 8u32;
+    let steps = 10u32;
     let latencies = [4u64, 8, 16, 32, 64];
 
-    println!("Ablation A5: cross-cluster message priority (RunConfig::grid_prio)");
-    println!("on {pes} PEs; stencil 1024 objects / LeanMD paper benchmark\n");
+    let mut out = String::new();
+    outln!(out, "Ablation A5: cross-cluster message priority (RunConfig::grid_prio)");
+    outln!(out, "on {pes} PEs; stencil 1024 objects / LeanMD paper benchmark\n");
 
     let mut table = Table::new(vec![
         "latency_ms",
@@ -152,12 +157,7 @@ fn main() {
         let (mf, mp) = (run_md(false), run_md(true));
         table.row(vec![lat.to_string(), ms(sf), ms(sp), delta(sf, sp), ms(mf), ms(mp), delta(mf, mp)]);
     }
-    println!("{}", if csv { table.render_csv() } else { table.render() });
-    println!("(negative deltas = prioritization helped)");
-
-    if !skip_real {
-        println!("\nWall clock beside the simulator, ms/step; wall-clock cells are the fastest of {REPS} (median)\n");
-        let table = wall_clock_table();
-        println!("{}", if csv { table.render_csv() } else { table.render() });
-    }
+    outln!(out, "{}", table.render());
+    outln!(out, "(negative deltas = prioritization helped)\n");
+    vec![out]
 }

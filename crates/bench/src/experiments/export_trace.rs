@@ -1,7 +1,7 @@
 //! Export a Projections-style trace of one stencil run.
 //!
 //! Runs the 8-PE, 64-object stencil at 16 ms one-way latency with
-//! observability armed, then writes under the output directory:
+//! observability armed, and returns beside its report:
 //!
 //! * `stencil_trace.json` — Chrome trace-event JSON (load in
 //!   `chrome://tracing` / Perfetto: one process per PE, handler spans,
@@ -9,21 +9,16 @@
 //! * `stencil_summary.csv` — the per-PE CSV summary (utilization, overlap
 //!   decomposition, latency/grain quantiles, counters).
 //!
-//! The JSON is re-parsed and structurally validated before it is written
+//! The JSON is re-parsed and structurally validated before it is returned
 //! (every event carries `ph`/`ts`/`pid`), so a bad export fails loudly
 //! here rather than silently in the viewer.
-//!
-//! Usage: `export_trace [--out DIR] [--steps N] [--latency-ms N]`
-
-use std::path::PathBuf;
 
 use mdo_apps::stencil::{self, StencilConfig};
-use mdo_bench::{arg_value, mean_utilization, overlap_fraction};
-use mdo_core::program::RunConfig;
-use mdo_core::ObsConfig;
 use mdo_netsim::network::NetworkModel;
 use mdo_netsim::Dur;
 use mdo_obs::json::{self, Json};
+
+use crate::{overlap_fraction, recorded};
 
 /// Check every trace event carries the fields the viewers rely on.
 fn validate_chrome_trace(doc: &str) -> Result<usize, String> {
@@ -46,35 +41,28 @@ fn validate_chrome_trace(doc: &str) -> Result<usize, String> {
     Ok(events.len())
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let out_dir = PathBuf::from(arg_value(&args, "--out").unwrap_or_else(|| "results".into()));
-    let steps: u32 = arg_value(&args, "--steps").map(|s| s.parse().expect("--steps N")).unwrap_or(6);
-    let latency_ms: u64 = arg_value(&args, "--latency-ms").map(|s| s.parse().expect("--latency-ms N")).unwrap_or(16);
-    std::fs::create_dir_all(&out_dir).expect("create output directory");
-
+/// The report, the Chrome trace and the per-PE summary.
+pub fn generate() -> Vec<String> {
+    let (steps, latency_ms) = (6, 16);
     let cfg = StencilConfig::paper(64, steps);
     let net = NetworkModel::two_cluster_sweep(8, Dur::from_millis(latency_ms));
-    let run_cfg = RunConfig { obs: Some(ObsConfig::new()), ..RunConfig::default() };
-    let out = stencil::run_sim(cfg, net, run_cfg);
-    let obs = out.report.obs.as_ref().expect("observability armed");
+    let run = stencil::run_sim(cfg, net, recorded());
+    let obs = run.report.obs.as_ref().expect("observability armed");
 
     let doc = obs.chrome_trace();
     let n_events = validate_chrome_trace(&doc).expect("exported trace must validate");
-    let json_path = out_dir.join("stencil_trace.json");
-    std::fs::write(&json_path, &doc).expect("write chrome trace");
 
-    let csv_path = out_dir.join("stencil_summary.csv");
-    std::fs::write(&csv_path, obs.summary_csv()).expect("write summary csv");
-
-    println!("stencil 2048x2048, 64 objects on 8 PEs, {steps} steps, {latency_ms} ms one-way");
-    println!("  recorded events : {} ({} dropped)", obs.total_events(), obs.total_dropped());
-    println!("  chrome trace    : {} ({n_events} trace events, validated)", json_path.display());
-    println!("  per-PE summary  : {}", csv_path.display());
-    println!(
+    let mut out = String::new();
+    outln!(out, "stencil 2048x2048, 64 objects on 8 PEs, {steps} steps, {latency_ms} ms one-way");
+    outln!(out, "  recorded events : {} ({} dropped)", obs.total_events(), obs.total_dropped());
+    outln!(out, "  chrome trace    : stencil_trace.json ({n_events} trace events, validated)");
+    outln!(out, "  per-PE summary  : stencil_summary.csv");
+    outln!(
+        out,
         "  run             : {:.1} ms end-to-end, util {:.2}, overlap fraction {:.2}",
-        out.report.end_time.as_millis_f64(),
-        mean_utilization(&out.report),
-        overlap_fraction(&out.report),
+        run.report.end_time.as_millis_f64(),
+        run.report.mean_utilization(),
+        overlap_fraction(&run.report),
     );
+    vec![out, doc, obs.summary_csv()]
 }

@@ -6,25 +6,23 @@
 //! incoming message from processor A, and in fact performs several short
 //! computations and message exchanges with A"* until C's reply lands.
 //!
-//! This binary scripts exactly that interaction as three chares on a
+//! This scripts exactly that interaction as three chares on a
 //! 2+1-PE topology, records the observability event stream in the
 //! simulation engine, and renders the ASCII timeline derived from it:
-//! B's row should be solid with work during the round-trip gap, and
-//! near-idle in a control run without A's traffic.  The same stream
+//! B's row should be solid with work during the round-trip gap, where
+//! without A's traffic it would sit idle.  The same stream
 //! yields the overlap numbers printed below the timeline — how much of
 //! the WAN round trip B actually masked.
-//!
-//! Usage: `fig2_timeline [--latency-ms N] [--no-local-work]`
 
-use mdo_bench::{arg_flag, arg_value};
 use mdo_core::chare::{Chare, Ctx};
 use mdo_core::ids::{ElemId, EntryId};
 use mdo_core::prelude::*;
-use mdo_core::program::RunConfig;
 use mdo_core::SimEngine;
 use mdo_netsim::network::NetworkModel;
 use mdo_netsim::topology::ClusterSpec;
 use mdo_netsim::{Dur, LatencyMatrix, WanContention};
+
+use crate::recorded;
 
 const START: EntryId = EntryId(1);
 const REQUEST: EntryId = EntryId(2);
@@ -38,13 +36,12 @@ const C: ElemId = ElemId(2);
 
 struct Actor {
     exchanges_left: u32,
-    local_work: bool,
     got_response: bool,
 }
 
 impl Actor {
     fn maybe_finish(&self, ctx: &mut Ctx<'_>) {
-        if self.got_response && (self.exchanges_left == 0 || !self.local_work) {
+        if self.got_response && self.exchanges_left == 0 {
             ctx.exit();
         }
     }
@@ -59,9 +56,7 @@ impl Chare for Actor {
                 // then start chatting with A.
                 ctx.charge(Dur::from_millis(1));
                 ctx.send(arr, C, REQUEST, vec![]);
-                if self.local_work {
-                    ctx.send(arr, A, LOCAL_PING, vec![]);
-                }
+                ctx.send(arr, A, LOCAL_PING, vec![]);
             }
             REQUEST => {
                 // C: compute the requested result, reply across the WAN.
@@ -95,11 +90,9 @@ impl Chare for Actor {
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let latency_ms: u64 = arg_value(&args, "--latency-ms").map(|s| s.parse().expect("--latency-ms N")).unwrap_or(16);
-    let local_work = !arg_flag(&args, "--no-local-work");
-
+/// The timeline and B's overlap.
+pub fn generate() -> Vec<String> {
+    let latency_ms = 16;
     // Processors A and B on cluster one, C on cluster two (Figure 2).
     let topo =
         Topology::new(vec![ClusterSpec { name: "one".into(), pes: 2 }, ClusterSpec { name: "two".into(), pes: 1 }]);
@@ -108,35 +101,35 @@ fn main() {
     let net = NetworkModel::new(topo, latency, contention, 0);
 
     let mut program = Program::new();
-    let arr = program.array("actors", 3, Mapping::RoundRobin, move |_| {
-        Box::new(Actor { exchanges_left: 6, local_work, got_response: false }) as Box<dyn Chare>
+    let arr = program.array("actors", 3, Mapping::RoundRobin, |_| {
+        Box::new(Actor { exchanges_left: 6, got_response: false }) as Box<dyn Chare>
     });
     program.on_startup(move |ctl| ctl.send(arr, B, START, vec![]));
 
-    let cfg = RunConfig { obs: Some(ObsConfig::new()), ..RunConfig::default() };
-    let report = SimEngine::new(net, cfg).run(program);
+    let report = SimEngine::new(net, recorded()).run(program);
     let obs = report.obs.as_ref().expect("observability armed");
     let trace = obs.to_trace();
 
-    println!("Figure 2 timeline: one-way WAN latency {latency_ms} ms, B<->C round trip in flight");
-    println!(
-        "local A<->B exchanges during the gap: {}\n",
-        if local_work { "ENABLED (message-driven overlap)" } else { "disabled (control)" }
-    );
-    println!("(pe0 = A, pe1 = B, pe2 = C; '#' = executing, '.' = idle)\n");
-    print!("{}", trace.ascii_timeline(3, 72));
-    println!(
+    let mut out = String::new();
+    outln!(out, "Figure 2 timeline: one-way WAN latency {latency_ms} ms, B<->C round trip in flight");
+    outln!(out, "local A<->B exchanges during the gap: ENABLED (message-driven overlap)\n");
+    outln!(out, "(pe0 = A, pe1 = B, pe2 = C; '#' = executing, '.' = idle)\n");
+    out.push_str(&trace.ascii_timeline(3, 72));
+    outln!(
+        out,
         "\nend-to-end: {:.3} ms; B busy {:.3} ms ({:.1}% of the run)",
         report.end_time.as_millis_f64(),
         trace.busy(Pe(1)).as_millis_f64(),
         100.0 * trace.utilization(Pe(1)),
     );
     let b = obs.overlap_for(Pe(1));
-    println!(
+    outln!(
+        out,
         "B's WAN wait: {:.3} ms outstanding, {:.3} ms masked by local work, {:.3} ms exposed ({:.0}% overlap)",
         b.outstanding.as_millis_f64(),
         b.masked.as_millis_f64(),
         b.exposed.as_millis_f64(),
         100.0 * b.fraction(),
     );
+    vec![out]
 }

@@ -1,19 +1,34 @@
 //! # mdo-bench — the experiment harness
 //!
-//! One binary per table and figure of the paper (see DESIGN.md §5 for the
-//! index), plus the ablation studies and Criterion microbenches.  This
-//! library holds what the binaries share: the paper's published numbers
-//! (for side-by-side output), plain-text table rendering, and the
-//! experiment grids.
+//! Every table and figure of the paper, and every ablation, is a function
+//! here that returns the text it reports; [`registry`] lists them with the
+//! `results/` files they write and the part of each that is exact.  The
+//! `reproduce` binary regenerates them from the registry, and the root
+//! package's golden test compares the exact parts with `results/` byte for
+//! byte (DESIGN.md §5 is the index).  The other binaries are tools:
+//! `mdo_launch` (one process per node), `heap_census` and `msgpath`.  This
+//! library also holds the paper's published numbers (for side-by-side
+//! output), plain-text table rendering and the experiment grids.
 
 #![warn(missing_docs)]
 
+/// `writeln!` into a `String`, which cannot fail.
+macro_rules! outln {
+    ($($arg:tt)*) => {{
+        use std::fmt::Write as _;
+        writeln!($($arg)*).expect("writing to a String cannot fail")
+    }};
+}
+
+mod experiments;
 pub mod paper;
+pub mod registry;
 pub mod table;
 
 use mdo_core::program::{RunConfig, RunReport};
+use mdo_core::ObsConfig;
 use mdo_net::{localhost_rendezvous, NetConfig};
-use mdo_netsim::{Dur, Time, Topology};
+use mdo_netsim::{Dur, Topology};
 
 /// The paper's measured one-way NCSA↔ANL latency (§5.1): 1.725 ms ICMP.
 pub const TERAGRID_ONE_WAY: Dur = Dur::from_micros(1725);
@@ -68,13 +83,9 @@ pub fn over_tcp<T: Send>(topo: &Topology, cfg: &RunConfig, job: impl Fn(RunConfi
     })
 }
 
-/// Mean PE utilization of a run: total busy time over `P × makespan`.
-pub fn mean_utilization(report: &RunReport) -> f64 {
-    let span = (report.end_time - Time::ZERO).as_nanos() as f64 * report.pe_busy.len() as f64;
-    if span == 0.0 {
-        return 0.0;
-    }
-    (report.pe_busy.iter().map(|d| d.as_nanos() as f64).sum::<f64>() / span).min(1.0)
+/// A run with observability armed, so its report has an overlap fraction.
+pub fn recorded() -> RunConfig {
+    RunConfig { obs: Some(ObsConfig::new()), ..RunConfig::default() }
 }
 
 /// The run's WAN-overlap fraction, or 0.0 when observability was not
@@ -99,7 +110,7 @@ mod tests {
     }
 
     #[test]
-    fn utilization_and_overlap_helpers() {
+    fn overlap_helper() {
         use mdo_core::chare::{Chare, Ctx};
         use mdo_core::prelude::*;
         use mdo_core::SimEngine;
@@ -120,10 +131,7 @@ mod tests {
         let mut p = Program::new();
         let arr = p.array("e", 2, Mapping::Block, |_| Box::new(Echo) as Box<dyn Chare>);
         p.on_startup(move |ctl| ctl.send(arr, ElemId(0), EntryId(1), vec![]));
-        let cfg = RunConfig { obs: Some(ObsConfig::new()), ..RunConfig::default() };
-        let report = SimEngine::new(net, cfg).run(p);
-        let util = mean_utilization(&report);
-        assert!(util > 0.0 && util <= 1.0, "utilization in (0,1], got {util}");
+        let report = SimEngine::new(net, recorded()).run(p);
         assert!((0.0..=1.0).contains(&overlap_fraction(&report)));
         // Without obs armed the overlap helper degrades to zero.
         assert_eq!(overlap_fraction(&RunReport { obs: None, ..report }), 0.0);

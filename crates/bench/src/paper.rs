@@ -40,15 +40,15 @@ pub const TABLE2: [(u32, f64, f64); 6] = [
     (64, 0.239, 0.260),
 ];
 
-/// Paper Table-1 artificial-latency value for a (processors, objects)
+/// Paper Table-1 (artificial, real) ms/step for a (processors, objects)
 /// pair, if that row exists.
-pub fn table1_artificial(p: u32, objects: usize) -> Option<f64> {
-    TABLE1.iter().find(|&&(tp, to, _, _)| tp == p && to == objects).map(|&(_, _, a, _)| a)
+pub fn table1(p: u32, objects: usize) -> Option<(f64, f64)> {
+    TABLE1.iter().find(|&&(tp, to, _, _)| tp == p && to == objects).map(|&(_, _, a, r)| (a, r))
 }
 
-/// Paper Table-2 artificial-latency seconds/step for a processor count.
-pub fn table2_artificial(p: u32) -> Option<f64> {
-    TABLE2.iter().find(|&&(tp, _, _)| tp == p).map(|&(_, a, _)| a)
+/// Paper Table-2 (artificial, real) seconds/step for a processor count.
+pub fn table2(p: u32) -> Option<(f64, f64)> {
+    TABLE2.iter().find(|&&(tp, _, _)| tp == p).map(|&(_, a, r)| (a, r))
 }
 
 #[cfg(test)]
@@ -57,26 +57,26 @@ mod tests {
 
     #[test]
     fn table1_lookup() {
-        assert_eq!(table1_artificial(2, 4), Some(85.774));
-        assert_eq!(table1_artificial(64, 256), Some(3.963));
-        assert_eq!(table1_artificial(2, 256), None);
+        assert_eq!(table1(2, 4), Some((85.774, 96.597)));
+        assert_eq!(table1(64, 256), Some((3.963, 4.459)));
+        assert_eq!(table1(2, 256), None);
     }
 
     #[test]
     fn table2_lookup() {
-        assert_eq!(table2_artificial(32), Some(0.302));
-        assert_eq!(table2_artificial(3), None);
+        assert_eq!(table2(32), Some((0.302, 0.299)));
+        assert_eq!(table2(3), None);
     }
 
     #[test]
     fn tables_cover_the_experiment_grid() {
         for (p, objs) in crate::FIG3_OBJECTS {
             for o in objs {
-                assert!(table1_artificial(p, o).is_some(), "Table 1 must have a row for ({p}, {o})");
+                assert!(table1(p, o).is_some(), "Table 1 must have a row for ({p}, {o})");
             }
         }
         for p in crate::PROCESSORS {
-            assert!(table2_artificial(p).is_some());
+            assert!(table2(p).is_some());
         }
     }
 

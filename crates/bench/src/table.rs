@@ -1,8 +1,7 @@
-//! Minimal fixed-width table rendering for the harness binaries.
+//! Minimal fixed-width table rendering for the experiments.
 //!
-//! Each binary prints the same rows/series the paper reports, in plain
-//! text (and optionally CSV), so a run's output can be diffed against
-//! EXPERIMENTS.md.
+//! Each experiment reports the same rows/series the paper reports, in
+//! plain text, so a run's output can be diffed against EXPERIMENTS.md.
 
 /// A simple table: a header row and data rows of equal arity.
 #[derive(Debug, Default)]
@@ -24,16 +23,6 @@ impl Table {
         self.rows.push(cells);
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True if no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Render as aligned plain text.
     pub fn render(&self) -> String {
         let mut widths: Vec<usize> = self.header.iter().map(|h| h.chars().count()).collect();
@@ -52,25 +41,6 @@ impl Table {
         out.push('\n');
         for row in &self.rows {
             out.push_str(&fmt_row(row, &widths));
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Render as CSV.
-    pub fn render_csv(&self) -> String {
-        let mut out = String::new();
-        let esc = |s: &String| {
-            if s.contains(',') || s.contains('"') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.clone()
-            }
-        };
-        out.push_str(&self.header.iter().map(esc).collect::<Vec<_>>().join(","));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(esc).collect::<Vec<_>>().join(","));
             out.push('\n');
         }
         out
@@ -101,16 +71,6 @@ mod tests {
         assert_eq!(lines.len(), 4);
         assert!(lines[0].contains("ms/step"));
         assert!(lines[2].trim_start().starts_with('2'));
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
-    }
-
-    #[test]
-    fn csv_escaping() {
-        let mut t = Table::new(vec!["a", "b"]);
-        t.row(vec!["x,y", "plain"]);
-        let csv = t.render_csv();
-        assert!(csv.contains("\"x,y\",plain"));
     }
 
     #[test]

@@ -11,6 +11,12 @@
 
 use crate::time::Dur;
 
+/// A single envelope of at least this many bytes flushes its buffer
+/// immediately: coalescing exists to amortize per-message overhead for
+/// *small* messages, and holding a bulk message (or making one wait on a
+/// deadline) costs more pipelining than frame headers save.
+pub const EAGER_BYTES: usize = 1024;
+
 /// Policy for per-destination coalescing of cross-cluster messages.
 ///
 /// Envelopes bound for the same remote PE accumulate in a frame buffer
@@ -26,21 +32,16 @@ pub struct AggConfig {
     pub max_bytes: usize,
     /// Flush a non-empty buffer no later than this long after it opened.
     pub max_delay: Dur,
-    /// A single envelope of at least this many bytes flushes its buffer
-    /// immediately: coalescing exists to amortize per-message overhead for
-    /// *small* messages, and holding a bulk message (or making one wait on
-    /// a deadline) costs more pipelining than frame headers save.
-    pub eager_bytes: usize,
 }
 
 impl Default for AggConfig {
-    /// 8 KiB frames, 200 µs deadline, 1 KiB eager cutoff — frames
-    /// comfortably amortize the per-message header/ack cost for the
-    /// fine-grain regime, the deadline is an order of magnitude below the
-    /// multi-ms WAN latencies the paper studies, and bulk messages skip
-    /// the batching delay entirely.
+    /// 8 KiB frames and a 200 µs deadline — frames comfortably amortize
+    /// the per-message header/ack cost for the fine-grain regime, and the
+    /// deadline is an order of magnitude below the multi-ms WAN latencies
+    /// the paper studies.  Bulk messages ([`EAGER_BYTES`]) skip the
+    /// batching delay entirely.
     fn default() -> Self {
-        AggConfig { max_bytes: 8192, max_delay: Dur::from_micros(200), eager_bytes: 1024 }
+        AggConfig { max_bytes: 8192, max_delay: Dur::from_micros(200) }
     }
 }
 
@@ -56,12 +57,6 @@ impl AggConfig {
         self.max_delay = max_delay;
         self
     }
-
-    /// Policy with an explicit bulk-message cutoff.
-    pub fn with_eager_bytes(mut self, eager_bytes: usize) -> Self {
-        self.eager_bytes = eager_bytes;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -73,15 +68,13 @@ mod tests {
         let cfg = AggConfig::default();
         assert_eq!(cfg.max_bytes, 8192);
         assert_eq!(cfg.max_delay, Dur::from_micros(200));
-        assert_eq!(cfg.eager_bytes, 1024);
-        assert!(cfg.eager_bytes < cfg.max_bytes, "bulk cutoff below the frame threshold");
+        assert!(EAGER_BYTES < cfg.max_bytes, "bulk cutoff below the frame threshold");
     }
 
     #[test]
     fn builders_override() {
-        let cfg = AggConfig::default().with_max_bytes(512).with_max_delay(Dur::from_micros(250)).with_eager_bytes(64);
+        let cfg = AggConfig::default().with_max_bytes(512).with_max_delay(Dur::from_micros(250));
         assert_eq!(cfg.max_bytes, 512);
         assert_eq!(cfg.max_delay, Dur::from_micros(250));
-        assert_eq!(cfg.eager_bytes, 64);
     }
 }

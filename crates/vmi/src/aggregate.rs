@@ -441,6 +441,7 @@ mod tests {
     use crate::devices::fault::FaultDevice;
     use crate::transport::TransportConfig;
     use bytes::Bytes;
+    use mdo_netsim::agg::EAGER_BYTES;
     use mdo_netsim::{Dur, FaultPlan, LatencyMatrix, OverloadPolicy, Topology};
 
     fn rig(pes: u32, cfg: Option<AggConfig>, plan: Option<FaultPlan>) -> Arc<Aggregator> {
@@ -571,19 +572,18 @@ mod tests {
 
     #[test]
     fn oversized_message_flushes_eagerly_with_the_pending_buffer() {
-        // A message at or above `eager_bytes` has nothing to gain from
+        // A message at or above `EAGER_BYTES` has nothing to gain from
         // waiting — it flushes the pair immediately (draining anything
         // already buffered, in order) instead of stalling until the
         // deadline.
-        let cfg =
-            AggConfig::default().with_max_bytes(1 << 20).with_max_delay(Dur::from_millis(10_000)).with_eager_bytes(256);
+        let cfg = AggConfig::default().with_max_bytes(1 << 20).with_max_delay(Dur::from_millis(10_000));
         let agg = rig(2, Some(cfg), None);
         agg.send_with(Pe(0), Pe(1), 0, false, |buf| buf.put_slice(b"tiny"));
-        agg.send_with(Pe(0), Pe(1), 0, false, |buf| buf.put_slice(&[7u8; 512]));
+        agg.send_with(Pe(0), Pe(1), 0, false, |buf| buf.put_slice(&[7u8; EAGER_BYTES]));
         let a = agg.recv_timeout(Pe(1), Duration::from_secs(2)).expect("eager flush delivered");
         let b = agg.recv_timeout(Pe(1), Duration::from_secs(2)).expect("eager flush delivered");
         assert_eq!(&a.payload[..], b"tiny", "the bulk send drains the pending buffer in order");
-        assert_eq!(b.payload.len(), 512);
+        assert_eq!(b.payload.len(), EAGER_BYTES);
         let st = agg.stats();
         assert_eq!((st.frames_sent, st.flush_by_size, st.flush_by_deadline), (1, 1, 0));
         teardown(&agg);

@@ -10,6 +10,7 @@
 //! deadline event.  Both therefore flush at the same envelope and book the
 //! same numbers for the same traffic.
 
+use mdo_netsim::agg::EAGER_BYTES;
 use mdo_netsim::{AggConfig, Time};
 
 use crate::frame::CHUNK_HEADER_LEN;
@@ -18,7 +19,7 @@ use crate::reliable::HEADER_LEN;
 /// Why a frame was flushed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FlushCause {
-    /// A body of at least `eager_bytes` joined, or `max_bytes` are buffered.
+    /// A body of at least [`EAGER_BYTES`] joined, or `max_bytes` are buffered.
     Size,
     /// The buffer has been open for `max_delay`.
     Deadline,
@@ -72,7 +73,7 @@ impl PairFill {
         self.bytes += body_len as u64;
         let flush = if urgent {
             Some(FlushCause::Urgent)
-        } else if body_len >= cfg.eager_bytes || self.bytes >= cfg.max_bytes as u64 {
+        } else if body_len >= EAGER_BYTES || self.bytes >= cfg.max_bytes as u64 {
             // Bulk messages ship at once — batching them behind a deadline
             // (or making small ones wait for them) defeats pipelining.
             Some(FlushCause::Size)
@@ -108,7 +109,7 @@ mod tests {
     use mdo_netsim::Dur;
 
     fn cfg() -> AggConfig {
-        AggConfig::default().with_max_bytes(100).with_eager_bytes(40).with_max_delay(Dur::from_micros(50))
+        AggConfig::default().with_max_bytes(2500).with_max_delay(Dur::from_micros(50))
     }
 
     fn at(us: u64) -> Time {
@@ -133,10 +134,10 @@ mod tests {
             (&[][..], true, 1, Some(FlushCause::Urgent)), // also into an empty buffer
             (&[10, 10], true, 1, Some(FlushCause::Urgent)),
             (&[10], true, 4000, Some(FlushCause::Urgent)), // urgency outranks size
-            (&[], false, 39, None),
-            (&[], false, 40, Some(FlushCause::Size)), // body >= eager_bytes
-            (&[30, 30], false, 39, None),             // 99 buffered
-            (&[30, 30, 1], false, 39, Some(FlushCause::Size)), // reaches max_bytes
+            (&[], false, 1023, None),
+            (&[], false, 1024, Some(FlushCause::Size)), // body >= EAGER_BYTES
+            (&[750, 750], false, 999, None),            // 2499 buffered
+            (&[750, 750, 1], false, 999, Some(FlushCause::Size)), // reaches max_bytes
         ] {
             let mut f = PairFill::default();
             for &b in before {
