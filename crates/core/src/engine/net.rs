@@ -50,6 +50,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mdo_net::{NetEvent, NetMesh, NetSession, TransportError as NetError};
+use mdo_netsim::failure::SUSPECT_AFTER;
 use mdo_netsim::network::NetworkStats;
 use mdo_netsim::{ClusterId, Dur, FailureCause, FaultPlan, Pe, Time, Topology, TransportError, UnrecoverableError};
 use mdo_obs::{CounterSet, Ctr};
@@ -594,7 +595,7 @@ pub fn run_with_session(
 ///
 /// With a [`mdo_netsim::FailurePlan`] armed, every PE thread mails
 /// heartbeats to PE 0 and the watchdog turns a silent PE into failure
-/// suspicion after `suspect_after`; suspected or panicked PEs trigger
+/// suspicion after [`SUSPECT_AFTER`]; suspected or panicked PEs trigger
 /// buddy-checkpoint recovery over the survivors — the same [`Membership`]
 /// state machine as the virtual-time engine, driven by wall-clock
 /// generations of real threads.
@@ -694,7 +695,7 @@ fn run_generations(
                     record_on,
                     orig_map: Arc::clone(&orig_map),
                     compute_sleep: tcfg.compute_sleep,
-                    hb_interval: failure_plan.as_ref().map(|p| p.hb_interval.to_std()),
+                    heartbeats: failure_plan.is_some(),
                     crash: m.crash_of(pe),
                     ckpt_done: Arc::clone(&ckpt_done),
                 };
@@ -718,7 +719,7 @@ fn run_generations(
 
         // ---- watchdog: the deadline, panic flags, retry exhaustion,
         // heartbeat suspicion, due joins and the peers' control traffic.
-        let suspect_after = failure_plan.as_ref().map(|p| p.suspect_after.as_nanos());
+        let suspect_after = failure_plan.is_some().then_some(SUSPECT_AFTER.as_nanos());
         let mut flagged = vec![false; n_pes];
         let mut gen_failed: Vec<(Pe, FailureCause)> = Vec::new();
         let mut gen_join: Vec<(ClusterId, Pe)> = Vec::new();

@@ -205,11 +205,6 @@ impl DeliverySpec {
             DeliverySpec::Replay(trace) => Box::new(TracePolicy::new(Arc::clone(trace))),
         }
     }
-
-    /// True for the default FIFO spec (the no-exploration fast path).
-    pub fn is_fifo(&self) -> bool {
-        matches!(self, DeliverySpec::Fifo)
-    }
 }
 
 #[cfg(test)]
@@ -282,8 +277,7 @@ mod tests {
 
     #[test]
     fn spec_builds_matching_policies() {
-        assert!(DeliverySpec::Fifo.is_fifo());
-        assert!(!DeliverySpec::Random { seed: 1 }.is_fifo());
+        assert_eq!(DeliverySpec::Fifo.build().choose(Pe(0), 4), 0);
         let mut p = DeliverySpec::Random { seed: 1 }.build();
         assert!(p.choose(Pe(0), 4) < 4);
         let mut q = DeliverySpec::Pct { seed: 1, depth: 0, horizon: 10 }.build();

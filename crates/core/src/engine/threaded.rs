@@ -20,6 +20,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use mdo_netsim::failure::HEARTBEAT_INTERVAL;
 use mdo_netsim::{CrashTrigger, Dur, LatencyMatrix, Pe, Time, Topology};
 use mdo_vmi::Aggregator;
 
@@ -183,8 +184,9 @@ pub(super) struct ThreadCtl {
     /// in original numbers so generations concatenate.
     pub(super) orig_map: Arc<Vec<Pe>>,
     pub(super) compute_sleep: bool,
-    /// Heartbeat cadence; `None` disables liveness traffic (no failure plan).
-    pub(super) hb_interval: Option<Duration>,
+    /// Heartbeats every [`HEARTBEAT_INTERVAL`]; off means no liveness
+    /// traffic (no failure plan).
+    pub(super) heartbeats: bool,
     /// This PE's injected crash, translated to the current generation: its
     /// numbering, and what is left of a message count.
     pub(super) crash: Option<CrashTrigger>,
@@ -289,12 +291,12 @@ pub(super) fn pe_thread(pe: Pe, mut node: Node, ctl: ThreadCtl) -> PeResult {
                 break;
             }
         }
-        if let Some(interval) = ctl.hb_interval {
+        if ctl.heartbeats {
             if pe == Pe(0) {
                 // The detector runs next to PE 0, which refreshes its own
                 // slot directly instead of mailing itself.
                 ctl.last_heard[0].store(elapsed_ns(ctl.t0), Ordering::Release);
-            } else if last_hb.is_none_or(|t| t.elapsed() >= interval) {
+            } else if last_hb.is_none_or(|t| t.elapsed() >= HEARTBEAT_INTERVAL.to_std()) {
                 last_hb = Some(Instant::now());
                 let hb = Envelope {
                     src: pe,
@@ -356,7 +358,7 @@ pub(super) fn pe_thread(pe: Pe, mut node: Node, ctl: ThreadCtl) -> PeResult {
                 (env, bytes)
             }
         };
-        if ctl.hb_interval.is_some() && pe == Pe(0) && matches!(env.body, MsgBody::Heartbeat) {
+        if ctl.heartbeats && pe == Pe(0) && matches!(env.body, MsgBody::Heartbeat) {
             ctl.last_heard[env.src.index()].store(elapsed_ns(ctl.t0), Ordering::Release);
             continue;
         }

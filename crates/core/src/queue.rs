@@ -25,17 +25,15 @@ use crate::envelope::Envelope;
 /// A stable priority queue of envelopes.
 ///
 /// Internally a map from priority class to the FIFO of envelopes waiting
-/// in that class (insertion order preserved via arrival sequence numbers,
-/// though the `VecDeque` order alone carries it).  A class that drains
-/// keeps its entry and its deque, so a class that empties and refills —
-/// LeanMD's forces, every step — allocates nothing once warm; the map
-/// holds one entry per priority ever queued, and the queries skip the
-/// empty ones.
+/// in that class (the `VecDeque` order is the arrival order).  A class
+/// that drains keeps its entry and its deque, so a class that empties and
+/// refills — LeanMD's forces, every step — allocates nothing once warm;
+/// the map holds one entry per priority ever queued, and the queries skip
+/// the empty ones.
 #[derive(Default)]
 pub struct SchedQueue {
-    classes: BTreeMap<i32, VecDeque<(u64, Envelope)>>,
+    classes: BTreeMap<i32, VecDeque<Envelope>>,
     len: usize,
-    next_seq: u64,
     max_depth: usize,
     bytes: u64,
     max_bytes: u64,
@@ -49,11 +47,9 @@ impl SchedQueue {
 
     /// Enqueue an envelope under its own priority.
     pub fn push(&mut self, env: Envelope) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
         self.bytes += env.wire_size();
         self.max_bytes = self.max_bytes.max(self.bytes);
-        self.classes.entry(env.priority).or_default().push_back((seq, env));
+        self.classes.entry(env.priority).or_default().push_back(env);
         self.len += 1;
         self.max_depth = self.max_depth.max(self.len);
     }
@@ -89,7 +85,7 @@ impl SchedQueue {
     /// FIFO, unchanged.
     pub fn pop_nth(&mut self, n: usize) -> Option<Envelope> {
         let class = self.classes.values_mut().find(|class| !class.is_empty())?;
-        let (_, env) = if n == 0 { class.pop_front() } else { class.swap_remove_back(n) }?;
+        let env = if n == 0 { class.pop_front() } else { class.swap_remove_back(n) }?;
         self.len -= 1;
         self.bytes -= env.wire_size();
         Some(env)

@@ -63,24 +63,13 @@ pub struct WanContention {
     lan: LinkModel,
     /// busy_until[src_cluster * n + dst_cluster]
     busy_until: Vec<Time>,
-    /// Total bytes offered per directed cluster pair (for reporting).
-    bytes: Vec<u64>,
-    /// Total messages per directed cluster pair.
-    messages: Vec<u64>,
 }
 
 impl WanContention {
     /// New contention tracker for `topo` with the given WAN and LAN models.
     pub fn new(topo: &Topology, wan: LinkModel, lan: LinkModel) -> Self {
         let n = topo.num_clusters();
-        WanContention {
-            n_clusters: n,
-            wan,
-            lan,
-            busy_until: vec![Time::ZERO; n * n],
-            bytes: vec![0; n * n],
-            messages: vec![0; n * n],
-        }
+        WanContention { n_clusters: n, wan, lan, busy_until: vec![Time::ZERO; n * n] }
     }
 
     /// Contention disabled: every link infinitely fast.
@@ -98,8 +87,6 @@ impl WanContention {
     pub fn occupy(&mut self, topo: &Topology, src: Pe, dst: Pe, now: Time, bytes: u64) -> Dur {
         let link = if topo.crosses_wan(src, dst) { self.wan } else { self.lan };
         let slot = self.slot(topo, src, dst);
-        self.bytes[slot] += bytes;
-        self.messages[slot] += 1;
         let ser = link.serialization(bytes);
         if link.bytes_per_sec.is_infinite() {
             // No queueing on an infinite link; just the per-message overhead.
@@ -109,35 +96,6 @@ impl WanContention {
         let done = start + ser;
         self.busy_until[slot] = done;
         done - now
-    }
-
-    /// Total bytes offered across all cross-cluster directed links.
-    pub fn wan_bytes(&self, topo: &Topology) -> u64 {
-        let n = self.n_clusters;
-        let mut total = 0;
-        for i in 0..n {
-            for j in 0..n {
-                if i != j {
-                    total += self.bytes[i * n + j];
-                }
-            }
-        }
-        let _ = topo;
-        total
-    }
-
-    /// Total messages offered across all cross-cluster directed links.
-    pub fn wan_messages(&self) -> u64 {
-        let n = self.n_clusters;
-        let mut total = 0;
-        for i in 0..n {
-            for j in 0..n {
-                if i != j {
-                    total += self.messages[i * n + j];
-                }
-            }
-        }
-        total
     }
 }
 
@@ -198,16 +156,5 @@ mod tests {
         );
         let d = c.occupy(&topo, Pe(0), Pe(1), Time::ZERO, 1 << 20);
         assert_eq!(d, Dur::from_nanos(500));
-    }
-
-    #[test]
-    fn accounting() {
-        let topo = Topology::two_cluster(2);
-        let mut c = WanContention::disabled(&topo);
-        c.occupy(&topo, Pe(0), Pe(1), Time::ZERO, 100);
-        c.occupy(&topo, Pe(1), Pe(0), Time::ZERO, 50);
-        c.occupy(&topo, Pe(0), Pe(0), Time::ZERO, 7);
-        assert_eq!(c.wan_bytes(&topo), 150);
-        assert_eq!(c.wan_messages(), 2);
     }
 }

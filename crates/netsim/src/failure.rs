@@ -71,38 +71,29 @@ pub struct JoinSpec {
     pub trigger: JoinTrigger,
 }
 
-/// A deterministic schedule of PE crashes and joins plus the
-/// failure-detector tuning used by the threaded engine.
+/// Heartbeat period of the wall-clock engine's failure detector (virtual
+/// time detects failures exactly and sends none).
+pub const HEARTBEAT_INTERVAL: Dur = Dur::from_millis(25);
+
+/// How long PE 0 waits without a heartbeat before suspecting a PE dead
+/// (wall-clock engine only): ten periods, comfortably above one period
+/// plus any latency the tests and tables inject.
+pub const SUSPECT_AFTER: Dur = Dur::from_millis(250);
+
+/// A deterministic schedule of PE crashes and joins.
 ///
 /// Setting a `FailurePlan` on a run (even an empty one) also arms the
 /// *tolerance* machinery: buddy checkpoints are taken at every AtSync
 /// barrier (a join, too, restarts from the newest complete snapshot),
-/// heartbeats flow in the threaded engine, and a panicking chare handler
+/// heartbeats flow in the wall-clock engine (every [`HEARTBEAT_INTERVAL`],
+/// suspicion after [`SUSPECT_AFTER`]), and a panicking chare handler
 /// marks its PE failed instead of aborting the job.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FailurePlan {
     /// The crashes to inject, in no particular order.
     pub crashes: Vec<CrashSpec>,
     /// The joins to inject, in no particular order.
     pub joins: Vec<JoinSpec>,
-    /// Heartbeat period in the threaded engine (ignored in virtual time,
-    /// where failures are detected exactly).
-    pub hb_interval: Dur,
-    /// How long PE 0 waits without a heartbeat before suspecting a PE
-    /// dead (threaded engine only).  Must comfortably exceed
-    /// `hb_interval` plus worst-case injected latency.
-    pub suspect_after: Dur,
-}
-
-impl Default for FailurePlan {
-    fn default() -> Self {
-        FailurePlan {
-            crashes: Vec::new(),
-            joins: Vec::new(),
-            hb_interval: Dur::from_millis(25),
-            suspect_after: Dur::from_millis(250),
-        }
-    }
 }
 
 impl FailurePlan {
@@ -150,14 +141,6 @@ impl FailurePlan {
     /// the original PE count (engines assert this at run start).
     pub fn join_at(mut self, pe: Pe, cluster: ClusterId, at: Dur) -> Self {
         self.joins.push(JoinSpec { pe, cluster: Some(cluster), trigger: JoinTrigger::AtTime(at) });
-        self
-    }
-
-    /// Tune the threaded engine's failure detector.
-    pub fn with_heartbeat(mut self, interval: Dur, suspect_after: Dur) -> Self {
-        assert!(suspect_after > interval, "suspicion timeout must exceed the heartbeat period");
-        self.hb_interval = interval;
-        self.suspect_after = suspect_after;
         self
     }
 }
@@ -235,15 +218,10 @@ mod tests {
 
     #[test]
     fn builders_accumulate_crashes() {
-        let plan = FailurePlan::new()
-            .crash_at(Pe(2), Dur::from_millis(10))
-            .crash_after_messages(Pe(3), 100)
-            .with_heartbeat(Dur::from_millis(5), Dur::from_millis(60));
+        let plan = FailurePlan::new().crash_at(Pe(2), Dur::from_millis(10)).crash_after_messages(Pe(3), 100);
         assert_eq!(plan.crashes.len(), 2);
         assert_eq!(plan.crashes[0], CrashSpec { pe: Pe(2), trigger: CrashTrigger::AtTime(Dur::from_millis(10)) });
         assert_eq!(plan.crashes[1], CrashSpec { pe: Pe(3), trigger: CrashTrigger::AfterMessages(100) });
-        assert_eq!(plan.hb_interval, Dur::from_millis(5));
-        assert_eq!(plan.suspect_after, Dur::from_millis(60));
     }
 
     #[test]

@@ -35,7 +35,6 @@ pub struct LatencyMatrixBuilder {
     self_latency: Dur,
     overrides: Vec<(ClusterId, ClusterId, Dur)>,
     jitter: Dur,
-    symmetric_overrides: bool,
 }
 
 /// Intra-cluster one-way latency default: the paper quotes "a few
@@ -52,7 +51,6 @@ impl LatencyMatrixBuilder {
             self_latency: Dur::ZERO,
             overrides: Vec::new(),
             jitter: Dur::ZERO,
-            symmetric_overrides: true,
         }
     }
 
@@ -75,16 +73,9 @@ impl LatencyMatrixBuilder {
         self
     }
 
-    /// Override the latency for one specific ordered cluster pair.  With
-    /// `symmetric_overrides` (the default) the reverse direction is set too.
+    /// Override the latency between one cluster pair, in both directions.
     pub fn pair(mut self, a: ClusterId, b: ClusterId, d: Dur) -> Self {
         self.overrides.push((a, b, d));
-        self
-    }
-
-    /// Make `pair` overrides apply only in the given direction.
-    pub fn asymmetric(mut self) -> Self {
-        self.symmetric_overrides = false;
         self
     }
 
@@ -104,9 +95,7 @@ impl LatencyMatrixBuilder {
         for (a, b, d) in self.overrides {
             assert!(a.index() < n && b.index() < n, "override cluster out of range");
             table[a.index()][b.index()] = d;
-            if self.symmetric_overrides {
-                table[b.index()][a.index()] = d;
-            }
+            table[b.index()][a.index()] = d;
         }
         LatencyMatrix { table, self_latency: self.self_latency, jitter: self.jitter }
     }
@@ -145,11 +134,6 @@ impl LatencyMatrix {
         }
     }
 
-    /// The configured cross-cluster latency between two specific clusters.
-    pub fn cluster_pair(&self, a: ClusterId, b: ClusterId) -> Dur {
-        self.table[a.index()][b.index()]
-    }
-
     /// True if the matrix is symmetric (lat(a→b) == lat(b→a) for all pairs).
     pub fn is_symmetric(&self) -> bool {
         let n = self.table.len();
@@ -182,30 +166,17 @@ mod tests {
     }
 
     #[test]
-    fn pair_overrides_are_symmetric_by_default() {
+    fn pair_overrides_are_symmetric() {
         let topo = Topology::uniform(3, 2);
         let m = LatencyMatrixBuilder::new(3)
             .intra(Dur::from_micros(5))
             .cross(Dur::from_millis(10))
             .pair(ClusterId(0), ClusterId(2), Dur::from_millis(30))
             .build();
-        assert_eq!(m.cluster_pair(ClusterId(0), ClusterId(2)), Dur::from_millis(30));
-        assert_eq!(m.cluster_pair(ClusterId(2), ClusterId(0)), Dur::from_millis(30));
-        assert_eq!(m.cluster_pair(ClusterId(0), ClusterId(1)), Dur::from_millis(10));
         assert_eq!(m.base_latency(&topo, Pe(0), Pe(4)), Dur::from_millis(30));
+        assert_eq!(m.base_latency(&topo, Pe(4), Pe(0)), Dur::from_millis(30));
+        assert_eq!(m.base_latency(&topo, Pe(0), Pe(2)), Dur::from_millis(10));
         assert!(m.is_symmetric());
-    }
-
-    #[test]
-    fn asymmetric_override() {
-        let m = LatencyMatrixBuilder::new(2)
-            .cross(Dur::from_millis(1))
-            .asymmetric()
-            .pair(ClusterId(0), ClusterId(1), Dur::from_millis(9))
-            .build();
-        assert_eq!(m.cluster_pair(ClusterId(0), ClusterId(1)), Dur::from_millis(9));
-        assert_eq!(m.cluster_pair(ClusterId(1), ClusterId(0)), Dur::from_millis(1));
-        assert!(!m.is_symmetric());
     }
 
     #[test]

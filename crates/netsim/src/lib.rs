@@ -19,7 +19,6 @@
 //! * [`network`] — [`NetworkModel`] combining the above into a single
 //!   "when does this message arrive" oracle.
 //! * [`rng`] — small deterministic PRNGs for jitter and workloads.
-//! * [`stats`] — counters, histograms and time series used by the harness.
 //!
 //! The message-driven runtime (crate `mdo-core`) drives this kernel; nothing
 //! here knows about chares or entry methods.
@@ -55,7 +54,6 @@ pub mod flowctl;
 pub mod latency;
 pub mod network;
 pub mod rng;
-pub mod stats;
 pub mod time;
 pub mod topology;
 pub mod tree;
@@ -71,7 +69,6 @@ pub use flowctl::{FlowConfig, OverloadPolicy};
 pub use latency::{LatencyMatrix, LatencyMatrixBuilder};
 pub use network::{DeliveryOracle, NetworkModel, NetworkStats};
 pub use rng::{SplitMix64, Xoshiro256};
-pub use stats::{Counter, Histogram, TimeSeries};
 pub use time::{Dur, Time};
 pub use topology::{ClusterId, Pe, Topology};
 pub use tree::SpanTree;

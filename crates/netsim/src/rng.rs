@@ -84,28 +84,9 @@ impl Xoshiro256 {
         }
     }
 
-    /// Uniform integer in [lo, hi] inclusive.
-    pub fn next_range(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo <= hi);
-        lo + self.next_below(hi - lo + 1)
-    }
-
     /// Uniform float in [lo, hi).
     pub fn next_f64_range(&mut self, lo: f64, hi: f64) -> f64 {
         lo + (hi - lo) * self.next_f64()
-    }
-
-    /// Standard normal via Box–Muller (one value per call; simple and
-    /// deterministic, throughput is irrelevant here).
-    pub fn next_gaussian(&mut self) -> f64 {
-        loop {
-            let u1 = self.next_f64();
-            if u1 <= f64::MIN_POSITIVE {
-                continue;
-            }
-            let u2 = self.next_f64();
-            return (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-        }
     }
 
     /// Fisher–Yates shuffle of a slice.
@@ -157,32 +138,6 @@ mod tests {
             seen[v] = true;
         }
         assert!(seen.iter().all(|&s| s), "all residues hit");
-    }
-
-    #[test]
-    fn range_inclusive() {
-        let mut r = Xoshiro256::new(3);
-        for _ in 0..1000 {
-            let v = r.next_range(5, 7);
-            assert!((5..=7).contains(&v));
-        }
-    }
-
-    #[test]
-    fn gaussian_moments_roughly_standard() {
-        let mut r = Xoshiro256::new(11);
-        let n = 50_000;
-        let mut sum = 0.0;
-        let mut sumsq = 0.0;
-        for _ in 0..n {
-            let x = r.next_gaussian();
-            sum += x;
-            sumsq += x * x;
-        }
-        let mean = sum / n as f64;
-        let var = sumsq / n as f64 - mean * mean;
-        assert!(mean.abs() < 0.02, "mean {mean}");
-        assert!((var - 1.0).abs() < 0.05, "var {var}");
     }
 
     #[test]

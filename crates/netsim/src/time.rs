@@ -99,11 +99,6 @@ impl Dur {
         Dur((s * 1e9).round() as u64)
     }
 
-    /// Construct from fractional milliseconds, rounding to the nearest nanosecond.
-    pub fn from_millis_f64(ms: f64) -> Self {
-        Self::from_secs_f64(ms / 1e3)
-    }
-
     /// Nanoseconds in this span.
     pub const fn as_nanos(self) -> u64 {
         self.0
@@ -287,7 +282,6 @@ mod tests {
         assert_eq!(Dur::from_millis(3).as_nanos(), 3_000_000);
         assert_eq!(Dur::from_secs(3).as_nanos(), 3_000_000_000);
         assert_eq!(Dur::from_secs_f64(0.5).as_nanos(), 500_000_000);
-        assert_eq!(Dur::from_millis_f64(1.725).as_nanos(), 1_725_000);
     }
 
     #[test]

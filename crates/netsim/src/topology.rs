@@ -147,11 +147,6 @@ impl Topology {
         self.clusters[c.index()].pes as usize
     }
 
-    /// Cluster name.
-    pub fn cluster_name(&self, c: ClusterId) -> &str {
-        &self.clusters[c.index()].name
-    }
-
     /// All cluster ids.
     pub fn clusters(&self) -> impl Iterator<Item = ClusterId> {
         (0..self.clusters.len() as u16).map(ClusterId)
@@ -288,7 +283,6 @@ mod tests {
         let t = Topology::uniform(3, 5);
         assert_eq!(t.num_pes(), 15);
         assert_eq!(t.cluster_of(Pe(14)), ClusterId(2));
-        assert_eq!(t.cluster_name(ClusterId(1)), "C1");
         assert_eq!(t.clusters().count(), 3);
     }
 

@@ -265,12 +265,6 @@ impl Aggregator {
         }
     }
 
-    /// Send a pre-built packet, aggregating it like any other message.
-    pub fn send_packet(&self, pkt: Packet, urgent: bool) {
-        let payload = pkt.payload;
-        self.send_with(pkt.src, pkt.dst, pkt.priority, urgent, |buf| buf.put_slice(&payload));
-    }
-
     /// Flush every buffer held for messages originating at `src` (AtSync
     /// barriers and engine shutdown call this so no message outlives its
     /// sender's quiescent state).
@@ -440,7 +434,6 @@ mod tests {
     use crate::devices::crc::CrcDevice;
     use crate::devices::fault::FaultDevice;
     use crate::transport::TransportConfig;
-    use bytes::Bytes;
     use mdo_netsim::agg::EAGER_BYTES;
     use mdo_netsim::{Dur, FaultPlan, LatencyMatrix, OverloadPolicy, Topology};
 
@@ -537,7 +530,7 @@ mod tests {
     #[test]
     fn passthrough_is_transparent() {
         let agg = rig(2, None, None);
-        agg.send_packet(Packet::new(Pe(0), Pe(1), Bytes::from_static(b"raw")), false);
+        agg.send_with(Pe(0), Pe(1), 0, false, |buf| buf.put_slice(b"raw"));
         let p = agg.recv_timeout(Pe(1), Duration::from_secs(1)).expect("delivered");
         assert_eq!(&p.payload[..], b"raw");
         assert_eq!(agg.stats(), AggStats::default());

@@ -31,9 +31,6 @@ impl<F: Fn(Packet) + Send + Sync> Forwarder for FnForwarder<F> {
 
 /// One driver in a chain.
 pub trait Device: Send + Sync {
-    /// Driver name, for diagnostics.
-    fn name(&self) -> &str;
-
     /// Handle `pkt`; forward zero or more packets downstream via `next`
     /// (immediately, or later from another thread).
     fn handle(&self, pkt: Packet, next: Arc<dyn Forwarder>);
@@ -43,7 +40,6 @@ pub trait Device: Send + Sync {
 #[derive(Clone)]
 pub struct Chain {
     head: Arc<dyn Forwarder>,
-    names: Vec<String>,
 }
 
 struct Stage {
@@ -60,12 +56,11 @@ impl Forwarder for Stage {
 impl Chain {
     /// Build a chain from `devices` (traversed in order) ending at `sink`.
     pub fn new(devices: Vec<Arc<dyn Device>>, sink: Arc<dyn Forwarder>) -> Self {
-        let names = devices.iter().map(|d| d.name().to_string()).collect();
         let mut next = sink;
         for device in devices.into_iter().rev() {
             next = Arc::new(Stage { device, next });
         }
-        Chain { head: next, names }
+        Chain { head: next }
     }
 
     /// A chain with no devices: packets go straight to the sink.
@@ -76,11 +71,6 @@ impl Chain {
     /// Inject a packet at the head of the chain.
     pub fn send(&self, pkt: Packet) {
         self.head.deliver(pkt);
-    }
-
-    /// Names of the devices in order (for diagnostics).
-    pub fn device_names(&self) -> &[String] {
-        &self.names
     }
 }
 
@@ -95,9 +85,6 @@ mod tests {
     struct Tag(&'static str);
 
     impl Device for Tag {
-        fn name(&self) -> &str {
-            self.0
-        }
         fn handle(&self, mut pkt: Packet, next: Arc<dyn Forwarder>) {
             let mut v = pkt.payload.to_vec();
             v.extend_from_slice(self.0.as_bytes());
@@ -121,7 +108,6 @@ mod tests {
         let got = out.lock();
         assert_eq!(got.len(), 1);
         assert_eq!(&got[0].payload[..], b">abc");
-        assert_eq!(chain.device_names(), &["a", "b", "c"]);
     }
 
     #[test]
@@ -130,15 +116,11 @@ mod tests {
         let chain = Chain::direct(sink);
         chain.send(Packet::new(Pe(3), Pe(4), Bytes::from_static(b"x")));
         assert_eq!(out.lock()[0].payload, Bytes::from_static(b"x"));
-        assert!(chain.device_names().is_empty());
     }
 
     /// A filtering device must be able to drop packets.
     struct DropAll;
     impl Device for DropAll {
-        fn name(&self) -> &str {
-            "drop"
-        }
         fn handle(&self, _pkt: Packet, _next: Arc<dyn Forwarder>) {}
     }
 
@@ -153,9 +135,6 @@ mod tests {
     /// A duplicating device must be able to emit more than one packet.
     struct Dup;
     impl Device for Dup {
-        fn name(&self) -> &str {
-            "dup"
-        }
         fn handle(&self, pkt: Packet, next: Arc<dyn Forwarder>) {
             next.deliver(pkt.clone());
             next.deliver(pkt);

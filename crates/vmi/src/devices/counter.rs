@@ -12,15 +12,14 @@ use crate::packet::Packet;
 
 /// Counts packets/bytes, then forwards unchanged.
 pub struct CounterDevice {
-    label: String,
     packets: AtomicU64,
     bytes: AtomicU64,
 }
 
 impl CounterDevice {
-    /// A named counter.
-    pub fn new(label: impl Into<String>) -> Arc<Self> {
-        Arc::new(CounterDevice { label: label.into(), packets: AtomicU64::new(0), bytes: AtomicU64::new(0) })
+    /// A counter at zero.
+    pub fn new() -> Arc<Self> {
+        Arc::new(CounterDevice { packets: AtomicU64::new(0), bytes: AtomicU64::new(0) })
     }
 
     /// Packets seen so far.
@@ -35,10 +34,6 @@ impl CounterDevice {
 }
 
 impl Device for CounterDevice {
-    fn name(&self) -> &str {
-        &self.label
-    }
-
     fn handle(&self, pkt: Packet, next: Arc<dyn Forwarder>) {
         self.packets.fetch_add(1, Ordering::Relaxed);
         self.bytes.fetch_add(pkt.payload.len() as u64, Ordering::Relaxed);
@@ -55,7 +50,7 @@ mod tests {
 
     #[test]
     fn counts_and_forwards() {
-        let counter = CounterDevice::new("wan");
+        let counter = CounterDevice::new();
         let delivered = Arc::new(AtomicU64::new(0));
         let d2 = Arc::clone(&delivered);
         let sink: Arc<dyn Forwarder> = Arc::new(FnForwarder(move |_| {
@@ -67,6 +62,5 @@ mod tests {
         assert_eq!(counter.packets(), 2);
         assert_eq!(counter.bytes(), 8);
         assert_eq!(delivered.load(Ordering::Relaxed), 2);
-        assert_eq!(counter.name(), "wan");
     }
 }

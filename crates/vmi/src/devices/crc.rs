@@ -75,13 +75,6 @@ impl CrcDevice {
 }
 
 impl Device for CrcDevice {
-    fn name(&self) -> &str {
-        match self.direction {
-            CrcDirection::Append => "crc-append",
-            CrcDirection::Verify => "crc-verify",
-        }
-    }
-
     fn handle(&self, mut pkt: Packet, next: Arc<dyn Forwarder>) {
         match self.direction {
             CrcDirection::Append => {
@@ -139,9 +132,6 @@ mod tests {
     fn corruption_is_a_counted_rejection() {
         struct FlipBit;
         impl Device for FlipBit {
-            fn name(&self) -> &str {
-                "flip"
-            }
             fn handle(&self, mut pkt: Packet, next: Arc<dyn Forwarder>) {
                 let mut v = pkt.payload.to_vec();
                 v[0] ^= 0x01;

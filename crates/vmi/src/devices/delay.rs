@@ -62,10 +62,6 @@ impl DelayDevice {
 }
 
 impl Device for DelayDevice {
-    fn name(&self) -> &str {
-        "delay"
-    }
-
     fn handle(&self, mut pkt: Packet, next: Arc<dyn Forwarder>) {
         let delay = self.delay_for(&pkt);
         if !delay.is_zero() {

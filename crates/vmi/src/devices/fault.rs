@@ -115,10 +115,6 @@ impl FaultDevice {
 }
 
 impl Device for FaultDevice {
-    fn name(&self) -> &str {
-        "fault"
-    }
-
     fn handle(&self, mut pkt: Packet, next: Arc<dyn Forwarder>) {
         if self.spare_control && reliable::is_control_frame(&pkt.payload) {
             next.deliver(pkt);

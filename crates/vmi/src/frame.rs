@@ -107,12 +107,6 @@ impl FrameBuilder {
         self.count == 0
     }
 
-    /// Payload bytes buffered (chunk bodies, excluding framing) — the
-    /// quantity the flush-by-size policy thresholds on.
-    pub fn payload_len(&self) -> usize {
-        self.buf.len() - 1 - self.count as usize * CHUNK_HEADER_LEN
-    }
-
     /// The most urgent priority among buffered chunks (the frame travels
     /// at the urgency of its most urgent passenger).
     pub fn min_priority(&self) -> i32 {
@@ -175,7 +169,6 @@ mod tests {
         fb.push(7, b"");
         assert_eq!(fb.count(), 3);
         assert_eq!(fb.min_priority(), -2);
-        assert_eq!(fb.payload_len(), 10);
         let (prio, frame, count) = fb.take().expect("non-empty");
         assert_eq!((prio, count), (-2, 3));
         assert!(is_frame(&frame));

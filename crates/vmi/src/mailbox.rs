@@ -16,7 +16,9 @@
 //! ordering structure, in `(due, post order)` — arrival sequence numbers
 //! are assigned at promotion, so a promoted packet queues exactly as if it
 //! had been posted at its `due` — and a blocking take sleeps no longer than
-//! the earliest `due`.  [`Mailbox::close`] releases every hold.
+//! the earliest `due`.  A packet admitted straight into the ordering
+//! structure (unstamped, or admitted after its `due`) first promotes the
+//! holds that fell due before it, so it cannot overtake them.  [`Mailbox::close`] releases every hold.
 //!
 //! ## The lock-free fast path
 //!
@@ -199,15 +201,24 @@ struct Inner {
 
 impl Inner {
     /// Admit a posted packet: into the hold lane if its `due` is still
-    /// ahead (and the mailbox open), into the ordering structure otherwise.
+    /// ahead (and the mailbox open), into the ordering structure otherwise
+    /// — behind every hold that fell due before it was admitted.
     fn insert(&mut self, pkt: Packet) {
         self.posted += 1;
+        if pkt.due.is_none() && self.held.is_empty() {
+            self.enqueue(pkt);
+            return;
+        }
+        let now = Instant::now();
         match pkt.due {
-            Some(due) if !self.closed && due > Instant::now() => {
+            Some(due) if !self.closed && due > now => {
                 self.held.insert((due, self.next_held_seq), pkt);
                 self.next_held_seq += 1;
             }
-            _ => self.enqueue(pkt),
+            _ => {
+                self.promote(Some(now));
+                self.enqueue(pkt);
+            }
         }
     }
 
@@ -1067,5 +1078,24 @@ mod tests {
             let pkt = mb.take().unwrap();
             assert_eq!(u32::from_le_bytes(pkt.payload[..4].try_into().unwrap()), i);
         }
+    }
+
+    #[test]
+    fn a_packet_admitted_late_queues_behind_the_holds_that_fell_due_before_it() {
+        let mb = Mailbox::new();
+        let mut a = pkt(0, 1);
+        a.due = Some(Instant::now() + Duration::from_millis(5));
+        mb.post(a);
+        assert!(mb.try_take().is_none(), "A is held until its due");
+        let past = Instant::now();
+        std::thread::sleep(Duration::from_millis(10));
+        // A fell due while nothing looked; B (due already past) and C
+        // (unstamped) are posted after that, so both queue behind A.
+        let mut b = pkt(0, 2);
+        b.due = Some(past);
+        mb.post(b);
+        mb.post(pkt(0, 3));
+        let order: Vec<u8> = (0..3).map(|_| mb.take().unwrap().payload[0]).collect();
+        assert_eq!(order, vec![1, 2, 3]);
     }
 }

@@ -79,8 +79,8 @@ impl Transport {
             None => Arc::new(MailboxSink::new(mailboxes.clone())),
         };
 
-        let intra_counter = CounterDevice::new("intra");
-        let cross_counter = CounterDevice::new("cross");
+        let intra_counter = CounterDevice::new();
+        let cross_counter = CounterDevice::new();
         let delay = DelayDevice::from_matrix(cfg.topo.clone(), cfg.latency);
 
         let intra_chain = Chain::new(vec![intra_counter.clone()], sink.clone());

@@ -131,8 +131,7 @@ fn threaded_single_crash_recovers_bit_exact() {
     // lands mid-run regardless of host speed).
     let n = clean.report.pe_messages[2] / 2;
     assert!(n > 0);
-    let plan =
-        FailurePlan::new().crash_after_messages(Pe(2), n).with_heartbeat(Dur::from_millis(15), Dur::from_millis(150));
+    let plan = FailurePlan::new().crash_after_messages(Pe(2), n);
     let run_cfg = RunConfig { failure_plan: Some(plan), ..RunConfig::default() };
     let crashed = stencil::run_threaded(cfg, topo, latency, run_cfg);
 
@@ -268,10 +267,7 @@ fn threaded_staggered_double_crash_never_hangs() {
     let n1 = clean.report.pe_messages[1] / 2;
     let n3 = clean.report.pe_messages[3] * 3 / 4;
     assert!(n1 > 0 && n3 > 0);
-    let plan = FailurePlan::new()
-        .crash_after_messages(Pe(1), n1)
-        .crash_after_messages(Pe(3), n3)
-        .with_heartbeat(Dur::from_millis(15), Dur::from_millis(150));
+    let plan = FailurePlan::new().crash_after_messages(Pe(1), n1).crash_after_messages(Pe(3), n3);
     let run_cfg = RunConfig { failure_plan: Some(plan), ..RunConfig::default() };
     let crashed = stencil::run_threaded(cfg, topo, latency, run_cfg);
 
@@ -323,9 +319,7 @@ fn leanmd_single_crash_recovers_bit_exact_on_both_engines() {
     // the survivors recompute them from the snapshot.
     for (num, den) in [(1, 2), (3, 5), (3, 4)] {
         let n = clean_thr.report.pe_messages[2] * num / den;
-        let plan = FailurePlan::new()
-            .crash_after_messages(Pe(2), n)
-            .with_heartbeat(Dur::from_millis(15), Dur::from_millis(150));
+        let plan = FailurePlan::new().crash_after_messages(Pe(2), n);
         let run_cfg = RunConfig { failure_plan: Some(plan), ..RunConfig::default() };
         let crashed_thr = leanmd::run_threaded(cfg.clone(), topo.clone(), latency.clone(), run_cfg);
         assert_eq!(crashed_thr.checksums, clean_sim.checksums, "threaded recovery is bit-exact ({num}/{den})");

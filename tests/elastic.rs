@@ -155,9 +155,7 @@ fn threaded_stencil_crash_then_rejoin_is_bit_exact() {
     for den_num in [(3u64, 1u64), (3, 2)] {
         let n = clean.report.pe_messages[2] * den_num.1 / den_num.0;
         assert!(n > 0);
-        let plan = FailurePlan::new()
-            .crash_after_messages(Pe(2), n)
-            .with_heartbeat(Dur::from_millis(15), Dur::from_millis(150));
+        let plan = FailurePlan::new().crash_after_messages(Pe(2), n);
         let run_cfg = RunConfig { failure_plan: Some(plan.rejoin_after_recoveries(Pe(2), 1)), ..RunConfig::default() };
         let elastic = (0..3)
             .map(|_| stencil::run_threaded(cfg.clone(), topo.clone(), latency.clone(), run_cfg.clone()))
@@ -193,9 +191,7 @@ fn threaded_leanmd_crash_then_rejoin_is_bit_exact() {
     // Retry NoCompleteSnapshot races exactly as the stencil test does.
     let elastic = (0..3)
         .map(|_| {
-            let plan = FailurePlan::new()
-                .crash_after_messages(Pe(2), n)
-                .with_heartbeat(Dur::from_millis(15), Dur::from_millis(150));
+            let plan = FailurePlan::new().crash_after_messages(Pe(2), n);
             let run_cfg =
                 RunConfig { failure_plan: Some(plan.rejoin_after_recoveries(Pe(2), 1)), ..RunConfig::default() };
             leanmd::run_threaded(cfg.clone(), topo.clone(), latency.clone(), run_cfg)

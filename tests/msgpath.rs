@@ -321,6 +321,67 @@ proptest! {
             prop_assert_eq!((pkt.priority, untag(pkt).1), (prio, i));
         }
     }
+
+    /// A packet admitted after earlier holds fell due — stamped with a
+    /// `due` already past, or unstamped — queues behind them, even when
+    /// nothing looked at the mailbox while they fell due.  Each packet
+    /// queues at max(admission, due), ties in (due, post order); here a
+    /// first batch (unstamped and held) is admitted, its holds fall due
+    /// unobserved, and a second batch (unstamped, late-stamped and newly
+    /// held) is admitted at once.  Delivery is the stable sort by priority
+    /// of [first unstamped in post order, first held by (due, post order),
+    /// second admitted directly in post order, second held by (due, post
+    /// order)].
+    #[test]
+    fn a_post_after_holds_fell_due_queues_behind_them(
+        first in prop::collection::vec((-2i32..2, 0u64..5), 1..30),
+        second in prop::collection::vec((-2i32..2, 0u64..9), 1..30),
+    ) {
+        let mb = Mailbox::new();
+        let base = Instant::now() + Duration::from_millis(10);
+        for (i, &(prio, slot)) in first.iter().enumerate() {
+            mb.post(held(1, i as u32, prio, (slot > 0).then(|| base + Duration::from_millis(slot))));
+        }
+        prop_assert_eq!(mb.len(), first.len()); // admitted: the stamped ones are held
+        if Instant::now() >= base {
+            return Ok(()); // the host stalled mid-post: which posts were held is no longer known
+        }
+        std::thread::sleep(base + Duration::from_millis(5) - Instant::now());
+        // Kind 0 is unstamped, 1–4 due already past (as early as `base`,
+        // before some first-batch holds), 5–8 held again.
+        let base2 = Instant::now() + Duration::from_millis(10);
+        for (i, &(prio, kind)) in second.iter().enumerate() {
+            let due = match kind {
+                0 => None,
+                1..=4 => Some(base + Duration::from_millis(kind - 1)),
+                _ => Some(base2 + Duration::from_millis(kind - 4)),
+            };
+            mb.post(held(2, i as u32, prio, due));
+        }
+        prop_assert_eq!(mb.len(), first.len() + second.len());
+        if Instant::now() >= base2 {
+            return Ok(()); // the host stalled mid-post: the second holds may have been admitted late
+        }
+        std::thread::sleep(base2 + Duration::from_millis(5) - Instant::now());
+        // (priority, queueing rank, sender, post index)
+        let mut want: Vec<(i32, (u8, u64), u32, u32)> = first
+            .iter()
+            .enumerate()
+            .map(|(i, &(prio, slot))| (prio, (u8::from(slot > 0), slot), 1, i as u32))
+            .chain(second.iter().enumerate().map(|(i, &(prio, kind))| {
+                let rank = if kind <= 4 { (2, 0) } else { (3, kind) };
+                (prio, rank, 2, i as u32)
+            }))
+            .collect();
+        want.sort_by_key(|&(_, rank, sender, i)| (rank, sender, i));
+        want.sort_by_key(|&(prio, ..)| prio); // stable
+        let mut buf = Vec::new();
+        mb.take_many(&mut buf, usize::MAX);
+        prop_assert_eq!(buf.len(), want.len());
+        for (pkt, (prio, _, sender, i)) in buf.iter().zip(want) {
+            prop_assert_eq!((pkt.priority, untag(pkt)), (prio, (sender, i)));
+        }
+    }
 }
 
 /// A consumer already blocked when a held packet is posted — and one that

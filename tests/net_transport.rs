@@ -186,9 +186,7 @@ fn crash_on_a_remote_node_recovers_over_survivors() {
     for victim in [Pe(4), Pe(1)] {
         let n = clean.report.pe_messages[victim.index()] / 2;
         assert!(n > 0, "calibration run must exercise {victim}");
-        let plan = FailurePlan::new()
-            .crash_after_messages(victim, n)
-            .with_heartbeat(Dur::from_millis(15), Dur::from_millis(150));
+        let plan = FailurePlan::new().crash_after_messages(victim, n);
         let run_cfg = RunConfig { failure_plan: Some(plan), ..RunConfig::default() };
 
         let multi = run_stencil_net(&cfg, &topo, &latency, &run_cfg);
