@@ -44,7 +44,8 @@ pub struct ExploreConfig {
     pub shrink_budget: usize,
     /// The runtime configuration every run starts from; the explorer
     /// only arms `obs` on it.  Exploration composes with each knob there:
-    /// - a WAN fault plan (the hidden mutation knobs ride in here too);
+    /// - a WAN fault plan: the reliable protocol's retransmits and the
+    ///   wire's reorders re-time traffic without losing it;
     /// - aggregation: cross-WAN envelopes buffer and release as whole
     ///   frames, itself a schedule perturbation the invariants must
     ///   survive;
@@ -57,6 +58,9 @@ pub struct ExploreConfig {
     ///   broadcasts, multicasts and reduction fold-ins, yet every state
     ///   digest must still match the FIFO reference bit for bit.
     pub run: RunConfig,
+    /// Test-only: arm [`SimConfig::mutate_no_dedup`] on every run.
+    #[doc(hidden)]
+    pub mutate_no_dedup: bool,
 }
 
 impl Default for ExploreConfig {
@@ -68,6 +72,7 @@ impl Default for ExploreConfig {
             differential_every: 0,
             shrink_budget: 200,
             run: RunConfig::default(),
+            mutate_no_dedup: false,
         }
     }
 }
@@ -178,8 +183,8 @@ fn run_cfg(cfg: &ExploreConfig) -> RunConfig {
 
 /// The simulator's settings for one run: a delivery policy and,
 /// optionally, where to record its contested choices.
-fn sim_cfg(delivery: DeliverySpec, schedule_sink: Option<ScheduleSink>) -> SimConfig {
-    SimConfig { delivery, schedule_sink, ..SimConfig::default() }
+fn sim_cfg(cfg: &ExploreConfig, delivery: DeliverySpec, schedule_sink: Option<ScheduleSink>) -> SimConfig {
+    SimConfig { delivery, schedule_sink, mutate_no_dedup: cfg.mutate_no_dedup, ..SimConfig::default() }
 }
 
 /// True when the configured flow policy deliberately drops overflow —
@@ -200,7 +205,7 @@ fn expectation(app: &CheckApp, cfg: &ExploreConfig) -> Expectation {
 pub fn explore(app: &CheckApp, cfg: &ExploreConfig) -> ExploreReport {
     // Reference: FIFO, recorded.  Its trace length is the PCT horizon.
     let ref_sink: ScheduleSink = Default::default();
-    let reference = app.run_sim(run_cfg(cfg), sim_cfg(DeliverySpec::Fifo, Some(ref_sink.clone())));
+    let reference = app.run_sim(run_cfg(cfg), sim_cfg(cfg, DeliverySpec::Fifo, Some(ref_sink.clone())));
     let ref_trace = ref_sink.lock().map(|t| t.clone()).unwrap_or_default();
     let horizon = ref_trace.choices.len() as u64;
     let expect = expectation(app, cfg);
@@ -232,7 +237,7 @@ pub fn explore(app: &CheckApp, cfg: &ExploreConfig) -> ExploreReport {
             ("pct", DeliverySpec::Pct { seed, depth: cfg.pct_depth, horizon })
         };
         let sink: ScheduleSink = Default::default();
-        let run = app.run_sim(run_cfg(cfg), sim_cfg(spec, Some(sink.clone())));
+        let run = app.run_sim(run_cfg(cfg), sim_cfg(cfg, spec, Some(sink.clone())));
         let trace = sink.lock().map(|t| t.clone()).unwrap_or_default();
 
         let mut violations = check_report(&run.report, &expect);
@@ -284,7 +289,7 @@ pub fn replay_violations(
     trace: &ScheduleTrace,
 ) -> Vec<Violation> {
     let spec = DeliverySpec::Replay(Arc::new(trace.clone()));
-    let run = app.run_sim(run_cfg(cfg), sim_cfg(spec, None));
+    let run = app.run_sim(run_cfg(cfg), sim_cfg(cfg, spec, None));
     let mut violations = check_report(&run.report, &expectation(app, cfg));
     if !shedding(cfg) {
         violations.extend(check_digest(reference_digest, &run.digest));

@@ -5,14 +5,17 @@
 //!           [--schedules N] [--seed S] [--pct-depth D]
 //!           [--differential-every N] [--shrink-budget N]
 //!           [--agg] [--flow | --flow-shed] [--credit-bytes N] [--tree]
-//!           [--out DIR] [--replay FILE]
+//!           [--loss P] [--out DIR] [--replay FILE]
 //! ```
 //!
 //! Without `--app`, both mini configs are explored.  `--flow` (lossless
 //! `Block`) and `--flow-shed` pick the flow-control policy and
 //! `--credit-bytes` its window, in any order; either arms flow control
 //! with the default 64 KiB window.  `--tree` routes every collective over
-//! the two-level tree.  Failing schedules
+//! the two-level tree.  `--loss P` runs every schedule over a lossy WAN:
+//! `FaultPlan::loss(P)` with a fixed seed, recovered by the reliable
+//! protocol, whose retransmits and held-back frames re-time delivery.
+//! Failing schedules
 //! are shrunk and written to `--out` (default `target/mdo-check`) as
 //! `schedule-<app>-<index>.json`; the process exits non-zero if anything
 //! failed.  `--replay FILE` re-executes one `schedule.json` instead of
@@ -22,7 +25,10 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use mdo_check::{explore, replay_violations, CheckApp, ExploreConfig, ScheduleFile};
-use mdo_netsim::{AggConfig, OverloadPolicy};
+use mdo_netsim::{AggConfig, FaultPlan, OverloadPolicy};
+
+/// The fault-stream seed of `--loss`: one fixed WAN per probability.
+const LOSS_SEED: u64 = 2005;
 
 struct Args {
     apps: Vec<CheckApp>,
@@ -62,6 +68,13 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
                 args.cfg.run.flow = Some(args.cfg.run.flow.unwrap_or_default().with_credit_bytes(window));
             }
             "--tree" => args.cfg.run.tree_collectives = true,
+            "--loss" => {
+                let p: f64 = value()?.parse().map_err(|e| format!("{flag}: {e}"))?;
+                if !(0.0..=1.0).contains(&p) {
+                    return Err(format!("{flag}: {p} is not a probability"));
+                }
+                args.cfg.run.fault_plan = Some(FaultPlan::loss(p).with_seed(LOSS_SEED));
+            }
             "--out" => args.out = PathBuf::from(value()?),
             "--replay" => args.replay = Some(PathBuf::from(value()?)),
             other => return Err(format!("unknown flag {other:?}")),
@@ -187,5 +200,14 @@ mod tests {
             explore_cfg(&["--flow-shed"]).run.flow,
             Some(FlowConfig::default().with_policy(OverloadPolicy::Shed))
         );
+    }
+
+    #[test]
+    fn loss_arms_a_seeded_lossy_wan_and_rejects_what_is_no_probability() {
+        let plan = explore_cfg(&["--loss", "0.05"]).run.fault_plan.expect("a fault plan");
+        assert_eq!((plan.drop, plan.seed), (0.05, LOSS_SEED));
+        for bad in ["1.5", "-0.1", "lots"] {
+            assert!(parse_args(["--loss", bad].iter().map(|f| f.to_string())).is_err(), "{bad}");
+        }
     }
 }

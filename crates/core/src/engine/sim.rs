@@ -15,11 +15,14 @@
 //! naturally overlaps that work with in-flight communication, which is the
 //! entire effect under study.
 //!
-//! The WAN seam is `SimWan`: credit flow control and aggregation in
-//! virtual time.  Their rules are not modelled here — the simulator runs
-//! the wall-clock stack's own [`CreditLedger`] and [`PairFill`], and adds
-//! only what is virtual time's: where a deferred envelope waits, and the
-//! event that stands in for the flusher thread's tick.
+//! The WAN seam is `SimWan`: credit flow control, aggregation and, under
+//! a fault plan, reliable delivery over a faulty wire, in virtual time.
+//! Their rules are not modelled here — the simulator runs the wall-clock
+//! stack's own [`CreditLedger`], [`PairFill`], [`FaultWire`] and
+//! [`arq`](mdo_vmi::arq) machines, and adds only what is virtual time's:
+//! where a deferred envelope waits, and the events that stand in for the
+//! flusher thread's tick, the retransmit timer and a frame or ack in
+//! flight.
 //!
 //! What only this engine reads is its own [`SimConfig`]: the run's limits
 //! and the delivery-order seam ([`DeliverySpec`], with an optional
@@ -33,9 +36,10 @@ use std::sync::Arc;
 
 use mdo_netsim::network::{DeliveryOracle, NetworkModel};
 use mdo_netsim::{
-    AggConfig, CrashTrigger, DeliveryPlan, Dur, EventQueue, FailureCause, FaultModel, FlowConfig, Pe, Time, Topology,
+    AggConfig, CrashTrigger, Dur, EventQueue, FailureCause, Fate, FaultWire, FlowConfig, Harm, Pe, Time, Topology,
     TransportError, UnrecoverableError,
 };
+use mdo_vmi::arq::{Receiver, Sender};
 use mdo_vmi::credit::CreditLedger;
 use mdo_vmi::flush::{FlushCause, PairFill};
 
@@ -68,6 +72,11 @@ pub struct SimConfig {
     /// [`DeliverySpec::Replay`] can play back.  `None` (the default)
     /// records nothing.
     pub schedule_sink: Option<ScheduleSink>,
+    /// Test-only mutation: every receiver machine of the fault plan's
+    /// reliable protocol leaks duplicates (see
+    /// [`Receiver::broken_dedup`]).
+    #[doc(hidden)]
+    pub mutate_no_dedup: bool,
 }
 
 /// The discrete-event engine.
@@ -89,7 +98,25 @@ enum Event {
         dst: Pe,
         filling: u64,
     },
+    /// `(src, dst, seq, frame)`: frame `seq` of the pair `src -> dst`
+    /// reaches `dst`.
+    Frame(Pe, Pe, u64, Frame),
+    /// `(src, dst, cum)`: a cumulative ack of the pair reaches `src`.
+    Ack(Pe, Pe, u64),
+    /// `(src, dst)`: a retransmit deadline of the pair.
+    Retransmit(Pe, Pe),
 }
+
+/// What one sequence number of the reliable protocol carries: the
+/// passengers, in send order, and the wire bytes.
+#[derive(Clone)]
+struct Frame {
+    envs: Vec<Envelope>,
+    bytes: u64,
+}
+
+/// Bytes of a standalone ack on the wire.
+const ACK_BYTES: u64 = mdo_vmi::reliable::HEADER_LEN as u64;
 
 /// One (src, dst) accumulation buffer: the passengers, and the flush
 /// policy's view of them.
@@ -102,8 +129,9 @@ struct AggBuf {
 }
 
 /// The simulator's transport: everything between a handler's `emit` and
-/// the `Arrive` event — the credit gate, the aggregation buffers, the
-/// network and fault models — and the counters it keeps on the way.
+/// the envelope's arrival — the credit gate, the aggregation buffers, the
+/// network model and the reliable protocol over the fault wire — and the
+/// counters it keeps on the way.
 ///
 /// Flow control is receiver-paced: every cross-WAN app envelope consumes
 /// window bytes when it departs and releases them when the destination PE
@@ -111,7 +139,16 @@ struct AggBuf {
 /// play on the wire.  System traffic bypasses the window, as on the wire.
 struct SimWan {
     net: NetworkModel,
-    faults: Option<FaultModel>,
+    /// Under a fault plan, the one fault wire; it and the pairs' sender
+    /// and receiver machines restart with each generation, as the wall
+    /// clock rebuilds its stack.
+    wire: Option<FaultWire<(u64, Frame)>>,
+    /// When this generation's wire came up: link-down windows count from
+    /// here.
+    epoch: Time,
+    senders: HashMap<(u32, u32), Sender<Frame>>,
+    receivers: HashMap<(u32, u32), Receiver<Frame>>,
+    broken_dedup: bool,
     agg: Option<AggConfig>,
     bufs: HashMap<(u32, u32), AggBuf>,
     flow: Option<FlowConfig>,
@@ -128,12 +165,14 @@ struct SimWan {
 }
 
 impl SimWan {
-    fn new(net: NetworkModel, cfg: &RunConfig) -> Self {
+    fn new(net: NetworkModel, cfg: &RunConfig, broken_dedup: bool) -> Self {
         SimWan {
             net,
-            // The same plan the threaded engine would wire into its device
-            // chain, collapsed here into virtual-time delivery decisions.
-            faults: cfg.fault_plan.clone().map(FaultModel::new),
+            wire: cfg.fault_plan.clone().map(FaultWire::new),
+            epoch: Time::ZERO,
+            senders: HashMap::new(),
+            receivers: HashMap::new(),
+            broken_dedup,
             agg: cfg.agg,
             bufs: HashMap::new(),
             flow: cfg.flow,
@@ -154,10 +193,10 @@ impl SimWan {
     }
 
     /// A handler emitted `env`, departing at `depart`.  Cross-WAN app
-    /// traffic must fit the pair's window first: `Ok(false)` means the
-    /// `Shed` policy dropped it; under `Block` it may wait here instead of
-    /// leaving now.
-    fn emit(&mut self, env: Envelope, depart: Time, events: &mut EventQueue<Event>) -> Result<bool, TransportError> {
+    /// traffic must fit the pair's window first: `false` means the `Shed`
+    /// policy dropped it; under `Block` it may wait here instead of leaving
+    /// now.
+    fn emit(&mut self, env: Envelope, depart: Time, events: &mut EventQueue<Event>) -> bool {
         if let (Some(key), Some(flow)) = (self.credited(&env), self.flow) {
             let size = env.wire_size();
             // Later envelopes queue behind deferred ones: per-pair FIFO.
@@ -167,29 +206,30 @@ impl SimWan {
                 // the books straight.
                 self.ctr.bump(Ctr::EnvelopesShed);
                 self.ctr.add(Ctr::ShedBytes, size);
-                return Ok(false);
+                return false;
             }
             if blocked && !flow.sheds() {
                 self.ctr.bump(Ctr::CreditStalls);
                 self.waiting_total += size;
                 self.max_waiting = self.max_waiting.max(self.waiting_total);
                 self.waiting.entry(key).or_default().push_back((env, depart));
-                return Ok(true);
+                return true;
             }
             // Fits — or is urgent traffic under `Shed`, which overruns the
             // window rather than stall or vanish (never shed, as on the
             // wire).
             self.ledger.consume(key, size);
         }
-        self.ship(env, depart, events).map(|()| true)
+        self.ship(env, depart, events);
+        true
     }
 
     /// The destination PE dequeued `env`: its window bytes return, which
     /// may un-block deferred senders — their envelopes (FIFO, for as long
     /// as the freed window admits them) depart through the normal send
     /// path at this instant.
-    fn delivered(&mut self, env: &Envelope, now: Time, events: &mut EventQueue<Event>) -> Result<(), TransportError> {
-        let Some(key) = self.credited(env) else { return Ok(()) };
+    fn delivered(&mut self, env: &Envelope, now: Time, events: &mut EventQueue<Event>) {
+        let Some(key) = self.credited(env) else { return };
         self.ledger.release(key, env.wire_size());
         while let Some(size) = self.waiting.get(&key).and_then(|q| q.front()).map(|(front, _)| front.wire_size()) {
             if !self.ledger.admits(key, size) {
@@ -200,15 +240,15 @@ impl SimWan {
             let (waited, enq) = self.waiting.get_mut(&key).and_then(VecDeque::pop_front).expect("front just checked");
             let at = now.max(enq);
             self.ctr.add(Ctr::CreditWaitNs, (at - enq).as_nanos());
-            self.ship(waited, at, events)?;
+            self.ship(waited, at, events);
         }
-        Ok(())
     }
 
     /// Route one departing envelope into virtual time: through the
-    /// per-pair aggregation buffer on the coalesced cross-WAN path,
-    /// directly into the network model otherwise.
-    fn ship(&mut self, env: Envelope, depart: Time, events: &mut EventQueue<Event>) -> Result<(), TransportError> {
+    /// per-pair aggregation buffer on the coalesced cross-WAN path, as a
+    /// frame of its own over a faulty WAN, directly into the network model
+    /// otherwise.
+    fn ship(&mut self, env: Envelope, depart: Time, events: &mut EventQueue<Event>) {
         let (src, dst) = (env.src, env.dst);
         let crosses = self.net.topology().crosses_wan(src, dst);
         if let Some(acfg) = self.agg.filter(|_| crosses) {
@@ -221,63 +261,33 @@ impl SimWan {
                 events.schedule(deadline, Event::FlushAgg { src, dst, filling: buf.filling });
             }
             buf.envs.push(env);
-            return push.flush.map_or(Ok(()), |cause| self.flush(src, dst, depart, cause, events));
-        }
-        let mut arrival = self.net.delivery_time(src, dst, depart, env.wire_size());
-        if let Some(fm) = self.faults.as_mut().filter(|_| crosses) {
-            match fm.plan_delivery(src, dst, depart) {
-                DeliveryPlan::Deliver { extra_delay, duplicate, .. } => {
-                    arrival += extra_delay;
-                    if duplicate && fm.plan().mutate_no_dedup {
-                        // Test-only mutation: with dedup broken, the wire
-                        // duplicate reaches the application as a second
-                        // arrival.
-                        events.schedule(arrival.max(depart), Event::Arrive(env.clone()));
-                    }
-                }
-                DeliveryPlan::Exhausted { attempts, seq } => {
-                    // The reliable layer gave up on this message: abort
-                    // with a structured error instead of simulating on
-                    // partial state.
-                    return Err(TransportError { src, dst, seq, attempts });
-                }
+            if let Some(cause) = push.flush {
+                self.flush(src, dst, depart, cause, events);
             }
+        } else if self.wire.is_some() && crosses {
+            let bytes = env.wire_size();
+            self.send_frame(src, dst, Frame { envs: vec![env], bytes }, depart, events);
+        } else {
+            let arrival = self.net.delivery_time(src, dst, depart, env.wire_size());
+            events.schedule(arrival.max(depart), Event::Arrive(env));
         }
-        events.schedule(arrival.max(depart), Event::Arrive(env));
-        Ok(())
     }
 
     /// The deadline tick of one filling: ship the buffer unless that
     /// filling already went out by size or urgency.
-    fn tick(
-        &mut self,
-        src: Pe,
-        dst: Pe,
-        filling: u64,
-        now: Time,
-        events: &mut EventQueue<Event>,
-    ) -> Result<(), TransportError> {
+    fn tick(&mut self, src: Pe, dst: Pe, filling: u64, now: Time, events: &mut EventQueue<Event>) {
         let due = |(acfg, buf): (AggConfig, &AggBuf)| buf.filling == filling && buf.fill.expired(&acfg, now);
         if self.agg.zip(self.bufs.get(&(src.0, dst.0))).is_some_and(due) {
-            self.flush(src, dst, now, FlushCause::Deadline, events)?;
+            self.flush(src, dst, now, FlushCause::Deadline, events);
         }
-        Ok(())
     }
 
-    /// Ship one buffered jumbo frame into virtual time: a single
-    /// delivery-time query and a single fault draw cover the whole frame
-    /// (the virtual-time equivalent of one reliable sequence number per
-    /// frame), then every passenger arrives together, in send order.
-    fn flush(
-        &mut self,
-        src: Pe,
-        dst: Pe,
-        at: Time,
-        cause: FlushCause,
-        events: &mut EventQueue<Event>,
-    ) -> Result<(), TransportError> {
-        let Some(buf) = self.bufs.get_mut(&(src.0, dst.0)) else { return Ok(()) };
-        let Some(tally) = buf.fill.take() else { return Ok(()) };
+    /// Ship one buffered jumbo frame into virtual time: one delivery-time
+    /// query — or, over a faulty WAN, one sequence number — covers the
+    /// whole frame, and every passenger arrives together, in send order.
+    fn flush(&mut self, src: Pe, dst: Pe, at: Time, cause: FlushCause, events: &mut EventQueue<Event>) {
+        let Some(buf) = self.bufs.get_mut(&(src.0, dst.0)) else { return };
+        let Some(tally) = buf.fill.take() else { return };
         let envs = std::mem::take(&mut buf.envs);
         self.ctr.bump(Ctr::FramesSent);
         self.ctr.add(Ctr::EnvelopesCoalesced, tally.envelopes);
@@ -287,38 +297,117 @@ impl SimWan {
             FlushCause::Deadline => self.ctr.bump(Ctr::FlushByDeadline),
             FlushCause::Urgent | FlushCause::Final => {}
         }
-        let mut arrival = self.net.delivery_time(src, dst, at, tally.wire_bytes);
-        let mut dup = false;
-        if let Some(fm) = self.faults.as_mut() {
-            match fm.plan_delivery(src, dst, at) {
-                DeliveryPlan::Deliver { extra_delay, duplicate, .. } => {
-                    // A dropped frame delays ALL its passengers by the
-                    // retransmission — whole-frame recovery, as on the wire.
-                    arrival += extra_delay;
-                    dup = duplicate && fm.plan().mutate_no_dedup;
-                }
-                DeliveryPlan::Exhausted { attempts, seq } => {
-                    return Err(TransportError { src, dst, seq, attempts });
-                }
-            }
+        if self.wire.is_some() {
+            return self.send_frame(src, dst, Frame { envs, bytes: tally.wire_bytes }, at, events);
         }
-        let arrival = arrival.max(at);
+        let arrival = self.net.delivery_time(src, dst, at, tally.wire_bytes).max(at);
         for env in envs {
-            if dup {
-                // Test-only mutation: broken dedup delivers the wire duplicate
-                // of the whole frame to the application.
-                events.schedule(arrival, Event::Arrive(env.clone()));
-            }
             events.schedule(arrival, Event::Arrive(env));
         }
-        Ok(())
     }
 
-    /// A generation change: buffered (un-flushed) frames and deferred
-    /// sends die with the generation, like every other in-flight event,
-    /// and the windows re-arm fresh (the wall-clock stack's `reset_peer`
-    /// does the same per survivor); PE numbering changes anyway.
-    fn restart(&mut self, topo: Topology) {
+    /// Hand `frame` to the pair's sender machine, arm its retransmit
+    /// timer, and put its first copy on the wire.
+    fn send_frame(&mut self, src: Pe, dst: Pe, frame: Frame, at: Time, events: &mut EventQueue<Event>) {
+        let rto = self.wire.as_ref().expect("a fault plan is armed").plan().rto;
+        let sender = self.senders.entry((src.0, dst.0)).or_insert_with(|| Sender::new(src, dst));
+        let seq = sender.next_seq();
+        events.schedule(sender.send(frame.clone(), at, rto), Event::Retransmit(src, dst));
+        self.attempt(src, dst, seq, frame, at, events);
+    }
+
+    /// One attempt through the fault wire: what gets through lands after
+    /// the network's delivery time (twice if duplicated; never if corrupted,
+    /// which the receiver's checksum rejects), the stash it released right
+    /// behind it.
+    fn attempt(&mut self, src: Pe, dst: Pe, seq: u64, frame: Frame, at: Time, events: &mut EventQueue<Event>) {
+        let (bytes, since) = (frame.bytes, at.saturating_since(self.epoch));
+        let wire = self.wire.as_mut().expect("a fault plan is armed");
+        let Fate::Through { item, harm, released } = wire.transmit(src, dst, since, bytes as usize, (seq, frame))
+        else {
+            return;
+        };
+        let arrival = self.net.delivery_time(src, dst, at, bytes).max(at);
+        let copies = match harm {
+            Harm::None => 1,
+            Harm::Duplicated => 2,
+            Harm::Corrupted(_) => 0,
+        };
+        for (seq, frame) in std::iter::repeat_n(item, copies).chain(released) {
+            events.schedule(arrival, Event::Frame(src, dst, seq, frame));
+        }
+    }
+
+    /// Frame `seq` of `src -> dst` lands: the pair's receiver acks it over
+    /// the reverse pair (the wire spares acks) and returns, in send order,
+    /// the passengers it releases.
+    fn land(
+        &mut self,
+        src: Pe,
+        dst: Pe,
+        seq: u64,
+        frame: Frame,
+        now: Time,
+        events: &mut EventQueue<Event>,
+    ) -> Vec<Envelope> {
+        let receiver = self.receivers.entry((src.0, dst.0)).or_default();
+        receiver.broken_dedup = self.broken_dedup;
+        let mut released = Vec::new();
+        let receipt = receiver.on_frame(seq, frame, &mut released);
+        if receipt.duplicate {
+            self.ctr.bump(Ctr::DupDropped);
+        }
+        let back = self.net.delivery_time(dst, src, now, ACK_BYTES).max(now);
+        events.schedule(back, Event::Ack(src, dst, receipt.cum));
+        released.into_iter().flat_map(|f| f.envs).collect()
+    }
+
+    /// A retransmit deadline of `src -> dst` passes: the copies due go out
+    /// again, each re-arming its timer.  `Ok(false)` when nothing was due —
+    /// the frame was acked — so the timer was a no-op.
+    fn retransmit(
+        &mut self,
+        src: Pe,
+        dst: Pe,
+        now: Time,
+        events: &mut EventQueue<Event>,
+    ) -> Result<bool, TransportError> {
+        let (Some(wire), Some(sender)) = (&self.wire, self.senders.get_mut(&(src.0, dst.0))) else { return Ok(false) };
+        let mut resend = Vec::new();
+        // When the protocol gives up, the run aborts with a structured
+        // error instead of simulating on partial state.
+        if let Some(err) = sender.on_timer(now, wire.plan(), |seq, frame, due| resend.push((seq, frame.clone(), due))) {
+            return Err(err);
+        }
+        let held = self.receivers.get(&(src.0, dst.0)).map_or(0, |r| resend.iter().filter(|c| r.holds(c.0)).count());
+        self.ctr.add(Ctr::Retransmits, resend.len() as u64);
+        self.ctr.add(Ctr::SpuriousRetransmits, held as u64);
+        let fired = !resend.is_empty();
+        for (seq, frame, due) in resend {
+            events.schedule(due, Event::Retransmit(src, dst));
+            self.attempt(src, dst, seq, frame, now, events);
+        }
+        Ok(fired)
+    }
+
+    /// Book what a generation's wire did to the traffic.
+    fn book_wire(&mut self) {
+        let w = self.wire.as_ref().map(FaultWire::stats).unwrap_or_default();
+        self.ctr.add(Ctr::Drops, w.dropped);
+        self.ctr.add(Ctr::CorruptRejected, w.corrupted);
+        self.ctr.add(Ctr::Reordered, w.reordered);
+    }
+
+    /// A generation change at `at`: buffered (un-flushed) frames and
+    /// deferred sends die with the generation, like every other in-flight
+    /// event, and the windows re-arm fresh (the wall-clock stack's
+    /// `reset_peer` does the same per survivor); the wire and the protocol
+    /// restart, as the wall clock's stack is rebuilt; PE numbering changes
+    /// anyway.
+    fn restart(&mut self, topo: Topology, at: Time) {
+        self.book_wire();
+        self.wire = self.wire.take().map(|w| FaultWire::new(w.plan().clone()));
+        (self.epoch, self.senders, self.receivers) = (at, HashMap::new(), HashMap::new());
         self.net.set_topology(topo);
         self.bufs.clear();
         self.ledger.reset();
@@ -328,12 +417,7 @@ impl SimWan {
 
     /// Add what only the transport knows to the run's books.
     fn close(mut self, books: &mut Books) {
-        let fault_stats = self.faults.map(|fm| *fm.stats()).unwrap_or_default();
-        self.ctr.add(Ctr::Drops, fault_stats.dropped);
-        self.ctr.add(Ctr::Retransmits, fault_stats.retransmits);
-        self.ctr.add(Ctr::DupDropped, fault_stats.dup_dropped);
-        self.ctr.add(Ctr::CorruptRejected, fault_stats.corrupt_rejected);
-        self.ctr.add(Ctr::Reordered, fault_stats.reordered);
+        self.book_wire();
         books.ctr.merge(&self.ctr);
         books.network = self.net.stats().clone();
         // The sender-side deferred bank counts toward peak buffering too:
@@ -396,10 +480,10 @@ impl SimEngine {
         // envelopes a PE dispatches next.  FIFO by default; the policy is
         // consulted (and the decision recorded) only at genuine choice
         // points, so the default path costs one `eligible()` call.
-        let SimConfig { max_time, max_events, delivery, schedule_sink } = sim_cfg;
+        let SimConfig { max_time, max_events, delivery, schedule_sink, mutate_no_dedup } = sim_cfg;
         let mut policy = delivery.build();
         let topo = net.topology().clone();
-        let mut wan = SimWan::new(net, &cfg);
+        let mut wan = SimWan::new(net, &cfg, mutate_no_dedup);
         let mut m = Membership::new(program, topo, cfg, true);
         let record_on = m.books.obs.is_some();
 
@@ -437,7 +521,13 @@ impl SimEngine {
         events.schedule(Time::ZERO, startup_at(Time::ZERO));
 
         let mut final_time = Time::ZERO;
+        // The last event that did something: a retransmit timer whose
+        // frame was acked does not stretch the run.
+        let mut last_live = Time::ZERO;
         'main: while let Some((now, event)) = events.pop() {
+            if !matches!(event, Event::Retransmit(..)) {
+                last_live = now;
+            }
             if let Some(limit) = max_time {
                 if now > Time::ZERO + limit {
                     break;
@@ -457,39 +547,60 @@ impl SimEngine {
                 m.take_timed_crashes(now).into_iter().map(|pe| (pe, FailureCause::Injected)).collect();
 
             if crashed.is_empty() {
-                if let Event::FlushAgg { src, dst, filling } = event {
-                    if let Err(err) = wan.tick(src, dst, filling, now, &mut events) {
-                        transport_error = Some(err);
-                        final_time = now;
-                        break 'main;
+                let mut arrive = |env: Envelope| {
+                    let pe = env.dst;
+                    if record_on {
+                        recs[pe.index()].recv(
+                            now,
+                            m.orig()[env.src.index()].0,
+                            Time::from_nanos(env.sent_at_ns),
+                            env.wire_size(),
+                            shared.topo.crosses_wan(env.src, pe),
+                            env.priority == SYSTEM_PRIORITY,
+                        );
                     }
-                    continue;
-                }
+                    pes[pe.index()].queue.push(env);
+                    if record_on {
+                        let depth = pes[pe.index()].queue.len();
+                        recs[pe.index()].queue_depth(depth);
+                    }
+                    pe
+                };
                 let (pe, was_done) = match event {
-                    Event::Arrive(env) => {
-                        let pe = env.dst;
-                        if record_on {
-                            recs[pe.index()].recv(
-                                now,
-                                m.orig()[env.src.index()].0,
-                                Time::from_nanos(env.sent_at_ns),
-                                env.wire_size(),
-                                shared.topo.crosses_wan(env.src, pe),
-                                env.priority == SYSTEM_PRIORITY,
-                            );
+                    Event::Arrive(env) => (arrive(env), false),
+                    // A PE receives what the pair's receiver releases.
+                    Event::Frame(src, dst, seq, frame) => {
+                        for env in wan.land(src, dst, seq, frame, now, &mut events) {
+                            arrive(env);
                         }
-                        pes[pe.index()].queue.push(env);
-                        if record_on {
-                            let depth = pes[pe.index()].queue.len();
-                            recs[pe.index()].queue_depth(depth);
-                        }
-                        (pe, false)
+                        (dst, false)
                     }
                     Event::PeDone(pe) => {
                         pes[pe.index()].busy = false;
                         (pe, true)
                     }
-                    Event::FlushAgg { .. } => unreachable!("handled before the dispatch match"),
+                    Event::FlushAgg { src, dst, filling } => {
+                        wan.tick(src, dst, filling, now, &mut events);
+                        continue;
+                    }
+                    Event::Ack(src, dst, cum) => {
+                        if let Some(sender) = wan.senders.get_mut(&(src.0, dst.0)) {
+                            sender.on_ack(cum).for_each(drop);
+                        }
+                        continue;
+                    }
+                    Event::Retransmit(src, dst) => {
+                        match wan.retransmit(src, dst, now, &mut events) {
+                            Ok(true) => last_live = now,
+                            Ok(false) => {}
+                            Err(err) => {
+                                transport_error = Some(err);
+                                final_time = now;
+                                break 'main;
+                            }
+                        }
+                        continue;
+                    }
                 };
 
                 // Dispatch loop: run queued messages until the PE picks up real
@@ -513,11 +624,7 @@ impl SimEngine {
                         pes[pe.index()].queue.pop()
                     };
                     let Some(env) = popped else { break };
-                    if let Err(err) = wan.delivered(&env, now, &mut events) {
-                        transport_error = Some(err);
-                        final_time = now;
-                        break 'main;
-                    }
+                    wan.delivered(&env, now, &mut events);
                     let mut hooks = SimHooks { t: now, out: Vec::new() };
                     let caught = catch_unwind(AssertUnwindSafe(|| nodes[pe.index()].handle(env, &mut hooks)));
                     let outcome = match caught {
@@ -562,16 +669,10 @@ impl SimEngine {
                                 env.priority == SYSTEM_PRIORITY,
                             );
                         }
-                        match wan.emit(env, depart, &mut events) {
-                            Ok(true) => {}
+                        if !wan.emit(env, depart, &mut events) {
                             // A shed envelope was counted as sent but will
                             // never be delivered: tell quiescence detection.
-                            Ok(false) => nodes[0].note_sheds(1),
-                            Err(err) => {
-                                transport_error = Some(err);
-                                final_time = now;
-                                break 'main;
-                            }
+                            nodes[0].note_sheds(1);
                         }
                     }
                     pes[pe.index()].worked += outcome.charged;
@@ -617,10 +718,15 @@ impl SimEngine {
                 continue;
             }
             m.record_failures(&crashed, now);
-            // Survivors drain in-flight traffic; they and any joiners
-            // restart from the newest complete snapshot the survivors hold.
-            while events.pop().is_some() {}
-            let drained = events.now();
+            // Survivors drain in-flight traffic (a retransmit timer is not
+            // traffic); they and any joiners restart from the newest
+            // complete snapshot the survivors hold.
+            let mut drained = now;
+            while let Some((at, event)) = events.pop() {
+                if !matches!(event, Event::Retransmit(..)) {
+                    drained = at;
+                }
+            }
             final_time = drained;
             let dead_cur: Vec<Pe> = crashed.iter().map(|&(cur, _)| cur).collect();
             let alive = nodes.iter_mut().filter(|n| !dead_cur.contains(&n.pe()));
@@ -640,7 +746,7 @@ impl SimEngine {
             let change = if dead_cur.is_empty() { Change::Expand { joiners } } else { Change::Shrink { dead_cur } };
             m.advance(change, snapshot, drained);
             (shared, nodes, pes, recs) = launch(&mut m);
-            wan.restart(shared.topo.clone());
+            wan.restart(shared.topo.clone(), drained);
             // Checkpoint epochs restart with the generation; pending joins
             // wait for a fresh complete epoch on the new cluster.
             ckpt_done = None;
@@ -652,7 +758,7 @@ impl SimEngine {
         m.books.close_generation(rows, Some(HostRow::of(&nodes[0])));
         wan.close(&mut m.books);
         m.books.transport_error = transport_error;
-        m.into_report(events.now().max(final_time), unrecoverable)
+        m.into_report(last_live.max(final_time), unrecoverable)
     }
 }
 

@@ -1,18 +1,14 @@
-//! Fault plans and the virtual-time fault model.
+//! Fault plans and the one fault wire both engines run.
 //!
 //! The paper treats the wide-area link as the hostile part of a Grid job;
 //! this module makes that hostility explicit.  A [`FaultPlan`] describes an
 //! unreliable WAN — per-packet drop/duplicate/reorder/corrupt probabilities,
 //! scheduled link-down windows, and the retransmission parameters the
-//! reliable delivery layer uses to recover.  The same plan drives both
-//! engines:
-//!
-//! * the threaded engine instantiates a `FaultDevice` in the cross-cluster
-//!   VMI chain (crate `mdo-vmi`) plus an ack/retransmit layer over the real
-//!   transport, and
-//! * the simulation engine uses [`FaultModel`] here to compute, in virtual
-//!   time, exactly when the reliable layer would have gotten each message
-//!   through — same seeds, same probabilities, no wall-clock involved.
+//! reliable delivery layer uses to recover.  [`FaultWire`] is what the plan
+//! does to one transmission attempt, as plain data: the threaded engine's
+//! `FaultDevice` (crate `mdo-vmi`) wraps it around real packets, and the
+//! simulator puts its virtual-time frames through it.  The reliable
+//! protocol that recovers from it is one too (`mdo_vmi::arq`).
 //!
 //! Randomness is drawn from a dedicated [`Xoshiro256`] stream per ordered
 //! PE pair (seeded from the plan seed and the pair), so a pair's fault
@@ -21,7 +17,7 @@
 //! *which* packets a given plan harms.
 
 use crate::rng::{SplitMix64, Xoshiro256};
-use crate::time::{Dur, Time};
+use crate::time::Dur;
 use crate::topology::Pe;
 use std::collections::HashMap;
 
@@ -49,20 +45,6 @@ pub struct FaultPlan {
     /// Retransmissions allowed per packet before the transport gives up
     /// and surfaces a structured error.
     pub max_retries: u32,
-    /// Test-only mutation switch: deliberately break receiver-side
-    /// duplicate suppression, so a wire-duplicated packet reaches the
-    /// application twice.  Exists solely so the `mdo-check` invariant
-    /// layer can prove it catches exactly-once violations; never set this
-    /// outside a test harness.
-    #[doc(hidden)]
-    pub mutate_no_dedup: bool,
-    /// Test-only interleaving hook for the reliable layer: the receiver
-    /// swallows the first `ack_holdback` cumulative acks per incoming
-    /// pair, so the sender's retransmit timer fires and retransmissions
-    /// race with late acks — the exact schedule that exercises dedup and
-    /// cumulative-ack repair.  Zero (the default) changes nothing.
-    #[doc(hidden)]
-    pub ack_holdback: u32,
 }
 
 impl Default for FaultPlan {
@@ -76,8 +58,6 @@ impl Default for FaultPlan {
             link_down: Vec::new(),
             rto: Dur::from_millis(50),
             max_retries: 12,
-            mutate_no_dedup: false,
-            ack_holdback: 0,
         }
     }
 }
@@ -130,22 +110,6 @@ impl FaultPlan {
         self
     }
 
-    /// Test-only: arm the broken-dedup mutation (see
-    /// [`FaultPlan::mutate_no_dedup`]).
-    #[doc(hidden)]
-    pub fn with_mutation_no_dedup(mut self) -> Self {
-        self.mutate_no_dedup = true;
-        self
-    }
-
-    /// Test-only: swallow the first `n` acks per pair (see
-    /// [`FaultPlan::ack_holdback`]).
-    #[doc(hidden)]
-    pub fn with_ack_holdback(mut self, n: u32) -> Self {
-        self.ack_holdback = n;
-        self
-    }
-
     /// Schedule a link-down window `[start, end)` relative to run start.
     pub fn with_link_down(mut self, start: Dur, end: Dur) -> Self {
         assert!(start <= end, "link-down window must not be inverted");
@@ -168,8 +132,8 @@ impl FaultPlan {
 
     /// The dedicated fault stream for the ordered pair `src -> dst`.
     ///
-    /// Both engines must use this (and draw exactly once per transmission
-    /// attempt) so that a plan harms the same packets regardless of engine.
+    /// [`FaultWire`] draws from it once per transmission attempt, so a plan
+    /// harms the same packets whichever engine carries them.
     pub fn pair_stream(&self, src: Pe, dst: Pe) -> Xoshiro256 {
         let mut sm = SplitMix64::new(self.seed);
         let a = sm.next_u64();
@@ -209,124 +173,102 @@ impl std::fmt::Display for TransportError {
 
 impl std::error::Error for TransportError {}
 
-/// What the fault model decided for one logical message.
+/// What the wire did to one transmission attempt.
+#[derive(Debug, PartialEq, Eq)]
+pub enum Fate<T> {
+    /// Lost to a drop draw or a link-down window.
+    Lost,
+    /// Held back in the pair's reorder stash: the next attempt of the pair
+    /// that gets through releases it right behind itself.
+    Stashed,
+    /// Got through, `harm`ed as the draw said, followed by the attempt the
+    /// pair's stash `released`, if it held one.
+    Through {
+        /// The attempt.
+        item: T,
+        /// What the draw did to it.
+        harm: Harm,
+        /// The stashed attempt that follows it.
+        released: Option<T>,
+    },
+}
+
+/// What a draw that lets an attempt through does to it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DeliveryPlan {
-    /// The message eventually gets through: the first `retransmits`
-    /// attempts failed, and `extra_delay` is the recovery time the
-    /// reliable layer spends before the successful attempt departs.
-    Deliver {
-        /// Recovery delay accumulated before the successful attempt.
-        extra_delay: Dur,
-        /// Failed attempts preceding the successful one.
-        retransmits: u32,
-        /// The successful attempt was duplicated on the wire (the extra
-        /// copy is absorbed by receiver dedup — unless the test-only
-        /// [`FaultPlan::mutate_no_dedup`] mutation is armed).
-        duplicate: bool,
-    },
-    /// Every attempt failed; the transport reports a structured error
-    /// after `attempts` transmissions.
-    Exhausted {
-        /// Total transmissions performed (1 original + retries).
-        attempts: u32,
-        /// Sequence number of the doomed message within its pair.
-        seq: u64,
-    },
+pub enum Harm {
+    /// Nothing.
+    None,
+    /// It arrives twice.
+    Duplicated,
+    /// It arrives with the byte at this index flipped (a checksum rejects
+    /// it); `None` for an empty payload, which has no byte to flip.
+    Corrupted(Option<usize>),
 }
 
-/// Counters describing what the fault model did to the traffic.
+/// What a [`FaultWire`] has done to the traffic so far.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FaultModelStats {
-    /// Transmission attempts lost to random drop or a link-down window.
+pub struct WireStats {
+    /// Attempts lost to a drop draw or a link-down window.
     pub dropped: u64,
-    /// Attempts delivered with a corrupted payload and rejected by the
-    /// receiver's integrity check.
-    pub corrupt_rejected: u64,
-    /// Wire-level duplicates discarded by receiver-side dedup.
-    pub dup_dropped: u64,
-    /// Packets the wire reordered (absorbed by in-order release).
+    /// Attempts let through with a flipped byte.
+    pub corrupted: u64,
+    /// Attempts let through twice.
+    pub duplicated: u64,
+    /// Attempts held back in a reorder stash.
     pub reordered: u64,
-    /// Retransmissions the reliable layer performed.
-    pub retransmits: u64,
 }
 
-/// Per-pair bookkeeping for [`FaultModel`].
-#[derive(Clone, Debug)]
-struct PairFaults {
-    rng: Xoshiro256,
-    sent: u64,
-}
-
-/// The simulation engine's view of an unreliable WAN: collapses the whole
-/// drop → timeout → retransmit → ack dance into a single virtual-time
-/// answer per logical message ("it arrives `extra_delay` late after `n`
-/// retransmits", or "the transport gives up").
-///
-/// Attempt `i` (0-based) departs at `depart + (2^i - 1) * rto` — the
-/// exponential-backoff schedule of the reliable layer — and each attempt
-/// consumes one draw from the pair's fault stream.  Duplicates and
-/// reorders are counted but cost no virtual time: receiver-side dedup and
-/// in-order release hide them from the application by construction, which
-/// is exactly the invariant the threaded engine's tests verify for real.
-#[derive(Clone, Debug)]
-pub struct FaultModel {
+/// A [`FaultPlan`] applied to cross-cluster data attempts, one draw each
+/// from the pair's stream (and one more for the byte a corruption flips).
+/// A reorder draw holds the attempt in the pair's one-slot stash; with the
+/// stash occupied it passes instead.  Generic over what travels, so the
+/// wall clock's packets and the simulator's frames meet the same wire.
+#[derive(Debug)]
+pub struct FaultWire<T> {
     plan: FaultPlan,
-    pairs: HashMap<(u32, u32), PairFaults>,
-    stats: FaultModelStats,
+    pairs: HashMap<(u32, u32), (Xoshiro256, Option<T>)>,
+    stats: WireStats,
 }
 
-impl FaultModel {
-    /// Build a model from a plan.
+impl<T> FaultWire<T> {
+    /// A wire running `plan`, every pair's stream at its start.
     pub fn new(plan: FaultPlan) -> Self {
-        FaultModel { plan, pairs: HashMap::new(), stats: FaultModelStats::default() }
+        FaultWire { plan, pairs: HashMap::new(), stats: WireStats::default() }
     }
 
-    /// The plan this model runs.
+    /// The plan this wire runs.
     pub fn plan(&self) -> &FaultPlan {
         &self.plan
     }
 
     /// Counters accumulated so far.
-    pub fn stats(&self) -> &FaultModelStats {
-        &self.stats
+    pub fn stats(&self) -> WireStats {
+        self.stats
     }
 
-    /// Decide the fate of one logical cross-WAN message departing at
-    /// `depart` (an absolute virtual instant; link-down windows are
-    /// interpreted relative to [`Time::ZERO`]).
-    pub fn plan_delivery(&mut self, src: Pe, dst: Pe, depart: Time) -> DeliveryPlan {
-        let plan = &self.plan;
-        let stats = &mut self.stats;
-        let pair =
-            self.pairs.entry((src.0, dst.0)).or_insert_with(|| PairFaults { rng: plan.pair_stream(src, dst), sent: 0 });
-        let seq = pair.sent;
-        pair.sent += 1;
-
-        let mut extra = Dur::ZERO;
-        let mut backoff = plan.rto;
-        for attempt in 0..=plan.max_retries {
-            let at = (depart + extra).saturating_since(Time::ZERO);
-            let r = pair.rng.next_f64();
-            if plan.link_is_down(at) || r < plan.drop {
-                stats.dropped += 1;
-            } else if r < plan.drop + plan.corrupt {
-                stats.corrupt_rejected += 1;
-            } else {
-                let duplicated = r < plan.drop + plan.corrupt + plan.duplicate;
-                if duplicated {
-                    stats.dup_dropped += 1;
-                } else if r < plan.drop + plan.corrupt + plan.duplicate + plan.reorder {
-                    stats.reordered += 1;
-                }
-                stats.retransmits += attempt as u64;
-                return DeliveryPlan::Deliver { extra_delay: extra, retransmits: attempt, duplicate: duplicated };
-            }
-            extra += backoff;
-            backoff = backoff.checked_mul(2).unwrap_or(backoff);
-        }
-        stats.retransmits += plan.max_retries as u64;
-        DeliveryPlan::Exhausted { attempts: plan.max_retries + 1, seq }
+    /// One attempt `src -> dst` of a `len`-byte `item`, `at` after the
+    /// wire came up (what link-down windows are measured against).
+    pub fn transmit(&mut self, src: Pe, dst: Pe, at: Dur, len: usize, item: T) -> Fate<T> {
+        let FaultWire { plan: p, pairs, stats } = self;
+        let (rng, stash) = pairs.entry((src.0, dst.0)).or_insert_with(|| (p.pair_stream(src, dst), None));
+        let r = rng.next_f64();
+        let harm = if p.link_is_down(at) || r < p.drop {
+            stats.dropped += 1;
+            return Fate::Lost;
+        } else if r < p.drop + p.corrupt {
+            stats.corrupted += 1;
+            Harm::Corrupted((len > 0).then(|| rng.next_below(len as u64) as usize))
+        } else if r < p.drop + p.corrupt + p.duplicate {
+            stats.duplicated += 1;
+            Harm::Duplicated
+        } else if r < p.drop + p.corrupt + p.duplicate + p.reorder && stash.is_none() {
+            stats.reordered += 1;
+            *stash = Some(item);
+            return Fate::Stashed;
+        } else {
+            Harm::None
+        };
+        Fate::Through { item, harm, released: stash.take() }
     }
 }
 
@@ -334,88 +276,89 @@ impl FaultModel {
 mod tests {
     use super::*;
 
-    #[test]
-    fn quiet_plan_delivers_instantly() {
-        let mut fm = FaultModel::new(FaultPlan::default());
-        for i in 0..100u64 {
-            let got = fm.plan_delivery(Pe(0), Pe(4), Time::from_nanos(i * 10));
-            assert_eq!(got, DeliveryPlan::Deliver { extra_delay: Dur::ZERO, retransmits: 0, duplicate: false });
-        }
-        assert_eq!(fm.stats(), &FaultModelStats::default());
+    /// The fates of `n` attempts `src -> dst` (the item is the attempt's
+    /// index), stash releases included.
+    fn fates(wire: &mut FaultWire<u32>, src: u32, dst: u32, n: u32) -> Vec<Fate<u32>> {
+        (0..n).map(|i| wire.transmit(Pe(src), Pe(dst), Dur::ZERO, 8, i)).collect()
     }
 
     #[test]
-    fn deterministic_across_instances() {
-        let plan = FaultPlan::loss(0.3).with_duplicate(0.1).with_reorder(0.1).with_seed(7);
-        let mut a = FaultModel::new(plan.clone());
-        let mut b = FaultModel::new(plan);
-        for i in 0..500u64 {
-            let t = Time::from_nanos(i * 1_000);
-            assert_eq!(a.plan_delivery(Pe(1), Pe(5), t), b.plan_delivery(Pe(1), Pe(5), t));
+    fn a_quiet_plan_lets_everything_through_untouched() {
+        let mut wire = FaultWire::new(FaultPlan::default());
+        for (i, fate) in fates(&mut wire, 0, 4, 100).into_iter().enumerate() {
+            assert_eq!(fate, Fate::Through { item: i as u32, harm: Harm::None, released: None });
         }
+        assert_eq!(wire.stats(), WireStats::default());
+    }
+
+    #[test]
+    fn the_same_plan_harms_the_same_attempts() {
+        let plan = FaultPlan::loss(0.3).with_duplicate(0.1).with_reorder(0.1).with_corrupt(0.05).with_seed(7);
+        let mut a = FaultWire::new(plan.clone());
+        let mut b = FaultWire::new(plan);
+        assert_eq!(fates(&mut a, 1, 5, 500), fates(&mut b, 1, 5, 500));
+        assert_eq!(a.stats(), b.stats());
+        assert!(a.stats().dropped > 0 && a.stats().reordered > 0 && a.stats().corrupted > 0);
     }
 
     #[test]
     fn pair_streams_are_independent_of_interleaving() {
-        let plan = FaultPlan::loss(0.5).with_seed(42);
-        // Model A sees pairs strictly interleaved; model B sees one pair
-        // first.  Per-pair outcomes must match regardless.
-        let mut a = FaultModel::new(plan.clone());
-        let mut b = FaultModel::new(plan);
-        let t = Time::ZERO;
-        let mut a01 = Vec::new();
-        let mut a23 = Vec::new();
-        for _ in 0..50 {
-            a01.push(a.plan_delivery(Pe(0), Pe(1), t));
-            a23.push(a.plan_delivery(Pe(2), Pe(3), t));
+        let plan = FaultPlan::loss(0.5).with_reorder(0.2).with_seed(42);
+        // Wire A sees the pairs strictly interleaved; wire B one pair
+        // first.  Per-pair fates must match regardless.
+        let mut a = FaultWire::new(plan.clone());
+        let (mut a01, mut a23) = (Vec::new(), Vec::new());
+        for i in 0..50 {
+            a01.push(a.transmit(Pe(0), Pe(1), Dur::ZERO, 8, i));
+            a23.push(a.transmit(Pe(2), Pe(3), Dur::ZERO, 8, i));
         }
-        let b01: Vec<_> = (0..50).map(|_| b.plan_delivery(Pe(0), Pe(1), t)).collect();
-        let b23: Vec<_> = (0..50).map(|_| b.plan_delivery(Pe(2), Pe(3), t)).collect();
-        assert_eq!(a01, b01);
-        assert_eq!(a23, b23);
+        let mut b = FaultWire::new(plan);
+        assert_eq!(a01, fates(&mut b, 0, 1, 50));
+        assert_eq!(a23, fates(&mut b, 2, 3, 50));
     }
 
     #[test]
-    fn retransmits_follow_backoff_schedule() {
-        // drop = 1 up to the retry ceiling: exhaustion, with attempts
-        // counted.  Then drop = 0 after a down window: the first attempts
-        // inside the window fail, and the recovery delay follows
-        // (2^i - 1) * rto.
-        let mut fm = FaultModel::new(FaultPlan::loss(1.0).with_max_retries(3));
-        match fm.plan_delivery(Pe(0), Pe(9), Time::ZERO) {
-            DeliveryPlan::Exhausted { attempts, seq } => {
-                assert_eq!(attempts, 4);
-                assert_eq!(seq, 0);
-            }
-            other => panic!("expected exhaustion, got {other:?}"),
-        }
-
-        let rto = Dur::from_millis(10);
-        let plan = FaultPlan::default().with_rto(rto).with_link_down(Dur::ZERO, Dur::from_millis(25));
-        let mut fm = FaultModel::new(plan);
-        // Attempts at 0 ms and 10 ms are inside the window; the attempt at
-        // 30 ms (extra = rto + 2*rto) succeeds.
-        match fm.plan_delivery(Pe(0), Pe(9), Time::ZERO) {
-            DeliveryPlan::Deliver { extra_delay, retransmits, .. } => {
-                assert_eq!(retransmits, 2);
-                assert_eq!(extra_delay, Dur::from_millis(30));
-            }
-            other => panic!("expected delivery, got {other:?}"),
-        }
-        assert_eq!(fm.stats().dropped, 2);
-        assert_eq!(fm.stats().retransmits, 2);
+    fn a_reorder_draw_stashes_until_the_next_attempt_gets_through() {
+        let mut wire = FaultWire::new(FaultPlan::default().with_reorder(1.0));
+        assert_eq!(wire.transmit(Pe(0), Pe(4), Dur::ZERO, 1, 'a'), Fate::Stashed);
+        // The second draw also says "reorder", but the stash is occupied:
+        // the attempt passes and releases the stash behind itself.
+        let second = wire.transmit(Pe(0), Pe(4), Dur::ZERO, 1, 'b');
+        assert_eq!(second, Fate::Through { item: 'b', harm: Harm::None, released: Some('a') });
+        assert_eq!(wire.stats().reordered, 1);
     }
 
     #[test]
-    fn loss_rate_roughly_matches_probability() {
-        let mut fm = FaultModel::new(FaultPlan::loss(0.2).with_seed(3));
+    fn link_down_windows_lose_every_attempt_inside_them() {
+        let plan = FaultPlan::default().with_link_down(Dur::from_millis(10), Dur::from_millis(20));
+        let mut wire = FaultWire::new(plan);
+        let at = |ms| wire.transmit(Pe(0), Pe(4), Dur::from_millis(ms), 1, ()) == Fate::Lost;
+        let lost: Vec<bool> = [0, 10, 19, 20].into_iter().map(at).collect();
+        assert_eq!(lost, [false, true, true, false]);
+        assert_eq!(wire.stats().dropped, 2);
+    }
+
+    #[test]
+    fn a_corruption_names_a_byte_of_the_attempt() {
+        let mut wire = FaultWire::new(FaultPlan::default().with_corrupt(1.0).with_seed(5));
+        for len in [1usize, 7, 300] {
+            match wire.transmit(Pe(0), Pe(9), Dur::ZERO, len, ()) {
+                Fate::Through { harm: Harm::Corrupted(Some(at)), .. } => assert!(at < len),
+                other => panic!("expected a corrupted byte, got {other:?}"),
+            }
+        }
+        let empty = wire.transmit(Pe(0), Pe(9), Dur::ZERO, 0, ());
+        assert_eq!(empty, Fate::Through { item: (), harm: Harm::Corrupted(None), released: None });
+    }
+
+    #[test]
+    fn the_loss_rate_matches_the_plan() {
+        let mut wire = FaultWire::new(FaultPlan::loss(0.2).with_seed(3));
         let n = 20_000;
-        for i in 0..n {
-            fm.plan_delivery(Pe(0), Pe(8), Time::from_nanos(i));
-        }
-        // E[retransmits per message] = p / (1 - p) = 0.25.
-        let per_msg = fm.stats().retransmits as f64 / n as f64;
-        assert!((per_msg - 0.25).abs() < 0.02, "retransmits/msg = {per_msg}");
+        let lost = fates(&mut wire, 0, 8, n).iter().filter(|f| **f == Fate::Lost).count();
+        let rate = lost as f64 / f64::from(n);
+        assert!((rate - 0.2).abs() < 0.01, "loss rate {rate}");
+        assert_eq!(wire.stats().dropped, lost as u64);
     }
 
     #[test]

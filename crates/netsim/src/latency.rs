@@ -133,12 +133,6 @@ impl LatencyMatrix {
             base + Dur::from_nanos(rng.next_below(self.jitter.as_nanos().max(1)))
         }
     }
-
-    /// True if the matrix is symmetric (lat(a→b) == lat(b→a) for all pairs).
-    pub fn is_symmetric(&self) -> bool {
-        let n = self.table.len();
-        (0..n).all(|i| (0..n).all(|j| self.table[i][j] == self.table[j][i]))
-    }
 }
 
 #[cfg(test)]
@@ -155,7 +149,6 @@ mod tests {
         assert_eq!(m.base_latency(&topo, Pe(0), Pe(4)), Dur::from_millis(16));
         assert_eq!(m.base_latency(&topo, Pe(7), Pe(1)), Dur::from_millis(16));
         assert_eq!(m.base_latency(&topo, Pe(2), Pe(2)), Dur::ZERO);
-        assert!(m.is_symmetric());
     }
 
     #[test]
@@ -176,7 +169,6 @@ mod tests {
         assert_eq!(m.base_latency(&topo, Pe(0), Pe(4)), Dur::from_millis(30));
         assert_eq!(m.base_latency(&topo, Pe(4), Pe(0)), Dur::from_millis(30));
         assert_eq!(m.base_latency(&topo, Pe(0), Pe(2)), Dur::from_millis(10));
-        assert!(m.is_symmetric());
     }
 
     #[test]

@@ -64,7 +64,7 @@ pub use event::{EventId, EventQueue};
 pub use failure::{
     CrashSpec, CrashTrigger, FailureCause, FailurePlan, JoinSpec, JoinTrigger, PeFailed, UnrecoverableError,
 };
-pub use fault::{DeliveryPlan, FaultModel, FaultModelStats, FaultPlan, TransportError};
+pub use fault::{Fate, FaultPlan, FaultWire, Harm, TransportError, WireStats};
 pub use flowctl::{FlowConfig, OverloadPolicy};
 pub use latency::{LatencyMatrix, LatencyMatrixBuilder};
 pub use network::{DeliveryOracle, NetworkModel, NetworkStats};

@@ -27,6 +27,11 @@ pub enum Ctr {
     Drops,
     /// Retransmissions by the reliable layer.
     Retransmits,
+    /// The share of `Retransmits` whose frame its receiver already held —
+    /// the copy was not lost, only its ack had not come back.  Only the
+    /// simulator, which sees both ends, can tell; the wall clock leaves
+    /// it 0.
+    SpuriousRetransmits,
     /// Duplicate packets discarded by the reliable layer.
     DupDropped,
     /// Packets rejected by checksum or decode.
@@ -85,7 +90,7 @@ pub enum Ctr {
 
 impl Ctr {
     /// Every counter, in declaration order.
-    pub const ALL: [Ctr; 31] = [
+    pub const ALL: [Ctr; 32] = [
         Ctr::MsgsSent,
         Ctr::MsgsRecvd,
         Ctr::BytesSent,
@@ -95,6 +100,7 @@ impl Ctr {
         Ctr::IdleTransitions,
         Ctr::Drops,
         Ctr::Retransmits,
+        Ctr::SpuriousRetransmits,
         Ctr::DupDropped,
         Ctr::CorruptRejected,
         Ctr::Reordered,
@@ -131,6 +137,7 @@ impl Ctr {
             Ctr::IdleTransitions => "idle_transitions",
             Ctr::Drops => "drops",
             Ctr::Retransmits => "retransmits",
+            Ctr::SpuriousRetransmits => "spurious_retransmits",
             Ctr::DupDropped => "dup_dropped",
             Ctr::CorruptRejected => "corrupt_rejected",
             Ctr::Reordered => "reordered",

@@ -20,11 +20,13 @@
 //!   CRC32 integrity, fault injection and byte counting.
 //! * [`mailbox`] — per-PE blocking priority mailboxes (the terminal
 //!   "network driver" of every chain).
+//! * [`arq`] — the reliable protocol of one PE pair (sender and receiver
+//!   machines): plain data, run by [`reliable`] here and by the simulator
+//!   in `mdo-core`.
 //! * [`credit`] — the per-pair credit ledger behind flow control: plain
 //!   data, run by [`reliable`] here and by the simulator in `mdo-core`.
-//! * [`reliable`] — sequence numbers, cumulative acks and timer-driven
-//!   retransmission layered over the unreliable cross-cluster chain when a
-//!   fault plan is active.
+//! * [`reliable`] — [`arq`] on the wall clock, layered over the unreliable
+//!   cross-cluster chain when a fault plan is active.
 //! * [`frame`] — the jumbo-frame codec packing many messages into one
 //!   wire payload with zero-copy unpacking.
 //! * [`flush`] — the aggregation flush policy (size, deadline, urgency)
@@ -68,6 +70,7 @@
 #![warn(missing_docs)]
 
 pub mod aggregate;
+pub mod arq;
 pub mod credit;
 pub mod device;
 pub mod devices;
@@ -81,14 +84,15 @@ pub mod transport;
 pub mod wire;
 
 pub use aggregate::{AggStats, Aggregator};
+pub use arq::jittered_backoff;
 pub use device::{Chain, Device, Forwarder};
 pub use devices::counter::CounterDevice;
 pub use devices::crc::CrcDevice;
 pub use devices::delay::DelayDevice;
-pub use devices::fault::{FaultDevice, FaultDeviceStats};
+pub use devices::fault::FaultDevice;
 pub use frame::{FrameBuilder, FrameError, FRAME_TAG};
 pub use mailbox::Mailbox;
 pub use packet::Packet;
-pub use reliable::{jittered_backoff, ReliableTransport};
+pub use reliable::ReliableTransport;
 pub use transport::{Transport, TransportConfig};
 pub use wire::{Wire, WireBinding, WireRouter};

@@ -252,7 +252,6 @@ proptest! {
     fn latency_matrix_symmetry(pes in 1u32..16, intra_us in 0u64..100, cross_ms in 0u64..64) {
         let topo = Topology::two_cluster(pes * 2);
         let m = LatencyMatrix::uniform(&topo, Dur::from_micros(intra_us), Dur::from_millis(cross_ms));
-        prop_assert!(m.is_symmetric());
         for a in topo.pes() {
             for b in topo.pes() {
                 let expect = if a == b {

@@ -7,8 +7,9 @@
 //! produce genuinely distinct schedules, and none of them moves the
 //! application state by a bit.  And the invariant layer is *live*: a
 //! deliberately broken reliable-transport dedup (a hidden test-only
-//! mutation in the fault plan) is caught, shrunk to a minimal trace, and
-//! the shrunk `schedule.json` replays to the same verdict.
+//! mutation of the simulator's receiver machines) is caught, shrunk to a
+//! minimal trace, and the shrunk `schedule.json` replays to the same
+//! verdict.
 
 use gridmdo::prelude::*;
 use mdo_check::{explore, replay_violations, CheckApp, ExploreConfig, ScheduleFile, Violation};
@@ -68,15 +69,19 @@ fn differential_oracle_agrees_across_engines() {
 
 #[test]
 fn broken_dedup_mutation_is_caught_shrunk_and_replayable() {
-    // The hidden test-only mutation: wire-level duplicates leak past
-    // receiver-side dedup.  Under it, some cross-cluster message is
-    // delivered twice — the invariant layer must see the extra Recv.
-    // The probe app tolerates duplicates without panicking, so the
-    // violation surfaces as exactly-once / digest breakage rather than
-    // as an app crash.
-    let plan = FaultPlan::default().with_duplicate(0.10).with_seed(9).with_mutation_no_dedup();
+    // The hidden test-only mutation, armed on the simulator's receiver
+    // machines: wire-level duplicates leak past receiver-side dedup.
+    // Under it, some cross-cluster message is delivered twice — the
+    // invariant layer must see the extra Recv.  The probe app tolerates
+    // duplicates without panicking, so the violation surfaces as
+    // exactly-once / digest breakage rather than as an app crash.
+    let plan = FaultPlan::default().with_duplicate(0.10).with_seed(9);
     let app = CheckApp::probe();
-    let cfg = ExploreConfig { run: RunConfig { fault_plan: Some(plan), ..RunConfig::default() }, ..quick(42, 3) };
+    let cfg = ExploreConfig {
+        run: RunConfig { fault_plan: Some(plan), ..RunConfig::default() },
+        mutate_no_dedup: true,
+        ..quick(42, 3)
+    };
     let report = explore(&app, &cfg);
 
     assert!(!report.passed(), "the mutation must be caught");
