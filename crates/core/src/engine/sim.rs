@@ -30,14 +30,14 @@
 //! engine has nothing to read there — its schedules come from real
 //! thread interleaving.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use mdo_netsim::network::{DeliveryOracle, NetworkModel};
 use mdo_netsim::{
-    AggConfig, CrashTrigger, Dur, EventQueue, FailureCause, Fate, FaultWire, FlowConfig, Harm, Pe, Time, Topology,
-    TransportError, UnrecoverableError,
+    AggConfig, CrashTrigger, Dur, EventId, EventQueue, FailureCause, Fate, FaultWire, FlowConfig, Harm, Pe, Time,
+    Topology, TransportError, UnrecoverableError,
 };
 use mdo_vmi::arq::{Receiver, Sender};
 use mdo_vmi::credit::CreditLedger;
@@ -103,8 +103,9 @@ enum Event {
     Frame(Pe, Pe, u64, Frame),
     /// `(src, dst, cum)`: a cumulative ack of the pair reaches `src`.
     Ack(Pe, Pe, u64),
-    /// `(src, dst)`: a retransmit deadline of the pair.
-    Retransmit(Pe, Pe),
+    /// `(src, dst, seq)`: the retransmit deadline of frame `seq` of the
+    /// pair.
+    Retransmit(Pe, Pe, u64),
 }
 
 /// What one sequence number of the reliable protocol carries: the
@@ -148,6 +149,9 @@ struct SimWan {
     epoch: Time,
     senders: HashMap<(u32, u32), Sender<Frame>>,
     receivers: HashMap<(u32, u32), Receiver<Frame>>,
+    /// Each pair's live retransmit timers, one per unacked frame: the ack
+    /// that retires a frame cancels its timer.
+    timers: HashMap<(u32, u32), BTreeMap<u64, EventId>>,
     broken_dedup: bool,
     agg: Option<AggConfig>,
     bufs: HashMap<(u32, u32), AggBuf>,
@@ -172,6 +176,7 @@ impl SimWan {
             epoch: Time::ZERO,
             senders: HashMap::new(),
             receivers: HashMap::new(),
+            timers: HashMap::new(),
             broken_dedup,
             agg: cfg.agg,
             bufs: HashMap::new(),
@@ -306,14 +311,36 @@ impl SimWan {
         }
     }
 
-    /// Hand `frame` to the pair's sender machine, arm its retransmit
-    /// timer, and put its first copy on the wire.
+    /// Hand `frame` to the pair's sender machine and put its first copy
+    /// on the wire.
     fn send_frame(&mut self, src: Pe, dst: Pe, frame: Frame, at: Time, events: &mut EventQueue<Event>) {
         let rto = self.wire.as_ref().expect("a fault plan is armed").plan().rto;
         let sender = self.senders.entry((src.0, dst.0)).or_insert_with(|| Sender::new(src, dst));
         let seq = sender.next_seq();
-        events.schedule(sender.send(frame.clone(), at, rto), Event::Retransmit(src, dst));
+        let due = sender.send(frame.clone(), at, rto);
+        self.arm(src, dst, seq, due, events);
         self.attempt(src, dst, seq, frame, at, events);
+    }
+
+    /// Arm frame `seq`'s retransmit timer at `due`, cancelling the one it
+    /// replaces.
+    fn arm(&mut self, src: Pe, dst: Pe, seq: u64, due: Time, events: &mut EventQueue<Event>) {
+        let id = events.schedule(due, Event::Retransmit(src, dst, seq));
+        if let Some(stale) = self.timers.entry((src.0, dst.0)).or_default().insert(seq, id) {
+            events.cancel(stale);
+        }
+    }
+
+    /// A cumulative ack of `src -> dst` reaches `src`: the copies it covers
+    /// retire, and their timers with them.
+    fn ack(&mut self, src: Pe, dst: Pe, cum: u64, events: &mut EventQueue<Event>) {
+        let key = (src.0, dst.0);
+        let (Some(sender), Some(timers)) = (self.senders.get_mut(&key), self.timers.get_mut(&key)) else { return };
+        sender.on_ack(cum).for_each(drop);
+        let kept = timers.split_off(&cum);
+        for id in std::mem::replace(timers, kept).into_values() {
+            events.cancel(id);
+        }
     }
 
     /// One attempt through the fault wire: what gets through lands after
@@ -362,32 +389,35 @@ impl SimWan {
         released.into_iter().flat_map(|f| f.envs).collect()
     }
 
-    /// A retransmit deadline of `src -> dst` passes: the copies due go out
-    /// again, each re-arming its timer.  `Ok(false)` when nothing was due —
-    /// the frame was acked — so the timer was a no-op.
+    /// The timer of frame `seq` of `src -> dst` fires: the copies due go
+    /// out again, each re-arming its timer.
     fn retransmit(
         &mut self,
         src: Pe,
         dst: Pe,
+        seq: u64,
         now: Time,
         events: &mut EventQueue<Event>,
-    ) -> Result<bool, TransportError> {
-        let (Some(wire), Some(sender)) = (&self.wire, self.senders.get_mut(&(src.0, dst.0))) else { return Ok(false) };
+    ) -> Result<(), TransportError> {
+        let key = (src.0, dst.0);
+        if let Some(timers) = self.timers.get_mut(&key) {
+            timers.remove(&seq);
+        }
+        let (Some(wire), Some(sender)) = (&self.wire, self.senders.get_mut(&key)) else { return Ok(()) };
         let mut resend = Vec::new();
         // When the protocol gives up, the run aborts with a structured
         // error instead of simulating on partial state.
         if let Some(err) = sender.on_timer(now, wire.plan(), |seq, frame, due| resend.push((seq, frame.clone(), due))) {
             return Err(err);
         }
-        let held = self.receivers.get(&(src.0, dst.0)).map_or(0, |r| resend.iter().filter(|c| r.holds(c.0)).count());
+        let held = self.receivers.get(&key).map_or(0, |r| resend.iter().filter(|c| r.holds(c.0)).count());
         self.ctr.add(Ctr::Retransmits, resend.len() as u64);
         self.ctr.add(Ctr::SpuriousRetransmits, held as u64);
-        let fired = !resend.is_empty();
         for (seq, frame, due) in resend {
-            events.schedule(due, Event::Retransmit(src, dst));
+            self.arm(src, dst, seq, due, events);
             self.attempt(src, dst, seq, frame, now, events);
         }
-        Ok(fired)
+        Ok(())
     }
 
     /// Book what a generation's wire did to the traffic.
@@ -407,7 +437,7 @@ impl SimWan {
     fn restart(&mut self, topo: Topology, at: Time) {
         self.book_wire();
         self.wire = self.wire.take().map(|w| FaultWire::new(w.plan().clone()));
-        (self.epoch, self.senders, self.receivers) = (at, HashMap::new(), HashMap::new());
+        (self.epoch, self.senders, self.receivers, self.timers) = (at, HashMap::new(), HashMap::new(), HashMap::new());
         self.net.set_topology(topo);
         self.bufs.clear();
         self.ledger.reset();
@@ -521,13 +551,7 @@ impl SimEngine {
         events.schedule(Time::ZERO, startup_at(Time::ZERO));
 
         let mut final_time = Time::ZERO;
-        // The last event that did something: a retransmit timer whose
-        // frame was acked does not stretch the run.
-        let mut last_live = Time::ZERO;
         'main: while let Some((now, event)) = events.pop() {
-            if !matches!(event, Event::Retransmit(..)) {
-                last_live = now;
-            }
             if let Some(limit) = max_time {
                 if now > Time::ZERO + limit {
                     break;
@@ -584,20 +608,14 @@ impl SimEngine {
                         continue;
                     }
                     Event::Ack(src, dst, cum) => {
-                        if let Some(sender) = wan.senders.get_mut(&(src.0, dst.0)) {
-                            sender.on_ack(cum).for_each(drop);
-                        }
+                        wan.ack(src, dst, cum, &mut events);
                         continue;
                     }
-                    Event::Retransmit(src, dst) => {
-                        match wan.retransmit(src, dst, now, &mut events) {
-                            Ok(true) => last_live = now,
-                            Ok(false) => {}
-                            Err(err) => {
-                                transport_error = Some(err);
-                                final_time = now;
-                                break 'main;
-                            }
+                    Event::Retransmit(src, dst, seq) => {
+                        if let Err(err) = wan.retransmit(src, dst, seq, now, &mut events) {
+                            transport_error = Some(err);
+                            final_time = now;
+                            break 'main;
                         }
                         continue;
                     }
@@ -718,15 +736,10 @@ impl SimEngine {
                 continue;
             }
             m.record_failures(&crashed, now);
-            // Survivors drain in-flight traffic (a retransmit timer is not
-            // traffic); they and any joiners restart from the newest
-            // complete snapshot the survivors hold.
-            let mut drained = now;
-            while let Some((at, event)) = events.pop() {
-                if !matches!(event, Event::Retransmit(..)) {
-                    drained = at;
-                }
-            }
+            // Survivors drain in-flight traffic; they and any joiners
+            // restart from the newest complete snapshot the survivors hold.
+            while events.pop().is_some() {}
+            let drained = events.now();
             final_time = drained;
             let dead_cur: Vec<Pe> = crashed.iter().map(|&(cur, _)| cur).collect();
             let alive = nodes.iter_mut().filter(|n| !dead_cur.contains(&n.pe()));
@@ -758,7 +771,7 @@ impl SimEngine {
         m.books.close_generation(rows, Some(HostRow::of(&nodes[0])));
         wan.close(&mut m.books);
         m.books.transport_error = transport_error;
-        m.into_report(last_live.max(final_time), unrecoverable)
+        m.into_report(events.now().max(final_time), unrecoverable)
     }
 }
 

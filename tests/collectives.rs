@@ -541,22 +541,34 @@ fn tree_reductions_survive_loss_and_reorder_on_both_engines() {
 
 #[test]
 fn gateway_crash_and_rejoin_rebuilds_the_tree_bit_exact() {
-    // In two_cluster(4), PE 2 is cluster B's gateway — every tree
-    // collective funnels through it.  Crash it mid-run: the shrink
-    // generation rebuilds the tree without it (possibly promoting a new
-    // gateway), the rejoin generation rebuilds again at full width, and
-    // the field must still be bit-exact.
+    gateway_crash_and_rejoin(None);
+}
+
+#[test]
+fn gateway_crash_and_rejoin_over_a_lossy_wan_is_bit_exact() {
+    // The same generations over a 5 % lossy WAN: the reliable protocol's
+    // wire, pair state and retransmit timers restart with each one.
+    gateway_crash_and_rejoin(Some(FaultPlan::loss(0.05)));
+}
+
+/// In two_cluster(4), PE 2 is cluster B's gateway — every tree collective
+/// funnels through it.  Crash it mid-run: the shrink generation rebuilds
+/// the tree without it (possibly promoting a new gateway), the rejoin
+/// generation rebuilds again at full width, and the field must still be
+/// bit-exact.
+fn gateway_crash_and_rejoin(fault_plan: Option<FaultPlan>) {
     let steps = 6;
     let cfg = small_stencil(16, steps, Some(1));
     let net = || NetworkModel::two_cluster_sweep(4, Dur::from_millis(1));
-    let clean = stencil::run_sim(cfg.clone(), net(), trees_on());
+    let rc = RunConfig { fault_plan, ..trees_on() };
+    let clean = stencil::run_sim(cfg.clone(), net(), rc.clone());
     assert_eq!(clean.block_sums, seq_reference(&cfg));
 
     for k in 1..=4u32 {
         let at = Dur::from_nanos(clean.total.as_nanos() * u64::from(2 * k + 1) / u64::from(2 * steps));
         let rc = RunConfig {
             failure_plan: Some(FailurePlan::new().crash_at(Pe(2), at).rejoin_after_recoveries(Pe(2), 1)),
-            ..trees_on()
+            ..rc.clone()
         };
         let elastic = stencil::run_sim(cfg.clone(), net(), rc);
         assert_eq!(elastic.block_sums, clean.block_sums, "gateway crash+rejoin at {k}/{steps}: bit-exact");
@@ -564,6 +576,7 @@ fn gateway_crash_and_rejoin_rebuilds_the_tree_bit_exact() {
         assert_eq!(elastic.report.counters.get(Ctr::PesJoined), 1, "rejoin at {k}/{steps}");
         assert_eq!(elastic.report.counters.get(Ctr::Generations), 3, "full → shrunk → re-expanded");
         assert!(elastic.report.unrecoverable.is_none());
+        assert!(elastic.report.transport_error.is_none());
     }
 }
 

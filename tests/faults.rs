@@ -363,9 +363,6 @@ impl Chare for Volley {
     fn receive(&mut self, entry: EntryId, payload: &[u8], ctx: &mut Ctx<'_>) {
         let arr = ctx.me().array;
         if entry == DONE {
-            // The wall clock's receivers absorb what is still on the wire
-            // (a wire duplicate of the last volley) before the run stops.
-            std::thread::sleep(Duration::from_millis(50));
             return ctx.exit();
         }
         let left = WireReader::new(payload).u32().expect("volleys left");
@@ -397,12 +394,22 @@ fn volley_program() -> Program {
 /// round trip, so every pair sees its attempts in the same order on both
 /// engines and no retransmit is spurious.
 ///
-/// The one difference between the engines: the wall clock broadcasts
-/// `Exit` when the run ends, over the reliable layer, and the simulator
-/// stops instead.  Element 0 exits, so that broadcast is the first
-/// attempt on the pairs 0 -> 2 and 0 -> 3; the test checks on the wire
-/// itself that those draws let it through unharmed at this seed, so it
-/// adds nothing to the counts.
+/// Two differences between the engines, both at the run's end:
+///
+/// - The wall clock broadcasts `Exit` over the reliable layer, and the
+///   simulator stops instead.  Element 0 exits, so that broadcast is the
+///   first attempt on the pairs 0 -> 2 and 0 -> 3; the test checks on the
+///   wire itself that those draws let it through unharmed at this seed,
+///   so it adds nothing to the counts.
+/// - A wire duplicate of the last volley lands at the instant of its
+///   original in virtual time, so the simulator's receiver always drops
+///   it before the run ends.  On the wall clock the second copy is
+///   stamped a moment after the first and may come due after `Exit`, and
+///   then no receiver reads it: the threaded `DupDropped` may be one
+///   short of the simulator's, never more.
+///
+/// The timeout keeps every retransmit a repair on the wall clock too
+/// unless a thread stalls for 150 ms.
 #[test]
 fn both_engines_count_the_same_faults_for_one_plan_and_seed() {
     let plan = FaultPlan::loss(0.1)
@@ -423,11 +430,14 @@ fn both_engines_count_the_same_faults_for_one_plan_and_seed() {
     let latency = LatencyMatrix::uniform(&topo, Dur::ZERO, Dur::from_millis(1));
     let threaded = ThreadedEngine::new(topo, ThreadedConfig::new(latency), rc).run(volley_program());
 
-    let faults = [Ctr::Drops, Ctr::CorruptRejected, Ctr::Reordered, Ctr::DupDropped, Ctr::Retransmits];
+    let faults = [Ctr::Drops, Ctr::CorruptRejected, Ctr::Reordered, Ctr::Retransmits];
     let counts = |r: &RunReport| faults.map(|c| r.counters.get(c));
     assert!(sim.transport_error.is_none() && threaded.transport_error.is_none());
     assert!(counts(&sim).iter().all(|&n| n > 0), "every kind of fault occurred: {:?}", counts(&sim));
-    assert_eq!(counts(&sim), counts(&threaded), "drops, corrupt, reordered, dups, retransmits");
+    assert_eq!(counts(&sim), counts(&threaded), "drops, corrupt, reordered, retransmits");
+    let dups = [&sim, &threaded].map(|r| r.counters.get(Ctr::DupDropped));
+    assert!(dups[0] > 0, "duplicates occurred");
+    assert!(dups[1] == dups[0] || dups[1] + 1 == dups[0], "dups: sim {}, threaded {}", dups[0], dups[1]);
 }
 
 const PARITY_SEED: u64 = 1;
