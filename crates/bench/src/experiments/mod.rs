@@ -13,6 +13,7 @@ pub mod ablation_md_lb;
 pub mod ablation_multicast;
 pub mod ablation_overload;
 pub mod ablation_priority;
+pub mod ampi_ring;
 pub mod export_trace;
 pub mod fig2;
 pub mod fig3;

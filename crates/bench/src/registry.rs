@@ -6,6 +6,10 @@
 //! a table built from it alone is the same bytes on every host and its
 //! committed copy is an oracle; a wall-clock column is not, and the entry
 //! says where it starts.
+//!
+//! The documents quote those copies rather than retyping them: a fenced
+//! block right after a line `<!-- quote: results/NAME A-B -->` must be
+//! lines A to B of that file, which [`check_quotes`] verifies.
 
 use std::path::Path;
 
@@ -75,6 +79,7 @@ pub static REGISTRY: &[Entry] = &[
         Exact::Above { heading: ablation_priority::WALL_CLOCK_HEADING, rest: ablation_priority::wall_clock },
         ablation_priority::generate,
     ),
+    entry("ampi_ring", Exact::Whole, ampi_ring::generate),
 ];
 
 /// The entry called `name`.
@@ -121,7 +126,6 @@ impl Entry {
                 Exact::Never => return Err(format!("`{}` has no exact part to compare", self.name)),
             };
             if let Some((line, want, got)) = first_difference(want, &got) {
-                let show = |l: Option<&str>| l.map_or_else(|| "<end of file>".to_string(), |l| format!("{l:?}"));
                 return Err(format!(
                     "{path} does not match what `{name}` generates, first at line {line}:\n  committed: {}\n  \
                      generated: {}\nIf the change is meant, regenerate it and say why:\n  \
@@ -135,6 +139,73 @@ impl Entry {
         }
         Ok(())
     }
+}
+
+/// The start of a line that makes the fenced block after it a quotation:
+/// `<!-- quote: results/NAME -->` for a whole file, `<!-- quote:
+/// results/NAME A-B -->` for its lines A to B (1-based, inclusive).
+pub const QUOTE_MARKER: &str = "<!-- quote: ";
+
+/// Check every quotation in `text`, the document `doc`: the fenced block
+/// right after each [`QUOTE_MARKER`] line must equal the lines it names of
+/// the file under `root`, byte for byte.  One message per bad quotation,
+/// naming the document, its line, the source and the first differing line;
+/// a marker that names no file under `results/`, a range outside the file,
+/// or no fenced block after it is bad too.
+pub fn check_quotes(doc: &str, text: &str, root: &Path) -> Vec<String> {
+    let lines: Vec<&str> = text.lines().collect();
+    let markers = lines.iter().enumerate().filter_map(|(i, l)| {
+        let spec = l.trim().strip_prefix(QUOTE_MARKER)?.strip_suffix("-->")?;
+        Some((i, spec.trim()))
+    });
+    let checked = markers.map(|(i, spec)| check_quote(spec, &lines[i + 1..], root).map_err(|(at, e)| (i + 1 + at, e)));
+    checked.filter_map(Result::err).map(|(line, e)| format!("{doc}:{line}: {e}")).collect()
+}
+
+/// One quotation: `spec` is the marker's `results/NAME [A-B]`, `after` the
+/// document's lines after it.  The error carries its line's offset from
+/// the marker.
+fn check_quote(spec: &str, after: &[&str], root: &Path) -> Result<(), (usize, String)> {
+    let bad = |e: String| (0, e);
+    let (source, range) = spec.split_once(' ').map_or((spec, None), |(s, r)| (s, Some(r.trim())));
+    if !source.starts_with("results/") || source.contains("..") {
+        return Err(bad(format!("`{spec}` does not name a file under results/")));
+    }
+    let text = std::fs::read_to_string(root.join(source)).map_err(|e| bad(format!("{source}: {e}")))?;
+    let all: Vec<&str> = text.lines().collect();
+    let (first, last) = match range {
+        None => (1, all.len()),
+        Some(r) => r
+            .split_once('-')
+            .and_then(|(a, b)| Some((a.parse().ok()?, b.parse().ok()?)))
+            .ok_or_else(|| bad(format!("`{r}` is not a line range A-B")))?,
+    };
+    if first == 0 || first > last || last > all.len() {
+        return Err(bad(format!("{source} has {} lines: no lines {first}-{last}", all.len())));
+    }
+    let fenced = after.first().is_some_and(|l| l.starts_with("```"));
+    let end = after.iter().skip(1).position(|l| l.trim_end() == "```").filter(|_| fenced);
+    let block =
+        end.map(|n| &after[1..=n]).ok_or_else(|| bad(format!("no fenced block follows the quote of {source}")))?;
+    let text = |lines: &[&str]| lines.iter().map(|l| format!("{l}\n")).collect::<String>();
+    let (want, got) = (text(&all[first - 1..last]), text(block));
+    match first_difference(&want, &got) {
+        None => Ok(()),
+        Some((n, w, g)) => Err((
+            1 + n,
+            format!(
+                "the block is not {source} {first}-{last}, first at {source} line {}:\n  source: {}\n  quoted: {}",
+                first - 1 + n,
+                show(w),
+                show(g)
+            ),
+        )),
+    }
+}
+
+/// One side of a differing line, for a message.
+fn show(line: Option<&str>) -> String {
+    line.map_or_else(|| "<end of file>".to_string(), |l| format!("{l:?}"))
 }
 
 /// The text above the first line that starts with `heading`.
@@ -186,6 +257,36 @@ mod tests {
                 assert!(e.artifacts.is_empty(), "{}: the heading cuts one report", e.name);
             }
         }
+    }
+
+    #[test]
+    fn a_quotation_is_its_lines_of_the_source_or_a_message_that_names_both() {
+        let root = std::env::temp_dir().join(format!("mdo-bench-quotes-{}", std::process::id()));
+        std::fs::create_dir_all(root.join("results")).unwrap();
+        std::fs::write(root.join("results/t.txt"), "a\nb b\nc\n").unwrap();
+        let check = |doc: &str| check_quotes("D.md", doc, &root);
+        let quote = |marker: &str, block: &str| format!("x\n<!-- quote: {marker} -->\n```text\n{block}```\ny\n");
+        assert!(check(&quote("results/t.txt", "a\nb b\nc\n")).is_empty());
+        assert!(check(&quote("results/t.txt 2-3", "b b\nc\n")).is_empty());
+        assert!(check("no markers at all\n").is_empty());
+        let one = |doc: String| {
+            let errors = check(&doc);
+            assert_eq!(errors.len(), 1, "{errors:?}");
+            errors[0].clone()
+        };
+        let changed = one(quote("results/t.txt 1-2", "a\nb c\n"));
+        assert!(changed.starts_with("D.md:5: the block is not results/t.txt 1-2"), "{changed}");
+        assert!(changed.contains("results/t.txt line 2") && changed.contains("\"b c\\n\""), "{changed}");
+        assert!(one(quote("results/t.txt 2-2", "b b\nc\n")).contains("source: <end of file>"));
+        let missing = one(quote("results/u.txt", "a\n"));
+        assert!(missing.starts_with("D.md:2: results/u.txt"), "{missing}");
+        assert!(one(quote("results/t.txt 3-4", "c\n")).contains("has 3 lines: no lines 3-4"));
+        assert!(one(quote("results/t.txt 0-1", "a\n")).contains("no lines 0-1"));
+        assert!(one(quote("results/t.txt 2", "b b\n")).contains("is not a line range"));
+        assert!(one(quote("README.md", "a\n")).contains("does not name a file under results/"));
+        assert!(one("<!-- quote: results/t.txt -->\nplain text\n".into()).contains("no fenced block"));
+        assert!(one("<!-- quote: results/t.txt -->\n```\na\n".into()).contains("no fenced block"));
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]

@@ -39,7 +39,7 @@ use mdo_netsim::{
     AggConfig, CrashTrigger, Dur, EventId, EventQueue, FailureCause, Fate, FaultWire, FlowConfig, Harm, Pe, Time,
     Topology, TransportError, UnrecoverableError,
 };
-use mdo_vmi::arq::{Receiver, Sender};
+use mdo_vmi::arq::{Receiver, Sender, SACK_SPAN};
 use mdo_vmi::credit::CreditLedger;
 use mdo_vmi::flush::{FlushCause, PairFill};
 
@@ -101,8 +101,9 @@ enum Event {
     /// `(src, dst, seq, frame)`: frame `seq` of the pair `src -> dst`
     /// reaches `dst`.
     Frame(Pe, Pe, u64, Frame),
-    /// `(src, dst, cum)`: a cumulative ack of the pair reaches `src`.
-    Ack(Pe, Pe, u64),
+    /// `(src, dst, cum, sack)`: an ack of the pair reaches `src` — the
+    /// cumulative ack and the selective-ack map past it.
+    Ack(Pe, Pe, u64, u64),
     /// `(src, dst, seq)`: the retransmit deadline of frame `seq` of the
     /// pair.
     Retransmit(Pe, Pe, u64),
@@ -116,8 +117,12 @@ struct Frame {
     bytes: u64,
 }
 
-/// Bytes of a standalone ack on the wire.
-const ACK_BYTES: u64 = mdo_vmi::reliable::HEADER_LEN as u64;
+/// Bytes of a standalone ack on the wire: the header, and the selective
+/// ack's map when it is non-empty.
+fn ack_bytes(sack: u64) -> u64 {
+    use mdo_vmi::reliable::{HEADER_LEN, SACK_EXT_LEN};
+    (HEADER_LEN + if sack == 0 { 0 } else { SACK_EXT_LEN }) as u64
+}
 
 /// One (src, dst) accumulation buffer: the passengers, and the flush
 /// policy's view of them.
@@ -149,8 +154,9 @@ struct SimWan {
     epoch: Time,
     senders: HashMap<(u32, u32), Sender<Frame>>,
     receivers: HashMap<(u32, u32), Receiver<Frame>>,
-    /// Each pair's live retransmit timers, one per unacked frame: the ack
-    /// that retires a frame cancels its timer.
+    /// Each pair's live retransmit timers, one per frame no ack has
+    /// covered yet: the ack that retires or selectively acks a frame
+    /// cancels its timer.
     timers: HashMap<(u32, u32), BTreeMap<u64, EventId>>,
     broken_dedup: bool,
     agg: Option<AggConfig>,
@@ -331,15 +337,21 @@ impl SimWan {
         }
     }
 
-    /// A cumulative ack of `src -> dst` reaches `src`: the copies it covers
-    /// retire, and their timers with them.
-    fn ack(&mut self, src: Pe, dst: Pe, cum: u64, events: &mut EventQueue<Event>) {
+    /// An ack of `src -> dst` reaches `src`: the copies below `cum` retire,
+    /// and their timers with them; the copies `sack` names stay until
+    /// `cum` passes them, but their timers go.
+    fn ack(&mut self, src: Pe, dst: Pe, cum: u64, sack: u64, events: &mut EventQueue<Event>) {
         let key = (src.0, dst.0);
         let (Some(sender), Some(timers)) = (self.senders.get_mut(&key), self.timers.get_mut(&key)) else { return };
-        sender.on_ack(cum).for_each(drop);
+        sender.on_ack(cum, sack).for_each(drop);
         let kept = timers.split_off(&cum);
         for id in std::mem::replace(timers, kept).into_values() {
             events.cancel(id);
+        }
+        for i in (0..SACK_SPAN).filter(|i| (sack >> i) & 1 == 1) {
+            if let Some(id) = timers.remove(&(cum + 1 + i)) {
+                events.cancel(id);
+            }
         }
     }
 
@@ -384,8 +396,8 @@ impl SimWan {
         if receipt.duplicate {
             self.ctr.bump(Ctr::DupDropped);
         }
-        let back = self.net.delivery_time(dst, src, now, ACK_BYTES).max(now);
-        events.schedule(back, Event::Ack(src, dst, receipt.cum));
+        let back = self.net.delivery_time(dst, src, now, ack_bytes(receipt.sack)).max(now);
+        events.schedule(back, Event::Ack(src, dst, receipt.cum, receipt.sack));
         released.into_iter().flat_map(|f| f.envs).collect()
     }
 
@@ -607,8 +619,8 @@ impl SimEngine {
                         wan.tick(src, dst, filling, now, &mut events);
                         continue;
                     }
-                    Event::Ack(src, dst, cum) => {
-                        wan.ack(src, dst, cum, &mut events);
+                    Event::Ack(src, dst, cum, sack) => {
+                        wan.ack(src, dst, cum, sack, &mut events);
                         continue;
                     }
                     Event::Retransmit(src, dst, seq) => {

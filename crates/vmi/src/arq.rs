@@ -4,9 +4,11 @@
 //! cumulative ack covers it, and retransmits a copy whose deadline passed
 //! with exponential, per-pair jittered backoff — or gives up on it after
 //! the plan's `max_retries` with a [`TransportError`].  A [`Receiver`]
-//! answers every data frame with its cumulative ack, drops duplicates,
-//! buffers what arrives early and releases frames in sequence order, so
-//! a lost frame holds back its pair's later ones until the repair lands.
+//! answers every data frame with its cumulative ack and a selective ack of
+//! the frames it holds past the gap, drops duplicates, buffers what
+//! arrives early and releases frames in sequence order, so a lost frame
+//! holds back its pair's later ones until the repair lands — and only the
+//! lost frame is resent.
 //!
 //! Both halves take events — a send, a frame, an ack, a timer at `now` —
 //! and answer with what to do: transmit this copy, deliver these in order,
@@ -36,13 +38,18 @@ pub fn jittered_backoff(base: Dur, seed: u64, src: Pe, dst: Pe, retries: u32) ->
     Dur::from_nanos(base.as_nanos().saturating_add(extra))
 }
 
-/// A sent frame awaiting its ack: the copy, when it is next due, and how
-/// often it was resent.
+/// A sent frame awaiting its ack: the copy, when it is next due, how
+/// often it was resent, and whether a selective ack said it arrived.
 struct Pending<P> {
     payload: P,
     deadline: Time,
     retries: u32,
+    sacked: bool,
 }
+
+/// How many frames past the cumulative ack a selective ack covers: bit
+/// `i` of [`Receipt::sack`] is frame `cum + 1 + i`.
+pub const SACK_SPAN: u64 = 64;
 
 /// The sending half of the pair `src -> dst`.
 pub struct Sender<P> {
@@ -68,22 +75,31 @@ impl<P> Sender<P> {
     /// first copy goes out now.  Returns when it falls due for a resend.
     pub fn send(&mut self, payload: P, now: Time, rto: Dur) -> Time {
         let deadline = now + rto;
-        self.pending.insert(self.next_seq, Pending { payload, deadline, retries: 0 });
+        self.pending.insert(self.next_seq, Pending { payload, deadline, retries: 0, sacked: false });
         self.next_seq += 1;
         deadline
     }
 
-    /// A cumulative ack: every frame below `cum` arrived.  Returns the
-    /// copies it retires.
-    pub fn on_ack(&mut self, cum: u64) -> impl Iterator<Item = P> {
+    /// An ack: every frame below `cum` arrived, and so did each frame
+    /// `cum + 1 + i` whose bit `i` is set in `sack`.  Returns the copies
+    /// it retires — only those below `cum`: a selectively acked copy is
+    /// kept, never resent, until the cumulative ack passes it.
+    pub fn on_ack(&mut self, cum: u64, sack: u64) -> impl Iterator<Item = P> {
         let kept = self.pending.split_off(&cum);
-        std::mem::replace(&mut self.pending, kept).into_values().map(|p| p.payload)
+        let retired = std::mem::replace(&mut self.pending, kept);
+        if let Some(first) = cum.checked_add(1) {
+            for (seq, p) in self.pending.range_mut(first..=first.saturating_add(SACK_SPAN - 1)) {
+                p.sacked |= (sack >> (seq - first)) & 1 == 1;
+            }
+        }
+        retired.into_values().map(|p| p.payload)
     }
 
-    /// The timer at `now`: every copy whose deadline passed is resent —
-    /// `resend(seq, copy, next deadline)`, attempt `i` waiting
-    /// `2^i × rto` plus jitter — or, once it has used `max_retries`,
-    /// forgotten.  The first copy given up on is the error.
+    /// The timer at `now`: every copy whose deadline passed and that no
+    /// selective ack covers is resent — `resend(seq, copy, next
+    /// deadline)`, attempt `i` waiting `2^i × rto` plus jitter — or, once
+    /// it has used `max_retries`, forgotten.  The first copy given up on
+    /// is the error.
     pub fn on_timer(
         &mut self,
         now: Time,
@@ -93,7 +109,7 @@ impl<P> Sender<P> {
         let (src, dst) = (self.src, self.dst);
         let mut error = None;
         self.pending.retain(|&seq, p| {
-            if p.deadline > now {
+            if p.deadline > now || p.sacked {
                 return true;
             }
             if p.retries >= plan.max_retries {
@@ -115,6 +131,9 @@ impl<P> Sender<P> {
 pub struct Receipt {
     /// The cumulative ack to send back: every frame below it has arrived.
     pub cum: u64,
+    /// The selective ack: bit `i` set when frame `cum + 1 + i` has arrived
+    /// past the gap at `cum`; 0 when nothing is held out of order.
+    pub sack: u64,
     /// The frame had arrived before.
     pub duplicate: bool,
 }
@@ -149,7 +168,7 @@ impl<P> Receiver<P> {
             if self.broken_dedup {
                 deliver.extend(Some(payload));
             }
-            return Receipt { cum: self.expected, duplicate: true };
+            return self.receipt(true);
         }
         self.buffer.insert(seq, payload);
         let Receiver { expected, buffer, .. } = self;
@@ -158,7 +177,13 @@ impl<P> Receiver<P> {
             *expected += 1;
             Some(p)
         }));
-        Receipt { cum: self.expected, duplicate: false }
+        self.receipt(false)
+    }
+
+    fn receipt(&self, duplicate: bool) -> Receipt {
+        let cum = self.expected;
+        let held = self.buffer.range(cum + 1..=cum + SACK_SPAN).map(|(seq, _)| 1 << (seq - cum - 1));
+        Receipt { cum, sack: held.fold(0, |m, bit| m | bit), duplicate }
     }
 }
 
@@ -189,14 +214,39 @@ mod tests {
     fn a_gap_holds_back_later_frames_until_the_repair() {
         let mut rx = Receiver::default();
         let mut got = Vec::new();
-        assert_eq!(rx.on_frame(0, 'a', &mut got), Receipt { cum: 1, duplicate: false });
-        assert_eq!(rx.on_frame(2, 'c', &mut got), Receipt { cum: 1, duplicate: false });
-        assert_eq!(rx.on_frame(3, 'd', &mut got), Receipt { cum: 1, duplicate: false });
+        assert_eq!(rx.on_frame(0, 'a', &mut got), Receipt { cum: 1, sack: 0, duplicate: false });
+        assert_eq!(rx.on_frame(2, 'c', &mut got), Receipt { cum: 1, sack: 0b1, duplicate: false });
+        assert_eq!(rx.on_frame(3, 'd', &mut got), Receipt { cum: 1, sack: 0b11, duplicate: false });
         assert_eq!(got, ['a'], "frames past the gap wait");
-        assert_eq!(rx.on_frame(1, 'b', &mut got), Receipt { cum: 4, duplicate: false });
+        assert_eq!(rx.on_frame(1, 'b', &mut got), Receipt { cum: 4, sack: 0, duplicate: false });
         assert_eq!(got, ['a', 'b', 'c', 'd'], "the repair releases the pair in send order");
-        assert_eq!(rx.on_frame(2, 'c', &mut got), Receipt { cum: 4, duplicate: true });
+        assert_eq!(rx.on_frame(2, 'c', &mut got), Receipt { cum: 4, sack: 0, duplicate: true });
         assert_eq!(got.len(), 4, "a duplicate is answered, never delivered");
+    }
+
+    #[test]
+    fn a_selective_ack_spares_the_frames_that_arrived_behind_a_gap() {
+        // Frame 2 is lost, frames 3..=7 arrive and are acked: when the
+        // timer fires, only frame 2 goes out again.
+        let plan = FaultPlan::default().with_rto(MS * 5);
+        let (mut tx, mut rx) = (Sender::new(Pe(0), Pe(1)), Receiver::default());
+        let mut got = Vec::new();
+        for i in 0..8u64 {
+            let seq = tx.next_seq();
+            tx.send(i, at(0), plan.rto);
+            if seq != 2 {
+                let receipt = rx.on_frame(seq, i, &mut got);
+                assert_eq!(tx.on_ack(receipt.cum, receipt.sack).count() as u64, u64::from(seq < 2));
+            }
+        }
+        assert_eq!(got, [0, 1], "frames past the gap wait");
+        let mut resent = Vec::new();
+        assert_eq!(tx.on_timer(at(5), &plan, |seq, _, _| resent.push(seq)), None);
+        assert_eq!(resent, [2], "only the lost frame is resent");
+        let receipt = rx.on_frame(2, 2, &mut got);
+        assert_eq!((receipt.cum, receipt.sack), (8, 0));
+        assert_eq!(tx.on_ack(receipt.cum, receipt.sack).count(), 6, "the repair's ack retires the held frames too");
+        assert_eq!(got, (0..8).collect::<Vec<_>>());
     }
 
     #[test]
@@ -220,7 +270,7 @@ mod tests {
             last = Some(receipt.cum);
         }
         assert_eq!(got, (0..n).collect::<Vec<_>>(), "raced retransmits never reach the application");
-        assert_eq!(tx.on_ack(last.unwrap()).count() as u64, n, "the duplicates' re-ack retires every copy");
+        assert_eq!(tx.on_ack(last.unwrap(), 0).count() as u64, n, "the duplicates' re-ack retires every copy");
         assert_eq!(tx.on_timer(at(1000), &plan, |_, _, _| panic!("nothing left to resend")), None);
     }
 
@@ -261,7 +311,7 @@ mod tests {
         }
         let err = tx.on_timer(due, &plan, |_, _, _| panic!("the budget is spent")).expect("gave up");
         assert_eq!((err.src, err.dst, err.seq, err.attempts), (Pe(0), Pe(9), 0, 4));
-        assert_eq!(tx.on_ack(1).count(), 0, "a copy given up on is forgotten");
+        assert_eq!(tx.on_ack(1, 0).count(), 0, "a copy given up on is forgotten");
     }
 
     #[test]
@@ -285,7 +335,7 @@ mod tests {
                 fate = wire.transmit(Pe(0), Pe(8), Dur::ZERO, 8, c);
             }
             assert_eq!(fate, Fate::Through { item: i, harm: Harm::None, released: None });
-            assert_eq!(tx.on_ack(seq + 1).count(), 1);
+            assert_eq!(tx.on_ack(seq + 1, 0).count(), 1);
         }
         let per_msg = retransmits as f64 / n as f64;
         assert!((per_msg - 0.25).abs() < 0.02, "retransmits/msg = {per_msg}");

@@ -123,7 +123,7 @@ mod tests {
         let sink: Arc<dyn Forwarder> = Arc::new(FnForwarder(move |_: Packet| *out2.lock() += 1));
         let dev = FaultDevice::for_reliable(FaultPlan::loss(1.0));
         let chain = Chain::new(vec![dev.clone()], sink);
-        chain.send(Packet::new(Pe(0), Pe(4), reliable::encode_ack(7)));
+        chain.send(Packet::new(Pe(0), Pe(4), reliable::encode_ack(7, 0, None)));
         assert_eq!(*out.lock(), 1, "ack survives a 100%-loss plan");
         assert_eq!(dev.stats().dropped, 0, "and consumes no draw");
     }

@@ -597,32 +597,19 @@ impl Mailbox {
     /// Take the most urgent packet, blocking until one arrives or the
     /// mailbox is closed (then `None`).
     pub fn take(&self) -> Option<Packet> {
-        let mut inner = self.inner.lock();
-        loop {
-            self.drain_locked(&mut inner);
-            if let Some(pkt) = inner.pop() {
-                return Some(pkt);
-            }
-            if inner.closed {
-                return None;
-            }
-            if !self.register_sleeper(&inner) {
-                continue;
-            }
-            match inner.next_due() {
-                // A hold needs no post to fall due: sleep no longer than it.
-                Some(due) => {
-                    self.cond.wait_until(&mut inner, due);
-                }
-                None => self.cond.wait(&mut inner),
-            }
-            self.clear_sleeper();
-        }
+        self.take_until(None)
     }
 
     /// Take with a timeout; `None` on timeout or close-with-empty-queue.
     pub fn take_timeout(&self, timeout: Duration) -> Option<Packet> {
-        let deadline = Instant::now() + timeout;
+        self.take_until(Some(Instant::now() + timeout))
+    }
+
+    /// The blocking loop of both takes: merge the lanes and pop, or
+    /// announce the sleep and wait — never past the earliest hold, which
+    /// needs no post to fall due, nor past `deadline`, where one last
+    /// merge decides.
+    fn take_until(&self, deadline: Option<Instant>) -> Option<Packet> {
         let mut inner = self.inner.lock();
         loop {
             self.drain_locked(&mut inner);
@@ -635,10 +622,14 @@ impl Mailbox {
             if !self.register_sleeper(&inner) {
                 continue;
             }
-            // Sleep no longer than the earliest hold: it needs no post to
-            // fall due.
-            let wake_at = inner.next_due().map_or(deadline, |due| due.min(deadline));
-            let timed_out = self.cond.wait_until(&mut inner, wake_at).timed_out();
+            let wake_at = inner.next_due().into_iter().chain(deadline).min();
+            let timed_out = match wake_at {
+                Some(at) => self.cond.wait_until(&mut inner, at).timed_out(),
+                None => {
+                    self.cond.wait(&mut inner);
+                    false
+                }
+            };
             self.clear_sleeper();
             if timed_out && wake_at == deadline {
                 self.drain_locked(&mut inner);

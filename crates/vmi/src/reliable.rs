@@ -3,7 +3,7 @@
 //! When a run injects faults (see [`crate::devices::fault::FaultDevice`]),
 //! cross-WAN packets are wrapped in small framed messages carrying a
 //! per-(src, dst) sequence number.  The protocol itself — sequence numbers,
-//! cumulative acks, retransmission with jittered exponential backoff up to
+//! cumulative and selective acks, retransmission with jittered exponential backoff up to
 //! a retry ceiling (then a structured [`TransportError`], never a panic),
 //! duplicate suppression and in-order release — is [`crate::arq`]'s, the
 //! machine the simulator runs too.  [`ReliableTransport`] keeps what is the
@@ -61,7 +61,7 @@ use crate::transport::Transport;
 
 /// Frame tag for application data (`[tag, seq: u64 LE, payload…]`).
 pub const KIND_DATA: u8 = 0xD7;
-/// Frame tag for a standalone cumulative ack (`[tag, cum: u64 LE]`).
+/// Frame tag for a standalone ack (`[tag, cum: u64 LE, extensions…]`).
 pub const KIND_ACK: u8 = 0xA7;
 /// Bytes of framing prepended to a data payload.
 pub const HEADER_LEN: usize = 1 + 8;
@@ -79,21 +79,43 @@ pub fn encode_data(seq: u64, payload: &[u8]) -> Bytes {
     Bytes::from(v)
 }
 
-/// Build a standalone cumulative-ack frame ("every seq below `cum` has
-/// been received").
-pub fn encode_ack(cum: u64) -> Bytes {
-    let mut v = Vec::with_capacity(HEADER_LEN);
+/// Build a standalone ack frame: "every seq below `cum` has been
+/// received", then the selective-ack map ([`crate::arq::Receipt::sack`])
+/// only when it is non-empty, then the credit grant when flow control is
+/// on.  A fault-free run's acks therefore carry no map.
+pub fn encode_ack(cum: u64, sack: u64, grant: Option<CreditGrant>) -> Bytes {
+    let mut v = Vec::with_capacity(HEADER_LEN + SACK_EXT_LEN + CREDIT_EXT_LEN);
     v.push(KIND_ACK);
     v.extend_from_slice(&cum.to_le_bytes());
+    if sack != 0 {
+        v.extend_from_slice(&sack.to_le_bytes());
+    }
+    if let Some(grant) = grant {
+        v.extend_from_slice(&grant.gen.to_le_bytes());
+        v.extend_from_slice(&grant.grant.to_le_bytes());
+    }
     Bytes::from(v)
 }
 
-/// Bytes of the credit-grant extension an ack may carry after its header:
-/// `[gen: u32 LE, grant: u64 LE]`.
+/// Bytes of the selective-ack extension an ack may carry after its
+/// header: `[sack: u64 LE]`.
+pub const SACK_EXT_LEN: usize = 8;
+
+/// Bytes of the credit-grant extension an ack may carry after its header
+/// (after the selective ack, when both ride): `[gen: u32 LE, grant: u64 LE]`.
 pub const CREDIT_EXT_LEN: usize = 4 + 8;
 
-/// A malformed credit extension (wrong length).  Hostile or corrupted
-/// grants become this structured error, never a panic.
+/// What an ack carries after its header.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct AckExt {
+    /// The selective-ack map; 0 when the ack carries none.
+    pub sack: u64,
+    /// The credit grant, when flow control is on.
+    pub grant: Option<CreditGrant>,
+}
+
+/// A malformed ack extension (wrong length).  Hostile or corrupted
+/// extensions become this structured error, never a panic.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CreditError {
     /// What was wrong with the extension.
@@ -102,36 +124,32 @@ pub struct CreditError {
 
 impl std::fmt::Display for CreditError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "malformed credit grant: {}", self.context)
+        write!(f, "malformed ack extension: {}", self.context)
     }
 }
 
 impl std::error::Error for CreditError {}
 
-/// Build an ack frame carrying a credit grant.
-pub fn encode_ack_credit(cum: u64, grant: CreditGrant) -> Bytes {
-    let mut v = Vec::with_capacity(HEADER_LEN + CREDIT_EXT_LEN);
-    v.push(KIND_ACK);
-    v.extend_from_slice(&cum.to_le_bytes());
-    v.extend_from_slice(&grant.gen.to_le_bytes());
-    v.extend_from_slice(&grant.grant.to_le_bytes());
-    Bytes::from(v)
-}
-
 /// Parse the extension bytes of an ack frame (everything after the
-/// 9-byte header).  Empty means a plain ack with no grant; exactly
-/// [`CREDIT_EXT_LEN`] bytes is a grant; anything else is a structured
-/// [`CreditError`].
-pub fn decode_credit_ext(ext: &[u8]) -> Result<Option<CreditGrant>, CreditError> {
-    if ext.is_empty() {
-        return Ok(None);
-    }
-    if ext.len() != CREDIT_EXT_LEN {
-        return Err(CreditError { context: "credit extension length" });
-    }
-    let gen = u32::from_le_bytes(ext[..4].try_into().expect("4-byte field"));
-    let grant = u64::from_le_bytes(ext[4..].try_into().expect("8-byte field"));
-    Ok(Some(CreditGrant { gen, grant }))
+/// 9-byte header), told apart by their length: none, a selective ack
+/// ([`SACK_EXT_LEN`]), a grant ([`CREDIT_EXT_LEN`]) or both, in that
+/// order; any other length is a structured [`CreditError`].
+pub fn decode_ack_ext(ext: &[u8]) -> Result<AckExt, CreditError> {
+    let (sack, grant) = match ext.len() {
+        0 => (&[][..], &[][..]),
+        SACK_EXT_LEN => (ext, &[][..]),
+        CREDIT_EXT_LEN => (&[][..], ext),
+        n if n == SACK_EXT_LEN + CREDIT_EXT_LEN => ext.split_at(SACK_EXT_LEN),
+        _ => return Err(CreditError { context: "ack extension length" }),
+    };
+    let u64_at = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8-byte field"));
+    Ok(AckExt {
+        sack: if sack.is_empty() { 0 } else { u64_at(sack) },
+        grant: (!grant.is_empty()).then(|| CreditGrant {
+            gen: u32::from_le_bytes(grant[..4].try_into().expect("4-byte field")),
+            grant: u64_at(&grant[4..]),
+        }),
+    })
 }
 
 /// Parse a frame: `(kind, seq-or-cum, payload)`.  `None` for anything too
@@ -200,9 +218,9 @@ impl FlowCtl {
     /// Fold an arriving ack into the pair's balance: release the acked
     /// bytes, then apply any riding grant.  Hostile grants (malformed,
     /// stale generation, unknown pair) are counted and ignored.
-    fn on_ack(&self, key: (u32, u32), release: u64, ext: &[u8]) {
-        let grant = match decode_credit_ext(ext) {
-            Ok(g) => g,
+    fn on_ack(&self, key: (u32, u32), release: u64, ext: Result<AckExt, CreditError>) {
+        let grant = match ext {
+            Ok(ext) => ext.grant,
             Err(_) => {
                 self.rejected_grants.fetch_add(1, Ordering::Relaxed);
                 None
@@ -434,8 +452,10 @@ impl ReliableTransport {
             Some((KIND_ACK, cum, ext)) => {
                 // Ack from pkt.src for data this PE sent to pkt.src.
                 let key = (pe.0, pkt.src.0);
+                let ext = decode_ack_ext(ext);
+                let sack = ext.map_or(0, |e| e.sack);
                 let release = sh.send.lock().get_mut(&key).map_or(0, |pair| {
-                    let counted = pair.on_ack(cum).filter(|p| p.priority != SHED_EXEMPT_PRIORITY);
+                    let counted = pair.on_ack(cum, sack).filter(|p| p.priority != SHED_EXEMPT_PRIORITY);
                     counted.map(|p| (p.payload.len() - HEADER_LEN) as u64).sum()
                 });
                 if let Some(flow) = &sh.flow {
@@ -443,7 +463,7 @@ impl ReliableTransport {
                 }
             }
             Some((KIND_DATA, seq, _body)) => {
-                let cum = {
+                let receipt = {
                     let mut side = layer.recv[pe.index()].lock();
                     let RecvSide { pairs, ready } = &mut *side;
                     // Zero-copy: the application payload is a sub-view of
@@ -453,15 +473,13 @@ impl ReliableTransport {
                     if receipt.duplicate {
                         sh.dup_dropped.fetch_add(1, Ordering::Relaxed);
                     }
-                    receipt.cum
+                    receipt
                 };
                 // Every data frame is acked, a duplicate too: its sender's
                 // ack may have been lost.  With flow control active the ack
                 // carries the pair's credit grant — no extra frames.
-                let payload = match &sh.flow {
-                    Some(flow) => encode_ack_credit(cum, flow.grant_for(pkt.src.0, pe)),
-                    None => encode_ack(cum),
-                };
+                let grant = sh.flow.as_ref().map(|flow| flow.grant_for(pkt.src.0, pe));
+                let payload = encode_ack(receipt.cum, receipt.sack, grant);
                 self.inner.send(Packet::with_priority(pe, pkt.src, ACK_PRIORITY, payload));
             }
             // Mangled beyond recognition — equivalent to a loss; the
@@ -642,7 +660,7 @@ mod tests {
     fn frame_codec_roundtrip() {
         let data = encode_data(42, b"hello");
         assert_eq!(decode_frame(&data), Some((KIND_DATA, 42, &b"hello"[..])));
-        let ack = encode_ack(7);
+        let ack = encode_ack(7, 0, None);
         assert_eq!(decode_frame(&ack), Some((KIND_ACK, 7, &b""[..])));
         assert!(is_control_frame(&ack));
         assert!(!is_control_frame(&data));
@@ -661,16 +679,15 @@ mod tests {
     #[test]
     fn credit_codec_roundtrip_and_hostile_lengths() {
         let grant = CreditGrant { gen: 3, grant: 4096 };
-        let frame = encode_ack_credit(99, grant);
-        assert!(is_control_frame(&frame));
-        let (kind, cum, ext) = decode_frame(&frame).expect("credit acks still parse as ack frames");
-        assert_eq!((kind, cum), (KIND_ACK, 99));
-        assert_eq!(decode_credit_ext(ext), Ok(Some(grant)));
-        let plain = encode_ack(7);
-        let (_, _, ext) = decode_frame(&plain).unwrap();
-        assert_eq!(decode_credit_ext(ext), Ok(None), "plain acks carry no grant");
-        for len in [1usize, 5, 11, 13, 64] {
-            let err = decode_credit_ext(&vec![0u8; len]).expect_err("bad length rejected");
+        for (sack, grant, len) in [(0, None, 0), (0b101, None, 8), (0, Some(grant), 12), (u64::MAX, Some(grant), 20)] {
+            let frame = encode_ack(99, sack, grant);
+            assert!(is_control_frame(&frame));
+            let (kind, cum, ext) = decode_frame(&frame).expect("extended acks still parse as ack frames");
+            assert_eq!((kind, cum, ext.len()), (KIND_ACK, 99, len));
+            assert_eq!(decode_ack_ext(ext), Ok(AckExt { sack, grant }));
+        }
+        for len in [1usize, 5, 7, 9, 11, 13, 19, 21, 64] {
+            let err = decode_ack_ext(&vec![0u8; len]).expect_err("bad length rejected");
             assert!(err.to_string().contains("length"), "structured error for length {len}");
         }
     }

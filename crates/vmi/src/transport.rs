@@ -110,14 +110,17 @@ impl Transport {
         }
     }
 
-    /// Blocking receive for one PE.
-    pub fn recv(&self, pe: Pe) -> Option<Packet> {
-        self.recv_blocking(pe, Mailbox::take)
-    }
-
-    /// Receive with timeout.
+    /// Receive for one PE, blocking up to `timeout`.  With a wire bound:
+    /// take what is ready; failing that, write the calling thread's cork —
+    /// it is about to block — and only then wait.
     pub fn recv_timeout(&self, pe: Pe, timeout: Duration) -> Option<Packet> {
-        self.recv_blocking(pe, |mb| mb.take_timeout(timeout))
+        self.recv_with(pe, |mb| match &self.router {
+            None => mb.take_timeout(timeout),
+            Some(router) => mb.try_take().or_else(|| {
+                router.flush(pe);
+                mb.take_timeout(timeout)
+            }),
+        })
     }
 
     /// Non-blocking receive.  A miss does not write the cork: the caller is
@@ -125,19 +128,6 @@ impl Transport {
     /// blocking receive (or [`Transport::flush_wire`]) next.
     pub fn try_recv(&self, pe: Pe) -> Option<Packet> {
         self.recv_with(pe, Mailbox::try_take)
-    }
-
-    /// A receive that may sleep.  With a wire bound: take what is ready;
-    /// failing that, write the calling thread's cork — it is about to
-    /// block — and only then `wait`.
-    fn recv_blocking(&self, pe: Pe, wait: impl FnOnce(&Mailbox) -> Option<Packet>) -> Option<Packet> {
-        self.recv_with(pe, |mb| match &self.router {
-            None => wait(mb),
-            Some(router) => mb.try_take().or_else(|| {
-                router.flush(pe);
-                wait(mb)
-            }),
-        })
     }
 
     /// The one receive path: the calling thread is `pe`'s poller from here
@@ -243,7 +233,7 @@ mod tests {
     fn shutdown_wakes_receivers() {
         let t = transport(10);
         let t2 = Arc::clone(&t);
-        let h = std::thread::spawn(move || t2.recv(Pe(0)));
+        let h = std::thread::spawn(move || t2.recv_timeout(Pe(0), Duration::from_secs(60)));
         std::thread::sleep(Duration::from_millis(20));
         t.shutdown();
         assert!(h.join().unwrap().is_none());

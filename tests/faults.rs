@@ -137,7 +137,7 @@ proptest! {
             }
             prop_assert!(tries <= max_retries);
             prop_assert_eq!(tries > 0, now > sent);
-            prop_assert_eq!(tx.on_ack(seq + 1).count(), 1);
+            prop_assert_eq!(tx.on_ack(seq + 1, 0).count(), 1);
         }
         prop_assert_eq!(wire.stats().dropped, retransmits + gave_up);
     }

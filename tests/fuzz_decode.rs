@@ -21,8 +21,8 @@ use gridmdo::runtime::envelope::{Envelope, MsgBody};
 use gridmdo::runtime::ids::{ArrayId, ElemId, EntryId, ObjKey};
 use gridmdo::runtime::wire::WireReader;
 use gridmdo::vmi::reliable::{
-    apply_grant, decode_credit_ext, decode_frame, encode_ack, encode_ack_credit, encode_data, is_control_frame,
-    CreditGrant, CreditState, GrantOutcome, CREDIT_EXT_LEN, HEADER_LEN, KIND_ACK, KIND_DATA,
+    apply_grant, decode_ack_ext, decode_frame, encode_ack, encode_data, is_control_frame, AckExt, CreditGrant,
+    CreditState, GrantOutcome, CREDIT_EXT_LEN, HEADER_LEN, KIND_ACK, KIND_DATA, SACK_EXT_LEN,
 };
 use mdo_check::ScheduleFile;
 use proptest::prelude::*;
@@ -135,7 +135,7 @@ proptest! {
         prop_assert_eq!(rest, &payload[..]);
         prop_assert!(decode_frame(&data[..cut]).is_none());
 
-        let ack = encode_ack(seq);
+        let ack = encode_ack(seq, 0, None);
         let (kind, num, rest) = decode_frame(&ack).expect("ack frame parses");
         prop_assert_eq!(kind, KIND_ACK);
         prop_assert_eq!(num, seq);
@@ -144,38 +144,44 @@ proptest! {
         prop_assert!(!is_control_frame(&data));
     }
 
-    /// Arbitrary bytes into the credit-extension parser — the surface a
+    /// Arbitrary bytes into the ack-extension parser — the surface a
     /// hostile peer reaches by appending garbage to an ack frame.  Empty
-    /// is a plain ack, exactly [`CREDIT_EXT_LEN`] bytes is a grant, any
-    /// other length is a structured [`CreditError`] — never a panic.
+    /// is a plain ack; [`SACK_EXT_LEN`] bytes a selective ack,
+    /// [`CREDIT_EXT_LEN`] a grant, their sum both; any other length is a
+    /// structured [`CreditError`] — never a panic.
     #[test]
     fn credit_ext_decode_survives_arbitrary_bytes(buf in prop::collection::vec(any::<u8>(), 0..64)) {
-        match decode_credit_ext(&buf) {
-            Ok(None) => prop_assert!(buf.is_empty()),
-            Ok(Some(grant)) => {
-                prop_assert_eq!(buf.len(), CREDIT_EXT_LEN);
-                // A parsed grant re-encodes to the same extension bytes.
-                let ack = encode_ack_credit(9, grant);
-                prop_assert_eq!(&ack[HEADER_LEN..], &buf[..]);
+        let lengths = [0, SACK_EXT_LEN, CREDIT_EXT_LEN, SACK_EXT_LEN + CREDIT_EXT_LEN];
+        match decode_ack_ext(&buf) {
+            Ok(ext) => {
+                prop_assert!(lengths.contains(&buf.len()));
+                // A parsed extension re-encodes to the same bytes, unless
+                // it carried an all-zero map, which the encoder leaves out.
+                let ack = encode_ack(9, ext.sack, ext.grant);
+                prop_assert_eq!(decode_ack_ext(&ack[HEADER_LEN..]), Ok(ext));
+                let zero_map = ext.sack == 0 && buf.len() != CREDIT_EXT_LEN && !buf.is_empty();
+                if !zero_map {
+                    prop_assert_eq!(&ack[HEADER_LEN..], &buf[..]);
+                }
             }
             Err(e) => {
-                prop_assert!(!buf.is_empty() && buf.len() != CREDIT_EXT_LEN);
+                prop_assert!(!lengths.contains(&buf.len()));
                 prop_assert!(!e.to_string().is_empty());
             }
         }
     }
 
-    /// A credit-bearing ack round-trips through the frame parser and the
-    /// extension parser field for field.
+    /// An ack with a selective-ack map and a grant round-trips through the
+    /// frame parser and the extension parser field for field.
     #[test]
-    fn ack_credit_roundtrip(cum in any::<u64>(), gen in any::<u32>(), grant in any::<u64>()) {
-        let ack = encode_ack_credit(cum, CreditGrant { gen, grant });
+    fn ack_credit_roundtrip(cum in any::<u64>(), sack in any::<u64>(), gen in any::<u32>(), grant in any::<u64>()) {
+        let ack = encode_ack(cum, sack, Some(CreditGrant { gen, grant }));
         prop_assert!(is_control_frame(&ack));
         let (kind, num, ext) = decode_frame(&ack).expect("credit ack parses");
         prop_assert_eq!(kind, KIND_ACK);
         prop_assert_eq!(num, cum);
-        prop_assert_eq!(decode_credit_ext(ext).expect("well-formed extension"),
-                        Some(CreditGrant { gen, grant }));
+        prop_assert_eq!(decode_ack_ext(ext).expect("well-formed extension"),
+                        AckExt { sack, grant: Some(CreditGrant { gen, grant }) });
     }
 
     /// Hostile grants against live sender-side credit state: `u64::MAX`

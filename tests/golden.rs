@@ -5,6 +5,8 @@
 //! built from it alone writes the same bytes on every host, and a change
 //! that moves one shows here — by file, first differing line and the
 //! `reproduce` command that regenerates it — instead of passing unnoticed.
+//! The documents' exact numbers are quotations of those copies, checked
+//! here too.
 //! The entries that take long in a debug build are ignored by default; CI
 //! runs them all with `cargo test --release --test golden --
 //! --include-ignored`.
@@ -43,6 +45,7 @@ golden! {
     ablation_elastic;
     ablation_lb;
     ablation_overload;
+    ampi_ring;
     #[ignore = "release-only: 23 s in debug"]
     fig3;
     #[ignore = "release-only: 94 s in debug"]
@@ -68,4 +71,19 @@ fn every_entry_with_an_exact_part_has_a_golden_test() {
     exact.sort_unstable();
     pinned.sort_unstable();
     assert_eq!(pinned, exact);
+}
+
+/// README.md, DESIGN.md and EXPERIMENTS.md hold their exact numbers only
+/// in quoted blocks, each the lines of a committed file under `results/`
+/// that its marker names (`registry::check_quotes`).
+#[test]
+fn every_quoted_block_is_its_source() {
+    let mut errors = Vec::new();
+    for doc in ["README.md", "DESIGN.md", "EXPERIMENTS.md"] {
+        let text = std::fs::read_to_string(doc).unwrap_or_else(|e| panic!("{doc}: {e}"));
+        let marked = text.lines().any(|l| l.trim_start().starts_with(registry::QUOTE_MARKER));
+        assert!(marked, "{doc} quotes nothing");
+        errors.extend(registry::check_quotes(doc, &text, Path::new(".")));
+    }
+    assert!(errors.is_empty(), "{} quotation(s) differ from their source:\n{}", errors.len(), errors.join("\n"));
 }
