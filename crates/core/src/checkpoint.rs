@@ -22,10 +22,10 @@
 //! checkpoints at step boundaries.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::OnceLock;
 
 use bytes::Bytes;
 use mdo_netsim::Pe;
-use mdo_vmi::devices::crc::crc32;
 
 use crate::ids::{ArrayId, ElemId, ObjKey};
 use crate::wire::{WireError, WireReader, WireWriter};
@@ -34,6 +34,29 @@ use crate::wire::{WireError, WireReader, WireWriter};
 const SNAPSHOT_MAGIC: &str = "gridmdo-ckpt";
 /// Current snapshot format version (v2 added the trailing CRC32).
 const SNAPSHOT_VERSION: u16 = 2;
+
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) of a byte slice,
+/// from a lookup table built on first use: the trailer of every
+/// serialized [`Snapshot`].
+pub fn crc32(data: &[u8]) -> u32 {
+    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
+    let table = TABLE.get_or_init(|| {
+        let mut table = [0u32; 256];
+        for (i, entry) in table.iter_mut().enumerate() {
+            let mut c = i as u32;
+            for _ in 0..8 {
+                c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            }
+            *entry = c;
+        }
+        table
+    });
+    let mut c = 0xFFFF_FFFFu32;
+    for &b in data {
+        c = table[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    }
+    c ^ 0xFFFF_FFFF
+}
 
 /// One array's checkpointed elements.
 #[derive(Clone, Debug, PartialEq)]
@@ -259,6 +282,13 @@ mod tests {
     use super::*;
     use crate::ids::ObjKey;
     use bytes::Bytes;
+
+    #[test]
+    fn crc32_known_vector() {
+        // Standard test vector: CRC32("123456789") = 0xCBF43926.
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+    }
 
     fn sample() -> Snapshot {
         Snapshot {

@@ -18,7 +18,7 @@ use std::sync::Arc;
 use mdo_netsim::network::NetworkStats;
 use mdo_netsim::{
     ClusterId, CrashSpec, CrashTrigger, Dur, FailureCause, JoinSpec, JoinTrigger, Pe, PeFailed, Time, Topology,
-    TransportError, UnrecoverableError,
+    TransportError, UnrecoverableError, WireStats,
 };
 use mdo_obs::{CounterSet, Ctr, Event, ObsReport, PeObs};
 
@@ -60,6 +60,14 @@ impl HostRow {
             ft_epochs: node.ft_epochs(),
         }
     }
+}
+
+/// Book what a generation's fault wire did to the traffic, the same on
+/// every engine: a corrupted attempt is a drop, counted apart.
+pub(super) fn book_wire(ctr: &mut CounterSet, w: WireStats) {
+    ctr.add(Ctr::Drops, w.dropped);
+    ctr.add(Ctr::CorruptRejected, w.corrupted);
+    ctr.add(Ctr::Reordered, w.reordered);
 }
 
 /// A run's cumulative books across its generations, per original PE.

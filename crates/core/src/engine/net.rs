@@ -54,7 +54,7 @@ use mdo_netsim::failure::SUSPECT_AFTER;
 use mdo_netsim::network::NetworkStats;
 use mdo_netsim::{ClusterId, Dur, FailureCause, FaultPlan, Pe, Time, Topology, TransportError, UnrecoverableError};
 use mdo_obs::{CounterSet, Ctr};
-use mdo_vmi::{Aggregator, CrcDevice, FaultDevice, ReliableTransport, Transport, TransportConfig, Wire, WireBinding};
+use mdo_vmi::{Aggregator, FaultDevice, ReliableTransport, Transport, TransportConfig, Wire, WireBinding};
 
 use crate::checkpoint::{FtPiece, Snapshot};
 use crate::envelope::{Envelope, MsgBody, SYSTEM_PRIORITY};
@@ -63,7 +63,7 @@ use crate::node::Node;
 use crate::program::{Program, RunConfig, RunReport};
 use crate::wire::{WireReader, WireWriter};
 
-use super::generation::{Books, Change, Membership, PeRow};
+use super::generation::{book_wire, Books, Change, Membership, PeRow};
 use super::threaded::{elapsed_ns, pe_thread, PeResult, ThreadCtl, ThreadedConfig, PE_ALIVE, PE_CRASHED, PE_PANICKED};
 
 // ---------------------------------------------------------------------------
@@ -311,22 +311,20 @@ impl NodeShare {
         orig: &[Pe],
         drops: u64,
     ) {
-        let Stack { raw, transport, agg, injected } = stack;
+        let Stack { raw, transport, agg, fault } = stack;
         add_traffic(&mut books.network, raw.intra_traffic(), raw.cross_traffic());
         // What each PE delivered to itself never reached the transport's
         // counter; it is intra-cluster traffic all the same.
         for r in results.iter() {
             add_traffic(&mut books.network, r.local_traffic, (0, 0));
         }
-        let (dev, crc_rejected) = injected.as_ref().map(|(f, v)| (f.stats(), v.rejected())).unwrap_or_default();
+        book_wire(&mut books.ctr, fault.as_ref().map(|f| f.stats()).unwrap_or_default());
         let ast = agg.stats();
         for (c, n) in [
-            (Ctr::Drops, dev.dropped),
             // Records the net reader could not parse were dropped the same
-            // way a CRC-rejected packet is: counted, then retransmitted.
-            (Ctr::CorruptRejected, crc_rejected + drops),
+            // way a corrupted attempt is: counted, then retransmitted.
+            (Ctr::CorruptRejected, drops),
             (Ctr::DupDropped, transport.dup_dropped()),
-            (Ctr::Reordered, dev.reordered),
             (Ctr::Retransmits, transport.retransmits()),
             (Ctr::FramesSent, ast.frames_sent),
             (Ctr::EnvelopesCoalesced, ast.envelopes_coalesced),
@@ -413,24 +411,20 @@ struct Stack {
     raw: Arc<Transport>,
     transport: Arc<ReliableTransport>,
     agg: Arc<Aggregator>,
-    /// The fault-injection and CRC-verify devices, when a fault plan put
-    /// them in the cross-cluster chain (their tallies close the books).
-    injected: Option<(Arc<FaultDevice>, Arc<CrcDevice>)>,
+    /// The fault-injection device, when a fault plan put it in the
+    /// cross-cluster chain (its tallies close the books).
+    fault: Option<Arc<FaultDevice>>,
 }
 
 impl Stack {
     fn build(cfg: &RunConfig, mut tc: TransportConfig) -> Stack {
-        // With a fault plan the cross-cluster chain becomes
-        // checksum → fault injection → verify → delay: an injected
-        // corruption fails the CRC and is dropped (counted), so it
-        // reaches the reliable layer as a plain loss.  Without a plan
-        // the chain and the wrapper are both zero-overhead passthroughs.
-        let injected = cfg.fault_plan.clone().map(|plan| {
-            let fault = FaultDevice::for_reliable(plan);
-            let verify = CrcDevice::verifier();
-            tc.cross_extra = vec![CrcDevice::appender(), fault.clone(), verify.clone()];
-            (fault, verify)
-        });
+        // With a fault plan the cross-cluster chain becomes fault
+        // injection → delay: the fault device drops what it corrupts, as
+        // the simulator does, so a corruption reaches the reliable layer
+        // as a plain loss.  Without a plan the chain and the wrapper are
+        // both zero-overhead passthroughs.
+        let fault = cfg.fault_plan.clone().map(FaultDevice::for_reliable);
+        tc.fault = fault.clone();
         let raw = Transport::new(tc);
         let transport = match (&cfg.fault_plan, cfg.flow) {
             (Some(plan), Some(flow)) => ReliableTransport::with_flow(Arc::clone(&raw), plan.clone(), flow),
@@ -451,7 +445,7 @@ impl Stack {
             Some(c) => Aggregator::with_policy(Arc::clone(&transport), c),
             None => Aggregator::passthrough(Arc::clone(&transport)),
         };
-        Stack { raw, transport, agg, injected }
+        Stack { raw, transport, agg, fault }
     }
 
     /// Flush any still-buffered frames, stop retransmissions, then wake

@@ -52,7 +52,7 @@ use crate::node::{Node, NodeHooks};
 use crate::program::{Program, RunConfig, RunReport};
 use crate::queue::SchedQueue;
 
-use super::generation::{Books, Change, HostRow, Membership, PeRow};
+use super::generation::{book_wire, Books, Change, HostRow, Membership, PeRow};
 
 /// What only the simulation engine reads: its limits and its
 /// delivery-order seam.
@@ -356,21 +356,19 @@ impl SimWan {
     }
 
     /// One attempt through the fault wire: what gets through lands after
-    /// the network's delivery time (twice if duplicated; never if corrupted,
-    /// which the receiver's checksum rejects), the stash it released right
-    /// behind it.
+    /// the network's delivery time (twice if duplicated, never if
+    /// corrupted), the stash it released right behind it.
     fn attempt(&mut self, src: Pe, dst: Pe, seq: u64, frame: Frame, at: Time, events: &mut EventQueue<Event>) {
         let (bytes, since) = (frame.bytes, at.saturating_since(self.epoch));
         let wire = self.wire.as_mut().expect("a fault plan is armed");
-        let Fate::Through { item, harm, released } = wire.transmit(src, dst, since, bytes as usize, (seq, frame))
-        else {
+        let Fate::Through { item, harm, released } = wire.transmit(src, dst, since, (seq, frame)) else {
             return;
         };
         let arrival = self.net.delivery_time(src, dst, at, bytes).max(at);
         let copies = match harm {
             Harm::None => 1,
             Harm::Duplicated => 2,
-            Harm::Corrupted(_) => 0,
+            Harm::Corrupted => 0,
         };
         for (seq, frame) in std::iter::repeat_n(item, copies).chain(released) {
             events.schedule(arrival, Event::Frame(src, dst, seq, frame));
@@ -434,16 +432,12 @@ impl SimWan {
 
     /// Book what a generation's wire did to the traffic.
     fn book_wire(&mut self) {
-        let w = self.wire.as_ref().map(FaultWire::stats).unwrap_or_default();
-        self.ctr.add(Ctr::Drops, w.dropped);
-        self.ctr.add(Ctr::CorruptRejected, w.corrupted);
-        self.ctr.add(Ctr::Reordered, w.reordered);
+        book_wire(&mut self.ctr, self.wire.as_ref().map(FaultWire::stats).unwrap_or_default());
     }
 
     /// A generation change at `at`: buffered (un-flushed) frames and
     /// deferred sends die with the generation, like every other in-flight
-    /// event, and the windows re-arm fresh (the wall-clock stack's
-    /// `reset_peer` does the same per survivor); the wire and the protocol
+    /// event, and the windows re-arm fresh; the wire and the protocol
     /// restart, as the wall clock's stack is rebuilt; PE numbering changes
     /// anyway.
     fn restart(&mut self, topo: Topology, at: Time) {

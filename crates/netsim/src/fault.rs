@@ -32,8 +32,8 @@ pub struct FaultPlan {
     pub duplicate: f64,
     /// Probability a packet is held back and delivered after its successor.
     pub reorder: f64,
-    /// Probability a packet arrives with a flipped byte (caught by the CRC
-    /// check and counted as a rejection — equivalent to a drop, plus work).
+    /// Probability a packet is corrupted on the wire.  The receiver would
+    /// reject it, so it arrives as nothing: a drop, counted apart.
     pub corrupt: f64,
     /// Seed for the per-pair fault streams.
     pub seed: u64,
@@ -200,9 +200,9 @@ pub enum Harm {
     None,
     /// It arrives twice.
     Duplicated,
-    /// It arrives with the byte at this index flipped (a checksum rejects
-    /// it); `None` for an empty payload, which has no byte to flip.
-    Corrupted(Option<usize>),
+    /// It is corrupted, so no copy of it arrives (what a receiver's
+    /// checksum would reject); the stash it released still does.
+    Corrupted,
 }
 
 /// What a [`FaultWire`] has done to the traffic so far.
@@ -210,7 +210,7 @@ pub enum Harm {
 pub struct WireStats {
     /// Attempts lost to a drop draw or a link-down window.
     pub dropped: u64,
-    /// Attempts let through with a flipped byte.
+    /// Attempts corrupted on the wire (none of them arrives).
     pub corrupted: u64,
     /// Attempts let through twice.
     pub duplicated: u64,
@@ -219,7 +219,7 @@ pub struct WireStats {
 }
 
 /// A [`FaultPlan`] applied to cross-cluster data attempts, one draw each
-/// from the pair's stream (and one more for the byte a corruption flips).
+/// from the pair's stream.
 /// A reorder draw holds the attempt in the pair's one-slot stash; with the
 /// stash occupied it passes instead.  Generic over what travels, so the
 /// wall clock's packets and the simulator's frames meet the same wire.
@@ -246,9 +246,9 @@ impl<T> FaultWire<T> {
         self.stats
     }
 
-    /// One attempt `src -> dst` of a `len`-byte `item`, `at` after the
-    /// wire came up (what link-down windows are measured against).
-    pub fn transmit(&mut self, src: Pe, dst: Pe, at: Dur, len: usize, item: T) -> Fate<T> {
+    /// One attempt `src -> dst` of `item`, `at` after the wire came up
+    /// (what link-down windows are measured against).
+    pub fn transmit(&mut self, src: Pe, dst: Pe, at: Dur, item: T) -> Fate<T> {
         let FaultWire { plan: p, pairs, stats } = self;
         let (rng, stash) = pairs.entry((src.0, dst.0)).or_insert_with(|| (p.pair_stream(src, dst), None));
         let r = rng.next_f64();
@@ -257,7 +257,7 @@ impl<T> FaultWire<T> {
             return Fate::Lost;
         } else if r < p.drop + p.corrupt {
             stats.corrupted += 1;
-            Harm::Corrupted((len > 0).then(|| rng.next_below(len as u64) as usize))
+            Harm::Corrupted
         } else if r < p.drop + p.corrupt + p.duplicate {
             stats.duplicated += 1;
             Harm::Duplicated
@@ -279,7 +279,7 @@ mod tests {
     /// The fates of `n` attempts `src -> dst` (the item is the attempt's
     /// index), stash releases included.
     fn fates(wire: &mut FaultWire<u32>, src: u32, dst: u32, n: u32) -> Vec<Fate<u32>> {
-        (0..n).map(|i| wire.transmit(Pe(src), Pe(dst), Dur::ZERO, 8, i)).collect()
+        (0..n).map(|i| wire.transmit(Pe(src), Pe(dst), Dur::ZERO, i)).collect()
     }
 
     #[test]
@@ -309,8 +309,8 @@ mod tests {
         let mut a = FaultWire::new(plan.clone());
         let (mut a01, mut a23) = (Vec::new(), Vec::new());
         for i in 0..50 {
-            a01.push(a.transmit(Pe(0), Pe(1), Dur::ZERO, 8, i));
-            a23.push(a.transmit(Pe(2), Pe(3), Dur::ZERO, 8, i));
+            a01.push(a.transmit(Pe(0), Pe(1), Dur::ZERO, i));
+            a23.push(a.transmit(Pe(2), Pe(3), Dur::ZERO, i));
         }
         let mut b = FaultWire::new(plan);
         assert_eq!(a01, fates(&mut b, 0, 1, 50));
@@ -320,10 +320,10 @@ mod tests {
     #[test]
     fn a_reorder_draw_stashes_until_the_next_attempt_gets_through() {
         let mut wire = FaultWire::new(FaultPlan::default().with_reorder(1.0));
-        assert_eq!(wire.transmit(Pe(0), Pe(4), Dur::ZERO, 1, 'a'), Fate::Stashed);
+        assert_eq!(wire.transmit(Pe(0), Pe(4), Dur::ZERO, 'a'), Fate::Stashed);
         // The second draw also says "reorder", but the stash is occupied:
         // the attempt passes and releases the stash behind itself.
-        let second = wire.transmit(Pe(0), Pe(4), Dur::ZERO, 1, 'b');
+        let second = wire.transmit(Pe(0), Pe(4), Dur::ZERO, 'b');
         assert_eq!(second, Fate::Through { item: 'b', harm: Harm::None, released: Some('a') });
         assert_eq!(wire.stats().reordered, 1);
     }
@@ -332,23 +332,22 @@ mod tests {
     fn link_down_windows_lose_every_attempt_inside_them() {
         let plan = FaultPlan::default().with_link_down(Dur::from_millis(10), Dur::from_millis(20));
         let mut wire = FaultWire::new(plan);
-        let at = |ms| wire.transmit(Pe(0), Pe(4), Dur::from_millis(ms), 1, ()) == Fate::Lost;
+        let at = |ms| wire.transmit(Pe(0), Pe(4), Dur::from_millis(ms), ()) == Fate::Lost;
         let lost: Vec<bool> = [0, 10, 19, 20].into_iter().map(at).collect();
         assert_eq!(lost, [false, true, true, false]);
         assert_eq!(wire.stats().dropped, 2);
     }
 
     #[test]
-    fn a_corruption_names_a_byte_of_the_attempt() {
-        let mut wire = FaultWire::new(FaultPlan::default().with_corrupt(1.0).with_seed(5));
-        for len in [1usize, 7, 300] {
-            match wire.transmit(Pe(0), Pe(9), Dur::ZERO, len, ()) {
-                Fate::Through { harm: Harm::Corrupted(Some(at)), .. } => assert!(at < len),
-                other => panic!("expected a corrupted byte, got {other:?}"),
-            }
-        }
-        let empty = wire.transmit(Pe(0), Pe(9), Dur::ZERO, 0, ());
-        assert_eq!(empty, Fate::Through { item: (), harm: Harm::Corrupted(None), released: None });
+    fn a_corruption_arrives_as_nothing_but_releases_the_stash() {
+        let plan = FaultPlan::default().with_corrupt(0.5).with_reorder(0.5).with_seed(5);
+        let mut wire = FaultWire::new(plan);
+        let fates = fates(&mut wire, 0, 9, 200);
+        let corrupted = fates.iter().filter(|f| matches!(f, Fate::Through { harm: Harm::Corrupted, .. })).count();
+        assert_eq!(corrupted as u64, wire.stats().corrupted);
+        assert!(wire.stats().corrupted > 0 && wire.stats().dropped == 0);
+        let releasing = |f: &Fate<u32>| matches!(f, Fate::Through { harm: Harm::Corrupted, released: Some(_), .. });
+        assert!(fates.iter().any(releasing), "a corrupted attempt still frees the stash behind it");
     }
 
     #[test]

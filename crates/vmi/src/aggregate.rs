@@ -324,8 +324,8 @@ impl Aggregator {
     /// Unpack one packet from the reliable layer into the pending bank.
     fn absorb(&self, pe: Pe, pkt: Packet) {
         if frame::is_frame(&pkt.payload) {
-            // A frame mangled beyond the CRC and reliable layers is
-            // treated as loss, same as a garbled reliable frame.
+            // A frame too mangled to split is treated as loss, same as
+            // a garbled reliable frame.
             if let Ok(chunks) = frame::split(&pkt.payload) {
                 self.pending[pe.index()].post_many(
                     chunks
@@ -431,7 +431,6 @@ fn spawn_deadline_flusher(shared: Arc<Shared>) -> std::thread::JoinHandle<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::devices::crc::CrcDevice;
     use crate::devices::fault::FaultDevice;
     use crate::transport::TransportConfig;
     use mdo_netsim::agg::EAGER_BYTES;
@@ -443,8 +442,7 @@ mod tests {
         let mut tcfg = TransportConfig::new(topo, latency);
         let rt = match plan {
             Some(plan) => {
-                tcfg.cross_extra =
-                    vec![CrcDevice::appender(), FaultDevice::for_reliable(plan.clone()), CrcDevice::verifier()];
+                tcfg.fault = Some(FaultDevice::for_reliable(plan.clone()));
                 ReliableTransport::with_plan(Transport::new(tcfg), plan)
             }
             None => ReliableTransport::passthrough(Transport::new(tcfg)),

@@ -326,13 +326,13 @@ mod tests {
         for i in 0..n {
             let seq = tx.next_seq();
             let mut due = tx.send(i, at(0), plan.rto);
-            let mut fate = wire.transmit(Pe(0), Pe(8), Dur::ZERO, 8, i);
+            let mut fate = wire.transmit(Pe(0), Pe(8), Dur::ZERO, i);
             while fate == Fate::Lost {
                 let mut copy = None;
                 assert_eq!(tx.on_timer(due, &plan, |_, &c, d| copy = Some((c, d))), None);
                 let (c, d) = copy.expect("the lost frame fell due");
                 (retransmits, due) = (retransmits + 1, d);
-                fate = wire.transmit(Pe(0), Pe(8), Dur::ZERO, 8, c);
+                fate = wire.transmit(Pe(0), Pe(8), Dur::ZERO, c);
             }
             assert_eq!(fate, Fate::Through { item: i, harm: Harm::None, released: None });
             assert_eq!(tx.on_ack(seq + 1, 0).count(), 1);

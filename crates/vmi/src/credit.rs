@@ -11,23 +11,9 @@
 
 use std::collections::HashMap;
 
-/// A credit grant riding on a cumulative ack: "generation `gen` of this
-/// pair may have up to `grant` unacknowledged payload bytes in flight".
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CreditGrant {
-    /// The pair generation the grant belongs to (stale generations are
-    /// rejected — a grant from a peer's previous life must not open the
-    /// window of its successor).
-    pub gen: u32,
-    /// Advertised window in payload bytes.
-    pub grant: u64,
-}
-
 /// Sender-side credit balance of one (src, dst) pair.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CreditState {
-    /// Current pair generation (bumped by [`CreditLedger::reset_peer`]).
-    pub gen: u32,
     /// Latest grant from the receiver, clamped to the configured window.
     pub granted: u64,
     /// Unacknowledged payload bytes in flight.
@@ -37,7 +23,7 @@ pub struct CreditState {
 impl CreditState {
     /// A fresh pair: a full window, nothing in flight.
     pub fn fresh(window: u64) -> Self {
-        CreditState { gen: 0, granted: window, in_flight: 0 }
+        CreditState { granted: window, in_flight: 0 }
     }
 
     /// Payload bytes this pair may still put in flight.  Saturating — a
@@ -48,31 +34,18 @@ impl CreditState {
     }
 }
 
-/// What applying a received grant did to the pair state.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum GrantOutcome {
-    /// The grant matched the current generation and was applied (clamped
-    /// to the configured window, so an overflowing grant cannot open the
-    /// window wider than configured).
-    Applied,
-    /// The grant named a different generation and was ignored.
-    StaleGeneration,
-}
-
-/// Apply a decoded grant to a pair's sender-side state.  Total: every
-/// input produces either an applied (clamped) grant or a structured
-/// rejection — never a panic, never a negative balance.
-pub fn apply_grant(state: &mut CreditState, grant: CreditGrant, window: u64) -> GrantOutcome {
-    if grant.gen != state.gen {
-        return GrantOutcome::StaleGeneration;
-    }
-    state.granted = grant.grant.min(window);
-    GrantOutcome::Applied
+/// Apply a receiver's `grant` (payload bytes the pair may have in
+/// flight) to the pair's sender-side state.  Clamped to the configured
+/// window, so a hostile grant from another process cannot open the
+/// window wider than configured; total — never a panic, never a
+/// negative balance.
+pub fn apply_grant(state: &mut CreditState, grant: u64, window: u64) {
+    state.granted = grant.min(window);
 }
 
 /// Every pair's balance under one configured window.  A pair enters the
 /// books at its first [`CreditLedger::consume`]; until then it reads as
-/// fresh (a full window, generation 0).
+/// fresh (a full window).
 #[derive(Clone, Debug)]
 pub struct CreditLedger {
     window: u64,
@@ -119,20 +92,11 @@ impl CreditLedger {
         }
     }
 
-    /// Apply a receiver's grant ([`apply_grant`]); `None` for a pair that
+    /// Apply a receiver's grant ([`apply_grant`]); a no-op for a pair that
     /// never sent.
-    pub fn grant(&mut self, pair: (u32, u32), grant: CreditGrant) -> Option<GrantOutcome> {
-        let window = self.window;
-        self.pairs.get_mut(&pair).map(|st| apply_grant(st, grant, window))
-    }
-
-    /// `pe` restarted: every pair naming it (either side) reopens with a
-    /// full window and nothing in flight, in a new generation — grants
-    /// from its previous life are recognizably stale, and in-flight bytes
-    /// that will never be acked are forgotten.
-    pub fn reset_peer(&mut self, pe: u32) {
-        for (_, st) in self.pairs.iter_mut().filter(|(&(src, dst), _)| src == pe || dst == pe) {
-            *st = CreditState { gen: st.gen.wrapping_add(1), ..CreditState::fresh(self.window) };
+    pub fn grant(&mut self, pair: (u32, u32), grant: u64) {
+        if let Some(st) = self.pairs.get_mut(&pair) {
+            apply_grant(st, grant, self.window);
         }
     }
 
@@ -172,7 +136,7 @@ mod tests {
         let mut l = CreditLedger::new(W);
         l.consume(AB, 10);
         l.release(AB, 10);
-        assert_eq!(l.grant(AB, CreditGrant { gen: 0, grant: 0 }), Some(GrantOutcome::Applied));
+        l.grant(AB, 0);
         assert_eq!(l.available(AB), 0);
         assert!(l.admits(AB, 10), "nothing in flight: progress beats the shut window");
         l.consume(AB, 10);
@@ -190,34 +154,27 @@ mod tests {
     }
 
     #[test]
-    fn grants_are_clamped_and_stale_generations_ignored() {
+    fn grants_are_clamped_and_ignored_for_unknown_pairs() {
         let mut l = CreditLedger::new(W);
-        assert_eq!(l.grant(AB, CreditGrant { gen: 0, grant: 1 }), None, "unknown pair");
+        l.grant(AB, 1);
+        assert_eq!(l.state(AB), None, "a pair that never sent stays out of the books");
         l.consume(AB, 400);
-        assert_eq!(l.grant(AB, CreditGrant { gen: 0, grant: u64::MAX }), Some(GrantOutcome::Applied));
+        l.grant(AB, u64::MAX);
         assert_eq!(l.available(AB), 600, "clamped to the window");
-        let before = l.state(AB);
-        assert_eq!(l.grant(AB, CreditGrant { gen: 1, grant: 5 }), Some(GrantOutcome::StaleGeneration));
-        assert_eq!(l.state(AB), before, "a stale grant is a no-op");
-        assert_eq!(l.grant(AB, CreditGrant { gen: 0, grant: 100 }), Some(GrantOutcome::Applied));
+        l.grant(AB, 100);
         assert_eq!(l.available(AB), 0, "a window shrunk below in-flight saturates");
     }
 
     #[test]
-    fn reset_peer_reopens_only_pairs_naming_that_pe() {
+    fn reset_forgets_every_pair() {
         let mut l = CreditLedger::new(W);
         for pair in [(0, 1), (1, 2), (2, 0)] {
             l.consume(pair, 700);
-            l.grant(pair, CreditGrant { gen: 0, grant: 700 });
+            l.grant(pair, 700);
         }
-        l.reset_peer(1);
-        let reopened = CreditState { gen: 1, ..CreditState::fresh(W) };
-        assert_eq!(l.state((0, 1)), Some(reopened));
-        assert_eq!(l.state((1, 2)), Some(reopened));
-        assert_eq!(l.state((2, 0)), Some(CreditState { gen: 0, granted: 700, in_flight: 700 }));
-        assert_eq!(l.grant((0, 1), CreditGrant { gen: 0, grant: 0 }), Some(GrantOutcome::StaleGeneration));
         l.reset();
         assert_eq!(l.state((2, 0)), None);
         assert_eq!(l.available((2, 0)), W);
+        assert!(l.admits((0, 1), W), "a full window again");
     }
 }

@@ -4,14 +4,11 @@
 //! [`FaultWire`]: one draw per data attempt from the plan's per-PE-pair
 //! stream, so a plan harms the same attempts here as in the simulator,
 //! however traffic from other pairs interleaves.  The device only carries
-//! out the wire's verdict — flips the named byte, forwards a second copy,
-//! forwards the released stash behind the attempt that freed it.
-//!
-//! Placement matters: the engine composes
-//! `CrcDevice::appender() → FaultDevice → CrcDevice::verifier()` ahead of
-//! the delay device, so an injected corruption is caught by the checksum
-//! and becomes a counted drop (the reliable layer then recovers it by
-//! retransmission, exactly like a plain loss).
+//! out the wire's verdict — forwards nothing for a drop or a corruption
+//! (a corrupted attempt is one no receiver would accept, so both engines
+//! book it as a drop of its own kind), a second copy for a duplicate, and
+//! the released stash behind the attempt that freed it.  The reliable
+//! layer recovers every attempt that forwards nothing by retransmission.
 //!
 //! Control frames of the reliable layer (acks) pass unharmed and draw
 //! nothing, as in the simulator, where acks never meet the wire.
@@ -19,7 +16,6 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use bytes::Bytes;
 use mdo_netsim::{Dur, Fate, FaultPlan, FaultWire, Harm, WireStats};
 use parking_lot::Mutex;
 
@@ -53,21 +49,16 @@ impl Device for FaultDevice {
             next.deliver(pkt);
             return;
         }
-        let (src, dst, len) = (pkt.src, pkt.dst, pkt.payload.len());
-        let fate = self.wire.lock().transmit(src, dst, Dur::from_std(self.t0.elapsed()), len, pkt);
-        let Fate::Through { mut item, harm, released } = fate else { return };
-        match harm {
-            Harm::Corrupted(Some(at)) => {
-                let mut v = item.payload.to_vec();
-                v[at] ^= 0x20;
-                item.payload = Bytes::from(v);
-            }
-            Harm::Duplicated => next.deliver(item.clone()),
-            Harm::Corrupted(None) | Harm::None => {}
-        }
-        next.deliver(item);
-        if let Some(stashed) = released {
-            next.deliver(stashed);
+        let (src, dst) = (pkt.src, pkt.dst);
+        let fate = self.wire.lock().transmit(src, dst, Dur::from_std(self.t0.elapsed()), pkt);
+        let Fate::Through { item, harm, released } = fate else { return };
+        let copies = match harm {
+            Harm::None => 1,
+            Harm::Duplicated => 2,
+            Harm::Corrupted => 0,
+        };
+        for pkt in std::iter::repeat_n(item, copies).chain(released) {
+            next.deliver(pkt);
         }
     }
 }
@@ -106,14 +97,21 @@ mod tests {
         let (got, stats) = run(plan.clone(), 200);
         assert_eq!(run(plan, 200), (got.clone(), stats), "the same plan harms the same frames");
         assert!(stats.dropped > 0 && stats.duplicated > 0 && stats.corrupted > 0 && stats.reordered > 0);
-        // Every frame not dropped comes out (a stash may still hold one),
-        // duplicates twice; the corrupted ones carry one flipped byte.
-        let held = 200 - stats.dropped + stats.duplicated - got.len() as u64;
+        // Every frame neither dropped nor corrupted comes out (a stash may
+        // still hold one), duplicates twice, and every one intact.
+        let held = 200 - stats.dropped - stats.corrupted + stats.duplicated - got.len() as u64;
         assert!(held <= 1, "only the stash may hold a frame back, {held} held");
         let intact = |p: &Vec<u8>| {
             reliable::decode_frame(p).is_some_and(|(_, seq, body)| body.len() == 1 && seq == u64::from(body[0]))
         };
-        assert_eq!(got.iter().filter(|p| !intact(p)).count() as u64, stats.corrupted);
+        assert!(got.iter().all(intact), "no corrupted frame comes out");
+    }
+
+    #[test]
+    fn a_corrupted_attempt_is_dropped_and_counted() {
+        let (got, stats) = run(FaultPlan::default().with_corrupt(1.0), 32);
+        assert!(got.is_empty(), "nothing a receiver would reject leaves the device");
+        assert_eq!(stats, WireStats { corrupted: 32, ..WireStats::default() });
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! * [`packet`] — the unit a device sees: opaque bytes + routing metadata.
 //! * [`device`] — the [`Device`] trait and [`Chain`] composition.
 //! * [`devices`] — delay (a `due` stamp the landing mailbox enforces),
-//!   CRC32 integrity, fault injection and byte counting.
+//!   fault injection and byte counting.
 //! * [`mailbox`] — per-PE blocking priority mailboxes (the terminal
 //!   "network driver" of every chain).
 //! * [`arq`] — the reliable protocol of one PE pair (sender and receiver
@@ -87,7 +87,6 @@ pub use aggregate::{AggStats, Aggregator};
 pub use arq::jittered_backoff;
 pub use device::{Chain, Device, Forwarder};
 pub use devices::counter::CounterDevice;
-pub use devices::crc::CrcDevice;
 pub use devices::delay::DelayDevice;
 pub use devices::fault::FaultDevice;
 pub use frame::{FrameBuilder, FrameError, FRAME_TAG};

@@ -9,7 +9,7 @@
 //! [`Transport`] owns one mailbox per PE and two chains: an intra-cluster
 //! chain (direct to the mailbox sink by default) and a cross-cluster chain
 //! that passes through a [`DelayDevice`] configured from a latency matrix
-//! (plus any extra devices the caller composes, e.g. CRC and fault injection).
+//! (behind a [`FaultDevice`] when a fault plan is active).
 //! Every send consults the job [`Topology`] to pick the chain — the VMI
 //! affiliation check.  The delay device only stamps; the landing mailbox
 //! holds, so the receive calls here are where an injected latency is
@@ -25,6 +25,7 @@ use mdo_netsim::{LatencyMatrix, Pe, Topology};
 use crate::device::{Chain, Device, Forwarder};
 use crate::devices::counter::CounterDevice;
 use crate::devices::delay::DelayDevice;
+use crate::devices::fault::FaultDevice;
 use crate::mailbox::{Mailbox, MailboxSink};
 use crate::packet::Packet;
 use crate::wire::{WireBinding, WireRouter};
@@ -36,9 +37,9 @@ pub struct TransportConfig {
     /// Latency injected by the delay device (typically zero intra-cluster
     /// and the artificial WAN latency across clusters).
     pub latency: LatencyMatrix,
-    /// Extra devices prepended to the cross-cluster chain *before* the
-    /// delay device (e.g. CRC append, fault injection, CRC verify).
-    pub cross_extra: Vec<Arc<dyn Device>>,
+    /// Fault injection on the cross-cluster chain, ahead of the delay
+    /// device; `None` (the default) is a lossless WAN.
+    pub fault: Option<Arc<FaultDevice>>,
     /// Optional inter-node backend for multi-process runs: packets whose
     /// destination PE is not local to this process leave through the
     /// bound [`Wire`](crate::wire::Wire) instead of a mailbox.  `None`
@@ -48,9 +49,9 @@ pub struct TransportConfig {
 }
 
 impl TransportConfig {
-    /// Plain configuration: no extra devices, single-process.
+    /// Plain configuration: no fault injection, single-process.
     pub fn new(topo: Topology, latency: LatencyMatrix) -> Self {
-        TransportConfig { topo, latency, cross_extra: Vec::new(), wire: None }
+        TransportConfig { topo, latency, fault: None, wire: None }
     }
 }
 
@@ -86,7 +87,7 @@ impl Transport {
         let intra_chain = Chain::new(vec![intra_counter.clone()], sink.clone());
 
         let mut cross_devices: Vec<Arc<dyn Device>> = vec![cross_counter.clone()];
-        cross_devices.extend(cfg.cross_extra);
+        cross_devices.extend(cfg.fault.map(|f| f as Arc<dyn Device>));
         cross_devices.push(delay);
         let cross_chain = Chain::new(cross_devices, sink);
 
@@ -281,22 +282,6 @@ mod tests {
         t.send(remote(0));
         t.flush_wire(Pe(0));
         assert_eq!(calls(), ["cork", "flush"]);
-        t.shutdown();
-    }
-
-    #[test]
-    fn extra_devices_compose() {
-        use crate::devices::crc::CrcDevice;
-        let topo = Topology::two_cluster(2);
-        let latency = LatencyMatrix::uniform(&topo, Dur::ZERO, Dur::from_millis(5));
-        let mut cfg = TransportConfig::new(topo, latency);
-        // Checksum on the WAN, transparently undone before delivery.
-        cfg.cross_extra = vec![CrcDevice::appender(), CrcDevice::verifier()];
-        let t = Transport::new(cfg);
-        let payload = Bytes::from(vec![9u8; 4096]);
-        t.send(Packet::new(Pe(0), Pe(1), payload.clone()));
-        let got = t.recv_timeout(Pe(1), Duration::from_secs(2)).expect("delivered");
-        assert_eq!(got.payload, payload);
         t.shutdown();
     }
 }

@@ -12,7 +12,7 @@
 //! The seam sits *below* the reliable transport and the aggregator — both
 //! talk to `Transport::send`/`recv_timeout` only, so sequence numbers,
 //! acks, retransmission, credit grants and jumbo frames ride the wire
-//! unchanged.  Sender-side devices (delay, CRC, fault injection) run
+//! unchanged.  Sender-side devices (fault injection, delay) run
 //! before the wire too: an artificial-latency delay device composes with
 //! a real network exactly as §5.1's delay device composes with Myrinet —
 //! its [`Packet::due`] stamp crosses the wire as a `due` on the receiving

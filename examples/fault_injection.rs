@@ -71,7 +71,8 @@ fn main() {
     );
 
     // Threaded engine: real packets through the VMI chain
-    // (crc-append -> fault -> crc-verify -> delay), live ack/retransmit.
+    // (fault -> delay; a corrupted attempt is dropped at the fault device,
+    // as in the simulator), live ack/retransmit.
     let threaded = {
         let topo = Topology::two_cluster(4);
         let latency = LatencyMatrix::uniform(&topo, Dur::ZERO, Dur::from_millis(4));

@@ -12,11 +12,13 @@ use std::time::{Duration, Instant};
 
 use gridmdo::apps::leanmd::{self, MdConfig};
 use gridmdo::apps::stencil::{self, seq::SeqStencil, StencilConfig, StencilCost};
-use gridmdo::netsim::{Fate, FaultWire};
+use gridmdo::netsim::{Fate, FaultWire, WireStats};
 use gridmdo::prelude::*;
 use gridmdo::vmi::arq::Sender;
-use gridmdo::vmi::devices::crc::CrcDevice;
-use gridmdo::vmi::{jittered_backoff, FaultDevice, Packet, ReliableTransport, Transport, TransportConfig};
+use gridmdo::vmi::reliable::{decode_frame, HEADER_LEN, KIND_DATA};
+use gridmdo::vmi::{
+    jittered_backoff, FaultDevice, Packet, ReliableTransport, Transport, TransportConfig, Wire, WireBinding,
+};
 use proptest::prelude::*;
 
 fn small_stencil(objects: usize, steps: u32, mesh: usize) -> StencilConfig {
@@ -45,13 +47,68 @@ fn assert_bit_exact(got: &[f64], want: &[f64], label: &str) {
 }
 
 /// A reliable channel over a transport whose cross-cluster chain injects
-/// the given faults (with CRC bracketing so corruption becomes loss).
+/// the given faults (a corrupted attempt is dropped at the device).
 fn lossy_channel(plan: FaultPlan) -> Arc<ReliableTransport> {
     let topo = Topology::two_cluster(2);
     let latency = LatencyMatrix::uniform(&topo, Dur::ZERO, Dur::ZERO);
     let mut cfg = TransportConfig::new(topo, latency);
-    cfg.cross_extra = vec![CrcDevice::appender(), FaultDevice::for_reliable(plan.clone()), CrcDevice::verifier()];
+    cfg.fault = Some(FaultDevice::for_reliable(plan.clone()));
     ReliableTransport::with_plan(Transport::new(cfg), plan)
+}
+
+/// A wire that keeps every packet written to it.
+#[derive(Default)]
+struct RecordingWire(Mutex<Vec<Packet>>);
+
+impl Wire for RecordingWire {
+    fn send(&self, pkt: Packet) {
+        self.0.lock().unwrap().push(pkt);
+    }
+}
+
+/// Sends `n` 8-byte messages from PE 0 (local) to PE 1 (across a recording
+/// wire) through the reliable layer over a fault device running `plan`;
+/// returns what reached the wire and what the device's wire did.
+fn frames_on_the_wire(plan: FaultPlan, n: u64) -> (Vec<Packet>, WireStats) {
+    let topo = Topology::two_cluster(2);
+    let mut cfg = TransportConfig::new(topo.clone(), LatencyMatrix::uniform(&topo, Dur::ZERO, Dur::ZERO));
+    let fault = FaultDevice::for_reliable(plan.clone());
+    let wire = Arc::new(RecordingWire::default());
+    cfg.fault = Some(Arc::clone(&fault));
+    cfg.wire = Some(WireBinding::new(Arc::clone(&wire) as Arc<dyn Wire>, &[Pe(0)], 2));
+    // No ack ever comes back, and the rto is far off (its timer ticks at a
+    // quarter of it, which is also how long shutting it down may take):
+    // every packet on the wire is a first attempt.
+    let rt = ReliableTransport::with_plan(Transport::new(cfg), plan.with_rto(Dur::from_secs(4)));
+    for i in 0..n {
+        rt.send(Packet::new(Pe(0), Pe(1), i.to_le_bytes().to_vec().into()));
+    }
+    rt.shutdown();
+    rt.inner().shutdown();
+    let sent = std::mem::take(&mut *wire.0.lock().unwrap());
+    (sent, fault.stats())
+}
+
+/// Under a fault plan the cross-WAN chain is fault injection then delay,
+/// and nothing else: each data frame reaches the wire as its header and
+/// its payload, intact, and an attempt the wire corrupts never reaches it
+/// at all — it is dropped and counted, as the simulator drops it.
+#[test]
+fn under_a_fault_plan_only_intact_bare_frames_reach_the_wire() {
+    let plan = FaultPlan::loss(0.2).with_duplicate(0.2).with_reorder(0.2).with_corrupt(0.2).with_seed(43);
+    let (sent, stats) = frames_on_the_wire(plan, 200);
+    assert!(stats.dropped > 0 && stats.corrupted > 0 && stats.duplicated > 0 && stats.reordered > 0, "{stats:?}");
+    let held = 200 - stats.dropped - stats.corrupted + stats.duplicated - sent.len() as u64;
+    assert!(held <= 1, "only the reorder stash may hold a frame back, {held} held");
+    for pkt in &sent {
+        assert_eq!(pkt.payload.len(), HEADER_LEN + 8, "no trailer rides along");
+        let (kind, seq, body) = decode_frame(&pkt.payload).expect("a data frame");
+        assert_eq!((kind, body), (KIND_DATA, &seq.to_le_bytes()[..]), "frame {seq} is intact");
+    }
+
+    let (sent, stats) = frames_on_the_wire(FaultPlan::default().with_corrupt(1.0), 32);
+    assert!(sent.is_empty(), "no corrupted frame reaches the wire: {} did", sent.len());
+    assert_eq!(stats, WireStats { corrupted: 32, ..WireStats::default() });
 }
 
 proptest! {
@@ -115,7 +172,7 @@ proptest! {
         for _ in 0..msgs {
             let (seq, sent) = (tx.next_seq(), now);
             let mut due = tx.send((), now, plan.rto);
-            let mut fate = wire.transmit(Pe(0), Pe(1), Dur::ZERO, 8, ());
+            let mut fate = wire.transmit(Pe(0), Pe(1), Dur::ZERO, ());
             let mut tries = 0u32;
             while fate == Fate::Lost {
                 now = due;
@@ -129,7 +186,7 @@ proptest! {
                 let (s, d) = resent.expect("the lost frame fell due");
                 prop_assert_eq!(s, seq);
                 (due, tries) = (d, tries + 1);
-                fate = wire.transmit(Pe(0), Pe(1), Dur::ZERO, 8, ());
+                fate = wire.transmit(Pe(0), Pe(1), Dur::ZERO, ());
             }
             retransmits += u64::from(tries);
             if gave_up > 0 {
@@ -420,7 +477,7 @@ fn both_engines_count_the_same_faults_for_one_plan_and_seed() {
         .with_rto(Dur::from_millis(150));
     let mut exit_wire = FaultWire::new(plan.clone());
     for dst in [Pe(2), Pe(3)] {
-        let fate = exit_wire.transmit(Pe(0), dst, Dur::ZERO, 64, ());
+        let fate = exit_wire.transmit(Pe(0), dst, Dur::ZERO, ());
         assert!(matches!(fate, Fate::Through { harm: gridmdo::netsim::Harm::None, .. }), "Exit to {dst}: {fate:?}");
     }
 

@@ -21,8 +21,8 @@ use gridmdo::runtime::envelope::{Envelope, MsgBody};
 use gridmdo::runtime::ids::{ArrayId, ElemId, EntryId, ObjKey};
 use gridmdo::runtime::wire::WireReader;
 use gridmdo::vmi::reliable::{
-    apply_grant, decode_ack_ext, decode_frame, encode_ack, encode_data, is_control_frame, AckExt, CreditGrant,
-    CreditState, GrantOutcome, CREDIT_EXT_LEN, HEADER_LEN, KIND_ACK, KIND_DATA, SACK_EXT_LEN,
+    apply_grant, decode_ack_ext, decode_frame, encode_ack, encode_data, is_control_frame, AckExt, CreditState,
+    CREDIT_EXT_LEN, HEADER_LEN, KIND_ACK, KIND_DATA, SACK_EXT_LEN,
 };
 use mdo_check::ScheduleFile;
 use proptest::prelude::*;
@@ -146,20 +146,21 @@ proptest! {
 
     /// Arbitrary bytes into the ack-extension parser — the surface a
     /// hostile peer reaches by appending garbage to an ack frame.  Empty
-    /// is a plain ack; [`SACK_EXT_LEN`] bytes a selective ack,
-    /// [`CREDIT_EXT_LEN`] a grant, their sum both; any other length is a
-    /// structured [`CreditError`] — never a panic.
+    /// is a plain ack; [`SACK_EXT_LEN`] bytes a selective ack, that plus
+    /// [`CREDIT_EXT_LEN`] a selective ack and a grant (0, 8 or 16 bytes);
+    /// any other length is a structured [`CreditError`] — never a panic.
     #[test]
     fn credit_ext_decode_survives_arbitrary_bytes(buf in prop::collection::vec(any::<u8>(), 0..64)) {
-        let lengths = [0, SACK_EXT_LEN, CREDIT_EXT_LEN, SACK_EXT_LEN + CREDIT_EXT_LEN];
+        let lengths = [0, SACK_EXT_LEN, SACK_EXT_LEN + CREDIT_EXT_LEN];
+        prop_assert_eq!(lengths, [0, 8, 16]);
         match decode_ack_ext(&buf) {
             Ok(ext) => {
                 prop_assert!(lengths.contains(&buf.len()));
                 // A parsed extension re-encodes to the same bytes, unless
-                // it carried an all-zero map, which the encoder leaves out.
+                // it was a lone all-zero map, which the encoder leaves out.
                 let ack = encode_ack(9, ext.sack, ext.grant);
                 prop_assert_eq!(decode_ack_ext(&ack[HEADER_LEN..]), Ok(ext));
-                let zero_map = ext.sack == 0 && buf.len() != CREDIT_EXT_LEN && !buf.is_empty();
+                let zero_map = ext.sack == 0 && buf.len() == SACK_EXT_LEN;
                 if !zero_map {
                     prop_assert_eq!(&ack[HEADER_LEN..], &buf[..]);
                 }
@@ -172,40 +173,31 @@ proptest! {
     }
 
     /// An ack with a selective-ack map and a grant round-trips through the
-    /// frame parser and the extension parser field for field.
+    /// frame parser and the extension parser field for field, as 16
+    /// extension bytes whatever the map holds.
     #[test]
-    fn ack_credit_roundtrip(cum in any::<u64>(), sack in any::<u64>(), gen in any::<u32>(), grant in any::<u64>()) {
-        let ack = encode_ack(cum, sack, Some(CreditGrant { gen, grant }));
+    fn ack_credit_roundtrip(cum in any::<u64>(), sack in any::<u64>(), grant in any::<u64>()) {
+        let ack = encode_ack(cum, sack, Some(grant));
         prop_assert!(is_control_frame(&ack));
         let (kind, num, ext) = decode_frame(&ack).expect("credit ack parses");
         prop_assert_eq!(kind, KIND_ACK);
         prop_assert_eq!(num, cum);
-        prop_assert_eq!(decode_ack_ext(ext).expect("well-formed extension"),
-                        AckExt { sack, grant: Some(CreditGrant { gen, grant }) });
+        prop_assert_eq!(ext.len(), SACK_EXT_LEN + CREDIT_EXT_LEN);
+        prop_assert_eq!(decode_ack_ext(ext).expect("well-formed extension"), AckExt { sack, grant: Some(grant) });
     }
 
     /// Hostile grants against live sender-side credit state: `u64::MAX`
-    /// windows are clamped to the configured window, grants from stale
-    /// (or future) generations are ignored outright, and no input drives
+    /// windows are clamped to the configured window, and no input drives
     /// the available balance negative or past the window.
     #[test]
     fn hostile_grants_never_panic_and_never_overrun_the_window(
         window in 1u64..1_000_000,
         in_flight in 0u64..2_000_000,
-        state_gen in any::<u32>(),
-        grant_gen in any::<u32>(),
         grant in any::<u64>())
     {
-        let mut state = CreditState { gen: state_gen, granted: window, in_flight };
-        let before = state;
-        let outcome = apply_grant(&mut state, CreditGrant { gen: grant_gen, grant }, window);
-        if grant_gen == state_gen {
-            prop_assert_eq!(outcome, GrantOutcome::Applied);
-            prop_assert!(state.granted <= window, "overflowing grant was clamped");
-        } else {
-            prop_assert_eq!(outcome, GrantOutcome::StaleGeneration);
-            prop_assert_eq!(state, before);
-        }
+        let mut state = CreditState { granted: window, in_flight };
+        apply_grant(&mut state, grant, window);
+        prop_assert_eq!(state.granted, grant.min(window)); // an overflowing grant is clamped
         prop_assert!(state.available(window) <= window, "balance never exceeds the window");
         prop_assert_eq!(state.in_flight, in_flight);
     }
