@@ -10,32 +10,24 @@
 //! contiguous chunks of a BFS ordering; each partition object exchanges
 //! one *boundary-values* message per neighbouring partition per step —
 //! irregular neighbour counts, irregular message sizes, same
-//! message-driven masking.  As everywhere else: bit-exact against the
-//! sequential reference.
+//! message-driven masking: the step protocol every halo application
+//! shares (`crate::halo`), a partition's halo slots being its neighbour
+//! partitions in ascending order.  This module supplies the graph, the
+//! partitioner, the boundary lists, the kernel and its cost.  As
+//! everywhere else: bit-exact against the sequential reference.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use bytes::Bytes;
-use mdo_core::chare::{Chare, Ctx};
-use mdo_core::envelope::ReduceData;
-use mdo_core::ids::{ElemId, EntryId};
-use mdo_core::prelude::{WireReader, WireWriter};
-use mdo_core::program::{Program, RunConfig, RunReport};
-use mdo_core::wire::f64_array_len;
+use mdo_core::ids::ElemId;
+use mdo_core::program::RunConfig;
 use mdo_core::{Mapping, SimEngine};
 use mdo_netsim::network::NetworkModel;
-use mdo_netsim::{Time, Xoshiro256};
+use mdo_netsim::{Dur, Xoshiro256};
 
-use crate::halo;
-use crate::stencil::StencilCost;
-
-const START: EntryId = EntryId(1);
-/// Entry: a neighbour's boundary values (payload: step u32, sender u32,
-/// values in the sender's canonical edge order).
-const BOUNDARY: EntryId = EntryId(2);
-/// Bytes of a boundary message before its values: the step and the sender.
-const BOUNDARY_HEADER: usize = 4 + 4;
+use crate::halo::{self, Halo};
+use crate::stencil::{StencilCost, StencilOutcome};
 
 /// An undirected irregular graph with per-vertex initial values.
 #[derive(Clone, Debug)]
@@ -176,32 +168,26 @@ pub struct IrregularConfig {
     pub cost: StencilCost,
 }
 
-/// Outcome of a run.
-#[derive(Debug)]
-pub struct IrregularOutcome {
-    /// Mean milliseconds per step.
-    pub ms_per_step: f64,
-    /// Per-partition value sums (zeros unless compute).
-    pub partition_sums: Vec<f64>,
-    /// Engine report.
-    pub report: RunReport,
-}
+/// A partition's boundary with one neighbour partition: the neighbour, and
+/// the (local vertex, remote vertex) cross-edge endpoints sent to it.
+type Boundary = (u32, Vec<(u32, u32)>);
 
 /// Immutable decomposition shared by all partition objects.
-struct Layout {
+pub(crate) struct Layout {
     mesh: IrregularMesh,
     part: Vec<u32>,
     /// Per partition: its vertices, ascending.
     members: Vec<Vec<u32>>,
-    /// Per partition: neighbour partition → the (local vertex, remote
-    /// vertex) cross-edge endpoints this side must *send*, in canonical
-    /// (sorted) order.  The receiver's map for the reverse direction lists
-    /// the same edges with roles swapped, so both agree on the order.
-    send_lists: Vec<BTreeMap<u32, Vec<(u32, u32)>>>,
+    /// Per partition, by ascending neighbour partition (its halo slots):
+    /// the (local vertex, remote vertex) cross-edge endpoints this side
+    /// must *send*, in canonical (sorted) order.  The receiver's list for
+    /// the reverse direction holds the same edges with roles swapped, so
+    /// both agree on the order.
+    send_lists: Vec<Vec<Boundary>>,
 }
 
 impl Layout {
-    fn new(mesh: IrregularMesh, parts: usize) -> Self {
+    pub(crate) fn new(mesh: IrregularMesh, parts: usize) -> Self {
         let part = mesh.partition(parts);
         let mut members: Vec<Vec<u32>> = vec![Vec::new(); parts];
         for (v, &p) in part.iter().enumerate() {
@@ -223,11 +209,17 @@ impl Layout {
                 edges.sort_unstable();
             }
         }
+        let send_lists = send_lists.into_iter().map(|lists| lists.into_iter().collect()).collect();
         Layout { mesh, part, members, send_lists }
+    }
+
+    /// The halo slot of partition `of` at its neighbour `at`.
+    fn slot(&self, of: u32, at: u32) -> usize {
+        self.send_lists[at as usize].binary_search_by_key(&of, |&(p, _)| p).expect("neighbours are mutual")
     }
 }
 
-struct Partition {
+pub(crate) struct Partition {
     cfg: IrregularConfig,
     layout: Arc<Layout>,
     me: u32,
@@ -235,77 +227,63 @@ struct Partition {
     values: Vec<f64>,
     /// Latest known values of remote neighbour vertices.
     remote: BTreeMap<u32, f64>,
-    step: u32,
-    /// Boundary messages received for the current step, by sender, kept as
-    /// delivered and read in place by the step (see [`halo`]; empty in
-    /// cost-model mode).
-    got: BTreeMap<u32, Bytes>,
-    /// Boundary messages that arrived one step early.
-    ahead: BTreeMap<u32, Bytes>,
-    started: bool,
-    done: bool,
 }
 
 impl Partition {
-    fn new(cfg: IrregularConfig, layout: Arc<Layout>, me: u32) -> Self {
+    pub(crate) fn new(cfg: IrregularConfig, layout: Arc<Layout>, me: u32) -> Self {
         let values = if cfg.compute {
             layout.members[me as usize].iter().map(|&v| layout.mesh.init[v as usize]).collect()
         } else {
             Vec::new()
         };
-        Partition {
-            cfg,
-            layout,
-            me,
-            values,
-            remote: BTreeMap::new(),
-            step: 0,
-            got: BTreeMap::new(),
-            ahead: BTreeMap::new(),
-            started: false,
-            done: false,
-        }
+        Partition { cfg, layout, me, values, remote: BTreeMap::new() }
     }
 
-    fn neighbors(&self) -> usize {
-        self.layout.send_lists[self.me as usize].len()
+    /// My neighbour partitions and the edges I send each, by slot.
+    fn lists(&self) -> &[Boundary] {
+        &self.layout.send_lists[self.me as usize]
     }
 
     fn local_index(&self, v: u32) -> usize {
         self.layout.members[self.me as usize].binary_search(&v).expect("local vertex")
     }
+}
 
-    fn send_boundaries(&self, ctx: &mut Ctx<'_>) {
-        let arr = ctx.me().array;
-        for (&peer, edges) in &self.layout.send_lists[self.me as usize] {
-            let mut w = WireWriter::with_capacity(BOUNDARY_HEADER + f64_array_len(edges.len()));
-            w.u32(self.step).u32(self.me);
-            if self.cfg.compute {
-                let vals: Vec<f64> = edges.iter().map(|&(v, _)| self.values[self.local_index(v)]).collect();
-                w.f64_slice(&vals);
-            } else {
-                w.f64_zeros(edges.len());
-            }
-            ctx.send(arr, ElemId(peer), BOUNDARY, w.finish());
+impl Halo for Partition {
+    const ARRAY: &'static str = "irregular";
+
+    type Slots = Box<[Bytes]>;
+
+    fn slots(&self) -> Box<[Bytes]> {
+        vec![Bytes::new(); self.lists().len()].into()
+    }
+
+    fn neighbor(&self, slot: usize) -> Option<(ElemId, u8)> {
+        let peer = self.lists()[slot].0;
+        Some((ElemId(peer), self.layout.slot(self.me, peer) as u8))
+    }
+
+    fn halo_len(&self, slot: usize) -> usize {
+        self.lists()[slot].1.len()
+    }
+
+    fn halo(&self, slot: usize) -> impl Iterator<Item = f64> + '_ {
+        self.lists()[slot].1.iter().map(|&(v, _)| self.values[self.local_index(v)])
+    }
+
+    /// Fold a neighbour's boundary values into `remote`: it sent its
+    /// endpoints of its edges to me, in its own list's order.
+    fn fill(&mut self, slot: usize, values: impl Iterator<Item = f64>) {
+        let peer = self.lists()[slot].0;
+        let theirs = &self.layout.send_lists[peer as usize][self.layout.slot(self.me, peer)].1;
+        for (&(their_v, _our_u), val) in theirs.iter().zip(values) {
+            self.remote.insert(their_v, val);
         }
     }
 
-    /// Fold received boundary vectors into `remote` and run one step.
-    fn compute_step(&mut self) {
+    fn compute(&mut self, _step: u32, msgs: usize) -> (Dur, u32) {
+        let members = &self.layout.members[self.me as usize];
         if self.cfg.compute {
-            let me = self.me as usize;
-            for (&peer, msg) in &self.got {
-                // The peer sent its endpoints of the peer→me edges, which
-                // from our side is send_lists[me][peer] with roles swapped:
-                // canonical order is the same edge set sorted from the
-                // *sender's* perspective, so reconstruct from the peer's
-                // list shape: edges (their v, our u) sorted by (v, u).
-                let their_edges = &self.layout.send_lists[peer as usize][&self.me];
-                for (&(their_v, _our_u), val) in their_edges.iter().zip(halo::values(msg, BOUNDARY_HEADER)) {
-                    self.remote.insert(their_v, val);
-                }
-            }
-            let members = &self.layout.members[me];
             let mut next = Vec::with_capacity(members.len());
             for (i, &v) in members.iter().enumerate() {
                 let list = &self.layout.mesh.adj[v as usize];
@@ -321,88 +299,29 @@ impl Partition {
             }
             self.values = next;
         }
-        self.got.clear();
+        (self.cfg.cost.step_cost(members.len(), msgs), 1)
     }
 
-    fn advance_while_ready(&mut self, ctx: &mut Ctx<'_>) {
-        while self.started && !self.done && self.got.len() == self.neighbors() {
-            let n_vertices = self.layout.members[self.me as usize].len();
-            ctx.charge(self.cfg.cost.step_cost(n_vertices, self.neighbors()));
-            self.compute_step();
-            self.step += 1;
-            if self.step >= self.cfg.steps {
-                self.done = true;
-                let sum: f64 = self.values.iter().sum();
-                let mut w = WireWriter::new();
-                w.f64(sum);
-                ctx.contribute_gather(w.finish());
-                return;
-            }
-            self.send_boundaries(ctx);
-            self.got = std::mem::take(&mut self.ahead);
-        }
+    fn block_sum(&self) -> f64 {
+        self.values.iter().sum()
+    }
+
+    fn steps(&self) -> u32 {
+        self.cfg.steps
+    }
+
+    fn computes(&self) -> bool {
+        self.cfg.compute
     }
 }
 
-impl Chare for Partition {
-    fn receive(&mut self, entry: EntryId, payload: &[u8], ctx: &mut Ctx<'_>) {
-        match entry {
-            START => {
-                assert!(!self.started, "START twice");
-                self.started = true;
-                self.send_boundaries(ctx);
-                self.advance_while_ready(ctx);
-            }
-            BOUNDARY => {
-                let mut r = WireReader::new(payload);
-                let step = r.u32().expect("step");
-                let peer = r.u32().expect("peer");
-                let edges = self.layout.send_lists.get(peer as usize).and_then(|lists| lists.get(&self.me));
-                let edges = edges.unwrap_or_else(|| panic!("boundary from {peer}, which is not a neighbour"));
-                halo::check(payload, BOUNDARY_HEADER, edges.len(), format_args!("boundary from {peer} step {step}"));
-                let msg = halo::keep(ctx, self.cfg.compute);
-                if step == self.step {
-                    let prev = self.got.insert(peer, msg);
-                    assert!(prev.is_none(), "duplicate boundary from {peer}");
-                    self.advance_while_ready(ctx);
-                } else if step == self.step + 1 {
-                    let prev = self.ahead.insert(peer, msg);
-                    assert!(prev.is_none(), "partition {peer} ran two steps ahead");
-                } else {
-                    panic!("boundary for step {step} while at {}", self.step);
-                }
-            }
-            other => panic!("unknown irregular entry {other:?}"),
-        }
-    }
-}
-
-/// Run under the simulation engine.
-pub fn run_sim(cfg: IrregularConfig, net: NetworkModel, run_cfg: RunConfig) -> IrregularOutcome {
+/// Run under the simulation engine; the outcome's `block_sums` are the
+/// partitions' value sums.
+pub fn run_sim(cfg: IrregularConfig, net: NetworkModel, run_cfg: RunConfig) -> StencilOutcome {
     let layout = Arc::new(Layout::new(IrregularMesh::jittered_grid(cfg.side, cfg.seed), cfg.parts));
-    let sums: Arc<Mutex<Vec<f64>>> = Arc::new(Mutex::new(Vec::new()));
-    let sums_c = Arc::clone(&sums);
-    let mut p = Program::new();
-    let cfg_f = cfg.clone();
-    let layout_f = Arc::clone(&layout);
-    let arr = p.array("irregular", cfg.parts, Mapping::Block, move |elem| {
-        Box::new(Partition::new(cfg_f.clone(), Arc::clone(&layout_f), elem.0)) as Box<dyn Chare>
-    });
-    p.on_startup(move |ctl| ctl.broadcast(arr, START, vec![]));
-    p.on_reduction(arr, move |_seq, data, ctl| {
-        if let ReduceData::Gathered(rows) = data {
-            let mut out = sums_c.lock().expect("sums");
-            out.clear();
-            for (_, bytes) in rows {
-                out.push(WireReader::new(bytes).f64().expect("sum"));
-            }
-        }
-        ctl.exit();
-    });
-    let report = SimEngine::new(net, run_cfg).run(p);
-    let total = report.end_time - Time::ZERO;
-    let partition_sums = sums.lock().expect("sums").clone();
-    IrregularOutcome { ms_per_step: total.as_millis_f64() / cfg.steps as f64, partition_sums, report }
+    let (parts, steps) = (cfg.parts, cfg.steps);
+    let make = move |elem: ElemId| Partition::new(cfg.clone(), Arc::clone(&layout), elem.0);
+    halo::run(parts, Mapping::Block, steps, false, make, |p| SimEngine::new(net, run_cfg).run(p))
 }
 
 #[cfg(test)]
@@ -461,31 +380,13 @@ mod tests {
         let expect = IrregularMesh::partition_sums(&mesh.seq_run(cfg.steps), &part, cfg.parts);
         let net = NetworkModel::two_cluster_sweep(pes, Dur::from_millis(lat_ms));
         let out = run_sim(cfg, net, RunConfig::default());
-        assert_eq!(out.partition_sums.len(), expect.len());
-        for (i, (got, want)) in out.partition_sums.iter().zip(&expect).enumerate() {
+        assert_eq!(out.block_sums.len(), expect.len());
+        for (i, (got, want)) in out.block_sums.iter().zip(&expect).enumerate() {
             // Identical adjacency-order accumulation per vertex; the
             // partition sum itself adds vertices in ascending order both
             // sides, so equality is exact.
             assert_eq!(got, want, "partition {i} checksum");
         }
-    }
-
-    /// A boundary vector one value short fails where it arrives, in
-    /// cost-model mode too, where no step reads its values.
-    #[test]
-    #[should_panic(expected = "wrong length")]
-    fn a_short_boundary_fails_on_receipt_in_cost_model_mode() {
-        let c = IrregularConfig { compute: false, ..cfg(8, 4, 5) };
-        let layout = Arc::new(Layout::new(IrregularMesh::jittered_grid(c.side, c.seed), c.parts));
-        let (&peer, _) = layout.send_lists[0].iter().next().expect("partition 0 has a neighbour");
-        let len = layout.send_lists[peer as usize][&0].len();
-        let mut p = Program::new();
-        p.array("irregular", c.parts, Mapping::Block, move |elem| {
-            Box::new(Partition::new(c.clone(), Arc::clone(&layout), elem.0)) as Box<dyn Chare>
-        });
-        let mut w = WireWriter::new();
-        w.u32(0).u32(peer).f64_zeros(len - 1);
-        crate::halo::deliver(p, ElemId(0), BOUNDARY, w.finish());
     }
 
     #[test]

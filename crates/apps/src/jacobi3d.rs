@@ -11,32 +11,24 @@
 //! memory is too small" workload the paper's §6 motivates.
 //!
 //! Same contract as the other applications: asynchronous neighbour-driven
-//! stepping, a calibrated cost model, and **bit-exact** agreement with
-//! the sequential reference.
+//! stepping — the step protocol every halo application shares
+//! (`crate::halo`), here over six faces — a calibrated cost model, and
+//! **bit-exact** agreement with the sequential reference.  This module
+//! supplies the block's geometry, its faces, the 7-point kernel and its
+//! cost.
 
-use std::sync::{Arc, Mutex};
-
-use mdo_core::chare::{Chare, Ctx};
-use mdo_core::envelope::ReduceData;
-use mdo_core::ids::{ElemId, EntryId};
-use mdo_core::prelude::{WireReader, WireWriter};
-use mdo_core::program::{Program, RunConfig, RunReport};
-use mdo_core::wire::f64_array_len;
+use bytes::Bytes;
+use mdo_core::ids::ElemId;
+use mdo_core::program::RunConfig;
 use mdo_core::{Mapping, SimEngine};
 use mdo_netsim::network::NetworkModel;
-use mdo_netsim::Time;
+use mdo_netsim::Dur;
 
-use crate::halo;
-use crate::stencil::StencilCost;
+use crate::halo::{self, Halo};
+use crate::stencil::{StencilCost, StencilOutcome};
 
-const START: EntryId = EntryId(1);
-/// Entry: a neighbour's face (payload: slot u8, step u32, values).
-const FACE: EntryId = EntryId(2);
-/// Bytes of a face message before its values: the slot and the step.
-const FACE_HEADER: usize = 1 + 4;
-
-/// The six face directions: ±x, ±y, ±z.
-const DIRS: [(i8, i8, i8); 6] = [(-1, 0, 0), (1, 0, 0), (0, -1, 0), (0, 1, 0), (0, 0, -1), (0, 0, 1)];
+/// The six face directions: ±x, ±y, ±z (opposites pair as `d ^ 1`).
+const DIRS: [[isize; 3]; 6] = [[-1, 0, 0], [1, 0, 0], [0, -1, 0], [0, 1, 0], [0, 0, -1], [0, 0, 1]];
 
 /// Deterministic initial condition.
 pub fn initial_value(n: usize, x: usize, y: usize, z: usize) -> f64 {
@@ -164,37 +156,16 @@ impl Jacobi3dConfig {
     }
 }
 
-/// Outcome of a run.
-#[derive(Debug)]
-pub struct Jacobi3dOutcome {
-    /// Mean milliseconds per step.
-    pub ms_per_step: f64,
-    /// Per-block sums (zeros unless compute).
-    pub block_sums: Vec<f64>,
-    /// Engine report.
-    pub report: RunReport,
-}
-
-struct Block3d {
+pub(crate) struct Block3d {
     cfg: Jacobi3dConfig,
-    bx: usize,
-    by: usize,
-    bz: usize,
+    at: [usize; 3],
     /// (b+2)³ working array with ghost shell; empty unless compute.
     grid: Vec<f64>,
     next: Vec<f64>,
-    step: u32,
-    /// Faces received for the current step, kept as delivered and read in
-    /// place by the step (see [`halo`]; empty in cost-model mode).
-    got: halo::Slots<6>,
-    /// Faces that arrived one step early.
-    ahead: halo::Slots<6>,
-    started: bool,
-    done: bool,
 }
 
 impl Block3d {
-    fn new(cfg: Jacobi3dConfig, elem: ElemId) -> Self {
+    pub(crate) fn new(cfg: Jacobi3dConfig, elem: ElemId) -> Self {
         let k = cfg.k;
         let b = cfg.block();
         let id = elem.index();
@@ -213,126 +184,60 @@ impl Block3d {
             }
         }
         let next = if cfg.compute { grid.clone() } else { next };
-        Block3d {
-            cfg,
-            bx,
-            by,
-            bz,
-            grid,
-            next,
-            step: 0,
-            got: halo::Slots::default(),
-            ahead: halo::Slots::default(),
-            started: false,
-            done: false,
-        }
+        Block3d { cfg, at: [bx, by, bz], grid, next }
     }
 
-    fn neighbor(&self, d: usize) -> Option<ElemId> {
-        let k = self.cfg.k as isize;
-        let (dx, dy, dz) = DIRS[d];
-        let (nx, ny, nz) =
-            (self.bx as isize + dx as isize, self.by as isize + dy as isize, self.bz as isize + dz as isize);
-        (nx >= 0 && ny >= 0 && nz >= 0 && nx < k && ny < k && nz < k).then(|| ElemId(((nx * k + ny) * k + nz) as u32))
-    }
-
-    fn n_neighbors(&self) -> usize {
-        (0..6).filter(|&d| self.neighbor(d).is_some()).count()
-    }
-
-    /// The b×b face of my interior adjacent to direction `d` (y-major,
-    /// z-minor within the face for x-faces, and analogous for others).
-    fn face(&self, d: usize) -> Vec<f64> {
+    /// The grid indices of the b×b face of direction `d`, in wire order
+    /// (the other two axes, outer to inner): my ghost shell there, or with
+    /// `inner` my interior face beside it.
+    fn face(&self, d: usize, inner: bool) -> impl Iterator<Item = usize> {
         let b = self.cfg.block();
         let w = b + 2;
-        let idx = |x: usize, y: usize, z: usize| (x * w + y) * w + z;
-        let mut out = Vec::with_capacity(b * b);
-        match d {
-            0 | 1 => {
-                let x = if d == 0 { 1 } else { b };
-                for y in 1..=b {
-                    for z in 1..=b {
-                        out.push(self.grid[idx(x, y, z)]);
-                    }
-                }
-            }
-            2 | 3 => {
-                let y = if d == 2 { 1 } else { b };
-                for x in 1..=b {
-                    for z in 1..=b {
-                        out.push(self.grid[idx(x, y, z)]);
-                    }
-                }
-            }
-            _ => {
-                let z = if d == 4 { 1 } else { b };
-                for x in 1..=b {
-                    for y in 1..=b {
-                        out.push(self.grid[idx(x, y, z)]);
-                    }
-                }
-            }
-        }
-        out
+        let stride = [w * w, w, 1];
+        let depth = match (d % 2, inner) {
+            (0, true) => 1,
+            (0, false) => 0,
+            (_, true) => b,
+            (_, false) => b + 1,
+        };
+        let base = depth * stride[d / 2];
+        let (si, sj) = match d / 2 {
+            0 => (stride[1], stride[2]),
+            1 => (stride[0], stride[2]),
+            _ => (stride[0], stride[1]),
+        };
+        (1..=b).flat_map(move |i| (1..=b).map(move |j| base + i * si + j * sj))
+    }
+}
+
+impl Halo for Block3d {
+    const ARRAY: &'static str = "jacobi3d";
+
+    type Slots = [Bytes; 6];
+
+    fn slots(&self) -> [Bytes; 6] {
+        Default::default()
     }
 
-    /// Install a received face into my ghost shell (from direction `d`).
-    fn fill(&mut self, d: usize, msg: &[u8]) {
-        let b = self.cfg.block();
-        if !self.cfg.compute {
-            return;
-        }
-        let w = b + 2;
-        let idx = |x: usize, y: usize, z: usize| (x * w + y) * w + z;
-        let mut it = halo::values(msg, FACE_HEADER);
-        match d {
-            0 | 1 => {
-                let x = if d == 0 { 0 } else { b + 1 };
-                for y in 1..=b {
-                    for z in 1..=b {
-                        self.grid[idx(x, y, z)] = it.next().expect("sized on receipt");
-                    }
-                }
-            }
-            2 | 3 => {
-                let y = if d == 2 { 0 } else { b + 1 };
-                for x in 1..=b {
-                    for z in 1..=b {
-                        self.grid[idx(x, y, z)] = it.next().expect("sized on receipt");
-                    }
-                }
-            }
-            _ => {
-                let z = if d == 4 { 0 } else { b + 1 };
-                for x in 1..=b {
-                    for y in 1..=b {
-                        self.grid[idx(x, y, z)] = it.next().expect("sized on receipt");
-                    }
-                }
-            }
+    fn neighbor(&self, d: usize) -> Option<(ElemId, u8)> {
+        halo::grid_neighbor(self.cfg.k, self.at, DIRS[d]).map(|n| (n, d as u8 ^ 1))
+    }
+
+    fn halo_len(&self, _d: usize) -> usize {
+        self.cfg.block() * self.cfg.block()
+    }
+
+    fn halo(&self, d: usize) -> impl Iterator<Item = f64> + '_ {
+        self.face(d, true).map(|i| self.grid[i])
+    }
+
+    fn fill(&mut self, d: usize, values: impl Iterator<Item = f64>) {
+        for (i, v) in self.face(d, false).zip(values) {
+            self.grid[i] = v;
         }
     }
 
-    fn send_faces(&self, ctx: &mut Ctx<'_>) {
-        let me = ctx.me();
-        for d in 0..6 {
-            if let Some(n) = self.neighbor(d) {
-                let opp = d ^ 1; // DIRS pairs: (0,1), (2,3), (4,5)
-                let len = self.cfg.block() * self.cfg.block();
-                let mut w = WireWriter::with_capacity(FACE_HEADER + f64_array_len(len));
-                w.u8(opp as u8).u32(self.step);
-                if self.cfg.compute {
-                    w.f64_slice(&self.face(d));
-                } else {
-                    // Cost-model mode: a zero face of the real size.
-                    w.f64_zeros(len);
-                }
-                ctx.send(me.array, n, FACE, w.finish());
-            }
-        }
-    }
-
-    fn compute_step(&mut self) {
+    fn compute(&mut self, _step: u32, msgs: usize) -> (Dur, u32) {
         let b = self.cfg.block();
         if self.cfg.compute {
             let w = b + 2;
@@ -354,12 +259,10 @@ impl Block3d {
             }
             std::mem::swap(&mut self.grid, &mut self.next);
         }
+        (self.cfg.cost.step_cost(b * b * b, msgs), 1)
     }
 
     fn block_sum(&self) -> f64 {
-        if !self.cfg.compute {
-            return 0.0;
-        }
         let b = self.cfg.block();
         let w = b + 2;
         let mut s = 0.0;
@@ -373,84 +276,20 @@ impl Block3d {
         s
     }
 
-    fn advance_while_ready(&mut self, ctx: &mut Ctx<'_>) {
-        while self.started && !self.done && self.got.len() == self.n_neighbors() {
-            let mut got = std::mem::take(&mut self.got);
-            got.drain(|d, msg| self.fill(d, &msg));
-            let b = self.cfg.block();
-            ctx.charge(self.cfg.cost.step_cost(b * b * b, self.n_neighbors()));
-            self.compute_step();
-            self.step += 1;
-            if self.step >= self.cfg.steps {
-                self.done = true;
-                let mut w = WireWriter::new();
-                w.f64(self.block_sum());
-                ctx.contribute_gather(w.finish());
-                return;
-            }
-            self.send_faces(ctx);
-            self.got = std::mem::take(&mut self.ahead);
-        }
+    fn steps(&self) -> u32 {
+        self.cfg.steps
     }
-}
 
-impl Chare for Block3d {
-    fn receive(&mut self, entry: EntryId, payload: &[u8], ctx: &mut Ctx<'_>) {
-        match entry {
-            START => {
-                assert!(!self.started, "START twice");
-                self.started = true;
-                self.send_faces(ctx);
-                self.advance_while_ready(ctx);
-            }
-            FACE => {
-                let mut r = WireReader::new(payload);
-                let slot = r.u8().expect("slot") as usize;
-                let step = r.u32().expect("step");
-                assert!(slot < 6 && self.neighbor(slot).is_some(), "face for slot {slot}, which has no neighbour");
-                let b = self.cfg.block();
-                halo::check(payload, FACE_HEADER, b * b, format_args!("face for slot {slot} step {step}"));
-                let msg = halo::keep(ctx, self.cfg.compute);
-                if step == self.step {
-                    let fresh = self.got.put(slot, msg);
-                    assert!(fresh, "duplicate face");
-                    self.advance_while_ready(ctx);
-                } else if step == self.step + 1 {
-                    let fresh = self.ahead.put(slot, msg);
-                    assert!(fresh, "neighbour two steps ahead");
-                } else {
-                    panic!("face for step {step} while at {}", self.step);
-                }
-            }
-            other => panic!("unknown jacobi3d entry {other:?}"),
-        }
+    fn computes(&self) -> bool {
+        self.cfg.compute
     }
 }
 
 /// Run under the simulation engine.
-pub fn run_sim(cfg: Jacobi3dConfig, net: NetworkModel, run_cfg: RunConfig) -> Jacobi3dOutcome {
-    let sums: Arc<Mutex<Vec<f64>>> = Arc::new(Mutex::new(Vec::new()));
-    let sums_c = Arc::clone(&sums);
-    let mut p = Program::new();
-    let cfg_f = cfg.clone();
-    let arr = p.array("jacobi3d", cfg.objects(), Mapping::Block, move |elem| {
-        Box::new(Block3d::new(cfg_f.clone(), elem)) as Box<dyn Chare>
-    });
-    p.on_startup(move |ctl| ctl.broadcast(arr, START, vec![]));
-    p.on_reduction(arr, move |_seq, data, ctl| {
-        if let ReduceData::Gathered(rows) = data {
-            let mut out = sums_c.lock().expect("sums");
-            out.clear();
-            for (_, bytes) in rows {
-                out.push(WireReader::new(bytes).f64().expect("sum"));
-            }
-        }
-        ctl.exit();
-    });
-    let report = SimEngine::new(net, run_cfg).run(p);
-    let total = report.end_time - Time::ZERO;
-    let block_sums = sums.lock().expect("sums").clone();
-    Jacobi3dOutcome { ms_per_step: total.as_millis_f64() / cfg.steps as f64, block_sums, report }
+pub fn run_sim(cfg: Jacobi3dConfig, net: NetworkModel, run_cfg: RunConfig) -> StencilOutcome {
+    let (objects, steps) = (cfg.objects(), cfg.steps);
+    let make = move |elem| Block3d::new(cfg.clone(), elem);
+    halo::run(objects, Mapping::Block, steps, false, make, |p| SimEngine::new(net, run_cfg).run(p))
 }
 
 #[cfg(test)]
@@ -478,22 +317,6 @@ mod tests {
         for (i, (got, want)) in out.block_sums.iter().zip(&expect).enumerate() {
             assert_eq!(got, want, "block {i}: 3-D parallel field identical to sequential");
         }
-    }
-
-    /// A face one value short fails where it arrives, in cost-model mode
-    /// too, where no step reads its values.
-    #[test]
-    #[should_panic(expected = "face for slot 1 step 0: wrong length")]
-    fn a_short_face_fails_on_receipt_in_cost_model_mode() {
-        let c = Jacobi3dConfig { compute: false, ..cfg(8, 2, 4) };
-        let b = c.block();
-        let mut p = Program::new();
-        p.array("jacobi3d", c.objects(), Mapping::Block, move |elem| {
-            Box::new(Block3d::new(c.clone(), elem)) as Box<dyn Chare>
-        });
-        let mut w = WireWriter::new();
-        w.u8(1).u32(0).f64_zeros(b * b - 1);
-        crate::halo::deliver(p, ElemId(0), FACE, w.finish());
     }
 
     #[test]
@@ -541,9 +364,9 @@ mod tests {
         // pins the slot convention).
         let c = cfg(4, 2, 1);
         let b0 = Block3d::new(c.clone(), ElemId(0));
-        assert_eq!(b0.neighbor(1), Some(ElemId(4)), "+x neighbour of (0,0,0) is (1,0,0)");
+        assert_eq!(b0.neighbor(1), Some((ElemId(4), 0)), "+x neighbour of (0,0,0) is (1,0,0), my face its -x");
         assert_eq!(b0.neighbor(0), None, "-x neighbour outside the mesh");
         let b7 = Block3d::new(c, ElemId(7));
-        assert_eq!(b7.neighbor(0), Some(ElemId(3)), "-x neighbour of (1,1,1) is (0,1,1)");
+        assert_eq!(b7.neighbor(0), Some((ElemId(3), 1)), "-x neighbour of (1,1,1) is (0,1,1), my face its +x");
     }
 }

@@ -19,6 +19,12 @@
 //! * [`workloads`] — synthetic object workloads used by the load-balancer
 //!   ablations.
 //!
+//! The four halo applications — the stencil, its ghost-zone variant,
+//! Jacobi3D and the irregular mesh — share one step protocol (the crate's
+//! `halo` module: exchange with the neighbours, then compute), one program
+//! builder and one outcome type, [`stencil::StencilOutcome`].  Each
+//! supplies only its geometry, kernel, cost and sequential reference.
+//!
 //! Every application exposes a *cost model* (virtual ns per unit of work)
 //! so the simulation engine reproduces the paper's absolute time scale,
 //! and a `compute` switch that runs the real kernels for validation.

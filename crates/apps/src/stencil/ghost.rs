@@ -10,33 +10,23 @@
 //! "is not applicable to all problems such as the LeanMD molecular
 //! dynamics code".
 //!
-//! The computed field is *mathematically identical* to plain Jacobi, so
-//! the tests check bit-equality against [`super::seq::SeqStencil`].
+//! The exchange is the step protocol every halo application shares
+//! (`crate::halo`), a round of `g` steps tagged as one; this module
+//! supplies the strips, the `g`-step kernel and its cost.  The computed
+//! field is *mathematically identical* to plain Jacobi, so the tests check
+//! bit-equality against [`super::seq::SeqStencil`].
 
-use std::sync::{Arc, Mutex};
+use std::ops::Range;
 
-use mdo_core::chare::{Chare, Ctx};
-use mdo_core::envelope::ReduceData;
-use mdo_core::ids::{ElemId, EntryId};
-use mdo_core::prelude::{WireReader, WireWriter};
-use mdo_core::program::{Program, RunConfig};
-use mdo_core::wire::f64_array_len;
+use bytes::Bytes;
+use mdo_core::ids::ElemId;
+use mdo_core::program::RunConfig;
 use mdo_core::{Mapping, SimEngine};
 use mdo_netsim::network::NetworkModel;
-use mdo_netsim::Time;
+use mdo_netsim::Dur;
 
-use super::seq;
-use super::{StencilCost, StencilOutcome};
-use crate::halo;
-
-const START: EntryId = EntryId(1);
-/// Entry: a neighbour's strip (payload: slot u8, round u32, values).
-const HALO: EntryId = EntryId(2);
-/// Bytes of a halo message before its values: the slot and the round.
-const HALO_HEADER: usize = 1 + 4;
-
-/// The eight neighbour directions (row delta, col delta).
-const DIRS: [(i8, i8); 8] = [(-1, 0), (1, 0), (0, -1), (0, 1), (-1, -1), (-1, 1), (1, -1), (1, 1)];
+use super::{seq, StencilCost, StencilOutcome, DIRS};
+use crate::halo::{self, Halo};
 
 /// Configuration for a ghost-zone stencil run.
 #[derive(Clone, Debug)]
@@ -73,7 +63,7 @@ impl GhostConfig {
     }
 }
 
-struct GhostBlock {
+pub(crate) struct GhostBlock {
     cfg: GhostConfig,
     bi: usize,
     bj: usize,
@@ -81,23 +71,10 @@ struct GhostBlock {
     /// (bi·b + r − g, bj·b + c − g).
     grid: Vec<f64>,
     next: Vec<f64>,
-    /// Completed global steps.
-    step: u32,
-    /// Current exchange round (step / layers).
-    round: u32,
-    /// Halos received for the current round, kept as delivered and read
-    /// in place when the round starts (see [`halo`]; empty in cost-model
-    /// mode).
-    got: halo::Slots<8>,
-    /// Halos that arrived one round early.
-    ahead: halo::Slots<8>,
-    /// Set by START; see the plain stencil's `started` field.
-    started: bool,
-    done: bool,
 }
 
 impl GhostBlock {
-    fn new(cfg: GhostConfig, elem: ElemId) -> Self {
+    pub(crate) fn new(cfg: GhostConfig, elem: ElemId) -> Self {
         let k = cfg.k();
         let b = cfg.block();
         let g = cfg.layers;
@@ -111,138 +88,69 @@ impl GhostBlock {
                 }
             }
         }
-        GhostBlock {
-            cfg,
-            bi,
-            bj,
-            grid,
-            next,
-            step: 0,
-            round: 0,
-            got: halo::Slots::default(),
-            ahead: halo::Slots::default(),
-            started: false,
-            done: false,
-        }
+        GhostBlock { cfg, bi, bj, grid, next }
     }
 
-    fn neighbor(&self, d: usize) -> Option<ElemId> {
-        let k = self.cfg.k() as isize;
-        let (dr, dc) = DIRS[d];
-        let (ni, nj) = (self.bi as isize + dr as isize, self.bj as isize + dc as isize);
-        (ni >= 0 && nj >= 0 && ni < k && nj < k).then(|| ElemId((ni * k + nj) as u32))
-    }
-
-    fn n_neighbors(&self) -> usize {
-        (0..8).filter(|&d| self.neighbor(d).is_some()).count()
-    }
-
-    /// Values in the strip facing direction `d`.
-    fn strip_len(&self, d: usize) -> usize {
+    /// The rows and the columns of the strip facing direction `d`: my halo
+    /// region there, or with `inner` my interior strip beside it (the data
+    /// the neighbour needs as its halo).
+    fn strip(&self, d: usize, inner: bool) -> (Range<usize>, Range<usize>) {
         let (b, g) = (self.cfg.block(), self.cfg.layers);
-        let (dr, dc) = DIRS[d];
-        (if dr == 0 { b } else { g }) * (if dc == 0 { b } else { g })
+        let span = |delta: isize| match (delta, inner) {
+            (0, _) => g..g + b,
+            (-1, true) => g..2 * g,
+            (-1, false) => 0..g,
+            (_, true) => b..g + b,
+            (_, false) => g + b..b + 2 * g,
+        };
+        (span(DIRS[d][0]), span(DIRS[d][1]))
     }
 
-    /// My interior strip adjacent to direction `d`: the data the neighbour
-    /// needs as its halo.  Row-major within the strip.  Real-kernel mode
-    /// only.
-    fn strip(&self, d: usize) -> Vec<f64> {
-        let b = self.cfg.block();
-        let g = self.cfg.layers;
-        let w = b + 2 * g;
-        let (dr, dc) = DIRS[d];
-        let rows = if dr == 0 {
-            g..g + b
-        } else if dr < 0 {
-            g..2 * g
-        } else {
-            g + b - g..g + b
-        };
-        let cols = if dc == 0 {
-            g..g + b
-        } else if dc < 0 {
-            g..2 * g
-        } else {
-            g + b - g..g + b
-        };
-        let mut out = Vec::with_capacity(rows.len() * cols.len());
-        for r in rows {
-            for c in cols.clone() {
-                out.push(self.grid[r * w + c]);
-            }
-        }
-        out
+    /// The grid indices of the strip facing direction `d`, row-major.
+    fn cells(&self, d: usize, inner: bool) -> impl Iterator<Item = usize> {
+        let w = self.cfg.block() + 2 * self.cfg.layers;
+        let (rows, cols) = self.strip(d, inner);
+        rows.flat_map(move |r| cols.clone().map(move |c| r * w + c))
+    }
+}
+
+impl Halo for GhostBlock {
+    const ARRAY: &'static str = "ghost-blocks";
+
+    type Slots = [Bytes; 8];
+
+    fn slots(&self) -> [Bytes; 8] {
+        Default::default()
     }
 
-    /// Fill my halo region from the message that came from direction `d`.
-    fn fill(&mut self, d: usize, msg: &[u8]) {
-        if !self.cfg.compute {
-            return;
-        }
-        let b = self.cfg.block();
-        let g = self.cfg.layers;
-        let w = b + 2 * g;
-        let (dr, dc) = DIRS[d];
-        let rows = if dr == 0 {
-            g..g + b
-        } else if dr < 0 {
-            0..g
-        } else {
-            g + b..w
-        };
-        let cols = if dc == 0 {
-            g..g + b
-        } else if dc < 0 {
-            0..g
-        } else {
-            g + b..w
-        };
-        let mut it = halo::values(msg, HALO_HEADER);
-        for r in rows {
-            for c in cols.clone() {
-                self.grid[r * w + c] = it.next().expect("sized on receipt");
-            }
-        }
+    fn neighbor(&self, d: usize) -> Option<(ElemId, u8)> {
+        // The receiver sees my data as coming from the opposite direction.
+        let opposite = if d < 4 { d ^ 1 } else { 11 - d };
+        halo::grid_neighbor(self.cfg.k(), [self.bi, self.bj], DIRS[d]).map(|n| (n, opposite as u8))
     }
 
-    fn send_halos(&self, ctx: &mut Ctx<'_>) {
-        let me = ctx.me();
-        for d in 0..8 {
-            if let Some(n) = self.neighbor(d) {
-                // The receiver sees my data as coming from the opposite dir.
-                let opp = match d {
-                    0 => 1,
-                    1 => 0,
-                    2 => 3,
-                    3 => 2,
-                    4 => 7,
-                    5 => 6,
-                    6 => 5,
-                    7 => 4,
-                    _ => unreachable!(),
-                };
-                let len = self.strip_len(d);
-                let mut w = WireWriter::with_capacity(HALO_HEADER + f64_array_len(len));
-                w.u8(opp as u8).u32(self.round);
-                if self.cfg.compute {
-                    w.f64_slice(&self.strip(d));
-                } else {
-                    // Match the real strip's wire size (see the plain stencil).
-                    w.f64_zeros(len);
-                }
-                ctx.send(me.array, n, HALO, w.finish());
-            }
+    fn halo_len(&self, d: usize) -> usize {
+        let (rows, cols) = self.strip(d, true);
+        rows.len() * cols.len()
+    }
+
+    fn halo(&self, d: usize) -> impl Iterator<Item = f64> + '_ {
+        self.cells(d, true).map(|i| self.grid[i])
+    }
+
+    fn fill(&mut self, d: usize, values: impl Iterator<Item = f64>) {
+        for (i, v) in self.cells(d, false).zip(values) {
+            self.grid[i] = v;
         }
     }
 
     /// `layers` local Jacobi steps on the shrinking valid region.
-    fn compute_rounds(&mut self, ctx: &mut Ctx<'_>) {
+    fn compute(&mut self, step: u32, msgs: usize) -> (Dur, u32) {
         let b = self.cfg.block();
         let g = self.cfg.layers;
         let w = b + 2 * g;
         let n = self.cfg.mesh as isize;
-        let steps_this_round = (self.cfg.steps - self.step).min(g as u32) as usize;
+        let steps_this_round = (self.cfg.steps - step).min(g as u32) as usize;
         let mut cost_cells = 0usize;
         for t in 1..=steps_this_round {
             // After t local steps only depth ≤ g−t halo cells stay valid.
@@ -273,106 +181,29 @@ impl GhostBlock {
                 std::mem::swap(&mut self.grid, &mut self.next);
             }
         }
-        ctx.charge(self.cfg.cost.step_cost(cost_cells, self.n_neighbors()));
-        self.step += steps_this_round as u32;
-        self.round += 1;
+        (self.cfg.cost.step_cost(cost_cells, msgs), steps_this_round as u32)
     }
 
     fn block_sum(&self) -> f64 {
-        if !self.cfg.compute {
-            return 0.0;
-        }
-        let b = self.cfg.block();
-        let g = self.cfg.layers;
+        let (b, g) = (self.cfg.block(), self.cfg.layers);
         let w = b + 2 * g;
-        let mut s = 0.0;
-        for r in g..g + b {
-            for c in g..g + b {
-                s += self.grid[r * w + c];
-            }
-        }
-        s
+        (g..g + b).flat_map(|r| (g..g + b).map(move |c| r * w + c)).fold(0.0, |s, i| s + self.grid[i])
     }
 
-    fn advance_while_ready(&mut self, ctx: &mut Ctx<'_>) {
-        while self.started && !self.done && self.got.len() == self.n_neighbors() {
-            let mut got = std::mem::take(&mut self.got);
-            got.drain(|d, msg| self.fill(d, &msg));
-            self.compute_rounds(ctx);
-            if self.step >= self.cfg.steps {
-                self.done = true;
-                let mut w = WireWriter::new();
-                w.f64(self.block_sum());
-                ctx.contribute_gather(w.finish());
-                return;
-            }
-            self.send_halos(ctx);
-            self.got = std::mem::take(&mut self.ahead);
-        }
+    fn steps(&self) -> u32 {
+        self.cfg.steps
     }
-}
 
-impl Chare for GhostBlock {
-    fn receive(&mut self, entry: EntryId, payload: &[u8], ctx: &mut Ctx<'_>) {
-        match entry {
-            START => {
-                assert!(!self.started, "START delivered twice");
-                self.started = true;
-                self.send_halos(ctx);
-                self.advance_while_ready(ctx);
-            }
-            HALO => {
-                let mut r = WireReader::new(payload);
-                let slot = r.u8().expect("slot") as usize;
-                let round = r.u32().expect("round");
-                assert!(slot < 8 && self.neighbor(slot).is_some(), "halo for slot {slot}, which has no neighbour");
-                halo::check(
-                    payload,
-                    HALO_HEADER,
-                    self.strip_len(slot),
-                    format_args!("halo for slot {slot} round {round}"),
-                );
-                let msg = halo::keep(ctx, self.cfg.compute);
-                if round == self.round {
-                    let fresh = self.got.put(slot, msg);
-                    assert!(fresh, "duplicate halo");
-                    self.advance_while_ready(ctx);
-                } else if round == self.round + 1 {
-                    let fresh = self.ahead.put(slot, msg);
-                    assert!(fresh, "neighbour two rounds ahead");
-                } else {
-                    panic!("halo for round {round} while at {}", self.round);
-                }
-            }
-            other => panic!("unknown ghost entry {other:?}"),
-        }
+    fn computes(&self) -> bool {
+        self.cfg.compute
     }
 }
 
 /// Run the ghost-zone stencil under the simulation engine.
 pub fn run_sim(cfg: GhostConfig, net: NetworkModel, run_cfg: RunConfig) -> StencilOutcome {
-    let sums: Arc<Mutex<Vec<f64>>> = Arc::new(Mutex::new(Vec::new()));
-    let sums_c = Arc::clone(&sums);
-    let mut p = Program::new();
-    let cfg_f = cfg.clone();
-    let arr = p.array("ghost-blocks", cfg.objects, Mapping::Block, move |elem| {
-        Box::new(GhostBlock::new(cfg_f.clone(), elem)) as Box<dyn Chare>
-    });
-    p.on_startup(move |ctl| ctl.broadcast(arr, START, vec![]));
-    p.on_reduction(arr, move |_seq, data, ctl| {
-        if let ReduceData::Gathered(rows) = data {
-            let mut out = sums_c.lock().expect("sums lock");
-            out.clear();
-            for (_, bytes) in rows {
-                out.push(WireReader::new(bytes).f64().expect("sum"));
-            }
-        }
-        ctl.exit();
-    });
-    let report = SimEngine::new(net, run_cfg).run(p);
-    let total = report.end_time - Time::ZERO;
-    let block_sums = sums.lock().expect("sums lock").clone();
-    StencilOutcome { total, ms_per_step: total.as_millis_f64() / cfg.steps as f64, block_sums, report }
+    let (objects, steps) = (cfg.objects, cfg.steps);
+    let make = move |elem| GhostBlock::new(cfg.clone(), elem);
+    halo::run(objects, Mapping::Block, steps, false, make, |p| SimEngine::new(net, run_cfg).run(p))
 }
 
 #[cfg(test)]
@@ -401,22 +232,6 @@ mod tests {
         for (i, (got, want)) in out.block_sums.iter().zip(&expect).enumerate() {
             assert_eq!(got, want, "block {i}: ghost-zone result identical to plain Jacobi");
         }
-    }
-
-    /// A strip one value short fails where it arrives, in cost-model mode
-    /// too, where no round reads its values.
-    #[test]
-    #[should_panic(expected = "halo for slot 1 round 0: wrong length")]
-    fn a_short_halo_fails_on_receipt_in_cost_model_mode() {
-        let c = GhostConfig { compute: false, ..cfg(4, 2, 4, 16) };
-        let len = GhostBlock::new(c.clone(), ElemId(0)).strip_len(1);
-        let mut p = Program::new();
-        p.array("blocks", c.objects, Mapping::Block, move |elem| {
-            Box::new(GhostBlock::new(c.clone(), elem)) as Box<dyn Chare>
-        });
-        let mut w = WireWriter::new();
-        w.u8(1).u32(0).f64_zeros(len - 1);
-        crate::halo::deliver(p, ElemId(0), HALO, w.finish());
     }
 
     #[test]

@@ -5,11 +5,13 @@
 //! within the mesh evenly among a specified number of objects").  Each
 //! time step every block exchanges one edge vector with each von-Neumann
 //! neighbour — four messages per object per step — and updates its cells.
-//! Blocks advance **asynchronously**: a block steps as soon as *its* four
-//! ghosts arrive, so blocks whose neighbours are local can run ahead while
-//! cross-cluster ghosts are in flight.  That pipelining is what masks the
-//! wide-area latency, and the degree of virtualization (objects per PE)
-//! controls how much maskable work each PE holds.
+//! Blocks advance **asynchronously**, each as soon as *its* four ghosts
+//! arrive: the step protocol every halo application shares
+//! (`crate::halo`), which masks the wide-area latency as far as the degree
+//! of virtualization (objects per PE) gives each PE maskable work.  This
+//! module supplies the block's geometry, its Jacobi kernel and cost model,
+//! and the pack/unpack of its grid that lets blocks migrate at `lb_period`
+//! barriers and be checkpointed.
 //!
 //! Submodules: [`seq`] (sequential reference), [`ghost`] (multi-layer
 //! ghost-zone variant — the algorithm-level baseline), [`bsp`] (the
@@ -23,43 +25,22 @@ pub mod seq;
 
 use std::sync::{Arc, Mutex};
 
-use mdo_core::chare::{Chare, Ctx};
-use mdo_core::envelope::ReduceData;
-use mdo_core::ids::{ArrayId, ElemId, EntryId};
+use bytes::Bytes;
+use mdo_core::ids::ElemId;
 use mdo_core::prelude::{WireReader, WireWriter};
 use mdo_core::program::{Program, RunConfig, RunReport};
-use mdo_core::wire::f64_array_len;
 use mdo_core::{Mapping, SimEngine, ThreadedConfig, ThreadedEngine};
 use mdo_netsim::network::NetworkModel;
-use mdo_netsim::{Dur, LatencyMatrix, Time, Topology};
+use mdo_netsim::{Dur, LatencyMatrix, Topology};
 
-use crate::halo;
+pub use crate::halo::StencilOutcome;
+use crate::halo::{self, Halo};
 
-/// Entry: begin stepping (broadcast at startup).
-const START: EntryId = EntryId(1);
-/// Entry: a neighbour's edge vector (payload: slot u8, step u32, cells).
-const GHOST: EntryId = EntryId(2);
-/// Bytes of a ghost message before its cells: the slot and the step.
-const GHOST_HEADER: usize = 1 + 4;
-
-/// Ghost slots, named from the receiver's perspective.
-const UP: u8 = 0;
-const DOWN: u8 = 1;
-const LEFT: u8 = 2;
-const RIGHT: u8 = 3;
-
-/// One ghost message: the receiver's slot, the step, and `b` edge values.
-/// `edge` is `None` in cost-model mode: a zero edge of the real size, so
-/// wire sizes (and thus the bandwidth model) match the computing runs.
-fn ghost_payload(slot: u8, step: u32, b: usize, edge: Option<&[f64]>) -> Vec<u8> {
-    let mut w = WireWriter::with_capacity(GHOST_HEADER + f64_array_len(b));
-    w.u8(slot).u32(step);
-    match edge {
-        Some(edge) => w.f64_slice(edge),
-        None => w.f64_zeros(b),
-    };
-    w.finish()
-}
+/// The neighbour directions (row delta, column delta): up, down, left,
+/// right — the stencil's four — then the corners the ghost-zone variant
+/// adds.  A block's halo slot `d` holds what its neighbour in direction
+/// `d` sent.
+const DIRS: [[isize; 2]; 8] = [[-1, 0], [1, 0], [0, -1], [0, 1], [-1, -1], [-1, 1], [1, -1], [1, 1]];
 
 /// Compute-cost model for the simulation engine, calibrated in
 /// EXPERIMENTS.md against the paper's Itanium-2 numbers.
@@ -162,50 +143,18 @@ impl StencilConfig {
     }
 }
 
-/// What a stencil run produced.
-#[derive(Debug)]
-pub struct StencilOutcome {
-    /// End-to-end time of the run.
-    pub total: Dur,
-    /// Mean time per step (total / steps) in milliseconds.
-    pub ms_per_step: f64,
-    /// Per-block sums of the final field (row-major block order), present
-    /// when `compute` was on.
-    pub block_sums: Vec<f64>,
-    /// The engine's run report.
-    pub report: RunReport,
-}
-
-struct Shared {
-    sums: Mutex<Vec<f64>>,
-    finish: Mutex<Time>,
-}
-
 /// One mesh block.
-struct Block {
+pub(crate) struct Block {
     cfg: StencilConfig,
     bi: usize,
     bj: usize,
     /// (b+2)² working grid with ghost ring; empty when compute is off.
     grid: Vec<f64>,
     next: Vec<f64>,
-    step: u32,
-    /// Ghosts received for the current step, kept as delivered and read in
-    /// place by the step (see [`halo`]; empty in cost-model mode).
-    got: halo::Slots<4>,
-    /// Ghosts that arrived one step early.
-    ahead: halo::Slots<4>,
-    /// Set by START; ghosts may arrive first (the startup broadcast races
-    /// neighbours' edges), but a block must not begin stepping — and thus
-    /// re-tag its outgoing edges — before it has sent its step-0 edges.
-    started: bool,
-    /// Paused at an AtSync barrier (resume_from_sync clears it).
-    in_sync: bool,
-    done: bool,
 }
 
 impl Block {
-    fn new(cfg: StencilConfig, elem: ElemId) -> Self {
+    pub(crate) fn new(cfg: StencilConfig, elem: ElemId) -> Self {
         let k = cfg.k();
         let b = cfg.block();
         let (bi, bj) = (elem.index() / k, elem.index() % k);
@@ -221,92 +170,57 @@ impl Block {
             }
             next.copy_from_slice(&grid);
         }
-        Block {
-            cfg,
-            bi,
-            bj,
-            grid,
-            next,
-            step: 0,
-            got: halo::Slots::default(),
-            ahead: halo::Slots::default(),
-            started: false,
-            in_sync: false,
-            done: false,
-        }
+        Block { cfg, bi, bj, grid, next }
     }
 
-    /// Neighbour element in `slot` direction, if inside the mesh.
-    fn neighbor(&self, slot: u8) -> Option<ElemId> {
-        let k = self.cfg.k();
-        let (bi, bj) = (self.bi as isize, self.bj as isize);
-        let (ni, nj) = match slot {
-            UP => (bi - 1, bj),
-            DOWN => (bi + 1, bj),
-            LEFT => (bi, bj - 1),
-            RIGHT => (bi, bj + 1),
-            _ => unreachable!(),
+    /// Where the cells on side `slot` start in the grid, and their stride:
+    /// the ghost ring's, or with `inner` the block's own edge beside it.
+    fn side(&self, slot: usize, inner: bool) -> (usize, usize) {
+        let (b, w) = (self.cfg.block(), self.cfg.block() + 2);
+        let (ring, edge, stride) = match slot {
+            0 => (1, w + 1, 1),                   // top row
+            1 => ((b + 1) * w + 1, b * w + 1, 1), // bottom row
+            2 => (w, w + 1, w),                   // left column
+            _ => (w + b + 1, w + b, w),           // right column
         };
-        (ni >= 0 && nj >= 0 && ni < k as isize && nj < k as isize)
-            .then(|| ElemId((ni as usize * k + nj as usize) as u32))
+        (if inner { edge } else { ring }, stride)
+    }
+}
+
+impl Halo for Block {
+    const ARRAY: &'static str = "stencil-blocks";
+
+    type Slots = [Bytes; 4];
+
+    fn slots(&self) -> [Bytes; 4] {
+        Default::default()
     }
 
-    fn n_neighbors(&self) -> usize {
-        (0..4).filter(|&s| self.neighbor(s).is_some()).count()
+    fn neighbor(&self, slot: usize) -> Option<(ElemId, u8)> {
+        // The receiver's slot for me is the opposite side: 0↔1, 2↔3.
+        halo::grid_neighbor(self.cfg.k(), [self.bi, self.bj], DIRS[slot]).map(|n| (n, slot as u8 ^ 1))
     }
 
-    /// My edge cells facing `slot` (what the neighbour in that direction
-    /// needs as its ghost row/column).  Real-kernel mode only.
-    fn edge(&self, slot: u8) -> Vec<f64> {
-        let b = self.cfg.block();
-        let w = b + 2;
-        match slot {
-            UP => (1..=b).map(|c| self.grid[w + c]).collect(),
-            DOWN => (1..=b).map(|c| self.grid[b * w + c]).collect(),
-            LEFT => (1..=b).map(|r| self.grid[r * w + 1]).collect(),
-            RIGHT => (1..=b).map(|r| self.grid[r * w + b]).collect(),
-            _ => unreachable!(),
+    fn halo_len(&self, _slot: usize) -> usize {
+        self.cfg.block()
+    }
+
+    fn halo(&self, slot: usize) -> impl Iterator<Item = f64> + '_ {
+        let (first, stride) = self.side(slot, true);
+        (0..self.cfg.block()).map(move |i| self.grid[first + i * stride])
+    }
+
+    fn fill(&mut self, slot: usize, values: impl Iterator<Item = f64>) {
+        let (first, stride) = self.side(slot, false);
+        for (i, v) in values.enumerate() {
+            self.grid[first + i * stride] = v;
         }
     }
 
-    /// Which of the receiver's slots my edge fills: I am their opposite.
-    fn opposite(slot: u8) -> u8 {
-        match slot {
-            UP => DOWN,
-            DOWN => UP,
-            LEFT => RIGHT,
-            RIGHT => LEFT,
-            _ => unreachable!(),
-        }
-    }
-
-    fn send_edges(&self, ctx: &mut Ctx<'_>) {
-        let me = ctx.me();
-        for slot in 0..4u8 {
-            if let Some(n) = self.neighbor(slot) {
-                let edge = self.cfg.compute.then(|| self.edge(slot));
-                let ghost = ghost_payload(Self::opposite(slot), self.step, self.cfg.block(), edge.as_deref());
-                ctx.send(me.array, n, GHOST, ghost);
-            }
-        }
-    }
-
-    /// Apply received ghosts into the ring and run one Jacobi update.
-    fn compute_step(&mut self) {
+    fn compute(&mut self, _step: u32, msgs: usize) -> (Dur, u32) {
         let b = self.cfg.block();
         if self.cfg.compute {
             let w = b + 2;
-            let grid = &mut self.grid;
-            self.got.drain(|slot, msg| {
-                let edge = halo::values(&msg, GHOST_HEADER).enumerate();
-                match slot as u8 {
-                    UP => edge.for_each(|(c, v)| grid[c + 1] = v),
-                    DOWN => edge.for_each(|(c, v)| grid[(b + 1) * w + c + 1] = v),
-                    LEFT => edge.for_each(|(r, v)| grid[(r + 1) * w] = v),
-                    RIGHT => edge.for_each(|(r, v)| grid[(r + 1) * w + b + 1] = v),
-                    _ => unreachable!(),
-                }
-            });
             for r in 1..=b {
                 for c in 1..=b {
                     self.next[r * w + c] = seq::update(
@@ -319,166 +233,51 @@ impl Block {
                 }
             }
             std::mem::swap(&mut self.grid, &mut self.next);
-        } else {
-            self.got.drain(|_, _| ());
         }
+        (self.cfg.cost.step_cost(b * b, msgs), 1)
     }
 
     /// Sum of my interior cells, rows then columns (matches
     /// [`seq::SeqStencil::block_sums`]).
     fn block_sum(&self) -> f64 {
-        if !self.cfg.compute {
-            return 0.0;
-        }
         let b = self.cfg.block();
         let w = b + 2;
-        let mut s = 0.0;
-        for r in 1..=b {
-            for c in 1..=b {
-                s += self.grid[r * w + c];
-            }
-        }
-        s
+        (1..=b).flat_map(|r| (1..=b).map(move |c| r * w + c)).fold(0.0, |s, i| s + self.grid[i])
     }
 
-    /// Step as long as the current step's ghosts are all here.
-    fn advance_while_ready(&mut self, ctx: &mut Ctx<'_>) {
-        while self.started && !self.in_sync && !self.done && self.got.len() == self.n_neighbors() {
-            let b = self.cfg.block();
-            let msgs = self.n_neighbors();
-            ctx.charge(self.cfg.cost.step_cost(b * b, msgs));
-            self.compute_step();
-            self.step += 1;
-            if self.step >= self.cfg.steps {
-                self.done = true;
-                let mut w = WireWriter::new();
-                w.f64(self.block_sum());
-                ctx.contribute_gather(w.finish());
-                return;
-            }
-            if self.cfg.lb_period.is_some_and(|p| self.step.is_multiple_of(p)) {
-                // Pause BEFORE sending this step's edges: every neighbour
-                // pauses at the same step, so nothing is in flight and the
-                // ghost buffers below are empty — safe to migrate.
-                debug_assert!(self.ahead.is_empty());
-                self.in_sync = true;
-                ctx.at_sync();
-                return;
-            }
-            self.send_edges(ctx);
-            // Pull in any ghosts that arrived early for the new step.
-            self.got = std::mem::take(&mut self.ahead);
-        }
+    fn steps(&self) -> u32 {
+        self.cfg.steps
     }
-}
 
-impl Chare for Block {
-    fn receive(&mut self, entry: EntryId, payload: &[u8], ctx: &mut Ctx<'_>) {
-        match entry {
-            START => {
-                assert!(!self.started, "START delivered twice");
-                self.started = true;
-                self.send_edges(ctx);
-                self.advance_while_ready(ctx); // k=1: no neighbours at all
-            }
-            GHOST => {
-                let mut r = WireReader::new(payload);
-                let slot = r.u8().expect("slot");
-                let step = r.u32().expect("step");
-                assert!(slot < 4 && self.neighbor(slot).is_some(), "ghost for slot {slot}, which has no neighbour");
-                halo::check(payload, GHOST_HEADER, self.cfg.block(), format_args!("ghost for slot {slot} step {step}"));
-                let (slot, msg) = (slot as usize, halo::keep(ctx, self.cfg.compute));
-                if step == self.step {
-                    let fresh = self.got.put(slot, msg);
-                    assert!(fresh, "duplicate ghost for slot {slot}");
-                } else if step == self.step + 1 {
-                    let fresh = self.ahead.put(slot, msg);
-                    assert!(fresh, "neighbour ran two steps ahead");
-                } else {
-                    panic!("ghost for step {step} while at step {}", self.step);
-                }
-                self.advance_while_ready(ctx);
-            }
-            other => panic!("unknown stencil entry {other:?}"),
-        }
+    fn computes(&self) -> bool {
+        self.cfg.compute
+    }
+
+    fn lb_period(&self) -> Option<u32> {
+        self.cfg.lb_period
     }
 
     fn pack(&self, w: &mut WireWriter) {
-        assert!(
-            self.got.is_empty() && self.ahead.is_empty(),
-            "blocks migrate only at step-aligned barriers (buffers drained)"
-        );
-        w.u32(self.step).bool(self.started).bool(self.done).bool(self.cfg.compute);
+        w.bool(self.cfg.compute);
         if self.cfg.compute {
             w.f64_slice(&self.grid);
         }
     }
 
-    fn resume_from_sync(&mut self, ctx: &mut Ctx<'_>) {
-        assert!(self.in_sync, "resume without a pending sync");
-        self.in_sync = false;
-        if !self.done {
-            self.send_edges(ctx);
-            self.advance_while_ready(ctx);
-        }
-    }
-}
-
-impl Block {
-    /// Inverse of [`Chare::pack`] (used by migration and restore).
-    fn unpack(cfg: StencilConfig, elem: ElemId, r: &mut WireReader<'_>) -> Block {
-        let mut block = Block::new(cfg, elem);
-        block.step = r.u32().expect("step");
-        block.started = r.bool().expect("started");
-        block.done = r.bool().expect("done");
+    fn unpack(&mut self, r: &mut WireReader<'_>) {
         let had_compute = r.bool().expect("compute flag");
-        assert_eq!(had_compute, block.cfg.compute, "compute mode must match across migration");
+        assert_eq!(had_compute, self.cfg.compute, "compute mode must match across migration");
         if had_compute {
-            block.grid = r.f64_vec().expect("grid");
-            assert_eq!(block.grid.len(), block.next.len(), "grid size must match");
+            self.grid = r.f64_vec().expect("grid");
+            assert_eq!(self.grid.len(), self.next.len(), "grid size must match");
         }
-        // An unpacked block is mid-barrier by construction.
-        block.in_sync = true;
-        block
     }
 }
 
-/// Build the runtime program for a stencil run.  `shared` receives the
-/// gathered block sums and finish time.
-fn build_program(cfg: StencilConfig, shared: Arc<Shared>) -> Program {
-    let mut p = Program::new();
-    let cfg_f = cfg.clone();
-    let cfg_u = cfg.clone();
-    let arr: ArrayId = p.array_migratable(
-        "stencil-blocks",
-        cfg.objects,
-        cfg.mapping.clone(),
-        move |elem| Box::new(Block::new(cfg_f.clone(), elem)) as Box<dyn Chare>,
-        move |elem, r| Box::new(Block::unpack(cfg_u.clone(), elem, r)) as Box<dyn Chare>,
-    );
-    p.on_startup(move |ctl| ctl.broadcast(arr, START, vec![]));
-    p.on_reduction(arr, move |_seq, data, ctl| {
-        if let ReduceData::Gathered(rows) = data {
-            let mut sums = shared.sums.lock().expect("sums lock");
-            sums.clear();
-            for (_, bytes) in rows {
-                sums.push(WireReader::new(bytes).f64().expect("block sum"));
-            }
-        }
-        *shared.finish.lock().expect("finish lock") = ctl.now();
-        ctl.exit();
-    });
-    p
-}
-
-fn outcome(cfg: &StencilConfig, shared: Arc<Shared>, report: RunReport) -> StencilOutcome {
-    let total = report.end_time - Time::ZERO;
-    StencilOutcome {
-        total,
-        ms_per_step: total.as_millis_f64() / cfg.steps as f64,
-        block_sums: shared.sums.lock().expect("sums lock").clone(),
-        report,
-    }
+/// Run `cfg`'s blocks on the engine `engine` builds and runs.
+fn run(cfg: StencilConfig, engine: impl FnOnce(Program) -> RunReport) -> StencilOutcome {
+    let (objects, mapping, steps) = (cfg.objects, cfg.mapping.clone(), cfg.steps);
+    halo::run(objects, mapping, steps, true, move |elem| Block::new(cfg.clone(), elem), engine)
 }
 
 /// Run under the simulation engine (artificial latency sweeps).
@@ -498,18 +297,17 @@ pub fn run_sim_full(
     ckpt_sink: Option<Arc<Mutex<Vec<mdo_core::checkpoint::Snapshot>>>>,
     restore: Option<mdo_core::checkpoint::Snapshot>,
 ) -> StencilOutcome {
-    let shared = Arc::new(Shared { sums: Mutex::new(Vec::new()), finish: Mutex::new(Time::ZERO) });
-    let mut program = build_program(cfg.clone(), Arc::clone(&shared));
-    if let Some(sink) = ckpt_sink {
-        program.on_checkpoint(move |snap, _ctl| {
-            sink.lock().expect("ckpt sink").push(snap.clone());
-        });
-    }
-    if let Some(snapshot) = restore {
-        program.restore_from(snapshot);
-    }
-    let report = engine.run(program);
-    outcome(&cfg, shared, report)
+    run(cfg, |mut program| {
+        if let Some(sink) = ckpt_sink {
+            program.on_checkpoint(move |snap, _ctl| {
+                sink.lock().expect("ckpt sink").push(snap.clone());
+            });
+        }
+        if let Some(snapshot) = restore {
+            program.restore_from(snapshot);
+        }
+        engine.run(program)
+    })
 }
 
 /// Run under the threaded engine (real injected latency).
@@ -525,33 +323,13 @@ pub fn run_threaded_with(
     tcfg: ThreadedConfig,
     run_cfg: RunConfig,
 ) -> StencilOutcome {
-    let shared = Arc::new(Shared { sums: Mutex::new(Vec::new()), finish: Mutex::new(Time::ZERO) });
-    let program = build_program(cfg.clone(), Arc::clone(&shared));
-    let report = ThreadedEngine::new(topo, tcfg, run_cfg).run(program);
-    outcome(&cfg, shared, report)
+    run(cfg, |program| ThreadedEngine::new(topo, tcfg, run_cfg).run(program))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mdo_core::Ctr;
-
-    /// The ghost message is the bytes it always was — growable writer,
-    /// zero-filled temporary in cost-model mode (the old sequence, kept
-    /// here only as the reference) — in one allocation of its exact size.
-    #[test]
-    fn ghost_payload_is_the_old_bytes_in_one_exact_allocation() {
-        let b = 64;
-        let edge: Vec<f64> = (0..b).map(|i| i as f64 * 0.5 - 3.0).collect();
-        for edge in [Some(&edge[..]), None] {
-            let mut old = WireWriter::new();
-            old.u8(DOWN).u32(11);
-            old.f64_slice(&edge.map_or_else(|| vec![0.0; b], <[f64]>::to_vec));
-            let new = ghost_payload(DOWN, 11, b, edge);
-            assert_eq!(new, old.finish());
-            assert_eq!(new.capacity(), new.len());
-        }
-    }
 
     fn small(objects: usize, steps: u32, mesh: usize) -> StencilConfig {
         StencilConfig {
@@ -576,20 +354,6 @@ mod tests {
         for (i, (got, want)) in out.block_sums.iter().zip(&expect).enumerate() {
             assert_eq!(got, want, "block {i}: parallel must be bit-identical to sequential");
         }
-    }
-
-    /// A ghost one cell short fails where it arrives, in cost-model mode
-    /// too, where no step reads its cells.
-    #[test]
-    #[should_panic(expected = "ghost for slot 1 step 0: wrong length")]
-    fn a_short_ghost_fails_on_receipt_in_cost_model_mode() {
-        let cfg = StencilConfig { compute: false, ..small(4, 2, 16) };
-        let b = cfg.block();
-        let mut p = Program::new();
-        p.array("blocks", cfg.objects, Mapping::Block, move |elem| {
-            Box::new(Block::new(cfg.clone(), elem)) as Box<dyn Chare>
-        });
-        crate::halo::deliver(p, ElemId(0), GHOST, ghost_payload(DOWN, 0, b - 1, None));
     }
 
     #[test]

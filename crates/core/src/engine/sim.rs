@@ -117,13 +117,6 @@ struct Frame {
     bytes: u64,
 }
 
-/// Bytes of a standalone ack on the wire: the header, and the selective
-/// ack's map when it is non-empty.
-fn ack_bytes(sack: u64) -> u64 {
-    use mdo_vmi::reliable::{HEADER_LEN, SACK_EXT_LEN};
-    (HEADER_LEN + if sack == 0 { 0 } else { SACK_EXT_LEN }) as u64
-}
-
 /// One (src, dst) accumulation buffer: the passengers, and the flush
 /// policy's view of them.
 #[derive(Default)]
@@ -394,7 +387,8 @@ impl SimWan {
         if receipt.duplicate {
             self.ctr.bump(Ctr::DupDropped);
         }
-        let back = self.net.delivery_time(dst, src, now, ack_bytes(receipt.sack)).max(now);
+        let ack_bytes = mdo_vmi::reliable::ack_len(receipt.sack, self.flow.is_some()) as u64;
+        let back = self.net.delivery_time(dst, src, now, ack_bytes).max(now);
         events.schedule(back, Event::Ack(src, dst, receipt.cum, receipt.sack));
         released.into_iter().flat_map(|f| f.envs).collect()
     }

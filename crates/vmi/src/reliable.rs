@@ -86,7 +86,7 @@ pub fn encode_data(seq: u64, payload: &[u8]) -> Bytes {
 /// so a fault-free run's acks carry nothing; with one (flow control is
 /// on) both always ride.
 pub fn encode_ack(cum: u64, sack: u64, grant: Option<u64>) -> Bytes {
-    let mut v = Vec::with_capacity(HEADER_LEN + SACK_EXT_LEN + CREDIT_EXT_LEN);
+    let mut v = Vec::with_capacity(ack_len(sack, grant.is_some()));
     v.push(KIND_ACK);
     v.extend_from_slice(&cum.to_le_bytes());
     if sack != 0 || grant.is_some() {
@@ -96,6 +96,18 @@ pub fn encode_ack(cum: u64, sack: u64, grant: Option<u64>) -> Bytes {
         v.extend_from_slice(&grant.to_le_bytes());
     }
     Bytes::from(v)
+}
+
+/// Bytes of the ack [`encode_ack`] builds for the map `sack`, with a
+/// grant under flow control: the header, then both extensions with a
+/// grant, the map alone when it is non-empty, else nothing.
+pub fn ack_len(sack: u64, with_grant: bool) -> usize {
+    HEADER_LEN
+        + match (with_grant, sack) {
+            (true, _) => SACK_EXT_LEN + CREDIT_EXT_LEN,
+            (false, 0) => 0,
+            (false, _) => SACK_EXT_LEN,
+        }
 }
 
 /// Bytes of the selective-ack extension an ack may carry after its
@@ -523,12 +535,13 @@ impl ReliableTransport {
         self.flow().map_or(0, |f| f.wait_ns.load(Ordering::Relaxed))
     }
 
-    /// Stop the retransmit timer (idempotent).  Call before shutting down
-    /// the underlying transport.
+    /// Stop the retransmit timer (idempotent), waking it from its tick at
+    /// once.  Call before shutting down the underlying transport.
     pub fn shutdown(&self) {
         if let Some(layer) = &self.layer {
             layer.shared.stop.store(true, Ordering::Release);
             if let Some(h) = layer.timer.lock().take() {
+                h.thread().unpark();
                 let _ = h.join();
             }
         }
@@ -552,8 +565,13 @@ fn spawn_retransmit_timer(shared: Arc<Shared>) -> std::thread::JoinHandle<()> {
         .name("mdo-retransmit".into())
         .spawn(move || {
             let tick = (shared.plan.rto.to_std() / 4).max(Duration::from_millis(1));
-            while !shared.stop.load(Ordering::Acquire) {
-                std::thread::sleep(tick);
+            loop {
+                // `shutdown` unparks: it never waits out a tick.  An early
+                // wake-up only makes a pass that finds fewer frames due.
+                std::thread::park_timeout(tick);
+                if shared.stop.load(Ordering::Acquire) {
+                    break;
+                }
                 let now = shared.now();
                 let mut resend = Vec::new();
                 for pair in shared.send.lock().values_mut() {
@@ -585,6 +603,28 @@ mod tests {
         let mut cfg = TransportConfig::new(topo, latency);
         cfg.fault = Some(FaultDevice::for_reliable(plan.clone()));
         ReliableTransport::with_plan(Transport::new(cfg), plan)
+    }
+
+    /// One rule sizes an ack, for every layout `encode_ack` writes: none,
+    /// the map (8 bytes) and the map with a grant (16).
+    #[test]
+    fn ack_len_is_the_encoded_length_for_every_layout() {
+        for (sack, grant) in [(0, None), (0b101, None), (0, Some(4096)), (0b101, Some(4096))] {
+            let ack = encode_ack(7, sack, grant);
+            assert_eq!(ack_len(sack, grant.is_some()), ack.len(), "sack {sack:#b} grant {grant:?}");
+        }
+        assert_eq!([ack_len(0, false), ack_len(1, false), ack_len(0, true)], [HEADER_LEN, 17, 25]);
+    }
+
+    /// `shutdown` wakes the retransmit timer rather than waiting out its
+    /// tick (a quarter of the rto: 15 s here).
+    #[test]
+    fn shutdown_returns_at_once_under_a_long_rto() {
+        let rt = rig(FaultPlan::default().with_rto(Dur::from_secs(60)), 0);
+        std::thread::sleep(Duration::from_millis(50)); // the timer is in its tick
+        let start = Instant::now();
+        rt.shutdown();
+        assert!(start.elapsed() < Duration::from_secs(1), "shutdown took {:?}", start.elapsed());
     }
 
     #[test]
