@@ -149,35 +149,31 @@ impl Halo for GhostBlock {
         let b = self.cfg.block();
         let g = self.cfg.layers;
         let w = b + 2 * g;
-        let n = self.cfg.mesh as isize;
         let steps_this_round = (self.cfg.steps - step).min(g as u32) as usize;
-        let mut cost_cells = 0usize;
-        for t in 1..=steps_this_round {
-            // After t local steps only depth ≤ g−t halo cells stay valid.
-            let lo = t;
-            let hi = w - t;
-            for r in lo..hi {
-                for c in lo..hi {
-                    // Global coordinates; outside-mesh cells stay 0.
-                    let gr = self.bi as isize * b as isize + r as isize - g as isize;
-                    let gc = self.bj as isize * b as isize + c as isize - g as isize;
-                    if gr < 0 || gc < 0 || gr >= n || gc >= n {
-                        self.next[r * w + c] = 0.0;
-                        continue;
-                    }
-                    if self.cfg.compute {
-                        self.next[r * w + c] = seq::update(
-                            self.grid[r * w + c],
-                            self.grid[(r - 1) * w + c],
-                            self.grid[(r + 1) * w + c],
-                            self.grid[r * w + c - 1],
-                            self.grid[r * w + c + 1],
-                        );
+        // After t local steps only depth ≤ g−t halo cells stay valid: step t
+        // updates the (w − 2t)² cells inside them.
+        let cost_cells = (1..=steps_this_round).map(|t| (w - 2 * t) * (w - 2 * t)).sum();
+        if self.cfg.compute {
+            let n = self.cfg.mesh as isize;
+            for t in 1..=steps_this_round {
+                for r in t..w - t {
+                    for c in t..w - t {
+                        // Global coordinates; outside-mesh cells stay 0.
+                        let gr = self.bi as isize * b as isize + r as isize - g as isize;
+                        let gc = self.bj as isize * b as isize + c as isize - g as isize;
+                        self.next[r * w + c] = if gr < 0 || gc < 0 || gr >= n || gc >= n {
+                            0.0
+                        } else {
+                            seq::update(
+                                self.grid[r * w + c],
+                                self.grid[(r - 1) * w + c],
+                                self.grid[(r + 1) * w + c],
+                                self.grid[r * w + c - 1],
+                                self.grid[r * w + c + 1],
+                            )
+                        };
                     }
                 }
-            }
-            cost_cells += (hi - lo) * (hi - lo);
-            if self.cfg.compute {
                 std::mem::swap(&mut self.grid, &mut self.next);
             }
         }

@@ -5,10 +5,10 @@
 //! the single private loop in this file.  It takes an
 //! `Option<NetSession>`: with a session, each OS process hosts the PEs of
 //! exactly one topology cluster ("node" = cluster) and what crosses the
-//! mdo-net wire is the traffic the in-process run routes through its
-//! cross-cluster device chain — delay, CRC and fault devices run
-//! sender-side before the socket, and the reliable layer's credits, acks
-//! and retransmissions ride the same packets they always did.  (One known
+//! mdo-net wire is the traffic the in-process run sends across clusters —
+//! the fault wire and the delay stamp run sender-side before the socket,
+//! and the reliable layer's credits, acks and retransmissions ride the
+//! same packets they always did.  (One known
 //! difference: the exit flag is per process, so each remote node's first
 //! PE to see `Exit` relays it once more — a few extra packets, pinned by
 //! `tests/net_transport.rs`.)  Without one, node 0 hosts every PE, the peer set is empty and no
@@ -54,7 +54,7 @@ use mdo_netsim::failure::SUSPECT_AFTER;
 use mdo_netsim::network::NetworkStats;
 use mdo_netsim::{ClusterId, Dur, FailureCause, FaultPlan, Pe, Time, Topology, TransportError, UnrecoverableError};
 use mdo_obs::{CounterSet, Ctr};
-use mdo_vmi::{Aggregator, FaultDevice, ReliableTransport, Transport, TransportConfig, Wire, WireBinding};
+use mdo_vmi::{Aggregator, ReliableTransport, Transport, TransportConfig, Wire, WireBinding};
 
 use crate::checkpoint::{FtPiece, Snapshot};
 use crate::envelope::{Envelope, MsgBody, SYSTEM_PRIORITY};
@@ -311,14 +311,14 @@ impl NodeShare {
         orig: &[Pe],
         drops: u64,
     ) {
-        let Stack { raw, transport, agg, fault } = stack;
+        let Stack { raw, transport, agg } = stack;
         add_traffic(&mut books.network, raw.intra_traffic(), raw.cross_traffic());
         // What each PE delivered to itself never reached the transport's
         // counter; it is intra-cluster traffic all the same.
         for r in results.iter() {
             add_traffic(&mut books.network, r.local_traffic, (0, 0));
         }
-        book_wire(&mut books.ctr, fault.as_ref().map(|f| f.stats()).unwrap_or_default());
+        book_wire(&mut books.ctr, raw.wire_stats());
         let ast = agg.stats();
         for (c, n) in [
             // Records the net reader could not parse were dropped the same
@@ -411,20 +411,16 @@ struct Stack {
     raw: Arc<Transport>,
     transport: Arc<ReliableTransport>,
     agg: Arc<Aggregator>,
-    /// The fault-injection device, when a fault plan put it in the
-    /// cross-cluster chain (its tallies close the books).
-    fault: Option<Arc<FaultDevice>>,
 }
 
 impl Stack {
     fn build(cfg: &RunConfig, mut tc: TransportConfig) -> Stack {
-        // With a fault plan the cross-cluster chain becomes fault
-        // injection → delay: the fault device drops what it corrupts, as
-        // the simulator does, so a corruption reaches the reliable layer
-        // as a plain loss.  Without a plan the chain and the wrapper are
-        // both zero-overhead passthroughs.
-        let fault = cfg.fault_plan.clone().map(FaultDevice::for_reliable);
-        tc.fault = fault.clone();
+        // With a fault plan cross-cluster packets meet the fault wire
+        // before the delay stamp: it drops what it corrupts, as the
+        // simulator does, so a corruption reaches the reliable layer as a
+        // plain loss.  Without a plan there is no wire, and the wrapper
+        // is a passthrough.
+        tc.fault = cfg.fault_plan.clone();
         let raw = Transport::new(tc);
         let transport = match (&cfg.fault_plan, cfg.flow) {
             (Some(plan), Some(flow)) => ReliableTransport::with_flow(Arc::clone(&raw), plan.clone(), flow),
@@ -445,7 +441,7 @@ impl Stack {
             Some(c) => Aggregator::with_policy(Arc::clone(&transport), c),
             None => Aggregator::passthrough(Arc::clone(&transport)),
         };
-        Stack { raw, transport, agg, fault }
+        Stack { raw, transport, agg }
     }
 
     /// Flush any still-buffered frames, stop retransmissions, then wake

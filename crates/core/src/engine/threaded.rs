@@ -5,9 +5,9 @@
 //! envelopes from real bytes, and runs the same [`Node`] logic as the
 //! simulation engine.  What a PE addresses to itself never becomes bytes:
 //! it waits in the PE's own scheduler queue, served when the mailbox has
-//! nothing ready.  Cross-cluster packets pass through a real
-//! [`mdo_vmi::DelayDevice`] that stamps them with the configured wall-clock
-//! latency, which the destination mailbox enforces — no packet is visible
+//! nothing ready.  Cross-cluster packets pass through a real delay device
+//! ([`mdo_vmi::Transport::send`]) that stamps them with the configured
+//! wall-clock latency, which the destination mailbox enforces — no packet is visible
 //! to its PE before send + latency.  This engine is our equivalent of the
 //! paper's *real* TeraGrid validation runs (the "Real Latency" columns of
 //! Tables 1 and 2): same application, same runtime, real threads, real

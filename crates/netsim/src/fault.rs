@@ -6,8 +6,8 @@
 //! scheduled link-down windows, and the retransmission parameters the
 //! reliable delivery layer uses to recover.  [`FaultWire`] is what the plan
 //! does to one transmission attempt, as plain data: the threaded engine's
-//! `FaultDevice` (crate `mdo-vmi`) wraps it around real packets, and the
-//! simulator puts its virtual-time frames through it.  The reliable
+//! transport (`mdo_vmi::Transport::send`) puts real packets through it,
+//! and the simulator its virtual-time frames.  The reliable
 //! protocol that recovers from it is one too (`mdo_vmi::arq`).
 //!
 //! Randomness is drawn from a dedicated [`Xoshiro256`] stream per ordered

@@ -395,6 +395,7 @@ impl Aggregator {
             self.flush_all();
             sh.stop.store(true, Ordering::Release);
             if let Some(h) = self.flusher.lock().take() {
+                h.thread().unpark();
                 let _ = h.join();
             }
         }
@@ -412,8 +413,13 @@ fn spawn_deadline_flusher(shared: Arc<Shared>) -> std::thread::JoinHandle<()> {
         .name("mdo-agg-flush".into())
         .spawn(move || {
             let tick = (shared.cfg.max_delay.to_std() / 4).max(Duration::from_micros(200));
-            while !shared.stop.load(Ordering::Acquire) {
-                std::thread::sleep(tick);
+            loop {
+                // `shutdown` unparks: it never waits out a tick.  An early
+                // wake-up only makes one more pass over `expired`.
+                std::thread::park_timeout(tick);
+                if shared.stop.load(Ordering::Acquire) {
+                    break;
+                }
                 let now = shared.now();
                 for (src, shard) in shared.pairs.iter().enumerate() {
                     let mut shard = shard.lock();
@@ -431,7 +437,6 @@ fn spawn_deadline_flusher(shared: Arc<Shared>) -> std::thread::JoinHandle<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::devices::fault::FaultDevice;
     use crate::transport::TransportConfig;
     use mdo_netsim::agg::EAGER_BYTES;
     use mdo_netsim::{Dur, FaultPlan, LatencyMatrix, OverloadPolicy, Topology};
@@ -442,7 +447,7 @@ mod tests {
         let mut tcfg = TransportConfig::new(topo, latency);
         let rt = match plan {
             Some(plan) => {
-                tcfg.fault = Some(FaultDevice::for_reliable(plan.clone()));
+                tcfg.fault = Some(plan.clone());
                 ReliableTransport::with_plan(Transport::new(tcfg), plan)
             }
             None => ReliableTransport::passthrough(Transport::new(tcfg)),
@@ -496,6 +501,17 @@ mod tests {
             std::thread::sleep(Duration::from_millis(1));
         }
         assert!(agg.stats().flush_by_deadline >= 1, "the short buffer was flushed by deadline");
+        teardown(&agg);
+    }
+
+    #[test]
+    fn shutdown_returns_at_once_under_a_long_deadline() {
+        let cfg = AggConfig::default().with_max_delay(Dur::from_secs(60));
+        let agg = rig(2, Some(cfg), None);
+        std::thread::sleep(Duration::from_millis(50)); // the flusher is in its tick
+        let start = Instant::now();
+        agg.shutdown();
+        assert!(start.elapsed() < Duration::from_secs(1), "shutdown took {:?}", start.elapsed());
         teardown(&agg);
     }
 

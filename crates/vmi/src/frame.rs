@@ -19,7 +19,7 @@
 //! The tag is chosen to collide with neither the runtime's envelope tag
 //! (`0xE5`) nor the reliable layer's `KIND_DATA`/`KIND_ACK` (`0xD7`/
 //! `0xA7`): in passthrough mode frames and bare envelopes share the raw
-//! cross-cluster chain, and the first byte is what tells them apart.
+//! cross-cluster path, and the first byte is what tells them apart.
 
 use bytes::{Bytes, BytesMut};
 

@@ -1,32 +1,36 @@
-//! # mdo-vmi — a VMI-style messaging layer with device chains
+//! # mdo-vmi — a VMI-style messaging layer
 //!
 //! The paper's experiments run Charm++ over the **Virtual Machine
-//! Interface** (VMI), whose defining feature is that messages traverse
-//! *send chains* and *receive chains* of dynamically-composed device
-//! drivers.  The paper exploits this to build its simulated Grid: a **delay
-//! device** sits between two network drivers and holds cross-cluster
-//! messages for a configured latency before passing them on (§5.1).  §2.2
-//! lists more a chain *can* do — stripe data across interconnects, compress
-//! or encrypt payloads, verify integrity; no experiment of the paper uses
-//! them, so only the devices a run can reach are built here, and the
-//! [`Device`] seam admits the rest.
+//! Interface** (VMI), whose messages traverse *send chains* and *receive
+//! chains* of dynamically-composed device drivers.  The paper exploits
+//! this to build its simulated Grid: a **delay device** sits between two
+//! network drivers and holds cross-cluster messages for a configured
+//! latency before passing them on (§5.1).  §2.2 lists more a chain *can*
+//! do — stripe data across interconnects, compress or encrypt payloads,
+//! verify integrity; no experiment of the paper uses them, so none is
+//! built here, and the two pipelines a run does use — count, then, across
+//! clusters, fault wire and delay stamp — are one plain send path,
+//! [`Transport::send`].
 //!
 //! This crate rebuilds that layer for the *threaded* execution engine,
 //! where each PE is an OS thread and the "network" is shared memory:
 //!
-//! * [`packet`] — the unit a device sees: opaque bytes + routing metadata.
-//! * [`device`] — the [`Device`] trait and [`Chain`] composition.
-//! * [`devices`] — delay (a `due` stamp the landing mailbox enforces),
-//!   fault injection and byte counting.
-//! * [`mailbox`] — per-PE blocking priority mailboxes (the terminal
-//!   "network driver" of every chain).
+//! * [`packet`] — the unit the transport moves: opaque bytes + routing
+//!   metadata.
+//! * [`mailbox`] — per-PE blocking priority mailboxes, where every packet
+//!   lands.
+//! * [`transport`] — the send path: counts each packet as intra- or
+//!   cross-cluster by the job topology, exactly like VMI's affiliation
+//!   mechanism, puts cross-cluster packets through the optional fault wire
+//!   and the delay device (a `due` stamp the landing mailbox enforces), and
+//!   lands them.
 //! * [`arq`] — the reliable protocol of one PE pair (sender and receiver
 //!   machines): plain data, run by [`reliable`] here and by the simulator
 //!   in `mdo-core`.
 //! * [`credit`] — the per-pair credit ledger behind flow control: plain
 //!   data, run by [`reliable`] here and by the simulator in `mdo-core`.
 //! * [`reliable`] — [`arq`] on the wall clock, layered over the unreliable
-//!   cross-cluster chain when a fault plan is active.
+//!   cross-cluster path when a fault plan is active.
 //! * [`frame`] — the jumbo-frame codec packing many messages into one
 //!   wire payload with zero-copy unpacking.
 //! * [`flush`] — the aggregation flush policy (size, deadline, urgency)
@@ -34,13 +38,9 @@
 //!   simulator in `mdo-core`.
 //! * [`aggregate`] — TRAM-style per-destination coalescing of cross-WAN
 //!   traffic above the reliable layer (one ack per jumbo frame).
-//! * [`transport`] — routes each packet through the intra-cluster or
-//!   cross-cluster chain based on the job topology, exactly like VMI's
-//!   affiliation mechanism.
-//! * [`wire`] — the inter-node seam: in a multi-process run the chains
-//!   terminate in a router that posts local destinations to their
-//!   mailbox and ships remote destinations through a pluggable
-//!   [`Wire`] backend (the TCP implementation lives in
+//! * [`wire`] — the inter-node seam: in a multi-process run the transport
+//!   posts local destinations to their mailbox and ships remote ones
+//!   through a pluggable [`Wire`] backend (the TCP implementation lives in
 //!   `mdo-net`).
 //!
 //! Everything here deals in raw bytes; the message-driven runtime
@@ -72,8 +72,6 @@
 pub mod aggregate;
 pub mod arq;
 pub mod credit;
-pub mod device;
-pub mod devices;
 pub mod flush;
 pub mod frame;
 pub mod mailbox;
@@ -85,13 +83,9 @@ pub mod wire;
 
 pub use aggregate::{AggStats, Aggregator};
 pub use arq::jittered_backoff;
-pub use device::{Chain, Device, Forwarder};
-pub use devices::counter::CounterDevice;
-pub use devices::delay::DelayDevice;
-pub use devices::fault::FaultDevice;
 pub use frame::{FrameBuilder, FrameError, FRAME_TAG};
 pub use mailbox::Mailbox;
 pub use packet::Packet;
 pub use reliable::ReliableTransport;
 pub use transport::{Transport, TransportConfig};
-pub use wire::{Wire, WireBinding, WireRouter};
+pub use wire::{Wire, WireBinding};

@@ -75,7 +75,6 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
-use crate::device::Forwarder;
 use crate::packet::Packet;
 use crate::ring::SpscRing;
 
@@ -735,25 +734,6 @@ impl Drop for Mailbox {
     }
 }
 
-/// Adapter: a mailbox bank as the terminal forwarder of a chain, routing by
-/// `pkt.dst`.
-pub struct MailboxSink {
-    boxes: Vec<Arc<Mailbox>>,
-}
-
-impl MailboxSink {
-    /// Sink over the given per-PE mailboxes (indexed by `Pe::index()`).
-    pub fn new(boxes: Vec<Arc<Mailbox>>) -> Self {
-        MailboxSink { boxes }
-    }
-}
-
-impl Forwarder for MailboxSink {
-    fn deliver(&self, pkt: Packet) {
-        self.boxes[pkt.dst.index()].post(pkt);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -878,16 +858,6 @@ mod tests {
         mb.post_many(vec![pkt(0, 1), pkt(0, 2)]);
         assert!(mb.is_empty());
         assert_eq!(mb.total_posted(), 0);
-    }
-
-    #[test]
-    fn sink_routes_by_destination() {
-        let boxes: Vec<_> = (0..3).map(|_| Arc::new(Mailbox::new())).collect();
-        let sink = MailboxSink::new(boxes.clone());
-        sink.deliver(Packet::new(Pe(0), Pe(2), Bytes::from_static(b"z")));
-        assert!(boxes[0].is_empty());
-        assert!(boxes[1].is_empty());
-        assert_eq!(boxes[2].len(), 1);
     }
 
     #[test]

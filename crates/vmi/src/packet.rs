@@ -1,12 +1,12 @@
-//! The unit of transfer seen by VMI devices: opaque payload bytes plus the
-//! routing metadata a device may inspect or rewrite.
+//! The unit of transfer the transport moves: opaque payload bytes plus the
+//! routing metadata it routes, faults and stamps by.
 
 use std::time::Instant;
 
 use bytes::Bytes;
 use mdo_netsim::Pe;
 
-/// A message in flight through a device chain.
+/// A message in flight through the transport.
 ///
 /// The payload is opaque to this layer — the runtime above serializes its
 /// envelopes into it.  `priority` is carried so the destination mailbox can
@@ -25,8 +25,8 @@ pub struct Packet {
     /// Serialized message contents.
     pub payload: Bytes,
     /// Earliest instant the destination PE may see the packet (`None` =
-    /// at once).  A device that rebuilds a packet downstream of the delay
-    /// device must carry this over.
+    /// at once).  Whatever rebuilds a packet after the delay stamp must
+    /// carry this over.
     pub due: Option<Instant>,
 }
 

@@ -1,6 +1,6 @@
-//! Reliable delivery over an unreliable cross-cluster chain.
+//! Reliable delivery over an unreliable cross-cluster path.
 //!
-//! When a run injects faults (see [`crate::devices::fault::FaultDevice`]),
+//! When a run injects faults (see [`crate::transport`]'s fault wire),
 //! cross-WAN packets are wrapped in small framed messages carrying a
 //! per-(src, dst) sequence number.  The protocol itself — sequence numbers,
 //! cumulative and selective acks, retransmission with jittered exponential backoff up to
@@ -12,7 +12,7 @@
 //!
 //! Intra-cluster packets bypass the layer entirely — both sides consult
 //! the topology, exactly like the transport's own affiliation routing.
-//! Acks are control traffic: the fault device spares them (and draws
+//! Acks are control traffic: the fault wire spares them (and draws
 //! nothing for them), so recovery is driven purely by data-frame loss.
 //!
 //! ## Credit-based flow control
@@ -172,8 +172,8 @@ pub fn decode_frame(payload: &[u8]) -> Option<(u8, u64, &[u8])> {
     Some((kind, num, &payload[HEADER_LEN..]))
 }
 
-/// True if `payload` starts like a control (ack) frame — used by the fault
-/// device to spare control traffic.
+/// True if `payload` starts like a control (ack) frame — used by the
+/// transport to spare control traffic the fault wire.
 pub fn is_control_frame(payload: &[u8]) -> bool {
     payload.first() == Some(&KIND_ACK)
 }
@@ -580,7 +580,7 @@ fn spawn_retransmit_timer(shared: Arc<Shared>) -> std::thread::JoinHandle<()> {
                     }
                 }
                 shared.retransmits.fetch_add(resend.len() as u64, Ordering::Relaxed);
-                // Send outside the lock: the delay device and mailboxes
+                // Send outside the lock: the fault wire and mailboxes
                 // take their own locks downstream.
                 for pkt in resend {
                     shared.inner.send(pkt);
@@ -593,7 +593,6 @@ fn spawn_retransmit_timer(shared: Arc<Shared>) -> std::thread::JoinHandle<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::devices::fault::FaultDevice;
     use crate::transport::TransportConfig;
     use mdo_netsim::{Dur, LatencyMatrix, Topology};
 
@@ -601,7 +600,7 @@ mod tests {
         let topo = Topology::two_cluster(2);
         let latency = LatencyMatrix::uniform(&topo, Dur::ZERO, Dur::from_millis(cross_ms));
         let mut cfg = TransportConfig::new(topo, latency);
-        cfg.fault = Some(FaultDevice::for_reliable(plan.clone()));
+        cfg.fault = Some(plan.clone());
         ReliableTransport::with_plan(Transport::new(cfg), plan)
     }
 
@@ -835,7 +834,7 @@ mod tests {
         let latency = LatencyMatrix::uniform(&topo, Dur::ZERO, Dur::ZERO);
         let plan2 = FaultPlan::loss(1.0);
         let mut cfg = TransportConfig::new(topo, latency);
-        cfg.fault = Some(FaultDevice::for_reliable(plan2.clone()));
+        cfg.fault = Some(plan2.clone());
         let rt2 = ReliableTransport::with_plan(Transport::new(cfg), plan2);
         rt2.send(Packet::new(Pe(0), Pe(1), Bytes::from_static(b"local")));
         let got = rt2.recv_timeout(Pe(1), Duration::from_secs(1)).expect("intra unaffected by loss");

@@ -1,22 +1,20 @@
-//! The Wire seam: pluggable inter-node backends under the device stack.
+//! The Wire seam: pluggable inter-node backends under the transport.
 //!
-//! The threaded engine's [`Transport`](crate::transport::Transport) ends
-//! every device chain in a terminal [`Forwarder`].  In a single process
-//! that terminal is a [`MailboxSink`](crate::mailbox::MailboxSink): every
-//! destination PE has a landing mailbox right here.  In a *multi-process*
-//! run only some PEs are local; packets for the rest must leave the
-//! process.  A [`Wire`] is that exit: an inter-node byte mover (e.g. the
-//! TCP backend in `mdo-net`) that ships a packet to the node hosting
-//! `pkt.dst`, where the peer posts it into the real landing mailbox.
+//! The threaded engine's [`Transport`](crate::transport::Transport) lands
+//! every packet in the end.  In a single process every destination PE has
+//! a landing mailbox right here.  In a *multi-process* run only some PEs
+//! are local; packets for the rest must leave the process.  A [`Wire`] is
+//! that exit: an inter-node byte mover (e.g. the TCP backend in `mdo-net`)
+//! that ships a packet to the node hosting `pkt.dst`, where the peer posts
+//! it into the real landing mailbox.
 //!
 //! The seam sits *below* the reliable transport and the aggregator — both
 //! talk to `Transport::send`/`recv_timeout` only, so sequence numbers,
 //! acks, retransmission, credit grants and jumbo frames ride the wire
-//! unchanged.  Sender-side devices (fault injection, delay) run
-//! before the wire too: an artificial-latency delay device composes with
-//! a real network exactly as §5.1's delay device composes with Myrinet —
-//! its [`Packet::due`] stamp crosses the wire as a `due` on the receiving
-//! node's clock.
+//! unchanged.  The fault wire and the delay stamp come before it too: an
+//! artificial-latency delay device composes with a real network exactly
+//! as §5.1's delay device composes with Myrinet — its [`Packet::due`]
+//! stamp crosses the wire as a `due` on the receiving node's clock.
 //!
 //! ## Corking
 //!
@@ -24,7 +22,7 @@
 //! [`Wire::flush`] writes what is queued, so a burst of sends costs one
 //! write and the peer one wake-up, with and without injected latency.  The
 //! policy — who may cork and when the cork is written — lives here, in
-//! [`WireRouter`], and is by opportunity, never by a deadline of its own:
+//! `WireRouter`, and is by opportunity, never by a deadline of its own:
 //! a packet is corked only when the sending thread is the one that polls
 //! `Transport::recv*` for the packet's source PE, because that is the only
 //! sender certain to come back; the transport flushes for it before it
@@ -32,8 +30,8 @@
 //! not: its caller has other work, a PE's own queue for one) and, on its
 //! way back into any `recv*`, once the cork is [`CORK_MAX_AGE`] old.  Every
 //! other sender (a retransmit timer, an aggregation flusher, a plain test
-//! thread) writes through.  A polling thread that stops polling — for a compute sleep, a
-//! credit stall, for good — calls
+//! thread) writes through.  A polling thread that stops polling — for a
+//! compute sleep, a credit stall, for good — calls
 //! [`Transport::flush_wire`](crate::transport::Transport::flush_wire)
 //! first; the wire's own bound on how long it holds a cork is only the
 //! net under one that forgets.
@@ -44,12 +42,10 @@ use std::time::{Duration, Instant};
 
 use mdo_netsim::Pe;
 
-use crate::device::Forwarder;
-use crate::mailbox::Mailbox;
 use crate::packet::Packet;
 
-/// An inter-node packet mover: the pluggable backend behind the device
-/// chains of a multi-process [`Transport`](crate::transport::Transport).
+/// An inter-node packet mover: the pluggable backend behind a
+/// multi-process [`Transport`](crate::transport::Transport).
 ///
 /// Implementations must be thread-safe: every PE thread of the process
 /// (plus the reliable layer's retransmit timer and the aggregator's
@@ -58,7 +54,7 @@ use crate::packet::Packet;
 /// reliable layer as a passthrough, and the aggregator's frames assume the
 /// order they were sent in.  Reordering is tolerated only beneath an armed
 /// reliable layer (flow control or a fault plan), which re-sequences — that
-/// is how the fault device gets away with it.  An implementation should
+/// is how the fault wire gets away with it.  An implementation should
 /// also be lossless while up; losses surface through the reliable layer's
 /// retransmission and, eventually, its structured delivery error.
 pub trait Wire: Send + Sync {
@@ -84,9 +80,9 @@ pub trait Wire: Send + Sync {
 
 /// A [`Wire`] bound to the set of PEs that are local to this process.
 ///
-/// [`Transport::new`](crate::transport::Transport::new) uses the binding
-/// to build its terminal router: local destinations land in their
-/// mailbox, remote destinations leave through the wire.
+/// A [`Transport`](crate::transport::Transport) built with one lands
+/// local destinations in their mailbox and sends remote ones through the
+/// wire.
 #[derive(Clone)]
 pub struct WireBinding {
     /// The inter-node backend.
@@ -146,31 +142,35 @@ fn thread_token() -> u64 {
     TOKEN.try_with(|t| *t).unwrap_or(0)
 }
 
-/// Terminal forwarder of a multi-process transport: routes each packet to
-/// its local landing mailbox or out through the [`Wire`], and owns the cork
-/// policy (see the module docs).
-pub struct WireRouter {
-    boxes: Vec<Arc<Mailbox>>,
+/// The remote half of a multi-process transport's landing: ships each
+/// packet out through the [`Wire`], and owns the cork policy (see the
+/// module docs).
+pub(crate) struct WireRouter {
     binding: WireBinding,
     epoch: Instant,
     corks: Vec<PeCork>,
 }
 
 impl WireRouter {
-    /// Router over this process's mailbox bank and its wire binding.
-    pub fn new(boxes: Vec<Arc<Mailbox>>, binding: WireBinding) -> Self {
-        let corks = (0..boxes.len())
+    /// Router over a job of `num_pes` PEs and this process's wire binding.
+    pub(crate) fn new(binding: WireBinding, num_pes: usize) -> Self {
+        let corks = (0..num_pes)
             .map(|_| PeCork {
                 poller: AtomicU64::new(0),
                 handler_start_ns: AtomicU64::new(0),
                 opened_ns: AtomicU64::new(NOT_CORKED),
             })
             .collect();
-        WireRouter { boxes, binding, epoch: Instant::now(), corks }
+        WireRouter { binding, epoch: Instant::now(), corks }
     }
 
     fn now_ns(&self) -> u64 {
         u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(NOT_CORKED - 1)
+    }
+
+    /// True iff this process hosts `pe`.
+    pub(crate) fn is_local(&self, pe: Pe) -> bool {
+        self.binding.is_local(pe)
     }
 
     /// The calling thread enters `recv*` for `pe`: it is `pe`'s poller from
@@ -192,20 +192,16 @@ impl WireRouter {
 
     /// Write whatever is corked — `pe`'s cork and, the wire being one, any
     /// other's; nothing corked costs a few atomic loads.  `pe`'s mark is
-    /// cleared before the write and set after the append (`deliver`), so a
+    /// cleared before the write and set after the append (`send`), so a
     /// packet corked concurrently is either written here or still marked.
     pub(crate) fn flush(&self, pe: Pe) {
         self.corks[pe.index()].opened_ns.swap(NOT_CORKED, Ordering::AcqRel);
         self.binding.wire.flush();
     }
-}
 
-impl Forwarder for WireRouter {
-    fn deliver(&self, pkt: Packet) {
-        if self.binding.is_local(pkt.dst) {
-            self.boxes[pkt.dst.index()].post(pkt);
-            return;
-        }
+    /// Ship a packet for a remote PE: corked if the calling thread polls
+    /// its source PE, written through otherwise.
+    pub(crate) fn send(&self, pkt: Packet) {
         let me = thread_token();
         match self.corks.get(pkt.src.index()) {
             Some(c) if me != 0 && c.poller.load(Ordering::Relaxed) == me => {
@@ -220,7 +216,6 @@ impl Forwarder for WireRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
     use parking_lot::Mutex;
 
     struct CollectWire(Mutex<Vec<Packet>>);
@@ -228,21 +223,6 @@ mod tests {
         fn send(&self, pkt: Packet) {
             self.0.lock().push(pkt);
         }
-    }
-
-    #[test]
-    fn router_splits_local_and_remote() {
-        let boxes: Vec<_> = (0..4).map(|_| Arc::new(Mailbox::new())).collect();
-        let wire = Arc::new(CollectWire(Mutex::new(Vec::new())));
-        let binding = WireBinding::new(wire.clone(), &[Pe(0), Pe(1)], 4);
-        let router = WireRouter::new(boxes.clone(), binding);
-        router.deliver(Packet::new(Pe(0), Pe(1), Bytes::from_static(b"local")));
-        router.deliver(Packet::new(Pe(1), Pe(3), Bytes::from_static(b"remote")));
-        assert_eq!(boxes[1].len(), 1);
-        assert!(boxes[3].is_empty(), "remote destination never lands locally");
-        let out = wire.0.lock();
-        assert_eq!(out.len(), 1);
-        assert_eq!(&out[0].payload[..], b"remote");
     }
 
     #[test]

@@ -16,9 +16,7 @@ use gridmdo::netsim::{Fate, FaultWire, WireStats};
 use gridmdo::prelude::*;
 use gridmdo::vmi::arq::Sender;
 use gridmdo::vmi::reliable::{decode_frame, HEADER_LEN, KIND_DATA};
-use gridmdo::vmi::{
-    jittered_backoff, FaultDevice, Packet, ReliableTransport, Transport, TransportConfig, Wire, WireBinding,
-};
+use gridmdo::vmi::{jittered_backoff, Packet, ReliableTransport, Transport, TransportConfig, Wire, WireBinding};
 use proptest::prelude::*;
 
 fn small_stencil(objects: usize, steps: u32, mesh: usize) -> StencilConfig {
@@ -46,13 +44,13 @@ fn assert_bit_exact(got: &[f64], want: &[f64], label: &str) {
     }
 }
 
-/// A reliable channel over a transport whose cross-cluster chain injects
-/// the given faults (a corrupted attempt is dropped at the device).
+/// A reliable channel over a transport whose fault wire injects the given
+/// faults (a corrupted attempt is dropped at the wire).
 fn lossy_channel(plan: FaultPlan) -> Arc<ReliableTransport> {
     let topo = Topology::two_cluster(2);
     let latency = LatencyMatrix::uniform(&topo, Dur::ZERO, Dur::ZERO);
     let mut cfg = TransportConfig::new(topo, latency);
-    cfg.fault = Some(FaultDevice::for_reliable(plan.clone()));
+    cfg.fault = Some(plan.clone());
     ReliableTransport::with_plan(Transport::new(cfg), plan)
 }
 
@@ -67,18 +65,16 @@ impl Wire for RecordingWire {
 }
 
 /// Sends `n` 8-byte messages from PE 0 (local) to PE 1 (across a recording
-/// wire) through the reliable layer over a fault device running `plan`;
-/// returns what reached the wire and what the device's wire did.
+/// wire) through the reliable layer over a fault wire running `plan`;
+/// returns what reached the wire and what the fault wire did.
 fn frames_on_the_wire(plan: FaultPlan, n: u64) -> (Vec<Packet>, WireStats) {
     let topo = Topology::two_cluster(2);
     let mut cfg = TransportConfig::new(topo.clone(), LatencyMatrix::uniform(&topo, Dur::ZERO, Dur::ZERO));
-    let fault = FaultDevice::for_reliable(plan.clone());
     let wire = Arc::new(RecordingWire::default());
-    cfg.fault = Some(Arc::clone(&fault));
+    cfg.fault = Some(plan.clone());
     cfg.wire = Some(WireBinding::new(Arc::clone(&wire) as Arc<dyn Wire>, &[Pe(0)], 2));
-    // No ack ever comes back, and the rto is far off (its timer ticks at a
-    // quarter of it, which is also how long shutting it down may take):
-    // every packet on the wire is a first attempt.
+    // No ack ever comes back, and the rto is far off: every packet on the
+    // wire is a first attempt.
     let rt = ReliableTransport::with_plan(Transport::new(cfg), plan.with_rto(Dur::from_secs(4)));
     for i in 0..n {
         rt.send(Packet::new(Pe(0), Pe(1), i.to_le_bytes().to_vec().into()));
@@ -86,13 +82,14 @@ fn frames_on_the_wire(plan: FaultPlan, n: u64) -> (Vec<Packet>, WireStats) {
     rt.shutdown();
     rt.inner().shutdown();
     let sent = std::mem::take(&mut *wire.0.lock().unwrap());
-    (sent, fault.stats())
+    (sent, rt.inner().wire_stats())
 }
 
-/// Under a fault plan the cross-WAN chain is fault injection then delay,
-/// and nothing else: each data frame reaches the wire as its header and
-/// its payload, intact, and an attempt the wire corrupts never reaches it
-/// at all — it is dropped and counted, as the simulator drops it.
+/// Under a fault plan a cross-WAN packet meets the fault wire, then the
+/// delay stamp, and nothing else: each data frame reaches the wire as its
+/// header and its payload, intact, and an attempt the wire corrupts never
+/// reaches it at all — it is dropped and counted, as the simulator drops
+/// it.
 #[test]
 fn under_a_fault_plan_only_intact_bare_frames_reach_the_wire() {
     let plan = FaultPlan::loss(0.2).with_duplicate(0.2).with_reorder(0.2).with_corrupt(0.2).with_seed(43);
@@ -257,7 +254,7 @@ fn sim_stencil_bit_exact_under_faults() {
 }
 
 /// Same check on the threaded engine, where loss/dup/reorder/corrupt
-/// happen to real packets in the VMI device chain and recovery is the
+/// happen to real packets in the VMI transport and recovery is the
 /// live ack/retransmit protocol.
 #[test]
 fn threaded_stencil_bit_exact_under_faults() {

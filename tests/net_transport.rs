@@ -150,7 +150,7 @@ fn two_node_leanmd_matches_sim_bit_exactly() {
     assert_eq!(multi.potential.to_bits(), sim.potential.to_bits(), "potential summed by each cell's fixed-point sum");
 
     // Report parity: what crosses the wire is exactly what the same job
-    // run in one process routes through its cross-cluster device chain,
+    // run in one process sends across clusters through its transport,
     // and the merged TCP report accounts for it identically.  The one
     // known difference is the end of the run: the exit flag is per
     // process, so node 1's first PE to see the Exit envelope relays it
