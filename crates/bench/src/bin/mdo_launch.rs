@@ -16,6 +16,11 @@
 //!            [--kill-node I --kill-after-ms T] [--log-dir DIR]
 //! ```
 //!
+//! `--kill-node` needs `--wan-ms`, and `--kill-after-ms` (250 without it)
+//! must be below the run's latency floor — its steps times the hops of a
+//! step times L — so the kill lands mid-run however fast the host is; a
+//! drill that could kill nothing is refused like an unknown flag.
+//!
 //! `--wan-ms` sets the injected cross-node latency (300 µs without it) and
 //! arms two more checks of "a packet is never visible before send + L"
 //! between *separate OS processes*, each with a clock epoch of its own —
@@ -103,7 +108,7 @@ impl Job {
             }
         }
         let kill_after = Duration::from_millis(parsed(args, "--kill-after-ms")?.unwrap_or(250));
-        Ok(Job {
+        let job = Job {
             app: arg_value(args, "--app").unwrap_or_else(|| "stencil".into()),
             nodes: parsed(args, "--nodes")?.unwrap_or(4),
             ppn: parsed(args, "--pes-per-node")?.unwrap_or(2),
@@ -113,7 +118,17 @@ impl Job {
             flow: !arg_flag(args, "--no-flow"),
             kill: parsed(args, "--kill-node")?.map(|node| KillPlan { node, after: kill_after }),
             log_dir: arg_value(args, "--log-dir").unwrap_or_else(|| "results/launch_logs".into()),
-        })
+        };
+        if let Some(kill) = &job.kill {
+            // Only the injected latency bounds how soon the job can end.
+            let wan_ms = job.wan_ms.ok_or("--kill-node needs --wan-ms: with no latency floor the job can end first")?;
+            let steps = if job.app == "leanmd" { job.md_cfg().steps } else { job.steps };
+            let floor_ms = f64::from(steps) * job.step_floor_ms(wan_ms);
+            if kill.after.as_secs_f64() * 1e3 >= floor_ms {
+                return Err(format!("--kill-after-ms must be under the latency floor, {steps} steps = {floor_ms} ms"));
+            }
+        }
+        Ok(job)
     }
 
     fn topology(&self) -> Topology {
@@ -162,54 +177,45 @@ fn digest(values: &[f64]) -> String {
     values.iter().map(|v| format!("{:016x}", v.to_bits())).collect::<Vec<_>>().join(",")
 }
 
+/// LeanMD's digest: every cell's checksum, then the kinetic energy.
+fn md_digest(out: &leanmd::MdOutcome) -> String {
+    digest(&[&out.checksums[..], &[out.kinetic]].concat())
+}
+
 /// The child path: run this node's share of the job over the real
 /// transport.  Node 0 prints the merged digest; everyone prints a
 /// per-node summary to stderr for the launcher logs.
 fn run_child(job: &Job, net: NetConfig) -> i32 {
     let topo = job.topology();
-    let latency = job.latency(&topo);
+    let tcfg = ThreadedConfig::new(job.latency(&topo));
     let node = net.node;
-    let mut run_cfg = job.run_cfg();
-    run_cfg.net = Some(net);
-    let tcfg = ThreadedConfig::new(latency);
-    match job.app.as_str() {
+    let run_cfg = RunConfig { net: Some(net), ..job.run_cfg() };
+    let (bits, ms_per_step, report, steps) = match job.app.as_str() {
         "stencil" => {
             let out = stencil::run_threaded_with(job.stencil_cfg(), topo, tcfg, run_cfg);
-            if let Some(err) = &out.report.unrecoverable {
-                eprintln!("node {node}: unrecoverable: {err}");
-                return 1;
-            }
-            if node == 0 {
-                println!("DIGEST {}", digest(&out.block_sums));
-                let recoveries = out.report.counters.get(Ctr::Recoveries);
-                println!("REPORT cross={} recoveries={recoveries}", out.report.network.cross_messages);
-                println!("STEP_MS {}", out.ms_per_step);
-            }
-            eprintln!("node {node}: stencil done, {} steps", job.steps);
-            0
+            (digest(&out.block_sums), out.ms_per_step, out.report, job.steps)
         }
         "leanmd" => {
             let out = leanmd::run_threaded_with(job.md_cfg(), topo, tcfg, run_cfg);
-            if let Some(err) = &out.report.unrecoverable {
-                eprintln!("node {node}: unrecoverable: {err}");
-                return 1;
-            }
-            if node == 0 {
-                let mut all = out.checksums.clone();
-                all.push(out.kinetic);
-                println!("DIGEST {}", digest(&all));
-                let recoveries = out.report.counters.get(Ctr::Recoveries);
-                println!("REPORT cross={} recoveries={recoveries}", out.report.network.cross_messages);
-                println!("STEP_MS {}", out.ms_per_step);
-            }
-            eprintln!("node {node}: leanmd done, {} steps", job.md_cfg().steps);
-            0
+            (md_digest(&out), out.ms_per_step, out.report, job.md_cfg().steps)
         }
         other => {
             eprintln!("node {node}: unknown app {other:?}");
-            2
+            return 2;
         }
+    };
+    if let Some(err) = &report.unrecoverable {
+        eprintln!("node {node}: unrecoverable: {err}");
+        return 1;
     }
+    if node == 0 {
+        println!("DIGEST {bits}");
+        let recoveries = report.counters.get(Ctr::Recoveries);
+        println!("REPORT cross={} recoveries={recoveries}", report.network.cross_messages);
+        println!("STEP_MS {ms_per_step}");
+    }
+    eprintln!("node {node}: {} done, {steps} steps", job.app);
+    0
 }
 
 /// Nanoseconds on the one clock every process of a host can put a number
@@ -297,12 +303,7 @@ fn reference_digests(job: &Job) -> (String, String) {
         "leanmd" => {
             let sim = leanmd::run_sim(job.md_cfg(), net, run_cfg.clone());
             let single = leanmd::run_threaded(job.md_cfg(), topo, latency, run_cfg);
-            let collect = |o: &leanmd::MdOutcome| {
-                let mut all = o.checksums.clone();
-                all.push(o.kinetic);
-                digest(&all)
-            };
-            (collect(&sim), collect(&single))
+            (md_digest(&sim), md_digest(&single))
         }
         other => {
             eprintln!("unknown app {other:?} (expected stencil or leanmd)");

@@ -6,7 +6,7 @@
 //! `reproduce` binary regenerates them from the registry, and the root
 //! package's golden test compares the exact parts with `results/` byte for
 //! byte (DESIGN.md §5 is the index).  The other binaries are tools:
-//! `mdo_launch` (one process per node), `heap_census` and `msgpath`.  This
+//! `mdo_launch` (one process per node) and `heap_census`.  This
 //! library also holds the paper's published numbers (for side-by-side
 //! output), plain-text table rendering and the experiment grids.
 

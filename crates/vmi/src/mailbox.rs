@@ -138,8 +138,8 @@ thread_local! {
 /// the far end from the merge lock and the queue behind it, which the
 /// consumer writes; when the compiler chose, adding one field put them on
 /// the lock's cache line and a single poster ran at a third of its speed
-/// (`msgpath`, one sender posting singly: 6 → 2.4 M envelopes a second).
-/// The assertion below [`Mailbox`] holds the distance.
+/// (6 → 2.4 M envelopes a second) while every test stayed green.  The
+/// assertion below [`Mailbox`] holds the distance.
 #[repr(C)]
 struct FastLanes {
     /// Lazily-allocated per-sender rings; slots `0..published` are live.

@@ -379,11 +379,9 @@ fn a_disabled_recorder_allocates_nothing() {
 }
 
 /// The aggregated send path in its steady state — frame buffer warm, no
-/// flush inside the window — encodes in place and allocates nothing: the
-/// one exact assertion of the former `perf-smoke` CI job
-/// (`msgpath`'s `send_path_allocs_per_envelope.agg_on == 0`), here with
-/// the envelopes built ahead of the window so nothing has to be
-/// subtracted for the caller.
+/// flush inside the window — encodes in place and allocates nothing per
+/// envelope (EXPERIMENTS.md A9), with the envelopes built ahead of the
+/// window so nothing has to be subtracted for the caller.
 #[test]
 fn aggregated_send_path_allocates_nothing_per_envelope() {
     let _alone = alone();

@@ -221,3 +221,42 @@ fn stencil_absolute_scale_matches_table1_anchors() {
         assert!(err < 0.10, "2 PEs/{objects} objs: {got:.3} vs paper {expect:.3}");
     }
 }
+
+/// `stencil_cross_tcp`'s shape in the simulator: 1,024 objects dealt round
+/// robin to two single-PE nodes, so every block's left and right neighbours
+/// are across the WAN, no handler work and `overhead` a message; ms/step
+/// over `steps` at `wan_ms`.
+fn cross_stencil_step(overhead: Dur, steps: u32, wan_ms: u64) -> f64 {
+    use gridmdo::netsim::{latency::DEFAULT_INTRA_LATENCY, WanContention};
+    let topo = Topology::uniform(2, 1);
+    let latency = LatencyMatrix::uniform(&topo, DEFAULT_INTRA_LATENCY, Dur::from_millis(wan_ms));
+    let net = NetworkModel::new(topo.clone(), latency, WanContention::disabled(&topo), 0);
+    let cost = StencilCost { ns_per_cell: 0.0, msg_overhead: overhead, cache_effect: false };
+    let cfg = StencilConfig { mapping: Mapping::RoundRobin, cost, ..StencilConfig::paper(1024, steps) };
+    stencil::run_sim(cfg, net, RunConfig::default()).ms_per_step
+}
+
+/// When every neighbour is remote, no step can be shorter than one WAN hop,
+/// whatever the zero-latency step L is: a WAN step is max(L, hop) plus an
+/// exposure per run (start-up, the first exchange, the gather: about three
+/// hops) that does not grow with the step count.  Checked with L below the
+/// hop (1.9 µs a message) and above it (2.5 µs).
+#[test]
+fn cross_wan_stencil_steps_at_max_of_l_and_one_hop_plus_a_per_run_exposure() {
+    const HOP_MS: u64 = 4;
+    let hop = HOP_MS as f64;
+    for (overhead, l_below_hop) in [(Dur::from_nanos(1_900), true), (Dur::from_nanos(2_500), false)] {
+        let exposure = |steps: u32| {
+            let (w, l) = (cross_stencil_step(overhead, steps, HOP_MS), cross_stencil_step(overhead, steps, 0));
+            assert_eq!(l < hop, l_below_hop, "{overhead:?} a message: L = {l:.3} ms against a {hop} ms hop");
+            let floor = l.max(hop);
+            assert!(w >= floor, "{steps} steps: W = {w:.3} ms a step, under max(L, hop) = {floor:.3}");
+            (w - floor) * f64::from(steps)
+        };
+        let (e12, e24) = (exposure(12), exposure(24));
+        assert!((e12 - e24).abs() < 1.0, "{overhead:?}: exposure {e12:.3} / {e24:.3} ms a run grows with steps");
+        for e in [e12, e24] {
+            assert!((2.0 * hop..3.0 * hop + 1.0).contains(&e), "{overhead:?}: {e:.3} ms a run is not about three hops");
+        }
+    }
+}
