@@ -38,6 +38,9 @@ pub type Runner = Arc<dyn Fn(RunConfig) -> AppRun + Send + Sync>;
 /// by [`RunConfig`] and the simulator's own [`SimConfig`].
 pub type SimRunner = Arc<dyn Fn(RunConfig, SimConfig) -> AppRun + Send + Sync>;
 
+/// The one-way WAN latency of every app's simulated network here.
+pub(crate) const SIM_WAN: Dur = Dur::from_millis(1);
+
 /// An application configuration under test.
 #[derive(Clone)]
 pub struct CheckApp {
@@ -96,7 +99,7 @@ impl CheckApp {
             }
         }
         let sim: SimRunner = Arc::new(|run_cfg, sim| {
-            let net = NetworkModel::two_cluster_sweep(4, Dur::from_millis(1));
+            let net = NetworkModel::two_cluster_sweep(4, SIM_WAN);
             let out = stencil::run_sim_full(cfg(), SimEngine::new(net, run_cfg).with_config(sim), None, None);
             AppRun { digest: digest_f64s(out.block_sums.iter().copied()), report: out.report }
         });
@@ -138,7 +141,7 @@ impl CheckApp {
             }
         }
         let sim: SimRunner = Arc::new(|run_cfg, sim| {
-            let engine = SimEngine::new(NetworkModel::two_cluster_sweep(4, Dur::from_millis(1)), elastic(run_cfg));
+            let engine = SimEngine::new(NetworkModel::two_cluster_sweep(4, SIM_WAN), elastic(run_cfg));
             let out = stencil::run_sim_full(cfg(), engine.with_config(sim), None, None);
             AppRun { digest: digest_f64s(out.block_sums.iter().copied()), report: out.report }
         });
@@ -153,7 +156,7 @@ impl CheckApp {
             MdConfig::validation(3, 3, 3)
         }
         let sim: SimRunner = Arc::new(|run_cfg, sim| {
-            let net = NetworkModel::two_cluster_sweep(4, Dur::from_millis(1));
+            let net = NetworkModel::two_cluster_sweep(4, SIM_WAN);
             let out = leanmd::run_sim_full(cfg(), SimEngine::new(net, run_cfg).with_config(sim), None, None);
             AppRun { digest: digest_md(&out), report: out.report }
         });
@@ -183,7 +186,7 @@ impl CheckApp {
                 Box::new(Probe { counts: Arc::clone(&counts_f) }) as Box<dyn Chare>
             });
             program.on_startup(move |ctl| ctl.broadcast(arr, PROBE_START, vec![]));
-            let net = NetworkModel::two_cluster_sweep(4, Dur::from_millis(1));
+            let net = NetworkModel::two_cluster_sweep(4, SIM_WAN);
             let report = SimEngine::new(net, run_cfg).with_config(sim).run(program);
             let digest = counts.lock().expect("probe counts").clone();
             AppRun { digest, report }

@@ -22,8 +22,8 @@ use mdo_core::program::RunConfig;
 use mdo_core::{DeliverySpec, ObsConfig, ScheduleSink, ScheduleTrace, SimConfig};
 use mdo_netsim::SplitMix64;
 
-use crate::apps::CheckApp;
-use crate::invariant::{check_digest, check_report, Expectation, Violation};
+use crate::apps::{CheckApp, SIM_WAN};
+use crate::invariant::{check_digest, check_report, repairs_only, Expectation, Violation};
 use crate::schedule::ScheduleFile;
 use crate::shrink::{shrink, ShrinkResult};
 
@@ -194,9 +194,11 @@ fn shedding(cfg: &ExploreConfig) -> bool {
     cfg.run.flow.is_some_and(|f| f.sheds())
 }
 
-/// The app's expectation, widened for the session's flow policy.
+/// The app's expectation, widened for the session's flow policy and
+/// sharpened for its fault plan.
 fn expectation(app: &CheckApp, cfg: &ExploreConfig) -> Expectation {
-    Expectation { sheds_allowed: shedding(cfg), ..app.expectation }
+    let repairs_only = cfg.run.fault_plan.as_ref().is_some_and(|plan| repairs_only(plan, SIM_WAN));
+    Expectation { sheds_allowed: shedding(cfg), repairs_only, ..app.expectation }
 }
 
 /// Run one exploration session.  Fully deterministic: the same `(app,
@@ -312,8 +314,8 @@ fn shrink_failure(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mdo_core::ScheduleChoice;
-    use mdo_netsim::{AggConfig, FaultPlan, FlowConfig};
+    use mdo_core::{Ctr, ScheduleChoice};
+    use mdo_netsim::{AggConfig, Dur, FaultPlan, FlowConfig};
 
     /// A session of `schedules` runs over `run`.
     fn session(schedules: usize, run: RunConfig) -> ExploreConfig {
@@ -345,6 +347,26 @@ mod tests {
         let cfg = session(2, RunConfig { agg: Some(AggConfig::default()), ..RunConfig::default() });
         let report = explore(&CheckApp::stencil_mini(), &cfg);
         assert!(report.passed(), "aggregated stencil exploration failed: {:?}", report.failing);
+    }
+
+    #[test]
+    fn every_retransmit_repairs_a_loss_once_the_rto_exceeds_a_round_trip() {
+        // At an rto of exactly one round trip each frame's timer pops at
+        // its ack's instant, ahead of it, and resends a frame its receiver
+        // holds; a nanosecond later the ack always wins.
+        let app = CheckApp::stencil_mini();
+        let run = |rto: Dur| {
+            let plan = FaultPlan::loss(0.05).with_seed(2005).with_rto(rto);
+            let cfg = session(2, RunConfig { fault_plan: Some(plan), ..RunConfig::default() });
+            let counters = app.run_sim(cfg.run.clone(), SimConfig::default()).report.counters;
+            (expectation(&app, &cfg).repairs_only, counters.get(Ctr::SpuriousRetransmits), explore(&app, &cfg))
+        };
+        let (checked, spurious, report) = run(SIM_WAN * 2);
+        assert!(!checked && spurious > 0, "at the boundary: checked {checked}, {spurious} spurious");
+        assert!(report.passed(), "{:?}", report.failing);
+        let (checked, spurious, report) = run(SIM_WAN * 2 + Dur::from_nanos(1));
+        assert!(checked && spurious == 0, "above it: checked {checked}, {spurious} spurious");
+        assert!(report.passed(), "{:?}", report.failing);
     }
 
     #[test]

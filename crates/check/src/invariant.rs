@@ -12,6 +12,7 @@
 use std::collections::BTreeMap;
 
 use mdo_core::program::RunReport;
+use mdo_netsim::{Dur, FaultPlan};
 use mdo_obs::{Ctr, Event};
 
 /// A broken invariant, with enough context to debug it.
@@ -61,6 +62,14 @@ pub enum Violation {
         /// Envelopes the report admits to dropping.
         sheds: u64,
     },
+    /// The reliable layer resent frames its receiver already held, where
+    /// every retransmit must repair a loss ([`Expectation::repairs_only`]).
+    SpuriousRetransmit {
+        /// Retransmits of frames the receiver held.
+        spurious: u64,
+        /// Retransmits in all.
+        retransmits: u64,
+    },
     /// The reliable layer gave up on a message (structured transport
     /// error): under the explored fault plans this must not happen.
     Transport(String),
@@ -84,6 +93,9 @@ impl std::fmt::Display for Violation {
             Violation::DigestMismatch { index, expected, got } => {
                 write!(f, "state digest differs from reference at word {index}: {expected:?} vs {got:?}")
             }
+            Violation::SpuriousRetransmit { spurious, retransmits } => {
+                write!(f, "{spurious} of {retransmits} retransmit(s) resent a frame its receiver held")
+            }
             Violation::Transport(e) => write!(f, "transport error: {e}"),
             Violation::Unrecoverable(e) => write!(f, "unrecoverable failure: {e}"),
         }
@@ -104,6 +116,21 @@ pub struct Expectation {
     /// sent-but-undelivered traffic.  Without the flag any shed is a
     /// violation — Block and flow-off runs promise lossless delivery.
     pub sheds_allowed: bool,
+    /// Every retransmit must repair a lost attempt (see [`repairs_only`]):
+    /// the simulator's `Ctr::SpuriousRetransmits` must read 0.
+    pub repairs_only: bool,
+}
+
+/// Whether every retransmit under `plan` repairs a loss on an uncontended
+/// network whose largest one-way latency is `wan`.  Each data frame draws
+/// its own ack, which the wire never harms and which names the frame, so
+/// an ack is back one round trip after its frame was sent.  The frame's
+/// timer is armed first, so at an rto of exactly two latencies it pops
+/// first and resends a held frame: the rto must exceed the round trip.  A
+/// reorder stash can release a frame just before its timer, so a plan that
+/// reorders is exempt.
+pub fn repairs_only(plan: &FaultPlan, wan: Dur) -> bool {
+    plan.reorder == 0.0 && plan.rto > wan * 2
 }
 
 /// Check every invariant the report's observability data supports.
@@ -117,6 +144,10 @@ pub fn check_report(report: &RunReport, expect: &Expectation) -> Vec<Violation> 
 
     if !expect.sheds_allowed && sheds > 0 {
         out.push(Violation::UnexpectedShed { sheds });
+    }
+    let spurious = report.counters.get(Ctr::SpuriousRetransmits);
+    if expect.repairs_only && spurious > 0 {
+        out.push(Violation::SpuriousRetransmit { spurious, retransmits: report.counters.get(Ctr::Retransmits) });
     }
     if let Some(err) = &report.transport_error {
         out.push(Violation::Transport(err.to_string()));
@@ -238,7 +269,7 @@ pub fn check_digest(reference: &[u64], got: &[u64]) -> Option<Violation> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mdo_netsim::{Dur, Time};
+    use mdo_netsim::Time;
     use mdo_obs::{CounterSet, ObsReport, PeObs};
 
     fn report_with(pes: Vec<PeObs>) -> RunReport {
@@ -280,6 +311,27 @@ mod tests {
     }
 
     #[test]
+    fn a_spurious_retransmit_fails_a_run_whose_retransmits_must_all_repair() {
+        let mut report = report_with(Vec::new());
+        report.counters.add(Ctr::Retransmits, 5);
+        report.counters.add(Ctr::SpuriousRetransmits, 3);
+        assert!(check_report(&report, &Expectation::default()).is_empty(), "legal without the flag");
+        let v = check_report(&report, &Expectation { repairs_only: true, ..Expectation::default() });
+        assert_eq!(v, vec![Violation::SpuriousRetransmit { spurious: 3, retransmits: 5 }]);
+        assert!(v[0].to_string().contains("3 of 5"), "{}", v[0]);
+    }
+
+    #[test]
+    fn retransmits_must_all_repair_above_an_rto_of_two_latencies_without_reorder() {
+        let wan = Dur::from_millis(1);
+        let plan = |rto_us| FaultPlan::loss(0.05).with_rto(Dur::from_micros(rto_us));
+        assert!(repairs_only(&plan(2_001), wan), "an ack beats its frame's timer");
+        assert!(repairs_only(&FaultPlan::loss(0.05), wan), "the default 50 ms rto");
+        assert!(!repairs_only(&plan(2_000), wan), "the timer, armed first, pops at the ack's instant");
+        assert!(!repairs_only(&plan(2_001).with_reorder(0.01), wan), "a stash may release a frame at its deadline");
+    }
+
+    #[test]
     fn duplicate_delivery_is_caught() {
         let report = report_with(vec![pe_obs(0, vec![send(1, 1)]), pe_obs(1, vec![recv(5, 0), recv(7, 0)])]);
         let v = check_report(&report, &Expectation::default());
@@ -318,7 +370,7 @@ mod tests {
         // Two sends, one delivery, one accounted shed: the books balance.
         let mut report = report_with(vec![pe_obs(0, vec![send(1, 1), send(2, 1)]), pe_obs(1, vec![recv(5, 0)])]);
         report.counters.add(Ctr::EnvelopesShed, 1);
-        let expect = Expectation { quiescent_exit: true, sheds_allowed: true };
+        let expect = Expectation { quiescent_exit: true, sheds_allowed: true, ..Expectation::default() };
         assert!(check_report(&report, &expect).is_empty());
         // A second undelivered envelope is NOT covered by the shed count.
         let mut worse =

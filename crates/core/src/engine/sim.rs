@@ -39,7 +39,7 @@ use mdo_netsim::{
     AggConfig, CrashTrigger, Dur, EventId, EventQueue, FailureCause, Fate, FaultWire, FlowConfig, Harm, Pe, Time,
     Topology, TransportError, UnrecoverableError,
 };
-use mdo_vmi::arq::{Receiver, Sender, SACK_SPAN};
+use mdo_vmi::arq::{Receiver, Sender};
 use mdo_vmi::credit::CreditLedger;
 use mdo_vmi::flush::{FlushCause, PairFill};
 
@@ -101,9 +101,9 @@ enum Event {
     /// `(src, dst, seq, frame)`: frame `seq` of the pair `src -> dst`
     /// reaches `dst`.
     Frame(Pe, Pe, u64, Frame),
-    /// `(src, dst, cum, sack)`: an ack of the pair reaches `src` — the
-    /// cumulative ack and the selective-ack map past it.
-    Ack(Pe, Pe, u64, u64),
+    /// `(src, dst, cum, held)`: an ack of the pair reaches `src` — the
+    /// cumulative ack and the frame it names past it, if any.
+    Ack(Pe, Pe, u64, Option<u64>),
     /// `(src, dst, seq)`: the retransmit deadline of frame `seq` of the
     /// pair.
     Retransmit(Pe, Pe, u64),
@@ -148,8 +148,8 @@ struct SimWan {
     senders: HashMap<(u32, u32), Sender<Frame>>,
     receivers: HashMap<(u32, u32), Receiver<Frame>>,
     /// Each pair's live retransmit timers, one per frame no ack has
-    /// covered yet: the ack that retires or selectively acks a frame
-    /// cancels its timer.
+    /// covered yet: the ack that retires a frame or names it held cancels
+    /// its timer.
     timers: HashMap<(u32, u32), BTreeMap<u64, EventId>>,
     broken_dedup: bool,
     agg: Option<AggConfig>,
@@ -318,7 +318,7 @@ impl SimWan {
         let seq = sender.next_seq();
         let due = sender.send(frame.clone(), at, rto);
         self.arm(src, dst, seq, due, events);
-        self.attempt(src, dst, seq, frame, at, events);
+        self.attempt(src, dst, (seq, 0), frame, at, events);
     }
 
     /// Arm frame `seq`'s retransmit timer at `due`, cancelling the one it
@@ -331,30 +331,27 @@ impl SimWan {
     }
 
     /// An ack of `src -> dst` reaches `src`: the copies below `cum` retire,
-    /// and their timers with them; the copies `sack` names stay until
-    /// `cum` passes them, but their timers go.
-    fn ack(&mut self, src: Pe, dst: Pe, cum: u64, sack: u64, events: &mut EventQueue<Event>) {
+    /// and their timers with them; the copy `held` names stays until `cum`
+    /// passes it, but its timer goes.
+    fn ack(&mut self, src: Pe, dst: Pe, cum: u64, held: Option<u64>, events: &mut EventQueue<Event>) {
         let key = (src.0, dst.0);
         let (Some(sender), Some(timers)) = (self.senders.get_mut(&key), self.timers.get_mut(&key)) else { return };
-        sender.on_ack(cum, sack).for_each(drop);
-        let kept = timers.split_off(&cum);
-        for id in std::mem::replace(timers, kept).into_values() {
+        sender.on_ack(cum, held).for_each(drop);
+        let mut kept = timers.split_off(&cum);
+        let named = held.and_then(|seq| kept.remove(&seq));
+        for id in std::mem::replace(timers, kept).into_values().chain(named) {
             events.cancel(id);
-        }
-        for i in (0..SACK_SPAN).filter(|i| (sack >> i) & 1 == 1) {
-            if let Some(id) = timers.remove(&(cum + 1 + i)) {
-                events.cancel(id);
-            }
         }
     }
 
-    /// One attempt through the fault wire: what gets through lands after
-    /// the network's delivery time (twice if duplicated, never if
-    /// corrupted), the stash it released right behind it.
-    fn attempt(&mut self, src: Pe, dst: Pe, seq: u64, frame: Frame, at: Time, events: &mut EventQueue<Event>) {
-        let (bytes, since) = (frame.bytes, at.saturating_since(self.epoch));
+    /// Attempt `n` of frame `seq`, `id = (seq, n)`, through the fault
+    /// wire: what gets through lands after the network's delivery time
+    /// (twice if duplicated, never if corrupted), the stash it released
+    /// right behind it.
+    fn attempt(&mut self, src: Pe, dst: Pe, id: (u64, u32), frame: Frame, at: Time, events: &mut EventQueue<Event>) {
+        let ((seq, n), bytes, since) = (id, frame.bytes, at.saturating_since(self.epoch));
         let wire = self.wire.as_mut().expect("a fault plan is armed");
-        let Fate::Through { item, harm, released } = wire.transmit(src, dst, since, (seq, frame)) else {
+        let Fate::Through { item, harm, released } = wire.transmit(src, dst, seq, n, since, (seq, frame)) else {
             return;
         };
         let arrival = self.net.delivery_time(src, dst, at, bytes).max(at);
@@ -387,9 +384,9 @@ impl SimWan {
         if receipt.duplicate {
             self.ctr.bump(Ctr::DupDropped);
         }
-        let ack_bytes = mdo_vmi::reliable::ack_len(receipt.sack, self.flow.is_some()) as u64;
+        let ack_bytes = mdo_vmi::reliable::ack_len(receipt.held.is_some(), self.flow.is_some()) as u64;
         let back = self.net.delivery_time(dst, src, now, ack_bytes).max(now);
-        events.schedule(back, Event::Ack(src, dst, receipt.cum, receipt.sack));
+        events.schedule(back, Event::Ack(src, dst, receipt.cum, receipt.held));
         released.into_iter().flat_map(|f| f.envs).collect()
     }
 
@@ -411,15 +408,15 @@ impl SimWan {
         let mut resend = Vec::new();
         // When the protocol gives up, the run aborts with a structured
         // error instead of simulating on partial state.
-        if let Some(err) = sender.on_timer(now, wire.plan(), |seq, frame, due| resend.push((seq, frame.clone(), due))) {
+        if let Some(err) = sender.on_timer(now, wire.plan(), |s, n, f, due| resend.push(((s, n), f.clone(), due))) {
             return Err(err);
         }
-        let held = self.receivers.get(&key).map_or(0, |r| resend.iter().filter(|c| r.holds(c.0)).count());
+        let held = self.receivers.get(&key).map_or(0, |r| resend.iter().filter(|c| r.holds(c.0 .0)).count());
         self.ctr.add(Ctr::Retransmits, resend.len() as u64);
         self.ctr.add(Ctr::SpuriousRetransmits, held as u64);
-        for (seq, frame, due) in resend {
-            self.arm(src, dst, seq, due, events);
-            self.attempt(src, dst, seq, frame, now, events);
+        for (id, frame, due) in resend {
+            self.arm(src, dst, id.0, due, events);
+            self.attempt(src, dst, id, frame, now, events);
         }
         Ok(())
     }
@@ -607,8 +604,8 @@ impl SimEngine {
                         wan.tick(src, dst, filling, now, &mut events);
                         continue;
                     }
-                    Event::Ack(src, dst, cum, sack) => {
-                        wan.ack(src, dst, cum, sack, &mut events);
+                    Event::Ack(src, dst, cum, held) => {
+                        wan.ack(src, dst, cum, held, &mut events);
                         continue;
                     }
                     Event::Retransmit(src, dst, seq) => {

@@ -10,13 +10,16 @@
 //! and the simulator its virtual-time frames.  The reliable
 //! protocol that recovers from it is one too (`mdo_vmi::arq`).
 //!
-//! Randomness is drawn from a dedicated [`Xoshiro256`] stream per ordered
-//! PE pair (seeded from the plan seed and the pair), so a pair's fault
-//! schedule is independent of how traffic from other pairs interleaves
-//! with it.  That is what lets the threaded and simulated engines agree on
-//! *which* packets a given plan harms.
+//! Each attempt's fate is one draw keyed by the attempt itself — the plan
+//! seed, the ordered PE pair, the frame's sequence number and the attempt
+//! number ([`keyed_unit`]) — so it does not depend on how many attempts
+//! came before it on the pair or anywhere else.  That is what lets the
+//! threaded and simulated engines agree on *which* attempts a plan harms
+//! however their frames and retransmits interleave.  Two harms still
+//! depend on timing: a link-down window (when the attempt is made) and the
+//! reorder stash (which attempt of the pair comes next to release it).
 
-use crate::rng::{SplitMix64, Xoshiro256};
+use crate::rng::keyed_unit;
 use crate::time::Dur;
 use crate::topology::Pe;
 use std::collections::HashMap;
@@ -35,7 +38,7 @@ pub struct FaultPlan {
     /// Probability a packet is corrupted on the wire.  The receiver would
     /// reject it, so it arrives as nothing: a drop, counted apart.
     pub corrupt: f64,
-    /// Seed for the per-pair fault streams.
+    /// Seed of the keyed fault draws.
     pub seed: u64,
     /// Scheduled link-down windows `[start, end)` measured from run start;
     /// every cross-cluster packet inside a window is lost.
@@ -129,21 +132,6 @@ impl FaultPlan {
     pub fn link_is_down(&self, at: Dur) -> bool {
         self.link_down.iter().any(|&(s, e)| at >= s && at < e)
     }
-
-    /// The dedicated fault stream for the ordered pair `src -> dst`.
-    ///
-    /// [`FaultWire`] draws from it once per transmission attempt, so a plan
-    /// harms the same packets whichever engine carries them.
-    pub fn pair_stream(&self, src: Pe, dst: Pe) -> Xoshiro256 {
-        let mut sm = SplitMix64::new(self.seed);
-        let a = sm.next_u64();
-        let b = sm.next_u64();
-        Xoshiro256::new(
-            a ^ (src.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                ^ (dst.0 as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F)
-                ^ b.rotate_left(17),
-        )
-    }
 }
 
 /// The structured error a transport surfaces when the reliable layer
@@ -218,22 +206,22 @@ pub struct WireStats {
     pub reordered: u64,
 }
 
-/// A [`FaultPlan`] applied to cross-cluster data attempts, one draw each
-/// from the pair's stream.
-/// A reorder draw holds the attempt in the pair's one-slot stash; with the
-/// stash occupied it passes instead.  Generic over what travels, so the
-/// wall clock's packets and the simulator's frames meet the same wire.
+/// A [`FaultPlan`] applied to cross-cluster data attempts, one keyed draw
+/// each.  A reorder draw holds the attempt in the pair's one-slot stash;
+/// with the stash occupied it passes instead.  Generic over what travels,
+/// so the wall clock's packets and the simulator's frames meet the same
+/// wire.
 #[derive(Debug)]
 pub struct FaultWire<T> {
     plan: FaultPlan,
-    pairs: HashMap<(u32, u32), (Xoshiro256, Option<T>)>,
+    stashes: HashMap<(u32, u32), T>,
     stats: WireStats,
 }
 
 impl<T> FaultWire<T> {
-    /// A wire running `plan`, every pair's stream at its start.
+    /// A wire running `plan`, every stash empty.
     pub fn new(plan: FaultPlan) -> Self {
-        FaultWire { plan, pairs: HashMap::new(), stats: WireStats::default() }
+        FaultWire { plan, stashes: HashMap::new(), stats: WireStats::default() }
     }
 
     /// The plan this wire runs.
@@ -246,12 +234,13 @@ impl<T> FaultWire<T> {
         self.stats
     }
 
-    /// One attempt `src -> dst` of `item`, `at` after the wire came up
-    /// (what link-down windows are measured against).
-    pub fn transmit(&mut self, src: Pe, dst: Pe, at: Dur, item: T) -> Fate<T> {
-        let FaultWire { plan: p, pairs, stats } = self;
-        let (rng, stash) = pairs.entry((src.0, dst.0)).or_insert_with(|| (p.pair_stream(src, dst), None));
-        let r = rng.next_f64();
+    /// Attempt `attempt` (0 for the first copy) of frame `seq` of the pair
+    /// `src -> dst`, carrying `item`, `at` after the wire came up (what
+    /// link-down windows are measured against).
+    pub fn transmit(&mut self, src: Pe, dst: Pe, seq: u64, attempt: u32, at: Dur, item: T) -> Fate<T> {
+        let p = &self.plan;
+        let r = keyed_unit(&[p.seed, u64::from(src.0), u64::from(dst.0), seq, u64::from(attempt)]);
+        let (stats, stashes, pair) = (&mut self.stats, &mut self.stashes, (src.0, dst.0));
         let harm = if p.link_is_down(at) || r < p.drop {
             stats.dropped += 1;
             return Fate::Lost;
@@ -261,14 +250,14 @@ impl<T> FaultWire<T> {
         } else if r < p.drop + p.corrupt + p.duplicate {
             stats.duplicated += 1;
             Harm::Duplicated
-        } else if r < p.drop + p.corrupt + p.duplicate + p.reorder && stash.is_none() {
+        } else if r < p.drop + p.corrupt + p.duplicate + p.reorder && !stashes.contains_key(&pair) {
             stats.reordered += 1;
-            *stash = Some(item);
+            stashes.insert(pair, item);
             return Fate::Stashed;
         } else {
             Harm::None
         };
-        Fate::Through { item, harm, released: stash.take() }
+        Fate::Through { item, harm, released: stashes.remove(&pair) }
     }
 }
 
@@ -276,10 +265,10 @@ impl<T> FaultWire<T> {
 mod tests {
     use super::*;
 
-    /// The fates of `n` attempts `src -> dst` (the item is the attempt's
-    /// index), stash releases included.
+    /// The fates of the first attempts of frames `0..n` of `src -> dst`
+    /// (the item is the frame's number), stash releases included.
     fn fates(wire: &mut FaultWire<u32>, src: u32, dst: u32, n: u32) -> Vec<Fate<u32>> {
-        (0..n).map(|i| wire.transmit(Pe(src), Pe(dst), Dur::ZERO, i)).collect()
+        (0..n).map(|i| wire.transmit(Pe(src), Pe(dst), u64::from(i), 0, Dur::ZERO, i)).collect()
     }
 
     #[test]
@@ -302,28 +291,37 @@ mod tests {
     }
 
     #[test]
-    fn pair_streams_are_independent_of_interleaving() {
-        let plan = FaultPlan::loss(0.5).with_reorder(0.2).with_seed(42);
-        // Wire A sees the pairs strictly interleaved; wire B one pair
-        // first.  Per-pair fates must match regardless.
+    fn an_attempts_fate_is_keyed_by_the_attempt_not_by_what_came_before_it() {
+        // No reorder: with no stash to fill, a fate is the draw alone.
+        let plan = FaultPlan::loss(0.3).with_duplicate(0.2).with_corrupt(0.2).with_seed(42);
+        let keys: Vec<(u32, u64, u32)> =
+            (0..40).flat_map(|seq| [(1, seq, 0), (3, seq, 0), (1, seq, 1), (1, seq, 2)]).collect();
+        let fate = |wire: &mut FaultWire<()>, &(dst, seq, attempt): &(u32, u64, u32)| {
+            wire.transmit(Pe(0), Pe(dst), seq, attempt, Dur::ZERO, ())
+        };
+        // Wire A sees the attempts interleaved across pairs, seqs and
+        // retries; wire B in reverse; wire C each on its own.
         let mut a = FaultWire::new(plan.clone());
-        let (mut a01, mut a23) = (Vec::new(), Vec::new());
-        for i in 0..50 {
-            a01.push(a.transmit(Pe(0), Pe(1), Dur::ZERO, i));
-            a23.push(a.transmit(Pe(2), Pe(3), Dur::ZERO, i));
+        let forward: Vec<_> = keys.iter().map(|k| fate(&mut a, k)).collect();
+        let mut b = FaultWire::new(plan.clone());
+        let mut backward: Vec<_> = keys.iter().rev().map(|k| fate(&mut b, k)).collect();
+        backward.reverse();
+        assert_eq!(forward, backward, "the order of attempts moves no fate");
+        for (k, f) in keys.iter().zip(&forward).step_by(7) {
+            assert_eq!(&fate(&mut FaultWire::new(plan.clone()), k), f, "attempt {k:?} on a fresh wire");
         }
-        let mut b = FaultWire::new(plan);
-        assert_eq!(a01, fates(&mut b, 0, 1, 50));
-        assert_eq!(a23, fates(&mut b, 2, 3, 50));
+        assert_eq!(a.stats(), b.stats());
+        let retry_differs = (0..40).any(|seq| forward[4 * seq] != forward[4 * seq + 2]);
+        assert!(retry_differs, "a retransmit draws afresh: it is not its first attempt's fate again");
     }
 
     #[test]
     fn a_reorder_draw_stashes_until_the_next_attempt_gets_through() {
         let mut wire = FaultWire::new(FaultPlan::default().with_reorder(1.0));
-        assert_eq!(wire.transmit(Pe(0), Pe(4), Dur::ZERO, 'a'), Fate::Stashed);
+        assert_eq!(wire.transmit(Pe(0), Pe(4), 0, 0, Dur::ZERO, 'a'), Fate::Stashed);
         // The second draw also says "reorder", but the stash is occupied:
         // the attempt passes and releases the stash behind itself.
-        let second = wire.transmit(Pe(0), Pe(4), Dur::ZERO, 'b');
+        let second = wire.transmit(Pe(0), Pe(4), 1, 0, Dur::ZERO, 'b');
         assert_eq!(second, Fate::Through { item: 'b', harm: Harm::None, released: Some('a') });
         assert_eq!(wire.stats().reordered, 1);
     }
@@ -332,7 +330,7 @@ mod tests {
     fn link_down_windows_lose_every_attempt_inside_them() {
         let plan = FaultPlan::default().with_link_down(Dur::from_millis(10), Dur::from_millis(20));
         let mut wire = FaultWire::new(plan);
-        let at = |ms| wire.transmit(Pe(0), Pe(4), Dur::from_millis(ms), ()) == Fate::Lost;
+        let at = |ms| wire.transmit(Pe(0), Pe(4), ms, 0, Dur::from_millis(ms), ()) == Fate::Lost;
         let lost: Vec<bool> = [0, 10, 19, 20].into_iter().map(at).collect();
         assert_eq!(lost, [false, true, true, false]);
         assert_eq!(wire.stats().dropped, 2);

@@ -68,7 +68,7 @@ pub use fault::{Fate, FaultPlan, FaultWire, Harm, TransportError, WireStats};
 pub use flowctl::{FlowConfig, OverloadPolicy};
 pub use latency::{LatencyMatrix, LatencyMatrixBuilder};
 pub use network::{DeliveryOracle, NetworkModel, NetworkStats};
-pub use rng::{SplitMix64, Xoshiro256};
+pub use rng::{keyed_unit, SplitMix64, Xoshiro256};
 pub use time::{Dur, Time};
 pub use topology::{ClusterId, Pe, Topology};
 pub use tree::SpanTree;

@@ -2,8 +2,9 @@
 //!
 //! The simulation must be bit-reproducible across runs and platforms, so we
 //! ship our own fixed-algorithm generators rather than relying on `rand`'s
-//! unspecified default: [`SplitMix64`] (seeding / cheap streams) and
-//! [`Xoshiro256`] (xoshiro256**, the general-purpose workhorse).
+//! unspecified default: [`SplitMix64`] (seeding / cheap streams),
+//! [`Xoshiro256`] (xoshiro256**, the general-purpose workhorse) and
+//! [`keyed_unit`] (a draw that is a pure function of what it decides).
 
 /// SplitMix64: a tiny 64-bit generator, primarily used to expand a single
 /// `u64` seed into the state of larger generators.
@@ -26,6 +27,20 @@ impl SplitMix64 {
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
     }
+}
+
+/// A uniform float in [0, 1) that is a pure function of `words`: each
+/// word is folded into one [`SplitMix64`] step.  A draw keyed by the
+/// identity of what it decides needs no stream, so it does not depend on
+/// how many draws came before it.  For one word `k` it is the first
+/// output of `SplitMix64::new(k)`.
+pub fn keyed_unit(words: &[u64]) -> f64 {
+    unit(words.iter().fold(0, |h, &w| SplitMix64::new(h ^ w).next_u64()))
+}
+
+/// The top 53 bits of `bits` as a uniform double in [0, 1).
+fn unit(bits: u64) -> f64 {
+    (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
 /// xoshiro256** — fast, high-quality, deterministic.
@@ -66,8 +81,7 @@ impl Xoshiro256 {
 
     /// Uniform float in [0, 1).
     pub fn next_f64(&mut self) -> f64 {
-        // 53 top bits → uniform double in [0,1).
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        unit(self.next_u64())
     }
 
     /// Uniform integer in [0, bound). Panics if bound is 0.
@@ -126,6 +140,18 @@ mod tests {
             let x = r.next_f64();
             assert!((0.0..1.0).contains(&x));
         }
+    }
+
+    #[test]
+    fn a_keyed_draw_depends_on_its_key_alone() {
+        let draw = |seq: u64| keyed_unit(&[7, 0, 1, seq, 0]);
+        assert_eq!(draw(3), draw(3), "the same key, the same draw");
+        assert_ne!(draw(3), draw(4));
+        assert_ne!(keyed_unit(&[7, 0, 1, 3, 0]), keyed_unit(&[7, 0, 1, 3, 1]), "each attempt draws afresh");
+        assert_eq!(keyed_unit(&[42]), unit(SplitMix64::new(42).next_u64()), "one word is one SplitMix64 output");
+        let n = 20_000;
+        let below = (0..n).filter(|&seq| keyed_unit(&[1, 2, 3, seq]) < 0.2).count();
+        assert!((below as f64 / n as f64 - 0.2).abs() < 0.01, "uniform: {below} of {n} below 0.2");
     }
 
     #[test]

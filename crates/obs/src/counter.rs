@@ -27,10 +27,11 @@ pub enum Ctr {
     Drops,
     /// Retransmissions by the reliable layer.
     Retransmits,
-    /// The share of `Retransmits` whose frame its receiver already held —
-    /// the copy was not lost, only its ack had not come back.  Only the
-    /// simulator, which sees both ends, can tell; the wall clock leaves
-    /// it 0.
+    /// The share of `Retransmits` whose frame its receiver already held:
+    /// the frame's timer fired before the ack naming or covering it came
+    /// back (an rto under the round trip, or a stash that released the
+    /// frame late).  Only the simulator, which sees both ends, can tell;
+    /// the wall clock leaves it 0.
     SpuriousRetransmits,
     /// Duplicate packets discarded by the reliable layer.
     DupDropped,

@@ -4,11 +4,14 @@
 //! cumulative ack covers it, and retransmits a copy whose deadline passed
 //! with exponential, per-pair jittered backoff — or gives up on it after
 //! the plan's `max_retries` with a [`TransportError`].  A [`Receiver`]
-//! answers every data frame with its cumulative ack and a selective ack of
-//! the frames it holds past the gap, drops duplicates, buffers what
-//! arrives early and releases frames in sequence order, so a lost frame
-//! holds back its pair's later ones until the repair lands — and only the
-//! lost frame is resent.
+//! answers every data frame with its own ack: the cumulative ack, and the
+//! frame itself when it is held past the gap.  It drops duplicates,
+//! buffers what arrives early and releases frames in sequence order, so a
+//! lost frame holds back its pair's later ones until the repair lands —
+//! and only the lost frame is resent: every frame that arrived was named
+//! by its own ack or covered by a cumulative one, however far past the gap
+//! it sits.  That needs no history of the acks, because acks are never
+//! lost (the fault wire spares them); a lost ack would cost one resend.
 //!
 //! Both halves take events — a send, a frame, an ack, a timer at `now` —
 //! and answer with what to do: transmit this copy, deliver these in order,
@@ -20,36 +23,31 @@
 
 use std::collections::BTreeMap;
 
-use mdo_netsim::{Dur, FaultPlan, Pe, SplitMix64, Time, TransportError};
+use mdo_netsim::{keyed_unit, Dur, FaultPlan, Pe, Time, TransportError};
 
 /// Deterministic retransmission backoff with per-pair jitter.
 ///
 /// Attempt `retries` on pair `(src, dst)` waits its exponential base
-/// stretched by up to +25 %, where the extra fraction is
-/// [`SplitMix64`]-hashed from `(seed, src, dst, retries)`.  Without the
-/// jitter, pairs that lose packets on the same tick retransmit in lockstep
-/// forever — synchronized WAN bursts hitting the same congested link; with
-/// it their schedules decorrelate while staying bit-reproducible for a
-/// given fault-plan seed.
+/// stretched by up to +25 %, where the extra fraction is the keyed draw
+/// ([`keyed_unit`]) of one word hashed from `(seed, src, dst, retries)`.
+/// Without the jitter, pairs that lose packets on the same tick retransmit
+/// in lockstep forever — synchronized WAN bursts hitting the same
+/// congested link; with it their schedules decorrelate while staying
+/// bit-reproducible for a given fault-plan seed.
 pub fn jittered_backoff(base: Dur, seed: u64, src: Pe, dst: Pe, retries: u32) -> Dur {
     let key = seed ^ (u64::from(src.0) << 40) ^ (u64::from(dst.0) << 20) ^ u64::from(retries);
-    let frac = (SplitMix64::new(key).next_u64() >> 11) as f64 / (1u64 << 53) as f64;
-    let extra = (base.as_nanos() as f64 * 0.25 * frac) as u64;
+    let extra = (base.as_nanos() as f64 * 0.25 * keyed_unit(&[key])) as u64;
     Dur::from_nanos(base.as_nanos().saturating_add(extra))
 }
 
 /// A sent frame awaiting its ack: the copy, when it is next due, how
-/// often it was resent, and whether a selective ack said it arrived.
+/// often it was resent, and whether its ack said the receiver holds it.
 struct Pending<P> {
     payload: P,
     deadline: Time,
     retries: u32,
-    sacked: bool,
+    held: bool,
 }
-
-/// How many frames past the cumulative ack a selective ack covers: bit
-/// `i` of [`Receipt::sack`] is frame `cum + 1 + i`.
-pub const SACK_SPAN: u64 = 64;
 
 /// The sending half of the pair `src -> dst`.
 pub struct Sender<P> {
@@ -75,41 +73,39 @@ impl<P> Sender<P> {
     /// first copy goes out now.  Returns when it falls due for a resend.
     pub fn send(&mut self, payload: P, now: Time, rto: Dur) -> Time {
         let deadline = now + rto;
-        self.pending.insert(self.next_seq, Pending { payload, deadline, retries: 0, sacked: false });
+        self.pending.insert(self.next_seq, Pending { payload, deadline, retries: 0, held: false });
         self.next_seq += 1;
         deadline
     }
 
-    /// An ack: every frame below `cum` arrived, and so did each frame
-    /// `cum + 1 + i` whose bit `i` is set in `sack`.  Returns the copies
-    /// it retires — only those below `cum`: a selectively acked copy is
-    /// kept, never resent, until the cumulative ack passes it.
-    pub fn on_ack(&mut self, cum: u64, sack: u64) -> impl Iterator<Item = P> {
+    /// An ack: every frame below `cum` arrived, and so did frame `held`,
+    /// past the gap.  Returns the copies it retires — only those below
+    /// `cum`: a held copy is kept, never resent, until the cumulative ack
+    /// passes it.
+    pub fn on_ack(&mut self, cum: u64, held: Option<u64>) -> impl Iterator<Item = P> {
         let kept = self.pending.split_off(&cum);
         let retired = std::mem::replace(&mut self.pending, kept);
-        if let Some(first) = cum.checked_add(1) {
-            for (seq, p) in self.pending.range_mut(first..=first.saturating_add(SACK_SPAN - 1)) {
-                p.sacked |= (sack >> (seq - first)) & 1 == 1;
-            }
+        if let Some(p) = held.and_then(|seq| self.pending.get_mut(&seq)) {
+            p.held = true;
         }
         retired.into_values().map(|p| p.payload)
     }
 
-    /// The timer at `now`: every copy whose deadline passed and that no
-    /// selective ack covers is resent — `resend(seq, copy, next
-    /// deadline)`, attempt `i` waiting `2^i × rto` plus jitter — or, once
-    /// it has used `max_retries`, forgotten.  The first copy given up on
-    /// is the error.
+    /// The timer at `now`: every copy whose deadline passed and that the
+    /// receiver is not known to hold is resent — `resend(seq, attempt,
+    /// copy, next deadline)`, attempt `i` waiting `2^i × rto` plus jitter
+    /// — or, once it has used `max_retries`, forgotten.  The first copy
+    /// given up on is the error.
     pub fn on_timer(
         &mut self,
         now: Time,
         plan: &FaultPlan,
-        mut resend: impl FnMut(u64, &P, Time),
+        mut resend: impl FnMut(u64, u32, &P, Time),
     ) -> Option<TransportError> {
         let (src, dst) = (self.src, self.dst);
         let mut error = None;
         self.pending.retain(|&seq, p| {
-            if p.deadline > now || p.sacked {
+            if p.deadline > now || p.held {
                 return true;
             }
             if p.retries >= plan.max_retries {
@@ -119,7 +115,7 @@ impl<P> Sender<P> {
             p.retries += 1;
             let base = plan.rto.checked_mul(1u64 << p.retries.min(20)).unwrap_or(plan.rto);
             p.deadline = now + jittered_backoff(base, plan.seed, src, dst, p.retries);
-            resend(seq, &p.payload, p.deadline);
+            resend(seq, p.retries, &p.payload, p.deadline);
             true
         });
         error
@@ -131,9 +127,9 @@ impl<P> Sender<P> {
 pub struct Receipt {
     /// The cumulative ack to send back: every frame below it has arrived.
     pub cum: u64,
-    /// The selective ack: bit `i` set when frame `cum + 1 + i` has arrived
-    /// past the gap at `cum`; 0 when nothing is held out of order.
-    pub sack: u64,
+    /// The frame answered, when it is held past the gap at `cum`; `None`
+    /// when `cum` covers it.
+    pub held: Option<u64>,
     /// The frame had arrived before.
     pub duplicate: bool,
 }
@@ -168,7 +164,7 @@ impl<P> Receiver<P> {
             if self.broken_dedup {
                 deliver.extend(Some(payload));
             }
-            return self.receipt(true);
+            return self.receipt(seq, true);
         }
         self.buffer.insert(seq, payload);
         let Receiver { expected, buffer, .. } = self;
@@ -177,13 +173,12 @@ impl<P> Receiver<P> {
             *expected += 1;
             Some(p)
         }));
-        self.receipt(false)
+        self.receipt(seq, false)
     }
 
-    fn receipt(&self, duplicate: bool) -> Receipt {
-        let cum = self.expected;
-        let held = self.buffer.range(cum + 1..=cum + SACK_SPAN).map(|(seq, _)| 1 << (seq - cum - 1));
-        Receipt { cum, sack: held.fold(0, |m, bit| m | bit), duplicate }
+    /// The answer to frame `seq`, which the receiver now holds.
+    fn receipt(&self, seq: u64, duplicate: bool) -> Receipt {
+        Receipt { cum: self.expected, held: (seq >= self.expected).then_some(seq), duplicate }
     }
 }
 
@@ -214,39 +209,42 @@ mod tests {
     fn a_gap_holds_back_later_frames_until_the_repair() {
         let mut rx = Receiver::default();
         let mut got = Vec::new();
-        assert_eq!(rx.on_frame(0, 'a', &mut got), Receipt { cum: 1, sack: 0, duplicate: false });
-        assert_eq!(rx.on_frame(2, 'c', &mut got), Receipt { cum: 1, sack: 0b1, duplicate: false });
-        assert_eq!(rx.on_frame(3, 'd', &mut got), Receipt { cum: 1, sack: 0b11, duplicate: false });
+        let receipt = |cum, held, duplicate| Receipt { cum, held, duplicate };
+        assert_eq!(rx.on_frame(0, 'a', &mut got), receipt(1, None, false));
+        assert_eq!(rx.on_frame(2, 'c', &mut got), receipt(1, Some(2), false), "each ack names its held frame");
+        assert_eq!(rx.on_frame(3, 'd', &mut got), receipt(1, Some(3), false));
+        assert_eq!(rx.on_frame(3, 'd', &mut got), receipt(1, Some(3), true), "a held duplicate is named again");
         assert_eq!(got, ['a'], "frames past the gap wait");
-        assert_eq!(rx.on_frame(1, 'b', &mut got), Receipt { cum: 4, sack: 0, duplicate: false });
+        assert_eq!(rx.on_frame(1, 'b', &mut got), receipt(4, None, false));
         assert_eq!(got, ['a', 'b', 'c', 'd'], "the repair releases the pair in send order");
-        assert_eq!(rx.on_frame(2, 'c', &mut got), Receipt { cum: 4, sack: 0, duplicate: true });
+        assert_eq!(rx.on_frame(2, 'c', &mut got), receipt(4, None, true));
         assert_eq!(got.len(), 4, "a duplicate is answered, never delivered");
     }
 
     #[test]
-    fn a_selective_ack_spares_the_frames_that_arrived_behind_a_gap() {
-        // Frame 2 is lost, frames 3..=7 arrive and are acked: when the
-        // timer fires, only frame 2 goes out again.
-        let plan = FaultPlan::default().with_rto(MS * 5);
+    fn an_ack_spares_its_frame_however_far_past_the_gap_it_sits() {
+        // Frame 2 is lost, frames 3..200 arrive and are acked, most of them
+        // more than 64 past the gap: when the timer fires, only frame 2
+        // goes out again.
+        let (n, plan) = (200u64, FaultPlan::default().with_rto(MS * 5));
         let (mut tx, mut rx) = (Sender::new(Pe(0), Pe(1)), Receiver::default());
         let mut got = Vec::new();
-        for i in 0..8u64 {
+        for i in 0..n {
             let seq = tx.next_seq();
             tx.send(i, at(0), plan.rto);
             if seq != 2 {
                 let receipt = rx.on_frame(seq, i, &mut got);
-                assert_eq!(tx.on_ack(receipt.cum, receipt.sack).count() as u64, u64::from(seq < 2));
+                assert_eq!(tx.on_ack(receipt.cum, receipt.held).count() as u64, u64::from(seq < 2));
             }
         }
         assert_eq!(got, [0, 1], "frames past the gap wait");
         let mut resent = Vec::new();
-        assert_eq!(tx.on_timer(at(5), &plan, |seq, _, _| resent.push(seq)), None);
-        assert_eq!(resent, [2], "only the lost frame is resent");
+        assert_eq!(tx.on_timer(at(5), &plan, |seq, attempt, _, _| resent.push((seq, attempt))), None);
+        assert_eq!(resent, [(2, 1)], "only the lost frame is resent, as its second attempt");
         let receipt = rx.on_frame(2, 2, &mut got);
-        assert_eq!((receipt.cum, receipt.sack), (8, 0));
-        assert_eq!(tx.on_ack(receipt.cum, receipt.sack).count(), 6, "the repair's ack retires the held frames too");
-        assert_eq!(got, (0..8).collect::<Vec<_>>());
+        assert_eq!((receipt.cum, receipt.held), (n, None));
+        assert_eq!(tx.on_ack(receipt.cum, receipt.held).count() as u64, n - 2, "the repair's ack retires the rest");
+        assert_eq!(got, (0..n).collect::<Vec<_>>());
     }
 
     #[test]
@@ -259,9 +257,9 @@ mod tests {
         let mut got = sent_and_arrived(n, &mut rx, &mut tx);
         let plan = FaultPlan::default().with_rto(MS * 5);
         let mut resent = Vec::new();
-        assert_eq!(tx.on_timer(at(4), &plan, |seq, _, _| resent.push(seq)), None);
+        assert_eq!(tx.on_timer(at(4), &plan, |seq, _, _, _| resent.push(seq)), None);
         assert!(resent.is_empty(), "nothing is due before the rto");
-        assert_eq!(tx.on_timer(at(5), &plan, |seq, _, _| resent.push(seq)), None);
+        assert_eq!(tx.on_timer(at(5), &plan, |seq, _, _, _| resent.push(seq)), None);
         assert_eq!(resent, (0..n).collect::<Vec<_>>(), "every unacked frame was resent");
         let mut last = None;
         for &seq in &resent {
@@ -270,8 +268,8 @@ mod tests {
             last = Some(receipt.cum);
         }
         assert_eq!(got, (0..n).collect::<Vec<_>>(), "raced retransmits never reach the application");
-        assert_eq!(tx.on_ack(last.unwrap(), 0).count() as u64, n, "the duplicates' re-ack retires every copy");
-        assert_eq!(tx.on_timer(at(1000), &plan, |_, _, _| panic!("nothing left to resend")), None);
+        assert_eq!(tx.on_ack(last.unwrap(), None).count() as u64, n, "the duplicates' re-ack retires every copy");
+        assert_eq!(tx.on_timer(at(1000), &plan, |_, _, _, _| panic!("nothing left to resend")), None);
     }
 
     #[test]
@@ -283,7 +281,7 @@ mod tests {
         let mut got = sent_and_arrived(n, &mut rx, &mut tx);
         let plan = FaultPlan::default().with_rto(MS * 5);
         let mut resent = Vec::new();
-        tx.on_timer(at(5), &plan, |seq, &copy, _| resent.push((seq, copy)));
+        tx.on_timer(at(5), &plan, |seq, _, &copy, _| resent.push((seq, copy)));
         for (seq, copy) in resent {
             rx.on_frame(seq, copy, &mut got);
         }
@@ -302,16 +300,16 @@ mod tests {
         assert_eq!(due, at(10));
         for retry in 1..=3u32 {
             let mut next = None;
-            assert_eq!(tx.on_timer(due, &plan, |seq, _, d| next = Some((seq, d))), None);
+            assert_eq!(tx.on_timer(due, &plan, |seq, attempt, _, d| next = Some((seq, attempt, d))), None);
             let base = rto * (1u64 << retry);
             let want = due + jittered_backoff(base, plan.seed, Pe(0), Pe(9), retry);
-            assert_eq!(next, Some((0, want)), "retry {retry} waits 2^{retry} rto plus the pair's jitter");
+            assert_eq!(next, Some((0, retry, want)), "retry {retry} waits 2^{retry} rto plus the pair's jitter");
             assert!(want - due >= base && want - due <= base + base / 4, "jitter within [base, base + 25%]");
             due = want;
         }
-        let err = tx.on_timer(due, &plan, |_, _, _| panic!("the budget is spent")).expect("gave up");
+        let err = tx.on_timer(due, &plan, |_, _, _, _| panic!("the budget is spent")).expect("gave up");
         assert_eq!((err.src, err.dst, err.seq, err.attempts), (Pe(0), Pe(9), 0, 4));
-        assert_eq!(tx.on_ack(1, 0).count(), 0, "a copy given up on is forgotten");
+        assert_eq!(tx.on_ack(1, None).count(), 0, "a copy given up on is forgotten");
     }
 
     #[test]
@@ -326,16 +324,16 @@ mod tests {
         for i in 0..n {
             let seq = tx.next_seq();
             let mut due = tx.send(i, at(0), plan.rto);
-            let mut fate = wire.transmit(Pe(0), Pe(8), Dur::ZERO, i);
+            let mut fate = wire.transmit(Pe(0), Pe(8), seq, 0, Dur::ZERO, i);
             while fate == Fate::Lost {
                 let mut copy = None;
-                assert_eq!(tx.on_timer(due, &plan, |_, &c, d| copy = Some((c, d))), None);
-                let (c, d) = copy.expect("the lost frame fell due");
+                assert_eq!(tx.on_timer(due, &plan, |_, a, &c, d| copy = Some((a, c, d))), None);
+                let (attempt, c, d) = copy.expect("the lost frame fell due");
                 (retransmits, due) = (retransmits + 1, d);
-                fate = wire.transmit(Pe(0), Pe(8), Dur::ZERO, c);
+                fate = wire.transmit(Pe(0), Pe(8), seq, attempt, Dur::ZERO, c);
             }
             assert_eq!(fate, Fate::Through { item: i, harm: Harm::None, released: None });
-            assert_eq!(tx.on_ack(seq + 1, 0).count(), 1);
+            assert_eq!(tx.on_ack(seq + 1, None).count(), 1);
         }
         let per_msg = retransmits as f64 / n as f64;
         assert!((per_msg - 0.25).abs() < 0.02, "retransmits/msg = {per_msg}");

@@ -3,7 +3,8 @@
 //! When a run injects faults (see [`crate::transport`]'s fault wire),
 //! cross-WAN packets are wrapped in small framed messages carrying a
 //! per-(src, dst) sequence number.  The protocol itself — sequence numbers,
-//! cumulative and selective acks, retransmission with jittered exponential backoff up to
+//! one ack per data frame (cumulative, naming the frame when it is held past
+//! the gap), retransmission with jittered exponential backoff up to
 //! a retry ceiling (then a structured [`TransportError`], never a panic),
 //! duplicate suppression and in-order release — is [`crate::arq`]'s, the
 //! machine the simulator runs too.  [`ReliableTransport`] keeps what is the
@@ -14,6 +15,9 @@
 //! the topology, exactly like the transport's own affiliation routing.
 //! Acks are control traffic: the fault wire spares them (and draws
 //! nothing for them), so recovery is driven purely by data-frame loss.
+//! The retransmit timer hands each resend to [`Transport::transmit`] with
+//! its attempt number, which keys the fault wire's draw together with the
+//! frame's sequence number.
 //!
 //! ## Credit-based flow control
 //!
@@ -80,17 +84,18 @@ pub fn encode_data(seq: u64, payload: &[u8]) -> Bytes {
 }
 
 /// Build a standalone ack frame: "every seq below `cum` has been
-/// received", then the selective-ack map ([`crate::arq::Receipt::sack`])
-/// and the credit `grant` (payload bytes the receiver lets the pair have
-/// in flight).  Without a grant the map rides only when it is non-empty,
-/// so a fault-free run's acks carry nothing; with one (flow control is
-/// on) both always ride.
-pub fn encode_ack(cum: u64, sack: u64, grant: Option<u64>) -> Bytes {
-    let mut v = Vec::with_capacity(ack_len(sack, grant.is_some()));
+/// received", then the one frame it answers when that frame is `held`
+/// past the gap ([`crate::arq::Receipt::held`]; written as 0 for none, a
+/// number no frame past a gap has), then the credit `grant` (payload bytes
+/// the receiver lets the pair have in flight).  Without a grant the named
+/// frame rides only when there is one, so a fault-free run's acks carry
+/// nothing; with one (flow control is on) both always ride.
+pub fn encode_ack(cum: u64, held: Option<u64>, grant: Option<u64>) -> Bytes {
+    let mut v = Vec::with_capacity(ack_len(held.is_some(), grant.is_some()));
     v.push(KIND_ACK);
     v.extend_from_slice(&cum.to_le_bytes());
-    if sack != 0 || grant.is_some() {
-        v.extend_from_slice(&sack.to_le_bytes());
+    if held.is_some() || grant.is_some() {
+        v.extend_from_slice(&held.unwrap_or(0).to_le_bytes());
     }
     if let Some(grant) = grant {
         v.extend_from_slice(&grant.to_le_bytes());
@@ -98,31 +103,32 @@ pub fn encode_ack(cum: u64, sack: u64, grant: Option<u64>) -> Bytes {
     Bytes::from(v)
 }
 
-/// Bytes of the ack [`encode_ack`] builds for the map `sack`, with a
-/// grant under flow control: the header, then both extensions with a
-/// grant, the map alone when it is non-empty, else nothing.
-pub fn ack_len(sack: u64, with_grant: bool) -> usize {
+/// Bytes of the ack [`encode_ack`] builds, naming a `held` frame or not,
+/// with a grant under flow control: the header, then both extensions with
+/// a grant, the named frame alone when there is one, else nothing.
+pub fn ack_len(held: bool, with_grant: bool) -> usize {
     HEADER_LEN
-        + match (with_grant, sack) {
-            (true, _) => SACK_EXT_LEN + CREDIT_EXT_LEN,
-            (false, 0) => 0,
-            (false, _) => SACK_EXT_LEN,
+        + match (with_grant, held) {
+            (true, _) => HELD_EXT_LEN + CREDIT_EXT_LEN,
+            (false, true) => HELD_EXT_LEN,
+            (false, false) => 0,
         }
 }
 
-/// Bytes of the selective-ack extension an ack may carry after its
-/// header: `[sack: u64 LE]`.
-pub const SACK_EXT_LEN: usize = 8;
+/// Bytes of the held-frame extension an ack may carry after its header:
+/// `[seq: u64 LE]`, 0 for none.
+pub const HELD_EXT_LEN: usize = 8;
 
-/// Bytes of the credit-grant extension an ack carries after its
-/// selective-ack map under flow control: `[grant: u64 LE]`.
+/// Bytes of the credit-grant extension an ack carries after its held-frame
+/// extension under flow control: `[grant: u64 LE]`.
 pub const CREDIT_EXT_LEN: usize = 8;
 
 /// What an ack carries after its header.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AckExt {
-    /// The selective-ack map; 0 when the ack carries none.
-    pub sack: u64,
+    /// The frame the ack answers, held past the gap; `None` when the ack
+    /// names none.
+    pub held: Option<u64>,
     /// The credit grant in payload bytes, when flow control is on.
     pub grant: Option<u64>,
 }
@@ -144,16 +150,16 @@ impl std::fmt::Display for CreditError {
 impl std::error::Error for CreditError {}
 
 /// Parse the extension bytes of an ack frame (everything after the
-/// 9-byte header), told apart by their length: none, a selective ack
-/// ([`SACK_EXT_LEN`]), or a selective ack and a grant
-/// ([`CREDIT_EXT_LEN`]) in that order; any other length is a structured
-/// [`CreditError`].
+/// 9-byte header), told apart by their length: none, a held frame
+/// ([`HELD_EXT_LEN`]), or a held frame and a grant ([`CREDIT_EXT_LEN`]) in
+/// that order; any other length is a structured [`CreditError`].
 pub fn decode_ack_ext(ext: &[u8]) -> Result<AckExt, CreditError> {
     let u64_at = |at: usize| u64::from_le_bytes(ext[at..at + 8].try_into().expect("8-byte field"));
+    let held = || Some(u64_at(0)).filter(|&seq| seq != 0);
     match ext.len() {
         0 => Ok(AckExt::default()),
-        SACK_EXT_LEN => Ok(AckExt { sack: u64_at(0), grant: None }),
-        n if n == SACK_EXT_LEN + CREDIT_EXT_LEN => Ok(AckExt { sack: u64_at(0), grant: Some(u64_at(SACK_EXT_LEN)) }),
+        HELD_EXT_LEN => Ok(AckExt { held: held(), grant: None }),
+        n if n == HELD_EXT_LEN + CREDIT_EXT_LEN => Ok(AckExt { held: held(), grant: Some(u64_at(HELD_EXT_LEN)) }),
         _ => Err(CreditError { context: "ack extension length" }),
     }
 }
@@ -170,12 +176,6 @@ pub fn decode_frame(payload: &[u8]) -> Option<(u8, u64, &[u8])> {
     }
     let num = u64::from_le_bytes(payload[1..HEADER_LEN].try_into().expect("8-byte field"));
     Some((kind, num, &payload[HEADER_LEN..]))
-}
-
-/// True if `payload` starts like a control (ack) frame — used by the
-/// transport to spare control traffic the fault wire.
-pub fn is_control_frame(payload: &[u8]) -> bool {
-    payload.first() == Some(&KIND_ACK)
 }
 
 /// The wall-clock side of flow control when a [`FlowConfig`] is active:
@@ -446,9 +446,9 @@ impl ReliableTransport {
                 // A malformed extension is ignored: the cumulative ack
                 // still counts.
                 let key = (pe.0, pkt.src.0);
-                let AckExt { sack, grant } = decode_ack_ext(ext).unwrap_or_default();
+                let AckExt { held, grant } = decode_ack_ext(ext).unwrap_or_default();
                 let release = sh.send.lock().get_mut(&key).map_or(0, |pair| {
-                    let counted = pair.on_ack(cum, sack).filter(|p| p.priority != SHED_EXEMPT_PRIORITY);
+                    let counted = pair.on_ack(cum, held).filter(|p| p.priority != SHED_EXEMPT_PRIORITY);
                     counted.map(|p| (p.payload.len() - HEADER_LEN) as u64).sum()
                 });
                 if let Some(flow) = &sh.flow {
@@ -472,7 +472,7 @@ impl ReliableTransport {
                 // ack may have been lost.  With flow control active the ack
                 // carries the pair's credit grant — no extra frames.
                 let grant = sh.flow.as_ref().map(|flow| flow.grant_for(pe));
-                let payload = encode_ack(receipt.cum, receipt.sack, grant);
+                let payload = encode_ack(receipt.cum, receipt.held, grant);
                 self.inner.send(Packet::with_priority(pe, pkt.src, ACK_PRIORITY, payload));
             }
             // Mangled beyond recognition — equivalent to a loss; the
@@ -575,15 +575,15 @@ fn spawn_retransmit_timer(shared: Arc<Shared>) -> std::thread::JoinHandle<()> {
                 let now = shared.now();
                 let mut resend = Vec::new();
                 for pair in shared.send.lock().values_mut() {
-                    if let Some(err) = pair.on_timer(now, &shared.plan, |_, pkt, _| resend.push(pkt.clone())) {
+                    if let Some(err) = pair.on_timer(now, &shared.plan, |_, n, pkt, _| resend.push((pkt.clone(), n))) {
                         shared.error.lock().get_or_insert(err);
                     }
                 }
                 shared.retransmits.fetch_add(resend.len() as u64, Ordering::Relaxed);
                 // Send outside the lock: the fault wire and mailboxes
                 // take their own locks downstream.
-                for pkt in resend {
-                    shared.inner.send(pkt);
+                for (pkt, n) in resend {
+                    shared.inner.transmit(pkt, n);
                 }
             }
         })
@@ -605,14 +605,14 @@ mod tests {
     }
 
     /// One rule sizes an ack, for every layout `encode_ack` writes: none,
-    /// the map (8 bytes) and the map with a grant (16).
+    /// the held frame (8 bytes) and the held frame with a grant (16).
     #[test]
     fn ack_len_is_the_encoded_length_for_every_layout() {
-        for (sack, grant) in [(0, None), (0b101, None), (0, Some(4096)), (0b101, Some(4096))] {
-            let ack = encode_ack(7, sack, grant);
-            assert_eq!(ack_len(sack, grant.is_some()), ack.len(), "sack {sack:#b} grant {grant:?}");
+        for (held, grant) in [(None, None), (Some(9), None), (None, Some(4096)), (Some(9), Some(4096))] {
+            let ack = encode_ack(7, held, grant);
+            assert_eq!(ack_len(held.is_some(), grant.is_some()), ack.len(), "held {held:?} grant {grant:?}");
         }
-        assert_eq!([ack_len(0, false), ack_len(1, false), ack_len(0, true)], [HEADER_LEN, 17, 25]);
+        assert_eq!([ack_len(false, false), ack_len(true, false), ack_len(false, true)], [HEADER_LEN, 17, 25]);
     }
 
     /// `shutdown` wakes the retransmit timer rather than waiting out its
@@ -630,10 +630,8 @@ mod tests {
     fn frame_codec_roundtrip() {
         let data = encode_data(42, b"hello");
         assert_eq!(decode_frame(&data), Some((KIND_DATA, 42, &b"hello"[..])));
-        let ack = encode_ack(7, 0, None);
+        let ack = encode_ack(7, None, None);
         assert_eq!(decode_frame(&ack), Some((KIND_ACK, 7, &b""[..])));
-        assert!(is_control_frame(&ack));
-        assert!(!is_control_frame(&data));
         assert_eq!(decode_frame(b"xx"), None);
         assert_eq!(decode_frame(&[0x00; 16]), None);
     }
@@ -648,14 +646,15 @@ mod tests {
 
     #[test]
     fn credit_codec_roundtrip_and_hostile_lengths() {
-        // Three layouts: nothing, the map alone, and under flow control
-        // always the map and the grant, an empty map included.
-        for (sack, grant, len) in [(0, None, 0), (0b101, None, 8), (0, Some(4096), 16), (u64::MAX, Some(4096), 16)] {
-            let frame = encode_ack(99, sack, grant);
-            assert!(is_control_frame(&frame));
+        // Three layouts: nothing, the held frame alone, and under flow
+        // control always the held frame (or its "none") and the grant.
+        for (held, grant, len) in
+            [(None, None, 0), (Some(200), None, 8), (None, Some(4096), 16), (Some(u64::MAX), Some(1), 16)]
+        {
+            let frame = encode_ack(99, held, grant);
             let (kind, cum, ext) = decode_frame(&frame).expect("extended acks still parse as ack frames");
             assert_eq!((kind, cum, ext.len()), (KIND_ACK, 99, len));
-            assert_eq!(decode_ack_ext(ext), Ok(AckExt { sack, grant }));
+            assert_eq!(decode_ack_ext(ext), Ok(AckExt { held, grant }));
         }
         // 12 and 20 were the layouts of a grant that named a generation.
         for len in [1usize, 5, 7, 9, 11, 12, 13, 15, 17, 19, 20, 21, 24, 64] {

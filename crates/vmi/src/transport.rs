@@ -7,8 +7,9 @@
 //! cluster'), messages are intercepted by the delay device…"*
 //!
 //! [`Transport`] owns one mailbox per PE and one send path,
-//! [`Transport::send`].  It consults the job [`Topology`] — the VMI
-//! affiliation check — and counts the packet as intra- or cross-cluster.
+//! [`Transport::send`] (a first attempt of [`Transport::transmit`]).  It
+//! consults the job [`Topology`] — the VMI affiliation check — and counts
+//! the packet as intra- or cross-cluster.
 //! An intra-cluster packet lands at once.  A cross-cluster one meets the
 //! fault wire first when a fault plan is active, then the delay device:
 //! every packet the wire lets through is stamped [`Packet::due`]` = now +`
@@ -31,16 +32,18 @@
 //!
 //! ## The fault wire
 //!
-//! With a [`FaultPlan`] every cross-cluster data attempt takes one draw
-//! from its pair's stream of the one [`FaultWire`] both engines run, so a
-//! plan harms the same attempts here as in the simulator however traffic
-//! from other pairs interleaves.  The transport carries out the verdict:
-//! nothing lands for a drop or a corruption (a corrupted attempt is one no
-//! receiver would accept, so both engines book it as a drop of its own
-//! kind), a second copy for a duplicate, and the released stash right
-//! behind the attempt that freed it.  The reliable layer recovers what
-//! lands nothing by retransmission.  Acks pass unharmed and draw nothing,
-//! as in the simulator, where acks never meet the wire.
+//! With a [`FaultPlan`] every cross-cluster data frame meets the one
+//! [`FaultWire`] both engines run.  Its fate is one draw keyed by the
+//! attempt: the pair, the sequence number in the frame's header and the
+//! attempt number the reliable layer's resend path hands over — so a plan
+//! harms the same attempts here as in the simulator however frames,
+//! retransmits and other pairs' traffic interleave.  The transport carries
+//! out the verdict: nothing lands for a drop or a corruption (a corrupted
+//! attempt is one no receiver would accept, so both engines book it as a
+//! drop of its own kind), a second copy for a duplicate, and the released
+//! stash right behind the attempt that freed it.  The reliable layer
+//! recovers what lands nothing by retransmission.  Acks pass unharmed and
+//! draw nothing, as in the simulator, where acks never meet the wire.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -51,7 +54,7 @@ use parking_lot::Mutex;
 
 use crate::mailbox::Mailbox;
 use crate::packet::Packet;
-use crate::reliable;
+use crate::reliable::{self, KIND_DATA};
 use crate::wire::{WireBinding, WireRouter};
 
 /// Configuration for building a [`Transport`].
@@ -128,28 +131,31 @@ impl Transport {
 
     /// Count `pkt` as intra- or cross-cluster and deliver it: at once
     /// within a cluster; across, through the fault wire (if any) and the
-    /// delay device.
+    /// delay device.  The packet's first attempt.
     pub fn send(&self, pkt: Packet) {
+        self.transmit(pkt, 0);
+    }
+
+    /// [`Transport::send`] as attempt `attempt` of `pkt` (0 for the first
+    /// copy): a data frame's resend names its attempt, which keys the fault
+    /// wire's draw with the frame's sequence number.
+    pub fn transmit(&self, pkt: Packet, attempt: u32) {
         if !self.topo.crosses_wan(pkt.src, pkt.dst) {
             self.intra.count(&pkt);
-            self.land(pkt);
-            return;
+            return self.land(pkt);
         }
         self.cross.count(&pkt);
-        match &self.fault {
-            Some((wire, t0)) if !reliable::is_control_frame(&pkt.payload) => {
-                let fate = wire.lock().transmit(pkt.src, pkt.dst, Dur::from_std(t0.elapsed()), pkt);
-                let Fate::Through { item, harm, released } = fate else { return };
-                let copies = match harm {
-                    Harm::None => 1,
-                    Harm::Duplicated => 2,
-                    Harm::Corrupted => 0,
-                };
-                for pkt in std::iter::repeat_n(item, copies).chain(released) {
-                    self.delay(pkt);
-                }
-            }
-            _ => self.delay(pkt),
+        let Some((wire, t0)) = &self.fault else { return self.delay(pkt) };
+        let Some((KIND_DATA, seq, _)) = reliable::decode_frame(&pkt.payload) else { return self.delay(pkt) };
+        let fate = wire.lock().transmit(pkt.src, pkt.dst, seq, attempt, Dur::from_std(t0.elapsed()), pkt);
+        let Fate::Through { item, harm, released } = fate else { return };
+        let copies = match harm {
+            Harm::None => 1,
+            Harm::Duplicated => 2,
+            Harm::Corrupted => 0,
+        };
+        for pkt in std::iter::repeat_n(item, copies).chain(released) {
+            self.delay(pkt);
         }
     }
 
@@ -291,7 +297,7 @@ mod tests {
     fn faulted(plan: FaultPlan, ack_first: bool, n: u8) -> (Vec<Vec<u8>>, WireStats) {
         let (t, wire) = wired(0, Some(plan));
         if ack_first {
-            t.send(Packet::new(Pe(0), Pe(2), reliable::encode_ack(7, 0, None)));
+            t.send(Packet::new(Pe(0), Pe(2), reliable::encode_ack(7, None, None)));
             wire.0.lock().clear();
         }
         for i in 0..n {
@@ -411,6 +417,19 @@ mod tests {
     }
 
     #[test]
+    fn each_attempt_meets_the_draw_keyed_by_its_frame_and_attempt_number() {
+        let plan = FaultPlan::loss(0.5).with_seed(8);
+        let (t, wire) = wired(0, Some(plan.clone()));
+        let mut oracle = FaultWire::new(plan);
+        for (seq, attempt) in (0..64u64).flat_map(|seq| [(seq, 0), (seq, 2)]) {
+            t.transmit(Packet::new(Pe(0), Pe(2), reliable::encode_data(seq, &[])), attempt);
+            let through = oracle.transmit(Pe(0), Pe(2), seq, attempt, Dur::ZERO, ()) != Fate::Lost;
+            assert_eq!(wire.0.lock().drain(..).count(), usize::from(through), "seq {seq}, attempt {attempt}");
+        }
+        assert_eq!(t.wire_stats(), oracle.stats());
+    }
+
+    #[test]
     fn a_corrupted_attempt_never_lands_and_is_counted() {
         let (got, stats) = faulted(FaultPlan::default().with_corrupt(1.0), false, 32);
         assert!(got.is_empty(), "nothing a receiver would reject lands");
@@ -420,7 +439,7 @@ mod tests {
     #[test]
     fn an_ack_passes_unharmed_and_draws_nothing() {
         let (t, wire) = wired(0, Some(FaultPlan::loss(1.0)));
-        t.send(Packet::new(Pe(0), Pe(2), reliable::encode_ack(7, 0, None)));
+        t.send(Packet::new(Pe(0), Pe(2), reliable::encode_ack(7, None, None)));
         assert_eq!(wire.0.lock().len(), 1, "an ack survives a 100%-loss plan");
         assert_eq!(t.wire_stats(), WireStats::default(), "and is no attempt");
         // The data after it meet the draws they would meet without it.
@@ -434,7 +453,7 @@ mod tests {
         for i in 0..5u8 {
             t.send(Packet::new(Pe(0), Pe(2), reliable::encode_data(u64::from(i), &[i])));
         }
-        let ack = reliable::encode_ack(5, 0, None);
+        let ack = reliable::encode_ack(5, None, None);
         let bytes = 5 * reliable::encode_data(0, &[0]).len() + ack.len();
         t.send(Packet::new(Pe(0), Pe(2), ack));
         assert_eq!(t.cross_traffic(), (6, bytes as u64));

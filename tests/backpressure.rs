@@ -169,7 +169,8 @@ fn sim_shed_flow_bounds_memory_and_accounts_every_drop() {
     );
 
     // The shed-aware invariant layer signs off on the same run.
-    let violations = check_report(&shed, &Expectation { quiescent_exit: true, sheds_allowed: true });
+    let violations =
+        check_report(&shed, &Expectation { quiescent_exit: true, sheds_allowed: true, ..Expectation::default() });
     assert!(violations.is_empty(), "{violations:?}");
 }
 
@@ -253,7 +254,8 @@ fn sim_quiescence_under_saturation_survives_exploration_policies() {
             u64::from(FLOOD_MSGS),
             "{spec:?}: delivered + shed covers the flood"
         );
-        let violations = check_report(&report, &Expectation { quiescent_exit: true, sheds_allowed: true });
+        let violations =
+            check_report(&report, &Expectation { quiescent_exit: true, sheds_allowed: true, ..Expectation::default() });
         assert!(violations.is_empty(), "{spec:?}: {violations:?}");
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! The paper's Grid experiments assume VMI delivers every message; this
 //! suite checks what the reproduction adds on top — an adversarial WAN
-//! (drop / duplicate / reorder / corrupt, seeded per PE pair) and the
-//! reliable layer that hides it.  The headline invariant: a lossy run
+//! (drop / duplicate / reorder / corrupt, one draw keyed by each attempt)
+//! and the reliable layer that hides it.  The headline invariant: a lossy run
 //! must be **bit-identical** to a fault-free run on both engines, with
 //! the damage visible only in the fault counters and the makespan.
 
@@ -13,6 +13,7 @@ use std::time::{Duration, Instant};
 use gridmdo::apps::leanmd::{self, MdConfig};
 use gridmdo::apps::stencil::{self, seq::SeqStencil, StencilConfig, StencilCost};
 use gridmdo::netsim::{Fate, FaultWire, WireStats};
+use gridmdo::obs::Event;
 use gridmdo::prelude::*;
 use gridmdo::vmi::arq::Sender;
 use gridmdo::vmi::reliable::{decode_frame, HEADER_LEN, KIND_DATA};
@@ -169,21 +170,21 @@ proptest! {
         for _ in 0..msgs {
             let (seq, sent) = (tx.next_seq(), now);
             let mut due = tx.send((), now, plan.rto);
-            let mut fate = wire.transmit(Pe(0), Pe(1), Dur::ZERO, ());
+            let mut fate = wire.transmit(Pe(0), Pe(1), seq, 0, Dur::ZERO, ());
             let mut tries = 0u32;
             while fate == Fate::Lost {
                 now = due;
                 let mut resent = None;
-                if let Some(err) = tx.on_timer(now, &plan, |s, _, d| resent = Some((s, d))) {
+                if let Some(err) = tx.on_timer(now, &plan, |s, a, _, d| resent = Some((s, a, d))) {
                     prop_assert_eq!(err.attempts, max_retries + 1);
                     prop_assert_eq!(err.seq, seq);
                     gave_up += 1;
                     break;
                 }
-                let (s, d) = resent.expect("the lost frame fell due");
-                prop_assert_eq!(s, seq);
+                let (s, attempt, d) = resent.expect("the lost frame fell due");
+                prop_assert_eq!((s, attempt), (seq, tries + 1));
                 (due, tries) = (d, tries + 1);
-                fate = wire.transmit(Pe(0), Pe(1), Dur::ZERO, ());
+                fate = wire.transmit(Pe(0), Pe(1), seq, attempt, Dur::ZERO, ());
             }
             retransmits += u64::from(tries);
             if gave_up > 0 {
@@ -191,7 +192,7 @@ proptest! {
             }
             prop_assert!(tries <= max_retries);
             prop_assert_eq!(tries > 0, now > sent);
-            prop_assert_eq!(tx.on_ack(seq + 1, 0).count(), 1);
+            prop_assert_eq!(tx.on_ack(seq + 1, None).count(), 1);
         }
         prop_assert_eq!(wire.stats().dropped, retransmits + gave_up);
     }
@@ -441,20 +442,40 @@ fn volley_program() -> Program {
     p
 }
 
+/// What the wall clock's `Exit` broadcast adds to its fault counts, as
+/// `(Drops, CorruptRejected)`; the simulator stops at the exit instead.
+/// PE `exit` sends one `Exit` frame to each PE across the WAN as the next
+/// frame of the pair, so its seq is the number of envelopes the pair sent
+/// before it (the simulator's recording counts them; without aggregation
+/// an envelope is a frame).  The run is over before that frame's rto, so
+/// its first attempt is all the wire sees of it: the keyed draw at its
+/// pair, its seq and attempt 0.  An exact term, not a tolerance.
+fn exit_term(sim: &RunReport, plan: &FaultPlan, topo: &Topology, exit: Pe) -> (u64, u64) {
+    let obs = sim.obs.as_ref().expect("the simulator's run is recorded");
+    let events = &obs.pes[exit.index()].events;
+    let sent = |to: Pe| events.iter().filter(|e| matches!(e, Event::Send { dst, .. } if *dst == to.0)).count();
+    let mut wire = FaultWire::new(plan.clone());
+    for dst in topo.pes().filter(|&dst| topo.crosses_wan(exit, dst)) {
+        wire.transmit(exit, dst, sent(dst) as u64, 0, Dur::ZERO, ());
+    }
+    (wire.stats().dropped, wire.stats().corrupted)
+}
+
 /// One protocol, one wire, one count: the same plan and seed harm the
 /// same attempts on both engines, and the same sender and receiver
 /// machines repair them, so the fault counters agree exactly.  The run
-/// keeps one message in flight at a time, with an rto far above its
-/// round trip, so every pair sees its attempts in the same order on both
-/// engines and no retransmit is spurious.
+/// keeps one message in flight at a time, which is what `Reordered` and
+/// `DupDropped` still need: the reorder stash holds an attempt until the
+/// pair's next one, and a duplicate's second copy comes a moment after
+/// the first — with one message in flight, the next attempt and the
+/// second copy come at the same point on both engines.
 ///
 /// Two differences between the engines, both at the run's end:
 ///
 /// - The wall clock broadcasts `Exit` over the reliable layer, and the
-///   simulator stops instead.  Element 0 exits, so that broadcast is the
-///   first attempt on the pairs 0 -> 2 and 0 -> 3; the test checks on the
-///   wire itself that those draws let it through unharmed at this seed,
-///   so it adds nothing to the counts.
+///   simulator stops instead: [`exit_term`] counts what that adds.
+///   Element 0 exits, on PE 0, which sent nothing across the WAN before,
+///   so the broadcast is frame 0 of the pairs 0 -> 2 and 0 -> 3.
 /// - A wire duplicate of the last volley lands at the instant of its
 ///   original in virtual time, so the simulator's receiver always drops
 ///   it before the run ends.  On the wall clock the second copy is
@@ -472,26 +493,75 @@ fn both_engines_count_the_same_faults_for_one_plan_and_seed() {
         .with_corrupt(0.05)
         .with_seed(PARITY_SEED)
         .with_rto(Dur::from_millis(150));
-    let mut exit_wire = FaultWire::new(plan.clone());
-    for dst in [Pe(2), Pe(3)] {
-        let fate = exit_wire.transmit(Pe(0), dst, Dur::ZERO, ());
-        assert!(matches!(fate, Fate::Through { harm: gridmdo::netsim::Harm::None, .. }), "Exit to {dst}: {fate:?}");
-    }
 
-    let rc = RunConfig { fault_plan: Some(plan), ..RunConfig::default() };
-    let sim = SimEngine::new(NetworkModel::two_cluster_sweep(4, Dur::from_millis(1)), rc.clone()).run(volley_program());
+    let rc = RunConfig { fault_plan: Some(plan.clone()), ..RunConfig::default() };
+    let recorded = RunConfig { obs: Some(ObsConfig::new()), ..rc.clone() };
+    let sim = SimEngine::new(NetworkModel::two_cluster_sweep(4, Dur::from_millis(1)), recorded).run(volley_program());
     let topo = Topology::two_cluster(4);
     let latency = LatencyMatrix::uniform(&topo, Dur::ZERO, Dur::from_millis(1));
-    let threaded = ThreadedEngine::new(topo, ThreadedConfig::new(latency), rc).run(volley_program());
+    let threaded = ThreadedEngine::new(topo.clone(), ThreadedConfig::new(latency), rc).run(volley_program());
 
-    let faults = [Ctr::Drops, Ctr::CorruptRejected, Ctr::Reordered, Ctr::Retransmits];
-    let counts = |r: &RunReport| faults.map(|c| r.counters.get(c));
+    let (exit_drops, exit_corrupt) = exit_term(&sim, &plan, &topo, Pe(0));
+    let counts =
+        |r: &RunReport| [Ctr::Drops, Ctr::CorruptRejected, Ctr::Reordered, Ctr::Retransmits].map(|c| r.counters.get(c));
+    let mut want = counts(&sim);
+    (want[0], want[1]) = (want[0] + exit_drops, want[1] + exit_corrupt);
     assert!(sim.transport_error.is_none() && threaded.transport_error.is_none());
     assert!(counts(&sim).iter().all(|&n| n > 0), "every kind of fault occurred: {:?}", counts(&sim));
-    assert_eq!(counts(&sim), counts(&threaded), "drops, corrupt, reordered, retransmits");
+    assert_eq!(want, counts(&threaded), "drops, corrupt, reordered, retransmits (Exit: {exit_drops}, {exit_corrupt})");
     let dups = [&sim, &threaded].map(|r| r.counters.get(Ctr::DupDropped));
     assert!(dups[0] > 0, "duplicates occurred");
     assert!(dups[1] == dups[0] || dups[1] + 1 == dups[0], "dups: sim {}, threaded {}", dups[0], dups[1]);
 }
 
 const PARITY_SEED: u64 = 1;
+
+/// The count parity with many frames in flight per pair: LeanMD's
+/// coordinate and force fan-outs put dozens of frames on the one WAN pair
+/// each way at once, so the wall clock interleaves first attempts and
+/// retransmits differently from the simulator.  Each attempt's fate is
+/// keyed by its pair, seq and attempt number, not by its place in a
+/// stream, and each ack names the frame it answers however far past a gap
+/// it sits, so both engines harm the same attempts, resend exactly the
+/// lost ones and count the same: no spurious retransmit, no duplicate, one
+/// retransmit per drop or corruption, and the same trajectories.  The one
+/// named difference is the wall clock's `Exit` broadcast ([`exit_term`]).
+///
+/// The plan has no duplicate and no reorder: which attempt of the pair
+/// comes next to release a stash, and whether a duplicate's late second
+/// copy comes due before the run ends, depend on timing on the wall clock.
+/// The wall clock processes acks on the sending PE, so its rto must
+/// outlast that PE's longest busy stretch, or a late ack would make a
+/// retransmit spurious: 50 ms, against a 4 ms round trip.
+#[test]
+fn both_engines_count_the_same_faults_with_many_frames_in_flight() {
+    let cfg = MdConfig::validation(3, 4, 3);
+    let plan = FaultPlan::loss(0.1).with_corrupt(0.05).with_seed(EXIT_DROPPED_SEED).with_rto(Dur::from_millis(50));
+    let wan = Dur::from_millis(2);
+    let clean = leanmd::run_sim(cfg.clone(), NetworkModel::two_cluster_sweep(2, wan), RunConfig::default());
+    let rc = RunConfig { fault_plan: Some(plan.clone()), ..RunConfig::default() };
+    let recorded = RunConfig { obs: Some(ObsConfig::new()), ..rc.clone() };
+    let sim = leanmd::run_sim(cfg.clone(), NetworkModel::two_cluster_sweep(2, wan), recorded);
+    let topo = Topology::two_cluster(2);
+    let threaded = leanmd::run_threaded(cfg, topo.clone(), LatencyMatrix::uniform(&topo, Dur::ZERO, wan), rc);
+
+    for out in [&sim, &threaded] {
+        assert!(out.report.transport_error.is_none());
+        assert_eq!(out.checksums, clean.checksums, "trajectories survive the lossy WAN");
+        assert_eq!([out.kinetic, out.potential].map(f64::to_bits), [clean.kinetic, clean.potential].map(f64::to_bits));
+    }
+    // The gather ends at its root, PE 0, whose client exits.
+    let (exit_drops, exit_corrupt) = exit_term(&sim.report, &plan, &topo, Pe(0));
+    let faults =
+        [Ctr::Drops, Ctr::CorruptRejected, Ctr::Retransmits, Ctr::SpuriousRetransmits, Ctr::DupDropped, Ctr::Reordered];
+    let [s, t] = [&sim, &threaded].map(|out| faults.map(|c| out.report.counters.get(c)));
+    assert!(s[0] > 0 && s[1] > 0, "the wire dropped and corrupted: {s:?}");
+    assert_eq!(s[2], s[0] + s[1], "the simulator resends each lost attempt once: {s:?}");
+    assert_eq!(s[3..], [0; 3], "no spurious retransmit, no duplicate, no reorder");
+    let want = [s[0] + exit_drops, s[1] + exit_corrupt, s[2], 0, 0, 0];
+    assert_eq!(t, want, "{faults:?}: sim {s:?}, Exit adds {exit_drops} drops and {exit_corrupt} corrupt");
+    assert_eq!((exit_drops, exit_corrupt), (1, 0), "at this seed the wire drops the Exit frame, so the term counts");
+}
+
+/// A seed at which the wall clock's `Exit` frame to PE 1 is dropped.
+const EXIT_DROPPED_SEED: u64 = 4;

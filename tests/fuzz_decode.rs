@@ -21,8 +21,8 @@ use gridmdo::runtime::envelope::{Envelope, MsgBody};
 use gridmdo::runtime::ids::{ArrayId, ElemId, EntryId, ObjKey};
 use gridmdo::runtime::wire::WireReader;
 use gridmdo::vmi::reliable::{
-    apply_grant, decode_ack_ext, decode_frame, encode_ack, encode_data, is_control_frame, AckExt, CreditState,
-    CREDIT_EXT_LEN, HEADER_LEN, KIND_ACK, KIND_DATA, SACK_EXT_LEN,
+    apply_grant, decode_ack_ext, decode_frame, encode_ack, encode_data, AckExt, CreditState, CREDIT_EXT_LEN,
+    HEADER_LEN, HELD_EXT_LEN, KIND_ACK, KIND_DATA,
 };
 use mdo_check::ScheduleFile;
 use proptest::prelude::*;
@@ -110,7 +110,6 @@ proptest! {
     /// frame whose parts exactly tile the input.
     #[test]
     fn vmi_frame_decode_survives_arbitrary_bytes(buf in prop::collection::vec(any::<u8>(), 0..256)) {
-        let _ = is_control_frame(&buf);
         match decode_frame(&buf) {
             None => {
                 prop_assert!(buf.len() < HEADER_LEN || (buf[0] != KIND_DATA && buf[0] != KIND_ACK));
@@ -135,33 +134,32 @@ proptest! {
         prop_assert_eq!(rest, &payload[..]);
         prop_assert!(decode_frame(&data[..cut]).is_none());
 
-        let ack = encode_ack(seq, 0, None);
+        let ack = encode_ack(seq, None, None);
         let (kind, num, rest) = decode_frame(&ack).expect("ack frame parses");
         prop_assert_eq!(kind, KIND_ACK);
         prop_assert_eq!(num, seq);
         prop_assert!(rest.is_empty());
-        prop_assert!(is_control_frame(&ack));
-        prop_assert!(!is_control_frame(&data));
     }
 
     /// Arbitrary bytes into the ack-extension parser — the surface a
     /// hostile peer reaches by appending garbage to an ack frame.  Empty
-    /// is a plain ack; [`SACK_EXT_LEN`] bytes a selective ack, that plus
-    /// [`CREDIT_EXT_LEN`] a selective ack and a grant (0, 8 or 16 bytes);
-    /// any other length is a structured [`CreditError`] — never a panic.
+    /// is a plain ack; [`HELD_EXT_LEN`] bytes the frame it names, that
+    /// plus [`CREDIT_EXT_LEN`] the named frame and a grant (0, 8 or 16
+    /// bytes); any other length is a structured [`CreditError`] — never a
+    /// panic.
     #[test]
     fn credit_ext_decode_survives_arbitrary_bytes(buf in prop::collection::vec(any::<u8>(), 0..64)) {
-        let lengths = [0, SACK_EXT_LEN, SACK_EXT_LEN + CREDIT_EXT_LEN];
+        let lengths = [0, HELD_EXT_LEN, HELD_EXT_LEN + CREDIT_EXT_LEN];
         prop_assert_eq!(lengths, [0, 8, 16]);
         match decode_ack_ext(&buf) {
             Ok(ext) => {
                 prop_assert!(lengths.contains(&buf.len()));
                 // A parsed extension re-encodes to the same bytes, unless
-                // it was a lone all-zero map, which the encoder leaves out.
-                let ack = encode_ack(9, ext.sack, ext.grant);
+                // it was a lone "none" (0), which the encoder leaves out.
+                let ack = encode_ack(9, ext.held, ext.grant);
                 prop_assert_eq!(decode_ack_ext(&ack[HEADER_LEN..]), Ok(ext));
-                let zero_map = ext.sack == 0 && buf.len() == SACK_EXT_LEN;
-                if !zero_map {
+                let lone_none = ext.held.is_none() && buf.len() == HELD_EXT_LEN;
+                if !lone_none {
                     prop_assert_eq!(&ack[HEADER_LEN..], &buf[..]);
                 }
             }
@@ -172,18 +170,18 @@ proptest! {
         }
     }
 
-    /// An ack with a selective-ack map and a grant round-trips through the
-    /// frame parser and the extension parser field for field, as 16
-    /// extension bytes whatever the map holds.
+    /// An ack naming a held frame (or none) and carrying a grant
+    /// round-trips through the frame parser and the extension parser field
+    /// for field, as 16 extension bytes whether it names a frame or not.
     #[test]
-    fn ack_credit_roundtrip(cum in any::<u64>(), sack in any::<u64>(), grant in any::<u64>()) {
-        let ack = encode_ack(cum, sack, Some(grant));
-        prop_assert!(is_control_frame(&ack));
+    fn ack_credit_roundtrip(cum in any::<u64>(), seq in any::<u64>(), grant in any::<u64>()) {
+        let held = Some(seq).filter(|&seq| seq != 0); // 0 is the "none" on the wire
+        let ack = encode_ack(cum, held, Some(grant));
         let (kind, num, ext) = decode_frame(&ack).expect("credit ack parses");
         prop_assert_eq!(kind, KIND_ACK);
         prop_assert_eq!(num, cum);
-        prop_assert_eq!(ext.len(), SACK_EXT_LEN + CREDIT_EXT_LEN);
-        prop_assert_eq!(decode_ack_ext(ext).expect("well-formed extension"), AckExt { sack, grant: Some(grant) });
+        prop_assert_eq!(ext.len(), HELD_EXT_LEN + CREDIT_EXT_LEN);
+        prop_assert_eq!(decode_ack_ext(ext).expect("well-formed extension"), AckExt { held, grant: Some(grant) });
     }
 
     /// Hostile grants against live sender-side credit state: `u64::MAX`
