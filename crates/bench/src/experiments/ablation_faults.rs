@@ -14,7 +14,8 @@
 //!   blocking, as on the wire);
 //! * the fault counters — what the wire actually did — with the
 //!   retransmits split into repairs of lost frames and spurious ones (the
-//!   receiver held the frame; its ack had not come back);
+//!   receiver held the frame and its ack had not come back, or the wire's
+//!   reorder stash still held it);
 //! * a bit-exactness verdict against the sequential reference — the
 //!   reliable layer must make every run produce *the* answer.
 

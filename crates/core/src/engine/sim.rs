@@ -411,9 +411,11 @@ impl SimWan {
         if let Some(err) = sender.on_timer(now, wire.plan(), |s, n, f, due| resend.push(((s, n), f.clone(), due))) {
             return Err(err);
         }
-        let held = self.receivers.get(&key).map_or(0, |r| resend.iter().filter(|c| r.holds(c.0 .0)).count());
+        let (receiver, stashed) = (self.receivers.get(&key), wire.stashed(src, dst).map(|&(seq, _)| seq));
+        let held = |seq| stashed == Some(seq) || receiver.is_some_and(|r| r.holds(seq));
+        let spurious = resend.iter().filter(|c| held(c.0 .0)).count();
         self.ctr.add(Ctr::Retransmits, resend.len() as u64);
-        self.ctr.add(Ctr::SpuriousRetransmits, held as u64);
+        self.ctr.add(Ctr::SpuriousRetransmits, spurious as u64);
         for (id, frame, due) in resend {
             self.arm(src, dst, id.0, due, events);
             self.attempt(src, dst, id, frame, now, events);

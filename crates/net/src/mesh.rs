@@ -15,8 +15,8 @@
 //! [`Wire::send`] (taking along whatever was corked ahead of it), at the
 //! next [`Wire::flush`] or at [`CORK_MAX_BYTES`] for
 //! [`Wire::send_corked`].  Who corks and when to flush is decided above
-//! the seam (`mdo_vmi::wire`); should a promised flush never come, a
-//! rescue thread writes the abandoned cork within two of its ticks.  A
+//! the seam (`mdo_vmi::wire`); should a promised flush never come, the
+//! pair's own reader writes the abandoned cork within two of its ticks.  A
 //! control record goes through the same buffer, so it never overtakes
 //! data corked before it — and, written before a close, it is read before
 //! the EOF that reports the peer down.  Inbound, one reader thread per
@@ -57,13 +57,15 @@ use crate::record::{
 /// memory a pair can pin stays bounded.
 pub const CORK_MAX_BYTES: usize = 64 << 10;
 
-/// How often the rescue thread looks at the cork buffers.  `send_corked`
-/// takes its caller's word that a flush will follow; a cork that sits
-/// through two looks with no write in between has been abandoned (its
-/// sender stopped polling without a last flush) and is written for it, so
-/// a broken promise costs 10–20 ms, never a hang.  Long against every
-/// flush the transport does itself (sub-millisecond), so in a healthy run
-/// the thread only ever looks.
+/// How often a pair's reader looks at the pair's cork buffer: its read
+/// half times out after this long, and a read that returns a tick after
+/// the last look looks too, so a peer that never falls silent cannot
+/// postpone the look.  `send_corked` takes its caller's word that a flush
+/// will follow; a cork that sits through two looks with no write in
+/// between has been abandoned (its sender stopped polling without a last
+/// flush) and is written for it, so a broken promise costs 10–20 ms, never
+/// a hang.  Long against every flush the transport does itself
+/// (sub-millisecond), so in a healthy run the reader only ever looks.
 const CORK_RESCUE_TICK: Duration = Duration::from_millis(10);
 
 /// An asynchronous mesh notification.
@@ -108,7 +110,7 @@ struct Pair {
     /// Hint that the cork buffer is non-empty, so a flush with nothing
     /// corked takes no lock.  Written under the `out` lock.
     corked: AtomicBool,
-    /// Set by the rescue thread when it sees the pair corked, cleared by
+    /// Set by the pair's reader when it sees the pair corked, cleared by
     /// every write.  Still set at its next look: abandoned.
     unclaimed: AtomicBool,
     /// The read half, until [`NetMesh::start`] hands it to the reader.
@@ -448,14 +450,12 @@ impl NetMesh {
     /// Spawn one reader thread per peer: every inbound data record is
     /// decoded and handed to `deliver` (which posts it into the destination
     /// PE's landing mailbox); control records and peer-death evidence go to
-    /// the event queue.  Also spawns the cork rescue thread (see
-    /// `CORK_RESCUE_TICK`).  Call exactly once per mesh.
+    /// the event queue.  Each reader is also its pair's cork rescue (see
+    /// `CORK_RESCUE_TICK`), so a mesh that is never started never writes a
+    /// cork on its own.  Call exactly once per mesh.
     pub fn start(self: &Arc<Self>, deliver: impl Fn(Packet) + Send + Sync + 'static) {
         let deliver = Arc::new(deliver);
         let mut handles = self.reader_handles.lock();
-        let mesh = Arc::clone(self);
-        let rescue = std::thread::Builder::new().name(format!("mdo-net-cork{}", self.node));
-        handles.push(rescue.spawn(move || mesh.rescue_loop()).expect("spawn cork rescue"));
         for (node, pair) in self.pairs.iter().enumerate() {
             let Some(stream) = pair.as_ref().and_then(|p| p.reader.lock().take()) else { continue };
             let mesh = Arc::clone(self);
@@ -468,7 +468,12 @@ impl NetMesh {
     }
 
     fn reader_loop(&self, from_node: u32, stream: TcpStream, deliver: &(dyn Fn(Packet) + Send + Sync)) {
-        let mut br = BufReader::with_capacity(64 << 10, stream);
+        if stream.set_read_timeout(Some(CORK_RESCUE_TICK)).is_err() {
+            self.note_down(from_node);
+            return;
+        }
+        let rescuing = Rescuing { mesh: self, peer: from_node, sock: stream, looked: Instant::now() };
+        let mut br = BufReader::with_capacity(64 << 10, rescuing);
         loop {
             match read_record(&mut br) {
                 Ok(None) => {
@@ -578,26 +583,21 @@ impl NetMesh {
         buf[at + 1..body_at].copy_from_slice(&len.to_le_bytes());
     }
 
-    /// Write every non-empty cork buffer that `pick` selects.
-    fn flush_corks(&self, pick: impl Fn(&Pair) -> bool) {
-        for (to, pair) in self.pairs.iter().enumerate() {
-            let Some(pair) = pair else { continue };
-            if !pair.corked.load(Ordering::Acquire) || !pick(pair) {
-                continue;
-            }
-            let wrote = pair.flush(&mut pair.out.lock());
-            if wrote.is_err() {
-                self.note_down(to as u32);
-            }
+    /// Write the cork buffer to `to`.
+    fn write_cork(&self, to: u32, pair: &Pair) {
+        if pair.flush(&mut pair.out.lock()).is_err() {
+            self.note_down(to);
         }
     }
 
-    /// Until the mesh closes: every tick, write the corks that were already
-    /// seen corked at the previous tick and not written since.
-    fn rescue_loop(&self) {
-        while !self.closing.load(Ordering::Acquire) {
-            std::thread::park_timeout(CORK_RESCUE_TICK);
-            self.flush_corks(|pair| pair.unclaimed.swap(true, Ordering::AcqRel));
+    /// One look of `to`'s cork rescue: write the cork if it was already
+    /// seen corked at the previous look and not written since.  The reader
+    /// that looks reads nothing while it writes; that write is rare (a
+    /// healthy run makes none) and one cork, under `CORK_MAX_BYTES`.
+    fn rescue(&self, to: u32) {
+        let Some(pair) = self.pairs.get(to as usize).and_then(|p| p.as_ref()) else { return };
+        if pair.corked.load(Ordering::Acquire) && pair.unclaimed.swap(true, Ordering::AcqRel) {
+            self.write_cork(to, pair);
         }
     }
 
@@ -653,8 +653,7 @@ impl NetMesh {
         }
         let mut handles = self.reader_handles.lock();
         for h in handles.drain(..) {
-            h.thread().unpark(); // the rescue thread; a reader ends with its socket
-            let _ = h.join();
+            let _ = h.join(); // a reader ends with its socket
         }
     }
 }
@@ -669,7 +668,11 @@ impl Wire for NetMesh {
     }
 
     fn flush(&self) {
-        self.flush_corks(|_| true);
+        for (to, pair) in self.pairs.iter().enumerate() {
+            if let Some(pair) = pair.as_ref().filter(|p| p.corked.load(Ordering::Acquire)) {
+                self.write_cork(to as u32, pair);
+            }
+        }
     }
 
     fn shutdown(&self) {
@@ -680,6 +683,36 @@ impl Wire for NetMesh {
 impl Drop for NetMesh {
     fn drop(&mut self) {
         self.shutdown();
+    }
+}
+
+/// A reader's read half, through which it is also its pair's cork rescue:
+/// a read that timed out (the socket's timeout is `CORK_RESCUE_TICK`) or
+/// that returns a tick after the last look first looks at the cork to
+/// `peer`, and a timed-out read is then read again, so the records read
+/// through it never see the timeout, however a record is split.
+struct Rescuing<'a> {
+    mesh: &'a NetMesh,
+    peer: u32,
+    sock: TcpStream,
+    looked: Instant,
+}
+
+impl Read for Rescuing<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        loop {
+            let got = self.sock.read(buf);
+            let timed_out = got
+                .as_ref()
+                .is_err_and(|e| matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut));
+            if timed_out || self.looked.elapsed() >= CORK_RESCUE_TICK {
+                self.mesh.rescue(self.peer);
+                self.looked = Instant::now();
+            }
+            if !timed_out {
+                return got;
+            }
+        }
     }
 }
 
@@ -749,8 +782,9 @@ mod tests {
 
     /// Node 0 → node 1; node 1's deliveries come out of
     /// the returned channel as the payload's first four bytes.  Node 0's
-    /// mesh is started — readers and cork rescue — only on request: without
-    /// the rescue a cork stays exactly as long as the test leaves it.
+    /// mesh is started — its reader, which is also the pair's cork rescue —
+    /// only on request: without the rescue a cork stays exactly as long as
+    /// the test leaves it.
     fn one_way(start_sender: bool) -> (Vec<Arc<NetMesh>>, mpsc::Receiver<u32>) {
         let meshes = establish_all(sessions(2), &Topology::two_cluster(2), 0);
         let (tx, rx) = mpsc::channel();
@@ -820,11 +854,79 @@ mod tests {
         let corked = Instant::now();
         meshes[0].send_corked(numbered(9, 4));
         // No flush, ever: the promise is broken.
-        assert_eq!(rx.recv_timeout(SOON), Ok(9), "written by the rescue thread");
+        assert_eq!(rx.recv_timeout(SOON), Ok(9), "written by the pair's reader");
         assert!(corked.elapsed() < Duration::from_secs(1), "within a couple of ticks, not by luck at the deadline");
         for m in &meshes {
             m.shutdown();
         }
+    }
+
+    /// The rescuing reader's read never times out while its peer streams a
+    /// record every millisecond: the look on a read that returns a tick
+    /// after the last one is what writes the cork, not the idle timeout.
+    #[test]
+    fn a_cork_abandoned_while_the_peer_streams_is_still_rescued() {
+        let (meshes, rx) = one_way(true);
+        let stop = Arc::new(AtomicBool::new(false));
+        let (peer, streaming) = (Arc::clone(&meshes[1]), Arc::clone(&stop));
+        let streamer = std::thread::spawn(move || {
+            let until = Instant::now() + SOON;
+            while !streaming.load(Ordering::Acquire) && Instant::now() < until {
+                peer.send(Packet::new(Pe(1), Pe(0), Bytes::from_static(b"tick")));
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        });
+        std::thread::sleep(3 * CORK_RESCUE_TICK); // the stream is flowing
+        let corked = Instant::now();
+        meshes[0].send_corked(numbered(9, 4));
+        let got = rx.recv_timeout(SOON);
+        let took = corked.elapsed();
+        stop.store(true, Ordering::Release);
+        streamer.join().unwrap();
+        assert_eq!(got, Ok(9), "written by the pair's reader");
+        assert!(took < Duration::from_secs(1), "within a couple of ticks, not once the stream ends: {took:?}");
+        for m in &meshes {
+            m.shutdown();
+        }
+    }
+
+    /// A record whose header and body reach the socket across pauses of
+    /// several ticks is read whole: the reader's timeouts are its rescue's,
+    /// never a broken record or a dead peer.
+    #[test]
+    fn a_record_split_across_timeouts_is_read_whole() {
+        let (listeners, manifest) = localhost_rendezvous(2).unwrap();
+        let session =
+            NetSession::with_listener(NetConfig::new(0, manifest.clone()), listeners.into_iter().next().unwrap())
+                .unwrap();
+        let topo = Topology::two_cluster(2);
+        let (addr, digest) = (manifest[0], topo.digest());
+        let mut record = Vec::new();
+        encode_data_record(&Packet::new(Pe(1), Pe(0), Bytes::from_static(b"split across ticks")), 0, &mut record);
+        let (release, hold) = mpsc::channel::<()>();
+        let raw = std::thread::spawn(move || {
+            let s = TcpStream::connect(addr).unwrap();
+            let (ours, deadline) = (Handshake { node: 1, generation: 0, digest }, Instant::now() + SOON);
+            handshake_dial(&s, &ours, &Clock::start(), 0, deadline).expect("node 0 accepts");
+            let _ = hold.recv(); // node 0's reader is running
+            for piece in [&record[..2], &record[2..RECORD_HEADER_LEN + 3], &record[RECORD_HEADER_LEN + 3..]] {
+                (&s).write_all(piece).unwrap();
+                std::thread::sleep(3 * CORK_RESCUE_TICK);
+            }
+            let _ = hold.recv(); // the socket stays open until the test has looked
+        });
+        let mesh = Arc::new(session.establish(0, &topo, &[0, 1]).expect("mesh with the raw peer"));
+        let (tx, rx) = mpsc::channel();
+        mesh.start(move |pkt| tx.send(pkt).unwrap());
+        release.send(()).unwrap();
+        let pkt = rx.recv_timeout(SOON).expect("the record, whole");
+        assert_eq!((pkt.src, pkt.dst, &pkt.payload[..]), (Pe(1), Pe(0), &b"split across ticks"[..]));
+        assert!(!mesh.is_down(1), "the pauses are not a dead peer");
+        assert_eq!(mesh.next_event(NOT_YET), None, "no PeerDown");
+        assert_eq!(mesh.drops(), 0);
+        drop(release);
+        raw.join().unwrap();
+        mesh.shutdown();
     }
 
     #[test]

@@ -234,6 +234,12 @@ impl<T> FaultWire<T> {
         self.stats
     }
 
+    /// What the pair `src -> dst`'s reorder stash holds: an attempt that
+    /// got onto the wire and has not come off it.
+    pub fn stashed(&self, src: Pe, dst: Pe) -> Option<&T> {
+        self.stashes.get(&(src.0, dst.0))
+    }
+
     /// Attempt `attempt` (0 for the first copy) of frame `seq` of the pair
     /// `src -> dst`, carrying `item`, `at` after the wire came up (what
     /// link-down windows are measured against).
@@ -321,8 +327,10 @@ mod tests {
         assert_eq!(wire.transmit(Pe(0), Pe(4), 0, 0, Dur::ZERO, 'a'), Fate::Stashed);
         // The second draw also says "reorder", but the stash is occupied:
         // the attempt passes and releases the stash behind itself.
+        assert_eq!((wire.stashed(Pe(0), Pe(4)), wire.stashed(Pe(4), Pe(0))), (Some(&'a'), None));
         let second = wire.transmit(Pe(0), Pe(4), 1, 0, Dur::ZERO, 'b');
         assert_eq!(second, Fate::Through { item: 'b', harm: Harm::None, released: Some('a') });
+        assert_eq!(wire.stashed(Pe(0), Pe(4)), None, "released");
         assert_eq!(wire.stats().reordered, 1);
     }
 

@@ -27,11 +27,12 @@ pub enum Ctr {
     Drops,
     /// Retransmissions by the reliable layer.
     Retransmits,
-    /// The share of `Retransmits` whose frame its receiver already held:
-    /// the frame's timer fired before the ack naming or covering it came
-    /// back (an rto under the round trip, or a stash that released the
-    /// frame late).  Only the simulator, which sees both ends, can tell;
-    /// the wall clock leaves it 0.
+    /// The share of `Retransmits` whose frame its receiver already held,
+    /// or the wire's reorder stash still did: the frame's timer fired
+    /// before the ack naming or covering it came back (an rto under the
+    /// round trip, or a stash that released the frame late or not yet).
+    /// Only the simulator, which sees both ends, can tell; the wall clock
+    /// leaves it 0.
     SpuriousRetransmits,
     /// Duplicate packets discarded by the reliable layer.
     DupDropped,

@@ -40,6 +40,9 @@ static SLOT_PEAK: AtomicIsize = AtomicIsize::new(0);
 static ALL_LIVE: AtomicIsize = AtomicIsize::new(0);
 static ALL_PEAK: AtomicIsize = AtomicIsize::new(0);
 static ALL_ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Threads that have allocated at least once, counted at their first
+/// allocation: each takes a malloc arena of its own (EXPERIMENTS.md A22).
+static ALLOCATING_THREADS: AtomicU64 = AtomicU64::new(0);
 
 fn slot_bytes(size: usize, align: usize) -> isize {
     let slot = std::mem::size_of::<Packet>();
@@ -73,6 +76,8 @@ thread_local! {
     static PEAK: Cell<isize> = const { Cell::new(0) };
     /// Largest single request since the last `Census::begin`.
     static LARGEST: Cell<usize> = const { Cell::new(0) };
+    /// Whether this thread has allocated yet (counted in `ALLOCATING_THREADS`).
+    static HAS_ALLOCATED: Cell<bool> = const { Cell::new(false) };
 }
 
 fn grew(by: usize) {
@@ -80,6 +85,9 @@ fn grew(by: usize) {
     // `try_with`: the allocator also runs while a thread is torn down.
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
     let _ = LARGEST.try_with(|l| l.set(l.get().max(by)));
+    if HAS_ALLOCATED.try_with(|seen| seen.replace(true)) == Ok(false) {
+        ALLOCATING_THREADS.fetch_add(1, Ordering::Relaxed);
+    }
     moved(by as isize);
 }
 
@@ -332,6 +340,38 @@ fn a_stencil_on_the_wall_clock_engine_stays_inside_its_heap_budget() {
         per_envelope <= ALLOCS_PER_ENVELOPE_BUDGET,
         "{per_envelope:.3} allocations per envelope is over the budget of {ALLOCS_PER_ENVELOPE_BUDGET}"
     );
+}
+
+/// `stencil_cross_tcp`'s job at a small size, both nodes in this process
+/// over loopback TCP: besides the test's own, six threads allocate — a
+/// thread per node, its PE and its reader for the pair, which is also the
+/// pair's cork rescue.  A mesh that ran a rescue thread beside its readers
+/// had eight: that thread allocated one block per mesh, and so took an
+/// arena of its own.
+#[test]
+fn a_two_node_tcp_stencil_allocates_on_six_threads() {
+    let _alone = alone();
+    let topo = Topology::uniform(2, 1);
+    // The test thread the harness starts as the last test ends allocates
+    // on its way to `alone()`: let it get there before counting.
+    let mut before = ALLOCATING_THREADS.load(Ordering::Relaxed);
+    loop {
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        let now = ALLOCATING_THREADS.load(Ordering::Relaxed);
+        if now == before {
+            break;
+        }
+        before = now;
+    }
+    let out = mdo_bench::over_tcp(&topo, &RunConfig::default(), |cfg| {
+        let job = StencilConfig { mapping: Mapping::RoundRobin, ..StencilConfig::paper(64, 2) };
+        let tcfg = ThreadedConfig::new(LatencyMatrix::uniform(&topo, Dur::ZERO, Dur::ZERO));
+        stencil::run_threaded_with(job, topo.clone(), tcfg, cfg)
+    });
+    let threads = ALLOCATING_THREADS.load(Ordering::Relaxed) - before;
+    assert!(out.report.pe_messages.iter().sum::<u64>() > 0, "the run moved messages");
+    println!("{threads} threads allocated");
+    assert_eq!(threads, 6, "two nodes, each with a PE and a reader");
 }
 
 /// A warm scheduler queue whose priority classes drain and refill — a

@@ -353,9 +353,9 @@ use gridmdo::vmi::{Packet, ReliableTransport, Transport, TransportConfig, Wire, 
 /// Two single-PE nodes in this process — PE 0 on node 0, PE 1 on node 1 —
 /// each a raw `Transport` bound to its end of a real loopback mesh, with
 /// `cross` injected between them.  `one_way` leaves node 0's mesh
-/// unstarted — no readers (node 1 sends it nothing) and no cork rescue
-/// thread, so a cork there stays exactly as long as the transport's own
-/// rules leave it.
+/// unstarted — no reader (node 1 sends it nothing), and so no cork
+/// rescue, which is the pair's reader's — so a cork there stays exactly as
+/// long as the transport's own rules leave it.
 fn meshed_transports(cross: Dur, one_way: bool) -> [(Arc<Transport>, Arc<gridmdo::net::NetMesh>); 2] {
     let topo = Topology::two_cluster(2);
     let (listeners, addrs) = localhost_rendezvous(2).expect("rendezvous");
